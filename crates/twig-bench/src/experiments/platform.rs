@@ -33,12 +33,12 @@
 //! never enters the text — so the report is bit-identical at `--jobs 1`,
 //! `2` and `4`.
 
+use crate::runner::make_suite_twig;
 use crate::{fmt_f, run_fleet, ExpError, Options, TextTable, Unit};
 use std::fmt::Write as _;
-use twig_core::{GovernorConfig, RewardConfig, SafetyGovernor, TaskManager, Twig, TwigBuilder};
+use twig_core::{GovernorConfig, SafetyGovernor, TaskManager};
 use twig_platform::{OsFaultConfig, OsFaultPlan, Platform, SimPlatform, SimWorld};
-use twig_rl::{EpsilonSchedule, MaBdqConfig};
-use twig_sim::{catalog, Server, ServerConfig, ServiceSpec};
+use twig_sim::{catalog, Server, ServerConfig};
 use twig_telemetry::Telemetry;
 
 /// What a schedule is required to demonstrate, beyond the universal
@@ -225,32 +225,6 @@ impl Outcome {
     }
 }
 
-/// Small-but-real learning stack (the timing suite's shape): pure
-/// exploitation in `observe` keeps the policy deterministic under a fixed
-/// seed.
-fn build_twig(services: Vec<ServiceSpec>, epochs: u64, seed: u64) -> Result<Twig, ExpError> {
-    Ok(TwigBuilder::new()
-        .services(services)
-        .epsilon(EpsilonSchedule::new(0.1, 0.01, epochs * 3 / 5, epochs))
-        .agent(MaBdqConfig {
-            trunk_hidden: vec![32, 24],
-            head_hidden: 16,
-            batch_size: 16,
-            buffer_capacity: 4096,
-            target_update_every: 40,
-            ..MaBdqConfig::default()
-        })
-        .reward(RewardConfig {
-            theta: 1.0,
-            ..RewardConfig::default()
-        })
-        .train_steps_per_epoch(1)
-        .action_stickiness(0.02)
-        .pure_exploitation(true)
-        .seed(seed)
-        .build()?)
-}
-
 /// Cross-checks the backend's exported `platform.*` telemetry against its
 /// own stats — the counters the dashboards would alert on must not drift
 /// from truth.
@@ -279,7 +253,7 @@ fn run_schedule(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, ExpErro
     // Fault-free warm-up pre-roll through the same closed loop, then
     // install the fault plan so outage windows align with the scheduled
     // run.
-    let mut twig = build_twig(specs.clone(), epochs, seed)?;
+    let mut twig = make_suite_twig(specs.clone(), epochs, seed)?;
     for _ in 0..WARMUP_EPOCHS {
         let a = twig.decide()?;
         platform.actuate(&a)?;
@@ -429,8 +403,8 @@ fn run_bit_identity(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, Exp
     server.set_load_fraction(0, 0.4)?;
     server.set_load_fraction(1, 0.4)?;
 
-    let mut twig_a = build_twig(specs.clone(), epochs, seed)?;
-    let mut twig_b = build_twig(specs.clone(), epochs, seed)?;
+    let mut twig_a = make_suite_twig(specs.clone(), epochs, seed)?;
+    let mut twig_b = make_suite_twig(specs.clone(), epochs, seed)?;
     for _ in 0..WARMUP_EPOCHS {
         let a = twig_a.decide()?;
         platform.actuate(&a)?;

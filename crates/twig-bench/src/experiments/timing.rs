@@ -9,7 +9,7 @@
 //! walks the load-shedding ladder on projected overruns: defer the
 //! resumable micro-batch learning step, reuse the last validated action
 //! instead of running inference, or drop to the [`SafetyGovernor`]'s safe
-//! fallback.
+//! fallback. The walk itself is [`EpochScheduler::metered_epoch`].
 //!
 //! Invariants asserted on every schedule (a violation fails the unit, and
 //! the fleet reports it without killing the suite):
@@ -30,17 +30,16 @@
 //! clock never enters the text — so the report is bit-identical at
 //! `--jobs 1`, `2` and `4`.
 
+use crate::runner::make_suite_twig;
 use crate::{fmt_f, run_fleet, ExpError, Options, TextTable, Unit};
 use std::fmt::Write as _;
 use twig_core::{
     ActuationDirective, EpochScheduler, GovernorConfig, InferenceDirective, LearnDirective,
-    RewardConfig, SafetyGovernor, SchedulerConfig, SimClock, TaskManager, Twig, TwigBuilder,
-    VirtualClock,
+    SafetyGovernor, SchedulerConfig, SimClock,
 };
-use twig_rl::{BudgetedProgress, EpsilonSchedule, MaBdqConfig};
+use twig_rl::BudgetedProgress;
 use twig_sim::{
-    catalog, Assignment, EpochTimings, Server, ServerConfig, ServiceSpec, TimingFaultConfig,
-    TimingFaultPlan,
+    catalog, Assignment, EpochTimings, Server, ServerConfig, TimingFaultConfig, TimingFaultPlan,
 };
 use twig_telemetry::Telemetry;
 
@@ -168,7 +167,7 @@ fn schedules() -> Vec<Schedule> {
 }
 
 /// Ungoverned pre-roll epochs that fill the replay buffer to exactly one
-/// batch (`batch_size` in [`build_twig`]) before the scheduled run starts.
+/// batch (`batch_size` in [`make_suite_twig`]) before the scheduled run starts.
 const WARMUP_EPOCHS: u64 = 16;
 
 fn epochs_for(opts: &Options) -> u64 {
@@ -255,32 +254,6 @@ impl Outcome {
     }
 }
 
-/// Small-but-real learning stack: pure exploitation in `observe` so the
-/// *driver* owns the learning phase and can split it into budgeted
-/// micro-batches under the scheduler's chunk grants.
-fn build_twig(services: Vec<ServiceSpec>, epochs: u64, seed: u64) -> Result<Twig, ExpError> {
-    Ok(TwigBuilder::new()
-        .services(services)
-        .epsilon(EpsilonSchedule::new(0.1, 0.01, epochs * 3 / 5, epochs))
-        .agent(MaBdqConfig {
-            trunk_hidden: vec![32, 24],
-            head_hidden: 16,
-            batch_size: 16,
-            buffer_capacity: 4096,
-            target_update_every: 40,
-            ..MaBdqConfig::default()
-        })
-        .reward(RewardConfig {
-            theta: 1.0,
-            ..RewardConfig::default()
-        })
-        .train_steps_per_epoch(1)
-        .action_stickiness(0.02)
-        .pure_exploitation(true)
-        .seed(seed)
-        .build()?)
-}
-
 /// Cross-checks the scheduler's exported telemetry against its own stats —
 /// the counters the dashboards would alert on must not drift from truth.
 fn check_telemetry(telemetry: &Telemetry, sched_stats: &twig_core::SchedulerStats) {
@@ -324,7 +297,7 @@ fn run_schedule(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, ExpErro
     server.set_timing_plan(TimingFaultPlan::new(s.timing.clone(), seed ^ 0x7171_F0F0)?);
 
     let telemetry = Telemetry::enabled();
-    let mut twig = build_twig(specs.clone(), epochs, seed)?;
+    let mut twig = make_suite_twig(specs.clone(), epochs, seed)?;
     // Warm-up pre-roll: fill the replay buffer to one batch so the
     // budgeted learning phase is live from the first scheduled epoch
     // (governor safe-mode epochs push no transitions, so without this a
@@ -349,8 +322,7 @@ fn run_schedule(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, ExpErro
     )?;
     gov.set_telemetry(telemetry.clone());
 
-    let clock = SimClock::new();
-    let mut sched = EpochScheduler::new(SchedulerConfig::default(), clock.clone())?;
+    let mut sched = EpochScheduler::new(SchedulerConfig::default(), SimClock::new())?;
     sched.set_telemetry(telemetry.clone());
 
     let mut o = Outcome::new(s.name);
@@ -360,129 +332,23 @@ fn run_schedule(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, ExpErro
     let mut stale_seen = 0u64;
 
     for _ in 0..epochs {
-        let t = server.epoch_timings().unwrap_or_else(EpochTimings::zero);
-        // Clock faults land first: a backward skew moves the raw clock
-        // before the epoch opens, a stuck clock freezes every intra-epoch
-        // advance below.
-        if t.clock_skew_ms > 0.0 {
-            let now = clock.now_ms();
-            clock.set(now - t.clock_skew_ms);
-        }
-        sched.begin_epoch();
-        let adv = |ms: f64| {
-            if !t.clock_stuck {
-                clock.advance(ms);
-            }
-        };
-        adv(t.clock_jitter_ms);
+        let e = sched.metered_epoch(&mut server, &mut gov, &mut last_validated)?;
+        // The zero-stale-actuation invariant: the policy only ever ran on a
+        // fresh window, and a stale one was counted, not decided on.
+        assert!(e.fresh || !e.decided, "decided on a stale PMC window");
+        stale_seen += u64::from(!e.fresh);
+        o.reused += u64::from(e.reused);
+        o.steps += u64::from(e.steps_completed);
+        o.fallback_actuations += u64::from(e.gave_up);
 
-        // Phase 1: PMC read. A stale window is counted and *never* shown
-        // to the policy — the epoch falls back to the last validated
-        // action and is routed to observe_degraded below.
-        adv(t.pmc_read_ms);
-        let age = if t.pmc_window_age_ms > 0.0 {
-            t.pmc_window_age_ms
-        } else {
-            t.pmc_read_ms
-        };
-        let fresh = sched.pmc_window_fresh(age);
-        if !fresh {
-            stale_seen += 1;
-        }
-
-        // Phase 2: inference, metered against the actuation deadline.
-        let mut decided = false;
-        let assignments = if !fresh {
-            o.reused += 1;
-            last_validated.clone()
-        } else {
-            match sched.inference_directive() {
-                InferenceDirective::Run => {
-                    adv(t.inference_ms);
-                    decided = true;
-                    gov.decide()?
-                }
-                InferenceDirective::ReuseLast => {
-                    o.reused += 1;
-                    last_validated.clone()
-                }
-                InferenceDirective::SafeFallback => gov.decide_fallback(),
-            }
-        };
-        // The zero-stale-actuation invariant, stated structurally: the
-        // policy only ever ran on a fresh window.
-        assert!(fresh || !decided, "decided on a stale PMC window");
-
-        // Phase 3: learning as budgeted micro-batches. `Defer` leaves the
-        // in-flight step parked inside the agent; it resumes on the first
-        // chunk grant of a later epoch.
-        let mut step_done = false;
-        while !step_done {
-            match sched.learn_directive() {
-                LearnDirective::Defer => break,
-                LearnDirective::Chunk => {
-                    adv(t.learn_chunk_ms);
-                    match gov.inner_mut().agent_mut().train_step_budgeted(1)? {
-                        BudgetedProgress::Done(_) => {
-                            o.steps += 1;
-                            step_done = true;
-                        }
-                        BudgetedProgress::InProgress { .. } => {}
-                        BudgetedProgress::NotReady => break,
-                    }
-                }
-            }
-        }
-
-        // Phase 4: actuation with bounded, saturating-backoff retries.
-        // Giving up actuates the governor's safe plan instead — stale or
-        // unapplied decisions never reach the platform.
-        let mut applied = assignments.clone();
-        let mut gave_up = false;
-        loop {
-            adv(t.actuation_attempt_ms);
-            match sched.actuation_attempt(t.actuation_attempt_ms) {
-                ActuationDirective::Applied => break,
-                ActuationDirective::Retry { backoff_ms } => adv(backoff_ms),
-                ActuationDirective::GiveUp => {
-                    gave_up = true;
-                    applied = gov.safe_assignments();
-                    o.fallback_actuations += 1;
-                    break;
-                }
-            }
-        }
-
-        let mut r = server.step(&applied)?;
-        assert!(r.power_w.is_finite(), "non-finite power reading");
-        for (i, svc) in r.services.iter().enumerate() {
+        assert!(e.report.power_w.is_finite(), "non-finite power reading");
+        for (i, svc) in e.report.services.iter().enumerate() {
             o.absorb_service_epoch(svc.p99_ms, qos[i]);
         }
-
-        // A stale window, or a decision the actuator never applied, must
-        // not be learned from: flag the epoch degraded so the governor
-        // routes it to observe_degraded (pending transition discarded, the
-        // monitor keeps its last healthy smoothing).
-        if !fresh || (decided && gave_up) {
-            r.telemetry.delayed_epochs = r.telemetry.delayed_epochs.max(1);
-        }
-        gov.observe(&r)?;
-        if decided && !gave_up {
-            last_validated = assignments;
-        }
-
-        sched.end_epoch();
         assert!(
             sched.stats().max_ladder_depth <= 3,
             "ladder depth out of range"
         );
-
-        // Sleep out the remainder of the interval (real time resumes
-        // between epochs even after a stuck-clock epoch).
-        let rem = sched.remaining_ms();
-        if rem > 0.0 {
-            clock.advance(rem);
-        }
     }
 
     let stats = sched.stats();
@@ -545,8 +411,8 @@ fn run_bit_identity(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, Exp
     // server without one sees an identical workload.
     server_a.set_timing_plan(TimingFaultPlan::new(s.timing.clone(), seed ^ 0x7171_F0F0)?);
 
-    let mut twig_a = build_twig(specs.clone(), epochs, seed)?;
-    let mut twig_b = build_twig(specs, epochs, seed)?;
+    let mut twig_a = make_suite_twig(specs.clone(), epochs, seed)?;
+    let mut twig_b = make_suite_twig(specs, epochs, seed)?;
 
     let clock = SimClock::new();
     let mut sched = EpochScheduler::new(SchedulerConfig::default(), clock.clone())?;

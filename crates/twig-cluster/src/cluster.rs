@@ -69,89 +69,67 @@ impl ClusterConfig {
     }
 }
 
-macro_rules! cluster_stats {
-    ($($(#[$doc:meta])+ $field:ident => $name:literal,)+) => {
-        /// Lifetime counters of everything the control plane did. Every
-        /// field is mirrored into telemetry under the matching
-        /// `cluster.*` counter.
-        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-        pub struct ClusterStats {
-            $($(#[$doc])+ pub $field: u64,)+
-        }
-
-        impl ClusterStats {
-            /// The telemetry counter names, in field order.
-            pub const COUNTER_NAMES: &'static [&'static str] = &[$($name,)+];
-
-            /// All `(counter name, value)` pairs, including zeros.
-            pub fn counter_pairs_all(&self) -> Vec<(&'static str, u64)> {
-                vec![$(($name, self.$field),)+]
-            }
-
-            /// Adds `delta` into `self`, field by field.
-            pub fn merge(&mut self, delta: &ClusterStats) {
-                $(self.$field += delta.$field;)+
-            }
-        }
-    };
-}
-
-cluster_stats! {
-    /// Epochs stepped.
-    epochs => "cluster.epochs",
-    /// Whole-server crashes injected.
-    crashes => "cluster.crashes",
-    /// Server reboots (scripted and automatic).
-    restarts => "cluster.restarts",
-    /// Heartbeats missing on the balancer channel (node-epochs).
-    heartbeat_misses => "cluster.heartbeat_misses",
-    /// Nodes newly suspected dead by the balancer (failover moments).
-    failovers => "cluster.failovers",
-    /// Requests routed to replicas.
-    routed_rps => "cluster.routed_rps",
-    /// Requests that bounced off an unreachable replica and re-routed.
-    bounced_rps => "cluster.bounced_rps",
-    /// Requests parked in the balancer backlog.
-    deferred_rps => "cluster.deferred_rps",
-    /// Duplicate routing-table entries defensively dropped.
-    double_route_guards => "cluster.double_route_guards",
-    /// Epochs in which the balancer's books did not balance.
-    conservation_failures => "cluster.conservation_failures",
-    /// Replica spin-ups started by repair planning.
-    spinups => "cluster.spinups",
-    /// Planned (scripted) migrations started.
-    migrations_started => "cluster.migrations_started",
-    /// Spin-ups and migrations that landed a replica.
-    migrations_completed => "cluster.migrations_completed",
-    /// Replicas activated from a restored checkpoint.
-    activations_restored => "cluster.activations_restored",
-    /// Replicas activated cold (no checkpoint offered).
-    activations_cold => "cluster.activations_cold",
-    /// Replicas activated cold because the checkpoint could not be
-    /// adopted.
-    activations_cold_fallback => "cluster.activations_cold_fallback",
-    /// Transfer epochs that made no progress.
-    transfer_stalls => "cluster.transfer_stalls",
-    /// Half-transferred state discarded (stall timeout or corruption).
-    transfer_rollbacks => "cluster.transfer_rollbacks",
-    /// Delivered payloads that failed validation.
-    transfer_corruptions => "cluster.transfer_corruptions",
-    /// Transfers that exhausted retries and downgraded to cold.
-    transfer_downgrades => "cluster.transfer_downgrades",
-    /// Replicas torn down on nodes by placement sync.
-    decommissions => "cluster.decommissions",
-    /// Epochs the coordinator spent blacked out.
-    blackout_epochs => "cluster.blackout_epochs",
-    /// Node-epochs spent partitioned from the coordinator.
-    partition_node_epochs => "cluster.partition_node_epochs",
-    /// Node-epochs served autonomously (replicas up, coordinator
-    /// unreachable).
-    autonomous_epochs => "cluster.autonomous_epochs",
-    /// Actuations taken by a coordinator-reachable node on a stale
-    /// placement (must stay 0).
-    stale_actuations => "cluster.stale_actuations",
-    /// Node placement syncs that advanced a node's generation.
-    placement_syncs => "cluster.placement_syncs",
+twig_telemetry::stats! {
+    /// Lifetime counters of everything the control plane did. Every
+    /// field is mirrored into telemetry under the matching
+    /// `cluster.*` counter.
+    pub struct ClusterStats {
+        /// Epochs stepped.
+        epochs => "cluster.epochs",
+        /// Whole-server crashes injected.
+        crashes => "cluster.crashes",
+        /// Server reboots (scripted and automatic).
+        restarts => "cluster.restarts",
+        /// Heartbeats missing on the balancer channel (node-epochs).
+        heartbeat_misses => "cluster.heartbeat_misses",
+        /// Nodes newly suspected dead by the balancer (failover moments).
+        failovers => "cluster.failovers",
+        /// Requests routed to replicas.
+        routed_rps => "cluster.routed_rps",
+        /// Requests that bounced off an unreachable replica and re-routed.
+        bounced_rps => "cluster.bounced_rps",
+        /// Requests parked in the balancer backlog.
+        deferred_rps => "cluster.deferred_rps",
+        /// Duplicate routing-table entries defensively dropped.
+        double_route_guards => "cluster.double_route_guards",
+        /// Epochs in which the balancer's books did not balance.
+        conservation_failures => "cluster.conservation_failures",
+        /// Replica spin-ups started by repair planning.
+        spinups => "cluster.spinups",
+        /// Planned (scripted) migrations started.
+        migrations_started => "cluster.migrations_started",
+        /// Spin-ups and migrations that landed a replica.
+        migrations_completed => "cluster.migrations_completed",
+        /// Replicas activated from a restored checkpoint.
+        activations_restored => "cluster.activations_restored",
+        /// Replicas activated cold (no checkpoint offered).
+        activations_cold => "cluster.activations_cold",
+        /// Replicas activated cold because the checkpoint could not be
+        /// adopted.
+        activations_cold_fallback => "cluster.activations_cold_fallback",
+        /// Transfer epochs that made no progress.
+        transfer_stalls => "cluster.transfer_stalls",
+        /// Half-transferred state discarded (stall timeout or corruption).
+        transfer_rollbacks => "cluster.transfer_rollbacks",
+        /// Delivered payloads that failed validation.
+        transfer_corruptions => "cluster.transfer_corruptions",
+        /// Transfers that exhausted retries and downgraded to cold.
+        transfer_downgrades => "cluster.transfer_downgrades",
+        /// Replicas torn down on nodes by placement sync.
+        decommissions => "cluster.decommissions",
+        /// Epochs the coordinator spent blacked out.
+        blackout_epochs => "cluster.blackout_epochs",
+        /// Node-epochs spent partitioned from the coordinator.
+        partition_node_epochs => "cluster.partition_node_epochs",
+        /// Node-epochs served autonomously (replicas up, coordinator
+        /// unreachable).
+        autonomous_epochs => "cluster.autonomous_epochs",
+        /// Actuations taken by a coordinator-reachable node on a stale
+        /// placement (must stay 0).
+        stale_actuations => "cluster.stale_actuations",
+        /// Node placement syncs that advanced a node's generation.
+        placement_syncs => "cluster.placement_syncs",
+    }
 }
 
 /// Per-service slice of one cluster epoch.

@@ -117,90 +117,68 @@ impl FederateConfig {
     }
 }
 
-macro_rules! fed_stats {
-    ($($(#[$doc:meta])+ $field:ident => $name:literal,)+) => {
-        /// Lifetime counters of everything the federation plane did.
-        /// Every field is mirrored into telemetry under the matching
-        /// `fed.*` counter.
-        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-        pub struct FedStats {
-            $($(#[$doc])+ pub $field: u64,)+
-        }
-
-        impl FedStats {
-            /// The telemetry counter names, in field order.
-            pub const COUNTER_NAMES: &'static [&'static str] = &[$($name,)+];
-
-            /// All `(counter name, value)` pairs, including zeros.
-            pub fn counter_pairs_all(&self) -> Vec<(&'static str, u64)> {
-                vec![$(($name, self.$field),)+]
-            }
-
-            /// Adds `delta` into `self`, field by field.
-            pub fn merge(&mut self, delta: &FedStats) {
-                $(self.$field += delta.$field;)+
-            }
-        }
-    };
-}
-
-fed_stats! {
-    /// Rounds opened.
-    rounds_started => "fed.rounds_started",
-    /// Rounds that merged at least one service with no rollback.
-    rounds_committed => "fed.rounds_committed",
-    /// Rounds where no service reached quorum.
-    rounds_quorum_failed => "fed.rounds_quorum_failed",
-    /// Quorum-failed rounds that exhausted the attempt budget.
-    rounds_abandoned => "fed.rounds_abandoned",
-    /// Rounds aborted mid-flight by a coordinator blackout.
-    rounds_aborted_offline => "fed.rounds_aborted_offline",
-    /// Rounds in which at least one merged service rolled back.
-    rounds_rolled_back => "fed.rounds_rolled_back",
-    /// Contributor payloads requested (post request-time exclusion).
-    payloads_requested => "fed.payloads_requested",
-    /// Payloads that reached the coordinator inside the window.
-    payloads_received => "fed.payloads_received",
-    /// Payloads still in flight when the window closed.
-    payloads_straggled => "fed.payloads_straggled",
-    /// Payloads lost in flight (drop fault, contributor crash, abort).
-    payloads_lost => "fed.payloads_lost",
-    /// Payloads delivered but discarded unscreened by a round abort.
-    payloads_discarded => "fed.payloads_discarded",
-    /// Payloads that survived the whole screening ladder.
-    payloads_accepted => "fed.payloads_accepted",
-    /// Payloads rejected by CRC/format validation.
-    rejected_corrupt => "fed.rejected_corrupt",
-    /// Payloads rejected for mismatching the round's plurality shape.
-    rejected_shape => "fed.rejected_shape",
-    /// Payloads rejected for carrying non-finite parameters.
-    rejected_nonfinite => "fed.rejected_nonfinite",
-    /// Payloads rejected by the Byzantine distance screen.
-    rejected_divergent => "fed.rejected_divergent",
-    /// Replicas excluded at request time: quarantined (frozen) agents.
-    excluded_quarantined => "fed.excluded_quarantined",
-    /// Replicas excluded at request time: not yet trained.
-    excluded_untrained => "fed.excluded_untrained",
-    /// Service merges committed.
-    service_merges => "fed.service_merges",
-    /// Services whose accepted payloads fell below the quorum.
-    service_quorum_failures => "fed.service_quorum_failures",
-    /// Service merges rolled back by the post-merge twin run.
-    service_rollbacks => "fed.service_rollbacks",
-    /// Accepted payloads folded into committed merges.
-    contributors_merged => "fed.contributors_merged",
-    /// Replicas that adopted a committed merged policy.
-    recipients_updated => "fed.recipients_updated",
-    /// Replicas restored to their pre-round snapshot by a rollback.
-    recipients_rolled_back => "fed.recipients_rolled_back",
-    /// Replicas skipped because their architecture cannot adopt the
-    /// round's merged shape.
-    recipients_incompatible => "fed.recipients_incompatible",
-    /// Committed adoptions by a previously-untrained (cold) replica.
-    cold_transfers => "fed.cold_transfers",
-    /// Merged payloads sabotaged by the fault plan after aggregation
-    /// (exercises the twin-run rollback).
-    merges_poisoned => "fed.merges_poisoned",
+twig_telemetry::stats! {
+    /// Lifetime counters of everything the federation plane did.
+    /// Every field is mirrored into telemetry under the matching
+    /// `fed.*` counter.
+    pub struct FedStats {
+        /// Rounds opened.
+        rounds_started => "fed.rounds_started",
+        /// Rounds that merged at least one service with no rollback.
+        rounds_committed => "fed.rounds_committed",
+        /// Rounds where no service reached quorum.
+        rounds_quorum_failed => "fed.rounds_quorum_failed",
+        /// Quorum-failed rounds that exhausted the attempt budget.
+        rounds_abandoned => "fed.rounds_abandoned",
+        /// Rounds aborted mid-flight by a coordinator blackout.
+        rounds_aborted_offline => "fed.rounds_aborted_offline",
+        /// Rounds in which at least one merged service rolled back.
+        rounds_rolled_back => "fed.rounds_rolled_back",
+        /// Contributor payloads requested (post request-time exclusion).
+        payloads_requested => "fed.payloads_requested",
+        /// Payloads that reached the coordinator inside the window.
+        payloads_received => "fed.payloads_received",
+        /// Payloads still in flight when the window closed.
+        payloads_straggled => "fed.payloads_straggled",
+        /// Payloads lost in flight (drop fault, contributor crash, abort).
+        payloads_lost => "fed.payloads_lost",
+        /// Payloads delivered but discarded unscreened by a round abort.
+        payloads_discarded => "fed.payloads_discarded",
+        /// Payloads that survived the whole screening ladder.
+        payloads_accepted => "fed.payloads_accepted",
+        /// Payloads rejected by CRC/format validation.
+        rejected_corrupt => "fed.rejected_corrupt",
+        /// Payloads rejected for mismatching the round's plurality shape.
+        rejected_shape => "fed.rejected_shape",
+        /// Payloads rejected for carrying non-finite parameters.
+        rejected_nonfinite => "fed.rejected_nonfinite",
+        /// Payloads rejected by the Byzantine distance screen.
+        rejected_divergent => "fed.rejected_divergent",
+        /// Replicas excluded at request time: quarantined (frozen) agents.
+        excluded_quarantined => "fed.excluded_quarantined",
+        /// Replicas excluded at request time: not yet trained.
+        excluded_untrained => "fed.excluded_untrained",
+        /// Service merges committed.
+        service_merges => "fed.service_merges",
+        /// Services whose accepted payloads fell below the quorum.
+        service_quorum_failures => "fed.service_quorum_failures",
+        /// Service merges rolled back by the post-merge twin run.
+        service_rollbacks => "fed.service_rollbacks",
+        /// Accepted payloads folded into committed merges.
+        contributors_merged => "fed.contributors_merged",
+        /// Replicas that adopted a committed merged policy.
+        recipients_updated => "fed.recipients_updated",
+        /// Replicas restored to their pre-round snapshot by a rollback.
+        recipients_rolled_back => "fed.recipients_rolled_back",
+        /// Replicas skipped because their architecture cannot adopt the
+        /// round's merged shape.
+        recipients_incompatible => "fed.recipients_incompatible",
+        /// Committed adoptions by a previously-untrained (cold) replica.
+        cold_transfers => "fed.cold_transfers",
+        /// Merged payloads sabotaged by the fault plan after aggregation
+        /// (exercises the twin-run rollback).
+        merges_poisoned => "fed.merges_poisoned",
+    }
 }
 
 /// How a Byzantine node damages the weights it contributes. All flavors

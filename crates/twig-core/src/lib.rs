@@ -78,6 +78,6 @@ pub use placement::{
 pub use power_model::{fit_power_model, paae, Eq2PowerModel, PowerModelFit, ProfilePoint};
 pub use reward::RewardConfig;
 pub use scheduler::{
-    ActuationDirective, EpochScheduler, InferenceDirective, LearnDirective, RetryBudget,
-    SchedulerConfig, SchedulerStats, ShedLevel,
+    ActuationDirective, EpochScheduler, InferenceDirective, LearnDirective, MeteredEpoch,
+    RetryBudget, SchedulerConfig, SchedulerStats, ShedLevel,
 };

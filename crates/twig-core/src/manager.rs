@@ -366,10 +366,12 @@ impl Twig {
     }
 
     /// Mutable access to the learning agent, for drivers that manage the
-    /// learning phase themselves — e.g. a deadline scheduler issuing
-    /// resumable micro-batches via `MaBdq::train_step_budgeted` while the
-    /// manager runs with `TwigBuilder::pure_exploitation(true)` so
-    /// `observe` never takes the full gradient step itself.
+    /// learning phase themselves —
+    /// [`EpochScheduler::metered_epoch`](crate::EpochScheduler::metered_epoch)
+    /// advances the gradient step one agent per chunk grant via
+    /// `MaBdq::train_step_budgeted` while the manager runs with
+    /// `TwigBuilder::pure_exploitation(true)` so `observe` never takes the
+    /// step itself.
     pub fn agent_mut(&mut self) -> &mut MaBdq {
         &mut self.agent
     }

@@ -9,8 +9,9 @@
 //! ladder:
 //!
 //! 1. [`ShedLevel::DeferLearn`] — stop issuing learning micro-batches; the
-//!    in-flight budgeted step (`MaBdq::train_step_budgeted`) simply resumes
-//!    next epoch, bit-identical to an undeferred step.
+//!    in-flight gradient step (`MaBdq::train_step_budgeted`) simply resumes
+//!    next epoch — it is the same code as an undeferred step, paused
+//!    between two agents.
 //! 2. [`ShedLevel::SkipInference`] — reuse the last validated action
 //!    instead of running the network.
 //! 3. [`ShedLevel::SafeFallback`] — actuate the `SafetyGovernor`'s safe
@@ -30,9 +31,15 @@
 //! Everything is observable through `deadline.*` telemetry: misses, shed
 //! depth per ladder rung, stale windows, actuation retries/timeouts and an
 //! `deadline.epoch_ms` duration digest.
+//!
+//! [`EpochScheduler::metered_epoch`] is the one phase walk that puts the
+//! directives together against the simulator's drawn phase latencies; the
+//! timing suite and the scenario runner both drive it.
 
-use crate::clock::VirtualClock;
-use crate::TwigError;
+use crate::clock::{SimClock, VirtualClock};
+use crate::{ManagerError, SafetyGovernor, TaskManager, Twig, TwigError};
+use twig_rl::BudgetedProgress;
+use twig_sim::{Assignment, EpochReport, EpochTimings, Server};
 use twig_telemetry::Telemetry;
 
 /// How much of the epoch the scheduler has shed, in escalation order.
@@ -460,6 +467,152 @@ impl<C: VirtualClock> EpochScheduler<C> {
         self.telemetry.record("deadline.epoch_ms", duration);
         self.telemetry
             .gauge_set("deadline.ladder_depth", f64::from(self.level.depth()));
+    }
+}
+
+/// What one [`EpochScheduler::metered_epoch`] did, beside the simulator's
+/// report of it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MeteredEpoch {
+    /// The epoch as the simulator reported it (flagged delayed when the
+    /// governor was told not to learn from it).
+    pub report: EpochReport,
+    /// The PMC window was inside the staleness bound.
+    pub fresh: bool,
+    /// The policy ran this epoch.
+    pub decided: bool,
+    /// The last validated action was reused (stale window or skipped
+    /// inference).
+    pub reused: bool,
+    /// Actuation retries ran out and the safe plan was actuated instead.
+    pub gave_up: bool,
+    /// Gradient steps that completed this epoch (0 or 1).
+    pub steps_completed: u32,
+}
+
+impl EpochScheduler<SimClock> {
+    /// One deadline-metered control epoch against the simulator's drawn
+    /// phase latencies ([`Server::epoch_timings`]): PMC read, inference,
+    /// learning in one-agent micro-batches, actuation with bounded retries,
+    /// then the simulator step and the governor's `observe`, and finally
+    /// the sleep to the end of the interval. The injected clock is advanced
+    /// by each phase's latency (not at all in a stuck-clock epoch) and the
+    /// ladder decides what is shed.
+    ///
+    /// `last_validated` is the action "reuse last" falls back on: seed it
+    /// with [`SafetyGovernor::safe_assignments`]; it is replaced whenever a
+    /// fresh decision was actually applied. A stale PMC window never
+    /// reaches the policy, and a stale window or a decision the actuator
+    /// gave up on is flagged delayed so the governor routes the epoch to
+    /// `observe_degraded` instead of learning from it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates errors from the governor, the agent and the simulator.
+    pub fn metered_epoch(
+        &mut self,
+        server: &mut Server,
+        gov: &mut SafetyGovernor<Twig>,
+        last_validated: &mut Vec<Assignment>,
+    ) -> Result<MeteredEpoch, ManagerError> {
+        let t = server.epoch_timings().unwrap_or_else(EpochTimings::zero);
+        // Clock faults land first: a backward skew moves the raw clock
+        // before the epoch opens, a stuck clock freezes every intra-epoch
+        // advance below.
+        if t.clock_skew_ms > 0.0 {
+            self.clock.set(self.clock.now_ms() - t.clock_skew_ms);
+        }
+        self.begin_epoch();
+        let clock = self.clock.clone();
+        let adv = |ms: f64| {
+            if !t.clock_stuck {
+                clock.advance(ms);
+            }
+        };
+        adv(t.clock_jitter_ms);
+
+        // Phase 1: PMC read.
+        adv(t.pmc_read_ms);
+        let age = if t.pmc_window_age_ms > 0.0 {
+            t.pmc_window_age_ms
+        } else {
+            t.pmc_read_ms
+        };
+        let fresh = self.pmc_window_fresh(age);
+
+        // Phase 2: inference, metered against the actuation deadline.
+        let directive = if fresh {
+            self.inference_directive()
+        } else {
+            InferenceDirective::ReuseLast
+        };
+        let decided = directive == InferenceDirective::Run;
+        let assignments = match directive {
+            InferenceDirective::Run => {
+                adv(t.inference_ms);
+                gov.decide()?
+            }
+            InferenceDirective::ReuseLast => last_validated.clone(),
+            InferenceDirective::SafeFallback => gov.decide_fallback(),
+        };
+
+        // Phase 3: learning as budgeted micro-batches. `Defer` leaves the
+        // in-flight step parked inside the agent; it resumes on the first
+        // chunk grant of a later epoch.
+        let mut steps_completed = 0;
+        while steps_completed == 0 && self.learn_directive() == LearnDirective::Chunk {
+            adv(t.learn_chunk_ms);
+            match gov.inner_mut().agent_mut().train_step_budgeted(1)? {
+                BudgetedProgress::Done(_) => steps_completed = 1,
+                BudgetedProgress::InProgress { .. } => {}
+                BudgetedProgress::NotReady => break,
+            }
+        }
+
+        // Phase 4: actuation with bounded, saturating-backoff retries.
+        // Giving up actuates the governor's safe plan instead — stale or
+        // unapplied decisions never reach the platform.
+        let mut gave_up = false;
+        loop {
+            adv(t.actuation_attempt_ms);
+            match self.actuation_attempt(t.actuation_attempt_ms) {
+                ActuationDirective::Applied => break,
+                ActuationDirective::Retry { backoff_ms } => adv(backoff_ms),
+                ActuationDirective::GiveUp => {
+                    gave_up = true;
+                    break;
+                }
+            }
+        }
+        let mut report = if gave_up {
+            server.step(&gov.safe_assignments())?
+        } else {
+            server.step(&assignments)?
+        };
+
+        if !fresh || (decided && gave_up) {
+            report.telemetry.delayed_epochs = report.telemetry.delayed_epochs.max(1);
+        }
+        gov.observe(&report)?;
+        if decided && !gave_up {
+            *last_validated = assignments;
+        }
+
+        self.end_epoch();
+        // Sleep out the remainder of the interval (real time resumes
+        // between epochs even after a stuck-clock epoch).
+        let remaining = self.remaining_ms();
+        if remaining > 0.0 {
+            self.clock.advance(remaining);
+        }
+        Ok(MeteredEpoch {
+            report,
+            fresh,
+            decided,
+            reused: directive == InferenceDirective::ReuseLast,
+            gave_up,
+            steps_completed,
+        })
     }
 }
 

@@ -403,20 +403,6 @@ impl Dropout {
             rng: twig_stats::rng::Xoshiro256::seed_from_u64(seed),
         }
     }
-
-    /// Snapshots the layer's private RNG stream. Eval-mode forwards (and
-    /// `p == 0` layers) never advance the stream, so a snapshot taken before
-    /// a train-mode forward lets a caller replay that forward bit-identically
-    /// later via [`set_rng_state`](Self::set_rng_state) — the mechanism
-    /// behind resumable micro-batched training.
-    pub fn rng_state(&self) -> twig_stats::rng::Xoshiro256 {
-        self.rng.clone()
-    }
-
-    /// Restores a stream snapshotted by [`rng_state`](Self::rng_state).
-    pub fn set_rng_state(&mut self, state: twig_stats::rng::Xoshiro256) {
-        self.rng = state;
-    }
 }
 
 impl Layer for Dropout {

@@ -156,9 +156,15 @@ impl Mlp {
             scratch_a,
             scratch_b,
         } = self;
-        scratch_a.copy_from(input);
+        // The first layer reads the caller's tensor in place: a K·B-row
+        // batch is never copied into (and never sizes) a scratch buffer.
+        let Some((first, rest)) = layers.split_first() else {
+            scratch_a.copy_from(input);
+            return scratch_a;
+        };
+        first.as_layer().forward_batch_into(input, scratch_a);
         let (mut cur, mut next) = (scratch_a, scratch_b);
-        for layer in layers.iter() {
+        for layer in rest {
             layer.as_layer().forward_batch_into(cur, next);
             std::mem::swap(&mut cur, &mut next);
         }
@@ -168,18 +174,7 @@ impl Mlp {
     /// [`forward_batch_scratch`](Self::forward_batch_scratch) copied into a
     /// caller-owned tensor (allocation-free once `out` has capacity).
     pub fn forward_batch_into(&mut self, input: &Tensor, out: &mut Tensor) {
-        let Mlp {
-            layers,
-            scratch_a,
-            scratch_b,
-        } = self;
-        scratch_a.copy_from(input);
-        let (mut cur, mut next) = (scratch_a, scratch_b);
-        for layer in layers.iter() {
-            layer.as_layer().forward_batch_into(cur, next);
-            std::mem::swap(&mut cur, &mut next);
-        }
-        out.copy_from(cur);
+        out.copy_from(self.forward_batch_scratch(input));
     }
 
     /// Snapshots this network into a fixed-point inference variant
@@ -337,53 +332,6 @@ impl Mlp {
                         detail: "layer kind mismatch".into(),
                     })
                 }
-            }
-        }
-        Ok(())
-    }
-
-    /// Snapshots the RNG stream of every [`Dropout`] layer, in layer order
-    /// (cleared-and-refilled into a caller-owned buffer so repeated
-    /// snapshots reuse its capacity). Restoring the snapshot with
-    /// [`set_dropout_rng_states`](Self::set_dropout_rng_states) makes the
-    /// next train-mode forward draw bit-identical masks.
-    pub fn dropout_rng_states_into(&self, out: &mut Vec<twig_stats::rng::Xoshiro256>) {
-        out.clear();
-        for layer in &self.layers {
-            if let MlpLayer::Dropout(d) = layer {
-                out.push(d.rng_state());
-            }
-        }
-    }
-
-    /// Restores every [`Dropout`] layer's RNG stream from a snapshot taken
-    /// by [`dropout_rng_states_into`](Self::dropout_rng_states_into).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] when the snapshot holds a
-    /// different number of streams than this network has dropout layers.
-    pub fn set_dropout_rng_states(
-        &mut self,
-        states: &[twig_stats::rng::Xoshiro256],
-    ) -> Result<(), NnError> {
-        let dropouts = self
-            .layers
-            .iter()
-            .filter(|l| matches!(l, MlpLayer::Dropout(_)))
-            .count();
-        if states.len() != dropouts {
-            return Err(NnError::ShapeMismatch {
-                detail: format!(
-                    "{} dropout RNG states for a network with {dropouts} dropout layers",
-                    states.len()
-                ),
-            });
-        }
-        let mut it = states.iter();
-        for layer in &mut self.layers {
-            if let MlpLayer::Dropout(d) = layer {
-                d.set_rng_state(it.next().expect("counted above").clone());
             }
         }
         Ok(())
@@ -650,9 +598,10 @@ mod tests {
     fn batch_path_bit_identical_to_eval_forward_and_stateless() {
         // The batched eval path must (a) produce bit-identical values to the
         // mutable eval-mode forward, including through dropout layers, and
-        // (b) leave layer state untouched: a train-mode forward replayed
-        // from an RNG snapshot must be unaffected by interleaved batch
-        // forwards.
+        // (b) leave layer state untouched: batch forwards interleaved between
+        // a train-mode forward and its backward change neither the gradients
+        // nor the next train-mode dropout masks. A gradient step resumed
+        // across decisions rests on exactly this.
         let mut rng = Xoshiro256::seed_from_u64(21);
         let mut net = Mlp::new()
             .push(Dense::new(3, 8, &mut rng))
@@ -674,41 +623,20 @@ mod tests {
         net.forward_batch_into(&x, &mut out);
         assert_eq!(out, batch);
 
-        let mut snap = Vec::new();
-        net.dropout_rng_states_into(&mut snap);
-        let train_a = net.forward(&x, true);
-        net.set_dropout_rng_states(&snap).unwrap();
-        // Interleave many batched forwards; they must not advance dropout
-        // RNG streams or clobber anything the train path depends on.
-        for _ in 0..5 {
-            let _ = net.forward_batch_scratch(&x);
+        let mut twin = net.clone();
+        let other = Tensor::from_rows(&[vec![9.0, -9.0, 3.0]]).unwrap();
+        let grad = Tensor::from_rows(&[vec![1.0, -1.0], vec![0.5, 0.25], vec![-2.0, 0.0]]).unwrap();
+        for _ in 0..2 {
+            let pred = net.forward(&x, true);
+            assert_eq!(twin.forward(&x, true), pred);
+            for _ in 0..5 {
+                let _ = net.forward_batch_scratch(&other);
+            }
+            net.zero_grads();
+            twin.zero_grads();
+            assert_eq!(net.backward(&grad), twin.backward(&grad));
+            assert_eq!(net.grad_sq_norm().to_bits(), twin.grad_sq_norm().to_bits());
         }
-        let train_b = net.forward(&x, true);
-        assert_eq!(train_a, train_b);
-    }
-
-    #[test]
-    fn dropout_rng_snapshot_replays_masks() {
-        let mut rng = Xoshiro256::seed_from_u64(5);
-        let mut net = Mlp::new()
-            .push(Dense::new(3, 8, &mut rng))
-            .push(Relu::new())
-            .push(Dropout::new(0.4, 13))
-            .push(Dense::new(8, 2, &mut rng));
-        let x = Tensor::from_rows(&[vec![0.2, -0.4, 1.0], vec![-1.0, 0.5, 0.1]]).unwrap();
-        let mut snap = Vec::new();
-        net.dropout_rng_states_into(&mut snap);
-        assert_eq!(snap.len(), 1);
-        let first = net.forward(&x, true);
-        // Eval-mode forwards never advance the dropout stream, so a later
-        // restore still replays the train-mode masks bit-identically.
-        let _ = net.forward(&x, false);
-        net.set_dropout_rng_states(&snap).unwrap();
-        assert_eq!(net.forward(&x, true), first);
-        // A second train forward without a restore draws fresh masks.
-        assert_ne!(net.forward(&x, true), first);
-        // Wrong snapshot length rejected.
-        assert!(net.set_dropout_rng_states(&[]).is_err());
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //!   Q-network** with a shared state representation, per-agent state-value
 //!   heads, per-branch advantage heads shared across agents, and the 1/K
 //!   (agents) and 1/D (branches) gradient rescaling of Section III-A;
-//! - [`Bdq`] — the single-agent special case (Twig-S);
 //! - [`Dqn`] — the vanilla joint-action DQN of Section II-B1 (the
 //!   combinatorial-explosion strawman the BDQ replaces);
 //! - [`memory`] — the memory-complexity accounting behind the paper's
@@ -48,7 +47,6 @@
 #![warn(missing_docs)]
 
 mod anneal;
-mod bdq;
 pub mod checkpoint;
 mod dqn;
 mod error;
@@ -60,7 +58,6 @@ mod replay;
 mod tabular;
 
 pub use anneal::{EpsilonSchedule, LinearAnneal};
-pub use bdq::Bdq;
 pub use checkpoint::{
     crc32, decode_checkpoint, encode_checkpoint, validate_checkpoint_bytes, MaBdqCheckpoint,
 };

@@ -369,61 +369,24 @@ impl Net {
                 .sum::<usize>()
     }
 
-    /// Q-values for a batch whose joint state is already packed into `x`
-    /// (`B × K*state_dim`, agent `k` in columns `k*state_dim..`). Results
-    /// land in `scratch.q[k][d]` (`B × n_d` tensors); everything — trunk
-    /// activations, per-agent head inputs, outputs — reuses preallocated
-    /// buffers, so steady-state evaluation is allocation-free. Purely
-    /// forward; dropout controlled by `train`.
-    fn q_values_into(&mut self, x: &Tensor, state_dim: usize, train: bool, scratch: &mut QScratch) {
-        let batch = x.rows();
-        let num_branches = self.adv_heads.len();
-        let Net {
-            trunk,
-            value_heads,
-            adv_heads,
-        } = self;
-        let trunk_out = trunk.forward_scratch(x, train);
-        let QScratch {
-            agent_state,
-            input_k,
-            q,
-            ..
-        } = scratch;
-        q.resize_with(value_heads.len(), Vec::new);
-        for (k, (vh, branches)) in value_heads.iter_mut().zip(q.iter_mut()).enumerate() {
-            agent_state.resize_zeroed(batch, state_dim);
-            for b in 0..batch {
-                agent_state
-                    .row_mut(b)
-                    .copy_from_slice(&x.row(b)[k * state_dim..(k + 1) * state_dim]);
-            }
-            trunk_out
-                .concat_cols_into(agent_state, input_k)
-                .expect("same batch");
-            let v = vh.forward_scratch(input_k, train);
-            branches.resize_with(num_branches, Tensor::default);
-            for (head, qd) in adv_heads.iter_mut().zip(branches.iter_mut()) {
-                let adv = head.forward_scratch(input_k, train);
-                dueling_combine_into(v, adv, qd);
-            }
-        }
-    }
-
-    /// Fused evaluation-mode sibling of [`q_values_into`](Self::q_values_into):
-    /// instead of `K` per-agent head loops, the `K` head inputs are stacked
-    /// k-major into one `K·B × (trunk_dim + state_dim)` matrix and each
-    /// *shared* advantage head runs exactly once over all of it — one
-    /// cache-blocked GEMM per branch per layer instead of `K` single-row
-    /// forwards. Value heads keep per-agent weights, so they stay `B`-row
-    /// forwards, but read their rows straight out of the stack.
+    /// Evaluation-mode Q-values for a batch whose joint state is already
+    /// packed into `x` (`B × K*state_dim`, agent `k` in columns
+    /// `k*state_dim..`); results land in `scratch.q[k][d]` (`B × n_d`
+    /// tensors) and every buffer is reused, so steady-state evaluation is
+    /// allocation-free. The `K` head inputs are stacked k-major into one
+    /// `K·B × (trunk_dim + state_dim)` matrix and each *shared* advantage
+    /// head runs exactly once over all of it — one cache-blocked GEMM per
+    /// branch per layer instead of `K` per-agent forwards. Value heads keep
+    /// per-agent weights, so they stay `B`-row forwards, but read their rows
+    /// straight out of the stack.
     ///
-    /// Results are bit-identical to the per-agent path with `train = false`:
-    /// the blocked GEMM accumulates `k`-contributions per output element in
+    /// Results are bit-identical to the per-agent reference
+    /// ([`q_values_per_agent_into`](Self::q_values_per_agent_into)): the
+    /// blocked GEMM accumulates `k`-contributions per output element in
     /// ascending order and rows are fully independent, bias/ReLU/dueling
-    /// arithmetic is per-row in the same order, and the batched layer path
-    /// never touches dropout RNG streams or activation caches (so an
-    /// in-flight budgeted training step cannot be perturbed).
+    /// arithmetic is per-row in the same order. The batched layer path never
+    /// touches dropout RNG streams or activation caches, which is what lets
+    /// decisions run between the chunks of a gradient step.
     fn q_values_fused_into(&mut self, x: &Tensor, state_dim: usize, scratch: &mut QScratch) {
         let batch = x.rows();
         let num_branches = self.adv_heads.len();
@@ -538,8 +501,8 @@ impl Net {
     }
 }
 
-/// Reusable output/intermediate buffers for [`Net::q_values_into`] and
-/// [`Net::q_values_fused_into`].
+/// Reusable output/intermediate buffers for [`Net::q_values_fused_into`] and
+/// [`Net::q_values_per_agent_into`].
 #[derive(Debug, Clone, Default)]
 struct QScratch {
     agent_state: Tensor,
@@ -583,8 +546,8 @@ fn dueling_combine_into(v: &Tensor, adv: &Tensor, q: &mut Tensor) {
 /// training applies the paper's gradient rescaling — 1/K into the deepest
 /// advantage layers, 1/D into the shared representation.
 ///
-/// See the crate-level example for usage; [`Bdq`](crate::Bdq) wraps the
-/// single-agent case.
+/// See the crate-level example for usage; the single-agent case (Twig-S) is
+/// `agents = 1`.
 #[derive(Debug, Clone)]
 pub struct MaBdq {
     config: MaBdqConfig,
@@ -596,14 +559,12 @@ pub struct MaBdq {
     steps: u64,
     skipped_steps: u64,
     telemetry: Telemetry,
-    scratch: MaBdqScratch,
+    scratch: DecideScratch,
+    step: StepState,
     /// Per-agent quarantine guards; empty unless quarantine is enabled.
     guards: Vec<AgentGuard>,
     quarantine_trips: u64,
     quarantine_readmissions: u64,
-    /// In-flight budgeted gradient step, if any (see
-    /// [`train_step_budgeted`](Self::train_step_budgeted)).
-    budgeted: Option<Box<BudgetedStep>>,
     /// Fixed-point snapshot of the online net for the `SafeFallback` shed
     /// tier, if [`refresh_quantized`](Self::refresh_quantized) has run.
     quantized: Option<Box<QuantizedNet>>,
@@ -671,25 +632,59 @@ impl QuantizedNet {
     }
 }
 
-/// Preallocated working memory for the decide/learn hot path. Every buffer
-/// is sized on first use and reused afterwards, so steady-state
-/// [`MaBdq::select_actions`], [`MaBdq::q_values`] and [`MaBdq::train_step`]
-/// calls perform no heap allocation. Holds no learner state — clearing it
-/// at any point would not change a single result.
+/// Preallocated working memory of the decide paths. Sized on first use and
+/// reused afterwards, so steady-state [`MaBdq::select_actions_into`] and
+/// [`MaBdq::q_values_into`] calls perform no heap allocation. Separate from
+/// [`StepState`] so a decision between two chunks of a gradient step cannot
+/// overwrite anything the step still reads. Holds no learner state.
 #[derive(Debug, Clone, Default)]
-struct MaBdqScratch {
+struct DecideScratch {
+    /// The joint state being decided on (`1 × K*state_dim`).
+    x: Tensor,
+    /// Online-network evaluations of `x`.
+    q_eval: QScratch,
+}
+
+/// The one gradient step's working memory and its resume point. The
+/// prologue fills it, each per-agent head pass advances `next_agent`, the
+/// epilogue consumes it; [`MaBdq::train_step`] runs the three back to back
+/// and [`MaBdq::train_step_budgeted`] returns between head passes. Every
+/// buffer keeps its capacity across steps, so both entry points are
+/// allocation-free in steady state.
+///
+/// Between chunks the caller may decide (stateless forwards on
+/// [`DecideScratch`]) and [`observe`](MaBdq::observe) (which may overwrite
+/// sampled replay slots), so the step owns copies of everything it still
+/// needs: the sampled actions and the trunk output — the trunk's activation
+/// caches, which the epilogue's backward pass reads, are only ever written
+/// by the train-mode forward in the prologue.
+#[derive(Debug, Clone, Default)]
+struct StepState {
+    /// A step has started and its epilogue has not run.
+    in_flight: bool,
+    /// Next agent whose head pass is due; `agents` means only the epilogue
+    /// is left.
+    next_agent: usize,
+    /// PER sample (indices for the priority write-back, importance weights).
+    batch: PerBatch,
     /// Joint current-state batch (`B × K*state_dim`).
     x: Tensor,
     /// Joint next-state batch.
     x_next: Tensor,
-    /// Online-network evaluations (action selection + double-DQN argmax).
-    q_eval: QScratch,
-    /// Target-network evaluations.
+    /// Sampled actions, flattened `(b * agents + k) * num_branches + d`.
+    actions: Vec<usize>,
+    /// Online-network evaluations of `x_next` (double-DQN argmax).
+    q_online: QScratch,
+    /// Target-network evaluations of `x_next`.
     q_target: QScratch,
-    /// Reused PER sample (indices + importance weights).
-    batch: PerBatch,
     /// TD targets, flattened `b * agents + k`.
     targets: Vec<f32>,
+    /// Train-mode trunk activations for the sampled batch.
+    trunk_out: Tensor,
+    /// Trunk gradient accumulated across completed head passes.
+    trunk_grad: Tensor,
+    /// Weighted TD loss accumulated so far.
+    loss: f32,
     /// Per-sample mean |TD| fed back as priorities.
     abs_td: Vec<f64>,
     /// Per-agent summed |TD| this step (quarantine signal; unused when
@@ -698,53 +693,14 @@ struct MaBdqScratch {
     /// Per-agent value-head squared gradient norm this step (quarantine
     /// signal).
     agent_vgrad: Vec<f64>,
+    // Head-pass temporaries.
     agent_state: Tensor,
     input_k: Tensor,
     v_grad: Tensor,
     adv_grad: Tensor,
     input_grad: Tensor,
-    trunk_grad: Tensor,
     to_trunk: Tensor,
     to_state: Tensor,
-}
-
-/// State of one in-flight budgeted gradient step (see
-/// [`MaBdq::train_step_budgeted`]). Owns copies of everything the deferred
-/// chunks and epilogue need, because between chunk calls the caller may run
-/// eval-mode inference (which clobbers the shared [`MaBdqScratch`] and every
-/// network's activation caches) or push new transitions (which may overwrite
-/// sampled replay slots).
-#[derive(Debug, Clone)]
-struct BudgetedStep {
-    /// Joint current-state batch (`B × K*state_dim`).
-    x: Tensor,
-    /// Sampled replay indices (for the priority write-back).
-    indices: Vec<usize>,
-    /// PER importance weights, aligned with `indices`.
-    weights: Vec<f32>,
-    /// Sampled actions, flattened `(b * agents + k) * num_branches + d`.
-    actions: Vec<usize>,
-    /// TD targets, flattened `b * agents + k`.
-    targets: Vec<f32>,
-    /// Train-mode trunk activations for the sampled batch.
-    trunk_out: Tensor,
-    /// Trunk dropout RNG streams snapshotted *before* the trunk forward, so
-    /// the epilogue can recompute that forward (rebuilding the activation
-    /// caches backward needs) with bit-identical masks.
-    trunk_rng: Vec<Xoshiro256>,
-    /// Trunk gradient accumulated across completed agent passes.
-    trunk_grad: Tensor,
-    /// Per-sample mean |TD| accumulated so far.
-    abs_td: Vec<f64>,
-    /// Per-agent summed |TD| (quarantine signal).
-    agent_td: Vec<f64>,
-    /// Per-agent value-head squared gradient norm (quarantine signal).
-    agent_vgrad: Vec<f64>,
-    /// Weighted TD loss accumulated so far.
-    loss: f32,
-    /// Next agent index to process; `agents` means only the epilogue is
-    /// left.
-    next_agent: usize,
 }
 
 impl MaBdq {
@@ -776,11 +732,11 @@ impl MaBdq {
             steps: 0,
             skipped_steps: 0,
             telemetry: Telemetry::disabled(),
-            scratch: MaBdqScratch::default(),
+            scratch: DecideScratch::default(),
+            step: StepState::default(),
             guards: Vec::new(),
             quarantine_trips: 0,
             quarantine_readmissions: 0,
-            budgeted: None,
             quantized: None,
         };
         agent.rebuild_guards();
@@ -911,7 +867,7 @@ impl MaBdq {
         let MaBdq {
             guards,
             online,
-            scratch,
+            step,
             quarantine_trips,
             telemetry,
             ..
@@ -921,8 +877,8 @@ impl MaBdq {
                 frozen_now += 1;
                 continue;
             }
-            let td = scratch.agent_td[k] / denom;
-            let grad = scratch.agent_vgrad[k].sqrt();
+            let td = step.agent_td[k] / denom;
+            let grad = step.agent_vgrad[k].sqrt();
             let warmed = guard.baseline_samples >= q.warmup_steps;
             let td_limit = q.trip_multiple * guard.td_baseline.max(QUARANTINE_BASELINE_FLOOR);
             let grad_limit = q.trip_multiple * guard.grad_baseline.max(QUARANTINE_BASELINE_FLOOR);
@@ -1328,7 +1284,7 @@ impl MaBdq {
     }
 
     /// Packs one joint state (`K` per-agent vectors) into the single-row
-    /// scratch tensor consumed by [`Net::q_values_into`].
+    /// scratch tensor the decide paths evaluate.
     fn pack_joint_state(&mut self, states: &[Vec<f32>]) {
         let state_dim = self.config.state_dim;
         self.scratch
@@ -1397,240 +1353,33 @@ impl MaBdq {
     /// Returns `None` when the buffer has fewer than `batch_size`
     /// transitions.
     ///
-    /// Steady-state allocation-free: sampled transitions are read from the
-    /// buffer in place (never cloned), and every tensor — joint states,
-    /// head inputs, gradients, targets — lives in the reused
-    /// [`MaBdqScratch`]. Results are bit-identical to the historical
-    /// allocating implementation: same RNG draw order, same per-element
-    /// float accumulation order.
+    /// This is [`train_step_budgeted`](Self::train_step_budgeted) with a
+    /// budget of all `K` agents: the same prologue, head passes and
+    /// epilogue, run back to back. Steady-state allocation-free: every
+    /// tensor — joint states, head inputs, gradients, targets — lives in
+    /// the reused step state. A budgeted step still in flight is aborted
+    /// first: its partial gradients are discarded rather than mixed with a
+    /// second minibatch.
     ///
     /// # Errors
     ///
     /// Propagates replay-buffer errors.
     pub fn train_step(&mut self) -> Result<Option<TrainStats>, RlError> {
-        // A full step supersedes any half-finished budgeted one: discard its
-        // partial gradients rather than mixing two minibatches.
         self.abort_budgeted_step();
-        if self.buffer.len() < self.config.batch_size {
+        if !self.begin_step()? {
             return Ok(None);
         }
-        let batch_size = self.config.batch_size;
-        let agents = self.config.agents;
-        let num_branches = self.config.branches.len();
-        let gamma = self.config.gamma;
-        let state_dim = self.config.state_dim;
-        let quarantine_on = self.config.quarantine.enabled;
-        if quarantine_on {
-            self.quarantine_readmit();
+        for _ in 0..self.config.agents {
+            self.head_pass();
         }
-
-        self.buffer
-            .sample_into(batch_size, &mut self.rng, &mut self.scratch.batch)?;
-
-        // Pack joint current/next states straight from the buffer.
-        self.scratch.x.resize_zeroed(batch_size, agents * state_dim);
-        self.scratch
-            .x_next
-            .resize_zeroed(batch_size, agents * state_dim);
-        for (b, &idx) in self.scratch.batch.indices.iter().enumerate() {
-            let t = self.buffer.get(idx).expect("sampled index valid");
-            let row = self.scratch.x.row_mut(b);
-            for (k, s) in t.states.iter().enumerate() {
-                row[k * state_dim..(k + 1) * state_dim].copy_from_slice(s);
-            }
-            let row = self.scratch.x_next.row_mut(b);
-            for (k, s) in t.next_states.iter().enumerate() {
-                row[k * state_dim..(k + 1) * state_dim].copy_from_slice(s);
-            }
-        }
-
-        // --- Targets: double-DQN style, averaged over branches. ---
-        self.online.q_values_into(
-            &self.scratch.x_next,
-            state_dim,
-            false,
-            &mut self.scratch.q_eval,
-        );
-        self.target.q_values_into(
-            &self.scratch.x_next,
-            state_dim,
-            false,
-            &mut self.scratch.q_target,
-        );
-        // y[b * agents + k]
-        self.scratch.targets.clear();
-        self.scratch.targets.resize(batch_size * agents, 0.0);
-        for k in 0..agents {
-            for b in 0..batch_size {
-                let mut acc = 0.0;
-                for d in 0..num_branches {
-                    let a_star = argmax(self.scratch.q_eval.q[k][d].row(b));
-                    acc += self.scratch.q_target.q[k][d][(b, a_star)];
-                }
-                let reward = self
-                    .buffer
-                    .get(self.scratch.batch.indices[b])
-                    .expect("sampled index valid")
-                    .rewards[k];
-                self.scratch.targets[b * agents + k] = reward + gamma * acc / num_branches as f32;
-            }
-        }
-
-        // --- Online forward + manual backward with gradient rescaling. ---
-        self.online.zero_grads();
-        let Net {
-            trunk,
-            value_heads,
-            adv_heads,
-        } = &mut self.online;
-        let trunk_out = trunk.forward_scratch(&self.scratch.x, true);
-        let trunk_dim = trunk_out.cols();
-        self.scratch.trunk_grad.resize_zeroed(batch_size, trunk_dim);
-        self.scratch.abs_td.clear();
-        self.scratch.abs_td.resize(batch_size, 0.0);
-        self.scratch.agent_td.clear();
-        self.scratch.agent_td.resize(agents, 0.0);
-        self.scratch.agent_vgrad.clear();
-        self.scratch.agent_vgrad.resize(agents, 0.0);
-        let mut loss = 0.0f32;
-        let norm = (batch_size * agents * num_branches) as f32;
-
-        for (k, vh) in value_heads.iter_mut().enumerate() {
-            // A quarantined agent contributes nothing this step: no
-            // forward, no loss term, no gradient, no replay priority. The
-            // remaining K−1 agents train exactly as usual (probation is
-            // time-based, so nothing needs measuring here either).
-            if quarantine_on && self.guards[k].frozen_until > 0 {
-                continue;
-            }
-            self.scratch
-                .agent_state
-                .resize_zeroed(batch_size, state_dim);
-            for b in 0..batch_size {
-                self.scratch
-                    .agent_state
-                    .row_mut(b)
-                    .copy_from_slice(&self.scratch.x.row(b)[k * state_dim..(k + 1) * state_dim]);
-            }
-            trunk_out
-                .concat_cols_into(&self.scratch.agent_state, &mut self.scratch.input_k)
-                .expect("same batch");
-            let v = vh.forward_scratch(&self.scratch.input_k, true);
-            self.scratch.v_grad.resize_zeroed(batch_size, 1);
-            self.scratch
-                .input_grad
-                .resize_zeroed(batch_size, self.scratch.input_k.cols());
-
-            for (d, head) in adv_heads.iter_mut().enumerate() {
-                let adv = head.forward_scratch(&self.scratch.input_k, true);
-                let n = adv.cols();
-                self.scratch.adv_grad.resize_zeroed(batch_size, n);
-                for b in 0..batch_size {
-                    let a = self
-                        .buffer
-                        .get(self.scratch.batch.indices[b])
-                        .expect("sampled index valid")
-                        .actions[k][d];
-                    let row = adv.row(b);
-                    let mean: f32 = row.iter().sum::<f32>() / n as f32;
-                    let q = v[(b, 0)] + row[a] - mean;
-                    let delta = q - self.scratch.targets[b * agents + k];
-                    self.scratch.abs_td[b] += (delta.abs() / (agents * num_branches) as f32) as f64;
-                    if quarantine_on {
-                        self.scratch.agent_td[k] += f64::from(delta.abs());
-                    }
-                    let w = self.scratch.batch.weights[b];
-                    loss += w * delta * delta / norm;
-                    let g = 2.0 * w * delta / norm;
-                    let grow = self.scratch.adv_grad.row_mut(b);
-                    for (j, gj) in grow.iter_mut().enumerate() {
-                        let indicator = if j == a { 1.0 } else { 0.0 };
-                        *gj = g * (indicator - 1.0 / n as f32);
-                    }
-                    self.scratch.v_grad[(b, 0)] += g;
-                }
-                let gin = head.backward_scratch(&self.scratch.adv_grad);
-                self.scratch.input_grad.add_assign(gin).expect("same shape");
-            }
-            let gin_v = vh.backward_scratch(&self.scratch.v_grad);
-            self.scratch
-                .input_grad
-                .add_assign(gin_v)
-                .expect("same shape");
-            if quarantine_on {
-                self.scratch.agent_vgrad[k] = f64::from(vh.grad_sq_norm());
-            }
-            self.scratch.input_grad.split_cols_into(
-                trunk_dim,
-                &mut self.scratch.to_trunk,
-                &mut self.scratch.to_state,
-            );
-            self.scratch
-                .trunk_grad
-                .add_assign(&self.scratch.to_trunk)
-                .expect("same shape");
-        }
-
-        // Section III-A rescaling: 1/K into the deepest advantage layers,
-        // 1/D into the shared representation.
-        for head in adv_heads.iter_mut() {
-            head.scale_grads(1.0 / agents as f32);
-        }
-        self.scratch.trunk_grad.scale(1.0 / num_branches as f32);
-        trunk.backward_scratch(&self.scratch.trunk_grad);
-
-        // NaN guard: a numerically blown-up minibatch (non-finite loss or
-        // gradients) must not reach the weights — one bad Adam step can
-        // permanently poison the network. Skip the update and report it.
-        let grad_norm = self.online.grad_sq_norm().sqrt();
-        if !loss.is_finite() || !grad_norm.is_finite() {
-            self.online.zero_grads();
-            self.skipped_steps += 1;
-            // The scan runs on skipped steps too: the agent whose TD blew
-            // up trips and freezes here, so subsequent minibatch losses
-            // become finite again and the other K−1 agents resume training
-            // instead of being starved by the global guard forever.
-            self.quarantine_scan();
-            let stats = TrainStats {
-                loss,
-                mean_abs_td: (self.scratch.abs_td.iter().sum::<f64>() / batch_size as f64) as f32,
-                grad_norm,
-                skipped: true,
-            };
-            self.record_train_stats(&stats);
-            return Ok(Some(stats));
-        }
-
-        // Global-norm clipping, then Adam.
-        if self.config.grad_clip > 0.0 && grad_norm > self.config.grad_clip {
-            self.online
-                .scale_all_grads(self.config.grad_clip / grad_norm);
-        }
-        self.online.apply(&mut self.adam);
-
-        self.buffer
-            .update_priorities(&self.scratch.batch.indices, &self.scratch.abs_td);
-        self.steps += 1;
-        if self.steps.is_multiple_of(self.config.target_update_every) {
-            self.target.copy_weights_from(&self.online);
-            self.resync_quantized();
-        }
-        self.quarantine_scan();
-        let stats = TrainStats {
-            loss,
-            mean_abs_td: (self.scratch.abs_td.iter().sum::<f64>() / batch_size as f64) as f32,
-            grad_norm,
-            skipped: false,
-        };
-        self.record_train_stats(&stats);
-        Ok(Some(stats))
+        Ok(Some(self.finish_step()))
     }
 
     /// Whether a budgeted gradient step is currently in flight (started by
     /// [`train_step_budgeted`](Self::train_step_budgeted) but not yet
     /// `Done`).
     pub fn budgeted_step_in_flight(&self) -> bool {
-        self.budgeted.is_some()
+        self.step.in_flight
     }
 
     /// Drops any in-flight budgeted step, zeroing its partial gradients.
@@ -1638,7 +1387,8 @@ impl MaBdq {
     /// (a full [`train_step`](Self::train_step), a checkpoint restore, a
     /// transfer reset).
     fn abort_budgeted_step(&mut self) {
-        if self.budgeted.take().is_some() {
+        if self.step.in_flight {
+            self.step.in_flight = false;
             self.online.zero_grads();
         }
     }
@@ -1652,17 +1402,17 @@ impl MaBdq {
     /// priority write-back, target sync, quarantine scan) and returns
     /// [`BudgetedProgress::Done`].
     ///
-    /// Between chunk calls the caller may freely run eval-mode inference
+    /// Between chunk calls the caller may freely decide
     /// ([`select_actions`](Self::select_actions) /
-    /// [`q_values`](Self::q_values)) and [`observe`](Self::observe): the
-    /// step owns copies of everything it still needs, and eval-mode
-    /// forwards never advance dropout RNG streams, so a step driven to
-    /// completion produces **bit-identical** weights, optimizer state, RNG
-    /// streams and replay priorities to one unbudgeted
-    /// [`train_step`](Self::train_step) — the property
-    /// `tests/budgeted_training.rs` proves. Unlike `train_step`, this path
-    /// allocates (the deferred state is heap-owned); it trades the
-    /// zero-allocation discipline for bounded per-call latency.
+    /// [`q_values`](Self::q_values) and their unfused and quantized
+    /// siblings) and [`observe`](Self::observe): decisions are stateless
+    /// forwards on their own scratch, and the step owns copies of what a
+    /// replay overwrite could change. A step driven to completion is the
+    /// same code in the same order as one [`train_step`](Self::train_step),
+    /// so weights, optimizer state, RNG streams and replay priorities come
+    /// out **bit-identical** — `tests/budgeted_training.rs` holds that
+    /// against every decide path — and it is allocation-free in steady
+    /// state all the same.
     ///
     /// A [`train_step`](Self::train_step), checkpoint restore or transfer
     /// reset while a step is in flight aborts the partial step (its
@@ -1672,119 +1422,33 @@ impl MaBdq {
     ///
     /// Propagates replay-buffer errors from the initial sample.
     pub fn train_step_budgeted(&mut self, max_agents: usize) -> Result<BudgetedProgress, RlError> {
-        let mut step = match self.budgeted.take() {
-            Some(step) => step,
-            None => match self.begin_budgeted_step()? {
-                Some(step) => step,
-                None => return Ok(BudgetedProgress::NotReady),
-            },
-        };
-        let batch_size = self.config.batch_size;
-        let agents = self.config.agents;
-        let num_branches = self.config.branches.len();
-        let state_dim = self.config.state_dim;
-        let quarantine_on = self.config.quarantine.enabled;
-        let norm = (batch_size * agents * num_branches) as f32;
-        let trunk_dim = step.trunk_out.cols();
-
-        let end = (step.next_agent + max_agents.max(1)).min(agents);
-        while step.next_agent < end {
-            let k = step.next_agent;
-            step.next_agent += 1;
-            // Same skip rule as `train_step`: a quarantined agent
-            // contributes nothing, but still counts as processed.
-            if quarantine_on && self.guards[k].frozen_until > 0 {
-                continue;
-            }
-            let Net {
-                value_heads,
-                adv_heads,
-                ..
-            } = &mut self.online;
-            let vh = &mut value_heads[k];
-            self.scratch
-                .agent_state
-                .resize_zeroed(batch_size, state_dim);
-            for b in 0..batch_size {
-                self.scratch
-                    .agent_state
-                    .row_mut(b)
-                    .copy_from_slice(&step.x.row(b)[k * state_dim..(k + 1) * state_dim]);
-            }
-            step.trunk_out
-                .concat_cols_into(&self.scratch.agent_state, &mut self.scratch.input_k)
-                .expect("same batch");
-            let v = vh.forward_scratch(&self.scratch.input_k, true);
-            self.scratch.v_grad.resize_zeroed(batch_size, 1);
-            self.scratch
-                .input_grad
-                .resize_zeroed(batch_size, self.scratch.input_k.cols());
-
-            for (d, head) in adv_heads.iter_mut().enumerate() {
-                let adv = head.forward_scratch(&self.scratch.input_k, true);
-                let n = adv.cols();
-                self.scratch.adv_grad.resize_zeroed(batch_size, n);
-                for b in 0..batch_size {
-                    let a = step.actions[(b * agents + k) * num_branches + d];
-                    let row = adv.row(b);
-                    let mean: f32 = row.iter().sum::<f32>() / n as f32;
-                    let q = v[(b, 0)] + row[a] - mean;
-                    let delta = q - step.targets[b * agents + k];
-                    step.abs_td[b] += (delta.abs() / (agents * num_branches) as f32) as f64;
-                    if quarantine_on {
-                        step.agent_td[k] += f64::from(delta.abs());
-                    }
-                    let w = step.weights[b];
-                    step.loss += w * delta * delta / norm;
-                    let g = 2.0 * w * delta / norm;
-                    let grow = self.scratch.adv_grad.row_mut(b);
-                    for (j, gj) in grow.iter_mut().enumerate() {
-                        let indicator = if j == a { 1.0 } else { 0.0 };
-                        *gj = g * (indicator - 1.0 / n as f32);
-                    }
-                    self.scratch.v_grad[(b, 0)] += g;
-                }
-                let gin = head.backward_scratch(&self.scratch.adv_grad);
-                self.scratch.input_grad.add_assign(gin).expect("same shape");
-            }
-            let gin_v = vh.backward_scratch(&self.scratch.v_grad);
-            self.scratch
-                .input_grad
-                .add_assign(gin_v)
-                .expect("same shape");
-            if quarantine_on {
-                step.agent_vgrad[k] = f64::from(vh.grad_sq_norm());
-            }
-            self.scratch.input_grad.split_cols_into(
-                trunk_dim,
-                &mut self.scratch.to_trunk,
-                &mut self.scratch.to_state,
-            );
-            step.trunk_grad
-                .add_assign(&self.scratch.to_trunk)
-                .expect("same shape");
+        if !self.step.in_flight && !self.begin_step()? {
+            return Ok(BudgetedProgress::NotReady);
         }
-
-        if step.next_agent < agents {
-            let agents_done = step.next_agent;
-            self.budgeted = Some(step);
+        let agents = self.config.agents;
+        let end = (self.step.next_agent + max_agents.max(1)).min(agents);
+        while self.step.next_agent < end {
+            self.head_pass();
+        }
+        if self.step.next_agent < agents {
             return Ok(BudgetedProgress::InProgress {
-                agents_done,
+                agents_done: self.step.next_agent,
                 agents_total: agents,
             });
         }
-        Ok(BudgetedProgress::Done(self.finish_budgeted_step(*step)))
+        Ok(BudgetedProgress::Done(self.finish_step()))
     }
 
-    /// Starts a budgeted step: samples the minibatch, packs states, computes
-    /// double-DQN targets, zeroes gradients and runs the trunk forward —
-    /// copying everything later chunks need into an owned [`BudgetedStep`].
-    /// Returns `None` when the buffer is below `batch_size`.
-    fn begin_budgeted_step(&mut self) -> Result<Option<Box<BudgetedStep>>, RlError> {
-        if self.buffer.len() < self.config.batch_size {
-            return Ok(None);
-        }
+    /// Prologue of the gradient step: re-admits agents out of probation,
+    /// samples the minibatch, packs states and actions out of the replay
+    /// buffer, computes double-DQN targets, zeroes gradients and runs the
+    /// train-mode trunk forward. Returns `false` (nothing started) when the
+    /// buffer is below `batch_size`.
+    fn begin_step(&mut self) -> Result<bool, RlError> {
         let batch_size = self.config.batch_size;
+        if self.buffer.len() < batch_size {
+            return Ok(false);
+        }
         let agents = self.config.agents;
         let num_branches = self.config.branches.len();
         let gamma = self.config.gamma;
@@ -1792,171 +1456,196 @@ impl MaBdq {
         if self.config.quarantine.enabled {
             self.quarantine_readmit();
         }
+        let step = &mut self.step;
 
         self.buffer
-            .sample_into(batch_size, &mut self.rng, &mut self.scratch.batch)?;
+            .sample_into(batch_size, &mut self.rng, &mut step.batch)?;
 
-        self.scratch.x.resize_zeroed(batch_size, agents * state_dim);
-        self.scratch
-            .x_next
-            .resize_zeroed(batch_size, agents * state_dim);
-        for (b, &idx) in self.scratch.batch.indices.iter().enumerate() {
+        step.x.resize_zeroed(batch_size, agents * state_dim);
+        step.x_next.resize_zeroed(batch_size, agents * state_dim);
+        step.actions.clear();
+        for (b, &idx) in step.batch.indices.iter().enumerate() {
             let t = self.buffer.get(idx).expect("sampled index valid");
-            let row = self.scratch.x.row_mut(b);
+            let row = step.x.row_mut(b);
             for (k, s) in t.states.iter().enumerate() {
                 row[k * state_dim..(k + 1) * state_dim].copy_from_slice(s);
             }
-            let row = self.scratch.x_next.row_mut(b);
+            let row = step.x_next.row_mut(b);
             for (k, s) in t.next_states.iter().enumerate() {
                 row[k * state_dim..(k + 1) * state_dim].copy_from_slice(s);
             }
+            step.actions.extend(t.actions.iter().flatten());
         }
 
-        // Targets: identical arithmetic and evaluation order to
-        // `train_step` (double-DQN, averaged over branches).
-        self.online.q_values_into(
-            &self.scratch.x_next,
-            state_dim,
-            false,
-            &mut self.scratch.q_eval,
-        );
-        self.target.q_values_into(
-            &self.scratch.x_next,
-            state_dim,
-            false,
-            &mut self.scratch.q_target,
-        );
-        self.scratch.targets.clear();
-        self.scratch.targets.resize(batch_size * agents, 0.0);
+        // Targets: double-DQN style, averaged over branches.
+        self.online
+            .q_values_fused_into(&step.x_next, state_dim, &mut step.q_online);
+        self.target
+            .q_values_fused_into(&step.x_next, state_dim, &mut step.q_target);
+        step.targets.clear();
+        step.targets.resize(batch_size * agents, 0.0);
         for k in 0..agents {
             for b in 0..batch_size {
                 let mut acc = 0.0;
                 for d in 0..num_branches {
-                    let a_star = argmax(self.scratch.q_eval.q[k][d].row(b));
-                    acc += self.scratch.q_target.q[k][d][(b, a_star)];
+                    let a_star = argmax(step.q_online.q[k][d].row(b));
+                    acc += step.q_target.q[k][d][(b, a_star)];
                 }
                 let reward = self
                     .buffer
-                    .get(self.scratch.batch.indices[b])
+                    .get(step.batch.indices[b])
                     .expect("sampled index valid")
                     .rewards[k];
-                self.scratch.targets[b * agents + k] = reward + gamma * acc / num_branches as f32;
+                step.targets[b * agents + k] = reward + gamma * acc / num_branches as f32;
             }
         }
 
         self.online.zero_grads();
-        // Snapshot the trunk dropout streams *before* the train forward, so
-        // the epilogue can replay the forward (and its masks) exactly.
-        let mut trunk_rng = Vec::new();
-        self.online.trunk.dropout_rng_states_into(&mut trunk_rng);
-        let mut trunk_out = Tensor::default();
-        trunk_out.copy_from(self.online.trunk.forward_scratch(&self.scratch.x, true));
-        let mut trunk_grad = Tensor::default();
-        trunk_grad.resize_zeroed(batch_size, trunk_out.cols());
-
-        // Own copies of sampled actions: `observe` pushes between chunks
-        // may overwrite sampled replay slots in the ring buffer.
-        let indices = self.scratch.batch.indices.clone();
-        let mut actions = Vec::with_capacity(batch_size * agents * num_branches);
-        for &idx in &indices {
-            let t = self.buffer.get(idx).expect("sampled index valid");
-            for k in 0..agents {
-                for d in 0..num_branches {
-                    actions.push(t.actions[k][d]);
-                }
-            }
-        }
-        let mut x = Tensor::default();
-        x.copy_from(&self.scratch.x);
-        Ok(Some(Box::new(BudgetedStep {
-            x,
-            indices,
-            weights: self.scratch.batch.weights.clone(),
-            actions,
-            targets: self.scratch.targets.clone(),
-            trunk_out,
-            trunk_rng,
-            trunk_grad,
-            abs_td: vec![0.0; batch_size],
-            agent_td: vec![0.0; agents],
-            agent_vgrad: vec![0.0; agents],
-            loss: 0.0,
-            next_agent: 0,
-        })))
+        step.trunk_out
+            .copy_from(self.online.trunk.forward_scratch(&step.x, true));
+        step.trunk_grad
+            .resize_zeroed(batch_size, step.trunk_out.cols());
+        step.abs_td.clear();
+        step.abs_td.resize(batch_size, 0.0);
+        step.agent_td.clear();
+        step.agent_td.resize(agents, 0.0);
+        step.agent_vgrad.clear();
+        step.agent_vgrad.resize(agents, 0.0);
+        step.loss = 0.0;
+        step.next_agent = 0;
+        step.in_flight = true;
+        Ok(true)
     }
 
-    /// Epilogue of a budgeted step: gradient rescaling, trunk backward over
-    /// recomputed activations, NaN guard, clipping, Adam, priority
-    /// write-back, target sync and quarantine scan — the exact tail of
-    /// [`train_step`](Self::train_step).
-    fn finish_budgeted_step(&mut self, step: BudgetedStep) -> TrainStats {
+    /// Head pass of the next due agent: its value head and every advantage
+    /// head forward (train mode) and backward on the sampled batch,
+    /// accumulating loss, |TD|, head gradients and the trunk gradient.
+    fn head_pass(&mut self) {
         let batch_size = self.config.batch_size;
         let agents = self.config.agents;
         let num_branches = self.config.branches.len();
-        let mut trunk_grad = step.trunk_grad;
+        let state_dim = self.config.state_dim;
+        let quarantine_on = self.config.quarantine.enabled;
+        let norm = (batch_size * agents * num_branches) as f32;
+        let step = &mut self.step;
+        let k = step.next_agent;
+        step.next_agent += 1;
+        // A quarantined agent contributes nothing this step: no forward, no
+        // loss term, no gradient, no replay priority. The remaining K−1
+        // agents train exactly as usual (probation is time-based, so
+        // nothing needs measuring here either).
+        if quarantine_on && self.guards[k].frozen_until > 0 {
+            return;
+        }
+        let vh = &mut self.online.value_heads[k];
+        step.agent_state.resize_zeroed(batch_size, state_dim);
+        for b in 0..batch_size {
+            step.agent_state
+                .row_mut(b)
+                .copy_from_slice(&step.x.row(b)[k * state_dim..(k + 1) * state_dim]);
+        }
+        step.trunk_out
+            .concat_cols_into(&step.agent_state, &mut step.input_k)
+            .expect("same batch");
+        let v = vh.forward_scratch(&step.input_k, true);
+        step.v_grad.resize_zeroed(batch_size, 1);
+        step.input_grad
+            .resize_zeroed(batch_size, step.input_k.cols());
 
+        for (d, head) in self.online.adv_heads.iter_mut().enumerate() {
+            let adv = head.forward_scratch(&step.input_k, true);
+            let n = adv.cols();
+            step.adv_grad.resize_zeroed(batch_size, n);
+            for b in 0..batch_size {
+                let a = step.actions[(b * agents + k) * num_branches + d];
+                let row = adv.row(b);
+                let mean: f32 = row.iter().sum::<f32>() / n as f32;
+                let q = v[(b, 0)] + row[a] - mean;
+                let delta = q - step.targets[b * agents + k];
+                step.abs_td[b] += (delta.abs() / (agents * num_branches) as f32) as f64;
+                if quarantine_on {
+                    step.agent_td[k] += f64::from(delta.abs());
+                }
+                let w = step.batch.weights[b];
+                step.loss += w * delta * delta / norm;
+                let g = 2.0 * w * delta / norm;
+                let grow = step.adv_grad.row_mut(b);
+                for (j, gj) in grow.iter_mut().enumerate() {
+                    let indicator = if j == a { 1.0 } else { 0.0 };
+                    *gj = g * (indicator - 1.0 / n as f32);
+                }
+                step.v_grad[(b, 0)] += g;
+            }
+            let gin = head.backward_scratch(&step.adv_grad);
+            step.input_grad.add_assign(gin).expect("same shape");
+        }
+        let gin_v = vh.backward_scratch(&step.v_grad);
+        step.input_grad.add_assign(gin_v).expect("same shape");
+        if quarantine_on {
+            step.agent_vgrad[k] = f64::from(vh.grad_sq_norm());
+        }
+        step.input_grad.split_cols_into(
+            step.trunk_out.cols(),
+            &mut step.to_trunk,
+            &mut step.to_state,
+        );
+        step.trunk_grad
+            .add_assign(&step.to_trunk)
+            .expect("same shape");
+    }
+
+    /// Epilogue of the gradient step: Section III-A rescaling, trunk
+    /// backward, NaN guard, clipping, Adam, priority write-back, target sync
+    /// and quarantine scan.
+    fn finish_step(&mut self) -> TrainStats {
+        let batch_size = self.config.batch_size;
+        let agents = self.config.agents;
+        let num_branches = self.config.branches.len();
+        self.step.in_flight = false;
+
+        // 1/K into the deepest advantage layers, 1/D into the shared
+        // representation.
         for head in self.online.adv_heads.iter_mut() {
             head.scale_grads(1.0 / agents as f32);
         }
-        trunk_grad.scale(1.0 / num_branches as f32);
-        // Interleaved eval forwards clobbered the trunk's activation
-        // caches; restore the pre-forward dropout snapshot and recompute
-        // the train forward so backward sees the original masks and
-        // activations — and the post-step RNG state matches the unbudgeted
-        // path (one net advance).
-        self.online
-            .trunk
-            .set_dropout_rng_states(&step.trunk_rng)
-            .expect("snapshot taken from this trunk");
-        self.online.trunk.forward_scratch(&step.x, true);
-        self.online.trunk.backward_scratch(&trunk_grad);
+        self.step.trunk_grad.scale(1.0 / num_branches as f32);
+        self.online.trunk.backward_scratch(&self.step.trunk_grad);
 
-        // The quarantine scan reads its per-agent signals from the shared
-        // scratch; surface the step-owned accumulators there.
-        self.scratch.abs_td.clear();
-        self.scratch.abs_td.extend_from_slice(&step.abs_td);
-        self.scratch.agent_td.clear();
-        self.scratch.agent_td.extend_from_slice(&step.agent_td);
-        self.scratch.agent_vgrad.clear();
-        self.scratch
-            .agent_vgrad
-            .extend_from_slice(&step.agent_vgrad);
-
-        let loss = step.loss;
-        let mean_abs_td = (step.abs_td.iter().sum::<f64>() / batch_size as f64) as f32;
+        let loss = self.step.loss;
+        let mean_abs_td = (self.step.abs_td.iter().sum::<f64>() / batch_size as f64) as f32;
         let grad_norm = self.online.grad_sq_norm().sqrt();
-        if !loss.is_finite() || !grad_norm.is_finite() {
+        // NaN guard: a numerically blown-up minibatch (non-finite loss or
+        // gradients) must not reach the weights — one bad Adam step can
+        // permanently poison the network. Skip the update and report it.
+        let skipped = !loss.is_finite() || !grad_norm.is_finite();
+        if skipped {
             self.online.zero_grads();
             self.skipped_steps += 1;
-            self.quarantine_scan();
-            let stats = TrainStats {
-                loss,
-                mean_abs_td,
-                grad_norm,
-                skipped: true,
-            };
-            self.record_train_stats(&stats);
-            return stats;
+        } else {
+            // Global-norm clipping, then Adam.
+            if self.config.grad_clip > 0.0 && grad_norm > self.config.grad_clip {
+                self.online
+                    .scale_all_grads(self.config.grad_clip / grad_norm);
+            }
+            self.online.apply(&mut self.adam);
+            self.buffer
+                .update_priorities(&self.step.batch.indices, &self.step.abs_td);
+            self.steps += 1;
+            if self.steps.is_multiple_of(self.config.target_update_every) {
+                self.target.copy_weights_from(&self.online);
+                self.resync_quantized();
+            }
         }
-
-        if self.config.grad_clip > 0.0 && grad_norm > self.config.grad_clip {
-            self.online
-                .scale_all_grads(self.config.grad_clip / grad_norm);
-        }
-        self.online.apply(&mut self.adam);
-
-        self.buffer.update_priorities(&step.indices, &step.abs_td);
-        self.steps += 1;
-        if self.steps.is_multiple_of(self.config.target_update_every) {
-            self.target.copy_weights_from(&self.online);
-            self.resync_quantized();
-        }
+        // The scan runs on skipped steps too: the agent whose TD blew up
+        // trips and freezes here, so subsequent minibatch losses become
+        // finite again and the other K−1 agents resume training instead of
+        // being starved by the global guard forever.
         self.quarantine_scan();
         let stats = TrainStats {
             loss,
             mean_abs_td,
             grad_norm,
-            skipped: false,
+            skipped,
         };
         self.record_train_stats(&stats);
         stats
@@ -2706,5 +2395,38 @@ mod tests {
         let q = dueling_combine(&v, &adv);
         // mean adv = 2 => q = [2 + (1-2), 2 + (3-2)] = [1, 3]
         assert_eq!(q.as_slice(), &[1.0, 3.0]);
+    }
+
+    #[test]
+    fn fused_targets_match_per_agent_reference_at_training_shape() {
+        // The double-DQN targets run on the fused forward at B = 64; at
+        // K = 24 the stacked advantage-head GEMM is 1536 rows by 75 deep,
+        // many of the kernel's 16-row, 64-deep blocks, where the B = 1
+        // decide tests stay inside one. Every Q-value must equal the
+        // per-agent reference bit-for-bit.
+        let config = MaBdqConfig {
+            agents: 24,
+            ..MaBdqConfig::default()
+        };
+        let (batch, state_dim) = (64, config.state_dim);
+        let mut rng = Xoshiro256::seed_from_u64(31);
+        let mut net = Net::new(&config, &mut rng);
+        let mut x = Tensor::zeros(batch, config.agents * state_dim);
+        for v in x.as_mut_slice() {
+            *v = rng.range_f64(-1.0, 1.0) as f32;
+        }
+        let (mut fused, mut reference) = (QScratch::default(), QScratch::default());
+        net.q_values_fused_into(&x, state_dim, &mut fused);
+        net.q_values_per_agent_into(&x, state_dim, &mut reference);
+        assert_eq!(fused.q.len(), config.agents);
+        for (k, (f, r)) in fused.q.iter().zip(&reference.q).enumerate() {
+            assert_eq!(f.len(), config.branches.len());
+            for (d, (fd, rd)) in f.iter().zip(r).enumerate() {
+                assert_eq!((fd.rows(), fd.cols()), (batch, config.branches[d]));
+                for (a, b) in fd.as_slice().iter().zip(rd.as_slice()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "agent {k} branch {d}");
+                }
+            }
+        }
     }
 }

@@ -2,11 +2,11 @@
 //!
 //! This binary installs the counting allocator from `twig-nn` as its global
 //! allocator, warms the agent up (first calls size every scratch buffer),
-//! then asserts that further `train_step` / `select_actions_into` /
-//! `q_values_into` calls perform ZERO heap allocations. This is the
-//! regression gate for the scratch-buffer work: any accidental `clone()`,
-//! `Vec::new` or tensor materialisation on the hot path fails loudly here
-//! long before it shows up in a profile.
+//! then asserts that further `train_step` / `train_step_budgeted` /
+//! `select_actions_into` / `q_values_into` calls perform ZERO heap
+//! allocations. This is the regression gate for the scratch-buffer work: any
+//! accidental `clone()`, `Vec::new` or tensor materialisation on the hot
+//! path fails loudly here long before it shows up in a profile.
 //!
 //! Kept as its own integration test so the `#[global_allocator]` does not
 //! leak into other test binaries, and run single-threaded by construction
@@ -14,7 +14,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use twig_nn::count_alloc;
-use twig_rl::{MaBdq, MaBdqConfig, MultiTransition};
+use twig_rl::{BudgetedProgress, MaBdq, MaBdqConfig, MultiTransition};
 
 /// Counting wrapper around the system allocator. The impl lives here (the
 /// library crates forbid unsafe code) and reports into the process-wide
@@ -75,6 +75,45 @@ fn transition(step: usize) -> MultiTransition {
     }
 }
 
+/// The probe state and the reusable output buffers of the decide paths.
+struct Decides {
+    states: Vec<Vec<f32>>,
+    actions: Vec<Vec<usize>>,
+    actions_unfused: Vec<Vec<usize>>,
+    actions_quant: Vec<Vec<usize>>,
+    q_out: Vec<Vec<Vec<f32>>>,
+}
+
+/// One call into each decide path: fused, per-agent reference, fixed-point,
+/// and the Q-value export.
+fn decide_all(agent: &mut MaBdq, d: &mut Decides) {
+    agent
+        .select_actions_into(&d.states, 0.5, &mut d.actions)
+        .unwrap();
+    agent
+        .select_actions_unfused_into(&d.states, 0.5, &mut d.actions_unfused)
+        .unwrap();
+    agent
+        .select_actions_quantized_into(&d.states, &mut d.actions_quant)
+        .unwrap();
+    agent.q_values_into(&d.states, &mut d.q_out).unwrap();
+}
+
+/// One learn + decide epoch through each entry point of the gradient step:
+/// the one-call `train_step`, then `train_step_budgeted` one agent at a
+/// time with every decide path running between the chunks.
+fn epoch(agent: &mut MaBdq, out: &mut Decides) {
+    agent.train_step().unwrap().expect("batch available");
+    decide_all(agent, out);
+    loop {
+        match agent.train_step_budgeted(1).unwrap() {
+            BudgetedProgress::InProgress { .. } => decide_all(agent, out),
+            BudgetedProgress::Done(_) => break,
+            BudgetedProgress::NotReady => panic!("batch available"),
+        }
+    }
+}
+
 #[test]
 fn hot_path_is_allocation_free_in_steady_state() {
     assert!(
@@ -89,43 +128,26 @@ fn hot_path_is_allocation_free_in_steady_state() {
     // Warm-up: sizes every scratch buffer (NN scratch, PER batch, Adam
     // moment vectors, reusable action/Q output buffers) and arms the
     // fixed-point fallback snapshot, whose first build allocates.
-    let mut actions: Vec<Vec<usize>> = Vec::new();
-    let mut actions_unfused: Vec<Vec<usize>> = Vec::new();
-    let mut actions_quant: Vec<Vec<usize>> = Vec::new();
-    let mut q_out: Vec<Vec<Vec<f32>>> = Vec::new();
-    let states = vec![vec![0.1, 0.2, 0.3, 0.4]; 2];
+    let mut out = Decides {
+        states: vec![vec![0.1, 0.2, 0.3, 0.4]; 2],
+        actions: Vec::new(),
+        actions_unfused: Vec::new(),
+        actions_quant: Vec::new(),
+        q_out: Vec::new(),
+    };
     agent.refresh_quantized().unwrap();
     for _ in 0..3 {
-        agent.train_step().unwrap().expect("batch available");
-        agent
-            .select_actions_into(&states, 0.5, &mut actions)
-            .unwrap();
-        agent
-            .select_actions_unfused_into(&states, 0.5, &mut actions_unfused)
-            .unwrap();
-        agent
-            .select_actions_quantized_into(&states, &mut actions_quant)
-            .unwrap();
-        agent.q_values_into(&states, &mut q_out).unwrap();
+        epoch(&mut agent, &mut out);
     }
 
     // Steady state: ten epochs of learn + decide, zero allocations. The
     // window covers several target-network syncs (every 3 steps), each of
     // which also re-quantizes the armed fallback snapshot in place, plus
-    // the fused, per-agent reference, and fixed-point decision paths.
+    // the fused, per-agent reference, and fixed-point decision paths, both
+    // after a step and between the chunks of a budgeted one.
     let start = count_alloc::allocation_count();
     for _ in 0..10 {
-        agent.train_step().unwrap().expect("batch available");
-        agent
-            .select_actions_into(&states, 0.5, &mut actions)
-            .unwrap();
-        agent
-            .select_actions_unfused_into(&states, 0.5, &mut actions_unfused)
-            .unwrap();
-        agent
-            .select_actions_quantized_into(&states, &mut actions_quant)
-            .unwrap();
-        agent.q_values_into(&states, &mut q_out).unwrap();
+        epoch(&mut agent, &mut out);
     }
     let delta = count_alloc::allocations_since(start);
     assert_eq!(
@@ -135,9 +157,9 @@ fn hot_path_is_allocation_free_in_steady_state() {
 
     // Sanity: the agent is still actually learning (steps advanced) and
     // the outputs are live.
-    assert!(agent.steps() >= 13);
-    assert_eq!(actions.len(), 2);
-    assert_eq!(actions_quant.len(), 2);
-    assert_eq!(q_out.len(), 2);
+    assert!(agent.steps() >= 26);
+    assert_eq!(out.actions.len(), 2);
+    assert_eq!(out.actions_quant.len(), 2);
+    assert_eq!(out.q_out.len(), 2);
     assert!(agent.quantized_ready());
 }

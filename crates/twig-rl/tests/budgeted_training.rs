@@ -1,13 +1,15 @@
 //! Bit-identity proof for the resumable budgeted training path.
 //!
 //! The deadline scheduler splits `MaBdq::train_step` into micro-batches via
-//! `train_step_budgeted`, interleaving eval-mode inference between chunks.
-//! These tests pin the contract that makes that safe: a budgeted step driven
-//! to completion produces **bit-identical** weights, optimizer moments,
-//! replay priorities and RNG streams to one unbudgeted `train_step` — even
-//! with `q_values` calls clobbering every activation cache between chunks —
-//! and any operation that would invalidate the deferred state (a full step,
-//! a checkpoint restore, a transfer reset) aborts it cleanly.
+//! `train_step_budgeted`, interleaving decisions between chunks. Both entry
+//! points run the same prologue, head passes and epilogue, so what these
+//! tests pin is the one thing that could still tell them apart: nothing that
+//! runs between chunks may touch what the step reads later. A budgeted step
+//! driven to completion produces **bit-identical** weights, optimizer
+//! moments, replay priorities and RNG streams to one unbudgeted `train_step`
+//! — with every public decide path running between chunks — and any
+//! operation that would invalidate the deferred state (a full step, a
+//! checkpoint restore, a transfer reset) aborts it cleanly.
 
 use twig_rl::{encode_checkpoint, BudgetedProgress, MaBdq, MaBdqConfig, MultiTransition};
 use twig_stats::rng::{Rng, Xoshiro256};
@@ -15,9 +17,10 @@ use twig_stats::rng::{Rng, Xoshiro256};
 const AGENTS: usize = 3;
 const STATE_DIM: usize = 3;
 
-/// Dropout deliberately non-zero: the trunk forward is recomputed in the
-/// budgeted epilogue, so identical masks (via the RNG snapshot) are exactly
-/// what is under test.
+/// Dropout deliberately non-zero: the epilogue's trunk backward reads the
+/// masks and activations the prologue's train-mode forward cached, so a
+/// decide path that drew from a dropout stream or wrote an activation cache
+/// between chunks would show up as diverged weights.
 fn config() -> MaBdqConfig {
     MaBdqConfig {
         agents: AGENTS,
@@ -62,17 +65,35 @@ fn transition(rng: &mut Xoshiro256) -> MultiTransition {
     }
 }
 
-fn drive_to_done(agent: &mut MaBdq, max_agents: usize, evals_between: bool) -> BudgetedProgress {
+/// Every public eval path, once each. The ε-greedy paths draw from the
+/// agent's RNG, so a twin that must stay in lockstep calls this as often.
+fn decide_all(agent: &mut MaBdq) {
     let probe = vec![vec![0.1_f32; STATE_DIM]; AGENTS];
+    let q = agent.q_values(&probe).unwrap();
+    assert!(q.iter().flatten().flatten().all(|v| v.is_finite()));
+    let mut actions = Vec::new();
+    agent
+        .select_actions_into(&probe, 0.5, &mut actions)
+        .unwrap();
+    agent
+        .select_actions_unfused_into(&probe, 0.5, &mut actions)
+        .unwrap();
+    agent
+        .select_actions_quantized_into(&probe, &mut actions)
+        .unwrap();
+}
+
+/// Drives one budgeted step to completion, running every decide path after
+/// each unfinished chunk when `evals_between`.
+fn drive_to_done(agent: &mut MaBdq, max_agents: usize, evals_between: bool) -> BudgetedProgress {
     loop {
         match agent.train_step_budgeted(max_agents).unwrap() {
             BudgetedProgress::InProgress { .. } => {
                 if evals_between {
-                    // Eval-mode inference between chunks: clobbers the Mlp
-                    // scratch buffers and every Dense activation cache, but
-                    // never advances a dropout RNG stream.
-                    let q = agent.q_values(&probe).unwrap();
-                    assert!(q.iter().flatten().flatten().all(|v| v.is_finite()));
+                    // Stateless forwards on the decide scratch: they reuse
+                    // the networks' ping-pong buffers, but write no
+                    // activation cache and advance no dropout stream.
+                    decide_all(agent);
                 }
             }
             done => return done,
@@ -96,6 +117,11 @@ fn budgeted_step_is_bit_identical_to_train_step() {
         let BudgetedProgress::Done(stats_b) = done else {
             panic!("budgeted step never completed: {done:?}");
         };
+        // Mirror the ε-greedy RNG draws on the one-call twin: one decide
+        // round per unfinished chunk, AGENTS − 1 at one agent per chunk.
+        for _ in 1..AGENTS {
+            decide_all(&mut full);
+        }
         assert_eq!(stats_full, stats_b, "stats diverged at step {step}");
         assert_eq!(
             encode_checkpoint(&full.save_checkpoint()),

@@ -18,15 +18,13 @@ use twig_cluster::{
     NodePlatform,
 };
 use twig_core::{
-    recover, ActuationDirective, CheckpointStore, EpochScheduler, GovernorConfig,
-    InferenceDirective, LearnDirective, RewardConfig, SafetyGovernor, SchedulerConfig, SimClock,
-    TaskManager, Twig, TwigBuilder, VirtualClock,
+    recover, CheckpointStore, EpochScheduler, GovernorConfig, RewardConfig, SafetyGovernor,
+    SchedulerConfig, SimClock, TaskManager, Twig, TwigBuilder,
 };
 use twig_platform::{Platform, SimPlatform};
-use twig_rl::{BudgetedProgress, EpsilonSchedule, MaBdqConfig};
+use twig_rl::{EpsilonSchedule, MaBdqConfig};
 use twig_sim::{
-    Assignment, DvfsLadder, EpochTimings, FaultPlan, LoadGenerator, Server, ServerConfig,
-    ServiceSpec, TimingFaultPlan,
+    DvfsLadder, FaultPlan, LoadGenerator, Server, ServerConfig, ServiceSpec, TimingFaultPlan,
 };
 use twig_telemetry::Telemetry;
 
@@ -268,10 +266,9 @@ impl ScenarioRunner {
 
         // Scheduler-metered loop state (present iff a timing section is).
         let mut metered = if s.timing.is_some() {
-            let clock = SimClock::new();
-            let sched =
-                EpochScheduler::new(SchedulerConfig::default(), clock.clone()).map_err(run_err)?;
-            Some((clock, sched, gov.safe_assignments()))
+            let sched = EpochScheduler::new(SchedulerConfig::default(), SimClock::new())
+                .map_err(run_err)?;
+            Some((sched, gov.safe_assignments()))
         } else {
             None
         };
@@ -344,19 +341,20 @@ impl ScenarioRunner {
                     gov.observe(&r).map_err(run_err)?;
                     r
                 }
-                Some((clock, sched, last_validated)) => metered_epoch(
-                    platform.server_mut(),
-                    &mut gov,
-                    clock,
-                    sched,
-                    last_validated,
-                    &mut acc,
-                )?,
+                Some((sched, last_validated)) => {
+                    let e = sched
+                        .metered_epoch(platform.server_mut(), &mut gov, last_validated)
+                        .map_err(run_err)?;
+                    if e.decided && !e.fresh {
+                        acc.stale_decisions += 1;
+                    }
+                    e.report
+                }
             };
             acc.absorb(s, e, &r, &qos);
         }
 
-        if let Some((_, sched, _)) = &mut metered {
+        if let Some((sched, _)) = &metered {
             let st = sched.stats();
             acc.max_shed_depth = st.max_ladder_depth;
             acc.deadline_misses = st.misses;
@@ -475,116 +473,6 @@ impl ScenarioRunner {
         };
         Ok(acc.into_outcome(s, Some(cluster_outcome)))
     }
-}
-
-/// One scheduler-metered control epoch: the full PMC → inference → learn →
-/// actuate phase walk of the timing suite, against the scenario's drawn
-/// timings.
-fn metered_epoch(
-    server: &mut Server,
-    gov: &mut SafetyGovernor<Twig>,
-    clock: &mut SimClock,
-    sched: &mut EpochScheduler<SimClock>,
-    last_validated: &mut Vec<Assignment>,
-    acc: &mut Accumulator,
-) -> Result<twig_sim::EpochReport, ScenarioError> {
-    let t = server.epoch_timings().unwrap_or_else(EpochTimings::zero);
-    if t.clock_skew_ms > 0.0 {
-        let now = clock.now_ms();
-        clock.set(now - t.clock_skew_ms);
-    }
-    sched.begin_epoch();
-    let adv = |clock: &SimClock, ms: f64| {
-        if !t.clock_stuck {
-            clock.advance(ms);
-        }
-    };
-    adv(clock, t.clock_jitter_ms);
-
-    // Phase 1: PMC read. Stale windows are never decided on.
-    adv(clock, t.pmc_read_ms);
-    let age = if t.pmc_window_age_ms > 0.0 {
-        t.pmc_window_age_ms
-    } else {
-        t.pmc_read_ms
-    };
-    let fresh = sched.pmc_window_fresh(age);
-
-    // Phase 2: inference.
-    let mut decided = false;
-    let assignments = if !fresh {
-        last_validated.clone()
-    } else {
-        match sched.inference_directive() {
-            InferenceDirective::Run => {
-                adv(clock, t.inference_ms);
-                decided = true;
-                gov.decide().map_err(run_err)?
-            }
-            InferenceDirective::ReuseLast => last_validated.clone(),
-            InferenceDirective::SafeFallback => gov.decide_fallback(),
-        }
-    };
-    if decided && !fresh {
-        acc.stale_decisions += 1;
-    }
-
-    // Phase 3: budgeted micro-batch learning; Defer parks the in-flight
-    // step inside the agent.
-    let mut step_done = false;
-    while !step_done {
-        match sched.learn_directive() {
-            LearnDirective::Defer => break,
-            LearnDirective::Chunk => {
-                adv(clock, t.learn_chunk_ms);
-                match gov
-                    .inner_mut()
-                    .agent_mut()
-                    .train_step_budgeted(1)
-                    .map_err(run_err)?
-                {
-                    BudgetedProgress::Done(_) => step_done = true,
-                    BudgetedProgress::InProgress { .. } => {}
-                    BudgetedProgress::NotReady => break,
-                }
-            }
-        }
-    }
-
-    // Phase 4: actuation with bounded retries; giving up actuates the
-    // safe plan — stale or unapplied decisions never reach the platform.
-    let mut applied = assignments.clone();
-    let mut gave_up = false;
-    loop {
-        adv(clock, t.actuation_attempt_ms);
-        match sched.actuation_attempt(t.actuation_attempt_ms) {
-            ActuationDirective::Applied => break,
-            ActuationDirective::Retry { backoff_ms } => adv(clock, backoff_ms),
-            ActuationDirective::GiveUp => {
-                gave_up = true;
-                applied = gov.safe_assignments();
-                break;
-            }
-        }
-    }
-
-    let mut r = server.step(&applied).map_err(run_err)?;
-    // Degraded epochs (stale window, or an unapplied decision) must not be
-    // learned from: the governor routes them to `observe_degraded`.
-    if !fresh || (decided && gave_up) {
-        r.telemetry.delayed_epochs = r.telemetry.delayed_epochs.max(1);
-    }
-    gov.observe(&r).map_err(run_err)?;
-    if decided && !gave_up {
-        *last_validated = assignments;
-    }
-    sched.end_epoch();
-    // Real time resumes between epochs even after a stuck-clock epoch.
-    let remaining = sched.remaining_ms();
-    if remaining > 0.0 {
-        clock.advance(remaining);
-    }
-    Ok(r)
 }
 
 fn build_twig(

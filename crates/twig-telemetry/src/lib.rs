@@ -66,6 +66,60 @@ pub use span::{EpochSpan, Phase, Stopwatch, NUM_PHASES};
 use std::cell::RefCell;
 use std::rc::Rc;
 
+/// Declares a `Copy` struct of `u64` lifetime counters, each field tied to
+/// the telemetry counter it is mirrored under, with `COUNTER_NAMES`,
+/// `counter_pairs_all` and `merge` generated from the one field list — so
+/// the struct and its telemetry mirror cannot drift apart.
+///
+/// # Examples
+///
+/// ```
+/// twig_telemetry::stats! {
+///     /// What the cache did.
+///     pub struct CacheStats {
+///         /// Lookups answered from the cache.
+///         hits => "cache.hits",
+///         /// Lookups that went to the backing store.
+///         misses => "cache.misses",
+///     }
+/// }
+///
+/// let mut total = CacheStats::default();
+/// total.merge(&CacheStats { hits: 2, misses: 1 });
+/// assert_eq!(CacheStats::COUNTER_NAMES, ["cache.hits", "cache.misses"]);
+/// assert_eq!(total.counter_pairs_all(), [("cache.hits", 2), ("cache.misses", 1)]);
+/// ```
+#[macro_export]
+macro_rules! stats {
+    (
+        $(#[$struct_doc:meta])+
+        pub struct $name:ident {
+            $($(#[$doc:meta])+ $field:ident => $counter:literal,)+
+        }
+    ) => {
+        $(#[$struct_doc])+
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $name {
+            $($(#[$doc])+ pub $field: u64,)+
+        }
+
+        impl $name {
+            /// The telemetry counter names, in field order.
+            pub const COUNTER_NAMES: &'static [&'static str] = &[$($counter,)+];
+
+            /// All `(counter name, value)` pairs, including zeros.
+            pub fn counter_pairs_all(&self) -> Vec<(&'static str, u64)> {
+                vec![$(($counter, self.$field),)+]
+            }
+
+            /// Adds `delta` into `self`, field by field.
+            pub fn merge(&mut self, delta: &$name) {
+                $(self.$field += delta.$field;)+
+            }
+        }
+    };
+}
+
 /// Default bound on the span ring buffer (epochs of history kept).
 pub const DEFAULT_SPAN_CAPACITY: usize = 4096;
 

@@ -89,3 +89,5 @@ echo "== bench_smoke: decide-latency smoke (results/BENCH_decide.json) =="
 bash scripts/bench_decide.sh --smoke
 
 echo "bench_smoke: all steps passed"
+echo "bench_smoke: the reports are the behavioural contract — check for drift with:"
+echo "  git diff --exit-code -- results/*_report.txt results/fig01_smoke.txt"
