@@ -20,43 +20,11 @@
 //! speedup gate (short timed windows on shared runners are too noisy to
 //! fail a build over), while keeping the correctness gates.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::time::Instant;
 use twig_nn::count_alloc;
 use twig_rl::{MaBdq, MaBdqConfig};
 use twig_stats::percentile;
 use twig_stats::rng::{Rng, Xoshiro256};
-
-/// Counting wrapper around the system allocator. The impl lives here (the
-/// library crates forbid unsafe code) and reports into the process-wide
-/// counter behind `twig_nn::count_alloc`.
-struct CountingAlloc;
-
-// SAFETY: defers every operation to `System`, only adding a relaxed atomic
-// increment, so all `GlobalAlloc` contracts are inherited unchanged.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        twig_nn::note_alloc();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        twig_nn::note_alloc();
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        twig_nn::note_alloc();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Bumped whenever a key is added/renamed; `scripts/check.sh` greps the
 /// committed baseline for the load-bearing keys of this schema.
@@ -216,15 +184,17 @@ fn json_number(doc: &str, key: &str) -> Option<f64> {
 
 fn usage_error(msg: &str) -> ! {
     eprintln!("bench_decide: {msg}");
-    eprintln!("usage: bench_decide [--smoke] [--baseline <path>] [out.json]");
+    eprintln!("usage: twig-bench bench_decide [--smoke] [--baseline <path>] [out.json]");
     std::process::exit(2);
 }
 
-fn main() {
+/// Runs the sweep with the subcommand's own arguments (`[--smoke]
+/// [--baseline <path>] [out.json]`), writing and printing the report.
+/// Exits the process non-zero on a usage error or a gate violation.
+pub fn run(mut args: impl Iterator<Item = String>) {
     let mut out_path = "results/BENCH_decide.json".to_string();
     let mut smoke = false;
     let mut baseline_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--smoke" => smoke = true,

@@ -294,18 +294,6 @@ pub fn branching(out: &mut String, opts: &Options) -> Result<(), ExpError> {
     Ok(())
 }
 
-/// Runs every ablation, printing to stdout (see [`run_to`]).
-///
-/// # Errors
-///
-/// Propagates [`run_to`] errors.
-pub fn run(opts: &Options) -> Result<(), ExpError> {
-    let mut out = String::new();
-    run_to(&mut out, opts)?;
-    print!("{out}");
-    Ok(())
-}
-
 /// Runs every ablation as an independent fleet unit (`--jobs` parallel),
 /// appending the sections to `out` in a fixed order.
 ///

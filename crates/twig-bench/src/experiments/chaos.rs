@@ -25,6 +25,7 @@
 //! clock never enters the text — so the report is bit-identical at
 //! `--jobs 1`, `2` and `4`.
 
+use crate::runner::suite_epochs;
 use crate::{make_twig, run_fleet, ExpError, Options, TextTable, Unit};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -143,16 +144,6 @@ pub struct ScenarioReport {
     pub quarantine_readmissions: u64,
     /// `ckpt.*` telemetry counters: (load, corrupt, fallback, cold_start).
     pub ckpt_counters: (u64, u64, u64, u64),
-}
-
-fn epochs_per_segment(opts: &Options) -> u64 {
-    if opts.smoke {
-        30
-    } else if opts.full {
-        120
-    } else {
-        50
-    }
 }
 
 /// Unique-per-invocation scratch directory: schedules may run concurrently
@@ -443,18 +434,6 @@ fn run_quarantine_schedule(seed: u64, steps_scale: u64) -> Result<ScenarioReport
     })
 }
 
-/// Prints the regenerated output to stdout (see [`run_to`]).
-///
-/// # Errors
-///
-/// Propagates [`run_to`] errors.
-pub fn run(opts: &Options) -> Result<(), ExpError> {
-    let mut out = String::new();
-    run_to(&mut out, opts)?;
-    print!("{out}");
-    Ok(())
-}
-
 /// Runs every chaos schedule and appends the report, asserting the
 /// acceptance invariants along the way.
 ///
@@ -462,7 +441,7 @@ pub fn run(opts: &Options) -> Result<(), ExpError> {
 ///
 /// Returns an error naming every failed (errored or panicked) schedule.
 pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
-    let per_seg = epochs_per_segment(opts);
+    let per_seg = suite_epochs(opts, 30, 50);
     writeln!(
         out,
         "Chaos suite: {SEGMENTS} segments x {per_seg} epochs per schedule, checkpoint every {WRITE_EVERY} epochs, {KEEP} generations retained, crash/restart at every segment boundary\n"

@@ -24,20 +24,14 @@
 //! clock never enters the text — so the report is bit-identical at
 //! `--jobs 1`, `2` and `4`.
 
+use crate::runner::{suite_cluster_config, suite_epochs, REPLICATION, SUSPECT_AFTER};
 use crate::{run_fleet, ExpError, Options, TextTable, Unit};
 use std::fmt::Write as _;
 use twig_cluster::{
-    AgentTuning, Cluster, ClusterConfig, ClusterEvent, ClusterFaultConfig, ClusterFaultPlan,
-    ClusterStats, CoordinatorConfig, NodePlatform, ScriptedEvent,
+    Cluster, ClusterEvent, ClusterFaultConfig, ClusterFaultPlan, ClusterStats, ScriptedEvent,
 };
 use twig_core::NodeId;
-use twig_sim::{catalog, DvfsLadder};
 use twig_telemetry::Telemetry;
-
-/// Missed heartbeats before the balancer (and coordinator) suspect a node.
-const SUSPECT_AFTER: u32 = 2;
-/// Replicas per service.
-const REPLICATION: usize = 2;
 
 /// What a schedule is required to demonstrate beyond the universal
 /// invariants.
@@ -196,62 +190,6 @@ fn schedules() -> Vec<Schedule> {
     ]
 }
 
-/// The fleet every schedule runs: heterogeneous shapes so state transfer
-/// exercises both the restore path (same shape) and the cold-fallback
-/// path (18-core policy offered to a 12-core socket).
-fn topology() -> Vec<NodePlatform> {
-    vec![
-        NodePlatform {
-            cores: 18,
-            dvfs: DvfsLadder::default(),
-        },
-        NodePlatform {
-            cores: 18,
-            dvfs: DvfsLadder::default(),
-        },
-        NodePlatform {
-            cores: 18,
-            dvfs: DvfsLadder::default(),
-        },
-        NodePlatform {
-            cores: 12,
-            dvfs: DvfsLadder::new(1200, 100, 7).expect("valid ladder"),
-        },
-    ]
-}
-
-fn cluster_config(epochs: u64, seed: u64) -> ClusterConfig {
-    let services = vec![catalog::masstree(), catalog::xapian(), catalog::img_dnn()];
-    // ~0.9x of one replica's reference capacity per service: a replica
-    // pair splits it comfortably and a lone survivor can still absorb it
-    // during failover windows.
-    let demand_rps = services
-        .iter()
-        .map(|s| (s.max_load_rps * 0.9) as u64)
-        .collect();
-    ClusterConfig {
-        nodes: topology(),
-        services,
-        demand_rps,
-        replication: REPLICATION,
-        suspect_after_misses: SUSPECT_AFTER,
-        coordinator: CoordinatorConfig {
-            suspect_after_misses: SUSPECT_AFTER,
-            spinup_epochs: 2,
-            transfer_bytes_per_epoch: 64 * 1024,
-            stall_timeout_epochs: 3,
-            max_transfer_attempts: 3,
-            initial_backoff_epochs: 2,
-            max_backoff_epochs: 8,
-        },
-        tuning: AgentTuning {
-            learn_epochs: epochs,
-            ..AgentTuning::default()
-        },
-        seed,
-    }
-}
-
 /// Everything one schedule demonstrated, aggregated for the report table.
 /// Plain counts only: scenario units run on fleet worker threads and the
 /// result must be `Send`.
@@ -270,16 +208,6 @@ pub struct ScenarioReport {
     pub telemetry_consistent: bool,
 }
 
-fn epochs_for(opts: &Options) -> u64 {
-    if opts.smoke {
-        45
-    } else if opts.full {
-        120
-    } else {
-        70
-    }
-}
-
 /// Runs one fleet-failure schedule and scores it.
 ///
 /// # Errors
@@ -289,7 +217,7 @@ fn epochs_for(opts: &Options) -> u64 {
 fn run_schedule(schedule: &Schedule, epochs: u64, seed: u64) -> Result<ScenarioReport, ExpError> {
     let telemetry = Telemetry::enabled();
     let mut cluster = Cluster::new(
-        cluster_config(epochs, seed),
+        suite_cluster_config(epochs, seed),
         ClusterFaultPlan::new(schedule.faults.clone(), seed ^ 0x00C1_05E5)?,
         telemetry.clone(),
     )?;
@@ -509,18 +437,6 @@ fn run_schedule(schedule: &Schedule, epochs: u64, seed: u64) -> Result<ScenarioR
     })
 }
 
-/// Prints the regenerated output to stdout (see [`run_to`]).
-///
-/// # Errors
-///
-/// Propagates [`run_to`] errors.
-pub fn run(opts: &Options) -> Result<(), ExpError> {
-    let mut out = String::new();
-    run_to(&mut out, opts)?;
-    print!("{out}");
-    Ok(())
-}
-
 /// Runs every cluster-chaos schedule and appends the report, asserting
 /// the acceptance invariants along the way.
 ///
@@ -528,7 +444,7 @@ pub fn run(opts: &Options) -> Result<(), ExpError> {
 ///
 /// Returns an error naming every failed (errored or panicked) schedule.
 pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
-    let epochs = epochs_for(opts);
+    let epochs = suite_epochs(opts, 45, 70);
     writeln!(
         out,
         "Cluster chaos suite: 4 heterogeneous nodes (3x18-core, 1x12-core), 3 services, replication {REPLICATION}, {epochs} epochs per schedule, heartbeat suspicion after {SUSPECT_AFTER} misses\n"

@@ -26,18 +26,6 @@ fn diurnal_server(
     Ok(server)
 }
 
-/// Prints the regenerated output to stdout (see [`run_to`]).
-///
-/// # Errors
-///
-/// Propagates [`run_to`] errors.
-pub fn run(opts: &Options) -> Result<(), ExpError> {
-    let mut out = String::new();
-    run_to(&mut out, opts)?;
-    print!("{out}");
-    Ok(())
-}
-
 /// Runs the diurnal evaluation.
 ///
 /// # Errors

@@ -35,20 +35,15 @@
 //! clock never enters the text — so the report is bit-identical at
 //! `--jobs 1`, `2` and `4`.
 
+use crate::runner::{suite_cluster_config, suite_epochs, REPLICATION};
 use crate::{run_fleet, ExpError, Options, TextTable, Unit};
 use std::fmt::Write as _;
 use twig_cluster::{
-    AgentTuning, ByzantineFlavor, Cluster, ClusterConfig, ClusterEvent, ClusterFaultConfig,
-    ClusterFaultPlan, ClusterStats, CoordinatorConfig, FedEvent, FedFaultConfig, FedFaultPlan,
-    FedScripted, FedStats, FederateConfig, NodePlatform, ScriptedEvent,
+    ByzantineFlavor, Cluster, ClusterEvent, ClusterFaultConfig, ClusterFaultPlan, ClusterStats,
+    FedEvent, FedFaultConfig, FedFaultPlan, FedScripted, FedStats, FederateConfig, ScriptedEvent,
 };
-use twig_sim::{catalog, DvfsLadder};
 use twig_telemetry::Telemetry;
 
-/// Missed heartbeats before suspicion (balancer and coordinator).
-const SUSPECT_AFTER: u32 = 2;
-/// Replicas per service.
-const REPLICATION: usize = 2;
 /// Epochs between federation round starts.
 const ROUND_PERIOD: u64 = 10;
 
@@ -245,60 +240,6 @@ fn schedules() -> Vec<Schedule> {
     ]
 }
 
-/// Same heterogeneous fleet as the cluster suite: the 12-core socket's
-/// agents have a different branch cardinality, so its payloads exercise
-/// the shape rung and its replicas the incompatible-recipient path on
-/// every single round.
-fn topology() -> Vec<NodePlatform> {
-    vec![
-        NodePlatform {
-            cores: 18,
-            dvfs: DvfsLadder::default(),
-        },
-        NodePlatform {
-            cores: 18,
-            dvfs: DvfsLadder::default(),
-        },
-        NodePlatform {
-            cores: 18,
-            dvfs: DvfsLadder::default(),
-        },
-        NodePlatform {
-            cores: 12,
-            dvfs: DvfsLadder::new(1200, 100, 7).expect("valid ladder"),
-        },
-    ]
-}
-
-fn cluster_config(epochs: u64, seed: u64) -> ClusterConfig {
-    let services = vec![catalog::masstree(), catalog::xapian(), catalog::img_dnn()];
-    let demand_rps = services
-        .iter()
-        .map(|s| (s.max_load_rps * 0.9) as u64)
-        .collect();
-    ClusterConfig {
-        nodes: topology(),
-        services,
-        demand_rps,
-        replication: REPLICATION,
-        suspect_after_misses: SUSPECT_AFTER,
-        coordinator: CoordinatorConfig {
-            suspect_after_misses: SUSPECT_AFTER,
-            spinup_epochs: 2,
-            transfer_bytes_per_epoch: 64 * 1024,
-            stall_timeout_epochs: 3,
-            max_transfer_attempts: 3,
-            initial_backoff_epochs: 2,
-            max_backoff_epochs: 8,
-        },
-        tuning: AgentTuning {
-            learn_epochs: epochs,
-            ..AgentTuning::default()
-        },
-        seed,
-    }
-}
-
 /// Everything one schedule demonstrated, aggregated for the report.
 pub struct ScenarioReport {
     /// Schedule name.
@@ -309,16 +250,6 @@ pub struct ScenarioReport {
     pub cluster: ClusterStats,
     /// Both the `fed.*` and `cluster.*` telemetry mirrors matched.
     pub telemetry_consistent: bool,
-}
-
-fn epochs_for(opts: &Options) -> u64 {
-    if opts.smoke {
-        45
-    } else if opts.full {
-        120
-    } else {
-        70
-    }
 }
 
 /// Runs one federation failure schedule and scores it.
@@ -341,7 +272,7 @@ fn run_schedule(
 ) -> Result<ScenarioReport, ExpError> {
     let telemetry = Telemetry::enabled();
     let mut cluster = Cluster::new(
-        cluster_config(epochs, seed),
+        suite_cluster_config(epochs, seed),
         ClusterFaultPlan::new(schedule.cluster_faults.clone(), seed ^ 0x00C1_05E5)?,
         telemetry.clone(),
     )?;
@@ -575,7 +506,7 @@ struct TransferOutcome {
 /// the stranded replica's recovery epoch by epoch.
 fn run_transfer(epochs: u64, seed: u64, federated: bool) -> Result<TransferOutcome, ExpError> {
     let mut cluster = Cluster::new(
-        cluster_config(epochs, seed),
+        suite_cluster_config(epochs, seed),
         ClusterFaultPlan::new(cold_landing_faults(), seed ^ 0x00C1_05E5)?,
         Telemetry::disabled(),
     )?;
@@ -637,18 +568,6 @@ fn run_transfer(epochs: u64, seed: u64, federated: bool) -> Result<TransferOutco
     Ok(out)
 }
 
-/// Prints the regenerated output to stdout (see [`run_to`]).
-///
-/// # Errors
-///
-/// Propagates [`run_to`] errors.
-pub fn run(opts: &Options) -> Result<(), ExpError> {
-    let mut out = String::new();
-    run_to(&mut out, opts)?;
-    print!("{out}");
-    Ok(())
-}
-
 /// Runs every federation chaos schedule plus the policy-transfer
 /// experiment and appends the report, asserting the acceptance
 /// invariants along the way.
@@ -657,7 +576,7 @@ pub fn run(opts: &Options) -> Result<(), ExpError> {
 ///
 /// Returns an error naming every failed (errored or panicked) schedule.
 pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
-    let epochs = epochs_for(opts);
+    let epochs = suite_epochs(opts, 45, 70);
     writeln!(
         out,
         "Federation chaos suite: 4 heterogeneous nodes (3x18-core, 1x12-core), 3 services, replication {REPLICATION}, round period {ROUND_PERIOD}, {epochs} epochs per schedule\n"

@@ -113,27 +113,14 @@ fn zero_density(errors: &[(f64, f64)], half_range: f64) -> f64 {
     d[d.len() / 2]
 }
 
-/// Prints the regenerated output to stdout (see [`run_to`]).
-///
-/// # Errors
-///
-/// Propagates [`run_to`] errors.
-pub fn run(opts: &Options) -> Result<(), ExpError> {
-    let mut out = String::new();
-    run_to(&mut out, opts)?;
-    print!("{out}");
-    Ok(())
-}
-
 /// One fleet unit's worth of Figure 1: gather + train both models for one
 /// service with the given seed, returning the narrative/violin section and
-/// the two rows destined for the combined stats table. Exposed so the CI
-/// perf-smoke bench (`bench_fleet`) can reuse the exact workload.
+/// the two rows destined for the combined stats table.
 ///
 /// # Errors
 ///
 /// Propagates simulator and training errors.
-pub fn service_unit(
+fn service_unit(
     spec: &twig_sim::ServiceSpec,
     samples: usize,
     passes: usize,

@@ -57,18 +57,6 @@ fn profile(spec: &ServiceSpec, opts: &Options) -> Result<Vec<ProfilePoint>, ExpE
     Ok(points)
 }
 
-/// Prints the regenerated output to stdout (see [`run_to`]).
-///
-/// # Errors
-///
-/// Propagates [`run_to`] errors.
-pub fn run(opts: &Options) -> Result<(), ExpError> {
-    let mut out = String::new();
-    run_to(&mut out, opts)?;
-    print!("{out}");
-    Ok(())
-}
-
 /// Regenerates Figure 4 and the Eq. 2 fit statistics, appending to `out`.
 ///
 /// # Errors

@@ -142,18 +142,6 @@ pub fn grid(opts: &Options) -> Result<Vec<(String, f64, Vec<Cell>)>, ExpError> {
     run_fleet(units, opts.jobs, opts.seed).into_outputs()
 }
 
-/// Prints the regenerated output to stdout (see [`run_to`]).
-///
-/// # Errors
-///
-/// Propagates [`run_to`] errors.
-pub fn run(opts: &Options) -> Result<(), ExpError> {
-    let mut out = String::new();
-    run_to(&mut out, opts)?;
-    print!("{out}");
-    Ok(())
-}
-
 /// Regenerates Figure 5, appending to `out`.
 ///
 /// # Errors

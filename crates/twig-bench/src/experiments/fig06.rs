@@ -85,18 +85,6 @@ fn report_manager(
     Ok(())
 }
 
-/// Prints the regenerated output to stdout (see [`run_to`]).
-///
-/// # Errors
-///
-/// Propagates [`run_to`] errors.
-pub fn run(opts: &Options) -> Result<(), ExpError> {
-    let mut out = String::new();
-    run_to(&mut out, opts)?;
-    print!("{out}");
-    Ok(())
-}
-
 /// Regenerates Figure 6, appending to `out`. Each manager variant runs as
 /// an independent fleet unit (`--jobs` parallel); the managers are built
 /// inside their units because Twig's telemetry handle is single-threaded.

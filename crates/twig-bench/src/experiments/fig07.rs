@@ -27,18 +27,6 @@ fn guarantee_series(reports: &[EpochReport], qos_ms: f64, bucket: usize) -> Vec<
         .collect()
 }
 
-/// Prints the regenerated output to stdout (see [`run_to`]).
-///
-/// # Errors
-///
-/// Propagates [`run_to`] errors.
-pub fn run(opts: &Options) -> Result<(), ExpError> {
-    let mut out = String::new();
-    run_to(&mut out, opts)?;
-    print!("{out}");
-    Ok(())
-}
-
 /// Regenerates Figure 7, appending to `out`.
 ///
 /// # Errors

@@ -49,18 +49,6 @@ fn ramp_buckets(series: &[(f64, f64)]) -> Option<usize> {
     series.iter().position(|&(q, _)| q >= 95.0)
 }
 
-/// Prints the regenerated output to stdout (see [`run_to`]).
-///
-/// # Errors
-///
-/// Propagates [`run_to`] errors.
-pub fn run(opts: &Options) -> Result<(), ExpError> {
-    let mut out = String::new();
-    run_to(&mut out, opts)?;
-    print!("{out}");
-    Ok(())
-}
-
 /// Regenerates Figure 8, appending to `out`.
 ///
 /// # Errors

@@ -11,18 +11,6 @@ use crate::{drive, make_twig, summarize, total_energy, ExpError, Options, TextTa
 use std::fmt::Write as _;
 use twig_sim::{catalog, Server, ServerConfig};
 
-/// Prints the regenerated output to stdout (see [`run_to`]).
-///
-/// # Errors
-///
-/// Propagates [`run_to`] errors.
-pub fn run(opts: &Options) -> Result<(), ExpError> {
-    let mut out = String::new();
-    run_to(&mut out, opts)?;
-    print!("{out}");
-    Ok(())
-}
-
 /// Regenerates Figure 9, appending to `out`.
 ///
 /// # Errors

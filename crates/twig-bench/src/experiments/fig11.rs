@@ -54,18 +54,6 @@ fn write_allocation_trace(
     Ok(())
 }
 
-/// Prints the regenerated output to stdout (see [`run_to`]).
-///
-/// # Errors
-///
-/// Propagates [`run_to`] errors.
-pub fn run(opts: &Options) -> Result<(), ExpError> {
-    let mut out = String::new();
-    run_to(&mut out, opts)?;
-    print!("{out}");
-    Ok(())
-}
-
 /// Regenerates Figure 11, appending to `out`.
 ///
 /// # Errors

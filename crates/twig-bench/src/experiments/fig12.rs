@@ -39,18 +39,6 @@ fn spread(dist: &[(usize, f64)]) -> f64 {
         .sqrt()
 }
 
-/// Prints the regenerated output to stdout (see [`run_to`]).
-///
-/// # Errors
-///
-/// Propagates [`run_to`] errors.
-pub fn run(opts: &Options) -> Result<(), ExpError> {
-    let mut out = String::new();
-    run_to(&mut out, opts)?;
-    print!("{out}");
-    Ok(())
-}
-
 /// Regenerates Figure 12, appending to `out`.
 ///
 /// # Errors

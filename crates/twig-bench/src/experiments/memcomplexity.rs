@@ -25,18 +25,6 @@ fn human(bytes: u128) -> String {
     format!("{v:.1} {}", UNITS[unit])
 }
 
-/// Prints the regenerated output to stdout (see [`run_to`]).
-///
-/// # Errors
-///
-/// Propagates [`run_to`] errors.
-pub fn run(opts: &Options) -> Result<(), ExpError> {
-    let mut out = String::new();
-    run_to(&mut out, opts)?;
-    print!("{out}");
-    Ok(())
-}
-
 /// Regenerates the memory-complexity comparison, appending to `out`.
 ///
 /// # Errors
@@ -96,6 +84,6 @@ mod tests {
 
     #[test]
     fn runs() {
-        run(&Options::default()).unwrap();
+        run_to(&mut String::new(), &Options::default()).unwrap();
     }
 }

@@ -33,7 +33,7 @@
 //! never enters the text — so the report is bit-identical at `--jobs 1`,
 //! `2` and `4`.
 
-use crate::runner::make_suite_twig;
+use crate::runner::{make_suite_twig, suite_epochs};
 use crate::{fmt_f, run_fleet, ExpError, Options, TextTable, Unit};
 use std::fmt::Write as _;
 use twig_core::{GovernorConfig, SafetyGovernor, TaskManager};
@@ -139,16 +139,6 @@ fn schedules() -> Vec<Schedule> {
 /// exactly one batch before the scheduled (and faulted) run starts.
 const WARMUP_EPOCHS: u64 = 16;
 
-fn epochs_for(opts: &Options) -> u64 {
-    if opts.smoke {
-        30
-    } else if opts.full {
-        120
-    } else {
-        50
-    }
-}
-
 /// Per-schedule outcome — plain counts only, so units stay `Send` and the
 /// rendered report is deterministic.
 struct Outcome {
@@ -230,7 +220,7 @@ impl Outcome {
 /// from truth.
 fn check_telemetry(telemetry: &Telemetry, stats: &twig_platform::PlatformStats) {
     let m = telemetry.metrics().expect("telemetry enabled");
-    for (name, value) in stats.counters() {
+    for (name, value) in stats.counter_pairs_all() {
         assert_eq!(m.counter(name), value, "telemetry drift on {name}");
     }
 }
@@ -480,18 +470,6 @@ fn run_bit_identity(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, Exp
     Ok(o)
 }
 
-/// Runs the platform suite and prints the report.
-///
-/// # Errors
-///
-/// Returns an error naming every failed (errored or panicked) schedule.
-pub fn run(opts: &Options) -> Result<(), ExpError> {
-    let mut out = String::new();
-    run_to(&mut out, opts)?;
-    print!("{out}");
-    Ok(())
-}
-
 /// Runs every platform schedule and appends the report, asserting the
 /// acceptance invariants along the way.
 ///
@@ -499,7 +477,7 @@ pub fn run(opts: &Options) -> Result<(), ExpError> {
 ///
 /// Returns an error naming every failed (errored or panicked) schedule.
 pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
-    let epochs = epochs_for(opts);
+    let epochs = suite_epochs(opts, 30, 50);
     let retry = twig_core::SchedulerConfig::default().retry_budget();
     writeln!(
         out,

@@ -162,18 +162,6 @@ fn fmt_recovery(o: &Outcome) -> String {
     }
 }
 
-/// Prints the regenerated output to stdout (see [`run_to`]).
-///
-/// # Errors
-///
-/// Propagates [`run_to`] errors.
-pub fn run(opts: &Options) -> Result<(), ExpError> {
-    let mut out = String::new();
-    run_to(&mut out, opts)?;
-    print!("{out}");
-    Ok(())
-}
-
 /// Regenerates the resilience sweep, appending to `out`.
 ///
 /// # Errors

@@ -23,18 +23,6 @@ fn run_one(file: &str, text: &str) -> Result<ScenarioOutcome, ExpError> {
     Ok(outcome)
 }
 
-/// Prints the regenerated output to stdout (see [`run_to`]).
-///
-/// # Errors
-///
-/// Propagates [`run_to`] errors.
-pub fn run(opts: &Options) -> Result<(), ExpError> {
-    let mut out = String::new();
-    let result = run_to(&mut out, opts);
-    print!("{out}");
-    result
-}
-
 /// Runs the corpus as a fleet and appends the report.
 ///
 /// # Errors

@@ -42,18 +42,6 @@ fn gather_profile(opts: &Options) -> Result<Vec<(PmcSample, f64)>, ExpError> {
     Ok(profile)
 }
 
-/// Prints the regenerated output to stdout (see [`run_to`]).
-///
-/// # Errors
-///
-/// Propagates [`run_to`] errors.
-pub fn run(opts: &Options) -> Result<(), ExpError> {
-    let mut out = String::new();
-    run_to(&mut out, opts)?;
-    print!("{out}");
-    Ok(())
-}
-
 /// Regenerates Table I, appending to `out`.
 ///
 /// # Errors

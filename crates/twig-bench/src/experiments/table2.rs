@@ -42,18 +42,6 @@ fn capacity_search(spec: &ServiceSpec, opts: &Options) -> Result<f64, ExpError> 
     Ok(best)
 }
 
-/// Prints the regenerated output to stdout (see [`run_to`]).
-///
-/// # Errors
-///
-/// Propagates [`run_to`] errors.
-pub fn run(opts: &Options) -> Result<(), ExpError> {
-    let mut out = String::new();
-    run_to(&mut out, opts)?;
-    print!("{out}");
-    Ok(())
-}
-
 /// Regenerates Table II, appending to `out`.
 ///
 /// # Errors

@@ -260,18 +260,6 @@ pub fn federation_bookkeeping_ms(iters: u32) -> Result<f64, ExpError> {
     Ok(round_ms / round_period)
 }
 
-/// Prints the regenerated output to stdout (see [`run_to`]).
-///
-/// # Errors
-///
-/// Propagates [`run_to`] errors.
-pub fn run(opts: &Options) -> Result<(), ExpError> {
-    let mut out = String::new();
-    run_to(&mut out, opts)?;
-    print!("{out}");
-    Ok(())
-}
-
 /// Regenerates Table III with this implementation's timings, appending to `out`.
 ///
 /// # Errors
@@ -353,11 +341,13 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
     });
 
     // 4b. Heap-allocation discipline of the steady-state hot path. The
-    //     `table3_overhead` binary installs the counting global allocator
-    //     from twig-nn; in other hosts (e.g. the library test harness with
-    //     the system allocator) the counter never arms and the row degrades
-    //     to "n/a". When armed, the count must be exactly zero — the
-    //     scratch-buffer regression gate, inline in the overhead table.
+    //     `twig-bench` binary installs the counting global allocator from
+    //     twig-nn; in other hosts (e.g. the library test harness with the
+    //     system allocator) the counter never arms and the row degrades to
+    //     "n/a". When armed, the count must be exactly zero — the
+    //     scratch-buffer regression gate, inline in the overhead table —
+    //     and it is process-wide, which is why `run_all` runs this
+    //     experiment with no other unit in flight.
     let alloc_cell = if count_alloc::counter_armed() {
         let mut actions: Vec<Vec<usize>> = Vec::new();
         agent.select_actions_into(&state, 0.1, &mut actions)?;
@@ -534,7 +524,7 @@ mod tests {
     #[test]
     fn overhead_stays_under_decision_interval() {
         // The fast network must decide + train in well under 1 s.
-        run(&Options::default()).unwrap();
+        run_to(&mut String::new(), &Options::default()).unwrap();
     }
 
     #[test]

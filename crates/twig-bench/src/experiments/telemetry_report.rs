@@ -94,18 +94,6 @@ fn fmt_ms(v: f64) -> String {
     format!("{v:.3}")
 }
 
-/// Prints the regenerated output to stdout (see [`run_to`]).
-///
-/// # Errors
-///
-/// Propagates [`run_to`] errors.
-pub fn run(opts: &Options) -> Result<(), ExpError> {
-    let mut out = String::new();
-    run_to(&mut out, opts)?;
-    print!("{out}");
-    Ok(())
-}
-
 /// Regenerates the telemetry report, appending to `out`.
 ///
 /// # Errors

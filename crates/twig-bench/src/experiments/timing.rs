@@ -30,7 +30,7 @@
 //! clock never enters the text — so the report is bit-identical at
 //! `--jobs 1`, `2` and `4`.
 
-use crate::runner::make_suite_twig;
+use crate::runner::{make_suite_twig, suite_epochs};
 use crate::{fmt_f, run_fleet, ExpError, Options, TextTable, Unit};
 use std::fmt::Write as _;
 use twig_core::{
@@ -169,16 +169,6 @@ fn schedules() -> Vec<Schedule> {
 /// Ungoverned pre-roll epochs that fill the replay buffer to exactly one
 /// batch (`batch_size` in [`make_suite_twig`]) before the scheduled run starts.
 const WARMUP_EPOCHS: u64 = 16;
-
-fn epochs_for(opts: &Options) -> u64 {
-    if opts.smoke {
-        30
-    } else if opts.full {
-        120
-    } else {
-        50
-    }
-}
 
 /// Per-schedule outcome — plain counts only, so units stay `Send` and the
 /// rendered report is deterministic.
@@ -492,18 +482,6 @@ fn run_bit_identity(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, Exp
     Ok(o)
 }
 
-/// Runs the timing suite and prints the report.
-///
-/// # Errors
-///
-/// Returns an error naming every failed (errored or panicked) schedule.
-pub fn run(opts: &Options) -> Result<(), ExpError> {
-    let mut out = String::new();
-    run_to(&mut out, opts)?;
-    print!("{out}");
-    Ok(())
-}
-
 /// Runs every timing schedule and appends the report, asserting the
 /// acceptance invariants along the way.
 ///
@@ -511,7 +489,7 @@ pub fn run(opts: &Options) -> Result<(), ExpError> {
 ///
 /// Returns an error naming every failed (errored or panicked) schedule.
 pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
-    let epochs = epochs_for(opts);
+    let epochs = suite_epochs(opts, 30, 50);
     let cfg = SchedulerConfig::default();
     writeln!(
         out,

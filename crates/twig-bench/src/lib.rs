@@ -1,9 +1,10 @@
 //! Experiment harness regenerating every table and figure of the paper.
 //!
-//! Each experiment is a module under [`experiments`] with a thin binary
-//! wrapper in `src/bin/`; `cargo run -p twig-bench --release --bin <exp>`
-//! prints the same rows/series the paper reports. The mapping from paper
-//! table/figure to binary lives in `DESIGN.md` (experiment index) and
+//! Each experiment is a module under [`experiments`] and one row of
+//! [`experiments::REGISTRY`]; `cargo run --release -p twig-bench -- <name>`
+//! prints the same rows/series the paper reports, `-- all` runs the whole
+//! registry as a fleet and `-- list` prints the names. The mapping from
+//! paper table/figure to name lives in `DESIGN.md` (experiment index) and
 //! `EXPERIMENTS.md` (paper-vs-measured record).
 //!
 //! Experiments default to a **fast** scale (shortened learning phases with
@@ -24,6 +25,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bench_decide;
 pub mod experiments;
 pub mod fleet;
 mod options;

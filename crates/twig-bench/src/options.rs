@@ -1,4 +1,4 @@
-/// Command-line options shared by every experiment binary.
+/// Command-line options shared by every experiment.
 ///
 /// # Examples
 ///
@@ -42,7 +42,10 @@ impl Default for Options {
 }
 
 impl Options {
-    /// Parses from raw arguments (excluding the binary name).
+    /// The flags [`Options::parse_from`] accepts, for usage messages.
+    pub const USAGE: &'static str = "[--full|--fast|--smoke] [--seed N] [--jobs N] [--trace PATH]";
+
+    /// Parses from raw arguments (excluding the binary and experiment names).
     ///
     /// # Errors
     ///
@@ -69,27 +72,10 @@ impl Options {
                     }
                 }
                 "--smoke" => opts.smoke = true,
-                "--help" | "-h" => {
-                    return Err(
-                        "usage: [--full|--fast|--smoke] [--seed N] [--jobs N] [--trace PATH]"
-                            .to_string(),
-                    )
-                }
                 other => return Err(format!("unknown flag {other}")),
             }
         }
         Ok(opts)
-    }
-
-    /// Parses the process arguments, exiting with usage on error.
-    pub fn from_env() -> Self {
-        match Self::parse_from(std::env::args().skip(1)) {
-            Ok(o) => o,
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        }
     }
 
     /// Learning-phase length in epochs (the paper's first 10 000 s; the

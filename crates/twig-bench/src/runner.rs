@@ -1,8 +1,9 @@
 use crate::fleet::{run_fleet, FleetStats, Unit};
 use crate::Options;
+use twig_cluster::{AgentTuning, ClusterConfig, CoordinatorConfig, NodePlatform};
 use twig_core::{RewardConfig, TaskManager, Twig, TwigBuilder};
 use twig_rl::{EpsilonSchedule, MaBdqConfig};
-use twig_sim::{EpochReport, Server, ServiceSpec};
+use twig_sim::{catalog, DvfsLadder, EpochReport, Server, ServiceSpec};
 
 /// Boxed error used throughout the harness.
 pub type ExpError = Box<dyn std::error::Error + Send + Sync>;
@@ -134,6 +135,69 @@ pub(crate) fn make_suite_twig(
         .pure_exploitation(true)
         .seed(seed)
         .build()?)
+}
+
+/// Epochs per schedule (or per crash segment) of a chaos suite: `smoke`
+/// under `--smoke`, 120 under `--full`, `fast` otherwise.
+pub(crate) fn suite_epochs(opts: &Options, smoke: u64, fast: u64) -> u64 {
+    if opts.smoke {
+        smoke
+    } else if opts.full {
+        120
+    } else {
+        fast
+    }
+}
+
+/// Missed heartbeats before the balancer (and coordinator) suspect a node
+/// in the cluster and federation suites.
+pub(crate) const SUSPECT_AFTER: u32 = 2;
+/// Replicas per service in the cluster and federation suites.
+pub(crate) const REPLICATION: usize = 2;
+
+/// The fleet the cluster and federation suites run: three services on
+/// four heterogeneous nodes, so state transfer exercises both the restore
+/// path (same shape) and the cold-fallback path (18-core policy offered to
+/// a 12-core socket), and the 12-core socket's federation payloads hit the
+/// shape rung and the incompatible-recipient path on every round.
+pub(crate) fn suite_cluster_config(epochs: u64, seed: u64) -> ClusterConfig {
+    let big = NodePlatform {
+        cores: 18,
+        dvfs: DvfsLadder::default(),
+    };
+    let small = NodePlatform {
+        cores: 12,
+        dvfs: DvfsLadder::new(1200, 100, 7).expect("valid ladder"),
+    };
+    let services = vec![catalog::masstree(), catalog::xapian(), catalog::img_dnn()];
+    // ~0.9x of one replica's reference capacity per service: a replica
+    // pair splits it comfortably and a lone survivor can still absorb it
+    // during failover windows.
+    let demand_rps = services
+        .iter()
+        .map(|s| (s.max_load_rps * 0.9) as u64)
+        .collect();
+    ClusterConfig {
+        nodes: vec![big.clone(), big.clone(), big, small],
+        services,
+        demand_rps,
+        replication: REPLICATION,
+        suspect_after_misses: SUSPECT_AFTER,
+        coordinator: CoordinatorConfig {
+            suspect_after_misses: SUSPECT_AFTER,
+            spinup_epochs: 2,
+            transfer_bytes_per_epoch: 64 * 1024,
+            stall_timeout_epochs: 3,
+            max_transfer_attempts: 3,
+            initial_backoff_epochs: 2,
+            max_backoff_epochs: 8,
+        },
+        tuning: AgentTuning {
+            learn_epochs: epochs,
+            ..AgentTuning::default()
+        },
+        seed,
+    }
 }
 
 /// Per-service evaluation metrics over a measurement window (Section V):

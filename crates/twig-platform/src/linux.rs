@@ -164,55 +164,36 @@ impl LinuxConfig {
     }
 }
 
-/// Lifetime counters of everything the backend did and survived. Each
-/// field is mirrored 1:1 to a `platform.*` telemetry counter (see
-/// [`PlatformStats::counters`]), which the chaos suite uses to check the
-/// two bookkeeping paths never drift.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlatformStats {
-    /// Epochs observed.
-    pub epochs: u64,
-    /// Individual `Fs::write` calls issued (including retries).
-    pub writes: u64,
-    /// Retry attempts taken after a failed write-verify.
-    pub write_retries: u64,
-    /// `Fs::write` calls that returned an error.
-    pub write_errors: u64,
-    /// Actuation targets verified only after at least one retry.
-    pub reconciled: u64,
-    /// Actuation targets still unverified after the retry budget.
-    pub divergences: u64,
-    /// cpufreq writes the governor clamped (accepted and reported).
-    pub clamps: u64,
-    /// Counter reads whose sequence stamp failed to advance.
-    pub stale_counters: u64,
-    /// Counter reads with unparsable or non-finite content.
-    pub garbage_counters: u64,
-    /// Counter reads that failed at the filesystem.
-    pub missing_counters: u64,
-    /// Energy readings that were unreadable or ran backwards.
-    pub power_glitches: u64,
-    /// Epochs whose report carried degraded telemetry health.
-    pub degraded_epochs: u64,
-}
-
-impl PlatformStats {
-    /// The stats as `(telemetry counter name, value)` pairs.
-    pub fn counters(&self) -> [(&'static str, u64); 12] {
-        [
-            ("platform.epochs", self.epochs),
-            ("platform.writes", self.writes),
-            ("platform.write_retries", self.write_retries),
-            ("platform.write_errors", self.write_errors),
-            ("platform.reconciled", self.reconciled),
-            ("platform.divergences", self.divergences),
-            ("platform.clamps", self.clamps),
-            ("platform.stale_counters", self.stale_counters),
-            ("platform.garbage_counters", self.garbage_counters),
-            ("platform.missing_counters", self.missing_counters),
-            ("platform.power_glitches", self.power_glitches),
-            ("platform.degraded_epochs", self.degraded_epochs),
-        ]
+twig_telemetry::stats! {
+    /// Lifetime counters of everything the backend did and survived. Each
+    /// field is mirrored into telemetry under the matching `platform.*`
+    /// counter, which the chaos suite uses to check the two bookkeeping
+    /// paths never drift.
+    pub struct PlatformStats {
+        /// Epochs observed.
+        epochs => "platform.epochs",
+        /// Individual `Fs::write` calls issued (including retries).
+        writes => "platform.writes",
+        /// Retry attempts taken after a failed write-verify.
+        write_retries => "platform.write_retries",
+        /// `Fs::write` calls that returned an error.
+        write_errors => "platform.write_errors",
+        /// Actuation targets verified only after at least one retry.
+        reconciled => "platform.reconciled",
+        /// Actuation targets still unverified after the retry budget.
+        divergences => "platform.divergences",
+        /// cpufreq writes the governor clamped (accepted and reported).
+        clamps => "platform.clamps",
+        /// Counter reads whose sequence stamp failed to advance.
+        stale_counters => "platform.stale_counters",
+        /// Counter reads with unparsable or non-finite content.
+        garbage_counters => "platform.garbage_counters",
+        /// Counter reads that failed at the filesystem.
+        missing_counters => "platform.missing_counters",
+        /// Energy readings that were unreadable or ran backwards.
+        power_glitches => "platform.power_glitches",
+        /// Epochs whose report carried degraded telemetry health.
+        degraded_epochs => "platform.degraded_epochs",
     }
 }
 

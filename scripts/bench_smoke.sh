@@ -1,51 +1,48 @@
 #!/usr/bin/env sh
-# Perf smoke for the parallel fleet + zero-allocation hot path. Used by
-# both CI (.github/workflows/ci.yml, smoke job) and local runs.
+# Smoke run of the experiment path and the chaos suites through the one
+# `twig-bench` binary. Used by both CI (.github/workflows/ci.yml, smoke
+# job) and local runs. Fleet speed-up, steady-state allocations and the
+# per-layer timings are measured by bench/ (see bench/README.md).
 #
-# 1. bench_fleet times a compressed fig01 workload serially and at
-#    --jobs 2 / --jobs 4, asserts bit-identical outputs and zero
-#    steady-state heap allocations, and writes results/BENCH_fleet.json.
-#    Speedup floors (1.2x @ 2 jobs, 1.5x @ 4 jobs) are enforced only when
-#    the host has that many cores; the measurements are always recorded.
-# 2. A reduced-epoch (--smoke) fig01 run exercises the real experiment
+# 1. A reduced-epoch (--smoke) fig01 run exercises the real experiment
 #    path end to end; its output lands in results/ for the CI artifact.
-# 3. The chaos suite (--smoke, fixed seed, --jobs 2) runs the seeded
+# 2. The chaos suite (--smoke, fixed seed, --jobs 2) runs the seeded
 #    crash/restart/corruption schedules — torn writes, generation
 #    fallback, cold start, agent quarantine — asserting its invariants
 #    internally; the report lands in results/chaos_report.txt.
-# 4. The timing suite (--smoke, fixed seed, --jobs 2) runs the seeded
+# 3. The timing suite (--smoke, fixed seed, --jobs 2) runs the seeded
 #    timing-chaos schedules — phase-latency spikes, stale PMC windows,
 #    actuator stalls, clock faults — against the deadline-aware epoch
 #    scheduler, asserting graceful degradation (no panics, bounded
 #    ladder, zero stale actuations) internally; the report lands in
 #    results/timing_report.txt.
-# 5. The cluster suite (--smoke, fixed seed, --jobs 2) runs the seeded
+# 4. The cluster suite (--smoke, fixed seed, --jobs 2) runs the seeded
 #    fleet-failure schedules — server crashes, coordinator blackouts,
 #    partitions, stalled and corrupted migrations — against the Twig-D
 #    control plane, asserting request conservation, bounded failover,
 #    zero stale actuations and telemetry/stats consistency internally;
 #    the report lands in results/cluster_report.txt.
-# 6. The scenario corpus (fixed seed, --jobs 2) parses, runs and asserts
+# 5. The scenario corpus (fixed seed, --jobs 2) parses, runs and asserts
 #    all shipped scenarios/*.scn files — load shapes, service churn,
 #    fault/timing plans, cluster failover, digest-checked determinism —
 #    via the twig-scenario runner; the PASS/FAIL report lands in
 #    results/scenario_report.txt. scnfmt --check keeps the corpus
 #    byte-canonical first.
-# 7. The platform suite (--smoke, fixed seed, --jobs 2) drives the Linux
+# 6. The platform suite (--smoke, fixed seed, --jobs 2) drives the Linux
 #    actuation backend against a fault-injecting fake sysfs — write
 #    rejections, torn writes, governor clamps, stale/garbage counter
 #    files, flapping permissions — asserting the reconciliation ladder
 #    (read-back verify, bounded retries, divergence routed to degraded
 #    mode) and sim-backend bit-identity internally; the report lands in
 #    results/platform_report.txt.
-# 8. The federate suite (--smoke, fixed seed, --jobs 2) runs the seeded
+# 7. The federate suite (--smoke, fixed seed, --jobs 2) runs the seeded
 #    weight-exchange schedules — corrupt payload storms, Byzantine
 #    nodes, straggler quorums, mid-round partitions — against the
 #    federation plane, asserting exact screening-ladder accounting,
 #    rollback on poisoned merges, round-abort with weights untouched,
 #    and the cluster-scale policy-transfer result internally; the
 #    report lands in results/federate_report.txt.
-# 9. bench_decide (--smoke, via scripts/bench_decide.sh) sweeps the agent
+# 8. bench_decide (--smoke, via scripts/bench_decide.sh) sweeps the agent
 #    count and asserts the fused inference path is bit-identical to the
 #    per-agent loop and allocation-free; results/BENCH_decide.json. The
 #    baseline latency-regression check runs only in the full (CI
@@ -57,33 +54,30 @@ cd "$(dirname "$0")/.."
 mkdir -p results
 
 echo "== bench_smoke: building release binaries =="
-cargo build --release --offline -p twig-bench --bin bench_fleet --bin fig01_pmc_vs_ipc --bin chaos --bin timing --bin cluster --bin scenario --bin platform --bin federate
+cargo build --release --offline -p twig-bench
 cargo build --release --offline -p twig-scenario --bin scnfmt
 
-echo "== bench_smoke: fleet perf smoke (results/BENCH_fleet.json) =="
-./target/release/bench_fleet results/BENCH_fleet.json
-
 echo "== bench_smoke: fig01 smoke run (results/fig01_smoke.txt) =="
-./target/release/fig01_pmc_vs_ipc --smoke --jobs 2 | tee results/fig01_smoke.txt
+./target/release/twig-bench fig01_pmc_vs_ipc --smoke --jobs 2 | tee results/fig01_smoke.txt
 
 echo "== bench_smoke: chaos suite (results/chaos_report.txt) =="
-./target/release/chaos --smoke --seed 42 --jobs 2 | tee results/chaos_report.txt
+./target/release/twig-bench chaos --smoke --seed 42 --jobs 2 | tee results/chaos_report.txt
 
 echo "== bench_smoke: timing suite (results/timing_report.txt) =="
-./target/release/timing --smoke --seed 42 --jobs 2 | tee results/timing_report.txt
+./target/release/twig-bench timing --smoke --seed 42 --jobs 2 | tee results/timing_report.txt
 
 echo "== bench_smoke: cluster suite (results/cluster_report.txt) =="
-./target/release/cluster --smoke --seed 42 --jobs 2 | tee results/cluster_report.txt
+./target/release/twig-bench cluster --smoke --seed 42 --jobs 2 | tee results/cluster_report.txt
 
 echo "== bench_smoke: scenario corpus (results/scenario_report.txt) =="
 ./target/release/scnfmt --check scenarios/*.scn
-./target/release/scenario --seed 42 --jobs 2 | tee results/scenario_report.txt
+./target/release/twig-bench scenario --seed 42 --jobs 2 | tee results/scenario_report.txt
 
 echo "== bench_smoke: platform suite (results/platform_report.txt) =="
-./target/release/platform --smoke --seed 42 --jobs 2 | tee results/platform_report.txt
+./target/release/twig-bench platform --smoke --seed 42 --jobs 2 | tee results/platform_report.txt
 
 echo "== bench_smoke: federate suite (results/federate_report.txt) =="
-./target/release/federate --smoke --seed 42 --jobs 2 | tee results/federate_report.txt
+./target/release/twig-bench federate --smoke --seed 42 --jobs 2 | tee results/federate_report.txt
 
 echo "== bench_smoke: decide-latency smoke (results/BENCH_decide.json) =="
 bash scripts/bench_decide.sh --smoke
