@@ -107,6 +107,10 @@ pub struct Dense {
     // materialised the product before adding).
     gw_scratch: Tensor,
     gb_scratch: Vec<f32>,
+    // Scratch for the input-gradient product: one register-tile-wide panel
+    // of `w` transposed at a time (`Tensor::matmul_t_into`), a few KiB
+    // however large the layer, allocated by the first backward pass.
+    pack_scratch: Vec<f32>,
 }
 
 impl Dense {
@@ -128,6 +132,7 @@ impl Dense {
             cached_input: None,
             gw_scratch: Tensor::zeros(0, 0),
             gb_scratch: Vec::new(),
+            pack_scratch: Vec::new(),
         }
     }
 
@@ -248,7 +253,7 @@ impl Layer for Dense {
             *gb += g;
         }
         grad_output
-            .matmul_t_into(&self.w, grad_input)
+            .matmul_t_into(&self.w, &mut self.pack_scratch, grad_input)
             .expect("dense input grad shape");
     }
 

@@ -53,6 +53,7 @@
 
 pub mod count_alloc;
 mod error;
+mod gemm;
 mod layer;
 mod loss;
 mod mlp;

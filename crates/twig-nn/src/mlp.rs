@@ -36,7 +36,9 @@ pub struct Mlp {
 /// The concrete layer kinds an [`Mlp`] can hold.
 #[derive(Debug, Clone)]
 enum MlpLayer {
-    Dense(Dense),
+    // Boxed: a `Dense` (weights, gradients and their scratch buffers) is
+    // several times the size of the other two variants.
+    Dense(Box<Dense>),
     Relu(Relu),
     Dropout(Dropout),
 }
@@ -44,7 +46,7 @@ enum MlpLayer {
 impl MlpLayer {
     fn as_layer_mut(&mut self) -> &mut dyn Layer {
         match self {
-            MlpLayer::Dense(l) => l,
+            MlpLayer::Dense(l) => l.as_mut(),
             MlpLayer::Relu(l) => l,
             MlpLayer::Dropout(l) => l,
         }
@@ -52,7 +54,7 @@ impl MlpLayer {
 
     fn as_layer(&self) -> &dyn Layer {
         match self {
-            MlpLayer::Dense(l) => l,
+            MlpLayer::Dense(l) => l.as_ref(),
             MlpLayer::Relu(l) => l,
             MlpLayer::Dropout(l) => l,
         }
@@ -73,7 +75,7 @@ pub struct MlpLayerToken(MlpLayer);
 
 impl IntoMlpLayer for Dense {
     fn into_mlp_layer(self) -> MlpLayerToken {
-        MlpLayerToken(MlpLayer::Dense(self))
+        MlpLayerToken(MlpLayer::Dense(Box::new(self)))
     }
 }
 
@@ -147,9 +149,11 @@ impl Mlp {
     ///
     /// This is the batched-inference entry point: because layer state stays
     /// untouched, a network whose weights are shared across K agents can
-    /// evaluate a stacked `K·B`-row matrix in one cache-blocked GEMM per
-    /// dense layer. `&mut self` is needed only for the scratch buffers; the
-    /// returned reference is valid until the next forward/backward call.
+    /// evaluate a stacked `K·B`-row matrix in one register-tiled GEMM per
+    /// dense layer (each row's sums keep their ascending-`k` order whatever
+    /// tile the row lands in, so stacking changes no bits). `&mut self` is
+    /// needed only for the scratch buffers; the returned reference is valid
+    /// until the next forward/backward call.
     pub fn forward_batch_scratch(&mut self, input: &Tensor) -> &Tensor {
         let Mlp {
             layers,

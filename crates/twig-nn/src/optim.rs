@@ -97,12 +97,17 @@ impl Adam {
         let t = *t as i32;
         let bias1 = 1.0 - self.beta1.powi(t);
         let bias2 = 1.0 - self.beta2.powi(t);
-        for i in 0..param.len() {
-            m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * grad[i];
-            v[i] = self.beta2 * v[i] + (1.0 - self.beta2) * grad[i] * grad[i];
-            let m_hat = m[i] / bias1;
-            let v_hat = v[i] / bias2;
-            param[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+        // One zipped pass with the hyper-parameters in locals: no index, no
+        // bounds check, nothing reloaded through `self`, so the loop
+        // vectorises. Element-wise IEEE operations in the written order —
+        // bit-identical to the indexed form (see the test below).
+        let (lr, beta1, beta2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
+        for (((p, &g), m), v) in param.iter_mut().zip(grad).zip(m).zip(v) {
+            *m = beta1 * *m + (1.0 - beta1) * g;
+            *v = beta2 * *v + (1.0 - beta2) * g * g;
+            let m_hat = *m / bias1;
+            let v_hat = *v / bias2;
+            *p -= lr * m_hat / (v_hat.sqrt() + eps);
         }
     }
 
@@ -179,6 +184,56 @@ mod tests {
             adam.update(7, &mut p, &grad);
         }
         assert!(p.iter().all(|x| x.abs() < 1e-2), "p = {p:?}");
+    }
+
+    #[test]
+    fn zipped_update_bit_identical_to_indexed_reference() {
+        use twig_stats::rng::{Rng, Xoshiro256};
+        // The textbook indexed loop, kept here as the reference.
+        fn reference(
+            (lr, beta1, beta2, eps): (f32, f32, f32, f32),
+            t: i32,
+            (param, grad): (&mut [f32], &[f32]),
+            (m, v): (&mut [f32], &mut [f32]),
+        ) {
+            let bias1 = 1.0 - beta1.powi(t);
+            let bias2 = 1.0 - beta2.powi(t);
+            for i in 0..param.len() {
+                m[i] = beta1 * m[i] + (1.0 - beta1) * grad[i];
+                v[i] = beta2 * v[i] + (1.0 - beta2) * grad[i] * grad[i];
+                let m_hat = m[i] / bias1;
+                let v_hat = v[i] / bias2;
+                param[i] -= lr * m_hat / (v_hat.sqrt() + eps);
+            }
+        }
+        let mut rng = Xoshiro256::seed_from_u64(0xada);
+        // 37 is not a multiple of any vector width: the tail runs too.
+        let n = 37;
+        let mut adam = Adam::new(0.0025);
+        let mut got: Vec<f32> = (0..n).map(|_| rng.range_f32(-1.0, 1.0)).collect();
+        let mut want = got.clone();
+        let (mut m, mut v) = (vec![0.0f32; n], vec![0.0f32; n]);
+        for t in 1..=50 {
+            let grad: Vec<f32> = (0..n)
+                .map(|i| {
+                    if i % 5 == 0 {
+                        0.0
+                    } else {
+                        rng.range_f32(-3.0, 3.0)
+                    }
+                })
+                .collect();
+            adam.update(0, &mut got, &grad);
+            reference(
+                (0.0025, 0.9, 0.999, 1e-8),
+                t,
+                (&mut want, &grad),
+                (&mut m, &mut v),
+            );
+            for (x, y) in got.iter().zip(&want) {
+                assert_eq!(x.to_bits(), y.to_bits(), "step {t}");
+            }
+        }
     }
 
     #[test]

@@ -1,3 +1,4 @@
+use crate::gemm::{gemm, NR};
 use crate::NnError;
 use std::ops::{Index, IndexMut};
 
@@ -151,11 +152,11 @@ impl Tensor {
     /// Matrix product `self * other` written into `out` (resized in place,
     /// no allocation once `out` has the capacity).
     ///
-    /// The kernel is cache-blocked over the `i` (rows of `self`) and `k`
-    /// (inner) dimensions so a tile of `other` is reused across a tile of
-    /// output rows instead of being streamed from memory once per row. Per
-    /// output element the `k` contributions are still added in ascending
-    /// order, so results are bit-identical to the naive triple loop.
+    /// Runs the register-tiled microkernel of the `gemm` module: per output
+    /// element the inner-index contributions are added in ascending order
+    /// from `+0.0`, so results are bit-identical to the naive triple loop.
+    /// No operand is skipped — a non-finite value on either side propagates
+    /// even when it meets a zero.
     ///
     /// # Errors
     ///
@@ -169,32 +170,14 @@ impl Tensor {
                 ),
             });
         }
-        // Tile sizes chosen so an i-tile of output rows plus a k-tile of
-        // `other` rows stay L1/L2-resident for the trunk widths this
-        // workspace uses (up to 512 columns).
-        const MC: usize = 16;
-        const KC: usize = 64;
-        let (m, kk, n) = (self.rows, self.cols, other.cols);
+        let (m, inner, n) = (self.rows, self.cols, other.cols);
         out.resize_zeroed(m, n);
-        for ib in (0..m).step_by(MC) {
-            let i_end = (ib + MC).min(m);
-            for kb in (0..kk).step_by(KC) {
-                let k_end = (kb + KC).min(kk);
-                for i in ib..i_end {
-                    let a_row = &self.data[i * kk..(i + 1) * kk];
-                    let out_row = &mut out.data[i * n..(i + 1) * n];
-                    for (k, &a) in a_row.iter().enumerate().take(k_end).skip(kb) {
-                        if a == 0.0 {
-                            continue;
-                        }
-                        let b_row = &other.data[k * n..(k + 1) * n];
-                        for (o, &b) in out_row.iter_mut().zip(b_row) {
-                            *o += a * b;
-                        }
-                    }
-                }
-            }
-        }
+        gemm::<false>(
+            (m, inner, n),
+            &self.data,
+            (&other.data, n),
+            (&mut out.data, n),
+        );
         Ok(())
     }
 
@@ -209,7 +192,10 @@ impl Tensor {
         Ok(out)
     }
 
-    /// `self^T * other` written into `out` (resized in place).
+    /// `self^T * other` written into `out` (resized in place): the same
+    /// microkernel as [`matmul_into`](Self::matmul_into), its tile walking
+    /// `self` row by row as an outer product, so each output element sums
+    /// over ascending row index.
     ///
     /// # Errors
     ///
@@ -223,40 +209,43 @@ impl Tensor {
                 ),
             });
         }
-        out.resize_zeroed(self.cols, other.cols);
-        for r in 0..self.rows {
-            let a_row = self.row(r);
-            let b_row = other.row(r);
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
+        let (m, inner, n) = (self.cols, self.rows, other.cols);
+        out.resize_zeroed(m, n);
+        gemm::<true>(
+            (m, inner, n),
+            &self.data,
+            (&other.data, n),
+            (&mut out.data, n),
+        );
         Ok(())
     }
 
-    /// `self * other^T` without materialising the transpose.
+    /// `self * other^T`.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] when column counts disagree.
     pub fn matmul_t(&self, other: &Tensor) -> Result<Tensor, NnError> {
         let mut out = Tensor::zeros(0, 0);
-        self.matmul_t_into(other, &mut out)?;
+        self.matmul_t_into(other, &mut Vec::new(), &mut out)?;
         Ok(out)
     }
 
-    /// `self * other^T` written into `out` (resized in place).
+    /// `self * other^T` written into `out` (resized in place): `NR` rows of
+    /// `other` at a time are transposed into `pack` — a caller-owned scratch
+    /// of `NR * other.cols()` floats, reused across calls — and fed to the
+    /// same microkernel as [`matmul_into`](Self::matmul_into), so each
+    /// output element sums over ascending column index.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] when column counts disagree.
-    pub fn matmul_t_into(&self, other: &Tensor, out: &mut Tensor) -> Result<(), NnError> {
+    pub fn matmul_t_into(
+        &self,
+        other: &Tensor,
+        pack: &mut Vec<f32>,
+        out: &mut Tensor,
+    ) -> Result<(), NnError> {
         if self.cols != other.cols {
             return Err(NnError::ShapeMismatch {
                 detail: format!(
@@ -265,13 +254,24 @@ impl Tensor {
                 ),
             });
         }
-        out.resize_zeroed(self.rows, other.rows);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            for j in 0..other.rows {
-                let b_row = other.row(j);
-                out.data[i * other.rows + j] = a_row.iter().zip(b_row).map(|(a, b)| a * b).sum();
+        let (m, inner, n) = (self.rows, self.cols, other.rows);
+        out.resize_zeroed(m, n);
+        // Every slot the kernel reads is rewritten per panel below.
+        pack.resize(NR * inner, 0.0);
+        for j in (0..n).step_by(NR) {
+            let width = NR.min(n - j);
+            for jj in 0..width {
+                let row = &other.data[(j + jj) * inner..][..inner];
+                for (slot, &w) in pack.iter_mut().skip(jj).step_by(NR).zip(row) {
+                    *slot = w;
+                }
             }
+            gemm::<false>(
+                (m, inner, width),
+                &self.data,
+                (pack, NR),
+                (&mut out.data[j..], n),
+            );
         }
         Ok(())
     }
@@ -429,6 +429,7 @@ impl IndexMut<(usize, usize)> for Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::MR;
     use twig_stats::rng::{Rng, Xoshiro256};
 
     #[test]
@@ -544,50 +545,102 @@ mod tests {
         }
     }
 
-    /// Reference naive ikj GEMM: the pre-blocking implementation. The
-    /// cache-blocked kernel must reproduce it bit for bit, because fleet
-    /// determinism (serial vs --jobs N) is asserted on exact table output.
-    fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {
-        let mut out = Tensor::zeros(a.rows(), b.cols());
-        for i in 0..a.rows() {
-            for k in 0..a.cols() {
-                let v = a[(i, k)];
-                if v == 0.0 {
-                    continue;
+    /// The naive triple loop — the reference the microkernel must reproduce
+    /// bit for bit (fleet determinism, checkpoints and scenario digests are
+    /// asserted on exact output): `out[i][j] = Σ_p a(i, p) · b(p, j)`, summed
+    /// in ascending `p` from `+0.0`.
+    fn naive_product(
+        (m, inner, n): (usize, usize, usize),
+        a: impl Fn(usize, usize) -> f32,
+        b: impl Fn(usize, usize) -> f32,
+    ) -> Tensor {
+        let mut out = Tensor::zeros(m, n);
+        for i in 0..m {
+            for j in 0..n {
+                let mut sum = 0.0f32;
+                for p in 0..inner {
+                    sum += a(i, p) * b(p, j);
                 }
-                for j in 0..b.cols() {
-                    out[(i, j)] += v * b[(k, j)];
-                }
+                out[(i, j)] = sum;
             }
         }
         out
     }
 
+    fn assert_bits_eq(want: &Tensor, got: &Tensor, what: &str) {
+        assert_eq!(
+            (want.rows(), want.cols()),
+            (got.rows(), got.cols()),
+            "{what}"
+        );
+        for (x, y) in want.as_slice().iter().zip(got.as_slice()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what} diverged");
+        }
+    }
+
     #[test]
-    fn blocked_matmul_bit_identical_to_naive() {
+    fn microkernel_bit_identical_to_naive_on_every_remainder_class() {
         let mut rng = Xoshiro256::seed_from_u64(0xb10c);
-        // Sizes straddling the MC=16 / KC=64 tile boundaries, plus sparse
-        // zeros to exercise the skip path.
-        for &(m, k, n) in &[
-            (1, 1, 1),
-            (3, 5, 2),
-            (16, 64, 8),
-            (33, 130, 7),
-            (64, 65, 48),
-        ] {
-            let mut a = random_tensor(&mut rng, m, k);
-            for v in a.as_mut_slice().iter_mut().step_by(3) {
-                *v = 0.0;
-            }
-            let b = random_tensor(&mut rng, k, n);
-            let want = naive_matmul(&a, &b);
-            let got = a.matmul(&b).unwrap();
-            assert_eq!(want.rows(), got.rows());
-            assert_eq!(want.cols(), got.cols());
-            for (x, y) in want.as_slice().iter().zip(got.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{m}x{k}x{n} diverged");
+        // Row counts on both sides of MR in every `m mod MR` class (fewer
+        // than MR rows take the wide single-row tile), column counts in
+        // every `n mod NR` class below and above NR plus the widths around
+        // the single-row tile's 4·NR, inner lengths from empty to past a
+        // cache line; dense A and A with every other element zero.
+        let ms = 1..=2 * MR;
+        let ns: Vec<usize> = (1..=2 * NR)
+            .chain([4 * NR - 1, 4 * NR, 4 * NR + 1, 6 * NR, 8 * NR - 1])
+            .collect();
+        let mut pack = Vec::new();
+        let mut got = Tensor::zeros(0, 0);
+        for m in ms {
+            for &n in &ns {
+                for inner in [0, 1, 7, 64, 65] {
+                    for sparse in [false, true] {
+                        let what = format!("{m}x{inner}x{n} sparse={sparse}");
+                        let mut a = random_tensor(&mut rng, m, inner);
+                        let mut at = random_tensor(&mut rng, inner, m);
+                        if sparse {
+                            for t in [&mut a, &mut at] {
+                                for v in t.as_mut_slice().iter_mut().step_by(2) {
+                                    *v = 0.0;
+                                }
+                            }
+                        }
+                        let b = random_tensor(&mut rng, inner, n);
+                        let bt = random_tensor(&mut rng, n, inner);
+                        let dims = (m, inner, n);
+
+                        a.matmul_into(&b, &mut got).unwrap();
+                        let want = naive_product(dims, |i, p| a[(i, p)], |p, j| b[(p, j)]);
+                        assert_bits_eq(&want, &got, &format!("matmul {what}"));
+
+                        at.t_matmul_into(&b, &mut got).unwrap();
+                        let want = naive_product(dims, |i, p| at[(p, i)], |p, j| b[(p, j)]);
+                        assert_bits_eq(&want, &got, &format!("t_matmul {what}"));
+
+                        a.matmul_t_into(&bt, &mut pack, &mut got).unwrap();
+                        let want = naive_product(dims, |i, p| a[(i, p)], |p, j| bt[(j, p)]);
+                        assert_bits_eq(&want, &got, &format!("matmul_t {what}"));
+                    }
+                }
             }
         }
+    }
+
+    #[test]
+    fn zero_times_non_finite_reaches_the_output() {
+        // No operand is skipped: a zero activation does not mask a poisoned
+        // weight. The NaN guards above this crate rely on seeing it.
+        let a = Tensor::from_row(&[0.0, 1.0]);
+        let b = Tensor::from_rows(&[vec![f32::INFINITY], vec![1.0]]).unwrap();
+        assert!(a.matmul(&b).unwrap()[(0, 0)].is_nan());
+        let bt = Tensor::from_row(&[f32::INFINITY, 1.0]);
+        assert!(a.matmul_t(&bt).unwrap()[(0, 0)].is_nan());
+        // (1x2)^T * (1x1): the zero row entry meets the infinity.
+        let dy = Tensor::from_row(&[f32::INFINITY]);
+        let dw = a.t_matmul(&dy).unwrap();
+        assert!(dw[(0, 0)].is_nan());
+        assert_eq!(dw[(1, 0)], f32::INFINITY);
     }
 
     #[test]
@@ -602,7 +655,7 @@ mod tests {
         assert_eq!(out, a.matmul(&b).unwrap());
         a.t_matmul_into(&c, &mut out).unwrap();
         assert_eq!(out, a.t_matmul(&c).unwrap());
-        c.matmul_t_into(&b, &mut out).unwrap();
+        c.matmul_t_into(&b, &mut Vec::new(), &mut out).unwrap();
         assert_eq!(out, c.matmul_t(&b).unwrap());
         a.concat_cols_into(&c, &mut out).unwrap();
         assert_eq!(out, a.concat_cols(&c).unwrap());

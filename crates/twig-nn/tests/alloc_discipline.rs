@@ -1,0 +1,74 @@
+//! Proof that an `Mlp`'s scratch forward/backward passes are allocation-free
+//! in steady state — the activation ping-pong buffers, the gradient
+//! scratches and the transposed-weight pack panel the input-gradient GEMM
+//! reuses (`Tensor::matmul_t_into`) are all sized by the first round.
+//!
+//! Own integration test so the `#[global_allocator]` stays in this binary,
+//! and a single `#[test]` so no concurrent test pollutes the counter.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use twig_nn::{count_alloc, Dense, Dropout, Mlp, Relu, Tensor};
+use twig_stats::rng::{Rng, Xoshiro256};
+
+/// Counting wrapper around the system allocator. The impl lives here (the
+/// library crates forbid unsafe code) and reports into the process-wide
+/// counter behind `twig_nn::count_alloc`.
+struct CountingAlloc;
+
+// SAFETY: defers every operation to `System`, only adding a relaxed atomic
+// increment, so all `GlobalAlloc` contracts are inherited unchanged.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        twig_nn::note_alloc();
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        twig_nn::note_alloc();
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        twig_nn::note_alloc();
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+#[test]
+fn scratch_forward_backward_rounds_allocate_nothing_after_warm_up() {
+    assert!(count_alloc::counter_armed());
+    let mut rng = Xoshiro256::seed_from_u64(5);
+    // Widths off every tile boundary, so the remainder tiles and a partial
+    // pack panel run too.
+    let mut net = Mlp::new()
+        .push(Dense::new(11, 37, &mut rng))
+        .push(Relu::new())
+        .push(Dropout::new(0.1, 3))
+        .push(Dense::new(37, 21, &mut rng))
+        .push(Relu::new())
+        .push(Dense::new(21, 5, &mut rng));
+    let mut fill = |rows, cols| {
+        let data = (0..rows * cols).map(|_| rng.range_f32(-1.0, 1.0)).collect();
+        Tensor::from_vec(rows, cols, data).expect("shape")
+    };
+    let (input, grad) = (fill(19, 11), fill(19, 5));
+
+    for _ in 0..3 {
+        net.forward_scratch(&input, true);
+        net.backward_scratch(&grad);
+    }
+    let before = count_alloc::allocation_count();
+    for _ in 0..100 {
+        net.zero_grads();
+        std::hint::black_box(net.forward_scratch(&input, true));
+        std::hint::black_box(net.backward_scratch(&grad));
+    }
+    assert_eq!(count_alloc::allocations_since(before), 0);
+}

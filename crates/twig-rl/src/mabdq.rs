@@ -375,15 +375,16 @@ impl Net {
     /// tensors) and every buffer is reused, so steady-state evaluation is
     /// allocation-free. The `K` head inputs are stacked k-major into one
     /// `K·B × (trunk_dim + state_dim)` matrix and each *shared* advantage
-    /// head runs exactly once over all of it — one cache-blocked GEMM per
+    /// head runs exactly once over all of it — one register-tiled GEMM per
     /// branch per layer instead of `K` per-agent forwards. Value heads keep
     /// per-agent weights, so they stay `B`-row forwards, but read their rows
     /// straight out of the stack.
     ///
     /// Results are bit-identical to the per-agent reference
     /// ([`q_values_per_agent_into`](Self::q_values_per_agent_into)): the
-    /// blocked GEMM accumulates `k`-contributions per output element in
-    /// ascending order and rows are fully independent, bias/ReLU/dueling
+    /// GEMM microkernel accumulates `k`-contributions per output element in
+    /// ascending order from `+0.0` whatever tile a row lands in, rows are
+    /// fully independent, bias/ReLU/dueling
     /// arithmetic is per-row in the same order. The batched layer path never
     /// touches dropout RNG streams or activation caches, which is what lets
     /// decisions run between the chunks of a gradient step.
@@ -960,7 +961,7 @@ impl MaBdq {
     ///
     /// Inference runs on the fused batched path
     /// ([`Net::q_values_fused_into`]): all `K` agents' shared-weight
-    /// advantage-head forwards execute as one cache-blocked GEMM per branch.
+    /// advantage-head forwards execute as one register-tiled GEMM per branch.
     /// Actions and Q-values are bit-identical to the per-agent reference
     /// path, which stays available as
     /// [`select_actions_unfused_into`](Self::select_actions_unfused_into)
@@ -1999,6 +2000,49 @@ mod tests {
         let after = agent.q_values(&probe).unwrap();
         assert_eq!(before, after, "weights untouched by the skipped step");
         assert!(after.iter().flatten().flatten().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn non_finite_weight_behind_zero_activations_skips_weight_update() {
+        let config = tiny_config(1);
+        let mut agent = MaBdq::new(config.clone()).unwrap();
+        for _ in 0..config.batch_size {
+            agent
+                .observe(MultiTransition {
+                    states: vec![vec![0.1, 0.2]],
+                    actions: vec![vec![0, 0]],
+                    rewards: vec![1.0],
+                    next_states: vec![vec![0.1, 0.2]],
+                })
+                .unwrap();
+        }
+        // Kill hidden unit 0 of the value head (zero fan-in, negative bias:
+        // its ReLU output is 0 for every input), then poison the one output
+        // weight behind it. The GEMM skips nothing — 0 · ∞ is NaN — so the
+        // poison reaches the loss, and the NaN guard, not a masked
+        // multiply, is what keeps it out of the weights. (The output layer
+        // is where this bites: a ReLU maps a NaN pre-activation to 0.)
+        let (inputs, hidden) = (
+            config.trunk_hidden[1] + config.state_dim,
+            config.head_hidden,
+        );
+        let head = &mut agent.online.value_heads[0];
+        let mut params = head.export_parameters();
+        for row in params[..inputs * hidden].chunks_mut(hidden) {
+            row[0] = 0.0;
+        }
+        params[inputs * hidden] = -1.0;
+        params[inputs * hidden + hidden] = f32::INFINITY;
+        head.import_parameters(&params).unwrap();
+
+        let before = agent.save_checkpoint().params;
+        let stats = agent.train_step().unwrap().expect("batch available");
+        assert!(stats.skipped, "a poisoned forward pass must be skipped");
+        assert!(stats.loss.is_nan());
+        assert_eq!(agent.steps(), 0);
+        assert_eq!(agent.skipped_steps(), 1);
+        let after = agent.save_checkpoint().params;
+        assert_eq!(before, after, "weights untouched by the skipped step");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Twin-run proofs for the fused batched inference path.
 //!
 //! `MaBdq::select_actions_into` routes through the fused path (all shared
-//! advantage-head forwards stacked into one cache-blocked GEMM per branch);
+//! advantage-head forwards stacked into one register-tiled GEMM per branch);
 //! `select_actions_unfused_into` is the per-agent reference loop. These
 //! tests run both on clones of the same agent — identical weights, identical
 //! RNG streams — and assert the actions and Q-values are bit-identical for
