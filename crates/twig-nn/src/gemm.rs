@@ -9,6 +9,15 @@
 //! triple loop, so weights, checkpoints and scenario digests do not depend on
 //! how the loops around it are tiled.
 //!
+//! With `CONT = true` the chain starts from what `out` already holds instead
+//! of `+0.0`. A product over `inner = p₁ + p₂` indices split into a call over
+//! the first `p₁` followed by a continuing call over the last `p₂` is the
+//! same chain: the partial sum after index `p₁ − 1` is an `f32` either way
+//! (nothing is kept in wider precision between steps), so storing it to
+//! `out` and loading it back rounds nothing. That is what lets a product
+//! whose leading columns are shared by many row groups compute that part
+//! once (`Dense::prefix_into` / `Dense::forward_batch_from_prefix_into`).
+//!
 //! Nothing is skipped: a zero in `A` still multiplies its row of `B`, so
 //! `0 · ∞` and `0 · NaN` reach the output as NaN. For finite operands that is
 //! the same bit pattern a zero-skipping loop produces: the accumulator starts
@@ -38,14 +47,16 @@ pub(crate) const MR: usize = 4;
 /// Columns of the register tile (two SSE vectors).
 pub(crate) const NR: usize = 8;
 
-/// `out[i][j] = Σ_p A[i][p] · B[p][j]` over an `m × n` block of `out`.
+/// `out[i][j] = Σ_p A[i][p] · B[p][j]` over an `m × n` block of `out`; with
+/// `CONT = true`, `out[i][j] += …` continuing each element's chain from the
+/// value already there.
 ///
 /// `B` is `inner × n` with row stride `ldb`, `out` is `m × n` with row stride
 /// `ldo` (both may be windows into wider matrices). `A` is dense: with
 /// `TA = false` it is `m × inner` row-major; with `TA = true` it is the
 /// transpose of an `inner × m` row-major matrix, read in place — the tile
 /// then walks that matrix row by row as an outer product.
-pub(crate) fn gemm<const TA: bool>(
+pub(crate) fn gemm<const TA: bool, const CONT: bool>(
     (m, inner, n): (usize, usize, usize),
     a: &[f32],
     (b, ldb): (&[f32], usize),
@@ -59,7 +70,7 @@ pub(crate) fn gemm<const TA: bool>(
         macro_rules! row_band {
             ($r:tt: $($c:tt)+) => {{
                 $(while n - j >= $c {
-                    tile::<TA, $r, $c>((i, inner, j), (a, lda), (b, ldb), (&mut *out, ldo));
+                    tile::<TA, CONT, $r, $c>((i, inner, j), (a, lda), (b, ldb), (&mut *out, ldo));
                     j += $c;
                 })+
                 i += $r;
@@ -75,7 +86,7 @@ pub(crate) fn gemm<const TA: bool>(
 
 /// One `R × C` register tile of `out`, at row `i` and column `j`.
 #[inline(always)]
-fn tile<const TA: bool, const R: usize, const C: usize>(
+fn tile<const TA: bool, const CONT: bool, const R: usize, const C: usize>(
     (i, inner, j): (usize, usize, usize),
     (a, lda): (&[f32], usize),
     (b, ldb): (&[f32], usize),
@@ -86,6 +97,11 @@ fn tile<const TA: bool, const R: usize, const C: usize>(
     let a_rows: [&[f32]; R] =
         std::array::from_fn(|r| if TA { a } else { &a[(i + r) * lda..][..inner] });
     let mut acc = [[0.0f32; C]; R];
+    if CONT {
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            acc_row.copy_from_slice(&out[(i + r) * ldo + j..][..C]);
+        }
+    }
     for p in 0..inner {
         let a_col: [f32; R] = if TA {
             a[p * lda + i..][..R].try_into().expect("tile height")

@@ -207,6 +207,102 @@ impl Dense {
         self.b.copy_from_slice(bias);
         Ok(())
     }
+
+    /// The part of the forward product that the leading `shared.cols()`
+    /// input columns contribute: `out = shared · W[..shared.cols()]`, no
+    /// bias. When many input rows share those columns (`K` agents' head
+    /// inputs are `[trunk_out | own state]`), this is computed once and
+    /// [`forward_batch_from_prefix_into`](Self::forward_batch_from_prefix_into)
+    /// finishes each row from it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shared` has more columns than the layer has inputs.
+    pub fn prefix_into(&self, shared: &Tensor, out: &mut Tensor) {
+        shared
+            .matmul_rows_into(&self.w, 0, out)
+            .expect("dense prefix shape");
+    }
+
+    /// [`forward_batch_into`](Layer::forward_batch_into) on the input rows
+    /// `[shared[r mod B] | own[r]]` without materialising them: `prefix` is
+    /// [`prefix_into`](Self::prefix_into) of the `B`-row `shared`, `own`
+    /// holds the trailing input columns of a whole number of `B`-row groups.
+    /// Every row's sums *continue* from its prefix row over the remaining
+    /// inner indices, then take the bias — the same chain of additions, so
+    /// the same bits, as the product over the concatenated row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes do not add up to the layer's.
+    pub fn forward_batch_from_prefix_into(&self, prefix: &Tensor, own: &Tensor, out: &mut Tensor) {
+        assert!(
+            prefix.rows() > 0 && own.rows().is_multiple_of(prefix.rows()),
+            "{} rows are not whole groups of {}",
+            own.rows(),
+            prefix.rows()
+        );
+        out.repeat_rows_from(prefix, own.rows() / prefix.rows());
+        own.matmul_rows_continue_into(&self.w, self.in_dim - own.cols(), out)
+            .expect("dense continue shape");
+        out.add_row_broadcast(&self.b).expect("bias shape");
+    }
+
+    /// [`forward_into`](Layer::forward_into) on the input `[shared | own]`
+    /// given `prefix = prefix_into(shared)`: bit-identical output, and the
+    /// concatenated input is cached for the weight gradient as usual.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes do not add up to the layer's.
+    pub fn forward_from_prefix_into(
+        &mut self,
+        prefix: &Tensor,
+        shared: &Tensor,
+        own: &Tensor,
+        out: &mut Tensor,
+    ) {
+        self.forward_batch_from_prefix_into(prefix, own, out);
+        shared
+            .concat_cols_into(own, self.cached_input.get_or_insert_with(Tensor::default))
+            .expect("same batch");
+    }
+
+    /// [`backward_into`](Layer::backward_into) computing only the first
+    /// `cols` columns of the input gradient (`grad_input` comes out
+    /// `B × cols`; the columns are independent sums, so they hold the bits
+    /// the full gradient would). Parameter gradients accumulate in full. A
+    /// layer whose trailing inputs are data (or all of them: `cols = 0` for
+    /// a network's first layer) skips the product nobody reads.
+    ///
+    /// # Panics
+    ///
+    /// Same contract as [`backward`](Layer::backward); also panics if
+    /// `cols > self.in_dim()`.
+    pub fn backward_cols_into(
+        &mut self,
+        grad_output: &Tensor,
+        cols: usize,
+        grad_input: &mut Tensor,
+    ) {
+        let input = self
+            .cached_input
+            .as_ref()
+            .expect("backward called before forward");
+        input
+            .t_matmul_into(grad_output, &mut self.gw_scratch)
+            .expect("dense backward shape");
+        self.grad_w
+            .add_assign(&self.gw_scratch)
+            .expect("grad shape");
+        grad_output.sum_rows_into(&mut self.gb_scratch);
+        for (gb, g) in self.grad_b.iter_mut().zip(&self.gb_scratch) {
+            *gb += g;
+        }
+        grad_output
+            .matmul_t_rows_into(&self.w, cols, &mut self.pack_scratch, grad_input)
+            .expect("dense input grad shape");
+    }
 }
 
 impl Layer for Dense {
@@ -218,10 +314,9 @@ impl Layer for Dense {
 
     fn forward_into(&mut self, input: &Tensor, _train: bool, out: &mut Tensor) {
         self.forward_batch_into(input, out);
-        match &mut self.cached_input {
-            Some(cache) => cache.copy_from(input),
-            cache => *cache = Some(input.clone()),
-        }
+        self.cached_input
+            .get_or_insert_with(Tensor::default)
+            .copy_from(input);
     }
 
     fn forward_batch_into(&self, input: &Tensor, out: &mut Tensor) {
@@ -238,23 +333,7 @@ impl Layer for Dense {
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("backward called before forward");
-        input
-            .t_matmul_into(grad_output, &mut self.gw_scratch)
-            .expect("dense backward shape");
-        self.grad_w
-            .add_assign(&self.gw_scratch)
-            .expect("grad shape");
-        grad_output.sum_rows_into(&mut self.gb_scratch);
-        for (gb, g) in self.grad_b.iter_mut().zip(&self.gb_scratch) {
-            *gb += g;
-        }
-        grad_output
-            .matmul_t_into(&self.w, &mut self.pack_scratch, grad_input)
-            .expect("dense input grad shape");
+        self.backward_cols_into(grad_output, self.in_dim, grad_input);
     }
 
     fn zero_grads(&mut self) {
@@ -320,25 +399,20 @@ impl Layer for Relu {
         out.copy_from(input);
         let mask = self.mask.get_or_insert_with(Vec::new);
         mask.clear();
+        // Selects, not branches (here and in the two passes below), so the
+        // loops vectorise. `v > 0.0` is false for -0.0 and NaN: both come
+        // out as +0.0 with a dead mask bit.
         mask.extend(out.as_mut_slice().iter_mut().map(|v| {
-            if *v > 0.0 {
-                true
-            } else {
-                *v = 0.0;
-                false
-            }
+            let alive = *v > 0.0;
+            *v = if alive { *v } else { 0.0 };
+            alive
         }));
     }
 
     fn forward_batch_into(&self, input: &Tensor, out: &mut Tensor) {
         out.copy_from(input);
         for v in out.as_mut_slice() {
-            // Same comparison as the mask-building path, so -0.0 and NaN
-            // inputs map to the identical +0.0 output bits.
-            if *v > 0.0 {
-                continue;
-            }
-            *v = 0.0;
+            *v = if *v > 0.0 { *v } else { 0.0 };
         }
     }
 
@@ -357,9 +431,7 @@ impl Layer for Relu {
         );
         grad_input.copy_from(grad_output);
         for (g, &alive) in grad_input.as_mut_slice().iter_mut().zip(mask) {
-            if !alive {
-                *g = 0.0;
-            }
+            *g = if alive { *g } else { 0.0 };
         }
     }
 
@@ -428,12 +500,15 @@ impl Layer for Dropout {
         self.active = true;
         self.mask.clear();
         let rng = &mut self.rng;
+        // One draw per element in element order. A dropped activation is
+        // +0.0 whatever it held (not `v * 0.0`, which would keep a sign or
+        // a NaN).
         self.mask.extend(out.as_mut_slice().iter_mut().map(|v| {
-            if rng.next_f32() < keep {
-                *v *= scale;
+            let alive = rng.next_f32() < keep;
+            *v = if alive { *v * scale } else { 0.0 };
+            if alive {
                 scale
             } else {
-                *v = 0.0;
                 0.0
             }
         }));
@@ -522,6 +597,134 @@ mod tests {
         r.forward(&Tensor::from_row(&[-1.0, 1.0]), true);
         let grad = r.backward(&Tensor::from_row(&[5.0, 5.0]));
         assert_eq!(grad.as_slice(), &[0.0, 5.0]);
+    }
+
+    /// Values on which a select and a branch could disagree if either were
+    /// written differently: both zeros, NaN, infinities, subnormals of both
+    /// signs, and ordinary numbers.
+    fn edge_values() -> Tensor {
+        let sub = f32::MIN_POSITIVE / 4.0;
+        Tensor::from_row(&[
+            0.0,
+            -0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            sub,
+            -sub,
+            f32::MIN_POSITIVE,
+            1.5,
+            -2.5,
+            f32::MAX,
+        ])
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn relu_selects_match_the_branching_form_bit_for_bit() {
+        // The branching form this layer used to run, as the reference.
+        let x = edge_values();
+        let mut want = x.clone();
+        let mut want_mask = Vec::new();
+        for v in want.as_mut_slice() {
+            if *v > 0.0 {
+                want_mask.push(true);
+            } else {
+                *v = 0.0;
+                want_mask.push(false);
+            }
+        }
+        let mut r = Relu::new();
+        assert_eq!(bits(&r.forward(&x, true)), bits(&want));
+        assert_eq!(r.mask.as_ref().unwrap(), &want_mask);
+        let mut eval = Tensor::zeros(0, 0);
+        r.forward_batch_into(&x, &mut eval);
+        assert_eq!(bits(&eval), bits(&want));
+
+        // Backward over the same edge values as gradients, under a mask
+        // that kills every other one.
+        let mask: Vec<bool> = (0..x.cols()).map(|i| i % 2 == 0).collect();
+        let mut want_grad = x.clone();
+        for (g, &alive) in want_grad.as_mut_slice().iter_mut().zip(&mask) {
+            if !alive {
+                *g = 0.0;
+            }
+        }
+        r.mask = Some(mask);
+        assert_eq!(bits(&r.backward(&x)), bits(&want_grad));
+    }
+
+    #[test]
+    fn dropout_selects_match_the_branching_form_bit_for_bit() {
+        let x = edge_values();
+        let (p, seed) = (0.5, 33);
+        let mut d = Dropout::new(p, seed);
+        for _ in 0..8 {
+            // Reference: the branching form on a copy of the layer's stream.
+            let mut rng = d.rng.clone();
+            let keep = 1.0 - p;
+            let scale = 1.0 / keep;
+            let mut want = x.clone();
+            let mut want_mask = Vec::new();
+            for v in want.as_mut_slice() {
+                if rng.next_f32() < keep {
+                    *v *= scale;
+                    want_mask.push(scale);
+                } else {
+                    *v = 0.0;
+                    want_mask.push(0.0);
+                }
+            }
+            assert_eq!(bits(&d.forward(&x, true)), bits(&want));
+            assert_eq!(d.mask, want_mask);
+            // Same number of draws: the streams stay in step.
+            assert_eq!(d.rng.next_u64(), rng.next_u64());
+        }
+    }
+
+    #[test]
+    fn dense_prefix_forward_and_limited_backward_match_the_full_pass() {
+        let mut rng = Xoshiro256::seed_from_u64(5);
+        let (shared_dim, own_dim, out_dim, batch) = (6, 3, 5, 4);
+        let mut full = Dense::new(shared_dim + own_dim, out_dim, &mut rng);
+        full.b = (0..out_dim).map(|i| i as f32 * 0.25 - 0.5).collect();
+        let mut split = full.clone();
+        let random = |rng: &mut Xoshiro256, r: usize, c: usize| {
+            let data = (0..r * c).map(|_| rng.range_f32(-2.0, 2.0)).collect();
+            Tensor::from_vec(r, c, data).unwrap()
+        };
+        let shared = random(&mut rng, batch, shared_dim);
+        let grad = random(&mut rng, batch, out_dim);
+        let mut prefix = Tensor::zeros(0, 0);
+        split.prefix_into(&shared, &mut prefix);
+
+        // Eval: three row groups share the one prefix.
+        let own3 = random(&mut rng, 3 * batch, own_dim);
+        let mut shared3 = Tensor::zeros(0, 0);
+        shared3.repeat_rows_from(&shared, 3);
+        let want = full.forward(&shared3.concat_cols(&own3).unwrap(), false);
+        let mut got = Tensor::zeros(0, 0);
+        split.forward_batch_from_prefix_into(&prefix, &own3, &mut got);
+        assert_eq!(bits(&got), bits(&want));
+
+        // Train: same output, same cached input, so the same dW and db; the
+        // limited input gradient is the leading columns of the full one.
+        let own = random(&mut rng, batch, own_dim);
+        let want = full.forward(&shared.concat_cols(&own).unwrap(), true);
+        split.forward_from_prefix_into(&prefix, &shared, &own, &mut got);
+        assert_eq!(bits(&got), bits(&want));
+        let want_dx = full.backward(&grad);
+        for cols in [0, 1, shared_dim, shared_dim + own_dim] {
+            let mut twin = split.clone();
+            twin.backward_cols_into(&grad, cols, &mut got);
+            assert_eq!(bits(&got), bits(&want_dx.split_cols(cols).0));
+            assert_eq!(bits(&twin.grad_w), bits(&full.grad_w));
+            assert_eq!(twin.grad_b, full.grad_b);
+        }
     }
 
     #[test]

@@ -61,6 +61,17 @@ impl MlpLayer {
     }
 }
 
+const NO_FIRST_DENSE: &str = "the network must start with a dense layer";
+
+/// The first layer, which the prefix forwards and the column-limited
+/// backward need to be dense, and the layers after it.
+fn split_first_dense(layers: &mut [MlpLayer]) -> (&mut Dense, &mut [MlpLayer]) {
+    match layers.split_first_mut() {
+        Some((MlpLayer::Dense(first), rest)) => (first, rest),
+        _ => panic!("{NO_FIRST_DENSE}"),
+    }
+}
+
 /// Types that can be pushed onto an [`Mlp`].
 ///
 /// Implemented for [`Dense`], [`Relu`] and [`Dropout`]; this trait exists
@@ -181,6 +192,83 @@ impl Mlp {
         out.copy_from(self.forward_batch_scratch(input));
     }
 
+    /// The first (dense) layer's [`Dense::prefix_into`] of `shared`: what the
+    /// leading `shared.cols()` input columns contribute to its product. Input
+    /// rows that agree on those columns — `K` agents' `[trunk_out | own
+    /// state]` — then share one `prefix` in
+    /// [`forward_batch_from_prefix_scratch`](Self::forward_batch_from_prefix_scratch)
+    /// and [`forward_from_prefix_scratch`](Self::forward_from_prefix_scratch)
+    /// instead of each multiplying the same columns through again. Weights
+    /// must not change between the prefix and its use.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the network starts with a [`Dense`] layer at least
+    /// `shared.cols()` wide.
+    pub fn prefix_into(&self, shared: &Tensor, out: &mut Tensor) {
+        match self.layers.first() {
+            Some(MlpLayer::Dense(first)) => first.prefix_into(shared, out),
+            _ => panic!("{NO_FIRST_DENSE}"),
+        }
+    }
+
+    /// [`forward_batch_scratch`](Self::forward_batch_scratch) on the rows
+    /// `[shared[r mod B] | own[r]]`, bit for bit, given `prefix =
+    /// prefix_into(shared)` (`B` rows) and `own` holding the trailing input
+    /// columns of a whole number of `B`-row groups. Stateless like every
+    /// batch forward.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the network starts with a [`Dense`] layer and the
+    /// shapes add up to it.
+    pub fn forward_batch_from_prefix_scratch(&mut self, prefix: &Tensor, own: &Tensor) -> &Tensor {
+        let Mlp {
+            layers,
+            scratch_a,
+            scratch_b,
+        } = self;
+        let (first, rest) = split_first_dense(layers);
+        first.forward_batch_from_prefix_into(prefix, own, scratch_a);
+        let (mut cur, mut next) = (scratch_a, scratch_b);
+        for layer in rest.iter() {
+            layer.as_layer().forward_batch_into(cur, next);
+            std::mem::swap(&mut cur, &mut next);
+        }
+        cur
+    }
+
+    /// [`forward_scratch`](Self::forward_scratch) on the input `[shared |
+    /// own]`, bit for bit and with the same layer state afterwards (input
+    /// cached for the weight gradient, ReLU masks, dropout draws), given
+    /// `prefix = prefix_into(shared)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the network starts with a [`Dense`] layer and the
+    /// shapes add up to it.
+    pub fn forward_from_prefix_scratch(
+        &mut self,
+        prefix: &Tensor,
+        shared: &Tensor,
+        own: &Tensor,
+        train: bool,
+    ) -> &Tensor {
+        let Mlp {
+            layers,
+            scratch_a,
+            scratch_b,
+        } = self;
+        let (first, rest) = split_first_dense(layers);
+        first.forward_from_prefix_into(prefix, shared, own, scratch_a);
+        let (mut cur, mut next) = (scratch_a, scratch_b);
+        for layer in rest {
+            layer.as_layer_mut().forward_into(cur, train, next);
+            std::mem::swap(&mut cur, &mut next);
+        }
+        cur
+    }
+
     /// Snapshots this network into a fixed-point inference variant
     /// ([`crate::QuantizedMlp`]): i16 weights, i32 accumulation, f32 bias
     /// and activations. `Dense` layers are quantized, `Relu` is kept, and
@@ -262,6 +350,33 @@ impl Mlp {
             std::mem::swap(&mut cur, &mut next);
         }
         cur
+    }
+
+    /// [`backward_scratch`](Self::backward_scratch) returning only the first
+    /// `cols` columns of the input gradient (`B × cols`, the same bits) and
+    /// never computing the rest: `cols = 0` for a network fed data, the
+    /// width of the upstream activations for a head fed `[upstream | data]`.
+    /// Parameter gradients accumulate exactly as in the full pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before a forward pass or unless the network starts
+    /// with a [`Dense`] layer at least `cols` wide.
+    pub fn backward_cols_scratch(&mut self, grad_output: &Tensor, cols: usize) -> &Tensor {
+        let Mlp {
+            layers,
+            scratch_a,
+            scratch_b,
+        } = self;
+        let (first, rest) = split_first_dense(layers);
+        scratch_a.copy_from(grad_output);
+        let (mut cur, mut next) = (scratch_a, scratch_b);
+        for layer in rest.iter_mut().rev() {
+            layer.as_layer_mut().backward_into(cur, next);
+            std::mem::swap(&mut cur, &mut next);
+        }
+        first.backward_cols_into(cur, cols, next);
+        next
     }
 
     /// Zeroes all accumulated gradients.
@@ -641,6 +756,88 @@ mod tests {
             assert_eq!(net.backward(&grad), twin.backward(&grad));
             assert_eq!(net.grad_sq_norm().to_bits(), twin.grad_sq_norm().to_bits());
         }
+    }
+
+    #[test]
+    fn prefix_paths_bit_identical_to_the_concatenated_paths() {
+        // A head as twig-rl builds it, fed `[shared | own]`. One twin runs
+        // the concatenated input through the plain entry points; the other
+        // gets the shared columns' first-layer product once and continues
+        // from it, and asks only for the shared columns' input gradient.
+        // Over several optimiser steps every activation, every parameter
+        // (so every dW and db) and every dropout draw must stay equal.
+        let (shared_dim, own_dim, batch, groups) = (6, 3, 5, 3);
+        let mut rng = Xoshiro256::seed_from_u64(31);
+        let base = Mlp::new()
+            .push(Dense::new(shared_dim + own_dim, 8, &mut rng))
+            .push(Relu::new())
+            .push(Dropout::new(0.3, 4))
+            .push(Dense::new(8, 3, &mut rng));
+        let mut full = base.clone();
+        let mut split = base;
+        let mut adam_f = Adam::new(0.01);
+        let mut adam_s = Adam::new(0.01);
+        let mut random = |r: usize, c: usize| {
+            let data = (0..r * c).map(|_| rng.range_f32(-2.0, 2.0)).collect();
+            Tensor::from_vec(r, c, data).unwrap()
+        };
+        let bits = |t: &Tensor| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
+        let mut prefix = Tensor::zeros(0, 0);
+        let mut shared_rep = Tensor::zeros(0, 0);
+        for _ in 0..4 {
+            let shared = random(batch, shared_dim);
+            split.prefix_into(&shared, &mut prefix);
+
+            // Eval: `groups` row groups share the prefix; stateless.
+            let own_all = random(groups * batch, own_dim);
+            shared_rep.repeat_rows_from(&shared, groups);
+            let stacked = shared_rep.concat_cols(&own_all).unwrap();
+            let want = full.forward_batch_scratch(&stacked).clone();
+            let got = split.forward_batch_from_prefix_scratch(&prefix, &own_all);
+            assert_eq!(bits(got), bits(&want));
+
+            // Train: two agents' passes accumulate into the same gradients.
+            full.zero_grads();
+            split.zero_grads();
+            for _ in 0..2 {
+                let own = random(batch, own_dim);
+                let input = shared.concat_cols(&own).unwrap();
+                let want = full.forward_scratch(&input, true).clone();
+                let got = split.forward_from_prefix_scratch(&prefix, &shared, &own, true);
+                assert_eq!(bits(got), bits(&want));
+                let grad = random(batch, 3);
+                let want_dx = full.backward_scratch(&grad).split_cols(shared_dim).0;
+                let got_dx = split.backward_cols_scratch(&grad, shared_dim);
+                assert_eq!(bits(got_dx), bits(&want_dx));
+            }
+            assert_eq!(
+                full.grad_sq_norm().to_bits(),
+                split.grad_sq_norm().to_bits()
+            );
+            full.apply(&mut adam_f);
+            split.apply(&mut adam_s);
+            assert_eq!(
+                bits(&Tensor::from_row(&full.export_parameters())),
+                bits(&Tensor::from_row(&split.export_parameters()))
+            );
+        }
+        // No input gradient at all: the shape says so, the parameters'
+        // gradients are still there.
+        let x = random(batch, shared_dim + own_dim);
+        split.zero_grads();
+        split.forward_scratch(&x, true);
+        let none = split.backward_cols_scratch(&random(batch, 3), 0);
+        assert_eq!((none.rows(), none.cols()), (batch, 0));
+        assert!(split.grad_sq_norm() > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "must start with a dense layer")]
+    fn limited_backward_needs_a_dense_first_layer() {
+        let mut net = Mlp::new().push(Relu::new());
+        let x = Tensor::from_row(&[1.0]);
+        net.forward_scratch(&x, true);
+        net.backward_cols_scratch(&x, 0);
     }
 
     #[test]

@@ -98,6 +98,18 @@ impl Tensor {
         self.data.extend_from_slice(&other.data);
     }
 
+    /// Makes `self` `times` copies of `other` stacked row-wise (`times *
+    /// other.rows()` rows), reusing the existing allocation when capacity
+    /// suffices.
+    pub fn repeat_rows_from(&mut self, other: &Tensor, times: usize) {
+        self.rows = times * other.rows;
+        self.cols = other.cols;
+        self.data.clear();
+        for _ in 0..times {
+            self.data.extend_from_slice(&other.data);
+        }
+    }
+
     /// Number of rows (batch size).
     pub fn rows(&self) -> usize {
         self.rows
@@ -170,12 +182,66 @@ impl Tensor {
                 ),
             });
         }
+        self.matmul_rows_into(other, 0, out)
+    }
+
+    /// `self * other[first_row..first_row + self.cols()]` written into `out`
+    /// (resized in place): the product against a band of `other`'s rows, the
+    /// same kernel and summation order as [`matmul_into`](Self::matmul_into).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::ShapeMismatch`] when the band runs past `other`.
+    pub fn matmul_rows_into(
+        &self,
+        other: &Tensor,
+        first_row: usize,
+        out: &mut Tensor,
+    ) -> Result<(), NnError> {
+        out.resize_zeroed(self.rows, other.cols);
+        self.matmul_rows::<false>(other, first_row, out)
+    }
+
+    /// `out += self * other[first_row..first_row + self.cols()]`, each
+    /// element's sum *continuing* from the value `out` holds. Splitting a
+    /// product's inner dimension into
+    /// [`matmul_rows_into`](Self::matmul_rows_into) over the leading band and
+    /// this over the rest is bit-identical to the one-shot
+    /// [`matmul_into`](Self::matmul_into): it is the same ascending chain of
+    /// `f32` additions, merely stored to `out` and reloaded at the split.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::ShapeMismatch`] when the band runs past `other` or
+    /// `out` is not `self.rows() x other.cols()`.
+    pub fn matmul_rows_continue_into(
+        &self,
+        other: &Tensor,
+        first_row: usize,
+        out: &mut Tensor,
+    ) -> Result<(), NnError> {
+        self.matmul_rows::<true>(other, first_row, out)
+    }
+
+    fn matmul_rows<const CONT: bool>(
+        &self,
+        other: &Tensor,
+        first_row: usize,
+        out: &mut Tensor,
+    ) -> Result<(), NnError> {
         let (m, inner, n) = (self.rows, self.cols, other.cols);
-        out.resize_zeroed(m, n);
-        gemm::<false>(
+        if first_row + inner > other.rows || (out.rows, out.cols) != (m, n) {
+            return Err(NnError::ShapeMismatch {
+                detail: format!(
+                    "{m}x{inner} * rows {first_row}.. of {}x{n} into {}x{}",
+                    other.rows, out.rows, out.cols
+                ),
+            });
+        }
+        gemm::<false, CONT>(
             (m, inner, n),
             &self.data,
-            (&other.data, n),
+            (&other.data[first_row * n..], n),
             (&mut out.data, n),
         );
         Ok(())
@@ -211,7 +277,7 @@ impl Tensor {
         }
         let (m, inner, n) = (self.cols, self.rows, other.cols);
         out.resize_zeroed(m, n);
-        gemm::<true>(
+        gemm::<true, false>(
             (m, inner, n),
             &self.data,
             (&other.data, n),
@@ -246,15 +312,34 @@ impl Tensor {
         pack: &mut Vec<f32>,
         out: &mut Tensor,
     ) -> Result<(), NnError> {
-        if self.cols != other.cols {
+        self.matmul_t_rows_into(other, other.rows, pack, out)
+    }
+
+    /// `self * other[..rows]^T`: the first `rows` columns of
+    /// [`matmul_t_into`](Self::matmul_t_into), bit for bit (output elements
+    /// are independent sums), without computing the rest. `rows = 0` yields
+    /// a `self.rows() x 0` tensor and does no arithmetic.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::ShapeMismatch`] when column counts disagree or
+    /// `rows > other.rows()`.
+    pub fn matmul_t_rows_into(
+        &self,
+        other: &Tensor,
+        rows: usize,
+        pack: &mut Vec<f32>,
+        out: &mut Tensor,
+    ) -> Result<(), NnError> {
+        if self.cols != other.cols || rows > other.rows {
             return Err(NnError::ShapeMismatch {
                 detail: format!(
-                    "{}x{} * ({}x{})^T",
+                    "{}x{} * ({rows} rows of {}x{})^T",
                     self.rows, self.cols, other.rows, other.cols
                 ),
             });
         }
-        let (m, inner, n) = (self.rows, self.cols, other.rows);
+        let (m, inner, n) = (self.rows, self.cols, rows);
         out.resize_zeroed(m, n);
         // Every slot the kernel reads is rewritten per panel below.
         pack.resize(NR * inner, 0.0);
@@ -266,7 +351,7 @@ impl Tensor {
                     *slot = w;
                 }
             }
-            gemm::<false>(
+            gemm::<false, false>(
                 (m, inner, width),
                 &self.data,
                 (pack, NR),
@@ -384,31 +469,14 @@ impl Tensor {
             "split at {left_cols} beyond {}",
             self.cols
         );
-        let mut left = Tensor::zeros(0, 0);
-        let mut right = Tensor::zeros(0, 0);
-        self.split_cols_into(left_cols, &mut left, &mut right);
-        (left, right)
-    }
-
-    /// Splits off the first `left_cols` columns into preallocated tensors
-    /// (both resized in place).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `left_cols > self.cols()`.
-    pub fn split_cols_into(&self, left_cols: usize, left: &mut Tensor, right: &mut Tensor) {
-        assert!(
-            left_cols <= self.cols,
-            "split at {left_cols} beyond {}",
-            self.cols
-        );
-        left.resize_zeroed(self.rows, left_cols);
-        right.resize_zeroed(self.rows, self.cols - left_cols);
+        let mut left = Tensor::zeros(self.rows, left_cols);
+        let mut right = Tensor::zeros(self.rows, self.cols - left_cols);
         for r in 0..self.rows {
             let src = self.row(r);
             left.row_mut(r).copy_from_slice(&src[..left_cols]);
             right.row_mut(r).copy_from_slice(&src[left_cols..]);
         }
+        (left, right)
     }
 }
 
@@ -628,6 +696,97 @@ mod tests {
     }
 
     #[test]
+    fn continued_product_bit_identical_to_one_shot_on_every_remainder_class() {
+        let mut rng = Xoshiro256::seed_from_u64(0xc0a7);
+        // Same row/column classes as the sweep above; every split point of
+        // the inner dimension that leaves an empty, one-wide or wide side.
+        // Operands carry the values whose handling a shortcut would change:
+        // zeros that meet an infinity (NaN in the one-shot product, so NaN
+        // here), NaN itself, and -0.0 (a chain restarted from +0.0 instead
+        // of continued would lose the sign of an all-negative-zero sum).
+        let specials = [0.0, -0.0, f32::INFINITY, f32::NAN, f32::MIN_POSITIVE / 2.0];
+        let ns: Vec<usize> = (1..=2 * NR)
+            .chain([4 * NR - 1, 4 * NR, 4 * NR + 1])
+            .collect();
+        let mut want = Tensor::zeros(0, 0);
+        let mut got = Tensor::zeros(0, 0);
+        for m in 1..=2 * MR {
+            for &n in &ns {
+                for (inner, split) in [(1, 0), (1, 1), (12, 1), (12, 11), (75, 64), (75, 0)] {
+                    for special in [false, true] {
+                        let what = format!("{m}x({split}+{})x{n} special={special}", inner - split);
+                        let mut a = random_tensor(&mut rng, m, inner);
+                        let mut b = random_tensor(&mut rng, inner, n);
+                        if special {
+                            for t in [&mut a, &mut b] {
+                                for v in t.as_mut_slice().iter_mut().step_by(3) {
+                                    *v = specials[rng.next_u64() as usize % specials.len()];
+                                }
+                            }
+                        }
+                        let (left, right) = a.split_cols(split);
+                        a.matmul_into(&b, &mut want).unwrap();
+                        left.matmul_rows_into(&b, 0, &mut got).unwrap();
+                        right
+                            .matmul_rows_continue_into(&b, split, &mut got)
+                            .unwrap();
+                        assert_bits_eq(&want, &got, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn continued_product_keeps_an_all_negative_zero_sum() {
+        // (-0.0)·1 + (-0.0)·1 from +0.0 is +0.0; continued from a stored
+        // -0.0 it stays -0.0. The kernel must read `out`, not restart.
+        let a = Tensor::from_row(&[-0.0]);
+        let b = Tensor::from_row(&[1.0]);
+        let mut out = Tensor::from_row(&[-0.0]);
+        a.matmul_rows_continue_into(&b, 0, &mut out).unwrap();
+        assert_eq!(out[(0, 0)].to_bits(), (-0.0f32).to_bits());
+        a.matmul_rows_into(&b, 0, &mut out).unwrap();
+        assert_eq!(out[(0, 0)].to_bits(), 0.0f32.to_bits());
+    }
+
+    #[test]
+    fn band_and_continue_shape_errors() {
+        let a = Tensor::zeros(2, 3);
+        let b = Tensor::zeros(5, 4);
+        let mut out = Tensor::zeros(2, 4);
+        assert!(a.matmul_rows_into(&b, 2, &mut out).is_ok());
+        assert!(a.matmul_rows_into(&b, 3, &mut out).is_err());
+        assert!(a.matmul_rows_continue_into(&b, 3, &mut out).is_err());
+        let mut wrong = Tensor::zeros(2, 3);
+        assert!(a.matmul_rows_continue_into(&b, 0, &mut wrong).is_err());
+        assert!(a
+            .matmul_t_rows_into(&Tensor::zeros(4, 3), 5, &mut Vec::new(), &mut out)
+            .is_err());
+    }
+
+    #[test]
+    fn matmul_t_rows_is_the_leading_columns_of_matmul_t() {
+        let mut rng = Xoshiro256::seed_from_u64(0x7c01);
+        let mut pack = Vec::new();
+        let mut got = Tensor::zeros(0, 0);
+        for m in [1, MR, MR + 1] {
+            let dy = random_tensor(&mut rng, m, 13);
+            let w = random_tensor(&mut rng, 2 * NR + 3, 13);
+            let full = dy.matmul_t(&w).unwrap();
+            for rows in [0, 1, NR - 1, NR, NR + 1, 2 * NR + 3] {
+                dy.matmul_t_rows_into(&w, rows, &mut pack, &mut got)
+                    .unwrap();
+                assert_bits_eq(
+                    &full.split_cols(rows).0,
+                    &got,
+                    &format!("{m} rows, {rows} cols"),
+                );
+            }
+        }
+    }
+
+    #[test]
     fn zero_times_non_finite_reaches_the_output() {
         // No operand is skipped: a zero activation does not mask a poisoned
         // weight. The NaN guards above this crate rely on seeing it.
@@ -659,13 +818,6 @@ mod tests {
         assert_eq!(out, c.matmul_t(&b).unwrap());
         a.concat_cols_into(&c, &mut out).unwrap();
         assert_eq!(out, a.concat_cols(&c).unwrap());
-
-        let mut l = Tensor::zeros(0, 0);
-        let mut r = Tensor::zeros(0, 0);
-        out.split_cols_into(17, &mut l, &mut r);
-        let (wl, wr) = out.split_cols(17);
-        assert_eq!(l, wl);
-        assert_eq!(r, wr);
 
         let mut sums = Vec::new();
         a.sum_rows_into(&mut sums);

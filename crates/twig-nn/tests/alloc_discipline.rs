@@ -1,7 +1,8 @@
 //! Proof that an `Mlp`'s scratch forward/backward passes are allocation-free
 //! in steady state — the activation ping-pong buffers, the gradient
 //! scratches and the transposed-weight pack panel the input-gradient GEMM
-//! reuses (`Tensor::matmul_t_into`) are all sized by the first round.
+//! reuses (`Tensor::matmul_t_into`) are all sized by the first round. The
+//! shared-prefix forwards and the column-limited backward hold to the same.
 //!
 //! Own integration test so the `#[global_allocator]` stays in this binary,
 //! and a single `#[test]` so no concurrent test pollutes the counter.
@@ -69,6 +70,27 @@ fn scratch_forward_backward_rounds_allocate_nothing_after_warm_up() {
         net.zero_grads();
         std::hint::black_box(net.forward_scratch(&input, true));
         std::hint::black_box(net.backward_scratch(&grad));
+    }
+    assert_eq!(count_alloc::allocations_since(before), 0);
+
+    // The same network fed `[shared | own]`: prefix once, then the eval
+    // forward over three row groups, the train forward and the backward
+    // that stops at the shared columns.
+    let (shared, own, own3) = (fill(19, 7), fill(19, 4), fill(57, 4));
+    let mut prefix = Tensor::zeros(0, 0);
+    let mut round = |net: &mut Mlp| {
+        net.zero_grads();
+        net.prefix_into(&shared, &mut prefix);
+        std::hint::black_box(net.forward_batch_from_prefix_scratch(&prefix, &own3));
+        std::hint::black_box(net.forward_from_prefix_scratch(&prefix, &shared, &own, true));
+        std::hint::black_box(net.backward_cols_scratch(&grad, 7));
+    };
+    for _ in 0..3 {
+        round(&mut net);
+    }
+    let before = count_alloc::allocation_count();
+    for _ in 0..100 {
+        round(&mut net);
     }
     assert_eq!(count_alloc::allocations_since(before), 0);
 }

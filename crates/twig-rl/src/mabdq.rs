@@ -373,20 +373,27 @@ impl Net {
     /// packed into `x` (`B × K*state_dim`, agent `k` in columns
     /// `k*state_dim..`); results land in `scratch.q[k][d]` (`B × n_d`
     /// tensors) and every buffer is reused, so steady-state evaluation is
-    /// allocation-free. The `K` head inputs are stacked k-major into one
-    /// `K·B × (trunk_dim + state_dim)` matrix and each *shared* advantage
-    /// head runs exactly once over all of it — one register-tiled GEMM per
-    /// branch per layer instead of `K` per-agent forwards. Value heads keep
-    /// per-agent weights, so they stay `B`-row forwards, but read their rows
-    /// straight out of the stack.
+    /// allocation-free.
+    ///
+    /// Every agent's head input is `[trunk_out | own state]`, and the
+    /// advantage heads' weights are shared across agents, so with `K > 1`
+    /// each advantage head multiplies the trunk columns through its first
+    /// layer once per batch row ([`Mlp::prefix_into`]) and all `K·B` rows
+    /// continue from that prefix over their own `state_dim` columns, stacked
+    /// k-major into one `K·B × state_dim` matrix — one register-tiled GEMM
+    /// per branch per layer instead of `K` per-agent forwards, and the shared
+    /// columns enter it once instead of `K` times. With one agent nothing is
+    /// shared and the head runs on the concatenated input as is. Value heads
+    /// keep per-agent weights, so they stay `B`-row forwards.
     ///
     /// Results are bit-identical to the per-agent reference
     /// ([`q_values_per_agent_into`](Self::q_values_per_agent_into)): the
-    /// GEMM microkernel accumulates `k`-contributions per output element in
-    /// ascending order from `+0.0` whatever tile a row lands in, rows are
-    /// fully independent, bias/ReLU/dueling
-    /// arithmetic is per-row in the same order. The batched layer path never
-    /// touches dropout RNG streams or activation caches, which is what lets
+    /// GEMM microkernel accumulates inner-index contributions per output
+    /// element in ascending order from `+0.0` whatever tile a row lands in,
+    /// a continued product is that same chain picked up where the prefix
+    /// stored it, rows are fully independent, bias/ReLU/dueling arithmetic is
+    /// per-row in the same order. The batched layer path never touches
+    /// dropout RNG streams or activation caches, which is what lets
     /// decisions run between the chunks of a gradient step.
     fn q_values_fused_into(&mut self, x: &Tensor, state_dim: usize, scratch: &mut QScratch) {
         let batch = x.rows();
@@ -402,29 +409,33 @@ impl Net {
         let QScratch {
             input_k,
             stacked,
+            prefix,
             v_all,
             q,
             ..
         } = scratch;
-        stacked.resize_zeroed(agents * batch, trunk_dim + state_dim);
-        for k in 0..agents {
-            for b in 0..batch {
-                let row = stacked.row_mut(k * batch + b);
-                row[..trunk_dim].copy_from_slice(trunk_out.row(b));
-                row[trunk_dim..].copy_from_slice(&x.row(b)[k * state_dim..(k + 1) * state_dim]);
-            }
-        }
         v_all.clear();
         for (k, vh) in value_heads.iter_mut().enumerate() {
             input_k.resize_zeroed(batch, trunk_dim + state_dim);
             for b in 0..batch {
-                input_k
-                    .row_mut(b)
-                    .copy_from_slice(stacked.row(k * batch + b));
+                let row = input_k.row_mut(b);
+                row[..trunk_dim].copy_from_slice(trunk_out.row(b));
+                row[trunk_dim..].copy_from_slice(&x.row(b)[k * state_dim..(k + 1) * state_dim]);
             }
             let v = vh.forward_batch_scratch(input_k);
             for b in 0..batch {
                 v_all.push(v[(b, 0)]);
+            }
+        }
+        let shared_prefix = agents > 1;
+        if shared_prefix {
+            stacked.resize_zeroed(agents * batch, state_dim);
+            for k in 0..agents {
+                for b in 0..batch {
+                    stacked
+                        .row_mut(k * batch + b)
+                        .copy_from_slice(&x.row(b)[k * state_dim..(k + 1) * state_dim]);
+                }
             }
         }
         q.resize_with(agents, Vec::new);
@@ -432,7 +443,13 @@ impl Net {
             branches.resize_with(num_branches, Tensor::default);
         }
         for (d, head) in adv_heads.iter_mut().enumerate() {
-            let adv = head.forward_batch_scratch(stacked);
+            let adv = if shared_prefix {
+                head.prefix_into(trunk_out, prefix);
+                head.forward_batch_from_prefix_scratch(prefix, stacked)
+            } else {
+                // The only agent's head input, left by the value-head loop.
+                head.forward_batch_scratch(input_k)
+            };
             let n_d = adv.cols();
             let n = n_d as f32;
             for (k, branches) in q.iter_mut().enumerate() {
@@ -508,9 +525,12 @@ impl Net {
 struct QScratch {
     agent_state: Tensor,
     input_k: Tensor,
-    /// Fused path: k-major stacked head input (`K·B × (trunk_dim +
-    /// state_dim)`, row `k·B + b` = `[trunk(b) | state_k(b)]`).
+    /// Fused path, `K > 1`: the agents' own states stacked k-major (`K·B ×
+    /// state_dim`, row `k·B + b` = `state_k(b)`).
     stacked: Tensor,
+    /// Fused path, `K > 1`: the current advantage head's first-layer product
+    /// over the trunk columns (`B × head_hidden`), shared by all `K` groups.
+    prefix: Tensor,
     /// Fused path: per-agent state values, flattened `k·B + b`.
     v_all: Vec<f32>,
     /// `q[k][d]`: agent `k`'s Q-values on branch `d` (`B × n_d`).
@@ -682,6 +702,10 @@ struct StepState {
     targets: Vec<f32>,
     /// Train-mode trunk activations for the sampled batch.
     trunk_out: Tensor,
+    /// `K > 1`: each advantage head's first-layer product over `trunk_out`
+    /// (weights are fixed until the epilogue), which every agent's
+    /// train-mode forward of that head continues from.
+    adv_prefix: Vec<Tensor>,
     /// Trunk gradient accumulated across completed head passes.
     trunk_grad: Tensor,
     /// Weighted TD loss accumulated so far.
@@ -699,9 +723,9 @@ struct StepState {
     input_k: Tensor,
     v_grad: Tensor,
     adv_grad: Tensor,
+    /// This agent's gradient with respect to `trunk_out`, summed over its
+    /// heads (the heads never compute the state columns' share).
     input_grad: Tensor,
-    to_trunk: Tensor,
-    to_state: Tensor,
 }
 
 impl MaBdq {
@@ -1506,6 +1530,12 @@ impl MaBdq {
             .copy_from(self.online.trunk.forward_scratch(&step.x, true));
         step.trunk_grad
             .resize_zeroed(batch_size, step.trunk_out.cols());
+        if agents > 1 {
+            step.adv_prefix.resize_with(num_branches, Tensor::default);
+            for (head, prefix) in self.online.adv_heads.iter().zip(&mut step.adv_prefix) {
+                head.prefix_into(&step.trunk_out, prefix);
+            }
+        }
         step.abs_td.clear();
         step.abs_td.resize(batch_size, 0.0);
         step.agent_td.clear();
@@ -1549,12 +1579,21 @@ impl MaBdq {
             .concat_cols_into(&step.agent_state, &mut step.input_k)
             .expect("same batch");
         let v = vh.forward_scratch(&step.input_k, true);
+        let trunk_dim = step.trunk_out.cols();
         step.v_grad.resize_zeroed(batch_size, 1);
-        step.input_grad
-            .resize_zeroed(batch_size, step.input_k.cols());
+        step.input_grad.resize_zeroed(batch_size, trunk_dim);
 
         for (d, head) in self.online.adv_heads.iter_mut().enumerate() {
-            let adv = head.forward_scratch(&step.input_k, true);
+            let adv = if agents > 1 {
+                head.forward_from_prefix_scratch(
+                    &step.adv_prefix[d],
+                    &step.trunk_out,
+                    &step.agent_state,
+                    true,
+                )
+            } else {
+                head.forward_scratch(&step.input_k, true)
+            };
             let n = adv.cols();
             step.adv_grad.resize_zeroed(batch_size, n);
             for b in 0..batch_size {
@@ -1577,21 +1616,16 @@ impl MaBdq {
                 }
                 step.v_grad[(b, 0)] += g;
             }
-            let gin = head.backward_scratch(&step.adv_grad);
+            let gin = head.backward_cols_scratch(&step.adv_grad, trunk_dim);
             step.input_grad.add_assign(gin).expect("same shape");
         }
-        let gin_v = vh.backward_scratch(&step.v_grad);
+        let gin_v = vh.backward_cols_scratch(&step.v_grad, trunk_dim);
         step.input_grad.add_assign(gin_v).expect("same shape");
         if quarantine_on {
             step.agent_vgrad[k] = f64::from(vh.grad_sq_norm());
         }
-        step.input_grad.split_cols_into(
-            step.trunk_out.cols(),
-            &mut step.to_trunk,
-            &mut step.to_state,
-        );
         step.trunk_grad
-            .add_assign(&step.to_trunk)
+            .add_assign(&step.input_grad)
             .expect("same shape");
     }
 
@@ -1610,7 +1644,10 @@ impl MaBdq {
             head.scale_grads(1.0 / agents as f32);
         }
         self.step.trunk_grad.scale(1.0 / num_branches as f32);
-        self.online.trunk.backward_scratch(&self.step.trunk_grad);
+        // The trunk's input is data: nobody reads a gradient for it.
+        self.online
+            .trunk
+            .backward_cols_scratch(&self.step.trunk_grad, 0);
 
         let loss = self.step.loss;
         let mean_abs_td = (self.step.abs_td.iter().sum::<f64>() / batch_size as f64) as f32;
@@ -2392,6 +2429,65 @@ mod tests {
     }
 
     #[test]
+    fn quarantined_agent_head_pass_draws_nothing() {
+        // A frozen agent's head pass must leave the networks exactly as
+        // they were — dropout RNG streams of the shared advantage heads
+        // included, or the other agents' masks would shift — and add no
+        // loss, gradient or priority. The Debug rendering covers every
+        // field of every layer.
+        let mut agent = MaBdq::new(MaBdqConfig {
+            dropout: 0.25,
+            ..quarantine_test_config(3)
+        })
+        .unwrap();
+        for _ in 0..16 {
+            agent.observe(normal_transition(3)).unwrap();
+        }
+        agent.guards[1].frozen_until = u64::MAX;
+        assert!(agent.begin_step().unwrap());
+        agent.head_pass();
+        let nets = format!("{:?}", agent.online);
+        let (loss, abs_td, trunk_grad) = (
+            agent.step.loss,
+            agent.step.abs_td.clone(),
+            agent.step.trunk_grad.clone(),
+        );
+        agent.head_pass();
+        assert_eq!(agent.step.next_agent, 2);
+        assert_eq!(format!("{:?}", agent.online), nets);
+        assert_eq!(agent.step.loss.to_bits(), loss.to_bits());
+        assert_eq!(agent.step.abs_td, abs_td);
+        assert_eq!(agent.step.trunk_grad, trunk_grad);
+        // The next live agent does draw.
+        agent.head_pass();
+        assert_ne!(format!("{:?}", agent.online), nets);
+    }
+
+    #[test]
+    fn one_agent_takes_the_unsplit_path() {
+        // With one agent nothing is shared, so no prefix and no state stack
+        // are ever built; with two, both the gradient step and the decide
+        // path build them.
+        for (agents, split) in [(1, false), (2, true)] {
+            let mut agent = MaBdq::new(tiny_config(agents)).unwrap();
+            for _ in 0..16 {
+                agent.observe(normal_transition(agents)).unwrap();
+            }
+            agent.train_step().unwrap().expect("batch full");
+            agent.q_values(&vec![vec![0.2, -0.3]; agents]).unwrap();
+            assert_eq!(!agent.step.adv_prefix.is_empty(), split);
+            for scratch in [
+                &agent.step.q_online,
+                &agent.step.q_target,
+                &agent.scratch.q_eval,
+            ] {
+                assert_eq!(scratch.stacked.rows() > 0, split);
+                assert_eq!(scratch.prefix.rows() > 0, split);
+            }
+        }
+    }
+
+    #[test]
     fn quarantine_config_validation() {
         for bad in [
             QuarantineConfig {
@@ -2444,10 +2540,11 @@ mod tests {
     #[test]
     fn fused_targets_match_per_agent_reference_at_training_shape() {
         // The double-DQN targets run on the fused forward at B = 64; at
-        // K = 24 the stacked advantage-head GEMM is 1536 rows by 75 deep,
-        // many of the kernel's 16-row, 64-deep blocks, where the B = 1
-        // decide tests stay inside one. Every Q-value must equal the
-        // per-agent reference bit-for-bit.
+        // K = 24 each advantage head's first layer is a 64-row prefix over
+        // the 64 trunk columns, then 1536 stacked rows continuing it over
+        // their own 11 — many full tiles plus remainders, where the B = 1
+        // decide tests are one short row band. Every Q-value must equal the
+        // per-agent reference (one-shot 75-deep products) bit-for-bit.
         let config = MaBdqConfig {
             agents: 24,
             ..MaBdqConfig::default()

@@ -47,9 +47,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-fn config() -> MaBdqConfig {
+fn config(agents: usize) -> MaBdqConfig {
     MaBdqConfig {
-        agents: 2,
+        agents,
         state_dim: 4,
         branches: vec![5, 3],
         trunk_hidden: vec![32, 24],
@@ -65,13 +65,13 @@ fn config() -> MaBdqConfig {
     }
 }
 
-fn transition(step: usize) -> MultiTransition {
+fn transition(agents: usize, step: usize) -> MultiTransition {
     let f = step as f32 * 0.01;
     MultiTransition {
-        states: vec![vec![f, -f, 0.5, 1.0 - f]; 2],
-        actions: vec![vec![step % 5, step % 3]; 2],
-        rewards: vec![f.sin(), -f.sin()],
-        next_states: vec![vec![f + 0.01, -f, 0.5, 0.99 - f]; 2],
+        states: vec![vec![f, -f, 0.5, 1.0 - f]; agents],
+        actions: vec![vec![step % 5, step % 3]; agents],
+        rewards: (0..agents).map(|k| f.sin() * (1.0 - k as f32)).collect(),
+        next_states: vec![vec![f + 0.01, -f, 0.5, 0.99 - f]; agents],
     }
 }
 
@@ -120,46 +120,51 @@ fn hot_path_is_allocation_free_in_steady_state() {
         count_alloc::counter_armed(),
         "counting allocator not installed"
     );
-    let mut agent = MaBdq::new(config()).unwrap();
-    for i in 0..64 {
-        agent.observe(transition(i)).unwrap();
-    }
+    // Two agents share the advantage heads' trunk-column prefix; one agent
+    // has nothing to share and takes the unsplit forwards. Both are hot
+    // paths (Twig-C and Twig-S).
+    for agents in [2, 1] {
+        let mut agent = MaBdq::new(config(agents)).unwrap();
+        for i in 0..64 {
+            agent.observe(transition(agents, i)).unwrap();
+        }
 
-    // Warm-up: sizes every scratch buffer (NN scratch, PER batch, Adam
-    // moment vectors, reusable action/Q output buffers) and arms the
-    // fixed-point fallback snapshot, whose first build allocates.
-    let mut out = Decides {
-        states: vec![vec![0.1, 0.2, 0.3, 0.4]; 2],
-        actions: Vec::new(),
-        actions_unfused: Vec::new(),
-        actions_quant: Vec::new(),
-        q_out: Vec::new(),
-    };
-    agent.refresh_quantized().unwrap();
-    for _ in 0..3 {
-        epoch(&mut agent, &mut out);
-    }
+        // Warm-up: sizes every scratch buffer (NN scratch, PER batch, Adam
+        // moment vectors, reusable action/Q output buffers) and arms the
+        // fixed-point fallback snapshot, whose first build allocates.
+        let mut out = Decides {
+            states: vec![vec![0.1, 0.2, 0.3, 0.4]; agents],
+            actions: Vec::new(),
+            actions_unfused: Vec::new(),
+            actions_quant: Vec::new(),
+            q_out: Vec::new(),
+        };
+        agent.refresh_quantized().unwrap();
+        for _ in 0..3 {
+            epoch(&mut agent, &mut out);
+        }
 
-    // Steady state: ten epochs of learn + decide, zero allocations. The
-    // window covers several target-network syncs (every 3 steps), each of
-    // which also re-quantizes the armed fallback snapshot in place, plus
-    // the fused, per-agent reference, and fixed-point decision paths, both
-    // after a step and between the chunks of a budgeted one.
-    let start = count_alloc::allocation_count();
-    for _ in 0..10 {
-        epoch(&mut agent, &mut out);
-    }
-    let delta = count_alloc::allocations_since(start);
-    assert_eq!(
-        delta, 0,
-        "hot path allocated {delta} times across 10 steady-state epochs"
-    );
+        // Steady state: ten epochs of learn + decide, zero allocations. The
+        // window covers several target-network syncs (every 3 steps), each
+        // of which also re-quantizes the armed fallback snapshot in place,
+        // plus the fused, per-agent reference, and fixed-point decision
+        // paths, both after a step and between the chunks of a budgeted one.
+        let start = count_alloc::allocation_count();
+        for _ in 0..10 {
+            epoch(&mut agent, &mut out);
+        }
+        let delta = count_alloc::allocations_since(start);
+        assert_eq!(
+            delta, 0,
+            "K = {agents}: hot path allocated {delta} times across 10 steady-state epochs"
+        );
 
-    // Sanity: the agent is still actually learning (steps advanced) and
-    // the outputs are live.
-    assert!(agent.steps() >= 26);
-    assert_eq!(out.actions.len(), 2);
-    assert_eq!(out.actions_quant.len(), 2);
-    assert_eq!(out.q_out.len(), 2);
-    assert!(agent.quantized_ready());
+        // Sanity: the agent is still actually learning (steps advanced) and
+        // the outputs are live.
+        assert!(agent.steps() >= 26);
+        assert_eq!(out.actions.len(), agents);
+        assert_eq!(out.actions_quant.len(), agents);
+        assert_eq!(out.q_out.len(), agents);
+        assert!(agent.quantized_ready());
+    }
 }

@@ -512,7 +512,7 @@ impl Server {
         // assignment), clamp its DVFS setting or drop offline cores; with
         // no (or an all-zero) plan the request is applied verbatim and no
         // RNG stream is touched.
-        CorePlan::from_assignments(assignments, &self.config)?; // validate request
+        let requested = CorePlan::from_assignments(assignments, &self.config)?; // validates the request
         let faults_on = self.fault.as_ref().is_some_and(FaultPlan::enabled);
         let actuation: Vec<AppliedAssignment> = if faults_on {
             let plan = self.fault.as_mut().expect("fault plan present");
@@ -541,7 +541,12 @@ impl Server {
             .collect();
         let assignments = &applied[..];
 
-        let plan = CorePlan::from_assignments(assignments, &self.config)?;
+        // Without faults what is applied is the request, whose plan exists.
+        let plan = if faults_on {
+            CorePlan::from_assignments(assignments, &self.config)?
+        } else {
+            requested
+        };
         let t0 = self.time_s as f64;
         let t1 = t0 + 1.0;
 
@@ -613,7 +618,7 @@ impl Server {
 
             // Tail latency, folding drops and client timeouts in as hard
             // misses.
-            let mut latencies = stats.latencies_ms.clone();
+            let mut latencies = stats.latencies_ms;
             let drop_count = (stats.dropped as usize).min(5000);
             latencies.extend(std::iter::repeat_n(spec.qos_ms * 100.0, drop_count));
             let timeout_count = (stats.timed_out as usize).min(5000);
