@@ -137,7 +137,7 @@ pub enum PmcFaultKind {
 }
 
 /// What actually happened to one service's requested assignment.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct AppliedAssignment {
     /// The cores the platform actually ran the service on this epoch.
     pub cores: Vec<CoreId>,
@@ -149,6 +149,33 @@ pub struct AppliedAssignment {
     pub clamped: bool,
     /// Requested cores dropped because they were offline this epoch.
     pub cores_lost_offline: usize,
+}
+
+// By hand for `clone_from`: the server refreshes its record of what each
+// service last ran on every epoch, into the core list it already holds.
+impl Clone for AppliedAssignment {
+    fn clone(&self) -> Self {
+        AppliedAssignment {
+            cores: self.cores.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        // Destructured so that a new field fails to compile here.
+        let AppliedAssignment {
+            cores,
+            freq,
+            rejected,
+            clamped,
+            cores_lost_offline,
+        } = source;
+        self.cores.clone_from(cores);
+        self.freq = *freq;
+        self.rejected = *rejected;
+        self.clamped = *clamped;
+        self.cores_lost_offline = *cores_lost_offline;
+    }
 }
 
 impl AppliedAssignment {
@@ -259,8 +286,8 @@ impl FaultPlan {
             && !self.offline.is_empty()
             && self.rng.next_bool(self.config.core_repair_rate)
         {
-            let victims: Vec<CoreId> = self.offline.iter().copied().collect();
-            let back = victims[self.rng.range_usize(0, victims.len())];
+            let pick = self.rng.range_usize(0, self.offline.len());
+            let back = *self.offline.iter().nth(pick).expect("pick below len");
             self.offline.remove(&back);
         }
         if self.config.core_fail_rate > 0.0
@@ -271,12 +298,17 @@ impl FaultPlan {
                     .min(total_cores.saturating_sub(1))
             && self.rng.next_bool(self.config.core_fail_rate)
         {
-            let online: Vec<CoreId> = (0..total_cores)
-                .map(CoreId)
-                .filter(|c| !self.offline.contains(c))
-                .collect();
-            if online.len() > 1 {
-                let victim = online[self.rng.range_usize(0, online.len())];
+            let offline = &self.offline;
+            let online = || {
+                (0..total_cores)
+                    .map(CoreId)
+                    .filter(|c| !offline.contains(c))
+            };
+            let count = online().count();
+            if count > 1 {
+                let victim = online()
+                    .nth(self.rng.range_usize(0, count))
+                    .expect("pick below count");
                 self.offline.insert(victim);
             }
         }

@@ -61,7 +61,7 @@ pub use faultstore::{StoreFaultConfig, StoreFaultKind, StoreFaultPlan};
 pub use load::LoadGenerator;
 pub use pmc::{CounterId, PmcSample, NUM_COUNTERS};
 pub use power::PowerModel;
-pub use queue::{EpochQueueStats, ServiceQueue};
+pub use queue::{EpochQueueCounts, EpochQueueStats, ServiceQueue};
 pub use server::{Assignment, CorePlan, EpochReport, Server, ServerConfig, ServiceEpoch};
 pub use service::ServiceSpec;
 pub use timing::{EpochTimings, TimingFaultConfig, TimingFaultPlan};

@@ -45,12 +45,32 @@ struct InFlight {
 /// memory, and drops are reported so callers can fold them into the tail.
 const BACKLOG_CAP: usize = 50_000;
 
-/// Per-epoch results of [`ServiceQueue::run_epoch`].
+/// Per-epoch results of [`ServiceQueue::run_epoch`]: the completion
+/// latencies plus the fields of [`EpochQueueCounts`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EpochQueueStats {
-    /// Latencies (ms) of the requests that *completed* during the epoch.
+    /// Latencies (ms) of the requests that *completed* during the epoch, in
+    /// completion order.
     pub latencies_ms: Vec<f64>,
     /// Number of completed requests.
+    pub completed: usize,
+    /// Arrivals dropped because the backlog was saturated.
+    pub dropped: u64,
+    /// Seconds the (aggregate) server was busy within the epoch.
+    pub busy_s: f64,
+    /// Requests still queued at the end of the epoch.
+    pub queue_len: usize,
+    /// Requests that arrived during the epoch.
+    pub arrivals: usize,
+    /// Requests abandoned by their clients after waiting `timeout_s`.
+    pub timed_out: u64,
+}
+
+/// Per-epoch counts of [`ServiceQueue::run_epoch_into`], whose latencies go
+/// to the caller's buffer.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct EpochQueueCounts {
+    /// Number of completed requests (latencies appended to the sink).
     pub completed: usize,
     /// Arrivals dropped because the backlog was saturated.
     pub dropped: u64,
@@ -75,6 +95,7 @@ impl ServiceQueue {
         self.backlog.clear();
         self.free_at = 0.0;
         self.in_flight = None;
+        self.dropped_total = 0;
     }
 
     /// Current backlog length.
@@ -82,7 +103,8 @@ impl ServiceQueue {
         self.backlog.len()
     }
 
-    /// Total arrivals ever dropped due to backlog saturation.
+    /// Arrivals dropped due to backlog saturation since creation or the last
+    /// [`reset`](Self::reset).
     pub fn dropped_total(&self) -> u64 {
         self.dropped_total
     }
@@ -106,7 +128,8 @@ impl ServiceQueue {
         cv: f64,
         rng: &mut R,
     ) -> EpochQueueStats {
-        self.run_epoch_with_timeout(
+        let mut latencies_ms = Vec::new();
+        let counts = self.run_epoch_into(
             t0,
             t1,
             arrival_rate,
@@ -114,21 +137,36 @@ impl ServiceQueue {
             cv,
             f64::INFINITY,
             rng,
-        )
+            &mut latencies_ms,
+        );
+        EpochQueueStats {
+            latencies_ms,
+            completed: counts.completed,
+            dropped: counts.dropped,
+            busy_s: counts.busy_s,
+            queue_len: counts.queue_len,
+            arrivals: counts.arrivals,
+            timed_out: counts.timed_out,
+        }
     }
 
-    /// Like [`run_epoch`](Self::run_epoch), but requests that have waited
-    /// longer than `timeout_s` are abandoned by their client: the server
-    /// skips them, and each is recorded as one `timeout_s` latency sample
-    /// (a guaranteed QoS violation) in `timed_out`. This bounds how long an
-    /// under-provisioning mistake can poison the queue — exactly what a real
-    /// load generator's client timeouts do.
+    /// [`run_epoch`](Self::run_epoch) with a client timeout, appending the
+    /// completion latencies (ms, in completion order) to `latencies_ms`
+    /// instead of returning them, so a caller stepping many epochs reuses
+    /// one buffer.
+    ///
+    /// Requests that have waited longer than `timeout_s` are abandoned by
+    /// their client: the server skips them and each is counted in
+    /// `timed_out` (a guaranteed QoS violation for the caller to fold into
+    /// the tail). This bounds how long an under-provisioning mistake can
+    /// poison the queue — exactly what a real load generator's client
+    /// timeouts do.
     ///
     /// # Panics
     ///
     /// Panics if `t1 <= t0` or any parameter is negative/NaN.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_epoch_with_timeout<R: Rng>(
+    pub fn run_epoch_into<R: Rng>(
         &mut self,
         t0: f64,
         t1: f64,
@@ -137,13 +175,15 @@ impl ServiceQueue {
         cv: f64,
         timeout_s: f64,
         rng: &mut R,
-    ) -> EpochQueueStats {
+        latencies_ms: &mut Vec<f64>,
+    ) -> EpochQueueCounts {
         assert!(t1 > t0, "epoch [{t0}, {t1}) is empty");
         assert!(
             arrival_rate >= 0.0 && mean_duration_ms >= 0.0 && cv >= 0.0 && timeout_s > 0.0,
             "negative queue parameters"
         );
-        let mut stats = EpochQueueStats::default();
+        let mut stats = EpochQueueCounts::default();
+        let already = latencies_ms.len();
 
         // Arrivals for this epoch (Poisson process).
         if arrival_rate > 0.0 {
@@ -168,9 +208,7 @@ impl ServiceQueue {
         // The request left in service at the previous epoch boundary.
         if let Some(inflight) = self.in_flight {
             if inflight.completion <= t1 {
-                stats
-                    .latencies_ms
-                    .push((inflight.completion - inflight.arrival) * 1000.0);
+                latencies_ms.push((inflight.completion - inflight.arrival) * 1000.0);
                 self.in_flight = None;
             }
         }
@@ -194,7 +232,7 @@ impl ServiceQueue {
                 self.free_at = completion;
                 stats.busy_s += completion.min(t1) - start;
                 if completion <= t1 {
-                    stats.latencies_ms.push((completion - arrival) * 1000.0);
+                    latencies_ms.push((completion - arrival) * 1000.0);
                 } else {
                     self.in_flight = Some(InFlight {
                         arrival,
@@ -216,7 +254,7 @@ impl ServiceQueue {
             }
         }
 
-        stats.completed = stats.latencies_ms.len();
+        stats.completed = latencies_ms.len() - already;
         stats.queue_len = self.backlog.len();
         stats.busy_s = stats.busy_s.min(t1 - t0);
         stats
@@ -341,10 +379,13 @@ mod tests {
     fn reset_clears_state() {
         let mut q = ServiceQueue::new();
         let mut r = rng(4);
-        q.run_epoch(0.0, 1.0, 2000.0, 5.0, 0.5, &mut r);
+        // More arrivals in one epoch than the backlog holds.
+        q.run_epoch(0.0, 1.0, 60_000.0, 5.0, 0.5, &mut r);
         assert!(q.queue_len() > 0);
+        assert!(q.dropped_total() > 0);
         q.reset();
         assert_eq!(q.queue_len(), 0);
+        assert_eq!(q.dropped_total(), 0);
         let s = q.run_epoch(5.0, 6.0, 0.0, 1.0, 0.5, &mut r);
         assert_eq!(s.completed, 0);
     }
@@ -361,6 +402,75 @@ mod tests {
         assert!(dropped > 0, "cap never hit");
         assert_eq!(q.dropped_total(), dropped);
         assert!(q.queue_len() <= BACKLOG_CAP);
+    }
+
+    /// What `Server::step` reads off an epoch's latencies, on the real thing:
+    /// completion-order samples (long ascending runs under load) with the
+    /// drop and time-out fillers appended.
+    #[test]
+    fn tail_selection_and_mean_on_completion_order_latencies() {
+        // (arrival rate, mean duration ms, timeout s): light load, sustained
+        // overload that saturates the backlog, overload with client timeouts.
+        let regimes = [
+            (800.0, 0.5, f64::INFINITY),
+            (30_000.0, 0.2, f64::INFINITY),
+            (3_000.0, 1.0, 2.0),
+        ];
+        for (seed, (rate, duration_ms, timeout_s)) in regimes.into_iter().enumerate() {
+            let mut q = ServiceQueue::new();
+            let mut r = rng(40 + seed as u64);
+            let mut latencies = Vec::new();
+            let (mut dropped, mut timed_out) = (0, 0);
+            for e in 0..12 {
+                latencies.clear();
+                let (t0, t1) = (e as f64, e as f64 + 1.0);
+                let stats = q.run_epoch_into(
+                    t0,
+                    t1,
+                    rate,
+                    duration_ms,
+                    0.6,
+                    timeout_s,
+                    &mut r,
+                    &mut latencies,
+                );
+                assert_eq!(stats.completed, latencies.len());
+                dropped += stats.dropped;
+                timed_out += stats.timed_out;
+                latencies.extend(std::iter::repeat_n(139.0, stats.dropped.min(5000) as usize));
+                latencies.extend(std::iter::repeat_n(
+                    2000.0,
+                    stats.timed_out.min(5000) as usize,
+                ));
+                assert!(latencies.len() > 100, "regime {seed} epoch {e}");
+
+                let mut ascending = latencies.clone();
+                ascending.sort_by(f64::total_cmp);
+                let in_completion_order = latencies.iter().sum::<f64>();
+                let in_ascending_order = ascending.iter().sum::<f64>();
+                assert!(
+                    (in_completion_order - in_ascending_order).abs()
+                        <= 1e-12 * in_ascending_order.abs(),
+                    "regime {seed} epoch {e}: {in_completion_order} vs {in_ascending_order}"
+                );
+                for p in [50.0, 99.0, 99.9] {
+                    let mut scratch = latencies.clone();
+                    assert_eq!(
+                        twig_stats::percentile(&mut scratch, p).unwrap().to_bits(),
+                        twig_stats::percentile_sorted(&ascending, p)
+                            .unwrap()
+                            .to_bits(),
+                        "regime {seed} epoch {e} p{p}"
+                    );
+                }
+            }
+            assert_eq!(dropped > 0, seed == 1, "regime {seed} dropped {dropped}");
+            assert_eq!(
+                timed_out > 0,
+                seed == 2,
+                "regime {seed} timed out {timed_out}"
+            );
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@ use crate::pmc::{self, Activity, PmcSample};
 use crate::queue::ServiceQueue;
 use crate::timing::{EpochTimings, TimingFaultPlan};
 use crate::{CoreId, DvfsLadder, Frequency, LoadGenerator, PowerModel, ServiceSpec, SimError};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use twig_stats::rng::Xoshiro256;
 use twig_telemetry::{Phase, Telemetry};
 
@@ -146,17 +146,20 @@ impl Assignment {
 /// When assignments overlap on a core, the core runs at the *highest*
 /// requested frequency and is time-shared equally — the arbitration rule of
 /// Section IV.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Stored as one flat claim table, so [`Server::step`] re-resolves it every
+/// epoch into the same three buffers.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CorePlan {
-    /// Per core: `None` if parked, otherwise the frequency and the sharing
-    /// services (index, share).
-    states: Vec<Option<CoreState>>,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-struct CoreState {
-    freq: Frequency,
-    claims: Vec<(usize, f64)>,
+    services: usize,
+    /// Per core: the highest frequency any claimant requested (meaningless
+    /// while the core is parked).
+    freq: Vec<Frequency>,
+    /// Per core: how many claims share it (0 = parked).
+    claimants: Vec<u32>,
+    /// Core-major `cores × services`: how many times each service claims
+    /// each core (a core listed twice in one assignment is two claims).
+    claims: Vec<u32>,
 }
 
 impl CorePlan {
@@ -170,50 +173,71 @@ impl CorePlan {
         assignments: &[Assignment],
         config: &ServerConfig,
     ) -> Result<Self, SimError> {
-        let mut claimants: Vec<Vec<(usize, Frequency)>> = vec![Vec::new(); config.cores];
-        for (svc, a) in assignments.iter().enumerate() {
-            config.dvfs.index_of(a.freq)?;
-            for &core in &a.cores {
-                if core.index() >= config.cores {
+        let mut plan = CorePlan::default();
+        plan.resolve(assignments.iter().map(|a| (&a.cores[..], a.freq)), config)?;
+        Ok(plan)
+    }
+
+    /// [`from_assignments`](Self::from_assignments) into `self`, one
+    /// `(cores, frequency)` request per service. On error the table is left
+    /// half-filled and must be resolved again before it is read.
+    fn resolve<'a>(
+        &mut self,
+        requests: impl ExactSizeIterator<Item = (&'a [CoreId], Frequency)>,
+        config: &ServerConfig,
+    ) -> Result<(), SimError> {
+        self.services = requests.len();
+        self.freq.clear();
+        self.freq.resize(config.cores, config.dvfs.min());
+        self.claimants.clear();
+        self.claimants.resize(config.cores, 0);
+        self.claims.clear();
+        self.claims.resize(config.cores * self.services, 0);
+        for (svc, (cores, freq)) in requests.enumerate() {
+            config.dvfs.index_of(freq)?;
+            for &core in cores {
+                let c = core.index();
+                if c >= config.cores {
                     return Err(SimError::UnknownCore {
-                        core: core.index(),
+                        core: c,
                         count: config.cores,
                     });
                 }
-                claimants[core.index()].push((svc, a.freq));
+                self.freq[c] = if self.claimants[c] == 0 {
+                    freq
+                } else {
+                    self.freq[c].max(freq)
+                };
+                self.claimants[c] += 1;
+                self.claims[c * self.services + svc] += 1;
             }
         }
-        let states = claimants
-            .into_iter()
-            .map(|claims| {
-                if claims.is_empty() {
-                    return None;
-                }
-                let freq = claims.iter().map(|&(_, f)| f).max().expect("non-empty");
-                let share = 1.0 / claims.len() as f64;
-                Some(CoreState {
-                    freq,
-                    claims: claims.into_iter().map(|(svc, _)| (svc, share)).collect(),
-                })
-            })
-            .collect();
-        Ok(CorePlan { states })
+        Ok(())
+    }
+
+    /// Per service: how many claims it holds on core `c`.
+    fn claims_on(&self, c: usize) -> &[u32] {
+        &self.claims[c * self.services..(c + 1) * self.services]
     }
 
     /// `(cpu_rate, effective_cores, max_core_speed)` for one service:
-    /// `cpu_rate = Σ share × f_rel`, `effective_cores = Σ share`.
+    /// `cpu_rate = Σ share × f_rel`, `effective_cores = Σ share`, over its
+    /// claims in ascending core order.
     pub fn service_capacity(&self, svc: usize, dvfs: &DvfsLadder) -> (f64, f64, f64) {
         let mut cpu_rate = 0.0;
         let mut eff = 0.0;
         let mut max_speed: f64 = 0.0;
-        for state in self.states.iter().flatten() {
-            for &(s, share) in &state.claims {
-                if s == svc {
-                    let rel = dvfs.relative_speed(state.freq);
-                    cpu_rate += share * rel;
-                    eff += share;
-                    max_speed = max_speed.max(rel * share);
-                }
+        for (c, &claimants) in self.claimants.iter().enumerate() {
+            let mine = self.claims_on(c).get(svc).copied().unwrap_or(0);
+            if mine == 0 {
+                continue;
+            }
+            let share = 1.0 / f64::from(claimants);
+            let rel = dvfs.relative_speed(self.freq[c]);
+            for _ in 0..mine {
+                cpu_rate += share * rel;
+                eff += share;
+                max_speed = max_speed.max(rel * share);
             }
         }
         (cpu_rate, eff, max_speed)
@@ -221,7 +245,26 @@ impl CorePlan {
 
     /// Number of active (non-parked) cores.
     pub fn active_cores(&self) -> usize {
-        self.states.iter().filter(|s| s.is_some()).count()
+        self.claimants.iter().filter(|&&n| n > 0).count()
+    }
+
+    /// Appends each active core's frequency and utilisation — the
+    /// share-weighted busy fraction of the services on it, summed in service
+    /// order — to `active`, in ascending core order.
+    fn utilisations(&self, busy: &[f64], active: &mut Vec<(Frequency, f64)>) {
+        for (c, &claimants) in self.claimants.iter().enumerate() {
+            if claimants == 0 {
+                continue;
+            }
+            let share = 1.0 / f64::from(claimants);
+            let util: f64 = self
+                .claims_on(c)
+                .iter()
+                .zip(busy)
+                .flat_map(|(&n, &b)| std::iter::repeat_n(share * b, n as usize))
+                .sum();
+            active.push((self.freq[c], util.clamp(0.0, 1.0)));
+        }
     }
 }
 
@@ -294,7 +337,9 @@ pub struct Server {
     specs: Vec<ServiceSpec>,
     loads: Vec<LoadGenerator>,
     queues: Vec<ServiceQueue>,
-    prev_cores: Vec<BTreeSet<CoreId>>,
+    /// Core-major `cores × services`, like [`CorePlan`]'s claims: whether
+    /// the service ran on the core last epoch (migration accounting).
+    mapped: Vec<bool>,
     time_s: u64,
     energy_j: f64,
     rng: Xoshiro256,
@@ -305,6 +350,45 @@ pub struct Server {
     last_pmcs: Vec<PmcSample>,
     pmc_history: Vec<VecDeque<PmcSample>>,
     telemetry: Telemetry,
+    metric_keys: Vec<MetricKeys>,
+    scratch: EpochScratch,
+}
+
+/// What one epoch computes on its way to the report. The server keeps one
+/// set and [`Server::step`] refills it, so a steady-state step allocates
+/// nothing but the [`EpochReport`] it returns.
+#[derive(Debug, Clone, Default)]
+struct EpochScratch {
+    plan: CorePlan,
+    /// One service's completion latencies plus its drop and time-out
+    /// fillers; cleared per service, grown to the largest epoch seen.
+    latencies: Vec<f64>,
+    fractions: Vec<f64>,
+    rates: Vec<f64>,
+    migrated: Vec<usize>,
+    busy: Vec<f64>,
+    active: Vec<(Frequency, f64)>,
+}
+
+/// One service's telemetry metric names, formatted when the service is
+/// installed instead of four times per armed epoch.
+#[derive(Debug, Clone)]
+struct MetricKeys {
+    p99_ms: String,
+    load: String,
+    dropped: String,
+    qos_violations: String,
+}
+
+impl MetricKeys {
+    fn new(service: &str) -> Self {
+        MetricKeys {
+            p99_ms: format!("sim.p99_ms.{service}"),
+            load: format!("sim.load.{service}"),
+            dropped: format!("sim.dropped.{service}"),
+            qos_violations: format!("sim.qos_violations.{service}"),
+        }
+    }
 }
 
 impl Server {
@@ -327,11 +411,12 @@ impl Server {
         }
         let n = specs.len();
         Ok(Server {
+            mapped: vec![false; config.cores * n],
+            metric_keys: specs.iter().map(|s| MetricKeys::new(&s.name)).collect(),
             config,
             specs,
             loads: vec![LoadGenerator::default(); n],
             queues: vec![ServiceQueue::new(); n],
-            prev_cores: vec![BTreeSet::new(); n],
             time_s: 0,
             energy_j: 0.0,
             rng: Xoshiro256::seed_from_u64(seed),
@@ -342,6 +427,7 @@ impl Server {
             last_pmcs: vec![PmcSample::zero(); n],
             pmc_history: vec![VecDeque::new(); n],
             telemetry: Telemetry::disabled(),
+            scratch: EpochScratch::default(),
         })
     }
 
@@ -483,9 +569,12 @@ impl Server {
             });
         }
         spec.validate()?;
+        self.metric_keys[index] = MetricKeys::new(&spec.name);
         self.specs[index] = spec;
         self.queues[index].reset();
-        self.prev_cores[index].clear();
+        for on in self.mapped.iter_mut().skip(index).step_by(self.specs.len()) {
+            *on = false;
+        }
         self.last_applied[index] = None;
         self.last_pmcs[index] = PmcSample::zero();
         self.pmc_history[index].clear();
@@ -500,34 +589,42 @@ impl Server {
     /// Returns [`SimError::AssignmentCount`] when the number of assignments
     /// is wrong, plus the errors of [`CorePlan::from_assignments`].
     pub fn step(&mut self, assignments: &[Assignment]) -> Result<EpochReport, SimError> {
-        if assignments.len() != self.specs.len() {
+        let services = self.specs.len();
+        if assignments.len() != services {
             return Err(SimError::AssignmentCount {
                 got: assignments.len(),
-                want: self.specs.len(),
+                want: services,
             });
         }
         let mut stopwatch = self.telemetry.stopwatch();
+        let EpochScratch {
+            plan,
+            latencies,
+            fractions,
+            rates,
+            migrated,
+            busy,
+            active,
+        } = &mut self.scratch;
+        // Resolving the request validates it, before any state moves.
+        plan.resolve(
+            assignments.iter().map(|a| (&a.cores[..], a.freq)),
+            &self.config,
+        )?;
         // Actuation stage: resolve what the platform actually applies. The
         // fault plan can reject a request (keeping the previous applied
         // assignment), clamp its DVFS setting or drop offline cores; with
         // no (or an all-zero) plan the request is applied verbatim and no
-        // RNG stream is touched.
-        let requested = CorePlan::from_assignments(assignments, &self.config)?; // validates the request
+        // RNG stream is touched. From here on `actuation[svc]` is what
+        // service `svc` runs on, and `plan` is resolved from it.
         let faults_on = self.fault.as_ref().is_some_and(FaultPlan::enabled);
         let actuation: Vec<AppliedAssignment> = if faults_on {
-            let plan = self.fault.as_mut().expect("fault plan present");
-            plan.begin_epoch(self.config.cores);
+            let fault = self.fault.as_mut().expect("fault plan present");
+            fault.begin_epoch(self.config.cores);
             assignments
                 .iter()
-                .enumerate()
-                .map(|(svc, a)| {
-                    plan.actuate(
-                        &a.cores,
-                        a.freq,
-                        self.last_applied[svc].as_ref(),
-                        &self.config.dvfs,
-                    )
-                })
+                .zip(&self.last_applied)
+                .map(|(a, last)| fault.actuate(&a.cores, a.freq, last.as_ref(), &self.config.dvfs))
                 .collect()
         } else {
             assignments
@@ -535,39 +632,36 @@ impl Server {
                 .map(|a| AppliedAssignment::verbatim(a.cores.clone(), a.freq))
                 .collect()
         };
-        let applied: Vec<Assignment> = actuation
-            .iter()
-            .map(|a| Assignment::new(a.cores.clone(), a.freq))
-            .collect();
-        let assignments = &applied[..];
-
-        // Without faults what is applied is the request, whose plan exists.
-        let plan = if faults_on {
-            CorePlan::from_assignments(assignments, &self.config)?
-        } else {
-            requested
-        };
+        if faults_on {
+            plan.resolve(
+                actuation.iter().map(|a| (&a.cores[..], a.freq)),
+                &self.config,
+            )?;
+        }
         let t0 = self.time_s as f64;
         let t1 = t0 + 1.0;
 
         // Offered loads for this epoch.
-        let fractions: Vec<f64> = self
-            .loads
-            .iter()
-            .map(|g| g.fraction_at(self.time_s).clamp(0.0, 1.0))
-            .collect();
-        let rates: Vec<f64> = fractions
-            .iter()
-            .zip(&self.specs)
-            .map(|(f, s)| f * s.max_load_rps)
-            .collect();
+        fractions.clear();
+        fractions.extend(
+            self.loads
+                .iter()
+                .map(|g| g.fraction_at(self.time_s).clamp(0.0, 1.0)),
+        );
+        rates.clear();
+        rates.extend(
+            fractions
+                .iter()
+                .zip(&self.specs)
+                .map(|(f, s)| f * s.max_load_rps),
+        );
 
         // Shared-resource pressure from all *active* services.
         let total_bw: f64 = self
             .specs
             .iter()
-            .zip(&fractions)
-            .zip(assignments)
+            .zip(fractions.iter())
+            .zip(&actuation)
             .filter(|((_, _), a)| !a.cores.is_empty())
             .map(|((s, f), _)| s.bw_demand_frac * f)
             .sum();
@@ -575,37 +669,45 @@ impl Server {
         let total_cache: f64 = self
             .specs
             .iter()
-            .zip(&fractions)
-            .zip(assignments)
+            .zip(fractions.iter())
+            .zip(&actuation)
             .filter(|((_, f), a)| **f > 0.0 && !a.cores.is_empty())
             .map(|((s, _), _)| s.cache_mb)
             .sum();
         let cache_pressure = (total_cache / self.config.llc_mb - 1.0).max(0.0);
 
-        // Migration accounting.
-        let mut migrated = Vec::with_capacity(self.specs.len());
-        for (svc, a) in assignments.iter().enumerate() {
-            let new: BTreeSet<CoreId> = a.cores.iter().copied().collect();
-            let changed = new.symmetric_difference(&self.prev_cores[svc]).count();
-            migrated.push(changed);
-            self.prev_cores[svc] = new;
+        // Migration accounting: cores each service gained or lost since the
+        // previous epoch.
+        migrated.clear();
+        migrated.resize(services, 0);
+        for (now, was) in plan
+            .claims
+            .chunks_exact(services)
+            .zip(self.mapped.chunks_exact_mut(services))
+        {
+            for ((&claims, on), changed) in now.iter().zip(was).zip(migrated.iter_mut()) {
+                *changed += usize::from((claims > 0) != *on);
+                *on = claims > 0;
+            }
         }
 
         // Per-service queue simulation.
-        let mut service_epochs = Vec::with_capacity(self.specs.len());
-        let mut busy_fracs = vec![0.0; self.specs.len()];
-        let mut telemetry = TelemetryHealth::clean(self.specs.len());
-        for svc in 0..self.specs.len() {
+        let mut service_epochs = Vec::with_capacity(services);
+        busy.clear();
+        let mut telemetry = TelemetryHealth::clean(services);
+        for svc in 0..services {
             let spec = &self.specs[svc];
+            let applied = &actuation[svc];
             let (cpu_rate, eff_cores, max_speed) = plan.service_capacity(svc, &self.config.dvfs);
             let mut contention =
                 1.0 + spec.bw_sensitivity * bw_pressure + spec.cache_sensitivity * cache_pressure;
-            if migrated[svc] > 0 && !assignments[svc].cores.is_empty() {
-                let frac = migrated[svc] as f64 / assignments[svc].cores.len().max(1) as f64;
+            if migrated[svc] > 0 && !applied.cores.is_empty() {
+                let frac = migrated[svc] as f64 / applied.cores.len().max(1) as f64;
                 contention *= 1.0 + self.config.migration_penalty * frac.min(1.0);
             }
             let duration_ms = spec.request_duration_ms(cpu_rate, eff_cores, max_speed, contention);
-            let stats = self.queues[svc].run_epoch_with_timeout(
+            latencies.clear();
+            let stats = self.queues[svc].run_epoch_into(
                 t0,
                 t1,
                 rates[svc],
@@ -613,12 +715,12 @@ impl Server {
                 spec.demand_cv,
                 self.config.request_timeout_s,
                 &mut self.rng,
+                latencies,
             );
-            busy_fracs[svc] = stats.busy_s;
+            busy.push(stats.busy_s);
 
             // Tail latency, folding drops and client timeouts in as hard
             // misses.
-            let mut latencies = stats.latencies_ms;
             let drop_count = (stats.dropped as usize).min(5000);
             latencies.extend(std::iter::repeat_n(spec.qos_ms * 100.0, drop_count));
             let timeout_count = (stats.timed_out as usize).min(5000);
@@ -636,9 +738,11 @@ impl Server {
                     (0.0, 0.0)
                 }
             } else {
-                let p99 =
-                    twig_stats::percentile(&mut latencies, 99.0).expect("non-empty latency sample");
+                // The mean is summed in completion order, before the
+                // selection reorders the buffer.
                 let mean = latencies.iter().sum::<f64>() / latencies.len() as f64;
+                let p99 =
+                    twig_stats::percentile(latencies, 99.0).expect("non-empty latency sample");
                 (p99, mean)
             };
 
@@ -651,7 +755,7 @@ impl Server {
                 cpu_work_ms: work_done_ms * mix_cpu,
                 mem_work_ms: work_done_ms * (1.0 - mix_cpu),
                 cache_pressure,
-                clock_ghz: assignments[svc].freq.ghz(),
+                clock_ghz: applied.freq.ghz(),
             };
             let fresh = pmc::synthesize(spec, &activity, &mut self.rng);
 
@@ -660,11 +764,8 @@ impl Server {
             // corrupted (NaN/Inf/zero/stale). Ground-truth simulation state
             // is never touched.
             let pmcs = if faults_on {
-                let delay = self
-                    .fault
-                    .as_ref()
-                    .expect("fault plan present")
-                    .telemetry_delay();
+                let fault = self.fault.as_mut().expect("fault plan present");
+                let delay = fault.telemetry_delay();
                 let history = &mut self.pmc_history[svc];
                 history.push_back(fresh);
                 while history.len() > delay + 1 {
@@ -673,11 +774,7 @@ impl Server {
                 telemetry.delayed_epochs = history.len() - 1;
                 let mut delivered = *history.front().expect("history non-empty");
                 let previous = self.last_pmcs[svc];
-                telemetry.pmc_faults[svc] = self
-                    .fault
-                    .as_mut()
-                    .expect("fault plan present")
-                    .corrupt_pmcs(&mut delivered, &previous);
+                telemetry.pmc_faults[svc] = fault.corrupt_pmcs(&mut delivered, &previous);
                 self.last_pmcs[svc] = delivered;
                 delivered
             } else {
@@ -694,39 +791,35 @@ impl Server {
                 dropped: stats.dropped + stats.timed_out,
                 queue_len: stats.queue_len,
                 pmcs,
-                core_count: assignments[svc].core_count(),
-                freq: assignments[svc].freq,
+                core_count: applied.cores.len(),
+                freq: applied.freq,
                 migrated_cores: migrated[svc],
             });
         }
 
         // Power: each active core's utilisation is the share-weighted busy
         // fraction of the services on it.
-        let mut active = Vec::new();
-        for state in plan.states.iter().flatten() {
-            let util: f64 = state
-                .claims
-                .iter()
-                .map(|&(svc, share)| share * busy_fracs[svc])
-                .sum();
-            active.push((state.freq, util.clamp(0.0, 1.0)));
-        }
+        active.clear();
+        plan.utilisations(busy, active);
         let truth = self
             .config
             .power
-            .socket_power_with_parked(&active, self.config.cores);
+            .socket_power_with_parked(active, self.config.cores);
         let mut measured = self.config.power.rapl_reading(truth, &mut self.rng);
         if faults_on {
-            let plan = self.fault.as_mut().expect("fault plan present");
-            let (reading, glitched) = plan.glitch_power(measured);
+            let fault = self.fault.as_mut().expect("fault plan present");
+            let (reading, glitched) = fault.glitch_power(measured);
             measured = reading;
             telemetry.power_glitched = glitched;
-            telemetry.offline_cores = plan.offline_cores().len();
+            telemetry.offline_cores = fault.offline_cores().len();
         }
         self.energy_j += truth; // 1-second epoch
 
-        for (svc, applied) in actuation.iter().enumerate() {
-            self.last_applied[svc] = Some(applied.clone());
+        for (last, applied) in self.last_applied.iter_mut().zip(&actuation) {
+            match last {
+                Some(last) => last.clone_from(applied),
+                None => *last = Some(applied.clone()),
+            }
         }
         let report = EpochReport {
             time_s: self.time_s,
@@ -765,13 +858,17 @@ impl Server {
         tl.gauge_set("sim.true_power_w", report.true_power_w);
         tl.gauge_set("sim.energy_j", report.energy_j);
         tl.record("sim.power_w", report.true_power_w);
-        for (svc, epoch) in report.services.iter().enumerate() {
-            tl.record(&format!("sim.p99_ms.{}", epoch.name), epoch.p99_ms);
-            tl.gauge_set(&format!("sim.load.{}", epoch.name), epoch.load_fraction);
-            tl.counter_add(&format!("sim.dropped.{}", epoch.name), epoch.dropped);
-            let qos = self.specs[svc].qos_ms;
-            if epoch.p99_ms > qos {
-                tl.counter_add(&format!("sim.qos_violations.{}", epoch.name), 1);
+        for ((epoch, spec), keys) in report
+            .services
+            .iter()
+            .zip(&self.specs)
+            .zip(&self.metric_keys)
+        {
+            tl.record(&keys.p99_ms, epoch.p99_ms);
+            tl.gauge_set(&keys.load, epoch.load_fraction);
+            tl.counter_add(&keys.dropped, epoch.dropped);
+            if epoch.p99_ms > spec.qos_ms {
+                tl.counter_add(&keys.qos_violations, 1);
             }
         }
         // Fault-injection events, as seen by the platform this epoch.

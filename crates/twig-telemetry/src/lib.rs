@@ -248,10 +248,7 @@ impl Telemetry {
                 *current = Some(span);
             }
         }
-        inner
-            .registry
-            .borrow_mut()
-            .record(&format!("phase_ms.{}", phase.name()), ms);
+        inner.registry.borrow_mut().record(phase.metric_key(), ms);
     }
 
     /// Completes the open span (if any) and flushes the sink with a final

@@ -48,6 +48,22 @@ impl Phase {
         }
     }
 
+    /// Name of the histogram [`Telemetry::phase_add`] feeds with this
+    /// phase's times: `phase_ms.<name>`. A constant, so recording a phase
+    /// formats nothing.
+    ///
+    /// [`Telemetry::phase_add`]: crate::Telemetry::phase_add
+    pub fn metric_key(self) -> &'static str {
+        match self {
+            Phase::PmcRead => "phase_ms.pmc_read",
+            Phase::Inference => "phase_ms.inference",
+            Phase::Mapping => "phase_ms.mapping",
+            Phase::Actuation => "phase_ms.actuation",
+            Phase::RewardUpdate => "phase_ms.reward_update",
+            Phase::LearnStep => "phase_ms.learn_step",
+        }
+    }
+
     fn index(self) -> usize {
         match self {
             Phase::PmcRead => 0,
@@ -179,6 +195,9 @@ mod tests {
                 "learn_step"
             ]
         );
+        for p in Phase::ALL {
+            assert_eq!(p.metric_key(), format!("phase_ms.{}", p.name()));
+        }
     }
 
     #[test]

@@ -98,10 +98,11 @@ step "build"          cargo build --release --offline --workspace
 step "test"           cargo test -q --offline --workspace
 # The bit-identity tests of the numeric crates (kernel vs naive loop,
 # continued vs one-shot product, prefix vs concatenated forward, select vs
-# branch activations, fused vs per-agent decide) are a contract about the
+# branch activations, fused vs per-agent decide, selection vs sort) and the
+# simulator's golden `Server::step` digests are a contract about the
 # vectorised release build the reports and benchmarks run, which the dev
 # profile above does not generate. Reuses the release build two steps up.
-step "test-release"   cargo test --release --offline -q -p twig-nn -p twig-rl
+step "test-release"   cargo test --release --offline -q -p twig-nn -p twig-rl -p twig-stats -p twig-sim
 step "clippy"         cargo clippy --offline --workspace --all-targets -- -D warnings
 step "bench-baseline" check_bench_baseline
 step "report-manifest" check_report_manifest

@@ -1,0 +1,65 @@
+#!/usr/bin/env bash
+# Gate on the exact-count rows of the performance ledger.
+#
+#   scripts/ledger_gate.sh [bench/out/results.json]
+#
+# Run after `bench/run.sh --smoke` (CI's perf-ledger job). Timings move
+# with the runner and are not judged here; allocation counts and digest
+# matches repeat exactly at a fixed seed, so each has a ceiling with no
+# noise tolerance: the floor the code is built to (`2K + 3` per
+# `Server::step`, 0 in the learner's steady state, what decide + observe
+# allocate today) plus one for the buffer growth a short window can still
+# contain. results.json carries one workload per line, which is what lets
+# this stay grep and awk.
+set -euo pipefail
+
+results="${1:-bench/out/results.json}"
+[ -f "$results" ] || {
+    echo "ledger_gate: $results not found (run bench/run.sh --smoke first)"
+    exit 1
+}
+
+fail=0
+
+# value WORKLOAD METRIC: the per-layer value, empty when absent.
+value() {
+    grep "^{\"name\":\"$1\"" "$results" |
+        grep -o "\"$2\":{\"value\":[^,}]*" | head -n 1 | sed 's/.*"value"://'
+}
+
+# at_most WORKLOAD METRIC CEILING
+at_most() {
+    local got
+    got="$(value "$1" "$2")"
+    if [ -n "$got" ] && awk -v got="$got" -v max="$3" 'BEGIN { exit !(got <= max) }'; then
+        echo "PASS: $1 $2 = $got (ceiling $3)"
+    else
+        echo "FAIL: $1 $2 = ${got:-missing} exceeds ceiling $3"
+        fail=1
+    fi
+}
+
+for workload in learn_c2 exploit_c2; do
+    at_most "$workload" sim.allocs_per_step 8
+    at_most "$workload" core.allocs_per_epoch 25
+done
+at_most learn_k24 sim.allocs_per_step 52
+at_most learn_k24 core.allocs_per_epoch 207
+for workload in learn_c2 exploit_c2 learn_k24 fleet_n8 corpus; do
+    at_most "$workload" rl.steady_allocs 0
+done
+
+passed="$(value corpus scenario.passed)"
+matched="$(value corpus scenario.digest_match)"
+if [ -n "$passed" ] && [ "$passed" != 0 ] && [ "$passed" = "$matched" ]; then
+    echo "PASS: corpus scenario.digest_match = scenario.passed = $passed"
+else
+    echo "FAIL: corpus scenario.digest_match = ${matched:-missing}, scenario.passed = ${passed:-missing}"
+    fail=1
+fi
+
+if [ "$fail" -ne 0 ]; then
+    echo "ledger_gate: FAILED"
+    exit 1
+fi
+echo "ledger_gate: all count rows within their ceilings"
