@@ -255,6 +255,7 @@ pub fn run(mut args: impl Iterator<Item = String>) {
             "  \"schema_version\": {sv},\n",
             "  \"smoke\": {smoke},\n",
             "  \"cores_available\": {cores},\n",
+            "  \"kernel\": \"{kernel}\",\n",
             "  \"state_dim\": {sd},\n",
             "  \"branches\": [18, 9],\n",
             "  \"iters_per_path\": {iters},\n",
@@ -267,6 +268,7 @@ pub fn run(mut args: impl Iterator<Item = String>) {
         sv = SCHEMA_VERSION,
         smoke = smoke,
         cores = cores,
+        kernel = twig_nn::kernel(),
         sd = STATE_DIM,
         iters = iters,
         body = body,

@@ -279,8 +279,9 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
         }
     };
     writeln!(out,
-        "Table III: per-epoch overhead ({} network; paper values: GD 25/48 ms, PMC 2 ms, map 7 ms)\n",
-        if paper_net { "paper-size 512/256" } else { "fast 96/64" }
+        "Table III: per-epoch overhead ({} network, GEMM kernel {}; paper values: GD 25/48 ms, PMC 2 ms, map 7 ms)\n",
+        if paper_net { "paper-size 512/256" } else { "fast 96/64" },
+        twig_nn::kernel()
     )?;
     let mut agent = MaBdq::new(config)?;
     let state = vec![vec![0.5f32; 11]; 2];

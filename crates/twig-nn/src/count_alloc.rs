@@ -5,8 +5,8 @@
 //! invisible in ordinary tests, so this module provides the process-wide
 //! counter behind a counting allocator that a *binary* (integration test or
 //! bin target) installs. The `GlobalAlloc` impl itself lives in each
-//! installing binary — `unsafe impl` is forbidden in this crate
-//! (`#![forbid(unsafe_code)]`) — and funnels every counted entry point
+//! installing binary — `unsafe impl` is denied in this crate
+//! (`#![deny(unsafe_code)]`) — and funnels every counted entry point
 //! through the safe [`note_alloc`] hook:
 //!
 //! ```ignore
@@ -38,15 +38,36 @@
 //! merely *recycles* capacity never hits any of the counted entry points,
 //! which is exactly the property asserted.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static ONE_THREAD: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    // Const-initialised and without a destructor: reading it from inside an
+    // allocator neither allocates nor registers anything.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Records one heap allocation. Called by the counting `GlobalAlloc`
 /// wrappers installed in test/bench binaries (see the module docs); safe to
-/// call from an allocator context because it only touches a static atomic.
+/// call from an allocator context because it only touches a static atomic
+/// and a const-initialised thread-local flag.
 pub fn note_alloc() {
+    if ONE_THREAD.load(Ordering::Relaxed) && !COUNTED.try_with(Cell::get).unwrap_or(false) {
+        return;
+    }
     ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+}
+
+/// From here on, counts only allocations made by the calling thread. A
+/// `#[test]` that asserts a zero delta calls this first: libtest's main
+/// thread keeps allocating for a moment after it has spawned the test (its
+/// bookkeeping of running tests), and a test body fast enough to reach its
+/// measured region within that moment would otherwise count the harness.
+pub fn count_this_thread_only() {
+    COUNTED.with(|counted| counted.set(true));
+    ONE_THREAD.store(true, Ordering::Relaxed);
 }
 
 /// Total heap allocations observed so far in this process (0 when no

@@ -396,23 +396,24 @@ impl Layer for Relu {
     }
 
     fn forward_into(&mut self, input: &Tensor, _train: bool, out: &mut Tensor) {
-        out.copy_from(input);
+        out.reshape_for_overwrite(input.rows(), input.cols());
         let mask = self.mask.get_or_insert_with(Vec::new);
-        mask.clear();
-        // Selects, not branches (here and in the two passes below), so the
-        // loops vectorise. `v > 0.0` is false for -0.0 and NaN: both come
-        // out as +0.0 with a dead mask bit.
-        mask.extend(out.as_mut_slice().iter_mut().map(|v| {
-            let alive = *v > 0.0;
-            *v = if alive { *v } else { 0.0 };
-            alive
-        }));
+        mask.resize(input.as_slice().len(), false);
+        // One pass from `input` to `out` and `mask`. Selects, not branches
+        // (here and in the two passes below), so the loops vectorise.
+        // `v > 0.0` is false for -0.0 and NaN: both come out as +0.0 with a
+        // dead mask bit.
+        let outputs = out.as_mut_slice().iter_mut().zip(mask.iter_mut());
+        for ((o, alive), &v) in outputs.zip(input.as_slice()) {
+            *alive = v > 0.0;
+            *o = if *alive { v } else { 0.0 };
+        }
     }
 
     fn forward_batch_into(&self, input: &Tensor, out: &mut Tensor) {
-        out.copy_from(input);
-        for v in out.as_mut_slice() {
-            *v = if *v > 0.0 { *v } else { 0.0 };
+        out.reshape_for_overwrite(input.rows(), input.cols());
+        for (o, &v) in out.as_mut_slice().iter_mut().zip(input.as_slice()) {
+            *o = if v > 0.0 { v } else { 0.0 };
         }
     }
 
@@ -429,9 +430,10 @@ impl Layer for Relu {
             grad_output.as_slice().len(),
             "relu gradient shape mismatch"
         );
-        grad_input.copy_from(grad_output);
-        for (g, &alive) in grad_input.as_mut_slice().iter_mut().zip(mask) {
-            *g = if alive { *g } else { 0.0 };
+        grad_input.reshape_for_overwrite(grad_output.rows(), grad_output.cols());
+        let grads = grad_input.as_mut_slice().iter_mut().zip(mask);
+        for ((g_in, &alive), &g) in grads.zip(grad_output.as_slice()) {
+            *g_in = if alive { g } else { 0.0 };
         }
     }
 
@@ -490,28 +492,36 @@ impl Layer for Dropout {
     }
 
     fn forward_into(&mut self, input: &Tensor, train: bool, out: &mut Tensor) {
-        out.copy_from(input);
         if !train || self.p == 0.0 {
             self.active = false;
+            out.copy_from(input);
             return;
         }
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;
         self.active = true;
-        self.mask.clear();
-        let rng = &mut self.rng;
-        // One draw per element in element order. A dropped activation is
-        // +0.0 whatever it held (not `v * 0.0`, which would keep a sign or
-        // a NaN).
-        self.mask.extend(out.as_mut_slice().iter_mut().map(|v| {
-            let alive = rng.next_f32() < keep;
-            *v = if alive { *v * scale } else { 0.0 };
-            if alive {
-                scale
-            } else {
-                0.0
-            }
-        }));
+        out.reshape_for_overwrite(input.rows(), input.cols());
+        self.mask.resize(input.as_slice().len(), 0.0);
+        // One draw per element in element order, parked in `mask`. The
+        // generator is a serial chain that cannot vectorise, and a select
+        // fused into its loop compiles to a branch a fair coin mispredicts
+        // every other element — that branch, not any copy, was most of a
+        // train-mode forward (64 x 48: 20.5 us fused, 4.2 us split).
+        for m in self.mask.iter_mut() {
+            *m = self.rng.next_f32();
+        }
+        // Then one vectorised pass from `input` and the draws to `out` and
+        // `mask`. The selects are written as bit masks: as `if alive { v *
+        // scale } else { 0.0 }` LLVM sinks the load and the multiply into the
+        // branch and its cost model then declines to vectorise. A dropped
+        // activation is +0.0 whatever it held (not `v * 0.0`, which would
+        // keep a sign or a NaN).
+        let outputs = out.as_mut_slice().iter_mut().zip(self.mask.iter_mut());
+        for ((o, m), &v) in outputs.zip(input.as_slice()) {
+            let alive_bits = u32::from(*m < keep).wrapping_neg();
+            *o = f32::from_bits((v * scale).to_bits() & alive_bits);
+            *m = f32::from_bits(scale.to_bits() & alive_bits);
+        }
     }
 
     fn forward_batch_into(&self, input: &Tensor, out: &mut Tensor) {
@@ -527,16 +537,19 @@ impl Layer for Dropout {
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        grad_input.copy_from(grad_output);
-        if self.active {
-            assert_eq!(
-                self.mask.len(),
-                grad_output.as_slice().len(),
-                "dropout gradient shape mismatch"
-            );
-            for (g, &m) in grad_input.as_mut_slice().iter_mut().zip(&self.mask) {
-                *g *= m;
-            }
+        if !self.active {
+            grad_input.copy_from(grad_output);
+            return;
+        }
+        assert_eq!(
+            self.mask.len(),
+            grad_output.as_slice().len(),
+            "dropout gradient shape mismatch"
+        );
+        grad_input.reshape_for_overwrite(grad_output.rows(), grad_output.cols());
+        let grads = grad_input.as_mut_slice().iter_mut().zip(&self.mask);
+        for ((g_in, &m), &g) in grads.zip(grad_output.as_slice()) {
+            *g_in = g * m;
         }
     }
 

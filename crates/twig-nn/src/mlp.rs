@@ -143,9 +143,14 @@ impl Mlp {
             scratch_a,
             scratch_b,
         } = self;
-        scratch_a.copy_from(input);
+        // The first layer reads the caller's tensor where it lies.
+        let Some((first, rest)) = layers.split_first_mut() else {
+            scratch_a.copy_from(input);
+            return scratch_a;
+        };
+        first.as_layer_mut().forward_into(input, train, scratch_a);
         let (mut cur, mut next) = (scratch_a, scratch_b);
-        for layer in layers.iter_mut() {
+        for layer in rest {
             layer.as_layer_mut().forward_into(cur, train, next);
             std::mem::swap(&mut cur, &mut next);
         }
@@ -343,9 +348,15 @@ impl Mlp {
             scratch_a,
             scratch_b,
         } = self;
-        scratch_a.copy_from(grad_output);
+        // As in the forward pass: the last layer reads the caller's gradient
+        // in place.
+        let Some((last, rest)) = layers.split_last_mut() else {
+            scratch_a.copy_from(grad_output);
+            return scratch_a;
+        };
+        last.as_layer_mut().backward_into(grad_output, scratch_a);
         let (mut cur, mut next) = (scratch_a, scratch_b);
-        for layer in layers.iter_mut().rev() {
+        for layer in rest.iter_mut().rev() {
             layer.as_layer_mut().backward_into(cur, next);
             std::mem::swap(&mut cur, &mut next);
         }
@@ -369,9 +380,13 @@ impl Mlp {
             scratch_b,
         } = self;
         let (first, rest) = split_first_dense(layers);
-        scratch_a.copy_from(grad_output);
+        let Some((last, middle)) = rest.split_last_mut() else {
+            first.backward_cols_into(grad_output, cols, scratch_a);
+            return scratch_a;
+        };
+        last.as_layer_mut().backward_into(grad_output, scratch_a);
         let (mut cur, mut next) = (scratch_a, scratch_b);
-        for layer in rest.iter_mut().rev() {
+        for layer in middle.iter_mut().rev() {
             layer.as_layer_mut().backward_into(cur, next);
             std::mem::swap(&mut cur, &mut next);
         }

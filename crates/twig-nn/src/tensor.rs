@@ -1,4 +1,4 @@
-use crate::gemm::{gemm, NR};
+use crate::gemm::Kernel;
 use crate::NnError;
 use std::ops::{Index, IndexMut};
 
@@ -86,6 +86,17 @@ impl Tensor {
         self.rows = rows;
         self.cols = cols;
         self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+    }
+
+    /// Reshapes to `rows x cols` for a caller that is about to write every
+    /// element: what the buffer held stays (only newly grown elements are
+    /// zero), so between the same set of shapes this touches no memory at
+    /// all — the elementwise layers' single pass and the products that start
+    /// from `+0.0` begin here.
+    pub(crate) fn reshape_for_overwrite(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
         self.data.resize(rows * cols, 0.0);
     }
 
@@ -198,7 +209,8 @@ impl Tensor {
         first_row: usize,
         out: &mut Tensor,
     ) -> Result<(), NnError> {
-        out.resize_zeroed(self.rows, other.cols);
+        // A product that starts from `+0.0` stores every element it covers.
+        out.reshape_for_overwrite(self.rows, other.cols);
         self.matmul_rows::<false>(other, first_row, out)
     }
 
@@ -238,7 +250,7 @@ impl Tensor {
                 ),
             });
         }
-        gemm::<false, CONT>(
+        Kernel::Detected.gemm::<false, CONT>(
             (m, inner, n),
             &self.data,
             (&other.data[first_row * n..], n),
@@ -276,8 +288,8 @@ impl Tensor {
             });
         }
         let (m, inner, n) = (self.cols, self.rows, other.cols);
-        out.resize_zeroed(m, n);
-        gemm::<true, false>(
+        out.reshape_for_overwrite(m, n);
+        Kernel::Detected.gemm::<true, false>(
             (m, inner, n),
             &self.data,
             (&other.data, n),
@@ -297,9 +309,10 @@ impl Tensor {
         Ok(out)
     }
 
-    /// `self * other^T` written into `out` (resized in place): `NR` rows of
-    /// `other` at a time are transposed into `pack` — a caller-owned scratch
-    /// of `NR * other.cols()` floats, reused across calls — and fed to the
+    /// `self * other^T` written into `out` (resized in place): one register
+    /// tile's width of `other`'s rows at a time (8 or 16, whichever tile the
+    /// CPU runs) is transposed into `pack` — a caller-owned scratch of that
+    /// many times `other.cols()` floats, reused across calls — and fed to the
     /// same microkernel as [`matmul_into`](Self::matmul_into), so each
     /// output element sums over ascending column index.
     ///
@@ -340,24 +353,8 @@ impl Tensor {
             });
         }
         let (m, inner, n) = (self.rows, self.cols, rows);
-        out.resize_zeroed(m, n);
-        // Every slot the kernel reads is rewritten per panel below.
-        pack.resize(NR * inner, 0.0);
-        for j in (0..n).step_by(NR) {
-            let width = NR.min(n - j);
-            for jj in 0..width {
-                let row = &other.data[(j + jj) * inner..][..inner];
-                for (slot, &w) in pack.iter_mut().skip(jj).step_by(NR).zip(row) {
-                    *slot = w;
-                }
-            }
-            gemm::<false, false>(
-                (m, inner, width),
-                &self.data,
-                (pack, NR),
-                (&mut out.data[j..], n),
-            );
-        }
+        out.reshape_for_overwrite(m, n);
+        Kernel::Detected.gemm_bt((m, inner, n), &self.data, &other.data, pack, &mut out.data);
         Ok(())
     }
 
@@ -500,6 +497,10 @@ mod tests {
     use crate::gemm::MR;
     use twig_stats::rng::{Rng, Xoshiro256};
 
+    /// The wider of the two tile widths: shapes built around it also straddle
+    /// the narrower one.
+    const NR: usize = 16;
+
     #[test]
     fn from_vec_validates_len() {
         assert!(Tensor::from_vec(2, 2, vec![0.0; 3]).is_err());
@@ -613,28 +614,6 @@ mod tests {
         }
     }
 
-    /// The naive triple loop — the reference the microkernel must reproduce
-    /// bit for bit (fleet determinism, checkpoints and scenario digests are
-    /// asserted on exact output): `out[i][j] = Σ_p a(i, p) · b(p, j)`, summed
-    /// in ascending `p` from `+0.0`.
-    fn naive_product(
-        (m, inner, n): (usize, usize, usize),
-        a: impl Fn(usize, usize) -> f32,
-        b: impl Fn(usize, usize) -> f32,
-    ) -> Tensor {
-        let mut out = Tensor::zeros(m, n);
-        for i in 0..m {
-            for j in 0..n {
-                let mut sum = 0.0f32;
-                for p in 0..inner {
-                    sum += a(i, p) * b(p, j);
-                }
-                out[(i, j)] = sum;
-            }
-        }
-        out
-    }
-
     fn assert_bits_eq(want: &Tensor, got: &Tensor, what: &str) {
         assert_eq!(
             (want.rows(), want.cols()),
@@ -647,67 +626,17 @@ mod tests {
     }
 
     #[test]
-    fn microkernel_bit_identical_to_naive_on_every_remainder_class() {
-        let mut rng = Xoshiro256::seed_from_u64(0xb10c);
-        // Row counts on both sides of MR in every `m mod MR` class (fewer
-        // than MR rows take the wide single-row tile), column counts in
-        // every `n mod NR` class below and above NR plus the widths around
-        // the single-row tile's 4·NR, inner lengths from empty to past a
-        // cache line; dense A and A with every other element zero.
-        let ms = 1..=2 * MR;
-        let ns: Vec<usize> = (1..=2 * NR)
-            .chain([4 * NR - 1, 4 * NR, 4 * NR + 1, 6 * NR, 8 * NR - 1])
-            .collect();
-        let mut pack = Vec::new();
-        let mut got = Tensor::zeros(0, 0);
-        for m in ms {
-            for &n in &ns {
-                for inner in [0, 1, 7, 64, 65] {
-                    for sparse in [false, true] {
-                        let what = format!("{m}x{inner}x{n} sparse={sparse}");
-                        let mut a = random_tensor(&mut rng, m, inner);
-                        let mut at = random_tensor(&mut rng, inner, m);
-                        if sparse {
-                            for t in [&mut a, &mut at] {
-                                for v in t.as_mut_slice().iter_mut().step_by(2) {
-                                    *v = 0.0;
-                                }
-                            }
-                        }
-                        let b = random_tensor(&mut rng, inner, n);
-                        let bt = random_tensor(&mut rng, n, inner);
-                        let dims = (m, inner, n);
-
-                        a.matmul_into(&b, &mut got).unwrap();
-                        let want = naive_product(dims, |i, p| a[(i, p)], |p, j| b[(p, j)]);
-                        assert_bits_eq(&want, &got, &format!("matmul {what}"));
-
-                        at.t_matmul_into(&b, &mut got).unwrap();
-                        let want = naive_product(dims, |i, p| at[(p, i)], |p, j| b[(p, j)]);
-                        assert_bits_eq(&want, &got, &format!("t_matmul {what}"));
-
-                        a.matmul_t_into(&bt, &mut pack, &mut got).unwrap();
-                        let want = naive_product(dims, |i, p| a[(i, p)], |p, j| bt[(j, p)]);
-                        assert_bits_eq(&want, &got, &format!("matmul_t {what}"));
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn continued_product_bit_identical_to_one_shot_on_every_remainder_class() {
         let mut rng = Xoshiro256::seed_from_u64(0xc0a7);
-        // Same row/column classes as the sweep above; every split point of
-        // the inner dimension that leaves an empty, one-wide or wide side.
+        // The row/column classes of the kernel's own sweep (`gemm.rs`) around
+        // the wider tile; every split point of the inner dimension that
+        // leaves an empty, one-wide or wide side.
         // Operands carry the values whose handling a shortcut would change:
         // zeros that meet an infinity (NaN in the one-shot product, so NaN
         // here), NaN itself, and -0.0 (a chain restarted from +0.0 instead
         // of continued would lose the sign of an all-negative-zero sum).
         let specials = [0.0, -0.0, f32::INFINITY, f32::NAN, f32::MIN_POSITIVE / 2.0];
-        let ns: Vec<usize> = (1..=2 * NR)
-            .chain([4 * NR - 1, 4 * NR, 4 * NR + 1])
-            .collect();
+        let ns: Vec<usize> = (1..=2 * NR).chain([63, 64, 65]).collect();
         let mut want = Tensor::zeros(0, 0);
         let mut got = Tensor::zeros(0, 0);
         for m in 1..=2 * MR {

@@ -5,7 +5,8 @@
 //! shared-prefix forwards and the column-limited backward hold to the same.
 //!
 //! Own integration test so the `#[global_allocator]` stays in this binary,
-//! and a single `#[test]` so no concurrent test pollutes the counter.
+//! a single `#[test]` so no concurrent test pollutes the counter, counting only
+//! its own thread so libtest's main thread does not either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use twig_nn::{count_alloc, Dense, Dropout, Mlp, Relu, Tensor};
@@ -44,6 +45,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 #[test]
 fn scratch_forward_backward_rounds_allocate_nothing_after_warm_up() {
+    count_alloc::count_this_thread_only();
     assert!(count_alloc::counter_armed());
     let mut rng = Xoshiro256::seed_from_u64(5);
     // Widths off every tile boundary, so the remainder tiles and a partial

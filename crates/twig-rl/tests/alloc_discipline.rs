@@ -10,7 +10,8 @@
 //!
 //! Kept as its own integration test so the `#[global_allocator]` does not
 //! leak into other test binaries, and run single-threaded by construction
-//! (one `#[test]`), so no concurrent test pollutes the counter.
+//! (one `#[test]`), so no concurrent test pollutes the counter — and it counts
+//! only its own thread, so neither does libtest's main thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use twig_nn::count_alloc;
@@ -116,6 +117,7 @@ fn epoch(agent: &mut MaBdq, out: &mut Decides) {
 
 #[test]
 fn hot_path_is_allocation_free_in_steady_state() {
+    count_alloc::count_this_thread_only();
     assert!(
         count_alloc::counter_armed(),
         "counting allocator not installed"
