@@ -33,11 +33,12 @@
 //! never enters the text — so the report is bit-identical at `--jobs 1`,
 //! `2` and `4`.
 
-use crate::runner::{make_suite_twig, suite_epochs};
+use crate::runner::suite_epochs;
 use crate::{fmt_f, run_fleet, ExpError, Options, TextTable, Unit};
 use std::fmt::Write as _;
 use twig_core::{GovernorConfig, SafetyGovernor, TaskManager};
 use twig_platform::{OsFaultConfig, OsFaultPlan, Platform, SimPlatform, SimWorld};
+use twig_scenario::build_twig;
 use twig_sim::{catalog, Server, ServerConfig};
 use twig_telemetry::Telemetry;
 
@@ -243,7 +244,7 @@ fn run_schedule(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, ExpErro
     // Fault-free warm-up pre-roll through the same closed loop, then
     // install the fault plan so outage windows align with the scheduled
     // run.
-    let mut twig = make_suite_twig(specs.clone(), epochs, seed)?;
+    let mut twig = build_twig(specs.clone(), epochs, seed, true)?;
     for _ in 0..WARMUP_EPOCHS {
         let a = twig.decide()?;
         platform.actuate(&a)?;
@@ -393,8 +394,8 @@ fn run_bit_identity(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, Exp
     server.set_load_fraction(0, 0.4)?;
     server.set_load_fraction(1, 0.4)?;
 
-    let mut twig_a = make_suite_twig(specs.clone(), epochs, seed)?;
-    let mut twig_b = make_suite_twig(specs.clone(), epochs, seed)?;
+    let mut twig_a = build_twig(specs.clone(), epochs, seed, true)?;
+    let mut twig_b = build_twig(specs.clone(), epochs, seed, true)?;
     for _ in 0..WARMUP_EPOCHS {
         let a = twig_a.decide()?;
         platform.actuate(&a)?;

@@ -120,6 +120,10 @@ pub fn evaluate(
     })
 }
 
+// "heavy" names every injector there is today and still ends in
+// `..default()`: a fault added to `FaultConfig` must not have to be named
+// here (the level's numbers are a committed result).
+#[allow(clippy::needless_update)]
 fn fault_levels() -> Vec<(&'static str, FaultConfig)> {
     vec![
         (
@@ -149,6 +153,7 @@ fn fault_levels() -> Vec<(&'static str, FaultConfig)> {
                 core_fail_rate: 0.02,
                 core_repair_rate: 0.30,
                 max_offline_cores: 4,
+                ..FaultConfig::default()
             },
         ),
     ]
@@ -327,14 +332,9 @@ mod tests {
         // The telemetry counters are the same events the internal stats
         // track; the two surfaces must agree.
         let m = telemetry.metrics().unwrap();
-        let s = gov.stats();
-        assert_eq!(
-            m.counter("governor.fallback_decisions"),
-            s.fallback_decisions
-        );
-        assert_eq!(m.counter("governor.watchdog_trips"), s.watchdog_trips);
-        assert_eq!(m.counter("governor.safe_mode_epochs"), s.safe_mode_epochs);
-        assert_eq!(m.counter("governor.degraded_epochs"), s.degraded_epochs);
+        for (name, value) in gov.stats().counter_pairs_all() {
+            assert_eq!(m.counter(name), value, "{name}");
+        }
         assert!(
             o.post_qos_pct >= 75.0,
             "post-fault QoS {:.1}% too low",

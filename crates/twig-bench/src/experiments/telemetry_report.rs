@@ -1,12 +1,12 @@
 //! Telemetry report — not a paper figure. Drives a colocated
-//! masstree + moses run with the [`twig_telemetry`] recorder attached to
+//! masstree + moses run with [`twig_telemetry`] attached to
 //! both the simulator and the Twig manager, then prints the per-epoch
 //! phase timeline, the metrics registry digest, and writes a JSONL trace
 //! (default `results/telemetry_trace.jsonl`, override with `--trace PATH`).
 //!
 //! This is the human-facing view of the observability subsystem: every
-//! number comes from the same counters/gauges/histograms/spans that the
-//! no-op sink discards at zero cost in production runs.
+//! number comes from the same counters/gauges/histograms/spans that a
+//! disabled handle skips at zero cost in production runs.
 
 use crate::{drive, make_twig, ExpError, Options, TextTable};
 use std::fmt::Write as _;
@@ -26,15 +26,15 @@ fn epochs(opts: &Options) -> u64 {
     }
 }
 
-/// Runs the colocated workload with a recorder attached and returns the
-/// populated telemetry handle (flushed into the recorder sink).
+/// Runs the colocated workload with telemetry attached and returns the
+/// populated handle.
 ///
 /// # Errors
 ///
 /// Propagates manager, simulator and telemetry errors.
 pub fn collect(opts: &Options) -> Result<Telemetry, ExpError> {
     let specs = vec![catalog::masstree(), catalog::moses()];
-    let telemetry = Telemetry::recorder();
+    let telemetry = Telemetry::enabled();
 
     let mut server = Server::new(ServerConfig::default(), specs.clone(), opts.seed)?;
     server.set_telemetry(telemetry.clone());
@@ -86,7 +86,6 @@ pub fn collect(opts: &Options) -> Result<Telemetry, ExpError> {
         "ladder must restore off a fault-free store"
     );
     let _ = std::fs::remove_dir_all(&dir);
-    telemetry.flush()?;
     Ok(telemetry)
 }
 

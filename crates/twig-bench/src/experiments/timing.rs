@@ -30,7 +30,7 @@
 //! clock never enters the text — so the report is bit-identical at
 //! `--jobs 1`, `2` and `4`.
 
-use crate::runner::{make_suite_twig, suite_epochs};
+use crate::runner::suite_epochs;
 use crate::{fmt_f, run_fleet, ExpError, Options, TextTable, Unit};
 use std::fmt::Write as _;
 use twig_core::{
@@ -38,6 +38,7 @@ use twig_core::{
     SafetyGovernor, SchedulerConfig, SimClock,
 };
 use twig_rl::BudgetedProgress;
+use twig_scenario::build_twig;
 use twig_sim::{
     catalog, Assignment, EpochTimings, Server, ServerConfig, TimingFaultConfig, TimingFaultPlan,
 };
@@ -167,7 +168,7 @@ fn schedules() -> Vec<Schedule> {
 }
 
 /// Ungoverned pre-roll epochs that fill the replay buffer to exactly one
-/// batch (`batch_size` in [`make_suite_twig`]) before the scheduled run starts.
+/// batch (`batch_size` in [`build_twig`]) before the scheduled run starts.
 const WARMUP_EPOCHS: u64 = 16;
 
 /// Per-schedule outcome — plain counts only, so units stay `Send` and the
@@ -248,31 +249,9 @@ impl Outcome {
 /// the counters the dashboards would alert on must not drift from truth.
 fn check_telemetry(telemetry: &Telemetry, sched_stats: &twig_core::SchedulerStats) {
     let m = telemetry.metrics().expect("telemetry enabled");
-    assert_eq!(m.counter("deadline.misses"), sched_stats.misses);
-    assert_eq!(
-        m.counter("deadline.stale_windows"),
-        sched_stats.stale_windows
-    );
-    assert_eq!(
-        m.counter("deadline.actuation_retries"),
-        sched_stats.actuation_retries
-    );
-    assert_eq!(
-        m.counter("deadline.actuation_timeouts"),
-        sched_stats.actuation_timeouts
-    );
-    assert_eq!(
-        m.counter("deadline.shed.defer_learn"),
-        sched_stats.defer_learn_epochs
-    );
-    assert_eq!(
-        m.counter("deadline.shed.skip_inference"),
-        sched_stats.skip_inference_epochs
-    );
-    assert_eq!(
-        m.counter("deadline.shed.safe_fallback"),
-        sched_stats.safe_fallback_epochs
-    );
+    for (name, value) in sched_stats.counter_pairs_all() {
+        assert_eq!(m.counter(name), value, "{name}");
+    }
 }
 
 /// Runs one governed, scheduler-metered control loop under a timing-fault
@@ -287,7 +266,7 @@ fn run_schedule(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, ExpErro
     server.set_timing_plan(TimingFaultPlan::new(s.timing.clone(), seed ^ 0x7171_F0F0)?);
 
     let telemetry = Telemetry::enabled();
-    let mut twig = make_suite_twig(specs.clone(), epochs, seed)?;
+    let mut twig = build_twig(specs.clone(), epochs, seed, true)?;
     // Warm-up pre-roll: fill the replay buffer to one batch so the
     // budgeted learning phase is live from the first scheduled epoch
     // (governor safe-mode epochs push no transitions, so without this a
@@ -401,8 +380,8 @@ fn run_bit_identity(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, Exp
     // server without one sees an identical workload.
     server_a.set_timing_plan(TimingFaultPlan::new(s.timing.clone(), seed ^ 0x7171_F0F0)?);
 
-    let mut twig_a = make_suite_twig(specs.clone(), epochs, seed)?;
-    let mut twig_b = make_suite_twig(specs, epochs, seed)?;
+    let mut twig_a = build_twig(specs.clone(), epochs, seed, true)?;
+    let mut twig_b = build_twig(specs, epochs, seed, true)?;
 
     let clock = SimClock::new();
     let mut sched = EpochScheduler::new(SchedulerConfig::default(), clock.clone())?;

@@ -101,42 +101,6 @@ pub fn make_twig(
         .build()?)
 }
 
-/// The small-but-real learning stack of the timing and platform suites:
-/// a 32/24 network on 16-transition batches, and pure exploitation in
-/// `observe` — the policy stays deterministic under a fixed seed, and a
-/// *driver* that owns the learning phase (the deadline scheduler) can split
-/// it into budgeted micro-batches.
-///
-/// # Errors
-///
-/// Propagates Twig construction errors.
-pub(crate) fn make_suite_twig(
-    services: Vec<ServiceSpec>,
-    epochs: u64,
-    seed: u64,
-) -> Result<Twig, ExpError> {
-    Ok(TwigBuilder::new()
-        .services(services)
-        .epsilon(EpsilonSchedule::new(0.1, 0.01, epochs * 3 / 5, epochs))
-        .agent(MaBdqConfig {
-            trunk_hidden: vec![32, 24],
-            head_hidden: 16,
-            batch_size: 16,
-            buffer_capacity: 4096,
-            target_update_every: 40,
-            ..MaBdqConfig::default()
-        })
-        .reward(RewardConfig {
-            theta: 1.0,
-            ..RewardConfig::default()
-        })
-        .train_steps_per_epoch(1)
-        .action_stickiness(0.02)
-        .pure_exploitation(true)
-        .seed(seed)
-        .build()?)
-}
-
 /// Epochs per schedule (or per crash segment) of a chaos suite: `smoke`
 /// under `--smoke`, 120 under `--full`, `fast` otherwise.
 pub(crate) fn suite_epochs(opts: &Options, smoke: u64, fast: u64) -> u64 {

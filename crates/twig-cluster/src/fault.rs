@@ -19,6 +19,7 @@
 //!   background chaos.
 
 use crate::ClusterError;
+use twig_stats::fields::{check, Kind, Row};
 use twig_stats::rng::{Rng, Xoshiro256};
 
 /// One cluster-level fault.
@@ -82,7 +83,7 @@ pub struct ScriptedEvent {
 /// Per-epoch fault probabilities plus the script. All rates default to
 /// zero and the script to empty: the default configuration injects
 /// nothing.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ClusterFaultConfig {
     /// Probability, per live node per epoch, of a crash.
     pub crash_rate: f64,
@@ -108,24 +109,21 @@ pub struct ClusterFaultConfig {
     pub scripted: Vec<ScriptedEvent>,
 }
 
-impl Default for ClusterFaultConfig {
-    fn default() -> Self {
-        ClusterFaultConfig {
-            crash_rate: 0.0,
-            restart_after_epochs: 0,
-            heartbeat_loss_rate: 0.0,
-            blackout_rate: 0.0,
-            blackout_epochs: 0,
-            partition_rate: 0.0,
-            partition_epochs: 0,
-            migration_stall_rate: 0.0,
-            migration_corrupt_rate: 0.0,
-            scripted: Vec::new(),
-        }
-    }
-}
-
 impl ClusterFaultConfig {
+    /// The field table: every rate and duration once, under its `.scn`
+    /// key (a blackout or partition is one `<rate> <epochs>` record), in
+    /// the order the scenario emitter writes them. The script is not a
+    /// field: its `at` lines follow the table's.
+    pub const FIELDS: &'static [Row<ClusterFaultConfig>] = twig_stats::field_rows![
+        "crash_rate" => crash_rate: Probability;
+        "restart_after" => restart_after_epochs: Count;
+        "heartbeat_loss" => heartbeat_loss_rate: Probability;
+        "blackout" => blackout_rate: Probability, blackout_epochs: Count;
+        "partition" => partition_rate: Probability, partition_epochs: Count;
+        "migration_stall" => migration_stall_rate: Probability;
+        "migration_corrupt" => migration_corrupt_rate: Probability;
+    ];
+
     /// Validates all rates are finite probabilities.
     ///
     /// # Errors
@@ -133,22 +131,14 @@ impl ClusterFaultConfig {
     /// Returns [`ClusterError::InvalidConfig`] when a rate is outside
     /// `[0, 1]` or not finite.
     pub fn validate(&self) -> Result<(), ClusterError> {
-        for (label, rate) in [
-            ("crash_rate", self.crash_rate),
-            ("heartbeat_loss_rate", self.heartbeat_loss_rate),
-            ("blackout_rate", self.blackout_rate),
-            ("partition_rate", self.partition_rate),
-            ("migration_stall_rate", self.migration_stall_rate),
-            ("migration_corrupt_rate", self.migration_corrupt_rate),
-        ] {
-            if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
-                return Err(ClusterError::invalid(format!(
-                    "{label} must be a probability, got {rate}"
-                )));
-            }
-        }
-        Ok(())
+        check(Self::FIELDS, self, Kind::Probability).map_err(not_a_probability)
     }
+}
+
+/// The error both fault configurations of this crate report for a rate
+/// [`check`] refused.
+pub(crate) fn not_a_probability((label, rate): (&'static str, f64)) -> ClusterError {
+    ClusterError::invalid(format!("{label} must be a probability, got {rate}"))
 }
 
 /// Everything the fault plan injects at one epoch, pre-drawn in a fixed

@@ -31,10 +31,12 @@
 //! enabled a run stays a pure function of
 //! `(ClusterConfig, ClusterFaultConfig, FederateConfig, FedFaultConfig, seed)`.
 
+use crate::fault::not_a_probability;
 use crate::node::ClusterNode;
 use crate::ClusterError;
 use twig_rl::federate::{check_eligible, check_finite, check_shape, decode_payload, merge_round};
 use twig_rl::{encode_checkpoint, ByzantineScreen, Contribution, MaBdqCheckpoint, ScreenConfig};
+use twig_stats::fields::{check, Kind, Row};
 use twig_stats::rng::{Rng, Xoshiro256};
 
 /// Knobs of the federation plane.
@@ -281,6 +283,19 @@ impl Default for FedFaultConfig {
 }
 
 impl FedFaultConfig {
+    /// The field table: every rate and duration once, under its `.scn`
+    /// key (`straggle` is one `<rate> <epochs>` record), in the order the
+    /// scenario emitter writes them. The script is not a field: its `at`
+    /// lines follow the table's.
+    pub const FIELDS: &'static [Row<FedFaultConfig>] = twig_stats::field_rows![
+        "corrupt_rate" => corrupt_rate: Probability;
+        "truncate_rate" => truncate_rate: Probability;
+        "byzantine_rate" => byzantine_rate: Probability;
+        "straggle" => straggler_rate: Probability, straggle_epochs: Count;
+        "drop_rate" => drop_rate: Probability;
+        "poison_rate" => poison_merge_rate: Probability;
+    ];
+
     /// Validates all rates are finite probabilities.
     ///
     /// # Errors
@@ -288,21 +303,7 @@ impl FedFaultConfig {
     /// Returns [`ClusterError::InvalidConfig`] when a rate is outside
     /// `[0, 1]` or not finite.
     pub fn validate(&self) -> Result<(), ClusterError> {
-        for (label, rate) in [
-            ("corrupt_rate", self.corrupt_rate),
-            ("truncate_rate", self.truncate_rate),
-            ("byzantine_rate", self.byzantine_rate),
-            ("straggler_rate", self.straggler_rate),
-            ("drop_rate", self.drop_rate),
-            ("poison_merge_rate", self.poison_merge_rate),
-        ] {
-            if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
-                return Err(ClusterError::invalid(format!(
-                    "{label} must be a probability, got {rate}"
-                )));
-            }
-        }
-        Ok(())
+        check(Self::FIELDS, self, Kind::Probability).map_err(not_a_probability)
     }
 }
 
@@ -1279,7 +1280,7 @@ mod tests {
 
     #[test]
     fn cluster_federation_end_to_end_with_telemetry_mirror() {
-        let telemetry = Telemetry::recorder();
+        let telemetry = Telemetry::enabled();
         let config = ClusterConfig {
             nodes: (0..3).map(|_| platform(18)).collect(),
             services: vec![catalog::masstree(), catalog::xapian()],
@@ -1319,7 +1320,9 @@ mod tests {
         assert!(stats.recipients_updated >= 1, "{stats:?}");
         // Every `fed.*` telemetry counter equals its stats field, and no
         // unknown `fed.*` counter exists.
-        let snapshot = telemetry.metrics().expect("recorder keeps metrics");
+        let snapshot = telemetry
+            .metrics()
+            .expect("enabled telemetry keeps metrics");
         let mirrored = snapshot.counters_with_prefix("fed.");
         for (name, value) in stats.counter_pairs_all() {
             let seen = mirrored

@@ -67,27 +67,29 @@ impl Default for GovernorConfig {
     }
 }
 
-/// Counters describing everything the governor intervened on (for
-/// resilience evaluation).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GovernorStats {
-    /// Decisions replaced because the inner manager returned a recoverable
-    /// error.
-    pub recoverable_errors: u64,
-    /// Decisions replaced because they failed platform validation.
-    pub invalid_decisions: u64,
-    /// Total fallback decisions issued (last-known-good or safe static).
-    pub fallback_decisions: u64,
-    /// Epochs whose telemetry was corrupted (routed to
-    /// [`TaskManager::observe_degraded`]).
-    pub degraded_epochs: u64,
-    /// Watchdog trips into the safe static allocation.
-    pub watchdog_trips: u64,
-    /// Epochs spent in the safe static allocation.
-    pub safe_mode_epochs: u64,
-    /// Degraded (`SafeFallback`-tier) decisions served from the inner
-    /// manager's cheap path instead of the safe static allocation.
-    pub degraded_decisions: u64,
+twig_telemetry::stats! {
+    /// Counters describing everything the governor intervened on (for
+    /// resilience evaluation). Every field is mirrored into telemetry under
+    /// the matching `governor.*` counter.
+    pub struct GovernorStats {
+        /// Decisions replaced because the inner manager returned a
+        /// recoverable error.
+        recoverable_errors => "governor.recoverable_errors",
+        /// Decisions replaced because they failed platform validation.
+        invalid_decisions => "governor.invalid_decisions",
+        /// Total fallback decisions issued (last-known-good or safe static).
+        fallback_decisions => "governor.fallback_decisions",
+        /// Epochs whose telemetry was corrupted (routed to
+        /// [`TaskManager::observe_degraded`]).
+        degraded_epochs => "governor.degraded_epochs",
+        /// Watchdog trips into the safe static allocation.
+        watchdog_trips => "governor.watchdog_trips",
+        /// Epochs spent in the safe static allocation.
+        safe_mode_epochs => "governor.safe_mode_epochs",
+        /// Degraded (`SafeFallback`-tier) decisions served from the inner
+        /// manager's cheap path instead of the safe static allocation.
+        degraded_decisions => "governor.degraded_decisions",
+    }
 }
 
 /// Periodic-checkpoint wiring installed by

@@ -203,12 +203,6 @@ impl TwigBuilder {
         self
     }
 
-    /// Sets the stress-benchmark peak power.
-    pub fn peak_power(mut self, watts: f64) -> Self {
-        self.config.peak_power_w = watts;
-        self
-    }
-
     /// Overrides learning-agent settings (network width, lr, PER, …).
     pub fn agent(mut self, agent: MaBdqConfig) -> Self {
         self.config.agent = agent;

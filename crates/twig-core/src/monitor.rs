@@ -101,11 +101,6 @@ impl SystemMonitor {
         self.degraded.get(index).copied().unwrap_or(false)
     }
 
-    /// Per-service degraded flags, in index order.
-    pub fn degraded_flags(&self) -> &[bool] {
-        &self.degraded
-    }
-
     /// The smoothed, scaled state vector for service `index` — the MDP state
     /// of Table I. All zeros until the first update.
     ///

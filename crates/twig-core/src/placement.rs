@@ -205,13 +205,6 @@ pub struct ClusterView {
     pub nodes: Vec<NodeView>,
 }
 
-impl ClusterView {
-    /// Nodes currently believed alive, in id order.
-    pub fn alive_nodes(&self) -> impl Iterator<Item = &NodeView> {
-        self.nodes.iter().filter(|n| n.alive)
-    }
-}
-
 /// One step a placement planner asks the cluster runtime to execute.
 ///
 /// Planning is separated from execution: spin-up cost, state transfer

@@ -214,30 +214,34 @@ impl SchedulerConfig {
     }
 }
 
-/// Aggregate counters for reports (all also exported as `deadline.*`
-/// telemetry).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SchedulerStats {
-    /// Epochs completed (`end_epoch` calls).
-    pub epochs: u64,
-    /// Epochs whose wall duration exceeded the interval.
-    pub misses: u64,
-    /// PMC windows rejected as stale.
-    pub stale_windows: u64,
-    /// Actuation retry attempts issued.
-    pub actuation_retries: u64,
-    /// Actuation attempts that hit the per-attempt timeout.
-    pub actuation_timeouts: u64,
-    /// Epochs that ended at [`ShedLevel::DeferLearn`].
-    pub defer_learn_epochs: u64,
-    /// Epochs that ended at [`ShedLevel::SkipInference`].
-    pub skip_inference_epochs: u64,
-    /// Epochs that ended at [`ShedLevel::SafeFallback`].
-    pub safe_fallback_epochs: u64,
-    /// Learning micro-batch chunks granted.
-    pub learn_chunks: u64,
-    /// Deepest ladder level any epoch reached.
-    pub max_ladder_depth: u8,
+twig_telemetry::stats! {
+    /// Aggregate counters for reports. Every counter is mirrored into
+    /// telemetry under the matching `deadline.*` name; the `plain` fields
+    /// have no counter.
+    pub struct SchedulerStats {
+        /// Epochs whose wall duration exceeded the interval.
+        misses => "deadline.misses",
+        /// PMC windows rejected as stale.
+        stale_windows => "deadline.stale_windows",
+        /// Actuation retry attempts issued.
+        actuation_retries => "deadline.actuation_retries",
+        /// Actuation attempts that hit the per-attempt timeout.
+        actuation_timeouts => "deadline.actuation_timeouts",
+        /// Epochs that ended at [`ShedLevel::DeferLearn`].
+        defer_learn_epochs => "deadline.shed.defer_learn",
+        /// Epochs that ended at [`ShedLevel::SkipInference`].
+        skip_inference_epochs => "deadline.shed.skip_inference",
+        /// Epochs that ended at [`ShedLevel::SafeFallback`].
+        safe_fallback_epochs => "deadline.shed.safe_fallback",
+        plain {
+            /// Epochs completed (`end_epoch` calls).
+            epochs: u64,
+            /// Learning micro-batch chunks granted.
+            learn_chunks: u64,
+            /// Deepest ladder level any epoch reached.
+            max_ladder_depth: u8,
+        }
+    }
 }
 
 /// Deadline-aware scheduler for one manager's epoch loop. Generic over the

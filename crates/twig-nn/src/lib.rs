@@ -8,8 +8,8 @@
 //! - [`Dense`], [`Relu`], [`Dropout`] — layers with cached activations and
 //!   accumulate-on-backward gradients, composable into an [`Mlp`];
 //! - [`Adam`] — the optimiser used by the paper (lr 0.0025 in Twig);
-//! - [`mse_loss`] / [`huber_loss`] — losses with optional per-sample
-//!   importance weights (needed by prioritised experience replay).
+//! - [`mse_loss`] — the loss, with optional per-sample importance weights
+//!   (needed by prioritised experience replay).
 //!
 //! Gradients *accumulate* across [`Mlp::backward`] calls until
 //! [`Mlp::zero_grads`] — this is what lets the multi-agent BDQ in `twig-rl`
@@ -68,7 +68,7 @@ mod tensor;
 pub use count_alloc::note_alloc;
 pub use error::NnError;
 pub use layer::{Dense, Dropout, Layer, Relu};
-pub use loss::{huber_loss, mse_loss};
+pub use loss::mse_loss;
 pub use mlp::{IntoMlpLayer, Mlp, MlpLayerToken};
 pub use optim::{Adam, AdamSlot, AdamState};
 pub use quant::{QuantizedDense, QuantizedMlp};

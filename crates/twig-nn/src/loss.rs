@@ -47,55 +47,6 @@ pub fn mse_loss(
     Ok((loss / n, grad))
 }
 
-/// Huber loss (delta = 1) with optional per-sample importance weights.
-///
-/// Quadratic near zero, linear in the tails — the standard DQN trick for
-/// robustness against outlier TD errors.
-///
-/// # Errors
-///
-/// Same conditions as [`mse_loss`].
-///
-/// # Examples
-///
-/// ```
-/// use twig_nn::{huber_loss, Tensor};
-///
-/// let pred = Tensor::from_row(&[3.0]);
-/// let target = Tensor::from_row(&[0.0]);
-/// let (loss, grad) = huber_loss(&pred, &target, None).unwrap();
-/// assert!((loss - 2.5).abs() < 1e-6); // |3| - 0.5
-/// assert_eq!(grad.as_slice(), &[1.0]); // clipped to delta
-/// ```
-pub fn huber_loss(
-    pred: &Tensor,
-    target: &Tensor,
-    weights: Option<&[f32]>,
-) -> Result<(f32, Tensor), NnError> {
-    check_shapes(pred, target, weights)?;
-    const DELTA: f32 = 1.0;
-    let n = pred.as_slice().len() as f32;
-    let mut grad = Tensor::zeros(pred.rows(), pred.cols());
-    let mut loss = 0.0;
-    for r in 0..pred.rows() {
-        let w = weights.map_or(1.0, |ws| ws[r]);
-        let p_row = pred.row(r);
-        let t_row = target.row(r);
-        let g_row = grad.row_mut(r);
-        for i in 0..p_row.len() {
-            let diff = p_row[i] - t_row[i];
-            if diff.abs() <= DELTA {
-                loss += w * 0.5 * diff * diff;
-                g_row[i] = w * diff / n;
-            } else {
-                loss += w * (DELTA * diff.abs() - 0.5 * DELTA * DELTA);
-                g_row[i] = w * DELTA * diff.signum() / n;
-            }
-        }
-    }
-    Ok((loss / n, grad))
-}
-
 fn check_shapes(pred: &Tensor, target: &Tensor, weights: Option<&[f32]>) -> Result<(), NnError> {
     if pred.rows() == 0 || pred.cols() == 0 {
         return Err(NnError::Empty);
@@ -145,52 +96,22 @@ mod tests {
     }
 
     #[test]
-    fn huber_matches_mse_for_small_errors() {
-        let pred = Tensor::from_row(&[0.3]);
-        let target = Tensor::from_row(&[0.0]);
-        let (h, hg) = huber_loss(&pred, &target, None).unwrap();
-        assert!((h - 0.5 * 0.09).abs() < 1e-6);
-        assert!((hg.as_slice()[0] - 0.3).abs() < 1e-6);
-    }
-
-    #[test]
     fn shape_errors_detected() {
         let a = Tensor::from_row(&[1.0]);
         let b = Tensor::from_row(&[1.0, 2.0]);
         assert!(mse_loss(&a, &b, None).is_err());
         assert!(mse_loss(&a, &a, Some(&[1.0, 1.0])).is_err());
-        assert!(huber_loss(&a, &b, None).is_err());
     }
 
     #[test]
-    fn losses_nonnegative() {
+    fn loss_nonnegative() {
         let mut rng = Xoshiro256::seed_from_u64(0x1055);
         for _ in 0..200 {
             let n = rng.range_usize(1, 20);
             let p: Vec<f32> = (0..n).map(|_| rng.range_f32(-10.0, 10.0)).collect();
             let t: Vec<f32> = (0..n).map(|_| rng.range_f32(-10.0, 10.0)).collect();
-            let pred = Tensor::from_row(&p);
-            let target = Tensor::from_row(&t);
-            let (mse, _) = mse_loss(&pred, &target, None).unwrap();
-            let (huber, _) = huber_loss(&pred, &target, None).unwrap();
+            let (mse, _) = mse_loss(&Tensor::from_row(&p), &Tensor::from_row(&t), None).unwrap();
             assert!(mse >= 0.0);
-            assert!(huber >= 0.0);
-            assert!(huber <= mse / 2.0 + 1e-3 + huber);
-        }
-    }
-
-    #[test]
-    fn huber_gradient_bounded() {
-        let mut rng = Xoshiro256::seed_from_u64(0x4b3d);
-        for _ in 0..200 {
-            let n = rng.range_usize(1, 20);
-            let p: Vec<f32> = (0..n).map(|_| rng.range_f32(-100.0, 100.0)).collect();
-            let pred = Tensor::from_row(&p);
-            let target = Tensor::zeros(1, p.len());
-            let (_, grad) = huber_loss(&pred, &target, None).unwrap();
-            for &g in grad.as_slice() {
-                assert!(g.abs() <= 1.0 / p.len() as f32 + 1e-6);
-            }
         }
     }
 }

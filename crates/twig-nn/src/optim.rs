@@ -61,11 +61,6 @@ impl Adam {
         self.lr
     }
 
-    /// Sets a new learning rate (e.g. for schedules).
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
     /// Applies one Adam step to `param` given `grad`, using the moment
     /// buffers registered under `param_id`.
     ///

@@ -22,6 +22,7 @@
 //! contract `twig_sim::FaultPlan` keeps.
 
 use crate::PlatformError;
+use twig_stats::fields::{any_active, check, Kind, Row};
 use twig_stats::rng::{Rng, Xoshiro256};
 
 /// What kind of file a path is, for fault scoping. Classification is by
@@ -102,20 +103,25 @@ impl Default for OsFaultConfig {
 }
 
 impl OsFaultConfig {
+    /// The field table: every rate and the flap period once. The clamp
+    /// floor is not in it — it is a stored value with its own constraint
+    /// (non-zero), not something a schedule varies.
+    pub const FIELDS: &'static [Row<OsFaultConfig>] = twig_stats::field_rows![
+        "cpuset_eperm" => cpuset_eperm_rate: Probability;
+        "cpuset_ebusy" => cpuset_ebusy_rate: Probability;
+        "cpuset_torn" => cpuset_torn_rate: Probability;
+        "cpuset_delay" => cpuset_delay_rate: Probability;
+        "cpufreq_eperm" => cpufreq_eperm_rate: Probability;
+        "cpufreq_clamp" => cpufreq_clamp_rate: Probability;
+        "counter_stale" => counter_stale_rate: Probability;
+        "counter_garbage" => counter_garbage_rate: Probability;
+        "counter_enoent" => counter_enoent_rate: Probability;
+        "eperm_flap" => eperm_flap_period: Count;
+    ];
+
     /// True when any fault can ever fire.
     pub fn enabled(&self) -> bool {
-        let rates = [
-            self.cpuset_eperm_rate,
-            self.cpuset_ebusy_rate,
-            self.cpuset_torn_rate,
-            self.cpuset_delay_rate,
-            self.cpufreq_eperm_rate,
-            self.cpufreq_clamp_rate,
-            self.counter_stale_rate,
-            self.counter_garbage_rate,
-            self.counter_enoent_rate,
-        ];
-        rates.iter().any(|&r| r > 0.0) || self.eperm_flap_period > 0
+        any_active(Self::FIELDS, self)
     }
 
     /// Validates every rate.
@@ -125,24 +131,11 @@ impl OsFaultConfig {
     /// Returns [`PlatformError::Config`] for a rate outside `[0, 1]` or a
     /// zero clamp floor.
     pub fn validate(&self) -> Result<(), PlatformError> {
-        let rates = [
-            ("cpuset_eperm_rate", self.cpuset_eperm_rate),
-            ("cpuset_ebusy_rate", self.cpuset_ebusy_rate),
-            ("cpuset_torn_rate", self.cpuset_torn_rate),
-            ("cpuset_delay_rate", self.cpuset_delay_rate),
-            ("cpufreq_eperm_rate", self.cpufreq_eperm_rate),
-            ("cpufreq_clamp_rate", self.cpufreq_clamp_rate),
-            ("counter_stale_rate", self.counter_stale_rate),
-            ("counter_garbage_rate", self.counter_garbage_rate),
-            ("counter_enoent_rate", self.counter_enoent_rate),
-        ];
-        for (label, r) in rates {
-            if !r.is_finite() || !(0.0..=1.0).contains(&r) {
-                return Err(PlatformError::Config {
-                    detail: format!("{label} must be in [0, 1], got {r}"),
-                });
+        check(Self::FIELDS, self, Kind::Probability).map_err(|(label, r)| {
+            PlatformError::Config {
+                detail: format!("{label} must be in [0, 1], got {r}"),
             }
-        }
+        })?;
         if self.cpufreq_floor_khz == 0 {
             return Err(PlatformError::Config {
                 detail: "cpufreq_floor_khz must be non-zero".into(),

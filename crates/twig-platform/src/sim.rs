@@ -57,11 +57,6 @@ impl SimPlatform {
     pub fn server_mut(&mut self) -> &mut Server {
         &mut self.server
     }
-
-    /// Unwraps back into the server.
-    pub fn into_server(self) -> Server {
-        self.server
-    }
 }
 
 impl Platform for SimPlatform {

@@ -5,8 +5,8 @@
 //!
 //! - [`EpsilonSchedule`] / [`LinearAnneal`] — the ε-annealing of Section IV
 //!   (1 → 0.1 over 10 000 s, → 0.01 at 25 000 s) and the PER β annealing;
-//! - [`ReplayBuffer`] and [`PrioritizedReplay`] — uniform and prioritised
-//!   experience replay (sum-tree, α = 0.6, β₀ = 0.4 → 1);
+//! - [`PrioritizedReplay`] — prioritised experience replay (sum-tree,
+//!   α = 0.6, β₀ = 0.4 → 1);
 //! - [`QTable`] — tabular Q-learning, the state-action representation used
 //!   by Hipster and the memory-complexity strawman of Section V-B1;
 //! - [`MaBdq`] — the paper's contribution: a **multi-agent branching dueling
@@ -54,7 +54,6 @@ pub mod federate;
 mod mabdq;
 pub mod memory;
 mod per;
-mod replay;
 mod tabular;
 
 pub use anneal::{EpsilonSchedule, LinearAnneal};
@@ -69,5 +68,4 @@ pub use mabdq::{
     TrainStats,
 };
 pub use per::{PerBatch, PrioritizedReplay};
-pub use replay::ReplayBuffer;
 pub use tabular::QTable;

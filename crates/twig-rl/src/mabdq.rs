@@ -1,4 +1,4 @@
-use crate::{EpsilonSchedule, MaBdqCheckpoint, PerBatch, PrioritizedReplay, RlError};
+use crate::{MaBdqCheckpoint, PerBatch, PrioritizedReplay, RlError};
 use twig_nn::{Adam, Dense, Dropout, Mlp, QuantizedMlp, Relu, Tensor};
 use twig_stats::rng::{Rng, Xoshiro256};
 use twig_telemetry::Telemetry;
@@ -1855,11 +1855,6 @@ impl MaBdq {
         self.target.copy_weights_from(&self.online);
         self.rebuild_guards();
         Ok(())
-    }
-
-    /// Convenience: the paper's ε schedule aligned to this agent.
-    pub fn paper_epsilon_schedule() -> EpsilonSchedule {
-        EpsilonSchedule::paper()
     }
 }
 

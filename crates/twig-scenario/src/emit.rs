@@ -8,9 +8,14 @@
 //! `emit(parse(emit(s))) == emit(s)`, and canonically-authored corpus
 //! files round-trip byte-identically.
 
-use crate::model::{Assertion, Scenario, ServiceDef, SpecSource, Topology};
+use crate::model::{Assertion, FederateSection, Scenario, ServiceDef, SpecSource, Topology};
 use std::fmt::Write as _;
-use twig_sim::LoadGenerator;
+use twig_cluster::{
+    ByzantineFlavor, ClusterEvent, ClusterFaultConfig, FedEvent, FedFaultConfig, FedScripted,
+    ScriptedEvent,
+};
+use twig_sim::{FaultConfig, LoadGenerator, TimingFaultConfig};
+use twig_stats::fields::Row;
 
 /// Renders the canonical text form of a scenario.
 pub fn emit(s: &Scenario) -> String {
@@ -34,16 +39,31 @@ pub fn emit(s: &Scenario) -> String {
         emit_service(&mut out, svc);
     }
     if let Some(f) = &s.faults {
-        emit_faults(&mut out, f);
+        emit_section(&mut out, "faults", f.seed, |out| {
+            emit_rows(out, FaultConfig::FIELDS, &f.config);
+        });
     }
     if let Some(t) = &s.timing {
-        emit_timing(&mut out, t);
+        emit_section(&mut out, "timing", t.seed, |out| {
+            emit_rows(out, TimingFaultConfig::FIELDS, &t.config);
+        });
     }
     if let Some(c) = &s.cluster_faults {
-        emit_cluster_faults(&mut out, c);
+        emit_section(&mut out, "cluster_faults", c.seed, |out| {
+            emit_rows(out, ClusterFaultConfig::FIELDS, &c.config);
+            for ev in &c.config.scripted {
+                emit_cluster_event(out, ev);
+            }
+        });
     }
     if let Some(f) = &s.federate {
-        emit_federate(&mut out, f);
+        emit_section(&mut out, "federate", f.seed, |out| {
+            emit_rows(out, FederateSection::KNOBS, &f.to_config());
+            emit_rows(out, FedFaultConfig::FIELDS, &f.config);
+            for ev in &f.config.scripted {
+                emit_fed_event(out, ev);
+            }
+        });
     }
 
     if !s.asserts.is_empty() {
@@ -163,208 +183,70 @@ fn emit_load(g: &LoadGenerator) -> String {
     }
 }
 
-fn emit_faults(out: &mut String, f: &crate::model::FaultSection) {
-    out.push('\n');
-    out.push_str("faults\n");
-    let _ = writeln!(out, "  seed {}", f.seed);
-    let c = &f.config;
-    if c.pmc_corrupt_rate != 0.0 {
-        let _ = writeln!(out, "  pmc_corrupt {}", c.pmc_corrupt_rate);
-    }
-    if c.telemetry_delay_epochs != 0 {
-        let _ = writeln!(out, "  telemetry_delay {}", c.telemetry_delay_epochs);
-    }
-    if c.actuation_reject_rate != 0.0 {
-        let _ = writeln!(out, "  actuation_reject {}", c.actuation_reject_rate);
-    }
-    if c.dvfs_clamp_rate != 0.0 {
-        let _ = writeln!(out, "  dvfs_clamp {}", c.dvfs_clamp_rate);
-    }
-    if c.power_glitch_rate != 0.0 {
-        let _ = writeln!(out, "  power_glitch {}", c.power_glitch_rate);
-    }
-    if c.core_fail_rate != 0.0 {
-        let _ = writeln!(out, "  core_fail {}", c.core_fail_rate);
-    }
-    if c.core_repair_rate != 0.0 {
-        let _ = writeln!(out, "  core_repair {}", c.core_repair_rate);
-    }
-    if c.max_offline_cores != 0 {
-        let _ = writeln!(out, "  max_offline {}", c.max_offline_cores);
-    }
+/// Writes one seeded fault section: the section word, its `seed`, the
+/// records `body` writes, `end`.
+fn emit_section(out: &mut String, name: &str, seed: u64, body: impl FnOnce(&mut String)) {
+    let _ = writeln!(out, "\n{name}\n  seed {seed}");
+    body(out);
     out.push_str("end\n");
 }
 
-fn emit_timing(out: &mut String, t: &crate::model::TimingSection) {
-    out.push('\n');
-    out.push_str("timing\n");
-    let _ = writeln!(out, "  seed {}", t.seed);
-    let c = &t.config;
-    if c.pmc_base_ms != 0.0 {
-        let _ = writeln!(out, "  pmc_base {}", c.pmc_base_ms);
+/// Writes one record per row of the field table that differs from the
+/// default configuration, in table order.
+pub(crate) fn emit_rows<C: Default>(out: &mut String, rows: &[Row<C>], config: &C) {
+    let default = C::default();
+    for row in rows {
+        if row
+            .cols
+            .iter()
+            .any(|col| (col.get)(config) != (col.get)(&default))
+        {
+            let _ = write!(out, "  {}", row.key);
+            for col in row.cols {
+                let _ = write!(out, " {}", (col.get)(config));
+            }
+            out.push('\n');
+        }
     }
-    if c.pmc_spike_rate != 0.0 || c.pmc_spike_ms != 0.0 {
-        let _ = writeln!(out, "  pmc_spike {} {}", c.pmc_spike_rate, c.pmc_spike_ms);
-    }
-    if c.pmc_stale_rate != 0.0 || c.pmc_stale_age_ms != 0.0 {
-        let _ = writeln!(
-            out,
-            "  pmc_stale {} {}",
-            c.pmc_stale_rate, c.pmc_stale_age_ms
-        );
-    }
-    if c.inference_base_ms != 0.0 {
-        let _ = writeln!(out, "  inference_base {}", c.inference_base_ms);
-    }
-    if c.inference_spike_rate != 0.0 || c.inference_spike_ms != 0.0 {
-        let _ = writeln!(
-            out,
-            "  inference_spike {} {}",
-            c.inference_spike_rate, c.inference_spike_ms
-        );
-    }
-    if c.learn_chunk_base_ms != 0.0 {
-        let _ = writeln!(out, "  learn_chunk {}", c.learn_chunk_base_ms);
-    }
-    if c.learn_spike_rate != 0.0 || c.learn_spike_ms != 0.0 {
-        let _ = writeln!(
-            out,
-            "  learn_spike {} {}",
-            c.learn_spike_rate, c.learn_spike_ms
-        );
-    }
-    if c.actuation_base_ms != 0.0 {
-        let _ = writeln!(out, "  actuation_base {}", c.actuation_base_ms);
-    }
-    if c.actuation_stall_rate != 0.0 || c.actuation_stall_ms != 0.0 {
-        let _ = writeln!(
-            out,
-            "  actuation_stall {} {}",
-            c.actuation_stall_rate, c.actuation_stall_ms
-        );
-    }
-    if c.clock_jitter_ms != 0.0 {
-        let _ = writeln!(out, "  clock_jitter {}", c.clock_jitter_ms);
-    }
-    if c.clock_skew_rate != 0.0 || c.clock_skew_ms != 0.0 {
-        let _ = writeln!(
-            out,
-            "  clock_skew {} {}",
-            c.clock_skew_rate, c.clock_skew_ms
-        );
-    }
-    if c.clock_stuck_rate != 0.0 {
-        let _ = writeln!(out, "  clock_stuck {}", c.clock_stuck_rate);
-    }
-    out.push_str("end\n");
 }
 
-fn emit_cluster_faults(out: &mut String, cf: &crate::model::ClusterFaultSection) {
-    use twig_cluster::ClusterEvent;
-    out.push('\n');
-    out.push_str("cluster_faults\n");
-    let _ = writeln!(out, "  seed {}", cf.seed);
-    let c = &cf.config;
-    if c.crash_rate != 0.0 {
-        let _ = writeln!(out, "  crash_rate {}", c.crash_rate);
-    }
-    if c.restart_after_epochs != 0 {
-        let _ = writeln!(out, "  restart_after {}", c.restart_after_epochs);
-    }
-    if c.heartbeat_loss_rate != 0.0 {
-        let _ = writeln!(out, "  heartbeat_loss {}", c.heartbeat_loss_rate);
-    }
-    if c.blackout_rate != 0.0 || c.blackout_epochs != 0 {
-        let _ = writeln!(out, "  blackout {} {}", c.blackout_rate, c.blackout_epochs);
-    }
-    if c.partition_rate != 0.0 || c.partition_epochs != 0 {
-        let _ = writeln!(
-            out,
-            "  partition {} {}",
-            c.partition_rate, c.partition_epochs
-        );
-    }
-    if c.migration_stall_rate != 0.0 {
-        let _ = writeln!(out, "  migration_stall {}", c.migration_stall_rate);
-    }
-    if c.migration_corrupt_rate != 0.0 {
-        let _ = writeln!(out, "  migration_corrupt {}", c.migration_corrupt_rate);
-    }
-    for ev in &c.scripted {
-        let _ = match &ev.event {
-            ClusterEvent::Crash { node } => writeln!(out, "  at {} crash {node}", ev.epoch),
-            ClusterEvent::Restart { node } => writeln!(out, "  at {} restart {node}", ev.epoch),
-            ClusterEvent::DropHeartbeat { node } => {
-                writeln!(out, "  at {} drop_heartbeat {node}", ev.epoch)
-            }
-            ClusterEvent::Migrate { service, from, to } => {
-                writeln!(out, "  at {} migrate {service} {from} {to}", ev.epoch)
-            }
-            ClusterEvent::Blackout { epochs } => {
-                writeln!(out, "  at {} blackout {epochs}", ev.epoch)
-            }
-            ClusterEvent::Partition { node, epochs } => {
-                writeln!(out, "  at {} partition {node} {epochs}", ev.epoch)
-            }
-        };
-    }
-    out.push_str("end\n");
+fn emit_cluster_event(out: &mut String, ev: &ScriptedEvent) {
+    let _ = match &ev.event {
+        ClusterEvent::Crash { node } => writeln!(out, "  at {} crash {node}", ev.epoch),
+        ClusterEvent::Restart { node } => writeln!(out, "  at {} restart {node}", ev.epoch),
+        ClusterEvent::DropHeartbeat { node } => {
+            writeln!(out, "  at {} drop_heartbeat {node}", ev.epoch)
+        }
+        ClusterEvent::Migrate { service, from, to } => {
+            writeln!(out, "  at {} migrate {service} {from} {to}", ev.epoch)
+        }
+        ClusterEvent::Blackout { epochs } => {
+            writeln!(out, "  at {} blackout {epochs}", ev.epoch)
+        }
+        ClusterEvent::Partition { node, epochs } => {
+            writeln!(out, "  at {} partition {node} {epochs}", ev.epoch)
+        }
+    };
 }
 
-fn emit_federate(out: &mut String, f: &crate::model::FederateSection) {
-    use twig_cluster::{ByzantineFlavor, FedEvent, FederateConfig};
-    let defaults = FederateConfig::default();
-    out.push('\n');
-    out.push_str("federate\n");
-    let _ = writeln!(out, "  seed {}", f.seed);
-    if f.period != defaults.round_period {
-        let _ = writeln!(out, "  period {}", f.period);
-    }
-    if f.quorum != defaults.min_quorum {
-        let _ = writeln!(out, "  quorum {}", f.quorum);
-    }
-    if f.timeout != defaults.collect_timeout {
-        let _ = writeln!(out, "  timeout {}", f.timeout);
-    }
-    let c = &f.config;
-    if c.corrupt_rate != 0.0 {
-        let _ = writeln!(out, "  corrupt_rate {}", c.corrupt_rate);
-    }
-    if c.truncate_rate != 0.0 {
-        let _ = writeln!(out, "  truncate_rate {}", c.truncate_rate);
-    }
-    if c.byzantine_rate != 0.0 {
-        let _ = writeln!(out, "  byzantine_rate {}", c.byzantine_rate);
-    }
-    if c.straggler_rate != 0.0 || c.straggle_epochs != 1 {
-        let _ = writeln!(out, "  straggle {} {}", c.straggler_rate, c.straggle_epochs);
-    }
-    if c.drop_rate != 0.0 {
-        let _ = writeln!(out, "  drop_rate {}", c.drop_rate);
-    }
-    if c.poison_merge_rate != 0.0 {
-        let _ = writeln!(out, "  poison_rate {}", c.poison_merge_rate);
-    }
-    for ev in &c.scripted {
-        let _ = match &ev.event {
-            FedEvent::Corrupt { node } => writeln!(out, "  at {} corrupt {node}", ev.round),
-            FedEvent::Truncate { node } => writeln!(out, "  at {} truncate {node}", ev.round),
-            FedEvent::Byzantine { node, flavor } => {
-                let word = match flavor {
-                    ByzantineFlavor::Garbage => "garbage",
-                    ByzantineFlavor::NonFinite => "nonfinite",
-                    ByzantineFlavor::Offset => "offset",
-                };
-                writeln!(out, "  at {} byzantine {node} {word}", ev.round)
-            }
-            FedEvent::Straggle { node, epochs } => {
-                writeln!(out, "  at {} straggle {node} {epochs}", ev.round)
-            }
-            FedEvent::Drop { node } => writeln!(out, "  at {} drop {node}", ev.round),
-            FedEvent::PoisonMerge => writeln!(out, "  at {} poison_merge", ev.round),
-        };
-    }
-    out.push_str("end\n");
+fn emit_fed_event(out: &mut String, ev: &FedScripted) {
+    let _ = match &ev.event {
+        FedEvent::Corrupt { node } => writeln!(out, "  at {} corrupt {node}", ev.round),
+        FedEvent::Truncate { node } => writeln!(out, "  at {} truncate {node}", ev.round),
+        FedEvent::Byzantine { node, flavor } => {
+            let word = match flavor {
+                ByzantineFlavor::Garbage => "garbage",
+                ByzantineFlavor::NonFinite => "nonfinite",
+                ByzantineFlavor::Offset => "offset",
+            };
+            writeln!(out, "  at {} byzantine {node} {word}", ev.round)
+        }
+        FedEvent::Straggle { node, epochs } => {
+            writeln!(out, "  at {} straggle {node} {epochs}", ev.round)
+        }
+        FedEvent::Drop { node } => writeln!(out, "  at {} drop {node}", ev.round),
+        FedEvent::PoisonMerge => writeln!(out, "  at {} poison_merge", ev.round),
+    };
 }
 
 /// Renders one `assert` line (with trailing newline) in canonical form.

@@ -56,7 +56,6 @@
 mod corpus;
 mod emit;
 mod error;
-mod json;
 mod model;
 mod parse;
 mod runner;
@@ -70,5 +69,5 @@ pub use model::{
 };
 pub use parse::parse;
 pub use runner::{
-    AssertionResult, ClusterOutcome, ScenarioOutcome, ScenarioRunner, ServiceOutcome,
+    build_twig, AssertionResult, ClusterOutcome, ScenarioOutcome, ScenarioRunner, ServiceOutcome,
 };

@@ -6,6 +6,7 @@ fn bad(detail: impl Into<String>) -> ScenarioError {
 }
 use twig_cluster::{ClusterFaultConfig, FedFaultConfig, FederateConfig};
 use twig_sim::{catalog, DvfsLadder, FaultConfig, LoadGenerator, ServiceSpec, TimingFaultConfig};
+use twig_stats::fields::Row;
 
 /// One parsed scenario: everything a [`crate::ScenarioRunner`] needs to
 /// compile a deterministic run, plus the properties it must exhibit.
@@ -180,6 +181,15 @@ pub struct FederateSection {
 }
 
 impl FederateSection {
+    /// The three [`FederateConfig`] knobs the grammar exposes, under their
+    /// `.scn` keys; a `federate` section lists them ahead of the
+    /// [`FedFaultConfig::FIELDS`] records.
+    pub const KNOBS: &'static [Row<FederateConfig>] = twig_stats::field_rows![
+        "period" => round_period: Count;
+        "quorum" => min_quorum: Count;
+        "timeout" => collect_timeout: Count;
+    ];
+
     /// The [`FederateConfig`] this section compiles to: the three
     /// DSL-exposed knobs over library defaults for the rest.
     pub fn to_config(&self) -> FederateConfig {

@@ -20,9 +20,10 @@ use crate::model::{
 use crate::ScenarioError;
 use twig_cluster::{
     ByzantineFlavor, ClusterEvent, ClusterFaultConfig, FedEvent, FedFaultConfig, FedScripted,
-    FederateConfig, ScriptedEvent,
+    ScriptedEvent,
 };
 use twig_sim::{FaultConfig, LoadGenerator, SimError, TimingFaultConfig};
+use twig_stats::fields::{Kind, Row, Value};
 
 /// One token: a bare word or a quoted string.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,8 +90,8 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
     let mut asserts: Vec<Assertion> = Vec::new();
 
     while let Some((line, toks)) = it.next() {
-        let key = toks[0].text().to_string();
-        match key.as_str() {
+        let key = toks[0].text();
+        match key {
             "desc" => set_once(line, "desc", &mut desc, one_str(line, "desc", &toks)?)?,
             "seed" => set_once(line, "seed", &mut seed, one_u64(line, "seed", &toks)?)?,
             "epochs" => set_once(line, "epochs", &mut epochs, one_u64(line, "epochs", &toks)?)?,
@@ -108,11 +109,7 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
                 one_u64(line, "segments", &toks)?,
             )?,
             "server" | "cluster" => {
-                if topology.is_some() {
-                    return Err(ScenarioError::Duplicate { line, key });
-                }
-                expect_arity(line, &toks, 1)?;
-                let body = section_body(&mut it, &key)?;
+                let body = open_section(&mut it, line, &toks, topology.is_some())?;
                 topology = Some(if key == "server" {
                     parse_server(body)?
                 } else {
@@ -125,39 +122,50 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
                 services.push(parse_service(id, body)?);
             }
             "faults" => {
-                if faults.is_some() {
-                    return Err(ScenarioError::Duplicate { line, key });
-                }
-                expect_arity(line, &toks, 1)?;
-                faults = Some(parse_faults(section_body(&mut it, "faults")?)?);
+                let body = open_section(&mut it, line, &toks, faults.is_some())?;
+                let (seed, (), config) =
+                    keyed_section(key, body, &[], FaultConfig::FIELDS, no_script)?;
+                faults = Some(FaultSection { seed, config });
             }
             "timing" => {
-                if timing.is_some() {
-                    return Err(ScenarioError::Duplicate { line, key });
-                }
-                expect_arity(line, &toks, 1)?;
-                timing = Some(parse_timing(section_body(&mut it, "timing")?)?);
+                let body = open_section(&mut it, line, &toks, timing.is_some())?;
+                let (seed, (), config) =
+                    keyed_section(key, body, &[], TimingFaultConfig::FIELDS, no_script)?;
+                timing = Some(TimingSection { seed, config });
             }
             "cluster_faults" => {
-                if cluster_faults.is_some() {
-                    return Err(ScenarioError::Duplicate { line, key });
-                }
-                expect_arity(line, &toks, 1)?;
-                cluster_faults = Some(parse_cluster_faults(section_body(
-                    &mut it,
-                    "cluster_faults",
-                )?)?);
+                let body = open_section(&mut it, line, &toks, cluster_faults.is_some())?;
+                let rows = ClusterFaultConfig::FIELDS;
+                let (seed, (), config) = keyed_section(key, body, &[], rows, |line, toks, c| {
+                    c.scripted.push(parse_scripted(line, toks)?);
+                    Ok(())
+                })?;
+                cluster_faults = Some(ClusterFaultSection { seed, config });
             }
             "federate" => {
-                if federate.is_some() {
-                    return Err(ScenarioError::Duplicate { line, key });
-                }
-                expect_arity(line, &toks, 1)?;
-                federate = Some(parse_federate(section_body(&mut it, "federate")?)?);
+                let body = open_section(&mut it, line, &toks, federate.is_some())?;
+                let (knobs, rows) = (FederateSection::KNOBS, FedFaultConfig::FIELDS);
+                let (seed, knobs, config) =
+                    keyed_section(key, body, knobs, rows, |line, toks, c| {
+                        c.scripted.push(parse_fed_scripted(line, toks)?);
+                        Ok(())
+                    })?;
+                federate = Some(FederateSection {
+                    seed,
+                    period: knobs.round_period,
+                    quorum: knobs.min_quorum,
+                    timeout: knobs.collect_timeout,
+                    config,
+                });
             }
             "assert" => asserts.push(parse_assert(line, &toks)?),
             "end" => return Err(parse_err(line, "`end` without an open section")),
-            _ => return Err(ScenarioError::UnknownKey { line, key }),
+            _ => {
+                return Err(ScenarioError::UnknownKey {
+                    line,
+                    key: key.to_string(),
+                })
+            }
         }
     }
 
@@ -329,6 +337,25 @@ fn section_body(
     Err(ScenarioError::Truncated {
         detail: format!("`{what}` section not closed by `end`"),
     })
+}
+
+/// Opens a section that may appear once: rejects a second one and any
+/// argument after the section word, then pulls the body.
+fn open_section(
+    it: &mut std::iter::Peekable<std::vec::IntoIter<(usize, Vec<Token>)>>,
+    line: usize,
+    toks: &[Token],
+    already: bool,
+) -> Result<Vec<(usize, Vec<Token>)>, ScenarioError> {
+    let key = toks[0].text();
+    if already {
+        return Err(ScenarioError::Duplicate {
+            line,
+            key: key.to_string(),
+        });
+    }
+    expect_arity(line, toks, 1)?;
+    section_body(it, key)
 }
 
 fn parse_server(body: Vec<(usize, Vec<Token>)>) -> Result<Topology, ScenarioError> {
@@ -562,199 +589,80 @@ fn parse_service(id: String, body: Vec<(usize, Vec<Token>)>) -> Result<ServiceDe
     })
 }
 
-fn parse_faults(body: Vec<(usize, Vec<Token>)>) -> Result<FaultSection, ScenarioError> {
-    let mut seed: Option<u64> = None;
-    let mut config = FaultConfig::default();
-    let mut seen: Vec<String> = Vec::new();
-    for (line, toks) in body {
-        let key = toks[0].text().to_string();
-        if key == "seed" {
-            set_once(line, "seed", &mut seed, one_u64(line, "seed", &toks)?)?;
-            continue;
-        }
-        if seen.contains(&key) {
-            return Err(ScenarioError::Duplicate { line, key });
-        }
-        match key.as_str() {
-            "pmc_corrupt" => config.pmc_corrupt_rate = scalar(line, &toks)?,
-            "telemetry_delay" => config.telemetry_delay_epochs = scalar_n(line, &toks)?,
-            "actuation_reject" => config.actuation_reject_rate = scalar(line, &toks)?,
-            "dvfs_clamp" => config.dvfs_clamp_rate = scalar(line, &toks)?,
-            "power_glitch" => config.power_glitch_rate = scalar(line, &toks)?,
-            "core_fail" => config.core_fail_rate = scalar(line, &toks)?,
-            "core_repair" => config.core_repair_rate = scalar(line, &toks)?,
-            "max_offline" => config.max_offline_cores = scalar_n(line, &toks)?,
-            _ => return Err(ScenarioError::UnknownKey { line, key }),
-        }
-        seen.push(key);
-    }
-    Ok(FaultSection {
-        seed: seed.ok_or_else(|| ScenarioError::Truncated {
-            detail: "faults section missing `seed`".into(),
-        })?,
-        config,
-    })
-}
-
-fn scalar(line: usize, toks: &[Token]) -> Result<f64, ScenarioError> {
-    expect_arity(line, toks, 2)?;
-    num(line, &toks[1])
-}
-
-fn scalar_n<T: std::str::FromStr>(line: usize, toks: &[Token]) -> Result<T, ScenarioError> {
-    expect_arity(line, toks, 2)?;
-    num(line, &toks[1])
-}
-
-fn pair(line: usize, toks: &[Token]) -> Result<(f64, f64), ScenarioError> {
-    expect_arity(line, toks, 3)?;
-    Ok((num(line, &toks[1])?, num(line, &toks[2])?))
-}
-
-fn parse_timing(body: Vec<(usize, Vec<Token>)>) -> Result<TimingSection, ScenarioError> {
-    let mut seed: Option<u64> = None;
-    let mut config = TimingFaultConfig::default();
-    let mut seen: Vec<String> = Vec::new();
-    for (line, toks) in body {
-        let key = toks[0].text().to_string();
-        if key == "seed" {
-            set_once(line, "seed", &mut seed, one_u64(line, "seed", &toks)?)?;
-            continue;
-        }
-        if seen.contains(&key) {
-            return Err(ScenarioError::Duplicate { line, key });
-        }
-        match key.as_str() {
-            "pmc_base" => config.pmc_base_ms = scalar(line, &toks)?,
-            "pmc_spike" => {
-                (config.pmc_spike_rate, config.pmc_spike_ms) = pair(line, &toks)?;
-            }
-            "pmc_stale" => {
-                (config.pmc_stale_rate, config.pmc_stale_age_ms) = pair(line, &toks)?;
-            }
-            "inference_base" => config.inference_base_ms = scalar(line, &toks)?,
-            "inference_spike" => {
-                (config.inference_spike_rate, config.inference_spike_ms) = pair(line, &toks)?;
-            }
-            "learn_chunk" => config.learn_chunk_base_ms = scalar(line, &toks)?,
-            "learn_spike" => {
-                (config.learn_spike_rate, config.learn_spike_ms) = pair(line, &toks)?;
-            }
-            "actuation_base" => config.actuation_base_ms = scalar(line, &toks)?,
-            "actuation_stall" => {
-                (config.actuation_stall_rate, config.actuation_stall_ms) = pair(line, &toks)?;
-            }
-            "clock_jitter" => config.clock_jitter_ms = scalar(line, &toks)?,
-            "clock_skew" => {
-                (config.clock_skew_rate, config.clock_skew_ms) = pair(line, &toks)?;
-            }
-            "clock_stuck" => config.clock_stuck_rate = scalar(line, &toks)?,
-            _ => return Err(ScenarioError::UnknownKey { line, key }),
-        }
-        seen.push(key);
-    }
-    Ok(TimingSection {
-        seed: seed.ok_or_else(|| ScenarioError::Truncated {
-            detail: "timing section missing `seed`".into(),
-        })?,
-        config,
-    })
-}
-
-fn parse_cluster_faults(
+/// Reads the body of the seeded fault section `what` over default
+/// configurations: one `seed` record, at most one record per row of the two
+/// field tables (`head_rows` first in the duplicate mask; only `federate`
+/// has any), and `at` lines handed to `at`.
+fn keyed_section<H: Default, C: Default>(
+    what: &str,
     body: Vec<(usize, Vec<Token>)>,
-) -> Result<ClusterFaultSection, ScenarioError> {
+    head_rows: &[Row<H>],
+    rows: &[Row<C>],
+    mut at: impl FnMut(usize, &[Token], &mut C) -> Result<(), ScenarioError>,
+) -> Result<(u64, H, C), ScenarioError> {
+    let (mut head, mut config) = (H::default(), C::default());
     let mut seed: Option<u64> = None;
-    let mut config = ClusterFaultConfig::default();
-    let mut seen: Vec<String> = Vec::new();
+    let mut seen = 0u64;
     for (line, toks) in body {
-        let key = toks[0].text().to_string();
+        let key = toks[0].text();
         if key == "seed" {
             set_once(line, "seed", &mut seed, one_u64(line, "seed", &toks)?)?;
-            continue;
+        } else if key == "at" {
+            at(line, &toks, &mut config)?;
+        } else if !(read_row(head_rows, &mut head, 0, &mut seen, line, &toks)?
+            || read_row(rows, &mut config, head_rows.len(), &mut seen, line, &toks)?)
+        {
+            return Err(ScenarioError::UnknownKey {
+                line,
+                key: key.to_string(),
+            });
         }
-        if key == "at" {
-            config.scripted.push(parse_scripted(line, &toks)?);
-            continue;
-        }
-        if seen.contains(&key) {
-            return Err(ScenarioError::Duplicate { line, key });
-        }
-        match key.as_str() {
-            "crash_rate" => config.crash_rate = scalar(line, &toks)?,
-            "restart_after" => config.restart_after_epochs = scalar_n(line, &toks)?,
-            "heartbeat_loss" => config.heartbeat_loss_rate = scalar(line, &toks)?,
-            "blackout" => {
-                expect_arity(line, &toks, 3)?;
-                config.blackout_rate = num(line, &toks[1])?;
-                config.blackout_epochs = num(line, &toks[2])?;
-            }
-            "partition" => {
-                expect_arity(line, &toks, 3)?;
-                config.partition_rate = num(line, &toks[1])?;
-                config.partition_epochs = num(line, &toks[2])?;
-            }
-            "migration_stall" => config.migration_stall_rate = scalar(line, &toks)?,
-            "migration_corrupt" => config.migration_corrupt_rate = scalar(line, &toks)?,
-            _ => return Err(ScenarioError::UnknownKey { line, key }),
-        }
-        seen.push(key);
     }
-    Ok(ClusterFaultSection {
-        seed: seed.ok_or_else(|| ScenarioError::Truncated {
-            detail: "cluster_faults section missing `seed`".into(),
-        })?,
-        config,
-    })
+    let seed = seed.ok_or_else(|| ScenarioError::Truncated {
+        detail: format!("{what} section missing `seed`"),
+    })?;
+    Ok((seed, head, config))
 }
 
-fn parse_federate(body: Vec<(usize, Vec<Token>)>) -> Result<FederateSection, ScenarioError> {
-    let defaults = FederateConfig::default();
-    let mut seed: Option<u64> = None;
-    let mut period = defaults.round_period;
-    let mut quorum = defaults.min_quorum;
-    let mut timeout = defaults.collect_timeout;
-    let mut config = FedFaultConfig::default();
-    let mut seen: Vec<String> = Vec::new();
-    for (line, toks) in body {
-        let key = toks[0].text().to_string();
-        if key == "seed" {
-            set_once(line, "seed", &mut seed, one_u64(line, "seed", &toks)?)?;
-            continue;
-        }
-        if key == "at" {
-            config.scripted.push(parse_fed_scripted(line, &toks)?);
-            continue;
-        }
-        if seen.contains(&key) {
-            return Err(ScenarioError::Duplicate { line, key });
-        }
-        match key.as_str() {
-            "period" => period = scalar_n(line, &toks)?,
-            "quorum" => quorum = scalar_n(line, &toks)?,
-            "timeout" => timeout = scalar_n(line, &toks)?,
-            "corrupt_rate" => config.corrupt_rate = scalar(line, &toks)?,
-            "truncate_rate" => config.truncate_rate = scalar(line, &toks)?,
-            "byzantine_rate" => config.byzantine_rate = scalar(line, &toks)?,
-            "straggle" => {
-                expect_arity(line, &toks, 3)?;
-                config.straggler_rate = num(line, &toks[1])?;
-                config.straggle_epochs = num(line, &toks[2])?;
-            }
-            "drop_rate" => config.drop_rate = scalar(line, &toks)?,
-            "poison_rate" => config.poison_merge_rate = scalar(line, &toks)?,
-            _ => return Err(ScenarioError::UnknownKey { line, key }),
-        }
-        seen.push(key);
+/// Sets the fields of the row `toks` is keyed by, if `rows` has it. Bit
+/// `base + index` of `seen` marks the row as read.
+fn read_row<C>(
+    rows: &[Row<C>],
+    config: &mut C,
+    base: usize,
+    seen: &mut u64,
+    line: usize,
+    toks: &[Token],
+) -> Result<bool, ScenarioError> {
+    let key = toks[0].text();
+    let Some(index) = rows.iter().position(|row| row.key == key) else {
+        return Ok(false);
+    };
+    let bit = 1u64 << (base + index);
+    if *seen & bit != 0 {
+        return Err(ScenarioError::Duplicate {
+            line,
+            key: key.to_string(),
+        });
     }
-    Ok(FederateSection {
-        seed: seed.ok_or_else(|| ScenarioError::Truncated {
-            detail: "federate section missing `seed`".into(),
-        })?,
-        period,
-        quorum,
-        timeout,
-        config,
+    *seen |= bit;
+    let cols = rows[index].cols;
+    expect_arity(line, toks, cols.len() + 1)?;
+    for (col, tok) in cols.iter().zip(&toks[1..]) {
+        let value = match col.kind {
+            Kind::Count => Value::Count(num(line, tok)?),
+            Kind::Probability | Kind::Duration => Value::Real(num(line, tok)?),
+        };
+        (col.set)(config, value);
+    }
+    Ok(true)
+}
+
+/// The `at` handler of a section that has no script.
+fn no_script<C>(line: usize, _toks: &[Token], _config: &mut C) -> Result<(), ScenarioError> {
+    Err(ScenarioError::UnknownKey {
+        line,
+        key: "at".to_string(),
     })
 }
 
@@ -953,5 +861,58 @@ fn parse_assert(line: usize, toks: &[Token]) -> Result<Assertion, ScenarioError>
             line,
             key: format!("assert {other}"),
         }),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::emit::emit_rows;
+    use twig_platform::OsFaultConfig;
+    use twig_sim::StoreFaultConfig;
+
+    /// Keys are unique, the default configuration writes nothing, and every
+    /// row, set alone, writes one record that the reader reads back into the
+    /// same configuration and refuses a second time.
+    fn table_round_trips<C: Default + PartialEq + std::fmt::Debug>(rows: &[Row<C>]) {
+        let mut text = String::new();
+        emit_rows(&mut text, rows, &C::default());
+        assert_eq!(text, "", "defaults are omitted");
+        for (i, row) in rows.iter().enumerate() {
+            let key = row.key;
+            assert!(rows[..i].iter().all(|r| r.key != key), "duplicate `{key}`");
+            let mut config = C::default();
+            for (j, col) in row.cols.iter().enumerate() {
+                let value = match col.kind {
+                    Kind::Count => Value::Count(7 + j as u64),
+                    Kind::Probability | Kind::Duration => Value::Real(0.25 + j as f64),
+                };
+                (col.set)(&mut config, value);
+            }
+            emit_rows(&mut text, rows, &config);
+            let records = tokenize(&text).unwrap();
+            assert_eq!(records.len(), 1, "`{key}` alone wrote: {text}");
+            let toks = &records[0].1;
+            assert_eq!(toks[0].text(), key);
+            let (mut back, mut seen) = (C::default(), 0);
+            assert!(read_row(rows, &mut back, 0, &mut seen, 1, toks).unwrap());
+            assert_eq!(back, config, "`{key}`: {text}");
+            assert!(matches!(
+                read_row(rows, &mut back, 0, &mut seen, 2, toks),
+                Err(ScenarioError::Duplicate { line: 2, .. })
+            ));
+            text.clear();
+        }
+    }
+
+    #[test]
+    fn every_field_table_round_trips_through_the_section_writer_and_reader() {
+        table_round_trips(FaultConfig::FIELDS);
+        table_round_trips(TimingFaultConfig::FIELDS);
+        table_round_trips(StoreFaultConfig::FIELDS);
+        table_round_trips(ClusterFaultConfig::FIELDS);
+        table_round_trips(FedFaultConfig::FIELDS);
+        table_round_trips(OsFaultConfig::FIELDS);
+        table_round_trips(FederateSection::KNOBS);
     }
 }

@@ -475,7 +475,17 @@ impl ScenarioRunner {
     }
 }
 
-fn build_twig(
+/// The small-but-real learning stack scenarios and the timing and platform
+/// suites run: a 32/24 network on 16-transition batches, θ = 1, and an ε
+/// anneal that ends at `learn_epochs`. `metered` is for a driver that owns
+/// the learning phase (the deadline scheduler): `observe` then runs pure
+/// exploitation, so the policy stays deterministic under a fixed seed and
+/// the driver can split the step into budgeted micro-batches.
+///
+/// # Errors
+///
+/// Returns [`ScenarioError::Run`] when Twig construction fails.
+pub fn build_twig(
     specs: Vec<ServiceSpec>,
     learn_epochs: u64,
     seed: u64,

@@ -7,7 +7,10 @@
 //! must produce.
 
 use std::fmt::Write as _;
-use twig_scenario::{emit, parse, ScenarioError};
+use twig_cluster::{ClusterFaultConfig, FedFaultConfig};
+use twig_scenario::{emit, parse, FederateSection, ScenarioError};
+use twig_sim::{FaultConfig, TimingFaultConfig};
+use twig_stats::fields::{Kind, Row};
 use twig_stats::rng::{Rng, Xoshiro256};
 
 const CATALOG: &[&str] = &[
@@ -97,46 +100,65 @@ fn push_service(out: &mut String, rng: &mut Xoshiro256, id: usize, epochs: u64, 
     writeln!(out).unwrap();
 }
 
-/// Emits one random federate section (cluster scenarios only).
-fn push_federate(out: &mut String, rng: &mut Xoshiro256) {
-    writeln!(out, "federate").unwrap();
+/// Opens a seeded fault section and writes a random record for each row of
+/// its field table, each with probability `p`.
+fn push_rows<C>(out: &mut String, rng: &mut Xoshiro256, rows: &[Row<C>], p: f64) {
+    for row in rows {
+        if !rng.next_bool(p) {
+            continue;
+        }
+        write!(out, "  {}", row.key).unwrap();
+        for col in row.cols {
+            match col.kind {
+                Kind::Probability => write!(out, " {}", rng.range_usize(0, 50) as f64 / 100.0),
+                Kind::Duration => write!(out, " {}", rng.range_usize(0, 800) as f64 / 4.0),
+                Kind::Count => write!(out, " {}", rng.range_usize(1, 6)),
+            }
+            .unwrap();
+        }
+        writeln!(out).unwrap();
+    }
+}
+
+fn open_section(out: &mut String, rng: &mut Xoshiro256, name: &str) {
+    writeln!(out, "{name}").unwrap();
     writeln!(out, "  seed {}", rng.range_usize(0, 10_000)).unwrap();
-    if rng.next_bool(0.5) {
-        writeln!(out, "  period {}", rng.range_usize(2, 20)).unwrap();
-    }
-    if rng.next_bool(0.5) {
-        writeln!(out, "  quorum {}", rng.range_usize(1, 4)).unwrap();
-    }
-    if rng.next_bool(0.3) {
-        writeln!(out, "  timeout {}", rng.range_usize(1, 6)).unwrap();
-    }
-    for key in [
-        "corrupt_rate",
-        "truncate_rate",
-        "byzantine_rate",
-        "drop_rate",
-    ] {
-        if rng.next_bool(0.3) {
-            writeln!(out, "  {key} {}", rng.range_usize(1, 50) as f64 / 100.0).unwrap();
+}
+
+fn close_section(out: &mut String) {
+    writeln!(out, "end").unwrap();
+    writeln!(out).unwrap();
+}
+
+/// Emits one random cluster_faults section (cluster scenarios only).
+fn push_cluster_faults(out: &mut String, rng: &mut Xoshiro256) {
+    open_section(out, rng, "cluster_faults");
+    push_rows(out, rng, ClusterFaultConfig::FIELDS, 0.3);
+    for _ in 0..rng.range_usize(0, 3) {
+        let epoch = rng.range_usize(1, 20);
+        let node = rng.range_usize(0, 2);
+        match rng.range_usize(0, 6) {
+            0 => writeln!(out, "  at {epoch} crash {node}").unwrap(),
+            1 => writeln!(out, "  at {epoch} restart {node}").unwrap(),
+            2 => writeln!(out, "  at {epoch} drop_heartbeat {node}").unwrap(),
+            3 => writeln!(out, "  at {epoch} migrate 0 {node} {}", 1 - node).unwrap(),
+            4 => writeln!(out, "  at {epoch} blackout {}", rng.range_usize(1, 6)).unwrap(),
+            _ => writeln!(
+                out,
+                "  at {epoch} partition {node} {}",
+                rng.range_usize(1, 6)
+            )
+            .unwrap(),
         }
     }
-    if rng.next_bool(0.3) {
-        writeln!(
-            out,
-            "  straggle {} {}",
-            rng.range_usize(1, 50) as f64 / 100.0,
-            rng.range_usize(1, 6)
-        )
-        .unwrap();
-    }
-    if rng.next_bool(0.2) {
-        writeln!(
-            out,
-            "  poison_rate {}",
-            rng.range_usize(1, 40) as f64 / 100.0
-        )
-        .unwrap();
-    }
+    close_section(out);
+}
+
+/// Emits one random federate section (cluster scenarios only).
+fn push_federate(out: &mut String, rng: &mut Xoshiro256) {
+    open_section(out, rng, "federate");
+    push_rows(out, rng, FederateSection::KNOBS, 0.4);
+    push_rows(out, rng, FedFaultConfig::FIELDS, 0.3);
     for _ in 0..rng.range_usize(0, 4) {
         let round = rng.range_usize(1, 12);
         let node = rng.range_usize(0, 4);
@@ -157,8 +179,7 @@ fn push_federate(out: &mut String, rng: &mut Xoshiro256) {
             _ => writeln!(out, "  at {round} poison_merge").unwrap(),
         }
     }
-    writeln!(out, "end").unwrap();
-    writeln!(out).unwrap();
+    close_section(out);
 }
 
 /// Generates one random, grammatically valid scenario text.
@@ -213,18 +234,18 @@ fn random_scenario(rng: &mut Xoshiro256, case: usize) -> String {
         push_federate(&mut s, rng);
     }
 
+    if cluster && rng.next_bool(0.4) {
+        push_cluster_faults(&mut s, rng);
+    }
     if !cluster && rng.next_bool(0.4) {
-        writeln!(s, "faults").unwrap();
-        writeln!(s, "  seed {}", rng.range_usize(0, 10_000)).unwrap();
-        writeln!(s, "  pmc_corrupt {}", rng.range_usize(0, 30) as f64 / 100.0).unwrap();
-        writeln!(
-            s,
-            "  actuation_reject {}",
-            rng.range_usize(0, 30) as f64 / 100.0
-        )
-        .unwrap();
-        writeln!(s, "end").unwrap();
-        writeln!(s).unwrap();
+        open_section(&mut s, rng, "faults");
+        push_rows(&mut s, rng, FaultConfig::FIELDS, 0.4);
+        close_section(&mut s);
+    }
+    if !cluster && rng.next_bool(0.3) {
+        open_section(&mut s, rng, "timing");
+        push_rows(&mut s, rng, TimingFaultConfig::FIELDS, 0.4);
+        close_section(&mut s);
     }
 
     writeln!(s, "assert qos_floor all {}", rng.range_usize(0, 100)).unwrap();

@@ -39,11 +39,12 @@
 use crate::pmc::{PmcSample, NUM_COUNTERS};
 use crate::{CoreId, DvfsLadder, Frequency, SimError};
 use std::collections::BTreeSet;
+use twig_stats::fields::{any_active, check, Kind, Row};
 use twig_stats::rng::{Rng, Xoshiro256};
 
 /// Per-epoch fault probabilities and magnitudes. All rates default to zero:
 /// the default configuration injects nothing.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultConfig {
     /// Probability, per service per epoch, that the PMC sample delivered to
     /// the manager is corrupted (NaN, +∞, all-zero or a stale repeat of the
@@ -72,30 +73,24 @@ pub struct FaultConfig {
     pub max_offline_cores: usize,
 }
 
-impl Default for FaultConfig {
-    fn default() -> Self {
-        FaultConfig {
-            pmc_corrupt_rate: 0.0,
-            telemetry_delay_epochs: 0,
-            actuation_reject_rate: 0.0,
-            dvfs_clamp_rate: 0.0,
-            power_glitch_rate: 0.0,
-            core_fail_rate: 0.0,
-            core_repair_rate: 0.0,
-            max_offline_cores: 0,
-        }
-    }
-}
-
 impl FaultConfig {
-    /// `true` when at least one injector can fire.
+    /// The field table: every field once, under its `.scn` key, in the
+    /// order the scenario emitter writes them.
+    pub const FIELDS: &'static [Row<FaultConfig>] = twig_stats::field_rows![
+        "pmc_corrupt" => pmc_corrupt_rate: Probability;
+        "telemetry_delay" => telemetry_delay_epochs: Count;
+        "actuation_reject" => actuation_reject_rate: Probability;
+        "dvfs_clamp" => dvfs_clamp_rate: Probability;
+        "power_glitch" => power_glitch_rate: Probability;
+        "core_fail" => core_fail_rate: Probability;
+        "core_repair" => core_repair_rate: Probability;
+        "max_offline" => max_offline_cores: Count;
+    ];
+
+    /// `true` when some field is above zero. (Repairs and the offline cap
+    /// count too, although alone they fire nothing.)
     pub fn enabled(&self) -> bool {
-        self.pmc_corrupt_rate > 0.0
-            || self.telemetry_delay_epochs > 0
-            || self.actuation_reject_rate > 0.0
-            || self.dvfs_clamp_rate > 0.0
-            || self.power_glitch_rate > 0.0
-            || (self.core_fail_rate > 0.0 && self.max_offline_cores > 0)
+        any_active(Self::FIELDS, self)
     }
 
     /// Validates the configuration.
@@ -105,21 +100,11 @@ impl FaultConfig {
     /// Returns [`SimError::InvalidConfig`] when a rate is outside `[0, 1]`
     /// or not finite.
     pub fn validate(&self) -> Result<(), SimError> {
-        for (label, rate) in [
-            ("pmc_corrupt_rate", self.pmc_corrupt_rate),
-            ("actuation_reject_rate", self.actuation_reject_rate),
-            ("dvfs_clamp_rate", self.dvfs_clamp_rate),
-            ("power_glitch_rate", self.power_glitch_rate),
-            ("core_fail_rate", self.core_fail_rate),
-            ("core_repair_rate", self.core_repair_rate),
-        ] {
-            if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
-                return Err(SimError::InvalidConfig {
-                    detail: format!("fault {label} = {rate} outside [0, 1]"),
-                });
+        check(Self::FIELDS, self, Kind::Probability).map_err(|(label, rate)| {
+            SimError::InvalidConfig {
+                detail: format!("fault {label} = {rate} outside [0, 1]"),
             }
-        }
-        Ok(())
+        })
     }
 }
 

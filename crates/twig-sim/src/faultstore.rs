@@ -32,6 +32,7 @@
 //! ```
 
 use crate::SimError;
+use twig_stats::fields::{any_active, check, Kind, Row};
 use twig_stats::rng::{Rng, Xoshiro256};
 
 /// Per-write fault probabilities for checkpoint storage. All rates default
@@ -56,12 +57,17 @@ pub struct StoreFaultConfig {
 }
 
 impl StoreFaultConfig {
+    /// The field table: every field once.
+    pub const FIELDS: &'static [Row<StoreFaultConfig>] = twig_stats::field_rows![
+        "torn_write" => torn_write_rate: Probability;
+        "bit_flip" => bit_flip_rate: Probability;
+        "truncate" => truncate_rate: Probability;
+        "stale" => stale_rate: Probability;
+    ];
+
     /// `true` when at least one corruption channel can fire.
     pub fn enabled(&self) -> bool {
-        self.torn_write_rate > 0.0
-            || self.bit_flip_rate > 0.0
-            || self.truncate_rate > 0.0
-            || self.stale_rate > 0.0
+        any_active(Self::FIELDS, self)
     }
 
     /// Validates the configuration.
@@ -71,19 +77,11 @@ impl StoreFaultConfig {
     /// Returns [`SimError::InvalidConfig`] when a rate is outside `[0, 1]`
     /// or not finite.
     pub fn validate(&self) -> Result<(), SimError> {
-        for (label, rate) in [
-            ("torn_write_rate", self.torn_write_rate),
-            ("bit_flip_rate", self.bit_flip_rate),
-            ("truncate_rate", self.truncate_rate),
-            ("stale_rate", self.stale_rate),
-        ] {
-            if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
-                return Err(SimError::InvalidConfig {
-                    detail: format!("store fault {label} = {rate} outside [0, 1]"),
-                });
+        check(Self::FIELDS, self, Kind::Probability).map_err(|(label, rate)| {
+            SimError::InvalidConfig {
+                detail: format!("store fault {label} = {rate} outside [0, 1]"),
             }
-        }
-        Ok(())
+        })
     }
 }
 

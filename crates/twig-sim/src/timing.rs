@@ -21,11 +21,12 @@
 //! actuation makes the *manager* late, not the simulated requests faster.
 
 use crate::SimError;
+use twig_stats::fields::{any_active, check, Kind, Row};
 use twig_stats::rng::{Rng, Xoshiro256};
 
 /// Per-epoch timing-fault probabilities, base latencies and magnitudes.
 /// All-zero by default: the default configuration injects nothing.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TimingFaultConfig {
     /// Baseline duration of the PMC read phase, ms.
     pub pmc_base_ms: f64,
@@ -67,51 +68,29 @@ pub struct TimingFaultConfig {
     pub clock_stuck_rate: f64,
 }
 
-impl Default for TimingFaultConfig {
-    fn default() -> Self {
-        TimingFaultConfig {
-            pmc_base_ms: 0.0,
-            pmc_spike_rate: 0.0,
-            pmc_spike_ms: 0.0,
-            pmc_stale_rate: 0.0,
-            pmc_stale_age_ms: 0.0,
-            inference_base_ms: 0.0,
-            inference_spike_rate: 0.0,
-            inference_spike_ms: 0.0,
-            learn_chunk_base_ms: 0.0,
-            learn_spike_rate: 0.0,
-            learn_spike_ms: 0.0,
-            actuation_base_ms: 0.0,
-            actuation_stall_rate: 0.0,
-            actuation_stall_ms: 0.0,
-            clock_jitter_ms: 0.0,
-            clock_skew_rate: 0.0,
-            clock_skew_ms: 0.0,
-            clock_stuck_rate: 0.0,
-        }
-    }
-}
-
 impl TimingFaultConfig {
-    /// `true` when at least one draw can fire (any rate or latency > 0).
+    /// The field table: every field once, under its `.scn` key (a spike
+    /// or skew is one `<rate> <ms>` record), in the order the scenario
+    /// emitter writes them.
+    pub const FIELDS: &'static [Row<TimingFaultConfig>] = twig_stats::field_rows![
+        "pmc_base" => pmc_base_ms: Duration;
+        "pmc_spike" => pmc_spike_rate: Probability, pmc_spike_ms: Duration;
+        "pmc_stale" => pmc_stale_rate: Probability, pmc_stale_age_ms: Duration;
+        "inference_base" => inference_base_ms: Duration;
+        "inference_spike" => inference_spike_rate: Probability, inference_spike_ms: Duration;
+        "learn_chunk" => learn_chunk_base_ms: Duration;
+        "learn_spike" => learn_spike_rate: Probability, learn_spike_ms: Duration;
+        "actuation_base" => actuation_base_ms: Duration;
+        "actuation_stall" => actuation_stall_rate: Probability, actuation_stall_ms: Duration;
+        "clock_jitter" => clock_jitter_ms: Duration;
+        "clock_skew" => clock_skew_rate: Probability, clock_skew_ms: Duration;
+        "clock_stuck" => clock_stuck_rate: Probability;
+    ];
+
+    /// `true` when at least one draw can fire (any rate, base latency or
+    /// jitter bound > 0).
     pub fn enabled(&self) -> bool {
-        let rates = [
-            self.pmc_spike_rate,
-            self.pmc_stale_rate,
-            self.inference_spike_rate,
-            self.learn_spike_rate,
-            self.actuation_stall_rate,
-            self.clock_skew_rate,
-            self.clock_stuck_rate,
-        ];
-        let latencies = [
-            self.pmc_base_ms,
-            self.inference_base_ms,
-            self.learn_chunk_base_ms,
-            self.actuation_base_ms,
-            self.clock_jitter_ms,
-        ];
-        rates.iter().any(|&r| r > 0.0) || latencies.iter().any(|&l| l > 0.0)
+        any_active(Self::FIELDS, self)
     }
 
     /// Validates the configuration.
@@ -121,41 +100,14 @@ impl TimingFaultConfig {
     /// Returns [`SimError::InvalidConfig`] when a rate is outside `[0, 1]`
     /// or a latency/magnitude is negative or non-finite.
     pub fn validate(&self) -> Result<(), SimError> {
-        for (label, rate) in [
-            ("pmc_spike_rate", self.pmc_spike_rate),
-            ("pmc_stale_rate", self.pmc_stale_rate),
-            ("inference_spike_rate", self.inference_spike_rate),
-            ("learn_spike_rate", self.learn_spike_rate),
-            ("actuation_stall_rate", self.actuation_stall_rate),
-            ("clock_skew_rate", self.clock_skew_rate),
-            ("clock_stuck_rate", self.clock_stuck_rate),
-        ] {
-            if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
-                return Err(SimError::InvalidConfig {
-                    detail: format!("timing {label} = {rate} outside [0, 1]"),
-                });
-            }
-        }
-        for (label, ms) in [
-            ("pmc_base_ms", self.pmc_base_ms),
-            ("pmc_spike_ms", self.pmc_spike_ms),
-            ("pmc_stale_age_ms", self.pmc_stale_age_ms),
-            ("inference_base_ms", self.inference_base_ms),
-            ("inference_spike_ms", self.inference_spike_ms),
-            ("learn_chunk_base_ms", self.learn_chunk_base_ms),
-            ("learn_spike_ms", self.learn_spike_ms),
-            ("actuation_base_ms", self.actuation_base_ms),
-            ("actuation_stall_ms", self.actuation_stall_ms),
-            ("clock_jitter_ms", self.clock_jitter_ms),
-            ("clock_skew_ms", self.clock_skew_ms),
-        ] {
-            if !ms.is_finite() || ms < 0.0 {
-                return Err(SimError::InvalidConfig {
-                    detail: format!("timing {label} = {ms} must be non-negative and finite"),
-                });
-            }
-        }
-        Ok(())
+        let invalid = |detail| SimError::InvalidConfig { detail };
+        check(Self::FIELDS, self, Kind::Probability)
+            .map_err(|(label, rate)| invalid(format!("timing {label} = {rate} outside [0, 1]")))?;
+        check(Self::FIELDS, self, Kind::Duration).map_err(|(label, ms)| {
+            invalid(format!(
+                "timing {label} = {ms} must be non-negative and finite"
+            ))
+        })
     }
 }
 

@@ -1,4 +1,4 @@
-use crate::{Matrix, StatsError};
+use crate::StatsError;
 
 /// Pearson correlation coefficient between two equal-length samples.
 ///
@@ -47,53 +47,6 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> Result<f64, StatsError> {
     Ok(cov / (vx.sqrt() * vy.sqrt()))
 }
 
-/// Builds the full Pearson correlation matrix of a set of feature columns.
-///
-/// `columns[i]` is the sample vector of feature `i`; all columns must have
-/// the same length. Constant columns get correlation `0.0` with everything
-/// (and `1.0` with themselves), matching how the counter-selection pipeline
-/// treats dead counters.
-///
-/// # Errors
-///
-/// Returns [`StatsError::Empty`] when `columns` is empty and
-/// [`StatsError::LengthMismatch`] when column lengths differ.
-///
-/// # Examples
-///
-/// ```
-/// let m = twig_stats::correlation_matrix(&[
-///     vec![1.0, 2.0, 3.0],
-///     vec![2.0, 4.0, 6.0],
-/// ]).unwrap();
-/// assert!((m[(0, 1)] - 1.0).abs() < 1e-12);
-/// ```
-pub fn correlation_matrix(columns: &[Vec<f64>]) -> Result<Matrix, StatsError> {
-    let first = columns.first().ok_or(StatsError::Empty)?;
-    for c in columns {
-        if c.len() != first.len() {
-            return Err(StatsError::LengthMismatch {
-                left: first.len(),
-                right: c.len(),
-            });
-        }
-    }
-    let k = columns.len();
-    let mut m = Matrix::identity(k);
-    for i in 0..k {
-        for j in i + 1..k {
-            let r = match pearson(&columns[i], &columns[j]) {
-                Ok(r) => r,
-                Err(StatsError::ZeroVariance) => 0.0,
-                Err(e) => return Err(e),
-            };
-            m[(i, j)] = r;
-            m[(j, i)] = r;
-        }
-    }
-    Ok(m)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,30 +72,6 @@ mod tests {
             pearson(&[1.0], &[1.0, 2.0]),
             Err(StatsError::LengthMismatch { left: 1, right: 2 })
         ));
-    }
-
-    #[test]
-    fn matrix_diagonal_is_one_and_symmetric() {
-        let cols = vec![
-            vec![1.0, 2.0, 3.0, 4.0],
-            vec![4.0, 3.0, 2.0, 1.0],
-            vec![1.0, 3.0, 2.0, 4.0],
-        ];
-        let m = correlation_matrix(&cols).unwrap();
-        for i in 0..3 {
-            assert_eq!(m[(i, i)], 1.0);
-            for j in 0..3 {
-                assert_eq!(m[(i, j)], m[(j, i)]);
-            }
-        }
-    }
-
-    #[test]
-    fn matrix_handles_constant_column() {
-        let cols = vec![vec![1.0, 1.0, 1.0], vec![1.0, 2.0, 3.0]];
-        let m = correlation_matrix(&cols).unwrap();
-        assert_eq!(m[(0, 1)], 0.0);
-        assert_eq!(m[(0, 0)], 1.0);
     }
 
     fn random_series<R: Rng>(rng: &mut R, lo_n: usize, hi_n: usize) -> Vec<f64> {

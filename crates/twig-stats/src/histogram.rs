@@ -208,11 +208,6 @@ impl ViolinSummary {
     pub fn bucket_samples(&self, bucket: usize) -> &[f64] {
         &self.buckets[bucket]
     }
-
-    /// Number of x-buckets.
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
 }
 
 #[cfg(test)]

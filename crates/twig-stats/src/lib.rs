@@ -25,6 +25,7 @@
 mod corr;
 mod describe;
 mod error;
+pub mod fields;
 mod histogram;
 mod matrix;
 mod model_select;
@@ -34,13 +35,13 @@ mod regress;
 pub mod rng;
 mod scale;
 
-pub use corr::{correlation_matrix, pearson};
+pub use corr::pearson;
 pub use describe::{mean, stddev, variance, Summary};
 pub use error::StatsError;
 pub use histogram::{Histogram, ViolinSummary};
 pub use matrix::Matrix;
 pub use model_select::{k_fold_indices, random_grid_search, CrossValidation, GridPoint};
 pub use pca::{Pca, PcaModel};
-pub use percentile::{percentile, percentile_sorted, PercentileTracker};
+pub use percentile::{percentile, percentile_sorted};
 pub use regress::{polynomial_features, LinearModel, RegressionFit};
-pub use scale::{max_norm_scale, MaxNormScaler, MinMaxScaler};
+pub use scale::{max_norm_scale, MaxNormScaler};

@@ -75,102 +75,6 @@ fn closest_ranks(len: usize, p: f64) -> Result<(usize, usize, f64), StatsError> 
     Ok((lo, hi, rank - lo as f64))
 }
 
-/// Accumulates samples over a monitoring window and reports percentiles.
-///
-/// The system monitor uses one tracker per service per epoch: request
-/// latencies are [`record`](Self::record)ed as requests complete, the p99 is
-/// read at the end of the interval, and the tracker is
-/// [`reset`](Self::reset) for the next interval.
-///
-/// # Examples
-///
-/// ```
-/// let mut t = twig_stats::PercentileTracker::new();
-/// for v in 1..=100 {
-///     t.record(v as f64);
-/// }
-/// assert_eq!(t.len(), 100);
-/// let p99 = t.percentile(99.0).unwrap();
-/// assert!(p99 >= 99.0 && p99 <= 100.0);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PercentileTracker {
-    samples: Vec<f64>,
-}
-
-impl PercentileTracker {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a tracker pre-allocating room for `capacity` samples.
-    pub fn with_capacity(capacity: usize) -> Self {
-        PercentileTracker {
-            samples: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: f64) {
-        self.samples.push(value);
-    }
-
-    /// Number of recorded samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Returns `true` if no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Computes the `p`-th percentile of the recorded samples.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::Empty`] if nothing has been recorded and
-    /// [`StatsError::InvalidParameter`] if `p` is outside `0..=100`.
-    pub fn percentile(&self, p: f64) -> Result<f64, StatsError> {
-        let mut copy = self.samples.clone();
-        percentile(&mut copy, p)
-    }
-
-    /// Mean of the recorded samples.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::Empty`] if nothing has been recorded.
-    pub fn mean(&self) -> Result<f64, StatsError> {
-        crate::mean(&self.samples)
-    }
-
-    /// Clears all recorded samples, keeping the allocation.
-    pub fn reset(&mut self) {
-        self.samples.clear();
-    }
-
-    /// Returns the raw samples recorded so far.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-}
-
-impl Extend<f64> for PercentileTracker {
-    fn extend<T: IntoIterator<Item = f64>>(&mut self, iter: T) {
-        self.samples.extend(iter);
-    }
-}
-
-impl FromIterator<f64> for PercentileTracker {
-    fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
-        PercentileTracker {
-            samples: iter.into_iter().collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,24 +110,6 @@ mod tests {
         let mut d = [0.0, 10.0];
         assert_eq!(percentile(&mut d, 50.0).unwrap(), 5.0);
         assert_eq!(percentile(&mut d, 25.0).unwrap(), 2.5);
-    }
-
-    #[test]
-    fn tracker_reset_keeps_working() {
-        let mut t = PercentileTracker::new();
-        t.record(1.0);
-        t.reset();
-        assert!(t.is_empty());
-        assert_eq!(t.percentile(50.0), Err(StatsError::Empty));
-        t.record(2.0);
-        assert_eq!(t.percentile(50.0).unwrap(), 2.0);
-    }
-
-    #[test]
-    fn tracker_from_iterator() {
-        let t: PercentileTracker = (1..=5).map(f64::from).collect();
-        assert_eq!(t.len(), 5);
-        assert_eq!(t.percentile(0.0).unwrap(), 1.0);
     }
 
     #[test]

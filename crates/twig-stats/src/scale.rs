@@ -105,76 +105,6 @@ impl MaxNormScaler {
     }
 }
 
-/// Classic min-max scaler mapping each feature to `[0, 1]` by range.
-///
-/// # Examples
-///
-/// ```
-/// let s = twig_stats::MinMaxScaler::fit(&[
-///     vec![0.0, 10.0],
-///     vec![10.0, 30.0],
-/// ]).unwrap();
-/// assert_eq!(s.scale(&[5.0, 20.0]).unwrap(), vec![0.5, 0.5]);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct MinMaxScaler {
-    mins: Vec<f64>,
-    ranges: Vec<f64>,
-}
-
-impl MinMaxScaler {
-    /// Fits per-feature min and range from samples. Constant features get a
-    /// range of 1 so they scale to 0.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::Empty`] for no samples and
-    /// [`StatsError::LengthMismatch`] for ragged rows.
-    pub fn fit(samples: &[Vec<f64>]) -> Result<Self, StatsError> {
-        let first = samples.first().ok_or(StatsError::Empty)?;
-        let d = first.len();
-        let mut mins = vec![f64::INFINITY; d];
-        let mut maxs = vec![f64::NEG_INFINITY; d];
-        for row in samples {
-            if row.len() != d {
-                return Err(StatsError::LengthMismatch {
-                    left: d,
-                    right: row.len(),
-                });
-            }
-            for i in 0..d {
-                mins[i] = mins[i].min(row[i]);
-                maxs[i] = maxs[i].max(row[i]);
-            }
-        }
-        let ranges = mins
-            .iter()
-            .zip(&maxs)
-            .map(|(lo, hi)| if hi > lo { hi - lo } else { 1.0 })
-            .collect();
-        Ok(MinMaxScaler { mins, ranges })
-    }
-
-    /// Scales a feature vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::LengthMismatch`] for wrong dimensionality.
-    pub fn scale(&self, values: &[f64]) -> Result<Vec<f64>, StatsError> {
-        if values.len() != self.mins.len() {
-            return Err(StatsError::LengthMismatch {
-                left: values.len(),
-                right: self.mins.len(),
-            });
-        }
-        Ok(values
-            .iter()
-            .zip(self.mins.iter().zip(&self.ranges))
-            .map(|(&v, (&lo, &range))| ((v - lo) / range).clamp(0.0, 1.0))
-            .collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,12 +150,6 @@ mod tests {
     }
 
     #[test]
-    fn min_max_constant_feature_maps_to_zero() {
-        let s = MinMaxScaler::fit(&[vec![3.0], vec![3.0]]).unwrap();
-        assert_eq!(s.scale(&[3.0]).unwrap(), vec![0.0]);
-    }
-
-    #[test]
     fn scaled_values_in_unit_interval() {
         let mut rng = Xoshiro256::seed_from_u64(0xca1e);
         for _ in 0..200 {
@@ -236,23 +160,6 @@ mod tests {
             let s = MaxNormScaler::new(maxima).unwrap();
             for v in s.scale(&values).unwrap() {
                 assert!((0.0..=1.0).contains(&v));
-            }
-        }
-    }
-
-    #[test]
-    fn min_max_training_data_in_unit_interval() {
-        let mut rng = Xoshiro256::seed_from_u64(0x317a);
-        for _ in 0..200 {
-            let rows_n = rng.range_usize(2, 50);
-            let rows: Vec<Vec<f64>> = (0..rows_n)
-                .map(|_| (0..3).map(|_| rng.range_f64(-1e3, 1e3)).collect())
-                .collect();
-            let s = MinMaxScaler::fit(&rows).unwrap();
-            for row in &rows {
-                for v in s.scale(row).unwrap() {
-                    assert!((0.0..=1.0).contains(&v));
-                }
             }
         }
     }

@@ -1,7 +1,6 @@
 //! A deliberately tiny JSON writer — just enough to emit telemetry
 //! records as JSON Lines without pulling `serde` into an offline build.
-//! Supports objects of scalars plus nested objects and arrays (used by
-//! the scenario engine's machine-readable emissions).
+//! Supports objects of scalars plus nested objects.
 
 use std::fmt::Write as _;
 
@@ -87,103 +86,9 @@ impl JsonObject {
         self
     }
 
-    /// Adds a nested array field, built by the closure.
-    pub fn field_array(&mut self, key: &str, build: impl FnOnce(&mut JsonArray)) -> &mut Self {
-        self.sep();
-        let mut inner = JsonArray::new();
-        build(&mut inner);
-        let _ = write!(self.out, "{}:{}", quoted(key), inner.finish());
-        self
-    }
-
     /// Closes the object and returns the JSON text.
     pub fn finish(mut self) -> String {
         self.out.push('}');
-        self.out
-    }
-}
-
-/// Builds one JSON array as a `String`, element by element.
-///
-/// # Examples
-///
-/// ```
-/// let mut a = twig_telemetry::json::JsonArray::new();
-/// a.push_u64(1).push_str("two").push_bool(true);
-/// assert_eq!(a.finish(), r#"[1,"two",true]"#);
-/// ```
-#[derive(Debug, Default)]
-pub struct JsonArray {
-    out: String,
-}
-
-impl JsonArray {
-    /// Starts an empty array.
-    pub fn new() -> Self {
-        JsonArray {
-            out: String::from("["),
-        }
-    }
-
-    fn sep(&mut self) {
-        if self.out.len() > 1 {
-            self.out.push(',');
-        }
-    }
-
-    /// Appends an unsigned integer.
-    pub fn push_u64(&mut self, value: u64) -> &mut Self {
-        self.sep();
-        let _ = write!(self.out, "{value}");
-        self
-    }
-
-    /// Appends a float; non-finite values become `null`.
-    pub fn push_f64(&mut self, value: f64) -> &mut Self {
-        self.sep();
-        if value.is_finite() {
-            let _ = write!(self.out, "{}", FloatRepr(value));
-        } else {
-            self.out.push_str("null");
-        }
-        self
-    }
-
-    /// Appends a string (escaped).
-    pub fn push_str(&mut self, value: &str) -> &mut Self {
-        self.sep();
-        self.out.push_str(&quoted(value));
-        self
-    }
-
-    /// Appends a boolean.
-    pub fn push_bool(&mut self, value: bool) -> &mut Self {
-        self.sep();
-        let _ = write!(self.out, "{value}");
-        self
-    }
-
-    /// Appends a nested object, built by the closure.
-    pub fn push_object(&mut self, build: impl FnOnce(&mut JsonObject)) -> &mut Self {
-        self.sep();
-        let mut inner = JsonObject::new();
-        build(&mut inner);
-        self.out.push_str(&inner.finish());
-        self
-    }
-
-    /// Appends a nested array, built by the closure.
-    pub fn push_array(&mut self, build: impl FnOnce(&mut JsonArray)) -> &mut Self {
-        self.sep();
-        let mut inner = JsonArray::new();
-        build(&mut inner);
-        self.out.push_str(&inner.finish());
-        self
-    }
-
-    /// Closes the array and returns the JSON text.
-    pub fn finish(mut self) -> String {
-        self.out.push(']');
         self.out
     }
 }
@@ -264,35 +169,17 @@ mod tests {
     }
 
     #[test]
-    fn nested_objects_and_arrays_compose() {
+    fn nested_objects_compose() {
         let mut o = JsonObject::new();
         o.field_str("name", "run");
-        o.field_array("services", |a| {
-            a.push_object(|s| {
-                s.field_str("id", "masstree").field_f64("qos", 99.5);
-            });
-            a.push_object(|s| {
-                s.field_str("id", "moses").field_bool("ok", false);
-            });
-        });
         o.field_object("meta", |m| {
-            m.field_array("tags", |t| {
-                t.push_str("a").push_u64(2).push_array(|inner| {
-                    inner.push_bool(true);
-                });
+            m.field_u64("n", 2).field_object("inner", |i| {
+                i.field_bool("ok", false);
             });
         });
         assert_eq!(
             o.finish(),
-            r#"{"name":"run","services":[{"id":"masstree","qos":99.5},{"id":"moses","ok":false}],"meta":{"tags":["a",2,[true]]}}"#
+            r#"{"name":"run","meta":{"n":2,"inner":{"ok":false}}}"#
         );
-    }
-
-    #[test]
-    fn empty_array_and_nonfinite_entries() {
-        assert_eq!(JsonArray::new().finish(), "[]");
-        let mut a = JsonArray::new();
-        a.push_f64(f64::NAN).push_f64(0.25);
-        assert_eq!(a.finish(), "[null,0.25]");
     }
 }

@@ -15,11 +15,10 @@
 //!   inference → mapping → actuation → reward update → learn step),
 //!   assembled cooperatively by manager and platform, kept in a bounded
 //!   [`RingBuffer`].
-//! - [`Sink`] — pluggable output: [`NoopSink`] (default), [`MemorySink`]
-//!   (recorder), [`JsonlSink`] / [`CsvSink`] (streaming exporters built on
-//!   the in-repo [`json`] serializer).
 //! - [`Telemetry`] — the cheap, cloneable handle threaded through
-//!   `twig-sim`, `twig-core` and `twig-rl`.
+//!   `twig-sim`, `twig-core` and `twig-rl`;
+//!   [`export_jsonl`](Telemetry::export_jsonl) writes what it holds as JSON
+//!   Lines through the in-repo [`json`] serializer.
 //!
 //! # The disabled path costs nothing
 //!
@@ -27,21 +26,19 @@
 //! short-circuits on one branch, allocates nothing, and never reads the
 //! clock ([`Stopwatch::disarmed`]). Timing reads feed only this layer, so
 //! simulation outputs and RNG streams are bit-identical with telemetry
-//! disabled, enabled with the no-op sink, or enabled with a recorder
-//! (asserted by the workspace determinism tests).
+//! disabled or enabled (asserted by the workspace determinism tests).
 //!
 //! # Examples
 //!
 //! ```
 //! use twig_telemetry::{Phase, Telemetry};
 //!
-//! let tl = Telemetry::recorder();
+//! let tl = Telemetry::enabled();
 //! tl.counter_add("governor.trips", 1);
 //! tl.gauge_set("twig.epsilon", 0.08);
 //! tl.record("rl.loss", 0.31);
 //! tl.phase_add(0, Phase::Inference, 0.4);
 //! tl.phase_add(1, Phase::Inference, 0.5); // epoch 0's span completes
-//! tl.flush().unwrap();
 //! let m = tl.metrics().unwrap();
 //! assert_eq!(m.counter("governor.trips"), 1);
 //! assert_eq!(tl.spans().len(), 2);
@@ -52,15 +49,15 @@
 
 mod error;
 pub mod json;
+mod jsonl;
 mod metrics;
 mod ring;
-mod sink;
 mod span;
 
 pub use error::TelemetryError;
+pub use jsonl::{snapshot_to_jsonl, span_to_json};
 pub use metrics::{HistogramSummary, LogHistogram, MetricsRegistry, MetricsSnapshot};
 pub use ring::RingBuffer;
-pub use sink::{snapshot_to_jsonl, span_to_json, CsvSink, JsonlSink, MemorySink, NoopSink, Sink};
 pub use span::{EpochSpan, Phase, Stopwatch, NUM_PHASES};
 
 use std::cell::RefCell;
@@ -69,7 +66,9 @@ use std::rc::Rc;
 /// Declares a `Copy` struct of `u64` lifetime counters, each field tied to
 /// the telemetry counter it is mirrored under, with `COUNTER_NAMES`,
 /// `counter_pairs_all` and `merge` generated from the one field list — so
-/// the struct and its telemetry mirror cannot drift apart.
+/// the struct and its telemetry mirror cannot drift apart. A trailing
+/// `plain { name: type, .. }` block adds fields that have no counter (a
+/// maximum, say); such a struct gets no `merge`, since only counters add.
 ///
 /// # Examples
 ///
@@ -91,16 +90,27 @@ use std::rc::Rc;
 /// ```
 #[macro_export]
 macro_rules! stats {
+    (@merge $name:ident [$($field:ident)+]) => {
+        impl $name {
+            /// Adds `delta` into `self`, field by field.
+            pub fn merge(&mut self, delta: &$name) {
+                $(self.$field += delta.$field;)+
+            }
+        }
+    };
+    (@merge $name:ident [$($field:ident)+] $($plain:ident)+) => {};
     (
         $(#[$struct_doc:meta])+
         pub struct $name:ident {
             $($(#[$doc:meta])+ $field:ident => $counter:literal,)+
+            $(plain { $($(#[$plain_doc:meta])+ $plain:ident: $plain_ty:ty,)+ })?
         }
     ) => {
         $(#[$struct_doc])+
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         pub struct $name {
             $($(#[$doc])+ pub $field: u64,)+
+            $($($(#[$plain_doc])+ pub $plain: $plain_ty,)+)?
         }
 
         impl $name {
@@ -111,12 +121,9 @@ macro_rules! stats {
             pub fn counter_pairs_all(&self) -> Vec<(&'static str, u64)> {
                 vec![$(($counter, self.$field),)+]
             }
-
-            /// Adds `delta` into `self`, field by field.
-            pub fn merge(&mut self, delta: &$name) {
-                $(self.$field += delta.$field;)+
-            }
         }
+
+        $crate::stats!(@merge $name [$($field)+] $($($plain)+)?);
     };
 }
 
@@ -128,7 +135,6 @@ struct Inner {
     registry: RefCell<MetricsRegistry>,
     spans: RefCell<RingBuffer<EpochSpan>>,
     current: RefCell<Option<EpochSpan>>,
-    sink: RefCell<Box<dyn Sink>>,
 }
 
 /// The instrumentation handle threaded through the control loop.
@@ -151,25 +157,14 @@ impl Telemetry {
         Telemetry { inner: None }
     }
 
-    /// An enabled handle discarding spans into [`NoopSink`] — metrics and
-    /// the ring buffer still accumulate for later inspection.
+    /// An enabled handle: metrics accumulate in the registry and the last
+    /// [`DEFAULT_SPAN_CAPACITY`] spans in the ring buffer.
     pub fn enabled() -> Self {
-        Self::with_sink(DEFAULT_SPAN_CAPACITY, Box::new(NoopSink))
-    }
-
-    /// An enabled handle recording every span into a [`MemorySink`].
-    pub fn recorder() -> Self {
-        Self::with_sink(DEFAULT_SPAN_CAPACITY, Box::new(MemorySink::new()))
-    }
-
-    /// An enabled handle with a custom sink and span-ring capacity.
-    pub fn with_sink(span_capacity: usize, sink: Box<dyn Sink>) -> Self {
         Telemetry {
             inner: Some(Rc::new(Inner {
                 registry: RefCell::new(MetricsRegistry::new()),
-                spans: RefCell::new(RingBuffer::new(span_capacity)),
+                spans: RefCell::new(RingBuffer::new(DEFAULT_SPAN_CAPACITY)),
                 current: RefCell::new(None),
-                sink: RefCell::new(sink),
             })),
         }
     }
@@ -231,7 +226,7 @@ impl Telemetry {
     /// (from the manager's `decide`/`observe` and the platform's step)
     /// merge into one [`EpochSpan`]; the first contribution for a
     /// *different* epoch completes the open span, pushing it into the ring
-    /// buffer and the sink. Each phase's time also feeds a
+    /// buffer. Each phase's time also feeds a
     /// `phase_ms.<name>` histogram.
     pub fn phase_add(&self, epoch: u64, phase: Phase, ms: f64) {
         let Some(inner) = &self.inner else { return };
@@ -241,7 +236,6 @@ impl Telemetry {
             _ => {
                 if let Some(done) = current.take() {
                     inner.spans.borrow_mut().push(done);
-                    inner.sink.borrow_mut().record_span(&done);
                 }
                 let mut span = EpochSpan::new(epoch);
                 span.add(phase, ms);
@@ -249,20 +243,6 @@ impl Telemetry {
             }
         }
         inner.registry.borrow_mut().record(phase.metric_key(), ms);
-    }
-
-    /// Completes the open span (if any) and flushes the sink with a final
-    /// metrics snapshot. Idempotent; `Ok(())` when disabled.
-    pub fn flush(&self) -> Result<(), TelemetryError> {
-        let Some(inner) = &self.inner else {
-            return Ok(());
-        };
-        if let Some(done) = inner.current.borrow_mut().take() {
-            inner.spans.borrow_mut().push(done);
-            inner.sink.borrow_mut().record_span(&done);
-        }
-        let snapshot = inner.registry.borrow().snapshot();
-        inner.sink.borrow_mut().flush(&snapshot)
     }
 
     /// A point-in-time metrics snapshot (`None` when disabled).
@@ -293,27 +273,6 @@ impl Telemetry {
             Some(inner) => inner.spans.borrow().dropped(),
             None => 0,
         }
-    }
-
-    /// Runs `f` against the sink — for draining a recorder after a run:
-    ///
-    /// ```
-    /// use twig_telemetry::{MemorySink, Telemetry};
-    ///
-    /// let tl = Telemetry::recorder();
-    /// tl.phase_add(0, twig_telemetry::Phase::Mapping, 0.1);
-    /// tl.flush().unwrap();
-    /// let n = tl.with_sink_mut(|s| {
-    ///     s.as_any_mut().downcast_mut::<MemorySink>().map_or(0, |m| m.spans.len())
-    /// });
-    /// assert_eq!(n, Some(1));
-    /// ```
-    ///
-    /// Returns `None` when disabled.
-    pub fn with_sink_mut<R>(&self, f: impl FnOnce(&mut dyn Sink) -> R) -> Option<R> {
-        self.inner
-            .as_ref()
-            .map(|inner| f(inner.sink.borrow_mut().as_mut()))
     }
 
     /// Writes the full trace (all retained spans, then the metrics
@@ -347,7 +306,6 @@ mod tests {
         assert_eq!(tl.gauge("g"), None);
         assert!(tl.metrics().is_none());
         assert!(tl.spans().is_empty());
-        assert!(tl.flush().is_ok());
     }
 
     #[test]
@@ -370,33 +328,23 @@ mod tests {
         assert_eq!(spans[0].epoch, 0);
         assert_eq!(spans[0].get(Phase::Inference), 2.0);
         assert_eq!(spans[1].epoch, 1);
-        // Only epoch 0 is complete; epoch 1 is still open.
-        tl.flush().unwrap();
-        assert_eq!(tl.spans().len(), 2);
+        // Only epoch 0 is complete; epoch 1 is still open and listed last.
         let m = tl.metrics().unwrap();
         assert_eq!(m.histogram("phase_ms.pmc_read").unwrap().count, 2);
     }
 
     #[test]
-    fn flush_is_idempotent() {
-        let tl = Telemetry::enabled();
-        tl.phase_add(0, Phase::Mapping, 0.5);
-        tl.flush().unwrap();
-        tl.flush().unwrap();
-        assert_eq!(tl.spans().len(), 1);
-    }
-
-    #[test]
     fn ring_buffer_bounds_span_history() {
-        let tl = Telemetry::with_sink(4, Box::new(NoopSink));
-        for epoch in 0..10 {
+        let tl = Telemetry::enabled();
+        let kept = DEFAULT_SPAN_CAPACITY as u64;
+        // The open span rides on top of a full ring.
+        for epoch in 0..kept + 7 {
             tl.phase_add(epoch, Phase::Actuation, 1.0);
         }
-        tl.flush().unwrap();
         let spans = tl.spans();
-        assert_eq!(spans.len(), 4);
+        assert_eq!(spans.len() as u64, kept + 1);
         assert_eq!(spans.first().unwrap().epoch, 6);
-        assert_eq!(spans.last().unwrap().epoch, 9);
+        assert_eq!(spans.last().unwrap().epoch, kept + 6);
         assert_eq!(tl.spans_dropped(), 6);
     }
 
@@ -405,7 +353,6 @@ mod tests {
         let tl = Telemetry::enabled();
         tl.phase_add(0, Phase::LearnStep, 2.0);
         tl.counter_add("c", 1);
-        tl.flush().unwrap();
         let mut buf = Vec::new();
         tl.export_jsonl(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();

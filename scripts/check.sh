@@ -129,7 +129,9 @@ step "test"           cargo test -q --offline --workspace
 # This is also the step that runs the AVX2 instantiation of the GEMM kernel
 # optimised, against the naive loop and the portable instantiation (twig-nn's
 # `gemm::tests`; it prints "skipped: no avx2" on a CPU without it).
-step "test-release"   cargo test --release --offline -q -p twig-nn -p twig-rl -p twig-stats -p twig-sim
+# twig-scenario rides along so the table-driven section reader and writer
+# and the 400-scenario round-trip property also run as the corpus runs them.
+step "test-release"   cargo test --release --offline -q -p twig-nn -p twig-rl -p twig-stats -p twig-sim -p twig-scenario
 step "clippy"         cargo clippy --offline --workspace --all-targets -- -D warnings
 step "bench-baseline" check_bench_baseline
 step "report-manifest" check_report_manifest
