@@ -720,15 +720,14 @@ impl FederationPlane {
             }
             // Rung 3: shape, against the round's plurality architecture.
             if let Some(reference) = plurality_reference(&candidates) {
-                let mut kept = Vec::with_capacity(candidates.len());
-                for (n, ckpt) in candidates {
-                    if check_shape(&ckpt, &reference).is_ok() {
-                        kept.push((n, ckpt));
-                    } else {
-                        delta.rejected_shape += 1;
-                    }
-                }
-                candidates = kept;
+                let reference = &candidates[reference].1;
+                let fits: Vec<bool> = candidates
+                    .iter()
+                    .map(|(_, c)| check_shape(c, reference).is_ok())
+                    .collect();
+                delta.rejected_shape += fits.iter().filter(|&&fit| !fit).count() as u64;
+                let mut fits = fits.into_iter();
+                candidates.retain(|_| fits.next().expect("one verdict per candidate"));
             }
             // Rung 4: finiteness.
             let mut finite = Vec::with_capacity(candidates.len());
@@ -887,9 +886,9 @@ enum MergeOutcome {
     RolledBack,
 }
 
-/// The round's reference architecture: the shape shared by the most
-/// decoded candidates, ties broken toward the lowest contributor index.
-fn plurality_reference(candidates: &[(usize, MaBdqCheckpoint)]) -> Option<MaBdqCheckpoint> {
+/// Index of the round's reference architecture: the shape shared by the
+/// most decoded candidates, ties broken toward the lowest contributor index.
+fn plurality_reference(candidates: &[(usize, MaBdqCheckpoint)]) -> Option<usize> {
     let mut best: Option<usize> = None;
     let mut best_count = 0usize;
     for i in 0..candidates.len() {
@@ -902,7 +901,7 @@ fn plurality_reference(candidates: &[(usize, MaBdqCheckpoint)]) -> Option<MaBdqC
             best_count = count;
         }
     }
-    best.map(|i| candidates[i].1.clone())
+    best
 }
 
 #[cfg(test)]

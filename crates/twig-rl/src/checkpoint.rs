@@ -23,6 +23,7 @@
 //! half-parsed state.
 
 use crate::RlError;
+use std::fmt;
 use twig_nn::{AdamSlot, AdamState};
 
 /// File magic prefix.
@@ -72,17 +73,39 @@ pub struct MaBdqCheckpoint {
 }
 
 /// IEEE CRC32 (reflected, polynomial 0xEDB88320) over `bytes`.
+///
+/// Slicing-by-8: each step folds eight input bytes through eight lookups
+/// that do not depend on one another, where the bytewise form chains one
+/// lookup per byte. The last `len % 8` bytes go through `CRC_TABLES[0]`
+/// alone, which is the bytewise table.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[k][b]` is the CRC register after byte `b` and then `k` zero
+/// bytes have been shifted through it.
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -95,10 +118,20 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -109,12 +142,13 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_f32(out: &mut Vec<u8>, v: f32) {
+fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Appends a whole `f32` / `f64` section body: one `extend` per slice.
+fn put_elems<T: Copy, const N: usize>(out: &mut Vec<u8>, xs: &[T], to_le: impl Fn(T) -> [u8; N]) {
+    out.extend(xs.iter().flat_map(|&x| to_le(x)));
 }
 
 fn put_usize_list(out: &mut Vec<u8>, list: &[usize]) {
@@ -147,9 +181,7 @@ pub fn encode_checkpoint(ckpt: &MaBdqCheckpoint) -> Vec<u8> {
 
     put_u32(&mut out, TAG_WEIGHTS);
     put_u64(&mut out, ckpt.params.len() as u64);
-    for &p in &ckpt.params {
-        put_f32(&mut out, p);
-    }
+    put_elems(&mut out, &ckpt.params, f32::to_le_bytes);
 
     put_u32(&mut out, TAG_MOMENTS);
     put_u64(&mut out, ckpt.adam.slots.len() as u64);
@@ -157,12 +189,8 @@ pub fn encode_checkpoint(ckpt: &MaBdqCheckpoint) -> Vec<u8> {
         put_u64(&mut out, slot.id as u64);
         put_u64(&mut out, slot.steps);
         put_u64(&mut out, slot.m.len() as u64);
-        for &x in &slot.m {
-            put_f32(&mut out, x);
-        }
-        for &x in &slot.v {
-            put_f32(&mut out, x);
-        }
+        put_elems(&mut out, &slot.m, f32::to_le_bytes);
+        put_elems(&mut out, &slot.v, f32::to_le_bytes);
     }
 
     put_u32(&mut out, TAG_ANNEAL);
@@ -173,9 +201,7 @@ pub fn encode_checkpoint(ckpt: &MaBdqCheckpoint) -> Vec<u8> {
 
     put_u32(&mut out, TAG_PRIORITIES);
     put_u64(&mut out, ckpt.priorities.len() as u64);
-    for &p in &ckpt.priorities {
-        put_f64(&mut out, p);
-    }
+    put_elems(&mut out, &ckpt.priorities, f64::to_le_bytes);
 
     let crc = crc32(&out);
     put_u32(&mut out, crc);
@@ -195,7 +221,17 @@ pub fn encode_checkpoint(ckpt: &MaBdqCheckpoint) -> Vec<u8> {
 /// Returns [`RlError::CorruptCheckpoint`] when the buffer is too short,
 /// fails the CRC, carries the wrong magic, or an unsupported version.
 pub fn validate_checkpoint_bytes(bytes: &[u8]) -> Result<(), RlError> {
-    if bytes.len() < CHECKPOINT_MAGIC.len() + 8 {
+    verified_body(bytes).map(|_| ())
+}
+
+/// Bytes of the frame header: magic, then the format version.
+const HEADER_LEN: usize = CHECKPOINT_MAGIC.len() + 4;
+
+/// The one integrity pass: length, then CRC, then magic, then version.
+/// Returns the frame without its footer; nothing is parsed from bytes the
+/// CRC has not covered.
+fn verified_body(bytes: &[u8]) -> Result<&[u8], RlError> {
+    if bytes.len() < HEADER_LEN + 4 {
         return Err(corrupt(format!("{} bytes is too short", bytes.len())));
     }
     let (body, footer) = bytes.split_at(bytes.len() - 4);
@@ -209,13 +245,13 @@ pub fn validate_checkpoint_bytes(bytes: &[u8]) -> Result<(), RlError> {
     if body[..CHECKPOINT_MAGIC.len()] != CHECKPOINT_MAGIC {
         return Err(corrupt("bad magic"));
     }
-    let version = u32::from_le_bytes(body[8..12].try_into().unwrap());
+    let version = u32::from_le_bytes(body[CHECKPOINT_MAGIC.len()..HEADER_LEN].try_into().unwrap());
     if version != CHECKPOINT_VERSION {
         return Err(corrupt(format!(
             "unsupported format version {version} (expected {CHECKPOINT_VERSION})"
         )));
     }
-    Ok(())
+    Ok(body)
 }
 
 struct Reader<'a> {
@@ -249,19 +285,14 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn f32(&mut self) -> Result<f32, RlError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
     fn f64(&mut self) -> Result<f64, RlError> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// Reads a u64 element count and checks `count * elem_size` fits in the
-    /// remaining bytes, so corrupted counts cannot trigger huge allocations.
-    fn count(&mut self, elem_size: usize) -> Result<usize, RlError> {
-        let n = self.u64()?;
-        let n = usize::try_from(n).map_err(|_| corrupt("element count overflows usize"))?;
+    /// Byte length of `n` elements of `elem_size` bytes, once it is known
+    /// to fit in what remains of the buffer. Every count read from the wire
+    /// passes through here before anything is allocated for it.
+    fn span(&self, n: usize, elem_size: usize, what: fmt::Arguments<'_>) -> Result<usize, RlError> {
         let bytes = n
             .checked_mul(elem_size)
             .ok_or_else(|| corrupt("element count overflows usize"))?;
@@ -271,18 +302,37 @@ impl<'a> Reader<'a> {
             .filter(|&e| e <= self.buf.len())
             .is_none()
         {
-            return Err(corrupt(format!(
-                "element count {n} exceeds remaining buffer"
-            )));
+            return Err(corrupt(format!("{what} exceeds remaining buffer")));
         }
+        Ok(bytes)
+    }
+
+    /// Reads a u64 element count and checks `count * elem_size` fits in the
+    /// remaining bytes, so corrupted counts cannot trigger huge allocations.
+    fn count(&mut self, elem_size: usize) -> Result<usize, RlError> {
+        let n = self.u64()?;
+        let n = usize::try_from(n).map_err(|_| corrupt("element count overflows usize"))?;
+        self.span(n, elem_size, format_args!("element count {n}"))?;
         Ok(n)
+    }
+
+    /// Reads `n` little-endian `N`-byte elements as one slice.
+    fn elems<T, const N: usize>(
+        &mut self,
+        n: usize,
+        from_le: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, RlError> {
+        let bytes = self.span(n, N, format_args!("element count {n}"))?;
+        Ok(self
+            .take(bytes)?
+            .chunks_exact(N)
+            .map(|c| from_le(c.try_into().expect("chunks_exact yields N-byte chunks")))
+            .collect())
     }
 
     fn usize_list(&mut self) -> Result<Vec<usize>, RlError> {
         let n = self.u32()? as usize;
-        if self.pos + 4 * n > self.buf.len() {
-            return Err(corrupt("shape list exceeds remaining buffer"));
-        }
+        self.span(n, 4, format_args!("shape list"))?;
         (0..n).map(|_| Ok(self.u32()? as usize)).collect()
     }
 
@@ -304,27 +354,11 @@ impl<'a> Reader<'a> {
 /// fails the CRC, carries the wrong magic, an unsupported version, or an
 /// inconsistent section layout.
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<MaBdqCheckpoint, RlError> {
-    if bytes.len() < CHECKPOINT_MAGIC.len() + 8 {
-        return Err(corrupt(format!("{} bytes is too short", bytes.len())));
-    }
-    let (body, footer) = bytes.split_at(bytes.len() - 4);
-    let stored = u32::from_le_bytes(footer.try_into().unwrap());
-    let actual = crc32(body);
-    if stored != actual {
-        return Err(corrupt(format!(
-            "CRC mismatch: stored {stored:#010x}, computed {actual:#010x}"
-        )));
-    }
-    let mut r = Reader { buf: body, pos: 0 };
-    if r.take(8)? != CHECKPOINT_MAGIC {
-        return Err(corrupt("bad magic"));
-    }
-    let version = r.u32()?;
-    if version != CHECKPOINT_VERSION {
-        return Err(corrupt(format!(
-            "unsupported format version {version} (expected {CHECKPOINT_VERSION})"
-        )));
-    }
+    let body = verified_body(bytes)?;
+    let mut r = Reader {
+        buf: body,
+        pos: HEADER_LEN,
+    };
     let agents = r.u32()? as usize;
     let state_dim = r.u32()? as usize;
     let head_hidden = r.u32()? as usize;
@@ -333,10 +367,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<MaBdqCheckpoint, RlError> {
 
     r.tag(TAG_WEIGHTS)?;
     let n = r.count(4)?;
-    let mut params = Vec::with_capacity(n);
-    for _ in 0..n {
-        params.push(r.f32()?);
-    }
+    let params = r.elems(n, f32::from_le_bytes)?;
 
     r.tag(TAG_MOMENTS)?;
     let slots_n = r.count(24)?;
@@ -345,14 +376,8 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<MaBdqCheckpoint, RlError> {
         let id = usize::try_from(r.u64()?).map_err(|_| corrupt("slot id overflows usize"))?;
         let steps = r.u64()?;
         let len = r.count(8)?;
-        let mut m = Vec::with_capacity(len);
-        for _ in 0..len {
-            m.push(r.f32()?);
-        }
-        let mut v = Vec::with_capacity(len);
-        for _ in 0..len {
-            v.push(r.f32()?);
-        }
+        let m = r.elems(len, f32::from_le_bytes)?;
+        let v = r.elems(len, f32::from_le_bytes)?;
         slots.push(AdamSlot { id, steps, m, v });
     }
 
@@ -364,10 +389,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<MaBdqCheckpoint, RlError> {
 
     r.tag(TAG_PRIORITIES)?;
     let n = r.count(8)?;
-    let mut priorities = Vec::with_capacity(n);
-    for _ in 0..n {
-        priorities.push(r.f64()?);
-    }
+    let priorities = r.elems(n, f64::from_le_bytes)?;
 
     if r.pos != body.len() {
         return Err(corrupt(format!(

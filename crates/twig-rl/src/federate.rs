@@ -27,7 +27,7 @@
 //! `(w·x)/w` is not exact in general), which is what makes cold-server
 //! policy transfer through a one-donor round byte-faithful.
 
-use crate::checkpoint::{decode_checkpoint, validate_checkpoint_bytes, MaBdqCheckpoint};
+use crate::checkpoint::{decode_checkpoint, MaBdqCheckpoint};
 use std::error::Error;
 use std::fmt;
 use twig_nn::AdamState;
@@ -128,17 +128,16 @@ pub struct Contribution {
     pub checkpoint: MaBdqCheckpoint,
 }
 
-/// Rung 1 of the screening ladder: CRC + format validation, then decode.
+/// Rung 1 of the screening ladder: [`decode_checkpoint`], which verifies
+/// the CRC and the format header once, before it parses anything.
 ///
 /// # Errors
 ///
 /// Returns [`FedError::CorruptPayload`] for any byte-level damage.
 pub fn decode_payload(bytes: &[u8]) -> Result<MaBdqCheckpoint, FedError> {
-    let corrupt = |e: crate::RlError| FedError::CorruptPayload {
+    decode_checkpoint(bytes).map_err(|e| FedError::CorruptPayload {
         detail: e.to_string(),
-    };
-    validate_checkpoint_bytes(bytes).map_err(corrupt)?;
-    decode_checkpoint(bytes).map_err(corrupt)
+    })
 }
 
 /// Rung 2: the candidate's architecture fingerprint must match the

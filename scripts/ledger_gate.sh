@@ -9,8 +9,10 @@
 # noise tolerance: the floor the code is built to (`2K + 3` per
 # `Server::step`, 0 in the learner's steady state, what decide + observe
 # allocate today) plus one for the buffer growth a short window can still
-# contain. results.json carries one workload per line, which is what lets
-# this stay grep and awk.
+# contain. `rl.ckpt_bytes` is the length of the v1 checkpoint frame for the
+# workload's network shape and is pinned exactly: a codec change that alters
+# the frame fails here instead of reading as a speed-up. results.json
+# carries one workload per line, which is what lets this stay grep and awk.
 set -euo pipefail
 
 results="${1:-bench/out/results.json}"
@@ -27,17 +29,23 @@ value() {
         grep -o "\"$2\":{\"value\":[^,}]*" | head -n 1 | sed 's/.*"value"://'
 }
 
-# at_most WORKLOAD METRIC CEILING
-at_most() {
+# holds WORKLOAD METRIC OP WANT LABEL: passes when `value OP WANT` does.
+holds() {
     local got
     got="$(value "$1" "$2")"
-    if [ -n "$got" ] && awk -v got="$got" -v max="$3" 'BEGIN { exit !(got <= max) }'; then
-        echo "PASS: $1 $2 = $got (ceiling $3)"
+    if [ -n "$got" ] && awk -v got="$got" -v want="$4" "BEGIN { exit !(got $3 want) }"; then
+        echo "PASS: $1 $2 = $got ($5 $4)"
     else
-        echo "FAIL: $1 $2 = ${got:-missing} exceeds ceiling $3"
+        echo "FAIL: $1 $2 = ${got:-missing} fails $5 $4"
         fail=1
     fi
 }
+
+# at_most WORKLOAD METRIC CEILING
+at_most() { holds "$1" "$2" "<=" "$3" "ceiling"; }
+
+# exactly WORKLOAD METRIC COUNT
+exactly() { holds "$1" "$2" "==" "$3" "exactly"; }
 
 for workload in learn_c2 exploit_c2; do
     at_most "$workload" sim.allocs_per_step 8
@@ -48,6 +56,12 @@ at_most learn_k24 core.allocs_per_epoch 207
 for workload in learn_c2 exploit_c2 learn_k24 fleet_n8 corpus; do
     at_most "$workload" rl.steady_allocs 0
 done
+
+for workload in learn_c2 exploit_c2 corpus; do
+    exactly "$workload" rl.ckpt_bytes 294264
+done
+exactly learn_k24 rl.ckpt_bytes 1551168
+exactly fleet_n8 rl.ckpt_bytes 15260
 
 passed="$(value corpus scenario.passed)"
 matched="$(value corpus scenario.digest_match)"
@@ -62,4 +76,4 @@ if [ "$fail" -ne 0 ]; then
     echo "ledger_gate: FAILED"
     exit 1
 fi
-echo "ledger_gate: all count rows within their ceilings"
+echo "ledger_gate: all count rows within their ceilings or at their pinned values"
