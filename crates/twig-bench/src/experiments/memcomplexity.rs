@@ -11,7 +11,8 @@
 use crate::{ExpError, Options, TextTable};
 use std::fmt::Write as _;
 use twig_rl::memory::{
-    bdq_parameter_count, table_bytes, table_entries, table_entries_state_counters,
+    bdq_parameter_count, replay_record_bytes, table_bytes, table_entries,
+    table_entries_state_counters,
 };
 
 fn human(bytes: u128) -> String {
@@ -67,6 +68,37 @@ pub fn run_to(out: &mut String, _opts: &Options) -> Result<(), ExpError> {
     writeln!(
         out,
         "a tabular manager over the same 11-counter state explodes combinatorially."
+    )?;
+
+    // What the learner holds besides the network: its replay buffer, which
+    // costs what it contains (the paper sizes it at 10^6 transitions).
+    writeln!(
+        out,
+        "\nReplay buffer of the same agent (11 counters in, 11 out, a reward, D actions):\n"
+    )?;
+    let mut t = TextTable::new(vec![
+        "D",
+        "record",
+        "+ priority tree",
+        "at 10^4 transitions",
+        "at 10^6 (paper's size)",
+    ]);
+    for dims in 1..=4usize {
+        let record = replay_record_bytes(1, 11, dims);
+        // Two 8-byte tree nodes per leaf, leaves rounded up to a power of two.
+        let held = |n: usize| (n * record + 16 * n.next_power_of_two()) as u128;
+        t.row(vec![
+            dims.to_string(),
+            format!("{record} B"),
+            "16-32 B".to_string(),
+            human(held(10_000)),
+            human(held(1_000_000)),
+        ]);
+    }
+    writeln!(out, "{t}")?;
+    writeln!(
+        out,
+        "The buffer grows with the transitions stored, not with its configured capacity."
     )?;
     Ok(())
 }

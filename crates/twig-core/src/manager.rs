@@ -2,8 +2,8 @@ use crate::{
     Checkpointable, Eq2PowerModel, ManagerError, Mapper, RewardConfig, SystemMonitor, TwigError,
 };
 use twig_rl::{
-    decode_checkpoint, encode_checkpoint, EpsilonSchedule, MaBdq, MaBdqConfig, MultiTransition,
-    QuarantineConfig, RlError,
+    decode_checkpoint, encode_checkpoint, EpsilonSchedule, MaBdq, MaBdqConfig, QuarantineConfig,
+    RlError,
 };
 use twig_sim::{Assignment, DvfsLadder, EpochReport, ServiceSpec};
 use twig_telemetry::{Phase, Telemetry};
@@ -263,18 +263,29 @@ pub struct Twig {
     mapper: Mapper,
     name: String,
     time: u64,
-    pending: Option<Pending>,
-    last_actions: Option<Vec<Vec<usize>>>,
-    /// Reused Q-value buffer for the stickiness check (allocation-free in
-    /// steady state; see `MaBdq::q_values_into`).
-    q_scratch: Vec<Vec<Vec<f32>>>,
+    pending: Pending,
+    /// The previous epoch's actions for the stickiness check; empty when
+    /// there are none (first epoch, after a restore or a service swap).
+    last_actions: Vec<Vec<usize>>,
+    /// What `observe` hands the agent next to `pending`, refilled every
+    /// epoch. Like `pending` and `last_actions` these keep their capacity:
+    /// the agent copies a transition into its replay buffer, so nothing
+    /// allocated for one epoch is still alive in the next.
+    next_states: Vec<Vec<f32>>,
+    rewards: Vec<f32>,
+    /// What a decision asks of the mapper, one `(cores, frequency)` per agent.
+    requests: Vec<(usize, twig_sim::Frequency)>,
     telemetry: Telemetry,
 }
 
-#[derive(Debug, Clone)]
+/// The decision `decide` took and the states it took it on, until `observe`
+/// turns them into a transition.
+#[derive(Debug, Clone, Default)]
 struct Pending {
     states: Vec<Vec<f32>>,
     actions: Vec<Vec<usize>>,
+    /// `false` once the decision is consumed or discarded; the buffers stay.
+    live: bool,
 }
 
 impl Twig {
@@ -321,9 +332,11 @@ impl Twig {
             mapper,
             name,
             time: 0,
-            pending: None,
-            last_actions: None,
-            q_scratch: Vec::new(),
+            pending: Pending::default(),
+            last_actions: Vec::new(),
+            next_states: Vec::new(),
+            rewards: Vec::new(),
+            requests: Vec::new(),
             telemetry: Telemetry::disabled(),
         })
     }
@@ -409,8 +422,8 @@ impl Twig {
         self.agent
             .load_checkpoint(&ckpt)
             .map_err(TwigError::Learning)?;
-        self.pending = None;
-        self.last_actions = None;
+        self.pending.live = false;
+        self.last_actions.clear();
         if trained {
             let restart = self.config.epsilon.learning_phase_end();
             self.time = self.time.max(restart);
@@ -433,60 +446,51 @@ impl Twig {
     /// Propagates learning and mapping errors.
     pub fn decide(&mut self) -> Result<Vec<Assignment>, TwigError> {
         let mut stopwatch = self.telemetry.stopwatch();
-        let states = self.monitor.states()?;
+        // A decision that fails half-way leaves nothing to learn from.
+        self.pending.live = false;
+        let Pending {
+            states, actions, ..
+        } = &mut self.pending;
+        self.monitor.states_into(states)?;
         self.telemetry
             .phase_add(self.time, Phase::PmcRead, stopwatch.lap_ms());
-        let epsilon = self.epsilon();
+        let epsilon = self.config.epsilon.value_at(self.time);
         self.telemetry.gauge_set("twig.epsilon", epsilon);
-        let mut actions = self
-            .agent
-            .select_actions(&states, epsilon)
+        self.agent
+            .select_actions_into(states, epsilon, actions)
             .map_err(TwigError::Learning)?;
-        if self.config.action_stickiness > 0.0 {
-            if self.last_actions.is_some() {
-                self.agent
-                    .q_values_into(&states, &mut self.q_scratch)
-                    .map_err(TwigError::Learning)?;
-            }
-            if let Some(previous) = &self.last_actions {
-                let q = &self.q_scratch;
-                for (k, agent_actions) in actions.iter_mut().enumerate() {
-                    for (d, action) in agent_actions.iter_mut().enumerate() {
-                        let prev = previous[k][d];
-                        if prev == *action {
-                            continue;
-                        }
-                        let row = &q[k][d];
-                        let lo = row.iter().cloned().fold(f32::INFINITY, f32::min);
-                        let hi = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-                        let margin = (self.config.action_stickiness * f64::from(hi - lo)) as f32;
-                        // Keep the previous choice unless the new one is a
-                        // clear improvement (never overrides exploration
-                        // moves that beat it by the margin).
-                        if row[*action] - row[prev] < margin {
-                            *action = prev;
-                        }
+        if self.config.action_stickiness > 0.0 && !self.last_actions.is_empty() {
+            for (k, agent_actions) in actions.iter_mut().enumerate() {
+                for (d, action) in agent_actions.iter_mut().enumerate() {
+                    let prev = self.last_actions[k][d];
+                    if prev == *action {
+                        continue;
+                    }
+                    // The Q-values the selection above just computed.
+                    let row = self
+                        .agent
+                        .last_q_values(k, d)
+                        .expect("selected for every agent and branch");
+                    let lo = row.iter().cloned().fold(f32::INFINITY, f32::min);
+                    let hi = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+                    let margin = (self.config.action_stickiness * f64::from(hi - lo)) as f32;
+                    // Keep the previous choice unless the new one is a
+                    // clear improvement (never overrides exploration
+                    // moves that beat it by the margin).
+                    if row[*action] - row[prev] < margin {
+                        *action = prev;
                     }
                 }
             }
         }
-        self.last_actions = Some(actions.clone());
+        self.last_actions.clone_from(actions);
         self.telemetry
             .phase_add(self.time, Phase::Inference, stopwatch.lap_ms());
-        let mut requests: Vec<(usize, twig_sim::Frequency)> = Vec::with_capacity(actions.len());
-        for a in &actions {
-            let cores = a[0] + 1; // branch 0: 1..=cores
-            let freq = self
-                .config
-                .dvfs
-                .frequency_at(a[1])
-                .map_err(TwigError::Sim)?;
-            requests.push((cores.min(self.config.cores), freq));
-        }
-        let assignments = self.mapper.assign(&requests)?;
+        fill_requests(&self.config, actions, &mut self.requests)?;
+        let assignments = self.mapper.assign(&self.requests)?;
         self.telemetry
             .phase_add(self.time, Phase::Mapping, stopwatch.lap_ms());
-        self.pending = Some(Pending { states, actions });
+        self.pending.live = true;
         Ok(assignments)
     }
 
@@ -525,17 +529,8 @@ impl Twig {
             .map_err(TwigError::Learning)?;
         self.telemetry
             .phase_add(self.time, Phase::Inference, stopwatch.lap_ms());
-        let mut requests: Vec<(usize, twig_sim::Frequency)> = Vec::with_capacity(actions.len());
-        for a in &actions {
-            let cores = a[0] + 1; // branch 0: 1..=cores
-            let freq = self
-                .config
-                .dvfs
-                .frequency_at(a[1])
-                .map_err(TwigError::Sim)?;
-            requests.push((cores.min(self.config.cores), freq));
-        }
-        let assignments = self.mapper.assign(&requests)?;
+        fill_requests(&self.config, &actions, &mut self.requests)?;
+        let assignments = self.mapper.assign(&self.requests)?;
         self.telemetry
             .phase_add(self.time, Phase::Mapping, stopwatch.lap_ms());
         self.telemetry.counter_add("twig.fallback_decides", 1);
@@ -561,10 +556,11 @@ impl Twig {
         for (i, svc) in report.services.iter().enumerate() {
             self.monitor.update(i, &svc.pmcs)?;
         }
-        let next_states = self.monitor.states()?;
+        self.monitor.states_into(&mut self.next_states)?;
 
-        if let Some(pending) = self.pending.take() {
-            let mut rewards = Vec::with_capacity(k);
+        if std::mem::take(&mut self.pending.live) {
+            let pending = &self.pending;
+            self.rewards.clear();
             for (i, svc) in report.services.iter().enumerate() {
                 let spec = &self.config.services[i];
                 let dvfs_idx = pending.actions[i][1];
@@ -577,18 +573,18 @@ impl Twig {
                     .config
                     .reward
                     .power_reward(self.config.peak_power_w, est);
-                rewards.push(
+                self.rewards.push(
                     self.config
                         .reward
                         .reward(svc.p99_ms, spec.qos_ms, power_rew) as f32,
                 );
             }
-            match self.agent.observe(MultiTransition {
-                states: pending.states,
-                actions: pending.actions,
-                rewards,
-                next_states,
-            }) {
+            match self.agent.observe_parts(
+                &pending.states,
+                &pending.actions,
+                &self.rewards,
+                &self.next_states,
+            ) {
                 Ok(()) => {}
                 // A non-finite state or reward slipped past the monitor
                 // (e.g. corrupted telemetry the platform did not flag):
@@ -632,8 +628,8 @@ impl Twig {
         self.config.services[index] = spec;
         self.monitor.reset_service(index)?;
         self.agent.transfer_reset();
-        self.pending = None;
-        self.last_actions = None;
+        self.pending.live = false;
+        self.last_actions.clear();
         // Resume with a brief exploratory burst: restart the ε clock at the
         // 10%-exploration point rather than from scratch.
         let restart = self.config.epsilon.learning_phase_end();
@@ -666,11 +662,27 @@ impl Twig {
         for (i, svc) in report.services.iter().enumerate() {
             self.monitor.update(i, &svc.pmcs)?;
         }
-        self.pending = None;
+        self.pending.live = false;
         self.telemetry.counter_add("twig.degraded_epochs", 1);
         self.time += 1;
         Ok(())
     }
+}
+
+/// Translates each agent's `(core-count, DVFS)` branch actions into the
+/// `(cores, frequency)` request the mapper resolves, replacing `requests`.
+fn fill_requests(
+    config: &TwigConfig,
+    actions: &[Vec<usize>],
+    requests: &mut Vec<(usize, twig_sim::Frequency)>,
+) -> Result<(), TwigError> {
+    requests.clear();
+    for a in actions {
+        let cores = a[0] + 1; // branch 0: 1..=cores
+        let freq = config.dvfs.frequency_at(a[1]).map_err(TwigError::Sim)?;
+        requests.push((cores.min(config.cores), freq));
+    }
+    Ok(())
 }
 
 impl Checkpointable for Twig {
@@ -868,6 +880,92 @@ mod tests {
         assert!(
             sticky <= free,
             "hysteresis should not increase switching ({sticky} vs {free})"
+        );
+    }
+
+    /// The sticky `decide` as it was when it forwarded the network twice:
+    /// select, then `q_values` on the same states for the margin test.
+    fn select_then_second_forward(
+        agent: &mut MaBdq,
+        states: &[Vec<f32>],
+        epsilon: f64,
+        previous: &[Vec<usize>],
+        stickiness: f64,
+    ) -> Vec<Vec<usize>> {
+        let mut actions = agent.select_actions(states, epsilon).unwrap();
+        if previous.is_empty() {
+            return actions;
+        }
+        let q = agent.q_values(states).unwrap();
+        for (k, agent_actions) in actions.iter_mut().enumerate() {
+            for (d, action) in agent_actions.iter_mut().enumerate() {
+                let prev = previous[k][d];
+                if prev == *action {
+                    continue;
+                }
+                let row = &q[k][d];
+                let lo = row.iter().cloned().fold(f32::INFINITY, f32::min);
+                let hi = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+                let margin = (stickiness * f64::from(hi - lo)) as f32;
+                if row[*action] - row[prev] < margin {
+                    *action = prev;
+                }
+            }
+        }
+        actions
+    }
+
+    #[test]
+    fn sticky_decide_forwards_once_and_decides_the_same() {
+        // 2 000 learning epochs, ε from 1 down to 0.1 and on towards 0.01,
+        // so exploration draws, greedy picks and kept-previous picks all
+        // occur. Each epoch a clone of the agent (same weights, same RNG
+        // position) decides the old way first.
+        let specs = vec![catalog::masstree(), catalog::moses()];
+        let stickiness = 0.1;
+        let mut twig = TwigBuilder::new()
+            .services(specs.clone())
+            .agent(small_agent())
+            .epsilon(EpsilonSchedule::scaled(400))
+            .action_stickiness(stickiness)
+            .seed(31)
+            .build()
+            .unwrap();
+        let mut server = Server::new(ServerConfig::default(), specs, 32).unwrap();
+        let (mut kept, mut moved) = (0, 0);
+        for epoch in 0..2_000 {
+            let states = twig.monitor.states().unwrap();
+            let mut twin = twig.agent.clone();
+            let want = select_then_second_forward(
+                &mut twin,
+                &states,
+                twig.epsilon(),
+                &twig.last_actions,
+                stickiness,
+            );
+            let unsticky = twig
+                .agent
+                .clone()
+                .select_actions(&states, twig.epsilon())
+                .unwrap();
+            let assignments = Twig::decide(&mut twig).unwrap();
+            assert!(twig.pending.live);
+            assert_eq!(twig.pending.states, states, "epoch {epoch}");
+            assert_eq!(twig.pending.actions, want, "epoch {epoch}");
+            assert_eq!(twig.last_actions, want, "epoch {epoch}");
+            if want == unsticky {
+                moved += 1;
+            } else {
+                kept += 1;
+            }
+            let report = server.step(&assignments).unwrap();
+            Twig::observe(&mut twig, &report).unwrap();
+            assert!(!twig.pending.live);
+        }
+        assert!(twig.agent().steps() > 1_900, "the agent was learning");
+        assert!(
+            kept > 50 && moved > 50,
+            "stickiness overrode {kept} decisions and let {moved} stand"
         );
     }
 

@@ -1,7 +1,7 @@
 use crate::TwigError;
 use std::collections::VecDeque;
 use twig_sim::pmc::{calibration_maxima, CounterId, PmcSample, NUM_COUNTERS};
-use twig_stats::{MaxNormScaler, Pca};
+use twig_stats::{max_norm_scale, MaxNormScaler, Pca};
 
 /// The Twig system monitor (Section III-B1): per service it keeps the last
 /// η raw counter samples, reduces noise with a weighted sum (recent samples
@@ -108,14 +108,28 @@ impl SystemMonitor {
     ///
     /// Returns [`TwigError::ReportMismatch`] for an unknown service.
     pub fn state(&self, index: usize) -> Result<Vec<f32>, TwigError> {
+        let mut out = Vec::with_capacity(NUM_COUNTERS);
+        self.state_into(index, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`state`](Self::state) into a reusable vector (cleared first);
+    /// allocation-free once `out` has held a state.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TwigError::ReportMismatch`] for an unknown service.
+    pub fn state_into(&self, index: usize, out: &mut Vec<f32>) -> Result<(), TwigError> {
         let history = self
             .histories
             .get(index)
             .ok_or_else(|| TwigError::ReportMismatch {
                 detail: format!("service {index}"),
             })?;
+        out.clear();
         if history.is_empty() {
-            return Ok(vec![0.0; NUM_COUNTERS]);
+            out.resize(NUM_COUNTERS, 0.0);
+            return Ok(());
         }
         // Weighted sum over the window: weight i+1 for the i-th oldest,
         // normalised — recent samples dominate, old noise decays.
@@ -127,13 +141,15 @@ impl SystemMonitor {
                 *acc += w * v;
             }
         }
-        let scaled = self.scaler.scale(&smoothed).map_err(TwigError::Stats)?;
         // Belt and braces: max_norm_scale already clamps to [0, 1] and maps
         // NaN to 0, so the MDP state can never carry a non-finite feature.
-        Ok(scaled
-            .into_iter()
-            .map(|v| (v as f32).clamp(0.0, 1.0))
-            .collect())
+        out.extend(
+            smoothed
+                .iter()
+                .zip(self.scaler.maxima())
+                .map(|(&v, &max)| (max_norm_scale(v, max) as f32).clamp(0.0, 1.0)),
+        );
+        Ok(())
     }
 
     /// All services' states, in index order.
@@ -142,7 +158,24 @@ impl SystemMonitor {
     ///
     /// Propagates [`state`](Self::state) errors.
     pub fn states(&self) -> Result<Vec<Vec<f32>>, TwigError> {
-        (0..self.services()).map(|i| self.state(i)).collect()
+        let mut out = Vec::with_capacity(self.services());
+        self.states_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// [`states`](Self::states) into a reusable buffer: the per-service
+    /// vectors keep their capacity, so the per-epoch control loop reads its
+    /// state without allocating.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`state`](Self::state) errors.
+    pub fn states_into(&self, out: &mut Vec<Vec<f32>>) -> Result<(), TwigError> {
+        out.resize_with(self.services(), Vec::new);
+        for (i, state) in out.iter_mut().enumerate() {
+            self.state_into(i, state)?;
+        }
+        Ok(())
     }
 
     /// Clears the history of one service (used when a service is swapped

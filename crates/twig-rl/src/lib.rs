@@ -54,6 +54,7 @@ pub mod federate;
 mod mabdq;
 pub mod memory;
 mod per;
+mod slab;
 mod tabular;
 
 pub use anneal::{EpsilonSchedule, LinearAnneal};

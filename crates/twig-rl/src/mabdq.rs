@@ -1,4 +1,6 @@
-use crate::{MaBdqCheckpoint, PerBatch, PrioritizedReplay, RlError};
+use crate::per::Priorities;
+use crate::slab::TransitionSlab;
+use crate::{MaBdqCheckpoint, PerBatch, RlError};
 use twig_nn::{Adam, Dense, Dropout, Mlp, QuantizedMlp, Relu, Tensor};
 use twig_stats::rng::{Rng, Xoshiro256};
 use twig_telemetry::Telemetry;
@@ -96,6 +98,10 @@ impl MaBdqConfig {
         }
         if self.branches.is_empty() || self.branches.contains(&0) {
             return fail(format!("branches {:?}", self.branches));
+        }
+        // A replay record stores a branch index as a `u16`.
+        if self.branches.iter().any(|&n| n > 1 << 16) {
+            return fail(format!("branches {:?} (at most 65536 each)", self.branches));
         }
         if self.trunk_hidden.is_empty() || self.trunk_hidden.contains(&0) {
             return fail(format!("trunk hidden {:?}", self.trunk_hidden));
@@ -575,7 +581,10 @@ pub struct MaBdq {
     online: Net,
     target: Net,
     adam: Adam,
-    buffer: PrioritizedReplay<MultiTransition>,
+    /// The replay buffer's index: slot assignment and sampling weights.
+    priorities: Priorities,
+    /// The replay buffer's storage: the transition in each slot.
+    slab: TransitionSlab,
     rng: Xoshiro256,
     steps: u64,
     skipped_steps: u64,
@@ -693,7 +702,7 @@ struct StepState {
     /// Joint next-state batch.
     x_next: Tensor,
     /// Sampled actions, flattened `(b * agents + k) * num_branches + d`.
-    actions: Vec<usize>,
+    actions: Vec<u16>,
     /// Online-network evaluations of `x_next` (double-DQN argmax).
     q_online: QScratch,
     /// Target-network evaluations of `x_next`.
@@ -741,18 +750,20 @@ impl MaBdq {
         let mut target = Net::new(&config, &mut rng);
         target.copy_weights_from(&online);
         let adam = Adam::new(config.lr);
-        let buffer = PrioritizedReplay::new(
+        let priorities = Priorities::new(
             config.buffer_capacity,
             config.per_alpha,
             config.per_beta0,
             config.per_beta_steps,
         );
+        let slab = TransitionSlab::new(config.agents, config.state_dim, config.branches.len());
         let mut agent = MaBdq {
             config,
             online,
             target,
             adam,
-            buffer,
+            priorities,
+            slab,
             rng,
             steps: 0,
             skipped_steps: 0,
@@ -796,7 +807,7 @@ impl MaBdq {
 
     /// Transitions currently buffered.
     pub fn buffer_len(&self) -> usize {
-        self.buffer.len()
+        self.priorities.len()
     }
 
     /// Replaces the quarantine configuration at runtime, validating it and
@@ -947,6 +958,15 @@ impl MaBdq {
     /// parameter) — the Section V-B1 memory metric.
     pub fn memory_bytes(&self) -> usize {
         2 * self.param_count() * std::mem::size_of::<f32>()
+    }
+
+    /// Heap bytes the replay buffer holds right now: the transition records
+    /// ([`replay_record_bytes`](crate::memory::replay_record_bytes) each)
+    /// plus the priority tree, both counted at their allocated capacity.
+    /// Grows with [`buffer_len`](Self::buffer_len), not with
+    /// `buffer_capacity`.
+    pub fn replay_bytes(&self) -> usize {
+        self.slab.heap_bytes() + self.priorities.heap_bytes()
     }
 
     fn check_states(&self, states: &[Vec<f32>]) -> Result<(), RlError> {
@@ -1296,6 +1316,16 @@ impl MaBdq {
         Ok(())
     }
 
+    /// Agent `agent`'s Q-values on branch `branch` as the most recent
+    /// full-precision decide call (`select_actions*` or `q_values*`, not the
+    /// quantized ones) evaluated them, for a caller that wants to look at
+    /// the values behind the actions it was just handed without a second
+    /// forward pass. `None` before the first such call or out of range.
+    pub fn last_q_values(&self, agent: usize, branch: usize) -> Option<&[f32]> {
+        let q = self.scratch.q_eval.q.get(agent)?.get(branch)?;
+        Some(q.row(0))
+    }
+
     /// Copies `scratch.q_eval` row 0 into the nested public buffer.
     fn export_q_eval(&self, out: &mut Vec<Vec<Vec<f32>>>) {
         out.resize_with(self.config.agents, Vec::new);
@@ -1321,19 +1351,45 @@ impl MaBdq {
         }
     }
 
-    /// Stores one transition in the prioritised replay buffer.
+    /// Stores one transition in the prioritised replay buffer. Same as
+    /// [`observe_parts`](Self::observe_parts), which only borrows.
     ///
     /// # Errors
     ///
     /// Returns [`RlError::DimensionMismatch`] for a wrongly shaped
     /// transition.
     pub fn observe(&mut self, transition: MultiTransition) -> Result<(), RlError> {
-        self.check_states(&transition.states)?;
-        self.check_states(&transition.next_states)?;
-        if transition.actions.len() != self.config.agents
-            || transition.rewards.len() != self.config.agents
-            || transition
-                .actions
+        self.observe_parts(
+            &transition.states,
+            &transition.actions,
+            &transition.rewards,
+            &transition.next_states,
+        )
+    }
+
+    /// Stores one transition — the fields of a [`MultiTransition`], borrowed
+    /// — by copying it into the replay buffer's next record. Nothing of the
+    /// caller's is kept and nothing is allocated per transition (the buffer
+    /// grows amortised, up to `buffer_capacity` records), so a control loop
+    /// can reuse its state, action and reward buffers every epoch.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RlError::DimensionMismatch`] for a wrongly shaped
+    /// transition and [`RlError::NonFinite`] for a non-finite state or
+    /// reward; the buffer is unchanged in both cases.
+    pub fn observe_parts(
+        &mut self,
+        states: &[Vec<f32>],
+        actions: &[Vec<usize>],
+        rewards: &[f32],
+        next_states: &[Vec<f32>],
+    ) -> Result<(), RlError> {
+        self.check_states(states)?;
+        self.check_states(next_states)?;
+        if actions.len() != self.config.agents
+            || rewards.len() != self.config.agents
+            || actions
                 .iter()
                 .any(|a| a.len() != self.config.branches.len())
         {
@@ -1341,12 +1397,11 @@ impl MaBdq {
                 detail: "transition actions/rewards shape".into(),
             });
         }
-        for (a, &n) in transition.actions.iter().flatten().zip(
-            transition
-                .actions
-                .iter()
-                .flat_map(|_| &self.config.branches),
-        ) {
+        for (a, &n) in actions
+            .iter()
+            .flatten()
+            .zip(actions.iter().flat_map(|_| &self.config.branches))
+        {
             if *a >= n {
                 return Err(RlError::DimensionMismatch {
                     detail: format!("action {a} out of range {n}"),
@@ -1356,21 +1411,21 @@ impl MaBdq {
         // NaN guard: a corrupted observation must never enter the replay
         // buffer — one non-finite state or reward poisons every minibatch
         // it is sampled into.
-        let finite_states = transition
-            .states
+        let finite_states = states
             .iter()
-            .chain(&transition.next_states)
+            .chain(next_states)
             .flatten()
             .all(|v| v.is_finite());
-        if !finite_states || !transition.rewards.iter().all(|r| r.is_finite()) {
+        if !finite_states || !rewards.iter().all(|r| r.is_finite()) {
             self.telemetry.counter_add("rl.nonfinite_rejected", 1);
             return Err(RlError::NonFinite {
                 detail: "transition state or reward".into(),
             });
         }
-        self.buffer.push(transition);
+        let slot = self.priorities.push();
+        self.slab.write(slot, states, actions, rewards, next_states);
         self.telemetry
-            .gauge_set("rl.buffer_len", self.buffer.len() as f64);
+            .gauge_set("rl.buffer_len", self.priorities.len() as f64);
         Ok(())
     }
 
@@ -1471,7 +1526,7 @@ impl MaBdq {
     /// buffer is below `batch_size`.
     fn begin_step(&mut self) -> Result<bool, RlError> {
         let batch_size = self.config.batch_size;
-        if self.buffer.len() < batch_size {
+        if self.priorities.len() < batch_size {
             return Ok(false);
         }
         let agents = self.config.agents;
@@ -1483,23 +1538,18 @@ impl MaBdq {
         }
         let step = &mut self.step;
 
-        self.buffer
+        self.priorities
             .sample_into(batch_size, &mut self.rng, &mut step.batch)?;
 
         step.x.resize_zeroed(batch_size, agents * state_dim);
         step.x_next.resize_zeroed(batch_size, agents * state_dim);
         step.actions.clear();
         for (b, &idx) in step.batch.indices.iter().enumerate() {
-            let t = self.buffer.get(idx).expect("sampled index valid");
-            let row = step.x.row_mut(b);
-            for (k, s) in t.states.iter().enumerate() {
-                row[k * state_dim..(k + 1) * state_dim].copy_from_slice(s);
-            }
-            let row = step.x_next.row_mut(b);
-            for (k, s) in t.next_states.iter().enumerate() {
-                row[k * state_dim..(k + 1) * state_dim].copy_from_slice(s);
-            }
-            step.actions.extend(t.actions.iter().flatten());
+            step.x.row_mut(b).copy_from_slice(self.slab.states(idx));
+            step.x_next
+                .row_mut(b)
+                .copy_from_slice(self.slab.next_states(idx));
+            step.actions.extend_from_slice(self.slab.actions(idx));
         }
 
         // Targets: double-DQN style, averaged over branches.
@@ -1516,11 +1566,7 @@ impl MaBdq {
                     let a_star = argmax(step.q_online.q[k][d].row(b));
                     acc += step.q_target.q[k][d][(b, a_star)];
                 }
-                let reward = self
-                    .buffer
-                    .get(step.batch.indices[b])
-                    .expect("sampled index valid")
-                    .rewards[k];
+                let reward = self.slab.rewards(step.batch.indices[b])[k];
                 step.targets[b * agents + k] = reward + gamma * acc / num_branches as f32;
             }
         }
@@ -1597,7 +1643,7 @@ impl MaBdq {
             let n = adv.cols();
             step.adv_grad.resize_zeroed(batch_size, n);
             for b in 0..batch_size {
-                let a = step.actions[(b * agents + k) * num_branches + d];
+                let a = usize::from(step.actions[(b * agents + k) * num_branches + d]);
                 let row = adv.row(b);
                 let mean: f32 = row.iter().sum::<f32>() / n as f32;
                 let q = v[(b, 0)] + row[a] - mean;
@@ -1666,7 +1712,7 @@ impl MaBdq {
                     .scale_all_grads(self.config.grad_clip / grad_norm);
             }
             self.online.apply(&mut self.adam);
-            self.buffer
+            self.priorities
                 .update_priorities(&self.step.batch.indices, &self.step.abs_td);
             self.steps += 1;
             if self.steps.is_multiple_of(self.config.target_update_every) {
@@ -1706,7 +1752,7 @@ impl MaBdq {
         tl.record("rl.loss", stats.loss as f64);
         tl.record("rl.td_error", stats.mean_abs_td as f64);
         tl.record("rl.grad_norm", stats.grad_norm as f64);
-        tl.gauge_set("rl.buffer_len", self.buffer.len() as f64);
+        tl.gauge_set("rl.buffer_len", self.priorities.len() as f64);
     }
 
     /// Transfer learning (Section IV): re-initialise the final (most
@@ -1764,9 +1810,9 @@ impl MaBdq {
             adam: self.adam.export_state(),
             steps: self.steps,
             skipped_steps: self.skipped_steps,
-            per_step: self.buffer.anneal_step(),
-            per_max_priority: self.buffer.max_priority(),
-            priorities: self.buffer.priorities(),
+            per_step: self.priorities.anneal_step(),
+            per_max_priority: self.priorities.max_priority(),
+            priorities: self.priorities.priorities(),
         }
     }
 
@@ -1849,9 +1895,9 @@ impl MaBdq {
         self.adam.import_state(&ckpt.adam);
         self.steps = ckpt.steps;
         self.skipped_steps = ckpt.skipped_steps;
-        self.buffer.set_anneal_step(ckpt.per_step);
-        self.buffer.set_max_priority(ckpt.per_max_priority);
-        self.buffer.restore_priorities(&ckpt.priorities);
+        self.priorities.set_anneal_step(ckpt.per_step);
+        self.priorities.set_max_priority(ckpt.per_max_priority);
+        self.priorities.restore_priorities(&ckpt.priorities);
         self.target.copy_weights_from(&self.online);
         self.rebuild_guards();
         Ok(())
@@ -2005,6 +2051,159 @@ mod tests {
         assert_eq!(agent.buffer_len(), 0, "nothing poisoned the buffer");
         agent.observe(good).unwrap();
         assert_eq!(agent.buffer_len(), 1);
+    }
+
+    #[test]
+    fn replay_records_round_trip_the_nested_transition() {
+        // The buffer this replaced kept each `MultiTransition` as it came,
+        // in a ring of `buffer_capacity` slots; `model` is that ring. Every
+        // record must read back the transition the ring holds in its slot,
+        // through wrap-around, and a rejected transition must change
+        // nothing and fail the way it always did.
+        let mut rng = Xoshiro256::seed_from_u64(0x51ab);
+        for (agents, state_dim, branches, capacity) in [
+            (1usize, 2usize, vec![3usize, 2], 7usize),
+            (3, 5, vec![18, 9], 50),
+            (24, 11, vec![18, 9, 4], 33),
+            (2, 1, vec![65_536], 4),
+        ] {
+            let mut agent = MaBdq::new(MaBdqConfig {
+                agents,
+                state_dim,
+                branches: branches.clone(),
+                buffer_capacity: capacity,
+                ..tiny_config(agents)
+            })
+            .unwrap();
+            let mut model: Vec<MultiTransition> = Vec::new();
+            let mut next = 0;
+            let states = |rng: &mut Xoshiro256| -> Vec<Vec<f32>> {
+                (0..agents)
+                    .map(|_| {
+                        (0..state_dim)
+                            .map(|_| rng.range_f64(-4.0, 4.0) as f32)
+                            .collect()
+                    })
+                    .collect()
+            };
+            for i in 0..3 * capacity + 5 {
+                let good = MultiTransition {
+                    states: states(&mut rng),
+                    // The last transition takes every branch's last action.
+                    actions: (0..agents)
+                        .map(|_| {
+                            branches
+                                .iter()
+                                .map(|&n| {
+                                    if i == 3 * capacity + 4 {
+                                        n - 1
+                                    } else {
+                                        rng.range_usize(0, n)
+                                    }
+                                })
+                                .collect()
+                        })
+                        .collect(),
+                    rewards: (0..agents)
+                        .map(|_| rng.range_f64(-1e3, 1e3) as f32)
+                        .collect(),
+                    next_states: states(&mut rng),
+                };
+                let mut bad = good.clone();
+                let k = rng.range_usize(0, agents);
+                let want = match i % 8 {
+                    0 => {
+                        bad.states[k].push(0.0);
+                        format!("expected {agents} agents x {state_dim} dims")
+                    }
+                    1 => {
+                        bad.next_states.pop();
+                        format!("expected {agents} agents x {state_dim} dims")
+                    }
+                    2 => {
+                        bad.actions[k].pop();
+                        "transition actions/rewards shape".to_string()
+                    }
+                    3 => {
+                        bad.rewards.push(0.0);
+                        "transition actions/rewards shape".to_string()
+                    }
+                    4 => {
+                        let d = rng.range_usize(0, branches.len());
+                        bad.actions[k][d] = branches[d];
+                        format!("action {} out of range {}", branches[d], branches[d])
+                    }
+                    5 => {
+                        bad.states[k][0] = f32::NAN;
+                        "transition state or reward".to_string()
+                    }
+                    6 => {
+                        bad.next_states[k][state_dim - 1] = f32::NEG_INFINITY;
+                        "transition state or reward".to_string()
+                    }
+                    _ => {
+                        bad.rewards[k] = f32::INFINITY;
+                        "transition state or reward".to_string()
+                    }
+                };
+                match agent.observe(bad).unwrap_err() {
+                    RlError::DimensionMismatch { detail } if i % 8 < 5 => assert_eq!(detail, want),
+                    RlError::NonFinite { detail } if i % 8 >= 5 => assert_eq!(detail, want),
+                    other => panic!("case {}: {other:?}", i % 8),
+                }
+                assert_eq!(
+                    agent.buffer_len(),
+                    model.len(),
+                    "a rejection stored something"
+                );
+
+                // Alternate the owning and the borrowing entry point.
+                if i % 2 == 0 {
+                    agent.observe(good.clone()).unwrap();
+                } else {
+                    agent
+                        .observe_parts(
+                            &good.states,
+                            &good.actions,
+                            &good.rewards,
+                            &good.next_states,
+                        )
+                        .unwrap();
+                }
+                if model.len() < capacity {
+                    model.push(good);
+                } else {
+                    model[next] = good;
+                    next = (next + 1) % capacity;
+                }
+                assert_eq!(agent.buffer_len(), model.len());
+                for (slot, t) in model.iter().enumerate() {
+                    let flat = |rows: &[Vec<f32>]| rows.concat();
+                    assert_eq!(agent.slab.states(slot), flat(&t.states));
+                    assert_eq!(agent.slab.next_states(slot), flat(&t.next_states));
+                    assert_eq!(agent.slab.rewards(slot), t.rewards);
+                    let actions: Vec<usize> = agent
+                        .slab
+                        .actions(slot)
+                        .iter()
+                        .map(|&a| usize::from(a))
+                        .collect();
+                    assert_eq!(actions, t.actions.concat());
+                }
+            }
+            assert_eq!(agent.buffer_len(), capacity);
+            assert!(
+                agent.replay_bytes()
+                    >= capacity
+                        * crate::memory::replay_record_bytes(agents, state_dim, branches.len())
+            );
+        }
+        // One action more than a record's `u16` can index is a config error.
+        assert!(MaBdq::new(MaBdqConfig {
+            branches: vec![65_537],
+            ..tiny_config(1)
+        })
+        .is_err());
     }
 
     #[test]

@@ -67,6 +67,23 @@ pub fn table_bytes(entries: u128) -> u128 {
     entries.saturating_mul(8)
 }
 
+/// Bytes of one transition in [`crate::MaBdq`]'s replay buffer: a record of
+/// `agents × state_dim` state and as many next-state features plus one
+/// reward per agent, all `f32`, and `agents × branches` action indices as
+/// `u16`. The priority tree adds 16 bytes per transition when its leaf row
+/// is full and up to 32 just after it doubled.
+///
+/// # Examples
+///
+/// ```
+/// // Twig-C on two services: 11 counters, branches (cores, DVFS).
+/// assert_eq!(twig_rl::memory::replay_record_bytes(2, 11, 2), 192);
+/// ```
+pub fn replay_record_bytes(agents: usize, state_dim: usize, branches: usize) -> usize {
+    (2 * agents * state_dim + agents) * std::mem::size_of::<f32>()
+        + agents * branches * std::mem::size_of::<u16>()
+}
+
 /// Trainable parameters of a Twig-style (multi-agent) BDQ for the given
 /// architecture: trunk `input → hidden[0] → hidden[1] …`, one value head and
 /// one advantage head per branch, each with a single hidden layer of

@@ -6,7 +6,10 @@
 //! `select_actions_into` / `q_values_into` calls perform ZERO heap
 //! allocations. This is the regression gate for the scratch-buffer work: any
 //! accidental `clone()`, `Vec::new` or tensor materialisation on the hot
-//! path fails loudly here long before it shows up in a profile.
+//! path fails loudly here long before it shows up in a profile. It also
+//! holds the replay buffer to its footprint: `observe` allocates only when
+//! the buffer's three vectors double, and a learner configured for 10⁶
+//! transitions costs what it holds, not what it could hold.
 //!
 //! Kept as its own integration test so the `#[global_allocator]` does not
 //! leak into other test binaries, and run single-threaded by construction
@@ -14,6 +17,7 @@
 //! only its own thread, so neither does libtest's main thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use twig_nn::count_alloc;
 use twig_rl::{BudgetedProgress, MaBdq, MaBdqConfig, MultiTransition};
 
@@ -22,11 +26,16 @@ use twig_rl::{BudgetedProgress, MaBdq, MaBdqConfig, MultiTransition};
 /// counter behind `twig_nn::count_alloc`.
 struct CountingAlloc;
 
+/// Bytes requested from the allocator so far (all threads; only read around
+/// calls that dwarf anything libtest does meanwhile).
+static REQUESTED_BYTES: AtomicUsize = AtomicUsize::new(0);
+
 // SAFETY: defers every operation to `System`, only adding a relaxed atomic
 // increment, so all `GlobalAlloc` contracts are inherited unchanged.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         twig_nn::note_alloc();
+        REQUESTED_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
@@ -36,11 +45,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         twig_nn::note_alloc();
+        REQUESTED_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         twig_nn::note_alloc();
+        REQUESTED_BYTES.fetch_add(new_size, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -161,6 +172,8 @@ fn hot_path_is_allocation_free_in_steady_state() {
             "K = {agents}: hot path allocated {delta} times across 10 steady-state epochs"
         );
 
+        observe_allocates_only_to_double(&mut agent, agents);
+
         // Sanity: the agent is still actually learning (steps advanced) and
         // the outputs are live.
         assert!(agent.steps() >= 26);
@@ -169,4 +182,72 @@ fn hot_path_is_allocation_free_in_steady_state() {
         assert_eq!(out.q_out.len(), agents);
         assert!(agent.quantized_ready());
     }
+    footprint_follows_contents();
+}
+
+/// `agent` holds 64 transitions of a 1 024-slot buffer. Storing the other
+/// 960 allocates when the record vectors (features, actions) and the
+/// priority tree double — at 64, 128, 256 and 512 transitions, three
+/// reallocations each — and at no other time; once the ring is full and
+/// overwrites, never again. Neither entry point keeps a block of the
+/// caller's: a transition moved into `observe` is copied and dropped.
+fn observe_allocates_only_to_double(agent: &mut MaBdq, agents: usize) {
+    assert_eq!(agent.buffer_len(), 64);
+    let owned: Vec<MultiTransition> = (64..1_200).map(|i| transition(agents, i)).collect();
+    let mut grown = 0;
+    for (i, t) in owned.into_iter().enumerate() {
+        let len = agent.buffer_len();
+        let start = count_alloc::allocation_count();
+        if i % 2 == 0 {
+            agent
+                .observe_parts(&t.states, &t.actions, &t.rewards, &t.next_states)
+                .unwrap();
+        } else {
+            agent.observe(t).unwrap();
+        }
+        let delta = count_alloc::allocations_since(start);
+        let want = if len < 1_024 && len.is_power_of_two() {
+            3
+        } else {
+            0
+        };
+        assert_eq!(delta, want, "K = {agents}: observe at {len} transitions");
+        grown += delta;
+    }
+    assert_eq!(grown, 12);
+    assert_eq!(agent.buffer_len(), 1_024);
+}
+
+/// The default configuration reserves room for 10⁶ transitions; after
+/// 1 000 the learner holds a thousand records and a 1 024-leaf tree, and a
+/// clone copies that much. (The tree alone used to be 2²¹ nodes, 16 MiB,
+/// allocated up front and copied by every clone.)
+fn footprint_follows_contents() {
+    const MIB: usize = 1 << 20;
+    let mut agent = MaBdq::new(MaBdqConfig::default()).unwrap();
+    assert_eq!(agent.config().buffer_capacity, 1_000_000);
+    let before = REQUESTED_BYTES.load(Ordering::Relaxed);
+    for i in 0..1_000 {
+        let f = i as f32 * 1e-3;
+        agent
+            .observe_parts(
+                &[vec![f; 11]],
+                &[vec![i % 18, i % 9]],
+                &[f],
+                &[vec![1.0 - f; 11]],
+            )
+            .unwrap();
+    }
+    // 96-byte records and 16-byte tree leaves, at their doubled capacities.
+    assert_eq!(agent.replay_bytes(), 1_024 * (96 + 16));
+    assert!(agent.replay_bytes() <= MIB);
+    let observed = REQUESTED_BYTES.load(Ordering::Relaxed) - before;
+    assert!(observed <= MIB, "1 000 observes requested {observed} bytes");
+
+    let before = REQUESTED_BYTES.load(Ordering::Relaxed);
+    let twin = agent.clone();
+    let cloned = REQUESTED_BYTES.load(Ordering::Relaxed) - before;
+    assert_eq!(twin.buffer_len(), 1_000);
+    assert!(twin.replay_bytes() <= agent.replay_bytes());
+    assert!(cloned <= 2 * MIB, "clone requested {cloned} bytes");
 }

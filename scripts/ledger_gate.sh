@@ -7,8 +7,9 @@
 # with the runner and are not judged here; allocation counts and digest
 # matches repeat exactly at a fixed seed, so each has a ceiling with no
 # noise tolerance: the floor the code is built to (`2K + 3` per
-# `Server::step`, 0 in the learner's steady state, what decide + observe
-# allocate today) plus one for the buffer growth a short window can still
+# `Server::step`, 0 in the learner's steady state, `2K + 2` per governed
+# decide + observe: the decision `Twig` returns and the copy the governor
+# keeps of it) plus one for the buffer growth a short window can still
 # contain. `rl.ckpt_bytes` is the length of the v1 checkpoint frame for the
 # workload's network shape and is pinned exactly: a codec change that alters
 # the frame fails here instead of reading as a speed-up. results.json
@@ -49,10 +50,10 @@ exactly() { holds "$1" "$2" "==" "$3" "exactly"; }
 
 for workload in learn_c2 exploit_c2; do
     at_most "$workload" sim.allocs_per_step 8
-    at_most "$workload" core.allocs_per_epoch 25
+    at_most "$workload" core.allocs_per_epoch 7
 done
 at_most learn_k24 sim.allocs_per_step 52
-at_most learn_k24 core.allocs_per_epoch 207
+at_most learn_k24 core.allocs_per_epoch 51
 for workload in learn_c2 exploit_c2 learn_k24 fleet_n8 corpus; do
     at_most "$workload" rl.steady_allocs 0
 done
