@@ -388,10 +388,19 @@ fn run_quarantine_schedule(seed: u64, steps_scale: u64) -> Result<ScenarioReport
         let _ = agent.train_step()?;
     }
     // Poison agent 0's reward stream: its TD errors explode past any
-    // baseline while agent 1 stays sane.
-    for _ in 0..4 {
+    // baseline while agent 1 stays sane. The detector trips on the first
+    // step that samples a poisoned transition, and how soon that is depends
+    // on the buffer: a new transition enters at the running maximum
+    // priority, one leaf against the summed priorities of everything the
+    // warm-up left behind, so the wait grows with `steps_scale` (a 240-step
+    // warm-up has needed up to nine steps). Four steps are always taken;
+    // after that the stream stays poisoned until the trip, for at most as
+    // long as the warm-up lasted.
+    let mut poisoned = 0;
+    while poisoned < 4 || (agent.quarantine_stats().trips == 0 && poisoned < warmup) {
         agent.observe(transition(true, &mut rng))?;
         let _ = agent.train_step()?;
+        poisoned += 1;
     }
     let mid = agent.quarantine_stats();
     assert!(mid.trips >= 1, "poisoned agent never tripped quarantine");
@@ -420,7 +429,7 @@ fn run_quarantine_schedule(seed: u64, steps_scale: u64) -> Result<ScenarioReport
     assert_eq!(m.counter("quarantine.readmitted"), end.readmissions);
     Ok(ScenarioReport {
         name: "agent quarantine".to_string(),
-        epochs: warmup + 4 + steps_scale + 60,
+        epochs: warmup + poisoned + steps_scale + 60,
         writes: 0,
         corrupted_writes: 0,
         stale_drops: 0,
@@ -574,5 +583,19 @@ mod tests {
         let r = run_quarantine_schedule(3, 40).unwrap();
         assert!(r.quarantine_trips >= 1);
         assert!(r.quarantine_readmissions >= 1);
+    }
+
+    #[test]
+    fn quarantine_schedule_trips_and_readmits_at_full_scale() {
+        // `--full` warms up for 2 x 120 steps; the poison then waits longer
+        // to be sampled than the four steps the faster scales need.
+        let mut beyond_four = 0;
+        for seed in [3, 42, 7, 777] {
+            let r = run_quarantine_schedule(seed, 240).unwrap();
+            assert!(r.quarantine_trips >= 1, "seed {seed}");
+            assert!(r.quarantine_readmissions >= 1, "seed {seed}");
+            beyond_four += u64::from(r.epochs > 240 + 4 + 240 + 60);
+        }
+        assert!(beyond_four >= 2, "seeds 42 and 7 need more than four steps");
     }
 }

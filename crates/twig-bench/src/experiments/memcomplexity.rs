@@ -74,7 +74,7 @@ pub fn run_to(out: &mut String, _opts: &Options) -> Result<(), ExpError> {
     // costs what it contains (the paper sizes it at 10^6 transitions).
     writeln!(
         out,
-        "\nReplay buffer of the same agent (11 counters in, 11 out, a reward, D actions):\n"
+        "\nReplay buffer of the same agent (11 counters, a reward, D actions, a link; the next\nstate is the following record's state and is not stored twice):\n"
     )?;
     let mut t = TextTable::new(vec![
         "D",
@@ -98,7 +98,7 @@ pub fn run_to(out: &mut String, _opts: &Options) -> Result<(), ExpError> {
     writeln!(out, "{t}")?;
     writeln!(
         out,
-        "The buffer grows with the transitions stored, not with its configured capacity."
+        "The buffer grows with the transitions stored, not with its configured capacity.\nA transition whose follower does not start where it ended (an epoch was dropped in\nbetween) keeps its next state in a side table: + 44 B for that record."
     )?;
     Ok(())
 }

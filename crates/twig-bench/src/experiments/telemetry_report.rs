@@ -184,15 +184,24 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
         .trace
         .clone()
         .unwrap_or_else(|| "results/telemetry_trace.jsonl".to_string());
-    let file = std::fs::File::create(&path)?;
-    let mut writer = std::io::BufWriter::new(file);
-    telemetry.export_jsonl(&mut writer)?;
-    writer.flush()?;
+    write_trace(&telemetry, std::path::Path::new(&path))?;
     writeln!(
         out,
         "JSONL trace written to {path} ({} spans + metrics lines).",
         spans.len()
     )?;
+    Ok(())
+}
+
+/// Writes the JSONL trace to `path`, creating the directories above it: the
+/// default lives under `results/`, which a scratch working directory lacks.
+fn write_trace(telemetry: &Telemetry, path: &std::path::Path) -> Result<(), ExpError> {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
+    let mut writer = std::io::BufWriter::new(std::fs::File::create(path)?);
+    telemetry.export_jsonl(&mut writer)?;
+    writer.flush()?;
     Ok(())
 }
 
@@ -239,5 +248,17 @@ mod tests {
         assert!(text.contains("\"kind\":\"span\""));
         assert!(text.contains("\"kind\":\"counter\""));
         assert!(text.contains("sim.epochs"));
+
+        // The trace file lands under directories that do not exist yet.
+        let root = std::env::temp_dir().join(format!(
+            "twig-telemetry-trace-{}-{}",
+            std::process::id(),
+            opts.seed
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        let path = root.join("results").join("telemetry_trace.jsonl");
+        write_trace(&telemetry, &path).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -969,6 +969,143 @@ mod tests {
         );
     }
 
+    /// What a governed run left in the replay buffer, next to what the run
+    /// itself saw happen.
+    struct ChainRun {
+        /// `MaBdq::replay_unlinked()` at the end.
+        unlinked: usize,
+        /// Stored transitions whose follower started from other state bits
+        /// than they ended on.
+        breaks: usize,
+        /// Stores that came after one or more epochs that stored nothing.
+        gaps: usize,
+        stored: usize,
+        dropped: u64,
+        stats: crate::GovernorStats,
+    }
+
+    /// 2 400 epochs of Twig-C under a safety governor, the replay buffer
+    /// large enough to keep them all. `faulty` adds PMC corruption and
+    /// rejected actuations, and every 41st clean report has its tail latency
+    /// replaced with NaN — corruption the platform did not flag — which a
+    /// reward without a floor turns into a non-finite reward the buffer
+    /// refuses.
+    fn governed_chain_run(faulty: bool) -> ChainRun {
+        use crate::{GovernorConfig, SafetyGovernor};
+        use twig_sim::fault::{FaultConfig, FaultPlan};
+
+        let specs = vec![catalog::masstree(), catalog::moses()];
+        let mut server = Server::new(ServerConfig::default(), specs.clone(), 41).unwrap();
+        server.set_load_fraction(0, 0.3).unwrap();
+        server.set_load_fraction(1, 0.3).unwrap();
+        if faulty {
+            let faults = FaultConfig {
+                pmc_corrupt_rate: 0.05,
+                actuation_reject_rate: 0.05,
+                ..FaultConfig::default()
+            };
+            server.set_fault_plan(FaultPlan::new(faults, 43).unwrap());
+        }
+        let telemetry = Telemetry::enabled();
+        let mut twig = TwigBuilder::new()
+            .services(specs.clone())
+            .agent(MaBdqConfig {
+                buffer_capacity: 4_096,
+                ..small_agent()
+            })
+            .epsilon(EpsilonSchedule::scaled(400))
+            .reward(RewardConfig {
+                floor: f64::NEG_INFINITY,
+                ..RewardConfig::default()
+            })
+            .seed(42)
+            .build()
+            .unwrap();
+        twig.set_telemetry(telemetry.clone());
+        // The fault-free run must store every epoch: its watchdog never
+        // parks the learner in the safe allocation. The faulty run's does,
+        // briefly, so that most of the run still learns.
+        let watchdog_epochs = if faulty { 5 } else { u32::MAX };
+        let mut gov = SafetyGovernor::new(
+            twig,
+            GovernorConfig {
+                services: specs,
+                watchdog_epochs,
+                initial_backoff_epochs: 2,
+                max_backoff_epochs: 8,
+                ..GovernorConfig::default()
+            },
+        )
+        .unwrap();
+
+        let bits = |rows: &[Vec<f32>]| -> Vec<u32> {
+            rows.iter().flatten().map(|v| v.to_bits()).collect()
+        };
+        // The newest stored transition's next state, and whether an epoch
+        // has gone by since without storing one.
+        let mut tail: Option<Vec<u32>> = None;
+        let mut idle = false;
+        let (mut breaks, mut gaps) = (0, 0);
+        for epoch in 0..2_400 {
+            let assignments = gov.decide().unwrap();
+            let mut report = server.step(&assignments).unwrap();
+            if faulty && epoch % 41 == 40 && !report.telemetry.degraded() {
+                report.services[0].p99_ms = f64::NAN;
+            }
+            let before = gov.inner().agent.buffer_len();
+            gov.observe(&report).unwrap();
+            let twig = gov.inner();
+            if twig.agent.buffer_len() == before {
+                idle = true;
+                continue;
+            }
+            // What was stored is still in the manager's per-epoch buffers.
+            if let Some(tail) = &tail {
+                breaks += usize::from(bits(&twig.pending.states) != *tail);
+                gaps += usize::from(idle);
+            }
+            tail = Some(bits(&twig.next_states));
+            idle = false;
+        }
+        let twig = gov.inner();
+        ChainRun {
+            unlinked: twig.agent.replay_unlinked(),
+            breaks,
+            gaps,
+            stored: twig.agent.buffer_len(),
+            dropped: telemetry
+                .metrics()
+                .unwrap()
+                .counter("twig.dropped_transitions"),
+            stats: gov.stats(),
+        }
+    }
+
+    #[test]
+    fn replay_links_break_exactly_where_an_epoch_stored_nothing() {
+        // Every epoch observed: each record's next state is the following
+        // record's state, and the orphan table stays empty.
+        let clean = governed_chain_run(false);
+        assert_eq!(clean.stored, 2_400);
+        assert_eq!((clean.breaks, clean.gaps, clean.unlinked), (0, 0, 0));
+        assert_eq!(
+            clean.stats.safe_mode_epochs + clean.stats.degraded_epochs,
+            0
+        );
+
+        // Degraded epochs, safe-mode epochs and refused transitions each
+        // leave the record before them without a follower that starts where
+        // it ended — and nothing else does.
+        let faulty = governed_chain_run(true);
+        assert!(faulty.stats.degraded_epochs > 50, "{:?}", faulty.stats);
+        assert!(faulty.stats.safe_mode_epochs > 50, "{:?}", faulty.stats);
+        assert!(faulty.dropped >= 10, "{} refused", faulty.dropped);
+        assert!(faulty.stored < 2_300);
+        assert!(faulty.breaks > 50);
+        assert!(faulty.breaks <= faulty.gaps);
+        assert_eq!(faulty.unlinked, faulty.breaks);
+    }
+
     #[test]
     fn trait_object_usable() {
         let twig = build_twig(vec![catalog::masstree()]);

@@ -109,6 +109,13 @@ impl MaBdqConfig {
         if self.head_hidden == 0 || self.batch_size == 0 || self.buffer_capacity == 0 {
             return fail("zero head width, batch size or buffer capacity".into());
         }
+        // A replay record names its orphan row in a `u32`.
+        if u32::try_from(self.buffer_capacity).is_err() {
+            return fail(format!(
+                "buffer capacity {} (at most 2^32 - 1)",
+                self.buffer_capacity
+            ));
+        }
         if !(0.0..1.0).contains(&self.dropout) {
             return fail(format!("dropout {}", self.dropout));
         }
@@ -756,7 +763,12 @@ impl MaBdq {
             config.per_beta0,
             config.per_beta_steps,
         );
-        let slab = TransitionSlab::new(config.agents, config.state_dim, config.branches.len());
+        let slab = TransitionSlab::new(
+            config.agents,
+            config.state_dim,
+            config.branches.len(),
+            config.buffer_capacity,
+        );
         let mut agent = MaBdq {
             config,
             online,
@@ -961,12 +973,23 @@ impl MaBdq {
     }
 
     /// Heap bytes the replay buffer holds right now: the transition records
-    /// ([`replay_record_bytes`](crate::memory::replay_record_bytes) each)
-    /// plus the priority tree, both counted at their allocated capacity.
-    /// Grows with [`buffer_len`](Self::buffer_len), not with
-    /// `buffer_capacity`.
+    /// with their links
+    /// ([`replay_record_bytes`](crate::memory::replay_record_bytes) each),
+    /// the newest record's next state, the orphan table
+    /// ([`replay_unlinked`](Self::replay_unlinked)) and the priority tree,
+    /// all counted at their allocated capacity. Grows with
+    /// [`buffer_len`](Self::buffer_len), not with `buffer_capacity`.
     pub fn replay_bytes(&self) -> usize {
         self.slab.heap_bytes() + self.priorities.heap_bytes()
+    }
+
+    /// Stored transitions whose next state is kept in the replay buffer's
+    /// orphan table because the transition stored after them did not start
+    /// from it, bit for bit. A control loop that observes every epoch has
+    /// none: each record's next state is then the following record's state,
+    /// stored once. A dropped or degraded epoch leaves one.
+    pub fn replay_unlinked(&self) -> usize {
+        self.slab.unlinked()
     }
 
     fn check_states(&self, states: &[Vec<f32>]) -> Result<(), RlError> {
@@ -1977,6 +2000,14 @@ mod tests {
         ] {
             assert!(MaBdq::new(bad).is_err());
         }
+        // More slots than a record's `u32` link can name (where `usize` can).
+        if let Ok(buffer_capacity) = usize::try_from(1u64 << 32) {
+            assert!(MaBdq::new(MaBdqConfig {
+                buffer_capacity,
+                ..tiny_config(1)
+            })
+            .is_err());
+        }
     }
 
     #[test]
@@ -2053,150 +2084,59 @@ mod tests {
         assert_eq!(agent.buffer_len(), 1);
     }
 
+    /// How a generated transition's `states` relate to the `next_states` of
+    /// the transition observed before it.
+    #[derive(Debug, Clone, Copy)]
+    enum Follow {
+        /// Unrelated: every transition is drawn afresh.
+        Random,
+        /// Every transition starts from its predecessor's next state.
+        Chained,
+        /// Chained, but every n-th push starts afresh.
+        BreakEvery(usize),
+        /// Chained, but the push into this slot (from the ring's end: 0 is
+        /// slot 0, 1 the last slot, the one that wraps) starts afresh.
+        BreakAtSlotFromEnd(usize),
+        /// Every next state holds a `-0.0`; every other push starts from it
+        /// exactly, the rest from the same numbers with `+0.0` in its place.
+        SignedZero,
+    }
+
+    /// A joint state as the slab lays it out (`rows.concat()`), for
+    /// comparing bit for bit.
+    fn bits(row: &[f32]) -> Vec<u32> {
+        row.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn replay_records_round_trip_the_nested_transition() {
         // The buffer this replaced kept each `MultiTransition` as it came,
         // in a ring of `buffer_capacity` slots; `model` is that ring. Every
-        // record must read back the transition the ring holds in its slot,
-        // through wrap-around, and a rejected transition must change
-        // nothing and fail the way it always did.
+        // record must read back the transition the ring holds in its slot
+        // bit for bit — whether its next state sits in the tail row, in its
+        // successor or in the orphan table — through wrap-around, and a
+        // rejected transition must change nothing and fail the way it
+        // always did.
         let mut rng = Xoshiro256::seed_from_u64(0x51ab);
-        for (agents, state_dim, branches, capacity) in [
+        let mut shapes = vec![
             (1usize, 2usize, vec![3usize, 2], 7usize),
             (3, 5, vec![18, 9], 50),
             (24, 11, vec![18, 9, 4], 33),
             (2, 1, vec![65_536], 4),
-        ] {
-            let mut agent = MaBdq::new(MaBdqConfig {
-                agents,
-                state_dim,
-                branches: branches.clone(),
-                buffer_capacity: capacity,
-                ..tiny_config(agents)
-            })
-            .unwrap();
-            let mut model: Vec<MultiTransition> = Vec::new();
-            let mut next = 0;
-            let states = |rng: &mut Xoshiro256| -> Vec<Vec<f32>> {
-                (0..agents)
-                    .map(|_| {
-                        (0..state_dim)
-                            .map(|_| rng.range_f64(-4.0, 4.0) as f32)
-                            .collect()
-                    })
-                    .collect()
-            };
-            for i in 0..3 * capacity + 5 {
-                let good = MultiTransition {
-                    states: states(&mut rng),
-                    // The last transition takes every branch's last action.
-                    actions: (0..agents)
-                        .map(|_| {
-                            branches
-                                .iter()
-                                .map(|&n| {
-                                    if i == 3 * capacity + 4 {
-                                        n - 1
-                                    } else {
-                                        rng.range_usize(0, n)
-                                    }
-                                })
-                                .collect()
-                        })
-                        .collect(),
-                    rewards: (0..agents)
-                        .map(|_| rng.range_f64(-1e3, 1e3) as f32)
-                        .collect(),
-                    next_states: states(&mut rng),
-                };
-                let mut bad = good.clone();
-                let k = rng.range_usize(0, agents);
-                let want = match i % 8 {
-                    0 => {
-                        bad.states[k].push(0.0);
-                        format!("expected {agents} agents x {state_dim} dims")
-                    }
-                    1 => {
-                        bad.next_states.pop();
-                        format!("expected {agents} agents x {state_dim} dims")
-                    }
-                    2 => {
-                        bad.actions[k].pop();
-                        "transition actions/rewards shape".to_string()
-                    }
-                    3 => {
-                        bad.rewards.push(0.0);
-                        "transition actions/rewards shape".to_string()
-                    }
-                    4 => {
-                        let d = rng.range_usize(0, branches.len());
-                        bad.actions[k][d] = branches[d];
-                        format!("action {} out of range {}", branches[d], branches[d])
-                    }
-                    5 => {
-                        bad.states[k][0] = f32::NAN;
-                        "transition state or reward".to_string()
-                    }
-                    6 => {
-                        bad.next_states[k][state_dim - 1] = f32::NEG_INFINITY;
-                        "transition state or reward".to_string()
-                    }
-                    _ => {
-                        bad.rewards[k] = f32::INFINITY;
-                        "transition state or reward".to_string()
-                    }
-                };
-                match agent.observe(bad).unwrap_err() {
-                    RlError::DimensionMismatch { detail } if i % 8 < 5 => assert_eq!(detail, want),
-                    RlError::NonFinite { detail } if i % 8 >= 5 => assert_eq!(detail, want),
-                    other => panic!("case {}: {other:?}", i % 8),
-                }
-                assert_eq!(
-                    agent.buffer_len(),
-                    model.len(),
-                    "a rejection stored something"
-                );
-
-                // Alternate the owning and the borrowing entry point.
-                if i % 2 == 0 {
-                    agent.observe(good.clone()).unwrap();
-                } else {
-                    agent
-                        .observe_parts(
-                            &good.states,
-                            &good.actions,
-                            &good.rewards,
-                            &good.next_states,
-                        )
-                        .unwrap();
-                }
-                if model.len() < capacity {
-                    model.push(good);
-                } else {
-                    model[next] = good;
-                    next = (next + 1) % capacity;
-                }
-                assert_eq!(agent.buffer_len(), model.len());
-                for (slot, t) in model.iter().enumerate() {
-                    let flat = |rows: &[Vec<f32>]| rows.concat();
-                    assert_eq!(agent.slab.states(slot), flat(&t.states));
-                    assert_eq!(agent.slab.next_states(slot), flat(&t.next_states));
-                    assert_eq!(agent.slab.rewards(slot), t.rewards);
-                    let actions: Vec<usize> = agent
-                        .slab
-                        .actions(slot)
-                        .iter()
-                        .map(|&a| usize::from(a))
-                        .collect();
-                    assert_eq!(actions, t.actions.concat());
-                }
+        ];
+        shapes.extend([1, 2, 4, 7, 50].map(|capacity| (2, 3, vec![4, 3], capacity)));
+        let follows = [
+            Follow::Random,
+            Follow::Chained,
+            Follow::BreakEvery(3),
+            Follow::BreakAtSlotFromEnd(0),
+            Follow::BreakAtSlotFromEnd(1),
+            Follow::SignedZero,
+        ];
+        for (agents, state_dim, branches, capacity) in shapes {
+            for follow in follows {
+                round_trip(&mut rng, agents, state_dim, &branches, capacity, follow);
             }
-            assert_eq!(agent.buffer_len(), capacity);
-            assert!(
-                agent.replay_bytes()
-                    >= capacity
-                        * crate::memory::replay_record_bytes(agents, state_dim, branches.len())
-            );
         }
         // One action more than a record's `u16` can index is a config error.
         assert!(MaBdq::new(MaBdqConfig {
@@ -2204,6 +2144,208 @@ mod tests {
             ..tiny_config(1)
         })
         .is_err());
+    }
+
+    fn round_trip(
+        rng: &mut Xoshiro256,
+        agents: usize,
+        state_dim: usize,
+        branches: &[usize],
+        capacity: usize,
+        follow: Follow,
+    ) {
+        let context = format!("K = {agents}, S = {state_dim}, capacity {capacity}, {follow:?}");
+        let mut agent = MaBdq::new(MaBdqConfig {
+            agents,
+            state_dim,
+            branches: branches.to_vec(),
+            buffer_capacity: capacity,
+            ..tiny_config(agents)
+        })
+        .unwrap();
+        let mut model: Vec<MultiTransition> = Vec::new();
+        let mut newest = 0;
+        let mut breaks = 0;
+        let pushes = 3 * capacity + 5;
+        let fresh = |rng: &mut Xoshiro256| -> Vec<Vec<f32>> {
+            (0..agents)
+                .map(|_| {
+                    (0..state_dim)
+                        .map(|_| rng.range_f64(-4.0, 4.0) as f32)
+                        .collect()
+                })
+                .collect()
+        };
+        // Whether push `i > 0` starts somewhere else than push `i - 1` ended.
+        let breaks_at = |i: usize| match follow {
+            Follow::Random => true,
+            Follow::Chained => false,
+            Follow::BreakEvery(n) => i.is_multiple_of(n),
+            Follow::BreakAtSlotFromEnd(back) => i % capacity == (capacity - back) % capacity,
+            Follow::SignedZero => i.is_multiple_of(2),
+        };
+        for i in 0..pushes {
+            let slot = i % capacity;
+            let tail = (i > 0).then(|| model[newest].next_states.clone());
+            let states = match tail {
+                Some(tail) if !breaks_at(i) => tail,
+                Some(mut tail) if matches!(follow, Follow::SignedZero) => {
+                    assert_eq!(tail[0][0].to_bits(), (-0.0f32).to_bits());
+                    tail[0][0] = 0.0;
+                    tail
+                }
+                _ => fresh(rng),
+            };
+            let mut next_states = fresh(rng);
+            if matches!(follow, Follow::SignedZero) {
+                next_states[0][0] = -0.0;
+            }
+            let good = MultiTransition {
+                states,
+                // The last transition takes every branch's last action.
+                actions: (0..agents)
+                    .map(|_| {
+                        branches
+                            .iter()
+                            .map(|&n| {
+                                if i == pushes - 1 {
+                                    n - 1
+                                } else {
+                                    rng.range_usize(0, n)
+                                }
+                            })
+                            .collect()
+                    })
+                    .collect(),
+                rewards: (0..agents)
+                    .map(|_| rng.range_f64(-1e3, 1e3) as f32)
+                    .collect(),
+                next_states,
+            };
+            let mut bad = good.clone();
+            let k = rng.range_usize(0, agents);
+            let want = match i % 8 {
+                0 => {
+                    bad.states[k].push(0.0);
+                    format!("expected {agents} agents x {state_dim} dims")
+                }
+                1 => {
+                    bad.next_states.pop();
+                    format!("expected {agents} agents x {state_dim} dims")
+                }
+                2 => {
+                    bad.actions[k].pop();
+                    "transition actions/rewards shape".to_string()
+                }
+                3 => {
+                    bad.rewards.push(0.0);
+                    "transition actions/rewards shape".to_string()
+                }
+                4 => {
+                    let d = rng.range_usize(0, branches.len());
+                    bad.actions[k][d] = branches[d];
+                    format!("action {} out of range {}", branches[d], branches[d])
+                }
+                5 => {
+                    bad.states[k][0] = f32::NAN;
+                    "transition state or reward".to_string()
+                }
+                6 => {
+                    bad.next_states[k][state_dim - 1] = f32::NEG_INFINITY;
+                    "transition state or reward".to_string()
+                }
+                _ => {
+                    bad.rewards[k] = f32::INFINITY;
+                    "transition state or reward".to_string()
+                }
+            };
+            // Links, tail row, orphan table and free list included.
+            let before = format!("{:?}", agent.slab);
+            match agent.observe(bad).unwrap_err() {
+                RlError::DimensionMismatch { detail } if i % 8 < 5 => assert_eq!(detail, want),
+                RlError::NonFinite { detail } if i % 8 >= 5 => assert_eq!(detail, want),
+                other => panic!("case {}: {other:?}", i % 8),
+            }
+            assert_eq!(
+                agent.buffer_len(),
+                model.len(),
+                "a rejection stored something"
+            );
+            assert_eq!(
+                format!("{:?}", agent.slab),
+                before,
+                "{context}: a rejection touched the records"
+            );
+
+            // Alternate the owning and the borrowing entry point.
+            if i % 2 == 0 {
+                agent.observe(good.clone()).unwrap();
+            } else {
+                agent
+                    .observe_parts(
+                        &good.states,
+                        &good.actions,
+                        &good.rewards,
+                        &good.next_states,
+                    )
+                    .unwrap();
+            }
+            if i > 0
+                && slot != newest
+                && bits(&good.states.concat()) != bits(&model[newest].next_states.concat())
+            {
+                breaks += 1;
+            }
+            if slot == model.len() {
+                model.push(good);
+            } else {
+                model[slot] = good;
+            }
+            newest = slot;
+            assert_eq!(agent.buffer_len(), model.len());
+            let mut unlinked = 0;
+            for (slot, t) in model.iter().enumerate() {
+                let at = format!("{context}: push {i}, slot {slot}");
+                assert_eq!(
+                    bits(agent.slab.states(slot)),
+                    bits(&t.states.concat()),
+                    "{at}"
+                );
+                assert_eq!(
+                    bits(agent.slab.next_states(slot)),
+                    bits(&t.next_states.concat()),
+                    "{at}"
+                );
+                assert_eq!(agent.slab.rewards(slot), t.rewards, "{at}");
+                let actions: Vec<usize> = agent
+                    .slab
+                    .actions(slot)
+                    .iter()
+                    .map(|&a| usize::from(a))
+                    .collect();
+                assert_eq!(actions, t.actions.concat(), "{at}");
+                let successor = &model[(slot + 1) % model.len()];
+                if slot != newest
+                    && bits(&t.next_states.concat()) != bits(&successor.states.concat())
+                {
+                    unlinked += 1;
+                }
+            }
+            assert_eq!(agent.replay_unlinked(), unlinked, "{context}: push {i}");
+        }
+        assert_eq!(agent.buffer_len(), capacity);
+        // What each sequence is there to exercise did happen. (A ring of
+        // one replaces the only record there is: nothing to break from.)
+        let want = if capacity == 1 {
+            0
+        } else {
+            (1..pushes).filter(|&i| breaks_at(i)).count()
+        };
+        assert_eq!(breaks, want, "{context}");
+        assert!(
+            agent.replay_bytes()
+                >= capacity * crate::memory::replay_record_bytes(agents, state_dim, branches.len())
+        );
     }
 
     #[test]

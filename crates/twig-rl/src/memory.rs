@@ -67,21 +67,28 @@ pub fn table_bytes(entries: u128) -> u128 {
     entries.saturating_mul(8)
 }
 
-/// Bytes of one transition in [`crate::MaBdq`]'s replay buffer: a record of
-/// `agents × state_dim` state and as many next-state features plus one
-/// reward per agent, all `f32`, and `agents × branches` action indices as
-/// `u16`. The priority tree adds 16 bytes per transition when its leaf row
-/// is full and up to 32 just after it doubled.
+/// Bytes of one transition in [`crate::MaBdq`]'s replay buffer when the
+/// transition stored after it starts from its next state (which a control
+/// loop's does): a record of `agents × state_dim` state features plus one
+/// reward per agent, all `f32`, `agents × branches` action indices as `u16`,
+/// and a 4-byte link. The next state is not in the record — it is the
+/// following record's state. A transition whose follower starts elsewhere
+/// (an epoch was dropped in between) is *unlinked* and adds a row of
+/// `4 × agents × state_dim` bytes in a side table for its next state: what
+/// storing both states in every record would cost, plus the link, is the
+/// worst case. The priority tree adds 16 bytes per transition when its leaf
+/// row is full and up to 32 just after it doubled.
 ///
 /// # Examples
 ///
 /// ```
 /// // Twig-C on two services: 11 counters, branches (cores, DVFS).
-/// assert_eq!(twig_rl::memory::replay_record_bytes(2, 11, 2), 192);
+/// assert_eq!(twig_rl::memory::replay_record_bytes(2, 11, 2), 108);
 /// ```
 pub fn replay_record_bytes(agents: usize, state_dim: usize, branches: usize) -> usize {
-    (2 * agents * state_dim + agents) * std::mem::size_of::<f32>()
+    (agents * state_dim + agents) * std::mem::size_of::<f32>()
         + agents * branches * std::mem::size_of::<u16>()
+        + std::mem::size_of::<u32>()
 }
 
 /// Trainable parameters of a Twig-style (multi-agent) BDQ for the given

@@ -8,7 +8,7 @@
 //! accidental `clone()`, `Vec::new` or tensor materialisation on the hot
 //! path fails loudly here long before it shows up in a profile. It also
 //! holds the replay buffer to its footprint: `observe` allocates only when
-//! the buffer's three vectors double, and a learner configured for 10⁶
+//! one of the buffer's vectors doubles, and a learner configured for 10⁶
 //! transitions costs what it holds, not what it could hold.
 //!
 //! Kept as its own integration test so the `#[global_allocator]` does not
@@ -182,17 +182,25 @@ fn hot_path_is_allocation_free_in_steady_state() {
         assert_eq!(out.q_out.len(), agents);
         assert!(agent.quantized_ready());
     }
-    footprint_follows_contents();
+    footprint_follows_contents(true);
+    footprint_follows_contents(false);
 }
 
-/// `agent` holds 64 transitions of a 1 024-slot buffer. Storing the other
-/// 960 allocates when the record vectors (features, actions) and the
-/// priority tree double — at 64, 128, 256 and 512 transitions, three
-/// reallocations each — and at no other time; once the ring is full and
-/// overwrites, never again. Neither entry point keeps a block of the
-/// caller's: a transition moved into `observe` is copied and dropped.
+/// `agent` holds 64 transitions of a 1 024-slot buffer, none of which starts
+/// where the one before it ended (see `transition`), so every record but the
+/// newest keeps its next state in the orphan table. Storing the other 960
+/// allocates when the record vectors (features, actions, links) and the
+/// priority tree double — at 64, 128, 256 and 512 transitions, four
+/// reallocations each — when the orphan table, one row behind them, doubles,
+/// and at no other time. Once the ring is full every observe frees the
+/// overwritten record's orphan row and hands it to the record before: the
+/// first such observe allocates the free list's one block, and from then on
+/// an orphan is freed and re-used without allocating. Neither entry point
+/// keeps a block of the caller's: a transition moved into `observe` is
+/// copied and dropped.
 fn observe_allocates_only_to_double(agent: &mut MaBdq, agents: usize) {
     assert_eq!(agent.buffer_len(), 64);
+    assert_eq!(agent.replay_unlinked(), 63);
     let owned: Vec<MultiTransition> = (64..1_200).map(|i| transition(agents, i)).collect();
     let mut grown = 0;
     for (i, t) in owned.into_iter().enumerate() {
@@ -206,41 +214,53 @@ fn observe_allocates_only_to_double(agent: &mut MaBdq, agents: usize) {
             agent.observe(t).unwrap();
         }
         let delta = count_alloc::allocations_since(start);
-        let want = if len < 1_024 && len.is_power_of_two() {
-            3
-        } else {
-            0
+        let want = match 64 + i {
+            64 | 128 | 256 | 512 => 4,
+            65 | 129 | 257 | 513 => 1,
+            1_024 => 1,
+            _ => 0,
         };
         assert_eq!(delta, want, "K = {agents}: observe at {len} transitions");
         grown += delta;
     }
-    assert_eq!(grown, 12);
+    assert_eq!(grown, 21);
     assert_eq!(agent.buffer_len(), 1_024);
+    assert_eq!(agent.replay_unlinked(), 1_023);
 }
 
 /// The default configuration reserves room for 10⁶ transitions; after
 /// 1 000 the learner holds a thousand records and a 1 024-leaf tree, and a
 /// clone copies that much. (The tree alone used to be 2²¹ nodes, 16 MiB,
-/// allocated up front and copied by every clone.)
-fn footprint_follows_contents() {
+/// allocated up front and copied by every clone.) A record is 56 bytes when
+/// each transition starts where the one before it ended, as a control loop's
+/// do; when none does — the worst case — every record also holds a 44-byte
+/// row of the orphan table, which is what the 96-byte record that stored both
+/// states cost, plus the link.
+fn footprint_follows_contents(chained: bool) {
     const MIB: usize = 1 << 20;
+    const TAIL_ROW: usize = 11 * 4;
     let mut agent = MaBdq::new(MaBdqConfig::default()).unwrap();
     assert_eq!(agent.config().buffer_capacity, 1_000_000);
     let before = REQUESTED_BYTES.load(Ordering::Relaxed);
     for i in 0..1_000 {
-        let f = i as f32 * 1e-3;
+        let (f, next) = (i as f32 * 1e-3, (i + 1) as f32 * 1e-3);
+        let start = if chained { f } else { 2.0 - f };
         agent
             .observe_parts(
-                &[vec![f; 11]],
+                &[vec![start; 11]],
                 &[vec![i % 18, i % 9]],
                 &[f],
-                &[vec![1.0 - f; 11]],
+                &[vec![next; 11]],
             )
             .unwrap();
     }
-    // 96-byte records and 16-byte tree leaves, at their doubled capacities.
-    assert_eq!(agent.replay_bytes(), 1_024 * (96 + 16));
-    assert!(agent.replay_bytes() <= MIB);
+    // Records, orphan rows and 16-byte tree leaves at their doubled
+    // capacities, and the newest record's next state.
+    let (record, unlinked) = if chained { (56, 0) } else { (56 + 44, 999) };
+    assert_eq!(twig_rl::memory::replay_record_bytes(1, 11, 2), 56);
+    assert_eq!(agent.replay_unlinked(), unlinked);
+    assert_eq!(agent.replay_bytes(), 1_024 * (record + 16) + TAIL_ROW);
+    assert!(agent.replay_bytes() <= 1_024 * (96 + 4 + 16) + TAIL_ROW);
     let observed = REQUESTED_BYTES.load(Ordering::Relaxed) - before;
     assert!(observed <= MIB, "1 000 observes requested {observed} bytes");
 

@@ -9,7 +9,11 @@
 # 2. The chaos suite (--smoke, fixed seed, --jobs 2) runs the seeded
 #    crash/restart/corruption schedules — torn writes, generation
 #    fallback, cold start, agent quarantine — asserting its invariants
-#    internally; the report lands in results/chaos_report.txt.
+#    internally; the report lands in results/chaos_report.txt. The suite
+#    then runs once more at paper scale (--full, sub-second, same
+#    internal assertions) into a temporary file, so one `--full` path is
+#    exercised on every push and by the weekly scheduled run without
+#    touching the committed report.
 # 3. The timing suite (--smoke, fixed seed, --jobs 2) runs the seeded
 #    timing-chaos schedules — phase-latency spikes, stale PMC windows,
 #    actuator stalls, clock faults — against the deadline-aware epoch
@@ -62,6 +66,12 @@ echo "== bench_smoke: fig01 smoke run (results/fig01_smoke.txt) =="
 
 echo "== bench_smoke: chaos suite (results/chaos_report.txt) =="
 ./target/release/twig-bench chaos --smoke --seed 42 --jobs 2 | tee results/chaos_report.txt
+
+echo "== bench_smoke: chaos suite at paper scale (temporary file) =="
+chaos_full="$(mktemp)"
+./target/release/twig-bench chaos --full --seed 42 --jobs 2 > "$chaos_full"
+tail -n 2 "$chaos_full"
+rm -f "$chaos_full"
 
 echo "== bench_smoke: timing suite (results/timing_report.txt) =="
 ./target/release/twig-bench timing --smoke --seed 42 --jobs 2 | tee results/timing_report.txt
