@@ -6,7 +6,9 @@
 //! combinatorial-explosion scenario — a tabular manager whose *state* is 11
 //! quantised counters — which lands far beyond TB scale, and the plain
 //! load-bucket Hipster table for reference. Twig's network stays under 5 MB
-//! in both framings, as the paper claims.
+//! in both framings, as the paper claims. Two more tables say what the
+//! paper's figure leaves out: the replay buffer, and what a running learner
+//! holds around its parameters (`MaBdq::learner_bytes`).
 
 use crate::{ExpError, Options, TextTable};
 use std::fmt::Write as _;
@@ -14,6 +16,7 @@ use twig_rl::memory::{
     bdq_parameter_count, replay_record_bytes, table_bytes, table_entries,
     table_entries_state_counters,
 };
+use twig_rl::{MaBdq, MaBdqConfig};
 
 fn human(bytes: u128) -> String {
     const UNITS: [&str; 7] = ["B", "KB", "MB", "GB", "TB", "PB", "EB"];
@@ -100,7 +103,65 @@ pub fn run_to(out: &mut String, _opts: &Options) -> Result<(), ExpError> {
         out,
         "The buffer grows with the transitions stored, not with its configured capacity.\nA transition whose follower does not start where it ended (an epoch was dropped in\nbetween) keeps its next state in a side table: + 44 B for that record."
     )?;
+
+    // And what a learner that is running holds around those parameters.
+    writeln!(
+        out,
+        "\nWhat a running learner holds besides the buffer (measured: {WARM_STEPS} train steps, decides\nand the fixed-point fallback armed; 18 x 9 actions, batch 64):\n"
+    )?;
+    let mut t = TextTable::new(vec![
+        "architecture",
+        "K",
+        "parameters (online+target)",
+        "learner holds",
+        "ratio",
+    ]);
+    let fast = [1, 2, 24].map(|agents| MaBdqConfig {
+        agents,
+        ..MaBdqConfig::default()
+    });
+    let paper = ("512/256, 128 (paper)", MaBdqConfig::paper());
+    for (name, config) in std::iter::once(paper).chain(fast.map(|c| ("96/64, 48 (fast)", c))) {
+        let agents = config.agents;
+        let learner = warm_learner(config)?;
+        let (params, held) = (learner.memory_bytes(), learner.learner_bytes());
+        t.row(vec![
+            name.to_string(),
+            agents.to_string(),
+            human(params as u128),
+            human(held as u128),
+            format!("{:.1}x", held as f64 / params as f64),
+        ]);
+    }
+    writeln!(out, "{t}")?;
+    writeln!(
+        out,
+        "The paper's figure is the parameters. A learner also holds their gradients and two Adam\nmoments (online network only: five parameter-sized arrays in all) and the working memory\nof a train step, which is shared between heads and so does not grow with their number."
+    )?;
     Ok(())
+}
+
+/// Train steps a learner takes before its footprint is read: the first sizes
+/// every buffer, the rest show that nothing grows.
+const WARM_STEPS: usize = 3;
+
+/// A learner that has observed a batch, trained, decided and armed its
+/// fixed-point fallback, so that every buffer it will ever hold exists.
+fn warm_learner(config: MaBdqConfig) -> Result<MaBdq, ExpError> {
+    let (agents, batch) = (config.agents, config.batch_size);
+    let mut learner = MaBdq::new(config)?;
+    let state = vec![vec![0.5f32; 11]; agents];
+    let (actions, rewards) = (vec![vec![0usize, 0]; agents], vec![0.0f32; agents]);
+    for _ in 0..batch {
+        learner.observe_parts(&state, &actions, &rewards, &state)?;
+    }
+    learner.refresh_quantized()?;
+    for _ in 0..WARM_STEPS {
+        learner.train_step()?;
+        learner.select_actions(&state, 0.0)?;
+        learner.select_actions_quantized(&state)?;
+    }
+    Ok(learner)
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-use crate::{NnError, Tensor};
+use crate::tape::{Products, Slot};
+use crate::{Adam, NnError, Tensor};
 use rand_distr_like::he_std;
 use twig_stats::rng::Rng;
 
@@ -11,85 +12,24 @@ mod rand_distr_like {
     }
 }
 
-/// A differentiable layer: caches what it needs on `forward`, accumulates
-/// parameter gradients on `backward`, and returns the gradient with respect
-/// to its input.
-///
-/// This trait is sealed in spirit — the provided implementations
-/// ([`Dense`], [`Relu`], [`Dropout`]) cover the architecture used by the
-/// paper — but it is left open so downstream experiments can add layers.
-pub trait Layer {
-    /// Forward pass. `train` enables training-only behaviour (dropout).
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
-
-    /// Forward pass written into a caller-owned scratch tensor. Once `out`
-    /// has enough capacity, no allocation occurs. The provided layers
-    /// compute bit-identical values to [`forward`](Self::forward) — their
-    /// allocating API is a thin wrapper around this one.
-    fn forward_into(&mut self, input: &Tensor, train: bool, out: &mut Tensor) {
-        *out = self.forward(input, train);
-    }
-
-    /// Evaluation-only forward pass through `&self`: computes values
-    /// bit-identical to [`forward_into`](Self::forward_into) with
-    /// `train = false`, but touches no layer state — no activation cache,
-    /// no ReLU mask, no dropout RNG draw. Because it leaves training state
-    /// untouched, a layer whose weights are *shared* (the multi-agent BDQ's
-    /// advantage heads) can evaluate a stacked many-row batch mid-epoch
-    /// without disturbing an in-flight gradient step.
-    fn forward_batch_into(&self, input: &Tensor, out: &mut Tensor);
-
-    /// Backward pass: accumulates parameter gradients and returns the
-    /// gradient with respect to the layer input.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if called before `forward` or with a
-    /// gradient whose shape does not match the cached activation.
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor;
-
-    /// Backward pass writing the input gradient into a caller-owned
-    /// scratch tensor; the allocation-free sibling of
-    /// [`backward`](Self::backward).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`backward`](Self::backward).
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        *grad_input = self.backward(grad_output);
-    }
-
-    /// Zeroes accumulated parameter gradients.
-    fn zero_grads(&mut self);
-
-    /// Applies the optimiser to this layer's parameters, consuming the
-    /// accumulated gradients. `param_id` is a stable per-layer base id used
-    /// by stateful optimisers; returns the next free id.
-    fn apply(&mut self, optim: &mut crate::Adam, param_id: usize) -> usize;
-
-    /// Number of trainable scalar parameters.
-    fn param_count(&self) -> usize;
-
-    /// Squared L2 norm of the accumulated gradients (for clipping).
-    fn grad_sq_norm(&self) -> f32 {
-        0.0
-    }
-
-    /// Scales the accumulated gradients in place (for clipping/rescaling).
-    fn scale_grads(&mut self, _factor: f32) {}
-}
-
 /// Fully connected layer `y = x W + b` with He-initialised weights.
+///
+/// Holds parameters and their accumulated gradients only. What a backward
+/// pass needs from the forward before it (the input) lives in the
+/// [`Tape`](crate::Tape) the pass runs on, so a layer is as large as its
+/// weights — and a layer nobody trains (a target network's, an
+/// evaluation-only clone's) never allocates gradients at all: the first
+/// `zero_grads` or backward pass does.
 ///
 /// # Examples
 ///
 /// ```
-/// use twig_nn::{Dense, Layer, Tensor};
+/// use twig_nn::{Dense, Mlp, Tensor};
 /// use twig_stats::rng::Xoshiro256;
 ///
 /// let mut rng = Xoshiro256::seed_from_u64(0);
-/// let mut d = Dense::new(3, 2, &mut rng);
-/// let y = d.forward(&Tensor::zeros(4, 3), false);
+/// let mut net = Mlp::new().push(Dense::new(3, 2, &mut rng));
+/// let y = net.forward(&Tensor::zeros(4, 3), false);
 /// assert_eq!((y.rows(), y.cols()), (4, 2));
 /// ```
 #[derive(Debug, Clone)]
@@ -98,19 +38,9 @@ pub struct Dense {
     out_dim: usize,
     w: Tensor,
     b: Vec<f32>,
+    // Empty (= all zero) until `ensure_grads`.
     grad_w: Tensor,
     grad_b: Vec<f32>,
-    cached_input: Option<Tensor>,
-    // Scratch for the weight-gradient product in `backward_into`. Gradients
-    // are computed here then folded into `grad_w` via `add_assign`, keeping
-    // the accumulation order identical to the allocating path (which also
-    // materialised the product before adding).
-    gw_scratch: Tensor,
-    gb_scratch: Vec<f32>,
-    // Scratch for the input-gradient product: one register-tile-wide panel
-    // of `w` transposed at a time (`Tensor::matmul_t_into`), a few KiB
-    // however large the layer, allocated by the first backward pass.
-    pack_scratch: Vec<f32>,
 }
 
 impl Dense {
@@ -127,12 +57,8 @@ impl Dense {
             out_dim,
             w,
             b: vec![0.0; out_dim],
-            grad_w: Tensor::zeros(in_dim, out_dim),
-            grad_b: vec![0.0; out_dim],
-            cached_input: None,
-            gw_scratch: Tensor::zeros(0, 0),
-            gb_scratch: Vec::new(),
-            pack_scratch: Vec::new(),
+            grad_w: Tensor::default(),
+            grad_b: Vec::new(),
         }
     }
 
@@ -152,7 +78,8 @@ impl Dense {
         let fresh = Dense::new(self.in_dim, self.out_dim, rng);
         self.w = fresh.w;
         self.b = fresh.b;
-        self.zero_grads();
+        self.grad_w.as_mut_slice().fill(0.0);
+        self.grad_b.fill(0.0);
     }
 
     /// Copies weights from another layer of identical shape.
@@ -208,6 +135,28 @@ impl Dense {
         Ok(())
     }
 
+    /// Heap bytes held (weights, bias and, once allocated, gradients).
+    pub fn heap_bytes(&self) -> usize {
+        self.w.heap_bytes()
+            + self.grad_w.heap_bytes()
+            + (self.b.capacity() + self.grad_b.capacity()) * std::mem::size_of::<f32>()
+    }
+
+    /// Evaluation forward `out = input · W + b`: touches nothing but `out`.
+    pub(crate) fn forward_batch_into(&self, input: &Tensor, out: &mut Tensor) {
+        input
+            .matmul_into(&self.w, out)
+            .expect("dense forward shape");
+        out.add_row_broadcast(&self.b).expect("bias shape");
+    }
+
+    /// [`forward_batch_into`](Self::forward_batch_into), leaving the input in
+    /// `slot` for the backward pass.
+    pub(crate) fn forward_into(&self, input: &Tensor, slot: &mut Slot, out: &mut Tensor) {
+        self.forward_batch_into(input, out);
+        slot.input.copy_from(input);
+    }
+
     /// The part of the forward product that the leading `shared.cols()`
     /// input columns contribute: `out = shared · W[..shared.cols()]`, no
     /// bias. When many input rows share those columns (`K` agents' head
@@ -218,13 +167,13 @@ impl Dense {
     /// # Panics
     ///
     /// Panics if `shared` has more columns than the layer has inputs.
-    pub fn prefix_into(&self, shared: &Tensor, out: &mut Tensor) {
+    pub(crate) fn prefix_into(&self, shared: &Tensor, out: &mut Tensor) {
         shared
             .matmul_rows_into(&self.w, 0, out)
             .expect("dense prefix shape");
     }
 
-    /// [`forward_batch_into`](Layer::forward_batch_into) on the input rows
+    /// [`forward_batch_into`](Self::forward_batch_into) on the input rows
     /// `[shared[r mod B] | own[r]]` without materialising them: `prefix` is
     /// [`prefix_into`](Self::prefix_into) of the `B`-row `shared`, `own`
     /// holds the trailing input columns of a whole number of `B`-row groups.
@@ -235,7 +184,12 @@ impl Dense {
     /// # Panics
     ///
     /// Panics if the shapes do not add up to the layer's.
-    pub fn forward_batch_from_prefix_into(&self, prefix: &Tensor, own: &Tensor, out: &mut Tensor) {
+    pub(crate) fn forward_batch_from_prefix_into(
+        &self,
+        prefix: &Tensor,
+        own: &Tensor,
+        out: &mut Tensor,
+    ) {
         assert!(
             prefix.rows() > 0 && own.rows().is_multiple_of(prefix.rows()),
             "{} rows are not whole groups of {}",
@@ -248,116 +202,102 @@ impl Dense {
         out.add_row_broadcast(&self.b).expect("bias shape");
     }
 
-    /// [`forward_into`](Layer::forward_into) on the input `[shared | own]`
+    /// [`forward_into`](Self::forward_into) on the input `[shared | own]`
     /// given `prefix = prefix_into(shared)`: bit-identical output, and the
-    /// concatenated input is cached for the weight gradient as usual.
+    /// concatenated input is left in `slot` for the weight gradient as usual.
     ///
     /// # Panics
     ///
     /// Panics if the shapes do not add up to the layer's.
-    pub fn forward_from_prefix_into(
-        &mut self,
+    pub(crate) fn forward_from_prefix_into(
+        &self,
         prefix: &Tensor,
         shared: &Tensor,
         own: &Tensor,
+        slot: &mut Slot,
         out: &mut Tensor,
     ) {
         self.forward_batch_from_prefix_into(prefix, own, out);
         shared
-            .concat_cols_into(own, self.cached_input.get_or_insert_with(Tensor::default))
+            .concat_cols_into(own, &mut slot.input)
             .expect("same batch");
     }
 
-    /// [`backward_into`](Layer::backward_into) computing only the first
-    /// `cols` columns of the input gradient (`grad_input` comes out
-    /// `B × cols`; the columns are independent sums, so they hold the bits
-    /// the full gradient would). Parameter gradients accumulate in full. A
-    /// layer whose trailing inputs are data (or all of them: `cols = 0` for
-    /// a network's first layer) skips the product nobody reads.
+    /// Backward pass computing only the first `cols` columns of the input
+    /// gradient (`grad_input` comes out `B × cols`; the columns are
+    /// independent sums, so they hold the bits the full gradient would).
+    /// Parameter gradients accumulate in full. A layer whose trailing inputs
+    /// are data (or all of them: `cols = 0` for a network's first layer)
+    /// skips the product nobody reads.
     ///
     /// # Panics
     ///
-    /// Same contract as [`backward`](Layer::backward); also panics if
-    /// `cols > self.in_dim()`.
-    pub fn backward_cols_into(
+    /// Panics if `slot` does not hold the input of a forward pass with
+    /// `grad_output`'s batch size, or if `cols > self.in_dim()`.
+    pub(crate) fn backward_cols_into(
         &mut self,
         grad_output: &Tensor,
         cols: usize,
+        slot: &Slot,
+        products: &mut Products,
         grad_input: &mut Tensor,
     ) {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("backward called before forward");
-        input
-            .t_matmul_into(grad_output, &mut self.gw_scratch)
+        self.ensure_grads();
+        slot.input
+            .t_matmul_into(grad_output, &mut products.gw)
             .expect("dense backward shape");
-        self.grad_w
-            .add_assign(&self.gw_scratch)
-            .expect("grad shape");
-        grad_output.sum_rows_into(&mut self.gb_scratch);
-        for (gb, g) in self.grad_b.iter_mut().zip(&self.gb_scratch) {
+        self.grad_w.add_assign(&products.gw).expect("grad shape");
+        grad_output.sum_rows_into(&mut products.gb);
+        for (gb, g) in self.grad_b.iter_mut().zip(&products.gb) {
             *gb += g;
         }
         grad_output
-            .matmul_t_rows_into(&self.w, cols, &mut self.pack_scratch, grad_input)
+            .matmul_t_rows_into(&self.w, cols, &mut products.pack, grad_input)
             .expect("dense input grad shape");
     }
-}
 
-impl Layer for Dense {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut out = Tensor::zeros(0, 0);
-        self.forward_into(input, train, &mut out);
-        out
+    /// The accumulated weight and bias gradients.
+    #[cfg(test)]
+    pub(crate) fn grads(&self) -> (&Tensor, &[f32]) {
+        (&self.grad_w, &self.grad_b)
     }
 
-    fn forward_into(&mut self, input: &Tensor, _train: bool, out: &mut Tensor) {
-        self.forward_batch_into(input, out);
-        self.cached_input
-            .get_or_insert_with(Tensor::default)
-            .copy_from(input);
+    /// Allocates the gradients (as zeros) unless they are there.
+    fn ensure_grads(&mut self) {
+        if (self.grad_w.rows(), self.grad_w.cols()) != (self.in_dim, self.out_dim) {
+            self.zero_grads();
+        }
     }
 
-    fn forward_batch_into(&self, input: &Tensor, out: &mut Tensor) {
-        input
-            .matmul_into(&self.w, out)
-            .expect("dense forward shape");
-        out.add_row_broadcast(&self.b).expect("bias shape");
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mut grad_input = Tensor::zeros(0, 0);
-        self.backward_into(grad_output, &mut grad_input);
-        grad_input
-    }
-
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        self.backward_cols_into(grad_output, self.in_dim, grad_input);
-    }
-
-    fn zero_grads(&mut self) {
+    /// Zeroes the accumulated gradients, allocating them on first use.
+    pub(crate) fn zero_grads(&mut self) {
         self.grad_w.resize_zeroed(self.in_dim, self.out_dim);
         self.grad_b.clear();
         self.grad_b.resize(self.out_dim, 0.0);
     }
 
-    fn apply(&mut self, optim: &mut crate::Adam, param_id: usize) -> usize {
+    /// Applies the optimiser to weights (`param_id`) and bias (`param_id +
+    /// 1`), consuming the accumulated gradients; returns the next free id.
+    pub(crate) fn apply(&mut self, optim: &mut Adam, param_id: usize) -> usize {
+        self.ensure_grads();
         optim.update(param_id, self.w.as_mut_slice(), self.grad_w.as_slice());
         optim.update(param_id + 1, &mut self.b, &self.grad_b);
         param_id + 2
     }
 
-    fn param_count(&self) -> usize {
+    /// Number of trainable scalar parameters.
+    pub(crate) fn param_count(&self) -> usize {
         self.in_dim * self.out_dim + self.out_dim
     }
 
-    fn grad_sq_norm(&self) -> f32 {
+    /// Squared L2 norm of the accumulated gradients (for clipping).
+    pub(crate) fn grad_sq_norm(&self) -> f32 {
         self.grad_w.as_slice().iter().map(|g| g * g).sum::<f32>()
             + self.grad_b.iter().map(|g| g * g).sum::<f32>()
     }
 
-    fn scale_grads(&mut self, factor: f32) {
+    /// Scales the accumulated gradients in place (for clipping/rescaling).
+    pub(crate) fn scale_grads(&mut self, factor: f32) {
         self.grad_w.scale(factor);
         for g in &mut self.grad_b {
             *g *= factor;
@@ -365,101 +305,70 @@ impl Layer for Dense {
     }
 }
 
-/// Rectified linear unit.
+/// Rectified linear unit. Stateless: the mask its backward pass needs lives
+/// in the [`Tape`](crate::Tape) the pass runs on.
 ///
 /// # Examples
 ///
 /// ```
-/// use twig_nn::{Layer, Relu, Tensor};
+/// use twig_nn::{Mlp, Relu, Tensor};
 ///
-/// let mut r = Relu::new();
-/// let y = r.forward(&Tensor::from_row(&[-1.0, 2.0]), false);
+/// let mut net = Mlp::new().push(Relu::new());
+/// let y = net.forward(&Tensor::from_row(&[-1.0, 2.0]), false);
 /// assert_eq!(y.as_slice(), &[0.0, 2.0]);
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct Relu {
-    mask: Option<Vec<bool>>,
-}
+pub struct Relu;
 
 impl Relu {
     /// Creates a ReLU layer.
     pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Layer for Relu {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut out = Tensor::zeros(0, 0);
-        self.forward_into(input, train, &mut out);
-        out
+        Relu
     }
 
-    fn forward_into(&mut self, input: &Tensor, _train: bool, out: &mut Tensor) {
+    pub(crate) fn forward_into(&self, input: &Tensor, slot: &mut Slot, out: &mut Tensor) {
         out.reshape_for_overwrite(input.rows(), input.cols());
-        let mask = self.mask.get_or_insert_with(Vec::new);
-        mask.resize(input.as_slice().len(), false);
-        // One pass from `input` to `out` and `mask`. Selects, not branches
+        slot.alive.resize(input.as_slice().len(), false);
+        // One pass from `input` to `out` and the mask. Selects, not branches
         // (here and in the two passes below), so the loops vectorise.
         // `v > 0.0` is false for -0.0 and NaN: both come out as +0.0 with a
         // dead mask bit.
-        let outputs = out.as_mut_slice().iter_mut().zip(mask.iter_mut());
+        let outputs = out.as_mut_slice().iter_mut().zip(slot.alive.iter_mut());
         for ((o, alive), &v) in outputs.zip(input.as_slice()) {
             *alive = v > 0.0;
             *o = if *alive { v } else { 0.0 };
         }
     }
 
-    fn forward_batch_into(&self, input: &Tensor, out: &mut Tensor) {
+    pub(crate) fn forward_batch_into(&self, input: &Tensor, out: &mut Tensor) {
         out.reshape_for_overwrite(input.rows(), input.cols());
         for (o, &v) in out.as_mut_slice().iter_mut().zip(input.as_slice()) {
             *o = if v > 0.0 { v } else { 0.0 };
         }
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mut grad = Tensor::zeros(0, 0);
-        self.backward_into(grad_output, &mut grad);
-        grad
-    }
-
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        let mask = self.mask.as_ref().expect("backward before forward");
+    pub(crate) fn backward_into(&self, grad_output: &Tensor, slot: &Slot, grad_input: &mut Tensor) {
         assert_eq!(
-            mask.len(),
+            slot.alive.len(),
             grad_output.as_slice().len(),
             "relu gradient shape mismatch"
         );
         grad_input.reshape_for_overwrite(grad_output.rows(), grad_output.cols());
-        let grads = grad_input.as_mut_slice().iter_mut().zip(mask);
+        let grads = grad_input.as_mut_slice().iter_mut().zip(&slot.alive);
         for ((g_in, &alive), &g) in grads.zip(grad_output.as_slice()) {
             *g_in = if alive { g } else { 0.0 };
         }
-    }
-
-    fn zero_grads(&mut self) {}
-
-    fn apply(&mut self, _optim: &mut crate::Adam, param_id: usize) -> usize {
-        param_id
-    }
-
-    fn param_count(&self) -> usize {
-        0
     }
 }
 
 /// Inverted dropout: at train time each activation is dropped with
 /// probability `p` and survivors are scaled by `1/(1-p)`; at evaluation the
 /// layer is the identity. The paper uses `p = 0.5` after every fully
-/// connected layer.
+/// connected layer. Holds its RNG stream; the mask of the last forward pass
+/// lives in the [`Tape`](crate::Tape) the pass ran on.
 #[derive(Debug, Clone)]
 pub struct Dropout {
     p: f32,
-    // `mask` keeps its allocation across epochs; `active` records whether
-    // the last forward pass actually dropped anything (train mode), so the
-    // eval path never discards the buffer.
-    mask: Vec<f32>,
-    active: bool,
     rng: twig_stats::rng::Xoshiro256,
 }
 
@@ -477,46 +386,41 @@ impl Dropout {
         );
         Dropout {
             p,
-            mask: Vec::new(),
-            active: false,
             rng: twig_stats::rng::Xoshiro256::seed_from_u64(seed),
         }
     }
-}
 
-impl Layer for Dropout {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut out = Tensor::zeros(0, 0);
-        self.forward_into(input, train, &mut out);
-        out
-    }
-
-    fn forward_into(&mut self, input: &Tensor, train: bool, out: &mut Tensor) {
-        if !train || self.p == 0.0 {
-            self.active = false;
+    pub(crate) fn forward_into(
+        &mut self,
+        input: &Tensor,
+        train: bool,
+        slot: &mut Slot,
+        out: &mut Tensor,
+    ) {
+        slot.dropped = train && self.p != 0.0;
+        if !slot.dropped {
             out.copy_from(input);
             return;
         }
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;
-        self.active = true;
         out.reshape_for_overwrite(input.rows(), input.cols());
-        self.mask.resize(input.as_slice().len(), 0.0);
-        // One draw per element in element order, parked in `mask`. The
+        slot.keep.resize(input.as_slice().len(), 0.0);
+        // One draw per element in element order, parked in the mask. The
         // generator is a serial chain that cannot vectorise, and a select
         // fused into its loop compiles to a branch a fair coin mispredicts
         // every other element — that branch, not any copy, was most of a
         // train-mode forward (64 x 48: 20.5 us fused, 4.2 us split).
-        for m in self.mask.iter_mut() {
+        for m in slot.keep.iter_mut() {
             *m = self.rng.next_f32();
         }
         // Then one vectorised pass from `input` and the draws to `out` and
-        // `mask`. The selects are written as bit masks: as `if alive { v *
+        // the mask. The selects are written as bit masks: as `if alive { v *
         // scale } else { 0.0 }` LLVM sinks the load and the multiply into the
         // branch and its cost model then declines to vectorise. A dropped
         // activation is +0.0 whatever it held (not `v * 0.0`, which would
         // keep a sign or a NaN).
-        let outputs = out.as_mut_slice().iter_mut().zip(self.mask.iter_mut());
+        let outputs = out.as_mut_slice().iter_mut().zip(slot.keep.iter_mut());
         for ((o, m), &v) in outputs.zip(input.as_slice()) {
             let alive_bits = u32::from(*m < keep).wrapping_neg();
             *o = f32::from_bits((v * scale).to_bits() & alive_bits);
@@ -524,43 +428,27 @@ impl Layer for Dropout {
         }
     }
 
-    fn forward_batch_into(&self, input: &Tensor, out: &mut Tensor) {
-        // Evaluation-mode dropout is the identity and never draws from the
-        // RNG stream, so the batched path is a plain copy.
+    /// Evaluation-mode dropout is the identity and never draws from the RNG
+    /// stream, so the batched path is a plain copy.
+    pub(crate) fn forward_batch_into(&self, input: &Tensor, out: &mut Tensor) {
         out.copy_from(input);
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mut grad = Tensor::zeros(0, 0);
-        self.backward_into(grad_output, &mut grad);
-        grad
-    }
-
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        if !self.active {
+    pub(crate) fn backward_into(&self, grad_output: &Tensor, slot: &Slot, grad_input: &mut Tensor) {
+        if !slot.dropped {
             grad_input.copy_from(grad_output);
             return;
         }
         assert_eq!(
-            self.mask.len(),
+            slot.keep.len(),
             grad_output.as_slice().len(),
             "dropout gradient shape mismatch"
         );
         grad_input.reshape_for_overwrite(grad_output.rows(), grad_output.cols());
-        let grads = grad_input.as_mut_slice().iter_mut().zip(&self.mask);
+        let grads = grad_input.as_mut_slice().iter_mut().zip(&slot.keep);
         for ((g_in, &m), &g) in grads.zip(grad_output.as_slice()) {
             *g_in = g * m;
         }
-    }
-
-    fn zero_grads(&mut self) {}
-
-    fn apply(&mut self, _optim: &mut crate::Adam, param_id: usize) -> usize {
-        param_id
-    }
-
-    fn param_count(&self) -> usize {
-        0
     }
 }
 
@@ -569,28 +457,57 @@ mod tests {
     use super::*;
     use twig_stats::rng::Xoshiro256;
 
+    /// A stateful forward of one layer on fresh working memory.
+    fn dense_forward(d: &Dense, x: &Tensor, slot: &mut Slot) -> Tensor {
+        let mut out = Tensor::default();
+        d.forward_into(x, slot, &mut out);
+        out
+    }
+
+    fn dense_backward(d: &mut Dense, grad: &Tensor, cols: usize, slot: &Slot) -> Tensor {
+        let mut out = Tensor::default();
+        d.backward_cols_into(grad, cols, slot, &mut Products::default(), &mut out);
+        out
+    }
+
     #[test]
     fn dense_forward_shape_and_bias() {
         let mut rng = Xoshiro256::seed_from_u64(1);
-        let mut d = Dense::new(2, 3, &mut rng);
-        let out = d.forward(&Tensor::zeros(5, 2), false);
+        let d = Dense::new(2, 3, &mut rng);
+        let out = dense_forward(&d, &Tensor::zeros(5, 2), &mut Slot::default());
         assert_eq!((out.rows(), out.cols()), (5, 3));
         // Zero input -> output equals bias (zero at init).
         assert!(out.as_slice().iter().all(|&v| v == 0.0));
     }
 
     #[test]
-    fn dense_gradients_accumulate() {
+    fn dense_gradients_allocate_on_first_use_and_accumulate() {
         let mut rng = Xoshiro256::seed_from_u64(2);
-        let mut d = Dense::new(1, 1, &mut rng);
-        let x = Tensor::from_row(&[1.0]);
-        d.forward(&x, true);
-        d.backward(&Tensor::from_row(&[1.0]));
-        d.forward(&x, true);
-        d.backward(&Tensor::from_row(&[1.0]));
-        assert_eq!(d.grad_b[0], 2.0);
+        let mut d = Dense::new(2, 4, &mut rng);
+        let weights_only = d.heap_bytes();
+        assert_eq!(weights_only, (2 * 4 + 4) * std::mem::size_of::<f32>());
+        assert_eq!(d.grad_sq_norm(), 0.0);
+        let x = Tensor::from_row(&[1.0, 0.0]);
+        let mut slot = Slot::default();
+        for _ in 0..2 {
+            dense_forward(&d, &x, &mut slot);
+            dense_backward(&mut d, &Tensor::from_row(&[1.0; 4]), 2, &slot);
+        }
+        assert_eq!(d.grad_b, [2.0; 4]);
+        assert_eq!(
+            d.grad_w.as_slice(),
+            [2.0, 2.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0]
+        );
+        assert_eq!(d.heap_bytes(), 2 * weights_only);
         d.zero_grads();
-        assert_eq!(d.grad_b[0], 0.0);
+        assert_eq!(d.grad_b, [0.0; 4]);
+        // Re-initialising zeroes gradients that exist and allocates none.
+        d.grad_b[0] = 3.0;
+        d.reinitialize(&mut rng);
+        assert_eq!(d.grad_b, [0.0; 4]);
+        let mut fresh = Dense::new(2, 4, &mut rng);
+        fresh.reinitialize(&mut rng);
+        assert_eq!(fresh.heap_bytes(), weights_only);
     }
 
     #[test]
@@ -606,10 +523,10 @@ mod tests {
 
     #[test]
     fn relu_zeroes_negative_gradient_paths() {
-        let mut r = Relu::new();
-        r.forward(&Tensor::from_row(&[-1.0, 1.0]), true);
-        let grad = r.backward(&Tensor::from_row(&[5.0, 5.0]));
-        assert_eq!(grad.as_slice(), &[0.0, 5.0]);
+        let (mut slot, mut out) = (Slot::default(), Tensor::default());
+        Relu.forward_into(&Tensor::from_row(&[-1.0, 1.0]), &mut slot, &mut out);
+        Relu.backward_into(&Tensor::from_row(&[5.0, 5.0]), &slot, &mut out);
+        assert_eq!(out.as_slice(), &[0.0, 5.0]);
     }
 
     /// Values on which a select and a branch could disagree if either were
@@ -651,24 +568,24 @@ mod tests {
                 want_mask.push(false);
             }
         }
-        let mut r = Relu::new();
-        assert_eq!(bits(&r.forward(&x, true)), bits(&want));
-        assert_eq!(r.mask.as_ref().unwrap(), &want_mask);
-        let mut eval = Tensor::zeros(0, 0);
-        r.forward_batch_into(&x, &mut eval);
-        assert_eq!(bits(&eval), bits(&want));
+        let (mut slot, mut got) = (Slot::default(), Tensor::default());
+        Relu.forward_into(&x, &mut slot, &mut got);
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!(slot.alive, want_mask);
+        Relu.forward_batch_into(&x, &mut got);
+        assert_eq!(bits(&got), bits(&want));
 
         // Backward over the same edge values as gradients, under a mask
         // that kills every other one.
-        let mask: Vec<bool> = (0..x.cols()).map(|i| i % 2 == 0).collect();
+        slot.alive = (0..x.cols()).map(|i| i % 2 == 0).collect();
         let mut want_grad = x.clone();
-        for (g, &alive) in want_grad.as_mut_slice().iter_mut().zip(&mask) {
+        for (g, &alive) in want_grad.as_mut_slice().iter_mut().zip(&slot.alive) {
             if !alive {
                 *g = 0.0;
             }
         }
-        r.mask = Some(mask);
-        assert_eq!(bits(&r.backward(&x)), bits(&want_grad));
+        Relu.backward_into(&x, &slot, &mut got);
+        assert_eq!(bits(&got), bits(&want_grad));
     }
 
     #[test]
@@ -676,6 +593,7 @@ mod tests {
         let x = edge_values();
         let (p, seed) = (0.5, 33);
         let mut d = Dropout::new(p, seed);
+        let (mut slot, mut got) = (Slot::default(), Tensor::default());
         for _ in 0..8 {
             // Reference: the branching form on a copy of the layer's stream.
             let mut rng = d.rng.clone();
@@ -692,8 +610,9 @@ mod tests {
                     want_mask.push(0.0);
                 }
             }
-            assert_eq!(bits(&d.forward(&x, true)), bits(&want));
-            assert_eq!(d.mask, want_mask);
+            d.forward_into(&x, true, &mut slot, &mut got);
+            assert_eq!(bits(&got), bits(&want));
+            assert_eq!(slot.keep, want_mask);
             // Same number of draws: the streams stay in step.
             assert_eq!(d.rng.next_u64(), rng.next_u64());
         }
@@ -705,7 +624,7 @@ mod tests {
         let (shared_dim, own_dim, out_dim, batch) = (6, 3, 5, 4);
         let mut full = Dense::new(shared_dim + own_dim, out_dim, &mut rng);
         full.b = (0..out_dim).map(|i| i as f32 * 0.25 - 0.5).collect();
-        let mut split = full.clone();
+        let split = full.clone();
         let random = |rng: &mut Xoshiro256, r: usize, c: usize| {
             let data = (0..r * c).map(|_| rng.range_f32(-2.0, 2.0)).collect();
             Tensor::from_vec(r, c, data).unwrap()
@@ -719,21 +638,24 @@ mod tests {
         let own3 = random(&mut rng, 3 * batch, own_dim);
         let mut shared3 = Tensor::zeros(0, 0);
         shared3.repeat_rows_from(&shared, 3);
-        let want = full.forward(&shared3.concat_cols(&own3).unwrap(), false);
-        let mut got = Tensor::zeros(0, 0);
+        let (mut want, mut got) = (Tensor::default(), Tensor::default());
+        full.forward_batch_into(&shared3.concat_cols(&own3).unwrap(), &mut want);
         split.forward_batch_from_prefix_into(&prefix, &own3, &mut got);
         assert_eq!(bits(&got), bits(&want));
 
-        // Train: same output, same cached input, so the same dW and db; the
-        // limited input gradient is the leading columns of the full one.
+        // Train: same output, same input left in the slot, so the same dW
+        // and db; the limited input gradient is the leading columns of the
+        // full one.
         let own = random(&mut rng, batch, own_dim);
-        let want = full.forward(&shared.concat_cols(&own).unwrap(), true);
-        split.forward_from_prefix_into(&prefix, &shared, &own, &mut got);
+        let (mut full_slot, mut split_slot) = (Slot::default(), Slot::default());
+        let want = dense_forward(&full, &shared.concat_cols(&own).unwrap(), &mut full_slot);
+        split.forward_from_prefix_into(&prefix, &shared, &own, &mut split_slot, &mut got);
         assert_eq!(bits(&got), bits(&want));
-        let want_dx = full.backward(&grad);
+        assert_eq!(bits(&split_slot.input), bits(&full_slot.input));
+        let want_dx = dense_backward(&mut full, &grad, shared_dim + own_dim, &full_slot);
         for cols in [0, 1, shared_dim, shared_dim + own_dim] {
             let mut twin = split.clone();
-            twin.backward_cols_into(&grad, cols, &mut got);
+            let got = dense_backward(&mut twin, &grad, cols, &split_slot);
             assert_eq!(bits(&got), bits(&want_dx.split_cols(cols).0));
             assert_eq!(bits(&twin.grad_w), bits(&full.grad_w));
             assert_eq!(twin.grad_b, full.grad_b);
@@ -744,17 +666,21 @@ mod tests {
     fn dropout_eval_is_identity() {
         let mut d = Dropout::new(0.5, 0);
         let x = Tensor::from_row(&[1.0, 2.0, 3.0]);
-        assert_eq!(d.forward(&x, false), x);
+        let (mut slot, mut out) = (Slot::default(), Tensor::default());
+        d.forward_into(&x, false, &mut slot, &mut out);
+        assert_eq!(out, x);
         // backward in eval mode passes through.
         let g = Tensor::from_row(&[1.0, 1.0, 1.0]);
-        assert_eq!(d.backward(&g), g);
+        d.backward_into(&g, &slot, &mut out);
+        assert_eq!(out, g);
     }
 
     #[test]
     fn dropout_train_preserves_expectation() {
         let mut d = Dropout::new(0.5, 42);
         let x = Tensor::from_vec(1, 10_000, vec![1.0; 10_000]).unwrap();
-        let out = d.forward(&x, true);
+        let (mut slot, mut out) = (Slot::default(), Tensor::default());
+        d.forward_into(&x, true, &mut slot, &mut out);
         let mean: f32 = out.as_slice().iter().sum::<f32>() / 10_000.0;
         assert!((mean - 1.0).abs() < 0.05, "mean {mean} drifted from 1.0");
     }
@@ -769,7 +695,5 @@ mod tests {
     fn param_counts() {
         let mut rng = Xoshiro256::seed_from_u64(0);
         assert_eq!(Dense::new(3, 4, &mut rng).param_count(), 16);
-        assert_eq!(Relu::new().param_count(), 0);
-        assert_eq!(Dropout::new(0.1, 0).param_count(), 0);
     }
 }

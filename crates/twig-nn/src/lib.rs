@@ -5,8 +5,10 @@
 //! Rust, with no external numerics dependencies:
 //!
 //! - [`Tensor`] — a dense row-major `f32` matrix (rows = batch);
-//! - [`Dense`], [`Relu`], [`Dropout`] — layers with cached activations and
+//! - [`Dense`], [`Relu`], [`Dropout`] — layers holding parameters and
 //!   accumulate-on-backward gradients, composable into an [`Mlp`];
+//! - [`Tape`] — the working memory of a forward/backward pair (activations,
+//!   masks, product scratch), one per [`Mlp`] or shared through [`Mlp::on`];
 //! - [`Adam`] — the optimiser used by the paper (lr 0.0025 in Twig);
 //! - [`mse_loss`] — the loss, with optional per-sample importance weights
 //!   (needed by prioritised experience replay).
@@ -63,15 +65,17 @@ mod loss;
 mod mlp;
 mod optim;
 mod quant;
+mod tape;
 mod tensor;
 
 pub use count_alloc::note_alloc;
 pub use error::NnError;
-pub use layer::{Dense, Dropout, Layer, Relu};
+pub use layer::{Dense, Dropout, Relu};
 pub use loss::mse_loss;
-pub use mlp::{IntoMlpLayer, Mlp, MlpLayerToken};
+pub use mlp::{IntoMlpLayer, Mlp, MlpLayerToken, Pass};
 pub use optim::{Adam, AdamSlot, AdamState};
 pub use quant::{QuantizedDense, QuantizedMlp};
+pub use tape::Tape;
 pub use tensor::Tensor;
 
 /// The GEMM instantiation this CPU runs, e.g. `"avx2 4x16"` or `"portable

@@ -1,4 +1,5 @@
-use crate::{Adam, Dense, Dropout, Layer, NnError, Relu, Tensor};
+use crate::tape::{Products, Slot};
+use crate::{Adam, Dense, Dropout, NnError, Relu, Tape, Tensor};
 use twig_stats::rng::Rng;
 
 /// A sequential stack of layers.
@@ -7,6 +8,12 @@ use twig_stats::rng::Rng;
 /// representation trunk, per-agent state-value heads and per-branch
 /// advantage heads of the multi-agent BDQ are each an `Mlp`, wired together
 /// manually by `twig-rl` so gradient rescaling can be applied between them.
+///
+/// The layers hold parameters, gradients and dropout RNG streams; what a
+/// pass computes on the way lives in a [`Tape`]. Each network owns one for
+/// [`forward_scratch`](Self::forward_scratch) and its siblings, and
+/// [`on`](Self::on) runs the same passes on a caller's tape, which is how
+/// many networks share one set of activation buffers.
 ///
 /// # Examples
 ///
@@ -25,43 +32,65 @@ use twig_stats::rng::Rng;
 #[derive(Debug, Clone, Default)]
 pub struct Mlp {
     layers: Vec<MlpLayer>,
-    // Ping-pong activation buffers for the scratch (allocation-free) paths.
-    // Layer i reads one and writes the other; after the loop the final
-    // activation/gradient is returned by reference. Never holds state the
-    // network depends on between calls.
-    scratch_a: Tensor,
-    scratch_b: Tensor,
+    // Working memory of the passes run through `forward_scratch` and its
+    // siblings; empty for a network that only ever runs `on` another tape.
+    // Never holds state the network depends on between a backward pass and
+    // the next forward.
+    tape: Tape,
 }
 
 /// The concrete layer kinds an [`Mlp`] can hold.
 #[derive(Debug, Clone)]
 enum MlpLayer {
-    // Boxed: a `Dense` (weights, gradients and their scratch buffers) is
-    // several times the size of the other two variants.
+    // Boxed: a `Dense` (weights and gradients) is several times the size of
+    // the other two variants.
     Dense(Box<Dense>),
     Relu(Relu),
     Dropout(Dropout),
 }
 
 impl MlpLayer {
-    fn as_layer_mut(&mut self) -> &mut dyn Layer {
+    /// Stateful forward: leaves in `slot` what the layer's backward needs.
+    /// `train` enables training-only behaviour (dropout).
+    fn forward_into(&mut self, input: &Tensor, train: bool, slot: &mut Slot, out: &mut Tensor) {
         match self {
-            MlpLayer::Dense(l) => l.as_mut(),
-            MlpLayer::Relu(l) => l,
-            MlpLayer::Dropout(l) => l,
+            MlpLayer::Dense(l) => l.forward_into(input, slot, out),
+            MlpLayer::Relu(l) => l.forward_into(input, slot, out),
+            MlpLayer::Dropout(l) => l.forward_into(input, train, slot, out),
         }
     }
 
-    fn as_layer(&self) -> &dyn Layer {
+    /// Evaluation forward: the values of `forward_into` with `train =
+    /// false`, touching neither a slot nor a dropout RNG stream.
+    fn forward_batch_into(&self, input: &Tensor, out: &mut Tensor) {
         match self {
-            MlpLayer::Dense(l) => l.as_ref(),
-            MlpLayer::Relu(l) => l,
-            MlpLayer::Dropout(l) => l,
+            MlpLayer::Dense(l) => l.forward_batch_into(input, out),
+            MlpLayer::Relu(l) => l.forward_batch_into(input, out),
+            MlpLayer::Dropout(l) => l.forward_batch_into(input, out),
+        }
+    }
+
+    /// Backward from what the last stateful forward left in `slot`:
+    /// accumulates parameter gradients, writes the input gradient.
+    fn backward_into(
+        &mut self,
+        grad_output: &Tensor,
+        slot: &Slot,
+        products: &mut Products,
+        grad_input: &mut Tensor,
+    ) {
+        match self {
+            MlpLayer::Dense(l) => {
+                l.backward_cols_into(grad_output, l.in_dim(), slot, products, grad_input)
+            }
+            MlpLayer::Relu(l) => l.backward_into(grad_output, slot, grad_input),
+            MlpLayer::Dropout(l) => l.backward_into(grad_output, slot, grad_input),
         }
     }
 }
 
 const NO_FIRST_DENSE: &str = "the network must start with a dense layer";
+const NO_FORWARD: &str = "backward called before forward";
 
 /// The first layer, which the prefix forwards and the column-limited
 /// backward need to be dense, and the layers after it.
@@ -69,6 +98,204 @@ fn split_first_dense(layers: &mut [MlpLayer]) -> (&mut Dense, &mut [MlpLayer]) {
     match layers.split_first_mut() {
         Some((MlpLayer::Dense(first), rest)) => (first, rest),
         _ => panic!("{NO_FIRST_DENSE}"),
+    }
+}
+
+/// Stateful forwards of `layers` from the activation in `cur`, ping-ponging
+/// with `next`; returns whichever holds the last layer's output.
+fn forward_rest<'t>(
+    layers: &mut [MlpLayer],
+    slots: &mut [Slot],
+    train: bool,
+    mut cur: &'t mut Tensor,
+    mut next: &'t mut Tensor,
+) -> &'t Tensor {
+    for (layer, slot) in layers.iter_mut().zip(slots) {
+        layer.forward_into(cur, train, slot, next);
+        std::mem::swap(&mut cur, &mut next);
+    }
+    cur
+}
+
+/// [`forward_rest`] through the evaluation forwards.
+fn forward_batch_rest<'t>(
+    layers: &[MlpLayer],
+    mut cur: &'t mut Tensor,
+    mut next: &'t mut Tensor,
+) -> &'t Tensor {
+    for layer in layers {
+        layer.forward_batch_into(cur, next);
+        std::mem::swap(&mut cur, &mut next);
+    }
+    cur
+}
+
+/// Backward through `layers`, last to first, from the gradient in `cur`;
+/// returns the buffer holding the first layer's input gradient and the free
+/// one.
+fn backward_rest<'t>(
+    layers: &mut [MlpLayer],
+    slots: &[Slot],
+    products: &mut Products,
+    mut cur: &'t mut Tensor,
+    mut next: &'t mut Tensor,
+) -> (&'t mut Tensor, &'t mut Tensor) {
+    for (layer, slot) in layers.iter_mut().zip(slots).rev() {
+        layer.backward_into(cur, slot, products, next);
+        std::mem::swap(&mut cur, &mut next);
+    }
+    (cur, next)
+}
+
+/// One network's layers about to run a pass on one [`Tape`]: what
+/// [`Mlp::on`] returns. Each method is a whole pass and consumes the handle;
+/// the tensor it returns lives in the tape until the next pass on it, so
+/// copy out anything that must survive.
+#[derive(Debug)]
+pub struct Pass<'a> {
+    layers: &'a mut [MlpLayer],
+    tape: &'a mut Tape,
+}
+
+impl<'a> Pass<'a> {
+    /// Forward pass through all layers: after warm-up no allocation occurs.
+    /// Leaves in the tape what [`backward_scratch`](Self::backward_scratch)
+    /// needs; `train` enables dropout.
+    pub fn forward_scratch(self, input: &Tensor, train: bool) -> &'a Tensor {
+        let Pass { layers, tape } = self;
+        tape.reserve_slots(layers.len());
+        let Tape {
+            slots, ping, pong, ..
+        } = tape;
+        // The first layer reads the caller's tensor where it lies.
+        let Some((first, rest)) = layers.split_first_mut() else {
+            ping.copy_from(input);
+            return ping;
+        };
+        first.forward_into(input, train, &mut slots[0], ping);
+        forward_rest(rest, &mut slots[1..], train, ping, pong)
+    }
+
+    /// Evaluation-only forward pass: writes the ping-pong buffers and
+    /// nothing else — no slot, no dropout RNG draw. Values are bit-identical
+    /// to [`forward_scratch`](Self::forward_scratch) with `train = false`.
+    ///
+    /// This is the batched-inference entry point: because all layer and slot
+    /// state stays untouched, a network whose weights are shared across K
+    /// agents can evaluate a stacked `K·B`-row matrix in one register-tiled
+    /// GEMM per dense layer (each row's sums keep their ascending-`k` order
+    /// whatever tile the row lands in, so stacking changes no bits), and on
+    /// a tape of its own it can do so between a stateful forward and its
+    /// backward.
+    pub fn forward_batch_scratch(self, input: &Tensor) -> &'a Tensor {
+        let Tape { ping, pong, .. } = self.tape;
+        // The first layer reads the caller's tensor in place: a K·B-row
+        // batch is never copied into a scratch buffer.
+        let Some((first, rest)) = self.layers.split_first() else {
+            ping.copy_from(input);
+            return ping;
+        };
+        first.forward_batch_into(input, ping);
+        forward_batch_rest(rest, ping, pong)
+    }
+
+    /// [`forward_batch_scratch`](Self::forward_batch_scratch) on the rows
+    /// `[shared[r mod B] | own[r]]`, bit for bit, given `prefix =
+    /// prefix_into(shared)` (`B` rows, see [`Mlp::prefix_into`]) and `own`
+    /// holding the trailing input columns of a whole number of `B`-row
+    /// groups. Stateless like every batch forward.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the network starts with a [`Dense`] layer and the
+    /// shapes add up to it.
+    pub fn forward_batch_from_prefix_scratch(self, prefix: &Tensor, own: &Tensor) -> &'a Tensor {
+        let Tape { ping, pong, .. } = self.tape;
+        let (first, rest) = split_first_dense(self.layers);
+        first.forward_batch_from_prefix_into(prefix, own, ping);
+        forward_batch_rest(rest, ping, pong)
+    }
+
+    /// [`forward_scratch`](Self::forward_scratch) on the input `[shared |
+    /// own]`, bit for bit and with the same state afterwards (input kept for
+    /// the weight gradient, ReLU masks, dropout draws), given `prefix =
+    /// prefix_into(shared)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the network starts with a [`Dense`] layer and the
+    /// shapes add up to it.
+    pub fn forward_from_prefix_scratch(
+        self,
+        prefix: &Tensor,
+        shared: &Tensor,
+        own: &Tensor,
+        train: bool,
+    ) -> &'a Tensor {
+        let Pass { layers, tape } = self;
+        tape.reserve_slots(layers.len());
+        let Tape {
+            slots, ping, pong, ..
+        } = tape;
+        let (first, rest) = split_first_dense(layers);
+        first.forward_from_prefix_into(prefix, shared, own, &mut slots[0], ping);
+        forward_rest(rest, &mut slots[1..], train, ping, pong)
+    }
+
+    /// Backward pass, accumulating parameter gradients; returns the gradient
+    /// with respect to the network input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no forward pass has run on this tape, or if the last one
+    /// had another batch size or another network's shapes.
+    pub fn backward_scratch(self, grad_output: &Tensor) -> &'a Tensor {
+        let Pass { layers, tape } = self;
+        let Tape {
+            slots,
+            ping,
+            pong,
+            products,
+        } = tape;
+        // As in the forward pass: the last layer reads the caller's gradient
+        // in place.
+        let Some((last, rest)) = layers.split_last_mut() else {
+            ping.copy_from(grad_output);
+            return ping;
+        };
+        let slots = slots.get(..=rest.len()).expect(NO_FORWARD);
+        last.backward_into(grad_output, &slots[rest.len()], products, ping);
+        backward_rest(rest, &slots[..rest.len()], products, ping, pong).0
+    }
+
+    /// [`backward_scratch`](Self::backward_scratch) returning only the first
+    /// `cols` columns of the input gradient (`B × cols`, the same bits) and
+    /// never computing the rest: `cols = 0` for a network fed data, the
+    /// width of the upstream activations for a head fed `[upstream | data]`.
+    /// Parameter gradients accumulate exactly as in the full pass.
+    ///
+    /// # Panics
+    ///
+    /// As [`backward_scratch`](Self::backward_scratch); also unless the
+    /// network starts with a [`Dense`] layer at least `cols` wide.
+    pub fn backward_cols_scratch(self, grad_output: &Tensor, cols: usize) -> &'a Tensor {
+        let Pass { layers, tape } = self;
+        let Tape {
+            slots,
+            ping,
+            pong,
+            products,
+        } = tape;
+        let (first, rest) = split_first_dense(layers);
+        let slots = slots.get(..=rest.len()).expect(NO_FORWARD);
+        let Some((last, middle)) = rest.split_last_mut() else {
+            first.backward_cols_into(grad_output, cols, &slots[0], products, ping);
+            return ping;
+        };
+        last.backward_into(grad_output, &slots[middle.len() + 1], products, ping);
+        let (grad, free) = backward_rest(middle, &slots[1..=middle.len()], products, ping, pong);
+        first.backward_cols_into(grad, cols, &slots[0], products, free);
+        free
     }
 }
 
@@ -124,6 +351,24 @@ impl Mlp {
         self.layers.is_empty()
     }
 
+    /// This network's layers about to run one pass on `tape` instead of the
+    /// network's own — the one way to share working memory between
+    /// networks. See [`Tape`] for when that is sound.
+    pub fn on<'a>(&'a mut self, tape: &'a mut Tape) -> Pass<'a> {
+        Pass {
+            layers: &mut self.layers,
+            tape,
+        }
+    }
+
+    /// [`on`](Self::on) the network's own tape.
+    fn own(&mut self) -> Pass<'_> {
+        Pass {
+            layers: &mut self.layers,
+            tape: &mut self.tape,
+        }
+    }
+
     /// Forward pass through all layers.
     ///
     /// Delegates to [`forward_scratch`](Self::forward_scratch) and clones
@@ -132,63 +377,17 @@ impl Mlp {
         self.forward_scratch(input, train).clone()
     }
 
-    /// Forward pass through all layers using the network's internal
-    /// ping-pong scratch buffers: after warm-up no allocation occurs. The
-    /// returned reference is valid until the next call on this network; it
-    /// is overwritten by subsequent `forward_scratch`/`backward_scratch`
-    /// calls, so copy out anything that must survive.
+    /// [`Pass::forward_scratch`] on the network's own tape. The returned
+    /// reference is valid until the next call on this network; it is
+    /// overwritten by subsequent `forward_scratch`/`backward_scratch` calls,
+    /// so copy out anything that must survive.
     pub fn forward_scratch(&mut self, input: &Tensor, train: bool) -> &Tensor {
-        let Mlp {
-            layers,
-            scratch_a,
-            scratch_b,
-        } = self;
-        // The first layer reads the caller's tensor where it lies.
-        let Some((first, rest)) = layers.split_first_mut() else {
-            scratch_a.copy_from(input);
-            return scratch_a;
-        };
-        first.as_layer_mut().forward_into(input, train, scratch_a);
-        let (mut cur, mut next) = (scratch_a, scratch_b);
-        for layer in rest {
-            layer.as_layer_mut().forward_into(cur, train, next);
-            std::mem::swap(&mut cur, &mut next);
-        }
-        cur
+        self.own().forward_scratch(input, train)
     }
 
-    /// Evaluation-only forward pass through all layers using the internal
-    /// ping-pong scratch buffers, without touching any layer state: no
-    /// activation caches are written, no ReLU masks built, no dropout RNG
-    /// advanced. Values are bit-identical to
-    /// [`forward_scratch`](Self::forward_scratch) with `train = false`.
-    ///
-    /// This is the batched-inference entry point: because layer state stays
-    /// untouched, a network whose weights are shared across K agents can
-    /// evaluate a stacked `K·B`-row matrix in one register-tiled GEMM per
-    /// dense layer (each row's sums keep their ascending-`k` order whatever
-    /// tile the row lands in, so stacking changes no bits). `&mut self` is
-    /// needed only for the scratch buffers; the returned reference is valid
-    /// until the next forward/backward call.
+    /// [`Pass::forward_batch_scratch`] on the network's own tape.
     pub fn forward_batch_scratch(&mut self, input: &Tensor) -> &Tensor {
-        let Mlp {
-            layers,
-            scratch_a,
-            scratch_b,
-        } = self;
-        // The first layer reads the caller's tensor in place: a K·B-row
-        // batch is never copied into (and never sizes) a scratch buffer.
-        let Some((first, rest)) = layers.split_first() else {
-            scratch_a.copy_from(input);
-            return scratch_a;
-        };
-        first.as_layer().forward_batch_into(input, scratch_a);
-        let (mut cur, mut next) = (scratch_a, scratch_b);
-        for layer in rest {
-            layer.as_layer().forward_batch_into(cur, next);
-            std::mem::swap(&mut cur, &mut next);
-        }
-        cur
+        self.own().forward_batch_scratch(input)
     }
 
     /// [`forward_batch_scratch`](Self::forward_batch_scratch) copied into a
@@ -197,10 +396,10 @@ impl Mlp {
         out.copy_from(self.forward_batch_scratch(input));
     }
 
-    /// The first (dense) layer's [`Dense::prefix_into`] of `shared`: what the
-    /// leading `shared.cols()` input columns contribute to its product. Input
-    /// rows that agree on those columns — `K` agents' `[trunk_out | own
-    /// state]` — then share one `prefix` in
+    /// The first (dense) layer's product over the leading `shared.cols()`
+    /// input columns, `shared · W[..shared.cols()]`, no bias. Input rows that
+    /// agree on those columns — `K` agents' `[trunk_out | own state]` — then
+    /// share one `prefix` in
     /// [`forward_batch_from_prefix_scratch`](Self::forward_batch_from_prefix_scratch)
     /// and [`forward_from_prefix_scratch`](Self::forward_from_prefix_scratch)
     /// instead of each multiplying the same columns through again. Weights
@@ -217,41 +416,12 @@ impl Mlp {
         }
     }
 
-    /// [`forward_batch_scratch`](Self::forward_batch_scratch) on the rows
-    /// `[shared[r mod B] | own[r]]`, bit for bit, given `prefix =
-    /// prefix_into(shared)` (`B` rows) and `own` holding the trailing input
-    /// columns of a whole number of `B`-row groups. Stateless like every
-    /// batch forward.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the network starts with a [`Dense`] layer and the
-    /// shapes add up to it.
+    /// [`Pass::forward_batch_from_prefix_scratch`] on the network's own tape.
     pub fn forward_batch_from_prefix_scratch(&mut self, prefix: &Tensor, own: &Tensor) -> &Tensor {
-        let Mlp {
-            layers,
-            scratch_a,
-            scratch_b,
-        } = self;
-        let (first, rest) = split_first_dense(layers);
-        first.forward_batch_from_prefix_into(prefix, own, scratch_a);
-        let (mut cur, mut next) = (scratch_a, scratch_b);
-        for layer in rest.iter() {
-            layer.as_layer().forward_batch_into(cur, next);
-            std::mem::swap(&mut cur, &mut next);
-        }
-        cur
+        self.own().forward_batch_from_prefix_scratch(prefix, own)
     }
 
-    /// [`forward_scratch`](Self::forward_scratch) on the input `[shared |
-    /// own]`, bit for bit and with the same layer state afterwards (input
-    /// cached for the weight gradient, ReLU masks, dropout draws), given
-    /// `prefix = prefix_into(shared)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the network starts with a [`Dense`] layer and the
-    /// shapes add up to it.
+    /// [`Pass::forward_from_prefix_scratch`] on the network's own tape.
     pub fn forward_from_prefix_scratch(
         &mut self,
         prefix: &Tensor,
@@ -259,19 +429,8 @@ impl Mlp {
         own: &Tensor,
         train: bool,
     ) -> &Tensor {
-        let Mlp {
-            layers,
-            scratch_a,
-            scratch_b,
-        } = self;
-        let (first, rest) = split_first_dense(layers);
-        first.forward_from_prefix_into(prefix, shared, own, scratch_a);
-        let (mut cur, mut next) = (scratch_a, scratch_b);
-        for layer in rest {
-            layer.as_layer_mut().forward_into(cur, train, next);
-            std::mem::swap(&mut cur, &mut next);
-        }
-        cur
+        self.own()
+            .forward_from_prefix_scratch(prefix, shared, own, train)
     }
 
     /// Snapshots this network into a fixed-point inference variant
@@ -336,69 +495,43 @@ impl Mlp {
         self.backward_scratch(grad_output).clone()
     }
 
-    /// Backward pass using the internal scratch buffers; the returned input
-    /// gradient lives until the next call on this network.
+    /// [`Pass::backward_scratch`] on the network's own tape; the returned
+    /// input gradient lives until the next call on this network.
     ///
     /// # Panics
     ///
     /// Panics if called before a forward pass.
     pub fn backward_scratch(&mut self, grad_output: &Tensor) -> &Tensor {
-        let Mlp {
-            layers,
-            scratch_a,
-            scratch_b,
-        } = self;
-        // As in the forward pass: the last layer reads the caller's gradient
-        // in place.
-        let Some((last, rest)) = layers.split_last_mut() else {
-            scratch_a.copy_from(grad_output);
-            return scratch_a;
-        };
-        last.as_layer_mut().backward_into(grad_output, scratch_a);
-        let (mut cur, mut next) = (scratch_a, scratch_b);
-        for layer in rest.iter_mut().rev() {
-            layer.as_layer_mut().backward_into(cur, next);
-            std::mem::swap(&mut cur, &mut next);
-        }
-        cur
+        self.own().backward_scratch(grad_output)
     }
 
-    /// [`backward_scratch`](Self::backward_scratch) returning only the first
-    /// `cols` columns of the input gradient (`B × cols`, the same bits) and
-    /// never computing the rest: `cols = 0` for a network fed data, the
-    /// width of the upstream activations for a head fed `[upstream | data]`.
-    /// Parameter gradients accumulate exactly as in the full pass.
+    /// [`Pass::backward_cols_scratch`] on the network's own tape.
     ///
     /// # Panics
     ///
     /// Panics if called before a forward pass or unless the network starts
     /// with a [`Dense`] layer at least `cols` wide.
     pub fn backward_cols_scratch(&mut self, grad_output: &Tensor, cols: usize) -> &Tensor {
-        let Mlp {
-            layers,
-            scratch_a,
-            scratch_b,
-        } = self;
-        let (first, rest) = split_first_dense(layers);
-        let Some((last, middle)) = rest.split_last_mut() else {
-            first.backward_cols_into(grad_output, cols, scratch_a);
-            return scratch_a;
-        };
-        last.as_layer_mut().backward_into(grad_output, scratch_a);
-        let (mut cur, mut next) = (scratch_a, scratch_b);
-        for layer in middle.iter_mut().rev() {
-            layer.as_layer_mut().backward_into(cur, next);
-            std::mem::swap(&mut cur, &mut next);
-        }
-        first.backward_cols_into(cur, cols, next);
-        next
+        self.own().backward_cols_scratch(grad_output, cols)
     }
 
-    /// Zeroes all accumulated gradients.
+    fn denses(&self) -> impl Iterator<Item = &Dense> {
+        self.layers.iter().filter_map(|l| match l {
+            MlpLayer::Dense(d) => Some(d.as_ref()),
+            _ => None,
+        })
+    }
+
+    fn denses_mut(&mut self) -> impl Iterator<Item = &mut Dense> {
+        self.layers.iter_mut().filter_map(|l| match l {
+            MlpLayer::Dense(d) => Some(d.as_mut()),
+            _ => None,
+        })
+    }
+
+    /// Zeroes all accumulated gradients (allocating them on first use).
     pub fn zero_grads(&mut self) {
-        for layer in &mut self.layers {
-            layer.as_layer_mut().zero_grads();
-        }
+        self.denses_mut().for_each(Dense::zero_grads);
     }
 
     /// Applies the optimiser to every trainable layer. Parameter ids start
@@ -410,34 +543,47 @@ impl Mlp {
 
     /// Applies the optimiser using parameter ids starting at `base`;
     /// returns the next free id. Lets multiple `Mlp`s (trunk + heads) share
-    /// a single [`Adam`] instance without id collisions.
+    /// a single [`Adam`] instance without id collisions. Each dense layer
+    /// takes two ids, weights then bias — the order of
+    /// [`parameter_lens`](Self::parameter_lens).
     pub fn apply_with_base(&mut self, optim: &mut Adam, base: usize) -> usize {
-        let mut id = base;
-        for layer in &mut self.layers {
-            id = layer.as_layer_mut().apply(optim, id);
-        }
-        id
+        self.denses_mut().fold(base, |id, d| d.apply(optim, id))
+    }
+
+    /// The length of every parameter tensor in the order
+    /// [`apply_with_base`](Self::apply_with_base) hands out ids: per dense
+    /// layer, weights then bias.
+    pub fn parameter_lens(&self) -> impl Iterator<Item = usize> + '_ {
+        self.denses()
+            .flat_map(|d| [d.in_dim() * d.out_dim(), d.out_dim()])
     }
 
     /// Total number of trainable scalar parameters.
     pub fn param_count(&self) -> usize {
-        self.layers.iter().map(|l| l.as_layer().param_count()).sum()
+        self.denses().map(Dense::param_count).sum()
+    }
+
+    /// Heap bytes held, at allocated capacity: the layers (weights and,
+    /// once a backward pass or `zero_grads` has run, gradients) and the
+    /// network's own tape.
+    pub fn heap_bytes(&self) -> usize {
+        self.layers.capacity() * std::mem::size_of::<MlpLayer>()
+            + self
+                .denses()
+                .map(|d| std::mem::size_of::<Dense>() + d.heap_bytes())
+                .sum::<usize>()
+            + self.tape.heap_bytes()
     }
 
     /// Squared L2 norm of all accumulated gradients.
     pub fn grad_sq_norm(&self) -> f32 {
-        self.layers
-            .iter()
-            .map(|l| l.as_layer().grad_sq_norm())
-            .sum()
+        self.denses().map(Dense::grad_sq_norm).sum()
     }
 
     /// Scales all accumulated gradients, e.g. for global-norm clipping or
     /// the multi-agent BDQ's 1/K and 1/D rescaling.
     pub fn scale_grads(&mut self, factor: f32) {
-        for layer in &mut self.layers {
-            layer.as_layer_mut().scale_grads(factor);
-        }
+        self.denses_mut().for_each(|d| d.scale_grads(factor));
     }
 
     /// Copies all weights from a network with an identical architecture
@@ -844,6 +990,103 @@ mod tests {
         let none = split.backward_cols_scratch(&random(batch, 3), 0);
         assert_eq!((none.rows(), none.cols()), (batch, 0));
         assert!(split.grad_sq_norm() > 0.0);
+    }
+
+    #[test]
+    fn networks_sharing_a_tape_match_networks_on_their_own() {
+        // The advantage heads' case: one architecture up to a last layer of
+        // 5 or 3 outputs, dropout on, forward + backward in turn on ONE tape.
+        // Outputs, input gradients and every accumulated gradient must equal
+        // what the same networks compute on tapes of their own: whatever the
+        // previous network left in a buffer is overwritten before it is read.
+        let mut rng = Xoshiro256::seed_from_u64(41);
+        let mut head = |out: usize, seed: u64| {
+            Mlp::new()
+                .push(Dense::new(7, 8, &mut rng))
+                .push(Relu::new())
+                .push(Dropout::new(0.3, seed))
+                .push(Dense::new(8, out, &mut rng))
+        };
+        let mut shared = [head(5, 1), head(3, 2), head(5, 3)];
+        let mut own = shared.clone();
+        let mut tape = Tape::new();
+        let mut random = |r: usize, c: usize| {
+            let data = (0..r * c).map(|_| rng.range_f32(-2.0, 2.0)).collect();
+            Tensor::from_vec(r, c, data).unwrap()
+        };
+        let bits = |t: &Tensor| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
+        for round in 0..6 {
+            // The batch size changes too, so buffers shrink and grow.
+            let batch = 4 + round % 3;
+            let x = random(batch, 7);
+            for (a, b) in shared.iter_mut().zip(&mut own) {
+                let want = b.forward_scratch(&x, true).clone();
+                assert_eq!(bits(a.on(&mut tape).forward_scratch(&x, true)), bits(&want));
+                let grad = random(batch, want.cols());
+                let want_dx = b.backward_cols_scratch(&grad, 4).clone();
+                let got_dx = a.on(&mut tape).backward_cols_scratch(&grad, 4);
+                assert_eq!(bits(got_dx), bits(&want_dx));
+            }
+        }
+        for (a, b) in shared.iter().zip(&own) {
+            for (da, db) in a.denses().zip(b.denses()) {
+                let ((wa, ba), (wb, bb)) = (da.grads(), db.grads());
+                assert!(wa.rows() > 0);
+                assert_eq!(bits(wa), bits(wb));
+                assert_eq!(bits(&Tensor::from_row(ba)), bits(&Tensor::from_row(bb)));
+            }
+            // Nothing ran on the sharing networks' own tapes.
+            assert_eq!(a.tape.heap_bytes(), 0);
+            assert!(b.tape.heap_bytes() > 0);
+        }
+    }
+
+    #[test]
+    fn backward_after_another_batch_size_panics_on_the_shape() {
+        // A backward reads what the last stateful forward on the same tape
+        // left there. If that was a pass of another batch size, the shapes
+        // disagree and the existing checks fire: no stale row is ever read.
+        type Finish = fn(Mlp) -> Mlp;
+        let cases: [(&str, Finish); 3] = [
+            ("dense backward shape", |net| net),
+            ("relu gradient shape mismatch", |net| net.push(Relu::new())),
+            ("dropout gradient shape mismatch", |net| {
+                net.push(Dropout::new(0.5, 1))
+            }),
+        ];
+        for (message, finish) in cases {
+            let mut rng = Xoshiro256::seed_from_u64(3);
+            let mut net = finish(Mlp::new().push(Dense::new(3, 4, &mut rng)));
+            let mut tape = Tape::new();
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                net.on(&mut tape)
+                    .forward_scratch(&Tensor::zeros(5, 3), true);
+                let mut twin = net.clone();
+                twin.on(&mut tape)
+                    .forward_scratch(&Tensor::zeros(2, 3), true);
+                net.on(&mut tape).backward_scratch(&Tensor::zeros(5, 4));
+            }));
+            let text = panic_text(caught.expect_err("stale tape accepted"));
+            assert!(text.contains(message), "{message}: got {text:?}");
+        }
+        // And on a tape nothing has run on.
+        let mut net = tiny_net(1);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            net.on(&mut Tape::new())
+                .backward_scratch(&Tensor::zeros(1, 1));
+        }));
+        let text = panic_text(caught.expect_err("empty tape accepted"));
+        assert!(text.contains(NO_FORWARD), "got {text:?}");
+    }
+
+    fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+        match payload.downcast::<String>() {
+            Ok(text) => *text,
+            Err(payload) => payload
+                .downcast_ref::<&str>()
+                .map(|text| text.to_string())
+                .unwrap_or_default(),
+        }
     }
 
     #[test]

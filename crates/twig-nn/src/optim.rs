@@ -1,11 +1,12 @@
-use std::collections::HashMap;
-
 /// Adam optimiser ([Kingma & Ba 2014]), the optimiser used by the paper
 /// (Section IV: learning rate 0.0025).
 ///
 /// State (first/second moment estimates) is keyed by a stable parameter id
 /// supplied by the caller, so one `Adam` instance can drive a whole network
-/// of heterogeneous layers.
+/// of heterogeneous layers. Ids index a vector of slots — hand them out
+/// densely from `0`, as [`Mlp::apply_with_base`](crate::Mlp::apply_with_base)
+/// does, and check ids that arrive from outside the program before
+/// [`import_state`](Self::import_state) sees them.
 ///
 /// [Kingma & Ba 2014]: https://arxiv.org/abs/1412.6980
 ///
@@ -29,9 +30,9 @@ pub struct Adam {
     beta1: f32,
     beta2: f32,
     eps: f32,
-    steps: HashMap<usize, u64>,
-    m: HashMap<usize, Vec<f32>>,
-    v: HashMap<usize, Vec<f32>>,
+    // Slot `i` belongs to parameter id `i`; a slot whose moments are empty
+    // has not been registered.
+    slots: Vec<AdamSlot>,
 }
 
 impl Adam {
@@ -43,9 +44,7 @@ impl Adam {
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
-            steps: HashMap::new(),
-            m: HashMap::new(),
-            v: HashMap::new(),
+            slots: Vec::new(),
         }
     }
 
@@ -74,25 +73,22 @@ impl Adam {
             grad.len(),
             "parameter/gradient length mismatch for id {param_id}"
         );
-        let m = self
-            .m
-            .entry(param_id)
-            .or_insert_with(|| vec![0.0; param.len()]);
-        let v = self
-            .v
-            .entry(param_id)
-            .or_insert_with(|| vec![0.0; param.len()]);
+        let (lr, beta1, beta2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
+        let slot = self.slot_mut(param_id);
+        if slot.m.is_empty() {
+            slot.m = vec![0.0; param.len()];
+            slot.v = vec![0.0; param.len()];
+        }
         assert_eq!(
-            m.len(),
+            slot.m.len(),
             param.len(),
             "parameter id {param_id} reused with a different shape"
         );
-        let t = self.steps.entry(param_id).or_insert(0);
-        *t += 1;
+        slot.steps += 1;
+        let AdamSlot { steps: t, m, v, .. } = slot;
         let t = *t as i32;
-        let bias1 = 1.0 - self.beta1.powi(t);
-        let bias2 = 1.0 - self.beta2.powi(t);
-        let (lr, beta1, beta2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
+        let bias1 = 1.0 - beta1.powi(t);
+        let bias2 = 1.0 - beta2.powi(t);
         let parking = Parking::new(lr, beta1, bias1, eps);
         let mut parked = [0u32; CHUNK];
         for (((param, grad), m), v) in param
@@ -135,29 +131,34 @@ impl Adam {
         }
     }
 
+    /// The slot of `param_id`, growing the vector by empty slots up to it.
+    fn slot_mut(&mut self, param_id: usize) -> &mut AdamSlot {
+        let registered = self.slots.len();
+        if param_id >= registered {
+            self.slots
+                .extend((registered..=param_id).map(|id| AdamSlot {
+                    id,
+                    steps: 0,
+                    m: Vec::new(),
+                    v: Vec::new(),
+                }));
+        }
+        &mut self.slots[param_id]
+    }
+
     /// Discards all moment state (used when weights are replaced wholesale,
     /// e.g. by transfer learning).
     pub fn reset_state(&mut self) {
-        self.steps.clear();
-        self.m.clear();
-        self.v.clear();
+        self.slots.clear();
     }
 
     /// Snapshots the moment buffers and step counts for every registered
-    /// parameter id, sorted by id so the result is deterministic.
+    /// parameter id, in ascending id order.
     pub fn export_state(&self) -> AdamState {
-        let mut ids: Vec<usize> = self.m.keys().copied().collect();
-        ids.sort_unstable();
-        let slots = ids
-            .into_iter()
-            .map(|id| AdamSlot {
-                id,
-                steps: self.steps.get(&id).copied().unwrap_or(0),
-                m: self.m[&id].clone(),
-                v: self.v[&id].clone(),
-            })
-            .collect();
-        AdamState { slots }
+        let registered = self.slots.iter().filter(|s| !s.m.is_empty());
+        AdamState {
+            slots: registered.cloned().collect(),
+        }
     }
 
     /// Replaces all moment state with a snapshot produced by
@@ -167,10 +168,15 @@ impl Adam {
     pub fn import_state(&mut self, state: &AdamState) {
         self.reset_state();
         for slot in &state.slots {
-            self.steps.insert(slot.id, slot.steps);
-            self.m.insert(slot.id, slot.m.clone());
-            self.v.insert(slot.id, slot.v.clone());
+            *self.slot_mut(slot.id) = slot.clone();
         }
+    }
+
+    /// Heap bytes held, at allocated capacity.
+    pub fn heap_bytes(&self) -> usize {
+        let moments = |s: &AdamSlot| (s.m.capacity() + s.v.capacity()) * std::mem::size_of::<f32>();
+        self.slots.capacity() * std::mem::size_of::<AdamSlot>()
+            + self.slots.iter().map(moments).sum::<usize>()
     }
 }
 
@@ -536,13 +542,29 @@ mod tests {
     }
 
     #[test]
-    fn export_state_sorted_by_id() {
+    fn ids_registered_out_of_order_export_in_id_order() {
         let mut adam = Adam::new(0.1);
         adam.update(9, &mut [1.0], &[1.0]);
         adam.update(2, &mut [1.0, 2.0], &[1.0, 1.0]);
         adam.update(5, &mut [1.0], &[1.0]);
-        let ids: Vec<usize> = adam.export_state().slots.iter().map(|s| s.id).collect();
-        assert_eq!(ids, vec![2, 5, 9]);
+        adam.update(2, &mut [1.0, 2.0], &[1.0, 1.0]);
+        // The ids in between hold empty slots, which an export skips and a
+        // round trip through `import_state` leaves empty.
+        let state = adam.export_state();
+        let summary = |state: &AdamState| -> Vec<(usize, u64, usize)> {
+            let slots = state.slots.iter();
+            slots.map(|s| (s.id, s.steps, s.m.len())).collect()
+        };
+        assert_eq!(summary(&state), [(2, 2, 2), (5, 1, 1), (9, 1, 1)]);
+        let mut twin = Adam::new(0.1);
+        twin.import_state(&state);
+        assert_eq!(twin.export_state(), state);
+        // A skipped id registers later like any new one.
+        twin.update(3, &mut [1.0], &[1.0]);
+        assert_eq!(
+            summary(&twin.export_state()),
+            [(2, 2, 2), (3, 1, 1), (5, 1, 1), (9, 1, 1)]
+        );
     }
 
     #[test]

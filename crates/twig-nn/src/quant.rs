@@ -207,6 +207,24 @@ impl QuantizedMlp {
         self.layers.push(QuantLayer::Relu);
     }
 
+    /// Heap bytes held, at allocated capacity: quantized weights, biases and
+    /// the forward scratch.
+    pub fn heap_bytes(&self) -> usize {
+        let dense = |l: &QuantLayer| match l {
+            QuantLayer::Dense(d) => {
+                d.wq.capacity() * std::mem::size_of::<i16>()
+                    + d.b.capacity() * std::mem::size_of::<f32>()
+            }
+            QuantLayer::Relu => 0,
+        };
+        self.layers.capacity() * std::mem::size_of::<QuantLayer>()
+            + self.layers.iter().map(dense).sum::<usize>()
+            + self.xq.capacity() * std::mem::size_of::<i16>()
+            + self.acc.capacity() * std::mem::size_of::<i32>()
+            + self.buf_a.heap_bytes()
+            + self.buf_b.heap_bytes()
+    }
+
     /// Number of dense layers in the snapshot.
     pub fn dense_count(&self) -> usize {
         self.layers

@@ -121,6 +121,11 @@ impl Tensor {
         }
     }
 
+    /// Heap bytes held, at allocated capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.data.capacity() * std::mem::size_of::<f32>()
+    }
+
     /// Number of rows (batch size).
     pub fn rows(&self) -> usize {
         self.rows

@@ -1,7 +1,7 @@
 use crate::per::Priorities;
 use crate::slab::TransitionSlab;
 use crate::{MaBdqCheckpoint, PerBatch, RlError};
-use twig_nn::{Adam, Dense, Dropout, Mlp, QuantizedMlp, Relu, Tensor};
+use twig_nn::{Adam, Dense, Dropout, Mlp, QuantizedMlp, Relu, Tape, Tensor};
 use twig_stats::rng::{Rng, Xoshiro256};
 use twig_telemetry::Telemetry;
 
@@ -281,7 +281,9 @@ pub enum BudgetedProgress {
 
 /// The networks: a shared trunk, one state-value head per agent, and one
 /// advantage head per branch whose weights are shared across agents
-/// (Section III-A).
+/// (Section III-A). Parameters only (and, for the online network, their
+/// gradients): every pass runs on a [`Tape`] the learner owns, so the
+/// networks' own tapes stay empty.
 #[derive(Debug, Clone)]
 struct Net {
     trunk: Mlp,
@@ -372,14 +374,21 @@ impl Net {
         }
     }
 
+    /// Trunk, value heads, advantage heads: the order parameters are
+    /// flattened into a checkpoint and handed optimiser ids in.
+    fn mlps(&self) -> impl Iterator<Item = &Mlp> {
+        std::iter::once(&self.trunk)
+            .chain(&self.value_heads)
+            .chain(&self.adv_heads)
+    }
+
     fn param_count(&self) -> usize {
-        self.trunk.param_count()
-            + self
-                .value_heads
-                .iter()
-                .chain(self.adv_heads.iter())
-                .map(Mlp::param_count)
-                .sum::<usize>()
+        self.mlps().map(Mlp::param_count).sum()
+    }
+
+    fn heap_bytes(&self) -> usize {
+        (self.value_heads.capacity() + self.adv_heads.capacity()) * std::mem::size_of::<Mlp>()
+            + self.mlps().map(Mlp::heap_bytes).sum::<usize>()
     }
 
     /// Evaluation-mode Q-values for a batch whose joint state is already
@@ -408,7 +417,13 @@ impl Net {
     /// per-row in the same order. The batched layer path never touches
     /// dropout RNG streams or activation caches, which is what lets
     /// decisions run between the chunks of a gradient step.
-    fn q_values_fused_into(&mut self, x: &Tensor, state_dim: usize, scratch: &mut QScratch) {
+    fn q_values_fused_into(
+        &mut self,
+        x: &Tensor,
+        state_dim: usize,
+        work: &mut EvalWork,
+        q: &mut QValues,
+    ) {
         let batch = x.rows();
         let num_branches = self.adv_heads.len();
         let agents = self.value_heads.len();
@@ -417,16 +432,18 @@ impl Net {
             value_heads,
             adv_heads,
         } = self;
-        let trunk_out = trunk.forward_batch_scratch(x);
-        let trunk_dim = trunk_out.cols();
-        let QScratch {
+        let EvalWork {
+            tape,
+            trunk_out,
             input_k,
             stacked,
             prefix,
             v_all,
-            q,
             ..
-        } = scratch;
+        } = work;
+        // The heads run on the same tape, so the trunk's output moves out.
+        trunk_out.copy_from(trunk.on(tape).forward_batch_scratch(x));
+        let trunk_dim = trunk_out.cols();
         v_all.clear();
         for (k, vh) in value_heads.iter_mut().enumerate() {
             input_k.resize_zeroed(batch, trunk_dim + state_dim);
@@ -435,7 +452,7 @@ impl Net {
                 row[..trunk_dim].copy_from_slice(trunk_out.row(b));
                 row[trunk_dim..].copy_from_slice(&x.row(b)[k * state_dim..(k + 1) * state_dim]);
             }
-            let v = vh.forward_batch_scratch(input_k);
+            let v = vh.on(tape).forward_batch_scratch(input_k);
             for b in 0..batch {
                 v_all.push(v[(b, 0)]);
             }
@@ -458,10 +475,11 @@ impl Net {
         for (d, head) in adv_heads.iter_mut().enumerate() {
             let adv = if shared_prefix {
                 head.prefix_into(trunk_out, prefix);
-                head.forward_batch_from_prefix_scratch(prefix, stacked)
+                head.on(tape)
+                    .forward_batch_from_prefix_scratch(prefix, stacked)
             } else {
                 // The only agent's head input, left by the value-head loop.
-                head.forward_batch_scratch(input_k)
+                head.on(tape).forward_batch_scratch(input_k)
             };
             let n_d = adv.cols();
             let n = n_d as f32;
@@ -493,7 +511,13 @@ impl Net {
     /// bit-identical, so results match [`q_values_fused_into`]
     /// (Self::q_values_fused_into) bit-for-bit; the twin-run tests assert
     /// it and `bench_decide` measures what the fusion buys against it.
-    fn q_values_per_agent_into(&mut self, x: &Tensor, state_dim: usize, scratch: &mut QScratch) {
+    fn q_values_per_agent_into(
+        &mut self,
+        x: &Tensor,
+        state_dim: usize,
+        work: &mut EvalWork,
+        q: &mut QValues,
+    ) {
         let batch = x.rows();
         let num_branches = self.adv_heads.len();
         let Net {
@@ -501,18 +525,20 @@ impl Net {
             value_heads,
             adv_heads,
         } = self;
-        let QScratch {
+        let EvalWork {
+            tape,
+            trunk_out,
             agent_state,
             input_k,
-            q,
+            v_all,
             ..
-        } = scratch;
+        } = work;
         q.resize_with(value_heads.len(), Vec::new);
         for (k, (vh, branches)) in value_heads.iter_mut().zip(q.iter_mut()).enumerate() {
             // The per-agent trunk pass this loop exists to measure: same
             // input, same weights, stateless eval forward — identical bits
             // every iteration.
-            let trunk_out = trunk.forward_batch_scratch(x);
+            trunk_out.copy_from(trunk.on(tape).forward_batch_scratch(x));
             agent_state.resize_zeroed(batch, state_dim);
             for b in 0..batch {
                 agent_state
@@ -522,20 +548,33 @@ impl Net {
             trunk_out
                 .concat_cols_into(agent_state, input_k)
                 .expect("same batch");
-            let v = vh.forward_batch_scratch(input_k);
+            v_all.clear();
+            v_all.extend_from_slice(vh.on(tape).forward_batch_scratch(input_k).as_slice());
             branches.resize_with(num_branches, Tensor::default);
             for (head, qd) in adv_heads.iter_mut().zip(branches.iter_mut()) {
-                let adv = head.forward_batch_scratch(input_k);
-                dueling_combine_into(v, adv, qd);
+                let adv = head.on(tape).forward_batch_scratch(input_k);
+                dueling_combine_into(v_all, adv, qd);
             }
         }
     }
 }
 
-/// Reusable output/intermediate buffers for [`Net::q_values_fused_into`] and
-/// [`Net::q_values_per_agent_into`].
+/// `q[k][d]`: agent `k`'s Q-values on branch `d` (`B × n_d`), as
+/// [`Net::q_values_fused_into`] and [`Net::q_values_per_agent_into`] leave
+/// them.
+type QValues = Vec<Vec<Tensor>>;
+
+/// Working memory of one evaluation of a [`Net`]: the tape its forwards run
+/// on and the intermediates between them. Nothing in it outlives the call —
+/// the results are the [`QValues`] — so the online and the target network
+/// evaluate the same batch on the same `EvalWork`, one after the other.
 #[derive(Debug, Clone, Default)]
-struct QScratch {
+struct EvalWork {
+    /// Trunk, then value heads, then advantage heads, each finished (and its
+    /// output copied out or consumed) before the next begins.
+    tape: Tape,
+    /// The trunk's output (`B × trunk_dim`).
+    trunk_out: Tensor,
     agent_state: Tensor,
     input_k: Tensor,
     /// Fused path, `K > 1`: the agents' own states stacked k-major (`K·B ×
@@ -544,27 +583,42 @@ struct QScratch {
     /// Fused path, `K > 1`: the current advantage head's first-layer product
     /// over the trunk columns (`B × head_hidden`), shared by all `K` groups.
     prefix: Tensor,
-    /// Fused path: per-agent state values, flattened `k·B + b`.
+    /// State values: fused path, every agent's, flattened `k·B + b`;
+    /// per-agent path, the current agent's.
     v_all: Vec<f32>,
-    /// `q[k][d]`: agent `k`'s Q-values on branch `d` (`B × n_d`).
-    q: Vec<Vec<Tensor>>,
 }
 
-/// `Q(a) = V + (A(a) − mean_a A(a))` per batch row.
-#[cfg(test)]
-fn dueling_combine(v: &Tensor, adv: &Tensor) -> Tensor {
-    let mut q = Tensor::zeros(0, 0);
-    dueling_combine_into(v, adv, &mut q);
-    q
+impl EvalWork {
+    fn heap_bytes(&self) -> usize {
+        let tensors = [
+            &self.trunk_out,
+            &self.agent_state,
+            &self.input_k,
+            &self.stacked,
+            &self.prefix,
+        ];
+        self.tape.heap_bytes()
+            + tensors.iter().map(|t| t.heap_bytes()).sum::<usize>()
+            + self.v_all.capacity() * std::mem::size_of::<f32>()
+    }
 }
 
-/// [`dueling_combine`] into a reusable tensor; identical arithmetic.
-fn dueling_combine_into(v: &Tensor, adv: &Tensor, q: &mut Tensor) {
+fn q_values_heap_bytes(q: &QValues) -> usize {
+    let branches = |b: &Vec<Tensor>| {
+        b.capacity() * std::mem::size_of::<Tensor>()
+            + b.iter().map(Tensor::heap_bytes).sum::<usize>()
+    };
+    q.capacity() * std::mem::size_of::<Vec<Tensor>>() + q.iter().map(branches).sum::<usize>()
+}
+
+/// `Q(a) = V + (A(a) − mean_a A(a))` per batch row; `v` holds one state
+/// value per row.
+fn dueling_combine_into(v: &[f32], adv: &Tensor, q: &mut Tensor) {
     q.copy_from(adv);
     let n = adv.cols() as f32;
-    for b in 0..adv.rows() {
+    for (b, v) in v.iter().enumerate() {
         let mean: f32 = adv.row(b).iter().sum::<f32>() / n;
-        let base = v[(b, 0)] - mean;
+        let base = v - mean;
         for x in q.row_mut(b) {
             *x += base;
         }
@@ -626,6 +680,18 @@ struct QuantizedNet {
 }
 
 impl QuantizedNet {
+    /// Heap bytes held, the box included.
+    fn heap_bytes(&self) -> usize {
+        let heads = self.value_heads.iter().chain(&self.adv_heads);
+        let tensors = [&self.trunk_out, &self.input_k, &self.v, &self.adv];
+        std::mem::size_of::<Self>()
+            + (self.value_heads.capacity() + self.adv_heads.capacity())
+                * std::mem::size_of::<QuantizedMlp>()
+            + self.trunk.heap_bytes()
+            + heads.map(QuantizedMlp::heap_bytes).sum::<usize>()
+            + tensors.iter().map(|t| t.heap_bytes()).sum::<usize>()
+    }
+
     fn from_net(net: &Net) -> Result<Self, RlError> {
         let quantize = |m: &Mlp| {
             m.quantize().map_err(|e| RlError::DimensionMismatch {
@@ -678,8 +744,18 @@ impl QuantizedNet {
 struct DecideScratch {
     /// The joint state being decided on (`1 × K*state_dim`).
     x: Tensor,
+    /// Working memory of the one-row evaluation. Its tape is the decide
+    /// paths' own: a decision may run between the chunks of a budgeted step,
+    /// while the step's tapes hold what its epilogue still reads.
+    eval: EvalWork,
     /// Online-network evaluations of `x`.
-    q_eval: QScratch,
+    q_eval: QValues,
+}
+
+impl DecideScratch {
+    fn heap_bytes(&self) -> usize {
+        self.x.heap_bytes() + self.eval.heap_bytes() + q_values_heap_bytes(&self.q_eval)
+    }
 }
 
 /// The one gradient step's working memory and its resume point. The
@@ -692,9 +768,14 @@ struct DecideScratch {
 /// Between chunks the caller may decide (stateless forwards on
 /// [`DecideScratch`]) and [`observe`](MaBdq::observe) (which may overwrite
 /// sampled replay slots), so the step owns copies of everything it still
-/// needs: the sampled actions and the trunk output — the trunk's activation
-/// caches, which the epilogue's backward pass reads, are only ever written
-/// by the train-mode forward in the prologue.
+/// needs: the sampled actions, the trunk output, and in `trunk_tape` what
+/// the trunk's train-mode forward left for the epilogue's backward pass.
+///
+/// The four tapes are split by lifetime, not by network. A tape can serve
+/// any number of networks as long as each forward-backward pair on it ends
+/// before the next pass on it begins: that is why all `K` value heads share
+/// `value_tape`, every advantage head shares `adv_tape`, and the online and
+/// target evaluations share `eval`.
 #[derive(Debug, Clone, Default)]
 struct StepState {
     /// A step has started and its epilogue has not run.
@@ -710,12 +791,26 @@ struct StepState {
     x_next: Tensor,
     /// Sampled actions, flattened `(b * agents + k) * num_branches + d`.
     actions: Vec<u16>,
+    /// Working memory of the two evaluations of `x_next`, online then
+    /// target, in the prologue; dead once their Q-values are out.
+    eval: EvalWork,
     /// Online-network evaluations of `x_next` (double-DQN argmax).
-    q_online: QScratch,
+    q_online: QValues,
     /// Target-network evaluations of `x_next`.
-    q_target: QScratch,
+    q_target: QValues,
     /// TD targets, flattened `b * agents + k`.
     targets: Vec<f32>,
+    /// Written by the prologue's train-mode trunk forward, read by the
+    /// epilogue's trunk backward, touched by nothing in between.
+    trunk_tape: Tape,
+    /// The current agent's value head: forward at the top of its head pass,
+    /// backward at the bottom (it needs the gradient every advantage head
+    /// contributes to), dead when the head pass returns.
+    value_tape: Tape,
+    /// Each advantage head in turn, forward then backward, inside one head
+    /// pass and between the value head's two halves — which is why it cannot
+    /// be the value head's tape.
+    adv_tape: Tape,
     /// Train-mode trunk activations for the sampled batch.
     trunk_out: Tensor,
     /// `K > 1`: each advantage head's first-layer product over `trunk_out`
@@ -742,6 +837,39 @@ struct StepState {
     /// This agent's gradient with respect to `trunk_out`, summed over its
     /// heads (the heads never compute the state columns' share).
     input_grad: Tensor,
+}
+
+impl StepState {
+    fn heap_bytes(&self) -> usize {
+        let tensors = [
+            &self.x,
+            &self.x_next,
+            &self.trunk_out,
+            &self.trunk_grad,
+            &self.agent_state,
+            &self.input_k,
+            &self.v_grad,
+            &self.adv_grad,
+            &self.input_grad,
+        ];
+        let tapes = [&self.trunk_tape, &self.value_tape, &self.adv_tape];
+        let f64s = self.abs_td.capacity() + self.agent_td.capacity() + self.agent_vgrad.capacity();
+        tensors.iter().map(|t| t.heap_bytes()).sum::<usize>()
+            + tapes.iter().map(|t| t.heap_bytes()).sum::<usize>()
+            + self.eval.heap_bytes()
+            + q_values_heap_bytes(&self.q_online)
+            + q_values_heap_bytes(&self.q_target)
+            + self.adv_prefix.capacity() * std::mem::size_of::<Tensor>()
+            + self
+                .adv_prefix
+                .iter()
+                .map(Tensor::heap_bytes)
+                .sum::<usize>()
+            + self.batch.indices.capacity() * std::mem::size_of::<usize>()
+            + (self.batch.weights.capacity() + self.targets.capacity()) * std::mem::size_of::<f32>()
+            + self.actions.capacity() * std::mem::size_of::<u16>()
+            + f64s * std::mem::size_of::<f64>()
+    }
 }
 
 impl MaBdq {
@@ -966,10 +1094,36 @@ impl MaBdq {
         self.online.param_count()
     }
 
-    /// Approximate bytes of the online + target networks (4 bytes per
-    /// parameter) — the Section V-B1 memory metric.
+    /// Bytes of the parameters of the online + target networks (4 bytes per
+    /// parameter) — the Section V-B1 memory metric. That is what the paper
+    /// counts, not what the learner holds: gradients, optimiser moments and
+    /// working memory come on top, see [`learner_bytes`](Self::learner_bytes).
     pub fn memory_bytes(&self) -> usize {
         2 * self.param_count() * std::mem::size_of::<f32>()
+    }
+
+    /// Heap bytes the learner holds right now besides the replay buffer
+    /// ([`replay_bytes`](Self::replay_bytes)), at allocated capacity: both
+    /// networks (the online one with its gradients), the optimiser's
+    /// moments, the tapes and tensors of the decide paths and of the
+    /// gradient step, the fixed-point snapshot and the quarantine guards'
+    /// snapshots. Buffers are sized by the first decide and the first train
+    /// step, so read it after those.
+    pub fn learner_bytes(&self) -> usize {
+        let f32s = std::mem::size_of::<f32>();
+        let guards = self.guards.capacity() * std::mem::size_of::<AgentGuard>()
+            + self
+                .guards
+                .iter()
+                .map(|g| g.snapshot.capacity() * f32s)
+                .sum::<usize>();
+        self.online.heap_bytes()
+            + self.target.heap_bytes()
+            + self.adam.heap_bytes()
+            + self.scratch.heap_bytes()
+            + self.step.heap_bytes()
+            + self.quantized.as_ref().map_or(0, |q| q.heap_bytes())
+            + guards
     }
 
     /// Heap bytes the replay buffer holds right now: the transition records
@@ -1045,11 +1199,9 @@ impl MaBdq {
     ) -> Result<(), RlError> {
         self.check_states(states)?;
         self.pack_joint_state(states);
-        self.online.q_values_fused_into(
-            &self.scratch.x,
-            self.config.state_dim,
-            &mut self.scratch.q_eval,
-        );
+        let DecideScratch { x, eval, q_eval } = &mut self.scratch;
+        self.online
+            .q_values_fused_into(x, self.config.state_dim, eval, q_eval);
         self.greedy_with_epsilon(epsilon, out);
         Ok(())
     }
@@ -1073,11 +1225,9 @@ impl MaBdq {
     ) -> Result<(), RlError> {
         self.check_states(states)?;
         self.pack_joint_state(states);
-        self.online.q_values_per_agent_into(
-            &self.scratch.x,
-            self.config.state_dim,
-            &mut self.scratch.q_eval,
-        );
+        let DecideScratch { x, eval, q_eval } = &mut self.scratch;
+        self.online
+            .q_values_per_agent_into(x, self.config.state_dim, eval, q_eval);
         self.greedy_with_epsilon(epsilon, out);
         Ok(())
     }
@@ -1087,7 +1237,7 @@ impl MaBdq {
     /// selection paths share, so their RNG streams stay in lockstep.
     fn greedy_with_epsilon(&mut self, epsilon: f64, out: &mut Vec<Vec<usize>>) {
         out.resize_with(self.config.agents, Vec::new);
-        for (branches, agent_actions) in self.scratch.q_eval.q.iter().zip(out.iter_mut()) {
+        for (branches, agent_actions) in self.scratch.q_eval.iter().zip(out.iter_mut()) {
             agent_actions.clear();
             for (d, qd) in branches.iter().enumerate() {
                 let n = self.config.branches[d];
@@ -1306,11 +1456,9 @@ impl MaBdq {
     ) -> Result<(), RlError> {
         self.check_states(states)?;
         self.pack_joint_state(states);
-        self.online.q_values_fused_into(
-            &self.scratch.x,
-            self.config.state_dim,
-            &mut self.scratch.q_eval,
-        );
+        let DecideScratch { x, eval, q_eval } = &mut self.scratch;
+        self.online
+            .q_values_fused_into(x, self.config.state_dim, eval, q_eval);
         self.export_q_eval(out);
         Ok(())
     }
@@ -1330,11 +1478,9 @@ impl MaBdq {
     ) -> Result<(), RlError> {
         self.check_states(states)?;
         self.pack_joint_state(states);
-        self.online.q_values_per_agent_into(
-            &self.scratch.x,
-            self.config.state_dim,
-            &mut self.scratch.q_eval,
-        );
+        let DecideScratch { x, eval, q_eval } = &mut self.scratch;
+        self.online
+            .q_values_per_agent_into(x, self.config.state_dim, eval, q_eval);
         self.export_q_eval(out);
         Ok(())
     }
@@ -1345,14 +1491,14 @@ impl MaBdq {
     /// the values behind the actions it was just handed without a second
     /// forward pass. `None` before the first such call or out of range.
     pub fn last_q_values(&self, agent: usize, branch: usize) -> Option<&[f32]> {
-        let q = self.scratch.q_eval.q.get(agent)?.get(branch)?;
+        let q = self.scratch.q_eval.get(agent)?.get(branch)?;
         Some(q.row(0))
     }
 
     /// Copies `scratch.q_eval` row 0 into the nested public buffer.
     fn export_q_eval(&self, out: &mut Vec<Vec<Vec<f32>>>) {
         out.resize_with(self.config.agents, Vec::new);
-        for (branches, branches_out) in self.scratch.q_eval.q.iter().zip(out.iter_mut()) {
+        for (branches, branches_out) in self.scratch.q_eval.iter().zip(out.iter_mut()) {
             branches_out.resize_with(branches.len(), Vec::new);
             for (t, dst) in branches.iter().zip(branches_out.iter_mut()) {
                 dst.clear();
@@ -1576,18 +1722,26 @@ impl MaBdq {
         }
 
         // Targets: double-DQN style, averaged over branches.
-        self.online
-            .q_values_fused_into(&step.x_next, state_dim, &mut step.q_online);
-        self.target
-            .q_values_fused_into(&step.x_next, state_dim, &mut step.q_target);
+        self.online.q_values_fused_into(
+            &step.x_next,
+            state_dim,
+            &mut step.eval,
+            &mut step.q_online,
+        );
+        self.target.q_values_fused_into(
+            &step.x_next,
+            state_dim,
+            &mut step.eval,
+            &mut step.q_target,
+        );
         step.targets.clear();
         step.targets.resize(batch_size * agents, 0.0);
         for k in 0..agents {
             for b in 0..batch_size {
                 let mut acc = 0.0;
                 for d in 0..num_branches {
-                    let a_star = argmax(step.q_online.q[k][d].row(b));
-                    acc += step.q_target.q[k][d][(b, a_star)];
+                    let a_star = argmax(step.q_online[k][d].row(b));
+                    acc += step.q_target[k][d][(b, a_star)];
                 }
                 let reward = self.slab.rewards(step.batch.indices[b])[k];
                 step.targets[b * agents + k] = reward + gamma * acc / num_branches as f32;
@@ -1595,8 +1749,9 @@ impl MaBdq {
         }
 
         self.online.zero_grads();
+        let trunk = self.online.trunk.on(&mut step.trunk_tape);
         step.trunk_out
-            .copy_from(self.online.trunk.forward_scratch(&step.x, true));
+            .copy_from(trunk.forward_scratch(&step.x, true));
         step.trunk_grad
             .resize_zeroed(batch_size, step.trunk_out.cols());
         if agents > 1 {
@@ -1647,21 +1802,24 @@ impl MaBdq {
         step.trunk_out
             .concat_cols_into(&step.agent_state, &mut step.input_k)
             .expect("same batch");
-        let v = vh.forward_scratch(&step.input_k, true);
+        let v = vh
+            .on(&mut step.value_tape)
+            .forward_scratch(&step.input_k, true);
         let trunk_dim = step.trunk_out.cols();
         step.v_grad.resize_zeroed(batch_size, 1);
         step.input_grad.resize_zeroed(batch_size, trunk_dim);
 
         for (d, head) in self.online.adv_heads.iter_mut().enumerate() {
+            let pass = head.on(&mut step.adv_tape);
             let adv = if agents > 1 {
-                head.forward_from_prefix_scratch(
+                pass.forward_from_prefix_scratch(
                     &step.adv_prefix[d],
                     &step.trunk_out,
                     &step.agent_state,
                     true,
                 )
             } else {
-                head.forward_scratch(&step.input_k, true)
+                pass.forward_scratch(&step.input_k, true)
             };
             let n = adv.cols();
             step.adv_grad.resize_zeroed(batch_size, n);
@@ -1685,10 +1843,14 @@ impl MaBdq {
                 }
                 step.v_grad[(b, 0)] += g;
             }
-            let gin = head.backward_cols_scratch(&step.adv_grad, trunk_dim);
+            let gin = head
+                .on(&mut step.adv_tape)
+                .backward_cols_scratch(&step.adv_grad, trunk_dim);
             step.input_grad.add_assign(gin).expect("same shape");
         }
-        let gin_v = vh.backward_cols_scratch(&step.v_grad, trunk_dim);
+        let gin_v = vh
+            .on(&mut step.value_tape)
+            .backward_cols_scratch(&step.v_grad, trunk_dim);
         step.input_grad.add_assign(gin_v).expect("same shape");
         if quarantine_on {
             step.agent_vgrad[k] = f64::from(vh.grad_sq_norm());
@@ -1716,6 +1878,7 @@ impl MaBdq {
         // The trunk's input is data: nobody reads a gradient for it.
         self.online
             .trunk
+            .on(&mut self.step.trunk_tape)
             .backward_cols_scratch(&self.step.trunk_grad, 0);
 
         let loss = self.step.loss;
@@ -1799,6 +1962,42 @@ impl MaBdq {
     /// Flattened weights of the online trunk (for transfer-learning tests).
     pub fn trunk_weights(&self) -> Vec<f32> {
         self.online.trunk.export_weights()
+    }
+
+    /// Whether a checkpoint's optimiser slots fit this learner. The frame's
+    /// integrity check says nothing about what they mean, and a slot that
+    /// does not fit the parameter tensor the optimiser updates under its id
+    /// panics in the next train step. So: either no moments (no step yet, or
+    /// a transfer reset) or one slot per tensor, ids `0..n` in the order
+    /// [`Net::apply`] hands them out, each as long as its tensor.
+    fn moments_fit(&self, slots: &[twig_nn::AdamSlot]) -> Result<(), String> {
+        if slots.is_empty() {
+            return Ok(());
+        }
+        let mut lens = self.online.mlps().flat_map(Mlp::parameter_lens);
+        let mut slots = slots.iter().enumerate();
+        loop {
+            match (slots.next(), lens.next()) {
+                (None, None) => return Ok(()),
+                (Some((id, s)), Some(len))
+                    if s.id == id && s.m.len() == len && s.v.len() == len => {}
+                (Some((at, s)), Some(len)) => {
+                    return Err(format!(
+                        "optimizer slot {at} has id {} and {} + {} moments, \
+                         parameter tensor {at} has {len} elements",
+                        s.id,
+                        s.m.len(),
+                        s.v.len()
+                    ));
+                }
+                (Some((at, _)), None) => {
+                    return Err(format!("optimizer slot {at} has no parameter tensor"));
+                }
+                (None, Some(_)) => {
+                    return Err("optimizer moments end before the parameters do".into());
+                }
+            }
+        }
     }
 
     /// Snapshots the full learner state into a structured
@@ -1886,15 +2085,8 @@ impl MaBdq {
                 self.param_count()
             ));
         }
-        if ckpt.adam.slots.iter().any(|s| s.m.len() != s.v.len()) {
-            return mismatch("optimizer moment vectors m/v differ in length".into());
-        }
-        let moment_elems: usize = ckpt.adam.slots.iter().map(|s| s.m.len()).sum();
-        if moment_elems != 0 && moment_elems != self.param_count() {
-            return mismatch(format!(
-                "optimizer moments cover {moment_elems} of {} parameters",
-                self.param_count()
-            ));
+        if let Err(detail) = self.moments_fit(&ckpt.adam.slots) {
+            return mismatch(detail);
         }
         // Validation passed — the restore proceeds, so any half-finished
         // budgeted step is now meaningless.
@@ -2648,6 +2840,82 @@ mod tests {
         ));
     }
 
+    #[test]
+    fn load_checkpoint_rejects_moments_that_do_not_fit_their_ids() {
+        // The sum of the slot lengths is right in every case but the last,
+        // which is all the check used to look at; the next train step then
+        // panicked in `Adam::update`.
+        let fill = |agent: &mut MaBdq| {
+            for _ in 0..16 {
+                agent.observe(normal_transition(2)).unwrap();
+            }
+        };
+        let mut donor = MaBdq::new(tiny_config(2)).unwrap();
+        fill(&mut donor);
+        donor.train_step().unwrap().expect("batch full");
+        let good = donor.save_checkpoint();
+        let ids: Vec<usize> = good.adam.slots.iter().map(|s| s.id).collect();
+        assert_eq!(ids, (0..ids.len()).collect::<Vec<_>>());
+        assert_ne!(good.adam.slots[0].m.len(), good.adam.slots[1].m.len());
+
+        let swapped = |c: &mut MaBdqCheckpoint| {
+            c.adam.slots[0].id = 1;
+            c.adam.slots[1].id = 0;
+        };
+        let duplicated = |c: &mut MaBdqCheckpoint| c.adam.slots[1].id = 0;
+        let out_of_range = |c: &mut MaBdqCheckpoint| {
+            c.adam.slots.last_mut().unwrap().id = usize::MAX / 2;
+        };
+        let resplit = |c: &mut MaBdqCheckpoint| {
+            let moved = c.adam.slots[0].m.pop().unwrap();
+            c.adam.slots[1].m.push(moved);
+            let moved = c.adam.slots[0].v.pop().unwrap();
+            c.adam.slots[1].v.push(moved);
+        };
+        let extra = |c: &mut MaBdqCheckpoint| {
+            let mut slot = c.adam.slots[0].clone();
+            slot.id = c.adam.slots.len();
+            slot.m.clear();
+            slot.v.clear();
+            c.adam.slots.push(slot);
+        };
+        let missing = |c: &mut MaBdqCheckpoint| {
+            // Bias of the last layer: the parameters end, the moments do not.
+            c.adam.slots.pop();
+        };
+        type Corrupt<'a> = &'a dyn Fn(&mut MaBdqCheckpoint);
+        let cases: [(&str, Corrupt); 6] = [
+            ("swapped ids", &swapped),
+            ("duplicated id", &duplicated),
+            ("out-of-range id", &out_of_range),
+            ("right total, wrong split", &resplit),
+            ("a slot too many", &extra),
+            ("a slot too few", &missing),
+        ];
+        for (what, corrupt) in cases {
+            let mut ckpt = good.clone();
+            corrupt(&mut ckpt);
+            let mut receiver = MaBdq::new(tiny_config(2)).unwrap();
+            fill(&mut receiver);
+            receiver.train_step().unwrap().expect("batch full");
+            let before = receiver.save_checkpoint();
+            assert!(
+                matches!(
+                    receiver.load_checkpoint(&ckpt),
+                    Err(RlError::CheckpointMismatch { .. })
+                ),
+                "{what}"
+            );
+            // Refused whole: nothing was imported, and the learner trains on.
+            assert_eq!(receiver.save_checkpoint(), before, "{what}");
+            receiver.train_step().unwrap().expect("batch full");
+        }
+        let mut receiver = MaBdq::new(tiny_config(2)).unwrap();
+        fill(&mut receiver);
+        receiver.load_checkpoint(&good).unwrap();
+        receiver.train_step().unwrap().expect("batch full");
+    }
+
     fn quarantine_test_config(agents: usize) -> MaBdqConfig {
         MaBdqConfig {
             quarantine: QuarantineConfig {
@@ -2812,13 +3080,9 @@ mod tests {
             agent.train_step().unwrap().expect("batch full");
             agent.q_values(&vec![vec![0.2, -0.3]; agents]).unwrap();
             assert_eq!(!agent.step.adv_prefix.is_empty(), split);
-            for scratch in [
-                &agent.step.q_online,
-                &agent.step.q_target,
-                &agent.scratch.q_eval,
-            ] {
-                assert_eq!(scratch.stacked.rows() > 0, split);
-                assert_eq!(scratch.prefix.rows() > 0, split);
+            for work in [&agent.step.eval, &agent.scratch.eval] {
+                assert_eq!(work.stacked.rows() > 0, split);
+                assert_eq!(work.prefix.rows() > 0, split);
             }
         }
     }
@@ -2866,9 +3130,9 @@ mod tests {
 
     #[test]
     fn dueling_combine_centres_advantages() {
-        let v = Tensor::from_rows(&[vec![2.0]]).unwrap();
         let adv = Tensor::from_rows(&[vec![1.0, 3.0]]).unwrap();
-        let q = dueling_combine(&v, &adv);
+        let mut q = Tensor::default();
+        dueling_combine_into(&[2.0], &adv, &mut q);
         // mean adv = 2 => q = [2 + (1-2), 2 + (3-2)] = [1, 3]
         assert_eq!(q.as_slice(), &[1.0, 3.0]);
     }
@@ -2892,11 +3156,14 @@ mod tests {
         for v in x.as_mut_slice() {
             *v = rng.range_f64(-1.0, 1.0) as f32;
         }
-        let (mut fused, mut reference) = (QScratch::default(), QScratch::default());
-        net.q_values_fused_into(&x, state_dim, &mut fused);
-        net.q_values_per_agent_into(&x, state_dim, &mut reference);
-        assert_eq!(fused.q.len(), config.agents);
-        for (k, (f, r)) in fused.q.iter().zip(&reference.q).enumerate() {
+        // One working memory for both: nothing of an evaluation outlives it
+        // but its Q-values.
+        let mut work = EvalWork::default();
+        let (mut fused, mut reference) = (QValues::new(), QValues::new());
+        net.q_values_fused_into(&x, state_dim, &mut work, &mut fused);
+        net.q_values_per_agent_into(&x, state_dim, &mut work, &mut reference);
+        assert_eq!(fused.len(), config.agents);
+        for (k, (f, r)) in fused.iter().zip(&reference).enumerate() {
             assert_eq!(f.len(), config.branches.len());
             for (d, (fd, rd)) in f.iter().zip(r).enumerate() {
                 assert_eq!((fd.rows(), fd.cols()), (batch, config.branches[d]));

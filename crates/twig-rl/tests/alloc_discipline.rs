@@ -9,7 +9,10 @@
 //! path fails loudly here long before it shows up in a profile. It also
 //! holds the replay buffer to its footprint: `observe` allocates only when
 //! one of the buffer's vectors doubles, and a learner configured for 10⁶
-//! transitions costs what it holds, not what it could hold.
+//! transitions costs what it holds, not what it could hold. And it holds the
+//! learner to its own account of itself: `learner_bytes() + replay_bytes()`
+//! is what the allocator says is live, and a network nobody trains holds
+//! weights only.
 //!
 //! Kept as its own integration test so the `#[global_allocator]` does not
 //! leak into other test binaries, and run single-threaded by construction
@@ -30,28 +33,37 @@ struct CountingAlloc;
 /// calls that dwarf anything libtest does meanwhile).
 static REQUESTED_BYTES: AtomicUsize = AtomicUsize::new(0);
 
+/// Bytes allocated and not yet freed (all threads, same caveat; wraps below
+/// zero and back when a block outlives the reading it is compared with).
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+
 // SAFETY: defers every operation to `System`, only adding a relaxed atomic
 // increment, so all `GlobalAlloc` contracts are inherited unchanged.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         twig_nn::note_alloc();
         REQUESTED_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         twig_nn::note_alloc();
         REQUESTED_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         twig_nn::note_alloc();
         REQUESTED_BYTES.fetch_add(new_size, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -184,6 +196,10 @@ fn hot_path_is_allocation_free_in_steady_state() {
     }
     footprint_follows_contents(true);
     footprint_follows_contents(false);
+    target_network_holds_weights_only();
+    for agents in [1, 2, 24] {
+        learner_bytes_account_for_the_live_heap(agents);
+    }
 }
 
 /// `agent` holds 64 transitions of a 1 024-slot buffer, none of which starts
@@ -269,5 +285,89 @@ fn footprint_follows_contents(chained: bool) {
     let cloned = REQUESTED_BYTES.load(Ordering::Relaxed) - before;
     assert_eq!(twin.buffer_len(), 1_000);
     assert!(twin.replay_bytes() <= agent.replay_bytes());
-    assert!(cloned <= 2 * MIB, "clone requested {cloned} bytes");
+    // A clone copies parameters and contents, each block at its length: no
+    // gradients or working memory on a learner that has not trained yet.
+    let held = agent.learner_bytes() + agent.replay_bytes();
+    assert!(agent.learner_bytes() <= agent.memory_bytes() * 11 / 10);
+    assert!(cloned <= held, "clone requested {cloned} of {held} bytes");
+}
+
+/// Building a learner allocates two networks' weights and nothing
+/// parameter-sized besides: gradients come with the first train step (and
+/// only for the online network), moments with the first optimiser step,
+/// working memory with the first pass that needs it.
+fn target_network_holds_weights_only() {
+    let config = MaBdqConfig {
+        agents: 24,
+        ..MaBdqConfig::default()
+    };
+    let before = REQUESTED_BYTES.load(Ordering::Relaxed);
+    let agent = MaBdq::new(config).unwrap();
+    let requested = REQUESTED_BYTES.load(Ordering::Relaxed) - before;
+    assert_eq!(agent.memory_bytes(), 2 * 128_995 * 4);
+    assert!(
+        requested <= agent.memory_bytes() * 11 / 10,
+        "MaBdq::new requested {requested} bytes for {} of weights",
+        agent.memory_bytes()
+    );
+}
+
+/// After 200 observe + train steps (and a decide per step, fused and
+/// fixed-point), what the learner says it holds is what the allocator says
+/// is live, within 3 % (to the byte when this was written). At K = 24 that is five parameter-sized arrays
+/// (weights twice, gradients, two moments) plus working memory that no
+/// longer grows with the number of heads.
+fn learner_bytes_account_for_the_live_heap(agents: usize) {
+    let config = MaBdqConfig {
+        agents,
+        target_update_every: 50,
+        ..MaBdqConfig::default()
+    };
+    let transitions: Vec<MultiTransition> = (0..264)
+        .map(|i| {
+            let f = i as f32 * 1e-3;
+            MultiTransition {
+                states: vec![vec![f; 11]; agents],
+                actions: vec![vec![i % 18, i % 9]; agents],
+                rewards: vec![f.cos(); agents],
+                next_states: vec![vec![f + 1e-3; 11]; agents],
+            }
+        })
+        .collect();
+    let probe = vec![vec![0.25; 11]; agents];
+    let mut actions = Vec::new();
+    // Everything above stays live across both readings; everything below is
+    // the learner's, or freed by the time of the second.
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    let mut agent = MaBdq::new(config).unwrap();
+    for (i, t) in transitions.iter().enumerate() {
+        agent
+            .observe_parts(&t.states, &t.actions, &t.rewards, &t.next_states)
+            .unwrap();
+        if i >= 63 {
+            agent.train_step().unwrap().expect("batch available");
+            agent
+                .select_actions_into(&probe, 0.1, &mut actions)
+                .unwrap();
+            agent
+                .select_actions_quantized_into(&probe, &mut actions)
+                .unwrap();
+        }
+    }
+    assert_eq!(agent.steps(), 201);
+    let mut live = LIVE_BYTES.load(Ordering::Relaxed).wrapping_sub(before);
+    live -= actions.capacity() * std::mem::size_of::<Vec<usize>>();
+    live -= actions.iter().map(|a| a.capacity() * 8).sum::<usize>();
+    let counted = agent.learner_bytes() + agent.replay_bytes();
+    assert!(
+        counted <= live && live - counted <= live * 3 / 100,
+        "K = {agents}: learner {} + replay {} bytes counted, {live} live",
+        agent.learner_bytes(),
+        agent.replay_bytes()
+    );
+    if agents == 24 {
+        let learner = agent.learner_bytes();
+        assert!(learner <= 5_300_000, "learner holds {learner} bytes");
+        assert!(learner >= 5 * agent.memory_bytes() / 2);
+    }
 }

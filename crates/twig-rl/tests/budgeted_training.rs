@@ -90,9 +90,9 @@ fn drive_to_done(agent: &mut MaBdq, max_agents: usize, evals_between: bool) -> B
         match agent.train_step_budgeted(max_agents).unwrap() {
             BudgetedProgress::InProgress { .. } => {
                 if evals_between {
-                    // Stateless forwards on the decide scratch: they reuse
-                    // the networks' ping-pong buffers, but write no
-                    // activation cache and advance no dropout stream.
+                    // Stateless forwards on the decide paths' own tape:
+                    // they write nothing the step's tapes hold and advance
+                    // no dropout stream.
                     decide_all(agent);
                 }
             }
@@ -135,6 +135,78 @@ fn budgeted_step_is_bit_identical_to_train_step() {
     }
     assert_eq!(full.steps(), 25);
     assert_eq!(budgeted.steps(), 25);
+}
+
+#[test]
+fn wide_step_with_decides_and_observes_between_every_chunk_is_bit_identical() {
+    // K = 24 at the default architecture, one agent per chunk. All 24 value
+    // heads take turns on one tape and every advantage head on another,
+    // while the trunk's tape has to carry the prologue's forward to the
+    // epilogue across 23 returns to the caller — who decides (fused and
+    // fixed-point, each on the decide paths' own working memory) and
+    // observes every time. Each round starts both learners from one state:
+    // a transition observed mid-step enters the buffer before the step's
+    // priority write-back rather than after it, so priorities of *later*
+    // rounds legitimately differ, but this step's loss, gradients, weights
+    // and optimiser moments may not.
+    const K: usize = 24;
+    let config = MaBdqConfig {
+        agents: K,
+        dropout: 0.25,
+        target_update_every: 2,
+        buffer_capacity: 4096,
+        seed: 11,
+        ..MaBdqConfig::default()
+    };
+    let mut rng = Xoshiro256::seed_from_u64(12);
+    let mut transition = move || MultiTransition {
+        states: (0..K)
+            .map(|_| (0..11).map(|_| rng.range_f32(-1.0, 1.0)).collect())
+            .collect(),
+        actions: (0..K)
+            .map(|_| vec![rng.range_usize(0, 18), rng.range_usize(0, 9)])
+            .collect(),
+        rewards: (0..K).map(|_| rng.range_f32(-0.5, 0.5)).collect(),
+        next_states: (0..K)
+            .map(|_| (0..11).map(|_| rng.range_f32(-1.0, 1.0)).collect())
+            .collect(),
+    };
+    let mut full = MaBdq::new(config).unwrap();
+    for _ in 0..80 {
+        full.observe(transition()).unwrap();
+    }
+    full.refresh_quantized().unwrap();
+    let probe = vec![vec![0.1_f32; 11]; K];
+    let mut actions = Vec::new();
+    for round in 0..4 {
+        let mut budgeted = full.clone();
+        let stats_full = full.train_step().unwrap().expect("buffer warm");
+        let mut chunks = 0;
+        let stats_budgeted = loop {
+            match budgeted.train_step_budgeted(1).unwrap() {
+                BudgetedProgress::InProgress { .. } => {
+                    chunks += 1;
+                    budgeted
+                        .select_actions_into(&probe, 0.5, &mut actions)
+                        .unwrap();
+                    budgeted
+                        .select_actions_quantized_into(&probe, &mut actions)
+                        .unwrap();
+                    budgeted.observe(transition()).unwrap();
+                }
+                BudgetedProgress::Done(stats) => break stats,
+                BudgetedProgress::NotReady => panic!("buffer was warm"),
+            }
+        };
+        assert_eq!(chunks, K - 1);
+        assert_eq!(stats_full, stats_budgeted, "round {round}");
+        let (a, b) = (full.save_checkpoint(), budgeted.save_checkpoint());
+        let bits = |p: &[f32]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.params), bits(&b.params), "round {round}");
+        assert_eq!(a.adam, b.adam, "round {round}");
+        full.observe(transition()).unwrap();
+    }
+    assert_eq!(full.steps(), 4);
 }
 
 #[test]
