@@ -8,7 +8,7 @@
 //! load-bucket Hipster table for reference. Twig's network stays under 5 MB
 //! in both framings, as the paper claims. Two more tables say what the
 //! paper's figure leaves out: the replay buffer, and what a running learner
-//! holds around its parameters (`MaBdq::learner_bytes`).
+//! holds around its parameters, and where (`MaBdq::learner_memory`).
 
 use crate::{ExpError, Options, TextTable};
 use std::fmt::Write as _;
@@ -107,12 +107,17 @@ pub fn run_to(out: &mut String, _opts: &Options) -> Result<(), ExpError> {
     // And what a learner that is running holds around those parameters.
     writeln!(
         out,
-        "\nWhat a running learner holds besides the buffer (measured: {WARM_STEPS} train steps, decides\nand the fixed-point fallback armed; 18 x 9 actions, batch 64):\n"
+        "\nWhat a running learner holds besides the buffer (measured: {WARM_STEPS} train steps, decides\nand the fixed-point fallback armed, quarantine off; 18 x 9 actions, batch 64):\n"
     )?;
     let mut t = TextTable::new(vec![
         "architecture",
         "K",
         "parameters (online+target)",
+        "networks",
+        "optimiser",
+        "train step",
+        "decide",
+        "fixed-point",
         "learner holds",
         "ratio",
     ]);
@@ -124,19 +129,26 @@ pub fn run_to(out: &mut String, _opts: &Options) -> Result<(), ExpError> {
     for (name, config) in std::iter::once(paper).chain(fast.map(|c| ("96/64, 48 (fast)", c))) {
         let agents = config.agents;
         let learner = warm_learner(config)?;
-        let (params, held) = (learner.memory_bytes(), learner.learner_bytes());
-        t.row(vec![
-            name.to_string(),
-            agents.to_string(),
-            human(params as u128),
-            human(held as u128),
-            format!("{:.1}x", held as f64 / params as f64),
-        ]);
+        let (params, memory) = (learner.memory_bytes(), learner.learner_memory());
+        let held = memory.total();
+        let parts = [
+            params,
+            memory.networks,
+            memory.optimiser,
+            memory.step,
+            memory.decide,
+            memory.quantized,
+            held,
+        ];
+        let mut row = vec![name.to_string(), agents.to_string()];
+        row.extend(parts.map(|bytes| human(bytes as u128)));
+        row.push(format!("{:.1}x", held as f64 / params as f64));
+        t.row(row);
     }
     writeln!(out, "{t}")?;
     writeln!(
         out,
-        "The paper's figure is the parameters. A learner also holds their gradients and two Adam\nmoments (online network only: five parameter-sized arrays in all) and the working memory\nof a train step, which is shared between heads and so does not grow with their number."
+        "The paper's figure is the parameters. A learner also holds their gradients and two Adam\nmoments (online network only: five parameter-sized arrays in all) and the working memory\nof a train step, which its heads share and which evaluates the next states one agent at\na time: it grows with K only where the joint state does (the K x 11 input rows of a batch\nand the trunk layer that reads them), not with the number of heads."
     )?;
     Ok(())
 }

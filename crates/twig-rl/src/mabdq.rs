@@ -1,6 +1,7 @@
 use crate::per::Priorities;
 use crate::slab::TransitionSlab;
 use crate::{MaBdqCheckpoint, PerBatch, RlError};
+use std::ops::Range;
 use twig_nn::{Adam, Dense, Dropout, Mlp, QuantizedMlp, Relu, Tape, Tensor};
 use twig_stats::rng::{Rng, Xoshiro256};
 use twig_telemetry::Telemetry;
@@ -192,6 +193,33 @@ impl QuarantineConfig {
             return fail(format!("quarantine baseline alpha {}", self.baseline_alpha));
         }
         Ok(())
+    }
+}
+
+/// Heap bytes a [`MaBdq`] holds besides its replay buffer, by owner (see
+/// [`MaBdq::learner_memory`]); each counted at allocated capacity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct LearnerMemory {
+    /// The online and target networks: weights, and the online network's
+    /// gradients once it has trained.
+    pub networks: usize,
+    /// The optimiser's two moments per trained parameter.
+    pub optimiser: usize,
+    /// The gradient step's working memory: sampled batch, packed states,
+    /// targets, the evaluation of the next states, tapes, gradients.
+    pub step: usize,
+    /// The decide paths' working memory and last Q-values.
+    pub decide: usize,
+    /// The fixed-point snapshot of the `SafeFallback` tier, once armed.
+    pub quantized: usize,
+    /// The quarantine guards and their last-known-good value heads.
+    pub guards: usize,
+}
+
+impl LearnerMemory {
+    /// The sum of the parts: [`MaBdq::learner_bytes`].
+    pub fn total(&self) -> usize {
+        self.networks + self.optimiser + self.step + self.decide + self.quantized + self.guards
     }
 }
 
@@ -391,22 +419,13 @@ impl Net {
             + self.mlps().map(Mlp::heap_bytes).sum::<usize>()
     }
 
-    /// Evaluation-mode Q-values for a batch whose joint state is already
-    /// packed into `x` (`B × K*state_dim`, agent `k` in columns
-    /// `k*state_dim..`); results land in `scratch.q[k][d]` (`B × n_d`
-    /// tensors) and every buffer is reused, so steady-state evaluation is
+    /// Evaluation-mode Q-values of every agent for a batch whose joint state
+    /// is already packed into `x` (`B × K*state_dim`, agent `k` in columns
+    /// `k*state_dim..`): [`eval_shared`](Self::eval_shared), then
+    /// [`eval_heads`](Self::eval_heads) over all `K` agents, so `q[k][d]` is
+    /// agent `k`'s `B × n_d` tensor. The decide paths' one pass over a
+    /// one-row batch; every buffer is reused, so steady-state evaluation is
     /// allocation-free.
-    ///
-    /// Every agent's head input is `[trunk_out | own state]`, and the
-    /// advantage heads' weights are shared across agents, so with `K > 1`
-    /// each advantage head multiplies the trunk columns through its first
-    /// layer once per batch row ([`Mlp::prefix_into`]) and all `K·B` rows
-    /// continue from that prefix over their own `state_dim` columns, stacked
-    /// k-major into one `K·B × state_dim` matrix — one register-tiled GEMM
-    /// per branch per layer instead of `K` per-agent forwards, and the shared
-    /// columns enter it once instead of `K` times. With one agent nothing is
-    /// shared and the head runs on the concatenated input as is. Value heads
-    /// keep per-agent weights, so they stay `B`-row forwards.
     ///
     /// Results are bit-identical to the per-agent reference
     /// ([`q_values_per_agent_into`](Self::q_values_per_agent_into)): the
@@ -414,9 +433,12 @@ impl Net {
     /// element in ascending order from `+0.0` whatever tile a row lands in,
     /// a continued product is that same chain picked up where the prefix
     /// stored it, rows are fully independent, bias/ReLU/dueling arithmetic is
-    /// per-row in the same order. The batched layer path never touches
-    /// dropout RNG streams or activation caches, which is what lets
-    /// decisions run between the chunks of a gradient step.
+    /// per-row in the same order. For the same reasons a row's Q-values do
+    /// not depend on which other agents' rows share its GEMMs, so the train
+    /// step's one-agent-at-a-time calls of `eval_heads` produce these bits
+    /// too. The batched layer path never touches dropout RNG streams or
+    /// activation caches, which is what lets decisions run between the chunks
+    /// of a gradient step.
     fn q_values_fused_into(
         &mut self,
         x: &Tensor,
@@ -424,74 +446,112 @@ impl Net {
         work: &mut EvalWork,
         q: &mut QValues,
     ) {
-        let batch = x.rows();
-        let num_branches = self.adv_heads.len();
+        self.eval_shared(x, work);
         let agents = self.value_heads.len();
-        let Net {
-            trunk,
-            value_heads,
-            adv_heads,
-        } = self;
+        self.eval_heads(x, 0..agents, state_dim, work, q);
+    }
+
+    /// The first stage of an evaluation of `x`, what every agent's heads
+    /// read: the trunk's output (`work.trunk_out`) and, with `K > 1`, each
+    /// advantage head's first-layer product over it (`work.prefixes[d]`,
+    /// `B × head_hidden`, see [`Mlp::prefix_into`]). Every agent's head
+    /// input is `[trunk_out | own state]` and the advantage heads' weights
+    /// are shared across agents, so those columns go through the first layer
+    /// once per batch row however many agents continue from them. With one
+    /// agent nothing is shared and no prefix is built.
+    fn eval_shared(&mut self, x: &Tensor, work: &mut EvalWork) {
+        let EvalWork {
+            tape,
+            trunk_out,
+            prefixes,
+            ..
+        } = work;
+        // The heads run on the same tape, so the trunk's output moves out.
+        trunk_out.copy_from(self.trunk.on(tape).forward_batch_scratch(x));
+        if self.value_heads.len() > 1 {
+            prefixes.resize_with(self.adv_heads.len(), Tensor::default);
+            for (head, prefix) in self.adv_heads.iter().zip(prefixes.iter_mut()) {
+                head.prefix_into(trunk_out, prefix);
+            }
+        }
+    }
+
+    /// The second stage, for the agents in `agents` only, on what
+    /// [`eval_shared`](Self::eval_shared) left in `work` for the same `x`:
+    /// `q[k − k0][d]` (`B × n_d`) is agent `k`'s Q-values on branch `d`,
+    /// `k0 = agents.start`. Value heads keep per-agent weights, so each is a
+    /// `B`-row forward over `[trunk_out | state_k]`. Each shared advantage
+    /// head continues its prefix over the agents' own states, stacked
+    /// `(k − k0)·B + b` into one `|agents|·B × state_dim` matrix — one
+    /// register-tiled GEMM per branch per layer for the whole range. Then
+    /// the dueling combine, row by row.
+    ///
+    /// The range is the caller's to choose: the decide paths take every
+    /// agent of a one-row batch, the train step's targets one agent of a
+    /// `B`-row batch at a time, so no buffer of theirs has `K·B` rows.
+    fn eval_heads(
+        &mut self,
+        x: &Tensor,
+        agents: Range<usize>,
+        state_dim: usize,
+        work: &mut EvalWork,
+        q: &mut QValues,
+    ) {
+        let batch = x.rows();
+        let shared_prefix = self.value_heads.len() > 1;
         let EvalWork {
             tape,
             trunk_out,
             input_k,
             stacked,
-            prefix,
+            prefixes,
             v_all,
             ..
         } = work;
-        // The heads run on the same tape, so the trunk's output moves out.
-        trunk_out.copy_from(trunk.on(tape).forward_batch_scratch(x));
         let trunk_dim = trunk_out.cols();
+        let own = |k: usize, b: usize| &x.row(b)[k * state_dim..(k + 1) * state_dim];
         v_all.clear();
-        for (k, vh) in value_heads.iter_mut().enumerate() {
+        for k in agents.clone() {
             input_k.resize_zeroed(batch, trunk_dim + state_dim);
             for b in 0..batch {
                 let row = input_k.row_mut(b);
                 row[..trunk_dim].copy_from_slice(trunk_out.row(b));
-                row[trunk_dim..].copy_from_slice(&x.row(b)[k * state_dim..(k + 1) * state_dim]);
+                row[trunk_dim..].copy_from_slice(own(k, b));
             }
-            let v = vh.on(tape).forward_batch_scratch(input_k);
-            for b in 0..batch {
-                v_all.push(v[(b, 0)]);
-            }
+            let v = self.value_heads[k].on(tape).forward_batch_scratch(input_k);
+            v_all.extend((0..batch).map(|b| v[(b, 0)]));
         }
-        let shared_prefix = agents > 1;
         if shared_prefix {
-            stacked.resize_zeroed(agents * batch, state_dim);
-            for k in 0..agents {
+            stacked.resize_zeroed(agents.len() * batch, state_dim);
+            for (j, k) in agents.clone().enumerate() {
                 for b in 0..batch {
-                    stacked
-                        .row_mut(k * batch + b)
-                        .copy_from_slice(&x.row(b)[k * state_dim..(k + 1) * state_dim]);
+                    stacked.row_mut(j * batch + b).copy_from_slice(own(k, b));
                 }
             }
         }
-        q.resize_with(agents, Vec::new);
+        q.resize_with(agents.len(), Vec::new);
         for branches in q.iter_mut() {
-            branches.resize_with(num_branches, Tensor::default);
+            branches.resize_with(self.adv_heads.len(), Tensor::default);
         }
-        for (d, head) in adv_heads.iter_mut().enumerate() {
+        for (d, head) in self.adv_heads.iter_mut().enumerate() {
             let adv = if shared_prefix {
-                head.prefix_into(trunk_out, prefix);
                 head.on(tape)
-                    .forward_batch_from_prefix_scratch(prefix, stacked)
+                    .forward_batch_from_prefix_scratch(&prefixes[d], stacked)
             } else {
                 // The only agent's head input, left by the value-head loop.
                 head.on(tape).forward_batch_scratch(input_k)
             };
             let n_d = adv.cols();
             let n = n_d as f32;
-            for (k, branches) in q.iter_mut().enumerate() {
+            for (j, branches) in q.iter_mut().enumerate() {
                 let qd = &mut branches[d];
                 qd.resize_zeroed(batch, n_d);
                 for b in 0..batch {
                     // Same arithmetic order as `dueling_combine_into`: copy
                     // the advantage row, then add `V - mean(A)` per element.
-                    let arow = adv.row(k * batch + b);
+                    let arow = adv.row(j * batch + b);
                     let mean: f32 = arow.iter().sum::<f32>() / n;
-                    let base = v_all[k * batch + b] - mean;
+                    let base = v_all[j * batch + b] - mean;
                     let qrow = qd.row_mut(b);
                     qrow.copy_from_slice(arow);
                     for x in qrow {
@@ -559,15 +619,17 @@ impl Net {
     }
 }
 
-/// `q[k][d]`: agent `k`'s Q-values on branch `d` (`B × n_d`), as
-/// [`Net::q_values_fused_into`] and [`Net::q_values_per_agent_into`] leave
-/// them.
+/// `q[j][d]`: the Q-values on branch `d` (`B × n_d`) of the `j`-th agent
+/// evaluated, as [`Net::eval_heads`] and [`Net::q_values_per_agent_into`]
+/// leave them (agent `j` itself when all `K` are).
 type QValues = Vec<Vec<Tensor>>;
 
 /// Working memory of one evaluation of a [`Net`]: the tape its forwards run
 /// on and the intermediates between them. Nothing in it outlives the call —
 /// the results are the [`QValues`] — so the online and the target network
 /// evaluate the same batch on the same `EvalWork`, one after the other.
+/// What [`Net::eval_shared`] leaves here is read by every
+/// [`Net::eval_heads`] call that follows it on the same batch.
 #[derive(Debug, Clone, Default)]
 struct EvalWork {
     /// Trunk, then value heads, then advantage heads, each finished (and its
@@ -577,14 +639,15 @@ struct EvalWork {
     trunk_out: Tensor,
     agent_state: Tensor,
     input_k: Tensor,
-    /// Fused path, `K > 1`: the agents' own states stacked k-major (`K·B ×
-    /// state_dim`, row `k·B + b` = `state_k(b)`).
+    /// Fused path, `K > 1`: the evaluated agents' own states stacked
+    /// (`|agents|·B × state_dim`, row `(k − k0)·B + b` = `state_k(b)`).
     stacked: Tensor,
-    /// Fused path, `K > 1`: the current advantage head's first-layer product
-    /// over the trunk columns (`B × head_hidden`), shared by all `K` groups.
-    prefix: Tensor,
-    /// State values: fused path, every agent's, flattened `k·B + b`;
-    /// per-agent path, the current agent's.
+    /// Fused path, `K > 1`: each advantage head's first-layer product over
+    /// the trunk columns (`B × head_hidden` per branch), shared by every
+    /// agent's rows.
+    prefixes: Vec<Tensor>,
+    /// State values: fused path, the evaluated agents', flattened
+    /// `(k − k0)·B + b`; per-agent path, the current agent's.
     v_all: Vec<f32>,
 }
 
@@ -595,19 +658,23 @@ impl EvalWork {
             &self.agent_state,
             &self.input_k,
             &self.stacked,
-            &self.prefix,
         ];
         self.tape.heap_bytes()
-            + tensors.iter().map(|t| t.heap_bytes()).sum::<usize>()
+            + tensors_heap_bytes(tensors)
+            + tensors_heap_bytes(&self.prefixes)
+            + self.prefixes.capacity() * std::mem::size_of::<Tensor>()
             + self.v_all.capacity() * std::mem::size_of::<f32>()
     }
 }
 
+/// Heap bytes of the tensors' buffers (not of whatever holds the tensors).
+fn tensors_heap_bytes<'a>(tensors: impl IntoIterator<Item = &'a Tensor>) -> usize {
+    tensors.into_iter().map(Tensor::heap_bytes).sum()
+}
+
 fn q_values_heap_bytes(q: &QValues) -> usize {
-    let branches = |b: &Vec<Tensor>| {
-        b.capacity() * std::mem::size_of::<Tensor>()
-            + b.iter().map(Tensor::heap_bytes).sum::<usize>()
-    };
+    let branches =
+        |b: &Vec<Tensor>| b.capacity() * std::mem::size_of::<Tensor>() + tensors_heap_bytes(b);
     q.capacity() * std::mem::size_of::<Vec<Tensor>>() + q.iter().map(branches).sum::<usize>()
 }
 
@@ -792,12 +859,14 @@ struct StepState {
     /// Sampled actions, flattened `(b * agents + k) * num_branches + d`.
     actions: Vec<u16>,
     /// Working memory of the two evaluations of `x_next`, online then
-    /// target, in the prologue; dead once their Q-values are out.
+    /// target, in the prologue; dead once the targets are out.
     eval: EvalWork,
-    /// Online-network evaluations of `x_next` (double-DQN argmax).
-    q_online: QValues,
-    /// Target-network evaluations of `x_next`.
-    q_target: QValues,
+    /// One agent's Q-values of `x_next` (`D` tensors of `B × n_d`): the
+    /// online network's, then the target network's, agent after agent.
+    q_agent: QValues,
+    /// The online network's greedy action on `x_next` (double DQN), per
+    /// agent, branch and row: flattened `(k * num_branches + d) * B + b`.
+    a_star: Vec<u16>,
     /// TD targets, flattened `b * agents + k`.
     targets: Vec<f32>,
     /// Written by the prologue's train-mode trunk forward, read by the
@@ -854,20 +923,15 @@ impl StepState {
         ];
         let tapes = [&self.trunk_tape, &self.value_tape, &self.adv_tape];
         let f64s = self.abs_td.capacity() + self.agent_td.capacity() + self.agent_vgrad.capacity();
-        tensors.iter().map(|t| t.heap_bytes()).sum::<usize>()
+        tensors_heap_bytes(tensors)
             + tapes.iter().map(|t| t.heap_bytes()).sum::<usize>()
             + self.eval.heap_bytes()
-            + q_values_heap_bytes(&self.q_online)
-            + q_values_heap_bytes(&self.q_target)
+            + q_values_heap_bytes(&self.q_agent)
             + self.adv_prefix.capacity() * std::mem::size_of::<Tensor>()
-            + self
-                .adv_prefix
-                .iter()
-                .map(Tensor::heap_bytes)
-                .sum::<usize>()
+            + tensors_heap_bytes(&self.adv_prefix)
             + self.batch.indices.capacity() * std::mem::size_of::<usize>()
             + (self.batch.weights.capacity() + self.targets.capacity()) * std::mem::size_of::<f32>()
-            + self.actions.capacity() * std::mem::size_of::<u16>()
+            + (self.actions.capacity() + self.a_star.capacity()) * std::mem::size_of::<u16>()
             + f64s * std::mem::size_of::<f64>()
     }
 }
@@ -1103,27 +1167,30 @@ impl MaBdq {
     }
 
     /// Heap bytes the learner holds right now besides the replay buffer
-    /// ([`replay_bytes`](Self::replay_bytes)), at allocated capacity: both
-    /// networks (the online one with its gradients), the optimiser's
-    /// moments, the tapes and tensors of the decide paths and of the
-    /// gradient step, the fixed-point snapshot and the quarantine guards'
-    /// snapshots. Buffers are sized by the first decide and the first train
-    /// step, so read it after those.
+    /// ([`replay_bytes`](Self::replay_bytes)), at allocated capacity:
+    /// [`learner_memory`](Self::learner_memory)`().total()`.
     pub fn learner_bytes(&self) -> usize {
-        let f32s = std::mem::size_of::<f32>();
+        self.learner_memory().total()
+    }
+
+    /// Where the learner's heap bytes are (besides the replay buffer), at
+    /// allocated capacity. Buffers are sized by the first decide and the
+    /// first train step, so read it after those.
+    pub fn learner_memory(&self) -> LearnerMemory {
         let guards = self.guards.capacity() * std::mem::size_of::<AgentGuard>()
             + self
                 .guards
                 .iter()
-                .map(|g| g.snapshot.capacity() * f32s)
+                .map(|g| g.snapshot.capacity() * std::mem::size_of::<f32>())
                 .sum::<usize>();
-        self.online.heap_bytes()
-            + self.target.heap_bytes()
-            + self.adam.heap_bytes()
-            + self.scratch.heap_bytes()
-            + self.step.heap_bytes()
-            + self.quantized.as_ref().map_or(0, |q| q.heap_bytes())
-            + guards
+        LearnerMemory {
+            networks: self.online.heap_bytes() + self.target.heap_bytes(),
+            optimiser: self.adam.heap_bytes(),
+            step: self.step.heap_bytes(),
+            decide: self.scratch.heap_bytes(),
+            quantized: self.quantized.as_ref().map_or(0, |q| q.heap_bytes()),
+            guards,
+        }
     }
 
     /// Heap bytes the replay buffer holds right now: the transition records
@@ -1721,30 +1788,44 @@ impl MaBdq {
             step.actions.extend_from_slice(self.slab.actions(idx));
         }
 
-        // Targets: double-DQN style, averaged over branches.
-        self.online.q_values_fused_into(
-            &step.x_next,
-            state_dim,
-            &mut step.eval,
-            &mut step.q_online,
-        );
-        self.target.q_values_fused_into(
-            &step.x_next,
-            state_dim,
-            &mut step.eval,
-            &mut step.q_target,
-        );
-        step.targets.clear();
-        step.targets.resize(batch_size * agents, 0.0);
+        // Targets: double-DQN style, averaged over branches. Each network
+        // evaluates `x_next` one agent at a time, and what a row's target
+        // needs of its Q-values — the online argmax, then the target value
+        // there — is taken as each agent's block comes out.
+        let StepState {
+            x_next,
+            eval,
+            q_agent,
+            a_star,
+            targets,
+            batch,
+            ..
+        } = step;
+        self.online.eval_shared(x_next, eval);
+        a_star.clear();
         for k in 0..agents {
+            self.online
+                .eval_heads(x_next, k..k + 1, state_dim, eval, q_agent);
+            for qd in &q_agent[0] {
+                a_star.extend((0..batch_size).map(|b| {
+                    u16::try_from(argmax(qd.row(b)))
+                        .expect("validate keeps every branch within 2^16 actions")
+                }));
+            }
+        }
+        self.target.eval_shared(x_next, eval);
+        targets.clear();
+        targets.resize(batch_size * agents, 0.0);
+        for (k, chosen) in a_star.chunks_exact(num_branches * batch_size).enumerate() {
+            self.target
+                .eval_heads(x_next, k..k + 1, state_dim, eval, q_agent);
             for b in 0..batch_size {
                 let mut acc = 0.0;
-                for d in 0..num_branches {
-                    let a_star = argmax(step.q_online[k][d].row(b));
-                    acc += step.q_target[k][d][(b, a_star)];
+                for (d, qd) in q_agent[0].iter().enumerate() {
+                    acc += qd[(b, usize::from(chosen[d * batch_size + b]))];
                 }
-                let reward = self.slab.rewards(step.batch.indices[b])[k];
-                step.targets[b * agents + k] = reward + gamma * acc / num_branches as f32;
+                let reward = self.slab.rewards(batch.indices[b])[k];
+                targets[b * agents + k] = reward + gamma * acc / num_branches as f32;
             }
         }
 
@@ -2053,7 +2134,8 @@ impl MaBdq {
     /// Returns [`RlError::CheckpointMismatch`] when the checkpoint's
     /// recorded architecture (agents, state dim, branches, trunk, head
     /// width), parameter count, or optimizer-moment layout does not match
-    /// this agent.
+    /// this agent, or when a replay priority is NaN, infinite or negative.
+    /// Nothing is restored in that case.
     pub fn load_checkpoint(&mut self, ckpt: &MaBdqCheckpoint) -> Result<(), RlError> {
         let mismatch = |detail: String| Err(RlError::CheckpointMismatch { detail });
         let c = &self.config;
@@ -2087,6 +2169,18 @@ impl MaBdq {
         }
         if let Err(detail) = self.moments_fit(&ckpt.adam.slots) {
             return mismatch(detail);
+        }
+        // A sampling weight is `(|td| + ε)^α`: finite, never negative. A NaN or
+        // infinite one makes the sum tree's total non-finite, and every step
+        // after the restore would sample, go non-finite and be skipped
+        // without a word; a negative one is a probability below zero.
+        if let Some((at, p)) = ckpt
+            .priorities
+            .iter()
+            .enumerate()
+            .find(|(_, p)| !(p.is_finite() && **p >= 0.0))
+        {
+            return mismatch(format!("replay priority {at} is {p}"));
         }
         // Validation passed — the restore proceeds, so any half-finished
         // budgeted step is now meaningless.
@@ -3071,7 +3165,11 @@ mod tests {
     fn one_agent_takes_the_unsplit_path() {
         // With one agent nothing is shared, so no prefix and no state stack
         // are ever built; with two, both the gradient step and the decide
-        // path build them.
+        // path build them: one prefix per branch, and a stack of the agents
+        // one evaluation covers — one agent's B rows in the step's targets,
+        // every agent's one row in a decide. The targets keep one agent's
+        // Q-values and the online argmax of every (agent, branch, row).
+        let (batch, branches) = (16, 2);
         for (agents, split) in [(1, false), (2, true)] {
             let mut agent = MaBdq::new(tiny_config(agents)).unwrap();
             for _ in 0..16 {
@@ -3080,10 +3178,16 @@ mod tests {
             agent.train_step().unwrap().expect("batch full");
             agent.q_values(&vec![vec![0.2, -0.3]; agents]).unwrap();
             assert_eq!(!agent.step.adv_prefix.is_empty(), split);
-            for work in [&agent.step.eval, &agent.scratch.eval] {
-                assert_eq!(work.stacked.rows() > 0, split);
-                assert_eq!(work.prefix.rows() > 0, split);
+            for (work, rows) in [(&agent.step.eval, batch), (&agent.scratch.eval, agents)] {
+                assert_eq!(work.stacked.rows(), if split { rows } else { 0 });
+                assert_eq!(work.prefixes.len(), if split { branches } else { 0 });
+                assert!(work
+                    .prefixes
+                    .iter()
+                    .all(|p| p.rows() == work.trunk_out.rows()));
             }
+            assert_eq!(agent.step.q_agent.len(), 1);
+            assert_eq!(agent.step.a_star.len(), agents * branches * batch);
         }
     }
 
@@ -3139,7 +3243,7 @@ mod tests {
 
     #[test]
     fn fused_targets_match_per_agent_reference_at_training_shape() {
-        // The double-DQN targets run on the fused forward at B = 64; at
+        // The fused forward over all agents at the training shape B = 64; at
         // K = 24 each advantage head's first layer is a 64-row prefix over
         // the 64 trunk columns, then 1536 stacked rows continuing it over
         // their own 11 — many full tiles plus remainders, where the B = 1
@@ -3172,5 +3276,321 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A transition of random states in `[-1, 1)`, actions and rewards.
+    fn random_transition(rng: &mut Xoshiro256, config: &MaBdqConfig) -> MultiTransition {
+        let mut states = || -> Vec<Vec<f32>> {
+            (0..config.agents)
+                .map(|_| {
+                    (0..config.state_dim)
+                        .map(|_| rng.range_f32(-1.0, 1.0))
+                        .collect()
+                })
+                .collect()
+        };
+        let (states, next_states) = (states(), states());
+        MultiTransition {
+            states,
+            next_states,
+            actions: (0..config.agents)
+                .map(|_| {
+                    config
+                        .branches
+                        .iter()
+                        .map(|&n| rng.range_usize(0, n))
+                        .collect()
+                })
+                .collect(),
+            rewards: (0..config.agents)
+                .map(|_| rng.range_f32(-1.0, 1.0))
+                .collect(),
+        }
+    }
+
+    /// Fills the buffer and takes `steps` gradient steps.
+    fn train(agent: &mut MaBdq, rng: &mut Xoshiro256, steps: usize) {
+        let config = agent.config().clone();
+        while agent.buffer_len() < config.batch_size.max(steps) {
+            agent.observe(random_transition(rng, &config)).unwrap();
+        }
+        for _ in 0..steps {
+            agent.train_step().unwrap().expect("batch full");
+        }
+    }
+
+    /// `net`'s Q-values of `x` for every agent, per agent and branch, with
+    /// the agents evaluated in groups of one, of three and all at once:
+    /// each bit for bit the per-agent reference's. One `EvalWork` serves
+    /// the reference and every group.
+    fn assert_any_grouping_matches_the_reference(
+        net: &mut Net,
+        x: &Tensor,
+        state_dim: usize,
+        context: &str,
+    ) {
+        let agents = net.value_heads.len();
+        let mut work = EvalWork::default();
+        let (mut reference, mut q) = (QValues::new(), QValues::new());
+        net.q_values_per_agent_into(x, state_dim, &mut work, &mut reference);
+        for group in [1, 3, agents] {
+            net.eval_shared(x, &mut work);
+            for start in (0..agents).step_by(group) {
+                let range = start..(start + group).min(agents);
+                net.eval_heads(x, range.clone(), state_dim, &mut work, &mut q);
+                assert_eq!(q.len(), range.len());
+                for (got, k) in q.iter().zip(range) {
+                    assert_eq!(got.len(), reference[k].len());
+                    for (d, (g, want)) in got.iter().zip(&reference[k]).enumerate() {
+                        assert_eq!((g.rows(), g.cols()), (want.rows(), want.cols()));
+                        assert_eq!(
+                            bits(g.as_slice()),
+                            bits(want.as_slice()),
+                            "{context}: groups of {group}, agent {k}, branch {d}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn eval_heads_over_any_grouping_of_the_agents_matches_the_per_agent_reference() {
+        // The train step evaluates its targets one agent at a time, decides
+        // evaluate every agent at once: either way a row's Q-values are the
+        // reference's. Fresh, trained, and trained on with one agent frozen
+        // by quarantine (no head pass for it, so the shared heads learn from
+        // the others alone); dropout on, so the eval path must also leave
+        // the masks alone.
+        let mut rng = Xoshiro256::seed_from_u64(0xe7a1);
+        for agents in [1, 3, 24] {
+            let config = MaBdqConfig {
+                dropout: 0.25,
+                gamma: 0.9,
+                ..quarantine_test_config(agents)
+            };
+            let mut agent = MaBdq::new(config.clone()).unwrap();
+            let check = |agent: &mut MaBdq, rng: &mut Xoshiro256, what: &str| {
+                let batch = 13;
+                let mut x = Tensor::zeros(batch, agents * config.state_dim);
+                for v in x.as_mut_slice() {
+                    *v = rng.range_f32(-2.0, 2.0);
+                }
+                for (name, net) in [("online", &mut agent.online), ("target", &mut agent.target)] {
+                    let context = format!("K = {agents}, {what}, {name}");
+                    assert_any_grouping_matches_the_reference(net, &x, config.state_dim, &context);
+                }
+            };
+            check(&mut agent, &mut rng, "fresh");
+            train(&mut agent, &mut rng, 30);
+            check(&mut agent, &mut rng, "trained");
+            agent.guards[agents / 2].frozen_until = u64::MAX;
+            train(&mut agent, &mut rng, 25);
+            check(&mut agent, &mut rng, "one agent frozen");
+        }
+    }
+
+    /// Makes action 1 of an advantage head an exact copy of action 0 and
+    /// puts both far above the rest: every row's advantages, hence its
+    /// Q-values, then tie exactly at the top.
+    fn tie_first_two_actions(head: &mut Mlp) {
+        let lens: Vec<usize> = head.parameter_lens().collect();
+        let [w1, b1, w2, actions] = lens[..] else {
+            panic!("a head is two dense layers: {lens:?}");
+        };
+        let mut params = head.export_parameters();
+        let (last_w, last_b) = (w1 + b1, w1 + b1 + w2);
+        for row in params[last_w..last_b].chunks_exact_mut(actions) {
+            row[1] = row[0];
+        }
+        params[last_b] = 100.0;
+        params[last_b + 1] = 100.0;
+        head.import_parameters(&params).unwrap();
+    }
+
+    /// The targets as the parent of this change computed them: both
+    /// networks' Q-values for all `K` agents at once (`K·B` stacked rows),
+    /// kept whole, then the loop. Also returns the target network's table.
+    fn targets_from_full_q_tables(agent: &mut MaBdq) -> (Vec<f32>, QValues) {
+        let MaBdq {
+            config,
+            online,
+            target,
+            slab,
+            step,
+            ..
+        } = agent;
+        let (agents, batch, branches) = (config.agents, config.batch_size, config.branches.len());
+        let mut work = EvalWork::default();
+        let (mut q_online, mut q_target) = (QValues::new(), QValues::new());
+        online.q_values_fused_into(&step.x_next, config.state_dim, &mut work, &mut q_online);
+        target.q_values_fused_into(&step.x_next, config.state_dim, &mut work, &mut q_target);
+        let mut targets = vec![0.0; batch * agents];
+        for k in 0..agents {
+            for b in 0..batch {
+                let mut acc = 0.0;
+                for d in 0..branches {
+                    let a_star = argmax(q_online[k][d].row(b));
+                    acc += q_target[k][d][(b, a_star)];
+                }
+                let reward = slab.rewards(step.batch.indices[b])[k];
+                targets[b * agents + k] = reward + config.gamma * acc / branches as f32;
+            }
+        }
+        (targets, q_target)
+    }
+
+    #[test]
+    fn streamed_targets_equal_targets_from_full_q_tables() {
+        // `begin_step` streams: per agent, the online argmax goes into
+        // `a_star` and the target values are summed as they come out. Every
+        // target must carry the bits of the old whole-table loop, over steps
+        // that train both networks apart. On even rounds the online head of
+        // branch 0 is rigged so actions 0 and 1 tie exactly at the top of
+        // every row, where the target network's two values differ: the first
+        // index must win, as `argmax` always let it.
+        let mut rng = Xoshiro256::seed_from_u64(0x7a26);
+        for agents in [1, 3, 24] {
+            let config = MaBdqConfig {
+                gamma: 0.9,
+                dropout: 0.25,
+                ..tiny_config(agents)
+            };
+            let (batch, branches) = (config.batch_size, config.branches.len());
+            let mut agent = MaBdq::new(config.clone()).unwrap();
+            train(&mut agent, &mut rng, 0);
+            for round in 0..10 {
+                let tied = round % 2 == 0;
+                if tied {
+                    tie_first_two_actions(&mut agent.online.adv_heads[0]);
+                }
+                assert!(agent.begin_step().unwrap());
+                let (want, q_target) = targets_from_full_q_tables(&mut agent);
+                let context = format!("K = {agents}, round {round}");
+                assert_eq!(bits(&agent.step.targets), bits(&want), "{context}");
+                if tied {
+                    let chosen = agent.step.a_star.chunks_exact(branches * batch);
+                    for (k, (a_star, q)) in chosen.zip(&q_target).enumerate() {
+                        let first = &a_star[..batch];
+                        assert!(
+                            first.iter().all(|&a| a == 0),
+                            "{context}, agent {k}: {first:?}"
+                        );
+                        let t = &q[0];
+                        assert!(
+                            (0..batch).any(|b| t[(b, 0)] != t[(b, 1)]),
+                            "{context}: the tie would not show"
+                        );
+                    }
+                }
+                for _ in 0..agents {
+                    agent.head_pass();
+                }
+                assert!(!agent.finish_step().skipped, "{context}");
+                agent.observe(random_transition(&mut rng, &config)).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn quantized_argmax_is_the_fused_argmax_where_the_bound_says_it_must_be() {
+        // ROADMAP 2(d): a fixed-point Q-value is within the analytic bound E
+        // of the full-precision one, so on a branch whose top-2 gap exceeds
+        // 2E the snapshot's greedy action is the fused decide's. Asserted
+        // per branch, as the network chooses — the branching-MDP paper
+        // (PAPERS.md) is the reminder that this, not a joint argmax, is what
+        // the decomposition guarantees.
+        //
+        // The bound is loose: on these trained networks it is hundreds of
+        // times any top-2 gap, so it decides nothing by itself. The output
+        // layer's bias enters no error term (it is added in f32 after the
+        // last product), so giving one action of branch 0 a lead of 3E there
+        // leaves the bound where it was and makes that branch one the bound
+        // must decide; branch 1 keeps its trained values.
+        let mut rng = Xoshiro256::seed_from_u64(0x9a2d);
+        let (mut checked, mut seen) = (0, 0);
+        for agents in [1, 3, 8] {
+            let config = MaBdqConfig {
+                gamma: 0.9,
+                ..tiny_config(agents)
+            };
+            let mut agent = MaBdq::new(config.clone()).unwrap();
+            train(&mut agent, &mut rng, 60);
+            agent.refresh_quantized().unwrap();
+            let bound = agent.quantized_q_error_bound(1.0).unwrap();
+            assert!(bound.is_finite() && bound > 0.0);
+            let lead = rng.range_usize(0, config.branches[0]);
+            let mut params = agent.online.adv_heads[0].export_parameters();
+            let bias_at = params.len() - config.branches[0];
+            params[bias_at + lead] += 3.0 * bound;
+            agent.online.adv_heads[0]
+                .import_parameters(&params)
+                .unwrap();
+            agent.refresh_quantized().unwrap();
+            assert_eq!(agent.quantized_q_error_bound(1.0), Some(bound));
+            for _ in 0..40 {
+                let states = random_transition(&mut rng, &config).states;
+                let q = agent.q_values(&states).unwrap();
+                let quantized = agent.select_actions_quantized(&states).unwrap();
+                for (k, (rows, chosen)) in q.iter().zip(&quantized).enumerate() {
+                    for (d, (row, &a)) in rows.iter().zip(chosen).enumerate() {
+                        seen += 1;
+                        let top = argmax(row);
+                        let second = (0..row.len())
+                            .filter(|&i| i != top)
+                            .map(|i| row[i])
+                            .fold(f32::NEG_INFINITY, f32::max);
+                        if row[top] - second > 2.0 * bound {
+                            checked += 1;
+                            assert_eq!(a, top, "K = {agents}, agent {k}, branch {d}: {row:?}");
+                        }
+                    }
+                }
+            }
+        }
+        // At least every row of every agent on branch 0.
+        assert!(checked * 2 >= seen, "{checked} of {seen} checked");
+    }
+
+    #[test]
+    fn load_checkpoint_refuses_priorities_that_would_stop_learning() {
+        // A NaN or infinite priority used to load and make every later step
+        // non-finite and skipped, the step counter frozen, nothing reported;
+        // a negative one loaded as a negative sampling weight.
+        let trained = || {
+            let mut agent = MaBdq::new(tiny_config(2)).unwrap();
+            for _ in 0..100 {
+                agent.observe(normal_transition(2)).unwrap();
+            }
+            for _ in 0..20 {
+                agent.train_step().unwrap().expect("batch full");
+            }
+            agent
+        };
+        let good = trained().save_checkpoint();
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            let mut ckpt = good.clone();
+            ckpt.priorities[7] = bad;
+            let mut receiver = trained();
+            let before = receiver.save_checkpoint();
+            match receiver.load_checkpoint(&ckpt) {
+                Err(RlError::CheckpointMismatch { detail }) => {
+                    assert_eq!(detail, format!("replay priority 7 is {bad}"));
+                }
+                other => panic!("priority {bad}: {other:?}"),
+            }
+            assert_eq!(receiver.save_checkpoint(), before, "priority {bad}");
+            for _ in 0..50 {
+                let stats = receiver.train_step().unwrap().expect("batch full");
+                assert!(!stats.skipped, "priority {bad}: {stats:?}");
+            }
+            assert_eq!(receiver.steps(), 70);
+        }
+        let mut receiver = trained();
+        receiver.load_checkpoint(&good).unwrap();
+        for _ in 0..50 {
+            assert!(!receiver.train_step().unwrap().expect("batch full").skipped);
+        }
+        assert_eq!(receiver.steps(), 70);
     }
 }
