@@ -2,10 +2,9 @@
 //!
 //! Sweeps the agent count (4 / 16 / 64 / 128) over a production-shaped
 //! network (state 11, branches [18, 9], trunk [96, 64], heads 48) and
-//! measures per-decide wall latency of three paths after an untimed
-//! warm-up: the fused batched path (`select_actions_into`), the per-agent
-//! reference loop (`select_actions_unfused_into`), and the fixed-point
-//! `SafeFallback` tier (`select_actions_quantized_into`). Reports p50/p99
+//! measures per-decide wall latency of two paths after an untimed warm-up:
+//! the fused batched path (`select_actions_into`) and the per-agent
+//! reference loop (`select_actions_unfused_into`). Reports p50/p99
 //! in microseconds, the fused-over-unfused speedup, steady-state heap
 //! allocations of the fused path under the counting global allocator, and
 //! a fused-vs-unfused bit-identity verdict, all to a JSON report (default
@@ -56,19 +55,16 @@ struct SweepPoint {
     fused_p99_us: f64,
     unfused_p50_us: f64,
     unfused_p99_us: f64,
-    quant_p50_us: f64,
-    quant_p99_us: f64,
     speedup: f64,
     fused_allocs: u64,
     bit_identical: bool,
 }
 
 /// One timed decide per iteration; the states vary every iteration (fresh
-/// telemetry every epoch in production) but are identical across the three
+/// telemetry every epoch in production) but are identical across the two
 /// paths and pre-generated outside the timed region.
 fn run_sweep(agents: usize, iters: usize) -> SweepPoint {
     let mut agent = MaBdq::new(agent_config(agents)).expect("agent");
-    agent.refresh_quantized().expect("quantize");
     let mut rng = Xoshiro256::seed_from_u64(7 + agents as u64);
     let epochs: Vec<Vec<Vec<f32>>> = (0..iters)
         .map(|_| {
@@ -119,14 +115,10 @@ fn run_sweep(agents: usize, iters: usize) -> SweepPoint {
         agent
             .select_actions_unfused_into(states, EPSILON, &mut actions)
             .expect("warm unfused");
-        agent
-            .select_actions_quantized_into(states, &mut actions)
-            .expect("warm quantized");
     }
 
     let mut fused_us: Vec<f64> = Vec::with_capacity(iters);
     let mut unfused_us: Vec<f64> = Vec::with_capacity(iters);
-    let mut quant_us: Vec<f64> = Vec::with_capacity(iters);
 
     let alloc_start = count_alloc::allocation_count();
     for states in &epochs {
@@ -145,13 +137,6 @@ fn run_sweep(agents: usize, iters: usize) -> SweepPoint {
             .expect("unfused select");
         unfused_us.push(t0.elapsed().as_secs_f64() * 1e6);
     }
-    for states in &epochs {
-        let t0 = Instant::now();
-        agent
-            .select_actions_quantized_into(states, &mut actions)
-            .expect("quantized select");
-        quant_us.push(t0.elapsed().as_secs_f64() * 1e6);
-    }
 
     let p = |v: &mut [f64], q: f64| percentile(v, q).expect("percentile");
     let fused_p50 = p(&mut fused_us, 50.0);
@@ -162,8 +147,6 @@ fn run_sweep(agents: usize, iters: usize) -> SweepPoint {
         fused_p99_us: p(&mut fused_us, 99.0),
         unfused_p50_us: unfused_p50,
         unfused_p99_us: p(&mut unfused_us, 99.0),
-        quant_p50_us: p(&mut quant_us, 50.0),
-        quant_p99_us: p(&mut quant_us, 99.0),
         speedup: unfused_p50 / fused_p50,
         fused_allocs,
         bit_identical,
@@ -227,8 +210,6 @@ pub fn run(mut args: impl Iterator<Item = String>) {
                 "  \"k{k}_fused_p99_us\": {fp99:.2},\n",
                 "  \"k{k}_unfused_p50_us\": {up50:.2},\n",
                 "  \"k{k}_unfused_p99_us\": {up99:.2},\n",
-                "  \"k{k}_quant_p50_us\": {qp50:.2},\n",
-                "  \"k{k}_quant_p99_us\": {qp99:.2},\n",
                 "  \"k{k}_speedup\": {sp:.3},\n",
             ),
             k = k,
@@ -236,8 +217,6 @@ pub fn run(mut args: impl Iterator<Item = String>) {
             fp99 = pt.fused_p99_us,
             up50 = pt.unfused_p50_us,
             up99 = pt.unfused_p99_us,
-            qp50 = pt.quant_p50_us,
-            qp99 = pt.quant_p99_us,
             sp = pt.speedup,
         ));
     }

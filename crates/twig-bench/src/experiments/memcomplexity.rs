@@ -107,7 +107,7 @@ pub fn run_to(out: &mut String, _opts: &Options) -> Result<(), ExpError> {
     // And what a learner that is running holds around those parameters.
     writeln!(
         out,
-        "\nWhat a running learner holds besides the buffer (measured: {WARM_STEPS} train steps, decides\nand the fixed-point fallback armed, quarantine off; 18 x 9 actions, batch 64):\n"
+        "\nWhat a running learner holds besides the buffer (measured: {WARM_STEPS} train steps and decides,\nquarantine off; 18 x 9 actions, batch 64):\n"
     )?;
     let mut t = TextTable::new(vec![
         "architecture",
@@ -117,7 +117,6 @@ pub fn run_to(out: &mut String, _opts: &Options) -> Result<(), ExpError> {
         "optimiser",
         "train step",
         "decide",
-        "fixed-point",
         "learner holds",
         "ratio",
     ]);
@@ -137,7 +136,6 @@ pub fn run_to(out: &mut String, _opts: &Options) -> Result<(), ExpError> {
             memory.optimiser,
             memory.step,
             memory.decide,
-            memory.quantized,
             held,
         ];
         let mut row = vec![name.to_string(), agents.to_string()];
@@ -157,8 +155,8 @@ pub fn run_to(out: &mut String, _opts: &Options) -> Result<(), ExpError> {
 /// every buffer, the rest show that nothing grows.
 const WARM_STEPS: usize = 3;
 
-/// A learner that has observed a batch, trained, decided and armed its
-/// fixed-point fallback, so that every buffer it will ever hold exists.
+/// A learner that has observed a batch, trained and decided, so that every
+/// buffer it will ever hold exists.
 fn warm_learner(config: MaBdqConfig) -> Result<MaBdq, ExpError> {
     let (agents, batch) = (config.agents, config.batch_size);
     let mut learner = MaBdq::new(config)?;
@@ -167,11 +165,9 @@ fn warm_learner(config: MaBdqConfig) -> Result<MaBdq, ExpError> {
     for _ in 0..batch {
         learner.observe_parts(&state, &actions, &rewards, &state)?;
     }
-    learner.refresh_quantized()?;
     for _ in 0..WARM_STEPS {
         learner.train_step()?;
         learner.select_actions(&state, 0.0)?;
-        learner.select_actions_quantized(&state)?;
     }
     Ok(learner)
 }

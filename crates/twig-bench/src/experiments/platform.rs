@@ -256,7 +256,6 @@ fn run_schedule(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, ExpErro
         .fs()
         .set_fault_plan(OsFaultPlan::new(s.faults.clone(), seed ^ 0x05FA_17BD)?);
 
-    twig.prepare_fallback()?;
     let mut gov = SafetyGovernor::new(
         twig,
         GovernorConfig {
@@ -405,8 +404,6 @@ fn run_bit_identity(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, Exp
         let rb = server.step(&b)?;
         twig_b.observe(&rb)?;
     }
-    twig_a.prepare_fallback()?;
-    twig_b.prepare_fallback()?;
     let gov_cfg = GovernorConfig {
         services: specs,
         cores: cfg.cores,

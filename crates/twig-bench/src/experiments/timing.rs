@@ -277,9 +277,6 @@ fn run_schedule(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, ExpErro
         let r = server.step(&a)?;
         twig.observe(&r)?;
     }
-    // Arm the fixed-point snapshot: SafeFallback epochs below decide on the
-    // degraded (quantized, greedy) network instead of the static plan.
-    twig.prepare_fallback()?;
     let mut gov = SafetyGovernor::new(
         twig,
         GovernorConfig {

@@ -240,9 +240,9 @@ impl<M: TaskManager> SafetyGovernor<M> {
     }
 
     /// The `SafeFallback` shed tier's decision: asks the inner manager for
-    /// its degraded decide (Twig serves greedy fixed-point inference) and
-    /// validates it against the platform limits exactly like a primary
-    /// decision. Any failure — no degraded path, a recoverable error, an
+    /// its degraded decide (Twig serves the greedy argmax of its f32
+    /// network, with no exploration) and validates it against the platform
+    /// limits exactly like a primary decision. Any failure — no degraded path, a recoverable error, an
     /// invalid assignment — lands on [`safe_assignments`]
     /// (Self::safe_assignments), so this is never less safe than the static
     /// allocation it replaces. While the watchdog holds safe mode the inner

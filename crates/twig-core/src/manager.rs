@@ -49,12 +49,13 @@ pub trait TaskManager {
         self.observe(report)
     }
 
-    /// Degraded decision path for the `SafeFallback` shed tier: a cheaper
-    /// decide a manager can still serve when the epoch budget is exhausted.
-    /// [`Twig`] overrides it with greedy selection on its fixed-point
-    /// network snapshot; the default reports `Recoverable` so a supervisor
-    /// (see [`SafetyGovernor`](crate::SafetyGovernor)) substitutes the safe
-    /// static allocation.
+    /// Degraded decision path for the `SafeFallback` shed tier: a decide a
+    /// manager can still serve when the epoch budget is exhausted. [`Twig`]
+    /// overrides it with the greedy argmax of its f32 network (no
+    /// exploration, no stickiness, nothing learned); the default reports
+    /// `Recoverable` so a supervisor (see
+    /// [`SafetyGovernor`](crate::SafetyGovernor)) substitutes the safe static
+    /// allocation.
     ///
     /// # Errors
     ///
@@ -273,6 +274,10 @@ pub struct Twig {
     /// allocated for one epoch is still alive in the next.
     next_states: Vec<Vec<f32>>,
     rewards: Vec<f32>,
+    /// What `decide_fallback` decides on and decides, kept apart from
+    /// `pending` because a shed epoch leaves no transition behind.
+    fallback_states: Vec<Vec<f32>>,
+    fallback_actions: Vec<Vec<usize>>,
     /// What a decision asks of the mapper, one `(cores, frequency)` per agent.
     requests: Vec<(usize, twig_sim::Frequency)>,
     telemetry: Telemetry,
@@ -336,6 +341,8 @@ impl Twig {
             last_actions: Vec::new(),
             next_states: Vec::new(),
             rewards: Vec::new(),
+            fallback_states: Vec::new(),
+            fallback_actions: Vec::new(),
             requests: Vec::new(),
             telemetry: Telemetry::disabled(),
         })
@@ -494,42 +501,28 @@ impl Twig {
         Ok(assignments)
     }
 
-    /// Arms (or refreshes) the fixed-point inference snapshot behind
-    /// [`decide_fallback`](Self::decide_fallback). Once armed, the agent
-    /// re-quantizes it in place on every target-network sync, so calling
-    /// this once after construction (and after checkpoint restores) keeps
-    /// the shed tier's network at most one sync interval stale with zero
-    /// steady-state allocations.
-    ///
-    /// # Errors
-    ///
-    /// Propagates learning errors (a network too wide to quantize).
-    pub fn prepare_fallback(&mut self) -> Result<(), TwigError> {
-        self.agent.refresh_quantized().map_err(TwigError::Learning)
-    }
-
-    /// Degraded decide for the `SafeFallback` shed tier: greedy per-branch
-    /// selection on the agent's fixed-point (i16×i16→i32) snapshot instead
-    /// of the full f32 network. Deliberately austere — no exploration, no
-    /// action stickiness, no pending transition (shed epochs are never
-    /// trained on), and no draw from the ε RNG stream, so a shed epoch
-    /// cannot perturb the primary policy's behaviour.
+    /// Degraded decide for the `SafeFallback` shed tier: the greedy
+    /// per-branch argmax of the same fused f32 forward
+    /// [`decide`](Self::decide) runs (`MaBdq::select_actions_greedy_into`).
+    /// Deliberately austere — no exploration, no action stickiness, no
+    /// pending transition (shed epochs are never trained on), and no draw
+    /// from the ε RNG stream, so a shed epoch cannot perturb the primary
+    /// policy's behaviour.
     ///
     /// # Errors
     ///
     /// Propagates learning and mapping errors.
     pub fn decide_fallback(&mut self) -> Result<Vec<Assignment>, TwigError> {
         let mut stopwatch = self.telemetry.stopwatch();
-        let states = self.monitor.states()?;
+        self.monitor.states_into(&mut self.fallback_states)?;
         self.telemetry
             .phase_add(self.time, Phase::PmcRead, stopwatch.lap_ms());
-        let actions = self
-            .agent
-            .select_actions_quantized(&states)
+        self.agent
+            .select_actions_greedy_into(&self.fallback_states, &mut self.fallback_actions)
             .map_err(TwigError::Learning)?;
         self.telemetry
             .phase_add(self.time, Phase::Inference, stopwatch.lap_ms());
-        fill_requests(&self.config, &actions, &mut self.requests)?;
+        fill_requests(&self.config, &self.fallback_actions, &mut self.requests)?;
         let assignments = self.mapper.assign(&self.requests)?;
         self.telemetry
             .phase_add(self.time, Phase::Mapping, stopwatch.lap_ms());

@@ -14,8 +14,10 @@
 //!    between two agents.
 //! 2. [`ShedLevel::SkipInference`] — reuse the last validated action
 //!    instead of running the network.
-//! 3. [`ShedLevel::SafeFallback`] — actuate the `SafetyGovernor`'s safe
-//!    assignments (all cores, max DVFS).
+//! 3. [`ShedLevel::SafeFallback`] — actuate the `SafetyGovernor`'s degraded
+//!    decide (Twig's greedy argmax, validated like a primary decision) or,
+//!    when that fails or actuation gives up, its safe assignments (all
+//!    cores, max DVFS).
 //!
 //! Within one epoch the level only ever escalates (`max`), and
 //! [`begin_epoch`](EpochScheduler::begin_epoch) resets it — so a transient
@@ -871,6 +873,149 @@ mod tests {
             let st = s.stats();
             assert_eq!(st.epochs, 20);
             assert!(st.max_ladder_depth <= 3);
+        }
+    }
+
+    #[test]
+    fn safe_fallback_epochs_decide_greedily_and_leave_no_trace() {
+        use crate::{GovernorConfig, Mapper, SystemMonitor, TwigBuilder};
+        use twig_rl::{EpsilonSchedule, MaBdqConfig};
+        use twig_sim::{catalog, ServerConfig, TimingFaultConfig, TimingFaultPlan};
+
+        const EPOCHS: u64 = 30;
+        let specs = vec![catalog::masstree(), catalog::moses()];
+        let cfg = ServerConfig::default();
+        let mut server = Server::new(cfg.clone(), specs.clone(), 7).unwrap();
+        for i in 0..specs.len() {
+            server.set_load_fraction(i, 0.4).unwrap();
+        }
+        let telemetry = Telemetry::enabled();
+        let mut twig = TwigBuilder::new()
+            .services(specs.clone())
+            .cores(cfg.cores)
+            .dvfs(cfg.dvfs.clone())
+            .epsilon(EpsilonSchedule::scaled(40))
+            .agent(MaBdqConfig {
+                batch_size: 8,
+                ..MaBdqConfig::default()
+            })
+            .seed(7)
+            .telemetry(telemetry.clone())
+            .build()
+            .unwrap();
+        // What the manager's monitor sees, fed the same reports.
+        let mut monitor = SystemMonitor::new(specs.len(), twig.config().eta, cfg.cores).unwrap();
+        let mut observe = |twig: &mut Twig, report: &EpochReport| {
+            for (i, svc) in report.services.iter().enumerate() {
+                monitor.update(i, &svc.pmcs).unwrap();
+            }
+            twig.observe(report).unwrap();
+        };
+        // Ordinary epochs first: they store transitions and train, so a
+        // fallback epoch that stored one would show in the buffer.
+        for _ in 0..24 {
+            let a = twig.decide().unwrap();
+            let r = server.step(&a).unwrap();
+            observe(&mut twig, &r);
+        }
+        let stored = twig.agent().buffer_len();
+        assert!(twig.agent().steps() > 0, "the warm-up never trained");
+        let mut twin = twig.clone();
+        let mut probe = twig.agent().clone();
+
+        // Every PMC read takes 855 ms: fresh (under the 1 000 ms staleness
+        // bound) but past the 800 ms actuation deadline, so every epoch
+        // sheds to the fallback rung.
+        server.set_timing_plan(
+            TimingFaultPlan::new(
+                TimingFaultConfig {
+                    pmc_base_ms: 5.0,
+                    pmc_spike_rate: 1.0,
+                    pmc_spike_ms: 850.0,
+                    actuation_base_ms: 5.0,
+                    ..TimingFaultConfig::default()
+                },
+                7,
+            )
+            .unwrap(),
+        );
+        let mut gov = SafetyGovernor::new(
+            twig,
+            GovernorConfig {
+                services: specs.clone(),
+                cores: cfg.cores,
+                dvfs: cfg.dvfs.clone(),
+                // Untrained greedy choices may miss QoS; the watchdog must
+                // not take the decisions away from the rung.
+                watchdog_epochs: u32::MAX,
+                ..GovernorConfig::default()
+            },
+        )
+        .unwrap();
+        let mut sched = sched(SimClock::new());
+        let mut last_validated = gov.safe_assignments();
+        let mapper = Mapper::new(cfg.cores).unwrap();
+        let mut q = Vec::new();
+        for epoch in 0..EPOCHS {
+            // The rung's decision: the first-max argmax of every branch of
+            // the f32 Q-values on the monitor's states, resolved by the
+            // mapper.
+            let states = monitor.states().unwrap();
+            probe.q_values_into(&states, &mut q).unwrap();
+            let requests: Vec<_> = q
+                .iter()
+                .map(|branches| {
+                    let a: Vec<usize> = branches
+                        .iter()
+                        .map(|row| {
+                            (0..row.len()).fold(0, |b, i| if row[i] > row[b] { i } else { b })
+                        })
+                        .collect();
+                    (
+                        (a[0] + 1).min(cfg.cores),
+                        cfg.dvfs.frequency_at(a[1]).unwrap(),
+                    )
+                })
+                .collect();
+            let want = mapper.assign(&requests).unwrap();
+
+            let e = sched
+                .metered_epoch(&mut server, &mut gov, &mut last_validated)
+                .unwrap();
+            assert!(
+                e.fresh && !e.decided && !e.reused && !e.gave_up,
+                "epoch {epoch}"
+            );
+            assert_eq!(e.report.actuation.len(), want.len());
+            for (applied, want) in e.report.actuation.iter().zip(&want) {
+                assert_eq!(
+                    (&applied.cores, applied.freq),
+                    (&want.cores, want.freq),
+                    "epoch {epoch}"
+                );
+            }
+            for (i, svc) in e.report.services.iter().enumerate() {
+                monitor.update(i, &svc.pmcs).unwrap();
+            }
+        }
+
+        assert_eq!(sched.stats().safe_fallback_epochs, EPOCHS);
+        assert_eq!(gov.stats().degraded_decisions, EPOCHS);
+        let m = telemetry.metrics().unwrap();
+        assert_eq!(m.counter("twig.fallback_decides"), EPOCHS);
+        assert_eq!(gov.inner().agent().buffer_len(), stored);
+
+        // The rung drew nothing from the ε stream: the twin that never ran
+        // it explores identically from here on.
+        let states = monitor.states().unwrap();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for _ in 0..8 {
+            let agent = gov.inner_mut().agent_mut();
+            agent.select_actions_into(&states, 0.7, &mut a).unwrap();
+            twin.agent_mut()
+                .select_actions_into(&states, 0.7, &mut b)
+                .unwrap();
+            assert_eq!(a, b);
         }
     }
 

@@ -437,8 +437,10 @@ impl Mlp {
     /// ([`crate::QuantizedMlp`]): i16 weights, i32 accumulation, f32 bias
     /// and activations. `Dense` layers are quantized, `Relu` is kept, and
     /// `Dropout` is dropped (it is the identity at evaluation). The snapshot
-    /// does not track later weight updates — re-snapshot with
-    /// [`requantize_into`](Self::requantize_into).
+    /// does not track later weight updates. Nothing in the control loop
+    /// calls it: it serves only the `nn.quant_forward_us` and
+    /// `rl.select_quantized_p50_us` ledger probes, and a later ledger change
+    /// retires it together with them.
     ///
     /// # Errors
     ///
@@ -454,32 +456,6 @@ impl Mlp {
             }
         }
         Ok(q)
-    }
-
-    /// Re-snapshots current weights into an existing quantized network built
-    /// by [`quantize`](Self::quantize) from an identically shaped `Mlp`.
-    /// Reuses every buffer, so periodic refreshes are allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] when the architectures disagree.
-    pub fn requantize_into(&self, q: &mut crate::QuantizedMlp) -> Result<(), NnError> {
-        let mut idx = 0;
-        for layer in &self.layers {
-            if let MlpLayer::Dense(d) = layer {
-                q.requantize_dense(idx, d)?;
-                idx += 1;
-            }
-        }
-        if idx != q.dense_count() {
-            return Err(NnError::ShapeMismatch {
-                detail: format!(
-                    "{idx} dense layers for a quantized net with {}",
-                    q.dense_count()
-                ),
-            });
-        }
-        Ok(())
     }
 
     /// Backward pass, accumulating parameter gradients; returns the gradient

@@ -208,10 +208,10 @@ pub struct LearnerMemory {
     /// The gradient step's working memory: sampled batch, packed states,
     /// targets, the evaluation of the next states, tapes, gradients.
     pub step: usize,
-    /// The decide paths' working memory and last Q-values.
+    /// The decide paths' working memory and last Q-values, plus the
+    /// fixed-point snapshot once
+    /// [`refresh_quantized`](MaBdq::refresh_quantized) has built it.
     pub decide: usize,
-    /// The fixed-point snapshot of the `SafeFallback` tier, once armed.
-    pub quantized: usize,
     /// The quarantine guards and their last-known-good value heads.
     pub guards: usize,
 }
@@ -219,7 +219,7 @@ pub struct LearnerMemory {
 impl LearnerMemory {
     /// The sum of the parts: [`MaBdq::learner_bytes`].
     pub fn total(&self) -> usize {
-        self.networks + self.optimiser + self.step + self.decide + self.quantized + self.guards
+        self.networks + self.optimiser + self.step + self.decide + self.guards
     }
 }
 
@@ -723,39 +723,37 @@ pub struct MaBdq {
     guards: Vec<AgentGuard>,
     quarantine_trips: u64,
     quarantine_readmissions: u64,
-    /// Fixed-point snapshot of the online net for the `SafeFallback` shed
-    /// tier, if [`refresh_quantized`](Self::refresh_quantized) has run.
+    /// Fixed-point snapshot of the online net, once
+    /// [`refresh_quantized`](Self::refresh_quantized) has built it. Only the
+    /// `rl.select_quantized_p50_us` ledger probe reads it.
     quantized: Option<Box<QuantizedNet>>,
 }
 
-/// Fixed-point (i16 weights, i32 accumulate) snapshot of [`Net`] plus the
-/// scratch its forward passes reuse, powering
-/// [`MaBdq::select_actions_quantized_into`]. A snapshot is intentionally
-/// allowed to lag the online weights — degraded-mode decisions trade
-/// freshness for cost — and is re-synced without allocation on every target
-/// network sync once built.
+/// Fixed-point (i16 weights, i32 accumulate) snapshot of [`Net`]'s trunk and
+/// advantage heads plus the scratch its forward passes reuse, behind
+/// [`MaBdq::select_actions_quantized_into`].
 #[derive(Debug, Clone)]
 struct QuantizedNet {
     trunk: QuantizedMlp,
-    value_heads: Vec<QuantizedMlp>,
     adv_heads: Vec<QuantizedMlp>,
     // Scratch tensors (sized on first use, reused afterwards).
     trunk_out: Tensor,
     input_k: Tensor,
-    v: Tensor,
     adv: Tensor,
 }
 
 impl QuantizedNet {
     /// Heap bytes held, the box included.
     fn heap_bytes(&self) -> usize {
-        let heads = self.value_heads.iter().chain(&self.adv_heads);
-        let tensors = [&self.trunk_out, &self.input_k, &self.v, &self.adv];
+        let tensors = [&self.trunk_out, &self.input_k, &self.adv];
         std::mem::size_of::<Self>()
-            + (self.value_heads.capacity() + self.adv_heads.capacity())
-                * std::mem::size_of::<QuantizedMlp>()
+            + self.adv_heads.capacity() * std::mem::size_of::<QuantizedMlp>()
             + self.trunk.heap_bytes()
-            + heads.map(QuantizedMlp::heap_bytes).sum::<usize>()
+            + self
+                .adv_heads
+                .iter()
+                .map(QuantizedMlp::heap_bytes)
+                .sum::<usize>()
             + tensors.iter().map(|t| t.heap_bytes()).sum::<usize>()
     }
 
@@ -767,11 +765,6 @@ impl QuantizedNet {
         };
         Ok(QuantizedNet {
             trunk: quantize(&net.trunk)?,
-            value_heads: net
-                .value_heads
-                .iter()
-                .map(quantize)
-                .collect::<Result<_, _>>()?,
             adv_heads: net
                 .adv_heads
                 .iter()
@@ -779,26 +772,8 @@ impl QuantizedNet {
                 .collect::<Result<_, _>>()?,
             trunk_out: Tensor::default(),
             input_k: Tensor::default(),
-            v: Tensor::default(),
             adv: Tensor::default(),
         })
-    }
-
-    /// Re-snapshots all weights from `net` in place; allocation-free.
-    fn refresh_from(&mut self, net: &Net) -> Result<(), RlError> {
-        let remap = |e: twig_nn::NnError| RlError::DimensionMismatch {
-            detail: e.to_string(),
-        };
-        net.trunk.requantize_into(&mut self.trunk).map_err(remap)?;
-        for (dst, src) in self
-            .value_heads
-            .iter_mut()
-            .zip(&net.value_heads)
-            .chain(self.adv_heads.iter_mut().zip(&net.adv_heads))
-        {
-            src.requantize_into(dst).map_err(remap)?;
-        }
-        Ok(())
     }
 }
 
@@ -1187,8 +1162,8 @@ impl MaBdq {
             networks: self.online.heap_bytes() + self.target.heap_bytes(),
             optimiser: self.adam.heap_bytes(),
             step: self.step.heap_bytes(),
-            decide: self.scratch.heap_bytes(),
-            quantized: self.quantized.as_ref().map_or(0, |q| q.heap_bytes()),
+            decide: self.scratch.heap_bytes()
+                + self.quantized.as_ref().map_or(0, |q| q.heap_bytes()),
             guards,
         }
     }
@@ -1264,12 +1239,38 @@ impl MaBdq {
         epsilon: f64,
         out: &mut Vec<Vec<usize>>,
     ) -> Result<(), RlError> {
+        self.eval_fused(states)?;
+        self.greedy_with_epsilon(Some(epsilon), out);
+        Ok(())
+    }
+
+    /// Greedy per-branch action selection on the fused path: the first
+    /// maximum of each row [`q_values_into`](Self::q_values_into) would
+    /// return. Draws nothing from the RNG, so it cannot perturb the ε stream
+    /// of [`select_actions_into`](Self::select_actions_into) — the
+    /// `SafeFallback` shed tier decides with it. Allocation-free in steady
+    /// state, like the ε-greedy select.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RlError::DimensionMismatch`] for wrongly shaped states.
+    pub fn select_actions_greedy_into(
+        &mut self,
+        states: &[Vec<f32>],
+        out: &mut Vec<Vec<usize>>,
+    ) -> Result<(), RlError> {
+        self.eval_fused(states)?;
+        self.greedy_with_epsilon(None, out);
+        Ok(())
+    }
+
+    /// Evaluates one joint state on the fused path into `scratch.q_eval`.
+    fn eval_fused(&mut self, states: &[Vec<f32>]) -> Result<(), RlError> {
         self.check_states(states)?;
         self.pack_joint_state(states);
         let DecideScratch { x, eval, q_eval } = &mut self.scratch;
         self.online
             .q_values_fused_into(x, self.config.state_dim, eval, q_eval);
-        self.greedy_with_epsilon(epsilon, out);
         Ok(())
     }
 
@@ -1295,80 +1296,52 @@ impl MaBdq {
         let DecideScratch { x, eval, q_eval } = &mut self.scratch;
         self.online
             .q_values_per_agent_into(x, self.config.state_dim, eval, q_eval);
-        self.greedy_with_epsilon(epsilon, out);
+        self.greedy_with_epsilon(Some(epsilon), out);
         Ok(())
     }
 
-    /// Shared ε-greedy draw over `scratch.q_eval`: agents outer, branches
-    /// inner, one `next_f64` per (agent, branch) — the draw order both
-    /// selection paths share, so their RNG streams stay in lockstep.
-    fn greedy_with_epsilon(&mut self, epsilon: f64, out: &mut Vec<Vec<usize>>) {
+    /// Shared action pick over `scratch.q_eval`: agents outer, branches
+    /// inner. With `Some(ε)`, one `next_f64` per (agent, branch) — the draw
+    /// order both ε-greedy selection paths share, so their RNG streams stay
+    /// in lockstep; with `None`, the first-max argmax and no draw at all.
+    fn greedy_with_epsilon(&mut self, epsilon: Option<f64>, out: &mut Vec<Vec<usize>>) {
         out.resize_with(self.config.agents, Vec::new);
         for (branches, agent_actions) in self.scratch.q_eval.iter().zip(out.iter_mut()) {
             agent_actions.clear();
             for (d, qd) in branches.iter().enumerate() {
                 let n = self.config.branches[d];
-                let a = if self.rng.next_f64() < epsilon {
-                    self.rng.range_usize(0, n)
-                } else {
-                    argmax(qd.row(0))
+                let a = match epsilon {
+                    Some(eps) if self.rng.next_f64() < eps => self.rng.range_usize(0, n),
+                    _ => argmax(qd.row(0)),
                 };
                 agent_actions.push(a);
             }
         }
     }
 
-    /// Builds (or refreshes in place) the fixed-point snapshot of the online
-    /// network used by [`select_actions_quantized_into`](Self::select_actions_quantized_into).
-    /// The first call allocates; later calls requantize into the existing
-    /// buffers and are allocation-free. Once built, the snapshot is also
-    /// re-synced automatically on every target-network sync, so degraded-mode
-    /// decisions lag the policy by at most `target_update_every` steps.
+    /// Builds a fresh fixed-point snapshot of the online network for
+    /// [`select_actions_quantized_into`](Self::select_actions_quantized_into).
+    /// Nothing in the control loop calls it: it serves only the
+    /// `rl.select_quantized_p50_us` ledger probe, and a later ledger change
+    /// retires it together with that probe.
     ///
     /// # Errors
     ///
     /// Returns [`RlError::DimensionMismatch`] when a layer exceeds the
     /// fixed-point accumulator headroom (`in_dim > 8192`).
     pub fn refresh_quantized(&mut self) -> Result<(), RlError> {
-        match &mut self.quantized {
-            Some(qn) => qn.refresh_from(&self.online),
-            slot => {
-                *slot = Some(Box::new(QuantizedNet::from_net(&self.online)?));
-                Ok(())
-            }
-        }
+        self.quantized = Some(Box::new(QuantizedNet::from_net(&self.online)?));
+        Ok(())
     }
 
-    /// Whether a fixed-point snapshot exists (see
-    /// [`refresh_quantized`](Self::refresh_quantized)).
-    pub fn quantized_ready(&self) -> bool {
-        self.quantized.is_some()
-    }
-
-    /// In-place snapshot re-sync on target-network updates: allocation-free,
-    /// and a no-op until [`refresh_quantized`](Self::refresh_quantized) has
-    /// armed the fallback. Architecture cannot drift from the online net it
-    /// was built from, so failure is unreachable; `expect` keeps that loud.
-    fn resync_quantized(&mut self) {
-        if let Some(qn) = &mut self.quantized {
-            qn.refresh_from(&self.online)
-                .expect("quantized snapshot tracks the online architecture");
-        }
-    }
-
-    /// Greedy action selection on the fixed-point snapshot — the
-    /// `SafeFallback` shed tier's decision path. Lazily builds the snapshot
-    /// on first use (that call allocates; arm it up front with
-    /// [`refresh_quantized`](Self::refresh_quantized) to keep the shed path
-    /// allocation-free).
-    ///
-    /// Deliberately greedy with no ε-exploration: a degraded epoch takes no
-    /// exploration risk, and drawing nothing from the RNG means a shed epoch
-    /// cannot perturb the primary path's ε stream. Because the dueling
-    /// combine `Q = V + A − mean(A)` only shifts each branch row by a
-    /// per-agent constant, `argmax Q = argmax A`, so the fallback skips the
-    /// per-agent value heads entirely — the cost is one quantized trunk
-    /// forward plus `K·D` quantized advantage rows.
+    /// Greedy action selection on the fixed-point snapshot, built on first
+    /// use if [`refresh_quantized`](Self::refresh_quantized) has not run;
+    /// draws nothing from the RNG. Because the dueling combine
+    /// `Q = V + A − mean(A)` only shifts each branch row by a per-agent
+    /// constant, it ranks advantages and skips the value heads. Nothing in
+    /// the control loop calls it: it serves only the
+    /// `rl.select_quantized_p50_us` ledger probe, and a later ledger change
+    /// retires it together with that probe.
     ///
     /// # Errors
     ///
@@ -1382,7 +1355,7 @@ impl MaBdq {
         self.check_states(states)?;
         self.pack_joint_state(states);
         if self.quantized.is_none() {
-            self.quantized = Some(Box::new(QuantizedNet::from_net(&self.online)?));
+            self.refresh_quantized()?;
         }
         let state_dim = self.config.state_dim;
         let agents = self.config.agents;
@@ -1393,7 +1366,6 @@ impl MaBdq {
             trunk_out,
             input_k,
             adv,
-            ..
         } = qn.as_mut();
         trunk.forward_into(&self.scratch.x, trunk_out);
         let trunk_dim = trunk_out.cols();
@@ -1411,90 +1383,6 @@ impl MaBdq {
             }
         }
         Ok(())
-    }
-
-    /// Allocating wrapper around
-    /// [`select_actions_quantized_into`](Self::select_actions_quantized_into).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RlError::DimensionMismatch`] for wrongly shaped states.
-    pub fn select_actions_quantized(
-        &mut self,
-        states: &[Vec<f32>],
-    ) -> Result<Vec<Vec<usize>>, RlError> {
-        let mut out = Vec::with_capacity(self.config.agents);
-        self.select_actions_quantized_into(states, &mut out)?;
-        Ok(out)
-    }
-
-    /// Full fixed-point Q-values `q[k][d][a]` (value heads included), for
-    /// the divergence-bound test and diagnostics. Lazily builds the snapshot
-    /// like [`select_actions_quantized_into`](Self::select_actions_quantized_into).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RlError::DimensionMismatch`] for wrongly shaped states.
-    pub fn q_values_quantized_into(
-        &mut self,
-        states: &[Vec<f32>],
-        out: &mut Vec<Vec<Vec<f32>>>,
-    ) -> Result<(), RlError> {
-        self.check_states(states)?;
-        self.pack_joint_state(states);
-        if self.quantized.is_none() {
-            self.quantized = Some(Box::new(QuantizedNet::from_net(&self.online)?));
-        }
-        let state_dim = self.config.state_dim;
-        let agents = self.config.agents;
-        let qn = self.quantized.as_mut().expect("built above");
-        let QuantizedNet {
-            trunk,
-            value_heads,
-            adv_heads,
-            trunk_out,
-            input_k,
-            v,
-            adv,
-        } = qn.as_mut();
-        trunk.forward_into(&self.scratch.x, trunk_out);
-        let trunk_dim = trunk_out.cols();
-        out.resize_with(agents, Vec::new);
-        for (k, (vh, branches_out)) in value_heads.iter_mut().zip(out.iter_mut()).enumerate() {
-            input_k.resize_zeroed(1, trunk_dim + state_dim);
-            let row = input_k.row_mut(0);
-            row[..trunk_dim].copy_from_slice(trunk_out.row(0));
-            row[trunk_dim..]
-                .copy_from_slice(&self.scratch.x.row(0)[k * state_dim..(k + 1) * state_dim]);
-            vh.forward_into(input_k, v);
-            let value = v[(0, 0)];
-            branches_out.resize_with(adv_heads.len(), Vec::new);
-            for (head, dst) in adv_heads.iter_mut().zip(branches_out.iter_mut()) {
-                head.forward_into(input_k, adv);
-                let arow = adv.row(0);
-                let mean: f32 = arow.iter().sum::<f32>() / arow.len() as f32;
-                let base = value - mean;
-                dst.clear();
-                dst.extend(arow.iter().map(|a| a + base));
-            }
-        }
-        Ok(())
-    }
-
-    /// Analytic upper bound on `|Q_quantized − Q_f32|` for per-counter state
-    /// inputs bounded by `input_max_abs`, composed from the per-network
-    /// fixed-point error bounds: trunk error propagates into each head as
-    /// input error, and the dueling combine contributes `|ΔV| + |ΔA| +
-    /// mean|ΔA| ≤ E_v + 2·E_a`. `None` until a snapshot exists.
-    pub fn quantized_q_error_bound(&self, input_max_abs: f32) -> Option<f32> {
-        let qn = self.quantized.as_ref()?;
-        let trunk_err = qn.trunk.worst_case_error(input_max_abs);
-        let trunk_max = qn.trunk.output_bound_given(input_max_abs, 0.0);
-        let head_in_max = trunk_max.max(input_max_abs);
-        let head_err = |h: &QuantizedMlp| h.worst_case_error_given(head_in_max, trunk_err);
-        let e_v = qn.value_heads.iter().map(head_err).fold(0.0f32, f32::max);
-        let e_a = qn.adv_heads.iter().map(head_err).fold(0.0f32, f32::max);
-        Some(e_v + 2.0 * e_a)
     }
 
     /// Q-values for one joint state: `q[k][d][a]`. Dropout disabled.
@@ -1521,11 +1409,7 @@ impl MaBdq {
         states: &[Vec<f32>],
         out: &mut Vec<Vec<Vec<f32>>>,
     ) -> Result<(), RlError> {
-        self.check_states(states)?;
-        self.pack_joint_state(states);
-        let DecideScratch { x, eval, q_eval } = &mut self.scratch;
-        self.online
-            .q_values_fused_into(x, self.config.state_dim, eval, q_eval);
+        self.eval_fused(states)?;
         self.export_q_eval(out);
         Ok(())
     }
@@ -1553,10 +1437,10 @@ impl MaBdq {
     }
 
     /// Agent `agent`'s Q-values on branch `branch` as the most recent
-    /// full-precision decide call (`select_actions*` or `q_values*`, not the
-    /// quantized ones) evaluated them, for a caller that wants to look at
-    /// the values behind the actions it was just handed without a second
-    /// forward pass. `None` before the first such call or out of range.
+    /// full-precision decide call (`select_actions*` or `q_values*`, not
+    /// `select_actions_quantized_into`) evaluated them, for a caller that
+    /// wants to look at the values behind the actions it was just handed
+    /// without a second forward pass. `None` before the first such call or out of range.
     pub fn last_q_values(&self, agent: usize, branch: usize) -> Option<&[f32]> {
         let q = self.scratch.q_eval.get(agent)?.get(branch)?;
         Some(q.row(0))
@@ -1720,8 +1604,8 @@ impl MaBdq {
     ///
     /// Between chunk calls the caller may freely decide
     /// ([`select_actions`](Self::select_actions) /
-    /// [`q_values`](Self::q_values) and their unfused and quantized
-    /// siblings) and [`observe`](Self::observe): decisions are stateless
+    /// [`q_values`](Self::q_values), their unfused siblings and
+    /// [`select_actions_greedy_into`](Self::select_actions_greedy_into)) and [`observe`](Self::observe): decisions are stateless
     /// forwards on their own scratch, and the step owns copies of what a
     /// replay overwrite could change. A step driven to completion is the
     /// same code in the same order as one [`train_step`](Self::train_step),
@@ -1984,7 +1868,6 @@ impl MaBdq {
             self.steps += 1;
             if self.steps.is_multiple_of(self.config.target_update_every) {
                 self.target.copy_weights_from(&self.online);
-                self.resync_quantized();
             }
         }
         // The scan runs on skipped steps too: the agent whose TD blew up
@@ -3490,66 +3373,6 @@ mod tests {
                 agent.observe(random_transition(&mut rng, &config)).unwrap();
             }
         }
-    }
-
-    #[test]
-    fn quantized_argmax_is_the_fused_argmax_where_the_bound_says_it_must_be() {
-        // ROADMAP 2(d): a fixed-point Q-value is within the analytic bound E
-        // of the full-precision one, so on a branch whose top-2 gap exceeds
-        // 2E the snapshot's greedy action is the fused decide's. Asserted
-        // per branch, as the network chooses — the branching-MDP paper
-        // (PAPERS.md) is the reminder that this, not a joint argmax, is what
-        // the decomposition guarantees.
-        //
-        // The bound is loose: on these trained networks it is hundreds of
-        // times any top-2 gap, so it decides nothing by itself. The output
-        // layer's bias enters no error term (it is added in f32 after the
-        // last product), so giving one action of branch 0 a lead of 3E there
-        // leaves the bound where it was and makes that branch one the bound
-        // must decide; branch 1 keeps its trained values.
-        let mut rng = Xoshiro256::seed_from_u64(0x9a2d);
-        let (mut checked, mut seen) = (0, 0);
-        for agents in [1, 3, 8] {
-            let config = MaBdqConfig {
-                gamma: 0.9,
-                ..tiny_config(agents)
-            };
-            let mut agent = MaBdq::new(config.clone()).unwrap();
-            train(&mut agent, &mut rng, 60);
-            agent.refresh_quantized().unwrap();
-            let bound = agent.quantized_q_error_bound(1.0).unwrap();
-            assert!(bound.is_finite() && bound > 0.0);
-            let lead = rng.range_usize(0, config.branches[0]);
-            let mut params = agent.online.adv_heads[0].export_parameters();
-            let bias_at = params.len() - config.branches[0];
-            params[bias_at + lead] += 3.0 * bound;
-            agent.online.adv_heads[0]
-                .import_parameters(&params)
-                .unwrap();
-            agent.refresh_quantized().unwrap();
-            assert_eq!(agent.quantized_q_error_bound(1.0), Some(bound));
-            for _ in 0..40 {
-                let states = random_transition(&mut rng, &config).states;
-                let q = agent.q_values(&states).unwrap();
-                let quantized = agent.select_actions_quantized(&states).unwrap();
-                for (k, (rows, chosen)) in q.iter().zip(&quantized).enumerate() {
-                    for (d, (row, &a)) in rows.iter().zip(chosen).enumerate() {
-                        seen += 1;
-                        let top = argmax(row);
-                        let second = (0..row.len())
-                            .filter(|&i| i != top)
-                            .map(|i| row[i])
-                            .fold(f32::NEG_INFINITY, f32::max);
-                        if row[top] - second > 2.0 * bound {
-                            checked += 1;
-                            assert_eq!(a, top, "K = {agents}, agent {k}, branch {d}: {row:?}");
-                        }
-                    }
-                }
-            }
-        }
-        // At least every row of every agent on branch 0.
-        assert!(checked * 2 >= seen, "{checked} of {seen} checked");
     }
 
     #[test]

@@ -104,12 +104,12 @@ struct Decides {
     states: Vec<Vec<f32>>,
     actions: Vec<Vec<usize>>,
     actions_unfused: Vec<Vec<usize>>,
-    actions_quant: Vec<Vec<usize>>,
+    actions_greedy: Vec<Vec<usize>>,
     q_out: Vec<Vec<Vec<f32>>>,
 }
 
-/// One call into each decide path: fused, per-agent reference, fixed-point,
-/// and the Q-value export.
+/// One call into each decide path: fused, per-agent reference, greedy, and
+/// the Q-value export.
 fn decide_all(agent: &mut MaBdq, d: &mut Decides) {
     agent
         .select_actions_into(&d.states, 0.5, &mut d.actions)
@@ -118,7 +118,7 @@ fn decide_all(agent: &mut MaBdq, d: &mut Decides) {
         .select_actions_unfused_into(&d.states, 0.5, &mut d.actions_unfused)
         .unwrap();
     agent
-        .select_actions_quantized_into(&d.states, &mut d.actions_quant)
+        .select_actions_greedy_into(&d.states, &mut d.actions_greedy)
         .unwrap();
     agent.q_values_into(&d.states, &mut d.q_out).unwrap();
 }
@@ -155,25 +155,22 @@ fn hot_path_is_allocation_free_in_steady_state() {
         }
 
         // Warm-up: sizes every scratch buffer (NN scratch, PER batch, Adam
-        // moment vectors, reusable action/Q output buffers) and arms the
-        // fixed-point fallback snapshot, whose first build allocates.
+        // moment vectors, reusable action/Q output buffers).
         let mut out = Decides {
             states: vec![vec![0.1, 0.2, 0.3, 0.4]; agents],
             actions: Vec::new(),
             actions_unfused: Vec::new(),
-            actions_quant: Vec::new(),
+            actions_greedy: Vec::new(),
             q_out: Vec::new(),
         };
-        agent.refresh_quantized().unwrap();
         for _ in 0..3 {
             epoch(&mut agent, &mut out);
         }
 
         // Steady state: ten epochs of learn + decide, zero allocations. The
-        // window covers several target-network syncs (every 3 steps), each
-        // of which also re-quantizes the armed fallback snapshot in place,
-        // plus the fused, per-agent reference, and fixed-point decision
-        // paths, both after a step and between the chunks of a budgeted one.
+        // window covers several target-network syncs (every 3 steps) plus
+        // the fused, per-agent reference, and greedy decision paths, both
+        // after a step and between the chunks of a budgeted one.
         let start = count_alloc::allocation_count();
         for _ in 0..10 {
             epoch(&mut agent, &mut out);
@@ -190,9 +187,8 @@ fn hot_path_is_allocation_free_in_steady_state() {
         // the outputs are live.
         assert!(agent.steps() >= 26);
         assert_eq!(out.actions.len(), agents);
-        assert_eq!(out.actions_quant.len(), agents);
+        assert_eq!(out.actions_greedy.len(), agents);
         assert_eq!(out.q_out.len(), agents);
-        assert!(agent.quantized_ready());
     }
     footprint_follows_contents(true);
     footprint_follows_contents(false);
@@ -312,8 +308,8 @@ fn target_network_holds_weights_only() {
     );
 }
 
-/// After 200 observe + train steps (and a decide per step, fused and
-/// fixed-point), what the learner says it holds is what the allocator says
+/// After 200 observe + train steps (and a decide per step, ε-greedy and
+/// greedy), what the learner says it holds is what the allocator says
 /// is live, within 3 % (to the byte when this was written). At K = 24 that is five parameter-sized arrays
 /// (weights twice, gradients, two moments) plus working memory that no
 /// longer grows with the number of heads, and holds no `K·B`-row buffer.
@@ -350,7 +346,7 @@ fn learner_bytes_account_for_the_live_heap(agents: usize) {
                 .select_actions_into(&probe, 0.1, &mut actions)
                 .unwrap();
             agent
-                .select_actions_quantized_into(&probe, &mut actions)
+                .select_actions_greedy_into(&probe, &mut actions)
                 .unwrap();
         }
     }

@@ -65,7 +65,7 @@ fn transition(rng: &mut Xoshiro256) -> MultiTransition {
     }
 }
 
-/// Every public eval path, once each. The ε-greedy paths draw from the
+/// Every public decide path, once each. The ε-greedy paths draw from the
 /// agent's RNG, so a twin that must stay in lockstep calls this as often.
 fn decide_all(agent: &mut MaBdq) {
     let probe = vec![vec![0.1_f32; STATE_DIM]; AGENTS];
@@ -79,7 +79,7 @@ fn decide_all(agent: &mut MaBdq) {
         .select_actions_unfused_into(&probe, 0.5, &mut actions)
         .unwrap();
     agent
-        .select_actions_quantized_into(&probe, &mut actions)
+        .select_actions_greedy_into(&probe, &mut actions)
         .unwrap();
 }
 
@@ -142,9 +142,9 @@ fn wide_step_with_decides_and_observes_between_every_chunk_is_bit_identical() {
     // K = 24 at the default architecture, one agent per chunk. All 24 value
     // heads take turns on one tape and every advantage head on another,
     // while the trunk's tape has to carry the prologue's forward to the
-    // epilogue across 23 returns to the caller — who decides (fused and
-    // fixed-point, each on the decide paths' own working memory) and
-    // observes every time. Each round starts both learners from one state:
+    // epilogue across 23 returns to the caller — who decides (ε-greedy and
+    // greedy, both on the decide paths' own working memory) and observes
+    // every time. Each round starts both learners from one state:
     // a transition observed mid-step enters the buffer before the step's
     // priority write-back rather than after it, so priorities of *later*
     // rounds legitimately differ, but this step's loss, gradients, weights
@@ -175,7 +175,6 @@ fn wide_step_with_decides_and_observes_between_every_chunk_is_bit_identical() {
     for _ in 0..80 {
         full.observe(transition()).unwrap();
     }
-    full.refresh_quantized().unwrap();
     let probe = vec![vec![0.1_f32; 11]; K];
     let mut actions = Vec::new();
     for round in 0..4 {
@@ -190,7 +189,7 @@ fn wide_step_with_decides_and_observes_between_every_chunk_is_bit_identical() {
                         .select_actions_into(&probe, 0.5, &mut actions)
                         .unwrap();
                     budgeted
-                        .select_actions_quantized_into(&probe, &mut actions)
+                        .select_actions_greedy_into(&probe, &mut actions)
                         .unwrap();
                     budgeted.observe(transition()).unwrap();
                 }

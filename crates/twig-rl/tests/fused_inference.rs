@@ -9,9 +9,9 @@
 //! quarantine-frozen agent in the batch. A frozen agent still produces
 //! Q-values at decide time; freezing must not perturb anyone's bits.
 //!
-//! Also holds the degraded-tier contract: the fixed-point fallback's
-//! Q-values stay inside the analytic divergence bound, and its greedy
-//! selection is deterministic and draws nothing from the ε stream.
+//! Also holds the degraded-tier contract: the greedy select the
+//! `SafeFallback` shed tier decides with is the first-max argmax of the
+//! fused Q-values, deterministic, and draws nothing from the ε stream.
 
 use twig_rl::{MaBdq, MaBdqConfig, MultiTransition, QuarantineConfig};
 use twig_stats::rng::{Rng, Xoshiro256};
@@ -162,65 +162,50 @@ fn frozen_agent_does_not_perturb_the_batch() {
     assert_twin_runs_identical(&agent, 12, 77);
 }
 
-#[test]
-fn quantized_q_divergence_within_analytic_bound() {
-    let mut agent = MaBdq::new(config(4)).unwrap();
-    let mut rng = Xoshiro256::seed_from_u64(11);
-    train_some(&mut agent, &mut rng, 20);
-    agent.refresh_quantized().unwrap();
-    let bound = agent
-        .quantized_q_error_bound(1.0)
-        .expect("snapshot armed above");
-    assert!(bound.is_finite() && bound > 0.0);
-
-    let mut q_exact: Vec<Vec<Vec<f32>>> = Vec::new();
-    let mut q_fixed: Vec<Vec<Vec<f32>>> = Vec::new();
-    let mut max_div = 0.0f32;
-    for _ in 0..10 {
-        let states = random_states(&mut rng, 4, 5);
-        agent.q_values_into(&states, &mut q_exact).unwrap();
-        agent
-            .q_values_quantized_into(&states, &mut q_fixed)
-            .unwrap();
-        for (bk, bq) in q_exact.iter().zip(&q_fixed) {
-            for (rk, rq) in bk.iter().zip(bq) {
-                for (e, a) in rk.iter().zip(rq) {
-                    assert!(a.is_finite());
-                    max_div = max_div.max((e - a).abs());
-                }
-            }
-        }
-    }
-    assert!(
-        max_div <= bound,
-        "measured Q divergence {max_div} above analytic bound {bound}"
-    );
+/// The first index of the row's maximum.
+fn first_argmax(row: &[f32]) -> usize {
+    (0..row.len()).fold(0, |best, i| if row[i] > row[best] { i } else { best })
 }
 
 #[test]
-fn quantized_selection_is_deterministic_and_rng_free() {
+fn greedy_selection_is_the_fused_argmax_and_rng_free() {
     let mut agent = MaBdq::new(config(3)).unwrap();
     let mut rng = Xoshiro256::seed_from_u64(23);
     train_some(&mut agent, &mut rng, 10);
-    agent.refresh_quantized().unwrap();
-    let states = random_states(&mut rng, 3, 5);
-
-    // Deterministic: repeated calls agree, and actions are in range.
-    let a1 = agent.select_actions_quantized(&states).unwrap();
-    let a2 = agent.select_actions_quantized(&states).unwrap();
-    assert_eq!(a1, a2);
-    for agent_actions in &a1 {
-        assert_eq!(agent_actions.len(), agent.config().branches.len());
-        for (a, &n) in agent_actions.iter().zip(&agent.config().branches) {
-            assert!(*a < n);
+    let branches = agent.config().branches.clone();
+    let mut greedy: Vec<Vec<usize>> = Vec::new();
+    let mut again: Vec<Vec<usize>> = Vec::new();
+    let mut q: Vec<Vec<Vec<f32>>> = Vec::new();
+    for round in 0..8 {
+        let states = random_states(&mut rng, 3, 5);
+        // Deterministic, and in range: each action is the first maximum of
+        // the row `q_values_into` returns for the same state.
+        agent
+            .select_actions_greedy_into(&states, &mut greedy)
+            .unwrap();
+        agent
+            .select_actions_greedy_into(&states, &mut again)
+            .unwrap();
+        assert_eq!(greedy, again, "round {round}");
+        agent.q_values_into(&states, &mut q).unwrap();
+        assert_eq!(greedy.len(), 3);
+        for (k, (chosen, rows)) in greedy.iter().zip(&q).enumerate() {
+            assert_eq!(chosen.len(), branches.len());
+            for (d, ((&a, row), &n)) in chosen.iter().zip(rows).zip(&branches).enumerate() {
+                assert!(a < n, "round {round}: agent {k} branch {d}");
+                assert_eq!(a, first_argmax(row), "round {round}: agent {k} branch {d}");
+            }
         }
     }
 
-    // RNG-free: a clone that never runs the quantized path draws the exact
+    // RNG-free: a clone that never runs the greedy select draws the exact
     // same ε stream afterwards — shed epochs cannot perturb exploration.
+    let states = random_states(&mut rng, 3, 5);
     let mut twin = agent.clone();
     for _ in 0..5 {
-        let _ = agent.select_actions_quantized(&states).unwrap();
+        agent
+            .select_actions_greedy_into(&states, &mut greedy)
+            .unwrap();
     }
     let mut out_a: Vec<Vec<usize>> = Vec::new();
     let mut out_b: Vec<Vec<usize>> = Vec::new();

@@ -253,9 +253,6 @@ impl ScenarioRunner {
             let r = platform.step(&a).map_err(run_err)?;
             twig.observe(&r).map_err(run_err)?;
         }
-        // Arm the fixed-point snapshot so SafeFallback epochs decide on the
-        // degraded (quantized, greedy) network instead of the static plan.
-        twig.prepare_fallback().map_err(run_err)?;
         let gov_config = GovernorConfig {
             services: specs.clone(),
             cores,
@@ -296,7 +293,6 @@ impl ScenarioRunner {
                     } else {
                         acc.recoveries_cold += 1;
                     }
-                    fresh.prepare_fallback().map_err(run_err)?;
                     let mut config = gov_config.clone();
                     config.services = specs.clone();
                     gov = SafetyGovernor::new(fresh, config).map_err(run_err)?;

@@ -3,11 +3,10 @@
 # CI (.github/workflows/ci.yml, bench-decide job) and local runs.
 #
 # `twig-bench bench_decide` sweeps the agent count (4/16/64/128) and
-# measures p50/p99 decide latency of the fused batched path, the fully
-# per-agent reference loop, and the fixed-point SafeFallback tier,
-# asserting bit-identity, zero steady-state allocations and (full mode) a
-# >= 2x fused speedup at K=64. The report lands in
-# results/BENCH_decide.json.
+# measures p50/p99 decide latency of the fused batched path and the fully
+# per-agent reference loop, asserting bit-identity, zero steady-state
+# allocations and (full mode) a >= 2x fused speedup at K=64. The report
+# lands in results/BENCH_decide.json.
 #
 # Usage:
 #   scripts/bench_decide.sh            full run + regression check against

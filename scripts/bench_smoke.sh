@@ -47,8 +47,9 @@
 #    and the cluster-scale policy-transfer result internally; the
 #    report lands in results/federate_report.txt.
 # 8. bench_decide (--smoke, via scripts/bench_decide.sh) sweeps the agent
-#    count and asserts the fused inference path is bit-identical to the
-#    per-agent loop and allocation-free; results/BENCH_decide.json. The
+#    count, times the fused and per-agent decide paths, and asserts the
+#    fused path is bit-identical to the per-agent loop and allocation-free;
+#    results/BENCH_decide.json. The
 #    baseline latency-regression check runs only in the full (CI
 #    bench-decide job) mode.
 set -eu

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything must pass offline (the workspace has no external
-# dependencies — see DESIGN.md §6). Run from the repo root.
+# dependencies — see DESIGN.md §6). Run from the repo root. Formats, builds,
+# tests (dev and release) and lints the workspace, type-checks the bench/
+# ledger workspace against it, and runs the grep guards below.
 #
 # bash (not POSIX sh) so `pipefail` is available: a step that pipes through
 # a filter must fail on the producer's status, not the filter's.
@@ -133,6 +135,11 @@ step "test"           cargo test -q --offline --workspace
 # and the 400-scenario round-trip property also run as the corpus runs them.
 step "test-release"   cargo test --release --offline -q -p twig-nn -p twig-rl -p twig-stats -p twig-sim -p twig-scenario
 step "clippy"         cargo clippy --offline --workspace --all-targets -- -D warnings
+# The performance ledger (bench/) is its own workspace with path
+# dependencies on the crates above, so nothing before this step compiles it:
+# deleting or renaming an API it calls would otherwise fail only the
+# perf-ledger CI job and the benchmark run.
+step "bench-compiles" cargo check --offline --locked --manifest-path bench/Cargo.toml --all-targets
 step "bench-baseline" check_bench_baseline
 step "report-manifest" check_report_manifest
 step "unsafe-budget"  check_unsafe_budget
