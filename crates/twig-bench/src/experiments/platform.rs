@@ -21,7 +21,8 @@
 //!   `observe_degraded` path and never learns from it;
 //! - **no phantom faults**: a clean counter read means the manager's
 //!   belief equals the world's ground truth exactly;
-//! - the backend's `platform.*` telemetry counters match its own stats.
+//! - the backend's `platform.*` telemetry counters match its own stats
+//!   (by construction: every event moves both through `PlatformStats::bump`).
 //!
 //! The calm schedule additionally proves the [`SimPlatform`] trait
 //! adapter behavior-preserving: a governed manager driven through
@@ -33,14 +34,13 @@
 //! never enters the text — so the report is bit-identical at `--jobs 1`,
 //! `2` and `4`.
 
-use crate::runner::suite_epochs;
+use crate::runner::{suite_epochs, twin_lockstep};
 use crate::{fmt_f, run_fleet, ExpError, Options, TextTable, Unit};
 use std::fmt::Write as _;
 use twig_core::{GovernorConfig, SafetyGovernor, TaskManager};
 use twig_platform::{OsFaultConfig, OsFaultPlan, Platform, SimPlatform, SimWorld};
 use twig_scenario::build_twig;
 use twig_sim::{catalog, Server, ServerConfig};
-use twig_telemetry::Telemetry;
 
 /// What a schedule is required to demonstrate, beyond the universal
 /// invariants.
@@ -216,16 +216,6 @@ impl Outcome {
     }
 }
 
-/// Cross-checks the backend's exported `platform.*` telemetry against its
-/// own stats — the counters the dashboards would alert on must not drift
-/// from truth.
-fn check_telemetry(telemetry: &Telemetry, stats: &twig_platform::PlatformStats) {
-    let m = telemetry.metrics().expect("telemetry enabled");
-    for (name, value) in stats.counter_pairs_all() {
-        assert_eq!(m.counter(name), value, "telemetry drift on {name}");
-    }
-}
-
 /// Runs one governed control loop through the Linux backend against a
 /// faulted [`SimWorld`] and asserts its expectation plus the universal
 /// invariants.
@@ -238,8 +228,6 @@ fn run_schedule(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, ExpErro
     let cores = world.server().config().cores;
     let dvfs = world.server().config().dvfs.clone();
     let mut platform = world.platform()?;
-    let telemetry = Telemetry::enabled();
-    platform.set_telemetry(telemetry.clone());
 
     // Fault-free warm-up pre-roll through the same closed loop, then
     // install the fault plan so outage windows align with the scheduled
@@ -312,7 +300,6 @@ fn run_schedule(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, ExpErro
 
     let stats = *platform.stats();
     assert_eq!(stats.epochs, WARMUP_EPOCHS + epochs);
-    check_telemetry(&telemetry, &stats);
     o.absorb_stats(&stats);
 
     match s.expect {
@@ -410,29 +397,28 @@ fn run_bit_identity(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, Exp
         dvfs: cfg.dvfs.clone(),
         ..GovernorConfig::default()
     };
-    let mut gov_a = SafetyGovernor::new(twig_a, gov_cfg.clone())?;
-    let mut gov_b = SafetyGovernor::new(twig_b, gov_cfg)?;
+    let mut twins = [
+        SafetyGovernor::new(twig_a, gov_cfg.clone())?,
+        SafetyGovernor::new(twig_b, gov_cfg)?,
+    ];
 
     let mut o = Outcome::new(s.name);
-    let mut identical = true;
-    for _ in 0..epochs {
-        let a = gov_a.decide()?;
-        platform.actuate(&a)?;
-        let ra = platform.observe_epoch()?;
-        let b = gov_b.decide()?;
-        let rb = server.step(&b)?;
-        if ra != rb {
-            identical = false;
-        }
-        for (i, svc) in ra.services.iter().enumerate() {
-            o.absorb_service_epoch(svc.p99_ms, qos[i]);
-        }
-        gov_a.observe(&ra)?;
-        gov_b.observe(&rb)?;
-        if gov_a.inner_mut().checkpoint_bytes() != gov_b.inner_mut().checkpoint_bytes() {
-            identical = false;
-        }
-    }
+    let identical = twin_lockstep(
+        epochs,
+        &mut twins,
+        |gov| gov.inner().checkpoint_bytes(),
+        |[gov_a, gov_b]| {
+            let a = gov_a.decide()?;
+            platform.actuate(&a)?;
+            let ra = platform.observe_epoch()?;
+            let b = gov_b.decide()?;
+            let rb = server.step(&b)?;
+            for (i, svc) in ra.services.iter().enumerate() {
+                o.absorb_service_epoch(svc.p99_ms, qos[i]);
+            }
+            Ok([ra, rb])
+        },
+    )?;
     assert!(
         identical,
         "the SimPlatform trait adapter diverged from the raw server"
@@ -444,9 +430,7 @@ fn run_bit_identity(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, Exp
     let mut world = SimWorld::new(vec![catalog::masstree(), catalog::moses()], seed ^ 1)?;
     world.server_mut().set_load_fraction(0, 0.4)?;
     world.server_mut().set_load_fraction(1, 0.4)?;
-    let telemetry = Telemetry::enabled();
     let mut linux = world.platform()?;
-    linux.set_telemetry(telemetry.clone());
     let all = twig_sim::Assignment::first_n(linux.cores(), linux.dvfs().max());
     for _ in 0..epochs {
         linux.actuate(&[all.clone(), all.clone()])?;
@@ -461,7 +445,6 @@ fn run_bit_identity(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, Exp
     assert_eq!(stats.write_retries, 0, "calm backend retried a write");
     assert_eq!(stats.divergences, 0, "calm backend diverged");
     assert_eq!(stats.degraded_epochs, 0, "calm backend degraded");
-    check_telemetry(&telemetry, &stats);
     o.absorb_stats(&stats);
     o.epochs = epochs;
     o.bit_identical = Some(identical);

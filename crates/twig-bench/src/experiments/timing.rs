@@ -20,7 +20,8 @@
 //!   PMC window, and a decision the actuator gave up on is never learned
 //!   from (the epoch is routed to `observe_degraded`);
 //! - the ladder is monotone within an epoch and its depth is bounded by 3;
-//! - the scheduler's `deadline.*` telemetry counters match its own stats.
+//! - the scheduler's `deadline.*` telemetry counters match its own stats
+//!   (by construction: every event moves both through `SchedulerStats::bump`).
 //!
 //! The zero-pressure schedule additionally proves the budgeted micro-batch
 //! learning path bit-identical to the monolithic `train_step`, by running a
@@ -30,19 +31,18 @@
 //! clock never enters the text — so the report is bit-identical at
 //! `--jobs 1`, `2` and `4`.
 
-use crate::runner::suite_epochs;
+use crate::runner::{suite_epochs, twin_lockstep};
 use crate::{fmt_f, run_fleet, ExpError, Options, TextTable, Unit};
 use std::fmt::Write as _;
 use twig_core::{
     ActuationDirective, EpochScheduler, GovernorConfig, InferenceDirective, LearnDirective,
-    SafetyGovernor, SchedulerConfig, SimClock,
+    SafetyGovernor, SchedulerConfig, SimClock, Twig,
 };
 use twig_rl::BudgetedProgress;
 use twig_scenario::build_twig;
 use twig_sim::{
     catalog, Assignment, EpochTimings, Server, ServerConfig, TimingFaultConfig, TimingFaultPlan,
 };
-use twig_telemetry::Telemetry;
 
 /// What a schedule is required to demonstrate, beyond the universal
 /// invariants.
@@ -245,15 +245,6 @@ impl Outcome {
     }
 }
 
-/// Cross-checks the scheduler's exported telemetry against its own stats —
-/// the counters the dashboards would alert on must not drift from truth.
-fn check_telemetry(telemetry: &Telemetry, sched_stats: &twig_core::SchedulerStats) {
-    let m = telemetry.metrics().expect("telemetry enabled");
-    for (name, value) in sched_stats.counter_pairs_all() {
-        assert_eq!(m.counter(name), value, "{name}");
-    }
-}
-
 /// Runs one governed, scheduler-metered control loop under a timing-fault
 /// schedule and asserts its expectation plus the universal invariants.
 fn run_schedule(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, ExpError> {
@@ -265,7 +256,6 @@ fn run_schedule(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, ExpErro
     server.set_load_fraction(1, 0.4)?;
     server.set_timing_plan(TimingFaultPlan::new(s.timing.clone(), seed ^ 0x7171_F0F0)?);
 
-    let telemetry = Telemetry::enabled();
     let mut twig = build_twig(specs.clone(), epochs, seed, true)?;
     // Warm-up pre-roll: fill the replay buffer to one batch so the
     // budgeted learning phase is live from the first scheduled epoch
@@ -286,10 +276,8 @@ fn run_schedule(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, ExpErro
             ..GovernorConfig::default()
         },
     )?;
-    gov.set_telemetry(telemetry.clone());
 
     let mut sched = EpochScheduler::new(SchedulerConfig::default(), SimClock::new())?;
-    sched.set_telemetry(telemetry.clone());
 
     let mut o = Outcome::new(s.name);
     // Bootstrapped to the safe plan: "reuse last" always has a validated
@@ -320,7 +308,6 @@ fn run_schedule(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, ExpErro
     let stats = sched.stats();
     assert_eq!(stats.epochs, epochs);
     assert_eq!(stats.stale_windows, stale_seen);
-    check_telemetry(&telemetry, &stats);
     o.absorb_stats(&stats);
 
     match s.expect {
@@ -377,69 +364,69 @@ fn run_bit_identity(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, Exp
     // server without one sees an identical workload.
     server_a.set_timing_plan(TimingFaultPlan::new(s.timing.clone(), seed ^ 0x7171_F0F0)?);
 
-    let mut twig_a = build_twig(specs.clone(), epochs, seed, true)?;
-    let mut twig_b = build_twig(specs, epochs, seed, true)?;
+    let mut twins = [
+        build_twig(specs.clone(), epochs, seed, true)?,
+        build_twig(specs, epochs, seed, true)?,
+    ];
 
     let clock = SimClock::new();
     let mut sched = EpochScheduler::new(SchedulerConfig::default(), clock.clone())?;
 
     let mut o = Outcome::new(s.name);
-    let mut identical = true;
+    let identical = twin_lockstep(
+        epochs,
+        &mut twins,
+        Twig::checkpoint_bytes,
+        |[twig_a, twig_b]| {
+            let t = server_a.epoch_timings().unwrap_or_else(EpochTimings::zero);
+            sched.begin_epoch();
 
-    for _ in 0..epochs {
-        let t = server_a.epoch_timings().unwrap_or_else(EpochTimings::zero);
-        sched.begin_epoch();
+            clock.advance(t.pmc_read_ms);
+            assert!(sched.pmc_window_fresh(t.pmc_read_ms));
+            assert_eq!(sched.inference_directive(), InferenceDirective::Run);
+            clock.advance(t.inference_ms);
+            let a_assign = twig_a.decide()?;
+            let b_assign = twig_b.decide()?;
 
-        clock.advance(t.pmc_read_ms);
-        assert!(sched.pmc_window_fresh(t.pmc_read_ms));
-        assert_eq!(sched.inference_directive(), InferenceDirective::Run);
-        clock.advance(t.inference_ms);
-        let a_assign = twig_a.decide()?;
-        let b_assign = twig_b.decide()?;
-
-        // A: budgeted micro-batches under chunk grants. B: one monolithic
-        // step at the same point in the epoch.
-        loop {
-            match sched.learn_directive() {
-                LearnDirective::Defer => panic!("zero-pressure schedule deferred learning"),
-                LearnDirective::Chunk => {
-                    clock.advance(t.learn_chunk_ms);
-                    match twig_a.agent_mut().train_step_budgeted(1)? {
-                        BudgetedProgress::Done(_) => {
-                            o.steps += 1;
-                            break;
+            // A: budgeted micro-batches under chunk grants. B: one monolithic
+            // step at the same point in the epoch.
+            loop {
+                match sched.learn_directive() {
+                    LearnDirective::Defer => panic!("zero-pressure schedule deferred learning"),
+                    LearnDirective::Chunk => {
+                        clock.advance(t.learn_chunk_ms);
+                        match twig_a.agent_mut().train_step_budgeted(1)? {
+                            BudgetedProgress::Done(_) => {
+                                o.steps += 1;
+                                break;
+                            }
+                            BudgetedProgress::InProgress { .. } => {}
+                            BudgetedProgress::NotReady => break,
                         }
-                        BudgetedProgress::InProgress { .. } => {}
-                        BudgetedProgress::NotReady => break,
                     }
                 }
             }
-        }
-        let _ = twig_b.agent_mut().train_step()?;
+            let _ = twig_b.agent_mut().train_step()?;
 
-        clock.advance(t.actuation_attempt_ms);
-        assert_eq!(
-            sched.actuation_attempt(t.actuation_attempt_ms),
-            ActuationDirective::Applied
-        );
-        let ra = server_a.step(&a_assign)?;
-        let rb = server_b.step(&b_assign)?;
-        for (i, svc) in ra.services.iter().enumerate() {
-            o.absorb_service_epoch(svc.p99_ms, qos[i]);
-        }
-        twig_a.observe(&ra)?;
-        twig_b.observe(&rb)?;
+            clock.advance(t.actuation_attempt_ms);
+            assert_eq!(
+                sched.actuation_attempt(t.actuation_attempt_ms),
+                ActuationDirective::Applied
+            );
+            let ra = server_a.step(&a_assign)?;
+            let rb = server_b.step(&b_assign)?;
+            for (i, svc) in ra.services.iter().enumerate() {
+                o.absorb_service_epoch(svc.p99_ms, qos[i]);
+            }
 
-        sched.end_epoch();
-        let rem = sched.remaining_ms();
-        if rem > 0.0 {
-            clock.advance(rem);
-        }
-
-        if twig_a.checkpoint_bytes() != twig_b.checkpoint_bytes() {
-            identical = false;
-        }
-    }
+            sched.end_epoch();
+            let rem = sched.remaining_ms();
+            if rem > 0.0 {
+                clock.advance(rem);
+            }
+            Ok([ra, rb])
+        },
+    )?;
 
     let stats = sched.stats();
     assert_eq!(stats.misses, 0, "zero-pressure run missed a deadline");

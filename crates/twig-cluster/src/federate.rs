@@ -964,7 +964,7 @@ mod tests {
         for epoch in 1..=epochs {
             let mut delta = FedStats::default();
             plane.step(epoch, false, &part, nodes, &mut delta).unwrap();
-            stats.merge(&delta);
+            stats.add(&delta, &Telemetry::disabled());
         }
         stats
     }
@@ -1237,7 +1237,7 @@ mod tests {
             let mut delta = FedStats::default();
             p.step(epoch, blackout, &part, &mut nodes, &mut delta)
                 .unwrap();
-            stats.merge(&delta);
+            stats.add(&delta, &Telemetry::disabled());
         }
         // The round opened at epoch 2, was still collecting stragglers
         // at epoch 3, and the blackout killed it: both payloads lost.
@@ -1265,7 +1265,7 @@ mod tests {
             };
             let mut delta = FedStats::default();
             p.step(epoch, false, &part, &mut nodes, &mut delta).unwrap();
-            stats.merge(&delta);
+            stats.add(&delta, &Telemetry::disabled());
         }
         assert_eq!(stats.payloads_requested, 2);
         assert_eq!(stats.rounds_committed, 1);
@@ -1278,8 +1278,7 @@ mod tests {
     }
 
     #[test]
-    fn cluster_federation_end_to_end_with_telemetry_mirror() {
-        let telemetry = Telemetry::enabled();
+    fn cluster_federation_end_to_end() {
         let config = ClusterConfig {
             nodes: (0..3).map(|_| platform(18)).collect(),
             services: vec![catalog::masstree(), catalog::xapian()],
@@ -1294,7 +1293,7 @@ mod tests {
             seed: 42,
         };
         let mut cluster =
-            Cluster::new(config, ClusterFaultPlan::disabled(), telemetry.clone()).unwrap();
+            Cluster::new(config, ClusterFaultPlan::disabled(), Telemetry::disabled()).unwrap();
         cluster
             .enable_federation(
                 FederateConfig {
@@ -1317,24 +1316,5 @@ mod tests {
         assert!(stats.rounds_started >= 2, "{stats:?}");
         assert!(stats.rounds_committed >= 1, "{stats:?}");
         assert!(stats.recipients_updated >= 1, "{stats:?}");
-        // Every `fed.*` telemetry counter equals its stats field, and no
-        // unknown `fed.*` counter exists.
-        let snapshot = telemetry
-            .metrics()
-            .expect("enabled telemetry keeps metrics");
-        let mirrored = snapshot.counters_with_prefix("fed.");
-        for (name, value) in stats.counter_pairs_all() {
-            let seen = mirrored
-                .iter()
-                .find(|(n, _)| n == name)
-                .map_or(0, |&(_, v)| v);
-            assert_eq!(seen, value, "{name} mirror mismatch");
-        }
-        for (name, _) in &mirrored {
-            assert!(
-                FedStats::COUNTER_NAMES.contains(&name.as_str()),
-                "unknown counter {name}"
-            );
-        }
     }
 }

@@ -254,13 +254,13 @@ impl<M: TaskManager> SafetyGovernor<M> {
         }
         match self.inner.decide_fallback() {
             Ok(assignments) if self.validate(&assignments).is_ok() => {
-                self.stats.degraded_decisions += 1;
-                self.telemetry.counter_add("governor.degraded_decisions", 1);
+                self.stats
+                    .bump(&self.telemetry, |s| &mut s.degraded_decisions);
                 assignments
             }
             Ok(_) => {
-                self.stats.invalid_decisions += 1;
-                self.telemetry.counter_add("governor.invalid_decisions", 1);
+                self.stats
+                    .bump(&self.telemetry, |s| &mut s.invalid_decisions);
                 self.safe_assignments()
             }
             Err(_) => self.safe_assignments(),
@@ -303,8 +303,8 @@ impl<M: TaskManager> SafetyGovernor<M> {
     }
 
     fn fallback(&mut self) -> Vec<Assignment> {
-        self.stats.fallback_decisions += 1;
-        self.telemetry.counter_add("governor.fallback_decisions", 1);
+        self.stats
+            .bump(&self.telemetry, |s| &mut s.fallback_decisions);
         match &self.last_good {
             Some(a) => a.clone(),
             None => self.safe_assignments(),
@@ -452,15 +452,15 @@ impl<M: TaskManager> TaskManager for SafetyGovernor<M> {
                     Ok(assignments)
                 }
                 Err(detail) => {
-                    self.stats.invalid_decisions += 1;
-                    self.telemetry.counter_add("governor.invalid_decisions", 1);
+                    self.stats
+                        .bump(&self.telemetry, |s| &mut s.invalid_decisions);
                     let _ = detail;
                     Ok(self.fallback())
                 }
             },
             Err(e) if e.is_recoverable() => {
-                self.stats.recoverable_errors += 1;
-                self.telemetry.counter_add("governor.recoverable_errors", 1);
+                self.stats
+                    .bump(&self.telemetry, |s| &mut s.recoverable_errors);
                 Ok(self.fallback())
             }
             Err(fatal) => Err(fatal),
@@ -483,8 +483,8 @@ impl<M: TaskManager> TaskManager for SafetyGovernor<M> {
         }
 
         if self.in_safe_mode() {
-            self.stats.safe_mode_epochs += 1;
-            self.telemetry.counter_add("governor.safe_mode_epochs", 1);
+            self.stats
+                .bump(&self.telemetry, |s| &mut s.safe_mode_epochs);
             self.safe_remaining -= 1;
             if self.safe_remaining == 0 {
                 // Hand control back with a clean slate: the violations that
@@ -492,8 +492,7 @@ impl<M: TaskManager> TaskManager for SafetyGovernor<M> {
                 self.violation_streak = 0;
             }
         } else if self.violation_streak >= self.config.watchdog_epochs {
-            self.stats.watchdog_trips += 1;
-            self.telemetry.counter_add("governor.watchdog_trips", 1);
+            self.stats.bump(&self.telemetry, |s| &mut s.watchdog_trips);
             self.safe_remaining = self.backoff;
             self.backoff = next_backoff(self.backoff, self.config.max_backoff_epochs);
             // The policy that produced this streak is not to be trusted:
@@ -506,8 +505,7 @@ impl<M: TaskManager> TaskManager for SafetyGovernor<M> {
 
         let degraded = report.telemetry.degraded();
         if degraded {
-            self.stats.degraded_epochs += 1;
-            self.telemetry.counter_add("governor.degraded_epochs", 1);
+            self.stats.bump(&self.telemetry, |s| &mut s.degraded_epochs);
         }
         let result = if degraded {
             self.inner.observe_degraded(report)
@@ -519,8 +517,8 @@ impl<M: TaskManager> TaskManager for SafetyGovernor<M> {
             Err(e) if e.is_recoverable() => {
                 // A transient observation failure must not kill the loop;
                 // the decision path already has its fallback.
-                self.stats.recoverable_errors += 1;
-                self.telemetry.counter_add("governor.recoverable_errors", 1);
+                self.stats
+                    .bump(&self.telemetry, |s| &mut s.recoverable_errors);
                 Ok(())
             }
             Err(fatal) => Err(fatal),

@@ -371,8 +371,7 @@ impl<C: VirtualClock> EpochScheduler<C> {
         if age_ms.is_finite() && age_ms <= self.config.stale_after_ms {
             return true;
         }
-        self.stats.stale_windows += 1;
-        self.telemetry.counter_add("deadline.stale_windows", 1);
+        self.stats.bump(&self.telemetry, |s| &mut s.stale_windows);
         false
     }
 
@@ -426,8 +425,8 @@ impl<C: VirtualClock> EpochScheduler<C> {
         if !timed_out {
             return ActuationDirective::Applied;
         }
-        self.stats.actuation_timeouts += 1;
-        self.telemetry.counter_add("deadline.actuation_timeouts", 1);
+        self.stats
+            .bump(&self.telemetry, |s| &mut s.actuation_timeouts);
         let retries_left = self.attempts_this_epoch < self.config.actuation_max_retries;
         let time_left = self.elapsed_ms() < self.config.interval_ms;
         if !retries_left || !time_left {
@@ -439,8 +438,8 @@ impl<C: VirtualClock> EpochScheduler<C> {
             .retry_budget()
             .backoff_for(self.attempts_this_epoch);
         self.attempts_this_epoch += 1;
-        self.stats.actuation_retries += 1;
-        self.telemetry.counter_add("deadline.actuation_retries", 1);
+        self.stats
+            .bump(&self.telemetry, |s| &mut s.actuation_retries);
         ActuationDirective::Retry { backoff_ms }
     }
 
@@ -450,23 +449,21 @@ impl<C: VirtualClock> EpochScheduler<C> {
         let duration = self.elapsed_ms();
         self.stats.epochs += 1;
         if duration > self.config.interval_ms {
-            self.stats.misses += 1;
-            self.telemetry.counter_add("deadline.misses", 1);
+            self.stats.bump(&self.telemetry, |s| &mut s.misses);
         }
         match self.level {
             ShedLevel::None => {}
             ShedLevel::DeferLearn => {
-                self.stats.defer_learn_epochs += 1;
-                self.telemetry.counter_add("deadline.shed.defer_learn", 1);
+                self.stats
+                    .bump(&self.telemetry, |s| &mut s.defer_learn_epochs);
             }
             ShedLevel::SkipInference => {
-                self.stats.skip_inference_epochs += 1;
-                self.telemetry
-                    .counter_add("deadline.shed.skip_inference", 1);
+                self.stats
+                    .bump(&self.telemetry, |s| &mut s.skip_inference_epochs);
             }
             ShedLevel::SafeFallback => {
-                self.stats.safe_fallback_epochs += 1;
-                self.telemetry.counter_add("deadline.shed.safe_fallback", 1);
+                self.stats
+                    .bump(&self.telemetry, |s| &mut s.safe_fallback_epochs);
             }
         }
         self.stats.max_ladder_depth = self.stats.max_ladder_depth.max(self.level.depth());

@@ -165,10 +165,10 @@ impl LinuxConfig {
 }
 
 twig_telemetry::stats! {
-    /// Lifetime counters of everything the backend did and survived. Each
-    /// field is mirrored into telemetry under the matching `platform.*`
-    /// counter, which the chaos suite uses to check the two bookkeeping
-    /// paths never drift.
+    /// Lifetime counters of everything the backend did and survived. The
+    /// macro mirrors each field into telemetry under the matching
+    /// `platform.*` counter: every event goes through `bump`, which moves
+    /// both at once.
     pub struct PlatformStats {
         /// Epochs observed.
         epochs => "platform.epochs",
@@ -315,25 +315,20 @@ impl<F: Fs> LinuxPlatform<F> {
         &self.fs
     }
 
-    fn count(&mut self, name: &'static str, field: impl FnOnce(&mut PlatformStats) -> &mut u64) {
-        *field(&mut self.stats) += 1;
-        self.telemetry.counter_add(name, 1);
-    }
-
     /// One rung-by-rung climb of the ladder for an exact-match file.
     fn write_verified(&mut self, path: &str, want: &str) -> WriteOutcome {
         for attempt in 0..=self.config.retry.max_retries {
             if attempt > 0 {
-                self.count("platform.write_retries", |s| &mut s.write_retries);
+                self.stats.bump(&self.telemetry, |s| &mut s.write_retries);
             }
-            self.count("platform.writes", |s| &mut s.writes);
+            self.stats.bump(&self.telemetry, |s| &mut s.writes);
             if self.fs.write(path, want).is_err() {
-                self.count("platform.write_errors", |s| &mut s.write_errors);
+                self.stats.bump(&self.telemetry, |s| &mut s.write_errors);
                 continue;
             }
             if matches!(self.fs.read(path), Ok(got) if got.trim() == want) {
                 if attempt > 0 {
-                    self.count("platform.reconciled", |s| &mut s.reconciled);
+                    self.stats.bump(&self.telemetry, |s| &mut s.reconciled);
                 }
                 return WriteOutcome::Verified;
             }
@@ -348,11 +343,11 @@ impl<F: Fs> LinuxPlatform<F> {
         let want_khz = (u64::from(want.mhz()) * 1000).to_string();
         for attempt in 0..=self.config.retry.max_retries {
             if attempt > 0 {
-                self.count("platform.write_retries", |s| &mut s.write_retries);
+                self.stats.bump(&self.telemetry, |s| &mut s.write_retries);
             }
-            self.count("platform.writes", |s| &mut s.writes);
+            self.stats.bump(&self.telemetry, |s| &mut s.writes);
             if self.fs.write(&path, &want_khz).is_err() {
-                self.count("platform.write_errors", |s| &mut s.write_errors);
+                self.stats.bump(&self.telemetry, |s| &mut s.write_errors);
                 continue;
             }
             let Ok(got) = self.fs.read(&path) else {
@@ -361,7 +356,7 @@ impl<F: Fs> LinuxPlatform<F> {
             let got = got.trim();
             if got == want_khz {
                 if attempt > 0 {
-                    self.count("platform.reconciled", |s| &mut s.reconciled);
+                    self.stats.bump(&self.telemetry, |s| &mut s.reconciled);
                 }
                 return Some(want);
             }
@@ -369,7 +364,7 @@ impl<F: Fs> LinuxPlatform<F> {
                 if khz * 1000 < u64::from(want.mhz()) * 1_000_000 {
                     // The governor clamped the setpoint: a policy
                     // decision, accepted and reported rather than fought.
-                    self.count("platform.clamps", |s| &mut s.clamps);
+                    self.stats.bump(&self.telemetry, |s| &mut s.clamps);
                     let mhz = u32::try_from(khz / 1000).unwrap_or(u32::MAX);
                     return Some(self.config.dvfs.floor(Frequency::from_mhz(mhz)));
                 }
@@ -380,7 +375,7 @@ impl<F: Fs> LinuxPlatform<F> {
     }
 
     fn diverge(&mut self) {
-        self.count("platform.divergences", |s| &mut s.divergences);
+        self.stats.bump(&self.telemetry, |s| &mut s.divergences);
         self.diverged_this_epoch = true;
     }
 
@@ -543,15 +538,17 @@ impl<F: Fs> LinuxPlatform<F> {
                     self.prev_pmcs[i] = PmcSample::from_array(sample);
                 }
                 ReadOutcome::Stale => {
-                    self.count("platform.stale_counters", |s| &mut s.stale_counters);
+                    self.stats.bump(&self.telemetry, |s| &mut s.stale_counters);
                     health.pmc_faults[i] = Some(PmcFaultKind::Stale);
                 }
                 ReadOutcome::Garbage => {
-                    self.count("platform.garbage_counters", |s| &mut s.garbage_counters);
+                    self.stats
+                        .bump(&self.telemetry, |s| &mut s.garbage_counters);
                     health.pmc_faults[i] = Some(PmcFaultKind::Stale);
                 }
                 ReadOutcome::Missing => {
-                    self.count("platform.missing_counters", |s| &mut s.missing_counters);
+                    self.stats
+                        .bump(&self.telemetry, |s| &mut s.missing_counters);
                     health.pmc_faults[i] = Some(PmcFaultKind::Stale);
                 }
             }
@@ -571,15 +568,17 @@ impl<F: Fs> LinuxPlatform<F> {
                     };
                 }
                 ReadOutcome::Stale => {
-                    self.count("platform.stale_counters", |s| &mut s.stale_counters);
+                    self.stats.bump(&self.telemetry, |s| &mut s.stale_counters);
                     health.pmc_faults[i] = Some(PmcFaultKind::Stale);
                 }
                 ReadOutcome::Garbage => {
-                    self.count("platform.garbage_counters", |s| &mut s.garbage_counters);
+                    self.stats
+                        .bump(&self.telemetry, |s| &mut s.garbage_counters);
                     health.pmc_faults[i] = Some(PmcFaultKind::Stale);
                 }
                 ReadOutcome::Missing => {
-                    self.count("platform.missing_counters", |s| &mut s.missing_counters);
+                    self.stats
+                        .bump(&self.telemetry, |s| &mut s.missing_counters);
                     health.pmc_faults[i] = Some(PmcFaultKind::Stale);
                 }
             }
@@ -600,14 +599,14 @@ impl<F: Fs> LinuxPlatform<F> {
                     self.last_energy_uj = Some(uj);
                 }
                 Some(_) => {
-                    self.count("platform.power_glitches", |s| &mut s.power_glitches);
+                    self.stats.bump(&self.telemetry, |s| &mut s.power_glitches);
                     health.power_glitched = true;
                     self.last_energy_uj = Some(uj); // resync after the wrap
                 }
                 None => self.last_energy_uj = Some(uj),
             },
             None => {
-                self.count("platform.power_glitches", |s| &mut s.power_glitches);
+                self.stats.bump(&self.telemetry, |s| &mut s.power_glitches);
                 health.power_glitched = true;
             }
         }
@@ -619,7 +618,7 @@ impl<F: Fs> LinuxPlatform<F> {
             health.delayed_epochs = 1;
         }
         if health.degraded() {
-            self.count("platform.degraded_epochs", |s| &mut s.degraded_epochs);
+            self.stats.bump(&self.telemetry, |s| &mut s.degraded_epochs);
         }
 
         let mut services = Vec::with_capacity(n);
@@ -646,7 +645,7 @@ impl<F: Fs> LinuxPlatform<F> {
             });
         }
 
-        self.count("platform.epochs", |s| &mut s.epochs);
+        self.stats.bump(&self.telemetry, |s| &mut s.epochs);
         let report = EpochReport {
             time_s: self.time_s,
             services,

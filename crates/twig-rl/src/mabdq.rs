@@ -223,15 +223,20 @@ impl LearnerMemory {
     }
 }
 
-/// Aggregate quarantine counters, see [`MaBdq::quarantine_stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct QuarantineStats {
-    /// Divergence trips (rollback + freeze events) across all agents.
-    pub trips: u64,
-    /// Agents re-admitted after serving probation.
-    pub readmissions: u64,
-    /// Agents currently frozen.
-    pub frozen_agents: usize,
+twig_telemetry::stats! {
+    /// Aggregate quarantine counters, see [`MaBdq::quarantine_stats`].
+    /// Every counter is mirrored into telemetry under the matching
+    /// `quarantine.*` name.
+    pub struct QuarantineStats {
+        /// Divergence trips (rollback + freeze events) across all agents.
+        trips => "quarantine.trips",
+        /// Agents re-admitted after serving probation.
+        readmissions => "quarantine.readmitted",
+        plain {
+            /// Agents currently frozen.
+            frozen_agents: usize,
+        }
+    }
 }
 
 /// A TD error at or beyond this magnitude would overflow the f32 squared
@@ -721,8 +726,9 @@ pub struct MaBdq {
     step: StepState,
     /// Per-agent quarantine guards; empty unless quarantine is enabled.
     guards: Vec<AgentGuard>,
-    quarantine_trips: u64,
-    quarantine_readmissions: u64,
+    /// Trips and re-admissions; `frozen_agents` is counted from `guards`
+    /// on read.
+    quarantine: QuarantineStats,
     /// Fixed-point snapshot of the online net, once
     /// [`refresh_quantized`](Self::refresh_quantized) has built it. Only the
     /// `rl.select_quantized_p50_us` ledger probe reads it.
@@ -950,8 +956,7 @@ impl MaBdq {
             scratch: DecideScratch::default(),
             step: StepState::default(),
             guards: Vec::new(),
-            quarantine_trips: 0,
-            quarantine_readmissions: 0,
+            quarantine: QuarantineStats::default(),
             quantized: None,
         };
         agent.rebuild_guards();
@@ -1006,9 +1011,8 @@ impl MaBdq {
     /// frozen agents).
     pub fn quarantine_stats(&self) -> QuarantineStats {
         QuarantineStats {
-            trips: self.quarantine_trips,
-            readmissions: self.quarantine_readmissions,
             frozen_agents: self.guards.iter().filter(|g| g.frozen_until > 0).count(),
+            ..self.quarantine
         }
     }
 
@@ -1048,7 +1052,7 @@ impl MaBdq {
         let MaBdq {
             guards,
             online,
-            quarantine_readmissions,
+            quarantine,
             telemetry,
             ..
         } = self;
@@ -1060,8 +1064,7 @@ impl MaBdq {
                 guard.grad_baseline = 0.0;
                 guard.snapshot_age = 0;
                 online.value_heads[k].export_parameters_into(&mut guard.snapshot);
-                *quarantine_readmissions += 1;
-                telemetry.counter_add("quarantine.readmitted", 1);
+                quarantine.bump(telemetry, |s| &mut s.readmissions);
             }
         }
     }
@@ -1083,7 +1086,7 @@ impl MaBdq {
             guards,
             online,
             step,
-            quarantine_trips,
+            quarantine,
             telemetry,
             ..
         } = self;
@@ -1106,8 +1109,7 @@ impl MaBdq {
                     .import_parameters(&guard.snapshot)
                     .expect("snapshot taken from this head");
                 guard.frozen_until = clock + q.probation_steps;
-                *quarantine_trips += 1;
-                telemetry.counter_add("quarantine.trips", 1);
+                quarantine.bump(telemetry, |s| &mut s.trips);
                 frozen_now += 1;
                 continue;
             }

@@ -64,15 +64,25 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 /// Declares a `Copy` struct of `u64` lifetime counters, each field tied to
-/// the telemetry counter it is mirrored under, with `COUNTER_NAMES`,
-/// `counter_pairs_all` and `merge` generated from the one field list — so
-/// the struct and its telemetry mirror cannot drift apart. A trailing
-/// `plain { name: type, .. }` block adds fields that have no counter (a
-/// maximum, say); such a struct gets no `merge`, since only counters add.
+/// the telemetry counter it is mirrored under. The struct and its mirror
+/// move together through two generated methods, so a counter's name is
+/// written once, in this declaration:
+///
+/// - `bump(&mut self, tl, |s| &mut s.field)` adds 1 to the field and to its
+///   counter (the name is looked up from the field list, never passed in);
+/// - `add(&mut self, &delta, tl)` adds a per-step delta field by field and
+///   mirrors each nonzero field, so a counter that never moved stays absent
+///   from the registry.
+///
+/// Neither allocates. A trailing `plain { name: type, .. }` block adds
+/// fields that have no counter (a maximum, say); such a struct gets no
+/// `add`, since only counters add, and `bump` through a plain field panics.
 ///
 /// # Examples
 ///
 /// ```
+/// use twig_telemetry::Telemetry;
+///
 /// twig_telemetry::stats! {
 ///     /// What the cache did.
 ///     pub struct CacheStats {
@@ -83,22 +93,29 @@ use std::rc::Rc;
 ///     }
 /// }
 ///
+/// let tl = Telemetry::enabled();
 /// let mut total = CacheStats::default();
-/// total.merge(&CacheStats { hits: 2, misses: 1 });
+/// total.bump(&tl, |s| &mut s.misses);
+/// total.add(&CacheStats { hits: 2, misses: 0 }, &tl);
 /// assert_eq!(CacheStats::COUNTER_NAMES, ["cache.hits", "cache.misses"]);
-/// assert_eq!(total.counter_pairs_all(), [("cache.hits", 2), ("cache.misses", 1)]);
+/// assert_eq!(total, CacheStats { hits: 2, misses: 1 });
+/// assert_eq!((tl.counter("cache.hits"), tl.counter("cache.misses")), (2, 1));
 /// ```
 #[macro_export]
 macro_rules! stats {
-    (@merge $name:ident [$($field:ident)+]) => {
+    (@add $name:ident [$($field:ident => $counter:literal)+]) => {
         impl $name {
-            /// Adds `delta` into `self`, field by field.
-            pub fn merge(&mut self, delta: &$name) {
-                $(self.$field += delta.$field;)+
+            /// Adds `delta` into `self` field by field, mirroring every
+            /// nonzero field into its telemetry counter.
+            pub fn add(&mut self, delta: &$name, tl: &$crate::Telemetry) {
+                $(if delta.$field != 0 {
+                    self.$field += delta.$field;
+                    tl.counter_add($counter, delta.$field);
+                })+
             }
         }
     };
-    (@merge $name:ident [$($field:ident)+] $($plain:ident)+) => {};
+    (@add $name:ident [$($field:ident => $counter:literal)+] $($plain:ident)+) => {};
     (
         $(#[$struct_doc:meta])+
         pub struct $name:ident {
@@ -117,13 +134,27 @@ macro_rules! stats {
             /// The telemetry counter names, in field order.
             pub const COUNTER_NAMES: &'static [&'static str] = &[$($counter,)+];
 
-            /// All `(counter name, value)` pairs, including zeros.
-            pub fn counter_pairs_all(&self) -> Vec<(&'static str, u64)> {
-                vec![$(($counter, self.$field),)+]
+            /// Adds 1 to the counter field `field` selects and to its
+            /// telemetry counter.
+            ///
+            /// # Panics
+            ///
+            /// When `field` selects a `plain` field.
+            pub fn bump(&mut self, tl: &$crate::Telemetry, field: fn(&mut Self) -> &mut u64) {
+                // A probe whose counter fields hold their 1-based position
+                // in the field list names the one `field` selects.
+                let mut probe = Self::default();
+                let mut position = 0;
+                $(position += 1; probe.$field = position;)+
+                let index = (*field(&mut probe) as usize).checked_sub(1);
+                let name = index.and_then(|i| Self::COUNTER_NAMES.get(i));
+                let name = name.expect("bump: the field is not a counter");
+                *field(self) += 1;
+                tl.counter_add(name, 1);
             }
         }
 
-        $crate::stats!(@merge $name [$($field)+] $($($plain)+)?);
+        $crate::stats!(@add $name [$($field => $counter)+] $($($plain)+)?);
     };
 }
 
@@ -359,6 +390,77 @@ mod tests {
         assert!(text.lines().any(|l| l.contains(r#""kind":"span""#)));
         assert!(text.lines().any(|l| l.contains(r#""kind":"counter""#)));
         assert!(text.lines().any(|l| l.contains(r#""kind":"histogram""#)));
+    }
+
+    crate::stats! {
+        /// A probe struct with a plain block.
+        pub struct ProbeStats {
+            /// First counter.
+            first => "probe.first",
+            /// Second counter.
+            second => "probe.second",
+            /// Third counter.
+            third => "probe.third",
+            plain {
+                /// A plain `u64` with no counter.
+                peak: u64,
+            }
+        }
+    }
+
+    crate::stats! {
+        /// A struct without a plain block, so it has `add`.
+        pub struct PairStats {
+            /// Left counter.
+            left => "pair.left",
+            /// Right counter.
+            right => "pair.right",
+        }
+    }
+
+    #[test]
+    fn bump_moves_each_counter_field_and_its_counter_by_one() {
+        let fields: [fn(&mut ProbeStats) -> &mut u64; 3] =
+            [|s| &mut s.first, |s| &mut s.second, |s| &mut s.third];
+        let tl = Telemetry::enabled();
+        let mut stats = ProbeStats::default();
+        for (i, field) in fields.into_iter().enumerate() {
+            let before = stats;
+            stats.bump(&tl, field);
+            let mut expected = before;
+            *field(&mut expected) += 1;
+            assert_eq!(stats, expected);
+            for (j, name) in ProbeStats::COUNTER_NAMES.iter().enumerate() {
+                assert_eq!(tl.counter(name), u64::from(j <= i), "{name} after bump {i}");
+            }
+        }
+        // Disabled telemetry still moves the field.
+        stats.bump(&Telemetry::disabled(), |s| &mut s.second);
+        assert_eq!(stats.second, 2);
+        assert_eq!(tl.counter("probe.second"), 1);
+    }
+
+    #[test]
+    fn add_mirrors_only_nonzero_fields() {
+        let tl = Telemetry::enabled();
+        let mut total = PairStats::default();
+        total.add(&PairStats { left: 3, right: 0 }, &tl);
+        total.add(&PairStats { left: 2, right: 0 }, &tl);
+        assert_eq!(total, PairStats { left: 5, right: 0 });
+        let m = tl.metrics().unwrap();
+        assert_eq!(m.counter("pair.left"), 5);
+        assert!(m.counters.iter().all(|(name, _)| name != "pair.right"));
+        total.add(&PairStats { left: 0, right: 4 }, &Telemetry::disabled());
+        assert_eq!(total, PairStats { left: 5, right: 4 });
+        // The first move of `right` that telemetry sees creates its counter.
+        total.bump(&tl, |s| &mut s.right);
+        assert_eq!(tl.counter(PairStats::COUNTER_NAMES[1]), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a counter")]
+    fn bump_through_a_plain_field_panics() {
+        ProbeStats::default().bump(&Telemetry::enabled(), |s| &mut s.peak);
     }
 
     #[test]

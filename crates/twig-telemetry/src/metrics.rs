@@ -279,20 +279,6 @@ impl MetricsRegistry {
         self.gauges.get(name).copied()
     }
 
-    /// Every counter whose name starts with `prefix`, name-sorted.
-    ///
-    /// This is the audit surface for subsystems that mirror their own
-    /// stats structs into a counter namespace (`ckpt.*`, `cluster.*`, …):
-    /// a suite can diff the full namespace against the struct instead of
-    /// spot-checking individual names.
-    pub fn counters_with_prefix(&self, prefix: &str) -> Vec<(String, u64)> {
-        self.counters
-            .range(prefix.to_string()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, &v)| (k.clone(), v))
-            .collect()
-    }
-
     /// Histogram `name`, if any value was recorded.
     pub fn histogram(&self, name: &str) -> Option<&LogHistogram> {
         self.histograms.get(name)
@@ -338,16 +324,6 @@ impl MetricsSnapshot {
             .map_or(0, |&(_, v)| v)
     }
 
-    /// Every counter whose name starts with `prefix`, name-sorted — the
-    /// snapshot-side twin of [`MetricsRegistry::counters_with_prefix`].
-    pub fn counters_with_prefix(&self, prefix: &str) -> Vec<(String, u64)> {
-        self.counters
-            .iter()
-            .filter(|(n, _)| n.starts_with(prefix))
-            .cloned()
-            .collect()
-    }
-
     /// Gauge value by name.
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
@@ -366,27 +342,6 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
     use twig_stats::rng::{Rng, Xoshiro256};
-
-    #[test]
-    fn counters_with_prefix_returns_sorted_namespace() {
-        let mut reg = MetricsRegistry::default();
-        reg.counter_add("cluster.failovers", 2);
-        reg.counter_add("cluster.bounced", 7);
-        reg.counter_add("clusterx.other", 1);
-        reg.counter_add("ckpt.saves", 3);
-        assert_eq!(
-            reg.counters_with_prefix("cluster."),
-            vec![
-                ("cluster.bounced".to_string(), 7),
-                ("cluster.failovers".to_string(), 2),
-            ]
-        );
-        assert!(reg.counters_with_prefix("missing.").is_empty());
-        assert_eq!(
-            reg.snapshot().counters_with_prefix("cluster."),
-            reg.counters_with_prefix("cluster.")
-        );
-    }
 
     #[test]
     fn rejects_degenerate_layouts() {

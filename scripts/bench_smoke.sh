@@ -24,7 +24,7 @@
 #    fleet-failure schedules — server crashes, coordinator blackouts,
 #    partitions, stalled and corrupted migrations — against the Twig-D
 #    control plane, asserting request conservation, bounded failover,
-#    zero stale actuations and telemetry/stats consistency internally;
+#    and zero stale actuations internally;
 #    the report lands in results/cluster_report.txt.
 # 5. The scenario corpus (fixed seed, --jobs 2) parses, runs and asserts
 #    all shipped scenarios/*.scn files — load shapes, service churn,

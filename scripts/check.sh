@@ -119,6 +119,45 @@ check_unsafe_budget() {
     return "$ok"
 }
 
+# A `stats!` struct's counters are mirrored into telemetry by the methods
+# the macro generates (`bump`, `add`), which look each name up from the
+# declaration — so the struct and its counters cannot drift (DESIGN.md §9).
+# That argument holds only while nobody bumps one of those counters by
+# hand: collect every `field => "name"` literal declared in a `stats!`
+# block under crates/*/src and fail if any of them is a `counter_add(`
+# argument anywhere under crates/ or src/ (a call wrapped after the
+# parenthesis is joined with its next line). Reads (`counter("…")`) are fine.
+check_stats_counter_names() {
+    local names hits
+    names=$(grep -rl --include='*.rs' 'stats! {' crates/*/src | xargs awk '
+        /stats! \{/ { inside = 1; depth = 0 }
+        inside {
+            if (match($0, /=> "[^"]+"/)) print substr($0, RSTART + 4, RLENGTH - 5)
+            depth += gsub(/\{/, "{") - gsub(/\}/, "}")
+            if (depth == 0) inside = 0
+        }' | sort -u | tr '\n' ' ')
+    [ -n "$names" ] || {
+        echo "found no counter declared in a stats! block — the guard is stale"
+        return 1
+    }
+    hits=$(find src crates -name '*.rs' -print0 | xargs -0 awk -v names="$names" '
+        function report(i) {
+            for (i = 1; i <= n; i++)
+                if (index(arg, "\"" list[i] "\"")) print FILENAME ":" line ": " list[i]
+        }
+        BEGIN { n = split(names, list, " ") }
+        pending { arg = arg $0; pending = 0; report() }
+        /counter_add\(/ {
+            arg = substr($0, index($0, "counter_add(")); line = FNR
+            if (arg ~ /counter_add\($/) pending = 1; else report()
+        }')
+    [ -z "$hits" ] || {
+        echo "stats! counters bumped by hand with counter_add (use the struct's bump/add):"
+        echo "$hits"
+        return 1
+    }
+}
+
 step "fmt"            cargo fmt --all -- --check
 step "build"          cargo build --release --offline --workspace
 step "test"           cargo test -q --offline --workspace
@@ -143,6 +182,7 @@ step "bench-compiles" cargo check --offline --locked --manifest-path bench/Cargo
 step "bench-baseline" check_bench_baseline
 step "report-manifest" check_report_manifest
 step "unsafe-budget"  check_unsafe_budget
+step "stats-mirror"   check_stats_counter_names
 
 if [ "$fail" -ne 0 ]; then
     echo "check.sh: FAILED"
