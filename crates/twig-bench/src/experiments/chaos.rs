@@ -30,7 +30,8 @@ use crate::{make_twig, run_fleet, ExpError, Options, TextTable, Unit};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use twig_core::{
-    recover, CheckpointStore, GovernorConfig, RecoveryOutcome, SafetyGovernor, TaskManager,
+    recover, CheckpointStore, GovernorConfig, RecoveryOutcome, RecoveryStats, SafetyGovernor,
+    TaskManager,
 };
 use twig_rl::{MaBdq, MaBdqConfig, MultiTransition, QuarantineConfig};
 use twig_sim::{
@@ -142,8 +143,8 @@ pub struct ScenarioReport {
     pub quarantine_trips: u64,
     /// `quarantine.readmitted` observed (quarantine schedule only).
     pub quarantine_readmissions: u64,
-    /// `ckpt.*` telemetry counters: (load, corrupt, fallback, cold_start).
-    pub ckpt_counters: (u64, u64, u64, u64),
+    /// The recovery ladder's rungs, summed over every recovery.
+    pub recovery: RecoveryStats,
 }
 
 /// Unique-per-invocation scratch directory: schedules may run concurrently
@@ -171,7 +172,6 @@ fn run_store_schedule(
 ) -> Result<ScenarioReport, ExpError> {
     let spec = catalog::masstree();
     let cfg = ServerConfig::default();
-    let telemetry = Telemetry::enabled();
     let dir = scratch_dir(schedule.name, seed);
     let _ = std::fs::remove_dir_all(&dir);
     let store = CheckpointStore::create(&dir, KEEP)?;
@@ -195,7 +195,7 @@ fn run_store_schedule(
         max_ladder_depth: 0,
         quarantine_trips: 0,
         quarantine_readmissions: 0,
-        ckpt_counters: (0, 0, 0, 0),
+        recovery: RecoveryStats::default(),
     };
 
     let mut checkpoint =
@@ -205,7 +205,6 @@ fn run_store_schedule(
                 // Crash mid-write: only a prefix of the final checkpoint lands.
                 bytes.truncate((bytes.len() / 3).max(1));
                 store.write(&bytes)?;
-                telemetry.counter_add("ckpt.write", 1);
                 report.writes += 1;
                 report.corrupted_writes += 1;
                 return Ok(());
@@ -217,7 +216,6 @@ fn run_store_schedule(
                         report.corrupted_writes += 1;
                     }
                     store.write(&bytes)?;
-                    telemetry.counter_add("ckpt.write", 1);
                     report.writes += 1;
                 }
             }
@@ -229,7 +227,7 @@ fn run_store_schedule(
         // climbs the recovery ladder before taking over.
         let mut twig = make_twig(vec![spec.clone()], learn, seed ^ segment)?;
         if segment > 0 {
-            let rec = recover(&store, &mut twig, &telemetry);
+            let rec = recover(&store, &mut twig, &Telemetry::disabled());
             assert!(
                 rec.ladder_depth <= KEEP,
                 "{}: ladder depth {} exceeds the {KEEP} retained generations",
@@ -246,6 +244,7 @@ fn run_store_schedule(
                 RecoveryOutcome::ColdStart => report.cold_starts += 1,
             }
             report.max_ladder_depth = report.max_ladder_depth.max(rec.ladder_depth);
+            report.recovery.add(&rec.stats, &Telemetry::disabled());
         }
         let mut gov = SafetyGovernor::new(
             twig,
@@ -256,7 +255,6 @@ fn run_store_schedule(
                 ..GovernorConfig::default()
             },
         )?;
-        gov.set_telemetry(telemetry.clone());
 
         for epoch in 0..epochs_per_seg {
             let assignments = gov.decide()?;
@@ -318,18 +316,6 @@ fn run_store_schedule(
         ),
     }
 
-    let m = telemetry.metrics().ok_or("telemetry disabled")?;
-    report.ckpt_counters = (
-        m.counter("ckpt.load"),
-        m.counter("ckpt.corrupt"),
-        m.counter("ckpt.fallback"),
-        m.counter("ckpt.cold_start"),
-    );
-    assert_eq!(
-        report.ckpt_counters.0 as usize, report.restored,
-        "{}: ckpt.load must match observed restores",
-        schedule.name
-    );
     let _ = std::fs::remove_dir_all(&dir);
     Ok(report)
 }
@@ -433,7 +419,7 @@ fn run_quarantine_schedule(seed: u64, steps_scale: u64) -> Result<ScenarioReport
         max_ladder_depth: 0,
         quarantine_trips: end.trips,
         quarantine_readmissions: end.readmissions,
-        ckpt_counters: (0, 0, 0, 0),
+        recovery: RecoveryStats::default(),
     })
 }
 
@@ -502,7 +488,7 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
     let corrupted: u64 = reports.iter().map(|r| r.corrupted_writes).sum();
     let trips: u64 = reports.iter().map(|r| r.quarantine_trips).sum();
     let readmits: u64 = reports.iter().map(|r| r.quarantine_readmissions).sum();
-    let loads: u64 = reports.iter().map(|r| r.ckpt_counters.0).sum();
+    let loads: u64 = reports.iter().map(|r| r.recovery.loads).sum();
     assert!(corrupted > 0, "no corrupted write was ever exercised");
     assert!(fallbacks > 0, "no generation fallback was ever exercised");
     assert!(cold > 0, "no cold start was ever exercised");
@@ -558,7 +544,8 @@ mod tests {
         assert_eq!(r.fallback_restores, r.restored);
         assert_eq!(r.cold_starts, 0);
         // One torn generation skipped per climb.
-        assert_eq!(r.ckpt_counters.1, r.restored as u64);
+        assert_eq!(r.recovery.corrupt, r.restored as u64);
+        assert_eq!(r.recovery.loads, r.restored as u64);
     }
 
     #[test]
@@ -569,7 +556,7 @@ mod tests {
         assert_eq!(r.cold_starts, (SEGMENTS - 1) as usize);
         assert_eq!(r.restored, 0);
         assert_eq!(r.corrupted_writes, r.writes);
-        assert!(r.ckpt_counters.3 >= 2, "ckpt.cold_start counter");
+        assert_eq!(r.recovery.cold_starts, r.cold_starts as u64);
     }
 
     #[test]

@@ -48,35 +48,11 @@ use twig_telemetry::Telemetry;
 /// Epochs between federation round starts.
 const ROUND_PERIOD: u64 = 10;
 
-/// What a schedule must demonstrate beyond the universal invariants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Expect {
-    /// No federation faults; a scripted corrupt-migration strands a cold
-    /// replica that the next round re-warms (the cold-server transfer).
-    CalmTransfer,
-    /// Rate-corrupted/truncated payloads plus scripted poisoned merges:
-    /// the CRC rung rejects the damage, the twin run rolls the poison
-    /// back, and honest rounds still commit.
-    CorruptStorm,
-    /// One node ships Byzantine weights every round (garbage, then
-    /// non-finite, then offset): each flavor dies at its designated rung.
-    Byzantine,
-    /// Stragglers past the collection window: quorum failures, backoff
-    /// retries, and partial aggregation from the payloads that made it.
-    StragglerQuorum,
-    /// A partition spans one round (the node sits it out) and a blackout
-    /// lands mid-collection on another (the round aborts wholesale).
-    MidRoundPartition,
-    /// Everything at once, rates only: universal invariants must hold.
-    KitchenSink,
-}
-
 struct Schedule {
     name: &'static str,
     cluster_faults: ClusterFaultConfig,
     fed_config: FederateConfig,
     fed_faults: FedFaultConfig,
-    expect: Expect,
 }
 
 /// The scripted migration that strands a cold replica: service 0 moves
@@ -109,13 +85,17 @@ fn fed_config(min_quorum: usize) -> FederateConfig {
 
 fn schedules() -> Vec<Schedule> {
     vec![
+        // No federation faults; a scripted corrupt-migration strands a cold
+        // replica that the next round re-warms (the cold-server transfer).
         Schedule {
             name: "calm + cold transfer",
             cluster_faults: cold_landing_faults(),
             fed_config: fed_config(1),
             fed_faults: FedFaultConfig::default(),
-            expect: Expect::CalmTransfer,
         },
+        // Rate-corrupted/truncated payloads plus scripted poisoned merges:
+        // the CRC rung rejects the damage, the twin run rolls the poison
+        // back, and honest rounds still commit.
         Schedule {
             name: "corrupt payload storm",
             cluster_faults: ClusterFaultConfig::default(),
@@ -131,8 +111,9 @@ fn schedules() -> Vec<Schedule> {
                     .collect(),
                 ..FedFaultConfig::default()
             },
-            expect: Expect::CorruptStorm,
         },
+        // One node ships Byzantine weights every round (garbage, then
+        // non-finite, then offset): each flavor dies at its designated rung.
         Schedule {
             name: "byzantine node",
             cluster_faults: ClusterFaultConfig::default(),
@@ -157,8 +138,9 @@ fn schedules() -> Vec<Schedule> {
                     .collect(),
                 ..FedFaultConfig::default()
             },
-            expect: Expect::Byzantine,
         },
+        // Stragglers past the collection window: quorum failures, backoff
+        // retries, and partial aggregation from the payloads that made it.
         Schedule {
             name: "straggler quorum",
             cluster_faults: ClusterFaultConfig::default(),
@@ -177,8 +159,9 @@ fn schedules() -> Vec<Schedule> {
                     .collect(),
                 ..FedFaultConfig::default()
             },
-            expect: Expect::StragglerQuorum,
         },
+        // A partition spans one round (the node sits it out) and a blackout
+        // lands mid-collection on another (the round aborts wholesale).
         Schedule {
             name: "mid-round partition",
             cluster_faults: ClusterFaultConfig {
@@ -207,8 +190,8 @@ fn schedules() -> Vec<Schedule> {
                     .collect(),
                 ..FedFaultConfig::default()
             },
-            expect: Expect::MidRoundPartition,
         },
+        // Everything at once, rates only: universal invariants must hold.
         Schedule {
             name: "kitchen sink",
             cluster_faults: ClusterFaultConfig {
@@ -236,7 +219,6 @@ fn schedules() -> Vec<Schedule> {
                 poison_merge_rate: 0.15,
                 scripted: Vec::new(),
             },
-            expect: Expect::KitchenSink,
         },
     ]
 }
@@ -251,24 +233,16 @@ pub struct ScenarioReport {
     pub cluster: ClusterStats,
 }
 
-/// Runs one federation failure schedule and scores it.
-///
-/// Universal invariants (ladder accounting, zero stale actuations,
-/// checkpoint survival) are asserted at every seed;
-/// the schedule-specific acceptance expectations are tuned to the
-/// shipped fault scripts and only enforced when `pinned` is set (the
-/// suite runs at its default seed).
+/// Runs one federation failure schedule and checks the universal
+/// invariants (ladder accounting, zero stale actuations, checkpoint
+/// survival), which hold at every seed. What each schedule is expected to
+/// demonstrate is asserted by its unit test at the shipped seed.
 ///
 /// # Errors
 ///
 /// Propagates cluster errors; invariant violations panic (the fleet
 /// reports a panicking unit as failed).
-fn run_schedule(
-    schedule: &Schedule,
-    epochs: u64,
-    seed: u64,
-    pinned: bool,
-) -> Result<ScenarioReport, ExpError> {
+fn run_schedule(schedule: &Schedule, epochs: u64, seed: u64) -> Result<ScenarioReport, ExpError> {
     let mut cluster = Cluster::new(
         suite_cluster_config(epochs, seed),
         ClusterFaultPlan::new(schedule.cluster_faults.clone(), seed ^ 0x00C1_05E5)?,
@@ -360,90 +334,6 @@ fn run_schedule(
                     schedule.name
                 );
             }
-        }
-    }
-
-    // Schedule-specific expectations — pinned to the shipped seed,
-    // whose fault scripts these floors were calibrated against.
-    if !pinned {
-        return Ok(ScenarioReport {
-            name: schedule.name.to_string(),
-            fed,
-            cluster: stats,
-        });
-    }
-    match schedule.expect {
-        Expect::CalmTransfer => {
-            assert_eq!(
-                fed.rejected_corrupt + fed.rejected_nonfinite + fed.rejected_divergent,
-                0,
-                "calm schedule rejected honest payloads"
-            );
-            assert!(fed.rounds_committed >= 2, "calm rounds must commit");
-            // Quorum failures are legitimate here: the corrupt-migration
-            // outage window can leave a service with no eligible
-            // contributor for a round or two.
-            assert_eq!(fed.rounds_aborted_offline, 0, "calm abort");
-            assert_eq!(fed.service_rollbacks, 0, "calm rollback");
-            assert_eq!(
-                stats.transfer_downgrades, 1,
-                "the scripted migration must land cold"
-            );
-            assert!(
-                fed.cold_transfers >= 1,
-                "the stranded replica must inherit the donor policy"
-            );
-            // The 12-core socket exercises the shape rung every round it
-            // contributes.
-            assert!(fed.rejected_shape >= 1, "heterogeneous shape never seen");
-            assert!(fed.recipients_incompatible >= 1);
-        }
-        Expect::CorruptStorm => {
-            assert!(fed.rejected_corrupt >= 3, "corruption never fired");
-            assert!(fed.rounds_committed >= 1, "no honest round survived");
-            assert!(
-                fed.merges_poisoned >= 1 && fed.service_rollbacks >= 1,
-                "poisoned merge must be caught by the twin run"
-            );
-            assert!(fed.recipients_rolled_back >= 1);
-        }
-        Expect::Byzantine => {
-            // Quarantine exclusion can keep the adversary out of some
-            // rounds entirely, so the floor is modest; the twelve
-            // scripted rounds guarantee the screen sees it repeatedly.
-            assert!(
-                fed.rejected_divergent >= 1,
-                "garbage/offset weights never screened"
-            );
-            assert!(
-                fed.rejected_nonfinite >= 1,
-                "non-finite weights never rejected"
-            );
-            assert!(fed.rounds_committed >= 1, "honest services must progress");
-        }
-        Expect::StragglerQuorum => {
-            assert!(fed.payloads_straggled >= 4, "stragglers never missed");
-            assert!(fed.rounds_quorum_failed >= 1, "quorum never failed");
-            assert!(
-                fed.rounds_started > epochs / ROUND_PERIOD,
-                "backoff retries must add rounds beyond the period grid"
-            );
-            assert!(
-                fed.contributors_merged < fed.payloads_requested,
-                "partial aggregation must have dropped stragglers"
-            );
-        }
-        Expect::MidRoundPartition => {
-            assert!(
-                fed.rounds_aborted_offline >= 1,
-                "the mid-collection blackout must abort the round"
-            );
-            assert!(fed.payloads_lost >= 4, "aborted payloads must count lost");
-            assert!(fed.rounds_committed >= 1, "the plane must recover");
-            assert!(stats.partition_node_epochs >= 3);
-        }
-        Expect::KitchenSink => {
-            assert!(fed.rounds_started >= 1, "federation never ran");
         }
     }
 
@@ -554,16 +444,12 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
         "Federation chaos suite: 4 heterogeneous nodes (3x18-core, 1x12-core), 3 services, replication {REPLICATION}, round period {ROUND_PERIOD}, {epochs} epochs per schedule\n"
     )?;
 
-    // Acceptance expectations are calibrated against the shipped seed's
-    // fault scripts; alternate seeds still run every schedule and every
-    // universal invariant, they just skip the calibrated floors.
-    let pinned = opts.seed == Options::default().seed;
     let scheds = schedules();
     let units: Vec<Unit<'_, ScenarioReport>> = scheds
         .iter()
         .map(|s| {
             Unit::new(format!("federate:{}", s.name), move |seed| {
-                run_schedule(s, epochs, seed, pinned)
+                run_schedule(s, epochs, seed)
             })
         })
         .collect();
@@ -603,38 +489,6 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
     }
     writeln!(out, "{t}")?;
 
-    // Suite-level acceptance: every federation failure class must have
-    // been exercised somewhere, not just survived in the abstract.
-    // Calibrated to the shipped seed like the per-schedule floors.
-    if pinned {
-        let sum = |f: fn(&FedStats) -> u64| -> u64 { reports.iter().map(|r| f(&r.fed)).sum() };
-        assert!(
-            sum(|f| f.rejected_corrupt) > 0,
-            "no corrupt payload exercised"
-        );
-        assert!(sum(|f| f.rejected_shape) > 0, "no shape mismatch exercised");
-        assert!(
-            sum(|f| f.rejected_nonfinite) > 0,
-            "no non-finite payload exercised"
-        );
-        assert!(
-            sum(|f| f.rejected_divergent) > 0,
-            "no Byzantine payload exercised"
-        );
-        assert!(
-            sum(|f| f.rounds_quorum_failed) > 0,
-            "no quorum failure exercised"
-        );
-        assert!(
-            sum(|f| f.rounds_aborted_offline) > 0,
-            "no mid-round abort exercised"
-        );
-        assert!(
-            sum(|f| f.service_rollbacks) > 0,
-            "no post-merge rollback exercised"
-        );
-        assert!(sum(|f| f.cold_transfers) > 0, "no cold transfer exercised");
-    }
     writeln!(
         out,
         "invariants held across all schedules: ladder books balanced (received == accepted + rejected), only accepted payloads merged, fed.* telemetry == FedStats, zero stale actuations."
@@ -655,37 +509,9 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
     let unfed = arms.pop().ok_or("missing unfederated arm")?;
     let fed = arms.pop().ok_or("missing federated arm")?;
 
-    if pinned {
-        assert!(fed.landing.is_some(), "transfer: cold replica never landed");
-        assert!(
-            fed.adoption.is_some(),
-            "transfer: federation never re-warmed the cold replica"
-        );
-        assert!(
-            unfed.adoption.is_none(),
-            "transfer: steps discontinuity without federation"
-        );
-        assert!(
-            fed.reentry.is_some(),
-            "transfer: service 0 never re-entered the donor band"
-        );
-    }
     let landing = fed.landing.unwrap_or(0);
     let adoption = fed.adoption.unwrap_or(0);
     let reentry = fed.reentry.unwrap_or(0);
-    if pinned {
-        assert!(
-            reentry <= adoption + 10,
-            "transfer: band re-entry took {} epochs after adoption",
-            reentry - adoption
-        );
-        assert!(
-            2 * fed.in_band >= fed.window,
-            "transfer: federated arm spent under half its window in band ({}/{})",
-            fed.in_band,
-            fed.window
-        );
-    }
     writeln!(
         out,
         "policy transfer: cold landing at epoch {landing}; with federation the replica inherited {} donor steps at epoch {adoption} (zero cold-start learning epochs) and service-0 p99 was back inside the donor band ({:.2} ms) by epoch {reentry}; in-band {}/{} post-landing epochs federated vs {}/{} unfederated.",
@@ -698,56 +524,131 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
 mod tests {
     use super::*;
 
+    // What each schedule must demonstrate, at the shipped seed and smoke
+    // length. Together the floors cover every failure class the suite
+    // exists to exercise: CRC, shape, non-finite and Byzantine rejections,
+    // quorum failures, mid-round aborts, post-merge rollbacks and cold
+    // transfers.
+    fn shipped(schedule: usize) -> ScenarioReport {
+        run_schedule(&schedules()[schedule], 45, 42).unwrap()
+    }
+
     #[test]
     fn calm_transfer_schedule_warms_the_cold_replica() {
-        let r = run_schedule(&schedules()[0], 45, 42, true).unwrap();
-        assert!(r.fed.cold_transfers >= 1);
-        assert_eq!(r.cluster.transfer_downgrades, 1);
+        let ScenarioReport { fed, cluster, .. } = shipped(0);
+        assert_eq!(
+            fed.rejected_corrupt + fed.rejected_nonfinite + fed.rejected_divergent,
+            0,
+            "calm schedule rejected honest payloads"
+        );
+        assert!(fed.rounds_committed >= 2, "calm rounds must commit");
+        // Quorum failures are legitimate here: the corrupt-migration outage
+        // window can leave a service with no eligible contributor for a
+        // round or two.
+        assert_eq!(fed.rounds_aborted_offline, 0, "calm abort");
+        assert_eq!(fed.service_rollbacks, 0, "calm rollback");
+        assert_eq!(
+            cluster.transfer_downgrades, 1,
+            "the scripted migration must land cold"
+        );
+        assert!(
+            fed.cold_transfers >= 1,
+            "the stranded replica must inherit the donor policy"
+        );
+        // The 12-core socket exercises the shape rung every round it
+        // contributes.
+        assert!(fed.rejected_shape >= 1, "heterogeneous shape never seen");
+        assert!(fed.recipients_incompatible >= 1);
     }
 
     #[test]
     fn corrupt_storm_rejects_and_rolls_back() {
-        let r = run_schedule(&schedules()[1], 45, 42, true).unwrap();
-        assert!(r.fed.rejected_corrupt >= 3);
-        assert!(r.fed.service_rollbacks >= 1);
+        let fed = shipped(1).fed;
+        assert!(fed.rejected_corrupt >= 3, "corruption never fired");
+        assert!(fed.rounds_committed >= 1, "no honest round survived");
+        assert!(
+            fed.merges_poisoned >= 1 && fed.service_rollbacks >= 1,
+            "poisoned merge must be caught by the twin run"
+        );
+        assert!(fed.recipients_rolled_back >= 1);
     }
 
     #[test]
     fn byzantine_schedule_screens_every_flavor() {
-        let r = run_schedule(&schedules()[2], 45, 42, true).unwrap();
-        assert!(r.fed.rejected_divergent >= 3);
-        assert!(r.fed.rejected_nonfinite >= 1);
+        let fed = shipped(2).fed;
+        assert!(
+            fed.rejected_divergent >= 3,
+            "garbage/offset weights never screened"
+        );
+        assert!(
+            fed.rejected_nonfinite >= 1,
+            "non-finite weights never rejected"
+        );
+        assert!(fed.rounds_committed >= 1, "honest services must progress");
     }
 
     #[test]
     fn straggler_schedule_fails_quorum_and_retries() {
-        let r = run_schedule(&schedules()[3], 45, 42, true).unwrap();
-        assert!(r.fed.payloads_straggled >= 4);
-        assert!(r.fed.rounds_quorum_failed >= 1);
+        let fed = shipped(3).fed;
+        assert!(fed.payloads_straggled >= 4, "stragglers never missed");
+        assert!(fed.rounds_quorum_failed >= 1, "quorum never failed");
+        assert!(
+            fed.rounds_started > 45 / ROUND_PERIOD,
+            "backoff retries must add rounds beyond the period grid"
+        );
+        assert!(
+            fed.contributors_merged < fed.payloads_requested,
+            "partial aggregation must have dropped stragglers"
+        );
     }
 
     #[test]
     fn partition_schedule_aborts_midround() {
-        let r = run_schedule(&schedules()[4], 45, 42, true).unwrap();
-        assert!(r.fed.rounds_aborted_offline >= 1);
-        assert!(r.fed.rounds_committed >= 1);
+        let ScenarioReport { fed, cluster, .. } = shipped(4);
+        assert!(
+            fed.rounds_aborted_offline >= 1,
+            "the mid-collection blackout must abort the round"
+        );
+        assert!(fed.payloads_lost >= 4, "aborted payloads must count lost");
+        assert!(fed.rounds_committed >= 1, "the plane must recover");
+        assert!(cluster.partition_node_epochs >= 3);
     }
 
     #[test]
     fn kitchen_sink_keeps_the_books() {
         // run_schedule asserts the ladder identity on every schedule; this
         // pins that the kitchen sink gave it payloads to balance.
-        let r = run_schedule(&schedules()[5], 45, 42, true).unwrap();
-        assert!(r.fed.payloads_received > 0, "{:?}", r.fed);
-        assert!(r.fed.contributors_merged <= r.fed.payloads_accepted);
+        let fed = shipped(5).fed;
+        assert!(fed.rounds_started >= 1, "federation never ran");
+        assert!(fed.payloads_received > 0, "{fed:?}");
+        assert!(fed.contributors_merged <= fed.payloads_accepted);
     }
 
     #[test]
     fn transfer_experiment_shows_inheritance() {
+        // The suite's two arms at --smoke --seed 42.
         let fed = run_transfer(45, 42, true).unwrap();
         let unfed = run_transfer(45, 42, false).unwrap();
-        assert!(fed.adoption.is_some());
-        assert!(unfed.adoption.is_none());
+        assert!(fed.landing.is_some(), "cold replica never landed");
+        let adoption = fed
+            .adoption
+            .expect("federation never re-warmed the replica");
+        assert!(
+            unfed.adoption.is_none(),
+            "steps discontinuity without federation"
+        );
+        let reentry = fed.reentry.expect("service 0 never re-entered the band");
+        assert!(
+            reentry <= adoption + 10,
+            "band re-entry took {} epochs after adoption",
+            reentry - adoption
+        );
+        assert!(
+            2 * fed.in_band >= fed.window,
+            "federated arm spent under half its window in band ({}/{})",
+            fed.in_band,
+            fed.window
+        );
     }
 
     #[test]

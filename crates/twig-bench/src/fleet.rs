@@ -18,16 +18,13 @@
 //!   cursor. There are no per-thread deques to rebalance and no ordering
 //!   dependence on who finishes first.
 //!
-//! Per-thread busy time and unit counts are gathered into [`FleetStats`],
-//! which can be exported post-hoc into a [`Telemetry`] handle (the handle
-//! is `Rc`-based and single-threaded by design, so workers never touch it).
+//! Per-thread busy time and unit counts are gathered into [`FleetStats`].
 
 use crate::ExpError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::Instant;
-use twig_telemetry::Telemetry;
 
 /// Derives the seed for unit `index` from the fleet's base seed.
 ///
@@ -114,20 +111,6 @@ impl FleetStats {
         }
         let busy: f64 = self.busy_ms.iter().sum();
         busy / (self.wall_ms * self.busy_ms.len() as f64)
-    }
-
-    /// Exports the stats as telemetry gauges/counters (`fleet.*`). Called
-    /// post-hoc on the submitting thread: [`Telemetry`] is `Rc`-based and
-    /// deliberately never crosses into the workers.
-    pub fn record(&self, telemetry: &Telemetry) {
-        telemetry.counter_add("fleet.units_completed", self.units_ok as u64);
-        telemetry.counter_add("fleet.units_failed", self.units_failed as u64);
-        telemetry.gauge_set("fleet.jobs", self.jobs as f64);
-        telemetry.gauge_set("fleet.wall_ms", self.wall_ms);
-        telemetry.gauge_set("fleet.utilization", self.utilization());
-        for (i, &busy) in self.busy_ms.iter().enumerate() {
-            telemetry.gauge_set(&format!("fleet.thread{i}.busy_ms"), busy);
-        }
     }
 }
 
@@ -331,18 +314,5 @@ mod tests {
         let empty = run_fleet(Vec::<Unit<u64>>::new(), 4, 0);
         assert_eq!(empty.stats.jobs, 1);
         assert_eq!(empty.stats.units_total, 0);
-    }
-
-    #[test]
-    fn stats_record_into_telemetry() {
-        let run = run_fleet(seed_units(3), 2, 5);
-        let tl = Telemetry::enabled();
-        run.stats.record(&tl);
-        let m = tl.metrics().unwrap();
-        assert_eq!(m.counter("fleet.units_completed"), 3);
-        assert_eq!(m.counter("fleet.units_failed"), 0);
-        assert_eq!(m.gauge("fleet.jobs"), Some(2.0));
-        assert!(m.gauge("fleet.thread0.busy_ms").is_some());
-        assert!(m.gauge("fleet.wall_ms").unwrap() >= 0.0);
     }
 }

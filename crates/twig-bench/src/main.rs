@@ -16,7 +16,6 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use twig_bench::experiments::{find, run_all, REGISTRY};
 use twig_bench::Options;
-use twig_telemetry::Telemetry;
 
 /// Counting wrapper around the system allocator. The impl lives here (the
 /// library crates forbid unsafe code) and reports into the process-wide
@@ -83,15 +82,10 @@ fn all(opts: &Options) -> i32 {
         println!();
     }
 
-    // Fleet accounting, exported as telemetry gauges (`fleet.*`) and
-    // echoed for the log. The handle is Rc-based, so this happens post-hoc
-    // on the main thread, never inside the workers.
-    let telemetry = Telemetry::enabled();
-    run.stats.record(&telemetry);
-    let metrics = telemetry.metrics().expect("enabled telemetry");
+    // Fleet accounting, echoed for the log.
     println!(
         "fleet: {}/{} units ok, {} jobs, wall {:.1} s, utilization {:.0}%",
-        metrics.counter("fleet.units_completed"),
+        run.stats.units_ok,
         run.stats.units_total,
         run.stats.jobs,
         run.stats.wall_ms / 1e3,

@@ -16,7 +16,7 @@ use crate::balancer::LoadBalancer;
 use crate::coordinator::{Coordinator, CoordinatorConfig, HandoffResult, TransferEvent};
 use crate::fault::ClusterFaultPlan;
 use crate::federate::{FedFaultPlan, FedStats, FederateConfig, FederationPlane};
-use crate::node::{AgentTuning, ClusterNode, InstallOutcome, NodePlatform};
+use crate::node::{mix, AgentTuning, ClusterNode, InstallOutcome, NodePlatform};
 use crate::ClusterError;
 use twig_core::{ClusterView, NodeId, NodeView, PlacementAction, ServicePlacement};
 use twig_rl::validate_checkpoint_bytes;
@@ -172,14 +172,6 @@ pub struct ClusterEpochReport {
     pub services: Vec<ClusterServiceEpoch>,
     /// Live nodes that served without coordinator contact this epoch.
     pub autonomous_nodes: usize,
-}
-
-/// splitmix64 finalizer for deriving per-node sub-seeds.
-fn mix(seed: u64, salt: u64) -> u64 {
-    let mut z = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The assembled Twig-D cluster. See the module docs.

@@ -109,7 +109,7 @@ pub struct ClusterNode {
 }
 
 /// splitmix64 finalizer for deriving independent sub-seeds.
-fn mix(seed: u64, salt: u64) -> u64 {
+pub(crate) fn mix(seed: u64, salt: u64) -> u64 {
     let mut z = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -5,9 +5,9 @@
 //! crash mid-write can never destroy an existing good generation. The free
 //! function [`recover`] implements the ladder: try the newest generation,
 //! fall back one generation per corrupt or mismatched checkpoint, and
-//! cold-start when every generation is exhausted — each rung recorded in
-//! telemetry (`ckpt.load`, `ckpt.corrupt`, `ckpt.fallback`,
-//! `ckpt.cold_start`).
+//! cold-start when every generation is exhausted — each rung counted in the
+//! run's [`RecoveryStats`] and mirrored into telemetry (`ckpt.load`,
+//! `ckpt.corrupt`, `ckpt.cold_start`).
 //!
 //! Anything that serializes itself through [`Checkpointable`] can ride the
 //! ladder; [`Twig`](crate::Twig) implements it over the twig-rl versioned
@@ -193,6 +193,20 @@ pub enum RecoveryOutcome {
     ColdStart,
 }
 
+twig_telemetry::stats! {
+    /// What one recovery-ladder run did, rung by rung. Every field is
+    /// mirrored into telemetry under the matching `ckpt.*` counter.
+    pub struct RecoveryStats {
+        /// Generations restored (at most one per run).
+        loads => "ckpt.load",
+        /// Generations rejected as unreadable, corrupt or mismatched.
+        corrupt => "ckpt.corrupt",
+        /// Runs that exhausted the ladder into a cold start (at most one
+        /// per run).
+        cold_starts => "ckpt.cold_start",
+    }
+}
+
 /// Outcome and accounting of one recovery-ladder run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryReport {
@@ -200,8 +214,8 @@ pub struct RecoveryReport {
     pub outcome: RecoveryOutcome,
     /// Generations tried and rejected before the outcome.
     pub ladder_depth: usize,
-    /// Generations rejected as unreadable, corrupt or mismatched.
-    pub corrupt_generations: usize,
+    /// The rungs this run climbed.
+    pub stats: RecoveryStats,
 }
 
 impl RecoveryReport {
@@ -213,16 +227,15 @@ impl RecoveryReport {
 
 /// Runs the recovery ladder: restore `target` from the newest generation
 /// in `store`, falling back one generation per corrupt or mismatched
-/// checkpoint, cold-starting when all are exhausted. Each rung is recorded
-/// in `telemetry` (`ckpt.load` on success, `ckpt.corrupt` + `ckpt.fallback`
-/// per rejected generation, `ckpt.cold_start` when nothing loads).
+/// checkpoint, cold-starting when all are exhausted. Each rung is counted
+/// in the report's [`RecoveryStats`] and mirrored into `telemetry`.
 pub fn recover<M: Checkpointable>(
     store: &CheckpointStore,
     target: &mut M,
     telemetry: &Telemetry,
 ) -> RecoveryReport {
     let generations = store.generations().unwrap_or_default();
-    let mut corrupt = 0usize;
+    let mut stats = RecoveryStats::default();
     for (depth, path) in generations.iter().enumerate() {
         let restored = store
             .read(path)
@@ -232,25 +245,21 @@ pub fn recover<M: Checkpointable>(
             .and_then(|bytes| target.restore_checkpoint(&bytes));
         match restored {
             Ok(()) => {
-                telemetry.counter_add("ckpt.load", 1);
+                stats.bump(telemetry, |s| &mut s.loads);
                 return RecoveryReport {
                     outcome: RecoveryOutcome::Restored { generation: depth },
                     ladder_depth: depth,
-                    corrupt_generations: corrupt,
+                    stats,
                 };
             }
-            Err(_) => {
-                corrupt += 1;
-                telemetry.counter_add("ckpt.corrupt", 1);
-                telemetry.counter_add("ckpt.fallback", 1);
-            }
+            Err(_) => stats.bump(telemetry, |s| &mut s.corrupt),
         }
     }
-    telemetry.counter_add("ckpt.cold_start", 1);
+    stats.bump(telemetry, |s| &mut s.cold_starts);
     RecoveryReport {
         outcome: RecoveryOutcome::ColdStart,
         ladder_depth: generations.len(),
-        corrupt_generations: corrupt,
+        stats,
     }
 }
 
@@ -346,10 +355,9 @@ mod tests {
         let report = recover(&store, &mut target, &telemetry);
         assert_eq!(report.outcome, RecoveryOutcome::Restored { generation: 1 });
         assert_eq!(report.ladder_depth, 1);
-        assert_eq!(report.corrupt_generations, 1);
+        assert_eq!(report.stats.corrupt, 1);
         assert_eq!(target.state, vec![0xAB, 1]);
         assert_eq!(telemetry.counter("ckpt.corrupt"), 1);
-        assert_eq!(telemetry.counter("ckpt.fallback"), 1);
         assert_eq!(telemetry.counter("ckpt.load"), 1);
         cleanup(&store);
     }
@@ -372,6 +380,12 @@ mod tests {
         assert!(!report.recovered());
         assert_eq!(report.ladder_depth, 2);
         assert_eq!(target.state, vec![9], "cold start leaves state untouched");
+        let rungs = RecoveryStats {
+            loads: 0,
+            corrupt: 2,
+            cold_starts: 1,
+        };
+        assert_eq!(report.stats, rungs);
         assert_eq!(telemetry.counter("ckpt.cold_start"), 1);
         assert_eq!(telemetry.counter("ckpt.corrupt"), 2);
         cleanup(&store);
@@ -389,7 +403,7 @@ mod tests {
         let report = recover(&store, &mut target, &telemetry);
         assert_eq!(report.outcome, RecoveryOutcome::ColdStart);
         assert_eq!(report.ladder_depth, 0);
-        assert_eq!(report.corrupt_generations, 0);
+        assert_eq!(report.stats.corrupt, 0);
         assert!(target.state.is_empty(), "cold start leaves state untouched");
         store.write(&[0xAB, 1]).unwrap();
         assert_eq!(store.generations().unwrap().len(), 1);
@@ -411,7 +425,7 @@ mod tests {
         let mut target = Fake { state: vec![] };
         let report = recover(&store, &mut target, &telemetry);
         assert_eq!(report.outcome, RecoveryOutcome::ColdStart);
-        assert_eq!(report.corrupt_generations, 0, "orphan never hit the ladder");
+        assert_eq!(report.stats.corrupt, 0, "orphan never hit the ladder");
         // Re-opening the same directory reclaims the orphan...
         let reopened = CheckpointStore::create(store.dir(), 2).unwrap();
         assert!(!reopened.dir().join(TMP_NAME).exists());

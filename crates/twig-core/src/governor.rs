@@ -28,7 +28,8 @@
 //! counted, never allowed to take down a healthy control loop.
 
 use crate::{
-    recover, CheckpointStore, Checkpointable, ManagerError, RecoveryReport, TaskManager, TwigError,
+    recover, CheckpointStore, Checkpointable, ManagerError, RecoveryReport, TaskManager, Twig,
+    TwigError,
 };
 use twig_sim::{Assignment, DvfsLadder, EpochReport, ServiceSpec};
 use twig_telemetry::Telemetry;
@@ -69,8 +70,9 @@ impl Default for GovernorConfig {
 
 twig_telemetry::stats! {
     /// Counters describing everything the governor intervened on (for
-    /// resilience evaluation). Every field is mirrored into telemetry under
-    /// the matching `governor.*` counter.
+    /// resilience evaluation), plus its checkpoint writes. Every field is
+    /// mirrored into telemetry under the matching `governor.*` or `ckpt.*`
+    /// counter.
     pub struct GovernorStats {
         /// Decisions replaced because the inner manager returned a
         /// recoverable error.
@@ -89,6 +91,10 @@ twig_telemetry::stats! {
         /// Degraded (`SafeFallback`-tier) decisions served from the inner
         /// manager's cheap path instead of the safe static allocation.
         degraded_decisions => "governor.degraded_decisions",
+        /// Checkpoint generations written by armed checkpointing.
+        ckpt_writes => "ckpt.write",
+        /// Armed checkpoint writes that failed (the loop kept running).
+        ckpt_write_failures => "ckpt.write_failed",
     }
 }
 
@@ -329,8 +335,10 @@ impl<M: TaskManager> SafetyGovernor<M> {
                 })
         });
         match written {
-            Ok(()) => self.telemetry.counter_add("ckpt.write", 1),
-            Err(_) => self.telemetry.counter_add("ckpt.write_failed", 1),
+            Ok(()) => self.stats.bump(&self.telemetry, |s| &mut s.ckpt_writes),
+            Err(_) => self
+                .stats
+                .bump(&self.telemetry, |s| &mut s.ckpt_write_failures),
         }
     }
 
@@ -429,6 +437,28 @@ impl<M: TaskManager + Checkpointable> SafetyGovernor<M> {
         self.last_good = None;
         self.violation_streak = 0;
         self.healthy_streak = 0;
+        Ok(())
+    }
+}
+
+impl SafetyGovernor<Twig> {
+    /// Swaps service `index` for `spec` ([`Twig::transfer_service`]) and
+    /// gives the watchdog the new service's QoS target, so the new service
+    /// is judged against its own target, not its predecessor's.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TwigError::ReportMismatch`] for a service the governor
+    /// does not watch, and propagates [`Twig::transfer_service`]'s errors;
+    /// nothing changes then.
+    pub fn transfer_service(&mut self, index: usize, spec: ServiceSpec) -> Result<(), TwigError> {
+        let Some(watched) = self.config.services.get_mut(index) else {
+            return Err(TwigError::ReportMismatch {
+                detail: format!("governor: service {index}"),
+            });
+        };
+        self.inner.transfer_service(index, spec.clone())?;
+        *watched = spec;
         Ok(())
     }
 }
@@ -898,6 +928,45 @@ mod tests {
     }
 
     #[test]
+    fn swapped_service_is_judged_against_its_own_target() {
+        use crate::TwigBuilder;
+
+        let old = catalog::moses();
+        let new = ServiceSpec {
+            name: "moses-derated".into(),
+            qos_ms: old.qos_ms + 2.0,
+            ..old.clone()
+        };
+        let twig = TwigBuilder::new()
+            .services(vec![old.clone()])
+            .seed(5)
+            .build()
+            .unwrap();
+        let services = vec![old.clone()];
+        let mut gov = SafetyGovernor::new(
+            twig,
+            GovernorConfig {
+                services,
+                ..config()
+            },
+        )
+        .unwrap();
+        gov.transfer_service(0, new.clone()).unwrap();
+        assert_eq!(gov.inner().config().services[0], new);
+        // A tail that violates only the old target, for a whole watchdog
+        // window: the new service meets its own.
+        let p99 = (old.qos_ms + new.qos_ms) / 2.0;
+        for _ in 0..config().watchdog_epochs {
+            gov.decide().unwrap();
+            gov.observe(&report(p99, false)).unwrap();
+        }
+        assert!(!gov.in_safe_mode());
+        assert_eq!(gov.stats().watchdog_trips, 0);
+        // An unknown service is refused and changes nothing.
+        assert!(gov.transfer_service(1, old).is_err());
+    }
+
+    #[test]
     fn degraded_telemetry_routes_to_observe_degraded() {
         let inner = Scripted::new(vec![Ok(Scripted::good())]);
         let mut gov = SafetyGovernor::new(inner, config()).unwrap();
@@ -970,6 +1039,7 @@ mod tests {
             gov.observe(&report(qos * 0.5, false)).unwrap();
         }
         // Writes after epochs 2, 4 and 6.
+        assert_eq!(gov.stats().ckpt_writes, 3);
         assert_eq!(gov.telemetry.counter("ckpt.write"), 3);
         assert_eq!(store.generations().unwrap().len(), 3);
 
@@ -991,10 +1061,9 @@ mod tests {
         again.arm_checkpointing(store.clone(), 2).unwrap();
         let rec = again.recover_from_store().unwrap();
         assert_eq!(rec.outcome, RecoveryOutcome::Restored { generation: 1 });
-        assert_eq!(rec.corrupt_generations, 1);
+        assert_eq!(rec.stats.corrupt, 1);
         assert_eq!(again.inner().value, 4);
         assert_eq!(again.telemetry.counter("ckpt.corrupt"), 1);
-        assert_eq!(again.telemetry.counter("ckpt.fallback"), 1);
         assert_eq!(again.telemetry.counter("ckpt.load"), 1);
 
         let _ = std::fs::remove_dir_all(store.dir());
@@ -1051,7 +1120,7 @@ mod tests {
             gov.decide().unwrap();
             gov.observe(&report(qos * 0.5, false)).unwrap();
         }
-        assert_eq!(gov.telemetry.counter("ckpt.write"), 0);
+        assert_eq!(gov.stats().ckpt_writes, 0);
         assert_eq!(gov.telemetry.counter("ckpt.write_failed"), 2);
         assert_eq!(gov.inner().value, 2, "inner manager kept observing");
 

@@ -63,7 +63,7 @@ mod reward;
 mod scheduler;
 
 pub use checkpoint_store::{
-    recover, CheckpointStore, Checkpointable, RecoveryOutcome, RecoveryReport,
+    recover, CheckpointStore, Checkpointable, RecoveryOutcome, RecoveryReport, RecoveryStats,
 };
 pub use clock::{SimClock, VirtualClock, WallClock};
 pub use error::{ManagerError, TwigError};

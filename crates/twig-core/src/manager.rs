@@ -526,7 +526,6 @@ impl Twig {
         let assignments = self.mapper.assign(&self.requests)?;
         self.telemetry
             .phase_add(self.time, Phase::Mapping, stopwatch.lap_ms());
-        self.telemetry.counter_add("twig.fallback_decides", 1);
         Ok(assignments)
     }
 
@@ -578,14 +577,11 @@ impl Twig {
                 &self.rewards,
                 &self.next_states,
             ) {
-                Ok(()) => {}
                 // A non-finite state or reward slipped past the monitor
-                // (e.g. corrupted telemetry the platform did not flag):
-                // drop the transition rather than abort the epoch — the
-                // buffer must never hold it, but the control loop goes on.
-                Err(RlError::NonFinite { .. }) => {
-                    self.telemetry.counter_add("twig.dropped_transitions", 1);
-                }
+                // (e.g. corrupted telemetry the platform did not flag): the
+                // learner refused (and counted) the transition; the control
+                // loop goes on without it.
+                Ok(()) | Err(RlError::NonFinite { .. }) => {}
                 Err(e) => return Err(TwigError::Learning(e)),
             }
             self.telemetry
@@ -656,7 +652,6 @@ impl Twig {
             self.monitor.update(i, &svc.pmcs)?;
         }
         self.pending.live = false;
-        self.telemetry.counter_add("twig.degraded_epochs", 1);
         self.time += 1;
         Ok(())
     }
@@ -999,8 +994,7 @@ mod tests {
             };
             server.set_fault_plan(FaultPlan::new(faults, 43).unwrap());
         }
-        let telemetry = Telemetry::enabled();
-        let mut twig = TwigBuilder::new()
+        let twig = TwigBuilder::new()
             .services(specs.clone())
             .agent(MaBdqConfig {
                 buffer_capacity: 4_096,
@@ -1014,7 +1008,6 @@ mod tests {
             .seed(42)
             .build()
             .unwrap();
-        twig.set_telemetry(telemetry.clone());
         // The fault-free run must store every epoch: its watchdog never
         // parks the learner in the safe allocation. The faulty run's does,
         // briefly, so that most of the run still learns.
@@ -1066,10 +1059,7 @@ mod tests {
             breaks,
             gaps,
             stored: twig.agent.buffer_len(),
-            dropped: telemetry
-                .metrics()
-                .unwrap()
-                .counter("twig.dropped_transitions"),
+            dropped: twig.agent.learner_stats().nonfinite_rejected,
             stats: gov.stats(),
         }
     }

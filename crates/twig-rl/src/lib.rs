@@ -65,8 +65,8 @@ pub use dqn::{Dqn, DqnConfig};
 pub use error::RlError;
 pub use federate::{ByzantineScreen, Contribution, FedError, ScreenConfig};
 pub use mabdq::{
-    BudgetedProgress, LearnerMemory, MaBdq, MaBdqConfig, MultiTransition, QuarantineConfig,
-    QuarantineStats, TrainStats,
+    BudgetedProgress, LearnerMemory, LearnerStats, MaBdq, MaBdqConfig, MultiTransition,
+    QuarantineConfig, QuarantineStats, TrainStats,
 };
 pub use per::{PerBatch, PrioritizedReplay};
 pub use tabular::QTable;

@@ -224,6 +224,19 @@ impl LearnerMemory {
 }
 
 twig_telemetry::stats! {
+    /// Lifetime learner counters, see [`MaBdq::learner_stats`]. Every field
+    /// is mirrored into telemetry under the matching `rl.*` counter.
+    pub struct LearnerStats {
+        /// Completed gradient steps.
+        steps => "rl.train_steps",
+        /// Gradient steps skipped by the NaN guard.
+        skipped_steps => "rl.skipped_steps",
+        /// Transitions refused for a non-finite state or reward.
+        nonfinite_rejected => "rl.nonfinite_rejected",
+    }
+}
+
+twig_telemetry::stats! {
     /// Aggregate quarantine counters, see [`MaBdq::quarantine_stats`].
     /// Every counter is mirrored into telemetry under the matching
     /// `quarantine.*` name.
@@ -719,8 +732,7 @@ pub struct MaBdq {
     /// The replay buffer's storage: the transition in each slot.
     slab: TransitionSlab,
     rng: Xoshiro256,
-    steps: u64,
-    skipped_steps: u64,
+    stats: LearnerStats,
     telemetry: Telemetry,
     scratch: DecideScratch,
     step: StepState,
@@ -950,8 +962,7 @@ impl MaBdq {
             priorities,
             slab,
             rng,
-            steps: 0,
-            skipped_steps: 0,
+            stats: LearnerStats::default(),
             telemetry: Telemetry::disabled(),
             scratch: DecideScratch::default(),
             step: StepState::default(),
@@ -979,14 +990,20 @@ impl MaBdq {
 
     /// Completed gradient steps.
     pub fn steps(&self) -> u64 {
-        self.steps
+        self.stats.steps
     }
 
     /// Gradient steps skipped because the loss or gradients went
     /// non-finite (the NaN guard — no weights were touched on those
     /// steps).
     pub fn skipped_steps(&self) -> u64 {
-        self.skipped_steps
+        self.stats.skipped_steps
+    }
+
+    /// Lifetime learner counters (applied and skipped steps, refused
+    /// transitions).
+    pub fn learner_stats(&self) -> LearnerStats {
+        self.stats
     }
 
     /// Transitions currently buffered.
@@ -1042,7 +1059,7 @@ impl MaBdq {
     /// applied *and* skipped train calls, so a fleet stuck behind the
     /// global NaN guard still serves out probation windows.
     fn train_clock(&self) -> u64 {
-        self.steps + self.skipped_steps
+        self.stats.steps + self.stats.skipped_steps
     }
 
     /// Re-admits agents whose probation has expired: unfreeze, restart
@@ -1539,7 +1556,8 @@ impl MaBdq {
             .flatten()
             .all(|v| v.is_finite());
         if !finite_states || !rewards.iter().all(|r| r.is_finite()) {
-            self.telemetry.counter_add("rl.nonfinite_rejected", 1);
+            self.stats
+                .bump(&self.telemetry, |s| &mut s.nonfinite_rejected);
             return Err(RlError::NonFinite {
                 detail: "transition state or reward".into(),
             });
@@ -1857,7 +1875,7 @@ impl MaBdq {
         let skipped = !loss.is_finite() || !grad_norm.is_finite();
         if skipped {
             self.online.zero_grads();
-            self.skipped_steps += 1;
+            self.stats.bump(&self.telemetry, |s| &mut s.skipped_steps);
         } else {
             // Global-norm clipping, then Adam.
             if self.config.grad_clip > 0.0 && grad_norm > self.config.grad_clip {
@@ -1867,8 +1885,12 @@ impl MaBdq {
             self.online.apply(&mut self.adam);
             self.priorities
                 .update_priorities(&self.step.batch.indices, &self.step.abs_td);
-            self.steps += 1;
-            if self.steps.is_multiple_of(self.config.target_update_every) {
+            self.stats.bump(&self.telemetry, |s| &mut s.steps);
+            if self
+                .stats
+                .steps
+                .is_multiple_of(self.config.target_update_every)
+            {
                 self.target.copy_weights_from(&self.online);
             }
         }
@@ -1894,11 +1916,6 @@ impl MaBdq {
             return;
         }
         let tl = &self.telemetry;
-        if stats.skipped {
-            tl.counter_add("rl.skipped_steps", 1);
-        } else {
-            tl.counter_add("rl.train_steps", 1);
-        }
         // LogHistogram drops non-finite samples itself, so a blown-up loss
         // is counted but cannot poison the digest.
         tl.record("rl.loss", stats.loss as f64);
@@ -1996,8 +2013,8 @@ impl MaBdq {
             head_hidden: self.config.head_hidden,
             params,
             adam: self.adam.export_state(),
-            steps: self.steps,
-            skipped_steps: self.skipped_steps,
+            steps: self.stats.steps,
+            skipped_steps: self.stats.skipped_steps,
             per_step: self.priorities.anneal_step(),
             per_max_priority: self.priorities.max_priority(),
             priorities: self.priorities.priorities(),
@@ -2087,8 +2104,8 @@ impl MaBdq {
             offset += n;
         }
         self.adam.import_state(&ckpt.adam);
-        self.steps = ckpt.steps;
-        self.skipped_steps = ckpt.skipped_steps;
+        self.stats.steps = ckpt.steps;
+        self.stats.skipped_steps = ckpt.skipped_steps;
         self.priorities.set_anneal_step(ckpt.per_step);
         self.priorities.set_max_priority(ckpt.per_max_priority);
         self.priorities.restore_priorities(&ckpt.priorities);

@@ -320,9 +320,7 @@ impl ScenarioRunner {
                             .server_mut()
                             .replace_service(i, new_spec.clone())
                             .map_err(run_err)?;
-                        gov.inner_mut()
-                            .transfer_service(i, new_spec.clone())
-                            .map_err(run_err)?;
+                        gov.transfer_service(i, new_spec.clone()).map_err(run_err)?;
                         qos[i] = new_spec.qos_ms;
                         specs[i] = new_spec;
                     }

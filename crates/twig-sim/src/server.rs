@@ -328,6 +328,28 @@ pub struct EpochReport {
     pub telemetry: TelemetryHealth,
 }
 
+twig_telemetry::stats! {
+    /// What the server simulated while telemetry was attached. Every field
+    /// is mirrored into telemetry under the matching `sim.*` or `fault.*`
+    /// counter.
+    pub struct ServerStats {
+        /// Epochs stepped.
+        epochs => "sim.epochs",
+        /// Cores remapped across all services.
+        migrations => "sim.migrations",
+        /// Per-service actuations the platform rejected.
+        actuation_rejected => "fault.actuation_rejected",
+        /// Per-service actuations whose DVFS request was clamped.
+        dvfs_clamped => "fault.dvfs_clamped",
+        /// Requested cores that were offline and dropped from an actuation.
+        cores_lost_offline => "fault.cores_lost_offline",
+        /// Per-service PMC readings corrupted.
+        pmc_corruptions => "fault.pmc_corruptions",
+        /// Epochs whose power reading glitched.
+        power_glitches => "fault.power_glitches",
+    }
+}
+
 /// The simulated server socket hosting latency-critical services.
 ///
 /// See the crate docs for an end-to-end example.
@@ -349,6 +371,7 @@ pub struct Server {
     last_applied: Vec<Option<AppliedAssignment>>,
     last_pmcs: Vec<PmcSample>,
     pmc_history: Vec<VecDeque<PmcSample>>,
+    stats: ServerStats,
     telemetry: Telemetry,
     metric_keys: Vec<MetricKeys>,
     scratch: EpochScratch,
@@ -426,6 +449,7 @@ impl Server {
             last_applied: vec![None; n],
             last_pmcs: vec![PmcSample::zero(); n],
             pmc_history: vec![VecDeque::new(); n],
+            stats: ServerStats::default(),
             telemetry: Telemetry::disabled(),
             scratch: EpochScratch::default(),
         })
@@ -846,14 +870,26 @@ impl Server {
 
     /// Feeds one epoch's observables into the attached telemetry handle.
     /// No-op (and allocation-free) when telemetry is disabled.
-    fn record_epoch_telemetry(&self, report: &EpochReport, step_ms: f64) {
+    fn record_epoch_telemetry(&mut self, report: &EpochReport, step_ms: f64) {
         if !self.telemetry.is_enabled() {
             return;
         }
+        // Fault-injection events, as seen by the platform this epoch.
+        let mut delta = ServerStats {
+            epochs: 1,
+            migrations: report.migrations as u64,
+            pmc_corruptions: report.telemetry.pmc_faults.iter().flatten().count() as u64,
+            power_glitches: u64::from(report.telemetry.power_glitched),
+            ..ServerStats::default()
+        };
+        for applied in &report.actuation {
+            delta.actuation_rejected += u64::from(applied.rejected);
+            delta.dvfs_clamped += u64::from(applied.clamped);
+            delta.cores_lost_offline += applied.cores_lost_offline as u64;
+        }
+        self.stats.add(&delta, &self.telemetry);
         let tl = &self.telemetry;
         tl.phase_add(report.time_s, Phase::Actuation, step_ms);
-        tl.counter_add("sim.epochs", 1);
-        tl.counter_add("sim.migrations", report.migrations as u64);
         tl.gauge_set("sim.power_w", report.power_w);
         tl.gauge_set("sim.true_power_w", report.true_power_w);
         tl.gauge_set("sim.energy_j", report.energy_j);
@@ -870,29 +906,6 @@ impl Server {
             if epoch.p99_ms > spec.qos_ms {
                 tl.counter_add(&keys.qos_violations, 1);
             }
-        }
-        // Fault-injection events, as seen by the platform this epoch.
-        for applied in &report.actuation {
-            if applied.rejected {
-                tl.counter_add("fault.actuation_rejected", 1);
-            }
-            if applied.clamped {
-                tl.counter_add("fault.dvfs_clamped", 1);
-            }
-            tl.counter_add(
-                "fault.cores_lost_offline",
-                applied.cores_lost_offline as u64,
-            );
-        }
-        let pmc_faults = report
-            .telemetry
-            .pmc_faults
-            .iter()
-            .filter(|f| f.is_some())
-            .count();
-        tl.counter_add("fault.pmc_corruptions", pmc_faults as u64);
-        if report.telemetry.power_glitched {
-            tl.counter_add("fault.power_glitches", 1);
         }
         tl.gauge_set("fault.offline_cores", report.telemetry.offline_cores as f64);
         tl.gauge_set(
