@@ -3,10 +3,11 @@
 //!
 //! Each schedule drives a governed Twig in segments, checkpointing through
 //! a [`StoreFaultPlan`] that corrupts payloads on the way to the
-//! [`CheckpointStore`] (torn writes, bit flips, truncation, stale
-//! generations). At every segment boundary the manager "crashes": it is
-//! dropped, rebuilt cold, and sent up the recovery ladder ([`recover`])
-//! while the simulated server keeps serving load. One additional schedule
+//! [`CheckpointStore`](twig_core::CheckpointStore) (torn writes, bit
+//! flips, truncation, stale generations). At every segment boundary the
+//! manager "crashes": it is dropped, rebuilt cold, and sent up the
+//! recovery ladder ([`recover`]) while the simulated server keeps serving
+//! load. One additional schedule
 //! exercises per-agent quarantine at the [`MaBdq`] level with a poisoned
 //! reward stream.
 //!
@@ -25,15 +26,14 @@
 //! clock never enters the text — so the report is bit-identical at
 //! `--jobs 1`, `2` and `4`.
 
-use crate::runner::suite_epochs;
+use crate::runner::{assert_exercised, suite_epochs};
 use crate::{make_twig, run_fleet, ExpError, Options, TextTable, Unit};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 use twig_core::{
-    recover, CheckpointStore, GovernorConfig, RecoveryOutcome, RecoveryStats, SafetyGovernor,
+    recover, GovernorConfig, RecoveryOutcome, RecoveryStats, SafetyGovernor, ScratchStore,
     TaskManager,
 };
-use twig_rl::{MaBdq, MaBdqConfig, MultiTransition, QuarantineConfig};
+use twig_rl::{MaBdq, MaBdqConfig, MultiTransition, QuarantineConfig, QuarantineStats};
 use twig_sim::{
     catalog, Server, ServerConfig, StoreFaultConfig, StoreFaultKind, StoreFaultPlan, NUM_COUNTERS,
 };
@@ -120,43 +120,27 @@ fn schedules() -> Vec<Schedule> {
 /// Everything one schedule demonstrated, aggregated for the report table.
 /// Plain counts only (no telemetry handle): scenario units run on fleet
 /// worker threads and the result must be `Send`.
-pub struct ScenarioReport {
+#[derive(Default)]
+struct ScenarioReport {
     /// Schedule name.
-    pub name: String,
+    name: String,
     /// Decision epochs driven across all segments.
-    pub epochs: u64,
+    epochs: u64,
     /// Checkpoint generations that landed on disk.
-    pub writes: u64,
+    writes: u64,
     /// Written generations the fault plan corrupted first.
-    pub corrupted_writes: u64,
+    corrupted_writes: u64,
     /// Writes silently dropped (stale-generation faults).
-    pub stale_drops: u64,
-    /// Crash recoveries that restored some generation.
-    pub restored: usize,
+    stale_drops: u64,
     /// Restores that had to fall back past at least one corrupt generation.
-    pub fallback_restores: usize,
-    /// Recoveries that exhausted the ladder into an explicit cold start.
-    pub cold_starts: usize,
+    fallback_restores: u64,
     /// Deepest ladder rung any recovery reached.
-    pub max_ladder_depth: usize,
-    /// `quarantine.trips` observed (quarantine schedule only).
-    pub quarantine_trips: u64,
-    /// `quarantine.readmitted` observed (quarantine schedule only).
-    pub quarantine_readmissions: u64,
-    /// The recovery ladder's rungs, summed over every recovery.
-    pub recovery: RecoveryStats,
-}
-
-/// Unique-per-invocation scratch directory: schedules may run concurrently
-/// on fleet workers and tests may run several suites in one process.
-fn scratch_dir(name: &str, seed: u64) -> std::path::PathBuf {
-    static INVOCATION: AtomicU64 = AtomicU64::new(0);
-    let n = INVOCATION.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "twig-chaos-{}-{seed}-{}-{n}",
-        name.replace(' ', "-"),
-        std::process::id()
-    ))
+    max_ladder_depth: usize,
+    /// The recovery ladder's rungs, summed over every recovery: `loads`
+    /// restores and `cold_starts` explicit cold starts.
+    recovery: RecoveryStats,
+    /// The learner's quarantine counters (quarantine schedule only).
+    quarantine: QuarantineStats,
 }
 
 /// Runs one crash/restart/corruption schedule and scores it.
@@ -172,9 +156,7 @@ fn run_store_schedule(
 ) -> Result<ScenarioReport, ExpError> {
     let spec = catalog::masstree();
     let cfg = ServerConfig::default();
-    let dir = scratch_dir(schedule.name, seed);
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = CheckpointStore::create(&dir, KEEP)?;
+    let store = ScratchStore::create("chaos", KEEP)?;
     let mut plan = StoreFaultPlan::new(schedule.fault.clone(), seed ^ 0xC4A0_5EED)?;
 
     // The environment outlives every crash: only the manager restarts.
@@ -185,17 +167,7 @@ fn run_store_schedule(
     let probe = vec![vec![0.5_f32; NUM_COUNTERS]];
     let mut report = ScenarioReport {
         name: schedule.name.to_string(),
-        epochs: 0,
-        writes: 0,
-        corrupted_writes: 0,
-        stale_drops: 0,
-        restored: 0,
-        fallback_restores: 0,
-        cold_starts: 0,
-        max_ladder_depth: 0,
-        quarantine_trips: 0,
-        quarantine_readmissions: 0,
-        recovery: RecoveryStats::default(),
+        ..ScenarioReport::default()
     };
 
     let mut checkpoint =
@@ -234,14 +206,8 @@ fn run_store_schedule(
                 schedule.name,
                 rec.ladder_depth
             );
-            match rec.outcome {
-                RecoveryOutcome::Restored { generation } => {
-                    report.restored += 1;
-                    if generation >= 1 {
-                        report.fallback_restores += 1;
-                    }
-                }
-                RecoveryOutcome::ColdStart => report.cold_starts += 1,
+            if let RecoveryOutcome::Restored { generation } = rec.outcome {
+                report.fallback_restores += u64::from(generation >= 1);
             }
             report.max_ladder_depth = report.max_ladder_depth.max(rec.ladder_depth);
             report.recovery.add(&rec.stats, &Telemetry::disabled());
@@ -290,33 +256,34 @@ fn run_store_schedule(
         );
     }
 
-    let recoveries = (SEGMENTS - 1) as usize;
+    let recoveries = SEGMENTS - 1;
+    let RecoveryStats {
+        loads, cold_starts, ..
+    } = report.recovery;
     match schedule.expect {
         Expect::CleanRestore => assert_eq!(
-            (report.restored, report.max_ladder_depth),
+            (loads, report.max_ladder_depth),
             (recoveries, 0),
             "{}: expected depth-0 restores only",
             schedule.name
         ),
         Expect::FallbackRestore => assert!(
-            report.restored == recoveries && report.fallback_restores == recoveries,
+            loads == recoveries && report.fallback_restores == recoveries,
             "{}: every recovery must fall back past the torn generation",
             schedule.name
         ),
         Expect::AnyRecovery => assert_eq!(
-            report.restored + report.cold_starts,
+            loads + cold_starts,
             recoveries,
             "{}: every crash must end restored or explicitly cold",
             schedule.name
         ),
         Expect::ColdStart => assert_eq!(
-            report.cold_starts, recoveries,
+            cold_starts, recoveries,
             "{}: all-corrupt store must cold-start every recovery",
             schedule.name
         ),
     }
-
-    let _ = std::fs::remove_dir_all(&dir);
     Ok(report)
 }
 
@@ -410,16 +377,8 @@ fn run_quarantine_schedule(seed: u64, steps_scale: u64) -> Result<ScenarioReport
     Ok(ScenarioReport {
         name: "agent quarantine".to_string(),
         epochs: warmup + poisoned + steps_scale + 60,
-        writes: 0,
-        corrupted_writes: 0,
-        stale_drops: 0,
-        restored: 0,
-        fallback_restores: 0,
-        cold_starts: 0,
-        max_ladder_depth: 0,
-        quarantine_trips: end.trips,
-        quarantine_readmissions: end.readmissions,
-        recovery: RecoveryStats::default(),
+        quarantine: end,
+        ..ScenarioReport::default()
     })
 }
 
@@ -471,38 +430,39 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
             r.writes.to_string(),
             r.corrupted_writes.to_string(),
             r.stale_drops.to_string(),
-            r.restored.to_string(),
+            r.recovery.loads.to_string(),
             r.fallback_restores.to_string(),
-            r.cold_starts.to_string(),
+            r.recovery.cold_starts.to_string(),
             r.max_ladder_depth.to_string(),
-            r.quarantine_trips.to_string(),
-            r.quarantine_readmissions.to_string(),
+            r.quarantine.trips.to_string(),
+            r.quarantine.readmissions.to_string(),
         ]);
     }
     writeln!(out, "{t}")?;
 
-    // Suite-level acceptance: each failure class must actually have been
-    // exercised somewhere, not just survived in the abstract.
-    let fallbacks: usize = reports.iter().map(|r| r.fallback_restores).sum();
-    let cold: usize = reports.iter().map(|r| r.cold_starts).sum();
+    let mut recovery = RecoveryStats::default();
+    for r in &reports {
+        recovery.add(&r.recovery, &Telemetry::disabled());
+    }
+    let fallbacks: u64 = reports.iter().map(|r| r.fallback_restores).sum();
     let corrupted: u64 = reports.iter().map(|r| r.corrupted_writes).sum();
-    let trips: u64 = reports.iter().map(|r| r.quarantine_trips).sum();
-    let readmits: u64 = reports.iter().map(|r| r.quarantine_readmissions).sum();
-    let loads: u64 = reports.iter().map(|r| r.recovery.loads).sum();
-    assert!(corrupted > 0, "no corrupted write was ever exercised");
-    assert!(fallbacks > 0, "no generation fallback was ever exercised");
-    assert!(cold > 0, "no cold start was ever exercised");
-    assert!(
-        trips > 0 && readmits > 0,
-        "quarantine trip + re-admission not exercised"
-    );
+    let trips: u64 = reports.iter().map(|r| r.quarantine.trips).sum();
+    let readmits: u64 = reports.iter().map(|r| r.quarantine.readmissions).sum();
+    assert_exercised(&[
+        (corrupted, "corrupted write"),
+        (fallbacks, "generation fallback"),
+        (recovery.cold_starts, "cold start"),
+        (trips, "quarantine trip"),
+        (readmits, "quarantine re-admission"),
+    ]);
     writeln!(
         out,
         "invariants held across all schedules: no panic, no NaN actuation, ladder depth <= {KEEP}, every crash restored or explicitly cold."
     )?;
     writeln!(
         out,
-        "exercised: {corrupted} corrupted writes, {loads} ladder restores ({fallbacks} via generation fallback), {cold} cold starts, {trips} quarantine trips / {readmits} re-admissions."
+        "exercised: {corrupted} corrupted writes, {} ladder restores ({fallbacks} via generation fallback), {} cold starts, {trips} quarantine trips / {readmits} re-admissions.",
+        recovery.loads, recovery.cold_starts
     )?;
     Ok(())
 }
@@ -512,40 +472,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn chaos_suite_is_deterministic_across_jobs() {
-        // The acceptance gate: the full report is bit-identical at
-        // --jobs 1/2/4, every schedule passes its invariants, and the
-        // required failure classes (torn-write recovery, generation
-        // fallback, cold start, quarantine round-trip) all fire.
-        let render = |jobs: usize| {
-            let opts = Options {
-                smoke: true,
-                jobs,
-                seed: 42,
-                ..Options::default()
-            };
-            let mut out = String::new();
-            run_to(&mut out, &opts).unwrap();
-            out
-        };
-        let serial = render(1);
-        assert_eq!(serial, render(2), "--jobs 2 diverged from --jobs 1");
-        assert_eq!(serial, render(4), "--jobs 4 diverged from --jobs 1");
-        assert!(serial.contains("torn final write"));
-        assert!(serial.contains("invariants held across all schedules"));
-    }
-
-    #[test]
     fn torn_final_write_forces_generation_fallback() {
         let s = &schedules()[1];
         assert!(s.tear_final_write);
         let r = run_store_schedule(s, 20, 7).unwrap();
-        assert_eq!(r.restored, (SEGMENTS - 1) as usize);
-        assert_eq!(r.fallback_restores, r.restored);
-        assert_eq!(r.cold_starts, 0);
-        // One torn generation skipped per climb.
-        assert_eq!(r.recovery.corrupt, r.restored as u64);
-        assert_eq!(r.recovery.loads, r.restored as u64);
+        // One torn generation skipped per climb, then a restore.
+        let climbs = RecoveryStats {
+            loads: SEGMENTS - 1,
+            corrupt: SEGMENTS - 1,
+            cold_starts: 0,
+        };
+        assert_eq!(r.recovery, climbs);
+        assert_eq!(r.fallback_restores, SEGMENTS - 1);
     }
 
     #[test]
@@ -553,17 +491,16 @@ mod tests {
         let s = schedules().into_iter().last().unwrap();
         assert_eq!(s.expect, Expect::ColdStart);
         let r = run_store_schedule(&s, 20, 11).unwrap();
-        assert_eq!(r.cold_starts, (SEGMENTS - 1) as usize);
-        assert_eq!(r.restored, 0);
+        assert_eq!(r.recovery.cold_starts, SEGMENTS - 1);
+        assert_eq!(r.recovery.loads, 0);
         assert_eq!(r.corrupted_writes, r.writes);
-        assert_eq!(r.recovery.cold_starts, r.cold_starts as u64);
     }
 
     #[test]
     fn quarantine_schedule_trips_and_readmits() {
         let r = run_quarantine_schedule(3, 40).unwrap();
-        assert!(r.quarantine_trips >= 1);
-        assert!(r.quarantine_readmissions >= 1);
+        assert!(r.quarantine.trips >= 1);
+        assert!(r.quarantine.readmissions >= 1);
     }
 
     #[test]
@@ -573,8 +510,8 @@ mod tests {
         let mut beyond_four = 0;
         for seed in [3, 42, 7, 777] {
             let r = run_quarantine_schedule(seed, 240).unwrap();
-            assert!(r.quarantine_trips >= 1, "seed {seed}");
-            assert!(r.quarantine_readmissions >= 1, "seed {seed}");
+            assert!(r.quarantine.trips >= 1, "seed {seed}");
+            assert!(r.quarantine.readmissions >= 1, "seed {seed}");
             beyond_four += u64::from(r.epochs > 240 + 4 + 240 + 60);
         }
         assert!(beyond_four >= 2, "seeds 42 and 7 need more than four steps");

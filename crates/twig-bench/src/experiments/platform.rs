@@ -34,13 +34,14 @@
 //! never enters the text — so the report is bit-identical at `--jobs 1`,
 //! `2` and `4`.
 
-use crate::runner::{suite_epochs, twin_lockstep};
+use crate::runner::{assert_exercised, suite_epochs, twin_lockstep, QosTally};
 use crate::{fmt_f, run_fleet, ExpError, Options, TextTable, Unit};
 use std::fmt::Write as _;
 use twig_core::{GovernorConfig, SafetyGovernor, TaskManager};
-use twig_platform::{OsFaultConfig, OsFaultPlan, Platform, SimPlatform, SimWorld};
+use twig_platform::{OsFaultConfig, OsFaultPlan, Platform, PlatformStats, SimPlatform, SimWorld};
 use twig_scenario::build_twig;
 use twig_sim::{catalog, Server, ServerConfig};
+use twig_telemetry::Telemetry;
 
 /// What a schedule is required to demonstrate, beyond the universal
 /// invariants.
@@ -142,78 +143,14 @@ const WARMUP_EPOCHS: u64 = 16;
 
 /// Per-schedule outcome — plain counts only, so units stay `Send` and the
 /// rendered report is deterministic.
+#[derive(Default)]
 struct Outcome {
     name: String,
-    epochs: u64,
-    writes: u64,
-    retries: u64,
-    write_errors: u64,
-    reconciled: u64,
-    divergences: u64,
-    clamps: u64,
-    stale: u64,
-    garbage: u64,
-    missing: u64,
-    glitches: u64,
-    degraded: u64,
-    rejected_assignments: u64,
-    qos_hits: u64,
-    qos_total: u64,
-    p99_sum: f64,
+    /// The Linux backend's counters at the end of the run.
+    stats: PlatformStats,
+    qos: QosTally,
     /// `Some` only for the calm twin-manager proof.
     bit_identical: Option<bool>,
-}
-
-impl Outcome {
-    fn new(name: &str) -> Self {
-        Outcome {
-            name: name.to_string(),
-            epochs: 0,
-            writes: 0,
-            retries: 0,
-            write_errors: 0,
-            reconciled: 0,
-            divergences: 0,
-            clamps: 0,
-            stale: 0,
-            garbage: 0,
-            missing: 0,
-            glitches: 0,
-            degraded: 0,
-            rejected_assignments: 0,
-            qos_hits: 0,
-            qos_total: 0,
-            p99_sum: 0.0,
-            bit_identical: None,
-        }
-    }
-
-    fn absorb_service_epoch(&mut self, p99_ms: f64, qos_ms: f64) {
-        assert!(
-            p99_ms.is_finite() && p99_ms >= 0.0,
-            "non-finite p99 reached the manager"
-        );
-        self.qos_total += 1;
-        if p99_ms <= qos_ms {
-            self.qos_hits += 1;
-        }
-        self.p99_sum += p99_ms;
-    }
-
-    fn absorb_stats(&mut self, stats: &twig_platform::PlatformStats) {
-        self.epochs = stats.epochs;
-        self.writes = stats.writes;
-        self.retries = stats.write_retries;
-        self.write_errors = stats.write_errors;
-        self.reconciled = stats.reconciled;
-        self.divergences = stats.divergences;
-        self.clamps = stats.clamps;
-        self.stale = stats.stale_counters;
-        self.garbage = stats.garbage_counters;
-        self.missing = stats.missing_counters;
-        self.glitches = stats.power_glitches;
-        self.degraded = stats.degraded_epochs;
-    }
 }
 
 /// Runs one governed control loop through the Linux backend against a
@@ -254,7 +191,11 @@ fn run_schedule(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, ExpErro
         },
     )?;
 
-    let mut o = Outcome::new(s.name);
+    let mut o = Outcome {
+        name: s.name.to_string(),
+        ..Outcome::default()
+    };
+    let mut rejected_assignments = 0u64;
     let mut divergences_before = 0u64;
     // With counter faults in play, a fresh-looking sequence stamp can
     // legitimately carry the previous epoch's sample (a stale read served
@@ -270,8 +211,8 @@ fn run_schedule(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, ExpErro
         let seen = platform.observe_epoch()?;
 
         assert!(seen.power_w.is_finite(), "non-finite power reading");
+        o.qos.absorb(&seen, &qos);
         for (i, svc) in seen.services.iter().enumerate() {
-            o.absorb_service_epoch(svc.p99_ms, qos[i]);
             // No phantom faults: a clean counter read means the belief is
             // exactly the world's ground truth.
             if counters_clean && !seen.telemetry.service_degraded(i) {
@@ -282,7 +223,7 @@ fn run_schedule(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, ExpErro
                 assert_eq!(svc.completed, truth.services[i].completed);
             }
         }
-        o.rejected_assignments += seen.actuation.iter().filter(|ap| ap.rejected).count() as u64;
+        rejected_assignments += seen.actuation.iter().filter(|ap| ap.rejected).count() as u64;
 
         // Divergence routing: an unreconciled actuation this epoch must
         // surface as a degraded report, or the governor would learn from
@@ -300,7 +241,7 @@ fn run_schedule(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, ExpErro
 
     let stats = *platform.stats();
     assert_eq!(stats.epochs, WARMUP_EPOCHS + epochs);
-    o.absorb_stats(&stats);
+    o.stats = stats;
 
     match s.expect {
         Expect::BitIdentity => unreachable!("calm runs use run_bit_identity"),
@@ -309,7 +250,7 @@ fn run_schedule(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, ExpErro
             assert!(stats.reconciled > 0, "no retry ever reconciled a write");
             assert!(stats.divergences > 0, "no budget was ever exhausted");
             assert!(stats.degraded_epochs > 0, "no epoch was routed degraded");
-            assert!(o.rejected_assignments > 0, "no assignment was rejected");
+            assert!(rejected_assignments > 0, "no assignment was rejected");
         }
         Expect::TornClamp => {
             assert!(stats.clamps > 0, "no cpufreq clamp was ever accepted");
@@ -402,7 +343,10 @@ fn run_bit_identity(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, Exp
         SafetyGovernor::new(twig_b, gov_cfg)?,
     ];
 
-    let mut o = Outcome::new(s.name);
+    let mut o = Outcome {
+        name: s.name.to_string(),
+        ..Outcome::default()
+    };
     let identical = twin_lockstep(
         epochs,
         &mut twins,
@@ -413,9 +357,7 @@ fn run_bit_identity(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, Exp
             let ra = platform.observe_epoch()?;
             let b = gov_b.decide()?;
             let rb = server.step(&b)?;
-            for (i, svc) in ra.services.iter().enumerate() {
-                o.absorb_service_epoch(svc.p99_ms, qos[i]);
-            }
+            o.qos.absorb(&ra, &qos);
             Ok([ra, rb])
         },
     )?;
@@ -442,11 +384,11 @@ fn run_bit_identity(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, Exp
         );
     }
     let stats = *linux.stats();
+    assert_eq!(stats.epochs, epochs);
     assert_eq!(stats.write_retries, 0, "calm backend retried a write");
     assert_eq!(stats.divergences, 0, "calm backend diverged");
     assert_eq!(stats.degraded_epochs, 0, "calm backend degraded");
-    o.absorb_stats(&stats);
-    o.epochs = epochs;
+    o.stats = stats;
     o.bit_identical = Some(identical);
     Ok(o)
 }
@@ -496,56 +438,43 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
         "qos %",
         "mean p99 ms",
     ]);
+    let counter_faults =
+        |s: &PlatformStats| s.stale_counters + s.garbage_counters + s.missing_counters;
     for r in &reports {
-        let qos_pct = if r.qos_total > 0 {
-            100.0 * r.qos_hits as f64 / r.qos_total as f64
-        } else {
-            0.0
-        };
-        let mean_p99 = if r.qos_total > 0 {
-            r.p99_sum / r.qos_total as f64
-        } else {
-            0.0
-        };
+        let s = &r.stats;
         t.row(vec![
             r.name.clone(),
-            r.epochs.to_string(),
-            r.writes.to_string(),
-            r.retries.to_string(),
-            r.write_errors.to_string(),
-            r.reconciled.to_string(),
-            r.divergences.to_string(),
-            r.clamps.to_string(),
-            (r.stale + r.garbage + r.missing).to_string(),
-            r.glitches.to_string(),
-            r.degraded.to_string(),
-            fmt_f(qos_pct, 1),
-            fmt_f(mean_p99, 3),
+            s.epochs.to_string(),
+            s.writes.to_string(),
+            s.write_retries.to_string(),
+            s.write_errors.to_string(),
+            s.reconciled.to_string(),
+            s.divergences.to_string(),
+            s.clamps.to_string(),
+            counter_faults(s).to_string(),
+            s.power_glitches.to_string(),
+            s.degraded_epochs.to_string(),
+            fmt_f(r.qos.pct(), 1),
+            fmt_f(r.qos.mean_p99(), 3),
         ]);
     }
     writeln!(out, "{t}")?;
 
-    // Suite-level acceptance: each OS-fault class must actually have been
-    // exercised somewhere, not just survived in the abstract.
-    let errors: u64 = reports.iter().map(|r| r.write_errors).sum();
-    let reconciled: u64 = reports.iter().map(|r| r.reconciled).sum();
-    let diverged: u64 = reports.iter().map(|r| r.divergences).sum();
-    let clamps: u64 = reports.iter().map(|r| r.clamps).sum();
-    let stale: u64 = reports.iter().map(|r| r.stale).sum();
-    let garbage: u64 = reports.iter().map(|r| r.garbage).sum();
-    let missing: u64 = reports.iter().map(|r| r.missing).sum();
-    let glitches: u64 = reports.iter().map(|r| r.glitches).sum();
-    let degraded: u64 = reports.iter().map(|r| r.degraded).sum();
-    assert!(errors > 0, "no write rejection was ever exercised");
-    assert!(reconciled > 0, "no retry reconciliation was ever exercised");
-    assert!(diverged > 0, "no divergence was ever exercised");
-    assert!(clamps > 0, "no cpufreq clamp was ever exercised");
-    assert!(
-        stale > 0 && garbage > 0 && missing > 0,
-        "a counter-fault class was never exercised"
-    );
-    assert!(glitches > 0, "no power glitch was ever exercised");
-    assert!(degraded > 0, "no degraded routing was ever exercised");
+    let mut all = PlatformStats::default();
+    for r in &reports {
+        all.add(&r.stats, &Telemetry::disabled());
+    }
+    assert_exercised(&[
+        (all.write_errors, "write rejection"),
+        (all.reconciled, "retry reconciliation"),
+        (all.divergences, "divergence"),
+        (all.clamps, "cpufreq clamp"),
+        (all.stale_counters, "stale counter"),
+        (all.garbage_counters, "garbage counter"),
+        (all.missing_counters, "missing counter"),
+        (all.power_glitches, "power glitch"),
+        (all.degraded_epochs, "degraded routing"),
+    ]);
     let bit = reports
         .iter()
         .find_map(|r| r.bit_identical)
@@ -557,8 +486,17 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
     )?;
     writeln!(
         out,
-        "exercised: {errors} write rejections, {reconciled} retry reconciliations, {diverged} divergences, {clamps} accepted clamps, {} counter faults ({stale} stale / {garbage} garbage / {missing} missing), {glitches} power glitches, {degraded} degraded epochs.",
-        stale + garbage + missing
+        "exercised: {} write rejections, {} retry reconciliations, {} divergences, {} accepted clamps, {} counter faults ({} stale / {} garbage / {} missing), {} power glitches, {} degraded epochs.",
+        all.write_errors,
+        all.reconciled,
+        all.divergences,
+        all.clamps,
+        counter_faults(&all),
+        all.stale_counters,
+        all.garbage_counters,
+        all.missing_counters,
+        all.power_glitches,
+        all.degraded_epochs,
     )?;
     writeln!(
         out,
@@ -572,29 +510,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn platform_suite_is_deterministic_across_jobs() {
-        // The acceptance gate: the full report is bit-identical at
-        // --jobs 1/2/4, every schedule passes its invariants, and the
-        // required OS-fault classes (rejection, reconciliation,
-        // divergence, clamp, counter faults, power glitch) all fire.
-        let render = |jobs: usize| {
-            let opts = Options {
-                smoke: true,
-                jobs,
-                seed: 42,
-                ..Options::default()
-            };
-            let mut out = String::new();
-            run_to(&mut out, &opts).unwrap();
-            out
-        };
-        let one = render(1);
-        assert_eq!(one, render(2));
-        assert_eq!(one, render(4));
-        assert!(one.contains("bit-identical to the raw server: true"));
-    }
-
-    #[test]
     fn calm_schedule_proves_bit_identity() {
         let scheds = schedules();
         let s = scheds
@@ -603,7 +518,7 @@ mod tests {
             .expect("calm schedule");
         let o = run_bit_identity(s, 20, 7).unwrap();
         assert_eq!(o.bit_identical, Some(true));
-        assert_eq!(o.divergences, 0);
+        assert_eq!(o.stats.divergences, 0);
     }
 
     #[test]
@@ -615,8 +530,8 @@ mod tests {
             .expect("reject-storm schedule");
         // run_schedule asserts the expectation internally; this pins the
         // counters that make it meaningful.
-        let o = run_schedule(s, 30, 11).unwrap();
-        assert!(o.write_errors > 0 && o.reconciled > 0 && o.divergences > 0);
-        assert!(o.degraded > 0);
+        let stats = run_schedule(s, 30, 11).unwrap().stats;
+        assert!(stats.write_errors > 0 && stats.reconciled > 0 && stats.divergences > 0);
+        assert!(stats.degraded_epochs > 0);
     }
 }

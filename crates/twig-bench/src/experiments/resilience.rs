@@ -19,7 +19,7 @@
 use crate::{drive, make_twig, ExpError, Options, TextTable};
 use std::fmt::Write as _;
 use twig_baselines::StaticMapping;
-use twig_core::{CheckpointStore, GovernorConfig, SafetyGovernor, TaskManager};
+use twig_core::{GovernorConfig, SafetyGovernor, ScratchStore, TaskManager};
 use twig_rl::QuarantineConfig;
 use twig_sim::{catalog, EpochReport, FaultConfig, FaultPlan, Server, ServerConfig, ServiceSpec};
 use twig_telemetry::Telemetry;
@@ -202,7 +202,7 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
     let mut ckpt_write_failures = 0u64;
     let mut quarantine_trips = 0u64;
     let mut quarantine_readmitted = 0u64;
-    for (level, (label, fault)) in fault_levels().into_iter().enumerate() {
+    for (label, fault) in fault_levels() {
         let mut stat = StaticMapping::new(vec![spec.clone()], cfg.cores, cfg.dvfs.clone())?;
         let o = evaluate(&mut stat, &spec, &fault, phases, opts.seed)?;
         t.row(vec![
@@ -249,13 +249,8 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
                 ..GovernorConfig::default()
             },
         )?;
-        let ckpt_dir = std::env::temp_dir().join(format!(
-            "twig-resilience-ckpt-{level}-{}-{}",
-            opts.seed,
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&ckpt_dir);
-        gov.arm_checkpointing(CheckpointStore::create(&ckpt_dir, 2)?, 25)?;
+        let store = ScratchStore::create("resilience-ckpt", 2)?;
+        gov.arm_checkpointing(store.clone(), 25)?;
         // Intervention counts come from the telemetry registry, not the
         // governor's internal stats — this is the observable surface an
         // operator would scrape in production.
@@ -267,7 +262,6 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
         ckpt_write_failures += m.counter("ckpt.write_failed");
         quarantine_trips += m.counter("quarantine.trips");
         quarantine_readmitted += m.counter("quarantine.readmitted");
-        let _ = std::fs::remove_dir_all(&ckpt_dir);
         t.row(vec![
             label.into(),
             "twig-s+governor".into(),

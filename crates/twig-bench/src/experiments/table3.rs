@@ -13,11 +13,11 @@ use crate::{drive, make_twig, ExpError, Options, TextTable};
 use std::fmt::Write as _;
 use std::time::Instant;
 use twig_cluster::{Coordinator, CoordinatorConfig, LoadBalancer};
+use twig_core::{ClusterView, NodeId, NodeView};
 use twig_core::{
-    CheckpointStore, EpochScheduler, GovernorConfig, Mapper, SafetyGovernor, SchedulerConfig,
+    EpochScheduler, GovernorConfig, Mapper, SafetyGovernor, SchedulerConfig, ScratchStore,
     SimClock, SystemMonitor,
 };
-use twig_core::{ClusterView, NodeId, NodeView};
 use twig_nn::count_alloc;
 use twig_rl::{MaBdq, MaBdqConfig, MultiTransition};
 use twig_sim::pmc::{synthesize, Activity};
@@ -82,22 +82,17 @@ pub fn ckpt_loop_ms_per_epoch(armed: bool, epochs: u64, seed: u64) -> Result<f64
             ..GovernorConfig::default()
         },
     )?;
-    let dir = std::env::temp_dir().join(format!(
-        "twig-table3-ckpt-{seed}-{}-{}",
-        std::process::id(),
-        armed
-    ));
-    if armed {
-        let _ = std::fs::remove_dir_all(&dir);
-        gov.arm_checkpointing(CheckpointStore::create(&dir, 3)?, 5)?;
-    }
+    // The store, and its directory, lives until the timed run is over.
+    let _scratch = if armed {
+        let store = ScratchStore::create("table3-ckpt", 3)?;
+        gov.arm_checkpointing(store.clone(), 5)?;
+        Some(store)
+    } else {
+        None
+    };
     let start = Instant::now();
     drive(&mut server, &mut gov, epochs)?;
-    let ms = start.elapsed().as_secs_f64() * 1000.0 / epochs as f64;
-    if armed {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    Ok(ms)
+    Ok(start.elapsed().as_secs_f64() * 1000.0 / epochs as f64)
 }
 
 /// Mean wall-clock milliseconds of deadline-scheduler bookkeeping for one

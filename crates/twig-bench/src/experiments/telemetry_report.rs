@@ -11,7 +11,7 @@
 use crate::{drive, make_twig, ExpError, Options, TextTable};
 use std::fmt::Write as _;
 use std::io::Write;
-use twig_core::{recover, CheckpointStore, GovernorConfig, SafetyGovernor};
+use twig_core::{recover, GovernorConfig, SafetyGovernor, ScratchStore};
 use twig_rl::QuarantineConfig;
 use twig_sim::{catalog, Server, ServerConfig};
 use twig_telemetry::{Phase, Telemetry};
@@ -51,13 +51,7 @@ pub fn collect(opts: &Options) -> Result<Telemetry, ExpError> {
     // climbs the recovery ladder off the store afterwards, so the
     // `ckpt.*` counters appear in the digest alongside the control-loop
     // metrics.
-    let dir = std::env::temp_dir().join(format!(
-        "twig-telemetry-ckpt-{}-{}",
-        opts.seed,
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = CheckpointStore::create(&dir, 2)?;
+    let store = ScratchStore::create("telemetry-ckpt", 2)?;
     let cfg = ServerConfig::default();
     let mut gov = SafetyGovernor::new(
         twig,
@@ -85,7 +79,6 @@ pub fn collect(opts: &Options) -> Result<Telemetry, ExpError> {
         recovery.recovered(),
         "ladder must restore off a fault-free store"
     );
-    let _ = std::fs::remove_dir_all(&dir);
     Ok(telemetry)
 }
 

@@ -31,12 +31,12 @@
 //! clock never enters the text — so the report is bit-identical at
 //! `--jobs 1`, `2` and `4`.
 
-use crate::runner::{suite_epochs, twin_lockstep};
+use crate::runner::{assert_exercised, suite_epochs, twin_lockstep, QosTally};
 use crate::{fmt_f, run_fleet, ExpError, Options, TextTable, Unit};
 use std::fmt::Write as _;
 use twig_core::{
     ActuationDirective, EpochScheduler, GovernorConfig, InferenceDirective, LearnDirective,
-    SafetyGovernor, SchedulerConfig, SimClock, Twig,
+    SafetyGovernor, SchedulerConfig, SchedulerStats, SimClock, Twig,
 };
 use twig_rl::BudgetedProgress;
 use twig_scenario::build_twig;
@@ -173,76 +173,20 @@ const WARMUP_EPOCHS: u64 = 16;
 
 /// Per-schedule outcome — plain counts only, so units stay `Send` and the
 /// rendered report is deterministic.
+#[derive(Default)]
 struct Outcome {
     name: String,
-    epochs: u64,
-    misses: u64,
-    stale_windows: u64,
-    defer: u64,
-    skip: u64,
-    safe: u64,
-    retries: u64,
-    timeouts: u64,
-    chunks: u64,
+    /// The scheduler's counters at the end of the run.
+    stats: SchedulerStats,
+    /// Learning steps completed.
     steps: u64,
+    /// Epochs that reused the last validated action.
     reused: u64,
+    /// Epochs whose actuation gave up and applied the safe plan.
     fallback_actuations: u64,
-    max_ladder: u8,
-    qos_hits: u64,
-    qos_total: u64,
-    p99_sum: f64,
+    qos: QosTally,
     /// `Some` only for the zero-pressure twin-manager proof.
     bit_identical: Option<bool>,
-}
-
-impl Outcome {
-    fn new(name: &str) -> Self {
-        Outcome {
-            name: name.to_string(),
-            epochs: 0,
-            misses: 0,
-            stale_windows: 0,
-            defer: 0,
-            skip: 0,
-            safe: 0,
-            retries: 0,
-            timeouts: 0,
-            chunks: 0,
-            steps: 0,
-            reused: 0,
-            fallback_actuations: 0,
-            max_ladder: 0,
-            qos_hits: 0,
-            qos_total: 0,
-            p99_sum: 0.0,
-            bit_identical: None,
-        }
-    }
-
-    fn absorb_service_epoch(&mut self, p99_ms: f64, qos_ms: f64) {
-        assert!(
-            p99_ms.is_finite() && p99_ms >= 0.0,
-            "non-finite p99 actuated into the report"
-        );
-        self.qos_total += 1;
-        if p99_ms <= qos_ms {
-            self.qos_hits += 1;
-        }
-        self.p99_sum += p99_ms;
-    }
-
-    fn absorb_stats(&mut self, stats: &twig_core::SchedulerStats) {
-        self.epochs = stats.epochs;
-        self.misses = stats.misses;
-        self.stale_windows = stats.stale_windows;
-        self.defer = stats.defer_learn_epochs;
-        self.skip = stats.skip_inference_epochs;
-        self.safe = stats.safe_fallback_epochs;
-        self.retries = stats.actuation_retries;
-        self.timeouts = stats.actuation_timeouts;
-        self.chunks = stats.learn_chunks;
-        self.max_ladder = stats.max_ladder_depth;
-    }
 }
 
 /// Runs one governed, scheduler-metered control loop under a timing-fault
@@ -279,7 +223,10 @@ fn run_schedule(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, ExpErro
 
     let mut sched = EpochScheduler::new(SchedulerConfig::default(), SimClock::new())?;
 
-    let mut o = Outcome::new(s.name);
+    let mut o = Outcome {
+        name: s.name.to_string(),
+        ..Outcome::default()
+    };
     // Bootstrapped to the safe plan: "reuse last" always has a validated
     // action to reuse, even before the first successful decide.
     let mut last_validated: Vec<Assignment> = gov.safe_assignments();
@@ -296,9 +243,7 @@ fn run_schedule(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, ExpErro
         o.fallback_actuations += u64::from(e.gave_up);
 
         assert!(e.report.power_w.is_finite(), "non-finite power reading");
-        for (i, svc) in e.report.services.iter().enumerate() {
-            o.absorb_service_epoch(svc.p99_ms, qos[i]);
-        }
+        o.qos.absorb(&e.report, &qos);
         assert!(
             sched.stats().max_ladder_depth <= 3,
             "ladder depth out of range"
@@ -308,7 +253,7 @@ fn run_schedule(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, ExpErro
     let stats = sched.stats();
     assert_eq!(stats.epochs, epochs);
     assert_eq!(stats.stale_windows, stale_seen);
-    o.absorb_stats(&stats);
+    o.stats = stats;
 
     match s.expect {
         Expect::Clean => unreachable!("zero-pressure runs use run_bit_identity"),
@@ -372,7 +317,10 @@ fn run_bit_identity(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, Exp
     let clock = SimClock::new();
     let mut sched = EpochScheduler::new(SchedulerConfig::default(), clock.clone())?;
 
-    let mut o = Outcome::new(s.name);
+    let mut o = Outcome {
+        name: s.name.to_string(),
+        ..Outcome::default()
+    };
     let identical = twin_lockstep(
         epochs,
         &mut twins,
@@ -415,9 +363,7 @@ fn run_bit_identity(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, Exp
             );
             let ra = server_a.step(&a_assign)?;
             let rb = server_b.step(&b_assign)?;
-            for (i, svc) in ra.services.iter().enumerate() {
-                o.absorb_service_epoch(svc.p99_ms, qos[i]);
-            }
+            o.qos.absorb(&ra, &qos);
 
             sched.end_epoch();
             let rem = sched.remaining_ms();
@@ -440,7 +386,7 @@ fn run_bit_identity(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, Exp
         identical,
         "budgeted micro-batch training diverged from the monolithic step"
     );
-    o.absorb_stats(&stats);
+    o.stats = stats;
     o.bit_identical = Some(identical);
     Ok(o)
 }
@@ -495,50 +441,38 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
         "mean p99 ms",
     ]);
     for r in &reports {
-        let qos_pct = if r.qos_total > 0 {
-            100.0 * r.qos_hits as f64 / r.qos_total as f64
-        } else {
-            0.0
-        };
-        let mean_p99 = if r.qos_total > 0 {
-            r.p99_sum / r.qos_total as f64
-        } else {
-            0.0
-        };
+        let s = &r.stats;
         t.row(vec![
             r.name.clone(),
-            r.epochs.to_string(),
-            r.misses.to_string(),
-            r.stale_windows.to_string(),
-            r.defer.to_string(),
-            r.skip.to_string(),
-            r.safe.to_string(),
-            r.retries.to_string(),
-            r.chunks.to_string(),
+            s.epochs.to_string(),
+            s.misses.to_string(),
+            s.stale_windows.to_string(),
+            s.defer_learn_epochs.to_string(),
+            s.skip_inference_epochs.to_string(),
+            s.safe_fallback_epochs.to_string(),
+            s.actuation_retries.to_string(),
+            s.learn_chunks.to_string(),
             r.steps.to_string(),
-            r.max_ladder.to_string(),
-            fmt_f(qos_pct, 1),
-            fmt_f(mean_p99, 3),
+            s.max_ladder_depth.to_string(),
+            fmt_f(r.qos.pct(), 1),
+            fmt_f(r.qos.mean_p99(), 3),
         ]);
     }
     writeln!(out, "{t}")?;
 
-    // Suite-level acceptance: each timing-failure class must actually have
-    // been exercised somewhere, not just survived in the abstract.
-    let misses: u64 = reports.iter().map(|r| r.misses).sum();
-    let stale: u64 = reports.iter().map(|r| r.stale_windows).sum();
-    let retries: u64 = reports.iter().map(|r| r.retries).sum();
-    let defers: u64 = reports.iter().map(|r| r.defer).sum();
+    let misses: u64 = reports.iter().map(|r| r.stats.misses).sum();
+    let stale: u64 = reports.iter().map(|r| r.stats.stale_windows).sum();
+    let retries: u64 = reports.iter().map(|r| r.stats.actuation_retries).sum();
+    let defers: u64 = reports.iter().map(|r| r.stats.defer_learn_epochs).sum();
     let fallbacks: u64 = reports.iter().map(|r| r.fallback_actuations).sum();
     let reused: u64 = reports.iter().map(|r| r.reused).sum();
-    assert!(misses > 0, "no deadline miss was ever exercised");
-    assert!(stale > 0, "no stale window was ever exercised");
-    assert!(retries > 0, "no actuation retry was ever exercised");
-    assert!(defers > 0, "no learn deferral was ever exercised");
-    assert!(
-        fallbacks > 0,
-        "no safe-fallback actuation was ever exercised"
-    );
+    assert_exercised(&[
+        (misses, "deadline miss"),
+        (stale, "stale window"),
+        (retries, "actuation retry"),
+        (defers, "learn deferral"),
+        (fallbacks, "safe-fallback actuation"),
+    ]);
     let bit = reports
         .iter()
         .find_map(|r| r.bit_identical)
@@ -564,29 +498,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn timing_suite_is_deterministic_across_jobs() {
-        // The acceptance gate: the full report is bit-identical at
-        // --jobs 1/2/4, every schedule passes its invariants, and the
-        // required timing-failure classes (deadline miss, stale window,
-        // retry, deferral, safe fallback) all fire.
-        let render = |jobs: usize| {
-            let opts = Options {
-                smoke: true,
-                jobs,
-                seed: 42,
-                ..Options::default()
-            };
-            let mut out = String::new();
-            run_to(&mut out, &opts).unwrap();
-            out
-        };
-        let one = render(1);
-        assert_eq!(one, render(2));
-        assert_eq!(one, render(4));
-        assert!(one.contains("bit-identical to the monolithic step under zero pressure: true"));
-    }
-
-    #[test]
     fn no_pressure_schedule_proves_bit_identity() {
         let scheds = schedules();
         let s = scheds
@@ -595,7 +506,7 @@ mod tests {
             .expect("clean schedule");
         let o = run_bit_identity(s, 24, 7).unwrap();
         assert_eq!(o.bit_identical, Some(true));
-        assert_eq!(o.misses, 0);
+        assert_eq!(o.stats.misses, 0);
         assert!(o.steps > 0, "the proof never actually trained");
     }
 
@@ -609,7 +520,9 @@ mod tests {
         // run_schedule asserts the expectation internally; this pins the
         // counters that make it meaningful.
         let o = run_schedule(s, 40, 11).unwrap();
-        assert!(o.safe > 0 && o.retries > 0 && o.timeouts > 0);
+        let stats = o.stats;
+        assert!(stats.safe_fallback_epochs > 0);
+        assert!(stats.actuation_retries > 0 && stats.actuation_timeouts > 0);
         assert!(o.fallback_actuations > 0);
     }
 }

@@ -255,6 +255,65 @@ pub fn summarize(reports: &[EpochReport], specs: &[ServiceSpec]) -> Vec<ServiceS
         .collect()
 }
 
+/// A suite's acceptance: every failure class it exists for fired somewhere,
+/// rather than being survived in the abstract.
+///
+/// # Panics
+///
+/// Naming the first class whose count is zero.
+pub(crate) fn assert_exercised(classes: &[(u64, &str)]) {
+    for &(count, class) in classes {
+        assert!(count > 0, "no {class} was ever exercised");
+    }
+}
+
+/// The QoS columns of a suite row: every service-epoch's p99 against its
+/// target, counted toward the Section V QoS guarantee and the mean p99.
+#[derive(Debug, Default)]
+pub(crate) struct QosTally {
+    met: u64,
+    total: u64,
+    p99_sum: f64,
+}
+
+impl QosTally {
+    /// Counts every service of `report` against its target in `qos_ms`.
+    ///
+    /// # Panics
+    ///
+    /// When a p99 is negative or not finite: no suite may let one reach the
+    /// manager.
+    pub(crate) fn absorb(&mut self, report: &EpochReport, qos_ms: &[f64]) {
+        for (svc, &qos) in report.services.iter().zip(qos_ms) {
+            assert!(
+                svc.p99_ms.is_finite() && svc.p99_ms >= 0.0,
+                "non-finite p99 reached the manager"
+            );
+            self.total += 1;
+            self.met += u64::from(svc.p99_ms <= qos);
+            self.p99_sum += svc.p99_ms;
+        }
+    }
+
+    /// Percentage of service-epochs that met their target (0 if none).
+    pub(crate) fn pct(&self) -> f64 {
+        self.mean(100.0 * self.met as f64)
+    }
+
+    /// Mean p99 in milliseconds (0 if no service-epoch was counted).
+    pub(crate) fn mean_p99(&self) -> f64 {
+        self.mean(self.p99_sum)
+    }
+
+    fn mean(&self, sum: f64) -> f64 {
+        if self.total > 0 {
+            sum / self.total as f64
+        } else {
+            0.0
+        }
+    }
+}
+
 /// Total ground-truth energy over a window, in joules (epochs are one
 /// simulated second).
 pub fn total_energy(reports: &[EpochReport]) -> f64 {

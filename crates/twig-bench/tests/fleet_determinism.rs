@@ -2,7 +2,8 @@
 //! assembled from `--jobs N` workers is byte-for-byte identical to the
 //! serial run. This is the acceptance gate for the parallel fleet — unit
 //! seeds derive from indices (never thread identity) and collection is
-//! slot-ordered, so the job count must be unobservable in the output.
+//! slot-ordered, so the job count must be unobservable in the output. The
+//! five fault suites are also pinned to their committed reports.
 
 use twig_bench::{experiments, Options};
 
@@ -45,44 +46,49 @@ fn fig01_serial_and_parallel_bit_identical() {
 }
 
 #[test]
-fn federate_serial_and_parallel_bit_identical() {
-    // The federation chaos suite runs six weight-exchange schedules —
-    // corrupt payload storms, Byzantine nodes, straggler quorums,
-    // mid-round partitions — plus the paired policy-transfer experiment
-    // as fleet units. Every injected fault comes from the per-schedule
-    // FedFaultPlan and every report row from lifetime counters, so the
-    // report must be byte-identical at any worker count. The suite asserts
-    // only seed-independent invariants, so any seed would do; this one
-    // runs the shipped seed, whose report is committed.
-    let render_fed = |jobs| {
-        let mut out = String::new();
-        let o = Options {
-            jobs,
-            smoke: true,
-            ..Options::default()
-        };
-        experiments::federate::run_to(&mut out, &o).expect("federate suite runs");
-        out
-    };
-    let serial = render_fed(1);
-    let two = render_fed(2);
-    let four = render_fed(4);
-    assert!(serial.contains("byzantine node"));
-    assert_eq!(serial, two, "federate output depends on --jobs 2");
-    assert_eq!(serial, four, "federate output depends on --jobs 4");
-}
-
-#[test]
-fn cluster_serial_and_parallel_bit_identical() {
-    // The cluster chaos suite runs six fault schedules — crashes,
-    // blackouts, partitions, corrupted and stalled migrations — as fleet
-    // units. Every fault draw comes from the per-schedule seeded plan and
-    // every scenario row from lifetime counters, so the full faulted
-    // report must be byte-identical at any worker count.
-    let serial = render(experiments::cluster::run_to, 1);
-    let two = render(experiments::cluster::run_to, 2);
-    let four = render(experiments::cluster::run_to, 4);
-    assert!(serial.contains("crash + failover"));
-    assert_eq!(serial, two, "cluster output depends on --jobs 2");
-    assert_eq!(serial, four, "cluster output depends on --jobs 4");
+fn suite_reports_equal_the_committed_ones_at_any_jobs() {
+    // The five fault suites at the shipped `--smoke --seed 42`: each run
+    // asserts its own invariants, and its report must be byte-identical to
+    // the committed reference at one worker and at four.
+    let suites: [(&str, experiments::RunTo, &str); 5] = [
+        (
+            "chaos",
+            experiments::chaos::run_to,
+            include_str!("../../../results/chaos_report.txt"),
+        ),
+        (
+            "timing",
+            experiments::timing::run_to,
+            include_str!("../../../results/timing_report.txt"),
+        ),
+        (
+            "cluster",
+            experiments::cluster::run_to,
+            include_str!("../../../results/cluster_report.txt"),
+        ),
+        (
+            "platform",
+            experiments::platform::run_to,
+            include_str!("../../../results/platform_report.txt"),
+        ),
+        (
+            "federate",
+            experiments::federate::run_to,
+            include_str!("../../../results/federate_report.txt"),
+        ),
+    ];
+    for (suite, run_to, committed) in suites {
+        for jobs in [1, 4] {
+            let opts = Options {
+                seed: 42,
+                ..opts(jobs)
+            };
+            let mut out = String::new();
+            run_to(&mut out, &opts).unwrap_or_else(|e| panic!("{suite}: {e}"));
+            assert!(
+                out == committed,
+                "{suite} at --jobs {jobs} differs from results/{suite}_report.txt:\n{out}"
+            );
+        }
+    }
 }

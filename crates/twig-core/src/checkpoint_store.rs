@@ -7,7 +7,8 @@
 //! fall back one generation per corrupt or mismatched checkpoint, and
 //! cold-start when every generation is exhausted — each rung counted in the
 //! run's [`RecoveryStats`] and mirrored into telemetry (`ckpt.load`,
-//! `ckpt.corrupt`, `ckpt.cold_start`).
+//! `ckpt.corrupt`, `ckpt.cold_start`). [`ScratchStore`] is a store that
+//! lives only as long as the run or test that needs one.
 //!
 //! Anything that serializes itself through [`Checkpointable`] can ride the
 //! ladder; [`Twig`](crate::Twig) implements it over the twig-rl versioned
@@ -18,6 +19,7 @@ use crate::TwigError;
 use std::fs::{self, File};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use twig_telemetry::Telemetry;
 
 const CKPT_PREFIX: &str = "ckpt-";
@@ -180,6 +182,51 @@ impl CheckpointStore {
     }
 }
 
+/// A [`CheckpointStore`] in a directory of its own under the system temp
+/// dir, removed with everything in it when dropped — so an early `?` return
+/// or a panic between creation and the end of the run leaves nothing
+/// behind. Directories are unique per process and per call, so concurrent
+/// runs never share one. It derefs to the store; `clone()` hands out a plain
+/// `CheckpointStore` on the same directory (to arm a governor with), which
+/// stays usable only while the scratch store lives.
+#[derive(Debug)]
+pub struct ScratchStore {
+    store: CheckpointStore,
+}
+
+impl ScratchStore {
+    /// Creates an empty store keeping `keep` generations in a fresh
+    /// directory whose name starts with `twig-{tag}-`.
+    ///
+    /// # Errors
+    ///
+    /// As [`CheckpointStore::create`].
+    pub fn create(tag: &str, keep: usize) -> io::Result<Self> {
+        static NONCE: AtomicU64 = AtomicU64::new(0);
+        let n = NONCE.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("twig-{tag}-{}-{n}", std::process::id()));
+        // A dead process with the same pid may have left this name behind.
+        let _ = fs::remove_dir_all(&dir);
+        Ok(ScratchStore {
+            store: CheckpointStore::create(dir, keep)?,
+        })
+    }
+}
+
+impl std::ops::Deref for ScratchStore {
+    type Target = CheckpointStore;
+
+    fn deref(&self) -> &CheckpointStore {
+        &self.store
+    }
+}
+
+impl Drop for ScratchStore {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(self.store.dir());
+    }
+}
+
 /// How a [`recover`] run ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecoveryOutcome {
@@ -266,19 +313,9 @@ pub fn recover<M: Checkpointable>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
-    fn temp_store(tag: &str, keep: usize) -> CheckpointStore {
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("twig-ckpt-store-{tag}-{}-{n}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        CheckpointStore::create(&dir, keep).unwrap()
-    }
-
-    fn cleanup(store: &CheckpointStore) {
-        let _ = fs::remove_dir_all(store.dir());
+    fn temp_store(tag: &str, keep: usize) -> ScratchStore {
+        ScratchStore::create(&format!("ckpt-store-{tag}"), keep).unwrap()
     }
 
     /// Minimal checkpointable: a byte payload with a trivial validity rule
@@ -318,7 +355,6 @@ mod tests {
             !store.dir().join(TMP_NAME).exists(),
             "no temp file left behind"
         );
-        cleanup(&store);
     }
 
     #[test]
@@ -340,7 +376,6 @@ mod tests {
         assert_eq!(target.state, vec![0xAB, 2]);
         assert_eq!(telemetry.counter("ckpt.load"), 1);
         assert_eq!(telemetry.counter("ckpt.corrupt"), 0);
-        cleanup(&store);
     }
 
     #[test]
@@ -359,7 +394,6 @@ mod tests {
         assert_eq!(target.state, vec![0xAB, 1]);
         assert_eq!(telemetry.counter("ckpt.corrupt"), 1);
         assert_eq!(telemetry.counter("ckpt.load"), 1);
-        cleanup(&store);
     }
 
     #[test]
@@ -388,7 +422,6 @@ mod tests {
         assert_eq!(report.stats, rungs);
         assert_eq!(telemetry.counter("ckpt.cold_start"), 1);
         assert_eq!(telemetry.counter("ckpt.corrupt"), 2);
-        cleanup(&store);
     }
 
     #[test]
@@ -407,7 +440,6 @@ mod tests {
         assert!(target.state.is_empty(), "cold start leaves state untouched");
         store.write(&[0xAB, 1]).unwrap();
         assert_eq!(store.generations().unwrap().len(), 1);
-        cleanup(&store);
     }
 
     #[test]
@@ -436,7 +468,6 @@ mod tests {
         let gens = store.generations().unwrap();
         assert_eq!(gens.len(), 1);
         assert_eq!(store.read(&gens[0]).unwrap(), vec![0xAB, 9]);
-        cleanup(&store);
     }
 
     #[test]
@@ -462,6 +493,28 @@ mod tests {
         let report = recover(&store, &mut target, &telemetry);
         assert_eq!(report.outcome, RecoveryOutcome::Restored { generation: 0 });
         assert_eq!(target.state, vec![0xAB, 2]);
-        cleanup(&store);
+    }
+
+    #[test]
+    fn scratch_store_leaves_nothing_after_an_early_return() {
+        // A run that fails through `?` halfway, after writing a generation.
+        fn failing_run(dir: &mut PathBuf) -> io::Result<()> {
+            let store = ScratchStore::create("ckpt-store-early-return", 2)?;
+            *dir = store.dir().to_path_buf();
+            store.write(&[0xAB, 1])?;
+            store.read(&store.dir().join("ckpt-missing.bin"))?;
+            Ok(())
+        }
+        let mut dir = PathBuf::new();
+        assert!(failing_run(&mut dir).is_err());
+        assert!(dir.starts_with(std::env::temp_dir()));
+        assert!(!dir.exists(), "{} left behind", dir.display());
+
+        let (a, b) = (temp_store("twin", 1), temp_store("twin", 1));
+        assert_ne!(
+            a.dir(),
+            b.dir(),
+            "two live scratch stores share a directory"
+        );
     }
 }

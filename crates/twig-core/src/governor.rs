@@ -566,7 +566,7 @@ impl<M: TaskManager> TaskManager for SafetyGovernor<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RecoveryOutcome;
+    use crate::{RecoveryOutcome, ScratchStore};
     use twig_sim::fault::{AppliedAssignment, TelemetryHealth};
     use twig_sim::{catalog, CoreId, Frequency, PmcSample, ServiceEpoch};
 
@@ -1015,14 +1015,8 @@ mod tests {
         }
     }
 
-    fn temp_store(tag: &str, keep: usize) -> CheckpointStore {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("twig-gov-ckpt-{tag}-{}-{n}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        CheckpointStore::create(&dir, keep).unwrap()
+    fn temp_store(tag: &str, keep: usize) -> ScratchStore {
+        ScratchStore::create(&format!("gov-ckpt-{tag}"), keep).unwrap()
     }
 
     #[test]
@@ -1065,8 +1059,6 @@ mod tests {
         assert_eq!(again.inner().value, 4);
         assert_eq!(again.telemetry.counter("ckpt.corrupt"), 1);
         assert_eq!(again.telemetry.counter("ckpt.load"), 1);
-
-        let _ = std::fs::remove_dir_all(store.dir());
     }
 
     #[test]

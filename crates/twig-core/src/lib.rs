@@ -64,6 +64,7 @@ mod scheduler;
 
 pub use checkpoint_store::{
     recover, CheckpointStore, Checkpointable, RecoveryOutcome, RecoveryReport, RecoveryStats,
+    ScratchStore,
 };
 pub use clock::{SimClock, VirtualClock, WallClock};
 pub use error::{ManagerError, TwigError};

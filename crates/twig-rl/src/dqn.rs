@@ -1,4 +1,5 @@
-use crate::{PrioritizedReplay, RlError};
+use crate::per::{PerBatch, Priorities};
+use crate::RlError;
 use twig_nn::{Adam, Dense, Dropout, Mlp, Relu, Tensor};
 use twig_stats::rng::{Rng, Xoshiro256};
 
@@ -89,7 +90,9 @@ pub struct Dqn {
     online: Mlp,
     target: Mlp,
     adam: Adam,
-    buffer: PrioritizedReplay<JointTransition>,
+    /// The replay buffer: transitions in the slots `priorities` hands out.
+    transitions: Vec<JointTransition>,
+    priorities: Priorities,
     rng: Xoshiro256,
     steps: u64,
 }
@@ -141,7 +144,7 @@ impl Dqn {
             .copy_weights_from(&online)
             .expect("same architecture");
         let adam = Adam::new(config.lr);
-        let buffer = PrioritizedReplay::new(
+        let priorities = Priorities::new(
             config.buffer_capacity,
             config.per_alpha,
             config.per_beta0,
@@ -152,7 +155,8 @@ impl Dqn {
             online,
             target,
             adam,
-            buffer,
+            transitions: Vec::new(),
+            priorities,
             rng,
             steps: 0,
         })
@@ -170,7 +174,7 @@ impl Dqn {
 
     /// Buffered transitions.
     pub fn buffer_len(&self) -> usize {
-        self.buffer.len()
+        self.transitions.len()
     }
 
     /// Trainable parameter count — grows with the *product* of the action
@@ -236,12 +240,20 @@ impl Dqn {
                 detail: format!("action {action} out of {}", self.config.actions),
             });
         }
-        self.buffer.push(JointTransition {
+        let t = JointTransition {
             state: state.to_vec(),
             action,
             reward,
             next_state: next_state.to_vec(),
-        });
+        };
+        // A new transition enters at the running maximum priority, so it is
+        // replayed at least once.
+        let slot = self.priorities.push();
+        if slot == self.transitions.len() {
+            self.transitions.push(t);
+        } else {
+            self.transitions[slot] = t;
+        }
         Ok(())
     }
 
@@ -251,15 +263,17 @@ impl Dqn {
     ///
     /// Propagates replay errors.
     pub fn train_step(&mut self) -> Result<Option<f32>, RlError> {
-        if self.buffer.len() < self.config.batch_size {
+        if self.transitions.len() < self.config.batch_size {
             return Ok(None);
         }
         let batch_size = self.config.batch_size;
-        let batch = self.buffer.sample(batch_size, &mut self.rng)?;
-        let transitions: Vec<JointTransition> = batch
+        let mut batch = PerBatch::default();
+        self.priorities
+            .sample_into(batch_size, &mut self.rng, &mut batch)?;
+        let transitions: Vec<&JointTransition> = batch
             .indices
             .iter()
-            .map(|&i| self.buffer.get(i).expect("sampled index").clone())
+            .map(|&i| &self.transitions[i])
             .collect();
 
         let next = Tensor::from_rows(
@@ -295,7 +309,7 @@ impl Dqn {
         self.online.zero_grads();
         self.online.backward(&grad);
         self.online.apply(&mut self.adam);
-        self.buffer.update_priorities(&batch.indices, &abs_td);
+        self.priorities.update_priorities(&batch.indices, &abs_td);
         self.steps += 1;
         if self.steps.is_multiple_of(self.config.target_update_every) {
             self.target

@@ -5,14 +5,14 @@
 //!
 //! - [`EpsilonSchedule`] / [`LinearAnneal`] — the ε-annealing of Section IV
 //!   (1 → 0.1 over 10 000 s, → 0.01 at 25 000 s) and the PER β annealing;
-//! - [`PrioritizedReplay`] — prioritised experience replay (sum-tree,
-//!   α = 0.6, β₀ = 0.4 → 1);
 //! - [`QTable`] — tabular Q-learning, the state-action representation used
 //!   by Hipster and the memory-complexity strawman of Section V-B1;
 //! - [`MaBdq`] — the paper's contribution: a **multi-agent branching dueling
 //!   Q-network** with a shared state representation, per-agent state-value
 //!   heads, per-branch advantage heads shared across agents, and the 1/K
-//!   (agents) and 1/D (branches) gradient rescaling of Section III-A;
+//!   (agents) and 1/D (branches) gradient rescaling of Section III-A,
+//!   trained from prioritised experience replay (sum tree, α = 0.6,
+//!   β₀ = 0.4 → 1) over a flat transition slab;
 //! - [`Dqn`] — the vanilla joint-action DQN of Section II-B1 (the
 //!   combinatorial-explosion strawman the BDQ replaces);
 //! - [`memory`] — the memory-complexity accounting behind the paper's
@@ -68,5 +68,4 @@ pub use mabdq::{
     BudgetedProgress, LearnerMemory, LearnerStats, MaBdq, MaBdqConfig, MultiTransition,
     QuarantineConfig, QuarantineStats, TrainStats,
 };
-pub use per::{PerBatch, PrioritizedReplay};
 pub use tabular::QTable;

@@ -1,6 +1,6 @@
-use crate::per::Priorities;
+use crate::per::{PerBatch, Priorities};
 use crate::slab::TransitionSlab;
-use crate::{MaBdqCheckpoint, PerBatch, RlError};
+use crate::{MaBdqCheckpoint, RlError};
 use std::ops::Range;
 use twig_nn::{Adam, Dense, Dropout, Mlp, QuantizedMlp, Relu, Tape, Tensor};
 use twig_stats::rng::{Rng, Xoshiro256};

@@ -1,132 +1,27 @@
 use crate::{LinearAnneal, RlError};
 use twig_stats::rng::Rng;
 
-/// Prioritised experience replay (Schaul et al. 2015), as used by the paper:
-/// buffer size 10⁶, `pr_α = 0.6`, `pr_β` annealed linearly from 0.4 to 1.
-///
-/// Priorities are stored in a sum tree for O(log n) proportional sampling;
-/// [`sample`](Self::sample) returns importance-sampling weights normalised
-/// by the batch maximum, and [`update_priorities`](Self::update_priorities)
-/// feeds TD errors back after each train step.
-///
-/// # Examples
-///
-/// ```
-/// use twig_stats::rng::Xoshiro256;
-/// use twig_rl::PrioritizedReplay;
-///
-/// let mut per = PrioritizedReplay::new(8, 0.6, 0.4, 100);
-/// for i in 0..6 {
-///     per.push(i);
-/// }
-/// let mut rng = Xoshiro256::seed_from_u64(0);
-/// let batch = per.sample(4, &mut rng).unwrap();
-/// assert_eq!(batch.indices.len(), 4);
-/// assert!(batch.weights.iter().all(|&w| w > 0.0 && w <= 1.0 + 1e-6));
-/// ```
-#[derive(Debug, Clone)]
-pub struct PrioritizedReplay<T> {
-    items: Vec<T>,
-    index: Priorities,
-}
-
 /// One prioritised sample batch: buffer indices and importance weights.
 ///
-/// Reusable: pass the same instance to
-/// [`PrioritizedReplay::sample_into`] every step and the contained vectors
-/// keep their capacity, making steady-state sampling allocation-free.
+/// Reusable: pass the same instance to [`Priorities::sample_into`] every
+/// step and the contained vectors keep their capacity, making steady-state
+/// sampling allocation-free.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct PerBatch {
+pub(crate) struct PerBatch {
     /// Indices into the buffer (pass back to `update_priorities`).
-    pub indices: Vec<usize>,
+    pub(crate) indices: Vec<usize>,
     /// Importance-sampling weights, normalised to max 1.
-    pub weights: Vec<f32>,
+    pub(crate) weights: Vec<f32>,
 }
 
-impl<T> PrioritizedReplay<T> {
-    /// Creates a prioritised buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize, alpha: f64, beta0: f64, beta_steps: u64) -> Self {
-        PrioritizedReplay {
-            items: Vec::new(),
-            index: Priorities::new(capacity, alpha, beta0, beta_steps),
-        }
-    }
-
-    /// Number of stored items.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Adds an item with the current maximum priority (so new experiences
-    /// are replayed at least once).
-    pub fn push(&mut self, item: T) {
-        let slot = self.index.push();
-        if slot == self.items.len() {
-            self.items.push(item);
-        } else {
-            self.items[slot] = item;
-        }
-    }
-
-    /// Reads an item by buffer index.
-    pub fn get(&self, index: usize) -> Option<&T> {
-        self.items.get(index)
-    }
-
-    /// Samples `n` indices proportionally to priority and advances the β
-    /// annealing by one step.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RlError::NotEnoughData`] when the buffer is empty.
-    pub fn sample<R: Rng>(&mut self, n: usize, rng: &mut R) -> Result<PerBatch, RlError> {
-        let mut batch = PerBatch::default();
-        self.sample_into(n, rng, &mut batch)?;
-        Ok(batch)
-    }
-
-    /// Samples `n` indices into a reusable [`PerBatch`], clearing it first.
-    /// Identical draws and arithmetic to [`sample`](Self::sample) (which
-    /// delegates here), but allocation-free once `batch` has capacity.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RlError::NotEnoughData`] when the buffer is empty.
-    pub fn sample_into<R: Rng>(
-        &mut self,
-        n: usize,
-        rng: &mut R,
-        batch: &mut PerBatch,
-    ) -> Result<(), RlError> {
-        self.index.sample_into(n, rng, batch)
-    }
-
-    /// Updates priorities after a train step. `errors` are absolute TD
-    /// errors aligned with `indices`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn update_priorities(&mut self, indices: &[usize], errors: &[f64]) {
-        self.index.update_priorities(indices, errors);
-    }
-}
-
-/// The index half of prioritised replay: which slot the next item takes
-/// (append until `capacity`, then overwrite oldest-first), every slot's
-/// sampling weight in a sum tree, and the α / β / running-maximum state.
-/// It stores no items, so [`PrioritizedReplay`] pairs it with a `Vec<T>` and
-/// [`MaBdq`](crate::MaBdq) with its flat transition slab, and both sample
-/// through the same code.
+/// Prioritised experience replay (Schaul et al. 2015), as used by the
+/// paper: buffer size 10⁶, `pr_α = 0.6`, `pr_β` annealed linearly from 0.4
+/// to 1 — the index half of it: which slot the next item takes (append
+/// until `capacity`, then overwrite oldest-first), every slot's sampling
+/// weight in a sum tree for O(log n) proportional sampling, and the α / β /
+/// running-maximum state. It stores no items: [`Dqn`](crate::Dqn) pairs it
+/// with a `Vec` of transitions and [`MaBdq`](crate::MaBdq) with its flat
+/// transition slab, and both sample through the same code.
 #[derive(Debug, Clone)]
 pub(crate) struct Priorities {
     tree: SumTree,
@@ -181,7 +76,13 @@ impl Priorities {
         slot
     }
 
-    /// See [`PrioritizedReplay::sample_into`].
+    /// Samples `n` indices proportionally to priority into `batch`
+    /// (cleared first), with importance-sampling weights normalised by the
+    /// batch maximum, and advances the β anneal by one step.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RlError::NotEnoughData`] when no slot is occupied.
     pub(crate) fn sample_into<R: Rng>(
         &mut self,
         n: usize,
@@ -219,7 +120,12 @@ impl Priorities {
         Ok(())
     }
 
-    /// See [`PrioritizedReplay::update_priorities`].
+    /// Feeds a train step's absolute TD errors, aligned with `indices`,
+    /// back as priorities; indices beyond the occupied slots are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices have different lengths.
     pub(crate) fn update_priorities(&mut self, indices: &[usize], errors: &[f64]) {
         assert_eq!(
             indices.len(),
@@ -444,19 +350,23 @@ mod tests {
         assert_eq!(per.next, 0);
     }
 
+    /// One fresh batch of `n` draws.
+    fn sample(per: &mut Priorities, n: usize, rng: &mut Xoshiro256) -> PerBatch {
+        let mut batch = PerBatch::default();
+        per.sample_into(n, rng, &mut batch).unwrap();
+        batch
+    }
+
     #[test]
     fn high_priority_items_sampled_more() {
-        let mut per = PrioritizedReplay::new(16, 1.0, 0.4, 10);
-        for i in 0..10 {
-            per.push(i);
-        }
+        let mut per = filled(16, 1.0, 10);
         // Give item 7 overwhelming priority.
         per.update_priorities(&[7], &[100.0]);
         let mut rng = Xoshiro256::seed_from_u64(3);
         let mut count7 = 0;
         let mut total = 0;
         for _ in 0..50 {
-            let b = per.sample(8, &mut rng).unwrap();
+            let b = sample(&mut per, 8, &mut rng);
             count7 += b.indices.iter().filter(|&&i| i == 7).count();
             total += b.indices.len();
         }
@@ -468,13 +378,13 @@ mod tests {
 
     #[test]
     fn weights_penalise_frequent_samples() {
-        let mut per = PrioritizedReplay::new(8, 1.0, 1.0, 1);
-        for i in 0..4 {
-            per.push(i);
+        let mut per = Priorities::new(8, 1.0, 1.0, 1);
+        for _ in 0..4 {
+            per.push();
         }
         per.update_priorities(&[0, 1, 2, 3], &[10.0, 1.0, 1.0, 1.0]);
         let mut rng = Xoshiro256::seed_from_u64(4);
-        let b = per.sample(64, &mut rng).unwrap();
+        let b = sample(&mut per, 64, &mut rng);
         // The high-priority item must carry the smallest IS weight.
         let mut w_hi = f32::INFINITY;
         let mut w_lo = 0.0f32;
@@ -490,29 +400,29 @@ mod tests {
 
     #[test]
     fn eviction_reuses_slots() {
-        let mut per = PrioritizedReplay::new(2, 0.6, 0.4, 10);
-        per.push("a");
-        per.push("b");
-        per.push("c"); // evicts slot 0
+        let mut per = filled(2, 0.6, 2);
+        // Full: each push overwrites the oldest slot, round robin.
+        assert_eq!([per.push(), per.push(), per.push()], [0, 1, 0]);
         assert_eq!(per.len(), 2);
-        assert_eq!(per.get(0), Some(&"c"));
-        assert_eq!(per.get(1), Some(&"b"));
-        assert_eq!(per.get(2), None);
+        assert_eq!(per.priorities().len(), 2);
     }
 
     #[test]
     fn empty_sample_errors() {
-        let mut per: PrioritizedReplay<u8> = PrioritizedReplay::new(4, 0.6, 0.4, 10);
+        let mut per = Priorities::new(4, 0.6, 0.4, 10);
         let mut rng = Xoshiro256::seed_from_u64(0);
-        assert!(per.sample(2, &mut rng).is_err());
+        let mut batch = PerBatch::default();
+        assert!(per.sample_into(2, &mut rng, &mut batch).is_err());
+        assert_eq!(per.anneal_step(), 0, "a failed sample must not anneal β");
     }
 
     #[test]
     fn update_ignores_stale_indices() {
-        let mut per = PrioritizedReplay::new(4, 0.6, 0.4, 10);
-        per.push(1);
+        let mut per = filled(4, 0.6, 1);
         per.update_priorities(&[3], &[5.0]); // index 3 does not exist yet
         assert_eq!(per.len(), 1);
+        assert_eq!(per.priorities(), [1.0]);
+        assert_eq!(per.max_priority(), 1.0);
     }
 
     #[test]

@@ -12,14 +12,13 @@
 
 use crate::model::{Assertion, Scenario, Topology};
 use crate::ScenarioError;
-use std::sync::atomic::{AtomicU64, Ordering};
 use twig_cluster::{
     AgentTuning, Cluster, ClusterConfig, ClusterFaultPlan, CoordinatorConfig, FedFaultPlan,
     NodePlatform,
 };
 use twig_core::{
-    recover, CheckpointStore, EpochScheduler, GovernorConfig, RewardConfig, SafetyGovernor,
-    SchedulerConfig, SimClock, TaskManager, Twig, TwigBuilder,
+    recover, EpochScheduler, GovernorConfig, RewardConfig, SafetyGovernor, SchedulerConfig,
+    ScratchStore, SimClock, TaskManager, Twig, TwigBuilder,
 };
 use twig_platform::{Platform, SimPlatform};
 use twig_rl::{EpsilonSchedule, MaBdqConfig};
@@ -146,9 +145,6 @@ pub struct ScenarioRunner {
     scenario: Scenario,
 }
 
-/// Distinguishes concurrent runners' scratch directories.
-static SCRATCH_NONCE: AtomicU64 = AtomicU64::new(0);
-
 fn run_err(e: impl std::fmt::Display) -> ScenarioError {
     ScenarioError::run(e.to_string())
 }
@@ -272,7 +268,7 @@ impl ScenarioRunner {
 
         // Crash/recovery boundaries between segments.
         let scratch = if s.segments > 1 {
-            Some(Scratch::create(&s.name)?)
+            Some(ScratchStore::create(&format!("scenario-{}", s.name), 3).map_err(run_err)?)
         } else {
             None
         };
@@ -281,13 +277,13 @@ impl ScenarioRunner {
         let mut acc = Accumulator::new(s);
         for e in 0..s.epochs {
             // Segment boundary: checkpoint, "crash", recover a fresh stack.
-            if let Some(scratch) = &scratch {
+            if let Some(store) = &scratch {
                 if e != 0 && seg_len != 0 && e % seg_len == 0 && e / seg_len < s.segments {
                     let bytes = gov.inner().checkpoint_bytes();
-                    scratch.store.write(&bytes).map_err(run_err)?;
+                    store.write(&bytes).map_err(run_err)?;
                     let mut fresh =
                         build_twig(specs.clone(), learn_epochs, s.seed, s.timing.is_some())?;
-                    let report = recover(&scratch.store, &mut fresh, &Telemetry::disabled());
+                    let report = recover(store, &mut fresh, &Telemetry::disabled());
                     if report.recovered() {
                         acc.recoveries_restored += 1;
                     } else {
@@ -524,32 +520,6 @@ pub fn build_twig(
         .seed(seed)
         .build()
         .map_err(run_err)
-}
-
-/// Unique on-disk scratch for a run's checkpoint store, removed on drop.
-struct Scratch {
-    dir: std::path::PathBuf,
-    store: CheckpointStore,
-}
-
-impl Scratch {
-    fn create(name: &str) -> Result<Self, ScenarioError> {
-        let nonce = SCRATCH_NONCE.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "twig-scenario-{}-{}-{}",
-            name,
-            std::process::id(),
-            nonce
-        ));
-        let store = CheckpointStore::create(&dir, 3).map_err(run_err)?;
-        Ok(Scratch { dir, store })
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.dir);
-    }
 }
 
 /// Mid-run per-service accumulation.

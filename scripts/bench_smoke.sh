@@ -94,5 +94,7 @@ echo "== bench_smoke: decide-latency smoke (results/BENCH_decide.json) =="
 bash scripts/bench_decide.sh --smoke
 
 echo "bench_smoke: all steps passed"
-echo "bench_smoke: the reports are the behavioural contract — check for drift with:"
+echo "bench_smoke: the reports are the behavioural contract. cargo test pins the"
+echo "chaos/timing/cluster/platform/federate reports; fig01_smoke.txt and"
+echo "scenario_report.txt are checked only by:"
 echo "  git diff --exit-code -- results/*_report.txt results/fig01_smoke.txt"
