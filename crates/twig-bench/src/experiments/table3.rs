@@ -201,17 +201,17 @@ fn fed_budget_ms() -> f64 {
 /// bookkeeping, amortized over the default 10-epoch round period. One
 /// round is everything the weight-exchange plane computes for a
 /// 4-contributor fleet at the default network size: every contributor
-/// encodes its checkpoint through the versioned codec, the plane decodes
-/// and re-screens all four payloads (CRC, shape, finiteness), the
-/// Byzantine screen judges the four parameter vectors, the
-/// capacity-weighted merge runs, and the merged model is re-encoded for
-/// distribution to recipients.
+/// encodes its weights-only checkpoint through the versioned codec, the
+/// plane decodes and re-screens all four payloads (CRC, shape,
+/// finiteness), the Byzantine screen judges the four parameter vectors,
+/// and the capacity-weighted merge runs on the recipient's checkpoint
+/// struct, which the recipient adopts in process (no second codec pass).
 ///
 /// # Errors
 ///
 /// Propagates agent construction and screening-ladder errors.
 pub fn federation_bookkeeping_ms(iters: u32) -> Result<f64, ExpError> {
-    use twig_rl::federate::{check_finite, check_shape, decode_payload, merge_round};
+    use twig_rl::federate::{check_finite, decode_payload, merge_round, same_shape, weights_only};
     use twig_rl::{encode_checkpoint, ByzantineScreen, Contribution, ScreenConfig};
 
     let contributors = 4usize;
@@ -225,13 +225,13 @@ pub fn federation_bookkeeping_ms(iters: u32) -> Result<f64, ExpError> {
     let mut screen = ByzantineScreen::new(ScreenConfig::default())?;
     let round_ms = time_ms(iters, || {
         let payloads: Vec<Vec<u8>> = (0..contributors)
-            .map(|_| encode_checkpoint(&reference))
+            .map(|_| encode_checkpoint(&weights_only(reference.clone())))
             .collect();
         let decoded: Vec<_> = payloads
             .iter()
             .map(|bytes| {
                 let ckpt = decode_payload(bytes).expect("decode");
-                check_shape(&ckpt, &reference).expect("shape");
+                assert!(same_shape(&ckpt, &reference), "shape");
                 check_finite(&ckpt).expect("finite");
                 ckpt
             })
@@ -249,8 +249,7 @@ pub fn federation_bookkeeping_ms(iters: u32) -> Result<f64, ExpError> {
                 checkpoint,
             })
             .collect();
-        let merged = merge_round(&reference, &contributions).expect("merge");
-        let _ = encode_checkpoint(&merged);
+        std::hint::black_box(merge_round(&reference, &contributions).expect("merge"));
     });
     Ok(round_ms / round_period)
 }

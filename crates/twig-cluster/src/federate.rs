@@ -3,10 +3,12 @@
 //! cluster already injects.
 //!
 //! Every `round_period` epochs the plane opens a **round**: each live,
-//! coordinator-reachable node hosting a replica of a service snapshots
-//! its agent through the PR-4 checkpoint codec and ships the bytes to
-//! the coordinator. Payloads then climb the robustness ladder before
-//! any weight reaches a merge:
+//! coordinator-reachable node hosting a replica of a service encodes its
+//! agent's weights ([`weights_only`]: no optimiser moments, no replay
+//! priorities) with the PR-4 checkpoint codec and ships the bytes to the
+//! coordinator. The codec runs only on that wire: recipients merge, adopt
+//! and roll back checkpoint structs in process. Payloads climb the
+//! robustness ladder before any weight reaches a merge:
 //!
 //! 1. **request-time exclusion** — quarantined (frozen-agent) and
 //!    still-untrained replicas are never asked to contribute;
@@ -34,7 +36,9 @@
 use crate::fault::not_a_probability;
 use crate::node::ClusterNode;
 use crate::ClusterError;
-use twig_rl::federate::{check_eligible, check_finite, check_shape, decode_payload, merge_round};
+use twig_rl::federate::{
+    check_eligible, check_finite, decode_payload, merge_round, same_shape, weights_only,
+};
 use twig_rl::{encode_checkpoint, ByzantineScreen, Contribution, MaBdqCheckpoint, ScreenConfig};
 use twig_stats::fields::{check, Kind, Row};
 use twig_stats::rng::{Rng, Xoshiro256};
@@ -641,9 +645,10 @@ impl FederationPlane {
                     delta.excluded_untrained += 1;
                     continue;
                 }
-                let Some(honest) = node.checkpoint_of(s) else {
+                let Some(snapshot) = node.snapshot_of(s) else {
                     continue;
                 };
+                let honest = encode_checkpoint(&weights_only(snapshot));
                 delta.payloads_requested += 1;
                 *requested += 1;
                 let payload = if faults.drop[n] {
@@ -723,7 +728,7 @@ impl FederationPlane {
                 let reference = &candidates[reference].1;
                 let fits: Vec<bool> = candidates
                     .iter()
-                    .map(|(_, c)| check_shape(c, reference).is_ok())
+                    .map(|(_, c)| same_shape(c, reference))
                     .collect();
                 delta.rejected_shape += fits.iter().filter(|&&fit| !fit).count() as u64;
                 let mut fits = fits.into_iter();
@@ -812,7 +817,7 @@ impl FederationPlane {
     ) -> Result<MergeOutcome, ClusterError> {
         struct Adoption {
             node: usize,
-            snapshot: Vec<u8>,
+            snapshot: MaBdqCheckpoint,
             was_cold: bool,
             healthy: bool,
         }
@@ -825,14 +830,10 @@ impl FederationPlane {
             if !nodes[n].is_alive() || partition_left[n] > 0 || !nodes[n].has_replica(s) {
                 continue;
             }
-            let Some(snapshot) = nodes[n].checkpoint_of(s) else {
+            let Some(snapshot) = nodes[n].snapshot_of(s) else {
                 continue;
             };
-            let Ok(current) = decode_payload(&snapshot) else {
-                delta.recipients_incompatible += 1;
-                continue;
-            };
-            let mut merged = match merge_round(&current, contributions) {
+            let mut merged = match merge_round(&snapshot, contributions) {
                 Ok(m) => m,
                 Err(_) => {
                     // Architecture cannot adopt the round's shape (e.g. a
@@ -846,9 +847,9 @@ impl FederationPlane {
                     *p = 1.0e5;
                 }
             }
-            let was_cold = current.steps == 0;
+            let was_cold = snapshot.steps == 0;
             let pre_probe = nodes[n].probe_q_magnitude(s)?.unwrap_or(0.0);
-            nodes[n].adopt_round_state(s, &encode_checkpoint(&merged))?;
+            nodes[n].adopt_round_state(s, &merged)?;
             let post_probe = nodes[n].probe_q_magnitude(s)?.unwrap_or(f64::INFINITY);
             let healthy = post_probe.is_finite()
                 && post_probe <= self.config.validation_multiple * pre_probe.max(1.0);
@@ -864,7 +865,7 @@ impl FederationPlane {
         }
         if any_failed {
             // Twin run caught a blowup: the whole service reverts to its
-            // pre-round snapshots, byte for byte.
+            // pre-round snapshots, which encode to the pre-round bytes.
             for a in &adoptions {
                 nodes[a.node].adopt_round_state(s, &a.snapshot)?;
                 delta.recipients_rolled_back += 1;
@@ -894,7 +895,7 @@ fn plurality_reference(candidates: &[(usize, MaBdqCheckpoint)]) -> Option<usize>
     for i in 0..candidates.len() {
         let count = candidates
             .iter()
-            .filter(|(_, c)| check_shape(c, &candidates[i].1).is_ok())
+            .filter(|(_, c)| same_shape(c, &candidates[i].1))
             .count();
         if count > best_count {
             best = Some(i);
@@ -1091,6 +1092,53 @@ mod tests {
             for (n, node) in nodes.iter().enumerate().take(3).skip(1) {
                 assert_eq!(params_of(node, s), reference, "service {s} node {n}");
             }
+        }
+    }
+
+    #[test]
+    fn committed_round_adopts_what_the_codec_round_trip_produced() {
+        let mut nodes = vec![node(0, 18, 2), node(1, 12, 2), node(2, 18, 2)];
+        // Serve until every agent has trained, so the snapshots carry Adam
+        // moments and replay priorities, then freeze the weights.
+        for epoch in 1..=40 {
+            for n in nodes.iter_mut() {
+                n.serve_epoch(&[200, 150], epoch).unwrap();
+            }
+        }
+        // Pre-round snapshots, per service, per node.
+        let pre: Vec<Vec<MaBdqCheckpoint>> = (0..2)
+            .map(|s| nodes.iter().map(|n| n.snapshot_of(s).unwrap()).collect())
+            .collect();
+        let mut p = plane(fed_cfg(), FedFaultPlan::disabled(), 2);
+        let stats = run(&mut p, &mut nodes, 3);
+        assert_eq!(stats.rounds_committed, 1);
+        // The 12-core node's network is the odd shape out: its payloads
+        // fail the shape rung and it cannot adopt the merge.
+        assert_eq!(stats.rejected_shape, 2);
+        assert_eq!(stats.recipients_incompatible, 2);
+        for (s, pre) in pre.iter().enumerate() {
+            assert!(pre.iter().all(|c| c.steps > 0 && !c.priorities.is_empty()));
+            let accepted: Vec<Contribution> = [0, 2]
+                .into_iter()
+                .map(|n| Contribution {
+                    contributor: n,
+                    weight: nodes[n].platform().weight(),
+                    checkpoint: weights_only(pre[n].clone()),
+                })
+                .collect();
+            for n in [0, 2] {
+                let merged = merge_round(&pre[n], &accepted).unwrap();
+                assert_eq!(
+                    nodes[n].checkpoint_of(s).unwrap(),
+                    encode_checkpoint(&merged),
+                    "service {s} node {n}"
+                );
+            }
+            // The incompatible recipient kept its own weights.
+            assert_eq!(
+                nodes[1].checkpoint_of(s).unwrap(),
+                encode_checkpoint(&pre[1])
+            );
         }
     }
 

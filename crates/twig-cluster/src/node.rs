@@ -19,7 +19,7 @@ use twig_core::{
     EpochScheduler, GovernorConfig, NodeId, SafetyGovernor, SchedulerConfig, SchedulerStats,
     ServicePlacement, SimClock, TaskManager, Twig, TwigBuilder,
 };
-use twig_rl::{EpsilonSchedule, MaBdqConfig};
+use twig_rl::{encode_checkpoint, EpsilonSchedule, MaBdqCheckpoint, MaBdqConfig};
 use twig_sim::{
     Assignment, DvfsLadder, EpochReport, Server, ServerConfig, ServiceSpec, TelemetryHealth,
 };
@@ -309,13 +309,20 @@ impl ClusterNode {
     /// Serializes the live replica's agent state for transfer (the PR-4
     /// checkpoint codec is the wire format).
     pub fn checkpoint_of(&self, service: usize) -> Option<Vec<u8>> {
+        self.snapshot_of(service).map(|c| encode_checkpoint(&c))
+    }
+
+    /// The live replica's agent state as a struct, for in-process use (a
+    /// federation round's merge and rollback snapshot); `None` when the
+    /// node is down or hosts no replica of `service`.
+    pub fn snapshot_of(&self, service: usize) -> Option<MaBdqCheckpoint> {
         if !self.alive {
             return None;
         }
         self.replicas
             .get(service)?
             .as_ref()
-            .map(|r| r.governor.inner().checkpoint_bytes())
+            .map(|r| r.governor.inner().agent().save_checkpoint())
     }
 
     /// Quarantine counters of the replica's learning agent, for the
@@ -344,17 +351,22 @@ impl ClusterNode {
             .map(|r| r.governor.inner().agent().steps())
     }
 
-    /// Adopts federation-round bytes — merged weights after a committed
-    /// round, or a pre-round snapshot being rolled back after a failed
-    /// one — into the replica's governed agent via the governor's
-    /// round-restore hook (which also resets its health tracking).
+    /// Adopts a federation-round checkpoint — merged weights after a
+    /// committed round, or the pre-round [`snapshot_of`](Self::snapshot_of)
+    /// being rolled back after a failed one — into the replica's governed
+    /// agent via the governor's round-restore hook (which also resets its
+    /// health tracking).
     ///
     /// # Errors
     ///
     /// Returns [`ClusterError::Invariant`] when the node is down or hosts
-    /// no replica of `service`, and propagates codec/shape errors — the
-    /// replica is left unchanged in that case.
-    pub fn adopt_round_state(&mut self, service: usize, bytes: &[u8]) -> Result<(), ClusterError> {
+    /// no replica of `service`, and propagates shape errors — the replica
+    /// is left unchanged in that case.
+    pub fn adopt_round_state(
+        &mut self,
+        service: usize,
+        ckpt: &MaBdqCheckpoint,
+    ) -> Result<(), ClusterError> {
         if !self.alive {
             return Err(ClusterError::invariant(format!(
                 "round adopt on dead {}",
@@ -368,7 +380,7 @@ impl ClusterNode {
             .ok_or_else(|| {
                 ClusterError::invariant(format!("round adopt: no replica of service {service}"))
             })?;
-        replica.governor.restore_round_snapshot(bytes)?;
+        replica.governor.restore_round_snapshot(ckpt)?;
         Ok(())
     }
 

@@ -31,6 +31,7 @@ use crate::{
     recover, CheckpointStore, Checkpointable, ManagerError, RecoveryReport, TaskManager, Twig,
     TwigError,
 };
+use twig_rl::MaBdqCheckpoint;
 use twig_sim::{Assignment, DvfsLadder, EpochReport, ServiceSpec};
 use twig_telemetry::Telemetry;
 
@@ -406,42 +407,28 @@ impl<M: TaskManager + Checkpointable> SafetyGovernor<M> {
         self.healthy_streak = 0;
         Ok(report)
     }
+}
 
-    /// Serializes the inner manager's full state as a **federation-round
-    /// snapshot** — the byte-exact image a federation plane captures
-    /// before applying merged weights, so a quorum failure or a
-    /// post-merge divergence can roll the replica back to exactly its
-    /// pre-round state.
+impl SafetyGovernor<Twig> {
+    /// Restores the governed Twig from a federation-round checkpoint —
+    /// merged weights being adopted after a committed round, or the
+    /// pre-round snapshot (`agent().save_checkpoint()`) being rolled back
+    /// after a failed one ([`Twig::load_checkpoint`]). The governor's own
+    /// health tracking (last-known-good decision, violation and healthy
+    /// streaks) is reset: it described a policy that no longer exists.
     ///
     /// # Errors
     ///
-    /// Propagates the inner manager's serialization error.
-    pub fn round_snapshot(&self) -> Result<Vec<u8>, TwigError> {
-        <M as Checkpointable>::checkpoint_bytes(&self.inner)
-    }
-
-    /// Restores the inner manager from round bytes — either merged
-    /// weights being adopted after a committed federation round, or a
-    /// [`round_snapshot`](Self::round_snapshot) being rolled back after a
-    /// failed one. The governor's own health tracking (last-known-good
-    /// decision, violation and healthy streaks) is reset: it described a
-    /// policy that no longer exists.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the inner manager's restore error; the inner manager
-    /// guarantees it is left usable (at worst unchanged) in that case,
-    /// and the governor's health tracking is then left untouched too.
-    pub fn restore_round_snapshot(&mut self, bytes: &[u8]) -> Result<(), TwigError> {
-        <M as Checkpointable>::restore_checkpoint(&mut self.inner, bytes)?;
+    /// Propagates [`Twig::load_checkpoint`]'s error; the manager and the
+    /// governor's health tracking are then left untouched.
+    pub fn restore_round_snapshot(&mut self, ckpt: &MaBdqCheckpoint) -> Result<(), TwigError> {
+        self.inner.load_checkpoint(ckpt)?;
         self.last_good = None;
         self.violation_streak = 0;
         self.healthy_streak = 0;
         Ok(())
     }
-}
 
-impl SafetyGovernor<Twig> {
     /// Swaps service `index` for `spec` ([`Twig::transfer_service`]) and
     /// gives the watchdog the new service's QoS target, so the new service
     /// is judged against its own target, not its predecessor's.
@@ -1063,31 +1050,57 @@ mod tests {
 
     #[test]
     fn round_snapshot_roundtrips_and_resets_health_tracking() {
+        use crate::TwigBuilder;
+        use twig_rl::MaBdqConfig;
+
         let qos = catalog::masstree().qos_ms;
-        let mut gov = SafetyGovernor::new(Persistable { value: 0 }, config()).unwrap();
-        for _ in 0..4 {
+        let twig = TwigBuilder::new()
+            .services(vec![catalog::masstree()])
+            .agent(MaBdqConfig {
+                trunk_hidden: vec![16, 12],
+                head_hidden: 8,
+                batch_size: 2,
+                buffer_capacity: 64,
+                ..MaBdqConfig::default()
+            })
+            .seed(3)
+            .build()
+            .unwrap();
+        let mut gov = SafetyGovernor::new(twig, config()).unwrap();
+        let epoch = |gov: &mut SafetyGovernor<Twig>, p99: f64| {
             gov.decide().unwrap();
-            gov.observe(&report(qos * 0.5, false)).unwrap();
+            gov.observe(&report(p99, false)).unwrap();
+        };
+        for _ in 0..4 {
+            epoch(&mut gov, qos * 0.5);
         }
-        let snapshot = gov.round_snapshot().unwrap();
-        assert_eq!(gov.inner().value, 4);
-        // Two violation epochs arm a streak; the restore must clear it so
-        // the watchdog never charges a restored policy for its
-        // predecessor's violations.
-        gov.observe(&report(qos * 4.0, false)).unwrap();
-        gov.observe(&report(qos * 4.0, false)).unwrap();
-        gov.observe(&report(qos * 0.5, false)).unwrap();
-        gov.observe(&report(qos * 0.5, false)).unwrap();
-        assert_eq!(gov.inner().value, 8);
+        let snapshot = gov.inner().agent().save_checkpoint();
+        // The learner moves on; two violation epochs arm a streak. The
+        // restore must clear it so the watchdog never charges a restored
+        // policy for its predecessor's violations.
+        epoch(&mut gov, qos * 4.0);
+        epoch(&mut gov, qos * 4.0);
+        let moved = gov.inner().agent().save_checkpoint();
+        assert!(moved.steps > snapshot.steps && moved.params != snapshot.params);
+        assert_eq!(gov.violation_streak, 2);
         gov.restore_round_snapshot(&snapshot).unwrap();
-        assert_eq!(gov.inner().value, 4, "state rolled back byte-exactly");
+        let restored = gov.inner().agent().save_checkpoint();
+        assert_eq!(restored.params, snapshot.params, "weights rolled back");
+        assert_eq!(restored.adam, snapshot.adam);
+        assert_eq!(restored.steps, snapshot.steps);
         assert!(gov.last_good.is_none());
         assert_eq!(gov.violation_streak, 0);
         assert_eq!(gov.healthy_streak, 0);
-        // A failed restore leaves the inner manager and health untouched.
-        gov.observe(&report(qos * 0.5, false)).unwrap();
-        assert!(gov.restore_round_snapshot(&[1, 2, 3]).is_err());
-        assert_eq!(gov.inner().value, 5);
+        // A failed restore (a checkpoint of the wrong shape) leaves the
+        // manager and the health tracking untouched.
+        epoch(&mut gov, qos * 4.0);
+        let before = gov.inner().agent().save_checkpoint();
+        let mut wrong = snapshot.clone();
+        wrong.params.push(0.0);
+        assert!(gov.restore_round_snapshot(&wrong).is_err());
+        assert_eq!(gov.inner().agent().save_checkpoint(), before);
+        assert!(gov.last_good.is_some());
+        assert_eq!(gov.violation_streak, 1);
     }
 
     #[test]

@@ -2,8 +2,8 @@ use crate::{
     Checkpointable, Eq2PowerModel, ManagerError, Mapper, RewardConfig, SystemMonitor, TwigError,
 };
 use twig_rl::{
-    decode_checkpoint, encode_checkpoint, EpsilonSchedule, MaBdq, MaBdqConfig, QuarantineConfig,
-    RlError,
+    decode_checkpoint, encode_checkpoint, EpsilonSchedule, MaBdq, MaBdqCheckpoint, MaBdqConfig,
+    QuarantineConfig, RlError,
 };
 use twig_sim::{Assignment, DvfsLadder, EpochReport, ServiceSpec};
 use twig_telemetry::{Phase, Telemetry};
@@ -412,11 +412,8 @@ impl Twig {
         encode_checkpoint(&self.agent.save_checkpoint())
     }
 
-    /// Restores the learner from codec bytes, validating integrity (CRC)
-    /// and architecture against the live configuration. In-flight epoch
-    /// state (pending transition, sticky actions) is discarded, and when
-    /// the checkpoint carries trained weights the ε schedule resumes at
-    /// the exploitation point instead of re-exploring from scratch.
+    /// Restores the learner from codec bytes: the integrity check (CRC)
+    /// of [`decode_checkpoint`], then [`load_checkpoint`](Self::load_checkpoint).
     ///
     /// # Errors
     ///
@@ -425,9 +422,24 @@ impl Twig {
     /// the manager is left unchanged in that case.
     pub fn restore_checkpoint_bytes(&mut self, bytes: &[u8]) -> Result<(), TwigError> {
         let ckpt = decode_checkpoint(bytes).map_err(TwigError::Learning)?;
+        self.load_checkpoint(&ckpt)
+    }
+
+    /// Restores the learner from a checkpoint struct, validating its
+    /// architecture against the live configuration. In-flight epoch state
+    /// (pending transition, sticky actions) is discarded, and when the
+    /// checkpoint carries trained weights the ε schedule resumes at the
+    /// exploitation point instead of re-exploring from the start.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TwigError::Learning`] wrapping
+    /// [`RlError::CheckpointMismatch`]; the manager is left unchanged in
+    /// that case.
+    pub fn load_checkpoint(&mut self, ckpt: &MaBdqCheckpoint) -> Result<(), TwigError> {
         let trained = ckpt.steps > 0;
         self.agent
-            .load_checkpoint(&ckpt)
+            .load_checkpoint(ckpt)
             .map_err(TwigError::Learning)?;
         self.pending.live = false;
         self.last_actions.clear();

@@ -3,14 +3,16 @@
 //!
 //! The cluster's federation plane (in `twig-cluster`) periodically
 //! collects checkpoint-codec payloads from every eligible replica and
-//! merges them into one policy per service. This module holds the pure
-//! math and the screening ladder that payloads must climb before their
-//! weights may touch a merge:
+//! merges them into one policy per service. A payload is a
+//! [`weights_only`] checkpoint: the ladder and the merge read its shape,
+//! parameters and step count, never its optimiser moments or replay
+//! priorities. This module holds the pure math and the screening ladder
+//! that payloads must climb before their weights may touch a merge:
 //!
 //! 1. **Integrity** — [`decode_payload`]: CRC + format validation via the
 //!    PR-4 codec ([`FedError::CorruptPayload`]);
-//! 2. **Shape** — [`check_shape`]: architecture fingerprint against the
-//!    round's reference ([`FedError::ShapeMismatch`]);
+//! 2. **Shape** — [`same_shape`] / [`check_shape`]: architecture
+//!    fingerprint against the round's reference ([`FedError::ShapeMismatch`]);
 //! 3. **Finiteness** — [`check_finite`]: every weight a real number
 //!    ([`FedError::NonFinitePayload`]);
 //! 4. **Eligibility** — [`check_eligible`]: contributors with quarantined
@@ -140,10 +142,21 @@ pub fn decode_payload(bytes: &[u8]) -> Result<MaBdqCheckpoint, FedError> {
     })
 }
 
+/// Whether two checkpoints share an architecture fingerprint: agents,
+/// state width, branches, trunk and head widths, and parameter count.
+pub fn same_shape(a: &MaBdqCheckpoint, b: &MaBdqCheckpoint) -> bool {
+    a.agents == b.agents
+        && a.state_dim == b.state_dim
+        && a.branches == b.branches
+        && a.trunk_hidden == b.trunk_hidden
+        && a.head_hidden == b.head_hidden
+        && a.params.len() == b.params.len()
+}
+
 /// Rung 2: the candidate's architecture fingerprint must match the
-/// round's reference shape exactly — heterogeneous platforms produce
-/// different branch cardinalities, and averaging across shapes is
-/// meaningless.
+/// round's reference shape exactly ([`same_shape`]) — heterogeneous
+/// platforms produce different branch cardinalities, and averaging across
+/// shapes is meaningless.
 ///
 /// # Errors
 ///
@@ -152,13 +165,7 @@ pub fn check_shape(
     candidate: &MaBdqCheckpoint,
     reference: &MaBdqCheckpoint,
 ) -> Result<(), FedError> {
-    if candidate.agents != reference.agents
-        || candidate.state_dim != reference.state_dim
-        || candidate.branches != reference.branches
-        || candidate.trunk_hidden != reference.trunk_hidden
-        || candidate.head_hidden != reference.head_hidden
-        || candidate.params.len() != reference.params.len()
-    {
+    if !same_shape(candidate, reference) {
         return Err(FedError::ShapeMismatch {
             detail: format!(
                 "candidate ({} agents, state {}, branches {:?}, trunk {:?}, head {}, \
@@ -318,8 +325,14 @@ impl ByzantineScreen {
                         .all(|&w| w.is_finite() && f64::from(w).abs() <= self.config.hard_limit)
             })
             .collect();
-        let survivors = hard_ok.iter().filter(|&&ok| ok).count();
-        if survivors == 0 || dim == 0 {
+        let survivors: Vec<&[f32]> = candidates
+            .iter()
+            .zip(&hard_ok)
+            .filter(|(_, &ok)| ok)
+            .map(|(p, _)| *p)
+            .collect();
+        let n = survivors.len();
+        if n == 0 || dim == 0 {
             return candidates
                 .iter()
                 .map(|_| {
@@ -330,19 +343,20 @@ impl ByzantineScreen {
                 .collect();
         }
         // Coordinate-wise median over the hard survivors: robust to a
-        // minority of adversarial payloads, unlike a mean centroid.
-        let mut column = Vec::with_capacity(survivors);
+        // minority of adversarial payloads, unlike a mean centroid. An
+        // unstable sort is exact here: values `total_cmp` calls equal have
+        // the same bits.
+        let mut column = vec![0.0f64; n];
         let mut centroid = vec![0.0f64; dim];
         for (j, c) in centroid.iter_mut().enumerate() {
-            column.clear();
-            for (p, _) in candidates.iter().zip(&hard_ok).filter(|(_, &ok)| ok) {
-                column.push(f64::from(p[j]));
+            for (x, p) in column.iter_mut().zip(&survivors) {
+                *x = f64::from(p[j]);
             }
-            column.sort_by(f64::total_cmp);
-            *c = if survivors % 2 == 1 {
-                column[survivors / 2]
+            column.sort_unstable_by(f64::total_cmp);
+            *c = if n % 2 == 1 {
+                column[n / 2]
             } else {
-                (column[survivors / 2 - 1] + column[survivors / 2]) / 2.0
+                (column[n / 2 - 1] + column[n / 2]) / 2.0
             };
         }
         let rms = |p: &[f32]| -> f64 {
@@ -493,6 +507,19 @@ pub fn merge_round(
     Ok(merged)
 }
 
+/// A contributor's round payload: its checkpoint with the Adam moments and
+/// replay priorities emptied. Every rung of the ladder and
+/// [`merge_round`] read only a contribution's shape, `params` and
+/// `steps`, so a round decides exactly as it would on the full checkpoint
+/// while the frame shrinks to about a third.
+pub fn weights_only(checkpoint: MaBdqCheckpoint) -> MaBdqCheckpoint {
+    MaBdqCheckpoint {
+        adam: AdamState::default(),
+        priorities: Vec::new(),
+        ..checkpoint
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -627,13 +654,17 @@ mod tests {
             check_shape(&other, &reference),
             Err(FedError::ShapeMismatch { .. })
         ));
+        assert!(!same_shape(&other, &reference));
         let mut other = reference.clone();
         other.params.push(0.0);
         assert!(matches!(
             check_shape(&other, &reference),
             Err(FedError::ShapeMismatch { .. })
         ));
+        assert!(!same_shape(&other, &reference));
         check_shape(&reference.clone(), &reference).unwrap();
+        // Only the fingerprint counts: weights, moments and counters differ.
+        assert!(same_shape(&ckpt(vec![7.0, 8.0], 9), &reference));
     }
 
     #[test]
@@ -788,6 +819,80 @@ mod tests {
         assert_eq!(merged.per_max_priority, recipient.per_max_priority);
         // The merged checkpoint still round-trips the wire format.
         decode_payload(&encode_checkpoint(&merged)).unwrap();
+    }
+
+    /// A small fleet member after `steps` gradient steps on seeded
+    /// transitions, so its checkpoint carries Adam moments and priorities.
+    fn trained_checkpoint(seed: u64, steps: usize) -> MaBdqCheckpoint {
+        use crate::{MaBdq, MaBdqConfig, MultiTransition};
+        let mut agent = MaBdq::new(MaBdqConfig {
+            agents: 2,
+            state_dim: 3,
+            branches: vec![4, 3],
+            trunk_hidden: vec![16, 12],
+            head_hidden: 8,
+            batch_size: 8,
+            buffer_capacity: 256,
+            seed,
+            ..MaBdqConfig::default()
+        })
+        .unwrap();
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        for _ in 0..48 {
+            let mut state = || random_params(&mut rng, 3);
+            let states = vec![state(), state()];
+            let next_states = vec![state(), state()];
+            agent
+                .observe(MultiTransition {
+                    states,
+                    actions: vec![vec![1, 2], vec![3, 0]],
+                    rewards: vec![rng.next_f64() as f32, -(rng.next_f64() as f32)],
+                    next_states,
+                })
+                .unwrap();
+        }
+        for _ in 0..steps {
+            agent.train_step().unwrap();
+        }
+        agent.save_checkpoint()
+    }
+
+    #[test]
+    fn weights_only_payloads_merge_exactly_like_full_checkpoints() {
+        let recipient = trained_checkpoint(1, 5);
+        let donors = [trained_checkpoint(2, 30), trained_checkpoint(3, 20)];
+        assert!(!donors[0].adam.slots.is_empty() && !donors[0].priorities.is_empty());
+        let contributions = |wire: &dyn Fn(&MaBdqCheckpoint) -> MaBdqCheckpoint| {
+            donors
+                .iter()
+                .enumerate()
+                .map(|(n, c)| Contribution {
+                    contributor: n,
+                    weight: [46_800, 21_600][n],
+                    checkpoint: wire(c),
+                })
+                .collect::<Vec<_>>()
+        };
+        let full = merge_round(&recipient, &contributions(&|c| c.clone())).unwrap();
+        let slim = merge_round(
+            &recipient,
+            &contributions(&|c| {
+                decode_payload(&encode_checkpoint(&weights_only(c.clone()))).unwrap()
+            }),
+        )
+        .unwrap();
+        let bits = |c: &MaBdqCheckpoint| c.params.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&slim), bits(&full));
+        assert_eq!(slim.steps, full.steps);
+        assert_eq!(slim.steps, 30);
+        for donor in &donors {
+            let slim_len = encode_checkpoint(&weights_only(donor.clone())).len();
+            let full_len = encode_checkpoint(donor).len();
+            assert!(
+                2 * slim_len < full_len,
+                "weights-only frame {slim_len} B vs full {full_len} B"
+            );
+        }
     }
 
     #[test]
