@@ -12,7 +12,7 @@
 //! in them. Regenerate only for a change that means to alter what the learner
 //! computes.
 
-use twig_rl::{MaBdq, MaBdqConfig};
+use twig_rl::{MaBdq, MaBdqConfig, QuarantineConfig};
 use twig_stats::rng::{Rng, Xoshiro256};
 
 /// `(agents, buffer_capacity, digest)`: the paper-sized buffer that never
@@ -101,4 +101,118 @@ fn digest(agents: usize, buffer_capacity: usize) -> u64 {
 fn learning_is_bit_identical_to_whole_transition_records() {
     let got = GOLDEN.map(|(agents, capacity, _)| (agents, capacity, digest(agents, capacity)));
     assert_eq!(got, GOLDEN, "digests computed: {:#018x?}", got.map(|g| g.2));
+}
+
+/// Printed by [`parameter_paths_digest`] before the networks kept their
+/// parameters in one arena per `Mlp` and Adam its moments in one flat pair.
+const PATHS_GOLDEN: u64 = 0xf99a_5dba_f71e_9c16;
+
+fn fold_checkpoint(h: &mut u64, agent: &MaBdq) {
+    let ckpt = agent.save_checkpoint();
+    for v in &ckpt.params {
+        fold(h, u64::from(v.to_bits()));
+    }
+    for slot in &ckpt.adam.slots {
+        fold(h, slot.id as u64);
+        fold(h, slot.steps);
+        for v in slot.m.iter().chain(&slot.v) {
+            fold(h, u64::from(v.to_bits()));
+        }
+    }
+}
+
+/// Observes a transition with rewards `rewards` and takes a gradient step,
+/// folding its diagnostics.
+fn observe_and_step(agent: &mut MaBdq, rng: &mut Xoshiro256, rewards: &[f32], h: &mut u64) {
+    let (state_dim, branches) = (agent.config().state_dim, agent.config().branches.clone());
+    let row = |rng: &mut Xoshiro256| -> Vec<Vec<f32>> {
+        (0..rewards.len())
+            .map(|_| {
+                (0..state_dim)
+                    .map(|_| rng.range_f64(0.0, 1.0) as f32)
+                    .collect()
+            })
+            .collect()
+    };
+    let (states, next_states) = (row(rng), row(rng));
+    let actions: Vec<Vec<usize>> = (0..rewards.len())
+        .map(|_| branches.iter().map(|&n| rng.range_usize(0, n)).collect())
+        .collect();
+    agent
+        .observe_parts(&states, &actions, rewards, &next_states)
+        .unwrap();
+    if let Some(stats) = agent.train_step().unwrap() {
+        for v in [stats.loss, stats.mean_abs_td, stats.grad_norm] {
+            fold(h, u64::from(v.to_bits()));
+        }
+        fold(h, u64::from(stats.skipped));
+    }
+}
+
+/// Every path that copies parameters or moments wholesale, in one run: target
+/// syncs, a transfer reset, a quarantine trip (snapshot refreshes, a rollback,
+/// a re-admission) and a checkpoint restored into a learner built from
+/// another seed, which then trains on.
+fn parameter_paths_digest() -> u64 {
+    let config = MaBdqConfig {
+        agents: 2,
+        trunk_hidden: vec![24, 16],
+        head_hidden: 12,
+        dropout: 0.1,
+        batch_size: 8,
+        target_update_every: 7,
+        seed: 42,
+        quarantine: QuarantineConfig {
+            warmup_steps: 10,
+            probation_steps: 20,
+            snapshot_every: 4,
+            ..QuarantineConfig::default()
+        }
+        .armed(),
+        ..MaBdqConfig::default()
+    };
+    let mut agent = MaBdq::new(config.clone()).unwrap();
+    let mut rng = Xoshiro256::seed_from_u64(0xa7e4a);
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    let calm = |rng: &mut Xoshiro256| vec![rng.range_f64(-1.0, 1.0) as f32; 2];
+    for _ in 0..40 {
+        let rewards = calm(&mut rng);
+        observe_and_step(&mut agent, &mut rng, &rewards, &mut h);
+    }
+    agent.transfer_reset();
+    fold_checkpoint(&mut h, &agent);
+    for _ in 0..30 {
+        let rewards = calm(&mut rng);
+        observe_and_step(&mut agent, &mut rng, &rewards, &mut h);
+    }
+    // A reward whose squared TD overflows trips agent 0 and rolls its value
+    // head back to the last snapshot.
+    for _ in 0..3 {
+        observe_and_step(&mut agent, &mut rng, &[1.0e30, 0.5], &mut h);
+    }
+    assert!(agent.quarantine_stats().trips >= 1, "agent 0 tripped");
+    for _ in 0..40 {
+        let rewards = calm(&mut rng);
+        observe_and_step(&mut agent, &mut rng, &rewards, &mut h);
+    }
+    assert!(
+        agent.quarantine_stats().readmissions >= 1,
+        "agent 0 came back"
+    );
+    fold_checkpoint(&mut h, &agent);
+
+    let mut restored = MaBdq::new(MaBdqConfig { seed: 7, ..config }).unwrap();
+    restored.load_checkpoint(&agent.save_checkpoint()).unwrap();
+    for _ in 0..30 {
+        let rewards = calm(&mut rng);
+        observe_and_step(&mut restored, &mut rng, &rewards, &mut h);
+    }
+    fold_checkpoint(&mut h, &restored);
+    h
+}
+
+#[test]
+fn parameter_and_moment_copies_are_bit_identical() {
+    let got = parameter_paths_digest();
+    assert_eq!(got, PATHS_GOLDEN, "digest computed: {got:#018x}");
 }
