@@ -1,25 +1,25 @@
 use crate::tape::{Products, Slot};
-use crate::{Adam, NnError, Tensor};
-use rand_distr_like::he_std;
+use crate::tensor::MatRef;
+use crate::Tensor;
+use std::ops::Range;
 use twig_stats::rng::Rng;
 
-/// Helper for weight-initialisation scales (no external distribution crate:
-/// we sample uniform and rescale to the He / Kaiming standard deviation).
-mod rand_distr_like {
-    /// He-initialisation standard deviation for a layer with `fan_in` inputs.
-    pub fn he_std(fan_in: usize) -> f32 {
-        (2.0 / fan_in as f32).sqrt()
+/// Draws He-initialised weights (uniform, scaled to the He / Kaiming
+/// standard deviation `sqrt(2 / in_dim)`) into `weights`, in order.
+pub(crate) fn he_init<R: Rng>(in_dim: usize, weights: &mut [f32], rng: &mut R) {
+    let std = (2.0 / in_dim as f32).sqrt();
+    for v in weights {
+        // Uniform(-a, a) has std a/sqrt(3); pick a = std * sqrt(3).
+        *v = rng.range_f32(-1.0, 1.0) * std * 3f32.sqrt();
     }
 }
 
-/// Fully connected layer `y = x W + b` with He-initialised weights.
+/// Fully connected layer `y = x W + b` with He-initialised weights and zero
+/// bias, on its way into an [`Mlp`](crate::Mlp).
 ///
-/// Holds parameters and their accumulated gradients only. What a backward
-/// pass needs from the forward before it (the input) lives in the
-/// [`Tape`](crate::Tape) the pass runs on, so a layer is as large as its
-/// weights — and a layer nobody trains (a target network's, an
-/// evaluation-only clone's) never allocates gradients at all: the first
-/// `zero_grads` or backward pass does.
+/// Holds the freshly drawn parameters until [`Mlp::push`](crate::Mlp::push)
+/// appends them to the network's parameter arena; inside the network a
+/// dense layer is only a shape and an offset into that arena.
 ///
 /// # Examples
 ///
@@ -34,127 +34,69 @@ mod rand_distr_like {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Dense {
-    in_dim: usize,
-    out_dim: usize,
-    w: Tensor,
-    b: Vec<f32>,
-    // Empty (= all zero) until `ensure_grads`.
-    grad_w: Tensor,
-    grad_b: Vec<f32>,
+    pub(crate) in_dim: usize,
+    pub(crate) out_dim: usize,
+    /// Weights (row-major `in_dim × out_dim`), then bias.
+    pub(crate) params: Vec<f32>,
 }
 
 impl Dense {
     /// Creates a dense layer with He-initialised weights and zero bias.
     pub fn new<R: Rng>(in_dim: usize, out_dim: usize, rng: &mut R) -> Self {
-        let std = he_std(in_dim);
-        let mut w = Tensor::zeros(in_dim, out_dim);
-        for v in w.as_mut_slice() {
-            // Uniform(-a, a) has std a/sqrt(3); pick a = std * sqrt(3).
-            *v = rng.range_f32(-1.0, 1.0) * std * 3f32.sqrt();
-        }
+        let mut params = vec![0.0; in_dim * out_dim + out_dim];
+        he_init(in_dim, &mut params[..in_dim * out_dim], rng);
         Dense {
             in_dim,
             out_dim,
-            w,
-            b: vec![0.0; out_dim],
-            grad_w: Tensor::default(),
-            grad_b: Vec::new(),
+            params,
         }
     }
+}
 
-    /// Input dimensionality.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
+/// A dense layer inside an [`Mlp`](crate::Mlp): its shape, and where its
+/// weights (row-major `in_dim × out_dim`) and then its bias sit in the
+/// network's parameter arena — and, at the same offsets, in its gradient
+/// arena. Every pass borrows the arena it reads.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DenseAt {
+    pub(crate) in_dim: usize,
+    pub(crate) out_dim: usize,
+    pub(crate) offset: usize,
+}
+
+impl DenseAt {
+    /// The weight block's elements in the arena.
+    pub(crate) fn weights(&self) -> Range<usize> {
+        self.offset..self.offset + self.in_dim * self.out_dim
     }
 
-    /// Output dimensionality.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
+    /// The bias's elements in the arena.
+    pub(crate) fn bias(&self) -> Range<usize> {
+        let start = self.weights().end;
+        start..start + self.out_dim
     }
 
-    /// Re-initialises weights and bias (used by transfer learning to reset
-    /// the final, most task-specific layer).
-    pub fn reinitialize<R: Rng>(&mut self, rng: &mut R) {
-        let fresh = Dense::new(self.in_dim, self.out_dim, rng);
-        self.w = fresh.w;
-        self.b = fresh.b;
-        self.grad_w.as_mut_slice().fill(0.0);
-        self.grad_b.fill(0.0);
+    /// Weights and bias.
+    pub(crate) fn range(&self) -> Range<usize> {
+        self.offset..self.bias().end
     }
 
-    /// Copies weights from another layer of identical shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] when dimensions disagree.
-    pub fn copy_weights_from(&mut self, other: &Dense) -> Result<(), NnError> {
-        if self.in_dim != other.in_dim || self.out_dim != other.out_dim {
-            return Err(NnError::ShapeMismatch {
-                detail: format!(
-                    "dense {}x{} vs {}x{}",
-                    self.in_dim, self.out_dim, other.in_dim, other.out_dim
-                ),
-            });
+    fn w<'p>(&self, params: &'p [f32]) -> MatRef<'p> {
+        MatRef {
+            data: &params[self.weights()],
+            rows: self.in_dim,
+            cols: self.out_dim,
         }
-        self.w.copy_from(&other.w);
-        self.b.copy_from_slice(&other.b);
-        Ok(())
-    }
-
-    /// Read access to the weight matrix (for tests/inspection).
-    pub fn weights(&self) -> &Tensor {
-        &self.w
-    }
-
-    /// Read access to the bias vector.
-    pub fn bias(&self) -> &[f32] {
-        &self.b
-    }
-
-    /// Replaces weights and bias from flat buffers (for checkpoint
-    /// restore).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] when the buffer sizes disagree
-    /// with the layer shape.
-    pub fn set_parameters(&mut self, weights: &[f32], bias: &[f32]) -> Result<(), NnError> {
-        if weights.len() != self.in_dim * self.out_dim || bias.len() != self.out_dim {
-            return Err(NnError::ShapeMismatch {
-                detail: format!(
-                    "{} weights + {} bias for a {}x{} layer",
-                    weights.len(),
-                    bias.len(),
-                    self.in_dim,
-                    self.out_dim
-                ),
-            });
-        }
-        self.w.as_mut_slice().copy_from_slice(weights);
-        self.b.copy_from_slice(bias);
-        Ok(())
-    }
-
-    /// Heap bytes held (weights, bias and, once allocated, gradients).
-    pub fn heap_bytes(&self) -> usize {
-        self.w.heap_bytes()
-            + self.grad_w.heap_bytes()
-            + (self.b.capacity() + self.grad_b.capacity()) * std::mem::size_of::<f32>()
     }
 
     /// Evaluation forward `out = input · W + b`: touches nothing but `out`.
-    pub(crate) fn forward_batch_into(&self, input: &Tensor, out: &mut Tensor) {
+    pub(crate) fn forward_batch_into(&self, params: &[f32], input: &Tensor, out: &mut Tensor) {
+        assert_eq!(input.cols(), self.in_dim, "dense forward shape");
         input
-            .matmul_into(&self.w, out)
+            .matmul_rows_into(self.w(params), 0, out)
             .expect("dense forward shape");
-        out.add_row_broadcast(&self.b).expect("bias shape");
-    }
-
-    /// [`forward_batch_into`](Self::forward_batch_into), leaving the input in
-    /// `slot` for the backward pass.
-    pub(crate) fn forward_into(&self, input: &Tensor, slot: &mut Slot, out: &mut Tensor) {
-        self.forward_batch_into(input, out);
-        slot.input.copy_from(input);
+        out.add_row_broadcast(&params[self.bias()])
+            .expect("bias shape");
     }
 
     /// The part of the forward product that the leading `shared.cols()`
@@ -167,9 +109,9 @@ impl Dense {
     /// # Panics
     ///
     /// Panics if `shared` has more columns than the layer has inputs.
-    pub(crate) fn prefix_into(&self, shared: &Tensor, out: &mut Tensor) {
+    pub(crate) fn prefix_into(&self, params: &[f32], shared: &Tensor, out: &mut Tensor) {
         shared
-            .matmul_rows_into(&self.w, 0, out)
+            .matmul_rows_into(self.w(params), 0, out)
             .expect("dense prefix shape");
     }
 
@@ -186,6 +128,7 @@ impl Dense {
     /// Panics if the shapes do not add up to the layer's.
     pub(crate) fn forward_batch_from_prefix_into(
         &self,
+        params: &[f32],
         prefix: &Tensor,
         own: &Tensor,
         out: &mut Tensor,
@@ -197,111 +140,60 @@ impl Dense {
             prefix.rows()
         );
         out.repeat_rows_from(prefix, own.rows() / prefix.rows());
-        own.matmul_rows_continue_into(&self.w, self.in_dim - own.cols(), out)
+        own.matmul_rows_continue_into(self.w(params), self.in_dim - own.cols(), out)
             .expect("dense continue shape");
-        out.add_row_broadcast(&self.b).expect("bias shape");
-    }
-
-    /// [`forward_into`](Self::forward_into) on the input `[shared | own]`
-    /// given `prefix = prefix_into(shared)`: bit-identical output, and the
-    /// concatenated input is left in `slot` for the weight gradient as usual.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes do not add up to the layer's.
-    pub(crate) fn forward_from_prefix_into(
-        &self,
-        prefix: &Tensor,
-        shared: &Tensor,
-        own: &Tensor,
-        slot: &mut Slot,
-        out: &mut Tensor,
-    ) {
-        self.forward_batch_from_prefix_into(prefix, own, out);
-        shared
-            .concat_cols_into(own, &mut slot.input)
-            .expect("same batch");
+        out.add_row_broadcast(&params[self.bias()])
+            .expect("bias shape");
     }
 
     /// Backward pass computing only the first `cols` columns of the input
     /// gradient (`grad_input` comes out `B × cols`; the columns are
     /// independent sums, so they hold the bits the full gradient would).
-    /// Parameter gradients accumulate in full. A layer whose trailing inputs
-    /// are data (or all of them: `cols = 0` for a network's first layer)
-    /// skips the product nobody reads.
+    /// Parameter gradients accumulate in full into `grads`, the gradient
+    /// arena. A layer whose trailing inputs are data (or all of them: `cols
+    /// = 0` for a network's first layer) skips the product nobody reads.
     ///
     /// # Panics
     ///
     /// Panics if `slot` does not hold the input of a forward pass with
-    /// `grad_output`'s batch size, or if `cols > self.in_dim()`.
+    /// `grad_output`'s batch size, or if `cols > in_dim`.
     pub(crate) fn backward_cols_into(
-        &mut self,
+        &self,
+        (params, grads): (&[f32], &mut [f32]),
         grad_output: &Tensor,
         cols: usize,
         slot: &Slot,
         products: &mut Products,
         grad_input: &mut Tensor,
     ) {
-        self.ensure_grads();
+        assert_eq!(
+            (slot.input.cols(), grad_output.cols()),
+            (self.in_dim, self.out_dim),
+            "dense backward shape"
+        );
         slot.input
             .t_matmul_into(grad_output, &mut products.gw)
             .expect("dense backward shape");
-        self.grad_w.add_assign(&products.gw).expect("grad shape");
+        add_into(&mut grads[self.weights()], products.gw.as_slice());
         grad_output.sum_rows_into(&mut products.gb);
-        for (gb, g) in self.grad_b.iter_mut().zip(&products.gb) {
-            *gb += g;
-        }
+        add_into(&mut grads[self.bias()], &products.gb);
         grad_output
-            .matmul_t_rows_into(&self.w, cols, &mut products.pack, grad_input)
+            .matmul_t_rows_into(self.w(params), cols, &mut products.pack, grad_input)
             .expect("dense input grad shape");
     }
 
-    /// The accumulated weight and bias gradients.
-    #[cfg(test)]
-    pub(crate) fn grads(&self) -> (&Tensor, &[f32]) {
-        (&self.grad_w, &self.grad_b)
+    /// Squared L2 norm of the layer's accumulated gradients in `grads` (none
+    /// yet: an empty arena): `Σw² + Σb²`, the sum clipping has always seen.
+    pub(crate) fn grad_sq_norm(&self, grads: &[f32]) -> f32 {
+        let sq = |r: Range<usize>| grads.get(r).unwrap_or_default().iter().map(|g| g * g);
+        sq(self.weights()).sum::<f32>() + sq(self.bias()).sum::<f32>()
     }
+}
 
-    /// Allocates the gradients (as zeros) unless they are there.
-    fn ensure_grads(&mut self) {
-        if (self.grad_w.rows(), self.grad_w.cols()) != (self.in_dim, self.out_dim) {
-            self.zero_grads();
-        }
-    }
-
-    /// Zeroes the accumulated gradients, allocating them on first use.
-    pub(crate) fn zero_grads(&mut self) {
-        self.grad_w.resize_zeroed(self.in_dim, self.out_dim);
-        self.grad_b.clear();
-        self.grad_b.resize(self.out_dim, 0.0);
-    }
-
-    /// Applies the optimiser to weights (`param_id`) and bias (`param_id +
-    /// 1`), consuming the accumulated gradients; returns the next free id.
-    pub(crate) fn apply(&mut self, optim: &mut Adam, param_id: usize) -> usize {
-        self.ensure_grads();
-        optim.update(param_id, self.w.as_mut_slice(), self.grad_w.as_slice());
-        optim.update(param_id + 1, &mut self.b, &self.grad_b);
-        param_id + 2
-    }
-
-    /// Number of trainable scalar parameters.
-    pub(crate) fn param_count(&self) -> usize {
-        self.in_dim * self.out_dim + self.out_dim
-    }
-
-    /// Squared L2 norm of the accumulated gradients (for clipping).
-    pub(crate) fn grad_sq_norm(&self) -> f32 {
-        self.grad_w.as_slice().iter().map(|g| g * g).sum::<f32>()
-            + self.grad_b.iter().map(|g| g * g).sum::<f32>()
-    }
-
-    /// Scales the accumulated gradients in place (for clipping/rescaling).
-    pub(crate) fn scale_grads(&mut self, factor: f32) {
-        self.grad_w.scale(factor);
-        for g in &mut self.grad_b {
-            *g *= factor;
-        }
+/// `acc += add`, element by element.
+fn add_into(acc: &mut [f32], add: &[f32]) {
+    for (a, b) in acc.iter_mut().zip(add) {
+        *a += b;
     }
 }
 
@@ -457,16 +349,43 @@ mod tests {
     use super::*;
     use twig_stats::rng::Xoshiro256;
 
+    /// A layer placed at the start of an arena of its own.
+    fn placed(d: &Dense) -> (DenseAt, Vec<f32>) {
+        let at = DenseAt {
+            in_dim: d.in_dim,
+            out_dim: d.out_dim,
+            offset: 0,
+        };
+        (at, d.params.clone())
+    }
+
     /// A stateful forward of one layer on fresh working memory.
     fn dense_forward(d: &Dense, x: &Tensor, slot: &mut Slot) -> Tensor {
+        let (at, params) = placed(d);
         let mut out = Tensor::default();
-        d.forward_into(x, slot, &mut out);
+        at.forward_batch_into(&params, x, &mut out);
+        slot.input.copy_from(x);
         out
     }
 
-    fn dense_backward(d: &mut Dense, grad: &Tensor, cols: usize, slot: &Slot) -> Tensor {
+    /// A backward of one layer, accumulating into `grads`.
+    fn dense_backward(
+        d: &Dense,
+        grads: &mut [f32],
+        grad: &Tensor,
+        cols: usize,
+        slot: &Slot,
+    ) -> Tensor {
+        let (at, params) = placed(d);
         let mut out = Tensor::default();
-        d.backward_cols_into(grad, cols, slot, &mut Products::default(), &mut out);
+        at.backward_cols_into(
+            (&params, grads),
+            grad,
+            cols,
+            slot,
+            &mut Products::default(),
+            &mut out,
+        );
         out
     }
 
@@ -474,6 +393,7 @@ mod tests {
     fn dense_forward_shape_and_bias() {
         let mut rng = Xoshiro256::seed_from_u64(1);
         let d = Dense::new(2, 3, &mut rng);
+        assert_eq!(d.params.len(), 2 * 3 + 3);
         let out = dense_forward(&d, &Tensor::zeros(5, 2), &mut Slot::default());
         assert_eq!((out.rows(), out.cols()), (5, 3));
         // Zero input -> output equals bias (zero at init).
@@ -481,44 +401,22 @@ mod tests {
     }
 
     #[test]
-    fn dense_gradients_allocate_on_first_use_and_accumulate() {
+    fn dense_gradients_accumulate_weights_then_bias() {
         let mut rng = Xoshiro256::seed_from_u64(2);
-        let mut d = Dense::new(2, 4, &mut rng);
-        let weights_only = d.heap_bytes();
-        assert_eq!(weights_only, (2 * 4 + 4) * std::mem::size_of::<f32>());
-        assert_eq!(d.grad_sq_norm(), 0.0);
+        let d = Dense::new(2, 4, &mut rng);
+        let (at, _) = placed(&d);
+        assert_eq!(at.grad_sq_norm(&[]), 0.0);
         let x = Tensor::from_row(&[1.0, 0.0]);
-        let mut slot = Slot::default();
+        let (mut slot, mut grads) = (Slot::default(), vec![0.0; 12]);
         for _ in 0..2 {
             dense_forward(&d, &x, &mut slot);
-            dense_backward(&mut d, &Tensor::from_row(&[1.0; 4]), 2, &slot);
+            dense_backward(&d, &mut grads, &Tensor::from_row(&[1.0; 4]), 2, &slot);
         }
-        assert_eq!(d.grad_b, [2.0; 4]);
         assert_eq!(
-            d.grad_w.as_slice(),
-            [2.0, 2.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0]
+            grads,
+            [2.0, 2.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0, 2.0, 2.0, 2.0, 2.0]
         );
-        assert_eq!(d.heap_bytes(), 2 * weights_only);
-        d.zero_grads();
-        assert_eq!(d.grad_b, [0.0; 4]);
-        // Re-initialising zeroes gradients that exist and allocates none.
-        d.grad_b[0] = 3.0;
-        d.reinitialize(&mut rng);
-        assert_eq!(d.grad_b, [0.0; 4]);
-        let mut fresh = Dense::new(2, 4, &mut rng);
-        fresh.reinitialize(&mut rng);
-        assert_eq!(fresh.heap_bytes(), weights_only);
-    }
-
-    #[test]
-    fn dense_copy_weights_shape_check() {
-        let mut rng = Xoshiro256::seed_from_u64(3);
-        let mut a = Dense::new(2, 2, &mut rng);
-        let b = Dense::new(2, 3, &mut rng);
-        assert!(a.copy_weights_from(&b).is_err());
-        let c = Dense::new(2, 2, &mut rng);
-        a.copy_weights_from(&c).unwrap();
-        assert_eq!(a.weights(), c.weights());
+        assert_eq!(at.grad_sq_norm(&grads), 8.0 * 4.0);
     }
 
     #[test]
@@ -622,9 +520,14 @@ mod tests {
     fn dense_prefix_forward_and_limited_backward_match_the_full_pass() {
         let mut rng = Xoshiro256::seed_from_u64(5);
         let (shared_dim, own_dim, out_dim, batch) = (6, 3, 5, 4);
-        let mut full = Dense::new(shared_dim + own_dim, out_dim, &mut rng);
-        full.b = (0..out_dim).map(|i| i as f32 * 0.25 - 0.5).collect();
-        let split = full.clone();
+        let mut d = Dense::new(shared_dim + own_dim, out_dim, &mut rng);
+        for (i, b) in d.params[(shared_dim + own_dim) * out_dim..]
+            .iter_mut()
+            .enumerate()
+        {
+            *b = i as f32 * 0.25 - 0.5;
+        }
+        let (at, params) = placed(&d);
         let random = |rng: &mut Xoshiro256, r: usize, c: usize| {
             let data = (0..r * c).map(|_| rng.range_f32(-2.0, 2.0)).collect();
             Tensor::from_vec(r, c, data).unwrap()
@@ -632,15 +535,15 @@ mod tests {
         let shared = random(&mut rng, batch, shared_dim);
         let grad = random(&mut rng, batch, out_dim);
         let mut prefix = Tensor::zeros(0, 0);
-        split.prefix_into(&shared, &mut prefix);
+        at.prefix_into(&params, &shared, &mut prefix);
 
         // Eval: three row groups share the one prefix.
         let own3 = random(&mut rng, 3 * batch, own_dim);
         let mut shared3 = Tensor::zeros(0, 0);
         shared3.repeat_rows_from(&shared, 3);
         let (mut want, mut got) = (Tensor::default(), Tensor::default());
-        full.forward_batch_into(&shared3.concat_cols(&own3).unwrap(), &mut want);
-        split.forward_batch_from_prefix_into(&prefix, &own3, &mut got);
+        at.forward_batch_into(&params, &shared3.concat_cols(&own3).unwrap(), &mut want);
+        at.forward_batch_from_prefix_into(&params, &prefix, &own3, &mut got);
         assert_eq!(bits(&got), bits(&want));
 
         // Train: same output, same input left in the slot, so the same dW
@@ -648,17 +551,23 @@ mod tests {
         // full one.
         let own = random(&mut rng, batch, own_dim);
         let (mut full_slot, mut split_slot) = (Slot::default(), Slot::default());
-        let want = dense_forward(&full, &shared.concat_cols(&own).unwrap(), &mut full_slot);
-        split.forward_from_prefix_into(&prefix, &shared, &own, &mut split_slot, &mut got);
+        let want = dense_forward(&d, &shared.concat_cols(&own).unwrap(), &mut full_slot);
+        at.forward_batch_from_prefix_into(&params, &prefix, &own, &mut got);
+        shared
+            .concat_cols_into(&own, &mut split_slot.input)
+            .unwrap();
         assert_eq!(bits(&got), bits(&want));
         assert_eq!(bits(&split_slot.input), bits(&full_slot.input));
-        let want_dx = dense_backward(&mut full, &grad, shared_dim + own_dim, &full_slot);
+        let mut full_grads = vec![0.0; params.len()];
+        let want_dx = dense_backward(&d, &mut full_grads, &grad, shared_dim + own_dim, &full_slot);
         for cols in [0, 1, shared_dim, shared_dim + own_dim] {
-            let mut twin = split.clone();
-            let got = dense_backward(&mut twin, &grad, cols, &split_slot);
+            let mut grads = vec![0.0; params.len()];
+            let got = dense_backward(&d, &mut grads, &grad, cols, &split_slot);
             assert_eq!(bits(&got), bits(&want_dx.split_cols(cols).0));
-            assert_eq!(bits(&twin.grad_w), bits(&full.grad_w));
-            assert_eq!(twin.grad_b, full.grad_b);
+            assert_eq!(
+                bits(&Tensor::from_row(&grads)),
+                bits(&Tensor::from_row(&full_grads))
+            );
         }
     }
 
@@ -689,11 +598,5 @@ mod tests {
     #[should_panic(expected = "dropout probability")]
     fn dropout_rejects_p_one() {
         Dropout::new(1.0, 0);
-    }
-
-    #[test]
-    fn param_counts() {
-        let mut rng = Xoshiro256::seed_from_u64(0);
-        assert_eq!(Dense::new(3, 4, &mut rng).param_count(), 16);
     }
 }

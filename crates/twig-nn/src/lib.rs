@@ -5,11 +5,13 @@
 //! Rust, with no external numerics dependencies:
 //!
 //! - [`Tensor`] — a dense row-major `f32` matrix (rows = batch);
-//! - [`Dense`], [`Relu`], [`Dropout`] — layers holding parameters and
-//!   accumulate-on-backward gradients, composable into an [`Mlp`];
+//! - [`Dense`], [`Relu`], [`Dropout`] — layers, composable into an [`Mlp`],
+//!   which keeps every parameter in one arena and the accumulate-on-backward
+//!   gradients in another of the same layout;
 //! - [`Tape`] — the working memory of a forward/backward pair (activations,
 //!   masks, product scratch), one per [`Mlp`] or shared through [`Mlp::on`];
-//! - [`Adam`] — the optimiser used by the paper (lr 0.0025 in Twig);
+//! - [`Adam`] — the optimiser used by the paper (lr 0.0025 in Twig): one
+//!   step count and one flat pair of moments over the arenas it is handed;
 //! - [`mse_loss`] — the loss, with optional per-sample importance weights
 //!   (needed by prioritised experience replay).
 //!
@@ -73,7 +75,7 @@ pub use error::NnError;
 pub use layer::{Dense, Dropout, Relu};
 pub use loss::mse_loss;
 pub use mlp::{IntoMlpLayer, Mlp, MlpLayerToken, Pass};
-pub use optim::{Adam, AdamSlot, AdamState};
+pub use optim::Adam;
 pub use quant::{QuantizedDense, QuantizedMlp};
 pub use tape::Tape;
 pub use tensor::Tensor;

@@ -1,3 +1,4 @@
+use crate::layer::{he_init, DenseAt};
 use crate::tape::{Products, Slot};
 use crate::{Adam, Dense, Dropout, NnError, Relu, Tape, Tensor};
 use twig_stats::rng::Rng;
@@ -9,8 +10,13 @@ use twig_stats::rng::Rng;
 /// advantage heads of the multi-agent BDQ are each an `Mlp`, wired together
 /// manually by `twig-rl` so gradient rescaling can be applied between them.
 ///
-/// The layers hold parameters, gradients and dropout RNG streams; what a
-/// pass computes on the way lives in a [`Tape`]. Each network owns one for
+/// Every parameter lives in one arena, [`parameters`](Self::parameters):
+/// per dense layer in order, its weights (row-major `in × out`) and then its
+/// bias. Gradients live in a second arena of the same layout, allocated by
+/// the first backward pass, [`zero_grads`](Self::zero_grads) or
+/// [`apply`](Self::apply) — a network nobody trains never has one. Layers
+/// hold shapes, offsets and dropout RNG streams; what a pass computes on the
+/// way lives in a [`Tape`]. Each network owns one for
 /// [`forward_scratch`](Self::forward_scratch) and its siblings, and
 /// [`on`](Self::on) runs the same passes on a caller's tape, which is how
 /// many networks share one set of activation buffers.
@@ -32,6 +38,10 @@ use twig_stats::rng::Rng;
 #[derive(Debug, Clone, Default)]
 pub struct Mlp {
     layers: Vec<MlpLayer>,
+    /// Per dense layer: weights, then bias.
+    params: Vec<f32>,
+    /// The gradients, laid out like `params`; empty until first needed.
+    grads: Vec<f32>,
     // Working memory of the passes run through `forward_scratch` and its
     // siblings; empty for a network that only ever runs `on` another tape.
     // Never holds state the network depends on between a backward pass and
@@ -42,9 +52,7 @@ pub struct Mlp {
 /// The concrete layer kinds an [`Mlp`] can hold.
 #[derive(Debug, Clone)]
 enum MlpLayer {
-    // Boxed: a `Dense` (weights and gradients) is several times the size of
-    // the other two variants.
-    Dense(Box<Dense>),
+    Dense(DenseAt),
     Relu(Relu),
     Dropout(Dropout),
 }
@@ -52,9 +60,18 @@ enum MlpLayer {
 impl MlpLayer {
     /// Stateful forward: leaves in `slot` what the layer's backward needs.
     /// `train` enables training-only behaviour (dropout).
-    fn forward_into(&mut self, input: &Tensor, train: bool, slot: &mut Slot, out: &mut Tensor) {
+    fn forward_into(
+        &mut self,
+        params: &[f32],
+        (input, train): (&Tensor, bool),
+        slot: &mut Slot,
+        out: &mut Tensor,
+    ) {
         match self {
-            MlpLayer::Dense(l) => l.forward_into(input, slot, out),
+            MlpLayer::Dense(l) => {
+                l.forward_batch_into(params, input, out);
+                slot.input.copy_from(input);
+            }
             MlpLayer::Relu(l) => l.forward_into(input, slot, out),
             MlpLayer::Dropout(l) => l.forward_into(input, train, slot, out),
         }
@@ -62,9 +79,9 @@ impl MlpLayer {
 
     /// Evaluation forward: the values of `forward_into` with `train =
     /// false`, touching neither a slot nor a dropout RNG stream.
-    fn forward_batch_into(&self, input: &Tensor, out: &mut Tensor) {
+    fn forward_batch_into(&self, params: &[f32], input: &Tensor, out: &mut Tensor) {
         match self {
-            MlpLayer::Dense(l) => l.forward_batch_into(input, out),
+            MlpLayer::Dense(l) => l.forward_batch_into(params, input, out),
             MlpLayer::Relu(l) => l.forward_batch_into(input, out),
             MlpLayer::Dropout(l) => l.forward_batch_into(input, out),
         }
@@ -73,7 +90,8 @@ impl MlpLayer {
     /// Backward from what the last stateful forward left in `slot`:
     /// accumulates parameter gradients, writes the input gradient.
     fn backward_into(
-        &mut self,
+        &self,
+        arenas: (&[f32], &mut [f32]),
         grad_output: &Tensor,
         slot: &Slot,
         products: &mut Products,
@@ -81,7 +99,7 @@ impl MlpLayer {
     ) {
         match self {
             MlpLayer::Dense(l) => {
-                l.backward_cols_into(grad_output, l.in_dim(), slot, products, grad_input)
+                l.backward_cols_into(arenas, grad_output, l.in_dim, slot, products, grad_input)
             }
             MlpLayer::Relu(l) => l.backward_into(grad_output, slot, grad_input),
             MlpLayer::Dropout(l) => l.backward_into(grad_output, slot, grad_input),
@@ -94,9 +112,9 @@ const NO_FORWARD: &str = "backward called before forward";
 
 /// The first layer, which the prefix forwards and the column-limited
 /// backward need to be dense, and the layers after it.
-fn split_first_dense(layers: &mut [MlpLayer]) -> (&mut Dense, &mut [MlpLayer]) {
+fn split_first_dense(layers: &mut [MlpLayer]) -> (DenseAt, &mut [MlpLayer]) {
     match layers.split_first_mut() {
-        Some((MlpLayer::Dense(first), rest)) => (first, rest),
+        Some((MlpLayer::Dense(first), rest)) => (*first, rest),
         _ => panic!("{NO_FIRST_DENSE}"),
     }
 }
@@ -104,14 +122,14 @@ fn split_first_dense(layers: &mut [MlpLayer]) -> (&mut Dense, &mut [MlpLayer]) {
 /// Stateful forwards of `layers` from the activation in `cur`, ping-ponging
 /// with `next`; returns whichever holds the last layer's output.
 fn forward_rest<'t>(
-    layers: &mut [MlpLayer],
+    (layers, params): (&mut [MlpLayer], &[f32]),
     slots: &mut [Slot],
     train: bool,
     mut cur: &'t mut Tensor,
     mut next: &'t mut Tensor,
 ) -> &'t Tensor {
     for (layer, slot) in layers.iter_mut().zip(slots) {
-        layer.forward_into(cur, train, slot, next);
+        layer.forward_into(params, (cur, train), slot, next);
         std::mem::swap(&mut cur, &mut next);
     }
     cur
@@ -119,12 +137,12 @@ fn forward_rest<'t>(
 
 /// [`forward_rest`] through the evaluation forwards.
 fn forward_batch_rest<'t>(
-    layers: &[MlpLayer],
+    (layers, params): (&[MlpLayer], &[f32]),
     mut cur: &'t mut Tensor,
     mut next: &'t mut Tensor,
 ) -> &'t Tensor {
     for layer in layers {
-        layer.forward_batch_into(cur, next);
+        layer.forward_batch_into(params, cur, next);
         std::mem::swap(&mut cur, &mut next);
     }
     cur
@@ -134,17 +152,26 @@ fn forward_batch_rest<'t>(
 /// returns the buffer holding the first layer's input gradient and the free
 /// one.
 fn backward_rest<'t>(
-    layers: &mut [MlpLayer],
+    (layers, params, grads): (&[MlpLayer], &[f32], &mut [f32]),
     slots: &[Slot],
     products: &mut Products,
     mut cur: &'t mut Tensor,
     mut next: &'t mut Tensor,
 ) -> (&'t mut Tensor, &'t mut Tensor) {
-    for (layer, slot) in layers.iter_mut().zip(slots).rev() {
-        layer.backward_into(cur, slot, products, next);
+    for (layer, slot) in layers.iter().zip(slots).rev() {
+        layer.backward_into((params, &mut *grads), cur, slot, products, next);
         std::mem::swap(&mut cur, &mut next);
     }
     (cur, next)
+}
+
+/// `grads` as the gradient arena of `params`, allocated (zeros) if need be.
+fn ensure_grads<'g>(grads: &'g mut Vec<f32>, params: &[f32]) -> &'g mut [f32] {
+    if grads.len() != params.len() {
+        grads.clear();
+        grads.resize(params.len(), 0.0);
+    }
+    grads
 }
 
 /// One network's layers about to run a pass on one [`Tape`]: what
@@ -154,6 +181,8 @@ fn backward_rest<'t>(
 #[derive(Debug)]
 pub struct Pass<'a> {
     layers: &'a mut [MlpLayer],
+    params: &'a [f32],
+    grads: &'a mut Vec<f32>,
     tape: &'a mut Tape,
 }
 
@@ -162,7 +191,7 @@ impl<'a> Pass<'a> {
     /// Leaves in the tape what [`backward_scratch`](Self::backward_scratch)
     /// needs; `train` enables dropout.
     pub fn forward_scratch(self, input: &Tensor, train: bool) -> &'a Tensor {
-        let Pass { layers, tape } = self;
+        let (layers, params, tape) = (self.layers, self.params, self.tape);
         tape.reserve_slots(layers.len());
         let Tape {
             slots, ping, pong, ..
@@ -172,8 +201,8 @@ impl<'a> Pass<'a> {
             ping.copy_from(input);
             return ping;
         };
-        first.forward_into(input, train, &mut slots[0], ping);
-        forward_rest(rest, &mut slots[1..], train, ping, pong)
+        first.forward_into(params, (input, train), &mut slots[0], ping);
+        forward_rest((rest, params), &mut slots[1..], train, ping, pong)
     }
 
     /// Evaluation-only forward pass: writes the ping-pong buffers and
@@ -195,8 +224,8 @@ impl<'a> Pass<'a> {
             ping.copy_from(input);
             return ping;
         };
-        first.forward_batch_into(input, ping);
-        forward_batch_rest(rest, ping, pong)
+        first.forward_batch_into(self.params, input, ping);
+        forward_batch_rest((rest, self.params), ping, pong)
     }
 
     /// [`forward_batch_scratch`](Self::forward_batch_scratch) on the rows
@@ -212,8 +241,8 @@ impl<'a> Pass<'a> {
     pub fn forward_batch_from_prefix_scratch(self, prefix: &Tensor, own: &Tensor) -> &'a Tensor {
         let Tape { ping, pong, .. } = self.tape;
         let (first, rest) = split_first_dense(self.layers);
-        first.forward_batch_from_prefix_into(prefix, own, ping);
-        forward_batch_rest(rest, ping, pong)
+        first.forward_batch_from_prefix_into(self.params, prefix, own, ping);
+        forward_batch_rest((rest, self.params), ping, pong)
     }
 
     /// [`forward_scratch`](Self::forward_scratch) on the input `[shared |
@@ -232,14 +261,17 @@ impl<'a> Pass<'a> {
         own: &Tensor,
         train: bool,
     ) -> &'a Tensor {
-        let Pass { layers, tape } = self;
+        let (layers, params, tape) = (self.layers, self.params, self.tape);
         tape.reserve_slots(layers.len());
         let Tape {
             slots, ping, pong, ..
         } = tape;
         let (first, rest) = split_first_dense(layers);
-        first.forward_from_prefix_into(prefix, shared, own, &mut slots[0], ping);
-        forward_rest(rest, &mut slots[1..], train, ping, pong)
+        first.forward_batch_from_prefix_into(params, prefix, own, ping);
+        shared
+            .concat_cols_into(own, &mut slots[0].input)
+            .expect("same batch");
+        forward_rest((rest, params), &mut slots[1..], train, ping, pong)
     }
 
     /// Backward pass, accumulating parameter gradients; returns the gradient
@@ -250,7 +282,7 @@ impl<'a> Pass<'a> {
     /// Panics if no forward pass has run on this tape, or if the last one
     /// had another batch size or another network's shapes.
     pub fn backward_scratch(self, grad_output: &Tensor) -> &'a Tensor {
-        let Pass { layers, tape } = self;
+        let (layers, params, grads, tape) = (self.layers, self.params, self.grads, self.tape);
         let Tape {
             slots,
             ping,
@@ -259,13 +291,21 @@ impl<'a> Pass<'a> {
         } = tape;
         // As in the forward pass: the last layer reads the caller's gradient
         // in place.
-        let Some((last, rest)) = layers.split_last_mut() else {
+        let Some((last, rest)) = layers.split_last() else {
             ping.copy_from(grad_output);
             return ping;
         };
-        let slots = slots.get(..=rest.len()).expect(NO_FORWARD);
-        last.backward_into(grad_output, &slots[rest.len()], products, ping);
-        backward_rest(rest, &slots[..rest.len()], products, ping, pong).0
+        let n = rest.len();
+        let slots = slots.get(..=n).expect(NO_FORWARD);
+        let grads = ensure_grads(grads, params);
+        last.backward_into(
+            (params, &mut *grads),
+            grad_output,
+            &slots[n],
+            products,
+            ping,
+        );
+        backward_rest((rest, params, grads), &slots[..n], products, ping, pong).0
     }
 
     /// [`backward_scratch`](Self::backward_scratch) returning only the first
@@ -279,7 +319,7 @@ impl<'a> Pass<'a> {
     /// As [`backward_scratch`](Self::backward_scratch); also unless the
     /// network starts with a [`Dense`] layer at least `cols` wide.
     pub fn backward_cols_scratch(self, grad_output: &Tensor, cols: usize) -> &'a Tensor {
-        let Pass { layers, tape } = self;
+        let (layers, params, grads, tape) = (self.layers, self.params, self.grads, self.tape);
         let Tape {
             slots,
             ping,
@@ -288,13 +328,29 @@ impl<'a> Pass<'a> {
         } = tape;
         let (first, rest) = split_first_dense(layers);
         let slots = slots.get(..=rest.len()).expect(NO_FORWARD);
-        let Some((last, middle)) = rest.split_last_mut() else {
-            first.backward_cols_into(grad_output, cols, &slots[0], products, ping);
+        let grads = ensure_grads(grads, params);
+        let Some((last, middle)) = rest.split_last() else {
+            first.backward_cols_into(
+                (params, grads),
+                grad_output,
+                cols,
+                &slots[0],
+                products,
+                ping,
+            );
             return ping;
         };
-        last.backward_into(grad_output, &slots[middle.len() + 1], products, ping);
-        let (grad, free) = backward_rest(middle, &slots[1..=middle.len()], products, ping, pong);
-        first.backward_cols_into(grad, cols, &slots[0], products, free);
+        let at = middle.len() + 1;
+        last.backward_into(
+            (params, &mut *grads),
+            grad_output,
+            &slots[at],
+            products,
+            ping,
+        );
+        let arenas = (middle, params, &mut *grads);
+        let (grad, free) = backward_rest(arenas, &slots[1..at], products, ping, pong);
+        first.backward_cols_into((params, grads), grad, cols, &slots[0], products, free);
         free
     }
 }
@@ -309,23 +365,30 @@ pub trait IntoMlpLayer {
 }
 
 /// Opaque token wrapping a layer for [`Mlp::push`].
-pub struct MlpLayerToken(MlpLayer);
+pub struct MlpLayerToken(Pending);
+
+/// A layer on its way into an [`Mlp`]: a dense layer still owns the
+/// parameters the push moves into the arena.
+enum Pending {
+    Dense(Dense),
+    Other(MlpLayer),
+}
 
 impl IntoMlpLayer for Dense {
     fn into_mlp_layer(self) -> MlpLayerToken {
-        MlpLayerToken(MlpLayer::Dense(Box::new(self)))
+        MlpLayerToken(Pending::Dense(self))
     }
 }
 
 impl IntoMlpLayer for Relu {
     fn into_mlp_layer(self) -> MlpLayerToken {
-        MlpLayerToken(MlpLayer::Relu(self))
+        MlpLayerToken(Pending::Other(MlpLayer::Relu(self)))
     }
 }
 
 impl IntoMlpLayer for Dropout {
     fn into_mlp_layer(self) -> MlpLayerToken {
-        MlpLayerToken(MlpLayer::Dropout(self))
+        MlpLayerToken(Pending::Other(MlpLayer::Dropout(self)))
     }
 }
 
@@ -335,10 +398,46 @@ impl Mlp {
         Self::default()
     }
 
-    /// Appends a layer (builder style).
+    /// An empty network with room for `params` parameters: built with
+    /// [`dense`](Self::dense), its arena is one exactly sized allocation.
+    pub fn with_capacity(params: usize) -> Self {
+        Mlp {
+            params: Vec::with_capacity(params),
+            ..Self::default()
+        }
+    }
+
+    /// Appends a layer (builder style); a [`Dense`] layer's weights move in.
     pub fn push<L: IntoMlpLayer>(mut self, layer: L) -> Self {
-        self.layers.push(layer.into_mlp_layer().0);
+        match layer.into_mlp_layer().0 {
+            Pending::Dense(dense) => {
+                let at = self.append_dense(dense.in_dim, dense.out_dim);
+                self.params[at.range()].copy_from_slice(&dense.params);
+            }
+            Pending::Other(layer) => self.layers.push(layer),
+        }
         self
+    }
+
+    /// `push(Dense::new(in_dim, out_dim, rng))` — the same draws — with the
+    /// weights drawn straight into the arena.
+    pub fn dense<R: Rng>(mut self, in_dim: usize, out_dim: usize, rng: &mut R) -> Self {
+        let at = self.append_dense(in_dim, out_dim);
+        he_init(in_dim, &mut self.params[at.weights()], rng);
+        self
+    }
+
+    /// A dense layer's place at the end of the arena, zero-filled.
+    fn append_dense(&mut self, in_dim: usize, out_dim: usize) -> DenseAt {
+        let at = DenseAt {
+            in_dim,
+            out_dim,
+            offset: self.params.len(),
+        };
+        self.params.reserve_exact(at.range().len());
+        self.params.resize(at.range().end, 0.0);
+        self.layers.push(MlpLayer::Dense(at));
+        at
     }
 
     /// Number of layers.
@@ -357,6 +456,8 @@ impl Mlp {
     pub fn on<'a>(&'a mut self, tape: &'a mut Tape) -> Pass<'a> {
         Pass {
             layers: &mut self.layers,
+            params: &self.params,
+            grads: &mut self.grads,
             tape,
         }
     }
@@ -365,6 +466,8 @@ impl Mlp {
     fn own(&mut self) -> Pass<'_> {
         Pass {
             layers: &mut self.layers,
+            params: &self.params,
+            grads: &mut self.grads,
             tape: &mut self.tape,
         }
     }
@@ -411,7 +514,7 @@ impl Mlp {
     /// `shared.cols()` wide.
     pub fn prefix_into(&self, shared: &Tensor, out: &mut Tensor) {
         match self.layers.first() {
-            Some(MlpLayer::Dense(first)) => first.prefix_into(shared, out),
+            Some(MlpLayer::Dense(first)) => first.prefix_into(&self.params, shared, out),
             _ => panic!("{NO_FIRST_DENSE}"),
         }
     }
@@ -450,7 +553,9 @@ impl Mlp {
         let mut q = crate::QuantizedMlp::new();
         for layer in &self.layers {
             match layer {
-                MlpLayer::Dense(d) => q.push_dense(d)?,
+                MlpLayer::Dense(d) => {
+                    q.push_dense(d.in_dim, &self.params[d.weights()], &self.params[d.bias()])?
+                }
                 MlpLayer::Relu(_) => q.push_relu(),
                 MlpLayer::Dropout(_) => {}
             }
@@ -491,75 +596,64 @@ impl Mlp {
         self.own().backward_cols_scratch(grad_output, cols)
     }
 
-    fn denses(&self) -> impl Iterator<Item = &Dense> {
+    fn denses(&self) -> impl Iterator<Item = &DenseAt> {
         self.layers.iter().filter_map(|l| match l {
-            MlpLayer::Dense(d) => Some(d.as_ref()),
-            _ => None,
-        })
-    }
-
-    fn denses_mut(&mut self) -> impl Iterator<Item = &mut Dense> {
-        self.layers.iter_mut().filter_map(|l| match l {
-            MlpLayer::Dense(d) => Some(d.as_mut()),
+            MlpLayer::Dense(d) => Some(d),
             _ => None,
         })
     }
 
     /// Zeroes all accumulated gradients (allocating them on first use).
     pub fn zero_grads(&mut self) {
-        self.denses_mut().for_each(Dense::zero_grads);
+        ensure_grads(&mut self.grads, &self.params).fill(0.0);
     }
 
-    /// Applies the optimiser to every trainable layer. Parameter ids start
-    /// at `0`; use [`apply_with_base`](Self::apply_with_base) when several
-    /// networks share one optimiser.
+    /// Applies one step of `optim` to this network alone.
     pub fn apply(&mut self, optim: &mut Adam) {
-        self.apply_with_base(optim, 0);
+        optim.update([self.trainable()]);
     }
 
-    /// Applies the optimiser using parameter ids starting at `base`;
-    /// returns the next free id. Lets multiple `Mlp`s (trunk + heads) share
-    /// a single [`Adam`] instance without id collisions. Each dense layer
-    /// takes two ids, weights then bias — the order of
-    /// [`parameter_lens`](Self::parameter_lens).
-    pub fn apply_with_base(&mut self, optim: &mut Adam, base: usize) -> usize {
-        self.denses_mut().fold(base, |id, d| d.apply(optim, id))
+    /// The parameter arena and the gradient arena (allocated as zeros if no
+    /// pass has made it yet): the region an optimiser step updates. Several
+    /// networks share one [`Adam`] by handing it theirs in a fixed order.
+    pub fn trainable(&mut self) -> (&mut [f32], &[f32]) {
+        let grads = ensure_grads(&mut self.grads, &self.params);
+        (&mut self.params, grads)
     }
 
-    /// The length of every parameter tensor in the order
-    /// [`apply_with_base`](Self::apply_with_base) hands out ids: per dense
-    /// layer, weights then bias.
+    /// The length of every parameter tensor in the arena, in order: per
+    /// dense layer, weights then bias.
     pub fn parameter_lens(&self) -> impl Iterator<Item = usize> + '_ {
         self.denses()
-            .flat_map(|d| [d.in_dim() * d.out_dim(), d.out_dim()])
+            .flat_map(|d| [d.weights().len(), d.bias().len()])
     }
 
     /// Total number of trainable scalar parameters.
     pub fn param_count(&self) -> usize {
-        self.denses().map(Dense::param_count).sum()
+        self.params.len()
     }
 
-    /// Heap bytes held, at allocated capacity: the layers (weights and,
-    /// once a backward pass or `zero_grads` has run, gradients) and the
-    /// network's own tape.
+    /// Heap bytes held, at allocated capacity: the layers, the parameter
+    /// arena, the gradient arena once a pass has made it, and the network's
+    /// own tape.
     pub fn heap_bytes(&self) -> usize {
         self.layers.capacity() * std::mem::size_of::<MlpLayer>()
-            + self
-                .denses()
-                .map(|d| std::mem::size_of::<Dense>() + d.heap_bytes())
-                .sum::<usize>()
+            + (self.params.capacity() + self.grads.capacity()) * std::mem::size_of::<f32>()
             + self.tape.heap_bytes()
     }
 
-    /// Squared L2 norm of all accumulated gradients.
+    /// Squared L2 norm of all accumulated gradients: per dense layer
+    /// `Σw² + Σb²`, summed over the layers.
     pub fn grad_sq_norm(&self) -> f32 {
-        self.denses().map(Dense::grad_sq_norm).sum()
+        self.denses().map(|d| d.grad_sq_norm(&self.grads)).sum()
     }
 
     /// Scales all accumulated gradients, e.g. for global-norm clipping or
     /// the multi-agent BDQ's 1/K and 1/D rescaling.
     pub fn scale_grads(&mut self, factor: f32) {
-        self.denses_mut().for_each(|d| d.scale_grads(factor));
+        for g in &mut self.grads {
+            *g *= factor;
+        }
     }
 
     /// Copies all weights from a network with an identical architecture
@@ -569,27 +663,20 @@ impl Mlp {
     ///
     /// Returns [`NnError::ShapeMismatch`] when architectures differ.
     pub fn copy_weights_from(&mut self, other: &Mlp) -> Result<(), NnError> {
-        if self.layers.len() != other.layers.len() {
+        if self.layers.len() != other.layers.len()
+            || !self.parameter_lens().eq(other.parameter_lens())
+        {
             return Err(NnError::ShapeMismatch {
                 detail: format!(
-                    "layer count {} vs {}",
+                    "{} layers with tensors {:?} vs {} with {:?}",
                     self.layers.len(),
-                    other.layers.len()
+                    self.parameter_lens().collect::<Vec<_>>(),
+                    other.layers.len(),
+                    other.parameter_lens().collect::<Vec<_>>()
                 ),
             });
         }
-        for (dst, src) in self.layers.iter_mut().zip(&other.layers) {
-            match (dst, src) {
-                (MlpLayer::Dense(d), MlpLayer::Dense(s)) => d.copy_weights_from(s)?,
-                (MlpLayer::Relu(_), MlpLayer::Relu(_)) => {}
-                (MlpLayer::Dropout(_), MlpLayer::Dropout(_)) => {}
-                _ => {
-                    return Err(NnError::ShapeMismatch {
-                        detail: "layer kind mismatch".into(),
-                    })
-                }
-            }
-        }
+        self.params.copy_from_slice(&other.params);
         Ok(())
     }
 
@@ -599,52 +686,26 @@ impl Mlp {
     ///
     /// Returns `true` if a dense layer was found and reset.
     pub fn reinitialize_last_dense<R: Rng>(&mut self, rng: &mut R) -> bool {
-        for layer in self.layers.iter_mut().rev() {
-            if let MlpLayer::Dense(d) = layer {
-                d.reinitialize(rng);
-                return true;
-            }
+        let Some(&at) = self.denses().last() else {
+            return false;
+        };
+        he_init(at.in_dim, &mut self.params[at.weights()], rng);
+        self.params[at.bias()].fill(0.0);
+        if let Some(grads) = self.grads.get_mut(at.range()) {
+            grads.fill(0.0);
         }
-        false
+        true
     }
 
-    /// Flattens all dense-layer weights into one vector (for tests and
-    /// checkpoint-style persistence).
-    pub fn export_weights(&self) -> Vec<f32> {
-        let mut out = Vec::new();
-        for layer in &self.layers {
-            if let MlpLayer::Dense(d) = layer {
-                out.extend_from_slice(d.weights().as_slice());
-            }
-        }
-        out
+    /// The parameter arena: per dense layer in order, its weights (row-major
+    /// `in × out`) and then its bias — the checkpoint layout.
+    pub fn parameters(&self) -> &[f32] {
+        &self.params
     }
 
-    /// Flattens every trainable parameter (weights *and* biases, in layer
-    /// order) into one vector — the checkpoint format used by
-    /// [`import_parameters`](Self::import_parameters).
-    pub fn export_parameters(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.param_count());
-        self.export_parameters_into(&mut out);
-        out
-    }
-
-    /// Like [`export_parameters`](Self::export_parameters) but writes into a
-    /// caller-owned buffer (cleared first), so repeated snapshots reuse the
-    /// buffer's capacity and stay allocation-free.
-    pub fn export_parameters_into(&self, out: &mut Vec<f32>) {
-        out.clear();
-        for layer in &self.layers {
-            if let MlpLayer::Dense(d) = layer {
-                out.extend_from_slice(d.weights().as_slice());
-                out.extend_from_slice(d.bias());
-            }
-        }
-    }
-
-    /// Restores every trainable parameter from a flat buffer produced by
-    /// [`export_parameters`](Self::export_parameters) on a network with an
-    /// identical architecture.
+    /// Restores every trainable parameter from an arena taken from
+    /// [`parameters`](Self::parameters) of a network with an identical
+    /// architecture.
     ///
     /// # Errors
     ///
@@ -660,17 +721,7 @@ impl Mlp {
                 ),
             });
         }
-        let mut offset = 0;
-        for layer in &mut self.layers {
-            if let MlpLayer::Dense(d) = layer {
-                let wn = d.in_dim() * d.out_dim();
-                let bn = d.out_dim();
-                let weights = &params[offset..offset + wn];
-                let bias = &params[offset + wn..offset + wn + bn];
-                d.set_parameters(weights, bias)?;
-                offset += wn + bn;
-            }
-        }
+        self.params.copy_from_slice(params);
         Ok(())
     }
 }
@@ -722,9 +773,9 @@ mod tests {
     fn target_network_sync() {
         let mut online = tiny_net(1);
         let mut target = tiny_net(2);
-        assert_ne!(online.export_weights(), target.export_weights());
+        assert_ne!(online.parameters(), target.parameters());
         target.copy_weights_from(&online).unwrap();
-        assert_eq!(online.export_weights(), target.export_weights());
+        assert_eq!(online.parameters(), target.parameters());
         // Diverge online again; target must be unaffected.
         let x = Tensor::from_row(&[1.0, 1.0]);
         let t = Tensor::from_row(&[0.0]);
@@ -734,7 +785,7 @@ mod tests {
         online.backward(&g);
         let mut adam = Adam::new(0.1);
         online.apply(&mut adam);
-        assert_ne!(online.export_weights(), target.export_weights());
+        assert_ne!(online.parameters(), target.parameters());
     }
 
     #[test]
@@ -748,14 +799,15 @@ mod tests {
     #[test]
     fn reinitialize_last_dense_changes_only_last() {
         let mut net = tiny_net(3);
-        let before = net.export_weights();
+        let before = net.parameters().to_vec();
         let mut rng = Xoshiro256::seed_from_u64(99);
         assert!(net.reinitialize_last_dense(&mut rng));
-        let after = net.export_weights();
-        // First dense layer (2*6 = 12 weights) unchanged.
-        assert_eq!(&before[..12], &after[..12]);
-        // Last dense layer (6 weights) changed.
-        assert_ne!(&before[12..], &after[12..]);
+        let after = net.parameters();
+        // First dense layer (2*6 weights + 6 biases) unchanged.
+        assert_eq!(&before[..18], &after[..18]);
+        // Last dense layer's 6 weights changed, its bias is zero again.
+        assert_ne!(&before[18..24], &after[18..24]);
+        assert_eq!(after[24], 0.0);
     }
 
     #[test]
@@ -792,7 +844,7 @@ mod tests {
         let mut adam = Adam::new(0.1);
         a.apply(&mut adam);
 
-        let params = a.export_parameters();
+        let params = a.parameters().to_vec();
         assert_eq!(params.len(), a.param_count());
         let mut b = tiny_net(8);
         assert_ne!(b.forward(&x, false), a.forward(&x, false));
@@ -803,13 +855,41 @@ mod tests {
     }
 
     #[test]
-    fn export_parameters_superset_of_weights() {
-        let net = tiny_net(9);
-        // Parameters = weights + biases.
-        assert_eq!(
-            net.export_parameters().len(),
-            net.export_weights().len() + 6 + 1
-        );
+    fn dense_draws_into_the_arena_what_a_pushed_dense_holds() {
+        let pushed = tiny_net(9);
+        let mut rng = Xoshiro256::seed_from_u64(9);
+        let drawn = Mlp::with_capacity(pushed.param_count())
+            .dense(2, 6, &mut rng)
+            .push(Relu::new())
+            .dense(6, 1, &mut rng);
+        assert_eq!(drawn.parameters(), pushed.parameters());
+        assert_eq!(drawn.parameter_lens().collect::<Vec<_>>(), [12, 6, 6, 1]);
+        // One allocation of exactly the parameters, no gradients yet.
+        let layers = drawn.layers.capacity() * std::mem::size_of::<MlpLayer>();
+        assert_eq!(drawn.heap_bytes(), layers + 25 * 4);
+    }
+
+    #[test]
+    fn gradients_allocate_on_first_use_and_accumulate() {
+        let mut rng = Xoshiro256::seed_from_u64(2);
+        let mut net = Mlp::new().push(Dense::new(2, 4, &mut rng));
+        let weights_only = net.heap_bytes();
+        assert_eq!(net.grad_sq_norm(), 0.0);
+        net.scale_grads(2.0);
+        assert_eq!(net.heap_bytes(), weights_only);
+        let x = Tensor::from_row(&[1.0, 0.0]);
+        for _ in 0..2 {
+            net.forward_scratch(&x, true);
+            net.backward_scratch(&Tensor::from_row(&[1.0; 4]));
+        }
+        let expected = [2.0, 2.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0, 2.0, 2.0, 2.0, 2.0];
+        assert_eq!(net.grads, expected);
+        assert_eq!(net.grad_sq_norm(), 32.0);
+        // Re-initialising zeroes gradients that exist and allocates none.
+        net.reinitialize_last_dense(&mut rng);
+        assert_eq!(net.grads, [0.0; 12]);
+        net.zero_grads();
+        assert_eq!(net.grads, [0.0; 12]);
     }
 
     #[test]
@@ -842,9 +922,9 @@ mod tests {
             scratch_net.zero_grads();
             scratch_net.backward_scratch(&grad);
             scratch_net.apply(&mut adam_s);
-            let pa = alloc_net.export_parameters();
-            let ps = scratch_net.export_parameters();
-            for (a, s) in pa.iter().zip(&ps) {
+            let pa = alloc_net.parameters();
+            let ps = scratch_net.parameters();
+            for (a, s) in pa.iter().zip(ps) {
                 assert_eq!(a.to_bits(), s.to_bits());
             }
         }
@@ -954,8 +1034,8 @@ mod tests {
             full.apply(&mut adam_f);
             split.apply(&mut adam_s);
             assert_eq!(
-                bits(&Tensor::from_row(&full.export_parameters())),
-                bits(&Tensor::from_row(&split.export_parameters()))
+                bits(&Tensor::from_row(full.parameters())),
+                bits(&Tensor::from_row(split.parameters()))
             );
         }
         // No input gradient at all: the shape says so, the parameters'
@@ -1005,12 +1085,11 @@ mod tests {
             }
         }
         for (a, b) in shared.iter().zip(&own) {
-            for (da, db) in a.denses().zip(b.denses()) {
-                let ((wa, ba), (wb, bb)) = (da.grads(), db.grads());
-                assert!(wa.rows() > 0);
-                assert_eq!(bits(wa), bits(wb));
-                assert_eq!(bits(&Tensor::from_row(ba)), bits(&Tensor::from_row(bb)));
-            }
+            assert_eq!(a.grads.len(), a.param_count());
+            assert_eq!(
+                bits(&Tensor::from_row(&a.grads)),
+                bits(&Tensor::from_row(&b.grads))
+            );
             // Nothing ran on the sharing networks' own tapes.
             assert_eq!(a.tape.heap_bytes(), 0);
             assert!(b.tape.heap_bytes() > 0);

@@ -1,12 +1,12 @@
 /// Adam optimiser ([Kingma & Ba 2014]), the optimiser used by the paper
 /// (Section IV: learning rate 0.0025).
 ///
-/// State (first/second moment estimates) is keyed by a stable parameter id
-/// supplied by the caller, so one `Adam` instance can drive a whole network
-/// of heterogeneous layers. Ids index a vector of slots — hand them out
-/// densely from `0`, as [`Mlp::apply_with_base`](crate::Mlp::apply_with_base)
-/// does, and check ids that arrive from outside the program before
-/// [`import_state`](Self::import_state) sees them.
+/// One `Adam` drives any number of parameter arrays as one flat vector: an
+/// [`update`](Self::update) is one optimiser step — one bias-correction step
+/// count `t` — over the regions it is handed, in order, and the moments `m`
+/// and `v` are laid out the same way. Hand it the same regions in the same
+/// order every step: `twig-rl`'s learner hands over the parameter arenas of
+/// its trunk, value heads and advantage heads.
 ///
 /// [Kingma & Ba 2014]: https://arxiv.org/abs/1412.6980
 ///
@@ -19,8 +19,8 @@
 /// let mut param = vec![1.0f32];
 /// for _ in 0..100 {
 ///     // Gradient of f(x) = x^2 is 2x: drive x to 0.
-///     let grad = vec![2.0 * param[0]];
-///     adam.update(0, &mut param, &grad);
+///     let grad = [2.0 * param[0]];
+///     adam.update([(&mut param[..], &grad[..])]);
 /// }
 /// assert!(param[0].abs() < 0.1);
 /// ```
@@ -30,9 +30,11 @@ pub struct Adam {
     beta1: f32,
     beta2: f32,
     eps: f32,
-    // Slot `i` belongs to parameter id `i`; a slot whose moments are empty
-    // has not been registered.
-    slots: Vec<AdamSlot>,
+    /// Steps taken since construction or the last reset.
+    t: u64,
+    // Empty until the first step after construction or a reset.
+    m: Vec<f32>,
+    v: Vec<f32>,
 }
 
 impl Adam {
@@ -44,7 +46,9 @@ impl Adam {
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
-            slots: Vec::new(),
+            t: 0,
+            m: Vec::new(),
+            v: Vec::new(),
         }
     }
 
@@ -60,123 +64,128 @@ impl Adam {
         self.lr
     }
 
-    /// Applies one Adam step to `param` given `grad`, using the moment
-    /// buffers registered under `param_id`.
+    /// Applies one Adam step to every `(parameters, gradients)` region, in
+    /// order. The first step after construction or a reset allocates the
+    /// moments (zeros) to the regions' total length.
     ///
     /// # Panics
     ///
-    /// Panics if `param.len() != grad.len()`, or if `param_id` was
-    /// previously used with a different parameter length.
-    pub fn update(&mut self, param_id: usize, param: &mut [f32], grad: &[f32]) {
-        assert_eq!(
-            param.len(),
-            grad.len(),
-            "parameter/gradient length mismatch for id {param_id}"
-        );
+    /// Panics if a region's parameter and gradient lengths differ, or if the
+    /// regions' total length is not the moments' length.
+    pub fn update<'a>(&mut self, regions: impl IntoIterator<Item = (&'a mut [f32], &'a [f32])>) {
+        let fresh = self.m.is_empty();
+        self.t += 1;
         let (lr, beta1, beta2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
-        let slot = self.slot_mut(param_id);
-        if slot.m.is_empty() {
-            slot.m = vec![0.0; param.len()];
-            slot.v = vec![0.0; param.len()];
-        }
-        assert_eq!(
-            slot.m.len(),
-            param.len(),
-            "parameter id {param_id} reused with a different shape"
-        );
-        slot.steps += 1;
-        let AdamSlot { steps: t, m, v, .. } = slot;
-        let t = *t as i32;
+        let t = self.t as i32;
         let bias1 = 1.0 - beta1.powi(t);
         let bias2 = 1.0 - beta2.powi(t);
         let parking = Parking::new(lr, beta1, bias1, eps);
         let mut parked = [0u32; CHUNK];
-        for (((param, grad), m), v) in param
-            .chunks_mut(CHUNK)
-            .zip(grad.chunks(CHUNK))
-            .zip(m.chunks_mut(CHUNK))
-            .zip(v.chunks_mut(CHUNK))
-        {
-            // `|`, not `any`: no early exit, so the scan vectorises.
-            let stuck = m.iter().fold(false, |hit, m| hit | m.is_subnormal());
-            if stuck {
-                parking.park((param, grad), (m, v), &mut parked);
+        let mut at = 0;
+        for (param, grad) in regions {
+            assert_eq!(
+                param.len(),
+                grad.len(),
+                "parameter/gradient length mismatch"
+            );
+            let end = at + param.len();
+            if fresh {
+                self.m.resize(end, 0.0);
+                self.v.resize(end, 0.0);
             }
-            // One zipped pass with the hyper-parameters in locals: no index,
-            // no bounds check, nothing reloaded through `self`, so the loop
-            // vectorises. Element-wise IEEE operations in the written order
-            // — bit-identical to the indexed form (see the test below).
-            for (((p, &g), m), v) in param
-                .iter_mut()
-                .zip(grad)
-                .zip(m.iter_mut())
-                .zip(v.iter_mut())
+            assert!(
+                end <= self.m.len(),
+                "regions longer than the {} moments",
+                self.m.len()
+            );
+            let (m, v) = (&mut self.m[at..end], &mut self.v[at..end]);
+            for (((param, grad), m), v) in param
+                .chunks_mut(CHUNK)
+                .zip(grad.chunks(CHUNK))
+                .zip(m.chunks_mut(CHUNK))
+                .zip(v.chunks_mut(CHUNK))
             {
-                *m = beta1 * *m + (1.0 - beta1) * g;
-                *v = beta2 * *v + (1.0 - beta2) * g * g;
-                let m_hat = *m / bias1;
-                let v_hat = *v / bias2;
-                *p -= lr * m_hat / (v_hat.sqrt() + eps);
-            }
-            if stuck {
-                for (m, bits) in m.iter_mut().zip(&mut parked) {
-                    *m = if *bits != 0 {
-                        f32::from_bits(*bits)
-                    } else {
-                        *m
-                    };
-                    *bits = 0;
+                // `|`, not `any`: no early exit, so the scan vectorises.
+                let stuck = m.iter().fold(false, |hit, m| hit | m.is_subnormal());
+                if stuck {
+                    parking.park((param, grad), (m, v), &mut parked);
+                }
+                // One zipped pass with the hyper-parameters in locals: no index,
+                // no bounds check, nothing reloaded through `self`, so the loop
+                // vectorises. Element-wise IEEE operations in the written order
+                // — bit-identical to the indexed form over any split into
+                // regions (see the tests below).
+                for (((p, &g), m), v) in param
+                    .iter_mut()
+                    .zip(grad)
+                    .zip(m.iter_mut())
+                    .zip(v.iter_mut())
+                {
+                    *m = beta1 * *m + (1.0 - beta1) * g;
+                    *v = beta2 * *v + (1.0 - beta2) * g * g;
+                    let m_hat = *m / bias1;
+                    let v_hat = *v / bias2;
+                    *p -= lr * m_hat / (v_hat.sqrt() + eps);
+                }
+                if stuck {
+                    for (m, bits) in m.iter_mut().zip(&mut parked) {
+                        *m = if *bits != 0 {
+                            f32::from_bits(*bits)
+                        } else {
+                            *m
+                        };
+                        *bits = 0;
+                    }
                 }
             }
+            at = end;
+        }
+        assert_eq!(at, self.m.len(), "regions shorter than the moments");
+        if fresh {
+            self.m.shrink_to_fit();
+            self.v.shrink_to_fit();
         }
     }
 
-    /// The slot of `param_id`, growing the vector by empty slots up to it.
-    fn slot_mut(&mut self, param_id: usize) -> &mut AdamSlot {
-        let registered = self.slots.len();
-        if param_id >= registered {
-            self.slots
-                .extend((registered..=param_id).map(|id| AdamSlot {
-                    id,
-                    steps: 0,
-                    m: Vec::new(),
-                    v: Vec::new(),
-                }));
-        }
-        &mut self.slots[param_id]
-    }
-
-    /// Discards all moment state (used when weights are replaced wholesale,
-    /// e.g. by transfer learning).
+    /// Discards all moment state and the step count (used when weights are
+    /// replaced wholesale, e.g. by transfer learning).
     pub fn reset_state(&mut self) {
-        self.slots.clear();
+        self.t = 0;
+        self.m = Vec::new();
+        self.v = Vec::new();
     }
 
-    /// Snapshots the moment buffers and step counts for every registered
-    /// parameter id, in ascending id order.
-    pub fn export_state(&self) -> AdamState {
-        let registered = self.slots.iter().filter(|s| !s.m.is_empty());
-        AdamState {
-            slots: registered.cloned().collect(),
-        }
+    /// Steps taken since construction or the last reset: the bias-correction
+    /// step count `t`.
+    pub fn steps(&self) -> u64 {
+        self.t
     }
 
-    /// Replaces all moment state with a snapshot produced by
-    /// [`export_state`](Self::export_state). Existing state is discarded
-    /// first, so importing an empty snapshot is equivalent to
-    /// [`reset_state`](Self::reset_state).
-    pub fn import_state(&mut self, state: &AdamState) {
-        self.reset_state();
-        for slot in &state.slots {
-            *self.slot_mut(slot.id) = slot.clone();
+    /// The first and second moments, laid out like the regions
+    /// [`update`](Self::update) is handed; empty before the first step.
+    pub fn moments(&self) -> (&[f32], &[f32]) {
+        (&self.m, &self.v)
+    }
+
+    /// Sets the step count to `steps` and the moments to `len` zeros each
+    /// (reusing their allocation), and lends them out to be filled, e.g. from
+    /// a checkpoint. `len = 0` is [`reset_state`](Self::reset_state).
+    pub fn restore(&mut self, steps: u64, len: usize) -> (&mut [f32], &mut [f32]) {
+        if len == 0 {
+            self.reset_state();
+        } else {
+            self.t = steps;
+            for moment in [&mut self.m, &mut self.v] {
+                moment.clear();
+                moment.resize(len, 0.0);
+            }
         }
+        (&mut self.m, &mut self.v)
     }
 
     /// Heap bytes held, at allocated capacity.
     pub fn heap_bytes(&self) -> usize {
-        let moments = |s: &AdamSlot| (s.m.capacity() + s.v.capacity()) * std::mem::size_of::<f32>();
-        self.slots.capacity() * std::mem::size_of::<AdamSlot>()
-            + self.slots.iter().map(moments).sum::<usize>()
+        (self.m.capacity() + self.v.capacity()) * std::mem::size_of::<f32>()
     }
 }
 
@@ -220,7 +229,8 @@ const CHUNK: usize = 64;
 /// A parked element enters the plain loop with `m = +0`, which takes it
 /// through `m' = 0`, `x = 0/… = 0`, `p − 0 = p` without a subnormal in sight
 /// and leaves `v' = β₂·v + 0` as it would have been; its stored `m'` is put
-/// back afterwards.
+/// back afterwards. Each element is decided on its own, so where a chunk or
+/// a region starts changes nothing but which chunks run the scan.
 struct Parking {
     beta1: f64,
     /// Upper bound on `|x|` for a subnormal `m'`; infinite (nothing parks)
@@ -275,30 +285,14 @@ impl Parking {
     }
 }
 
-/// Serializable snapshot of an [`Adam`] optimiser's moment state, used by
-/// checkpointing. Slots are ordered by ascending parameter id.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct AdamState {
-    /// One slot per registered parameter id, ascending by id.
-    pub slots: Vec<AdamSlot>,
-}
-
-/// Moment buffers and bias-correction step count for one parameter id.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdamSlot {
-    /// The parameter id the buffers are registered under.
-    pub id: usize,
-    /// Bias-correction step count `t`.
-    pub steps: u64,
-    /// First-moment estimate.
-    pub m: Vec<f32>,
-    /// Second-moment estimate.
-    pub v: Vec<f32>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One step over a single region.
+    fn step(adam: &mut Adam, param: &mut [f32], grad: &[f32]) {
+        adam.update([(param, grad)]);
+    }
 
     #[test]
     fn converges_on_quadratic_bowl() {
@@ -306,7 +300,7 @@ mod tests {
         let mut p = vec![5.0f32, -3.0];
         for _ in 0..2000 {
             let grad: Vec<f32> = p.iter().map(|x| 2.0 * x).collect();
-            adam.update(7, &mut p, &grad);
+            step(&mut adam, &mut p, &grad);
         }
         assert!(p.iter().all(|x| x.abs() < 1e-2), "p = {p:?}");
     }
@@ -332,8 +326,10 @@ mod tests {
             }
         }
         let mut rng = Xoshiro256::seed_from_u64(0xada);
-        // 37 is not a multiple of any vector width: the tail runs too.
+        // 37 is not a multiple of any vector width: the tail runs too. The
+        // regions cut it where a network's tensors would, off any chunk.
         let n = 37;
+        let cuts = [0, 5, 6, 30, 37];
         let mut adam = Adam::new(0.0025);
         let mut got: Vec<f32> = (0..n).map(|_| rng.range_f32(-1.0, 1.0)).collect();
         let mut want = got.clone();
@@ -348,7 +344,15 @@ mod tests {
                     }
                 })
                 .collect();
-            adam.update(0, &mut got, &grad);
+            let mut rest = &mut got[..];
+            let mut regions = Vec::new();
+            for w in cuts.windows(2) {
+                let (head, tail) = rest.split_at_mut(w[1] - w[0]);
+                regions.push((head, &grad[w[0]..w[1]]));
+                rest = tail;
+            }
+            adam.update(regions);
+            assert_eq!(adam.steps(), t as u64);
             reference(
                 (0.0025, 0.9, 0.999, 1e-8),
                 t,
@@ -439,14 +443,9 @@ mod tests {
             let grad: Vec<f32> = (0..n).map(|_| pick(&gs)).collect();
             let start = 40;
             let mut adam = Adam::new(lr).with_betas(beta1, beta2);
-            adam.import_state(&AdamState {
-                slots: vec![AdamSlot {
-                    id: 0,
-                    steps: start,
-                    m: want_m.clone(),
-                    v: want_v.clone(),
-                }],
-            });
+            let (m, v) = adam.restore(start, n);
+            m.copy_from_slice(&want_m);
+            v.copy_from_slice(&want_v);
             let mut got_p = want_p.clone();
             let mut parked_some = false;
             for t in start + 1..start + 200 {
@@ -454,19 +453,19 @@ mod tests {
                     .iter()
                     .zip(&grad)
                     .any(|(m, g)| m.is_subnormal() && *g == 0.0);
-                adam.update(0, &mut got_p, &grad);
+                step(&mut adam, &mut got_p, &grad);
                 reference(
                     (lr, beta1, beta2, 1e-8),
                     t as i32,
                     (&mut want_p, &grad),
                     (&mut want_m, &mut want_v),
                 );
-                let state = adam.export_state();
+                let (m, v) = adam.moments();
                 let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 let what = format!("lr {lr} betas {beta1}/{beta2} step {t}");
                 assert_eq!(bits(&got_p), bits(&want_p), "p, {what}");
-                assert_eq!(bits(&state.slots[0].m), bits(&want_m), "m, {what}");
-                assert_eq!(bits(&state.slots[0].v), bits(&want_v), "v, {what}");
+                assert_eq!(bits(m), bits(&want_m), "m, {what}");
+                assert_eq!(bits(v), bits(&want_v), "v, {what}");
             }
             assert!(parked_some);
         }
@@ -478,41 +477,48 @@ mod tests {
         // that went to zero never reaches zero, it stops a few ulps short.
         let mut adam = Adam::new(0.0025);
         let mut p = vec![0.5f32];
-        adam.update(0, &mut p, &[1e-3]);
+        step(&mut adam, &mut p, &[1e-3]);
         for _ in 0..2000 {
-            adam.update(0, &mut p, &[0.0]);
+            step(&mut adam, &mut p, &[0.0]);
         }
-        let m = adam.export_state().slots[0].m[0];
+        let m = adam.moments().0[0];
         assert!(m.is_subnormal(), "m = {m:e}");
         assert_eq!(m.to_bits(), 4);
     }
 
     #[test]
-    fn separate_ids_have_separate_state() {
+    fn first_step_sizes_the_moments_exactly() {
         let mut adam = Adam::new(0.1);
-        let mut a = vec![1.0f32];
-        let mut b = vec![1.0f32];
-        adam.update(0, &mut a, &[1.0]);
-        adam.update(0, &mut a, &[1.0]);
-        adam.update(1, &mut b, &[1.0]);
+        assert_eq!(adam.heap_bytes(), 0);
+        let (mut a, mut b) = (vec![1.0f32; 3], vec![1.0f32; 70]);
+        adam.update([(&mut a[..], &[1.0; 3][..]), (&mut b[..], &[1.0; 70][..])]);
+        assert_eq!((adam.steps(), adam.moments().0.len()), (1, 73));
+        assert_eq!(adam.heap_bytes(), 2 * 73 * 4);
         // First step moves exactly lr regardless of gradient magnitude.
-        assert!((b[0] - 0.9).abs() < 1e-5);
-        assert!(a[0] < b[0]);
+        assert!((a[0] - 0.9).abs() < 1e-5 && (b[69] - 0.9).abs() < 1e-5);
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn rejects_mismatched_grad() {
         let mut adam = Adam::new(0.1);
-        adam.update(0, &mut [1.0], &[1.0, 2.0]);
+        step(&mut adam, &mut [1.0], &[1.0, 2.0]);
     }
 
     #[test]
-    #[should_panic(expected = "different shape")]
-    fn rejects_id_reuse_with_new_shape() {
+    #[should_panic(expected = "regions longer")]
+    fn rejects_regions_longer_than_the_moments() {
         let mut adam = Adam::new(0.1);
-        adam.update(0, &mut [1.0], &[1.0]);
-        adam.update(0, &mut [1.0, 2.0], &[1.0, 1.0]);
+        step(&mut adam, &mut [1.0], &[1.0]);
+        step(&mut adam, &mut [1.0, 2.0], &[1.0, 1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "regions shorter")]
+    fn rejects_regions_shorter_than_the_moments() {
+        let mut adam = Adam::new(0.1);
+        step(&mut adam, &mut [1.0, 2.0], &[1.0, 1.0]);
+        step(&mut adam, &mut [1.0], &[1.0]);
     }
 
     #[test]
@@ -522,19 +528,19 @@ mod tests {
         let mut pa = vec![5.0f32, -3.0];
         for _ in 0..10 {
             let grad: Vec<f32> = pa.iter().map(|x| 2.0 * x).collect();
-            a.update(3, &mut pa, &grad);
+            step(&mut a, &mut pa, &grad);
         }
-        let state = a.export_state();
-        assert_eq!(state.slots.len(), 1);
-        assert_eq!(state.slots[0].id, 3);
-        assert_eq!(state.slots[0].steps, 10);
-        b.import_state(&state);
+        assert_eq!(a.steps(), 10);
+        let (m, v) = a.moments();
+        let (bm, bv) = b.restore(a.steps(), m.len());
+        bm.copy_from_slice(m);
+        bv.copy_from_slice(v);
         let mut pb = pa.clone();
         for _ in 0..10 {
             let grad: Vec<f32> = pa.iter().map(|x| 2.0 * x).collect();
-            a.update(3, &mut pa, &grad);
+            step(&mut a, &mut pa, &grad);
             let grad: Vec<f32> = pb.iter().map(|x| 2.0 * x).collect();
-            b.update(3, &mut pb, &grad);
+            step(&mut b, &mut pb, &grad);
         }
         for (x, y) in pa.iter().zip(&pb) {
             assert_eq!(x.to_bits(), y.to_bits());
@@ -542,39 +548,14 @@ mod tests {
     }
 
     #[test]
-    fn ids_registered_out_of_order_export_in_id_order() {
-        let mut adam = Adam::new(0.1);
-        adam.update(9, &mut [1.0], &[1.0]);
-        adam.update(2, &mut [1.0, 2.0], &[1.0, 1.0]);
-        adam.update(5, &mut [1.0], &[1.0]);
-        adam.update(2, &mut [1.0, 2.0], &[1.0, 1.0]);
-        // The ids in between hold empty slots, which an export skips and a
-        // round trip through `import_state` leaves empty.
-        let state = adam.export_state();
-        let summary = |state: &AdamState| -> Vec<(usize, u64, usize)> {
-            let slots = state.slots.iter();
-            slots.map(|s| (s.id, s.steps, s.m.len())).collect()
-        };
-        assert_eq!(summary(&state), [(2, 2, 2), (5, 1, 1), (9, 1, 1)]);
-        let mut twin = Adam::new(0.1);
-        twin.import_state(&state);
-        assert_eq!(twin.export_state(), state);
-        // A skipped id registers later like any new one.
-        twin.update(3, &mut [1.0], &[1.0]);
-        assert_eq!(
-            summary(&twin.export_state()),
-            [(2, 2, 2), (3, 1, 1), (5, 1, 1), (9, 1, 1)]
-        );
-    }
-
-    #[test]
-    fn import_empty_state_resets() {
+    fn restoring_nothing_resets() {
         let mut adam = Adam::new(0.1);
         let mut p = vec![0.0f32];
-        adam.update(0, &mut p, &[1.0]);
-        adam.import_state(&AdamState::default());
+        step(&mut adam, &mut p, &[1.0]);
+        adam.restore(7, 0);
+        assert_eq!((adam.steps(), adam.heap_bytes()), (0, 0));
         let mut q = vec![0.0f32];
-        adam.update(0, &mut q, &[1.0]);
+        step(&mut adam, &mut q, &[1.0]);
         assert!((q[0] + 0.1).abs() < 1e-6);
     }
 
@@ -582,11 +563,11 @@ mod tests {
     fn reset_state_restarts_bias_correction() {
         let mut adam = Adam::new(0.1);
         let mut p = vec![0.0f32];
-        adam.update(0, &mut p, &[1.0]);
+        step(&mut adam, &mut p, &[1.0]);
         let after_first = p[0];
         adam.reset_state();
         let mut q = vec![0.0f32];
-        adam.update(0, &mut q, &[1.0]);
+        step(&mut adam, &mut q, &[1.0]);
         assert!((after_first - q[0]).abs() < 1e-7);
     }
 }

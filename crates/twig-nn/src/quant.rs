@@ -13,7 +13,7 @@
 //! `nn.quant_forward_us` and `rl.select_quantized_p50_us` ledger probes, and
 //! a later ledger change retires it together with them.
 
-use crate::{Dense, NnError, Tensor};
+use crate::{NnError, Tensor};
 
 /// Symmetric weight grid: ±2047 (11 bits + sign) so a 127-scaled activation
 /// times a 2047-scaled weight summed over ≤ 8192 inputs stays inside i32.
@@ -37,27 +37,26 @@ pub struct QuantizedDense {
 }
 
 impl QuantizedDense {
-    fn from_dense(layer: &Dense) -> Result<Self, NnError> {
-        if layer.in_dim() > MAX_IN_DIM {
+    /// Quantizes an `in_dim × b.len()` layer's row-major weights `w`.
+    fn new(in_dim: usize, w: &[f32], b: &[f32]) -> Result<Self, NnError> {
+        if in_dim > MAX_IN_DIM {
             return Err(NnError::ShapeMismatch {
                 detail: format!(
-                    "dense in_dim {} exceeds the {MAX_IN_DIM} i32-accumulator headroom",
-                    layer.in_dim()
+                    "dense in_dim {in_dim} exceeds the {MAX_IN_DIM} i32-accumulator headroom"
                 ),
             });
         }
-        let w = layer.weights().as_slice();
         let w_max = w.iter().fold(0.0f32, |m, v| m.max(v.abs()));
         let w_scale = if w_max > 0.0 { w_max / W_LEVELS } else { 1.0 };
         Ok(QuantizedDense {
-            in_dim: layer.in_dim(),
-            out_dim: layer.out_dim(),
+            in_dim,
+            out_dim: b.len(),
             wq: w
                 .iter()
                 .map(|&v| (v / w_scale).round().clamp(-W_LEVELS, W_LEVELS) as i16)
                 .collect(),
             w_scale,
-            b: layer.bias().to_vec(),
+            b: b.to_vec(),
         })
     }
 
@@ -146,20 +145,26 @@ impl QuantizedMlp {
         Self::default()
     }
 
-    /// Appends a quantized snapshot of a dense layer.
+    /// Appends a quantized snapshot of a dense layer with `in_dim` inputs,
+    /// row-major weights `w` and bias `b`.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] when `in_dim > 8192` (i32
     /// accumulator headroom).
-    pub fn push_dense(&mut self, layer: &Dense) -> Result<(), NnError> {
+    pub(crate) fn push_dense(
+        &mut self,
+        in_dim: usize,
+        w: &[f32],
+        b: &[f32],
+    ) -> Result<(), NnError> {
         self.layers
-            .push(QuantLayer::Dense(QuantizedDense::from_dense(layer)?));
+            .push(QuantLayer::Dense(QuantizedDense::new(in_dim, w, b)?));
         Ok(())
     }
 
     /// Appends a ReLU (applied in f32 after dequantization).
-    pub fn push_relu(&mut self) {
+    pub(crate) fn push_relu(&mut self) {
         self.layers.push(QuantLayer::Relu);
     }
 
@@ -285,7 +290,7 @@ mod tests {
         // Identical weights by construction (same seed, same draw order for
         // dense layers)? Dropout construction does not draw from the weight
         // RNG, so the dense layers match.
-        assert_eq!(with.export_parameters(), plain.export_parameters());
+        assert_eq!(with.parameters(), plain.parameters());
         let mut qa = with.quantize().unwrap();
         let mut qb = plain.quantize().unwrap();
         let x = random_input(9, 2, 6, 1.0);

@@ -2,6 +2,15 @@ use crate::gemm::Kernel;
 use crate::NnError;
 use std::ops::{Index, IndexMut};
 
+/// A borrowed row-major `rows × cols` matrix: a whole [`Tensor`], or a dense
+/// layer's weight block inside its network's parameter arena.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MatRef<'a> {
+    pub(crate) data: &'a [f32],
+    pub(crate) rows: usize,
+    pub(crate) cols: usize,
+}
+
 /// Dense row-major `f32` matrix. Rows are batch entries, columns features.
 ///
 /// # Examples
@@ -121,6 +130,15 @@ impl Tensor {
         }
     }
 
+    /// The tensor as a borrowed matrix.
+    pub(crate) fn view(&self) -> MatRef<'_> {
+        MatRef {
+            data: &self.data,
+            rows: self.rows,
+            cols: self.cols,
+        }
+    }
+
     /// Heap bytes held, at allocated capacity.
     pub fn heap_bytes(&self) -> usize {
         self.data.capacity() * std::mem::size_of::<f32>()
@@ -198,7 +216,7 @@ impl Tensor {
                 ),
             });
         }
-        self.matmul_rows_into(other, 0, out)
+        self.matmul_rows_into(other.view(), 0, out)
     }
 
     /// `self * other[first_row..first_row + self.cols()]` written into `out`
@@ -208,9 +226,9 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] when the band runs past `other`.
-    pub fn matmul_rows_into(
+    pub(crate) fn matmul_rows_into(
         &self,
-        other: &Tensor,
+        other: MatRef<'_>,
         first_row: usize,
         out: &mut Tensor,
     ) -> Result<(), NnError> {
@@ -231,9 +249,9 @@ impl Tensor {
     ///
     /// Returns [`NnError::ShapeMismatch`] when the band runs past `other` or
     /// `out` is not `self.rows() x other.cols()`.
-    pub fn matmul_rows_continue_into(
+    pub(crate) fn matmul_rows_continue_into(
         &self,
-        other: &Tensor,
+        other: MatRef<'_>,
         first_row: usize,
         out: &mut Tensor,
     ) -> Result<(), NnError> {
@@ -242,7 +260,7 @@ impl Tensor {
 
     fn matmul_rows<const CONT: bool>(
         &self,
-        other: &Tensor,
+        other: MatRef<'_>,
         first_row: usize,
         out: &mut Tensor,
     ) -> Result<(), NnError> {
@@ -330,7 +348,7 @@ impl Tensor {
         pack: &mut Vec<f32>,
         out: &mut Tensor,
     ) -> Result<(), NnError> {
-        self.matmul_t_rows_into(other, other.rows, pack, out)
+        self.matmul_t_rows_into(other.view(), other.rows, pack, out)
     }
 
     /// `self * other[..rows]^T`: the first `rows` columns of
@@ -342,9 +360,9 @@ impl Tensor {
     ///
     /// Returns [`NnError::ShapeMismatch`] when column counts disagree or
     /// `rows > other.rows()`.
-    pub fn matmul_t_rows_into(
+    pub(crate) fn matmul_t_rows_into(
         &self,
-        other: &Tensor,
+        other: MatRef<'_>,
         rows: usize,
         pack: &mut Vec<f32>,
         out: &mut Tensor,
@@ -359,7 +377,7 @@ impl Tensor {
         }
         let (m, inner, n) = (self.rows, self.cols, rows);
         out.reshape_for_overwrite(m, n);
-        Kernel::Detected.gemm_bt((m, inner, n), &self.data, &other.data, pack, &mut out.data);
+        Kernel::Detected.gemm_bt((m, inner, n), &self.data, other.data, pack, &mut out.data);
         Ok(())
     }
 
@@ -660,9 +678,9 @@ mod tests {
                         }
                         let (left, right) = a.split_cols(split);
                         a.matmul_into(&b, &mut want).unwrap();
-                        left.matmul_rows_into(&b, 0, &mut got).unwrap();
+                        left.matmul_rows_into(b.view(), 0, &mut got).unwrap();
                         right
-                            .matmul_rows_continue_into(&b, split, &mut got)
+                            .matmul_rows_continue_into(b.view(), split, &mut got)
                             .unwrap();
                         assert_bits_eq(&want, &got, &what);
                     }
@@ -678,9 +696,9 @@ mod tests {
         let a = Tensor::from_row(&[-0.0]);
         let b = Tensor::from_row(&[1.0]);
         let mut out = Tensor::from_row(&[-0.0]);
-        a.matmul_rows_continue_into(&b, 0, &mut out).unwrap();
+        a.matmul_rows_continue_into(b.view(), 0, &mut out).unwrap();
         assert_eq!(out[(0, 0)].to_bits(), (-0.0f32).to_bits());
-        a.matmul_rows_into(&b, 0, &mut out).unwrap();
+        a.matmul_rows_into(b.view(), 0, &mut out).unwrap();
         assert_eq!(out[(0, 0)].to_bits(), 0.0f32.to_bits());
     }
 
@@ -689,13 +707,15 @@ mod tests {
         let a = Tensor::zeros(2, 3);
         let b = Tensor::zeros(5, 4);
         let mut out = Tensor::zeros(2, 4);
-        assert!(a.matmul_rows_into(&b, 2, &mut out).is_ok());
-        assert!(a.matmul_rows_into(&b, 3, &mut out).is_err());
-        assert!(a.matmul_rows_continue_into(&b, 3, &mut out).is_err());
+        assert!(a.matmul_rows_into(b.view(), 2, &mut out).is_ok());
+        assert!(a.matmul_rows_into(b.view(), 3, &mut out).is_err());
+        assert!(a.matmul_rows_continue_into(b.view(), 3, &mut out).is_err());
         let mut wrong = Tensor::zeros(2, 3);
-        assert!(a.matmul_rows_continue_into(&b, 0, &mut wrong).is_err());
         assert!(a
-            .matmul_t_rows_into(&Tensor::zeros(4, 3), 5, &mut Vec::new(), &mut out)
+            .matmul_rows_continue_into(b.view(), 0, &mut wrong)
+            .is_err());
+        assert!(a
+            .matmul_t_rows_into(Tensor::zeros(4, 3).view(), 5, &mut Vec::new(), &mut out)
             .is_err());
     }
 
@@ -709,7 +729,7 @@ mod tests {
             let w = random_tensor(&mut rng, 2 * NR + 3, 13);
             let full = dy.matmul_t(&w).unwrap();
             for rows in [0, 1, NR - 1, NR, NR + 1, 2 * NR + 3] {
-                dy.matmul_t_rows_into(&w, rows, &mut pack, &mut got)
+                dy.matmul_t_rows_into(w.view(), rows, &mut pack, &mut got)
                     .unwrap();
                 assert_bits_eq(
                     &full.split_cols(rows).0,

@@ -154,7 +154,7 @@ fn networks_taking_turns_on_one_tape_allocate_nothing_after_the_first_round() {
         assert_eq!(net.grad_sq_norm().to_bits(), twin.grad_sq_norm().to_bits());
         net.apply(&mut Adam::new(0.01));
         twin.apply(&mut Adam::new(0.01));
-        let (a, b) = (net.export_parameters(), twin.export_parameters());
-        assert!(same(&Tensor::from_row(&a), &Tensor::from_row(&b)));
+        let (a, b) = (net.parameters(), twin.parameters());
+        assert!(same(&Tensor::from_row(a), &Tensor::from_row(b)));
     }
 }

@@ -24,7 +24,6 @@
 
 use crate::RlError;
 use std::fmt;
-use twig_nn::{AdamSlot, AdamState};
 
 /// File magic prefix.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"TWIGCKPT";
@@ -58,8 +57,8 @@ pub struct MaBdqCheckpoint {
     /// Flat online-network parameters: trunk, then value heads in agent
     /// order, then advantage heads in branch order.
     pub params: Vec<f32>,
-    /// Adam moment buffers keyed by parameter id.
-    pub adam: AdamState,
+    /// Adam's moments as the MOMENTS section carries them.
+    pub adam: Moments,
     /// Applied train steps.
     pub steps: u64,
     /// Train steps skipped by the non-finite guard.
@@ -70,6 +69,28 @@ pub struct MaBdqCheckpoint {
     pub per_max_priority: f64,
     /// PER sum-tree leaves (α-exponentiated), in buffer order.
     pub priorities: Vec<f64>,
+}
+
+/// The MOMENTS section: Adam's moments cut into one slot per parameter
+/// tensor (per dense layer, weights then bias). Wire layout only: the
+/// optimiser keeps one step count, so every slot carries the same `steps`.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Moments {
+    /// One slot per parameter tensor, ids `0..n` in order.
+    pub slots: Vec<MomentSlot>,
+}
+
+/// One parameter tensor's moments.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MomentSlot {
+    /// The tensor's position in the checkpoint's tensor order.
+    pub id: usize,
+    /// The optimiser's bias-correction step count `t`.
+    pub steps: u64,
+    /// First-moment estimate.
+    pub m: Vec<f32>,
+    /// Second-moment estimate.
+    pub v: Vec<f32>,
 }
 
 /// IEEE CRC32 (reflected, polynomial 0xEDB88320) over `bytes`.
@@ -378,7 +399,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<MaBdqCheckpoint, RlError> {
         let len = r.count(8)?;
         let m = r.elems(len, f32::from_le_bytes)?;
         let v = r.elems(len, f32::from_le_bytes)?;
-        slots.push(AdamSlot { id, steps, m, v });
+        slots.push(MomentSlot { id, steps, m, v });
     }
 
     r.tag(TAG_ANNEAL)?;
@@ -405,7 +426,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<MaBdqCheckpoint, RlError> {
         trunk_hidden,
         head_hidden,
         params,
-        adam: AdamState { slots },
+        adam: Moments { slots },
         steps,
         skipped_steps,
         per_step,
@@ -426,15 +447,15 @@ mod tests {
             trunk_hidden: vec![8, 6],
             head_hidden: 5,
             params: vec![0.5, -1.25, 3.75, f32::MIN_POSITIVE],
-            adam: AdamState {
+            adam: Moments {
                 slots: vec![
-                    AdamSlot {
+                    MomentSlot {
                         id: 0,
                         steps: 7,
                         m: vec![0.1, 0.2],
                         v: vec![0.3, 0.4],
                     },
-                    AdamSlot {
+                    MomentSlot {
                         id: 5,
                         steps: 9,
                         m: vec![-0.5],
@@ -543,7 +564,7 @@ mod tests {
             trunk_hidden: vec![],
             head_hidden: 1,
             params: vec![],
-            adam: AdamState::default(),
+            adam: Moments::default(),
             steps: 0,
             skipped_steps: 0,
             per_step: 0,

@@ -29,10 +29,10 @@
 //! `(w·x)/w` is not exact in general), which is what makes cold-server
 //! policy transfer through a one-donor round byte-faithful.
 
+use crate::checkpoint::Moments;
 use crate::checkpoint::{decode_checkpoint, MaBdqCheckpoint};
 use std::error::Error;
 use std::fmt;
-use twig_nn::AdamState;
 
 /// Error produced by the federated-aggregation ladder. Every rejection a
 /// payload can suffer on its way to a merge is a distinct variant, so the
@@ -502,7 +502,7 @@ pub fn merge_round(
         .fold(recipient.steps, u64::max);
     let mut merged = recipient.clone();
     merged.params = params;
-    merged.adam = AdamState::default();
+    merged.adam = Moments::default();
     merged.steps = steps;
     Ok(merged)
 }
@@ -514,7 +514,7 @@ pub fn merge_round(
 /// while the frame shrinks to about a third.
 pub fn weights_only(checkpoint: MaBdqCheckpoint) -> MaBdqCheckpoint {
     MaBdqCheckpoint {
-        adam: AdamState::default(),
+        adam: Moments::default(),
         priorities: Vec::new(),
         ..checkpoint
     }
@@ -534,7 +534,7 @@ mod tests {
             trunk_hidden: vec![4],
             head_hidden: 2,
             params,
-            adam: AdamState::default(),
+            adam: Moments::default(),
             steps,
             skipped_steps: 0,
             per_step: 0,
@@ -791,8 +791,8 @@ mod tests {
     #[test]
     fn merge_round_clears_moments_and_inherits_steps() {
         let mut recipient = ckpt(vec![0.0, 0.0], 0);
-        recipient.adam = AdamState {
-            slots: vec![twig_nn::AdamSlot {
+        recipient.adam = Moments {
+            slots: vec![crate::checkpoint::MomentSlot {
                 id: 0,
                 steps: 3,
                 m: vec![0.1, 0.2],

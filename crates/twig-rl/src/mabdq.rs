@@ -1,8 +1,9 @@
+use crate::checkpoint::{MomentSlot, Moments};
 use crate::per::{PerBatch, Priorities};
 use crate::slab::TransitionSlab;
 use crate::{MaBdqCheckpoint, RlError};
 use std::ops::Range;
-use twig_nn::{Adam, Dense, Dropout, Mlp, QuantizedMlp, Relu, Tape, Tensor};
+use twig_nn::{Adam, Dropout, Mlp, QuantizedMlp, Relu, Tape, Tensor};
 use twig_stats::rng::{Rng, Xoshiro256};
 use twig_telemetry::Telemetry;
 
@@ -338,12 +339,19 @@ struct Net {
 }
 
 impl Net {
+    /// Weights are drawn straight into arenas sized once, one per network.
     fn new(config: &MaBdqConfig, rng: &mut Xoshiro256) -> Self {
-        let mut trunk = Mlp::new();
-        let mut prev = config.agents * config.state_dim;
+        let dense_len = |inputs: usize, outputs: usize| (inputs + 1) * outputs;
+        let joint = config.agents * config.state_dim;
+        let inputs = std::iter::once(joint).chain(config.trunk_hidden.iter().copied());
+        let trunk_len = inputs
+            .zip(&config.trunk_hidden)
+            .map(|(i, &o)| dense_len(i, o));
+        let mut trunk = Mlp::with_capacity(trunk_len.sum());
+        let mut prev = joint;
         for (i, &h) in config.trunk_hidden.iter().enumerate() {
             trunk = trunk
-                .push(Dense::new(prev, h, rng))
+                .dense(prev, h, rng)
                 .push(Relu::new())
                 .push(Dropout::new(
                     config.dropout,
@@ -352,12 +360,13 @@ impl Net {
             prev = h;
         }
         let head_input = prev + config.state_dim;
+        let hidden = config.head_hidden;
         let head = |out: usize, rng: &mut Xoshiro256, seed: u64| {
-            Mlp::new()
-                .push(Dense::new(head_input, config.head_hidden, rng))
+            Mlp::with_capacity(dense_len(head_input, hidden) + dense_len(hidden, out))
+                .dense(head_input, hidden, rng)
                 .push(Relu::new())
                 .push(Dropout::new(config.dropout, seed))
-                .push(Dense::new(config.head_hidden, out, rng))
+                .dense(hidden, out, rng)
         };
         let value_heads = (0..config.agents)
             .map(|k| head(1, rng, config.seed.wrapping_add(100 + k as u64)))
@@ -376,12 +385,11 @@ impl Net {
     }
 
     fn zero_grads(&mut self) {
-        self.trunk.zero_grads();
-        for h in self.value_heads.iter_mut().chain(self.adv_heads.iter_mut()) {
-            h.zero_grads();
-        }
+        self.mlps_mut().for_each(Mlp::zero_grads);
     }
 
+    /// The trunk's squared norm plus the heads' sum: the nesting of sums
+    /// global-norm clipping has always seen, bit for bit.
     fn grad_sq_norm(&self) -> f32 {
         self.trunk.grad_sq_norm()
             + self
@@ -393,39 +401,33 @@ impl Net {
     }
 
     fn scale_all_grads(&mut self, factor: f32) {
-        self.trunk.scale_grads(factor);
-        for h in self.value_heads.iter_mut().chain(self.adv_heads.iter_mut()) {
-            h.scale_grads(factor);
-        }
+        self.mlps_mut().for_each(|m| m.scale_grads(factor));
     }
 
+    /// One Adam step over every arena in [`mlps`](Self::mlps) order; a
+    /// quarantine-frozen head steps on its zero gradient.
     fn apply(&mut self, adam: &mut Adam) {
-        let mut base = self.trunk.apply_with_base(adam, 0);
-        for h in self.value_heads.iter_mut().chain(self.adv_heads.iter_mut()) {
-            base = h.apply_with_base(adam, base);
-        }
+        adam.update(self.mlps_mut().map(Mlp::trainable));
     }
 
     fn copy_weights_from(&mut self, other: &Net) {
-        self.trunk
-            .copy_weights_from(&other.trunk)
-            .expect("same architecture");
-        for (dst, src) in self
-            .value_heads
-            .iter_mut()
-            .zip(&other.value_heads)
-            .chain(self.adv_heads.iter_mut().zip(&other.adv_heads))
-        {
+        for (dst, src) in self.mlps_mut().zip(other.mlps()) {
             dst.copy_weights_from(src).expect("same architecture");
         }
     }
 
     /// Trunk, value heads, advantage heads: the order parameters are
-    /// flattened into a checkpoint and handed optimiser ids in.
+    /// flattened into a checkpoint and laid out in the optimiser's moments.
     fn mlps(&self) -> impl Iterator<Item = &Mlp> {
         std::iter::once(&self.trunk)
             .chain(&self.value_heads)
             .chain(&self.adv_heads)
+    }
+
+    fn mlps_mut(&mut self) -> impl Iterator<Item = &mut Mlp> {
+        std::iter::once(&mut self.trunk)
+            .chain(&mut self.value_heads)
+            .chain(&mut self.adv_heads)
     }
 
     fn param_count(&self) -> usize {
@@ -1049,7 +1051,7 @@ impl MaBdq {
                 grad_baseline: 0.0,
                 baseline_samples: 0,
                 frozen_until: 0,
-                snapshot: vh.export_parameters(),
+                snapshot: vh.parameters().to_vec(),
                 snapshot_age: 0,
             })
             .collect();
@@ -1080,7 +1082,9 @@ impl MaBdq {
                 guard.td_baseline = 0.0;
                 guard.grad_baseline = 0.0;
                 guard.snapshot_age = 0;
-                online.value_heads[k].export_parameters_into(&mut guard.snapshot);
+                guard
+                    .snapshot
+                    .copy_from_slice(online.value_heads[k].parameters());
                 quarantine.bump(telemetry, |s| &mut s.readmissions);
             }
         }
@@ -1140,7 +1144,9 @@ impl MaBdq {
             guard.baseline_samples += 1;
             guard.snapshot_age += 1;
             if guard.snapshot_age >= q.snapshot_every {
-                online.value_heads[k].export_parameters_into(&mut guard.snapshot);
+                guard
+                    .snapshot
+                    .copy_from_slice(online.value_heads[k].parameters());
                 guard.snapshot_age = 0;
             }
         }
@@ -1942,45 +1948,44 @@ impl MaBdq {
         self.target.copy_weights_from(&self.online);
     }
 
-    /// Flattened weights of the online trunk (for transfer-learning tests).
-    pub fn trunk_weights(&self) -> Vec<f32> {
-        self.online.trunk.export_weights()
+    /// The online trunk's parameter arena, weights and biases (for
+    /// transfer-learning tests).
+    pub fn trunk_weights(&self) -> &[f32] {
+        self.online.trunk.parameters()
     }
 
     /// Whether a checkpoint's optimiser slots fit this learner. The frame's
-    /// integrity check says nothing about what they mean, and a slot that
-    /// does not fit the parameter tensor the optimiser updates under its id
-    /// panics in the next train step. So: either no moments (no step yet, or
-    /// a transfer reset) or one slot per tensor, ids `0..n` in the order
-    /// [`Net::apply`] hands them out, each as long as its tensor.
-    fn moments_fit(&self, slots: &[twig_nn::AdamSlot]) -> Result<(), String> {
-        if slots.is_empty() {
+    /// integrity check says nothing about what they mean, and moments that
+    /// do not fit the parameters panic in the next train step. So: either
+    /// no moments (no step yet, or a transfer reset) or one slot per tensor,
+    /// ids `0..n` in [`Net::mlps`] order, each as long as its tensor, all
+    /// with the one step count the optimiser keeps.
+    fn moments_fit(&self, slots: &[MomentSlot]) -> Result<(), String> {
+        let Some(first) = slots.first() else {
             return Ok(());
+        };
+        let lens: Vec<usize> = self.online.mlps().flat_map(Mlp::parameter_lens).collect();
+        if slots.len() != lens.len() {
+            let n = lens.len();
+            return Err(format!(
+                "{} optimizer slots for {n} parameter tensors",
+                slots.len()
+            ));
         }
-        let mut lens = self.online.mlps().flat_map(Mlp::parameter_lens);
-        let mut slots = slots.iter().enumerate();
-        loop {
-            match (slots.next(), lens.next()) {
-                (None, None) => return Ok(()),
-                (Some((id, s)), Some(len))
-                    if s.id == id && s.m.len() == len && s.v.len() == len => {}
-                (Some((at, s)), Some(len)) => {
-                    return Err(format!(
-                        "optimizer slot {at} has id {} and {} + {} moments, \
-                         parameter tensor {at} has {len} elements",
-                        s.id,
-                        s.m.len(),
-                        s.v.len()
-                    ));
-                }
-                (Some((at, _)), None) => {
-                    return Err(format!("optimizer slot {at} has no parameter tensor"));
-                }
-                (None, Some(_)) => {
-                    return Err("optimizer moments end before the parameters do".into());
-                }
+        for ((at, s), &len) in slots.iter().enumerate().zip(&lens) {
+            if (s.id, s.steps, s.m.len(), s.v.len()) != (at, first.steps, len, len) {
+                return Err(format!(
+                    "optimizer slot {at} has id {}, {} steps and {} + {} moments; \
+                     want id {at}, slot 0's {} steps and {len} + {len}",
+                    s.id,
+                    s.steps,
+                    s.m.len(),
+                    s.v.len(),
+                    first.steps
+                ));
             }
         }
+        Ok(())
     }
 
     /// Snapshots the full learner state into a structured
@@ -1996,14 +2001,25 @@ impl MaBdq {
     /// fresh exploration stream, so post-restore trajectories legitimately
     /// differ from an uninterrupted run.
     pub fn save_checkpoint(&self) -> MaBdqCheckpoint {
-        let mut params = self.online.trunk.export_parameters();
-        for head in self
-            .online
-            .value_heads
-            .iter()
-            .chain(self.online.adv_heads.iter())
-        {
-            params.extend(head.export_parameters());
+        let mut params = Vec::with_capacity(self.param_count());
+        for mlp in self.online.mlps() {
+            params.extend_from_slice(mlp.parameters());
+        }
+        // The v1 frame's per-tensor slots, cut from the flat moments.
+        let (m, v) = self.adam.moments();
+        let mut slots = Vec::new();
+        if !m.is_empty() {
+            let lens = self.online.mlps().flat_map(Mlp::parameter_lens);
+            let mut at = 0;
+            for (id, len) in lens.enumerate() {
+                slots.push(MomentSlot {
+                    id,
+                    steps: self.adam.steps(),
+                    m: m[at..at + len].to_vec(),
+                    v: v[at..at + len].to_vec(),
+                });
+                at += len;
+            }
         }
         MaBdqCheckpoint {
             agents: self.config.agents,
@@ -2012,7 +2028,7 @@ impl MaBdq {
             trunk_hidden: self.config.trunk_hidden.clone(),
             head_hidden: self.config.head_hidden,
             params,
-            adam: self.adam.export_state(),
+            adam: Moments { slots },
             steps: self.stats.steps,
             skipped_steps: self.stats.skipped_steps,
             per_step: self.priorities.anneal_step(),
@@ -2087,23 +2103,23 @@ impl MaBdq {
         // Validation passed — the restore proceeds, so any half-finished
         // budgeted step is now meaningless.
         self.abort_budgeted_step();
-        let mut offset = self.online.trunk.param_count();
-        self.online
-            .trunk
-            .import_parameters(&ckpt.params[..offset])
-            .expect("length checked");
-        for head in self
-            .online
-            .value_heads
-            .iter_mut()
-            .chain(self.online.adv_heads.iter_mut())
-        {
-            let n = head.param_count();
-            head.import_parameters(&ckpt.params[offset..offset + n])
+        let mut offset = 0;
+        for mlp in self.online.mlps_mut() {
+            let n = mlp.param_count();
+            mlp.import_parameters(&ckpt.params[offset..offset + n])
                 .expect("length checked");
             offset += n;
         }
-        self.adam.import_state(&ckpt.adam);
+        // The slots fit, so they concatenate into the flat moments.
+        let slots = &ckpt.adam.slots;
+        let (steps, len) = slots.first().map_or((0, 0), |s| (s.steps, offset));
+        let (m, v) = self.adam.restore(steps, len);
+        let mut at = 0;
+        for slot in slots {
+            m[at..at + slot.m.len()].copy_from_slice(&slot.m);
+            v[at..at + slot.v.len()].copy_from_slice(&slot.v);
+            at += slot.m.len();
+        }
         self.stats.steps = ckpt.steps;
         self.stats.skipped_steps = ckpt.skipped_steps;
         self.priorities.set_anneal_step(ckpt.per_step);
@@ -2588,7 +2604,7 @@ mod tests {
             config.head_hidden,
         );
         let head = &mut agent.online.value_heads[0];
-        let mut params = head.export_parameters();
+        let mut params = head.parameters().to_vec();
         for row in params[..inputs * hidden].chunks_mut(hidden) {
             row[0] = 0.0;
         }
@@ -2721,19 +2737,19 @@ mod tests {
         }
         // After exactly target_update_every steps, weights match.
         assert_eq!(
-            agent.online.trunk.export_weights(),
-            agent.target.trunk.export_weights()
+            agent.online.trunk.parameters(),
+            agent.target.trunk.parameters()
         );
     }
 
     #[test]
     fn transfer_reset_keeps_trunk() {
         let mut agent = MaBdq::new(tiny_config(1)).unwrap();
-        let trunk_before = agent.trunk_weights();
-        let head_before = agent.online.adv_heads[0].export_weights();
+        let trunk_before = agent.trunk_weights().to_vec();
+        let head_before = agent.online.adv_heads[0].parameters().to_vec();
         agent.transfer_reset();
         assert_eq!(agent.trunk_weights(), trunk_before);
-        assert_ne!(agent.online.adv_heads[0].export_weights(), head_before);
+        assert_ne!(agent.online.adv_heads[0].parameters(), head_before);
     }
 
     #[test]
@@ -2823,7 +2839,7 @@ mod tests {
     fn load_checkpoint_rejects_inconsistent_moments() {
         let donor = MaBdq::new(tiny_config(1)).unwrap();
         let mut ckpt = donor.save_checkpoint();
-        ckpt.adam.slots.push(twig_nn::AdamSlot {
+        ckpt.adam.slots.push(MomentSlot {
             id: 0,
             steps: 1,
             m: vec![0.0; 3],
@@ -2910,6 +2926,34 @@ mod tests {
         fill(&mut receiver);
         receiver.load_checkpoint(&good).unwrap();
         receiver.train_step().unwrap().expect("batch full");
+    }
+
+    #[test]
+    fn load_checkpoint_rejects_moments_with_different_step_counts() {
+        // The optimiser keeps one step count, so every slot a checkpoint
+        // carries must agree on it; a section whose slots differ used to be
+        // accepted, each slot keeping its own.
+        let mut donor = MaBdq::new(tiny_config(2)).unwrap();
+        for _ in 0..16 {
+            donor.observe(normal_transition(2)).unwrap();
+        }
+        for _ in 0..3 {
+            donor.train_step().unwrap().expect("batch full");
+        }
+        let good = donor.save_checkpoint();
+        assert!(good.adam.slots.iter().all(|s| s.steps == 3));
+        let mut skewed = good.clone();
+        skewed.adam.slots[1].steps = 2;
+        let mut receiver = MaBdq::new(tiny_config(2)).unwrap();
+        let before = receiver.save_checkpoint();
+        let err = receiver.load_checkpoint(&skewed).unwrap_err();
+        assert!(
+            err.to_string().contains("slot 1 has id 1, 2 steps"),
+            "{err}"
+        );
+        assert_eq!(receiver.save_checkpoint(), before);
+        receiver.load_checkpoint(&good).unwrap();
+        assert_eq!(receiver.save_checkpoint().adam, good.adam);
     }
 
     fn quarantine_test_config(agents: usize) -> MaBdqConfig {
@@ -3300,7 +3344,7 @@ mod tests {
         let [w1, b1, w2, actions] = lens[..] else {
             panic!("a head is two dense layers: {lens:?}");
         };
-        let mut params = head.export_parameters();
+        let mut params = head.parameters().to_vec();
         let (last_w, last_b) = (w1 + b1, w1 + b1 + w2);
         for row in params[last_w..last_b].chunks_exact_mut(actions) {
             row[1] = row[0];

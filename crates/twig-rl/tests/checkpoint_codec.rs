@@ -5,7 +5,7 @@
 //! frame the parent of PR 19 encoded, and hostile counts against the
 //! whole-slice section reader.
 
-use twig_nn::{AdamSlot, AdamState};
+use twig_rl::checkpoint::{MomentSlot, Moments};
 use twig_rl::federate::{decode_payload, FedError};
 use twig_rl::{
     crc32, decode_checkpoint, encode_checkpoint, validate_checkpoint_bytes, MaBdq, MaBdqCheckpoint,
@@ -175,15 +175,15 @@ fn golden_checkpoint() -> MaBdqCheckpoint {
         trunk_hidden: vec![8, 6],
         head_hidden: 5,
         params: vec![0.5, -1.25, -0.0, f32::from_bits(1), 3.75],
-        adam: AdamState {
+        adam: Moments {
             slots: vec![
-                AdamSlot {
+                MomentSlot {
                     id: 0,
                     steps: 7,
                     m: vec![0.1, -0.2, 0.3],
                     v: vec![0.01, 0.02, 0.03],
                 },
-                AdamSlot {
+                MomentSlot {
                     id: 5,
                     steps: 9,
                     m: vec![-0.5],

@@ -98,3 +98,5 @@ echo "bench_smoke: the reports are the behavioural contract. cargo test pins the
 echo "chaos/timing/cluster/platform/federate reports; fig01_smoke.txt and"
 echo "scenario_report.txt are checked only by:"
 echo "  git diff --exit-code -- results/*_report.txt results/fig01_smoke.txt"
+echo "The figure/table rows have their own check (CI's figures job):"
+echo "  bash scripts/figures.sh"

@@ -26,7 +26,7 @@ fn train(spec: &ServiceSpec, learn: u64, seed: u64) -> Twig {
 #[test]
 fn transfer_preserves_trunk_and_resets_heads() {
     let mut twig = train(&catalog::masstree(), 300, 1);
-    let trunk_before = twig.agent().trunk_weights();
+    let trunk_before = twig.agent().trunk_weights().to_vec();
     twig.transfer_service(0, catalog::xapian()).unwrap();
     assert_eq!(twig.agent().trunk_weights(), trunk_before);
     assert_eq!(twig.config().services[0].name, "xapian");
