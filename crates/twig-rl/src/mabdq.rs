@@ -405,8 +405,12 @@ impl Net {
     }
 
     /// One Adam step over every arena in [`mlps`](Self::mlps) order; a
-    /// quarantine-frozen head steps on its zero gradient.
+    /// quarantine-frozen head steps on its zero gradient. The first step
+    /// sizes the moments in one allocation each, not region by region.
     fn apply(&mut self, adam: &mut Adam) {
+        if adam.steps() == 0 {
+            adam.restore(0, self.param_count());
+        }
         adam.update(self.mlps_mut().map(Mlp::trainable));
     }
 
