@@ -408,7 +408,7 @@ impl Net {
     /// quarantine-frozen head steps on its zero gradient. The first step
     /// sizes the moments in one allocation each, not region by region.
     fn apply(&mut self, adam: &mut Adam) {
-        if adam.steps() == 0 {
+        if adam.moments().0.is_empty() {
             adam.restore(0, self.param_count());
         }
         adam.update(self.mlps_mut().map(Mlp::trainable));
