@@ -399,7 +399,8 @@ impl Mlp {
     }
 
     /// An empty network with room for `params` parameters: built with
-    /// [`dense`](Self::dense), its arena is one exactly sized allocation.
+    /// [`dense`](Self::dense), its arena is one exactly sized allocation
+    /// when `params` sums [`dense_len`](Self::dense_len) over its layers.
     pub fn with_capacity(params: usize) -> Self {
         Mlp {
             params: Vec::with_capacity(params),
@@ -425,6 +426,16 @@ impl Mlp {
         let at = self.append_dense(in_dim, out_dim);
         he_init(in_dim, &mut self.params[at.weights()], rng);
         self
+    }
+
+    /// The parameters a dense layer `in_dim → out_dim` holds in the arena.
+    pub fn dense_len(in_dim: usize, out_dim: usize) -> usize {
+        let at = DenseAt {
+            in_dim,
+            out_dim,
+            offset: 0,
+        };
+        at.range().len()
     }
 
     /// A dense layer's place at the end of the arena, zero-filled.
@@ -610,7 +621,7 @@ impl Mlp {
 
     /// Applies one step of `optim` to this network alone.
     pub fn apply(&mut self, optim: &mut Adam) {
-        optim.update([self.trainable()]);
+        optim.sized(self.params.len()).update([self.trainable()]);
     }
 
     /// The parameter arena and the gradient arena (allocated as zeros if no
@@ -666,15 +677,9 @@ impl Mlp {
         if self.layers.len() != other.layers.len()
             || !self.parameter_lens().eq(other.parameter_lens())
         {
-            return Err(NnError::ShapeMismatch {
-                detail: format!(
-                    "{} layers with tensors {:?} vs {} with {:?}",
-                    self.layers.len(),
-                    self.parameter_lens().collect::<Vec<_>>(),
-                    other.layers.len(),
-                    other.parameter_lens().collect::<Vec<_>>()
-                ),
-            });
+            let shape = |n: &Mlp| (n.layers.len(), n.parameter_lens().collect::<Vec<_>>());
+            let detail = format!("layers, tensors {:?} vs {:?}", shape(self), shape(other));
+            return Err(NnError::ShapeMismatch { detail });
         }
         self.params.copy_from_slice(&other.params);
         Ok(())
@@ -794,6 +799,14 @@ mod tests {
         let mut rng = Xoshiro256::seed_from_u64(0);
         let b = Mlp::new().push(Dense::new(2, 6, &mut rng));
         assert!(a.copy_weights_from(&b).is_err());
+        // Same depth and the same 25 parameters, other tensor shapes.
+        let c = Mlp::new()
+            .push(Dense::new(4, 4, &mut rng))
+            .push(Relu::new())
+            .push(Dense::new(4, 1, &mut rng));
+        assert_eq!((c.len(), c.param_count()), (a.len(), a.param_count()));
+        assert!(a.copy_weights_from(&c).is_err());
+        assert_ne!(a.parameters(), c.parameters());
     }
 
     #[test]
@@ -864,6 +877,7 @@ mod tests {
             .dense(6, 1, &mut rng);
         assert_eq!(drawn.parameters(), pushed.parameters());
         assert_eq!(drawn.parameter_lens().collect::<Vec<_>>(), [12, 6, 6, 1]);
+        assert_eq!(Mlp::dense_len(2, 6) + Mlp::dense_len(6, 1), 25);
         // One allocation of exactly the parameters, no gradients yet.
         let layers = drawn.layers.capacity() * std::mem::size_of::<MlpLayer>();
         assert_eq!(drawn.heap_bytes(), layers + 25 * 4);
@@ -876,6 +890,8 @@ mod tests {
         let weights_only = net.heap_bytes();
         assert_eq!(net.grad_sq_norm(), 0.0);
         net.scale_grads(2.0);
+        // Re-initialising a network nobody trained allocates no gradients.
+        assert!(net.reinitialize_last_dense(&mut rng));
         assert_eq!(net.heap_bytes(), weights_only);
         let x = Tensor::from_row(&[1.0, 0.0]);
         for _ in 0..2 {
@@ -885,6 +901,7 @@ mod tests {
         let expected = [2.0, 2.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0, 2.0, 2.0, 2.0, 2.0];
         assert_eq!(net.grads, expected);
         assert_eq!(net.grad_sq_norm(), 32.0);
+        assert_eq!(net.grads.capacity(), 12);
         // Re-initialising zeroes gradients that exist and allocates none.
         net.reinitialize_last_dense(&mut rng);
         assert_eq!(net.grads, [0.0; 12]);

@@ -20,7 +20,7 @@
 /// for _ in 0..100 {
 ///     // Gradient of f(x) = x^2 is 2x: drive x to 0.
 ///     let grad = [2.0 * param[0]];
-///     adam.update([(&mut param[..], &grad[..])]);
+///     adam.sized(1).update([(&mut param[..], &grad[..])]);
 /// }
 /// assert!(param[0].abs() < 0.1);
 /// ```
@@ -32,7 +32,7 @@ pub struct Adam {
     eps: f32,
     /// Steps taken since construction or the last reset.
     t: u64,
-    // Empty until the first step after construction or a reset.
+    // Empty until sized after construction or a reset.
     m: Vec<f32>,
     v: Vec<f32>,
 }
@@ -59,21 +59,25 @@ impl Adam {
         self
     }
 
-    /// The configured learning rate.
-    pub fn learning_rate(&self) -> f32 {
-        self.lr
+    /// The optimiser with moments for `len` parameters, allocated here as
+    /// exactly sized zeros when empty (after construction or a reset). Call
+    /// it before each [`update`](Self::update) with the regions' total length.
+    pub fn sized(&mut self, len: usize) -> &mut Self {
+        if self.m.is_empty() {
+            self.m = vec![0.0; len];
+            self.v = vec![0.0; len];
+        }
+        self
     }
 
     /// Applies one Adam step to every `(parameters, gradients)` region, in
-    /// order. The first step after construction or a reset allocates the
-    /// moments (zeros) to the regions' total length.
+    /// order, over moments [`sized`](Self::sized) to their total length.
     ///
     /// # Panics
     ///
     /// Panics if a region's parameter and gradient lengths differ, or if the
     /// regions' total length is not the moments' length.
     pub fn update<'a>(&mut self, regions: impl IntoIterator<Item = (&'a mut [f32], &'a [f32])>) {
-        let fresh = self.m.is_empty();
         self.t += 1;
         let (lr, beta1, beta2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
         let t = self.t as i32;
@@ -89,10 +93,6 @@ impl Adam {
                 "parameter/gradient length mismatch"
             );
             let end = at + param.len();
-            if fresh {
-                self.m.resize(end, 0.0);
-                self.v.resize(end, 0.0);
-            }
             assert!(
                 end <= self.m.len(),
                 "regions longer than the {} moments",
@@ -141,10 +141,6 @@ impl Adam {
             at = end;
         }
         assert_eq!(at, self.m.len(), "regions shorter than the moments");
-        if fresh {
-            self.m.shrink_to_fit();
-            self.v.shrink_to_fit();
-        }
     }
 
     /// Discards all moment state and the step count (used when weights are
@@ -162,7 +158,8 @@ impl Adam {
     }
 
     /// The first and second moments, laid out like the regions
-    /// [`update`](Self::update) is handed; empty before the first step.
+    /// [`update`](Self::update) is handed; empty until
+    /// [`sized`](Self::sized).
     pub fn moments(&self) -> (&[f32], &[f32]) {
         (&self.m, &self.v)
     }
@@ -291,7 +288,7 @@ mod tests {
 
     /// One step over a single region.
     fn step(adam: &mut Adam, param: &mut [f32], grad: &[f32]) {
-        adam.update([(param, grad)]);
+        adam.sized(param.len()).update([(param, grad)]);
     }
 
     #[test]
@@ -351,7 +348,7 @@ mod tests {
                 regions.push((head, &grad[w[0]..w[1]]));
                 rest = tail;
             }
-            adam.update(regions);
+            adam.sized(n).update(regions);
             assert_eq!(adam.steps(), t as u64);
             reference(
                 (0.0025, 0.9, 0.999, 1e-8),
@@ -487,15 +484,24 @@ mod tests {
     }
 
     #[test]
-    fn first_step_sizes_the_moments_exactly() {
+    fn sized_allocates_the_moments_once_and_exactly() {
         let mut adam = Adam::new(0.1);
         assert_eq!(adam.heap_bytes(), 0);
         let (mut a, mut b) = (vec![1.0f32; 3], vec![1.0f32; 70]);
-        adam.update([(&mut a[..], &[1.0; 3][..]), (&mut b[..], &[1.0; 70][..])]);
-        assert_eq!((adam.steps(), adam.moments().0.len()), (1, 73));
-        assert_eq!(adam.heap_bytes(), 2 * 73 * 4);
-        // First step moves exactly lr regardless of gradient magnitude.
-        assert!((a[0] - 0.9).abs() < 1e-5 && (b[69] - 0.9).abs() < 1e-5);
+        for _ in 0..2 {
+            adam.sized(73)
+                .update([(&mut a[..], &[1.0; 3][..]), (&mut b[..], &[1.0; 70][..])]);
+            assert_eq!(adam.heap_bytes(), 2 * 73 * 4);
+        }
+        assert_eq!((adam.steps(), adam.moments().0.len()), (2, 73));
+        // Each step moves exactly lr under a constant gradient.
+        assert!((a[0] - 0.8).abs() < 1e-5 && (b[69] - 0.8).abs() < 1e-5);
+    }
+
+    #[test]
+    #[should_panic(expected = "regions longer")]
+    fn rejects_regions_before_the_moments_are_sized() {
+        Adam::new(0.1).update([(&mut [1.0][..], &[1.0][..])]);
     }
 
     #[test]

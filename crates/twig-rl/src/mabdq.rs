@@ -341,12 +341,11 @@ struct Net {
 impl Net {
     /// Weights are drawn straight into arenas sized once, one per network.
     fn new(config: &MaBdqConfig, rng: &mut Xoshiro256) -> Self {
-        let dense_len = |inputs: usize, outputs: usize| (inputs + 1) * outputs;
         let joint = config.agents * config.state_dim;
         let inputs = std::iter::once(joint).chain(config.trunk_hidden.iter().copied());
         let trunk_len = inputs
             .zip(&config.trunk_hidden)
-            .map(|(i, &o)| dense_len(i, o));
+            .map(|(i, &o)| Mlp::dense_len(i, o));
         let mut trunk = Mlp::with_capacity(trunk_len.sum());
         let mut prev = joint;
         for (i, &h) in config.trunk_hidden.iter().enumerate() {
@@ -362,7 +361,7 @@ impl Net {
         let head_input = prev + config.state_dim;
         let hidden = config.head_hidden;
         let head = |out: usize, rng: &mut Xoshiro256, seed: u64| {
-            Mlp::with_capacity(dense_len(head_input, hidden) + dense_len(hidden, out))
+            Mlp::with_capacity(Mlp::dense_len(head_input, hidden) + Mlp::dense_len(hidden, out))
                 .dense(head_input, hidden, rng)
                 .push(Relu::new())
                 .push(Dropout::new(config.dropout, seed))
@@ -405,13 +404,10 @@ impl Net {
     }
 
     /// One Adam step over every arena in [`mlps`](Self::mlps) order; a
-    /// quarantine-frozen head steps on its zero gradient. The first step
-    /// sizes the moments in one allocation each, not region by region.
+    /// quarantine-frozen head steps on its zero gradient.
     fn apply(&mut self, adam: &mut Adam) {
-        if adam.moments().0.is_empty() {
-            adam.restore(0, self.param_count());
-        }
-        adam.update(self.mlps_mut().map(Mlp::trainable));
+        adam.sized(self.param_count())
+            .update(self.mlps_mut().map(Mlp::trainable));
     }
 
     fn copy_weights_from(&mut self, other: &Net) {
