@@ -86,8 +86,8 @@ fn report_manager(
 }
 
 /// Regenerates Figure 6, appending to `out`. Each manager variant runs as
-/// an independent fleet unit (`--jobs` parallel); the managers are built
-/// inside their units because Twig's telemetry handle is single-threaded.
+/// an independent fleet unit (`--jobs` parallel) that builds its own
+/// manager.
 ///
 /// # Errors
 ///

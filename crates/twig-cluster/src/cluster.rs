@@ -8,7 +8,9 @@
 //! out — syncs placement to every reachable node, routes traffic, and
 //! serves it on every live server. The fault phases all draw from the
 //! seeded [`ClusterFaultPlan`] in a fixed order, so a full run is a pure
-//! function of `(ClusterConfig, ClusterFaultConfig, seed)`.
+//! function of `(ClusterConfig, ClusterFaultConfig, seed)`. The servers
+//! serve on two threads when the machine has two CPUs (the `serve`
+//! module), with the same result as on one.
 
 use std::collections::BTreeMap;
 
@@ -17,6 +19,7 @@ use crate::coordinator::{Coordinator, CoordinatorConfig, HandoffResult, Transfer
 use crate::fault::ClusterFaultPlan;
 use crate::federate::{FedFaultPlan, FedStats, FederateConfig, FederationPlane};
 use crate::node::{mix, AgentTuning, ClusterNode, InstallOutcome, NodePlatform};
+use crate::serve::{serve_nodes, Reports, ServeWorker};
 use crate::ClusterError;
 use twig_core::{ClusterView, NodeId, NodeView, PlacementAction, ServicePlacement};
 use twig_rl::validate_checkpoint_bytes;
@@ -200,6 +203,17 @@ pub struct Cluster {
     federation: Option<FederationPlane>,
     /// Lifetime federation counters (mirrored under `fed.*`).
     fed_stats: FedStats,
+    /// The balancer's capacity belief, `[node][service]`: one replica's
+    /// reference load wherever a replica is listed.
+    route_cap: Vec<Vec<u64>>,
+    /// The last epoch's serve reports, one per node.
+    reports: Reports,
+    /// Serves the upper half of the nodes from the first step on, when
+    /// there are two nodes and two CPUs.
+    worker: Option<ServeWorker>,
+    /// Keeps every node on the calling thread.
+    #[cfg(test)]
+    serial: bool,
 }
 
 impl Cluster {
@@ -232,6 +246,11 @@ impl Cluster {
         let balancer = LoadBalancer::new(services, weights, config.suspect_after_misses)?;
         let coordinator =
             Coordinator::new(services, n, config.replication, config.coordinator.clone())?;
+        let one_replica: Vec<u64> = config
+            .services
+            .iter()
+            .map(|spec| spec.max_load_rps as u64)
+            .collect();
         let mut cluster = Cluster {
             config,
             nodes,
@@ -248,6 +267,11 @@ impl Cluster {
             failover_latencies: Vec::new(),
             federation: None,
             fed_stats: FedStats::default(),
+            route_cap: vec![one_replica; n],
+            reports: Vec::with_capacity(n),
+            worker: None,
+            #[cfg(test)]
+            serial: false,
         };
         cluster.bootstrap()?;
         Ok(cluster)
@@ -392,6 +416,33 @@ impl Cluster {
         Ok(())
     }
 
+    /// Whether a worker may serve some nodes: there are two to split.
+    fn may_thread(&self) -> bool {
+        #[cfg(test)]
+        if self.serial {
+            return false;
+        }
+        self.nodes.len() >= 2
+    }
+
+    /// Keeps every node on the calling thread; call before the first step.
+    #[cfg(test)]
+    pub(crate) fn serve_serially(&mut self) {
+        self.serial = true;
+    }
+
+    /// The serve worker, when the cluster has one.
+    #[cfg(test)]
+    pub(crate) fn serve_worker(&self) -> Option<&ServeWorker> {
+        self.worker.as_ref()
+    }
+
+    /// Node `n`, writable.
+    #[cfg(test)]
+    pub(crate) fn node_mut(&mut self, n: usize) -> &mut ClusterNode {
+        &mut self.nodes[n]
+    }
+
     fn alive_mask(&self) -> Vec<bool> {
         self.nodes.iter().map(ClusterNode::is_alive).collect()
     }
@@ -401,10 +452,19 @@ impl Cluster {
     /// # Errors
     ///
     /// Propagates node/simulator errors; the chaos ladder itself never
-    /// errors.
+    /// errors. When nodes fail to serve, the error is the first in node
+    /// order, and nodes after it may already have served this epoch.
+    ///
+    /// # Panics
+    ///
+    /// A panic while serving a node is resumed here, on the calling
+    /// thread, whichever thread served the node.
     pub fn step(&mut self) -> Result<ClusterEpochReport, ClusterError> {
         self.epoch += 1;
         let epoch = self.epoch;
+        if epoch == 1 && self.may_thread() {
+            self.worker = ServeWorker::spawn();
+        }
         let mut delta = ClusterStats {
             epochs: 1,
             ..ClusterStats::default()
@@ -607,13 +667,6 @@ impl Cluster {
         //    traffic aimed at a just-died replica genuinely bounces and
         //    re-routes the same epoch.
         let services = self.config.services.len();
-        let cap: Vec<Vec<u64>> = (0..self.nodes.len())
-            .map(|_| {
-                (0..services)
-                    .map(|s| self.config.services[s].max_load_rps as u64)
-                    .collect()
-            })
-            .collect();
         let reachable: Vec<Vec<bool>> = self
             .nodes
             .iter()
@@ -621,7 +674,7 @@ impl Cluster {
             .collect();
         let routing = self
             .balancer
-            .route(&self.config.demand_rps, &cap, &reachable)?;
+            .route(&self.config.demand_rps, &self.route_cap, &reachable)?;
         delta.routed_rps += routing.routed;
         delta.bounced_rps += routing.bounced;
         delta.deferred_rps += routing.deferred;
@@ -648,7 +701,15 @@ impl Cluster {
             }
         }
 
-        // 10. Serve the epoch on every live server.
+        // 10. Serve the epoch on every live server, the upper half of the
+        //     nodes on the worker when there is one, and merge the reports
+        //     in node order.
+        match self.worker.as_mut() {
+            Some(worker) => {
+                worker.serve(&mut self.nodes, &routing.per_node, epoch, &mut self.reports)?
+            }
+            None => serve_nodes(&mut self.nodes, &routing.per_node, epoch, &mut self.reports)?,
+        }
         let mut per_service: Vec<ClusterServiceEpoch> = self
             .config
             .services
@@ -662,11 +723,10 @@ impl Cluster {
                 active_replicas: 0,
             })
             .collect();
-        for n in 0..self.nodes.len() {
-            if !self.nodes[n].is_alive() {
+        for (n, report) in self.reports.iter().enumerate() {
+            let Some(report) = report else {
                 continue;
-            }
-            let report = self.nodes[n].serve_epoch(&routing.per_node[n], epoch)?;
+            };
             for (s, svc) in per_service.iter_mut().enumerate() {
                 if self.nodes[n].has_replica(s) {
                     svc.active_replicas += 1;

@@ -73,6 +73,7 @@ mod error;
 mod fault;
 mod federate;
 mod node;
+mod serve;
 
 pub use balancer::{LoadBalancer, RoutingOutcome};
 pub use cluster::{Cluster, ClusterConfig, ClusterEpochReport, ClusterServiceEpoch, ClusterStats};

@@ -106,6 +106,9 @@ pub struct ClusterNode {
     installs: u64,
     alive: bool,
     synced_generation: u64,
+    /// The next serve panics.
+    #[cfg(test)]
+    panic_on_serve: bool,
 }
 
 /// splitmix64 finalizer for deriving independent sub-seeds.
@@ -155,6 +158,8 @@ impl ClusterNode {
             installs: 0,
             alive: true,
             synced_generation: 0,
+            #[cfg(test)]
+            panic_on_serve: false,
         };
         node.idle_all_loads()?;
         Ok(node)
@@ -418,6 +423,12 @@ impl ClusterNode {
         Ok(Some(max))
     }
 
+    /// Makes the next [`serve_epoch`](Self::serve_epoch) panic.
+    #[cfg(test)]
+    pub(crate) fn inject_serve_panic(&mut self) {
+        self.panic_on_serve = true;
+    }
+
     /// Adopts the coordinator's placement: replicas no longer assigned
     /// here are dropped, and the node records the generation it now
     /// actuates from. Returns how many replicas were decommissioned.
@@ -443,6 +454,8 @@ impl ClusterNode {
     /// Returns [`ClusterError::Invariant`] when called on a dead node and
     /// propagates simulator/manager errors.
     pub fn serve_epoch(&mut self, routed: &[u64], epoch: u64) -> Result<EpochReport, ClusterError> {
+        #[cfg(test)]
+        assert!(!self.panic_on_serve, "injected serve panic on {}", self.id);
         if !self.alive {
             return Err(ClusterError::invariant(format!(
                 "serve on dead {}",

@@ -8,8 +8,8 @@
 //! therefore every experiment report — a deterministic function of the
 //! seed, with zero external dependencies.
 
-use std::cell::Cell;
-use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// A source of milliseconds since some fixed origin.
 ///
@@ -58,8 +58,9 @@ impl VirtualClock for WallClock {
 
 /// Deterministic simulated time, advanced explicitly by the driver.
 ///
-/// Clones share the same underlying cell, so a driver can keep one handle
-/// and hand another to the scheduler:
+/// Clones share the same underlying reading (the `f64`'s bits in an
+/// atomic, so a node that owns a clock can be served on another thread),
+/// and a driver can keep one handle and hand another to the scheduler:
 ///
 /// ```
 /// use twig_core::{SimClock, VirtualClock};
@@ -70,7 +71,10 @@ impl VirtualClock for WallClock {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SimClock {
-    now: Rc<Cell<f64>>,
+    /// `f64::to_bits` of the reading. `Relaxed` suffices: a clock and its
+    /// clones are used on one thread at a time, and whatever hands them to
+    /// another thread synchronises.
+    now: Arc<AtomicU64>,
 }
 
 impl SimClock {
@@ -83,20 +87,20 @@ impl SimClock {
     /// ignored (a fault plan models skew via [`set`](Self::set) instead).
     pub fn advance(&self, delta_ms: f64) {
         if delta_ms.is_finite() && delta_ms > 0.0 {
-            self.now.set(self.now.get() + delta_ms);
+            self.set(self.now_ms() + delta_ms);
         }
     }
 
     /// Sets the clock to an absolute reading — including *backwards*, which
     /// is exactly how clock-skew faults are injected.
     pub fn set(&self, now_ms: f64) {
-        self.now.set(now_ms);
+        self.now.store(now_ms.to_bits(), Ordering::Relaxed);
     }
 }
 
 impl VirtualClock for SimClock {
     fn now_ms(&self) -> f64 {
-        self.now.get()
+        f64::from_bits(self.now.load(Ordering::Relaxed))
     }
 }
 

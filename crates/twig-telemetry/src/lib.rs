@@ -60,8 +60,7 @@ pub use metrics::{HistogramSummary, LogHistogram, MetricsRegistry, MetricsSnapsh
 pub use ring::RingBuffer;
 pub use span::{EpochSpan, Phase, Stopwatch, NUM_PHASES};
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Declares a `Copy` struct of `u64` lifetime counters, each field tied to
 /// the telemetry counter it is mirrored under. The struct and its mirror
@@ -163,23 +162,33 @@ pub const DEFAULT_SPAN_CAPACITY: usize = 4096;
 
 #[derive(Debug)]
 struct Inner {
-    registry: RefCell<MetricsRegistry>,
-    spans: RefCell<RingBuffer<EpochSpan>>,
-    current: RefCell<Option<EpochSpan>>,
+    registry: Mutex<MetricsRegistry>,
+    spans: Mutex<RingBuffer<EpochSpan>>,
+    current: Mutex<Option<EpochSpan>>,
+}
+
+/// Locks one part of the shared state. Every method leaves its part
+/// consistent before it can panic, so a lock poisoned by a panic elsewhere
+/// is still safe to read and write.
+fn lock<T>(part: &Mutex<T>) -> MutexGuard<'_, T> {
+    part.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The instrumentation handle threaded through the control loop.
 ///
-/// Cloning is cheap (an `Rc` bump) and clones share state, so the
+/// Cloning is cheap (an `Arc` bump) and clones share state, so the
 /// simulator, manager and learner can all write into one registry. The
-/// handle is single-threaded by design — the control loop it instruments
-/// is a single 1 s-epoch loop.
+/// handle is `Send + Sync`: a cluster serves its nodes on two threads
+/// (DESIGN.md §18). Each call takes an uncontended lock; the order of
+/// gauge writes and span contributions from two threads is whatever order
+/// the calls happen in, which is why a cluster hands its nodes disabled
+/// handles.
 ///
 /// [`Telemetry::disabled`] (also the `Default`) is inert: every method is
 /// a no-op returning zero/`None`, with no allocation and no clock reads.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
-    inner: Option<Rc<Inner>>,
+    inner: Option<Arc<Inner>>,
 }
 
 impl Telemetry {
@@ -192,10 +201,10 @@ impl Telemetry {
     /// [`DEFAULT_SPAN_CAPACITY`] spans in the ring buffer.
     pub fn enabled() -> Self {
         Telemetry {
-            inner: Some(Rc::new(Inner {
-                registry: RefCell::new(MetricsRegistry::new()),
-                spans: RefCell::new(RingBuffer::new(DEFAULT_SPAN_CAPACITY)),
-                current: RefCell::new(None),
+            inner: Some(Arc::new(Inner {
+                registry: Mutex::new(MetricsRegistry::new()),
+                spans: Mutex::new(RingBuffer::new(DEFAULT_SPAN_CAPACITY)),
+                current: Mutex::new(None),
             })),
         }
     }
@@ -208,28 +217,28 @@ impl Telemetry {
     /// Adds `delta` to counter `name`.
     pub fn counter_add(&self, name: &str, delta: u64) {
         if let Some(inner) = &self.inner {
-            inner.registry.borrow_mut().counter_add(name, delta);
+            lock(&inner.registry).counter_add(name, delta);
         }
     }
 
     /// Sets gauge `name` to `value`.
     pub fn gauge_set(&self, name: &str, value: f64) {
         if let Some(inner) = &self.inner {
-            inner.registry.borrow_mut().gauge_set(name, value);
+            lock(&inner.registry).gauge_set(name, value);
         }
     }
 
     /// Records `value` into histogram `name`.
     pub fn record(&self, name: &str, value: f64) {
         if let Some(inner) = &self.inner {
-            inner.registry.borrow_mut().record(name, value);
+            lock(&inner.registry).record(name, value);
         }
     }
 
     /// Current value of counter `name` (zero when disabled or untouched).
     pub fn counter(&self, name: &str) -> u64 {
         match &self.inner {
-            Some(inner) => inner.registry.borrow().counter(name),
+            Some(inner) => lock(&inner.registry).counter(name),
             None => 0,
         }
     }
@@ -238,7 +247,7 @@ impl Telemetry {
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.inner
             .as_ref()
-            .and_then(|inner| inner.registry.borrow().gauge(name))
+            .and_then(|inner| lock(&inner.registry).gauge(name))
     }
 
     /// A stopwatch: armed when enabled, inert ([`Stopwatch::disarmed`])
@@ -261,26 +270,26 @@ impl Telemetry {
     /// `phase_ms.<name>` histogram.
     pub fn phase_add(&self, epoch: u64, phase: Phase, ms: f64) {
         let Some(inner) = &self.inner else { return };
-        let mut current = inner.current.borrow_mut();
+        let mut current = lock(&inner.current);
         match current.as_mut() {
             Some(span) if span.epoch == epoch => span.add(phase, ms),
             _ => {
                 if let Some(done) = current.take() {
-                    inner.spans.borrow_mut().push(done);
+                    lock(&inner.spans).push(done);
                 }
                 let mut span = EpochSpan::new(epoch);
                 span.add(phase, ms);
                 *current = Some(span);
             }
         }
-        inner.registry.borrow_mut().record(phase.metric_key(), ms);
+        lock(&inner.registry).record(phase.metric_key(), ms);
     }
 
     /// A point-in-time metrics snapshot (`None` when disabled).
     pub fn metrics(&self) -> Option<MetricsSnapshot> {
         self.inner
             .as_ref()
-            .map(|inner| inner.registry.borrow().snapshot())
+            .map(|inner| lock(&inner.registry).snapshot())
     }
 
     /// The retained spans, oldest → newest, including the still-open one.
@@ -288,8 +297,8 @@ impl Telemetry {
     pub fn spans(&self) -> Vec<EpochSpan> {
         match &self.inner {
             Some(inner) => {
-                let mut out = inner.spans.borrow().to_vec();
-                if let Some(open) = *inner.current.borrow() {
+                let mut out = lock(&inner.spans).to_vec();
+                if let Some(open) = *lock(&inner.current) {
                     out.push(open);
                 }
                 out
@@ -301,7 +310,7 @@ impl Telemetry {
     /// Spans evicted from the ring buffer so far (zero when disabled).
     pub fn spans_dropped(&self) -> u64 {
         match &self.inner {
-            Some(inner) => inner.spans.borrow().dropped(),
+            Some(inner) => lock(&inner.spans).dropped(),
             None => 0,
         }
     }
@@ -315,7 +324,7 @@ impl Telemetry {
         for span in self.spans() {
             writeln!(w, "{}", span_to_json(&span))?;
         }
-        let snapshot = inner.registry.borrow().snapshot();
+        let snapshot = lock(&inner.registry).snapshot();
         w.write_all(snapshot_to_jsonl(&snapshot).as_bytes())?;
         Ok(())
     }

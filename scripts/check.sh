@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything must pass offline (the workspace has no external
 # dependencies — see DESIGN.md §6). Run from the repo root. Formats, builds,
-# tests (dev and release) and lints the workspace, runs the fault suites at
-# alternate seeds, type-checks the bench/ ledger workspace against it, and
-# runs the grep guards below.
+# tests (dev and release) and lints the workspace, reruns the suite-report
+# test pinned to one CPU, runs the fault suites at alternate seeds,
+# type-checks the bench/ ledger workspace against it, and runs the grep
+# guards below.
 #
 # bash (not POSIX sh) so `pipefail` is available: a step that pipes through
 # a filter must fail on the producer's status, not the filter's.
@@ -155,10 +156,23 @@ check_any_seed() {
     done
 }
 
+# `Cluster::step` serves half of a fleet's nodes on a worker thread only
+# when the process may run two threads at once (DESIGN.md §18). Pinned to
+# one CPU, it serves every node on the calling thread, and the suite reports
+# must still equal the committed ones. Reuses the dev build of the test step.
+check_one_cpu() {
+    if ! command -v taskset >/dev/null; then
+        echo "SKIP: one-cpu (taskset not found)"
+        return 0
+    fi
+    taskset -c 0 cargo test -q --offline -p twig-bench --test fleet_determinism
+}
+
 step "fmt"            cargo fmt --all -- --check
 step "build"          cargo build --release --offline --workspace
 step "any-seed"       check_any_seed
 step "test"           cargo test -q --offline --workspace
+step "one-cpu"        check_one_cpu
 # The bit-identity tests of the numeric crates (kernel vs naive loop,
 # continued vs one-shot product, prefix vs concatenated forward, select vs
 # branch activations, fused vs per-agent decide, selection vs sort) and the
