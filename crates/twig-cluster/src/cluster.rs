@@ -208,12 +208,9 @@ pub struct Cluster {
     route_cap: Vec<Vec<u64>>,
     /// The last epoch's serve reports, one per node.
     reports: Reports,
-    /// Serves the upper half of the nodes from the first step on, when
-    /// there are two nodes and two CPUs.
+    /// Serves the upper half of the nodes, when there are two nodes and
+    /// two CPUs.
     worker: Option<ServeWorker>,
-    /// Keeps every node on the calling thread.
-    #[cfg(test)]
-    serial: bool,
 }
 
 impl Cluster {
@@ -269,9 +266,7 @@ impl Cluster {
             fed_stats: FedStats::default(),
             route_cap: vec![one_replica; n],
             reports: Vec::with_capacity(n),
-            worker: None,
-            #[cfg(test)]
-            serial: false,
+            worker: if n >= 2 { ServeWorker::spawn() } else { None },
         };
         cluster.bootstrap()?;
         Ok(cluster)
@@ -416,19 +411,11 @@ impl Cluster {
         Ok(())
     }
 
-    /// Whether a worker may serve some nodes: there are two to split.
-    fn may_thread(&self) -> bool {
-        #[cfg(test)]
-        if self.serial {
-            return false;
-        }
-        self.nodes.len() >= 2
-    }
-
-    /// Keeps every node on the calling thread; call before the first step.
+    /// Keeps every node on the calling thread from now on; joins the
+    /// worker.
     #[cfg(test)]
     pub(crate) fn serve_serially(&mut self) {
-        self.serial = true;
+        self.worker = None;
     }
 
     /// The serve worker, when the cluster has one.
@@ -462,9 +449,6 @@ impl Cluster {
     pub fn step(&mut self) -> Result<ClusterEpochReport, ClusterError> {
         self.epoch += 1;
         let epoch = self.epoch;
-        if epoch == 1 && self.may_thread() {
-            self.worker = ServeWorker::spawn();
-        }
         let mut delta = ClusterStats {
             epochs: 1,
             ..ClusterStats::default()

@@ -408,36 +408,15 @@ impl ByzantineScreen {
 }
 
 /// The median of a non-empty `column` in `total_cmp` order, reordering it.
-/// Two and three values (a round's usual survivors) take a compare-exchange
-/// instead of a sort. Both are exact: values `total_cmp` calls equal have
-/// the same bits, and the even case's sum commutes, so neither the pair's
-/// order nor the sort's stability shows in the result.
+/// An unstable sort is exact here: values `total_cmp` calls equal have the
+/// same bits, and the even case's sum commutes.
 fn median(column: &mut [f64]) -> f64 {
     let n = column.len();
-    match *column {
-        [a, b] => (a + b) / 2.0,
-        [a, b, c] => {
-            let (lo, hi) = if a.total_cmp(&b).is_gt() {
-                (b, a)
-            } else {
-                (a, b)
-            };
-            // The larger of the pair's low and the smaller of its high and c.
-            let mid = if hi.total_cmp(&c).is_gt() { c } else { hi };
-            if lo.total_cmp(&mid).is_gt() {
-                lo
-            } else {
-                mid
-            }
-        }
-        _ => {
-            column.sort_unstable_by(f64::total_cmp);
-            if n % 2 == 1 {
-                column[n / 2]
-            } else {
-                (column[n / 2 - 1] + column[n / 2]) / 2.0
-            }
-        }
+    column.sort_unstable_by(f64::total_cmp);
+    if n % 2 == 1 {
+        column[n / 2]
+    } else {
+        (column[n / 2 - 1] + column[n / 2]) / 2.0
     }
 }
 
@@ -584,35 +563,32 @@ mod tests {
             .collect()
     }
 
-    /// The median as the sort path takes it, for any `n`.
-    fn sorted_median(column: &[f64]) -> f64 {
-        let mut sorted = column.to_vec();
-        sorted.sort_unstable_by(f64::total_cmp);
-        let n = sorted.len();
-        if n % 2 == 1 {
-            sorted[n / 2]
-        } else {
-            (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
-        }
-    }
-
     #[test]
-    fn small_column_median_matches_the_sort_bit_for_bit() {
+    fn median_ignores_the_order_of_the_column_bit_for_bit() {
         // Values from a small pool, so columns often hold ties and both
-        // signed zeros, plus a fresh random value now and then.
+        // signed zeros, plus a fresh random value now and then. A stable
+        // sort of the column in its given order is the reference.
         let pool = [0.0, -0.0, 1.5, -1.5, 0.25, f64::MIN_POSITIVE, -3.0];
         let mut rng = Xoshiro256::seed_from_u64(11);
         for trial in 0..10_000 {
-            let n = 1 + trial % 5;
+            let n = 1 + trial % 7;
             let column: Vec<f64> = (0..n)
                 .map(|_| match rng.range_usize(0, pool.len() + 1) {
                     i if i < pool.len() => pool[i],
                     _ => f64::from((rng.next_f64() * 2.0 - 1.0) as f32),
                 })
                 .collect();
-            let want = sorted_median(&column);
-            let got = median(&mut column.clone());
-            assert_eq!(got.to_bits(), want.to_bits(), "column {column:?}");
+            let mut sorted = column.clone();
+            sorted.sort_by(f64::total_cmp);
+            let want = if n % 2 == 1 {
+                sorted[n / 2]
+            } else {
+                (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
+            };
+            let mut reversed: Vec<f64> = column.iter().rev().copied().collect();
+            for got in [median(&mut column.clone()), median(&mut reversed)] {
+                assert_eq!(got.to_bits(), want.to_bits(), "column {column:?}");
+            }
         }
     }
 
