@@ -2,42 +2,24 @@ use crate::{config_error, BaselineError};
 use twig_core::{Mapper, TaskManager};
 use twig_sim::{Assignment, CounterId, DvfsLadder, EpochReport, ServiceSpec};
 
-/// Configuration of the [`Heracles`] baseline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HeraclesConfig {
-    /// Main-controller period in epochs (paper: 15 s).
-    pub main_period: u64,
-    /// Core/power-controller period in epochs (paper: 2 s).
-    pub sub_period: u64,
-    /// Epochs the main controller grants all resources after a violation
-    /// (paper: 5 min).
-    pub lockout: u64,
-    /// Load fraction above which the main controller also grants all
-    /// resources (paper: 85 %).
-    pub high_load: f64,
-    /// Latency fraction of target at which the core controller upsizes
-    /// (paper: 80 %).
-    pub latency_guard: f64,
-    /// TDP fraction above which the power controller lowers DVFS
-    /// (paper: 90 %).
-    pub power_guard: f64,
-    /// Socket TDP in watts.
-    pub tdp_w: f64,
-}
-
-impl Default for HeraclesConfig {
-    fn default() -> Self {
-        HeraclesConfig {
-            main_period: 15,
-            sub_period: 2,
-            lockout: 300,
-            high_load: 0.85,
-            latency_guard: 0.80,
-            power_guard: 0.90,
-            tdp_w: 120.0,
-        }
-    }
-}
+/// Main-controller period in epochs (paper: 15 s).
+const MAIN_PERIOD: u64 = 15;
+/// Core/power-controller period in epochs (paper: 2 s).
+const SUB_PERIOD: u64 = 2;
+/// Epochs the main controller grants all resources after a violation
+/// (paper: 5 min).
+const LOCKOUT: u64 = 300;
+/// Load fraction above which the main controller also grants all
+/// resources (paper: 85 %).
+const HIGH_LOAD: f64 = 0.85;
+/// Latency fraction of target at which the core controller upsizes
+/// (paper: 80 %).
+const LATENCY_GUARD: f64 = 0.80;
+/// TDP fraction above which the power controller lowers DVFS
+/// (paper: 90 %).
+const POWER_GUARD: f64 = 0.90;
+/// Socket TDP in watts.
+const TDP_W: f64 = 120.0;
 
 /// Heracles (ISCA 2015): the feedback-controller baseline for a single
 /// latency-critical service.
@@ -55,13 +37,11 @@ impl Default for HeraclesConfig {
 /// # Examples
 ///
 /// ```
-/// use twig_baselines::{Heracles, HeraclesConfig};
+/// use twig_baselines::Heracles;
 /// use twig_core::TaskManager;
 /// use twig_sim::{catalog, DvfsLadder};
 ///
-/// let mut h = Heracles::new(
-///     catalog::xapian(), 18, DvfsLadder::default(), HeraclesConfig::default(),
-/// ).unwrap();
+/// let mut h = Heracles::new(catalog::xapian(), 18, DvfsLadder::default()).unwrap();
 /// let a = h.decide().unwrap();
 /// assert!(a[0].core_count() >= 1);
 /// ```
@@ -69,7 +49,6 @@ impl Default for HeraclesConfig {
 pub struct Heracles {
     spec: ServiceSpec,
     dvfs: DvfsLadder,
-    config: HeraclesConfig,
     mapper: Mapper,
     total_cores: usize,
     cores: usize,
@@ -86,12 +65,7 @@ impl Heracles {
     /// # Errors
     ///
     /// Returns an error for a zero-core platform or an invalid spec.
-    pub fn new(
-        spec: ServiceSpec,
-        cores: usize,
-        dvfs: DvfsLadder,
-        config: HeraclesConfig,
-    ) -> Result<Self, BaselineError> {
+    pub fn new(spec: ServiceSpec, cores: usize, dvfs: DvfsLadder) -> Result<Self, BaselineError> {
         if cores == 0 {
             return Err(config_error("heracles needs at least one core"));
         }
@@ -100,7 +74,6 @@ impl Heracles {
         Ok(Heracles {
             spec,
             dvfs,
-            config,
             mapper: Mapper::new(cores)?,
             total_cores: cores,
             cores: cores / 2,
@@ -151,18 +124,18 @@ impl TaskManager for Heracles {
         let tardiness = svc.p99_ms / self.spec.qos_ms;
 
         // Main controller.
-        if self.time.is_multiple_of(self.config.main_period)
-            && (tardiness > 1.0 || svc.load_fraction > self.config.high_load)
+        if self.time.is_multiple_of(MAIN_PERIOD)
+            && (tardiness > 1.0 || svc.load_fraction > HIGH_LOAD)
         {
-            self.lockout_until = self.time + self.config.lockout;
+            self.lockout_until = self.time + LOCKOUT;
         }
 
         // Core and power controllers.
-        if self.time.is_multiple_of(self.config.sub_period) && self.time >= self.lockout_until {
+        if self.time.is_multiple_of(SUB_PERIOD) && self.time >= self.lockout_until {
             let llc = svc.pmcs[CounterId::LlcMisses];
             let bandwidth_rising = llc > self.last_llc_misses * 1.05;
             let old = self.cores;
-            if tardiness >= self.config.latency_guard || bandwidth_rising {
+            if tardiness >= LATENCY_GUARD || bandwidth_rising {
                 self.cores = (self.cores + 1).min(self.total_cores);
             } else {
                 self.cores = self.cores.saturating_sub(1).max(1);
@@ -172,9 +145,9 @@ impl TaskManager for Heracles {
             }
             self.last_llc_misses = llc;
 
-            if report.power_w >= self.config.power_guard * self.config.tdp_w {
+            if report.power_w >= POWER_GUARD * TDP_W {
                 self.dvfs_idx = self.dvfs_idx.saturating_sub(1);
-            } else if tardiness >= self.config.latency_guard {
+            } else if tardiness >= LATENCY_GUARD {
                 self.dvfs_idx = (self.dvfs_idx + 1).min(self.dvfs.len() - 1);
             }
         }
@@ -201,13 +174,7 @@ mod tests {
 
     #[test]
     fn constructor_validation() {
-        assert!(Heracles::new(
-            catalog::moses(),
-            0,
-            DvfsLadder::default(),
-            HeraclesConfig::default()
-        )
-        .is_err());
+        assert!(Heracles::new(catalog::moses(), 0, DvfsLadder::default()).is_err());
     }
 
     #[test]
@@ -215,16 +182,7 @@ mod tests {
         let specs = vec![catalog::masstree()];
         let mut server = Server::new(ServerConfig::default(), specs, 5).unwrap();
         server.set_load_fraction(0, 0.9).unwrap();
-        let mut h = Heracles::new(
-            catalog::masstree(),
-            18,
-            DvfsLadder::default(),
-            HeraclesConfig {
-                lockout: 50,
-                ..HeraclesConfig::default()
-            },
-        )
-        .unwrap();
+        let mut h = Heracles::new(catalog::masstree(), 18, DvfsLadder::default()).unwrap();
         // High load (>85%) trips the main controller at t=0 observe.
         drive(&mut h, &mut server, 3);
         let a = h.decide().unwrap();
@@ -236,13 +194,7 @@ mod tests {
         let specs = vec![catalog::moses()];
         let mut server = Server::new(ServerConfig::default(), specs, 6).unwrap();
         server.set_load_fraction(0, 0.1).unwrap();
-        let mut h = Heracles::new(
-            catalog::moses(),
-            18,
-            DvfsLadder::default(),
-            HeraclesConfig::default(),
-        )
-        .unwrap();
+        let mut h = Heracles::new(catalog::moses(), 18, DvfsLadder::default()).unwrap();
         let before = h.cores();
         drive(&mut h, &mut server, 40);
         assert!(
@@ -257,13 +209,7 @@ mod tests {
         let specs = vec![catalog::img_dnn()];
         let mut server = Server::new(ServerConfig::default(), specs, 7).unwrap();
         server.set_load_fraction(0, 0.5).unwrap();
-        let mut h = Heracles::new(
-            catalog::img_dnn(),
-            18,
-            DvfsLadder::default(),
-            HeraclesConfig::default(),
-        )
-        .unwrap();
+        let mut h = Heracles::new(catalog::img_dnn(), 18, DvfsLadder::default()).unwrap();
         drive(&mut h, &mut server, 30);
         // Far from TDP on this workload, so DVFS stays at (or near) max —
         // the energy-wasting behaviour Section V-B1 calls out.

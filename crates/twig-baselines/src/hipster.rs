@@ -4,25 +4,26 @@ use twig_rl::QTable;
 use twig_sim::{Assignment, DvfsLadder, EpochReport, Frequency, ServiceSpec};
 use twig_stats::rng::Xoshiro256;
 
+/// Load-bucket width as a fraction of max load (the paper sweeps this
+/// and settles on 4 %).
+const BUCKET_WIDTH: f64 = 0.04;
+/// Tabular learning rate (paper: 0.6).
+const LEARNING_RATE: f64 = 0.6;
+/// Discount factor (paper: 0.9).
+const DISCOUNT: f64 = 0.9;
+/// Exploration rate after the learning phase.
+const EPSILON: f64 = 0.03;
+/// Latency fraction of target above which the heuristic upsizes.
+const UPSIZE_THRESHOLD: f64 = 0.80;
+/// Latency fraction of target below which the heuristic downsizes.
+const DOWNSIZE_THRESHOLD: f64 = 0.50;
+
 /// Configuration of the [`Hipster`] baseline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HipsterConfig {
-    /// Load-bucket width as a fraction of max load (the paper sweeps this
-    /// and settles on 4 %).
-    pub bucket_width: f64,
-    /// Tabular learning rate (paper: 0.6).
-    pub learning_rate: f64,
-    /// Discount factor (paper: 0.9).
-    pub discount: f64,
     /// Length of the heuristic-driven learning phase in epochs
     /// (Section V-A uses 7 500–10 000 s depending on the experiment).
     pub learning_phase: u64,
-    /// Exploration rate after the learning phase.
-    pub epsilon: f64,
-    /// Latency fraction of target above which the heuristic upsizes.
-    pub upsize_threshold: f64,
-    /// Latency fraction of target below which the heuristic downsizes.
-    pub downsize_threshold: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -30,13 +31,7 @@ pub struct HipsterConfig {
 impl Default for HipsterConfig {
     fn default() -> Self {
         HipsterConfig {
-            bucket_width: 0.04,
-            learning_rate: 0.6,
-            discount: 0.9,
             learning_phase: 7_500,
-            epsilon: 0.03,
-            upsize_threshold: 0.80,
-            downsize_threshold: 0.50,
             seed: 0,
         }
     }
@@ -44,13 +39,15 @@ impl Default for HipsterConfig {
 
 /// Hipster (HPCA 2017): the paper's main single-service RL baseline.
 ///
-/// The state is the request rate quantised into [`HipsterConfig::bucket_width`]
-/// buckets; the action space is every (core count, DVFS) pair, ordered by
-/// increasing estimated power ("in increasing order of power efficiency").
+/// The state is the request rate quantised into 4 % buckets; the action
+/// space is every (core count, DVFS) pair, ordered by increasing estimated
+/// power ("in increasing order of power efficiency").
 /// During the learning phase a state-machine heuristic walks this order —
 /// up when tail latency approaches the target, down when there is slack —
 /// while the Q-table learns from the observed rewards; afterwards Hipster
-/// acts ε-greedily from the table.
+/// acts ε-greedily from the table. The Q-learning constants are the
+/// published ones (α 0.6, γ 0.9); only the learning-phase length and the
+/// seed are configurable.
 ///
 /// # Examples
 ///
@@ -91,8 +88,7 @@ impl Hipster {
     ///
     /// # Errors
     ///
-    /// Returns an error for a zero-core platform or an invalid bucket
-    /// width.
+    /// Returns an error for a zero-core platform or an invalid spec.
     pub fn new(
         spec: ServiceSpec,
         cores: usize,
@@ -102,14 +98,8 @@ impl Hipster {
         if cores == 0 {
             return Err(config_error("hipster needs at least one core"));
         }
-        if !(0.001..=1.0).contains(&config.bucket_width) {
-            return Err(config_error(format!(
-                "bucket width {} outside (0.001, 1]",
-                config.bucket_width
-            )));
-        }
         spec.validate()?;
-        let buckets = (1.0 / config.bucket_width).ceil() as usize + 1;
+        let buckets = (1.0 / BUCKET_WIDTH).ceil() as usize + 1;
         let power_model = Eq2PowerModel::default();
         // Order all actions by estimated power at a reference load — the
         // "increasing order of power efficiency" of Octopus-Man/Hipster.
@@ -121,12 +111,7 @@ impl Hipster {
             let p2 = power_model.estimate(0.5, n2, d2);
             p1.total_cmp(&p2)
         });
-        let table = QTable::new(
-            buckets,
-            action_order.len(),
-            config.learning_rate,
-            config.discount,
-        )?;
+        let table = QTable::new(buckets, action_order.len(), LEARNING_RATE, DISCOUNT)?;
         let seed = config.seed;
         Ok(Hipster {
             spec,
@@ -149,7 +134,7 @@ impl Hipster {
     }
 
     fn bucket(&self, load: f64) -> usize {
-        ((load / self.config.bucket_width) as usize).min(self.table.states() - 1)
+        ((load / BUCKET_WIDTH) as usize).min(self.table.states() - 1)
     }
 
     /// Total core-allocation sizes changed so far (the oscillation metric
@@ -185,7 +170,7 @@ impl TaskManager for Hipster {
         let action = if self.time < self.config.learning_phase {
             self.heuristic_index
         } else {
-            self.table.select(state, self.config.epsilon, &mut self.rng)
+            self.table.select(state, EPSILON, &mut self.rng)
         };
         self.pending = Some((state, action));
         let assignments = self.action_to_assignment(action)?;
@@ -220,9 +205,9 @@ impl TaskManager for Hipster {
             if tardiness > 1.0 {
                 // Violation: jump up aggressively.
                 self.heuristic_index = (self.heuristic_index + max / 10 + 1).min(max);
-            } else if tardiness > self.config.upsize_threshold {
+            } else if tardiness > UPSIZE_THRESHOLD {
                 self.heuristic_index = (self.heuristic_index + 1).min(max);
-            } else if tardiness < self.config.downsize_threshold {
+            } else if tardiness < DOWNSIZE_THRESHOLD {
                 self.heuristic_index = self.heuristic_index.saturating_sub(1);
             }
         }
@@ -256,16 +241,6 @@ mod tests {
             0,
             DvfsLadder::default(),
             HipsterConfig::default()
-        )
-        .is_err());
-        assert!(Hipster::new(
-            catalog::moses(),
-            18,
-            DvfsLadder::default(),
-            HipsterConfig {
-                bucket_width: 0.0,
-                ..HipsterConfig::default()
-            }
         )
         .is_err());
     }

@@ -27,7 +27,10 @@
 //! because neither is open source; this crate is in exactly the same
 //! position and follows the published descriptions (Intel CAT and explicit
 //! memory-bandwidth partitioning are omitted, as in the paper's own
-//! testbed).
+//! testbed). The published periods, thresholds and learning constants
+//! above are `const`s in each manager's module, not configuration: the
+//! constructors take only the platform, a seed where the manager draws
+//! random numbers, and Hipster's learning-phase length.
 //!
 //! # Examples
 //!
@@ -55,9 +58,9 @@ mod hipster;
 mod parties;
 mod static_mapping;
 
-pub use heracles::{Heracles, HeraclesConfig};
+pub use heracles::Heracles;
 pub use hipster::{Hipster, HipsterConfig};
-pub use parties::{Parties, PartiesConfig};
+pub use parties::Parties;
 pub use static_mapping::StaticMapping;
 
 /// Error type shared by the baseline managers — the structured

@@ -3,32 +3,14 @@ use twig_core::{Mapper, TaskManager};
 use twig_sim::{Assignment, DvfsLadder, EpochReport, ServiceSpec};
 use twig_stats::rng::{Rng, Xoshiro256};
 
-/// Configuration of the [`Parties`] baseline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartiesConfig {
-    /// Controller period in epochs (paper: 2 s).
-    pub period: u64,
-    /// Latency fraction of target at which a service is upsized
-    /// (paper: 95 %).
-    pub upsize_threshold: f64,
-    /// Latency fraction of target below which a service is a reclaim
-    /// candidate.
-    pub slack_threshold: f64,
-    /// RNG seed (the controller "begins by randomly selecting one of the
-    /// resources").
-    pub seed: u64,
-}
-
-impl Default for PartiesConfig {
-    fn default() -> Self {
-        PartiesConfig {
-            period: 2,
-            upsize_threshold: 0.95,
-            slack_threshold: 0.7,
-            seed: 0,
-        }
-    }
-}
+/// Controller period in epochs (paper: 2 s).
+const PERIOD: u64 = 2;
+/// Latency fraction of target at which a service is upsized
+/// (paper: 95 %).
+const UPSIZE_THRESHOLD: f64 = 0.95;
+/// Latency fraction of target below which a service is a reclaim
+/// candidate.
+const SLACK_THRESHOLD: f64 = 0.7;
 
 /// Which knob PARTIES adjusts (CAT and explicit memory partitioning are
 /// omitted, as in the paper's testbed).
@@ -60,7 +42,7 @@ struct Adjustment {
 /// # Examples
 ///
 /// ```
-/// use twig_baselines::{Parties, PartiesConfig};
+/// use twig_baselines::Parties;
 /// use twig_core::TaskManager;
 /// use twig_sim::{catalog, DvfsLadder};
 ///
@@ -68,7 +50,7 @@ struct Adjustment {
 ///     vec![catalog::masstree(), catalog::moses()],
 ///     18,
 ///     DvfsLadder::default(),
-///     PartiesConfig::default(),
+///     0,
 /// ).unwrap();
 /// let a = p.decide().unwrap();
 /// assert_eq!(a.len(), 2);
@@ -77,7 +59,6 @@ struct Adjustment {
 pub struct Parties {
     specs: Vec<ServiceSpec>,
     dvfs: DvfsLadder,
-    config: PartiesConfig,
     mapper: Mapper,
     total_cores: usize,
     cores: Vec<usize>,
@@ -91,7 +72,9 @@ pub struct Parties {
 
 impl Parties {
     /// Creates a PARTIES manager for the given colocated services. Initial
-    /// allocation splits the socket evenly at the highest DVFS state.
+    /// allocation splits the socket evenly at the highest DVFS state;
+    /// `seed` drives the controller's random choice of resource (it
+    /// "begins by randomly selecting one of the resources").
     ///
     /// # Errors
     ///
@@ -101,7 +84,7 @@ impl Parties {
         specs: Vec<ServiceSpec>,
         cores: usize,
         dvfs: DvfsLadder,
-        config: PartiesConfig,
+        seed: u64,
     ) -> Result<Self, BaselineError> {
         if specs.is_empty() {
             return Err(config_error("parties needs at least one service"));
@@ -117,10 +100,8 @@ impl Parties {
             s.validate()?;
         }
         let k = specs.len();
-        let seed = config.seed;
         Ok(Parties {
             dvfs: dvfs.clone(),
-            config,
             mapper: Mapper::new(cores)?,
             total_cores: cores,
             cores: vec![cores / k; k],
@@ -208,7 +189,7 @@ impl TaskManager for Parties {
             )));
         }
         self.time += 1;
-        if !self.time.is_multiple_of(self.config.period) {
+        if !self.time.is_multiple_of(PERIOD) {
             return Ok(());
         }
         let tardiness: Vec<f64> = report
@@ -234,7 +215,7 @@ impl TaskManager for Parties {
         order.sort_by(|&a, &b| tardiness[b].total_cmp(&tardiness[a]));
         let mut upsized = false;
         for &pressed in &order {
-            if tardiness[pressed] < self.config.upsize_threshold {
+            if tardiness[pressed] < UPSIZE_THRESHOLD {
                 break;
             }
             let resource = self.pick_resource(pressed);
@@ -258,7 +239,7 @@ impl TaskManager for Parties {
             }
         }
         let worst = tardiness[order[0]];
-        if !upsized && worst < self.config.upsize_threshold {
+        if !upsized && worst < UPSIZE_THRESHOLD {
             let Some((slackest, &best)) = tardiness
                 .iter()
                 .enumerate()
@@ -266,7 +247,7 @@ impl TaskManager for Parties {
             else {
                 return Ok(());
             };
-            if best < self.config.slack_threshold {
+            if best < SLACK_THRESHOLD {
                 let resource = self.pick_resource(slackest);
                 if self.apply(slackest, resource, -1) {
                     self.last_adjustment = Some(Adjustment {
@@ -288,7 +269,7 @@ mod tests {
     use twig_sim::{catalog, Server, ServerConfig};
 
     fn parties(specs: Vec<ServiceSpec>) -> Parties {
-        Parties::new(specs, 18, DvfsLadder::default(), PartiesConfig::default()).unwrap()
+        Parties::new(specs, 18, DvfsLadder::default(), 0).unwrap()
     }
 
     fn drive(p: &mut Parties, server: &mut Server, epochs: usize) {
@@ -301,12 +282,12 @@ mod tests {
 
     #[test]
     fn constructor_validation() {
-        assert!(Parties::new(vec![], 18, DvfsLadder::default(), PartiesConfig::default()).is_err());
+        assert!(Parties::new(vec![], 18, DvfsLadder::default(), 0).is_err());
         assert!(Parties::new(
             vec![catalog::moses(), catalog::masstree()],
             1,
             DvfsLadder::default(),
-            PartiesConfig::default()
+            0
         )
         .is_err());
     }
@@ -364,20 +345,17 @@ mod tests {
         let mut server = Server::new(ServerConfig::default(), specs.clone(), 11).unwrap();
         server.set_load_fraction(0, 0.1).unwrap();
         server.set_load_fraction(1, 0.1).unwrap();
-        let mut p = Parties::new(
-            specs,
-            18,
-            DvfsLadder::default(),
-            PartiesConfig {
-                period: 10,
-                ..PartiesConfig::default()
-            },
-        )
-        .unwrap();
-        drive(&mut p, &mut server, 9);
-        assert_eq!(p.migrations(), 0, "no adjustment before the first period");
-        drive(&mut p, &mut server, 2);
-        // One controller tick has now fired (it may have chosen DVFS).
-        assert!(p.migrations() <= 1);
+        let mut p = parties(specs);
+        for epoch in 1..=40u64 {
+            let before = p.migrations();
+            drive(&mut p, &mut server, 1);
+            if epoch.is_multiple_of(PERIOD) {
+                // One controller tick fired (it may have chosen DVFS).
+                assert!(p.migrations() <= before + 1, "epoch {epoch}");
+            } else {
+                assert_eq!(p.migrations(), before, "adjusted off-period at {epoch}");
+            }
+        }
+        assert!(p.migrations() > 0, "idle services never shed a core");
     }
 }

@@ -12,7 +12,7 @@ use crate::{
     Unit,
 };
 use std::fmt::Write as _;
-use twig_baselines::{Heracles, HeraclesConfig, Hipster, HipsterConfig, StaticMapping};
+use twig_baselines::{Heracles, Hipster, HipsterConfig, StaticMapping};
 use twig_core::TaskManager;
 use twig_sim::{catalog, Server, ServerConfig, ServiceSpec};
 
@@ -65,12 +65,7 @@ fn grid_cell(
         energy_norm: 1.0,
     });
 
-    let mut heracles = Heracles::new(
-        spec.clone(),
-        cfg.cores,
-        cfg.dvfs.clone(),
-        HeraclesConfig::default(),
-    )?;
+    let mut heracles = Heracles::new(spec.clone(), cfg.cores, cfg.dvfs.clone())?;
     let (q, e) = run_manager(
         spec,
         load,
@@ -92,7 +87,6 @@ fn grid_cell(
         HipsterConfig {
             learning_phase: learn * 3 / 4,
             seed: opts.seed,
-            ..HipsterConfig::default()
         },
     )?;
     let (q, e) = run_manager(

@@ -10,7 +10,7 @@
 
 use crate::{drive, make_twig, run_sections, window, ExpError, Options, TextTable, Unit};
 use std::fmt::Write as _;
-use twig_baselines::{Heracles, HeraclesConfig, Hipster, HipsterConfig};
+use twig_baselines::{Heracles, Hipster, HipsterConfig};
 use twig_core::TaskManager;
 use twig_sim::{catalog, EpochReport, Server, ServerConfig};
 use twig_stats::Histogram;
@@ -107,12 +107,7 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
             let cfg = cfg.clone();
             move |_seed| {
                 let mut s = String::new();
-                let mut heracles = Heracles::new(
-                    catalog::masstree(),
-                    cfg.cores,
-                    cfg.dvfs.clone(),
-                    HeraclesConfig::default(),
-                )?;
+                let mut heracles = Heracles::new(catalog::masstree(), cfg.cores, cfg.dvfs.clone())?;
                 report_manager(
                     &mut s,
                     "heracles",
@@ -135,7 +130,6 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
                     HipsterConfig {
                         learning_phase: learn * 3 / 4,
                         seed: opts.seed,
-                        ..HipsterConfig::default()
                     },
                 )?;
                 report_manager(

@@ -56,7 +56,6 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
         HipsterConfig {
             learning_phase: ramp,
             seed: opts.seed,
-            ..HipsterConfig::default()
         },
     )?;
     let hipster_reports = drive(&mut server, &mut hipster, total)?;

@@ -11,7 +11,7 @@
 
 use crate::{drive, summarize, total_energy, window, ExpError, Options, TextTable};
 use std::fmt::Write as _;
-use twig_baselines::{Heracles, HeraclesConfig, Hipster, HipsterConfig};
+use twig_baselines::{Heracles, Hipster, HipsterConfig};
 use twig_core::TaskManager;
 use twig_sim::{catalog, LoadGenerator, Server, ServerConfig};
 
@@ -73,17 +73,11 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
         HipsterConfig {
             learning_phase: learn * 3 / 4,
             seed: opts.seed,
-            ..HipsterConfig::default()
         },
     )?;
     let o_hip = run_one(&mut hipster, epochs, measure, step_period, opts)?;
 
-    let mut heracles = Heracles::new(
-        catalog::img_dnn(),
-        cfg.cores,
-        cfg.dvfs.clone(),
-        HeraclesConfig::default(),
-    )?;
+    let mut heracles = Heracles::new(catalog::img_dnn(), cfg.cores, cfg.dvfs.clone())?;
     let o_her = run_one(
         &mut heracles,
         opts.controller_warmup() + measure,

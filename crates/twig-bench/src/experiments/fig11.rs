@@ -15,7 +15,7 @@
 
 use crate::{drive, make_twig, summarize, total_energy, window, ExpError, Options, TextTable};
 use std::fmt::Write as _;
-use twig_baselines::{Parties, PartiesConfig};
+use twig_baselines::Parties;
 use twig_sim::{catalog, EpochReport, LoadGenerator, Server, ServerConfig};
 
 fn setup_server(opts: &Options, step_period: u64) -> Result<Server, ExpError> {
@@ -87,15 +87,7 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
         tail.iter().map(|r| r.migrations).sum::<usize>()
     )?;
 
-    let mut parties = Parties::new(
-        specs.clone(),
-        18,
-        ServerConfig::default().dvfs,
-        PartiesConfig {
-            seed: opts.seed,
-            ..PartiesConfig::default()
-        },
-    )?;
+    let mut parties = Parties::new(specs.clone(), 18, ServerConfig::default().dvfs, opts.seed)?;
     let mut server = setup_server(opts, step_period)?;
     let p_reports = drive(
         &mut server,

@@ -17,7 +17,7 @@
 
 use crate::{drive, make_twig, summarize, total_energy, window, ExpError, Options, TextTable};
 use std::fmt::Write as _;
-use twig_baselines::{Parties, PartiesConfig};
+use twig_baselines::Parties;
 use twig_sim::{catalog, EpochReport, Server, ServerConfig};
 
 fn distribution(tail: &[EpochReport], svc: usize) -> Vec<(usize, f64)> {
@@ -59,15 +59,7 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
         Ok(server)
     };
 
-    let mut parties = Parties::new(
-        specs.clone(),
-        18,
-        ServerConfig::default().dvfs,
-        PartiesConfig {
-            seed: opts.seed,
-            ..PartiesConfig::default()
-        },
-    )?;
+    let mut parties = Parties::new(specs.clone(), 18, ServerConfig::default().dvfs, opts.seed)?;
     let mut server = setup(opts.seed)?;
     let p_reports = drive(
         &mut server,

@@ -11,7 +11,7 @@
 
 use crate::{drive, make_twig, summarize, total_energy, window, ExpError, Options, TextTable};
 use std::fmt::Write as _;
-use twig_baselines::{Parties, PartiesConfig, StaticMapping};
+use twig_baselines::{Parties, StaticMapping};
 use twig_core::TaskManager;
 use twig_sim::{catalog, Server, ServerConfig, ServiceSpec};
 
@@ -96,15 +96,8 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
                 let c_static =
                     run_pair(&specs, load, &mut stat, warm + measure, measure, opts.seed)?;
 
-                let mut parties = Parties::new(
-                    specs.clone(),
-                    18,
-                    ServerConfig::default().dvfs,
-                    PartiesConfig {
-                        seed: opts.seed,
-                        ..PartiesConfig::default()
-                    },
-                )?;
+                let mut parties =
+                    Parties::new(specs.clone(), 18, ServerConfig::default().dvfs, opts.seed)?;
                 let c_parties = run_pair(
                     &specs,
                     load,

@@ -401,7 +401,7 @@ fn run_bit_identity(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, Exp
 /// Returns an error naming every failed (errored or panicked) schedule.
 pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
     let epochs = suite_epochs(opts, 30, 50);
-    let retry = twig_core::SchedulerConfig::default().retry_budget();
+    let retry = twig_core::RETRY_BUDGET;
     writeln!(
         out,
         "Platform suite: {} schedules x {epochs} epochs through the Linux backend on a fault-injecting fake sysfs ({} retries per write, backoff {:.0} ms doubling to {:.0} ms)\n",

@@ -15,8 +15,7 @@ use std::time::Instant;
 use twig_cluster::{Coordinator, CoordinatorConfig, LoadBalancer};
 use twig_core::{ClusterView, NodeId, NodeView};
 use twig_core::{
-    EpochScheduler, GovernorConfig, Mapper, SafetyGovernor, SchedulerConfig, ScratchStore,
-    SimClock, SystemMonitor,
+    EpochScheduler, GovernorConfig, Mapper, SafetyGovernor, ScratchStore, SimClock, SystemMonitor,
 };
 use twig_nn::count_alloc;
 use twig_rl::{MaBdq, MaBdqConfig, MultiTransition};
@@ -99,14 +98,10 @@ pub fn ckpt_loop_ms_per_epoch(armed: bool, epochs: u64, seed: u64) -> Result<f64
 /// full epoch of phase metering — begin, PMC freshness check, inference
 /// directive, four learn-chunk grants, actuation scoring, close — against a
 /// virtual clock, so only the state machine itself is on the clock.
-///
-/// # Errors
-///
-/// Propagates scheduler construction errors.
-pub fn scheduler_bookkeeping_ms(iters: u32) -> Result<f64, ExpError> {
+pub fn scheduler_bookkeeping_ms(iters: u32) -> f64 {
     let clock = SimClock::new();
-    let mut sched = EpochScheduler::new(SchedulerConfig::default(), clock.clone())?;
-    Ok(time_ms(iters, || {
+    let mut sched = EpochScheduler::new(clock.clone());
+    time_ms(iters, || {
         sched.begin_epoch();
         clock.advance(5.0);
         let _ = sched.pmc_window_fresh(5.0);
@@ -119,7 +114,7 @@ pub fn scheduler_bookkeeping_ms(iters: u32) -> Result<f64, ExpError> {
         let _ = sched.actuation_attempt(5.0);
         sched.end_epoch();
         clock.advance(900.0);
-    }))
+    })
 }
 
 /// Mean wall-clock milliseconds of cluster control-plane bookkeeping for
@@ -378,7 +373,7 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
     // 7. Deadline-scheduler bookkeeping: the epoch scheduler's own phase
     //    metering (budget checks, ladder, backoff arithmetic) for one full
     //    epoch, timed against a virtual clock.
-    let sched_ms = scheduler_bookkeeping_ms(5000)?;
+    let sched_ms = scheduler_bookkeeping_ms(5000);
 
     // 8. Cluster control-plane bookkeeping: heartbeats, repair planning,
     //    the migration ladder and deterministic routing for a 4-node
@@ -540,7 +535,7 @@ mod tests {
         // The epoch scheduler meters phases against a 1000 ms interval; its
         // own bookkeeping (ISSUE 5 acceptance bound) must stay under
         // 0.1 ms per epoch — three orders of magnitude below the interval.
-        let ms = scheduler_bookkeeping_ms(5000).unwrap();
+        let ms = scheduler_bookkeeping_ms(5000);
         assert!(
             ms < 0.1,
             "scheduler bookkeeping {ms:.4} ms/epoch exceeds the 0.1 ms bound"

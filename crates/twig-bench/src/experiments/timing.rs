@@ -36,7 +36,8 @@ use crate::{fmt_f, run_fleet, ExpError, Options, TextTable, Unit};
 use std::fmt::Write as _;
 use twig_core::{
     ActuationDirective, EpochScheduler, GovernorConfig, InferenceDirective, LearnDirective,
-    SafetyGovernor, SchedulerConfig, SchedulerStats, SimClock, Twig,
+    SafetyGovernor, SchedulerStats, SimClock, Twig, ACTUATE_BUDGET_MS, INFERENCE_BUDGET_MS,
+    INTERVAL_MS, LEARN_BUDGET_MS, PMC_BUDGET_MS, RETRY_BUDGET, STALE_AFTER_MS,
 };
 use twig_rl::BudgetedProgress;
 use twig_scenario::build_twig;
@@ -221,7 +222,7 @@ fn run_schedule(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, ExpErro
         },
     )?;
 
-    let mut sched = EpochScheduler::new(SchedulerConfig::default(), SimClock::new())?;
+    let mut sched = EpochScheduler::new(SimClock::new());
 
     let mut o = Outcome {
         name: s.name.to_string(),
@@ -315,7 +316,7 @@ fn run_bit_identity(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, Exp
     ];
 
     let clock = SimClock::new();
-    let mut sched = EpochScheduler::new(SchedulerConfig::default(), clock.clone())?;
+    let mut sched = EpochScheduler::new(clock.clone());
 
     let mut o = Outcome {
         name: s.name.to_string(),
@@ -399,18 +400,17 @@ fn run_bit_identity(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, Exp
 /// Returns an error naming every failed (errored or panicked) schedule.
 pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
     let epochs = suite_epochs(opts, 30, 50);
-    let cfg = SchedulerConfig::default();
     writeln!(
         out,
         "Timing suite: {} schedules x {epochs} epochs, interval {:.0} ms (budgets: pmc {:.0} / inference {:.0} / learn {:.0} / actuate {:.0} ms, stale after {:.0} ms, {} actuation retries)\n",
         schedules().len(),
-        cfg.interval_ms,
-        cfg.pmc_budget_ms,
-        cfg.inference_budget_ms,
-        cfg.learn_budget_ms,
-        cfg.actuate_budget_ms,
-        cfg.stale_after_ms,
-        cfg.actuation_max_retries,
+        INTERVAL_MS,
+        PMC_BUDGET_MS,
+        INFERENCE_BUDGET_MS,
+        LEARN_BUDGET_MS,
+        ACTUATE_BUDGET_MS,
+        STALE_AFTER_MS,
+        RETRY_BUDGET.max_retries,
     )?;
 
     let scheds = schedules();

@@ -25,6 +25,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::Instant;
+use twig_stats::rng::splitmix64_mix;
 
 /// Derives the seed for unit `index` from the fleet's base seed.
 ///
@@ -33,13 +34,11 @@ use std::time::Instant;
 /// `(base, index)` — never on thread identity or completion order, which
 /// is what makes fleet output independent of `--jobs`.
 pub fn unit_seed(base: u64, index: usize) -> u64 {
-    let mut z = base
-        ^ (index as u64)
+    splitmix64_mix(
+        base ^ (index as u64)
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+            .wrapping_add(0x9E37_79B9_7F4A_7C15),
+    )
 }
 
 /// One independent experiment unit: a label plus the work closure, which
@@ -258,6 +257,23 @@ mod tests {
         unique.dedup();
         assert_eq!(unique.len(), seeds.len(), "colliding unit seeds");
         assert_ne!(unit_seed(1, 0), unit_seed(2, 0));
+    }
+
+    #[test]
+    fn unit_seed_outputs_are_pinned() {
+        for (base, index, want) in [
+            (0, 0, 0xe220_a839_7b1d_cdaf),
+            (42, 0, 0xbdd7_3226_2feb_6e95),
+            (42, 1, 0xd963_9a00_6c85_adb0),
+            (42, 63, 0x0b7d_cbd4_29a0_baaa),
+            (u64::MAX, 7, 0xf994_78f8_1db9_1d39),
+        ] {
+            assert_eq!(
+                unit_seed(base, index),
+                want,
+                "unit_seed({base:#x}, {index})"
+            );
+        }
     }
 
     fn seed_units<'a>(n: usize) -> Vec<Unit<'a, u64>> {

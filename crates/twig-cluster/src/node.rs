@@ -5,9 +5,14 @@
 //! The socket is a full `twig_sim::Server` over all services; placement
 //! controls which of them actually receive traffic and an agent. Each
 //! installed replica runs its **own** Twig-S agent wrapped in a
-//! [`SafetyGovernor`], and the node meters its decision loop through a
-//! local [`EpochScheduler`] — the single-server hardening stack, verbatim,
-//! one level down from the cluster.
+//! [`SafetyGovernor`]. The node also walks a local [`EpochScheduler`]
+//! through each epoch, but only as a meter: it charges nominal phase
+//! costs (5 ms PMC read, 2 ms per replica's inference, 5 ms actuation,
+//! far inside every budget) and discards every directive, so the
+//! scheduler can never shed an epoch or miss a deadline here. Its
+//! [`SchedulerStats`] count the node's epochs; the cluster suite injects
+//! control-plane faults, and per-phase timing faults live in the
+//! single-server timing suite.
 //!
 //! Partition-tolerant autonomy falls out of this layout: the node keeps
 //! its last synced [`ServicePlacement`] generation and its local agents,
@@ -16,13 +21,14 @@
 
 use crate::ClusterError;
 use twig_core::{
-    EpochScheduler, GovernorConfig, NodeId, SafetyGovernor, SchedulerConfig, SchedulerStats,
-    ServicePlacement, SimClock, TaskManager, Twig, TwigBuilder,
+    EpochScheduler, GovernorConfig, NodeId, SafetyGovernor, SchedulerStats, ServicePlacement,
+    SimClock, TaskManager, Twig, TwigBuilder,
 };
 use twig_rl::{encode_checkpoint, EpsilonSchedule, MaBdqCheckpoint, MaBdqConfig};
 use twig_sim::{
     Assignment, DvfsLadder, EpochReport, Server, ServerConfig, ServiceSpec, TelemetryHealth,
 };
+use twig_stats::rng::splitmix64_mix;
 
 /// Hardware shape of one server (the heterogeneity axis of the fleet).
 #[derive(Debug, Clone, PartialEq)]
@@ -113,10 +119,7 @@ pub struct ClusterNode {
 
 /// splitmix64 finalizer for deriving independent sub-seeds.
 pub(crate) fn mix(seed: u64, salt: u64) -> u64 {
-    let mut z = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    splitmix64_mix(seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 impl ClusterNode {
@@ -142,7 +145,7 @@ impl ClusterNode {
             mix(seed, 0x5EED),
         )?;
         let clock = SimClock::new();
-        let scheduler = EpochScheduler::new(SchedulerConfig::default(), clock.clone())?;
+        let scheduler = EpochScheduler::new(clock.clone());
         let k = specs.len();
         let mut node = ClusterNode {
             id,
@@ -445,9 +448,9 @@ impl ClusterNode {
     }
 
     /// Serves one epoch: applies `routed` requests per second per
-    /// service, lets each replica's governed agent decide under the
-    /// deadline scheduler, steps the socket, and feeds the per-service
-    /// observations back to the replicas.
+    /// service, lets each replica's governed agent decide (metered at
+    /// nominal cost; see the module docs), steps the socket, and feeds the
+    /// per-service observations back to the replicas.
     ///
     /// # Errors
     ///
@@ -478,10 +481,8 @@ impl ClusterNode {
             self.server.set_load_fraction(s, fraction)?;
         }
 
-        // Meter the local decision loop through the deadline scheduler
-        // with nominal per-phase costs (the cluster suite measures
-        // *control-plane* faults; per-phase timing faults live in the
-        // single-server timing suite).
+        // Meter the local decision loop at nominal per-phase costs; the
+        // directives are discarded (see the module docs).
         self.clock.set(epoch as f64 * 1000.0);
         self.scheduler.begin_epoch();
         self.clock.advance(5.0); // PMC read
@@ -571,6 +572,36 @@ mod tests {
         assert_eq!(report.services[1].offered_rps, 0.0);
         assert_eq!(report.services[1].core_count, 0);
         assert_eq!(n.scheduler_stats().epochs, 1);
+    }
+
+    #[test]
+    fn mix_outputs_are_pinned() {
+        for (seed, salt, want) in [
+            (42, 0x5EED, 0x030e_3175_184b_ad89),
+            (42, 0x0DE5 ^ (3 << 16), 0x01ea_c165_273e_155b),
+            (7, 0x5EED ^ (2 << 32), 0xa0c6_f7c0_7616_b476),
+            (u64::MAX, 1, 0xde0a_564c_bcd0_60c4),
+        ] {
+            assert_eq!(mix(seed, salt), want, "mix({seed:#x}, {salt:#x})");
+        }
+    }
+
+    #[test]
+    fn nominal_metering_never_sheds_or_misses() {
+        const EPOCHS: u64 = 25;
+        let mut n = node(18);
+        n.install_replica(0, None).unwrap();
+        n.install_replica(1, None).unwrap();
+        for epoch in 1..=EPOCHS {
+            n.serve_epoch(&[900, 900], epoch).unwrap();
+        }
+        assert_eq!(
+            n.scheduler_stats(),
+            SchedulerStats {
+                epochs: EPOCHS,
+                ..SchedulerStats::default()
+            }
+        );
     }
 
     #[test]

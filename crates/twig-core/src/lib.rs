@@ -80,5 +80,6 @@ pub use power_model::{fit_power_model, paae, Eq2PowerModel, PowerModelFit, Profi
 pub use reward::RewardConfig;
 pub use scheduler::{
     ActuationDirective, EpochScheduler, InferenceDirective, LearnDirective, MeteredEpoch,
-    RetryBudget, SchedulerConfig, SchedulerStats, ShedLevel,
+    RetryBudget, SchedulerStats, ShedLevel, ACTUATE_BUDGET_MS, INFERENCE_BUDGET_MS, INTERVAL_MS,
+    LEARN_BUDGET_MS, PMC_BUDGET_MS, RETRY_BUDGET, STALE_AFTER_MS,
 };

@@ -1,12 +1,12 @@
 //! Deadline-aware epoch scheduling with a load-shedding ladder.
 //!
 //! Twig's contract is one full decision cycle — PMC read, BDQ inference,
-//! learning, actuation — every `interval_ms` (1 s in the paper). Real
+//! learning, actuation — every [`INTERVAL_MS`] (1 s in the paper). Real
 //! colocated managers miss that deadline: PMC reads stall behind perf
 //! multiplexing, cgroup/DVFS writes block, and a learning step overruns.
-//! The [`EpochScheduler`] carves the interval into per-phase budgets and,
-//! when the epoch is projected to overrun, walks a **monotone** shedding
-//! ladder:
+//! The [`EpochScheduler`] carves the interval into fixed per-phase budgets
+//! (the `*_BUDGET_MS` constants) and, when the epoch is projected to
+//! overrun, walks a **monotone** shedding ladder:
 //!
 //! 1. [`ShedLevel::DeferLearn`] — stop issuing learning micro-batches; the
 //!    in-flight gradient step (`MaBdq::train_step_budgeted`) simply resumes
@@ -22,9 +22,10 @@
 //! Within one epoch the level only ever escalates (`max`), and
 //! [`begin_epoch`](EpochScheduler::begin_epoch) resets it — so a transient
 //! spike cannot leave the manager wedged in fallback. Actuation gets
-//! bounded retries with saturating exponential backoff; PMC windows older
-//! than `stale_after_ms` are flagged so the driver routes them through
-//! `TaskManager::observe_degraded` instead of learning from stale state.
+//! bounded retries with saturating exponential backoff ([`RETRY_BUDGET`]);
+//! PMC windows older than [`STALE_AFTER_MS`] are flagged so the driver
+//! routes them through `TaskManager::observe_degraded` instead of learning
+//! from stale state.
 //! Time comes from an injected [`VirtualClock`]; backward or stuck
 //! readings are clamped, and every loop the scheduler gates (learn chunks,
 //! actuation attempts) is capped by count as well as by time, so a stuck
@@ -39,7 +40,7 @@
 //! timing suite and the scenario runner both drive it.
 
 use crate::clock::{SimClock, VirtualClock};
-use crate::{ManagerError, SafetyGovernor, TaskManager, Twig, TwigError};
+use crate::{ManagerError, SafetyGovernor, TaskManager, Twig};
 use twig_rl::BudgetedProgress;
 use twig_sim::{Assignment, EpochReport, EpochTimings, Server};
 use twig_telemetry::Telemetry;
@@ -99,59 +100,38 @@ pub enum ActuationDirective {
     GiveUp,
 }
 
-/// Budgets and limits for the [`EpochScheduler`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SchedulerConfig {
-    /// Decision interval (the deadline), ms. Paper: 1000.
-    pub interval_ms: f64,
-    /// Budget for the PMC read phase, ms.
-    pub pmc_budget_ms: f64,
-    /// Budget for BDQ inference + mapping, ms.
-    pub inference_budget_ms: f64,
-    /// Budget for the learning phase, ms.
-    pub learn_budget_ms: f64,
-    /// Headroom reserved for actuation at the end of the epoch, ms.
-    pub actuate_budget_ms: f64,
-    /// PMC windows older than this are stale and must not be learned from.
-    /// The paper's control loop tolerates at most one interval of lag.
-    pub stale_after_ms: f64,
-    /// A single actuation attempt longer than this counts as timed out.
-    pub actuation_timeout_ms: f64,
-    /// Retries after the first actuation attempt before giving up.
-    pub actuation_max_retries: u32,
-    /// Initial retry backoff, ms; doubles per retry (saturating at
-    /// `actuation_backoff_cap_ms`).
-    pub actuation_backoff_ms: f64,
-    /// Ceiling for the doubled backoff, ms.
-    pub actuation_backoff_cap_ms: f64,
-    /// Hard cap on learning micro-batch chunks per epoch, so a stuck clock
-    /// (elapsed time frozen) still cannot spin the learn loop forever.
-    pub max_learn_chunks: u32,
-}
+/// Decision interval (the deadline), ms. Paper: 1000.
+pub const INTERVAL_MS: f64 = 1000.0;
+/// Budget for the PMC read phase, ms.
+pub const PMC_BUDGET_MS: f64 = 100.0;
+/// Budget for BDQ inference + mapping, ms.
+pub const INFERENCE_BUDGET_MS: f64 = 150.0;
+/// Budget for the learning phase, ms.
+pub const LEARN_BUDGET_MS: f64 = 450.0;
+/// Headroom reserved for actuation at the end of the epoch, ms.
+pub const ACTUATE_BUDGET_MS: f64 = 200.0;
+/// PMC windows older than this are stale and must not be learned from.
+/// The paper's control loop tolerates at most one interval of lag.
+pub const STALE_AFTER_MS: f64 = 1000.0;
+/// A single actuation attempt longer than this counts as timed out.
+const ACTUATION_TIMEOUT_MS: f64 = 80.0;
+/// Hard cap on learning micro-batch chunks per epoch, so a stuck clock
+/// (elapsed time frozen) still cannot spin the learn loop forever.
+const MAX_LEARN_CHUNKS: u32 = 8;
 
-impl Default for SchedulerConfig {
-    fn default() -> Self {
-        SchedulerConfig {
-            interval_ms: 1000.0,
-            pmc_budget_ms: 100.0,
-            inference_budget_ms: 150.0,
-            learn_budget_ms: 450.0,
-            actuate_budget_ms: 200.0,
-            stale_after_ms: 1000.0,
-            actuation_timeout_ms: 80.0,
-            actuation_max_retries: 2,
-            actuation_backoff_ms: 10.0,
-            actuation_backoff_cap_ms: 80.0,
-            max_learn_chunks: 8,
-        }
-    }
-}
+/// The actuation retry budget: how many retries one actuation gets and
+/// how long to back off between them. Shared with `twig-platform`, whose
+/// write-verify reconciliation ladder retries divergent sysfs writes under
+/// exactly this budget — one budget governs every bounded-retry loop in
+/// the control path.
+pub const RETRY_BUDGET: RetryBudget = RetryBudget {
+    max_retries: 2,
+    backoff_ms: 10.0,
+    backoff_cap_ms: 80.0,
+};
 
-/// The actuation retry budget carved out of a [`SchedulerConfig`]: how
-/// many retries one actuation gets and how long to back off between them.
-/// Shared with `twig-platform`, whose write-verify reconciliation ladder
-/// retries divergent sysfs writes under exactly this budget — one knob
-/// governs every bounded-retry loop in the control path.
+/// A bounded-retry budget with saturating exponential backoff; see
+/// [`RETRY_BUDGET`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryBudget {
     /// Retries after the first attempt before giving up.
@@ -168,51 +148,6 @@ impl RetryBudget {
     /// panic, and the cap bounds the wait.
     pub fn backoff_for(&self, attempt: u32) -> f64 {
         (self.backoff_ms * f64::powi(2.0, attempt.min(1024) as i32)).min(self.backoff_cap_ms)
-    }
-}
-
-impl SchedulerConfig {
-    /// The actuation retry budget this configuration grants.
-    pub fn retry_budget(&self) -> RetryBudget {
-        RetryBudget {
-            max_retries: self.actuation_max_retries,
-            backoff_ms: self.actuation_backoff_ms,
-            backoff_cap_ms: self.actuation_backoff_cap_ms,
-        }
-    }
-
-    fn validate(&self) -> Result<(), TwigError> {
-        let bad = |detail: String| Err(TwigError::InvalidConfig { detail });
-        let budgets = [
-            ("interval_ms", self.interval_ms),
-            ("pmc_budget_ms", self.pmc_budget_ms),
-            ("inference_budget_ms", self.inference_budget_ms),
-            ("learn_budget_ms", self.learn_budget_ms),
-            ("actuate_budget_ms", self.actuate_budget_ms),
-            ("stale_after_ms", self.stale_after_ms),
-            ("actuation_timeout_ms", self.actuation_timeout_ms),
-            ("actuation_backoff_ms", self.actuation_backoff_ms),
-            ("actuation_backoff_cap_ms", self.actuation_backoff_cap_ms),
-        ];
-        for (label, v) in budgets {
-            if !v.is_finite() || v <= 0.0 {
-                return bad(format!("{label} must be positive and finite, got {v}"));
-            }
-        }
-        let phase_sum = self.pmc_budget_ms
-            + self.inference_budget_ms
-            + self.learn_budget_ms
-            + self.actuate_budget_ms;
-        if phase_sum > self.interval_ms {
-            return bad(format!(
-                "phase budgets sum to {phase_sum} ms > interval {} ms",
-                self.interval_ms
-            ));
-        }
-        if self.max_learn_chunks == 0 {
-            return bad("max_learn_chunks must be at least 1".into());
-        }
-        Ok(())
     }
 }
 
@@ -253,10 +188,10 @@ twig_telemetry::stats! {
 /// # Examples
 ///
 /// ```
-/// use twig_core::{EpochScheduler, InferenceDirective, SchedulerConfig, SimClock};
+/// use twig_core::{EpochScheduler, InferenceDirective, SimClock};
 ///
 /// let clock = SimClock::new();
-/// let mut sched = EpochScheduler::new(SchedulerConfig::default(), clock.clone()).unwrap();
+/// let mut sched = EpochScheduler::new(clock.clone());
 /// sched.begin_epoch();
 /// clock.advance(50.0); // fast PMC read
 /// assert_eq!(sched.inference_directive(), InferenceDirective::Run);
@@ -266,7 +201,6 @@ twig_telemetry::stats! {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EpochScheduler<C: VirtualClock> {
-    config: SchedulerConfig,
     clock: C,
     telemetry: Telemetry,
     /// Highest clock reading seen — backward jumps clamp to this.
@@ -279,17 +213,10 @@ pub struct EpochScheduler<C: VirtualClock> {
 }
 
 impl<C: VirtualClock> EpochScheduler<C> {
-    /// Validates the configuration and wraps the clock.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TwigError::InvalidConfig`] for non-positive budgets, phase
-    /// budgets that exceed the interval, or a zero chunk cap.
-    pub fn new(config: SchedulerConfig, clock: C) -> Result<Self, TwigError> {
-        config.validate()?;
+    /// Wraps the clock; the epoch origin is its current reading.
+    pub fn new(clock: C) -> Self {
         let now = Self::sanitize(clock.now_ms(), 0.0);
-        Ok(EpochScheduler {
-            config,
+        EpochScheduler {
             clock,
             telemetry: Telemetry::disabled(),
             high_water_ms: now,
@@ -298,18 +225,13 @@ impl<C: VirtualClock> EpochScheduler<C> {
             attempts_this_epoch: 0,
             chunks_this_epoch: 0,
             stats: SchedulerStats::default(),
-        })
+        }
     }
 
     /// Attaches a telemetry handle for the `deadline.*` metrics. Telemetry
     /// never feeds back into scheduling decisions.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &SchedulerConfig {
-        &self.config
     }
 
     /// Aggregate counters so far.
@@ -346,7 +268,7 @@ impl<C: VirtualClock> EpochScheduler<C> {
 
     /// Milliseconds of the epoch remaining (clamped at zero).
     pub fn remaining_ms(&mut self) -> f64 {
-        (self.config.interval_ms - self.elapsed_ms()).max(0.0)
+        (INTERVAL_MS - self.elapsed_ms()).max(0.0)
     }
 
     /// Starts a new epoch: resets the ladder, the actuation-attempt and
@@ -368,7 +290,7 @@ impl<C: VirtualClock> EpochScheduler<C> {
     /// monitor keeps its last healthy smoothing) — never learned from, and
     /// never used to justify a fresh actuation.
     pub fn pmc_window_fresh(&mut self, age_ms: f64) -> bool {
-        if age_ms.is_finite() && age_ms <= self.config.stale_after_ms {
+        if age_ms.is_finite() && age_ms <= STALE_AFTER_MS {
             return true;
         }
         self.stats.bump(&self.telemetry, |s| &mut s.stale_windows);
@@ -380,13 +302,13 @@ impl<C: VirtualClock> EpochScheduler<C> {
     /// Escalates the ladder as a side effect.
     pub fn inference_directive(&mut self) -> InferenceDirective {
         let elapsed = self.elapsed_ms();
-        let actuation_deadline = self.config.interval_ms - self.config.actuate_budget_ms;
+        let actuation_deadline = INTERVAL_MS - ACTUATE_BUDGET_MS;
         if self.level >= ShedLevel::SafeFallback || elapsed >= actuation_deadline {
             self.escalate(ShedLevel::SafeFallback);
             return InferenceDirective::SafeFallback;
         }
         if self.level >= ShedLevel::SkipInference
-            || elapsed + self.config.inference_budget_ms > actuation_deadline
+            || elapsed + INFERENCE_BUDGET_MS > actuation_deadline
         {
             self.escalate(ShedLevel::SkipInference);
             return InferenceDirective::ReuseLast;
@@ -401,12 +323,12 @@ impl<C: VirtualClock> EpochScheduler<C> {
         if self.level >= ShedLevel::DeferLearn {
             return LearnDirective::Defer;
         }
-        if self.chunks_this_epoch >= self.config.max_learn_chunks {
+        if self.chunks_this_epoch >= MAX_LEARN_CHUNKS {
             self.escalate(ShedLevel::DeferLearn);
             return LearnDirective::Defer;
         }
         let elapsed = self.elapsed_ms();
-        let learn_deadline = self.config.interval_ms - self.config.actuate_budget_ms;
+        let learn_deadline = INTERVAL_MS - ACTUATE_BUDGET_MS;
         if elapsed >= learn_deadline {
             self.escalate(ShedLevel::DeferLearn);
             return LearnDirective::Defer;
@@ -418,25 +340,22 @@ impl<C: VirtualClock> EpochScheduler<C> {
 
     /// Scores one actuation attempt that took `attempt_ms`: applied within
     /// the timeout, retry after a saturating-doubled backoff, or give up
-    /// (bounded by `actuation_max_retries` *and* by the interval, and by
+    /// (bounded by [`RETRY_BUDGET`]'s retries *and* by the interval, and by
     /// attempt count alone under a stuck clock).
     pub fn actuation_attempt(&mut self, attempt_ms: f64) -> ActuationDirective {
-        let timed_out = !attempt_ms.is_finite() || attempt_ms > self.config.actuation_timeout_ms;
+        let timed_out = !attempt_ms.is_finite() || attempt_ms > ACTUATION_TIMEOUT_MS;
         if !timed_out {
             return ActuationDirective::Applied;
         }
         self.stats
             .bump(&self.telemetry, |s| &mut s.actuation_timeouts);
-        let retries_left = self.attempts_this_epoch < self.config.actuation_max_retries;
-        let time_left = self.elapsed_ms() < self.config.interval_ms;
+        let retries_left = self.attempts_this_epoch < RETRY_BUDGET.max_retries;
+        let time_left = self.elapsed_ms() < INTERVAL_MS;
         if !retries_left || !time_left {
             self.escalate(ShedLevel::SafeFallback);
             return ActuationDirective::GiveUp;
         }
-        let backoff_ms = self
-            .config
-            .retry_budget()
-            .backoff_for(self.attempts_this_epoch);
+        let backoff_ms = RETRY_BUDGET.backoff_for(self.attempts_this_epoch);
         self.attempts_this_epoch += 1;
         self.stats
             .bump(&self.telemetry, |s| &mut s.actuation_retries);
@@ -448,7 +367,7 @@ impl<C: VirtualClock> EpochScheduler<C> {
     pub fn end_epoch(&mut self) {
         let duration = self.elapsed_ms();
         self.stats.epochs += 1;
-        if duration > self.config.interval_ms {
+        if duration > INTERVAL_MS {
             self.stats.bump(&self.telemetry, |s| &mut s.misses);
         }
         match self.level {
@@ -626,32 +545,31 @@ mod tests {
     use twig_stats::rng::{Rng, Xoshiro256};
 
     fn sched(clock: SimClock) -> EpochScheduler<SimClock> {
-        EpochScheduler::new(SchedulerConfig::default(), clock).unwrap()
+        EpochScheduler::new(clock)
     }
 
     #[test]
-    fn config_validation() {
-        let clock = SimClock::new();
-        for bad in [
-            SchedulerConfig {
-                interval_ms: 0.0,
-                ..SchedulerConfig::default()
-            },
-            SchedulerConfig {
-                inference_budget_ms: f64::NAN,
-                ..SchedulerConfig::default()
-            },
-            SchedulerConfig {
-                learn_budget_ms: 2000.0,
-                ..SchedulerConfig::default()
-            },
-            SchedulerConfig {
-                max_learn_chunks: 0,
-                ..SchedulerConfig::default()
-            },
-        ] {
-            assert!(EpochScheduler::new(bad, clock.clone()).is_err());
+    fn constants_meet_the_budget_invariants() {
+        let budgets = [
+            ("INTERVAL_MS", INTERVAL_MS),
+            ("PMC_BUDGET_MS", PMC_BUDGET_MS),
+            ("INFERENCE_BUDGET_MS", INFERENCE_BUDGET_MS),
+            ("LEARN_BUDGET_MS", LEARN_BUDGET_MS),
+            ("ACTUATE_BUDGET_MS", ACTUATE_BUDGET_MS),
+            ("STALE_AFTER_MS", STALE_AFTER_MS),
+            ("ACTUATION_TIMEOUT_MS", ACTUATION_TIMEOUT_MS),
+            ("RETRY_BUDGET.backoff_ms", RETRY_BUDGET.backoff_ms),
+            ("RETRY_BUDGET.backoff_cap_ms", RETRY_BUDGET.backoff_cap_ms),
+        ];
+        for (label, v) in budgets {
+            assert!(v.is_finite() && v > 0.0, "{label} = {v}");
         }
+        let phase_sum = PMC_BUDGET_MS + INFERENCE_BUDGET_MS + LEARN_BUDGET_MS + ACTUATE_BUDGET_MS;
+        assert!(
+            phase_sum <= INTERVAL_MS,
+            "phase budgets sum to {phase_sum} ms"
+        );
+        const { assert!(MAX_LEARN_CHUNKS >= 1) };
     }
 
     #[test]
@@ -756,29 +674,15 @@ mod tests {
 
     #[test]
     fn actuation_backoff_saturates_at_cap() {
-        let clock = SimClock::new();
-        let mut s = EpochScheduler::new(
-            SchedulerConfig {
-                actuation_max_retries: 40,
-                ..SchedulerConfig::default()
-            },
-            clock,
-        )
-        .unwrap();
-        s.begin_epoch();
         let mut last = 0.0;
-        for _ in 0..40 {
-            match s.actuation_attempt(500.0) {
-                ActuationDirective::Retry { backoff_ms } => {
-                    assert!(backoff_ms.is_finite());
-                    assert!(backoff_ms <= s.config().actuation_backoff_cap_ms);
-                    assert!(backoff_ms >= last);
-                    last = backoff_ms;
-                }
-                other => panic!("expected Retry, got {other:?}"),
-            }
+        for attempt in (0..40).chain([1024, u32::MAX]) {
+            let backoff_ms = RETRY_BUDGET.backoff_for(attempt);
+            assert!(backoff_ms.is_finite());
+            assert!(backoff_ms <= RETRY_BUDGET.backoff_cap_ms);
+            assert!(backoff_ms >= last);
+            last = backoff_ms;
         }
-        assert_eq!(last, s.config().actuation_backoff_cap_ms);
+        assert_eq!(last, 80.0);
     }
 
     #[test]
@@ -797,7 +701,7 @@ mod tests {
             chunks += 1;
             assert!(chunks <= 1000, "learn loop did not terminate");
         }
-        assert_eq!(chunks, s.config().max_learn_chunks);
+        assert_eq!(chunks, MAX_LEARN_CHUNKS);
         // Non-finite readings are ignored too.
         clock.set(f64::NAN);
         assert_eq!(s.elapsed_ms(), 0.0);
@@ -806,27 +710,14 @@ mod tests {
 
     #[test]
     fn ladder_is_monotone_under_random_schedules() {
-        // Property test: for random budget configurations and random phase
-        // latencies, within any epoch the observed shed level sequence is
+        // Property test: for random phase latencies at the fixed budgets,
+        // within any epoch the observed shed level sequence is
         // non-decreasing, and directives are consistent with the level.
         let mut rng = Xoshiro256::seed_from_u64(0xD3AD_11FE);
+        let interval = INTERVAL_MS;
         for trial in 0..200 {
-            let interval = rng.range_f64(100.0, 2000.0);
-            let config = SchedulerConfig {
-                interval_ms: interval,
-                pmc_budget_ms: interval * rng.range_f64(0.02, 0.1),
-                inference_budget_ms: interval * rng.range_f64(0.05, 0.2),
-                learn_budget_ms: interval * rng.range_f64(0.1, 0.4),
-                actuate_budget_ms: interval * rng.range_f64(0.05, 0.25),
-                stale_after_ms: interval,
-                actuation_timeout_ms: interval * 0.05,
-                actuation_max_retries: rng.range_usize(0, 4) as u32,
-                actuation_backoff_ms: 1.0,
-                actuation_backoff_cap_ms: 16.0,
-                max_learn_chunks: 1 + rng.range_usize(0, 8) as u32,
-            };
             let clock = SimClock::new();
-            let mut s = EpochScheduler::new(config, clock.clone()).unwrap();
+            let mut s = sched(clock.clone());
             for _epoch in 0..20 {
                 s.begin_epoch();
                 let mut seen = s.shed_level();

@@ -13,10 +13,10 @@
 //!
 //! 1. **write** the canonical value;
 //! 2. **read back** and compare — a verbatim match is *verified*;
-//! 3. on mismatch, **retry** within the [`RetryBudget`] (a cpufreq
-//!    read-back that parses to a *lower* setting is an accepted governor
-//!    clamp, reported but not retried — retrying a policy decision is
-//!    futile);
+//! 3. on mismatch, **retry** within the scheduler's shared
+//!    [`RETRY_BUDGET`] (a cpufreq read-back that parses to a *lower*
+//!    setting is an accepted governor clamp, reported but not retried —
+//!    retrying a policy decision is futile);
 //! 4. an exhausted budget is a **divergence**: the platform adopts the
 //!    OS's read-back as the applied truth (falling back to the last known
 //!    state when unreadable), marks the assignment `rejected`, and raises
@@ -35,7 +35,7 @@ use crate::cpulist;
 use crate::fs::Fs;
 use crate::{Platform, PlatformError};
 use std::collections::BTreeSet;
-use twig_core::{RetryBudget, SchedulerConfig};
+use twig_core::RETRY_BUDGET;
 use twig_sim::{
     AppliedAssignment, Assignment, CoreId, DvfsLadder, EpochReport, Frequency, PmcFaultKind,
     PmcSample, ServiceEpoch, ServiceSpec, TelemetryHealth, NUM_COUNTERS,
@@ -120,21 +120,16 @@ pub struct LinuxConfig {
     pub dvfs: DvfsLadder,
     /// The hosted services, in assignment order.
     pub specs: Vec<ServiceSpec>,
-    /// Bounded-retry budget for the reconciliation ladder (shared shape
-    /// with the epoch scheduler's actuation deadlines).
-    pub retry: RetryBudget,
 }
 
 impl LinuxConfig {
-    /// A config with the default layout and the epoch scheduler's default
-    /// retry budget.
+    /// A config with the default layout.
     pub fn new(cores: usize, dvfs: DvfsLadder, specs: Vec<ServiceSpec>) -> Self {
         LinuxConfig {
             layout: LinuxLayout::default(),
             cores,
             dvfs,
             specs,
-            retry: SchedulerConfig::default().retry_budget(),
         }
     }
 
@@ -317,7 +312,7 @@ impl<F: Fs> LinuxPlatform<F> {
 
     /// One rung-by-rung climb of the ladder for an exact-match file.
     fn write_verified(&mut self, path: &str, want: &str) -> WriteOutcome {
-        for attempt in 0..=self.config.retry.max_retries {
+        for attempt in 0..=RETRY_BUDGET.max_retries {
             if attempt > 0 {
                 self.stats.bump(&self.telemetry, |s| &mut s.write_retries);
             }
@@ -341,7 +336,7 @@ impl<F: Fs> LinuxPlatform<F> {
     fn write_freq(&mut self, core: usize, want: Frequency) -> Option<Frequency> {
         let path = self.config.layout.freq_path(core);
         let want_khz = (u64::from(want.mhz()) * 1000).to_string();
-        for attempt in 0..=self.config.retry.max_retries {
+        for attempt in 0..=RETRY_BUDGET.max_retries {
             if attempt > 0 {
                 self.stats.bump(&self.telemetry, |s| &mut s.write_retries);
             }

@@ -17,8 +17,8 @@ use twig_cluster::{
     NodePlatform,
 };
 use twig_core::{
-    recover, EpochScheduler, GovernorConfig, RewardConfig, SafetyGovernor, SchedulerConfig,
-    ScratchStore, SimClock, TaskManager, Twig, TwigBuilder,
+    recover, EpochScheduler, GovernorConfig, RewardConfig, SafetyGovernor, ScratchStore, SimClock,
+    TaskManager, Twig, TwigBuilder,
 };
 use twig_platform::{Platform, SimPlatform};
 use twig_rl::{EpsilonSchedule, MaBdqConfig};
@@ -259,9 +259,7 @@ impl ScenarioRunner {
 
         // Scheduler-metered loop state (present iff a timing section is).
         let mut metered = if s.timing.is_some() {
-            let sched = EpochScheduler::new(SchedulerConfig::default(), SimClock::new())
-                .map_err(run_err)?;
-            Some((sched, gov.safe_assignments()))
+            Some((EpochScheduler::new(SimClock::new()), gov.safe_assignments()))
         } else {
             None
         };

@@ -7,50 +7,43 @@ use std::collections::VecDeque;
 use twig_stats::rng::Xoshiro256;
 use twig_telemetry::{Phase, Telemetry};
 
+/// Last-level-cache capacity per core in MiB: the default 18-core part
+/// has 45 MiB, and other core counts scale it proportionally.
+const LLC_MB_PER_CORE: f64 = 2.5;
+/// Total-bandwidth utilisation above which memory contention sets in.
+const BW_KNEE: f64 = 0.5;
+/// Fractional request slowdown per remapped core for the epoch
+/// following a core-allocation change (migration cost).
+const MIGRATION_PENALTY: f64 = 0.12;
+/// Client-side request timeout in seconds: queued requests older than
+/// this are abandoned and counted as hard QoS violations. Bounds how
+/// long an under-provisioning mistake can poison the queue.
+const REQUEST_TIMEOUT_S: f64 = 2.0;
+
 /// Platform configuration of the simulated socket.
 ///
 /// Defaults model the paper's testbed: one 18-core Xeon E5-2695v4 socket
 /// (the other socket runs the load clients, per the Tailbench loopback
-/// methodology), DVFS from 1.2 to 2.0 GHz, and a 45 MiB LLC.
+/// methodology), DVFS from 1.2 to 2.0 GHz, and a 45 MiB LLC. The LLC is
+/// 2.5 MiB per core, and the memory knee, migration cost, request
+/// timeout and power model are the same for every socket.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerConfig {
     /// Number of physical cores available to services.
     pub cores: usize,
     /// The DVFS ladder.
     pub dvfs: DvfsLadder,
-    /// Last-level-cache capacity in MiB.
-    pub llc_mb: f64,
-    /// Total-bandwidth utilisation above which memory contention sets in.
-    pub bw_knee: f64,
-    /// Fractional request slowdown per remapped core for the epoch
-    /// following a core-allocation change (migration cost).
-    pub migration_penalty: f64,
-    /// Client-side request timeout in seconds: queued requests older than
-    /// this are abandoned and counted as hard QoS violations. Bounds how
-    /// long an under-provisioning mistake can poison the queue.
-    pub request_timeout_s: f64,
-    /// The socket power model.
-    pub power: PowerModel,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        ServerConfig {
-            cores: 18,
-            dvfs: DvfsLadder::default(),
-            llc_mb: 45.0,
-            bw_knee: 0.5,
-            migration_penalty: 0.12,
-            request_timeout_s: 2.0,
-            power: PowerModel::default(),
-        }
+        ServerConfig::with_platform(18, DvfsLadder::default())
     }
 }
 
 impl ServerConfig {
-    /// Platform variant of the default socket: `cores` cores on `dvfs`,
-    /// with the LLC scaled proportionally (2.5 MiB per core, matching
-    /// the default 18-core / 45 MiB part). The heterogeneous-fleet
+    /// Platform variant of the default socket: `cores` cores on `dvfs`
+    /// (the LLC scales with the core count). The heterogeneous-fleet
     /// constructor for cluster simulations.
     ///
     /// # Examples
@@ -61,49 +54,22 @@ impl ServerConfig {
     /// let ladder = DvfsLadder::new(1200, 100, 7).unwrap();
     /// let cfg = ServerConfig::with_platform(12, ladder);
     /// assert_eq!(cfg.cores, 12);
-    /// assert_eq!(cfg.llc_mb, 30.0);
     /// assert_eq!(cfg.dvfs.max().mhz(), 1800);
     /// cfg.validate().unwrap();
     /// ```
     pub fn with_platform(cores: usize, dvfs: DvfsLadder) -> Self {
-        ServerConfig {
-            cores,
-            llc_mb: 2.5 * cores as f64,
-            dvfs,
-            ..ServerConfig::default()
-        }
+        ServerConfig { cores, dvfs }
     }
 
     /// Validates the configuration.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] for zero cores, a non-positive
-    /// LLC, a knee outside `[0, 1)` or a negative migration penalty.
+    /// Returns [`SimError::InvalidConfig`] for zero cores.
     pub fn validate(&self) -> Result<(), SimError> {
         if self.cores == 0 {
             return Err(SimError::InvalidConfig {
                 detail: "zero cores".into(),
-            });
-        }
-        if self.llc_mb <= 0.0 {
-            return Err(SimError::InvalidConfig {
-                detail: format!("llc {} MiB", self.llc_mb),
-            });
-        }
-        if !(0.0..1.0).contains(&self.bw_knee) {
-            return Err(SimError::InvalidConfig {
-                detail: format!("bw knee {}", self.bw_knee),
-            });
-        }
-        if self.migration_penalty < 0.0 {
-            return Err(SimError::InvalidConfig {
-                detail: format!("migration penalty {}", self.migration_penalty),
-            });
-        }
-        if self.request_timeout_s <= 0.0 {
-            return Err(SimError::InvalidConfig {
-                detail: format!("request timeout {} s", self.request_timeout_s),
             });
         }
         Ok(())
@@ -356,6 +322,10 @@ twig_telemetry::stats! {
 #[derive(Debug, Clone)]
 pub struct Server {
     config: ServerConfig,
+    /// Last-level-cache capacity in MiB ([`LLC_MB_PER_CORE`] × cores).
+    llc_mb: f64,
+    /// The socket power model.
+    power: PowerModel,
     specs: Vec<ServiceSpec>,
     loads: Vec<LoadGenerator>,
     queues: Vec<ServiceQueue>,
@@ -436,6 +406,8 @@ impl Server {
         Ok(Server {
             mapped: vec![false; config.cores * n],
             metric_keys: specs.iter().map(|s| MetricKeys::new(&s.name)).collect(),
+            llc_mb: LLC_MB_PER_CORE * config.cores as f64,
+            power: PowerModel::default(),
             config,
             specs,
             loads: vec![LoadGenerator::default(); n],
@@ -491,17 +463,6 @@ impl Server {
         self.timing_memo = None;
     }
 
-    /// Removes any installed timing-fault plan.
-    pub fn clear_timing_plan(&mut self) {
-        self.timing = None;
-        self.timing_memo = None;
-    }
-
-    /// The installed timing-fault plan, if any.
-    pub fn timing_plan(&self) -> Option<&TimingFaultPlan> {
-        self.timing.as_ref()
-    }
-
     /// This epoch's drawn timings, or `None` when no plan is installed.
     ///
     /// The draw is memoized: however many times a driver consults it before
@@ -536,15 +497,13 @@ impl Server {
 
     /// Socket power with all cores parked.
     pub fn idle_power_w(&self) -> f64 {
-        self.config
-            .power
-            .socket_power_with_parked(&[], self.config.cores)
+        self.power.socket_power_with_parked(&[], self.config.cores)
     }
 
     /// The stress-microbenchmark peak power used to normalise Twig's power
     /// reward (Section III-B2).
     pub fn peak_power_w(&self) -> f64 {
-        self.config.power.stress_peak_power(self.config.cores)
+        self.power.stress_peak_power(self.config.cores)
     }
 
     /// Pins service `index` to a fixed load fraction.
@@ -689,7 +648,7 @@ impl Server {
             .filter(|((_, _), a)| !a.cores.is_empty())
             .map(|((s, f), _)| s.bw_demand_frac * f)
             .sum();
-        let bw_pressure = ((total_bw - self.config.bw_knee) / (1.0 - self.config.bw_knee)).max(0.0);
+        let bw_pressure = ((total_bw - BW_KNEE) / (1.0 - BW_KNEE)).max(0.0);
         let total_cache: f64 = self
             .specs
             .iter()
@@ -698,7 +657,7 @@ impl Server {
             .filter(|((_, f), a)| **f > 0.0 && !a.cores.is_empty())
             .map(|((s, _), _)| s.cache_mb)
             .sum();
-        let cache_pressure = (total_cache / self.config.llc_mb - 1.0).max(0.0);
+        let cache_pressure = (total_cache / self.llc_mb - 1.0).max(0.0);
 
         // Migration accounting: cores each service gained or lost since the
         // previous epoch.
@@ -727,7 +686,7 @@ impl Server {
                 1.0 + spec.bw_sensitivity * bw_pressure + spec.cache_sensitivity * cache_pressure;
             if migrated[svc] > 0 && !applied.cores.is_empty() {
                 let frac = migrated[svc] as f64 / applied.cores.len().max(1) as f64;
-                contention *= 1.0 + self.config.migration_penalty * frac.min(1.0);
+                contention *= 1.0 + MIGRATION_PENALTY * frac.min(1.0);
             }
             let duration_ms = spec.request_duration_ms(cpu_rate, eff_cores, max_speed, contention);
             latencies.clear();
@@ -737,7 +696,7 @@ impl Server {
                 rates[svc],
                 duration_ms,
                 spec.demand_cv,
-                self.config.request_timeout_s,
+                REQUEST_TIMEOUT_S,
                 &mut self.rng,
                 latencies,
             );
@@ -749,7 +708,7 @@ impl Server {
             latencies.extend(std::iter::repeat_n(spec.qos_ms * 100.0, drop_count));
             let timeout_count = (stats.timed_out as usize).min(5000);
             latencies.extend(std::iter::repeat_n(
-                self.config.request_timeout_s * 1000.0,
+                REQUEST_TIMEOUT_S * 1000.0,
                 timeout_count,
             ));
             let (p99, mean) = if latencies.is_empty() {
@@ -826,10 +785,9 @@ impl Server {
         active.clear();
         plan.utilisations(busy, active);
         let truth = self
-            .config
             .power
             .socket_power_with_parked(active, self.config.cores);
-        let mut measured = self.config.power.rapl_reading(truth, &mut self.rng);
+        let mut measured = self.power.rapl_reading(truth, &mut self.rng);
         if faults_on {
             let fault = self.fault.as_mut().expect("fault plan present");
             let (reading, glitched) = fault.glitch_power(measured);
@@ -1117,6 +1075,17 @@ mod tests {
         assert!(server.set_load_fraction(3, 0.5).is_err());
         assert!(server.set_load_fraction(0, 1.5).is_err());
         assert!(Server::new(ServerConfig::default(), vec![], 0).is_err());
+        let no_cores = ServerConfig::with_platform(0, DvfsLadder::default());
+        assert!(Server::new(no_cores, vec![catalog::masstree()], 0).is_err());
+    }
+
+    #[test]
+    fn llc_scales_with_cores() {
+        for (cores, llc_mb) in [(12, 30.0), (18, 45.0)] {
+            let cfg = ServerConfig::with_platform(cores, DvfsLadder::default());
+            let server = Server::new(cfg, vec![catalog::masstree()], 1).unwrap();
+            assert_eq!(server.llc_mb, llc_mb);
+        }
     }
 
     #[test]
@@ -1337,7 +1306,6 @@ mod tests {
         let mut server = Server::new(ServerConfig::default(), vec![spec], 9).unwrap();
         assert!(server.epoch_timings().is_none(), "no plan installed yet");
         server.set_timing_plan(TimingFaultPlan::new(config, 77).unwrap());
-        assert!(server.timing_plan().is_some());
         let a = [full_assignment(18)];
         for (epoch, want) in expected.iter().enumerate() {
             match epoch {
@@ -1355,9 +1323,6 @@ mod tests {
             }
             server.step(&a).unwrap();
         }
-        // Workload outputs are independent of the timing plan entirely.
-        server.clear_timing_plan();
-        assert!(server.epoch_timings().is_none());
     }
 
     #[test]

@@ -105,18 +105,6 @@ impl Histogram {
             .map(|&c| c as f64 / (total as f64 * width))
             .collect()
     }
-
-    /// Index of the most populated bin, or `None` for an empty histogram.
-    pub fn mode_bin(&self) -> Option<usize> {
-        if self.total() == 0 {
-            return None;
-        }
-        self.counts
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &c)| c)
-            .map(|(i, _)| i)
-    }
 }
 
 impl Extend<f64> for Histogram {
@@ -199,15 +187,6 @@ impl ViolinSummary {
             .map(|i| self.lo + width * i as f64)
             .collect()
     }
-
-    /// Raw y-samples of a bucket.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket` is out of range.
-    pub fn bucket_samples(&self, bucket: usize) -> &[f64] {
-        &self.buckets[bucket]
-    }
 }
 
 #[cfg(test)]
@@ -233,12 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn mode_bin_empty_is_none() {
-        let h = Histogram::new(0.0, 1.0, 3).unwrap();
-        assert_eq!(h.mode_bin(), None);
-    }
-
-    #[test]
     fn bin_centers_are_monotone() {
         let h = Histogram::new(-1.0, 1.0, 4).unwrap();
         let centers = h.bin_centers();
@@ -259,8 +232,12 @@ mod tests {
         let mut v = ViolinSummary::new(0.0, 1.0, 2).unwrap();
         v.record(-5.0, 1.0);
         v.record(5.0, 2.0);
-        assert_eq!(v.bucket_samples(0), &[1.0]);
-        assert_eq!(v.bucket_samples(1), &[2.0]);
+        let means: Vec<_> = v
+            .bucket_summaries()
+            .iter()
+            .map(|b| b.as_ref().map(|s| (s.count, s.mean)))
+            .collect();
+        assert_eq!(means, [Some((1, 1.0)), Some((1, 2.0))]);
     }
 
     #[test]

@@ -202,33 +202,6 @@ impl PcaModel {
         self.eigenvalues.len()
     }
 
-    /// Projects an observation onto the first `k` principal components.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::DimensionMismatch`] when `x` has the wrong
-    /// dimensionality or `k` exceeds the number of components.
-    pub fn project(&self, x: &[f64], k: usize) -> Result<Vec<f64>, StatsError> {
-        if x.len() != self.means.len() {
-            return Err(StatsError::DimensionMismatch {
-                detail: format!("input dim {} != {}", x.len(), self.means.len()),
-            });
-        }
-        if k > self.eigenvalues.len() {
-            return Err(StatsError::DimensionMismatch {
-                detail: format!("k {} exceeds {} components", k, self.eigenvalues.len()),
-            });
-        }
-        let centred: Vec<f64> = x.iter().zip(&self.means).map(|(a, m)| a - m).collect();
-        Ok((0..k)
-            .map(|c| {
-                (0..centred.len())
-                    .map(|r| centred[r] * self.eigenvectors[(r, c)])
-                    .sum()
-            })
-            .collect())
-    }
-
     /// Importance score per original feature: the sum over the first `k`
     /// components of `|loading| * eigenvalue`. This is the ranking used to
     /// order the Table I counters ("importance" column).
@@ -246,15 +219,6 @@ impl PcaModel {
             }
         }
         scores
-    }
-
-    /// Ranks features by [`feature_importance`](Self::feature_importance),
-    /// most important first. Returns feature indices.
-    pub fn rank_features(&self, k: usize) -> Vec<usize> {
-        let scores = self.feature_importance(k);
-        let mut order: Vec<usize> = (0..scores.len()).collect();
-        order.sort_by(|&i, &j| scores[j].partial_cmp(&scores[i]).expect("NaN importance"));
-        order
     }
 }
 
@@ -299,27 +263,11 @@ mod tests {
     }
 
     #[test]
-    fn projection_reduces_dimension() {
-        let m = Pca::new().fit(&toy_samples()).unwrap();
-        let p = m.project(&[1.0, 2.0, 0.0], 2).unwrap();
-        assert_eq!(p.len(), 2);
-    }
-
-    #[test]
-    fn projection_rejects_bad_dims() {
-        let m = Pca::new().fit(&toy_samples()).unwrap();
-        assert!(m.project(&[1.0], 1).is_err());
-        assert!(m.project(&[1.0, 2.0, 3.0], 99).is_err());
-    }
-
-    #[test]
     fn importance_ranks_informative_features_first() {
         let m = Pca::new().fit(&toy_samples()).unwrap();
-        let rank = m.rank_features(1);
+        let score = m.feature_importance(1);
         // Feature 1 (2t) has the largest variance along PC1, then feature 0.
-        assert_eq!(rank[0], 1);
-        assert_eq!(rank[1], 0);
-        assert_eq!(rank[2], 2);
+        assert!(score[1] > score[0] && score[0] > score[2], "{score:?}");
     }
 
     #[test]

@@ -144,11 +144,17 @@ impl SplitMix64 {
 impl Rng for SplitMix64 {
     fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        splitmix64_mix(self.state)
     }
+}
+
+/// The SplitMix64 finalizer: a bijective avalanche of `z`. [`SplitMix64`]
+/// applies it to its incremented state; seed derivations apply it to a
+/// salted seed to get decorrelated sub-seeds.
+pub fn splitmix64_mix(z: u64) -> u64 {
+    let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// xoshiro256++ — the workspace's general-purpose generator.

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example colocate_pair`
 
-use twig::baselines::{Parties, PartiesConfig};
+use twig::baselines::Parties;
 use twig::manager::{TaskManager, TwigBuilder};
 use twig::rl::EpsilonSchedule;
 use twig::sim::{catalog, Server, ServerConfig};
@@ -65,12 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         .build()?;
     let twig_result = run(&mut twig, learn + window, window, 42)?;
 
-    let mut parties = Parties::new(
-        specs,
-        18,
-        ServerConfig::default().dvfs,
-        PartiesConfig::default(),
-    )?;
+    let mut parties = Parties::new(specs, 18, ServerConfig::default().dvfs, 0)?;
     let parties_result = run(&mut parties, 150 + window, window, 42)?;
 
     println!("masstree @ 20% + moses @ 60%, {window}-epoch measurement window\n");

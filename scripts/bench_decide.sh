@@ -5,15 +5,16 @@
 # `twig-bench bench_decide` sweeps the agent count (4/16/64/128) and
 # measures p50/p99 decide latency of the fused batched path and the fully
 # per-agent reference loop, asserting bit-identity, zero steady-state
-# allocations and (full mode) a >= 2x fused speedup at K=64. The report
-# lands in results/BENCH_decide.json.
+# allocations and (full mode) a >= 2x fused speedup at K=64. The full
+# report lands in results/BENCH_decide.json.
 #
 # Usage:
-#   scripts/bench_decide.sh            full run + regression check against
-#                                      results/BENCH_decide.baseline.json
-#   scripts/bench_decide.sh --smoke    reduced samples, no baseline check
-#                                      (smoke p99s are too noisy for the
-#                                      1.5x tolerance to be meaningful)
+#   scripts/bench_decide.sh              full run + regression check against
+#                                        results/BENCH_decide.baseline.json
+#   scripts/bench_decide.sh --smoke OUT  reduced samples, no baseline check
+#                                        (smoke p99s are too noisy for the
+#                                        1.5x tolerance to be meaningful);
+#                                        the report goes to OUT
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -24,8 +25,9 @@ echo "== bench_decide: building release binary =="
 cargo build --release --offline -p twig-bench
 
 if [ "${1:-}" = "--smoke" ]; then
-    echo "== bench_decide: smoke sweep (results/BENCH_decide.json) =="
-    ./target/release/twig-bench bench_decide --smoke results/BENCH_decide.json
+    out="${2:?usage: scripts/bench_decide.sh --smoke OUT}"
+    echo "== bench_decide: smoke sweep ($out) =="
+    ./target/release/twig-bench bench_decide --smoke "$out"
 else
     echo "== bench_decide: full sweep + baseline check (results/BENCH_decide.json) =="
     ./target/release/twig-bench bench_decide \

@@ -1,9 +1,7 @@
 //! Cross-crate integration of every task manager behind the common
 //! `TaskManager` trait.
 
-use twig::baselines::{
-    Heracles, HeraclesConfig, Hipster, HipsterConfig, Parties, PartiesConfig, StaticMapping,
-};
+use twig::baselines::{Heracles, Hipster, HipsterConfig, Parties, StaticMapping};
 use twig::manager::{TaskManager, TwigBuilder};
 use twig::rl::EpsilonSchedule;
 use twig::sim::{catalog, DvfsLadder, Server, ServerConfig};
@@ -13,7 +11,7 @@ fn single_service_managers() -> Vec<Box<dyn TaskManager>> {
     let dvfs = DvfsLadder::default();
     vec![
         Box::new(StaticMapping::new(vec![spec.clone()], 18, dvfs.clone()).unwrap()),
-        Box::new(Heracles::new(spec.clone(), 18, dvfs.clone(), HeraclesConfig::default()).unwrap()),
+        Box::new(Heracles::new(spec.clone(), 18, dvfs.clone()).unwrap()),
         Box::new(Hipster::new(spec.clone(), 18, dvfs, HipsterConfig::default()).unwrap()),
         Box::new(
             TwigBuilder::new()
@@ -55,15 +53,7 @@ fn colocated_managers_share_the_socket() {
     let cfg = ServerConfig::default();
     let managers: Vec<Box<dyn TaskManager>> = vec![
         Box::new(StaticMapping::new(specs.clone(), 18, cfg.dvfs.clone()).unwrap()),
-        Box::new(
-            Parties::new(
-                specs.clone(),
-                18,
-                cfg.dvfs.clone(),
-                PartiesConfig::default(),
-            )
-            .unwrap(),
-        ),
+        Box::new(Parties::new(specs.clone(), 18, cfg.dvfs.clone(), 0).unwrap()),
         Box::new(
             TwigBuilder::new()
                 .services(specs.clone())
@@ -108,13 +98,7 @@ fn heracles_lockout_visible_through_trait() {
     // Trip the main controller via high load and confirm the full-socket
     // allocation appears at the trait level.
     let spec = catalog::masstree();
-    let heracles = Heracles::new(
-        spec.clone(),
-        18,
-        DvfsLadder::default(),
-        HeraclesConfig::default(),
-    )
-    .unwrap();
+    let heracles = Heracles::new(spec.clone(), 18, DvfsLadder::default()).unwrap();
     let mut server = Server::new(ServerConfig::default(), vec![spec], 6).unwrap();
     server.set_load_fraction(0, 0.95).unwrap();
     let mut manager: Box<dyn TaskManager> = Box::new(heracles.clone());

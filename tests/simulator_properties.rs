@@ -42,9 +42,9 @@ fn power_within_physical_envelope() {
     for _ in 0..16 {
         let cores = rng.range_usize_inclusive(1, 18);
         let seed = rng.next_u64() % 50;
-        let cfg = ServerConfig::default();
-        let peak = cfg.power.stress_peak_power(cfg.cores);
-        let mut server = Server::new(cfg, vec![catalog::img_dnn()], seed).unwrap();
+        let mut server =
+            Server::new(ServerConfig::default(), vec![catalog::img_dnn()], seed).unwrap();
+        let peak = server.peak_power_w();
         server.set_load_fraction(0, 0.7).unwrap();
         let a = vec![Assignment::first_n(cores, Frequency::from_mhz(2000))];
         let mut last_energy = 0.0;
