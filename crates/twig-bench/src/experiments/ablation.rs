@@ -19,7 +19,7 @@ use crate::{
 };
 use std::fmt::Write as _;
 use twig_core::{Eq2PowerModel, Mapper, RewardConfig, SystemMonitor, Twig, TwigBuilder};
-use twig_rl::{Dqn, DqnConfig, EpsilonSchedule, MaBdqConfig};
+use twig_rl::{Dqn, EpsilonSchedule, MaBdqConfig};
 use twig_sim::{catalog, Server, ServerConfig};
 
 fn scaled_twig(
@@ -225,12 +225,11 @@ pub fn branching(out: &mut String, opts: &Options) -> Result<(), ExpError> {
     let mut server = Server::new(cfg.clone(), vec![spec.clone()], opts.seed)?;
     server.set_load_fraction(0, 0.5)?;
     let dvfs_levels = cfg.dvfs.len();
-    let mut dqn = Dqn::new(DqnConfig {
-        state_dim: twig_sim::NUM_COUNTERS,
-        actions: cfg.cores * dvfs_levels,
+    let learner = MaBdqConfig {
         seed: opts.seed,
-        ..DqnConfig::default()
-    })?;
+        ..MaBdqConfig::default()
+    };
+    let mut dqn = Dqn::new(&learner, cfg.cores * dvfs_levels)?;
     let dqn_params = dqn.param_count();
     let mut monitor = SystemMonitor::new(1, 5, cfg.cores)?;
     let mapper = Mapper::new(cfg.cores)?;

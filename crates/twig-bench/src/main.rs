@@ -13,40 +13,11 @@
 //! measure (and assert) the zero-allocation discipline of the hot path.
 //! Library and test hosts without the allocator print "n/a" for that row.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use twig_bench::experiments::{find, run_all, REGISTRY};
 use twig_bench::Options;
 
-/// Counting wrapper around the system allocator. The impl lives here (the
-/// library crates forbid unsafe code) and reports into the process-wide
-/// counter behind `twig_nn::count_alloc`.
-struct CountingAlloc;
-
-// SAFETY: defers every operation to `System`, only adding a relaxed atomic
-// increment, so all `GlobalAlloc` contracts are inherited unchanged.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        twig_nn::note_alloc();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        twig_nn::note_alloc();
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        twig_nn::note_alloc();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+static ALLOC: twig_nn::CountingAlloc = twig_nn::CountingAlloc;
 
 fn usage() -> String {
     let mut text = format!(

@@ -471,8 +471,8 @@ impl Cluster {
         let auto_after = self.fault_plan.config().restart_after_epochs;
         for n in 0..self.nodes.len() {
             let scripted = faults.restarts.contains(&n);
-            let auto_due =
-                auto_after > 0 && self.crashed_at[n].is_some_and(|at| epoch >= at + auto_after);
+            let auto_due = auto_after > 0
+                && self.crashed_at[n].is_some_and(|at| epoch >= at.saturating_add(auto_after));
             if (scripted || auto_due) && !self.nodes[n].is_alive() {
                 self.nodes[n].restart()?;
                 self.crashed_at[n] = None;

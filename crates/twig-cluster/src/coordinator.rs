@@ -3,8 +3,9 @@
 //!
 //! The coordinator is deliberately **not** in the data path. It watches
 //! heartbeats, declares nodes dead after a miss threshold, asks its
-//! [`PlacementPolicy`] for repairs, and drives replica spin-ups and state
-//! transfers — but the balancer and the nodes keep serving without it.
+//! [`ReplicatedPlacement`] planner for repairs, and drives replica spin-ups
+//! and state transfers — but the balancer and the nodes keep serving
+//! without it.
 //! Everything here tolerates the coordinator itself disappearing: a
 //! blackout simply freezes this module's state until it returns.
 //!
@@ -19,7 +20,7 @@
 
 use crate::ClusterError;
 use twig_core::{
-    ClusterView, NodeId, PlacementAction, PlacementPolicy, ReplicatedPlacement, ServicePlacement,
+    next_backoff, ClusterView, NodeId, PlacementAction, ReplicatedPlacement, ServicePlacement,
 };
 
 /// Tunables for the coordinator.
@@ -103,6 +104,27 @@ pub struct Migration {
     /// Decommission the donor replica once the target is live (a planned
     /// move rather than a repair).
     pub decommission_source: bool,
+}
+
+impl Migration {
+    /// Rolls the current attempt back to zero bytes sent. With attempts
+    /// left, the next one waits out the cooldown and the cooldown doubles
+    /// ([`next_backoff`]); with none left, the migration downgrades to a
+    /// cold start. Returns whether it was downgraded.
+    fn roll_back(&mut self, config: &CoordinatorConfig) -> bool {
+        self.sent_bytes = 0;
+        self.stalled_epochs = 0;
+        if self.attempts >= config.max_transfer_attempts {
+            self.payload = None;
+            self.total_bytes = 0;
+            true
+        } else {
+            self.attempts += 1;
+            self.cooldown_left = self.backoff_epochs;
+            self.backoff_epochs = next_backoff(self.backoff_epochs, config.max_backoff_epochs);
+            false
+        }
+    }
 }
 
 /// What [`Coordinator::advance_transfers`] observed for one migration
@@ -336,19 +358,9 @@ impl Coordinator {
                 m.stalled_epochs += 1;
                 events.push(TransferEvent::Stalled { id: m.id });
                 if m.stalled_epochs >= self.config.stall_timeout_epochs {
-                    // Roll back the half-transferred state.
-                    m.sent_bytes = 0;
-                    m.stalled_epochs = 0;
                     events.push(TransferEvent::RolledBack { id: m.id });
-                    if m.attempts >= self.config.max_transfer_attempts {
-                        m.payload = None;
-                        m.total_bytes = 0;
+                    if m.roll_back(&self.config) {
                         events.push(TransferEvent::Downgraded { id: m.id });
-                    } else {
-                        m.attempts += 1;
-                        m.cooldown_left = m.backoff_epochs;
-                        m.backoff_epochs =
-                            (m.backoff_epochs * 2).min(self.config.max_backoff_epochs);
                     }
                 }
                 continue;
@@ -401,19 +413,7 @@ impl Coordinator {
                 Ok(false)
             }
             HandoffResult::CorruptPayload => {
-                migration.sent_bytes = 0;
-                migration.stalled_epochs = 0;
-                let downgraded = if migration.attempts >= self.config.max_transfer_attempts {
-                    migration.payload = None;
-                    migration.total_bytes = 0;
-                    true
-                } else {
-                    migration.attempts += 1;
-                    migration.cooldown_left = migration.backoff_epochs;
-                    migration.backoff_epochs =
-                        (migration.backoff_epochs * 2).min(self.config.max_backoff_epochs);
-                    false
-                };
+                let downgraded = migration.roll_back(&self.config);
                 self.migrations.push(migration);
                 Ok(downgraded)
             }
@@ -578,6 +578,38 @@ mod tests {
         // A cold migration is immediately ready.
         let ev = c.advance_transfers(|| true);
         assert!(ev.contains(&TransferEvent::Ready { id }));
+    }
+
+    #[test]
+    fn rollback_backoff_saturates_instead_of_overflowing() {
+        let huge = 1u64 << 63;
+        let mut c = Coordinator::new(
+            1,
+            3,
+            1,
+            CoordinatorConfig {
+                spinup_epochs: 0,
+                stall_timeout_epochs: 1,
+                initial_backoff_epochs: huge,
+                max_backoff_epochs: u64::MAX,
+                ..CoordinatorConfig::default()
+            },
+        )
+        .unwrap();
+        // Both rollback sites: a stall timeout and a corrupt handoff.
+        let stalled = c.begin_transfer(0, NodeId(1), Some(NodeId(0)), Some(vec![0u8; 100]), false);
+        assert!(c
+            .advance_transfers(|| true)
+            .contains(&TransferEvent::RolledBack { id: stalled }));
+        let corrupt = c.begin_transfer(0, NodeId(2), Some(NodeId(0)), Some(vec![0u8; 100]), false);
+        let m = c.take_handoff(corrupt).unwrap();
+        assert!(!c.resolve_handoff(m, HandoffResult::CorruptPayload).unwrap());
+        assert_eq!(c.migrations().len(), 2);
+        for m in c.migrations() {
+            assert_eq!(m.attempts, 2);
+            assert_eq!(m.cooldown_left, huge);
+            assert_eq!(m.backoff_epochs, u64::MAX, "doubling saturated");
+        }
     }
 
     #[test]

@@ -36,6 +36,7 @@
 use crate::fault::not_a_probability;
 use crate::node::ClusterNode;
 use crate::ClusterError;
+use twig_core::next_backoff;
 use twig_rl::federate::{
     check_eligible, check_finite, decode_payload, merge_round, same_shape, weights_only,
 };
@@ -672,14 +673,14 @@ impl FederationPlane {
                 pending.push(PendingPayload {
                     node: n,
                     service: s,
-                    arrives_at: epoch + faults.straggle[n],
+                    arrives_at: epoch.saturating_add(faults.straggle[n]),
                     payload,
                     state: PayloadState::InFlight,
                 });
             }
         }
         self.round = Some(ActiveRound {
-            deadline: epoch + self.config.collect_timeout,
+            deadline: epoch.saturating_add(self.config.collect_timeout),
             pending,
             requested_per_service,
             poison_merge: faults.poison_merge,
@@ -787,11 +788,8 @@ impl FederationPlane {
                 delta.rounds_abandoned += 1;
                 self.schedule_next_period(epoch);
             } else {
-                self.next_round_epoch = epoch + self.backoff.max(1);
-                self.backoff = self
-                    .backoff
-                    .saturating_mul(2)
-                    .min(self.config.max_backoff.max(1));
+                self.next_round_epoch = epoch.saturating_add(self.backoff.max(1));
+                self.backoff = next_backoff(self.backoff, self.config.max_backoff.max(1));
             }
         } else if rolled_services > 0 {
             delta.rounds_rolled_back += 1;
@@ -1168,6 +1166,27 @@ mod tests {
         for (n, bytes) in nodes.iter().zip(&before) {
             assert_eq!(&n.checkpoint_of(0).unwrap(), bytes);
         }
+    }
+
+    #[test]
+    fn endless_quorum_backoff_saturates_instead_of_overflowing() {
+        let mut nodes = vec![node(0, 18, 1), node(1, 18, 1)];
+        let cfg = FederateConfig {
+            round_period: 2,
+            collect_timeout: 1,
+            min_quorum: 3, // unreachable with two contributors
+            initial_backoff: u64::MAX,
+            max_backoff: u64::MAX,
+            min_contributor_steps: 0,
+            ..FederateConfig::default()
+        };
+        let mut p = plane(cfg, FedFaultPlan::disabled(), 1);
+        let stats = run(&mut p, &mut nodes, 12);
+        // One failed attempt, whose retry is never within this run.
+        assert_eq!(stats.rounds_started, 1);
+        assert_eq!(stats.rounds_quorum_failed, 1);
+        assert_eq!(p.next_round_epoch, u64::MAX);
+        assert_eq!(p.backoff, u64::MAX);
     }
 
     #[test]

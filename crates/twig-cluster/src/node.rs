@@ -105,7 +105,7 @@ pub struct ClusterNode {
     server: Server,
     replicas: Vec<Option<Replica>>,
     clock: SimClock,
-    scheduler: EpochScheduler<SimClock>,
+    scheduler: EpochScheduler,
     tuning: AgentTuning,
     seed: u64,
     restarts: u64,

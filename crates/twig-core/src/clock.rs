@@ -1,60 +1,13 @@
-//! Time sources for the deadline-aware epoch scheduler.
+//! The simulated time source of the deadline-aware epoch scheduler.
 //!
-//! The [`EpochScheduler`](crate::EpochScheduler) never reads wall time
-//! directly: it is generic over a [`VirtualClock`], so production code runs
-//! on a monotonic [`WallClock`] while the simulator and tests inject a
-//! [`SimClock`] advanced by hand (or by a seeded
-//! `twig_sim::TimingFaultPlan`). That keeps every scheduling decision — and
-//! therefore every experiment report — a deterministic function of the
-//! seed, with zero external dependencies.
+//! The [`EpochScheduler`](crate::EpochScheduler) never reads wall time: it
+//! holds a [`SimClock`] that the driver advances by hand (or by a seeded
+//! `twig_sim::TimingFaultPlan`, which may also skew it backwards). That
+//! keeps every scheduling decision — and therefore every experiment report
+//! — a deterministic function of the seed, with zero external dependencies.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// A source of milliseconds since some fixed origin.
-///
-/// Implementations need not be monotone — the scheduler clamps backward
-/// jumps itself, so a skewed or stuck clock degrades scheduling quality but
-/// can never panic it or run it backwards.
-pub trait VirtualClock {
-    /// Milliseconds elapsed since the clock's origin.
-    fn now_ms(&self) -> f64;
-}
-
-/// Real monotonic time from [`std::time::Instant`], origin at construction.
-///
-/// # Examples
-///
-/// ```
-/// use twig_core::{VirtualClock, WallClock};
-/// let clock = WallClock::new();
-/// assert!(clock.now_ms() >= 0.0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct WallClock {
-    origin: std::time::Instant,
-}
-
-impl WallClock {
-    /// A wall clock whose origin is now.
-    pub fn new() -> Self {
-        WallClock {
-            origin: std::time::Instant::now(),
-        }
-    }
-}
-
-impl Default for WallClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl VirtualClock for WallClock {
-    fn now_ms(&self) -> f64 {
-        self.origin.elapsed().as_secs_f64() * 1e3
-    }
-}
 
 /// Deterministic simulated time, advanced explicitly by the driver.
 ///
@@ -63,7 +16,7 @@ impl VirtualClock for WallClock {
 /// and a driver can keep one handle and hand another to the scheduler:
 ///
 /// ```
-/// use twig_core::{SimClock, VirtualClock};
+/// use twig_core::SimClock;
 /// let driver = SimClock::new();
 /// let scheduler_view = driver.clone();
 /// driver.advance(12.5);
@@ -83,6 +36,13 @@ impl SimClock {
         Self::default()
     }
 
+    /// Milliseconds elapsed since the clock's origin. Not monotone: a
+    /// skew fault [`set`](Self::set)s it backwards, and the scheduler clamps
+    /// such readings itself.
+    pub fn now_ms(&self) -> f64 {
+        f64::from_bits(self.now.load(Ordering::Relaxed))
+    }
+
     /// Advances the clock by `delta_ms`. Negative or non-finite deltas are
     /// ignored (a fault plan models skew via [`set`](Self::set) instead).
     pub fn advance(&self, delta_ms: f64) {
@@ -98,23 +58,9 @@ impl SimClock {
     }
 }
 
-impl VirtualClock for SimClock {
-    fn now_ms(&self) -> f64 {
-        f64::from_bits(self.now.load(Ordering::Relaxed))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn wall_clock_is_monotone() {
-        let clock = WallClock::new();
-        let a = clock.now_ms();
-        let b = clock.now_ms();
-        assert!(b >= a && a >= 0.0);
-    }
 
     #[test]
     fn sim_clock_clones_share_time() {

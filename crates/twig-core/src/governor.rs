@@ -22,15 +22,13 @@
 //!    never trains on garbage observations.
 //!
 //! A [`Checkpointable`] inner manager can additionally be armed with
-//! periodic crash-safe persistence ([`SafetyGovernor::arm_checkpointing`])
-//! and restored through the recovery ladder
-//! ([`SafetyGovernor::recover_from_store`]); a checkpoint write failure is
-//! counted, never allowed to take down a healthy control loop.
+//! periodic crash-safe persistence ([`SafetyGovernor::arm_checkpointing`]);
+//! a checkpoint write failure is counted, never allowed to take down a
+//! healthy control loop. A restarted process restores a fresh manager from
+//! the store through the recovery ladder ([`recover`](crate::recover)) and
+//! wraps it in a fresh governor.
 
-use crate::{
-    recover, CheckpointStore, Checkpointable, ManagerError, RecoveryReport, TaskManager, Twig,
-    TwigError,
-};
+use crate::{CheckpointStore, Checkpointable, ManagerError, TaskManager, Twig, TwigError};
 use twig_rl::MaBdqCheckpoint;
 use twig_sim::{Assignment, DvfsLadder, EpochReport, ServiceSpec};
 use twig_telemetry::Telemetry;
@@ -152,12 +150,22 @@ pub struct SafetyGovernor<M> {
     epochs_observed: u64,
 }
 
-/// Doubles a watchdog backoff without overflow: `current * 2` saturates at
-/// `u64::MAX` before the cap is applied, so an extreme
-/// `initial_backoff_epochs` (or enough consecutive trips) pins the backoff
-/// at `max` instead of wrapping back to a tiny value — which would silently
-/// hand an untrusted policy short safe-mode windows again.
-fn next_backoff(current: u64, max: u64) -> u64 {
+/// Doubles a backoff without overflow: `current * 2` saturates at
+/// `u64::MAX` before the cap is applied, so an extreme initial backoff (or
+/// enough consecutive retries) pins it at `max` instead of wrapping back to
+/// a tiny value — which would silently hand an untrusted policy short
+/// safe-mode windows again, or retry a failing transfer or federation round
+/// at once. The one doubling rule of the governor's watchdog, the cluster
+/// coordinator's transfer rollbacks and the federation plane's quorum
+/// retries.
+///
+/// ```
+/// use twig_core::next_backoff;
+/// assert_eq!(next_backoff(4, 16), 8);
+/// assert_eq!(next_backoff(12, 16), 16);
+/// assert_eq!(next_backoff(u64::MAX / 2 + 1, u64::MAX), u64::MAX);
+/// ```
+pub fn next_backoff(current: u64, max: u64) -> u64 {
     current.saturating_mul(2).min(max)
 }
 
@@ -386,27 +394,6 @@ impl<M: TaskManager + Checkpointable> SafetyGovernor<M> {
     pub fn checkpoint_store(&self) -> Option<&CheckpointStore> {
         self.ckpt.as_ref().map(|arm| &arm.store)
     }
-
-    /// Runs the recovery ladder ([`recover`]) over the armed store: the
-    /// newest generation first, one rung back per corrupt or mismatched
-    /// checkpoint, cold start when every generation is exhausted. The
-    /// governor's own health tracking (last-known-good decision, violation
-    /// and healthy streaks) is reset — it described the pre-crash regime.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ManagerError::Fatal`] when checkpointing was never armed.
-    pub fn recover_from_store(&mut self) -> Result<RecoveryReport, ManagerError> {
-        let Some(arm) = &self.ckpt else {
-            return Err(ManagerError::fatal("governor: checkpointing not armed"));
-        };
-        let store = arm.store.clone();
-        let report = recover(&store, &mut self.inner, &self.telemetry);
-        self.last_good = None;
-        self.violation_streak = 0;
-        self.healthy_streak = 0;
-        Ok(report)
-    }
 }
 
 impl SafetyGovernor<Twig> {
@@ -553,7 +540,7 @@ impl<M: TaskManager> TaskManager for SafetyGovernor<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RecoveryOutcome, ScratchStore};
+    use crate::{recover, RecoveryOutcome, RecoveryReport, ScratchStore};
     use twig_sim::fault::{AppliedAssignment, TelemetryHealth};
     use twig_sim::{catalog, CoreId, Frequency, PmcSample, ServiceEpoch};
 
@@ -1006,6 +993,12 @@ mod tests {
         ScratchStore::create(&format!("gov-ckpt-{tag}"), keep).unwrap()
     }
 
+    /// Runs the recovery ladder over `gov`'s armed store into its manager.
+    fn recover_armed(gov: &mut SafetyGovernor<Persistable>) -> RecoveryReport {
+        let armed = gov.checkpoint_store().expect("armed").clone();
+        recover(&armed, &mut gov.inner, &gov.telemetry)
+    }
+
     #[test]
     fn armed_governor_writes_periodically_and_recovers() {
         let store = temp_store("roundtrip", 3);
@@ -1029,7 +1022,7 @@ mod tests {
         let mut fresh = SafetyGovernor::new(Persistable { value: 0 }, config()).unwrap();
         fresh.set_telemetry(Telemetry::enabled());
         fresh.arm_checkpointing(store.clone(), 2).unwrap();
-        let rec = fresh.recover_from_store().unwrap();
+        let rec = recover_armed(&mut fresh);
         assert_eq!(rec.outcome, RecoveryOutcome::Restored { generation: 0 });
         assert_eq!(fresh.inner().value, 6);
 
@@ -1040,7 +1033,7 @@ mod tests {
         let mut again = SafetyGovernor::new(Persistable { value: 0 }, config()).unwrap();
         again.set_telemetry(Telemetry::enabled());
         again.arm_checkpointing(store.clone(), 2).unwrap();
-        let rec = again.recover_from_store().unwrap();
+        let rec = recover_armed(&mut again);
         assert_eq!(rec.outcome, RecoveryOutcome::Restored { generation: 1 });
         assert_eq!(rec.stats.corrupt, 1);
         assert_eq!(again.inner().value, 4);
@@ -1109,10 +1102,6 @@ mod tests {
         let qos = catalog::masstree().qos_ms;
 
         let mut gov = SafetyGovernor::new(Persistable { value: 0 }, config()).unwrap();
-        assert!(
-            gov.recover_from_store().is_err(),
-            "recovery requires an armed store"
-        );
         assert!(gov.arm_checkpointing(store.clone(), 0).is_err());
         assert!(gov.checkpoint_store().is_none());
 
@@ -1130,7 +1119,7 @@ mod tests {
         assert_eq!(gov.inner().value, 2, "inner manager kept observing");
 
         // Recovery over the now-empty store is an explicit cold start.
-        let rec = gov.recover_from_store().unwrap();
+        let rec = recover_armed(&mut gov);
         assert_eq!(rec.outcome, RecoveryOutcome::ColdStart);
     }
 

@@ -66,15 +66,14 @@ pub use checkpoint_store::{
     recover, CheckpointStore, Checkpointable, RecoveryOutcome, RecoveryReport, RecoveryStats,
     ScratchStore,
 };
-pub use clock::{SimClock, VirtualClock, WallClock};
+pub use clock::SimClock;
 pub use error::{ManagerError, TwigError};
-pub use governor::{GovernorConfig, GovernorStats, SafetyGovernor};
+pub use governor::{next_backoff, GovernorConfig, GovernorStats, SafetyGovernor};
 pub use manager::{TaskManager, Twig, TwigBuilder, TwigConfig};
 pub use mapper::Mapper;
 pub use monitor::{select_counters, CounterRanking, SystemMonitor};
 pub use placement::{
-    ClusterView, NodeId, NodeView, PlacementAction, PlacementPolicy, ReplicatedPlacement,
-    ServicePlacement,
+    ClusterView, NodeId, NodeView, PlacementAction, ReplicatedPlacement, ServicePlacement,
 };
 pub use power_model::{fit_power_model, paae, Eq2PowerModel, PowerModelFit, ProfilePoint};
 pub use reward::RewardConfig;

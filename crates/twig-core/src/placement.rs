@@ -12,11 +12,8 @@
 //!   from is current or stale;
 //! - [`ClusterView`] / [`NodeView`] — the coordinator's belief about the
 //!   fleet (liveness, capacity, hosted replicas) at planning time;
-//! - [`PlacementPolicy`] — the pluggable planner interface, mirroring
-//!   how [`TaskManager`](crate::TaskManager) abstracts the per-server
-//!   agent; [`ReplicatedPlacement`] is the default implementation that
-//!   maintains a fixed replication factor and repairs it after node
-//!   death.
+//! - [`ReplicatedPlacement`] — the planner: it maintains a fixed
+//!   replication factor and repairs it after node death.
 //!
 //! The planner is deliberately pure: it reads a view and proposes
 //! [`PlacementAction`]s; the cluster runtime (in `twig-cluster`) owns
@@ -198,7 +195,7 @@ impl NodeView {
     }
 }
 
-/// Everything a [`PlacementPolicy`] may read when planning.
+/// Everything the [`ReplicatedPlacement`] planner may read when planning.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterView {
     /// Per-server beliefs, in [`NodeId`] order.
@@ -233,19 +230,7 @@ pub enum PlacementAction {
     },
 }
 
-/// A cluster-level placement planner, the control-plane analogue of
-/// [`TaskManager`](crate::TaskManager).
-pub trait PlacementPolicy {
-    /// Short human-readable name for reports.
-    fn name(&self) -> &str;
-
-    /// Proposes repairs given the current belief and placement. Must be
-    /// deterministic in its inputs: the cluster chaos suites rely on
-    /// bit-identical planning across runs.
-    fn plan(&mut self, view: &ClusterView, placement: &ServicePlacement) -> Vec<PlacementAction>;
-}
-
-/// Default planner: keep every service at a fixed replication factor on
+/// The placement planner: keep every service at a fixed replication factor on
 /// live nodes, repairing after node death.
 ///
 /// Deterministic rules, applied per service in index order:
@@ -260,11 +245,10 @@ pub trait PlacementPolicy {
 ///
 /// ```
 /// use twig_core::{
-///     ClusterView, NodeId, NodeView, PlacementAction, PlacementPolicy, ReplicatedPlacement,
-///     ServicePlacement,
+///     ClusterView, NodeId, NodeView, PlacementAction, ReplicatedPlacement, ServicePlacement,
 /// };
 ///
-/// let mut policy = ReplicatedPlacement::new(2);
+/// let policy = ReplicatedPlacement::new(2);
 /// let view = ClusterView {
 ///     nodes: (0..3)
 ///         .map(|i| NodeView {
@@ -299,14 +283,11 @@ impl ReplicatedPlacement {
     pub fn factor(&self) -> usize {
         self.factor
     }
-}
 
-impl PlacementPolicy for ReplicatedPlacement {
-    fn name(&self) -> &str {
-        "replicated"
-    }
-
-    fn plan(&mut self, view: &ClusterView, placement: &ServicePlacement) -> Vec<PlacementAction> {
+    /// Proposes repairs given the current belief and placement. Pure and
+    /// deterministic in its inputs: the cluster chaos suites rely on
+    /// bit-identical planning across runs.
+    pub fn plan(&self, view: &ClusterView, placement: &ServicePlacement) -> Vec<PlacementAction> {
         let mut actions = Vec::new();
         // Working copy of per-node replica counts so spin-ups planned for
         // one service are visible when placing the next.
@@ -411,7 +392,7 @@ mod tests {
 
     #[test]
     fn fresh_cluster_spins_up_to_factor() {
-        let mut policy = ReplicatedPlacement::new(2);
+        let policy = ReplicatedPlacement::new(2);
         let v = view(&[true, true, true], &[0, 0, 0]);
         let p = ServicePlacement::new(2);
         let actions = policy.plan(&v, &p);
@@ -442,7 +423,7 @@ mod tests {
 
     #[test]
     fn dead_node_is_decommissioned_and_replaced_with_donor() {
-        let mut policy = ReplicatedPlacement::new(2);
+        let policy = ReplicatedPlacement::new(2);
         let mut p = ServicePlacement::new(1);
         p.add_replica(0, NodeId(0)).unwrap();
         p.add_replica(0, NodeId(1)).unwrap();
@@ -466,7 +447,7 @@ mod tests {
 
     #[test]
     fn factor_clamped_to_live_nodes() {
-        let mut policy = ReplicatedPlacement::new(3);
+        let policy = ReplicatedPlacement::new(3);
         let v = view(&[true, false, false], &[0, 0, 0]);
         let p = ServicePlacement::new(1);
         let actions = policy.plan(&v, &p);
@@ -483,7 +464,7 @@ mod tests {
 
     #[test]
     fn satisfied_placement_plans_nothing() {
-        let mut policy = ReplicatedPlacement::new(2);
+        let policy = ReplicatedPlacement::new(2);
         let mut p = ServicePlacement::new(1);
         p.add_replica(0, NodeId(0)).unwrap();
         p.add_replica(0, NodeId(2)).unwrap();

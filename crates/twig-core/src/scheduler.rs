@@ -26,7 +26,7 @@
 //! PMC windows older than [`STALE_AFTER_MS`] are flagged so the driver
 //! routes them through `TaskManager::observe_degraded` instead of learning
 //! from stale state.
-//! Time comes from an injected [`VirtualClock`]; backward or stuck
+//! Time comes from an injected [`SimClock`]; backward (skewed) or stuck
 //! readings are clamped, and every loop the scheduler gates (learn chunks,
 //! actuation attempts) is capped by count as well as by time, so a stuck
 //! clock degrades scheduling but can never hang the control loop.
@@ -39,7 +39,7 @@
 //! directives together against the simulator's drawn phase latencies; the
 //! timing suite and the scenario runner both drive it.
 
-use crate::clock::{SimClock, VirtualClock};
+use crate::clock::SimClock;
 use crate::{ManagerError, SafetyGovernor, TaskManager, Twig};
 use twig_rl::BudgetedProgress;
 use twig_sim::{Assignment, EpochReport, EpochTimings, Server};
@@ -200,8 +200,8 @@ twig_telemetry::stats! {
 /// assert_eq!(sched.stats().misses, 0); // 950 ms < 1000 ms: made it
 /// ```
 #[derive(Debug, Clone)]
-pub struct EpochScheduler<C: VirtualClock> {
-    clock: C,
+pub struct EpochScheduler {
+    clock: SimClock,
     telemetry: Telemetry,
     /// Highest clock reading seen — backward jumps clamp to this.
     high_water_ms: f64,
@@ -212,9 +212,9 @@ pub struct EpochScheduler<C: VirtualClock> {
     stats: SchedulerStats,
 }
 
-impl<C: VirtualClock> EpochScheduler<C> {
+impl EpochScheduler {
     /// Wraps the clock; the epoch origin is its current reading.
-    pub fn new(clock: C) -> Self {
+    pub fn new(clock: SimClock) -> Self {
         let now = Self::sanitize(clock.now_ms(), 0.0);
         EpochScheduler {
             clock,
@@ -390,29 +390,7 @@ impl<C: VirtualClock> EpochScheduler<C> {
         self.telemetry
             .gauge_set("deadline.ladder_depth", f64::from(self.level.depth()));
     }
-}
 
-/// What one [`EpochScheduler::metered_epoch`] did, beside the simulator's
-/// report of it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MeteredEpoch {
-    /// The epoch as the simulator reported it (flagged delayed when the
-    /// governor was told not to learn from it).
-    pub report: EpochReport,
-    /// The PMC window was inside the staleness bound.
-    pub fresh: bool,
-    /// The policy ran this epoch.
-    pub decided: bool,
-    /// The last validated action was reused (stale window or skipped
-    /// inference).
-    pub reused: bool,
-    /// Actuation retries ran out and the safe plan was actuated instead.
-    pub gave_up: bool,
-    /// Gradient steps that completed this epoch (0 or 1).
-    pub steps_completed: u32,
-}
-
-impl EpochScheduler<SimClock> {
     /// One deadline-metered control epoch against the simulator's drawn
     /// phase latencies ([`Server::epoch_timings`]): PMC read, inference,
     /// learning in one-agent micro-batches, actuation with bounded retries,
@@ -538,13 +516,32 @@ impl EpochScheduler<SimClock> {
     }
 }
 
+/// What one [`EpochScheduler::metered_epoch`] did, beside the simulator's
+/// report of it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MeteredEpoch {
+    /// The epoch as the simulator reported it (flagged delayed when the
+    /// governor was told not to learn from it).
+    pub report: EpochReport,
+    /// The PMC window was inside the staleness bound.
+    pub fresh: bool,
+    /// The policy ran this epoch.
+    pub decided: bool,
+    /// The last validated action was reused (stale window or skipped
+    /// inference).
+    pub reused: bool,
+    /// Actuation retries ran out and the safe plan was actuated instead.
+    pub gave_up: bool,
+    /// Gradient steps that completed this epoch (0 or 1).
+    pub steps_completed: u32,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::SimClock;
     use twig_stats::rng::{Rng, Xoshiro256};
 
-    fn sched(clock: SimClock) -> EpochScheduler<SimClock> {
+    fn sched(clock: SimClock) -> EpochScheduler {
         EpochScheduler::new(clock)
     }
 

@@ -2,28 +2,23 @@
 //!
 //! The training hot path (`Twig::decide` / `MaBdq::train_step`) is meant to
 //! be allocation-free in steady state. That property is cheap to lose and
-//! invisible in ordinary tests, so this module provides the process-wide
-//! counter behind a counting allocator that a *binary* (integration test or
-//! bin target) installs. The `GlobalAlloc` impl itself lives in each
-//! installing binary — `unsafe impl` is denied in this crate
-//! (`#![deny(unsafe_code)]`) — and funnels every counted entry point
-//! through the safe [`note_alloc`] hook:
+//! invisible in ordinary tests, so this module provides [`CountingAlloc`],
+//! the one counting allocator, and the process-wide counters behind it. A
+//! *binary* (integration test or bin target) installs it with no `unsafe`
+//! of its own:
 //!
-//! ```ignore
-//! struct CountingAlloc;
-//!
-//! // SAFETY: defers every operation to `System`, only adding a relaxed
-//! // atomic increment, so all `GlobalAlloc` contracts are inherited.
-//! unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
-//!     unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-//!         twig_nn::note_alloc();
-//!         unsafe { std::alloc::System.alloc(layout) }
-//!     }
-//!     // ... dealloc (uncounted), alloc_zeroed, realloc ...
-//! }
-//!
+//! ```
 //! #[global_allocator]
-//! static ALLOC: CountingAlloc = CountingAlloc;
+//! static ALLOC: twig_nn::CountingAlloc = twig_nn::CountingAlloc;
+//!
+//! fn main() {
+//!     use twig_nn::count_alloc;
+//!     assert!(count_alloc::counter_armed());
+//!     let before = count_alloc::allocation_count();
+//!     let v = vec![0u8; 64];
+//!     assert_eq!(count_alloc::allocations_since(before), 1);
+//!     assert!(count_alloc::live_bytes() >= v.len());
+//! }
 //! ```
 //!
 //! Library code can then bracket a region with [`allocation_count`] and
@@ -36,12 +31,16 @@
 //!
 //! Count `alloc`/`alloc_zeroed`/`realloc` but not frees: a hot path that
 //! merely *recycles* capacity never hits any of the counted entry points,
-//! which is exactly the property asserted.
+//! which is exactly the property asserted. The byte counters
+//! ([`requested_bytes`], [`live_bytes`]) hold a structure to its footprint.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static REQUESTED_BYTES: AtomicUsize = AtomicUsize::new(0);
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
 static ONE_THREAD: AtomicBool = AtomicBool::new(false);
 thread_local! {
     // Const-initialised and without a destructor: reading it from inside an
@@ -49,10 +48,51 @@ thread_local! {
     static COUNTED: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Records one heap allocation. Called by the counting `GlobalAlloc`
-/// wrappers installed in test/bench binaries (see the module docs); safe to
-/// call from an allocator context because it only touches a static atomic
-/// and a const-initialised thread-local flag.
+/// The counting global allocator: [`System`], plus a [`note_alloc`] for
+/// every counted entry point and the byte counters. See the module docs.
+#[derive(Debug)]
+pub struct CountingAlloc;
+
+// SAFETY: every operation defers to `System` with the caller's own
+// arguments, adding only relaxed atomic updates and a read of a
+// const-initialised thread-local, none of which allocates. So all of
+// `GlobalAlloc`'s contracts are inherited from `System` unchanged.
+#[allow(unsafe_code)]
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_request(layout.size(), 0);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_request(layout.size(), 0);
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_request(new_size, layout.size());
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+/// Counts one allocation of `size` bytes that replaces a block of `freed`
+/// bytes (0 for a fresh allocation).
+fn note_request(size: usize, freed: usize) {
+    note_alloc();
+    REQUESTED_BYTES.fetch_add(size, Ordering::Relaxed);
+    LIVE_BYTES.fetch_add(size, Ordering::Relaxed);
+    LIVE_BYTES.fetch_sub(freed, Ordering::Relaxed);
+}
+
+/// Records one heap allocation. Called by [`CountingAlloc`] and by any
+/// other counting allocator a binary installs; safe to call from an
+/// allocator context because it only touches a static atomic and a
+/// const-initialised thread-local flag.
 pub fn note_alloc() {
     if ONE_THREAD.load(Ordering::Relaxed) && !COUNTED.try_with(Cell::get).unwrap_or(false) {
         return;
@@ -86,4 +126,18 @@ pub fn counter_armed() -> bool {
 /// Allocations observed since a prior [`allocation_count`] reading.
 pub fn allocations_since(start: u64) -> u64 {
     allocation_count().saturating_sub(start)
+}
+
+/// Bytes requested from [`CountingAlloc`] so far, by every thread (0 when
+/// it is not installed). Only meaningful around calls that dwarf whatever
+/// other threads allocate meanwhile.
+pub fn requested_bytes() -> usize {
+    REQUESTED_BYTES.load(Ordering::Relaxed)
+}
+
+/// Bytes allocated through [`CountingAlloc`] and not yet freed, by every
+/// thread. Wraps below zero and back when a block outlives the reading it
+/// is compared with, so compare readings with `wrapping_sub`.
+pub fn live_bytes() -> usize {
+    LIVE_BYTES.load(Ordering::Relaxed)
 }

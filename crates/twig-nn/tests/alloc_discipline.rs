@@ -9,37 +9,8 @@
 //! a single `#[test]` so no concurrent test pollutes the counter, counting only
 //! its own thread so libtest's main thread does not either.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use twig_nn::{count_alloc, Adam, Dense, Dropout, Mlp, Relu, Tape, Tensor};
+use twig_nn::{count_alloc, Adam, CountingAlloc, Dense, Dropout, Mlp, Relu, Tape, Tensor};
 use twig_stats::rng::{Rng, Xoshiro256};
-
-/// Counting wrapper around the system allocator. The impl lives here (the
-/// library crates forbid unsafe code) and reports into the process-wide
-/// counter behind `twig_nn::count_alloc`.
-struct CountingAlloc;
-
-// SAFETY: defers every operation to `System`, only adding a relaxed atomic
-// increment, so all `GlobalAlloc` contracts are inherited unchanged.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        twig_nn::note_alloc();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        twig_nn::note_alloc();
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        twig_nn::note_alloc();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;

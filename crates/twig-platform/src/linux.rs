@@ -210,10 +210,13 @@ enum WriteOutcome {
     Diverged,
 }
 
-enum ReadOutcome {
-    Fresh(u64, Vec<f64>),
+/// Why a stamped counter file delivered no fresh sample.
+enum ReadFailure {
+    /// The sequence stamp did not advance.
     Stale,
+    /// Unparseable, or not the expected number of finite values.
     Garbage,
+    /// The file could not be read.
     Missing,
 }
 
@@ -374,15 +377,18 @@ impl<F: Fs> LinuxPlatform<F> {
         self.diverged_this_epoch = true;
     }
 
-    /// Reads a `seq v0 v1 ...` stamped counter file.
-    fn read_stamped(&self, path: &str, want: usize, last_seq: u64) -> ReadOutcome {
-        let text = match self.fs.read(path) {
-            Ok(text) => text,
-            Err(_) => return ReadOutcome::Missing,
-        };
+    /// Reads a `seq v0 v1 ...` stamped counter file: its stamp and values
+    /// when the stamp advanced past `last_seq`.
+    fn read_stamped(
+        &self,
+        path: &str,
+        want: usize,
+        last_seq: u64,
+    ) -> Result<(u64, Vec<f64>), ReadFailure> {
+        let text = self.fs.read(path).map_err(|_| ReadFailure::Missing)?;
         let mut tokens = text.split_whitespace();
         let Some(Ok(seq)) = tokens.next().map(str::parse::<u64>) else {
-            return ReadOutcome::Garbage;
+            return Err(ReadFailure::Garbage);
         };
         let values: Option<Vec<f64>> = tokens
             .map(|t| t.parse::<f64>().ok().filter(|v| v.is_finite()))
@@ -390,13 +396,28 @@ impl<F: Fs> LinuxPlatform<F> {
         match values {
             Some(values) if values.len() == want => {
                 if seq > last_seq {
-                    ReadOutcome::Fresh(seq, values)
+                    Ok((seq, values))
                 } else {
-                    ReadOutcome::Stale
+                    Err(ReadFailure::Stale)
                 }
             }
-            _ => ReadOutcome::Garbage,
+            _ => Err(ReadFailure::Garbage),
         }
+    }
+
+    /// Counts a counter-file read that delivered no fresh sample and flags
+    /// service `i`'s window stale; the previous sample is served instead.
+    fn failed_read(&mut self, failure: ReadFailure, i: usize, health: &mut TelemetryHealth) {
+        match failure {
+            ReadFailure::Stale => self.stats.bump(&self.telemetry, |s| &mut s.stale_counters),
+            ReadFailure::Garbage => self
+                .stats
+                .bump(&self.telemetry, |s| &mut s.garbage_counters),
+            ReadFailure::Missing => self
+                .stats
+                .bump(&self.telemetry, |s| &mut s.missing_counters),
+        }
+        health.pmc_faults[i] = Some(PmcFaultKind::Stale);
     }
 
     fn actuate_impl(&mut self, assignments: &[Assignment]) -> Result<(), PlatformError> {
@@ -526,31 +547,18 @@ impl<F: Fs> LinuxPlatform<F> {
                 self.pmc_seq[i],
             );
             match outcome {
-                ReadOutcome::Fresh(seq, values) => {
+                Ok((seq, values)) => {
                     self.pmc_seq[i] = seq;
                     let mut sample = [0.0; NUM_COUNTERS];
                     sample.copy_from_slice(&values);
                     self.prev_pmcs[i] = PmcSample::from_array(sample);
                 }
-                ReadOutcome::Stale => {
-                    self.stats.bump(&self.telemetry, |s| &mut s.stale_counters);
-                    health.pmc_faults[i] = Some(PmcFaultKind::Stale);
-                }
-                ReadOutcome::Garbage => {
-                    self.stats
-                        .bump(&self.telemetry, |s| &mut s.garbage_counters);
-                    health.pmc_faults[i] = Some(PmcFaultKind::Stale);
-                }
-                ReadOutcome::Missing => {
-                    self.stats
-                        .bump(&self.telemetry, |s| &mut s.missing_counters);
-                    health.pmc_faults[i] = Some(PmcFaultKind::Stale);
-                }
+                Err(failure) => self.failed_read(failure, i, &mut health),
             }
             let outcome =
                 self.read_stamped(&self.config.layout.latency_path(&name), 7, self.lat_seq[i]);
             match outcome {
-                ReadOutcome::Fresh(seq, v) => {
+                Ok((seq, v)) => {
                     self.lat_seq[i] = seq;
                     self.prev_lat[i] = LatencyObs {
                         offered_rps: v[0],
@@ -562,20 +570,7 @@ impl<F: Fs> LinuxPlatform<F> {
                         queue_len: v[6].max(0.0) as usize,
                     };
                 }
-                ReadOutcome::Stale => {
-                    self.stats.bump(&self.telemetry, |s| &mut s.stale_counters);
-                    health.pmc_faults[i] = Some(PmcFaultKind::Stale);
-                }
-                ReadOutcome::Garbage => {
-                    self.stats
-                        .bump(&self.telemetry, |s| &mut s.garbage_counters);
-                    health.pmc_faults[i] = Some(PmcFaultKind::Stale);
-                }
-                ReadOutcome::Missing => {
-                    self.stats
-                        .bump(&self.telemetry, |s| &mut s.missing_counters);
-                    health.pmc_faults[i] = Some(PmcFaultKind::Stale);
-                }
+                Err(failure) => self.failed_read(failure, i, &mut health),
             }
         }
 

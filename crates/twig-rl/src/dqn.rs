@@ -1,58 +1,7 @@
 use crate::per::{PerBatch, Priorities};
-use crate::RlError;
+use crate::{MaBdqConfig, RlError};
 use twig_nn::{Adam, Dense, Dropout, Mlp, Relu, Tensor};
 use twig_stats::rng::{Rng, Xoshiro256};
-
-/// Configuration of a vanilla [`Dqn`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct DqnConfig {
-    /// State dimensionality.
-    pub state_dim: usize,
-    /// Number of (joint) discrete actions.
-    pub actions: usize,
-    /// Hidden-layer widths.
-    pub hidden: Vec<usize>,
-    /// Dropout probability.
-    pub dropout: f32,
-    /// Adam learning rate.
-    pub lr: f32,
-    /// Discount factor γ.
-    pub gamma: f32,
-    /// Minibatch size.
-    pub batch_size: usize,
-    /// Steps between target-network synchronisations.
-    pub target_update_every: u64,
-    /// Replay capacity.
-    pub buffer_capacity: usize,
-    /// PER priority exponent α (0 = uniform).
-    pub per_alpha: f64,
-    /// PER importance exponent β at step 0.
-    pub per_beta0: f64,
-    /// Steps over which β anneals to 1.
-    pub per_beta_steps: u64,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for DqnConfig {
-    fn default() -> Self {
-        DqnConfig {
-            state_dim: 11,
-            actions: 162,
-            hidden: vec![96, 64],
-            dropout: 0.05,
-            lr: 0.0025,
-            gamma: 0.99,
-            batch_size: 64,
-            target_update_every: 150,
-            buffer_capacity: 1_000_000,
-            per_alpha: 0.6,
-            per_beta0: 0.4,
-            per_beta_steps: 100_000,
-            seed: 0,
-        }
-    }
-}
 
 #[derive(Debug, Clone)]
 struct JointTransition {
@@ -69,24 +18,31 @@ struct JointTransition {
 ///
 /// Provided so the branching-vs-joint design choice can be ablated (the
 /// `ablation` experiment) and so downstream users have a baseline learner.
+/// It trains at the hyper-parameters of an [`MaBdqConfig`]: the BDQ's trunk
+/// widths become its hidden layers, and one output per joint action
+/// replaces the BDQ's heads and branches.
 ///
 /// # Examples
 ///
 /// ```
-/// use twig_rl::{Dqn, DqnConfig};
+/// use twig_rl::{Dqn, MaBdqConfig};
 ///
-/// let mut dqn = Dqn::new(DqnConfig {
+/// let learner = MaBdqConfig {
 ///     state_dim: 2,
-///     actions: 4,
-///     hidden: vec![16],
-///     ..DqnConfig::default()
-/// }).unwrap();
+///     trunk_hidden: vec![16],
+///     ..MaBdqConfig::default()
+/// };
+/// let mut dqn = Dqn::new(&learner, 4).unwrap();
 /// let a = dqn.select_action(&[0.1, 0.9], 0.0).unwrap();
 /// assert!(a < 4);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Dqn {
-    config: DqnConfig,
+    state_dim: usize,
+    actions: usize,
+    gamma: f32,
+    batch_size: usize,
+    target_update_every: u64,
     online: Mlp,
     target: Mlp,
     adam: Adam,
@@ -98,60 +54,57 @@ pub struct Dqn {
 }
 
 impl Dqn {
-    /// Builds the online and target networks.
+    /// Builds the online and target networks over `actions` joint actions,
+    /// at `learner`'s state width, trunk widths (as the hidden layers),
+    /// dropout, optimiser, replay and seed. `learner`'s `agents`,
+    /// `branches`, `head_hidden`, `grad_clip` and `quarantine` describe the
+    /// BDQ only and are not read.
     ///
     /// # Errors
     ///
-    /// Returns [`RlError::InvalidConfig`] for an invalid configuration.
-    pub fn new(config: DqnConfig) -> Result<Self, RlError> {
-        if config.state_dim == 0 || config.actions == 0 || config.batch_size == 0 {
+    /// Returns [`RlError::InvalidConfig`] for zero actions or a learner
+    /// config [`MaBdq::new`](crate::MaBdq::new) would reject.
+    pub fn new(learner: &MaBdqConfig, actions: usize) -> Result<Self, RlError> {
+        learner.validate()?;
+        if actions == 0 {
             return Err(RlError::InvalidConfig {
-                detail: format!(
-                    "state {} actions {} batch {}",
-                    config.state_dim, config.actions, config.batch_size
-                ),
+                detail: "zero joint actions".into(),
             });
         }
-        if config.hidden.is_empty() || config.hidden.contains(&0) {
-            return Err(RlError::InvalidConfig {
-                detail: format!("hidden {:?}", config.hidden),
-            });
-        }
-        if !(0.0..1.0).contains(&config.dropout) {
-            return Err(RlError::InvalidConfig {
-                detail: format!("dropout {}", config.dropout),
-            });
-        }
-        let mut rng = Xoshiro256::seed_from_u64(config.seed);
+        let mut rng = Xoshiro256::seed_from_u64(learner.seed);
         let build = |rng: &mut Xoshiro256| {
             let mut net = Mlp::new();
-            let mut prev = config.state_dim;
-            for (i, &h) in config.hidden.iter().enumerate() {
+            let mut prev = learner.state_dim;
+            for (i, &h) in learner.trunk_hidden.iter().enumerate() {
                 net = net
                     .push(Dense::new(prev, h, rng))
                     .push(Relu::new())
                     .push(Dropout::new(
-                        config.dropout,
-                        config.seed.wrapping_add(i as u64),
+                        learner.dropout,
+                        learner.seed.wrapping_add(i as u64),
                     ));
                 prev = h;
             }
-            net.push(Dense::new(prev, config.actions, rng))
+            net.push(Dense::new(prev, actions, rng))
         };
         let online = build(&mut rng);
         let mut target = build(&mut rng);
         target
             .copy_weights_from(&online)
             .expect("same architecture");
-        let adam = Adam::new(config.lr);
+        let adam = Adam::new(learner.lr);
         let priorities = Priorities::new(
-            config.buffer_capacity,
-            config.per_alpha,
-            config.per_beta0,
-            config.per_beta_steps,
+            learner.buffer_capacity,
+            learner.per_alpha,
+            learner.per_beta0,
+            learner.per_beta_steps,
         );
         Ok(Dqn {
-            config,
+            state_dim: learner.state_dim,
+            actions,
+            gamma: learner.gamma,
+            batch_size: learner.batch_size,
+            target_update_every: learner.target_update_every,
             online,
             target,
             adam,
@@ -160,11 +113,6 @@ impl Dqn {
             rng,
             steps: 0,
         })
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &DqnConfig {
-        &self.config
     }
 
     /// Completed gradient steps.
@@ -184,9 +132,9 @@ impl Dqn {
     }
 
     fn check_state(&self, state: &[f32]) -> Result<(), RlError> {
-        if state.len() != self.config.state_dim {
+        if state.len() != self.state_dim {
             return Err(RlError::DimensionMismatch {
-                detail: format!("state {} != {}", state.len(), self.config.state_dim),
+                detail: format!("state {} != {}", state.len(), self.state_dim),
             });
         }
         Ok(())
@@ -214,7 +162,7 @@ impl Dqn {
     pub fn select_action(&mut self, state: &[f32], epsilon: f64) -> Result<usize, RlError> {
         self.check_state(state)?;
         if self.rng.next_f64() < epsilon {
-            return Ok(self.rng.range_usize(0, self.config.actions));
+            return Ok(self.rng.range_usize(0, self.actions));
         }
         let q = self.q_values(state)?;
         Ok(argmax(&q))
@@ -235,9 +183,9 @@ impl Dqn {
     ) -> Result<(), RlError> {
         self.check_state(state)?;
         self.check_state(next_state)?;
-        if action >= self.config.actions {
+        if action >= self.actions {
             return Err(RlError::DimensionMismatch {
-                detail: format!("action {action} out of {}", self.config.actions),
+                detail: format!("action {action} out of {}", self.actions),
             });
         }
         let t = JointTransition {
@@ -263,10 +211,10 @@ impl Dqn {
     ///
     /// Propagates replay errors.
     pub fn train_step(&mut self) -> Result<Option<f32>, RlError> {
-        if self.transitions.len() < self.config.batch_size {
+        if self.transitions.len() < self.batch_size {
             return Ok(None);
         }
-        let batch_size = self.config.batch_size;
+        let batch_size = self.batch_size;
         let mut batch = PerBatch::default();
         self.priorities
             .sample_into(batch_size, &mut self.rng, &mut batch)?;
@@ -294,12 +242,12 @@ impl Dqn {
         .expect("rectangular batch");
         let q = self.online.forward(&x, true);
 
-        let mut grad = Tensor::zeros(batch_size, self.config.actions);
+        let mut grad = Tensor::zeros(batch_size, self.actions);
         let mut loss = 0.0f32;
         let mut abs_td = Vec::with_capacity(batch_size);
         for (b, t) in transitions.iter().enumerate() {
             let a_star = argmax(q_next_online.row(b));
-            let y = t.reward + self.config.gamma * q_next_target[(b, a_star)];
+            let y = t.reward + self.gamma * q_next_target[(b, a_star)];
             let delta = q[(b, t.action)] - y;
             let w = batch.weights[b];
             loss += w * delta * delta / batch_size as f32;
@@ -311,7 +259,7 @@ impl Dqn {
         self.online.apply(&mut self.adam);
         self.priorities.update_priorities(&batch.indices, &abs_td);
         self.steps += 1;
-        if self.steps.is_multiple_of(self.config.target_update_every) {
+        if self.steps.is_multiple_of(self.target_update_every) {
             self.target
                 .copy_weights_from(&self.online)
                 .expect("same architecture");
@@ -336,44 +284,41 @@ fn argmax(row: &[f32]) -> usize {
 mod tests {
     use super::*;
 
-    fn tiny() -> DqnConfig {
-        DqnConfig {
+    fn tiny() -> MaBdqConfig {
+        MaBdqConfig {
             state_dim: 2,
-            actions: 4,
-            hidden: vec![24],
+            trunk_hidden: vec![24],
             dropout: 0.0,
             lr: 0.01,
             gamma: 0.0,
             batch_size: 16,
             buffer_capacity: 2048,
             seed: 5,
-            ..DqnConfig::default()
+            ..MaBdqConfig::default()
         }
     }
 
     #[test]
     fn config_validation() {
-        assert!(Dqn::new(DqnConfig {
+        let with = |learner: MaBdqConfig| Dqn::new(&learner, 4);
+        assert!(with(tiny()).is_ok());
+        assert!(Dqn::new(&tiny(), 0).is_err());
+        assert!(with(MaBdqConfig {
             state_dim: 0,
             ..tiny()
         })
         .is_err());
-        assert!(Dqn::new(DqnConfig {
-            actions: 0,
+        assert!(with(MaBdqConfig {
+            trunk_hidden: vec![],
             ..tiny()
         })
         .is_err());
-        assert!(Dqn::new(DqnConfig {
-            hidden: vec![],
-            ..tiny()
-        })
-        .is_err());
-        assert!(Dqn::new(DqnConfig {
+        assert!(with(MaBdqConfig {
             dropout: 1.0,
             ..tiny()
         })
         .is_err());
-        assert!(Dqn::new(DqnConfig {
+        assert!(with(MaBdqConfig {
             batch_size: 0,
             ..tiny()
         })
@@ -382,7 +327,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_shapes() {
-        let mut dqn = Dqn::new(tiny()).unwrap();
+        let mut dqn = Dqn::new(&tiny(), 4).unwrap();
         assert!(dqn.select_action(&[0.0], 0.0).is_err());
         assert!(dqn.observe(&[0.0, 0.0], 9, 0.0, &[0.0, 0.0]).is_err());
         assert!(dqn.observe(&[0.0], 0, 0.0, &[0.0, 0.0]).is_err());
@@ -390,7 +335,7 @@ mod tests {
 
     #[test]
     fn learns_contextual_bandit() {
-        let mut dqn = Dqn::new(tiny()).unwrap();
+        let mut dqn = Dqn::new(&tiny(), 4).unwrap();
         let mut rng = Xoshiro256::seed_from_u64(1);
         // Action = context (0..4) pays off.
         for step in 0..800 {
@@ -416,14 +361,8 @@ mod tests {
     fn joint_action_space_costs_more_parameters_than_branching() {
         // The Section II-B1 argument in numbers: same hidden sizes, joint
         // 18x9 output vs branched 18+9 outputs.
-        let dqn = Dqn::new(DqnConfig {
-            state_dim: 11,
-            actions: 18 * 9,
-            hidden: vec![96, 64],
-            ..DqnConfig::default()
-        })
-        .unwrap();
-        let bdq = crate::MaBdq::new(crate::MaBdqConfig::default()).unwrap();
+        let dqn = Dqn::new(&MaBdqConfig::default(), 18 * 9).unwrap();
+        let bdq = crate::MaBdq::new(MaBdqConfig::default()).unwrap();
         assert!(dqn.param_count() > 0);
         // The BDQ's output layers scale with 18 + 9, the DQN's with 162.
         let dqn_out_params = 64 * 162 + 162;
@@ -434,7 +373,7 @@ mod tests {
 
     #[test]
     fn train_none_until_batch() {
-        let mut dqn = Dqn::new(tiny()).unwrap();
+        let mut dqn = Dqn::new(&tiny(), 4).unwrap();
         assert_eq!(dqn.train_step().unwrap(), None);
         for _ in 0..16 {
             dqn.observe(&[0.0, 0.0], 0, 1.0, &[0.0, 0.0]).unwrap();

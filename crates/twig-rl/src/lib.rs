@@ -61,7 +61,7 @@ pub use anneal::{EpsilonSchedule, LinearAnneal};
 pub use checkpoint::{
     crc32, decode_checkpoint, encode_checkpoint, validate_checkpoint_bytes, MaBdqCheckpoint,
 };
-pub use dqn::{Dqn, DqnConfig};
+pub use dqn::Dqn;
 pub use error::RlError;
 pub use federate::{ByzantineScreen, Contribution, FedError, ScreenConfig};
 pub use mabdq::{

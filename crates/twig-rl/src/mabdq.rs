@@ -90,7 +90,7 @@ impl MaBdqConfig {
         }
     }
 
-    fn validate(&self) -> Result<(), RlError> {
+    pub(crate) fn validate(&self) -> Result<(), RlError> {
         let fail = |detail: String| Err(RlError::InvalidConfig { detail });
         if self.agents == 0 {
             return fail("zero agents".into());

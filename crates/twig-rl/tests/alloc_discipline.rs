@@ -19,57 +19,11 @@
 //! (one `#[test]`), so no concurrent test pollutes the counter — and it counts
 //! only its own thread, so neither does libtest's main thread.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use twig_nn::count_alloc;
 use twig_rl::{BudgetedProgress, MaBdq, MaBdqConfig, MultiTransition};
 
-/// Counting wrapper around the system allocator. The impl lives here (the
-/// library crates forbid unsafe code) and reports into the process-wide
-/// counter behind `twig_nn::count_alloc`.
-struct CountingAlloc;
-
-/// Bytes requested from the allocator so far (all threads; only read around
-/// calls that dwarf anything libtest does meanwhile).
-static REQUESTED_BYTES: AtomicUsize = AtomicUsize::new(0);
-
-/// Bytes allocated and not yet freed (all threads, same caveat; wraps below
-/// zero and back when a block outlives the reading it is compared with).
-static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: defers every operation to `System`, only adding a relaxed atomic
-// increment, so all `GlobalAlloc` contracts are inherited unchanged.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        twig_nn::note_alloc();
-        REQUESTED_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        twig_nn::note_alloc();
-        REQUESTED_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        twig_nn::note_alloc();
-        REQUESTED_BYTES.fetch_add(new_size, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed);
-        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+static ALLOC: twig_nn::CountingAlloc = twig_nn::CountingAlloc;
 
 fn config(agents: usize) -> MaBdqConfig {
     MaBdqConfig {
@@ -253,7 +207,7 @@ fn footprint_follows_contents(chained: bool) {
     const TAIL_ROW: usize = 11 * 4;
     let mut agent = MaBdq::new(MaBdqConfig::default()).unwrap();
     assert_eq!(agent.config().buffer_capacity, 1_000_000);
-    let before = REQUESTED_BYTES.load(Ordering::Relaxed);
+    let before = count_alloc::requested_bytes();
     for i in 0..1_000 {
         let (f, next) = (i as f32 * 1e-3, (i + 1) as f32 * 1e-3);
         let start = if chained { f } else { 2.0 - f };
@@ -273,12 +227,12 @@ fn footprint_follows_contents(chained: bool) {
     assert_eq!(agent.replay_unlinked(), unlinked);
     assert_eq!(agent.replay_bytes(), 1_024 * (record + 16) + TAIL_ROW);
     assert!(agent.replay_bytes() <= 1_024 * (96 + 4 + 16) + TAIL_ROW);
-    let observed = REQUESTED_BYTES.load(Ordering::Relaxed) - before;
+    let observed = count_alloc::requested_bytes() - before;
     assert!(observed <= MIB, "1 000 observes requested {observed} bytes");
 
-    let before = REQUESTED_BYTES.load(Ordering::Relaxed);
+    let before = count_alloc::requested_bytes();
     let twin = agent.clone();
-    let cloned = REQUESTED_BYTES.load(Ordering::Relaxed) - before;
+    let cloned = count_alloc::requested_bytes() - before;
     assert_eq!(twin.buffer_len(), 1_000);
     assert!(twin.replay_bytes() <= agent.replay_bytes());
     // A clone copies parameters and contents, each block at its length: no
@@ -297,9 +251,9 @@ fn target_network_holds_weights_only() {
         agents: 24,
         ..MaBdqConfig::default()
     };
-    let before = REQUESTED_BYTES.load(Ordering::Relaxed);
+    let before = count_alloc::requested_bytes();
     let agent = MaBdq::new(config).unwrap();
-    let requested = REQUESTED_BYTES.load(Ordering::Relaxed) - before;
+    let requested = count_alloc::requested_bytes() - before;
     assert_eq!(agent.memory_bytes(), 2 * 128_995 * 4);
     assert!(
         requested <= agent.memory_bytes() * 11 / 10,
@@ -334,7 +288,7 @@ fn learner_bytes_account_for_the_live_heap(agents: usize) {
     let mut actions = Vec::new();
     // Everything above stays live across both readings; everything below is
     // the learner's, or freed by the time of the second.
-    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    let before = count_alloc::live_bytes();
     let mut agent = MaBdq::new(config).unwrap();
     for (i, t) in transitions.iter().enumerate() {
         agent
@@ -351,7 +305,7 @@ fn learner_bytes_account_for_the_live_heap(agents: usize) {
         }
     }
     assert_eq!(agent.steps(), 201);
-    let mut live = LIVE_BYTES.load(Ordering::Relaxed).wrapping_sub(before);
+    let mut live = count_alloc::live_bytes().wrapping_sub(before);
     live -= actions.capacity() * std::mem::size_of::<Vec<usize>>();
     live -= actions.iter().map(|a| a.capacity() * 8).sum::<usize>();
     let counted = agent.learner_bytes() + agent.replay_bytes();

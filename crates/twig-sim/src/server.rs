@@ -751,7 +751,7 @@ impl Server {
                 let delay = fault.telemetry_delay();
                 let history = &mut self.pmc_history[svc];
                 history.push_back(fresh);
-                while history.len() > delay + 1 {
+                while history.len() > delay.saturating_add(1) {
                     history.pop_front();
                 }
                 telemetry.delayed_epochs = history.len() - 1;

@@ -12,44 +12,14 @@
 //! leak into other test binaries, and run single-threaded by construction
 //! (one `#[test]`), so no concurrent test pollutes the counter.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use twig_nn::count_alloc;
 use twig_sim::{
     catalog, Assignment, CoreId, FaultConfig, FaultPlan, Server, ServerConfig, ServiceSpec,
 };
 use twig_telemetry::Telemetry;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Counting wrapper around the system allocator (the library crates forbid
-/// unsafe code, so the impl lives in the test).
-struct CountingAlloc;
-
-// SAFETY: defers every operation to `System`, only adding a relaxed atomic
-// increment, so all `GlobalAlloc` contracts are inherited unchanged.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+static ALLOC: twig_nn::CountingAlloc = twig_nn::CountingAlloc;
 
 const WARMUP: usize = 40;
 const MEASURED: usize = 25;
@@ -104,9 +74,9 @@ fn allocations_per_step(
     let mut counts = Vec::with_capacity(epochs);
     let mut requests = 0.0;
     for epoch in 0..epochs {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = count_alloc::allocation_count();
         let report = server.step(&plans[epoch % 2]).unwrap();
-        counts.push(ALLOCATIONS.load(Ordering::Relaxed) - before);
+        counts.push(count_alloc::allocation_count() - before);
         requests += report.services.iter().map(|s| s.offered_rps).sum::<f64>();
     }
     (counts, requests)
