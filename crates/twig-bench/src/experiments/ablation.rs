@@ -14,33 +14,17 @@
 //!   experience replay with α = 0.6; setting α = 0 degrades PER to uniform
 //!   sampling, quantifying what prioritisation buys.
 
-use crate::{
-    drive, run_sections, summarize, total_energy, window, ExpError, Options, TextTable, Unit,
-};
+use crate::runner::twig_builder;
+use crate::{measure, run_sections, server, ExpError, Measured, Options, TextTable, Unit};
 use std::fmt::Write as _;
-use twig_core::{Eq2PowerModel, Mapper, RewardConfig, SystemMonitor, Twig, TwigBuilder};
+use twig_core::{Eq2PowerModel, Mapper, RewardConfig, SystemMonitor, Twig};
 use twig_rl::{Dqn, EpsilonSchedule, MaBdqConfig};
-use twig_sim::{catalog, Server, ServerConfig};
+use twig_sim::{catalog, LoadGenerator, ServerConfig, ServiceSpec};
 
-fn scaled_twig(
-    services: Vec<twig_sim::ServiceSpec>,
-    learn: u64,
-    seed: u64,
-    mutate: impl FnOnce(TwigBuilder) -> TwigBuilder,
-) -> Result<Twig, ExpError> {
-    let builder = TwigBuilder::new()
-        .services(services)
-        .epsilon(EpsilonSchedule::new(0.1, 0.005, learn * 3 / 5, learn))
-        .agent(MaBdqConfig::default())
-        .reward(RewardConfig {
-            theta: 1.0,
-            ..RewardConfig::default()
-        })
-        .train_steps_per_epoch(3)
-        .action_stickiness(0.02)
-        .seed(seed);
-    Ok(mutate(builder).build()?)
-}
+/// Gradient steps per epoch of every ablated learner. `make_twig` lowers
+/// its replay ratio to one at `--full`; the ablations keep three at every
+/// scale.
+const TRAIN_STEPS: u32 = 3;
 
 /// Coordination ablation: one Twig-C vs two oblivious Twig-S managers.
 ///
@@ -50,32 +34,39 @@ fn scaled_twig(
 pub fn coordination(out: &mut String, opts: &Options) -> Result<(), ExpError> {
     let specs = vec![catalog::masstree(), catalog::moses()];
     let learn = opts.learn_epochs();
-    let measure = opts.measure_epochs(false);
+    let window = opts.measure_epochs(false);
     writeln!(
         out,
         "Ablation: coordinated multi-agent BDQ vs independent per-service agents"
     )?;
     writeln!(
         out,
-        "(masstree @ 30% + moses @ 50%, {measure}-epoch window)\n"
+        "(masstree @ 30% + moses @ 50%, {window}-epoch window)\n"
     )?;
 
+    let loads = [LoadGenerator::fixed(0.3)?, LoadGenerator::fixed(0.5)?];
+
     // Coordinated: the real Twig-C.
-    let mut server = Server::new(ServerConfig::default(), specs.clone(), opts.seed)?;
-    server.set_load_fraction(0, 0.3)?;
-    server.set_load_fraction(1, 0.5)?;
-    let mut twig_c = scaled_twig(specs.clone(), learn, opts.seed, |b| b)?;
-    let reports = drive(&mut server, &mut twig_c, learn + measure)?;
-    let coord_tail = window(&reports, measure);
+    let mut twig_c = twig_builder(specs.clone(), learn, opts.seed)
+        .train_steps_per_epoch(TRAIN_STEPS)
+        .build()?;
+    let coordinated = measure(
+        &mut server(&specs, &loads, opts.seed)?,
+        &mut twig_c,
+        learn,
+        window,
+    )?;
 
     // Independent: two Twig-S managers, each blind to the other service.
-    let mut server = Server::new(ServerConfig::default(), specs.clone(), opts.seed)?;
-    server.set_load_fraction(0, 0.3)?;
-    server.set_load_fraction(1, 0.5)?;
-    let mut solo_a = scaled_twig(vec![specs[0].clone()], learn, opts.seed ^ 1, |b| b)?;
-    let mut solo_b = scaled_twig(vec![specs[1].clone()], learn, opts.seed ^ 2, |b| b)?;
-    let mut indep_reports = Vec::new();
-    for _ in 0..(learn + measure) {
+    let mut server = server(&specs, &loads, opts.seed)?;
+    let solo = |i: usize, seed: u64| {
+        twig_builder(vec![specs[i].clone()], learn, seed)
+            .train_steps_per_epoch(TRAIN_STEPS)
+            .build()
+    };
+    let (mut solo_a, mut solo_b) = (solo(0, opts.seed ^ 1)?, solo(1, opts.seed ^ 2)?);
+    let mut indep_window = Vec::new();
+    for t in 0..(learn + window) {
         let a0 = solo_a.decide()?;
         let a1 = solo_b.decide()?;
         let report = server.step(&[a0[0].clone(), a1[0].clone()])?;
@@ -86,9 +77,11 @@ pub fn coordination(out: &mut String, opts: &Options) -> Result<(), ExpError> {
         };
         solo_a.observe(&view(0))?;
         solo_b.observe(&view(1))?;
-        indep_reports.push(report);
+        if t >= learn {
+            indep_window.push(report);
+        }
     }
-    let indep_tail = window(&indep_reports, measure);
+    let independent = Measured::new(indep_window, &specs);
 
     let mut t = TextTable::new(vec![
         "scheme",
@@ -97,29 +90,42 @@ pub fn coordination(out: &mut String, opts: &Options) -> Result<(), ExpError> {
         "energy (J)",
         "core overlap/epoch",
     ]);
-    for (name, tail) in [
-        ("coordinated (twig-c)", coord_tail),
-        ("independent agents", indep_tail),
+    for (name, m) in [
+        ("coordinated (twig-c)", &coordinated),
+        ("independent agents", &independent),
     ] {
-        let s = summarize(tail, &specs);
-        let overlap: f64 = tail
+        let overlap: f64 = m
+            .window
             .iter()
             .map(|r| {
                 let total: usize = r.services.iter().map(|s| s.core_count).sum();
                 total.saturating_sub(18) as f64
             })
             .sum::<f64>()
-            / tail.len() as f64;
+            / m.window.len() as f64;
         t.row(vec![
             name.into(),
-            format!("{:.1}", s[0].qos_guarantee_pct),
-            format!("{:.1}", s[1].qos_guarantee_pct),
-            format!("{:.0}", total_energy(tail)),
+            format!("{:.1}", m.summary[0].qos_guarantee_pct),
+            format!("{:.1}", m.summary[1].qos_guarantee_pct),
+            format!("{:.0}", m.energy),
             format!("{overlap:.1}"),
         ]);
     }
     writeln!(out, "{t}")?;
     Ok(())
+}
+
+/// Leads `twig` on `spec` at 50 % load for the learning phase and
+/// measures the window after it.
+fn at_half_load(spec: &ServiceSpec, twig: &mut Twig, opts: &Options) -> Result<Measured, ExpError> {
+    let specs = std::slice::from_ref(spec);
+    let mut server = server(specs, &[LoadGenerator::fixed(0.5)?], opts.seed)?;
+    measure(
+        &mut server,
+        twig,
+        opts.learn_epochs(),
+        opts.measure_epochs(false),
+    )
 }
 
 /// η smoothing-window ablation.
@@ -129,28 +135,23 @@ pub fn coordination(out: &mut String, opts: &Options) -> Result<(), ExpError> {
 /// Propagates simulator and manager errors.
 pub fn eta(out: &mut String, opts: &Options) -> Result<(), ExpError> {
     let spec = catalog::masstree();
-    let learn = opts.learn_epochs();
-    let measure = opts.measure_epochs(false);
     writeln!(
         out,
         "Ablation: PMC smoothing window eta (paper: eta = 5), masstree @ 50%\n"
     )?;
     let mut t = TextTable::new(vec!["eta", "QoS guarantee (%)", "energy (J)"]);
     for eta in [1usize, 3, 5, 10] {
-        let mut server = Server::new(ServerConfig::default(), vec![spec.clone()], opts.seed)?;
-        server.set_load_fraction(0, 0.5)?;
-        let mut twig = scaled_twig(vec![spec.clone()], learn, opts.seed, |b| b)?;
+        let twig = twig_builder(vec![spec.clone()], opts.learn_epochs(), opts.seed)
+            .train_steps_per_epoch(TRAIN_STEPS)
+            .build()?;
         // Rebuild with the desired eta via the config path.
         let mut config = twig.config().clone();
         config.eta = eta;
-        twig = Twig::new(config)?;
-        let reports = drive(&mut server, &mut twig, learn + measure)?;
-        let tail = window(&reports, measure);
-        let s = summarize(tail, std::slice::from_ref(&spec));
+        let m = at_half_load(&spec, &mut Twig::new(config)?, opts)?;
         t.row(vec![
             eta.to_string(),
-            format!("{:.1}", s[0].qos_guarantee_pct),
-            format!("{:.0}", total_energy(tail)),
+            format!("{:.1}", m.summary[0].qos_guarantee_pct),
+            format!("{:.0}", m.energy),
         ]);
     }
     writeln!(out, "{t}")?;
@@ -164,29 +165,24 @@ pub fn eta(out: &mut String, opts: &Options) -> Result<(), ExpError> {
 /// Propagates simulator and manager errors.
 pub fn replay(out: &mut String, opts: &Options) -> Result<(), ExpError> {
     let spec = catalog::img_dnn();
-    let learn = opts.learn_epochs();
-    let measure = opts.measure_epochs(false);
     writeln!(
         out,
         "Ablation: prioritised (alpha = 0.6) vs uniform (alpha = 0) replay, img-dnn @ 50%\n"
     )?;
     let mut t = TextTable::new(vec!["replay", "QoS guarantee (%)", "energy (J)"]);
     for (label, alpha) in [("prioritised", 0.6), ("uniform", 0.0)] {
-        let mut server = Server::new(ServerConfig::default(), vec![spec.clone()], opts.seed)?;
-        server.set_load_fraction(0, 0.5)?;
-        let mut twig = scaled_twig(vec![spec.clone()], learn, opts.seed, |b| {
-            b.agent(MaBdqConfig {
+        let mut twig = twig_builder(vec![spec.clone()], opts.learn_epochs(), opts.seed)
+            .train_steps_per_epoch(TRAIN_STEPS)
+            .agent(MaBdqConfig {
                 per_alpha: alpha,
                 ..MaBdqConfig::default()
             })
-        })?;
-        let reports = drive(&mut server, &mut twig, learn + measure)?;
-        let tail = window(&reports, measure);
-        let s = summarize(tail, std::slice::from_ref(&spec));
+            .build()?;
+        let m = at_half_load(&spec, &mut twig, opts)?;
         t.row(vec![
             label.into(),
-            format!("{:.1}", s[0].qos_guarantee_pct),
-            format!("{:.0}", total_energy(tail)),
+            format!("{:.1}", m.summary[0].qos_guarantee_pct),
+            format!("{:.0}", m.energy),
         ]);
     }
     writeln!(out, "{t}")?;
@@ -206,24 +202,22 @@ pub fn branching(out: &mut String, opts: &Options) -> Result<(), ExpError> {
     let spec = catalog::masstree();
     let cfg = ServerConfig::default();
     let learn = opts.learn_epochs();
-    let measure = opts.measure_epochs(false);
     writeln!(
         out,
         "Ablation: branching (BDQ) vs joint-action (vanilla DQN), masstree @ 50%\n"
     )?;
 
     // Twig-S (branching).
-    let mut server = Server::new(cfg.clone(), vec![spec.clone()], opts.seed)?;
-    server.set_load_fraction(0, 0.5)?;
-    let mut twig = scaled_twig(vec![spec.clone()], learn, opts.seed, |b| b)?;
-    let reports = drive(&mut server, &mut twig, learn + measure)?;
-    let twig_tail = window(&reports, measure);
+    let mut twig = twig_builder(vec![spec.clone()], learn, opts.seed)
+        .train_steps_per_epoch(TRAIN_STEPS)
+        .build()?;
+    let bdq = at_half_load(&spec, &mut twig, opts)?;
     let twig_params = twig.agent().param_count();
 
     // Vanilla DQN over the joint (cores, dvfs) space, wired up with the
     // same monitor, reward and mapper Twig uses.
-    let mut server = Server::new(cfg.clone(), vec![spec.clone()], opts.seed)?;
-    server.set_load_fraction(0, 0.5)?;
+    let specs = std::slice::from_ref(&spec);
+    let mut server = server(specs, &[LoadGenerator::fixed(0.5)?], opts.seed)?;
     let dvfs_levels = cfg.dvfs.len();
     let learner = MaBdqConfig {
         seed: opts.seed,
@@ -239,9 +233,9 @@ pub fn branching(out: &mut String, opts: &Options) -> Result<(), ExpError> {
     };
     let power = Eq2PowerModel::default();
     let schedule = EpsilonSchedule::new(0.1, 0.005, learn * 3 / 5, learn);
-    let mut dqn_reports = Vec::new();
+    let mut dqn_window = Vec::new();
     let mut pending: Option<(Vec<f32>, usize)> = None;
-    for t in 0..(learn + measure) {
+    for t in 0..(learn + opts.measure_epochs(false)) {
         let state = monitor.state(0)?;
         let action = dqn.select_action(&state, schedule.value_at(t))?;
         let (cores, dvfs_idx) = (action / dvfs_levels + 1, action % dvfs_levels);
@@ -255,14 +249,16 @@ pub fn branching(out: &mut String, opts: &Options) -> Result<(), ExpError> {
             let est = power.estimate(svc.load_fraction, pc, pd);
             let r = reward.reward(svc.p99_ms, spec.qos_ms, reward.power_reward(130.0, est));
             dqn.observe(&prev_state, prev_action, r as f32, &next_state)?;
-            for _ in 0..3 {
+            for _ in 0..TRAIN_STEPS {
                 dqn.train_step()?;
             }
         }
         pending = Some((state, action));
-        dqn_reports.push(report);
+        if t >= learn {
+            dqn_window.push(report);
+        }
     }
-    let dqn_tail = window(&dqn_reports, measure);
+    let joint = Measured::new(dqn_window, specs);
 
     let mut t = TextTable::new(vec![
         "learner",
@@ -271,22 +267,16 @@ pub fn branching(out: &mut String, opts: &Options) -> Result<(), ExpError> {
         "QoS guarantee (%)",
         "energy (J)",
     ]);
-    for (name, outputs, params, tail) in [
-        (
-            "bdq (twig-s)",
-            cfg.cores + dvfs_levels,
-            twig_params,
-            twig_tail,
-        ),
-        ("joint dqn", cfg.cores * dvfs_levels, dqn_params, dqn_tail),
+    for (name, outputs, params, m) in [
+        ("bdq (twig-s)", cfg.cores + dvfs_levels, twig_params, &bdq),
+        ("joint dqn", cfg.cores * dvfs_levels, dqn_params, &joint),
     ] {
-        let s = summarize(tail, std::slice::from_ref(&spec));
         t.row(vec![
             name.into(),
             outputs.to_string(),
             params.to_string(),
-            format!("{:.1}", s[0].qos_guarantee_pct),
-            format!("{:.0}", total_energy(tail)),
+            format!("{:.1}", m.summary[0].qos_guarantee_pct),
+            format!("{:.0}", m.energy),
         ]);
     }
     writeln!(out, "{t}")?;

@@ -6,25 +6,10 @@
 //! sinusoidal day/night load between 15 % and 85 % of max, reporting QoS
 //! guarantee and energy against the static baseline.
 
-use crate::{drive, make_twig, summarize, total_energy, window, ExpError, Options, TextTable};
+use crate::runner::services_label;
+use crate::{ExpError, Manager, Options, TextTable};
 use std::fmt::Write as _;
-use twig_baselines::StaticMapping;
-use twig_sim::{catalog, LoadGenerator, Server, ServerConfig};
-
-fn diurnal_server(
-    specs: Vec<twig_sim::ServiceSpec>,
-    period: u64,
-    seed: u64,
-) -> Result<Server, ExpError> {
-    let mut server = Server::new(ServerConfig::default(), specs.clone(), seed)?;
-    // Colocated pairs split the core budget, so their diurnal peak is
-    // derated to stay feasible (see the Figure 12/13 notes).
-    let peak = if specs.len() > 1 { 0.5 } else { 0.85 };
-    for i in 0..specs.len() {
-        server.set_load_generator(i, LoadGenerator::diurnal(0.15, peak, period)?)?;
-    }
-    Ok(server)
-}
+use twig_sim::{catalog, LoadGenerator};
 
 /// Runs the diurnal evaluation.
 ///
@@ -43,46 +28,30 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
         "QoS guarantee (%)",
         "energy (norm. to static)",
     ]);
-    // Twig-S per service.
-    for spec in catalog::tailbench() {
-        let mut server = diurnal_server(vec![spec.clone()], period, opts.seed)?;
-        let mut stat = StaticMapping::new(vec![spec.clone()], 18, ServerConfig::default().dvfs)?;
-        let static_reports = drive(&mut server, &mut stat, opts.controller_warmup() + measure)?;
-        let e_static = total_energy(window(&static_reports, measure));
-
-        let mut server = diurnal_server(vec![spec.clone()], period, opts.seed)?;
-        let mut twig = make_twig(vec![spec.clone()], learn, opts.seed)?;
-        let reports = drive(&mut server, &mut twig, learn + measure)?;
-        let tail = window(&reports, measure);
-        let s = summarize(tail, std::slice::from_ref(&spec));
+    // Twig-S per service, then Twig-C on the flagship pair.
+    let workloads = catalog::tailbench()
+        .into_iter()
+        .map(|spec| vec![spec])
+        .chain([vec![catalog::masstree(), catalog::moses()]]);
+    for specs in workloads {
+        // Colocated pairs split the core budget, so their diurnal peak is
+        // derated to stay feasible (see the Figure 12/13 notes).
+        let peak = if specs.len() > 1 { 0.5 } else { 0.85 };
+        let loads = vec![LoadGenerator::diurnal(0.15, peak, period)?; specs.len()];
+        let (_, reference) = Manager::Static.run(&specs, &loads, learn, measure, opts)?;
+        let (name, twig) = Manager::Twig.run(&specs, &loads, learn, measure, opts)?;
+        let qos: Vec<String> = twig
+            .summary
+            .iter()
+            .map(|s| format!("{:.1}", s.qos_guarantee_pct))
+            .collect();
         t.row(vec![
-            spec.name.clone(),
-            "twig-s".into(),
-            format!("{:.1}", s[0].qos_guarantee_pct),
-            format!("{:.3}", total_energy(tail) / e_static),
+            services_label(&specs),
+            name,
+            qos.join(" / "),
+            format!("{:.3}", twig.energy / reference.energy),
         ]);
     }
-
-    // Twig-C on the flagship pair.
-    let specs = vec![catalog::masstree(), catalog::moses()];
-    let mut server = diurnal_server(specs.clone(), period, opts.seed)?;
-    let mut stat = StaticMapping::new(specs.clone(), 18, ServerConfig::default().dvfs)?;
-    let static_reports = drive(&mut server, &mut stat, opts.controller_warmup() + measure)?;
-    let e_static = total_energy(window(&static_reports, measure));
-    let mut server = diurnal_server(specs.clone(), period, opts.seed)?;
-    let mut twig = make_twig(specs.clone(), learn, opts.seed)?;
-    let reports = drive(&mut server, &mut twig, learn + measure)?;
-    let tail = window(&reports, measure);
-    let s = summarize(tail, &specs);
-    t.row(vec![
-        "masstree+moses".into(),
-        "twig-c".into(),
-        format!(
-            "{:.1} / {:.1}",
-            s[0].qos_guarantee_pct, s[1].qos_guarantee_pct
-        ),
-        format!("{:.3}", total_energy(tail) / e_static),
-    ]);
     writeln!(out, "{t}")?;
     Ok(())
 }

@@ -8,23 +8,11 @@
 //! allocates the most cores; Twig's tardiness mass sits just under 1.0
 //! with few violations (< 4 %, due to residual exploration).
 
-use crate::{drive, make_twig, run_sections, window, ExpError, Options, TextTable, Unit};
+use crate::runner::{core_shares, shares_mean};
+use crate::{run_sections, ExpError, Manager, Options, TextTable, Unit};
 use std::fmt::Write as _;
-use twig_baselines::{Heracles, Hipster, HipsterConfig};
-use twig_core::TaskManager;
-use twig_sim::{catalog, EpochReport, Server, ServerConfig};
+use twig_sim::{catalog, EpochReport, LoadGenerator};
 use twig_stats::Histogram;
-
-fn mapping_distribution(tail: &[EpochReport]) -> Vec<(usize, f64)> {
-    let mut counts = std::collections::BTreeMap::new();
-    for r in tail {
-        *counts.entry(r.services[0].core_count).or_insert(0usize) += 1;
-    }
-    counts
-        .into_iter()
-        .map(|(cores, n)| (cores, 100.0 * n as f64 / tail.len() as f64))
-        .collect()
-}
 
 fn tardiness_histogram(tail: &[EpochReport], qos: f64) -> Histogram {
     let mut h = Histogram::new(0.0, 2.0, 10).expect("valid histogram");
@@ -32,23 +20,20 @@ fn tardiness_histogram(tail: &[EpochReport], qos: f64) -> Histogram {
     h
 }
 
-fn report_manager(
-    out: &mut String,
-    name: &str,
-    manager: &mut dyn TaskManager,
-    epochs: u64,
-    measure: u64,
-    opts: &Options,
-) -> Result<(), ExpError> {
+fn report_manager(out: &mut String, manager: Manager, opts: &Options) -> Result<(), ExpError> {
     let spec = catalog::masstree();
-    let mut server = Server::new(ServerConfig::default(), vec![spec.clone()], opts.seed)?;
-    server.set_load_fraction(0, 0.5)?;
-    let reports = drive(&mut server, manager, epochs)?;
-    let tail = window(&reports, measure);
+    let (name, measured) = manager.run(
+        std::slice::from_ref(&spec),
+        &[LoadGenerator::fixed(0.5)?],
+        opts.learn_epochs(),
+        opts.measure_epochs(false),
+        opts,
+    )?;
+    let tail = &measured.window;
 
     writeln!(out, "== {name} ==")?;
     let mut t = TextTable::new(vec!["cores", "time share (%)"]);
-    let dist = mapping_distribution(tail);
+    let dist = core_shares(tail, 0);
     for (cores, pct) in &dist {
         t.row(vec![cores.to_string(), format!("{pct:.1}")]);
     }
@@ -71,7 +56,6 @@ fn report_manager(
     ]);
     writeln!(out, "tardiness histogram (violation when > 1.0):\n{ht}")?;
 
-    let mean_cores: f64 = dist.iter().map(|&(c, p)| c as f64 * p / 100.0).sum();
     let violations: f64 = tail
         .iter()
         .filter(|r| r.services[0].p99_ms > spec.qos_ms)
@@ -79,7 +63,8 @@ fn report_manager(
         / tail.len() as f64;
     writeln!(
         out,
-        "mean cores {mean_cores:.1}, violations {:.1}%\n",
+        "mean cores {:.1}, violations {:.1}%\n",
+        shares_mean(&dist),
         violations * 100.0
     )?;
     Ok(())
@@ -97,59 +82,16 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
         out,
         "Figure 6: core-mapping and QoS-tardiness distributions, masstree @ 50%\n"
     )?;
-    let cfg = ServerConfig::default();
-    let learn = opts.learn_epochs();
-    let measure = opts.measure_epochs(false);
-    let warm = opts.controller_warmup();
-
-    let units = vec![
-        Unit::new("fig06/heracles", {
-            let cfg = cfg.clone();
-            move |_seed| {
+    let units = [Manager::Heracles, Manager::Hipster, Manager::Twig]
+        .into_iter()
+        .map(|manager| {
+            Unit::new(format!("fig06/{manager:?}"), move |_seed| {
                 let mut s = String::new();
-                let mut heracles = Heracles::new(catalog::masstree(), cfg.cores, cfg.dvfs.clone())?;
-                report_manager(
-                    &mut s,
-                    "heracles",
-                    &mut heracles,
-                    warm + measure,
-                    measure,
-                    opts,
-                )?;
+                report_manager(&mut s, manager, opts)?;
                 Ok(s)
-            }
-        }),
-        Unit::new("fig06/hipster", {
-            let cfg = cfg.clone();
-            move |_seed| {
-                let mut s = String::new();
-                let mut hipster = Hipster::new(
-                    catalog::masstree(),
-                    cfg.cores,
-                    cfg.dvfs.clone(),
-                    HipsterConfig {
-                        learning_phase: learn * 3 / 4,
-                        seed: opts.seed,
-                    },
-                )?;
-                report_manager(
-                    &mut s,
-                    "hipster",
-                    &mut hipster,
-                    learn + measure,
-                    measure,
-                    opts,
-                )?;
-                Ok(s)
-            }
-        }),
-        Unit::new("fig06/twig-s", move |_seed| {
-            let mut s = String::new();
-            let mut twig = make_twig(vec![catalog::masstree()], learn, opts.seed)?;
-            report_manager(&mut s, "twig-s", &mut twig, learn + measure, measure, opts)?;
-            Ok(s)
-        }),
-    ];
+            })
+        })
+        .collect();
     run_sections(out, units, opts)?;
     Ok(())
 }

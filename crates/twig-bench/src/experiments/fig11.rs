@@ -13,18 +13,9 @@
 //! to reproduce: Twig-C's Moses core allocation tracks the ramp while
 //! Masstree's allocation stays small and its QoS holds.
 
-use crate::{drive, make_twig, summarize, total_energy, window, ExpError, Options, TextTable};
+use crate::{ExpError, Manager, Measured, Options, TextTable};
 use std::fmt::Write as _;
-use twig_baselines::Parties;
-use twig_sim::{catalog, EpochReport, LoadGenerator, Server, ServerConfig};
-
-fn setup_server(opts: &Options, step_period: u64) -> Result<Server, ExpError> {
-    let specs = vec![catalog::moses(), catalog::masstree()];
-    let mut server = Server::new(ServerConfig::default(), specs, opts.seed)?;
-    server.set_load_generator(0, LoadGenerator::step(0.2, 0.7, 1.2, step_period)?)?;
-    server.set_load_fraction(1, 0.2)?;
-    Ok(server)
-}
+use twig_sim::{catalog, EpochReport, LoadGenerator};
 
 fn write_allocation_trace(
     out: &mut String,
@@ -54,6 +45,15 @@ fn write_allocation_trace(
     Ok(())
 }
 
+/// The closing line of a manager's run: per-service QoS, energy and
+/// migrations over the window.
+fn summary_line(m: &Measured) -> String {
+    format!(
+        "moses QoS {:.1}%, masstree QoS {:.1}%, energy {:.0} J, migrations {}",
+        m.summary[0].qos_guarantee_pct, m.summary[1].qos_guarantee_pct, m.energy, m.migrations
+    )
+}
+
 /// Regenerates Figure 11, appending to `out`.
 ///
 /// # Errors
@@ -65,43 +65,26 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
     let learn = opts.learn_epochs() * 2;
     let step_period = if opts.full { 200 } else { 50 };
     let measure = step_period * 20;
-    let specs = vec![catalog::moses(), catalog::masstree()];
+    let specs = [catalog::moses(), catalog::masstree()];
+    let loads = [
+        LoadGenerator::step(0.2, 0.7, 1.2, step_period)?,
+        LoadGenerator::fixed(0.2)?,
+    ];
     writeln!(
         out,
         "Figure 11: Twig-C with moses ramping 20-100% and masstree fixed at 20%\n"
     )?;
 
-    let mut twig = make_twig(specs.clone(), learn, opts.seed)?;
-    let mut server = setup_server(opts, step_period)?;
-    let reports = drive(&mut server, &mut twig, learn + measure)?;
-    let tail = window(&reports, measure);
+    let (_, twig) = Manager::Twig.run(&specs, &loads, learn, measure, opts)?;
     writeln!(out, "twig-c allocation trace (sampled once per load step):")?;
-    write_allocation_trace(out, tail, step_period)?;
-    let s = summarize(tail, &specs);
+    write_allocation_trace(out, &twig.window, step_period)?;
+    writeln!(out, "twig-c: {}\n", summary_line(&twig))?;
+
+    let (_, parties) = Manager::Parties.run(&specs, &loads, learn, measure, opts)?;
     writeln!(
         out,
-        "twig-c: moses QoS {:.1}%, masstree QoS {:.1}%, energy {:.0} J, migrations {}\n",
-        s[0].qos_guarantee_pct,
-        s[1].qos_guarantee_pct,
-        total_energy(tail),
-        tail.iter().map(|r| r.migrations).sum::<usize>()
-    )?;
-
-    let mut parties = Parties::new(specs.clone(), 18, ServerConfig::default().dvfs, opts.seed)?;
-    let mut server = setup_server(opts, step_period)?;
-    let p_reports = drive(
-        &mut server,
-        &mut parties,
-        opts.controller_warmup() + measure,
-    )?;
-    let p_tail = window(&p_reports, measure);
-    let ps = summarize(p_tail, &specs);
-    writeln!(out,
-        "parties (summary only, as in the paper): moses QoS {:.1}%, masstree QoS {:.1}%, energy {:.0} J, migrations {}",
-        ps[0].qos_guarantee_pct,
-        ps[1].qos_guarantee_pct,
-        total_energy(p_tail),
-        p_tail.iter().map(|r| r.migrations).sum::<usize>()
+        "parties (summary only, as in the paper): {}",
+        summary_line(&parties)
     )?;
     Ok(())
 }

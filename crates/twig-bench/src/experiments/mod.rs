@@ -4,7 +4,7 @@
 //! ExpError>` appending the regenerated rows or series to a caller-owned
 //! buffer. Writing into a buffer (rather than stdout) is what lets
 //! [`run_all`] and the intra-figure fleets (`fig01`, `fig04`, `fig05`,
-//! `fig06`, `ablation`) run units on worker threads and still emit
+//! `fig06`, `fig13`, `ablation`) run units on worker threads and still emit
 //! sections in a fixed, jobs-invariant order — see `crate::fleet` and
 //! DESIGN.md §10.
 //!

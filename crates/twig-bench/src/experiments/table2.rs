@@ -8,29 +8,26 @@
 //! measured maximum load is a property of our platform, so `EXPERIMENTS.md`
 //! compares the *ordering* across services with Table II.
 
-use crate::{drive, window, ExpError, Options, TextTable};
+use crate::{measure, server, ExpError, Manager, Options, TextTable};
 use std::fmt::Write as _;
-use twig_baselines::StaticMapping;
-use twig_sim::{catalog, Server, ServerConfig, ServiceSpec};
+use twig_sim::{catalog, LoadGenerator, ServiceSpec};
 
 /// Highest load fraction (relative to the spec's reference max) at which
 /// the service still meets its QoS target with full resources, searched in
 /// 5 % steps up to 1.5x.
 fn capacity_search(spec: &ServiceSpec, opts: &Options) -> Result<f64, ExpError> {
-    let cfg = ServerConfig::default();
     let warm = 20u64;
-    let measure = if opts.full { 120 } else { 60 };
+    let measure_epochs = if opts.full { 120 } else { 60 };
     let mut best = 0.0;
     for step in 1..=30 {
         let frac = step as f64 * 0.05;
         // Widen the generator's range: express frac > 1 by scaling the spec.
         let mut scaled = spec.clone();
         scaled.max_load_rps = spec.max_load_rps * frac;
-        let mut server = Server::new(cfg.clone(), vec![scaled.clone()], opts.seed)?;
-        server.set_load_fraction(0, 1.0)?;
-        let mut manager = StaticMapping::new(vec![scaled.clone()], cfg.cores, cfg.dvfs.clone())?;
-        let reports = drive(&mut server, &mut manager, warm + measure)?;
-        let tail = window(&reports, measure);
+        let specs = [scaled];
+        let mut manager = Manager::Static.build(&specs, 0, opts)?;
+        let mut server = server(&specs, &[LoadGenerator::fixed(1.0)?], opts.seed)?;
+        let tail = measure(&mut server, manager.as_mut(), warm, measure_epochs)?.window;
         let mean_p99: f64 =
             tail.iter().map(|r| r.services[0].p99_ms).sum::<f64>() / tail.len() as f64;
         if mean_p99 <= spec.qos_ms {

@@ -37,4 +37,5 @@ pub use options::Options;
 pub use runner::{
     drive, make_twig, run_sections, summarize, total_energy, window, ExpError, ServiceSummary,
 };
+pub(crate) use runner::{measure, server, Manager, Measured};
 pub use table::{fmt_f, TextTable};

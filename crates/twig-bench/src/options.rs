@@ -96,12 +96,11 @@ impl Options {
     /// scale).
     pub fn measure_epochs(&self, parties: bool) -> u64 {
         if self.smoke {
-            return 120;
-        }
-        match (self.full, parties) {
-            (_, true) => 600,
-            (true, false) => 300,
-            (false, false) => 300,
+            120
+        } else if parties {
+            600
+        } else {
+            300
         }
     }
 

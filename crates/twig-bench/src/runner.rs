@@ -1,12 +1,26 @@
 use crate::fleet::{run_fleet, FleetStats, Unit};
-use crate::Options;
+use crate::{Options, TextTable};
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
+use twig_baselines::{Heracles, Hipster, HipsterConfig, Parties, StaticMapping};
 use twig_cluster::{AgentTuning, ClusterConfig, CoordinatorConfig, NodePlatform};
 use twig_core::{RewardConfig, TaskManager, Twig, TwigBuilder};
 use twig_rl::{EpsilonSchedule, MaBdqConfig};
-use twig_sim::{catalog, DvfsLadder, EpochReport, Server, ServiceSpec};
+use twig_sim::{
+    catalog, DvfsLadder, EpochReport, LoadGenerator, Server, ServerConfig, ServiceSpec,
+};
 
 /// Boxed error used throughout the harness.
 pub type ExpError = Box<dyn std::error::Error + Send + Sync>;
+
+/// One decision epoch: `manager` decides, `server` runs it, `manager`
+/// observes the report.
+fn epoch(server: &mut Server, manager: &mut dyn TaskManager) -> Result<EpochReport, ExpError> {
+    let assignments = manager.decide()?;
+    let report = server.step(&assignments)?;
+    manager.observe(&report)?;
+    Ok(report)
+}
 
 /// Drives `manager` against `server` for `epochs` decision epochs,
 /// returning every epoch's report.
@@ -19,14 +33,7 @@ pub fn drive(
     manager: &mut dyn TaskManager,
     epochs: u64,
 ) -> Result<Vec<EpochReport>, ExpError> {
-    let mut reports = Vec::with_capacity(epochs as usize);
-    for _ in 0..epochs {
-        let assignments = manager.decide()?;
-        let report = server.step(&assignments)?;
-        manager.observe(&report)?;
-        reports.push(report);
-    }
-    Ok(reports)
+    (0..epochs).map(|_| epoch(server, manager)).collect()
 }
 
 /// The last `n` epochs of a trace (the paper's measurement windows).
@@ -35,6 +42,306 @@ pub fn drive(
 pub fn window(reports: &[EpochReport], n: u64) -> &[EpochReport] {
     let n = (n as usize).min(reports.len());
     &reports[reports.len() - n..]
+}
+
+/// The default socket running `specs`, service *i* under `loads[i]`.
+///
+/// # Errors
+///
+/// Propagates simulator construction errors.
+///
+/// # Panics
+///
+/// When `loads` does not hold one generator per service.
+pub(crate) fn server(
+    specs: &[ServiceSpec],
+    loads: &[LoadGenerator],
+    seed: u64,
+) -> Result<Server, ExpError> {
+    assert_eq!(specs.len(), loads.len(), "one load generator per service");
+    let mut server = Server::new(ServerConfig::default(), specs.to_vec(), seed)?;
+    for (i, load) in loads.iter().enumerate() {
+        server.set_load_generator(i, load.clone())?;
+    }
+    Ok(server)
+}
+
+/// A measurement window (Section V) and what the figure rows read off it.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Measured {
+    /// Every report of the window, in order.
+    pub window: Vec<EpochReport>,
+    /// Per-service QoS and allocation summary of the window.
+    pub summary: Vec<ServiceSummary>,
+    /// Ground-truth energy over the window, in joules.
+    pub energy: f64,
+    /// Core migrations over the window.
+    pub migrations: usize,
+}
+
+impl Measured {
+    /// Summarises `window` against the targets in `specs`.
+    ///
+    /// # Panics
+    ///
+    /// As [`summarize`]: on an empty window or mismatched shapes.
+    pub(crate) fn new(window: Vec<EpochReport>, specs: &[ServiceSpec]) -> Self {
+        Measured {
+            summary: summarize(&window, specs),
+            energy: total_energy(&window),
+            migrations: window.iter().map(|r| r.migrations).sum(),
+            window,
+        }
+    }
+}
+
+/// Drives `manager` against `server` for `lead` epochs, discarding their
+/// reports, then measures the next `window` epochs.
+///
+/// # Errors
+///
+/// Propagates manager and simulator errors.
+///
+/// # Panics
+///
+/// When `window` is zero.
+pub(crate) fn measure(
+    server: &mut Server,
+    manager: &mut dyn TaskManager,
+    lead: u64,
+    window: u64,
+) -> Result<Measured, ExpError> {
+    for _ in 0..lead {
+        epoch(server, manager)?;
+    }
+    let window = drive(server, manager, window)?;
+    Ok(Measured::new(window, server.specs()))
+}
+
+/// The managers the figure rows compare, each built and led into its
+/// measurement window the one way every row does it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Manager {
+    /// [`StaticMapping`]: the whole socket at the top DVFS step.
+    Static,
+    /// [`Heracles`] (one service).
+    Heracles,
+    /// [`Hipster`] (one service).
+    Hipster,
+    /// [`Parties`].
+    Parties,
+    /// Twig as [`make_twig`] builds it: Twig-S for one service, Twig-C for
+    /// more.
+    Twig,
+}
+
+impl Manager {
+    /// Epochs before the measurement window: the feedback controllers warm
+    /// up for [`Options::controller_warmup`], the learners spend the row's
+    /// `learn` epochs.
+    pub(crate) fn lead(self, learn: u64, opts: &Options) -> u64 {
+        match self {
+            Manager::Static | Manager::Heracles | Manager::Parties => opts.controller_warmup(),
+            Manager::Hipster | Manager::Twig => learn,
+        }
+    }
+
+    /// Builds the manager for `specs` on the default socket, seeded with
+    /// `opts.seed`. Twig's ε schedule spans `learn`; Hipster's
+    /// heuristic-driven phase is its first three quarters.
+    ///
+    /// # Errors
+    ///
+    /// Propagates construction errors, and refuses more than one service
+    /// for Heracles and Hipster.
+    pub(crate) fn build(
+        self,
+        specs: &[ServiceSpec],
+        learn: u64,
+        opts: &Options,
+    ) -> Result<Box<dyn TaskManager>, ExpError> {
+        let ServerConfig { cores, dvfs } = ServerConfig::default();
+        let seed = opts.seed;
+        let only = || match specs {
+            [spec] => Ok(spec.clone()),
+            _ => Err(format!("{self:?} manages one service")),
+        };
+        Ok(match self {
+            Manager::Static => Box::new(StaticMapping::new(specs.to_vec(), cores, dvfs)?),
+            Manager::Heracles => Box::new(Heracles::new(only()?, cores, dvfs)?),
+            Manager::Hipster => Box::new(Hipster::new(
+                only()?,
+                cores,
+                dvfs,
+                HipsterConfig {
+                    learning_phase: learn * 3 / 4,
+                    seed,
+                },
+            )?),
+            Manager::Parties => Box::new(Parties::new(specs.to_vec(), cores, dvfs, seed)?),
+            Manager::Twig => Box::new(make_twig(specs.to_vec(), learn, seed)?),
+        })
+    }
+
+    /// Builds the manager, leads it on a fresh [`server`] of `specs` under
+    /// `loads` and measures the last `window` epochs. Returns the built
+    /// manager's [`TaskManager::name`] with the window.
+    ///
+    /// # Errors
+    ///
+    /// Propagates manager and simulator errors.
+    pub(crate) fn run(
+        self,
+        specs: &[ServiceSpec],
+        loads: &[LoadGenerator],
+        learn: u64,
+        window: u64,
+        opts: &Options,
+    ) -> Result<(String, Measured), ExpError> {
+        let mut manager = self.build(specs, learn, opts)?;
+        let mut server = server(specs, loads, opts.seed)?;
+        let lead = self.lead(learn, opts);
+        let measured = measure(&mut server, manager.as_mut(), lead, window)?;
+        Ok((manager.name().to_owned(), measured))
+    }
+}
+
+/// One workload of a [`FixedLoadGrid`]: the colocated services and the
+/// per-service load fraction the grid's levels are fractions of.
+pub(crate) struct Workload {
+    pub(crate) specs: Vec<ServiceSpec>,
+    pub(crate) max_load: f64,
+}
+
+/// The fixed-load comparisons of Figures 5 and 13: every workload at 20,
+/// 50 and 80 % of its maximum load under every roster manager, energies
+/// normalised to the static mapping's. Each (workload, level) cell is one
+/// fleet unit, so the report is identical at any `--jobs`.
+pub(crate) struct FixedLoadGrid<'a> {
+    /// The figure row, prefixed to every fleet unit's name.
+    pub(crate) row: &'a str,
+    pub(crate) workloads: Vec<Workload>,
+    /// Must include [`Manager::Static`], the energy reference.
+    pub(crate) roster: &'a [Manager],
+    pub(crate) learn: u64,
+    pub(crate) window: u64,
+}
+
+/// One manager's result in one grid cell.
+struct Cell {
+    manager: String,
+    qos: Vec<f64>,
+    energy_norm: f64,
+}
+
+const LEVELS: [f64; 3] = [0.2, 0.5, 0.8];
+
+impl FixedLoadGrid<'_> {
+    fn cell(&self, w: &Workload, level: f64, opts: &Options) -> Result<Vec<Cell>, ExpError> {
+        let loads = vec![LoadGenerator::fixed(level * w.max_load)?; w.specs.len()];
+        let runs = self
+            .roster
+            .iter()
+            .map(|m| m.run(&w.specs, &loads, self.learn, self.window, opts))
+            .collect::<Result<Vec<_>, _>>()?;
+        let reference = self
+            .roster
+            .iter()
+            .position(|&m| m == Manager::Static)
+            .expect("the grid normalises to static mapping");
+        let e_static = runs[reference].1.energy;
+        Ok(runs
+            .into_iter()
+            .map(|(manager, run)| Cell {
+                manager,
+                qos: run.summary.iter().map(|s| s.qos_guarantee_pct).collect(),
+                energy_norm: run.energy / e_static,
+            })
+            .collect())
+    }
+
+    /// Runs the grid and appends its table under `headers` (workload, load,
+    /// manager, one QoS column per service, normalised energy), then the
+    /// per-manager averages under the `averages` caption. Returns each
+    /// manager's mean normalised energy.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator and manager errors, naming failed units.
+    pub(crate) fn render_to(
+        &self,
+        out: &mut String,
+        headers: Vec<&str>,
+        averages: &str,
+        opts: &Options,
+    ) -> Result<BTreeMap<String, f64>, ExpError> {
+        let mut units = Vec::new();
+        for w in &self.workloads {
+            for level in LEVELS {
+                let label = services_label(&w.specs);
+                let unit = format!("{}/{label}@{:.0}%", self.row, level * 100.0);
+                units.push(Unit::new(unit, move |_seed| self.cell(w, level, opts)));
+            }
+        }
+        let mut cells = run_fleet(units, opts.jobs, opts.seed)
+            .into_outputs()?
+            .into_iter();
+
+        let mut t = TextTable::new(headers);
+        let mut sums: BTreeMap<String, (f64, f64, usize)> = BTreeMap::new();
+        for w in &self.workloads {
+            for level in LEVELS {
+                for c in cells.next().expect("one output per unit") {
+                    let load = format!("{:.0}%", level * 100.0);
+                    let mut row = vec![services_label(&w.specs), load, c.manager.clone()];
+                    row.extend(c.qos.iter().map(|q| format!("{q:.1}")));
+                    row.push(format!("{:.3}", c.energy_norm));
+                    t.row(row);
+                    let e = sums.entry(c.manager).or_default();
+                    e.0 += c.qos.iter().sum::<f64>() / c.qos.len() as f64;
+                    e.1 += c.energy_norm;
+                    e.2 += 1;
+                }
+            }
+        }
+        writeln!(out, "{t}")?;
+        let mut avg = TextTable::new(vec!["manager", "avg QoS (%)", "avg energy (norm.)"]);
+        let mut energies = BTreeMap::new();
+        for (name, (q, e, n)) in sums {
+            avg.row(vec![
+                name.clone(),
+                format!("{:.1}", q / n as f64),
+                format!("{:.3}", e / n as f64),
+            ]);
+            energies.insert(name, e / n as f64);
+        }
+        writeln!(out, "{averages}\n{avg}")?;
+        Ok(energies)
+    }
+}
+
+/// A workload's services by name, `+`-joined (`masstree+moses`).
+pub(crate) fn services_label(specs: &[ServiceSpec]) -> String {
+    let names: Vec<&str> = specs.iter().map(|s| s.name.as_str()).collect();
+    names.join("+")
+}
+
+/// Time share (%) of each core count service `svc` held over `window`, by
+/// ascending core count.
+pub(crate) fn core_shares(window: &[EpochReport], svc: usize) -> Vec<(usize, f64)> {
+    let mut counts = BTreeMap::new();
+    for r in window {
+        *counts.entry(r.services[svc].core_count).or_insert(0usize) += 1;
+    }
+    counts
+        .into_iter()
+        .map(|(cores, n)| (cores, 100.0 * n as f64 / window.len() as f64))
+        .collect()
+}
+
+/// Mean core count of a [`core_shares`] distribution.
+pub(crate) fn shares_mean(shares: &[(usize, f64)]) -> f64 {
+    shares.iter().map(|&(c, p)| c as f64 * p / 100.0).sum()
 }
 
 /// Runs text-producing fleet units with `opts.jobs` workers and appends
@@ -71,6 +378,16 @@ pub fn make_twig(
     learn_epochs: u64,
     seed: u64,
 ) -> Result<Twig, ExpError> {
+    Ok(twig_builder(services, learn_epochs, seed).build()?)
+}
+
+/// The builder behind [`make_twig`], for rows that change one setting on
+/// top of it.
+pub(crate) fn twig_builder(
+    services: Vec<ServiceSpec>,
+    learn_epochs: u64,
+    seed: u64,
+) -> TwigBuilder {
     // The schedule reaches its 0.01 floor *by the end* of the learning
     // phase, so measurement windows see an (almost) pure exploitation
     // policy — the paper measures "after the first 10 000 s, allowing Twig
@@ -82,7 +399,7 @@ pub fn make_twig(
     // reward parameters ("determined empirically … yielded the best energy
     // efficiency while improving the QoS guarantee"); 1.0 is this
     // platform's best point (the paper's testbed used 0.5).
-    Ok(TwigBuilder::new()
+    TwigBuilder::new()
         .services(services)
         .epsilon(EpsilonSchedule::new(
             0.1,
@@ -98,7 +415,6 @@ pub fn make_twig(
         .train_steps_per_epoch(replay_ratio)
         .action_stickiness(0.02)
         .seed(seed)
-        .build()?)
 }
 
 /// Epochs per schedule (or per crash segment) of a chaos suite: `smoke`
@@ -196,10 +512,6 @@ pub struct ServiceSummary {
     pub qos_guarantee_pct: f64,
     /// Mean tardiness (measured p99 / target).
     pub mean_tardiness: f64,
-    /// Worst tardiness in the window.
-    pub max_tardiness: f64,
-    /// Mean p99 in milliseconds.
-    pub mean_p99_ms: f64,
     /// Mean cores allocated.
     pub mean_cores: f64,
     /// Mean DVFS frequency in MHz.
@@ -219,8 +531,6 @@ pub fn summarize(reports: &[EpochReport], specs: &[ServiceSpec]) -> Vec<ServiceS
             let qos = specs[i].qos_ms;
             let mut met = 0usize;
             let mut tard_sum = 0.0;
-            let mut tard_max: f64 = 0.0;
-            let mut p99_sum = 0.0;
             let mut cores_sum = 0.0;
             let mut freq_sum = 0.0;
             let mut counted = 0usize;
@@ -238,16 +548,12 @@ pub fn summarize(reports: &[EpochReport], specs: &[ServiceSpec]) -> Vec<ServiceS
                     met += 1;
                 }
                 tard_sum += tardiness;
-                tard_max = tard_max.max(tardiness);
-                p99_sum += svc.p99_ms;
             }
             let denom = counted.max(1) as f64;
             ServiceSummary {
                 name: specs[i].name.clone(),
                 qos_guarantee_pct: 100.0 * met as f64 / denom,
                 mean_tardiness: tard_sum / denom,
-                max_tardiness: tard_max,
-                mean_p99_ms: p99_sum / denom,
                 mean_cores: cores_sum / reports.len() as f64,
                 mean_freq_mhz: freq_sum / reports.len() as f64,
             }
@@ -323,8 +629,6 @@ pub fn total_energy(reports: &[EpochReport]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use twig_baselines::StaticMapping;
-    use twig_sim::{catalog, DvfsLadder, ServerConfig};
 
     #[test]
     fn drive_and_summarize_roundtrip() {
@@ -406,6 +710,124 @@ mod tests {
         let reports = drive(&mut server, &mut manager, 5).unwrap();
         let s = summarize(&reports, &specs);
         assert_eq!(s[0].qos_guarantee_pct, 0.0);
-        assert_eq!(s[0].mean_p99_ms, 0.0);
+        assert_eq!(s[0].mean_tardiness, 0.0);
+    }
+
+    #[test]
+    fn measure_is_drive_then_window_bit_for_bit() {
+        let specs = vec![catalog::masstree(), catalog::moses()];
+        let ramp = LoadGenerator::step(0.2, 0.7, 1.2, 10).unwrap();
+        let (lead, n) = (40, 25);
+
+        let mut twig = make_twig(specs.clone(), 60, 9).unwrap();
+        let loads = [LoadGenerator::fixed(0.3).unwrap(), ramp.clone()];
+        let mut shared = server(&specs, &loads, 9).unwrap();
+        let m = measure(&mut shared, &mut twig, lead, n).unwrap();
+
+        let mut twig = make_twig(specs.clone(), 60, 9).unwrap();
+        let mut by_hand = Server::new(ServerConfig::default(), specs.clone(), 9).unwrap();
+        by_hand.set_load_fraction(0, 0.3).unwrap();
+        by_hand.set_load_generator(1, ramp).unwrap();
+        let reports = drive(&mut by_hand, &mut twig, lead + n).unwrap();
+        let tail = window(&reports, n);
+
+        assert_eq!(m.window, tail);
+        assert_eq!(
+            format!("{:?}", m.summary),
+            format!("{:?}", summarize(tail, &specs))
+        );
+        assert_eq!(m.energy.to_bits(), total_energy(tail).to_bits());
+        let migrations: usize = tail.iter().map(|r| r.migrations).sum();
+        assert_eq!(m.migrations, migrations);
+        assert!(migrations > 0, "a learning Twig-C migrates cores");
+    }
+
+    #[test]
+    fn roster_leads_and_hipster_phase_follow_the_rule_at_every_scale() {
+        let scale = |smoke, full| Options {
+            smoke,
+            full,
+            ..Options::default()
+        };
+        // (options, controller warm-up, learning phase, Hipster's phase)
+        let scales = [
+            (scale(true, false), 40, 300, 225),
+            (scale(false, false), 120, 2_000, 1_500),
+            (scale(false, true), 120, 10_000, 7_500),
+        ];
+        let spec = catalog::img_dnn();
+        let specs = std::slice::from_ref(&spec);
+        let loads = [LoadGenerator::step(0.2, 1.0, 1.2, 50).unwrap()];
+        for (opts, warm, learn, phase) in scales {
+            assert_eq!(opts.controller_warmup(), warm);
+            assert_eq!(opts.learn_epochs(), learn);
+            for m in [Manager::Static, Manager::Heracles, Manager::Parties] {
+                assert_eq!(m.lead(learn, &opts), warm, "{m:?}");
+                assert_eq!(m.lead(2 * learn, &opts), warm, "{m:?}");
+            }
+            for m in [Manager::Hipster, Manager::Twig] {
+                assert_eq!(m.lead(learn, &opts), learn, "{m:?}");
+                assert_eq!(m.lead(2 * learn, &opts), 2 * learn, "{m:?}");
+            }
+            // The roster's Hipster is the one whose heuristic phase is
+            // `phase` epochs: its twin, built by hand, runs identically
+            // across the end of that phase.
+            let mut roster = Manager::Hipster.build(specs, learn, &opts).unwrap();
+            let cfg = ServerConfig::default();
+            let hipster = |learning_phase| {
+                let config = HipsterConfig {
+                    learning_phase,
+                    seed: opts.seed,
+                };
+                Hipster::new(spec.clone(), cfg.cores, cfg.dvfs.clone(), config).unwrap()
+            };
+            let epochs = phase + 100;
+            let run = |manager: &mut dyn TaskManager| {
+                drive(&mut server(specs, &loads, 5).unwrap(), manager, epochs).unwrap()
+            };
+            let reports = run(roster.as_mut());
+            assert!(
+                reports == run(&mut hipster(phase)),
+                "learning phase {phase}"
+            );
+            if opts.smoke {
+                assert!(reports != run(&mut hipster(phase / 2)), "the phase shows");
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_load_grid_renders_the_same_at_any_jobs() {
+        let grid = FixedLoadGrid {
+            row: "grid",
+            workloads: [catalog::masstree(), catalog::img_dnn()]
+                .into_iter()
+                .map(|spec| Workload {
+                    specs: vec![spec],
+                    max_load: 1.0,
+                })
+                .collect(),
+            roster: &[Manager::Static, Manager::Heracles],
+            learn: 0,
+            window: 60,
+        };
+        let render = |jobs| {
+            let opts = Options {
+                jobs,
+                smoke: true,
+                ..Options::default()
+            };
+            let mut out = String::new();
+            let headers = vec!["service", "load", "manager", "QoS (%)", "energy"];
+            let energies = grid
+                .render_to(&mut out, headers, "averages:", &opts)
+                .unwrap();
+            (out, energies)
+        };
+        let (serial, energies) = render(1);
+        assert_eq!(serial, render(3).0, "the grid depends on --jobs");
+        assert_eq!(serial.matches("heracles").count(), 2 * 3 + 1);
+        assert_eq!(energies["static"], 1.0);
+        assert!(energies["heracles"] < 1.0, "{serial}");
     }
 }

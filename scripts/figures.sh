@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Rebuilds every deterministic figure/table row at fast scale, seed 42, into
 # results/<row>.txt and fails if any differs from the committed file. Used by
-# CI's `figures` job and by local runs (≈ 6 min on 2 vCPUs; fig13 alone
-# ≈ 150 s). table3_overhead and telemetry_report print wall-clock timings and
-# are left out. A deliberate behaviour change regenerates the files with this
-# script and commits them.
+# CI's `figures` job and by local runs (≈ 5 min on 2 vCPUs). table3_overhead
+# and telemetry_report print wall-clock timings and are left out. A deliberate
+# behaviour change regenerates the files with this script and commits them.
+# One row alone, after a release build:
+#   ./target/release/twig-bench ROW --jobs 2 >results/ROW.txt && git diff --exit-code results/ROW.txt
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
