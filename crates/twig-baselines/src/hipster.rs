@@ -1,5 +1,5 @@
 use crate::{config_error, BaselineError};
-use twig_core::{Eq2PowerModel, Mapper, RewardConfig, TaskManager};
+use twig_core::{Mapper, RewardConfig, TaskManager, PEAK_POWER_W, REWARD_POWER_MODEL};
 use twig_rl::QTable;
 use twig_sim::{Assignment, DvfsLadder, EpochReport, Frequency, ServiceSpec};
 use twig_stats::rng::Xoshiro256;
@@ -72,8 +72,6 @@ pub struct Hipster {
     table: QTable,
     mapper: Mapper,
     reward: RewardConfig,
-    power_model: Eq2PowerModel,
-    peak_power_w: f64,
     rng: Xoshiro256,
     time: u64,
     heuristic_index: usize,
@@ -100,15 +98,14 @@ impl Hipster {
         }
         spec.validate()?;
         let buckets = (1.0 / BUCKET_WIDTH).ceil() as usize + 1;
-        let power_model = Eq2PowerModel::default();
         // Order all actions by estimated power at a reference load — the
         // "increasing order of power efficiency" of Octopus-Man/Hipster.
         let mut action_order: Vec<(usize, usize)> = (1..=cores)
             .flat_map(|n| (0..dvfs.len()).map(move |d| (n, d)))
             .collect();
         action_order.sort_by(|&(n1, d1), &(n2, d2)| {
-            let p1 = power_model.estimate(0.5, n1, d1);
-            let p2 = power_model.estimate(0.5, n2, d2);
+            let p1 = REWARD_POWER_MODEL.estimate(0.5, n1, d1);
+            let p2 = REWARD_POWER_MODEL.estimate(0.5, n2, d2);
             p1.total_cmp(&p2)
         });
         let table = QTable::new(buckets, action_order.len(), LEARNING_RATE, DISCOUNT)?;
@@ -121,8 +118,6 @@ impl Hipster {
             table,
             mapper: Mapper::new(cores)?,
             reward: RewardConfig::default(),
-            power_model,
-            peak_power_w: 130.0,
             rng: Xoshiro256::seed_from_u64(seed),
             time: 0,
             heuristic_index: 0,
@@ -192,10 +187,8 @@ impl TaskManager for Hipster {
 
         if let Some((state, action)) = self.pending.take() {
             let (cores, dvfs_idx) = self.action_order[action];
-            let est = self
-                .power_model
-                .estimate(svc.load_fraction, cores, dvfs_idx);
-            let power_rew = self.reward.power_reward(self.peak_power_w, est);
+            let est = REWARD_POWER_MODEL.estimate(svc.load_fraction, cores, dvfs_idx);
+            let power_rew = self.reward.power_reward(PEAK_POWER_W, est);
             let r = self.reward.reward(svc.p99_ms, self.spec.qos_ms, power_rew);
             self.table.update(state, action, r, next_state);
 
@@ -248,11 +241,10 @@ mod tests {
     #[test]
     fn action_order_is_power_ascending() {
         let h = hipster(10);
-        let m = Eq2PowerModel::default();
         let powers: Vec<f64> = h
             .action_order
             .iter()
-            .map(|&(n, d)| m.estimate(0.5, n, d))
+            .map(|&(n, d)| REWARD_POWER_MODEL.estimate(0.5, n, d))
             .collect();
         for w in powers.windows(2) {
             assert!(w[0] <= w[1]);

@@ -17,7 +17,7 @@
 use crate::runner::twig_builder;
 use crate::{measure, run_sections, server, ExpError, Measured, Options, TextTable, Unit};
 use std::fmt::Write as _;
-use twig_core::{Eq2PowerModel, Mapper, RewardConfig, SystemMonitor, Twig};
+use twig_core::{Mapper, RewardConfig, SystemMonitor, Twig, PEAK_POWER_W, REWARD_POWER_MODEL};
 use twig_rl::{Dqn, EpsilonSchedule, MaBdqConfig};
 use twig_sim::{catalog, LoadGenerator, ServerConfig, ServiceSpec};
 
@@ -231,7 +231,6 @@ pub fn branching(out: &mut String, opts: &Options) -> Result<(), ExpError> {
         theta: 1.0,
         ..RewardConfig::default()
     };
-    let power = Eq2PowerModel::default();
     let schedule = EpsilonSchedule::new(0.1, 0.005, learn * 3 / 5, learn);
     let mut dqn_window = Vec::new();
     let mut pending: Option<(Vec<f32>, usize)> = None;
@@ -246,8 +245,12 @@ pub fn branching(out: &mut String, opts: &Options) -> Result<(), ExpError> {
         let next_state = monitor.state(0)?;
         if let Some((prev_state, prev_action)) = pending.take() {
             let (pc, pd) = (prev_action / dvfs_levels + 1, prev_action % dvfs_levels);
-            let est = power.estimate(svc.load_fraction, pc, pd);
-            let r = reward.reward(svc.p99_ms, spec.qos_ms, reward.power_reward(130.0, est));
+            let est = REWARD_POWER_MODEL.estimate(svc.load_fraction, pc, pd);
+            let r = reward.reward(
+                svc.p99_ms,
+                spec.qos_ms,
+                reward.power_reward(PEAK_POWER_W, est),
+            );
             dqn.observe(&prev_state, prev_action, r as f32, &next_state)?;
             for _ in 0..TRAIN_STEPS {
                 dqn.train_step()?;

@@ -7,7 +7,7 @@
 //! guarantee and energy against the static baseline.
 
 use crate::runner::services_label;
-use crate::{ExpError, Manager, Options, TextTable};
+use crate::{ExpError, Manager, Options, Scale, TextTable};
 use std::fmt::Write as _;
 use twig_sim::{catalog, LoadGenerator};
 
@@ -18,7 +18,11 @@ use twig_sim::{catalog, LoadGenerator};
 /// Propagates simulator and manager errors.
 pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
     let learn = opts.learn_epochs();
-    let period = if opts.full { 2_000 } else { 500 };
+    let period = if opts.scale == Scale::Full {
+        2_000
+    } else {
+        500
+    };
     let measure = period * 2; // two full day/night cycles
     writeln!(out, "Diurnal load (15-85% solo / 15-50% colocated, period {period} epochs), measured over {measure} epochs\n")?;
 

@@ -11,7 +11,7 @@
 //! PMCs. The shapes that must reproduce: multi-PMC error is much tighter,
 //! and per-latency-bucket medians sit near zero only for multi-PMC.
 
-use crate::{run_fleet, ExpError, Options, TextTable, Unit};
+use crate::{run_fleet, ExpError, Options, Scale, TextTable, Unit};
 use std::fmt::Write as _;
 use twig_nn::{mse_loss, Adam, Dense, Mlp, Relu, Tensor};
 use twig_sim::pmc::calibration_maxima;
@@ -212,12 +212,10 @@ fn service_unit(
 
 /// Sample count / training passes at the current scale.
 pub fn scale(opts: &Options) -> (usize, usize) {
-    if opts.smoke {
-        (1_200, 6)
-    } else if opts.full {
-        (30_000, 30)
-    } else {
-        (6_000, 15)
+    match opts.scale {
+        Scale::Smoke => (1_200, 6),
+        Scale::Fast => (6_000, 15),
+        Scale::Full => (30_000, 30),
     }
 }
 

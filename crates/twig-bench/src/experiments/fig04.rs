@@ -9,7 +9,7 @@
 //! percentage absolute average error per configuration (mean 5.46 %, max
 //! 7 %).
 
-use crate::{run_fleet, window, ExpError, Options, TextTable, Unit};
+use crate::{run_fleet, window, ExpError, Options, Scale, TextTable, Unit};
 use std::fmt::Write as _;
 use twig_core::{fit_power_model, paae, ProfilePoint};
 use twig_sim::{catalog, Assignment, Server, ServerConfig, ServiceSpec};
@@ -22,7 +22,7 @@ fn profile(spec: &ServiceSpec, opts: &Options) -> Result<Vec<ProfilePoint>, ExpE
         let server = Server::new(cfg.clone(), vec![spec.clone()], opts.seed)?;
         server.idle_power_w()
     };
-    let epochs = if opts.full { 40 } else { 15 };
+    let epochs = if opts.scale == Scale::Full { 40 } else { 15 };
     let mut points = Vec::new();
     for &load in &[0.2, 0.5, 0.8] {
         for cores in (2..=cfg.cores).step_by(2) {

@@ -9,7 +9,7 @@
 //! tracks the load at a 99.1 % guarantee. Shapes to reproduce: QoS(heracles)
 //! ~ QoS(twig) > QoS(hipster); energy(twig) < energy(heracles).
 
-use crate::{ExpError, Manager, Options, TextTable};
+use crate::{ExpError, Manager, Options, Scale, TextTable};
 use std::fmt::Write as _;
 use twig_sim::{catalog, LoadGenerator};
 
@@ -22,7 +22,7 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
     // A varying-load policy must cover every load level, so the compressed
     // learning phase is doubled relative to the fixed-load experiments.
     let learn = opts.learn_epochs() * 2;
-    let step_period = if opts.full { 200 } else { 50 };
+    let step_period = if opts.scale == Scale::Full { 200 } else { 50 };
     // Measure over several full load cycles after learning.
     let measure = step_period * 20;
     writeln!(out,

@@ -13,7 +13,7 @@
 //! to reproduce: Twig-C's Moses core allocation tracks the ramp while
 //! Masstree's allocation stays small and its QoS holds.
 
-use crate::{ExpError, Manager, Measured, Options, TextTable};
+use crate::{ExpError, Manager, Measured, Options, Scale, TextTable};
 use std::fmt::Write as _;
 use twig_sim::{catalog, EpochReport, LoadGenerator};
 
@@ -63,7 +63,7 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
     // A varying-load policy must cover every load level, so the compressed
     // learning phase is doubled relative to the fixed-load experiments.
     let learn = opts.learn_epochs() * 2;
-    let step_period = if opts.full { 200 } else { 50 };
+    let step_period = if opts.scale == Scale::Full { 200 } else { 50 };
     let measure = step_period * 20;
     let specs = [catalog::moses(), catalog::masstree()];
     let loads = [

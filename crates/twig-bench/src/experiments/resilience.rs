@@ -16,11 +16,12 @@
 //! recovers Twig's QoS during and after the fault window without giving up
 //! its learned policy.
 
-use crate::{drive, make_twig, ExpError, Options, TextTable};
+use crate::runner::twig_builder;
+use crate::{drive, make_twig, ExpError, Options, Scale, TextTable};
 use std::fmt::Write as _;
 use twig_baselines::StaticMapping;
 use twig_core::{GovernorConfig, SafetyGovernor, ScratchStore, TaskManager};
-use twig_rl::QuarantineConfig;
+use twig_rl::{MaBdqConfig, QuarantineConfig};
 use twig_sim::{catalog, EpochReport, FaultConfig, FaultPlan, Server, ServerConfig, ServiceSpec};
 use twig_telemetry::Telemetry;
 
@@ -177,8 +178,8 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
     let cfg = ServerConfig::default();
     let phases = Phases {
         learn: opts.learn_epochs(),
-        fault: if opts.full { 300 } else { 100 },
-        recovery: if opts.full { 200 } else { 80 },
+        fault: if opts.scale == Scale::Full { 300 } else { 100 },
+        recovery: if opts.scale == Scale::Full { 200 } else { 80 },
     };
     writeln!(out,
         "Resilience: masstree at 50% load; {} learn epochs, {} fault epochs, {} recovery epochs (QoS recovery = {} consecutive met epochs)\n",
@@ -235,11 +236,15 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
             "-".into(),
         ]);
 
-        let mut inner = make_twig(vec![spec.clone()], phases.learn, opts.seed)?;
         // The governed run carries the full robustness stack: per-agent
         // divergence quarantine in the learner and periodic crash-safe
         // checkpointing through the governor.
-        inner.set_quarantine(QuarantineConfig::default().armed())?;
+        let inner = twig_builder(vec![spec.clone()], phases.learn, opts.seed)
+            .agent(MaBdqConfig {
+                quarantine: QuarantineConfig::default().armed(),
+                ..MaBdqConfig::default()
+            })
+            .build()?;
         let mut gov = SafetyGovernor::new(
             inner,
             GovernorConfig {

@@ -9,7 +9,7 @@
 //! Absolute importance ranks depend on the platform; what must hold is that
 //! all 11 counters carry signal and a stable ranking emerges.
 
-use crate::{ExpError, Options, TextTable};
+use crate::{ExpError, Options, Scale, TextTable};
 use std::fmt::Write as _;
 use twig_sim::pmc::PmcSample;
 use twig_sim::{catalog, Assignment, Server, ServerConfig};
@@ -18,7 +18,7 @@ use twig_sim::{catalog, Assignment, Server, ServerConfig};
 /// collecting (counters, tail latency) pairs.
 fn gather_profile(opts: &Options) -> Result<Vec<(PmcSample, f64)>, ExpError> {
     let cfg = ServerConfig::default();
-    let epochs = if opts.full { 50 } else { 16 };
+    let epochs = if opts.scale == Scale::Full { 50 } else { 16 };
     let mut profile = Vec::new();
     for spec in catalog::tailbench() {
         for &load in &[0.2, 0.4, 0.6, 0.8] {

@@ -8,7 +8,7 @@
 //! measured maximum load is a property of our platform, so `EXPERIMENTS.md`
 //! compares the *ordering* across services with Table II.
 
-use crate::{measure, server, ExpError, Manager, Options, TextTable};
+use crate::{measure, server, ExpError, Manager, Options, Scale, TextTable};
 use std::fmt::Write as _;
 use twig_sim::{catalog, LoadGenerator, ServiceSpec};
 
@@ -17,7 +17,7 @@ use twig_sim::{catalog, LoadGenerator, ServiceSpec};
 /// 5 % steps up to 1.5x.
 fn capacity_search(spec: &ServiceSpec, opts: &Options) -> Result<f64, ExpError> {
     let warm = 20u64;
-    let measure_epochs = if opts.full { 120 } else { 60 };
+    let measure_epochs = if opts.scale == Scale::Full { 120 } else { 60 };
     let mut best = 0.0;
     for step in 1..=30 {
         let frac = step as f64 * 0.05;

@@ -9,7 +9,7 @@
 //! under the decision interval, gradient descent dominates, and dropping it
 //! (pure exploitation) removes most of the cost.
 
-use crate::{drive, make_twig, ExpError, Options, TextTable};
+use crate::{drive, make_twig, ExpError, Options, Scale, TextTable};
 use std::fmt::Write as _;
 use std::time::Instant;
 use twig_cluster::{Coordinator, CoordinatorConfig, LoadBalancer};
@@ -255,7 +255,7 @@ pub fn federation_bookkeeping_ms(iters: u32) -> Result<f64, ExpError> {
 ///
 /// Propagates component construction errors.
 pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
-    let paper_net = opts.full;
+    let paper_net = opts.scale == Scale::Full;
     let config = if paper_net {
         MaBdqConfig {
             agents: 2,
@@ -359,7 +359,7 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
     // 5. Telemetry instrumentation: the full colocated control loop with
     //    the no-op sink armed vs telemetry compiled in but disabled. The
     //    difference is what observability costs when switched on.
-    let loop_epochs = if opts.full { 200 } else { 60 };
+    let loop_epochs = if opts.scale == Scale::Full { 200 } else { 60 };
     let tele_off_ms = loop_ms_per_epoch(None, loop_epochs, opts.seed)?;
     let tele_on_ms = loop_ms_per_epoch(Some(Telemetry::enabled()), loop_epochs, opts.seed)?;
     let tele_delta_ms = (tele_on_ms - tele_off_ms).max(0.0);
@@ -390,7 +390,7 @@ pub fn run_to(out: &mut String, opts: &Options) -> Result<(), ExpError> {
     //    capacity-weighted merge, re-encode), amortized over the default
     //    10-epoch round period. The budget keeps federation well under
     //    1% of the 1 s decision interval even with fleet contention.
-    let fed_ms = federation_bookkeeping_ms(if opts.full { 200 } else { 50 })?;
+    let fed_ms = federation_bookkeeping_ms(if opts.scale == Scale::Full { 200 } else { 50 })?;
     assert!(
         fed_ms <= fed_budget_ms(),
         "federation bookkeeping {fed_ms:.4} ms/epoch amortized exceeds the {} ms budget",

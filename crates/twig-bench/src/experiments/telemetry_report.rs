@@ -8,18 +8,19 @@
 //! number comes from the same counters/gauges/histograms/spans that a
 //! disabled handle skips at zero cost in production runs.
 
-use crate::{drive, make_twig, ExpError, Options, TextTable};
+use crate::runner::twig_builder;
+use crate::{drive, make_twig, ExpError, Options, Scale, TextTable};
 use std::fmt::Write as _;
 use std::io::Write;
 use twig_core::{recover, GovernorConfig, SafetyGovernor, ScratchStore};
-use twig_rl::QuarantineConfig;
+use twig_rl::{MaBdqConfig, QuarantineConfig};
 use twig_sim::{catalog, Server, ServerConfig};
 use twig_telemetry::{Phase, Telemetry};
 
 /// Epochs driven per scale (learning happens inline; this is a report of
 /// the loop's behaviour, not a QoS measurement).
 fn epochs(opts: &Options) -> u64 {
-    if opts.full {
+    if opts.scale == Scale::Full {
         1_000
     } else {
         200
@@ -42,8 +43,12 @@ pub fn collect(opts: &Options) -> Result<Telemetry, ExpError> {
     server.set_load_fraction(1, 0.4)?;
 
     let n = epochs(opts);
-    let mut twig = make_twig(specs.clone(), n, opts.seed)?;
-    twig.set_quarantine(QuarantineConfig::default().armed())?;
+    let mut twig = twig_builder(specs.clone(), n, opts.seed)
+        .agent(MaBdqConfig {
+            quarantine: QuarantineConfig::default().armed(),
+            ..MaBdqConfig::default()
+        })
+        .build()?;
     twig.set_telemetry(telemetry.clone());
 
     // The report covers the crash-safety wiring too: the loop runs under

@@ -10,16 +10,18 @@
 //! Experiments default to a **fast** scale (shortened learning phases with
 //! the ε schedule compressed proportionally via
 //! [`twig_rl::EpsilonSchedule::scaled`]); pass `--full` for the paper's
-//! durations (10 000 s learning, 300/600 s measurement windows).
+//! durations (10 000 s learning, 300/600 s measurement windows) or
+//! `--smoke` for the CI scale. The scale is one [`Scale`]: of `--smoke`,
+//! `--fast` and `--full`, the last one given wins.
 //!
 //! # Examples
 //!
 //! ```
-//! use twig_bench::Options;
+//! use twig_bench::{Options, Scale};
 //!
 //! let opts = Options::parse_from(["--seed", "7"].iter().map(|s| s.to_string())).unwrap();
 //! assert_eq!(opts.seed, 7);
-//! assert!(!opts.full);
+//! assert_eq!(opts.scale, Scale::Fast);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -33,7 +35,7 @@ mod runner;
 mod table;
 
 pub use fleet::{run_fleet, unit_seed, FleetRun, FleetStats, Unit, UnitResult};
-pub use options::Options;
+pub use options::{Options, Scale};
 pub use runner::{
     drive, make_twig, run_sections, summarize, total_energy, window, ExpError, ServiceSummary,
 };

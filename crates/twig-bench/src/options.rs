@@ -3,17 +3,17 @@
 /// # Examples
 ///
 /// ```
-/// use twig_bench::Options;
+/// use twig_bench::{Options, Scale};
 ///
 /// let o = Options::parse_from(["--full"].iter().map(|s| s.to_string())).unwrap();
-/// assert!(o.full);
+/// assert_eq!(o.scale, Scale::Full);
 /// assert!(o.learn_epochs() > 5_000);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Options {
-    /// Run at the paper's full scale (10 000 s learning phases) instead of
-    /// the fast default.
-    pub full: bool,
+    /// How long every phase runs (`--smoke`, `--fast`, `--full`; the last
+    /// flag given wins).
+    pub scale: Scale,
     /// Base RNG seed for the simulator and managers.
     pub seed: u64,
     /// Where to write a JSONL telemetry trace (experiments that export one;
@@ -23,20 +23,28 @@ pub struct Options {
     /// default) runs every unit serially; results are bit-identical at any
     /// value (see [`crate::fleet`]).
     pub jobs: usize,
+}
+
+/// The scale an experiment runs at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scale {
     /// CI smoke scale (`--smoke`): drastically shortened learning phases
     /// and sample counts, for pipeline wiring checks rather than paper
     /// fidelity.
-    pub smoke: bool,
+    Smoke,
+    /// The fast default (`--fast`): compressed learning phases.
+    Fast,
+    /// The paper's full scale (`--full`, 10 000 s learning phases).
+    Full,
 }
 
 impl Default for Options {
     fn default() -> Self {
         Options {
-            full: false,
+            scale: Scale::Fast,
             seed: 42,
             trace: None,
             jobs: 1,
-            smoke: false,
         }
     }
 }
@@ -55,8 +63,9 @@ impl Options {
         let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
             match arg.as_str() {
-                "--full" => opts.full = true,
-                "--fast" => opts.full = false,
+                "--full" => opts.scale = Scale::Full,
+                "--fast" => opts.scale = Scale::Fast,
+                "--smoke" => opts.scale = Scale::Smoke,
                 "--seed" => {
                     let v = iter.next().ok_or("--seed needs a value")?;
                     opts.seed = v.parse().map_err(|e| format!("bad seed {v}: {e}"))?;
@@ -71,7 +80,6 @@ impl Options {
                         return Err("--jobs must be at least 1".to_string());
                     }
                 }
-                "--smoke" => opts.smoke = true,
                 other => return Err(format!("unknown flag {other}")),
             }
         }
@@ -82,12 +90,10 @@ impl Options {
     /// fast default compresses it to 2 000 with the ε schedule scaled to
     /// match, and `--smoke` to 300 for CI wiring checks).
     pub fn learn_epochs(&self) -> u64 {
-        if self.smoke {
-            300
-        } else if self.full {
-            10_000
-        } else {
-            2_000
+        match self.scale {
+            Scale::Smoke => 300,
+            Scale::Fast => 2_000,
+            Scale::Full => 10_000,
         }
     }
 
@@ -95,7 +101,7 @@ impl Options {
     /// last 300 s; 600 s for the PARTIES comparisons; 120 s at smoke
     /// scale).
     pub fn measure_epochs(&self, parties: bool) -> u64 {
-        if self.smoke {
+        if self.scale == Scale::Smoke {
             120
         } else if parties {
             600
@@ -106,7 +112,7 @@ impl Options {
 
     /// Warm-up epochs for feedback controllers that need no learning phase.
     pub fn controller_warmup(&self) -> u64 {
-        if self.smoke {
+        if self.scale == Scale::Smoke {
             40
         } else {
             120
@@ -125,7 +131,7 @@ mod tests {
     #[test]
     fn default_is_fast() {
         let o = parse(&[]).unwrap();
-        assert!(!o.full);
+        assert_eq!(o.scale, Scale::Fast);
         assert_eq!(o.learn_epochs(), 2_000);
         assert_eq!(o.measure_epochs(false), 300);
         assert_eq!(o.measure_epochs(true), 600);
@@ -157,11 +163,32 @@ mod tests {
     #[test]
     fn smoke_compresses_scales() {
         let o = parse(&["--smoke"]).unwrap();
-        assert!(o.smoke);
+        assert_eq!(o.scale, Scale::Smoke);
         assert_eq!(o.learn_epochs(), 300);
         assert_eq!(o.measure_epochs(false), 120);
         assert_eq!(o.measure_epochs(true), 120);
         assert_eq!(o.controller_warmup(), 40);
+    }
+
+    #[test]
+    fn last_scale_flag_wins() {
+        for (args, scale) in [
+            (["--smoke", "--full"], Scale::Full),
+            (["--full", "--smoke"], Scale::Smoke),
+            (["--smoke", "--fast"], Scale::Fast),
+            (["--full", "--fast"], Scale::Fast),
+        ] {
+            let o = parse(&args).unwrap();
+            assert_eq!(o.scale, scale, "{args:?}");
+            assert_eq!(
+                o,
+                Options {
+                    scale,
+                    ..parse(&[]).unwrap()
+                },
+                "{args:?}"
+            );
+        }
     }
 
     #[test]

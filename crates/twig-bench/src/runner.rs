@@ -1,5 +1,5 @@
 use crate::fleet::{run_fleet, FleetStats, Unit};
-use crate::{Options, TextTable};
+use crate::{Options, Scale, TextTable};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use twig_baselines::{Heracles, Hipster, HipsterConfig, Parties, StaticMapping};
@@ -420,12 +420,10 @@ pub(crate) fn twig_builder(
 /// Epochs per schedule (or per crash segment) of a chaos suite: `smoke`
 /// under `--smoke`, 120 under `--full`, `fast` otherwise.
 pub(crate) fn suite_epochs(opts: &Options, smoke: u64, fast: u64) -> u64 {
-    if opts.smoke {
-        smoke
-    } else if opts.full {
-        120
-    } else {
-        fast
+    match opts.scale {
+        Scale::Smoke => smoke,
+        Scale::Fast => fast,
+        Scale::Full => 120,
     }
 }
 
@@ -744,16 +742,15 @@ mod tests {
 
     #[test]
     fn roster_leads_and_hipster_phase_follow_the_rule_at_every_scale() {
-        let scale = |smoke, full| Options {
-            smoke,
-            full,
+        let at = |scale| Options {
+            scale,
             ..Options::default()
         };
         // (options, controller warm-up, learning phase, Hipster's phase)
         let scales = [
-            (scale(true, false), 40, 300, 225),
-            (scale(false, false), 120, 2_000, 1_500),
-            (scale(false, true), 120, 10_000, 7_500),
+            (at(Scale::Smoke), 40, 300, 225),
+            (at(Scale::Fast), 120, 2_000, 1_500),
+            (at(Scale::Full), 120, 10_000, 7_500),
         ];
         let spec = catalog::img_dnn();
         let specs = std::slice::from_ref(&spec);
@@ -790,7 +787,7 @@ mod tests {
                 reports == run(&mut hipster(phase)),
                 "learning phase {phase}"
             );
-            if opts.smoke {
+            if opts.scale == Scale::Smoke {
                 assert!(reports != run(&mut hipster(phase / 2)), "the phase shows");
             }
         }
@@ -814,7 +811,7 @@ mod tests {
         let render = |jobs| {
             let opts = Options {
                 jobs,
-                smoke: true,
+                scale: Scale::Smoke,
                 ..Options::default()
             };
             let mut out = String::new();

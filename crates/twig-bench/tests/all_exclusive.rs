@@ -9,7 +9,7 @@
 //! pollutes the counter.
 
 use twig_bench::experiments::{run_all, RunTo, REGISTRY};
-use twig_bench::Options;
+use twig_bench::{Options, Scale};
 
 #[allow(dead_code)]
 #[path = "../src/main.rs"]
@@ -24,7 +24,7 @@ fn table3_runs_alone_and_sections_keep_registry_order() {
         .copied()
         .collect();
     let opts = Options {
-        smoke: true,
+        scale: Scale::Smoke,
         jobs: 2,
         ..Options::default()
     };

@@ -5,12 +5,12 @@
 //! slot-ordered, so the job count must be unobservable in the output. The
 //! five fault suites are also pinned to their committed reports.
 
-use twig_bench::{experiments, Options};
+use twig_bench::{experiments, Options, Scale};
 
 fn opts(jobs: usize) -> Options {
     Options {
         jobs,
-        smoke: true,
+        scale: Scale::Smoke,
         seed: 1234,
         ..Options::default()
     }

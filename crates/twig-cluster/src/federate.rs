@@ -54,23 +54,22 @@ pub struct FederateConfig {
     pub collect_timeout: u64,
     /// Minimum accepted payloads per service for a merge to proceed.
     pub min_quorum: usize,
-    /// Quorum-failed attempts (including the first) before the round is
-    /// abandoned until the next period.
-    pub max_round_attempts: u32,
-    /// Backoff before the first quorum-failure retry, epochs.
-    pub initial_backoff: u64,
-    /// Saturation point of the doubling backoff, epochs.
-    pub max_backoff: u64,
     /// Minimum gradient steps a replica needs before it may contribute
     /// (cold replicas are recipients only).
     pub min_contributor_steps: u64,
-    /// Byzantine screen knobs, one screen per service.
-    pub screen: ScreenConfig,
-    /// Post-merge twin-run tolerance: the merged policy's probe
-    /// Q-magnitude may exceed `validation_multiple × max(pre, 1)` on no
-    /// recipient, else the service rolls back.
-    pub validation_multiple: f64,
 }
+
+/// Quorum-failed attempts (including the first) before a round is
+/// abandoned until the next period.
+const MAX_ROUND_ATTEMPTS: u32 = 3;
+/// Backoff before the first quorum-failure retry, epochs.
+const INITIAL_BACKOFF: u64 = 2;
+/// Saturation point of the doubling backoff, epochs.
+const MAX_BACKOFF: u64 = 8;
+/// Post-merge twin-run tolerance: the merged policy's probe Q-magnitude may
+/// exceed `VALIDATION_MULTIPLE × max(pre, 1)` on no recipient, else the
+/// service rolls back.
+const VALIDATION_MULTIPLE: f64 = 1.0e4;
 
 impl Default for FederateConfig {
     fn default() -> Self {
@@ -78,12 +77,7 @@ impl Default for FederateConfig {
             round_period: 10,
             collect_timeout: 3,
             min_quorum: 2,
-            max_round_attempts: 3,
-            initial_backoff: 2,
-            max_backoff: 8,
             min_contributor_steps: 1,
-            screen: ScreenConfig::default(),
-            validation_multiple: 1.0e4,
         }
     }
 }
@@ -93,9 +87,8 @@ impl FederateConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ClusterError::InvalidConfig`] for a zero period/quorum/
-    /// attempt budget, a zero collect timeout, or a non-finite or
-    /// sub-unit validation multiple.
+    /// Returns [`ClusterError::InvalidConfig`] for a zero period, quorum or
+    /// collect timeout.
     pub fn validate(&self) -> Result<(), ClusterError> {
         if self.round_period == 0 {
             return Err(ClusterError::invalid("round_period must be ≥ 1"));
@@ -105,20 +98,6 @@ impl FederateConfig {
         }
         if self.min_quorum == 0 {
             return Err(ClusterError::invalid("min_quorum must be ≥ 1"));
-        }
-        if self.max_round_attempts == 0 {
-            return Err(ClusterError::invalid("max_round_attempts must be ≥ 1"));
-        }
-        if self.max_backoff < self.initial_backoff {
-            return Err(ClusterError::invalid(
-                "max_backoff must be ≥ initial_backoff",
-            ));
-        }
-        if !self.validation_multiple.is_finite() || self.validation_multiple < 1.0 {
-            return Err(ClusterError::invalid(format!(
-                "validation_multiple must be finite and ≥ 1, got {}",
-                self.validation_multiple
-            )));
         }
         Ok(())
     }
@@ -515,15 +494,10 @@ impl FederationPlane {
         current_epoch: u64,
     ) -> Result<Self, ClusterError> {
         config.validate()?;
-        let mut screens = Vec::with_capacity(services);
-        for _ in 0..services {
-            screens.push(
-                ByzantineScreen::new(config.screen.clone())
-                    .map_err(|e| ClusterError::invalid(format!("screen config: {e}")))?,
-            );
-        }
+        let screen = ByzantineScreen::new(ScreenConfig::default())
+            .expect("the default screen config is valid");
+        let screens = vec![screen; services];
         let period = config.round_period;
-        let backoff = config.initial_backoff;
         Ok(FederationPlane {
             config,
             plan,
@@ -532,7 +506,7 @@ impl FederationPlane {
             round_id: 0,
             next_round_epoch: (current_epoch / period + 1) * period,
             attempts: 0,
-            backoff,
+            backoff: INITIAL_BACKOFF,
         })
     }
 
@@ -543,7 +517,7 @@ impl FederationPlane {
 
     fn schedule_next_period(&mut self, epoch: u64) {
         self.attempts = 0;
-        self.backoff = self.config.initial_backoff;
+        self.backoff = INITIAL_BACKOFF;
         self.next_round_epoch = (epoch / self.config.round_period + 1) * self.config.round_period;
     }
 
@@ -784,12 +758,12 @@ impl FederationPlane {
         if merged_services == 0 && rolled_services == 0 {
             delta.rounds_quorum_failed += 1;
             self.attempts += 1;
-            if self.attempts >= self.config.max_round_attempts {
+            if self.attempts >= MAX_ROUND_ATTEMPTS {
                 delta.rounds_abandoned += 1;
                 self.schedule_next_period(epoch);
             } else {
-                self.next_round_epoch = epoch.saturating_add(self.backoff.max(1));
-                self.backoff = next_backoff(self.backoff, self.config.max_backoff.max(1));
+                self.next_round_epoch = epoch.saturating_add(self.backoff);
+                self.backoff = next_backoff(self.backoff, MAX_BACKOFF);
             }
         } else if rolled_services > 0 {
             delta.rounds_rolled_back += 1;
@@ -849,8 +823,8 @@ impl FederationPlane {
             let pre_probe = nodes[n].probe_q_magnitude(s)?.unwrap_or(0.0);
             nodes[n].adopt_round_state(s, &merged)?;
             let post_probe = nodes[n].probe_q_magnitude(s)?.unwrap_or(f64::INFINITY);
-            let healthy = post_probe.is_finite()
-                && post_probe <= self.config.validation_multiple * pre_probe.max(1.0);
+            let healthy =
+                post_probe.is_finite() && post_probe <= VALIDATION_MULTIPLE * pre_probe.max(1.0);
             if !healthy {
                 any_failed = true;
             }
@@ -949,7 +923,6 @@ mod tests {
             collect_timeout: 2,
             min_quorum: 2,
             min_contributor_steps: 0,
-            ..FederateConfig::default()
         }
     }
 
@@ -989,19 +962,6 @@ mod tests {
             },
             FederateConfig {
                 min_quorum: 0,
-                ..d()
-            },
-            FederateConfig {
-                max_round_attempts: 0,
-                ..d()
-            },
-            FederateConfig {
-                initial_backoff: 9,
-                max_backoff: 2,
-                ..d()
-            },
-            FederateConfig {
-                validation_multiple: 0.5,
                 ..d()
             },
         ] {
@@ -1148,16 +1108,18 @@ mod tests {
             round_period: 4,
             collect_timeout: 1,
             min_quorum: 3, // unreachable with two contributors
-            max_round_attempts: 2,
-            initial_backoff: 1,
-            max_backoff: 4,
             min_contributor_steps: 0,
-            ..FederateConfig::default()
         };
         let mut p = plane(cfg, FedFaultPlan::disabled(), 1);
+        // Attempts at epochs 4, 6 (+2) and 10 (+4) fail; the third
+        // exhausts the budget, and the next period's first attempt, at 12,
+        // fails too.
         let stats = run(&mut p, &mut nodes, 12);
-        assert!(stats.rounds_quorum_failed >= 3);
-        assert!(stats.rounds_abandoned >= 1);
+        assert_eq!(
+            stats.rounds_quorum_failed,
+            u64::from(MAX_ROUND_ATTEMPTS) + 1
+        );
+        assert_eq!(stats.rounds_abandoned, 1);
         assert_eq!(stats.service_merges, 0);
         assert_eq!(stats.recipients_updated, 0);
         assert_eq!(stats.recipients_rolled_back, 0);
@@ -1166,27 +1128,6 @@ mod tests {
         for (n, bytes) in nodes.iter().zip(&before) {
             assert_eq!(&n.checkpoint_of(0).unwrap(), bytes);
         }
-    }
-
-    #[test]
-    fn endless_quorum_backoff_saturates_instead_of_overflowing() {
-        let mut nodes = vec![node(0, 18, 1), node(1, 18, 1)];
-        let cfg = FederateConfig {
-            round_period: 2,
-            collect_timeout: 1,
-            min_quorum: 3, // unreachable with two contributors
-            initial_backoff: u64::MAX,
-            max_backoff: u64::MAX,
-            min_contributor_steps: 0,
-            ..FederateConfig::default()
-        };
-        let mut p = plane(cfg, FedFaultPlan::disabled(), 1);
-        let stats = run(&mut p, &mut nodes, 12);
-        // One failed attempt, whose retry is never within this run.
-        assert_eq!(stats.rounds_started, 1);
-        assert_eq!(stats.rounds_quorum_failed, 1);
-        assert_eq!(p.next_round_epoch, u64::MAX);
-        assert_eq!(p.backoff, u64::MAX);
     }
 
     #[test]

@@ -20,6 +20,9 @@
 //!   robustness ladder: CRC/shape/finiteness rejection, quarantine-aware
 //!   exclusion, Byzantine screening, straggler quorums with saturating
 //!   backoff, post-merge twin-run rollback, and blackout round-abort.
+//!   [`FederateConfig`] sets the cadence, quorum, collect timeout and
+//!   contributor step floor; the retry budget, backoff, screen and
+//!   twin-run tolerance are fixed.
 //! - **Partition-tolerant local autonomy** — every [`ClusterNode`] runs
 //!   its own Twig agent, safety governor and deadline scheduler, so
 //!   servers that lose the coordinator (partition or blackout) keep

@@ -75,8 +75,6 @@ pub struct AgentTuning {
     pub template: MaBdqConfig,
     /// Epochs over which ε anneals (the compressed learning phase).
     pub learn_epochs: u64,
-    /// Gradient steps per epoch.
-    pub train_steps_per_epoch: u32,
 }
 
 impl Default for AgentTuning {
@@ -91,7 +89,6 @@ impl Default for AgentTuning {
                 ..MaBdqConfig::default()
             },
             learn_epochs: 300,
-            train_steps_per_epoch: 1,
         }
     }
 }
@@ -251,13 +248,14 @@ impl ClusterNode {
         let spec = self.specs[service].clone();
         self.installs += 1;
         let learn = self.tuning.learn_epochs.max(5);
+        // The builder's defaults for the rest: one gradient step per epoch
+        // and the default reward (θ = 0.5).
         let twig = TwigBuilder::new()
             .services(vec![spec])
             .cores(self.platform.cores)
             .dvfs(self.platform.dvfs.clone())
             .agent(self.tuning.template.clone())
             .epsilon(EpsilonSchedule::new(0.1, 0.005, learn * 3 / 5, learn))
-            .train_steps_per_epoch(self.tuning.train_steps_per_epoch)
             .action_stickiness(0.02)
             .seed(mix(
                 self.seed,

@@ -15,9 +15,9 @@
 //! - **Learning agent** ([`Twig`], wrapping [`twig_rl::MaBdq`]) — Algorithm 1:
 //!   ε-annealed action selection over (core count, DVFS) branches,
 //!   the Eq. 1 reward ([`RewardConfig`]) combining QoS tardiness with the
-//!   per-service power estimate of the Eq. 2 model ([`Eq2PowerModel`],
-//!   fitted by [`fit_power_model`]), and one prioritised-replay gradient
-//!   step per epoch.
+//!   per-service power estimate of the Eq. 2 model
+//!   ([`REWARD_POWER_MODEL`], fitted offline by [`fit_power_model`], against
+//!   [`PEAK_POWER_W`]), and one prioritised-replay gradient step per epoch.
 //! - **Mapper module** ([`Mapper`]) — turns per-service (cores, DVFS)
 //!   requests into concrete core assignments with the cache-locality
 //!   ordering of Section III-B3; conflicting requests are resolved by the
@@ -75,7 +75,10 @@ pub use monitor::{select_counters, CounterRanking, SystemMonitor};
 pub use placement::{
     ClusterView, NodeId, NodeView, PlacementAction, ReplicatedPlacement, ServicePlacement,
 };
-pub use power_model::{fit_power_model, paae, Eq2PowerModel, PowerModelFit, ProfilePoint};
+pub use power_model::{
+    fit_power_model, paae, Eq2PowerModel, PowerModelFit, ProfilePoint, PEAK_POWER_W,
+    REWARD_POWER_MODEL,
+};
 pub use reward::RewardConfig;
 pub use scheduler::{
     ActuationDirective, EpochScheduler, InferenceDirective, LearnDirective, MeteredEpoch,

@@ -1,9 +1,10 @@
 use crate::{
-    Checkpointable, Eq2PowerModel, ManagerError, Mapper, RewardConfig, SystemMonitor, TwigError,
+    Checkpointable, ManagerError, Mapper, RewardConfig, SystemMonitor, TwigError, PEAK_POWER_W,
+    REWARD_POWER_MODEL,
 };
 use twig_rl::{
     decode_checkpoint, encode_checkpoint, EpsilonSchedule, MaBdq, MaBdqCheckpoint, MaBdqConfig,
-    QuarantineConfig, RlError,
+    RlError,
 };
 use twig_sim::{Assignment, DvfsLadder, EpochReport, ServiceSpec};
 use twig_telemetry::{Phase, Telemetry};
@@ -84,10 +85,6 @@ pub struct TwigConfig {
     pub epsilon: EpsilonSchedule,
     /// The Eq. 1 reward parameters.
     pub reward: RewardConfig,
-    /// The Eq. 2 per-service power model used inside the reward.
-    pub power_model: Eq2PowerModel,
-    /// Peak (stress-benchmark) power used to normalise the power reward.
-    pub peak_power_w: f64,
     /// Learning-agent overrides (network sizes, lr, PER, …). `agents`,
     /// `state_dim` and `branches` are derived from the platform and
     /// overwritten.
@@ -119,8 +116,6 @@ impl Default for TwigConfig {
             eta: 5,
             epsilon: EpsilonSchedule::paper(),
             reward: RewardConfig::default(),
-            power_model: Eq2PowerModel::default(),
-            peak_power_w: 130.0,
             agent: MaBdqConfig::default(),
             pure_exploitation: false,
             train_steps_per_epoch: 1,
@@ -150,21 +145,12 @@ impl Default for TwigConfig {
 #[derive(Debug, Clone, Default)]
 pub struct TwigBuilder {
     config: TwigConfig,
-    telemetry: Telemetry,
 }
 
 impl TwigBuilder {
     /// Starts from the default configuration.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Attaches a telemetry handle to the built manager (kept outside
-    /// [`TwigConfig`], which stays plain comparable data). Equivalent to
-    /// calling [`Twig::set_telemetry`] after [`build`](Self::build).
-    pub fn telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
     }
 
     /// Sets the managed services.
@@ -195,12 +181,6 @@ impl TwigBuilder {
     /// Sets the reward parameters.
     pub fn reward(mut self, reward: RewardConfig) -> Self {
         self.config.reward = reward;
-        self
-    }
-
-    /// Sets the Eq. 2 power model (e.g. from [`crate::fit_power_model`]).
-    pub fn power_model(mut self, model: Eq2PowerModel) -> Self {
-        self.config.power_model = model;
         self
     }
 
@@ -242,11 +222,7 @@ impl TwigBuilder {
     /// Returns [`TwigError::InvalidConfig`] when no services are configured
     /// or the platform/agent configuration is invalid.
     pub fn build(self) -> Result<Twig, TwigError> {
-        let mut twig = Twig::new(self.config)?;
-        if self.telemetry.is_enabled() {
-            twig.set_telemetry(self.telemetry);
-        }
-        Ok(twig)
+        Twig::new(self.config)
     }
 }
 
@@ -388,20 +364,6 @@ impl Twig {
     /// step itself.
     pub fn agent_mut(&mut self) -> &mut MaBdq {
         &mut self.agent
-    }
-
-    /// Forwards a per-agent quarantine configuration to the learning agent
-    /// (see [`QuarantineConfig`]): divergence detection, last-known-good
-    /// rollback and probation for individual agents while the rest of the
-    /// fleet keeps training.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TwigError::Learning`] for invalid thresholds.
-    pub fn set_quarantine(&mut self, quarantine: QuarantineConfig) -> Result<(), TwigError> {
-        self.agent
-            .set_quarantine(quarantine)
-            .map_err(TwigError::Learning)
     }
 
     /// Serializes the learner's full state (network, optimizer moments,
@@ -569,14 +531,8 @@ impl Twig {
                 let spec = &self.config.services[i];
                 let dvfs_idx = pending.actions[i][1];
                 let cores = pending.actions[i][0] + 1;
-                let est = self
-                    .config
-                    .power_model
-                    .estimate(svc.load_fraction, cores, dvfs_idx);
-                let power_rew = self
-                    .config
-                    .reward
-                    .power_reward(self.config.peak_power_w, est);
+                let est = REWARD_POWER_MODEL.estimate(svc.load_fraction, cores, dvfs_idx);
+                let power_rew = self.config.reward.power_reward(PEAK_POWER_W, est);
                 self.rewards.push(
                     self.config
                         .reward
@@ -636,11 +592,6 @@ impl Twig {
         let restart = self.config.epsilon.learning_phase_end();
         self.time = self.time.max(restart);
         Ok(())
-    }
-
-    /// Restarts the ε schedule from zero (learning from scratch).
-    pub fn reset_exploration(&mut self) {
-        self.time = 0;
     }
 
     /// Consumes an epoch with known-corrupted telemetry: the monitor is
@@ -720,6 +671,7 @@ impl TaskManager for Twig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use twig_rl::QuarantineConfig;
     use twig_sim::{catalog, Server, ServerConfig};
 
     fn small_agent() -> MaBdqConfig {
@@ -754,6 +706,32 @@ mod tests {
         assert_eq!(
             build_twig(vec![catalog::masstree(), catalog::moses()]).name(),
             "twig-c"
+        );
+    }
+
+    #[test]
+    fn armed_quarantine_guards_every_agent_from_the_build() {
+        let guards = |services: Vec<ServiceSpec>, quarantine: QuarantineConfig| {
+            let twig = TwigBuilder::new()
+                .services(services)
+                .agent(MaBdqConfig {
+                    quarantine,
+                    ..small_agent()
+                })
+                .build()
+                .unwrap();
+            twig.agent().learner_memory().guards
+        };
+        let armed = QuarantineConfig::default().armed();
+        let one = guards(vec![catalog::masstree()], armed.clone());
+        let pair = guards(vec![catalog::masstree(), catalog::moses()], armed);
+        // Every agent's guard snapshots a value head of the same shape.
+        assert!(one > 0);
+        assert_eq!(pair, 2 * one);
+        let dormant = QuarantineConfig::default();
+        assert_eq!(
+            guards(vec![catalog::masstree(), catalog::moses()], dormant),
+            0
         );
     }
 

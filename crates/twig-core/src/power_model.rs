@@ -36,16 +36,24 @@ pub struct Eq2PowerModel {
     pub offset: f64,
 }
 
+/// The Eq. 2 model inside Twig's and Hipster's power reward: coefficients
+/// from fitting Eq. 2 against the default simulator platform (see
+/// `fig04_power_paae` in `twig-bench` for the fit).
+pub const REWARD_POWER_MODEL: Eq2PowerModel = Eq2PowerModel {
+    kappa: 17.0,
+    sigma: 2.0,
+    omega_sq: 1.1,
+    offset: 1.0,
+};
+
+/// Peak (stress-benchmark) power in watts that the power reward divides
+/// by the [`REWARD_POWER_MODEL`] estimate.
+pub const PEAK_POWER_W: f64 = 130.0;
+
 impl Default for Eq2PowerModel {
-    /// Coefficients from fitting Eq. 2 against the default simulator
-    /// platform (see `fig04_power_paae` in `twig-bench` for the fit).
+    /// [`REWARD_POWER_MODEL`].
     fn default() -> Self {
-        Eq2PowerModel {
-            kappa: 17.0,
-            sigma: 2.0,
-            omega_sq: 1.1,
-            offset: 1.0,
-        }
+        REWARD_POWER_MODEL
     }
 }
 

@@ -16,7 +16,7 @@
 //! (nothing is kept in wider precision between steps), so storing it to
 //! `out` and loading it back rounds nothing. That is what lets a product
 //! whose leading columns are shared by many row groups compute that part
-//! once (`Mlp::prefix_into` / `Mlp::forward_batch_from_prefix_scratch`).
+//! once (`Mlp::prefix_into` / `Pass::forward_batch_from_prefix_scratch`).
 //!
 //! Nothing is skipped: a zero in `A` still multiplies its row of `B`, so
 //! `0 · ∞` and `0 · NaN` reach the output as NaN. For finite operands that is

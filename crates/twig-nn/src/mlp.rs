@@ -17,9 +17,10 @@ use twig_stats::rng::Rng;
 /// [`apply`](Self::apply) — a network nobody trains never has one. Layers
 /// hold shapes, offsets and dropout RNG streams; what a pass computes on the
 /// way lives in a [`Tape`]. Each network owns one for
-/// [`forward_scratch`](Self::forward_scratch) and its siblings, and
-/// [`on`](Self::on) runs the same passes on a caller's tape, which is how
-/// many networks share one set of activation buffers.
+/// [`forward_scratch`](Self::forward_scratch) and
+/// [`backward_scratch`](Self::backward_scratch), and [`on`](Self::on) runs
+/// every pass, the batch and prefix ones included, on a caller's tape,
+/// which is how many networks share one set of activation buffers.
 ///
 /// # Examples
 ///
@@ -42,8 +43,9 @@ pub struct Mlp {
     params: Vec<f32>,
     /// The gradients, laid out like `params`; empty until first needed.
     grads: Vec<f32>,
-    // Working memory of the passes run through `forward_scratch` and its
-    // siblings; empty for a network that only ever runs `on` another tape.
+    // Working memory of the passes run through `forward_scratch` and
+    // `backward_scratch`; empty for a network that only ever runs `on`
+    // another tape.
     // Never holds state the network depends on between a backward pass and
     // the next forward.
     tape: Tape,
@@ -499,25 +501,14 @@ impl Mlp {
         self.own().forward_scratch(input, train)
     }
 
-    /// [`Pass::forward_batch_scratch`] on the network's own tape.
-    pub fn forward_batch_scratch(&mut self, input: &Tensor) -> &Tensor {
-        self.own().forward_batch_scratch(input)
-    }
-
-    /// [`forward_batch_scratch`](Self::forward_batch_scratch) copied into a
-    /// caller-owned tensor (allocation-free once `out` has capacity).
-    pub fn forward_batch_into(&mut self, input: &Tensor, out: &mut Tensor) {
-        out.copy_from(self.forward_batch_scratch(input));
-    }
-
     /// The first (dense) layer's product over the leading `shared.cols()`
     /// input columns, `shared · W[..shared.cols()]`, no bias. Input rows that
     /// agree on those columns — `K` agents' `[trunk_out | own state]` — then
     /// share one `prefix` in
-    /// [`forward_batch_from_prefix_scratch`](Self::forward_batch_from_prefix_scratch)
-    /// and [`forward_from_prefix_scratch`](Self::forward_from_prefix_scratch)
-    /// instead of each multiplying the same columns through again. Weights
-    /// must not change between the prefix and its use.
+    /// [`Pass::forward_batch_from_prefix_scratch`] and
+    /// [`Pass::forward_from_prefix_scratch`] instead of each multiplying the
+    /// same columns through again. Weights must not change between the
+    /// prefix and its use.
     ///
     /// # Panics
     ///
@@ -528,23 +519,6 @@ impl Mlp {
             Some(MlpLayer::Dense(first)) => first.prefix_into(&self.params, shared, out),
             _ => panic!("{NO_FIRST_DENSE}"),
         }
-    }
-
-    /// [`Pass::forward_batch_from_prefix_scratch`] on the network's own tape.
-    pub fn forward_batch_from_prefix_scratch(&mut self, prefix: &Tensor, own: &Tensor) -> &Tensor {
-        self.own().forward_batch_from_prefix_scratch(prefix, own)
-    }
-
-    /// [`Pass::forward_from_prefix_scratch`] on the network's own tape.
-    pub fn forward_from_prefix_scratch(
-        &mut self,
-        prefix: &Tensor,
-        shared: &Tensor,
-        own: &Tensor,
-        train: bool,
-    ) -> &Tensor {
-        self.own()
-            .forward_from_prefix_scratch(prefix, shared, own, train)
     }
 
     /// Snapshots this network into a fixed-point inference variant
@@ -595,16 +569,6 @@ impl Mlp {
     /// Panics if called before a forward pass.
     pub fn backward_scratch(&mut self, grad_output: &Tensor) -> &Tensor {
         self.own().backward_scratch(grad_output)
-    }
-
-    /// [`Pass::backward_cols_scratch`] on the network's own tape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before a forward pass or unless the network starts
-    /// with a [`Dense`] layer at least `cols` wide.
-    pub fn backward_cols_scratch(&mut self, grad_output: &Tensor, cols: usize) -> &Tensor {
-        self.own().backward_cols_scratch(grad_output, cols)
     }
 
     fn denses(&self) -> impl Iterator<Item = &DenseAt> {
@@ -967,27 +931,28 @@ mod tests {
             vec![0.0, 0.0, -0.0],
         ])
         .unwrap();
+        let mut tape = Tape::new();
         let eval = net.forward(&x, false);
-        let batch = net.forward_batch_scratch(&x).clone();
+        let batch = net.on(&mut tape).forward_batch_scratch(&x).clone();
         for (a, b) in eval.as_slice().iter().zip(batch.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        let mut out = Tensor::zeros(0, 0);
-        net.forward_batch_into(&x, &mut out);
-        assert_eq!(out, batch);
 
         let mut twin = net.clone();
         let other = Tensor::from_rows(&[vec![9.0, -9.0, 3.0]]).unwrap();
         let grad = Tensor::from_rows(&[vec![1.0, -1.0], vec![0.5, 0.25], vec![-2.0, 0.0]]).unwrap();
         for _ in 0..2 {
-            let pred = net.forward(&x, true);
+            let pred = net.on(&mut tape).forward_scratch(&x, true).clone();
             assert_eq!(twin.forward(&x, true), pred);
             for _ in 0..5 {
-                let _ = net.forward_batch_scratch(&other);
+                let _ = net.on(&mut tape).forward_batch_scratch(&other);
             }
             net.zero_grads();
             twin.zero_grads();
-            assert_eq!(net.backward(&grad), twin.backward(&grad));
+            assert_eq!(
+                net.on(&mut tape).backward_scratch(&grad),
+                &twin.backward(&grad)
+            );
             assert_eq!(net.grad_sq_norm().to_bits(), twin.grad_sq_norm().to_bits());
         }
     }
@@ -1018,6 +983,7 @@ mod tests {
         let bits = |t: &Tensor| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
         let mut prefix = Tensor::zeros(0, 0);
         let mut shared_rep = Tensor::zeros(0, 0);
+        let mut tape = Tape::new();
         for _ in 0..4 {
             let shared = random(batch, shared_dim);
             split.prefix_into(&shared, &mut prefix);
@@ -1026,8 +992,10 @@ mod tests {
             let own_all = random(groups * batch, own_dim);
             shared_rep.repeat_rows_from(&shared, groups);
             let stacked = shared_rep.concat_cols(&own_all).unwrap();
-            let want = full.forward_batch_scratch(&stacked).clone();
-            let got = split.forward_batch_from_prefix_scratch(&prefix, &own_all);
+            let want = full.forward(&stacked, false);
+            let got = split
+                .on(&mut tape)
+                .forward_batch_from_prefix_scratch(&prefix, &own_all);
             assert_eq!(bits(got), bits(&want));
 
             // Train: two agents' passes accumulate into the same gradients.
@@ -1037,11 +1005,13 @@ mod tests {
                 let own = random(batch, own_dim);
                 let input = shared.concat_cols(&own).unwrap();
                 let want = full.forward_scratch(&input, true).clone();
-                let got = split.forward_from_prefix_scratch(&prefix, &shared, &own, true);
+                let got = split
+                    .on(&mut tape)
+                    .forward_from_prefix_scratch(&prefix, &shared, &own, true);
                 assert_eq!(bits(got), bits(&want));
                 let grad = random(batch, 3);
                 let want_dx = full.backward_scratch(&grad).split_cols(shared_dim).0;
-                let got_dx = split.backward_cols_scratch(&grad, shared_dim);
+                let got_dx = split.on(&mut tape).backward_cols_scratch(&grad, shared_dim);
                 assert_eq!(bits(got_dx), bits(&want_dx));
             }
             assert_eq!(
@@ -1059,8 +1029,10 @@ mod tests {
         // gradients are still there.
         let x = random(batch, shared_dim + own_dim);
         split.zero_grads();
-        split.forward_scratch(&x, true);
-        let none = split.backward_cols_scratch(&random(batch, 3), 0);
+        split.on(&mut tape).forward_scratch(&x, true);
+        let none = split
+            .on(&mut tape)
+            .backward_cols_scratch(&random(batch, 3), 0);
         assert_eq!((none.rows(), none.cols()), (batch, 0));
         assert!(split.grad_sq_norm() > 0.0);
     }
@@ -1096,7 +1068,7 @@ mod tests {
                 let want = b.forward_scratch(&x, true).clone();
                 assert_eq!(bits(a.on(&mut tape).forward_scratch(&x, true)), bits(&want));
                 let grad = random(batch, want.cols());
-                let want_dx = b.backward_cols_scratch(&grad, 4).clone();
+                let want_dx = b.backward_scratch(&grad).split_cols(4).0;
                 let got_dx = a.on(&mut tape).backward_cols_scratch(&grad, 4);
                 assert_eq!(bits(got_dx), bits(&want_dx));
             }
@@ -1166,8 +1138,9 @@ mod tests {
     fn limited_backward_needs_a_dense_first_layer() {
         let mut net = Mlp::new().push(Relu::new());
         let x = Tensor::from_row(&[1.0]);
-        net.forward_scratch(&x, true);
-        net.backward_cols_scratch(&x, 0);
+        let mut tape = Tape::new();
+        net.on(&mut tape).forward_scratch(&x, true);
+        net.on(&mut tape).backward_cols_scratch(&x, 0);
     }
 
     #[test]

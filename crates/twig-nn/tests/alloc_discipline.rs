@@ -52,12 +52,15 @@ fn scratch_forward_backward_rounds_allocate_nothing_after_warm_up() {
     // that stops at the shared columns.
     let (shared, own, own3) = (fill(19, 7), fill(19, 4), fill(57, 4));
     let mut prefix = Tensor::zeros(0, 0);
+    let mut tape = Tape::new();
     let mut round = |net: &mut Mlp| {
         net.zero_grads();
         net.prefix_into(&shared, &mut prefix);
-        std::hint::black_box(net.forward_batch_from_prefix_scratch(&prefix, &own3));
-        std::hint::black_box(net.forward_from_prefix_scratch(&prefix, &shared, &own, true));
-        std::hint::black_box(net.backward_cols_scratch(&grad, 7));
+        let pass = net.on(&mut tape);
+        std::hint::black_box(pass.forward_batch_from_prefix_scratch(&prefix, &own3));
+        let pass = net.on(&mut tape);
+        std::hint::black_box(pass.forward_from_prefix_scratch(&prefix, &shared, &own, true));
+        std::hint::black_box(net.on(&mut tape).backward_cols_scratch(&grad, 7));
     };
     for _ in 0..3 {
         round(&mut net);
@@ -106,12 +109,14 @@ fn networks_taking_turns_on_one_tape_allocate_nothing_after_the_first_round() {
             && pairs.fold(true, |same, (x, y)| same & (x.to_bits() == y.to_bits()))
     };
     let mut tape = Tape::new();
+    let mut own_tapes = [Tape::new(), Tape::new(), Tape::new(), Tape::new()];
     let mut round = || {
-        for ((net, twin), grad) in shared.iter_mut().zip(&mut own).zip(&grads) {
+        let twins = own.iter_mut().zip(&mut own_tapes);
+        for ((net, (twin, twin_tape)), grad) in shared.iter_mut().zip(twins).zip(&grads) {
             let out = net.on(&mut tape).forward_scratch(&input, true);
-            assert!(same(out, twin.forward_scratch(&input, true)));
+            assert!(same(out, twin.on(twin_tape).forward_scratch(&input, true)));
             let dx = net.on(&mut tape).backward_cols_scratch(grad, 64);
-            assert!(same(dx, twin.backward_cols_scratch(grad, 64)));
+            assert!(same(dx, twin.on(twin_tape).backward_cols_scratch(grad, 64)));
         }
     };
     round();

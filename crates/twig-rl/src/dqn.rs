@@ -1,3 +1,4 @@
+use crate::mabdq::{PER_BETA0, PER_BETA_STEPS};
 use crate::per::{PerBatch, Priorities};
 use crate::{MaBdqConfig, RlError};
 use twig_nn::{Adam, Dense, Dropout, Mlp, Relu, Tensor};
@@ -57,8 +58,8 @@ impl Dqn {
     /// Builds the online and target networks over `actions` joint actions,
     /// at `learner`'s state width, trunk widths (as the hidden layers),
     /// dropout, optimiser, replay and seed. `learner`'s `agents`,
-    /// `branches`, `head_hidden`, `grad_clip` and `quarantine` describe the
-    /// BDQ only and are not read.
+    /// `branches`, `head_hidden` and `quarantine` describe the BDQ only and
+    /// are not read.
     ///
     /// # Errors
     ///
@@ -96,8 +97,8 @@ impl Dqn {
         let priorities = Priorities::new(
             learner.buffer_capacity,
             learner.per_alpha,
-            learner.per_beta0,
-            learner.per_beta_steps,
+            PER_BETA0,
+            PER_BETA_STEPS,
         );
         Ok(Dqn {
             state_dim: learner.state_dim,

@@ -12,7 +12,10 @@
 //!   heads, per-branch advantage heads shared across agents, and the 1/K
 //!   (agents) and 1/D (branches) gradient rescaling of Section III-A,
 //!   trained from prioritised experience replay (sum tree, α = 0.6,
-//!   β₀ = 0.4 → 1) over a flat transition slab;
+//!   β₀ = 0.4 → 1 over 10⁵ samples, both β values fixed) over a flat
+//!   transition slab, with the global gradient norm clipped at 10 and an
+//!   optional per-agent divergence quarantine armed when the agent is
+//!   built ([`MaBdqConfig::quarantine`]);
 //! - [`Dqn`] — the vanilla joint-action DQN of Section II-B1 (the
 //!   combinatorial-explosion strawman the BDQ replaces);
 //! - [`memory`] — the memory-complexity accounting behind the paper's

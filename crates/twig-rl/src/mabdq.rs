@@ -42,12 +42,6 @@ pub struct MaBdqConfig {
     pub buffer_capacity: usize,
     /// PER priority exponent α.
     pub per_alpha: f64,
-    /// PER importance-sampling exponent β at step 0.
-    pub per_beta0: f64,
-    /// Steps over which β anneals to 1.
-    pub per_beta_steps: u64,
-    /// Global gradient-norm clip (0 disables).
-    pub grad_clip: f32,
     /// RNG seed.
     pub seed: u64,
     /// Per-agent divergence quarantine (disabled by default; see
@@ -70,9 +64,6 @@ impl Default for MaBdqConfig {
             target_update_every: 150,
             buffer_capacity: 1_000_000,
             per_alpha: 0.6,
-            per_beta0: 0.4,
-            per_beta_steps: 100_000,
-            grad_clip: 10.0,
             seed: 0,
             quarantine: QuarantineConfig::default(),
         }
@@ -129,6 +120,14 @@ impl MaBdqConfig {
     }
 }
 
+/// PER importance-sampling exponent β at step 0 (Section IV: β anneals
+/// from 0.4 to 1).
+pub(crate) const PER_BETA0: f64 = 0.4;
+/// Sampling steps over which β anneals to 1.
+pub(crate) const PER_BETA_STEPS: u64 = 100_000;
+/// Global gradient-norm clip of each train step.
+const GRAD_CLIP: f32 = 10.0;
+
 /// Per-agent divergence quarantine — the multi-agent analogue of the
 /// governor's fallback. Each agent's batch-mean |TD error| and value-head
 /// gradient norm are tracked against EWMA baselines; when a signal goes
@@ -155,8 +154,6 @@ pub struct QuarantineConfig {
     pub probation_steps: u64,
     /// Healthy train calls between last-known-good snapshots.
     pub snapshot_every: u64,
-    /// EWMA smoothing factor for the baselines, in (0, 1].
-    pub baseline_alpha: f64,
 }
 
 impl Default for QuarantineConfig {
@@ -167,7 +164,6 @@ impl Default for QuarantineConfig {
             warmup_steps: 100,
             probation_steps: 200,
             snapshot_every: 50,
-            baseline_alpha: 0.05,
         }
     }
 }
@@ -189,9 +185,6 @@ impl QuarantineConfig {
         }
         if self.probation_steps == 0 || self.snapshot_every == 0 {
             return fail("quarantine probation/snapshot interval must be positive".into());
-        }
-        if !(self.baseline_alpha > 0.0 && self.baseline_alpha <= 1.0) {
-            return fail(format!("quarantine baseline alpha {}", self.baseline_alpha));
         }
         Ok(())
     }
@@ -259,6 +252,8 @@ const QUARANTINE_HARD_TD_LIMIT: f64 = 1e18;
 /// Baselines never shrink below this floor when forming trip thresholds, so
 /// a near-zero warm-up baseline cannot make ordinary noise look divergent.
 const QUARANTINE_BASELINE_FLOOR: f64 = 1e-8;
+/// EWMA smoothing factor of the quarantine baselines.
+const QUARANTINE_BASELINE_ALPHA: f64 = 0.05;
 
 /// Per-agent divergence-detection state (only populated while quarantine is
 /// enabled).
@@ -947,8 +942,8 @@ impl MaBdq {
         let priorities = Priorities::new(
             config.buffer_capacity,
             config.per_alpha,
-            config.per_beta0,
-            config.per_beta_steps,
+            PER_BETA0,
+            PER_BETA_STEPS,
         );
         let slab = TransitionSlab::new(
             config.agents,
@@ -1011,19 +1006,6 @@ impl MaBdq {
     /// Transitions currently buffered.
     pub fn buffer_len(&self) -> usize {
         self.priorities.len()
-    }
-
-    /// Replaces the quarantine configuration at runtime, validating it and
-    /// resetting every agent's baselines, snapshot and probation state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RlError::InvalidConfig`] for invalid thresholds.
-    pub fn set_quarantine(&mut self, quarantine: QuarantineConfig) -> Result<(), RlError> {
-        quarantine.validate()?;
-        self.config.quarantine = quarantine;
-        self.rebuild_guards();
-        Ok(())
     }
 
     /// Aggregate quarantine counters (trips, re-admissions, currently
@@ -1138,8 +1120,8 @@ impl MaBdq {
                 guard.td_baseline = td;
                 guard.grad_baseline = grad;
             } else {
-                guard.td_baseline += q.baseline_alpha * (td - guard.td_baseline);
-                guard.grad_baseline += q.baseline_alpha * (grad - guard.grad_baseline);
+                guard.td_baseline += QUARANTINE_BASELINE_ALPHA * (td - guard.td_baseline);
+                guard.grad_baseline += QUARANTINE_BASELINE_ALPHA * (grad - guard.grad_baseline);
             }
             guard.baseline_samples += 1;
             guard.snapshot_age += 1;
@@ -1884,9 +1866,8 @@ impl MaBdq {
             self.stats.bump(&self.telemetry, |s| &mut s.skipped_steps);
         } else {
             // Global-norm clipping, then Adam.
-            if self.config.grad_clip > 0.0 && grad_norm > self.config.grad_clip {
-                self.online
-                    .scale_all_grads(self.config.grad_clip / grad_norm);
+            if grad_norm > GRAD_CLIP {
+                self.online.scale_all_grads(GRAD_CLIP / grad_norm);
             }
             self.online.apply(&mut self.adam);
             self.priorities
@@ -2160,7 +2141,6 @@ mod tests {
             batch_size: 16,
             target_update_every: 20,
             buffer_capacity: 4096,
-            per_beta_steps: 100,
             seed: 42,
             ..MaBdqConfig::default()
         }
@@ -3152,11 +3132,6 @@ mod tests {
             .armed(),
             QuarantineConfig {
                 snapshot_every: 0,
-                ..QuarantineConfig::default()
-            }
-            .armed(),
-            QuarantineConfig {
-                baseline_alpha: 0.0,
                 ..QuarantineConfig::default()
             }
             .armed(),

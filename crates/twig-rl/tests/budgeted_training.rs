@@ -34,7 +34,6 @@ fn config() -> MaBdqConfig {
         batch_size: 8,
         target_update_every: 7,
         buffer_capacity: 4096,
-        per_beta_steps: 50,
         seed: 7,
         ..MaBdqConfig::default()
     }

@@ -26,7 +26,6 @@ fn random_config(rng: &mut Xoshiro256) -> MaBdqConfig {
         gamma: 0.0,
         batch_size: 8,
         buffer_capacity: 256,
-        per_beta_steps: 50,
         seed: rng.next_u64(),
         ..MaBdqConfig::default()
     }

@@ -3,8 +3,8 @@
 # dependencies — see DESIGN.md §6). Run from the repo root. Formats, builds,
 # tests (dev and release) and lints the workspace, reruns the suite-report
 # test pinned to one CPU, runs the fault suites at alternate seeds,
-# type-checks the bench/ ledger workspace against it, and runs the grep
-# guards below.
+# lints the bench/ ledger workspace against it, and runs the grep guards
+# below.
 #
 # bash (not POSIX sh) so `pipefail` is available: a step that pipes through
 # a filter must fail on the producer's status, not the filter's.
@@ -204,9 +204,10 @@ step "test-release"   cargo test --release --offline -q -p twig-nn -p twig-rl -p
 step "clippy"         cargo clippy --offline --workspace --all-targets -- -D warnings
 # The performance ledger (bench/) is its own workspace with path
 # dependencies on the crates above, so nothing before this step compiles it:
-# deleting or renaming an API it calls would otherwise fail only the
-# perf-ledger CI job and the benchmark run.
-step "bench-compiles" cargo check --offline --locked --manifest-path bench/Cargo.toml --all-targets
+# deleting or renaming an API it calls, or leaving it a lint its own CI job
+# denies (say, a struct update with no field left to fill), would otherwise
+# fail only the perf-ledger CI job and the benchmark run.
+step "bench-compiles" cargo clippy --offline --locked --manifest-path bench/Cargo.toml --all-targets -- -D warnings
 step "bench-baseline" check_bench_baseline
 step "report-manifest" check_report_manifest
 step "unsafe-budget"  check_unsafe_budget

@@ -62,11 +62,3 @@ fn transfer_resumes_at_low_exploration() {
     // Post-transfer ε resumes at the exploitation end of phase 1, not 1.0.
     assert!(twig.epsilon() <= 0.1 + 1e-9, "epsilon {}", twig.epsilon());
 }
-
-#[test]
-fn reset_exploration_restarts_schedule() {
-    let mut twig = train(&catalog::masstree(), 200, 5);
-    assert!(twig.epsilon() < 1.0);
-    twig.reset_exploration();
-    assert_eq!(twig.epsilon(), 1.0);
-}
