@@ -320,12 +320,6 @@ impl Dropout {
         }
     }
 
-    /// Evaluation-mode dropout is the identity and never draws from the RNG
-    /// stream, so the batched path is a plain copy.
-    pub(crate) fn forward_batch_into(&self, input: &Tensor, out: &mut Tensor) {
-        out.copy_from(input);
-    }
-
     pub(crate) fn backward_into(&self, grad_output: &Tensor, slot: &Slot, grad_input: &mut Tensor) {
         if !slot.dropped {
             grad_input.copy_from(grad_output);

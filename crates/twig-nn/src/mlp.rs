@@ -80,13 +80,16 @@ impl MlpLayer {
     }
 
     /// Evaluation forward: the values of `forward_into` with `train =
-    /// false`, touching neither a slot nor a dropout RNG stream.
-    fn forward_batch_into(&self, params: &[f32], input: &Tensor, out: &mut Tensor) {
+    /// false`, touching neither a slot nor a dropout RNG stream. Returns
+    /// `false`, writing nothing, for a dropout layer: at evaluation it is
+    /// the identity, so the pass skips it instead of copying.
+    fn forward_batch_into(&self, params: &[f32], input: &Tensor, out: &mut Tensor) -> bool {
         match self {
             MlpLayer::Dense(l) => l.forward_batch_into(params, input, out),
             MlpLayer::Relu(l) => l.forward_batch_into(input, out),
-            MlpLayer::Dropout(l) => l.forward_batch_into(input, out),
+            MlpLayer::Dropout(_) => return false,
         }
+        true
     }
 
     /// Backward from what the last stateful forward left in `slot`:
@@ -137,15 +140,16 @@ fn forward_rest<'t>(
     cur
 }
 
-/// [`forward_rest`] through the evaluation forwards.
+/// [`forward_rest`] through the evaluation forwards, dropout skipped.
 fn forward_batch_rest<'t>(
     (layers, params): (&[MlpLayer], &[f32]),
     mut cur: &'t mut Tensor,
     mut next: &'t mut Tensor,
 ) -> &'t Tensor {
     for layer in layers {
-        layer.forward_batch_into(params, cur, next);
-        std::mem::swap(&mut cur, &mut next);
+        if layer.forward_batch_into(params, cur, next) {
+            std::mem::swap(&mut cur, &mut next);
+        }
     }
     cur
 }
@@ -220,14 +224,15 @@ impl<'a> Pass<'a> {
     /// backward.
     pub fn forward_batch_scratch(self, input: &Tensor) -> &'a Tensor {
         let Tape { ping, pong, .. } = self.tape;
-        // The first layer reads the caller's tensor in place: a K·B-row
-        // batch is never copied into a scratch buffer.
-        let Some((first, rest)) = self.layers.split_first() else {
-            ping.copy_from(input);
-            return ping;
-        };
-        first.forward_batch_into(self.params, input, ping);
-        forward_batch_rest((rest, self.params), ping, pong)
+        // The first layer that is not dropout reads the caller's tensor in
+        // place: a K·B-row batch is never copied into a scratch buffer.
+        for (at, layer) in self.layers.iter().enumerate() {
+            if layer.forward_batch_into(self.params, input, ping) {
+                return forward_batch_rest((&self.layers[at + 1..], self.params), ping, pong);
+            }
+        }
+        ping.copy_from(input);
+        ping
     }
 
     /// [`forward_batch_scratch`](Self::forward_batch_scratch) on the rows
