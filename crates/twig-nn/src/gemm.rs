@@ -4,10 +4,13 @@
 //! # Contract
 //!
 //! Every output element is `out[i][j] = Σ_p A[i][p] · B[p][j]`, summed in
-//! **ascending `p`** starting from `+0.0`, one rounding per multiply and one
-//! per add (no `mul_add`, no reassociation). That is the order of the naive
-//! triple loop, so weights, checkpoints and scenario digests do not depend on
-//! how the loops around it are tiled — nor on which instantiation below ran.
+//! **ascending `p`** starting from `+0.0`, one rounding per fused
+//! multiply-add step: `acc = A[i][p].mul_add(B[p][j], acc)`, the exact
+//! product added to the accumulator and the sum rounded once, with no
+//! reassociation. `f32::mul_add` is correctly rounded on every target, so
+//! this is the naive triple loop written with `mul_add`, and weights,
+//! checkpoints and scenario digests do not depend on how the loops around it
+//! are tiled — nor on which instantiation below ran.
 //!
 //! With `CONT = true` the chain starts from what `out` already holds instead
 //! of `+0.0`. A product over `inner = p₁ + p₂` indices split into a call over
@@ -22,9 +25,9 @@
 //! `0 · ∞` and `0 · NaN` reach the output as NaN. For finite operands that is
 //! the same bit pattern a zero-skipping loop produces: the accumulator starts
 //! at `+0.0`, and under round-to-nearest a sum is `-0.0` only when both
-//! addends are `-0.0`, so the accumulator is never `-0.0`; a product `±0 · b`
-//! with finite `b` is `±0`, and adding `±0` to an accumulator that is not
-//! `-0.0` returns the accumulator unchanged.
+//! addends are `-0.0`, so the accumulator is never `-0.0`; an exact product
+//! `±0 · b` with finite `b` is `±0`, and a fused step adding `±0` to an
+//! accumulator that is not `-0.0` returns the accumulator unchanged.
 //!
 //! # Shape
 //!
@@ -42,26 +45,28 @@
 //! `tile` and the band walk around it (`band_walk!`) are written once and
 //! compiled twice. The *portable* instantiation is `4 × 8` / `1 × 32`: with
 //! the baseline target features (SSE2 on x86-64) its 32 accumulators are
-//! eight of the sixteen `xmm` registers. On x86-64 the same source is
-//! compiled again under `#[target_feature(enable = "avx2")]` as `4 × 16` /
-//! `1 × 64`: the same number of registers, each a 256-bit `ymm`. A lane of a
-//! wider register does exactly what a lane of a narrow one does — one
-//! `vmulps` rounding, one `vaddps` rounding, in the same `p` order — so the
-//! two produce the same bits; `fma` is deliberately *not* enabled (a fused
-//! multiply-add rounds once and would change every sum), and there is no
-//! AVX-512 leg (a third copy to test, for registers that the 48- and 18-wide
-//! layers here would leave half empty). A taller `6 × 16` tile was measured
-//! and lost: without FMA each step is one multiply and one add per
-//! accumulator on the same ports, so the tile is port-bound at either
-//! height, and a 64-row batch leaves four rows to the single-row tile
-//! (64 × 75 × 48 forward over the portable tile, each in its own run:
-//! `6 × 16` 1.56×, `4 × 16` 1.85×; the input gradient did not gain at all).
+//! eight of the sixteen `xmm` registers, and each `mul_add` is a call to
+//! libm's correctly rounded `fmaf` — slow, but the reference bits on any
+//! CPU. On x86-64 the same source is compiled again under
+//! `#[target_feature(enable = "avx2,fma")]` as `4 × 16` / `1 × 64`: the same
+//! number of registers, each a 256-bit `ymm`, and each step one
+//! `vfmadd231ps` per accumulator. A lane of a wider register does exactly
+//! what a lane of a narrow one does — one fused rounding, in the same `p`
+//! order — so the two produce the same bits. There is no AVX-512 leg (a
+//! third copy to test, for registers that the 48- and 18-wide layers here
+//! would leave half empty). A taller `6 × 16` tile was measured again with
+//! FMA and still lost: a 64-row batch leaves four rows to the single-row
+//! tile, and the whole `learn_k24` epoch ran ≈ 104 epochs/s against ≈ 140
+//! for `4 × 16`. (Before FMA it had lost at the operator level too: each
+//! step was a multiply and an add on the same ports, so the tile was
+//! port-bound at either height.)
 //!
-//! [`Kernel::Detected`] asks CPUID (`is_x86_feature_detected!("avx2")`, a
-//! cached atomic load) on every call and falls through to the portable body
-//! on a CPU without AVX2 and on every other architecture, where it is the
-//! only path. There is no build flag, feature or environment switch.
-//! [`Kernel::Portable`] forces the reference body; only tests ask for it.
+//! [`Kernel::Detected`] asks CPUID (`is_x86_feature_detected!` for `avx2`
+//! and for `fma`, cached atomic loads) on every call and falls through to the
+//! portable body on a CPU without both and on every other architecture,
+//! where it is the only path. There is no build flag, feature or environment
+//! switch. [`Kernel::Portable`] forces the reference body; only tests ask for
+//! it.
 //!
 //! [`Tensor::matmul_into`]: crate::Tensor::matmul_into
 //! [`Tensor::t_matmul_into`]: crate::Tensor::t_matmul_into
@@ -82,14 +87,15 @@ pub(crate) enum Kernel {
 }
 
 impl Kernel {
-    /// Whether calls through `self` run the AVX2 instantiation: never for
-    /// [`Kernel::Portable`], and for [`Kernel::Detected`] exactly when CPUID
-    /// reports AVX2.
+    /// Whether calls through `self` run the AVX2 + FMA instantiation: never
+    /// for [`Kernel::Portable`], and for [`Kernel::Detected`] exactly when
+    /// CPUID reports both AVX2 and FMA.
     #[inline]
-    pub(crate) fn avx2(self) -> bool {
+    pub(crate) fn fma(self) -> bool {
         #[cfg(target_arch = "x86_64")]
         if self == Kernel::Detected {
-            return std::arch::is_x86_feature_detected!("avx2");
+            return std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma");
         }
         false
     }
@@ -97,7 +103,7 @@ impl Kernel {
     /// Columns of the register tile: the panel width a caller packing `B`
     /// should use so that every panel but the last is whole tiles.
     pub(crate) fn nr(self) -> usize {
-        if self.avx2() {
+        if self.fma() {
             16
         } else {
             8
@@ -106,8 +112,8 @@ impl Kernel {
 
     /// A name for timing artefacts: instruction set and tile shape.
     pub(crate) fn name(self) -> &'static str {
-        if self.avx2() {
-            "avx2 4x16"
+        if self.fma() {
+            "avx2+fma 4x16"
         } else {
             "portable 4x8"
         }
@@ -130,13 +136,13 @@ impl Kernel {
         out: (&mut [f32], usize),
     ) {
         #[cfg(target_arch = "x86_64")]
-        if self.avx2() {
-            // SAFETY: `walk_avx2` is safe Rust compiled with AVX2 enabled;
-            // its one requirement is a CPU that executes AVX2, and
-            // `self.avx2()` is true only when `is_x86_feature_detected!`
+        if self.fma() {
+            // SAFETY: `walk_fma` is safe Rust compiled with AVX2 and FMA
+            // enabled; its one requirement is a CPU that executes both, and
+            // `self.fma()` is true only when `is_x86_feature_detected!`
             // (CPUID) has just said this one does.
             #[allow(unsafe_code)]
-            return unsafe { walk_avx2::<TA, CONT>(dims, a, b, out) };
+            return unsafe { walk_fma::<TA, CONT>(dims, a, b, out) };
         }
         walk_portable::<TA, CONT>(dims, a, b, out)
     }
@@ -206,8 +212,8 @@ macro_rules! band_walk {
 band_walk!(walk_portable: MR x [8 4 2 1], 1 x [32 16 8 4 2 1]);
 #[cfg(target_arch = "x86_64")]
 band_walk!(
-    #[target_feature(enable = "avx2")]
-    walk_avx2: MR x [16 8 4 2 1], 1 x [64 32 16 8 4 2 1]
+    #[target_feature(enable = "avx2,fma")]
+    walk_fma: MR x [16 8 4 2 1], 1 x [64 32 16 8 4 2 1]
 );
 
 /// One `R × C` register tile of `out`, at row `i` and column `j`. Inlined
@@ -238,7 +244,7 @@ fn tile<const TA: bool, const CONT: bool, const R: usize, const C: usize>(
         let b_row: &[f32; C] = b[p * ldb + j..][..C].try_into().expect("tile width");
         for (acc_row, a_rp) in acc.iter_mut().zip(a_col) {
             for (o, &b_pc) in acc_row.iter_mut().zip(b_row) {
-                *o += a_rp * b_pc;
+                *o = a_rp.mul_add(b_pc, *o);
             }
         }
     }
@@ -254,14 +260,14 @@ mod tests {
 
     /// The instantiations a test can reach on this host: the portable body
     /// always (called directly, so it is exercised — and cannot rot — on
-    /// hosts where every product in the crate takes the AVX2 one), and the
-    /// AVX2 body where the CPU has it. Says so when it does not, instead of
-    /// passing for a leg that never ran.
+    /// hosts where every product in the crate takes the FMA one), and the
+    /// AVX2 + FMA body where the CPU has it. Says so when it does not,
+    /// instead of passing for a leg that never ran.
     fn kernels() -> Vec<Kernel> {
-        if Kernel::Detected.avx2() {
+        if Kernel::Detected.fma() {
             vec![Kernel::Portable, Kernel::Detected]
         } else {
-            println!("skipped: no avx2");
+            println!("skipped: no avx2+fma");
             vec![Kernel::Portable]
         }
     }
@@ -269,7 +275,8 @@ mod tests {
     /// The naive triple loop — the reference both instantiations must
     /// reproduce bit for bit (fleet determinism, checkpoints and scenario
     /// digests are asserted on exact output): `out[i][j]` takes `a(i, p) ·
-    /// b(p, j)` in ascending `p`, from `+0.0` or from what `out` holds.
+    /// b(p, j)` in ascending `p` as one fused multiply-add each, from `+0.0`
+    /// or from what `out` holds.
     fn naive(
         (m, inner, n): (usize, usize, usize),
         a: impl Fn(usize, usize) -> f32,
@@ -281,7 +288,7 @@ mod tests {
             for j in 0..n {
                 let mut sum = if cont { out[i * n + j] } else { 0.0f32 };
                 for p in 0..inner {
-                    sum += a(i, p) * b(p, j);
+                    sum = a(i, p).mul_add(b(p, j), sum);
                 }
                 out[i * n + j] = sum;
             }
@@ -314,9 +321,9 @@ mod tests {
 
     /// Bit patterns, with every NaN folded to one: *that* an element is NaN
     /// is part of the contract, its sign and payload are not. When two NaNs
-    /// meet (`0 · ∞`'s default NaN and an operand's), x86 returns the first
-    /// source operand's, and which addend LLVM puts first is its choice per
-    /// compilation of a commutative `fadd` — naive loop and kernel differ
+    /// meet (`0 · ∞`'s default NaN and an operand's), x86 returns one
+    /// source operand's, and which operand LLVM puts where is its choice per
+    /// compilation of a fused multiply-add — naive loop and kernel differ
     /// there, in either register width.
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter()
@@ -426,14 +433,37 @@ mod tests {
     }
 
     #[test]
+    fn dispatch_takes_the_fma_body_wherever_the_cpu_lists_avx2_and_fma() {
+        // A dispatch that fell back to the portable body would still produce
+        // the right bits, a libm call per multiply-add slower: only a test
+        // that asks the OS what the CPU has can tell.
+        let Ok(cpuinfo) = std::fs::read_to_string("/proc/cpuinfo") else {
+            println!("skipped: no /proc/cpuinfo");
+            return;
+        };
+        let listed = |flag: &str| {
+            cpuinfo
+                .lines()
+                .filter(|line| line.starts_with("flags"))
+                .any(|line| line.split_whitespace().any(|f| f == flag))
+        };
+        if listed("avx2") && listed("fma") {
+            assert!(Kernel::Detected.fma());
+            assert_eq!(crate::kernel(), "avx2+fma 4x16");
+        } else {
+            println!("skipped: the CPU lists no avx2 and fma");
+        }
+    }
+
+    #[test]
     fn kernel_name_and_panel_width_agree_with_the_dispatch() {
         assert_eq!(
             (Kernel::Portable.name(), Kernel::Portable.nr()),
             ("portable 4x8", 8)
         );
         let detected = Kernel::Detected;
-        if detected.avx2() {
-            assert_eq!((detected.name(), detected.nr()), ("avx2 4x16", 16));
+        if detected.fma() {
+            assert_eq!((detected.name(), detected.nr()), ("avx2+fma 4x16", 16));
         } else {
             assert_eq!((detected.name(), detected.nr()), ("portable 4x8", 8));
         }

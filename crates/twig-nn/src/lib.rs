@@ -53,7 +53,7 @@
 //! ```
 
 // `deny`, not `forbid`: the workspace's two `unsafe` sites — the
-// CPUID-guarded call into the AVX2 instantiation of the GEMM band walk
+// CPUID-guarded call into the AVX2 + FMA instantiation of the GEMM band walk
 // (`gemm.rs`) and the counting allocator's `GlobalAlloc` impl
 // (`count_alloc.rs`) — carry the only `#[allow]`s (`scripts/check.sh` step
 // `unsafe-budget` holds the count at two).
@@ -81,7 +81,7 @@ pub use quant::{QuantizedDense, QuantizedMlp};
 pub use tape::Tape;
 pub use tensor::Tensor;
 
-/// The GEMM instantiation this CPU runs, e.g. `"avx2 4x16"` or `"portable
+/// The GEMM instantiation this CPU runs, e.g. `"avx2+fma 4x16"` or `"portable
 /// 4x8"`: instruction set and register-tile shape. Both compute the same
 /// bits, so this belongs in the header of a *timing* artefact — which it
 /// explains — and nowhere in telemetry or a behavioural report, which must
