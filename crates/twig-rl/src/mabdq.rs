@@ -494,17 +494,65 @@ impl Net {
     /// The second stage, for the agents in `agents` only, on what
     /// [`eval_shared`](Self::eval_shared) left in `work` for the same `x`:
     /// `q[k − k0][d]` (`B × n_d`) is agent `k`'s Q-values on branch `d`,
-    /// `k0 = agents.start`. Value heads keep per-agent weights, so each is a
-    /// `B`-row forward over `[trunk_out | state_k]`. Each shared advantage
-    /// head continues its prefix over the agents' own states, stacked
-    /// `(k − k0)·B + b` into one `|agents|·B × state_dim` matrix — one
-    /// register-tiled GEMM per branch per layer for the whole range. Then
-    /// the dueling combine, row by row.
+    /// `k0 = agents.start`. [`eval_advantages`](Self::eval_advantages)
+    /// first; value heads keep per-agent weights, so each is then a `B`-row
+    /// forward over `[trunk_out | state_k]`, and the dueling combine turns
+    /// each advantage row into Q-values in place.
     ///
     /// The range is the caller's to choose: the decide paths take every
     /// agent of a one-row batch, the train step's targets one agent of a
     /// `B`-row batch at a time, so no buffer of theirs has `K·B` rows.
     fn eval_heads(
+        &mut self,
+        x: &Tensor,
+        agents: Range<usize>,
+        state_dim: usize,
+        work: &mut EvalWork,
+        q: &mut QValues,
+    ) {
+        self.eval_advantages(x, agents.clone(), state_dim, work, q);
+        let batch = x.rows();
+        let EvalWork {
+            tape,
+            trunk_out,
+            input_k,
+            v_all,
+            ..
+        } = work;
+        v_all.clear();
+        for k in agents {
+            head_input_into(trunk_out, x, (k, state_dim), input_k);
+            let v = self.value_heads[k].on(tape).forward_batch_scratch(input_k);
+            v_all.extend((0..batch).map(|b| v[(b, 0)]));
+        }
+        for (j, branches) in q.iter_mut().enumerate() {
+            for qd in branches.iter_mut() {
+                let n = qd.cols() as f32;
+                for b in 0..batch {
+                    // Same arithmetic order as `dueling_combine_into`: the
+                    // advantage row, then `V - mean(A)` added per element.
+                    let qrow = qd.row_mut(b);
+                    let mean: f32 = qrow.iter().sum::<f32>() / n;
+                    let base = v_all[j * batch + b] - mean;
+                    for x in qrow {
+                        *x += base;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The advantage half of [`eval_heads`](Self::eval_heads): `q[k −
+    /// k0][d]` (`B × n_d`) is agent `k`'s advantages on branch `d`, and no
+    /// value head runs. A dueling head's `Q = V + A − mean(A)` adds one
+    /// number per row, so a row's greedy action is the first index of its
+    /// largest advantage — which is all the double-DQN argmax reads. Each
+    /// shared advantage head continues its prefix over the agents' own
+    /// states, stacked `(k − k0)·B + b` into one `|agents|·B × state_dim`
+    /// matrix — one register-tiled GEMM per branch per layer for the whole
+    /// range. With one agent there is no prefix, and the head reads the
+    /// agent's whole input `[trunk_out | state]`.
+    fn eval_advantages(
         &mut self,
         x: &Tensor,
         agents: Range<usize>,
@@ -520,29 +568,19 @@ impl Net {
             input_k,
             stacked,
             prefixes,
-            v_all,
             ..
         } = work;
-        let trunk_dim = trunk_out.cols();
-        let own = |k: usize, b: usize| &x.row(b)[k * state_dim..(k + 1) * state_dim];
-        v_all.clear();
-        for k in agents.clone() {
-            input_k.resize_zeroed(batch, trunk_dim + state_dim);
-            for b in 0..batch {
-                let row = input_k.row_mut(b);
-                row[..trunk_dim].copy_from_slice(trunk_out.row(b));
-                row[trunk_dim..].copy_from_slice(own(k, b));
-            }
-            let v = self.value_heads[k].on(tape).forward_batch_scratch(input_k);
-            v_all.extend((0..batch).map(|b| v[(b, 0)]));
-        }
         if shared_prefix {
             stacked.resize_zeroed(agents.len() * batch, state_dim);
             for (j, k) in agents.clone().enumerate() {
                 for b in 0..batch {
-                    stacked.row_mut(j * batch + b).copy_from_slice(own(k, b));
+                    stacked
+                        .row_mut(j * batch + b)
+                        .copy_from_slice(&x.row(b)[k * state_dim..(k + 1) * state_dim]);
                 }
             }
+        } else {
+            head_input_into(trunk_out, x, (agents.start, state_dim), input_k);
         }
         q.resize_with(agents.len(), Vec::new);
         for branches in q.iter_mut() {
@@ -553,25 +591,13 @@ impl Net {
                 head.on(tape)
                     .forward_batch_from_prefix_scratch(&prefixes[d], stacked)
             } else {
-                // The only agent's head input, left by the value-head loop.
                 head.on(tape).forward_batch_scratch(input_k)
             };
-            let n_d = adv.cols();
-            let n = n_d as f32;
             for (j, branches) in q.iter_mut().enumerate() {
                 let qd = &mut branches[d];
-                qd.resize_zeroed(batch, n_d);
+                qd.resize_zeroed(batch, adv.cols());
                 for b in 0..batch {
-                    // Same arithmetic order as `dueling_combine_into`: copy
-                    // the advantage row, then add `V - mean(A)` per element.
-                    let arow = adv.row(j * batch + b);
-                    let mean: f32 = arow.iter().sum::<f32>() / n;
-                    let base = v_all[j * batch + b] - mean;
-                    let qrow = qd.row_mut(b);
-                    qrow.copy_from_slice(arow);
-                    for x in qrow {
-                        *x += base;
-                    }
+                    qd.row_mut(b).copy_from_slice(adv.row(j * batch + b));
                 }
             }
         }
@@ -679,6 +705,24 @@ impl EvalWork {
             + tensors_heap_bytes(&self.prefixes)
             + self.prefixes.capacity() * std::mem::size_of::<Tensor>()
             + self.v_all.capacity() * std::mem::size_of::<f32>()
+    }
+}
+
+/// Agent `k`'s head input `[trunk_out | state_k]` (`B × (trunk_dim +
+/// state_dim)`), its state read from columns `k*state_dim..` of the joint
+/// batch `x`.
+fn head_input_into(
+    trunk_out: &Tensor,
+    x: &Tensor,
+    (k, state_dim): (usize, usize),
+    out: &mut Tensor,
+) {
+    let trunk_dim = trunk_out.cols();
+    out.resize_zeroed(x.rows(), trunk_dim + state_dim);
+    for b in 0..x.rows() {
+        let row = out.row_mut(b);
+        row[..trunk_dim].copy_from_slice(trunk_out.row(b));
+        row[trunk_dim..].copy_from_slice(&x.row(b)[k * state_dim..(k + 1) * state_dim]);
     }
 }
 
@@ -851,8 +895,9 @@ struct StepState {
     /// Working memory of the two evaluations of `x_next`, online then
     /// target, in the prologue; dead once the targets are out.
     eval: EvalWork,
-    /// One agent's Q-values of `x_next` (`D` tensors of `B × n_d`): the
-    /// online network's, then the target network's, agent after agent.
+    /// One agent's evaluation of `x_next` (`D` tensors of `B × n_d`): the
+    /// online network's advantages, then the target network's Q-values,
+    /// agent after agent.
     q_agent: QValues,
     /// The online network's greedy action on `x_next` (double DQN), per
     /// agent, branch and row: flattened `(k * num_branches + d) * B + b`.
@@ -1682,8 +1727,9 @@ impl MaBdq {
 
         // Targets: double-DQN style, averaged over branches. Each network
         // evaluates `x_next` one agent at a time, and what a row's target
-        // needs of its Q-values — the online argmax, then the target value
-        // there — is taken as each agent's block comes out.
+        // needs — the online argmax, then the target value there — is taken
+        // as each agent's block comes out. The argmax reads the online
+        // advantages alone: the value heads add one number per row.
         let StepState {
             x_next,
             eval,
@@ -1697,7 +1743,7 @@ impl MaBdq {
         a_star.clear();
         for k in 0..agents {
             self.online
-                .eval_heads(x_next, k..k + 1, state_dim, eval, q_agent);
+                .eval_advantages(x_next, k..k + 1, state_dim, eval, q_agent);
             for qd in &q_agent[0] {
                 a_star.extend((0..batch_size).map(|b| {
                     u16::try_from(argmax(qd.row(b)))
@@ -3329,9 +3375,10 @@ mod tests {
         head.import_parameters(&params).unwrap();
     }
 
-    /// The targets as the parent of this change computed them: both
-    /// networks' Q-values for all `K` agents at once (`K·B` stacked rows),
-    /// kept whole, then the loop. Also returns the target network's table.
+    /// The targets from whole tables: the online network's advantages and
+    /// the target network's Q-values for all `K` agents at once (`K·B`
+    /// stacked rows), kept whole, then the loop. Also returns the target
+    /// network's table.
     fn targets_from_full_q_tables(agent: &mut MaBdq) -> (Vec<f32>, QValues) {
         let MaBdq {
             config,
@@ -3343,15 +3390,22 @@ mod tests {
         } = agent;
         let (agents, batch, branches) = (config.agents, config.batch_size, config.branches.len());
         let mut work = EvalWork::default();
-        let (mut q_online, mut q_target) = (QValues::new(), QValues::new());
-        online.q_values_fused_into(&step.x_next, config.state_dim, &mut work, &mut q_online);
+        let (mut a_online, mut q_target) = (QValues::new(), QValues::new());
+        online.eval_shared(&step.x_next, &mut work);
+        online.eval_advantages(
+            &step.x_next,
+            0..agents,
+            config.state_dim,
+            &mut work,
+            &mut a_online,
+        );
         target.q_values_fused_into(&step.x_next, config.state_dim, &mut work, &mut q_target);
         let mut targets = vec![0.0; batch * agents];
         for k in 0..agents {
             for b in 0..batch {
                 let mut acc = 0.0;
                 for d in 0..branches {
-                    let a_star = argmax(q_online[k][d].row(b));
+                    let a_star = argmax(a_online[k][d].row(b));
                     acc += q_target[k][d][(b, a_star)];
                 }
                 let reward = slab.rewards(step.batch.indices[b])[k];
@@ -3409,6 +3463,61 @@ mod tests {
                 }
                 assert!(!agent.finish_step().skipped, "{context}");
                 agent.observe(random_transition(&mut rng, &config)).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn advantage_argmax_is_the_q_argmax_wherever_the_maximum_is_unique() {
+        // `Q = V + A − mean(A)` adds one number per row and rounding is
+        // monotone, so a row's Q-values keep its advantages' order except
+        // where rounding merges two of them into a tie. Wherever the largest
+        // Q-value is attained once, the advantages' first maximum must be its
+        // index; where `tie_first_two_actions` makes the top advantages equal,
+        // the first index wins.
+        let mut rng = Xoshiro256::seed_from_u64(0xa58);
+        for agents in [1, 3, 24] {
+            let config = MaBdqConfig {
+                dropout: 0.25,
+                ..tiny_config(agents)
+            };
+            let mut agent = MaBdq::new(config.clone()).unwrap();
+            train(&mut agent, &mut rng, 40);
+            let batch = 29;
+            let mut x = Tensor::zeros(batch, agents * config.state_dim);
+            for v in x.as_mut_slice() {
+                *v = rng.range_f32(-2.0, 2.0);
+            }
+            for tied in [false, true] {
+                let net = &mut agent.online;
+                if tied {
+                    tie_first_two_actions(&mut net.adv_heads[0]);
+                }
+                let mut work = EvalWork::default();
+                let (mut adv, mut q) = (QValues::new(), QValues::new());
+                net.q_values_fused_into(&x, config.state_dim, &mut work, &mut q);
+                net.eval_shared(&x, &mut work);
+                net.eval_advantages(&x, 0..agents, config.state_dim, &mut work, &mut adv);
+                let mut unique = 0;
+                for (k, (a_k, q_k)) in adv.iter().zip(&q).enumerate() {
+                    for (d, (a_kd, q_kd)) in a_k.iter().zip(q_k).enumerate() {
+                        for b in 0..batch {
+                            let (a_row, q_row) = (a_kd.row(b), q_kd.row(b));
+                            let context = format!("K = {agents}, tied {tied}, {k}/{d}/{b}");
+                            let top = q_row[argmax(q_row)];
+                            if tied && d == 0 {
+                                assert_eq!(argmax(a_row), 0, "{context}: {a_row:?}");
+                            } else if q_row.iter().filter(|&&v| v == top).count() == 1 {
+                                unique += 1;
+                                assert_eq!(argmax(a_row), argmax(q_row), "{context}");
+                            }
+                        }
+                    }
+                }
+                // Nearly every untied row has a unique maximum: the check
+                // above is not vacuous.
+                let untied = agents * batch * if tied { 1 } else { 2 };
+                assert!(unique * 10 >= untied * 9, "{unique} of {untied}");
             }
         }
     }
