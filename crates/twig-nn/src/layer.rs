@@ -166,20 +166,92 @@ impl DenseAt {
         products: &mut Products,
         grad_input: &mut Tensor,
     ) {
-        assert_eq!(
-            (slot.input.cols(), grad_output.cols()),
-            (self.in_dim, self.out_dim),
-            "dense backward shape"
-        );
-        slot.input
-            .t_matmul_into(grad_output, &mut products.gw)
-            .expect("dense backward shape");
-        add_into(&mut grads[self.weights()], products.gw.as_slice());
-        grad_output.sum_rows_into(&mut products.gb);
-        add_into(&mut grads[self.bias()], &products.gb);
+        assert_eq!(slot.input.cols(), self.in_dim, "dense backward shape");
+        self.backward_own_into(grads, grad_output, slot, products);
         grad_output
             .matmul_t_rows_into(self.w(params), cols, &mut products.pack, grad_input)
             .expect("dense input grad shape");
+    }
+
+    /// The parameter half of a backward pass whose forward kept only the
+    /// trailing `slot.input.cols()` input columns (all of them, or a
+    /// `[shared | own]` input's own columns): the weight rows of those inputs
+    /// and the bias accumulate into `grads`; no input gradient is computed.
+    /// The shared rows are [`backward_shared_into`](Self::backward_shared_into)'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` does not hold at most `in_dim` columns of a forward
+    /// pass with `grad_output`'s batch size.
+    pub(crate) fn backward_own_into(
+        &self,
+        grads: &mut [f32],
+        grad_output: &Tensor,
+        slot: &Slot,
+        products: &mut Products,
+    ) {
+        assert!(
+            slot.input.cols() <= self.in_dim && grad_output.cols() == self.out_dim,
+            "dense backward shape"
+        );
+        let first_row = self.in_dim - slot.input.cols();
+        self.add_weight_rows(grads, first_row, &slot.input, grad_output, products);
+        grad_output.sum_rows_into(&mut products.gb);
+        add_into(&mut grads[self.bias()], &products.gb);
+    }
+
+    /// The other half, for input rows `[shared | own]`: the weight rows of
+    /// the leading `shared.cols()` inputs accumulate `sharedᵀ · grad_output`,
+    /// and `grad_shared = grad_output · W[..shared.cols()]ᵀ` (`B ×
+    /// shared.cols()`). Both are linear in `grad_output`, so row groups that
+    /// share `shared` sum their output gradients and run this once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shared` is wider than the layer's input or the shapes of
+    /// `shared` and `grad_output` do not match the layer's.
+    pub(crate) fn backward_shared_into(
+        &self,
+        (params, grads): (&[f32], &mut [f32]),
+        shared: &Tensor,
+        grad_output: &Tensor,
+        products: &mut Products,
+        grad_shared: &mut Tensor,
+    ) {
+        assert!(
+            shared.cols() <= self.in_dim && grad_output.cols() == self.out_dim,
+            "dense backward shape"
+        );
+        self.add_weight_rows(grads, 0, shared, grad_output, products);
+        grad_output
+            .matmul_t_rows_into(
+                self.w(params),
+                shared.cols(),
+                &mut products.pack,
+                grad_shared,
+            )
+            .expect("dense input grad shape");
+    }
+
+    /// `grads`' weight rows `first_row..first_row + input.cols()` `+=
+    /// inputᵀ · grad_output`, the product materialised in `products.gw`
+    /// first.
+    fn add_weight_rows(
+        &self,
+        grads: &mut [f32],
+        first_row: usize,
+        input: &Tensor,
+        grad_output: &Tensor,
+        products: &mut Products,
+    ) {
+        input
+            .t_matmul_into(grad_output, &mut products.gw)
+            .expect("dense backward shape");
+        let rows = self.weights().start + first_row * self.out_dim..;
+        add_into(
+            &mut grads[rows][..products.gw.as_slice().len()],
+            products.gw.as_slice(),
+        );
     }
 
     /// Squared L2 norm of the layer's accumulated gradients in `grads` (none

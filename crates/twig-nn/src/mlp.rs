@@ -253,9 +253,12 @@ impl<'a> Pass<'a> {
     }
 
     /// [`forward_scratch`](Self::forward_scratch) on the input `[shared |
-    /// own]`, bit for bit and with the same state afterwards (input kept for
-    /// the weight gradient, ReLU masks, dropout draws), given `prefix =
-    /// prefix_into(shared)`.
+    /// own]`, bit for bit, given `prefix = prefix_into(shared)`. Every
+    /// later layer keeps what its backward needs (ReLU masks, dropout
+    /// draws), but the first keeps only `own`: its backward is
+    /// [`backward_from_prefix_scratch`](Self::backward_from_prefix_scratch),
+    /// which leaves the shared columns' part to
+    /// [`backward_prefix_scratch`](Self::backward_prefix_scratch).
     ///
     /// # Panics
     ///
@@ -264,7 +267,6 @@ impl<'a> Pass<'a> {
     pub fn forward_from_prefix_scratch(
         self,
         prefix: &Tensor,
-        shared: &Tensor,
         own: &Tensor,
         train: bool,
     ) -> &'a Tensor {
@@ -275,9 +277,7 @@ impl<'a> Pass<'a> {
         } = tape;
         let (first, rest) = split_first_dense(layers);
         first.forward_batch_from_prefix_into(params, prefix, own, ping);
-        shared
-            .concat_cols_into(own, &mut slots[0].input)
-            .expect("same batch");
+        slots[0].input.copy_from(own);
         forward_rest((rest, params), &mut slots[1..], train, ping, pong)
     }
 
@@ -359,6 +359,61 @@ impl<'a> Pass<'a> {
         let (grad, free) = backward_rest(arenas, &slots[1..at], products, ping, pong);
         first.backward_cols_into((params, grads), grad, cols, &slots[0], products, free);
         free
+    }
+
+    /// The backward of [`forward_from_prefix_scratch`](Self::forward_from_prefix_scratch)
+    /// down to the first dense layer's output: every later layer's
+    /// parameters accumulate gradients, and so do the first layer's bias and
+    /// its weight rows of the `own` columns. Returns the gradient at the
+    /// first layer's output (`B × out_dim`) and computes no input gradient.
+    ///
+    /// What is left — the first layer's weight rows of the shared columns
+    /// and the gradient flowing back into them — is linear in that returned
+    /// gradient. So row groups that share their leading input columns (the
+    /// `K` agents' `[trunk_out | own state]` through a shared head) add
+    /// their returned gradients up and finish once with
+    /// [`backward_prefix_scratch`](Self::backward_prefix_scratch).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the network starts with a [`Dense`] layer, if no
+    /// forward pass has run on this tape, or if the last one had another
+    /// batch size or another network's shapes.
+    pub fn backward_from_prefix_scratch(self, grad_output: &Tensor) -> &'a Tensor {
+        let (layers, params, grads, tape) = (self.layers, self.params, self.grads, self.tape);
+        let Tape {
+            slots,
+            ping,
+            pong,
+            products,
+        } = tape;
+        let (first, rest) = split_first_dense(layers);
+        let slots = slots.get(..=rest.len()).expect(NO_FORWARD);
+        let grads = ensure_grads(grads, params);
+        ping.copy_from(grad_output);
+        let arenas = (&*rest, params, &mut *grads);
+        let (grad, _) = backward_rest(arenas, &slots[1..], products, ping, pong);
+        first.backward_own_into(grads, grad, &slots[0], products);
+        grad
+    }
+
+    /// The shared columns' part of the first dense layer's backward, for
+    /// `grad` the sum of [`backward_from_prefix_scratch`](Self::backward_from_prefix_scratch)'s
+    /// results over row groups whose input starts with `shared`: the weight
+    /// rows of those columns accumulate `sharedᵀ · grad`, and the returned
+    /// tensor is `grad · W[..shared.cols()]ᵀ` (`B × shared.cols()`), the
+    /// gradient with respect to `shared`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the network starts with a [`Dense`] layer at least
+    /// `shared.cols()` wide whose output is `grad.cols()` wide.
+    pub fn backward_prefix_scratch(self, shared: &Tensor, grad: &Tensor) -> &'a Tensor {
+        let Tape { ping, products, .. } = self.tape;
+        let (first, _) = split_first_dense(self.layers);
+        let grads = ensure_grads(self.grads, self.params);
+        first.backward_shared_into((self.params, grads), shared, grad, products, ping);
+        ping
     }
 }
 
@@ -963,13 +1018,11 @@ mod tests {
     }
 
     #[test]
-    fn prefix_paths_bit_identical_to_the_concatenated_paths() {
+    fn prefix_forwards_bit_identical_to_the_concatenated_forwards() {
         // A head as twig-rl builds it, fed `[shared | own]`. One twin runs
         // the concatenated input through the plain entry points; the other
         // gets the shared columns' first-layer product once and continues
-        // from it, and asks only for the shared columns' input gradient.
-        // Over several optimiser steps every activation, every parameter
-        // (so every dW and db) and every dropout draw must stay equal.
+        // from it. Every activation and every dropout draw must be equal.
         let (shared_dim, own_dim, batch, groups) = (6, 3, 5, 3);
         let mut rng = Xoshiro256::seed_from_u64(31);
         let base = Mlp::new()
@@ -979,8 +1032,6 @@ mod tests {
             .push(Dense::new(8, 3, &mut rng));
         let mut full = base.clone();
         let mut split = base;
-        let mut adam_f = Adam::new(0.01);
-        let mut adam_s = Adam::new(0.01);
         let mut random = |r: usize, c: usize| {
             let data = (0..r * c).map(|_| rng.range_f32(-2.0, 2.0)).collect();
             Tensor::from_vec(r, c, data).unwrap()
@@ -1003,32 +1054,16 @@ mod tests {
                 .forward_batch_from_prefix_scratch(&prefix, &own_all);
             assert_eq!(bits(got), bits(&want));
 
-            // Train: two agents' passes accumulate into the same gradients.
-            full.zero_grads();
-            split.zero_grads();
+            // Train: two agents' passes draw the same dropout masks.
             for _ in 0..2 {
                 let own = random(batch, own_dim);
                 let input = shared.concat_cols(&own).unwrap();
                 let want = full.forward_scratch(&input, true).clone();
                 let got = split
                     .on(&mut tape)
-                    .forward_from_prefix_scratch(&prefix, &shared, &own, true);
+                    .forward_from_prefix_scratch(&prefix, &own, true);
                 assert_eq!(bits(got), bits(&want));
-                let grad = random(batch, 3);
-                let want_dx = full.backward_scratch(&grad).split_cols(shared_dim).0;
-                let got_dx = split.on(&mut tape).backward_cols_scratch(&grad, shared_dim);
-                assert_eq!(bits(got_dx), bits(&want_dx));
             }
-            assert_eq!(
-                full.grad_sq_norm().to_bits(),
-                split.grad_sq_norm().to_bits()
-            );
-            full.apply(&mut adam_f);
-            split.apply(&mut adam_s);
-            assert_eq!(
-                bits(&Tensor::from_row(full.parameters())),
-                bits(&Tensor::from_row(split.parameters()))
-            );
         }
         // No input gradient at all: the shape says so, the parameters'
         // gradients are still there.
@@ -1040,6 +1075,85 @@ mod tests {
             .backward_cols_scratch(&random(batch, 3), 0);
         assert_eq!((none.rows(), none.cols()), (batch, 0));
         assert!(split.grad_sq_norm() > 0.0);
+    }
+
+    #[test]
+    fn backward_summed_over_groups_equals_the_per_group_backwards_on_exact_operands() {
+        // `G` groups of rows `[shared | own_g]` through one head. The
+        // reference runs each group's concatenated input forward and
+        // backward and sums the shared columns' input gradients; the split
+        // twin stops each group's backward at the first layer's output, sums
+        // those gradients, and finishes once with the shared columns' part.
+        // That reorders the sums, so the operands are dyadic — quarters,
+        // dropout p = 0.5 scaling by exactly 2 — and every sum is exact in
+        // any order: every gradient and input gradient must match bit for
+        // bit, and so must the forwards and dropout draws.
+        let (shared_dim, own_dim, hidden, outputs, batch) = (6, 3, 8, 3, 5);
+        let mut rng = Xoshiro256::seed_from_u64(0xd1ad);
+        let mut quarters = |n: usize| -> Vec<f32> {
+            (0..n)
+                .map(|_| rng.range_usize(0, 9) as f32 / 4.0 - 1.0)
+                .collect()
+        };
+        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+        for groups in [1, 2, 5] {
+            let mut full = Mlp::new()
+                .push(Dense::new(
+                    shared_dim + own_dim,
+                    hidden,
+                    &mut Xoshiro256::seed_from_u64(1),
+                ))
+                .push(Relu::new())
+                .push(Dropout::new(0.5, 7))
+                .push(Dense::new(
+                    hidden,
+                    outputs,
+                    &mut Xoshiro256::seed_from_u64(2),
+                ));
+            let params = quarters(full.param_count());
+            full.import_parameters(&params).unwrap();
+            let mut split = full.clone();
+            let shared = Tensor::from_vec(batch, shared_dim, quarters(batch * shared_dim)).unwrap();
+            let (mut tape, mut full_tape) = (Tape::new(), Tape::new());
+            let mut prefix = Tensor::zeros(0, 0);
+            split.prefix_into(&shared, &mut prefix);
+            let mut want_dx = Tensor::zeros(batch, shared_dim);
+            let mut first_grad = Tensor::zeros(batch, hidden);
+            full.zero_grads();
+            split.zero_grads();
+            for _ in 0..groups {
+                let own = Tensor::from_vec(batch, own_dim, quarters(batch * own_dim)).unwrap();
+                let grad = Tensor::from_vec(batch, outputs, quarters(batch * outputs)).unwrap();
+                let input = shared.concat_cols(&own).unwrap();
+                let want = full.on(&mut full_tape).forward_scratch(&input, true);
+                let got = split
+                    .on(&mut tape)
+                    .forward_from_prefix_scratch(&prefix, &own, true);
+                assert_eq!(bits(got.as_slice()), bits(want.as_slice()));
+                want_dx
+                    .add_assign(
+                        full.on(&mut full_tape)
+                            .backward_cols_scratch(&grad, shared_dim),
+                    )
+                    .unwrap();
+                let g = split.on(&mut tape).backward_from_prefix_scratch(&grad);
+                first_grad.add_assign(g).unwrap();
+            }
+            let got_dx = split
+                .on(&mut tape)
+                .backward_prefix_scratch(&shared, &first_grad);
+            let context = format!("{groups} groups");
+            assert_eq!(
+                bits(got_dx.as_slice()),
+                bits(want_dx.as_slice()),
+                "{context}"
+            );
+            let (_, want_grads) = full.trainable();
+            let want_grads = want_grads.to_vec();
+            let (_, got_grads) = split.trainable();
+            assert!(want_grads.iter().any(|&g| g != 0.0), "{context}");
+            assert_eq!(bits(got_grads), bits(&want_grads), "{context}");
+        }
     }
 
     #[test]

@@ -73,10 +73,11 @@ pub(crate) struct Slot {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Products {
     /// The weight-gradient product. It is materialised here and then added
-    /// to the layer's gradient, never accumulated in place: `grad_w += xᵀg`
-    /// as one rounded sum per element is what K backward passes through a
-    /// shared head add up to, and a continued GEMM chain would round
-    /// differently.
+    /// to the layer's gradient, never accumulated in place, so each backward
+    /// adds one rounded sum per element. For a head shared by `K` row groups
+    /// over one `[shared | own]` input, each group's backward adds the
+    /// `own` rows' product (`ownᵀg`) and one product over the summed output
+    /// gradients adds the `shared` rows' (`sharedᵀ·Σg`).
     pub(crate) gw: Tensor,
     pub(crate) gb: Vec<f32>,
     /// One register-tile-wide panel of `w` transposed at a time

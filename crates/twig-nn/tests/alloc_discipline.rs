@@ -2,8 +2,8 @@
 //! in steady state — the activation ping-pong buffers, the gradient
 //! scratches and the transposed-weight pack panel the input-gradient GEMM
 //! reuses (`Tensor::matmul_t_into`) are all sized by the first round. The
-//! shared-prefix forwards and the column-limited backward hold to the same,
-//! and so do networks of different widths taking turns on one shared `Tape`.
+//! shared-prefix forwards and the split backward hold to the same, and so do
+//! networks of different widths taking turns on one shared `Tape`.
 //!
 //! Own integration test so the `#[global_allocator]` stays in this binary,
 //! a single `#[test]` so no concurrent test pollutes the counter, counting only
@@ -48,10 +48,10 @@ fn scratch_forward_backward_rounds_allocate_nothing_after_warm_up() {
     assert_eq!(count_alloc::allocations_since(before), 0);
 
     // The same network fed `[shared | own]`: prefix once, then the eval
-    // forward over three row groups, the train forward and the backward
-    // that stops at the shared columns.
+    // forward over three row groups, the train forward, the backward that
+    // stops at the first layer's output and the shared columns' part of it.
     let (shared, own, own3) = (fill(19, 7), fill(19, 4), fill(57, 4));
-    let mut prefix = Tensor::zeros(0, 0);
+    let (mut prefix, mut first_grad) = (Tensor::zeros(0, 0), Tensor::zeros(0, 0));
     let mut tape = Tape::new();
     let mut round = |net: &mut Mlp| {
         net.zero_grads();
@@ -59,8 +59,10 @@ fn scratch_forward_backward_rounds_allocate_nothing_after_warm_up() {
         let pass = net.on(&mut tape);
         std::hint::black_box(pass.forward_batch_from_prefix_scratch(&prefix, &own3));
         let pass = net.on(&mut tape);
-        std::hint::black_box(pass.forward_from_prefix_scratch(&prefix, &shared, &own, true));
-        std::hint::black_box(net.on(&mut tape).backward_cols_scratch(&grad, 7));
+        std::hint::black_box(pass.forward_from_prefix_scratch(&prefix, &own, true));
+        first_grad.copy_from(net.on(&mut tape).backward_from_prefix_scratch(&grad));
+        let pass = net.on(&mut tape);
+        std::hint::black_box(pass.backward_prefix_scratch(&shared, &first_grad));
     };
     for _ in 0..3 {
         round(&mut net);

@@ -921,6 +921,11 @@ struct StepState {
     /// (weights are fixed until the epilogue), which every agent's
     /// train-mode forward of that head continues from.
     adv_prefix: Vec<Tensor>,
+    /// `K > 1`: per branch, the sum over the live agents' head passes so far
+    /// of the advantage head's first-layer output gradient (`B ×
+    /// head_hidden`). The trunk side of that layer's backward is linear in
+    /// it, so the epilogue runs it once per branch, not once per agent.
+    adv_first_grad: Vec<Tensor>,
     /// Trunk gradient accumulated across completed head passes.
     trunk_grad: Tensor,
     /// Weighted TD loss accumulated so far.
@@ -938,9 +943,6 @@ struct StepState {
     input_k: Tensor,
     v_grad: Tensor,
     adv_grad: Tensor,
-    /// This agent's gradient with respect to `trunk_out`, summed over its
-    /// heads (the heads never compute the state columns' share).
-    input_grad: Tensor,
 }
 
 impl StepState {
@@ -954,7 +956,6 @@ impl StepState {
             &self.input_k,
             &self.v_grad,
             &self.adv_grad,
-            &self.input_grad,
         ];
         let tapes = [&self.trunk_tape, &self.value_tape, &self.adv_tape];
         let f64s = self.abs_td.capacity() + self.agent_td.capacity() + self.agent_vgrad.capacity();
@@ -962,8 +963,10 @@ impl StepState {
             + tapes.iter().map(|t| t.heap_bytes()).sum::<usize>()
             + self.eval.heap_bytes()
             + q_values_heap_bytes(&self.q_agent)
-            + self.adv_prefix.capacity() * std::mem::size_of::<Tensor>()
+            + (self.adv_prefix.capacity() + self.adv_first_grad.capacity())
+                * std::mem::size_of::<Tensor>()
             + tensors_heap_bytes(&self.adv_prefix)
+            + tensors_heap_bytes(&self.adv_first_grad)
             + self.batch.indices.capacity() * std::mem::size_of::<usize>()
             + (self.batch.weights.capacity() + self.targets.capacity()) * std::mem::size_of::<f32>()
             + (self.actions.capacity() + self.a_star.capacity()) * std::mem::size_of::<u16>()
@@ -1775,8 +1778,15 @@ impl MaBdq {
             .resize_zeroed(batch_size, step.trunk_out.cols());
         if agents > 1 {
             step.adv_prefix.resize_with(num_branches, Tensor::default);
-            for (head, prefix) in self.online.adv_heads.iter().zip(&mut step.adv_prefix) {
+            step.adv_first_grad
+                .resize_with(num_branches, Tensor::default);
+            let heads = self.online.adv_heads.iter();
+            for ((head, prefix), sum) in heads
+                .zip(&mut step.adv_prefix)
+                .zip(&mut step.adv_first_grad)
+            {
                 head.prefix_into(&step.trunk_out, prefix);
+                sum.resize_zeroed(batch_size, self.config.head_hidden);
             }
         }
         step.abs_td.clear();
@@ -1793,7 +1803,10 @@ impl MaBdq {
 
     /// Head pass of the next due agent: its value head and every advantage
     /// head forward (train mode) and backward on the sampled batch,
-    /// accumulating loss, |TD|, head gradients and the trunk gradient.
+    /// accumulating loss, |TD|, head gradients and the trunk gradient. With
+    /// `K > 1` an advantage head's backward stops at its first layer's
+    /// output, and the gradient there joins the branch's sum in
+    /// `adv_first_grad` for the epilogue.
     fn head_pass(&mut self) {
         let batch_size = self.config.batch_size;
         let agents = self.config.agents;
@@ -1826,17 +1839,11 @@ impl MaBdq {
             .forward_scratch(&step.input_k, true);
         let trunk_dim = step.trunk_out.cols();
         step.v_grad.resize_zeroed(batch_size, 1);
-        step.input_grad.resize_zeroed(batch_size, trunk_dim);
 
         for (d, head) in self.online.adv_heads.iter_mut().enumerate() {
             let pass = head.on(&mut step.adv_tape);
             let adv = if agents > 1 {
-                pass.forward_from_prefix_scratch(
-                    &step.adv_prefix[d],
-                    &step.trunk_out,
-                    &step.agent_state,
-                    true,
-                )
+                pass.forward_from_prefix_scratch(&step.adv_prefix[d], &step.agent_state, true)
             } else {
                 pass.forward_scratch(&step.input_k, true)
             };
@@ -1862,24 +1869,26 @@ impl MaBdq {
                 }
                 step.v_grad[(b, 0)] += g;
             }
-            let gin = head
-                .on(&mut step.adv_tape)
-                .backward_cols_scratch(&step.adv_grad, trunk_dim);
-            step.input_grad.add_assign(gin).expect("same shape");
+            let pass = head.on(&mut step.adv_tape);
+            if agents > 1 {
+                let g = pass.backward_from_prefix_scratch(&step.adv_grad);
+                step.adv_first_grad[d].add_assign(g).expect("same shape");
+            } else {
+                let gin = pass.backward_cols_scratch(&step.adv_grad, trunk_dim);
+                step.trunk_grad.add_assign(gin).expect("same shape");
+            }
         }
         let gin_v = vh
             .on(&mut step.value_tape)
             .backward_cols_scratch(&step.v_grad, trunk_dim);
-        step.input_grad.add_assign(gin_v).expect("same shape");
+        step.trunk_grad.add_assign(gin_v).expect("same shape");
         if quarantine_on {
             step.agent_vgrad[k] = f64::from(vh.grad_sq_norm());
         }
-        step.trunk_grad
-            .add_assign(&step.input_grad)
-            .expect("same shape");
     }
 
-    /// Epilogue of the gradient step: Section III-A rescaling, trunk
+    /// Epilogue of the gradient step: the trunk side of the shared
+    /// advantage heads' first layers, Section III-A rescaling, trunk
     /// backward, NaN guard, clipping, Adam, priority write-back, target sync
     /// and quarantine scan.
     fn finish_step(&mut self) -> TrainStats {
@@ -1887,6 +1896,20 @@ impl MaBdq {
         let agents = self.config.agents;
         let num_branches = self.config.branches.len();
         self.step.in_flight = false;
+
+        // With `K > 1`, per branch: the weight rows that see `trunk_out`
+        // take `trunk_outᵀ · Σ_k G_k`, and `trunk_grad` takes `Σ_k G_k ·
+        // W_trunkᵀ`, one product each for all agents.
+        if agents > 1 {
+            let step = &mut self.step;
+            let heads = self.online.adv_heads.iter_mut();
+            for (head, sum) in heads.zip(&step.adv_first_grad) {
+                let gin = head
+                    .on(&mut step.adv_tape)
+                    .backward_prefix_scratch(&step.trunk_out, sum);
+                step.trunk_grad.add_assign(gin).expect("same shape");
+            }
+        }
 
         // 1/K into the deepest advantage layers, 1/D into the shared
         // representation.
@@ -3117,10 +3140,11 @@ mod tests {
         assert!(agent.begin_step().unwrap());
         agent.head_pass();
         let nets = format!("{:?}", agent.online);
-        let (loss, abs_td, trunk_grad) = (
+        let (loss, abs_td, trunk_grad, branch_sums) = (
             agent.step.loss,
             agent.step.abs_td.clone(),
             agent.step.trunk_grad.clone(),
+            agent.step.adv_first_grad.clone(),
         );
         agent.head_pass();
         assert_eq!(agent.step.next_agent, 2);
@@ -3128,9 +3152,13 @@ mod tests {
         assert_eq!(agent.step.loss.to_bits(), loss.to_bits());
         assert_eq!(agent.step.abs_td, abs_td);
         assert_eq!(agent.step.trunk_grad, trunk_grad);
-        // The next live agent does draw.
+        assert_eq!(agent.step.adv_first_grad, branch_sums);
+        // The next live agent does draw, and adds to every branch's sum.
         agent.head_pass();
         assert_ne!(format!("{:?}", agent.online), nets);
+        for (after, before) in agent.step.adv_first_grad.iter().zip(&branch_sums) {
+            assert_ne!(after, before);
+        }
     }
 
     #[test]
