@@ -619,7 +619,6 @@ impl Net {
         work: &mut EvalWork,
         q: &mut QValues,
     ) {
-        let batch = x.rows();
         let num_branches = self.adv_heads.len();
         let Net {
             trunk,
@@ -629,7 +628,6 @@ impl Net {
         let EvalWork {
             tape,
             trunk_out,
-            agent_state,
             input_k,
             v_all,
             ..
@@ -640,15 +638,7 @@ impl Net {
             // input, same weights, stateless eval forward — identical bits
             // every iteration.
             trunk_out.copy_from(trunk.on(tape).forward_batch_scratch(x));
-            agent_state.resize_zeroed(batch, state_dim);
-            for b in 0..batch {
-                agent_state
-                    .row_mut(b)
-                    .copy_from_slice(&x.row(b)[k * state_dim..(k + 1) * state_dim]);
-            }
-            trunk_out
-                .concat_cols_into(agent_state, input_k)
-                .expect("same batch");
+            head_input_into(trunk_out, x, (k, state_dim), input_k);
             v_all.clear();
             v_all.extend_from_slice(vh.on(tape).forward_batch_scratch(input_k).as_slice());
             branches.resize_with(num_branches, Tensor::default);
@@ -678,7 +668,6 @@ struct EvalWork {
     tape: Tape,
     /// The trunk's output (`B × trunk_dim`).
     trunk_out: Tensor,
-    agent_state: Tensor,
     input_k: Tensor,
     /// Fused path, `K > 1`: the evaluated agents' own states stacked
     /// (`|agents|·B × state_dim`, row `(k − k0)·B + b` = `state_k(b)`).
@@ -694,12 +683,7 @@ struct EvalWork {
 
 impl EvalWork {
     fn heap_bytes(&self) -> usize {
-        let tensors = [
-            &self.trunk_out,
-            &self.agent_state,
-            &self.input_k,
-            &self.stacked,
-        ];
+        let tensors = [&self.trunk_out, &self.input_k, &self.stacked];
         self.tape.heap_bytes()
             + tensors_heap_bytes(tensors)
             + tensors_heap_bytes(&self.prefixes)
