@@ -56,8 +56,8 @@
 //! third copy to test, for registers that the 48- and 18-wide layers here
 //! would leave half empty). A taller `6 × 16` tile was measured again with
 //! FMA and still lost: a 64-row batch leaves four rows to the single-row
-//! tile, and the whole `learn_k24` epoch ran ≈ 104 epochs/s against ≈ 140
-//! for `4 × 16`. (Before FMA it had lost at the operator level too: each
+//! tile, and the `learn_k24` loop ran a median 126 epochs/s against 167 for
+//! `4 × 16` (four alternating pairs on a 2-vCPU Xeon). (Before FMA it had lost at the operator level too: each
 //! step was a multiply and an add on the same ports, so the tile was
 //! port-bound at either height.)
 //!

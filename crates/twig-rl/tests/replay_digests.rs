@@ -3,8 +3,11 @@
 //! loss, parameter, optimizer moment and priority are the bits they were when
 //! a record was a whole `MultiTransition`.
 //!
-//! `GOLDEN` was printed by this file at the parent of the change that made a
-//! record store its state once (commit `68befe7`, records of `2·K·S` floats).
+//! `GOLDEN` was first printed by this file at the parent of the change that
+//! made a record store its state once (commit `68befe7`, records of `2·K·S`
+//! floats), and printed again by the numerics-v2 regeneration (fused
+//! multiply-add, the shared heads' trunk-side gradient once per branch, the
+//! double-DQN argmax on the advantages).
 //! Each run observes one transition and takes one gradient step, 2 000 times:
 //! nine in ten transitions start where the previous one ended, the rest start
 //! afresh, so the tail row, linked records and the orphan table are all read.
@@ -18,9 +21,9 @@ use twig_stats::rng::{Rng, Xoshiro256};
 /// `(agents, buffer_capacity, digest)`: the paper-sized buffer that never
 /// wraps, and rings that wrap 6 and 25 times.
 const GOLDEN: [(usize, usize, u64); 3] = [
-    (1, 1_000_000, 0x43de_15fb_2e06_15cb),
-    (2, 300, 0xc137_3c46_dda1_4f8e),
-    (24, 77, 0x4b4d_28c3_1368_ad00),
+    (1, 1_000_000, 0x7220_6d86_dda8_4d96),
+    (2, 300, 0xe81d_a17c_c446_ca1d),
+    (24, 77, 0x6b94_b753_21ea_02ee),
 ];
 
 fn fold(h: &mut u64, v: u64) {
@@ -104,8 +107,9 @@ fn learning_is_bit_identical_to_whole_transition_records() {
 }
 
 /// Printed by [`parameter_paths_digest`] before the networks kept their
-/// parameters in one arena per `Mlp` and Adam its moments in one flat pair.
-const PATHS_GOLDEN: u64 = 0xf99a_5dba_f71e_9c16;
+/// parameters in one arena per `Mlp` and Adam its moments in one flat pair,
+/// and again by the numerics-v2 regeneration.
+const PATHS_GOLDEN: u64 = 0x2ef7_fb66_0844_0734;
 
 fn fold_checkpoint(h: &mut u64, agent: &MaBdq) {
     let ckpt = agent.save_checkpoint();

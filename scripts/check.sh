@@ -84,7 +84,7 @@ check_report_manifest() {
 }
 
 # The workspace has exactly two `unsafe` sites, both in twig-nn (DESIGN.md
-# §10): the CPUID-guarded call into the AVX2 instantiation of the GEMM band
+# §10): the CPUID-guarded call into the AVX2 + FMA instantiation of the GEMM band
 # walk (crates/twig-nn/src/gemm.rs) and the `GlobalAlloc` impl of the one
 # counting allocator, `twig_nn::CountingAlloc`
 # (crates/twig-nn/src/count_alloc.rs), which binaries install without any
@@ -195,9 +195,9 @@ step "one-cpu"        check_one_cpu
 # simulator's golden `Server::step` digests are a contract about the
 # vectorised release build the reports and benchmarks run, which the dev
 # profile above does not generate. Reuses the release build above.
-# This is also the step that runs the AVX2 instantiation of the GEMM kernel
+# This is also the step that runs the AVX2 + FMA instantiation of the GEMM kernel
 # optimised, against the naive loop and the portable instantiation (twig-nn's
-# `gemm::tests`; it prints "skipped: no avx2" on a CPU without it).
+# `gemm::tests`; it prints "skipped: no avx2+fma" on a CPU without them).
 # twig-scenario rides along so the table-driven section reader and writer
 # and the 400-scenario round-trip property also run as the corpus runs them.
 step "test-release"   cargo test --release --offline -q -p twig-nn -p twig-rl -p twig-stats -p twig-sim -p twig-scenario
