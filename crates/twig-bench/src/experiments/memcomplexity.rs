@@ -129,7 +129,9 @@ pub fn run_to(out: &mut String, _opts: &Options) -> Result<(), ExpError> {
         let agents = config.agents;
         let learner = warm_learner(config)?;
         let (params, memory) = (learner.memory_bytes(), learner.learner_memory());
-        let held = memory.total();
+        // Without the helper thread's share, which only a machine with two
+        // CPUs has: the table reads the same on every machine.
+        let held = memory.total() - memory.helper;
         let parts = [
             params,
             memory.networks,
@@ -146,7 +148,7 @@ pub fn run_to(out: &mut String, _opts: &Options) -> Result<(), ExpError> {
     writeln!(out, "{t}")?;
     writeln!(
         out,
-        "The paper's figure is the parameters. A learner also holds their gradients and two Adam\nmoments (online network only: five parameter-sized arrays in all) and the working memory\nof a train step, which its heads share and which evaluates the next states one agent at\na time: it grows with K only where the joint state does (the K x 11 input rows of a batch\nand the trunk layer that reads them), not with the number of heads."
+        "The paper's figure is the parameters. A learner also holds their gradients and two Adam\nmoments (online network only: five parameter-sized arrays in all) and the working memory\nof a train step, which its heads share and which evaluates the next states one agent at\na time: it grows with K only where the joint state does (the K x 11 input rows of a batch\nand the trunk layer that reads them), not with the number of heads. With K > 1 on a\nmachine with two CPUs the step runs on two threads, and the second thread's share of that\nworking memory (`LearnerMemory::helper`, DESIGN.md §18) comes on top of this table."
     )?;
     Ok(())
 }

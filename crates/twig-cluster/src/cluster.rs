@@ -19,11 +19,12 @@ use crate::coordinator::{Coordinator, CoordinatorConfig, HandoffResult, Transfer
 use crate::fault::ClusterFaultPlan;
 use crate::federate::{FedFaultPlan, FedStats, FederateConfig, FederationPlane};
 use crate::node::{mix, AgentTuning, ClusterNode, InstallOutcome, NodePlatform};
-use crate::serve::{serve_nodes, Reports, ServeWorker};
+use crate::serve::{self, serve_nodes, serve_split, Reports, Serve};
 use crate::ClusterError;
 use twig_core::{ClusterView, NodeId, NodeView, PlacementAction, ServicePlacement};
 use twig_rl::validate_checkpoint_bytes;
 use twig_sim::ServiceSpec;
+use twig_stats::helper::Helper;
 use twig_telemetry::Telemetry;
 
 /// Shape of the whole cluster under test.
@@ -210,7 +211,7 @@ pub struct Cluster {
     reports: Reports,
     /// Serves the upper half of the nodes, when there are two nodes and
     /// two CPUs.
-    worker: Option<ServeWorker>,
+    helper: Option<Helper<Serve>>,
 }
 
 impl Cluster {
@@ -266,7 +267,7 @@ impl Cluster {
             fed_stats: FedStats::default(),
             route_cap: vec![one_replica; n],
             reports: Vec::with_capacity(n),
-            worker: if n >= 2 { ServeWorker::spawn() } else { None },
+            helper: if n >= 2 { serve::spawn() } else { None },
         };
         cluster.bootstrap()?;
         Ok(cluster)
@@ -412,16 +413,16 @@ impl Cluster {
     }
 
     /// Keeps every node on the calling thread from now on; joins the
-    /// worker.
+    /// helper.
     #[cfg(test)]
     pub(crate) fn serve_serially(&mut self) {
-        self.worker = None;
+        self.helper = None;
     }
 
-    /// The serve worker, when the cluster has one.
+    /// The serve helper, when the cluster has one.
     #[cfg(test)]
-    pub(crate) fn serve_worker(&self) -> Option<&ServeWorker> {
-        self.worker.as_ref()
+    pub(crate) fn serve_helper(&self) -> Option<&Helper<Serve>> {
+        self.helper.as_ref()
     }
 
     /// Node `n`, writable.
@@ -686,13 +687,12 @@ impl Cluster {
         }
 
         // 10. Serve the epoch on every live server, the upper half of the
-        //     nodes on the worker when there is one, and merge the reports
+        //     nodes on the helper when there is one, and merge the reports
         //     in node order.
-        match self.worker.as_mut() {
-            Some(worker) => {
-                worker.serve(&mut self.nodes, &routing.per_node, epoch, &mut self.reports)?
-            }
-            None => serve_nodes(&mut self.nodes, &routing.per_node, epoch, &mut self.reports)?,
+        let (nodes, routes, reports) = (&mut self.nodes, &routing.per_node, &mut self.reports);
+        match self.helper.as_mut() {
+            Some(helper) => serve_split(helper, nodes, routes, epoch, reports)?,
+            None => serve_nodes(nodes, routes, epoch, reports)?,
         }
         let mut per_service: Vec<ClusterServiceEpoch> = self
             .config

@@ -39,6 +39,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static HELPER_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static REQUESTED_BYTES: AtomicUsize = AtomicUsize::new(0);
 static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
 static ONE_THREAD: AtomicBool = AtomicBool::new(false);
@@ -94,6 +95,9 @@ fn note_request(size: usize, freed: usize) {
 /// allocator context because it only touches a static atomic and a
 /// const-initialised thread-local flag.
 pub fn note_alloc() {
+    if twig_stats::helper::on_helper_thread() {
+        HELPER_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
     if ONE_THREAD.load(Ordering::Relaxed) && !COUNTED.try_with(Cell::get).unwrap_or(false) {
         return;
     }
@@ -114,6 +118,13 @@ pub fn count_this_thread_only() {
 /// counting allocator is installed).
 pub fn allocation_count() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Heap allocations observed so far on [`twig_stats::helper::Helper`]
+/// threads, whatever [`count_this_thread_only`] says. A helper whose job the
+/// spawning thread sized never allocates, so this stays at 0.
+pub fn helper_allocation_count() -> u64 {
+    HELPER_ALLOCATIONS.load(Ordering::Relaxed)
 }
 
 /// Whether a counting allocator is installed in this binary. Any hosted

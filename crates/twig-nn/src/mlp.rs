@@ -18,9 +18,10 @@ use twig_stats::rng::Rng;
 /// hold shapes, offsets and dropout RNG streams; what a pass computes on the
 /// way lives in a [`Tape`]. Each network owns one for
 /// [`forward_scratch`](Self::forward_scratch) and
-/// [`backward_scratch`](Self::backward_scratch), and [`on`](Self::on) runs
-/// every pass, the batch and prefix ones included, on a caller's tape,
-/// which is how many networks share one set of activation buffers.
+/// [`backward_scratch`](Self::backward_scratch), [`on`](Self::on) runs
+/// every stateful pass on a caller's tape instead, which is how many
+/// networks share one set of activation buffers, and the evaluation forward
+/// [`forward_batch`](Self::forward_batch) takes `&self` and a tape.
 ///
 /// # Examples
 ///
@@ -36,7 +37,7 @@ use twig_stats::rng::Rng;
 /// let out = net.forward(&Tensor::zeros(3, 4), false);
 /// assert_eq!((out.rows(), out.cols()), (3, 2));
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Mlp {
     layers: Vec<MlpLayer>,
     /// Per dense layer: weights, then bias.
@@ -49,6 +50,27 @@ pub struct Mlp {
     // Never holds state the network depends on between a backward pass and
     // the next forward.
     tape: Tape,
+}
+
+impl Clone for Mlp {
+    fn clone(&self) -> Self {
+        Mlp {
+            layers: self.layers.clone(),
+            params: self.params.clone(),
+            grads: self.grads.clone(),
+            tape: self.tape.clone(),
+        }
+    }
+
+    /// Copies layers, dropout streams, parameters and gradients into the
+    /// buffers `self` has: a copy of a network of the same shape, whose own
+    /// tape is as empty as the source's, is refreshed without allocating.
+    fn clone_from(&mut self, source: &Self) {
+        self.layers.clone_from(&source.layers);
+        self.params.clone_from(&source.params);
+        self.grads.clone_from(&source.grads);
+        self.tape.clone_from(&source.tape);
+    }
 }
 
 /// The concrete layer kinds an [`Mlp`] can hold.
@@ -116,10 +138,10 @@ const NO_FIRST_DENSE: &str = "the network must start with a dense layer";
 const NO_FORWARD: &str = "backward called before forward";
 
 /// The first layer, which the prefix forwards and the column-limited
-/// backward need to be dense, and the layers after it.
-fn split_first_dense(layers: &mut [MlpLayer]) -> (DenseAt, &mut [MlpLayer]) {
-    match layers.split_first_mut() {
-        Some((MlpLayer::Dense(first), rest)) => (*first, rest),
+/// backward need to be dense; the layers after it are `layers[1..]`.
+fn first_dense(layers: &[MlpLayer]) -> DenseAt {
+    match layers.first() {
+        Some(MlpLayer::Dense(first)) => *first,
         _ => panic!("{NO_FIRST_DENSE}"),
     }
 }
@@ -211,47 +233,6 @@ impl<'a> Pass<'a> {
         forward_rest((rest, params), &mut slots[1..], train, ping, pong)
     }
 
-    /// Evaluation-only forward pass: writes the ping-pong buffers and
-    /// nothing else — no slot, no dropout RNG draw. Values are bit-identical
-    /// to [`forward_scratch`](Self::forward_scratch) with `train = false`.
-    ///
-    /// This is the batched-inference entry point: because all layer and slot
-    /// state stays untouched, a network whose weights are shared across K
-    /// agents can evaluate a stacked `K·B`-row matrix in one register-tiled
-    /// GEMM per dense layer (each row's sums keep their ascending-`k` order
-    /// whatever tile the row lands in, so stacking changes no bits), and on
-    /// a tape of its own it can do so between a stateful forward and its
-    /// backward.
-    pub fn forward_batch_scratch(self, input: &Tensor) -> &'a Tensor {
-        let Tape { ping, pong, .. } = self.tape;
-        // The first layer that is not dropout reads the caller's tensor in
-        // place: a K·B-row batch is never copied into a scratch buffer.
-        for (at, layer) in self.layers.iter().enumerate() {
-            if layer.forward_batch_into(self.params, input, ping) {
-                return forward_batch_rest((&self.layers[at + 1..], self.params), ping, pong);
-            }
-        }
-        ping.copy_from(input);
-        ping
-    }
-
-    /// [`forward_batch_scratch`](Self::forward_batch_scratch) on the rows
-    /// `[shared[r mod B] | own[r]]`, bit for bit, given `prefix =
-    /// prefix_into(shared)` (`B` rows, see [`Mlp::prefix_into`]) and `own`
-    /// holding the trailing input columns of a whole number of `B`-row
-    /// groups. Stateless like every batch forward.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the network starts with a [`Dense`] layer and the
-    /// shapes add up to it.
-    pub fn forward_batch_from_prefix_scratch(self, prefix: &Tensor, own: &Tensor) -> &'a Tensor {
-        let Tape { ping, pong, .. } = self.tape;
-        let (first, rest) = split_first_dense(self.layers);
-        first.forward_batch_from_prefix_into(self.params, prefix, own, ping);
-        forward_batch_rest((rest, self.params), ping, pong)
-    }
-
     /// [`forward_scratch`](Self::forward_scratch) on the input `[shared |
     /// own]`, bit for bit, given `prefix = prefix_into(shared)`. Every
     /// later layer keeps what its backward needs (ReLU masks, dropout
@@ -275,10 +256,16 @@ impl<'a> Pass<'a> {
         let Tape {
             slots, ping, pong, ..
         } = tape;
-        let (first, rest) = split_first_dense(layers);
+        let first = first_dense(layers);
         first.forward_batch_from_prefix_into(params, prefix, own, ping);
         slots[0].input.copy_from(own);
-        forward_rest((rest, params), &mut slots[1..], train, ping, pong)
+        forward_rest(
+            (&mut layers[1..], params),
+            &mut slots[1..],
+            train,
+            ping,
+            pong,
+        )
     }
 
     /// Backward pass, accumulating parameter gradients; returns the gradient
@@ -333,7 +320,7 @@ impl<'a> Pass<'a> {
             pong,
             products,
         } = tape;
-        let (first, rest) = split_first_dense(layers);
+        let (first, rest) = (first_dense(layers), &layers[1..]);
         let slots = slots.get(..=rest.len()).expect(NO_FORWARD);
         let grads = ensure_grads(grads, params);
         let Some((last, middle)) = rest.split_last() else {
@@ -387,11 +374,11 @@ impl<'a> Pass<'a> {
             pong,
             products,
         } = tape;
-        let (first, rest) = split_first_dense(layers);
+        let (first, rest) = (first_dense(layers), &layers[1..]);
         let slots = slots.get(..=rest.len()).expect(NO_FORWARD);
         let grads = ensure_grads(grads, params);
         ping.copy_from(grad_output);
-        let arenas = (&*rest, params, &mut *grads);
+        let arenas = (rest, params, &mut *grads);
         let (grad, _) = backward_rest(arenas, &slots[1..], products, ping, pong);
         first.backward_own_into(grads, grad, &slots[0], products);
         grad
@@ -410,7 +397,7 @@ impl<'a> Pass<'a> {
     /// `shared.cols()` wide whose output is `grad.cols()` wide.
     pub fn backward_prefix_scratch(self, shared: &Tensor, grad: &Tensor) -> &'a Tensor {
         let Tape { ping, products, .. } = self.tape;
-        let (first, _) = split_first_dense(self.layers);
+        let first = first_dense(self.layers);
         let grads = ensure_grads(self.grads, self.params);
         first.backward_shared_into((self.params, grads), shared, grad, products, ping);
         ping
@@ -564,8 +551,7 @@ impl Mlp {
     /// The first (dense) layer's product over the leading `shared.cols()`
     /// input columns, `shared · W[..shared.cols()]`, no bias. Input rows that
     /// agree on those columns — `K` agents' `[trunk_out | own state]` — then
-    /// share one `prefix` in
-    /// [`Pass::forward_batch_from_prefix_scratch`] and
+    /// share one `prefix` in [`forward_batch`](Self::forward_batch) and
     /// [`Pass::forward_from_prefix_scratch`] instead of each multiplying the
     /// same columns through again. Weights must not change between the
     /// prefix and its use.
@@ -575,9 +561,77 @@ impl Mlp {
     /// Panics unless the network starts with a [`Dense`] layer at least
     /// `shared.cols()` wide.
     pub fn prefix_into(&self, shared: &Tensor, out: &mut Tensor) {
-        match self.layers.first() {
-            Some(MlpLayer::Dense(first)) => first.prefix_into(&self.params, shared, out),
-            _ => panic!("{NO_FIRST_DENSE}"),
+        first_dense(&self.layers).prefix_into(&self.params, shared, out);
+    }
+
+    /// The evaluation forward, on `tape`: the values of
+    /// [`forward_scratch`](Self::forward_scratch) with `train = false`, bit
+    /// for bit. It reads the network and writes only the tape's ping-pong
+    /// buffers — no slot, no dropout draw — so it needs no `&mut`: threads
+    /// that each bring a tape can evaluate one network at once, and on a
+    /// tape of its own it can run between a stateful forward and its
+    /// backward.
+    ///
+    /// With `prefix = None`, `input` is the whole input. With `Some(prefix)`,
+    /// the rows are `[shared[r mod B] | input[r]]` for `prefix =
+    /// prefix_into(shared)` (`B` rows, see [`prefix_into`](Self::prefix_into))
+    /// and `input` holding the trailing columns of a whole number of `B`-row
+    /// groups.
+    ///
+    /// This is the batched-inference entry point: a network whose weights
+    /// are shared across `K` agents evaluates a stacked `K·B`-row matrix in
+    /// one register-tiled GEMM per dense layer (each row's sums keep their
+    /// ascending-`k` order whatever tile the row lands in, so stacking
+    /// changes no bits). The caller's tensor is read where it lies, never
+    /// copied into the tape.
+    ///
+    /// # Panics
+    ///
+    /// With a prefix, panics unless the network starts with a [`Dense`]
+    /// layer and the shapes add up to it.
+    pub fn forward_batch<'t>(
+        &self,
+        tape: &'t mut Tape,
+        prefix: Option<&Tensor>,
+        input: &Tensor,
+    ) -> &'t Tensor {
+        let Tape { ping, pong, .. } = tape;
+        let params = &self.params;
+        if let Some(prefix) = prefix {
+            let first = first_dense(&self.layers);
+            first.forward_batch_from_prefix_into(params, prefix, input, ping);
+            return forward_batch_rest((&self.layers[1..], params), ping, pong);
+        }
+        // The first layer that is not dropout reads the caller's tensor.
+        for (at, layer) in self.layers.iter().enumerate() {
+            if layer.forward_batch_into(params, input, ping) {
+                return forward_batch_rest((&self.layers[at + 1..], params), ping, pong);
+            }
+        }
+        ping.copy_from(input);
+        ping
+    }
+
+    /// Advances every dropout layer's stream past the draws a train-mode
+    /// forward of `rows` input rows makes (one per element it sees, none at
+    /// `p = 0`), as if that forward had run. A copy of the network that
+    /// trains on some of a batch's row groups while another thread trains
+    /// the original on the others keeps its masks in step this way.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a dropout layer ahead of every dense layer: its width is
+    /// the input's, which the network does not know.
+    pub fn skip_train_draws(&mut self, rows: usize) {
+        let mut width = None;
+        for layer in &mut self.layers {
+            match layer {
+                MlpLayer::Dense(d) => width = Some(d.out_dim),
+                MlpLayer::Relu(_) => {}
+                MlpLayer::Dropout(l) => {
+                    l.skip(rows * width.expect("a dropout layer after a dense one"));
+                }
+            }
         }
     }
 
@@ -654,6 +708,27 @@ impl Mlp {
     pub fn trainable(&mut self) -> (&mut [f32], &[f32]) {
         let grads = ensure_grads(&mut self.grads, &self.params);
         (&mut self.params, grads)
+    }
+
+    /// The gradient arena, laid out like [`parameters`](Self::parameters);
+    /// empty until a pass or [`zero_grads`](Self::zero_grads) makes it.
+    pub fn gradients(&self) -> &[f32] {
+        &self.grads
+    }
+
+    /// Adds `grads`, an arena laid out like this network's gradients (say,
+    /// a copy's [`gradients`](Self::gradients)), into them element by
+    /// element, allocating them as zeros first if need be.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `grads` is as long as the parameter arena.
+    pub fn add_gradients(&mut self, grads: &[f32]) {
+        assert_eq!(grads.len(), self.params.len(), "gradient arena length");
+        let acc = ensure_grads(&mut self.grads, &self.params);
+        for (a, g) in acc.iter_mut().zip(grads) {
+            *a += g;
+        }
     }
 
     /// The length of every parameter tensor in the arena, in order: per
@@ -972,6 +1047,33 @@ mod tests {
     }
 
     #[test]
+    fn a_copy_that_skips_a_forward_s_draws_stays_in_step() {
+        // Two row groups through one head with dropout: the original trains
+        // on both in turn; a copy skips the first group's draws and trains on
+        // the second. Its output and its streams end where the original's do.
+        let mut rng = Xoshiro256::seed_from_u64(12);
+        let mut original = Mlp::new()
+            .push(Dense::new(5, 7, &mut rng))
+            .push(Relu::new())
+            .push(Dropout::new(0.3, 4))
+            .push(Dense::new(7, 2, &mut rng));
+        let mut copy = original.clone();
+        let mut random = |r: usize| {
+            let data = (0..r * 5).map(|_| rng.range_f32(-1.0, 1.0)).collect();
+            Tensor::from_vec(r, 5, data).unwrap()
+        };
+        let (first, second) = (random(3), random(3));
+        original.forward_scratch(&first, true);
+        let want = original.forward_scratch(&second, true).clone();
+        copy.skip_train_draws(first.rows());
+        assert_eq!(copy.forward_scratch(&second, true), &want);
+        assert_eq!(
+            format!("{:?}", copy.layers),
+            format!("{:?}", original.layers)
+        );
+    }
+
+    #[test]
     fn batch_path_bit_identical_to_eval_forward_and_stateless() {
         // The batched eval path must (a) produce bit-identical values to the
         // mutable eval-mode forward, including through dropout layers, and
@@ -993,7 +1095,7 @@ mod tests {
         .unwrap();
         let mut tape = Tape::new();
         let eval = net.forward(&x, false);
-        let batch = net.on(&mut tape).forward_batch_scratch(&x).clone();
+        let batch = net.forward_batch(&mut tape, None, &x).clone();
         for (a, b) in eval.as_slice().iter().zip(batch.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -1005,7 +1107,7 @@ mod tests {
             let pred = net.on(&mut tape).forward_scratch(&x, true).clone();
             assert_eq!(twin.forward(&x, true), pred);
             for _ in 0..5 {
-                let _ = net.on(&mut tape).forward_batch_scratch(&other);
+                let _ = net.forward_batch(&mut tape, None, &other);
             }
             net.zero_grads();
             twin.zero_grads();
@@ -1049,9 +1151,7 @@ mod tests {
             shared_rep.repeat_rows_from(&shared, groups);
             let stacked = shared_rep.concat_cols(&own_all).unwrap();
             let want = full.forward(&stacked, false);
-            let got = split
-                .on(&mut tape)
-                .forward_batch_from_prefix_scratch(&prefix, &own_all);
+            let got = split.forward_batch(&mut tape, Some(&prefix), &own_all);
             assert_eq!(bits(got), bits(&want));
 
             // Train: two agents' passes draw the same dropout masks.

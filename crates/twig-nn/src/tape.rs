@@ -5,7 +5,7 @@ use crate::Tensor;
 ///
 /// Layers hold weights; a tape holds, per layer, what a stateful forward
 /// leaves for the backward that follows it (a dense layer's input, a ReLU's
-/// mask, a dropout's survivor scales), plus one ping-pong pair of activation
+/// mask, which activations a dropout kept), plus one ping-pong pair of activation
 /// buffers and the scratch of the dense gradient products. Every buffer
 /// grows to the largest shape it has served and is then reused, so passes
 /// are allocation-free in steady state.
@@ -59,11 +59,9 @@ pub struct Tape {
 pub(crate) struct Slot {
     /// Dense: the input it multiplied (the weight gradient's left operand).
     pub(crate) input: Tensor,
-    /// ReLU: which activations were positive.
+    /// ReLU: which activations were positive. Dropout: which survived,
+    /// meaningful only when `dropped`.
     pub(crate) alive: Vec<bool>,
-    /// Dropout: per element, `1/(1-p)` for a survivor and `0` for a dropped
-    /// activation; meaningful only when `dropped`.
-    pub(crate) keep: Vec<f32>,
     /// Dropout: whether the last forward dropped anything (train mode with
     /// `p > 0`); otherwise it was the identity and so is its backward.
     pub(crate) dropped: bool,
@@ -97,7 +95,7 @@ impl Tape {
         let slots: usize = self
             .slots
             .iter()
-            .map(|s| s.input.heap_bytes() + s.alive.capacity() + s.keep.capacity() * f32s)
+            .map(|s| s.input.heap_bytes() + s.alive.capacity())
             .sum();
         self.slots.capacity() * std::mem::size_of::<Slot>()
             + slots

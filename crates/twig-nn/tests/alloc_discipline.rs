@@ -56,8 +56,7 @@ fn scratch_forward_backward_rounds_allocate_nothing_after_warm_up() {
     let mut round = |net: &mut Mlp| {
         net.zero_grads();
         net.prefix_into(&shared, &mut prefix);
-        let pass = net.on(&mut tape);
-        std::hint::black_box(pass.forward_batch_from_prefix_scratch(&prefix, &own3));
+        std::hint::black_box(net.forward_batch(&mut tape, Some(&prefix), &own3));
         let pass = net.on(&mut tape);
         std::hint::black_box(pass.forward_from_prefix_scratch(&prefix, &own, true));
         first_grad.copy_from(net.on(&mut tape).backward_from_prefix_scratch(&grad));

@@ -3,7 +3,9 @@ use crate::per::{PerBatch, Priorities};
 use crate::slab::TransitionSlab;
 use crate::{MaBdqCheckpoint, RlError};
 use std::ops::Range;
+use std::sync::Arc;
 use twig_nn::{Adam, Dropout, Mlp, QuantizedMlp, Relu, Tape, Tensor};
+use twig_stats::helper::{two_cpus, Finished, Helper, Job};
 use twig_stats::rng::{Rng, Xoshiro256};
 use twig_telemetry::Telemetry;
 
@@ -199,9 +201,13 @@ pub struct LearnerMemory {
     pub networks: usize,
     /// The optimiser's two moments per trained parameter.
     pub optimiser: usize,
-    /// The gradient step's working memory: sampled batch, packed states,
-    /// targets, the evaluation of the next states, tapes, gradients.
+    /// The gradient step's working memory on the learner's thread: sampled
+    /// batch, packed states, targets, the evaluation of the next states,
+    /// tapes, gradients.
     pub step: usize,
+    /// The helper thread's share of that working memory, with its copies of
+    /// the advantage heads; 0 without a helper (one CPU, or `K = 1`).
+    pub helper: usize,
     /// The decide paths' working memory and last Q-values, plus the
     /// fixed-point snapshot once
     /// [`refresh_quantized`](MaBdq::refresh_quantized) has built it.
@@ -213,7 +219,7 @@ pub struct LearnerMemory {
 impl LearnerMemory {
     /// The sum of the parts: [`MaBdq::learner_bytes`].
     pub fn total(&self) -> usize {
-        self.networks + self.optimiser + self.step + self.decide + self.guards
+        self.networks + self.optimiser + self.step + self.helper + self.decide + self.guards
     }
 }
 
@@ -398,13 +404,6 @@ impl Net {
         self.mlps_mut().for_each(|m| m.scale_grads(factor));
     }
 
-    /// One Adam step over every arena in [`mlps`](Self::mlps) order; a
-    /// quarantine-frozen head steps on its zero gradient.
-    fn apply(&mut self, adam: &mut Adam) {
-        adam.sized(self.param_count())
-            .update(self.mlps_mut().map(Mlp::trainable));
-    }
-
     fn copy_weights_from(&mut self, other: &Net) {
         for (dst, src) in self.mlps_mut().zip(other.mlps()) {
             dst.copy_weights_from(src).expect("same architecture");
@@ -425,6 +424,20 @@ impl Net {
             .chain(&mut self.adv_heads)
     }
 
+    /// The arenas [`SplitAdam`]'s lower part steps: the trunk and the
+    /// first `split` value heads.
+    fn lower_mlps(&mut self, split: usize) -> impl Iterator<Item = &mut Mlp> {
+        std::iter::once(&mut self.trunk).chain(&mut self.value_heads[..split])
+    }
+
+    /// The rest, the upper part's: value heads `split..` and the advantage
+    /// heads.
+    fn upper_mlps(&mut self, split: usize) -> impl Iterator<Item = &mut Mlp> {
+        self.value_heads[split..]
+            .iter_mut()
+            .chain(&mut self.adv_heads)
+    }
+
     fn param_count(&self) -> usize {
         self.mlps().map(Mlp::param_count).sum()
     }
@@ -436,9 +449,9 @@ impl Net {
 
     /// Evaluation-mode Q-values of every agent for a batch whose joint state
     /// is already packed into `x` (`B × K*state_dim`, agent `k` in columns
-    /// `k*state_dim..`): [`eval_shared`](Self::eval_shared), then
-    /// [`eval_heads`](Self::eval_heads) over all `K` agents, so `q[k][d]` is
-    /// agent `k`'s `B × n_d` tensor. The decide paths' one pass over a
+    /// `k*state_dim..`): [`eval_shared`](Self::eval_shared) into `shared`,
+    /// then [`eval_heads`](Self::eval_heads) over all `K` agents, so `q[k][d]`
+    /// is agent `k`'s `B × n_d` tensor. The decide paths' one pass over a
     /// one-row batch; every buffer is reused, so steady-state evaluation is
     /// allocation-free.
     ///
@@ -451,38 +464,36 @@ impl Net {
     /// per-row in the same order. For the same reasons a row's Q-values do
     /// not depend on which other agents' rows share its GEMMs, so the train
     /// step's one-agent-at-a-time calls of `eval_heads` produce these bits
-    /// too. The batched layer path never touches dropout RNG streams or
-    /// activation caches, which is what lets decisions run between the chunks
-    /// of a gradient step.
+    /// too. Evaluation reads the network and touches neither a dropout
+    /// stream nor a gradient ([`Mlp::forward_batch`]), which is what lets
+    /// decisions run between the chunks of a gradient step and two threads
+    /// evaluate one network at once.
     fn q_values_fused_into(
-        &mut self,
+        &self,
         x: &Tensor,
         state_dim: usize,
-        work: &mut EvalWork,
+        (shared, work): (&mut Trunked, &mut EvalWork),
         q: &mut QValues,
     ) {
-        self.eval_shared(x, work);
+        self.eval_shared(x, &mut work.tape, shared);
         let agents = self.value_heads.len();
-        self.eval_heads(x, 0..agents, state_dim, work, q);
+        self.eval_heads(x, 0..agents, state_dim, (shared, work), q);
     }
 
     /// The first stage of an evaluation of `x`, what every agent's heads
-    /// read: the trunk's output (`work.trunk_out`) and, with `K > 1`, each
-    /// advantage head's first-layer product over it (`work.prefixes[d]`,
+    /// read, into `out`: the trunk's output and, with `K > 1`, each
+    /// advantage head's first-layer product over it (`out.prefixes[d]`,
     /// `B × head_hidden`, see [`Mlp::prefix_into`]). Every agent's head
     /// input is `[trunk_out | own state]` and the advantage heads' weights
     /// are shared across agents, so those columns go through the first layer
     /// once per batch row however many agents continue from them. With one
     /// agent nothing is shared and no prefix is built.
-    fn eval_shared(&mut self, x: &Tensor, work: &mut EvalWork) {
-        let EvalWork {
-            tape,
+    fn eval_shared(&self, x: &Tensor, tape: &mut Tape, out: &mut Trunked) {
+        let Trunked {
             trunk_out,
             prefixes,
-            ..
-        } = work;
-        // The heads run on the same tape, so the trunk's output moves out.
-        trunk_out.copy_from(self.trunk.on(tape).forward_batch_scratch(x));
+        } = out;
+        trunk_out.copy_from(self.trunk.forward_batch(tape, None, x));
         if self.value_heads.len() > 1 {
             prefixes.resize_with(self.adv_heads.len(), Tensor::default);
             for (head, prefix) in self.adv_heads.iter().zip(prefixes.iter_mut()) {
@@ -492,7 +503,7 @@ impl Net {
     }
 
     /// The second stage, for the agents in `agents` only, on what
-    /// [`eval_shared`](Self::eval_shared) left in `work` for the same `x`:
+    /// [`eval_shared`](Self::eval_shared) left in `shared` for the same `x`:
     /// `q[k − k0][d]` (`B × n_d`) is agent `k`'s Q-values on branch `d`,
     /// `k0 = agents.start`. [`eval_advantages`](Self::eval_advantages)
     /// first; value heads keep per-agent weights, so each is then a `B`-row
@@ -503,26 +514,25 @@ impl Net {
     /// agent of a one-row batch, the train step's targets one agent of a
     /// `B`-row batch at a time, so no buffer of theirs has `K·B` rows.
     fn eval_heads(
-        &mut self,
+        &self,
         x: &Tensor,
         agents: Range<usize>,
         state_dim: usize,
-        work: &mut EvalWork,
+        (shared, work): (&Trunked, &mut EvalWork),
         q: &mut QValues,
     ) {
-        self.eval_advantages(x, agents.clone(), state_dim, work, q);
+        self.eval_advantages(x, agents.clone(), state_dim, (shared, work), q);
         let batch = x.rows();
         let EvalWork {
             tape,
-            trunk_out,
             input_k,
             v_all,
             ..
         } = work;
         v_all.clear();
         for k in agents {
-            head_input_into(trunk_out, x, (k, state_dim), input_k);
-            let v = self.value_heads[k].on(tape).forward_batch_scratch(input_k);
+            head_input_into(&shared.trunk_out, x, (k, state_dim), input_k);
+            let v = self.value_heads[k].forward_batch(tape, None, input_k);
             v_all.extend((0..batch).map(|b| v[(b, 0)]));
         }
         for (j, branches) in q.iter_mut().enumerate() {
@@ -553,21 +563,19 @@ impl Net {
     /// range. With one agent there is no prefix, and the head reads the
     /// agent's whole input `[trunk_out | state]`.
     fn eval_advantages(
-        &mut self,
+        &self,
         x: &Tensor,
         agents: Range<usize>,
         state_dim: usize,
-        work: &mut EvalWork,
+        (shared, work): (&Trunked, &mut EvalWork),
         q: &mut QValues,
     ) {
         let batch = x.rows();
         let shared_prefix = self.value_heads.len() > 1;
         let EvalWork {
             tape,
-            trunk_out,
             input_k,
             stacked,
-            prefixes,
             ..
         } = work;
         if shared_prefix {
@@ -580,18 +588,17 @@ impl Net {
                 }
             }
         } else {
-            head_input_into(trunk_out, x, (agents.start, state_dim), input_k);
+            head_input_into(&shared.trunk_out, x, (agents.start, state_dim), input_k);
         }
         q.resize_with(agents.len(), Vec::new);
         for branches in q.iter_mut() {
             branches.resize_with(self.adv_heads.len(), Tensor::default);
         }
-        for (d, head) in self.adv_heads.iter_mut().enumerate() {
+        for (d, head) in self.adv_heads.iter().enumerate() {
             let adv = if shared_prefix {
-                head.on(tape)
-                    .forward_batch_from_prefix_scratch(&prefixes[d], stacked)
+                head.forward_batch(tape, Some(&shared.prefixes[d]), stacked)
             } else {
-                head.on(tape).forward_batch_scratch(input_k)
+                head.forward_batch(tape, None, input_k)
             };
             for (j, branches) in q.iter_mut().enumerate() {
                 let qd = &mut branches[d];
@@ -612,38 +619,34 @@ impl Net {
     /// bit-identical, so results match [`q_values_fused_into`]
     /// (Self::q_values_fused_into) bit-for-bit; the twin-run tests assert
     /// it and `bench_decide` measures what the fusion buys against it.
+    /// `shared.trunk_out` is its trunk buffer.
     fn q_values_per_agent_into(
-        &mut self,
+        &self,
         x: &Tensor,
         state_dim: usize,
-        work: &mut EvalWork,
+        (shared, work): (&mut Trunked, &mut EvalWork),
         q: &mut QValues,
     ) {
         let num_branches = self.adv_heads.len();
-        let Net {
-            trunk,
-            value_heads,
-            adv_heads,
-        } = self;
+        let trunk_out = &mut shared.trunk_out;
         let EvalWork {
             tape,
-            trunk_out,
             input_k,
             v_all,
             ..
         } = work;
-        q.resize_with(value_heads.len(), Vec::new);
-        for (k, (vh, branches)) in value_heads.iter_mut().zip(q.iter_mut()).enumerate() {
+        q.resize_with(self.value_heads.len(), Vec::new);
+        for (k, (vh, branches)) in self.value_heads.iter().zip(q.iter_mut()).enumerate() {
             // The per-agent trunk pass this loop exists to measure: same
             // input, same weights, stateless eval forward — identical bits
             // every iteration.
-            trunk_out.copy_from(trunk.on(tape).forward_batch_scratch(x));
+            trunk_out.copy_from(self.trunk.forward_batch(tape, None, x));
             head_input_into(trunk_out, x, (k, state_dim), input_k);
             v_all.clear();
-            v_all.extend_from_slice(vh.on(tape).forward_batch_scratch(input_k).as_slice());
+            v_all.extend_from_slice(vh.forward_batch(tape, None, input_k).as_slice());
             branches.resize_with(num_branches, Tensor::default);
-            for (head, qd) in adv_heads.iter_mut().zip(branches.iter_mut()) {
-                let adv = head.on(tape).forward_batch_scratch(input_k);
+            for (head, qd) in self.adv_heads.iter().zip(branches.iter_mut()) {
+                let adv = head.forward_batch(tape, None, input_k);
                 dueling_combine_into(v_all, adv, qd);
             }
         }
@@ -655,27 +658,39 @@ impl Net {
 /// leave them (agent `j` itself when all `K` are).
 type QValues = Vec<Vec<Tensor>>;
 
-/// Working memory of one evaluation of a [`Net`]: the tape its forwards run
-/// on and the intermediates between them. Nothing in it outlives the call —
-/// the results are the [`QValues`] — so the online and the target network
-/// evaluate the same batch on the same `EvalWork`, one after the other.
-/// What [`Net::eval_shared`] leaves here is read by every
-/// [`Net::eval_heads`] call that follows it on the same batch.
+/// The first stage of an evaluation of a batch ([`Net::eval_shared`]), what
+/// every agent's heads read: the trunk's output (`B × trunk_dim`) and, with
+/// `K > 1`, each advantage head's first-layer product over it (`B ×
+/// head_hidden` per branch), shared by every agent's rows.
+#[derive(Debug, Clone, Default)]
+struct Trunked {
+    trunk_out: Tensor,
+    prefixes: Vec<Tensor>,
+}
+
+impl Trunked {
+    fn heap_bytes(&self) -> usize {
+        self.trunk_out.heap_bytes()
+            + tensors_heap_bytes(&self.prefixes)
+            + self.prefixes.capacity() * std::mem::size_of::<Tensor>()
+    }
+}
+
+/// Working memory of an evaluation of a [`Net`] past its first stage: the
+/// tape its forwards run on and the intermediates between them. Nothing in
+/// it outlives the call — the results are the [`QValues`] — so the online
+/// and the target network evaluate the same batch on the same `EvalWork`,
+/// one after the other.
 #[derive(Debug, Clone, Default)]
 struct EvalWork {
-    /// Trunk, then value heads, then advantage heads, each finished (and its
-    /// output copied out or consumed) before the next begins.
+    /// The trunk, then value heads, then advantage heads, each finished
+    /// (and its output copied out or consumed) before the next begins.
     tape: Tape,
-    /// The trunk's output (`B × trunk_dim`).
-    trunk_out: Tensor,
+    /// One agent's head input `[trunk_out | state_k]`.
     input_k: Tensor,
     /// Fused path, `K > 1`: the evaluated agents' own states stacked
     /// (`|agents|·B × state_dim`, row `(k − k0)·B + b` = `state_k(b)`).
     stacked: Tensor,
-    /// Fused path, `K > 1`: each advantage head's first-layer product over
-    /// the trunk columns (`B × head_hidden` per branch), shared by every
-    /// agent's rows.
-    prefixes: Vec<Tensor>,
     /// State values: fused path, the evaluated agents', flattened
     /// `(k − k0)·B + b`; per-agent path, the current agent's.
     v_all: Vec<f32>,
@@ -683,11 +698,8 @@ struct EvalWork {
 
 impl EvalWork {
     fn heap_bytes(&self) -> usize {
-        let tensors = [&self.trunk_out, &self.input_k, &self.stacked];
         self.tape.heap_bytes()
-            + tensors_heap_bytes(tensors)
-            + tensors_heap_bytes(&self.prefixes)
-            + self.prefixes.capacity() * std::mem::size_of::<Tensor>()
+            + tensors_heap_bytes([&self.input_k, &self.stacked])
             + self.v_all.capacity() * std::mem::size_of::<f32>()
     }
 }
@@ -721,6 +733,11 @@ fn q_values_heap_bytes(q: &QValues) -> usize {
     q.capacity() * std::mem::size_of::<Vec<Tensor>>() + q.iter().map(branches).sum::<usize>()
 }
 
+/// Heap bytes of an `Arc`'s block: its two counts and the value.
+fn arc_block_bytes<T>() -> usize {
+    2 * std::mem::size_of::<usize>() + std::mem::size_of::<T>()
+}
+
 /// `Q(a) = V + (A(a) − mean_a A(a))` per batch row; `v` holds one state
 /// value per row.
 fn dueling_combine_into(v: &[f32], adv: &Tensor, q: &mut Tensor) {
@@ -750,8 +767,11 @@ fn dueling_combine_into(v: &[f32], adv: &Tensor, q: &mut Tensor) {
 pub struct MaBdq {
     config: MaBdqConfig,
     online: Net,
-    target: Net,
-    adam: Adam,
+    /// Only a target sync, a checkpoint restore and a transfer reset write
+    /// it. A gradient step's two threads read it at once, and a clone
+    /// shares it until one of them writes.
+    target: Arc<Net>,
+    adam: SplitAdam,
     /// The replay buffer's index: slot assignment and sampling weights.
     priorities: Priorities,
     /// The replay buffer's storage: the transition in each slot.
@@ -829,6 +849,8 @@ impl QuantizedNet {
 struct DecideScratch {
     /// The joint state being decided on (`1 × K*state_dim`).
     x: Tensor,
+    /// The first evaluation stage of `x`.
+    shared: Trunked,
     /// Working memory of the one-row evaluation. Its tape is the decide
     /// paths' own: a decision may run between the chunks of a budgeted step,
     /// while the step's tapes hold what its epilogue still reads.
@@ -839,7 +861,638 @@ struct DecideScratch {
 
 impl DecideScratch {
     fn heap_bytes(&self) -> usize {
-        self.x.heap_bytes() + self.eval.heap_bytes() + q_values_heap_bytes(&self.q_eval)
+        self.x.heap_bytes()
+            + self.shared.heap_bytes()
+            + self.eval.heap_bytes()
+            + q_values_heap_bytes(&self.q_eval)
+    }
+}
+
+/// The dimensions a gradient step's per-agent work reads, copied out of the
+/// configuration (the helper's job holds its own).
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    agents: usize,
+    state_dim: usize,
+    batch: usize,
+    /// Branches `D`.
+    branches: usize,
+    gamma: f32,
+    quarantine: bool,
+}
+
+impl Shape {
+    fn of(config: &MaBdqConfig) -> Self {
+        Shape {
+            agents: config.agents,
+            state_dim: config.state_dim,
+            batch: config.batch_size,
+            branches: config.branches.len(),
+            gamma: config.gamma,
+            quarantine: config.quarantine.enabled,
+        }
+    }
+}
+
+/// What a gradient step's per-agent work reads: the minibatch packed out of
+/// the replay buffer, the first evaluation stage of its next states, the
+/// targets and the train-mode trunk output. Between the step's parallel
+/// parts the calling thread fills it; during them both threads read it and
+/// neither writes. It is shared through an `Arc` that the helper's job
+/// holds only while a task runs, so `Arc::make_mut` refills it in place.
+///
+/// Between the chunks of a budgeted step the caller may decide and observe
+/// (which may overwrite sampled replay slots), so the step owns copies of
+/// everything it still needs.
+#[derive(Debug, Clone, Default)]
+struct Sample {
+    /// PER sample (indices for the priority write-back, importance weights).
+    batch: PerBatch,
+    /// Joint current-state batch (`B × K*state_dim`).
+    x: Tensor,
+    /// Joint next-state batch.
+    x_next: Tensor,
+    /// Sampled actions, flattened `(b * agents + k) * num_branches + d`.
+    actions: Vec<u16>,
+    /// Sampled rewards, flattened `b * agents + k`.
+    rewards: Vec<f32>,
+    /// TD targets, flattened `b * agents + k`.
+    targets: Vec<f32>,
+    /// A first evaluation stage ([`Trunked`]), three in turn: the online
+    /// network's of `x_next` while the greedy actions are taken, the target
+    /// network's of `x_next` while the targets are, then the online
+    /// network's train-mode trunk output for `x` with, for `K > 1`, each
+    /// advantage head's first-layer product over it (weights are fixed
+    /// until the epilogue), which every agent's train-mode forward of that
+    /// head continues from.
+    stage: Trunked,
+}
+
+impl Sample {
+    fn heap_bytes(&self) -> usize {
+        let PerBatch { indices, weights } = &self.batch;
+        arc_block_bytes::<Sample>()
+            + indices.capacity() * std::mem::size_of::<usize>()
+            + (weights.capacity() + self.rewards.capacity() + self.targets.capacity())
+                * std::mem::size_of::<f32>()
+            + self.actions.capacity() * std::mem::size_of::<u16>()
+            + tensors_heap_bytes([&self.x, &self.x_next])
+            + self.stage.heap_bytes()
+    }
+}
+
+/// One thread's working memory for the per-agent parts of a gradient step:
+/// the double-DQN targets and the head passes. The calling thread's lane is
+/// in [`StepState`], the helper's in its [`Share`], and both run the same
+/// code on it.
+#[derive(Debug, Clone, Default)]
+struct Lane {
+    /// For the targets, the evaluations of `x_next`. For a head pass, its
+    /// tape runs the advantage heads, each forward then backward, and
+    /// `input_k` holds the value head's input.
+    eval: EvalWork,
+    /// One agent's evaluation of `x_next` (`D` tensors of `B × n_d`): the
+    /// online network's advantages, then the target network's Q-values.
+    q_agent: QValues,
+    /// The online network's greedy action on `x_next` (double DQN) for this
+    /// lane's agents: `(k * num_branches + d) * B + b`.
+    a_star: Vec<u16>,
+    /// This lane's agents' TD targets, `b * agents + k`.
+    targets: Vec<f32>,
+    /// The current agent's value head: forward at the top of its head pass,
+    /// backward at the bottom (it needs the gradient every advantage head
+    /// contributes to), which is why it cannot be `eval.tape`.
+    value_tape: Tape,
+    // Head-pass temporaries.
+    agent_state: Tensor,
+    v_grad: Tensor,
+    adv_grad: Tensor,
+}
+
+impl Lane {
+    fn heap_bytes(&self) -> usize {
+        self.eval.heap_bytes()
+            + q_values_heap_bytes(&self.q_agent)
+            + self.a_star.capacity() * std::mem::size_of::<u16>()
+            + self.targets.capacity() * std::mem::size_of::<f32>()
+            + self.value_tape.heap_bytes()
+            + tensors_heap_bytes([&self.agent_state, &self.v_grad, &self.adv_grad])
+    }
+
+    /// Agent `k`'s greedy action on every next state and branch under the
+    /// online network, into its block of `a_star`. The argmax reads the
+    /// advantages alone: the value head adds one number per row.
+    fn greedy(&mut self, online: &Net, sample: &Sample, k: usize, shape: Shape) {
+        let (batch, block) = (shape.batch, shape.branches * shape.batch);
+        let work = (&sample.stage, &mut self.eval);
+        online.eval_advantages(
+            &sample.x_next,
+            k..k + 1,
+            shape.state_dim,
+            work,
+            &mut self.q_agent,
+        );
+        self.a_star.resize(shape.agents * block, 0);
+        let chosen = &mut self.a_star[k * block..(k + 1) * block];
+        for (qd, chosen) in self.q_agent[0].iter().zip(chosen.chunks_exact_mut(batch)) {
+            for (b, a) in chosen.iter_mut().enumerate() {
+                *a = u16::try_from(argmax(qd.row(b)))
+                    .expect("validate keeps every branch within 2^16 actions");
+            }
+        }
+    }
+
+    /// Agent `k`'s TD targets: its reward plus γ times the target network's
+    /// Q-value at the greedy action, averaged over branches.
+    fn targets(&mut self, target: &Net, sample: &Sample, k: usize, shape: Shape) {
+        let (agents, batch, block) = (shape.agents, shape.batch, shape.branches * shape.batch);
+        let work = (&sample.stage, &mut self.eval);
+        target.eval_heads(
+            &sample.x_next,
+            k..k + 1,
+            shape.state_dim,
+            work,
+            &mut self.q_agent,
+        );
+        self.targets.resize(batch * agents, 0.0);
+        let chosen = &self.a_star[k * block..(k + 1) * block];
+        for b in 0..batch {
+            let mut acc = 0.0;
+            for (d, qd) in self.q_agent[0].iter().enumerate() {
+                acc += qd[(b, usize::from(chosen[d * batch + b]))];
+            }
+            let reward = sample.rewards[b * agents + k];
+            self.targets[b * agents + k] = reward + shape.gamma * acc / shape.branches as f32;
+        }
+    }
+
+    /// Agent `k`'s head pass: its value head `vh` and every advantage head
+    /// forward (train mode) and backward on the sampled batch. The head
+    /// gradients accumulate in the heads' own arenas; loss, |TD| and the
+    /// gradients at the trunk's output go to `sums`. With `K > 1` an
+    /// advantage head's backward stops at its first layer's output, and the
+    /// gradient there goes to `sums` for the epilogue. Returns the agent's
+    /// quarantine signals: its summed |TD| and its value head's squared
+    /// gradient norm (zeros with quarantine off).
+    fn head_pass(
+        &mut self,
+        (shape, sample, k): (Shape, &Sample, usize),
+        vh: &mut Mlp,
+        adv_heads: &mut [Mlp],
+        sums: &mut impl Sums,
+    ) -> (f64, f64) {
+        let (batch, agents, branches, state_dim) =
+            (shape.batch, shape.agents, shape.branches, shape.state_dim);
+        let norm = (batch * agents * branches) as f32;
+        let Lane {
+            eval,
+            value_tape,
+            agent_state,
+            v_grad,
+            adv_grad,
+            ..
+        } = self;
+        agent_state.resize_zeroed(batch, state_dim);
+        for b in 0..batch {
+            agent_state
+                .row_mut(b)
+                .copy_from_slice(&sample.x.row(b)[k * state_dim..(k + 1) * state_dim]);
+        }
+        let stage = &sample.stage;
+        stage
+            .trunk_out
+            .concat_cols_into(agent_state, &mut eval.input_k)
+            .expect("same batch");
+        let v = vh.on(value_tape).forward_scratch(&eval.input_k, true);
+        let trunk_dim = stage.trunk_out.cols();
+        v_grad.resize_zeroed(batch, 1);
+        let mut agent_td = 0.0;
+        for (d, head) in adv_heads.iter_mut().enumerate() {
+            let pass = head.on(&mut eval.tape);
+            let adv = if agents > 1 {
+                pass.forward_from_prefix_scratch(&stage.prefixes[d], agent_state, true)
+            } else {
+                pass.forward_scratch(&eval.input_k, true)
+            };
+            let n = adv.cols();
+            adv_grad.resize_zeroed(batch, n);
+            for b in 0..batch {
+                let a = usize::from(sample.actions[(b * agents + k) * branches + d]);
+                let row = adv.row(b);
+                let mean: f32 = row.iter().sum::<f32>() / n as f32;
+                let q = v[(b, 0)] + row[a] - mean;
+                let delta = q - sample.targets[b * agents + k];
+                let w = sample.batch.weights[b];
+                let abs_td = (delta.abs() / (agents * branches) as f32) as f64;
+                sums.td(b, abs_td, w * delta * delta / norm);
+                if shape.quarantine {
+                    agent_td += f64::from(delta.abs());
+                }
+                let g = 2.0 * w * delta / norm;
+                let grow = adv_grad.row_mut(b);
+                for (j, gj) in grow.iter_mut().enumerate() {
+                    let indicator = if j == a { 1.0 } else { 0.0 };
+                    *gj = g * (indicator - 1.0 / n as f32);
+                }
+                v_grad[(b, 0)] += g;
+            }
+            let pass = head.on(&mut eval.tape);
+            if agents > 1 {
+                sums.first_grad(d, pass.backward_from_prefix_scratch(adv_grad));
+            } else {
+                sums.trunk_grad(pass.backward_cols_scratch(adv_grad, trunk_dim));
+            }
+        }
+        sums.trunk_grad(vh.on(value_tape).backward_cols_scratch(v_grad, trunk_dim));
+        let v_sq_norm = if shape.quarantine {
+            f64::from(vh.grad_sq_norm())
+        } else {
+            0.0
+        };
+        (agent_td, v_sq_norm)
+    }
+}
+
+/// Where a head pass puts what it adds to the gradient step's sums over
+/// agents: [`StepSums`] adds it on the spot, [`AgentSums`] records it
+/// for the calling thread to add in agent order.
+trait Sums {
+    /// Row `b`'s share of the mean |TD| and its term of the loss.
+    fn td(&mut self, b: usize, abs_td: f64, loss: f32);
+    /// `K > 1`: branch `d`'s gradient at its first layer's output.
+    fn first_grad(&mut self, d: usize, grad: &Tensor);
+    /// A gradient at the trunk's output.
+    fn trunk_grad(&mut self, grad: &Tensor);
+}
+
+/// The gradient step's sums over agents, each taken in agent order.
+#[derive(Debug, Clone, Default)]
+struct StepSums {
+    /// Weighted TD loss.
+    loss: f32,
+    /// Per-sample mean |TD| fed back as priorities.
+    abs_td: Vec<f64>,
+    /// `K > 1`: per branch, the sum over the live agents' head passes of the
+    /// advantage head's first-layer output gradient (`B × head_hidden`). The
+    /// trunk side of that layer's backward is linear in it, so the epilogue
+    /// runs it once per branch, not once per agent.
+    adv_first_grad: Vec<Tensor>,
+    /// Gradient at the trunk's output.
+    trunk_grad: Tensor,
+}
+
+impl StepSums {
+    fn heap_bytes(&self) -> usize {
+        self.abs_td.capacity() * std::mem::size_of::<f64>()
+            + self.trunk_grad.heap_bytes()
+            + tensors_heap_bytes(&self.adv_first_grad)
+            + self.adv_first_grad.capacity() * std::mem::size_of::<Tensor>()
+    }
+}
+
+impl Sums for StepSums {
+    fn td(&mut self, b: usize, abs_td: f64, loss: f32) {
+        self.abs_td[b] += abs_td;
+        self.loss += loss;
+    }
+
+    fn first_grad(&mut self, d: usize, grad: &Tensor) {
+        self.adv_first_grad[d].add_assign(grad).expect("same shape");
+    }
+
+    fn trunk_grad(&mut self, grad: &Tensor) {
+        self.trunk_grad.add_assign(grad).expect("same shape");
+    }
+}
+
+/// What one agent's head pass on the helper adds to [`StepSums`], recorded
+/// term by term. The calling thread adds it with
+/// [`replay`](Self::replay) in agent order, after the agent before and
+/// before the agent after, so every sum sees its terms in the order one
+/// thread would have added them. Its buffers keep their capacity.
+#[derive(Debug, Clone, Default)]
+struct AgentSums {
+    /// `(|TD| share, loss term)` per branch and row, `d * B + b`.
+    terms: Vec<(f64, f32)>,
+    first_grads: Vec<Tensor>,
+    first_n: usize,
+    trunk_grads: Vec<Tensor>,
+    trunk_n: usize,
+}
+
+impl AgentSums {
+    fn clear(&mut self) {
+        self.terms.clear();
+        self.first_n = 0;
+        self.trunk_n = 0;
+    }
+
+    /// Adds the recorded terms to `sums`, each sum's in the order they were
+    /// recorded.
+    fn replay(&self, batch: usize, sums: &mut impl Sums) {
+        for (i, &(abs_td, loss)) in self.terms.iter().enumerate() {
+            sums.td(i % batch, abs_td, loss);
+        }
+        for (d, grad) in self.first_grads[..self.first_n].iter().enumerate() {
+            sums.first_grad(d, grad);
+        }
+        for grad in &self.trunk_grads[..self.trunk_n] {
+            sums.trunk_grad(grad);
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.terms.capacity() * std::mem::size_of::<(f64, f32)>()
+            + tensors_heap_bytes(self.first_grads.iter().chain(&self.trunk_grads))
+            + (self.first_grads.capacity() + self.trunk_grads.capacity())
+                * std::mem::size_of::<Tensor>()
+    }
+}
+
+impl Sums for AgentSums {
+    fn td(&mut self, _b: usize, abs_td: f64, loss: f32) {
+        self.terms.push((abs_td, loss));
+    }
+
+    fn first_grad(&mut self, d: usize, grad: &Tensor) {
+        debug_assert_eq!(d, self.first_n, "branches in order");
+        if self.first_grads.len() == d {
+            self.first_grads.push(Tensor::default());
+        }
+        self.first_grads[d].copy_from(grad);
+        self.first_n = d + 1;
+    }
+
+    fn trunk_grad(&mut self, grad: &Tensor) {
+        if self.trunk_grads.len() == self.trunk_n {
+            self.trunk_grads.push(Tensor::default());
+        }
+        self.trunk_grads[self.trunk_n].copy_from(grad);
+        self.trunk_n += 1;
+    }
+}
+
+/// A task of the helper's share of a gradient step.
+#[derive(Debug, Clone, Copy)]
+enum Task {
+    /// The greedy actions of the odd agents ([`Lane::greedy`]).
+    Greedy,
+    /// The targets of the odd agents ([`Lane::targets`]).
+    Targets,
+    /// One agent's head pass, after skipping the dropout draws of `skip`
+    /// live agents the calling thread ran.
+    Head { agent: usize, skip: usize },
+    /// The upper part of the optimiser step ([`Net::upper_mlps`]).
+    Adam { split: usize },
+}
+
+impl Task {
+    /// Index into [`Share::warm`].
+    fn slot(self) -> usize {
+        match self {
+            Task::Greedy => 0,
+            Task::Targets => 1,
+            Task::Head { .. } => 2,
+            Task::Adam { .. } => 3,
+        }
+    }
+}
+
+/// The helper's share of a gradient step, the job a [`Helper`] runs. The
+/// learner builds it, and runs each task here on its own thread the first
+/// time, so that its thread, not the helper's, sizes every buffer: the
+/// helper never allocates.
+#[derive(Debug)]
+struct Share {
+    task: Task,
+    shape: Shape,
+    /// The step's inputs, while a task runs.
+    sample: Option<Arc<Sample>>,
+    /// The target network, while the targets run.
+    target: Option<Arc<Net>>,
+    /// The online network as the helper has it: copies of the advantage
+    /// heads, parameters and dropout streams taken at the start of each
+    /// step (their gradients are one head pass's), plus whatever value
+    /// heads a task moved in. Its trunk is empty.
+    online: Net,
+    lane: Lane,
+    /// The last head pass's sums and quarantine signals.
+    agent_sums: AgentSums,
+    signals: (f64, f64),
+    /// The upper part of the optimiser, moved in for [`Task::Adam`].
+    adam: Adam,
+    /// Tasks that have run once.
+    warm: [bool; 4],
+}
+
+impl Share {
+    fn new(config: &MaBdqConfig, online: &Net) -> Self {
+        Share {
+            task: Task::Greedy,
+            shape: Shape::of(config),
+            sample: None,
+            target: None,
+            online: Net {
+                trunk: Mlp::default(),
+                value_heads: (0..config.agents).map(|_| Mlp::default()).collect(),
+                adv_heads: online.adv_heads.clone(),
+            },
+            lane: Lane::default(),
+            agent_sums: AgentSums::default(),
+            signals: (0.0, 0.0),
+            adam: Adam::new(config.lr),
+            warm: [false; 4],
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.online.heap_bytes()
+            + self.lane.heap_bytes()
+            + self.agent_sums.heap_bytes()
+            + self.adam.heap_bytes()
+    }
+}
+
+impl Job for Share {
+    fn run(&mut self) {
+        let Share {
+            task,
+            shape,
+            sample,
+            target,
+            online,
+            lane,
+            agent_sums,
+            signals,
+            adam,
+            warm,
+        } = self;
+        let shape = *shape;
+        let sample = sample.as_deref();
+        match *task {
+            Task::Greedy => {
+                let sample = sample.expect("posted with the sample");
+                for k in (1..shape.agents).step_by(2) {
+                    lane.greedy(online, sample, k, shape);
+                }
+            }
+            Task::Targets => {
+                let sample = sample.expect("posted with the sample");
+                let target = target.as_deref().expect("posted with the target network");
+                for k in (1..shape.agents).step_by(2) {
+                    lane.targets(target, sample, k, shape);
+                }
+            }
+            Task::Head { agent, skip } => {
+                let sample = sample.expect("posted with the sample");
+                let Net {
+                    value_heads,
+                    adv_heads,
+                    ..
+                } = online;
+                for head in adv_heads.iter_mut() {
+                    head.skip_train_draws(skip * shape.batch);
+                    head.zero_grads();
+                }
+                agent_sums.clear();
+                let vh = &mut value_heads[agent];
+                *signals = lane.head_pass((shape, sample, agent), vh, adv_heads, agent_sums);
+            }
+            Task::Adam { split } => adam_update(adam, online.upper_mlps(split)),
+        }
+        warm[task.slot()] = true;
+    }
+}
+
+/// Whether a learner steps with a helper thread. Decided at its first
+/// gradient step; a clone starts undecided.
+#[derive(Debug, Default)]
+enum Helping {
+    #[default]
+    Undecided,
+    Alone,
+    With(Helper<Share>),
+}
+
+impl Clone for Helping {
+    fn clone(&self) -> Self {
+        Helping::Undecided
+    }
+}
+
+/// Runs `task` on the helper while `mine` runs here. Until a task has run
+/// once, both run here, the task first, so that this thread sizes its
+/// buffers.
+fn run_share<R>(helper: &mut Helper<Share>, task: Task, mine: impl FnOnce() -> R) -> Finished<R> {
+    let warm = {
+        let mut job = helper.job();
+        job.task = task;
+        job.warm[task.slot()]
+    };
+    if warm {
+        helper.run(mine)
+    } else {
+        helper.run_here(mine)
+    }
+}
+
+/// Runs `task` on the helper, if there is one, with the step's sample (and
+/// the target network, if given) lent to it for the run, while `mine` runs
+/// here; without a helper, `mine` alone.
+fn lend(
+    helping: &mut Helping,
+    task: Task,
+    (sample, target): (&Arc<Sample>, Option<&Arc<Net>>),
+    mine: impl FnOnce(),
+) {
+    let Helping::With(helper) = helping else {
+        return mine();
+    };
+    {
+        let mut job = helper.job();
+        job.sample = Some(Arc::clone(sample));
+        job.target = target.map(Arc::clone);
+    }
+    let finished = run_share(helper, task, mine);
+    {
+        let mut job = helper.job();
+        (job.sample, job.target) = (None, None);
+    }
+    finished.resume();
+}
+
+/// One Adam step over the arenas of `mlps`, in order.
+fn adam_update<'a>(adam: &mut Adam, mlps: impl Iterator<Item = &'a mut Mlp>) {
+    adam.update(mlps.map(Mlp::trainable));
+}
+
+/// Adam over the online network's arenas in [`Net::mlps`] order, kept as
+/// two optimisers that meet at value head `split`: the lower one steps
+/// [`Net::lower_mlps`], the upper one [`Net::upper_mlps`], and with a helper
+/// they step at once. Adam is element-wise and both count the same steps, so
+/// the two are one optimiser step over the flat arena, bit for bit — where a
+/// part starts changes nothing but which chunks `Parking` scans — and a
+/// checkpoint's moments are the lower part's followed by the upper part's.
+#[derive(Debug, Clone)]
+struct SplitAdam {
+    lower: Adam,
+    upper: Adam,
+    /// Value heads in the lower part.
+    split: usize,
+    /// Parameters in each part.
+    lens: (usize, usize),
+}
+
+impl SplitAdam {
+    /// Splits at the value head that leaves the parts closest in size.
+    fn new(lr: f32, net: &Net) -> Self {
+        let total = net.param_count();
+        let mut lower = net.trunk.param_count();
+        let (mut split, mut best) = (0, lower);
+        for (k, head) in net.value_heads.iter().enumerate() {
+            lower += head.param_count();
+            if lower.abs_diff(total - lower) < best.abs_diff(total - best) {
+                (split, best) = (k + 1, lower);
+            }
+        }
+        SplitAdam {
+            lower: Adam::new(lr),
+            upper: Adam::new(lr),
+            split,
+            lens: (best, total - best),
+        }
+    }
+
+    /// Moments for both parts, allocated here when empty.
+    fn size(&mut self) {
+        self.lower.sized(self.lens.0);
+        self.upper.sized(self.lens.1);
+    }
+
+    fn steps(&self) -> u64 {
+        self.lower.steps()
+    }
+
+    /// Whether the moments exist: a step has run since construction or the
+    /// last reset, or a checkpoint brought them.
+    fn is_sized(&self) -> bool {
+        !self.lower.moments().0.is_empty()
+    }
+
+    /// The first and second moments, flat: `(m, v)` per parameter.
+    fn moments(&self) -> impl Iterator<Item = (f32, f32)> + '_ {
+        [self.lower.moments(), self.upper.moments()]
+            .into_iter()
+            .flat_map(|(m, v)| m.iter().copied().zip(v.iter().copied()))
+    }
+
+    fn reset_state(&mut self) {
+        self.lower.reset_state();
+        self.upper.reset_state();
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.lower.heap_bytes() + self.upper.heap_bytes()
     }
 }
 
@@ -850,17 +1503,19 @@ impl DecideScratch {
 /// buffer keeps its capacity across steps, so both entry points are
 /// allocation-free in steady state.
 ///
-/// Between chunks the caller may decide (stateless forwards on
-/// [`DecideScratch`]) and [`observe`](MaBdq::observe) (which may overwrite
-/// sampled replay slots), so the step owns copies of everything it still
-/// needs: the sampled actions, the trunk output, and in `trunk_tape` what
-/// the trunk's train-mode forward left for the epilogue's backward pass.
-///
-/// The four tapes are split by lifetime, not by network. A tape can serve
-/// any number of networks as long as each forward-backward pair on it ends
+/// The tapes are split by lifetime, not by network. A tape can serve any
+/// number of networks as long as each forward-backward pair on it ends
 /// before the next pass on it begins: that is why all `K` value heads share
-/// `value_tape`, every advantage head shares `adv_tape`, and the online and
-/// target evaluations share `eval`.
+/// the lane's `value_tape`, every advantage head and every head evaluation
+/// shares the lane's evaluation tape, and only the trunk, whose forward in
+/// the prologue waits for its backward in the epilogue, has one of its own
+/// (which its evaluation forwards use before that).
+///
+/// With a helper ([`MaBdq::train_step`] has the split), the per-agent work
+/// runs on two lanes, this one and the helper's. The advantage heads'
+/// dropout streams are drawn from on both: the online heads here, the
+/// helper's copies there, each skipping the draws of the live agents the
+/// other ran, so every agent draws what it would have on one thread.
 #[derive(Debug, Clone, Default)]
 struct StepState {
     /// A step has started and its epilogue has not run.
@@ -868,95 +1523,54 @@ struct StepState {
     /// Next agent whose head pass is due; `agents` means only the epilogue
     /// is left.
     next_agent: usize,
-    /// PER sample (indices for the priority write-back, importance weights).
-    batch: PerBatch,
-    /// Joint current-state batch (`B × K*state_dim`).
-    x: Tensor,
-    /// Joint next-state batch.
-    x_next: Tensor,
-    /// Sampled actions, flattened `(b * agents + k) * num_branches + d`.
-    actions: Vec<u16>,
-    /// Working memory of the two evaluations of `x_next`, online then
-    /// target, in the prologue; dead once the targets are out.
-    eval: EvalWork,
-    /// One agent's evaluation of `x_next` (`D` tensors of `B × n_d`): the
-    /// online network's advantages, then the target network's Q-values,
-    /// agent after agent.
-    q_agent: QValues,
-    /// The online network's greedy action on `x_next` (double DQN), per
-    /// agent, branch and row: flattened `(k * num_branches + d) * B + b`.
-    a_star: Vec<u16>,
-    /// TD targets, flattened `b * agents + k`.
-    targets: Vec<f32>,
+    sample: Arc<Sample>,
+    /// This thread's lane.
+    lane: Lane,
     /// Written by the prologue's train-mode trunk forward, read by the
-    /// epilogue's trunk backward, touched by nothing in between.
+    /// epilogue's trunk backward, touched by nothing in between. Before
+    /// that forward, the evaluation stages of `x_next` run the trunk's
+    /// stateless forward on it.
     trunk_tape: Tape,
-    /// The current agent's value head: forward at the top of its head pass,
-    /// backward at the bottom (it needs the gradient every advantage head
-    /// contributes to), dead when the head pass returns.
-    value_tape: Tape,
-    /// Each advantage head in turn, forward then backward, inside one head
-    /// pass and between the value head's two halves — which is why it cannot
-    /// be the value head's tape.
-    adv_tape: Tape,
-    /// Train-mode trunk activations for the sampled batch.
-    trunk_out: Tensor,
-    /// `K > 1`: each advantage head's first-layer product over `trunk_out`
-    /// (weights are fixed until the epilogue), which every agent's
-    /// train-mode forward of that head continues from.
-    adv_prefix: Vec<Tensor>,
-    /// `K > 1`: per branch, the sum over the live agents' head passes so far
-    /// of the advantage head's first-layer output gradient (`B ×
-    /// head_hidden`). The trunk side of that layer's backward is linear in
-    /// it, so the epilogue runs it once per branch, not once per agent.
-    adv_first_grad: Vec<Tensor>,
-    /// Trunk gradient accumulated across completed head passes.
-    trunk_grad: Tensor,
-    /// Weighted TD loss accumulated so far.
-    loss: f32,
-    /// Per-sample mean |TD| fed back as priorities.
-    abs_td: Vec<f64>,
+    sums: StepSums,
     /// Per-agent summed |TD| this step (quarantine signal; unused when
     /// quarantine is disabled).
     agent_td: Vec<f64>,
     /// Per-agent value-head squared gradient norm this step (quarantine
     /// signal).
     agent_vgrad: Vec<f64>,
-    // Head-pass temporaries.
-    agent_state: Tensor,
-    input_k: Tensor,
-    v_grad: Tensor,
-    adv_grad: Tensor,
+    /// The agent the online advantage heads' dropout streams stand before.
+    streams_at: usize,
+    /// The same for the helper's copies of the heads.
+    helper_at: usize,
+    helping: Helping,
 }
 
 impl StepState {
     fn heap_bytes(&self) -> usize {
-        let tensors = [
-            &self.x,
-            &self.x_next,
-            &self.trunk_out,
-            &self.trunk_grad,
-            &self.agent_state,
-            &self.input_k,
-            &self.v_grad,
-            &self.adv_grad,
-        ];
-        let tapes = [&self.trunk_tape, &self.value_tape, &self.adv_tape];
-        let f64s = self.abs_td.capacity() + self.agent_td.capacity() + self.agent_vgrad.capacity();
-        tensors_heap_bytes(tensors)
-            + tapes.iter().map(|t| t.heap_bytes()).sum::<usize>()
-            + self.eval.heap_bytes()
-            + q_values_heap_bytes(&self.q_agent)
-            + (self.adv_prefix.capacity() + self.adv_first_grad.capacity())
-                * std::mem::size_of::<Tensor>()
-            + tensors_heap_bytes(&self.adv_prefix)
-            + tensors_heap_bytes(&self.adv_first_grad)
-            + self.batch.indices.capacity() * std::mem::size_of::<usize>()
-            + (self.batch.weights.capacity() + self.targets.capacity()) * std::mem::size_of::<f32>()
-            + (self.actions.capacity() + self.a_star.capacity()) * std::mem::size_of::<u16>()
+        let f64s = self.agent_td.capacity() + self.agent_vgrad.capacity();
+        self.sample.heap_bytes()
+            + self.lane.heap_bytes()
+            + self.trunk_tape.heap_bytes()
+            + self.sums.heap_bytes()
             + f64s * std::mem::size_of::<f64>()
     }
+
+    /// The helper's job and its thread's handoff block.
+    fn helper_bytes(&self) -> usize {
+        match &self.helping {
+            Helping::With(helper) => helper.heap_bytes() + helper.job().heap_bytes(),
+            _ => 0,
+        }
+    }
 }
+
+// A learner moves between threads (a fleet's nodes do, §18), and so does
+// its helper's job.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<MaBdq>();
+    send::<Share>();
+};
 
 impl MaBdq {
     /// Builds the online and target networks.
@@ -970,7 +1584,7 @@ impl MaBdq {
         let online = Net::new(&config, &mut rng);
         let mut target = Net::new(&config, &mut rng);
         target.copy_weights_from(&online);
-        let adam = Adam::new(config.lr);
+        let adam = SplitAdam::new(config.lr, &online);
         let priorities = Priorities::new(
             config.buffer_capacity,
             config.per_alpha,
@@ -986,7 +1600,7 @@ impl MaBdq {
         let mut agent = MaBdq {
             config,
             online,
-            target,
+            target: Arc::new(target),
             adam,
             priorities,
             slab,
@@ -1198,9 +1812,12 @@ impl MaBdq {
                 .map(|g| g.snapshot.capacity() * std::mem::size_of::<f32>())
                 .sum::<usize>();
         LearnerMemory {
-            networks: self.online.heap_bytes() + self.target.heap_bytes(),
+            networks: self.online.heap_bytes()
+                + arc_block_bytes::<Net>()
+                + self.target.heap_bytes(),
             optimiser: self.adam.heap_bytes(),
             step: self.step.heap_bytes(),
+            helper: self.step.helper_bytes(),
             decide: self.scratch.heap_bytes()
                 + self.quantized.as_ref().map_or(0, |q| q.heap_bytes()),
             guards,
@@ -1307,9 +1924,14 @@ impl MaBdq {
     fn eval_fused(&mut self, states: &[Vec<f32>]) -> Result<(), RlError> {
         self.check_states(states)?;
         self.pack_joint_state(states);
-        let DecideScratch { x, eval, q_eval } = &mut self.scratch;
+        let DecideScratch {
+            x,
+            shared,
+            eval,
+            q_eval,
+        } = &mut self.scratch;
         self.online
-            .q_values_fused_into(x, self.config.state_dim, eval, q_eval);
+            .q_values_fused_into(x, self.config.state_dim, (shared, eval), q_eval);
         Ok(())
     }
 
@@ -1332,9 +1954,14 @@ impl MaBdq {
     ) -> Result<(), RlError> {
         self.check_states(states)?;
         self.pack_joint_state(states);
-        let DecideScratch { x, eval, q_eval } = &mut self.scratch;
+        let DecideScratch {
+            x,
+            shared,
+            eval,
+            q_eval,
+        } = &mut self.scratch;
         self.online
-            .q_values_per_agent_into(x, self.config.state_dim, eval, q_eval);
+            .q_values_per_agent_into(x, self.config.state_dim, (shared, eval), q_eval);
         self.greedy_with_epsilon(Some(epsilon), out);
         Ok(())
     }
@@ -1468,9 +2095,14 @@ impl MaBdq {
     ) -> Result<(), RlError> {
         self.check_states(states)?;
         self.pack_joint_state(states);
-        let DecideScratch { x, eval, q_eval } = &mut self.scratch;
+        let DecideScratch {
+            x,
+            shared,
+            eval,
+            q_eval,
+        } = &mut self.scratch;
         self.online
-            .q_values_per_agent_into(x, self.config.state_dim, eval, q_eval);
+            .q_values_per_agent_into(x, self.config.state_dim, (shared, eval), q_eval);
         self.export_q_eval(out);
         Ok(())
     }
@@ -1601,6 +2233,16 @@ impl MaBdq {
     /// first: its partial gradients are discarded rather than mixed with a
     /// second minibatch.
     ///
+    /// With `K > 1` on a machine that lets this process run two threads at
+    /// once, the learner keeps one helper thread (started by its first step,
+    /// joined on drop) and hands it every other agent's share of the
+    /// per-agent work: the double-DQN targets, the head passes, and the
+    /// upper half of the Adam step. This thread adds every sum over agents
+    /// in agent order and each agent's dropout draws come from where one
+    /// thread would have drawn them, so weights, moments, priorities and RNG
+    /// streams are bit-identical to running every agent here, which is what
+    /// happens with one CPU or one agent. DESIGN.md §18 has the split.
+    ///
     /// # Errors
     ///
     /// Propagates replay-buffer errors.
@@ -1609,9 +2251,7 @@ impl MaBdq {
         if !self.begin_step()? {
             return Ok(None);
         }
-        for _ in 0..self.config.agents {
-            self.head_pass();
-        }
+        self.head_passes(self.config.agents);
         Ok(Some(self.finish_step()))
     }
 
@@ -1625,9 +2265,11 @@ impl MaBdq {
     /// Drops any in-flight budgeted step, zeroing its partial gradients.
     /// Called by every operation that would invalidate the deferred state
     /// (a full [`train_step`](Self::train_step), a checkpoint restore, a
-    /// transfer reset).
+    /// transfer reset). The advantage heads' dropout streams are left where
+    /// the head passes run so far leave them.
     fn abort_budgeted_step(&mut self) {
         if self.step.in_flight {
+            self.catch_up_streams(self.step.next_agent);
             self.step.in_flight = false;
             self.online.zero_grads();
         }
@@ -1640,7 +2282,9 @@ impl MaBdq {
     /// trunk forward; the call that finishes the last agent also runs the
     /// epilogue (gradient rescaling, trunk backward, NaN guard, clip, Adam,
     /// priority write-back, target sync, quarantine scan) and returns
-    /// [`BudgetedProgress::Done`].
+    /// [`BudgetedProgress::Done`]. A chunk of two agents or more splits
+    /// across the helper thread like a whole step; a one-agent chunk runs
+    /// here.
     ///
     /// Between chunk calls the caller may freely decide
     /// ([`select_actions`](Self::select_actions) /
@@ -1666,10 +2310,7 @@ impl MaBdq {
             return Ok(BudgetedProgress::NotReady);
         }
         let agents = self.config.agents;
-        let end = (self.step.next_agent + max_agents.max(1)).min(agents);
-        while self.step.next_agent < end {
-            self.head_pass();
-        }
+        self.head_passes((self.step.next_agent + max_agents.max(1)).min(agents));
         if self.step.next_agent < agents {
             return Ok(BudgetedProgress::InProgress {
                 agents_done: self.step.next_agent,
@@ -1679,11 +2320,43 @@ impl MaBdq {
         Ok(BudgetedProgress::Done(self.finish_step()))
     }
 
+    /// Keeps every agent on the calling thread from now on; joins the
+    /// helper.
+    #[cfg(test)]
+    fn train_serially(&mut self) {
+        self.step.helping = Helping::Alone;
+    }
+
+    /// Whether agent `k` trains this step: quarantine has not frozen it.
+    fn is_live(&self, k: usize) -> bool {
+        !self.config.quarantine.enabled || self.guards[k].frozen_until == 0
+    }
+
+    /// The live agents in `agents`: those whose dropout draws a stream
+    /// that skips them skips.
+    fn live_in(&self, agents: Range<usize>) -> usize {
+        agents.filter(|&k| self.is_live(k)).count()
+    }
+
+    /// Starts the helper on the first step that can use one: `K > 1` and
+    /// two CPUs this process may run on at once.
+    fn decide_helping(&mut self) {
+        if !matches!(self.step.helping, Helping::Undecided) {
+            return;
+        }
+        let job =
+            (self.config.agents > 1 && two_cpus()).then(|| Share::new(&self.config, &self.online));
+        self.step.helping = match job.and_then(|job| Helper::spawn("twig-learn", job)) {
+            Some(helper) => Helping::With(helper),
+            None => Helping::Alone,
+        };
+    }
+
     /// Prologue of the gradient step: re-admits agents out of probation,
-    /// samples the minibatch, packs states and actions out of the replay
-    /// buffer, computes double-DQN targets, zeroes gradients and runs the
-    /// train-mode trunk forward. Returns `false` (nothing started) when the
-    /// buffer is below `batch_size`.
+    /// samples the minibatch, packs states, actions and rewards out of the
+    /// replay buffer, computes double-DQN targets, zeroes gradients and runs
+    /// the train-mode trunk forward. Returns `false` (nothing started) when
+    /// the buffer is below `batch_size`.
     fn begin_step(&mut self) -> Result<bool, RlError> {
         let batch_size = self.config.batch_size;
         if self.priorities.len() < batch_size {
@@ -1691,184 +2364,225 @@ impl MaBdq {
         }
         let agents = self.config.agents;
         let num_branches = self.config.branches.len();
-        let gamma = self.config.gamma;
         let state_dim = self.config.state_dim;
         if self.config.quarantine.enabled {
             self.quarantine_readmit();
         }
-        let step = &mut self.step;
-
+        self.decide_helping();
+        let sample = Arc::make_mut(&mut self.step.sample);
         self.priorities
-            .sample_into(batch_size, &mut self.rng, &mut step.batch)?;
-
-        step.x.resize_zeroed(batch_size, agents * state_dim);
-        step.x_next.resize_zeroed(batch_size, agents * state_dim);
-        step.actions.clear();
-        for (b, &idx) in step.batch.indices.iter().enumerate() {
-            step.x.row_mut(b).copy_from_slice(self.slab.states(idx));
-            step.x_next
+            .sample_into(batch_size, &mut self.rng, &mut sample.batch)?;
+        sample.x.resize_zeroed(batch_size, agents * state_dim);
+        sample.x_next.resize_zeroed(batch_size, agents * state_dim);
+        sample.actions.clear();
+        sample.rewards.clear();
+        for (b, &idx) in sample.batch.indices.iter().enumerate() {
+            sample.x.row_mut(b).copy_from_slice(self.slab.states(idx));
+            sample
+                .x_next
                 .row_mut(b)
                 .copy_from_slice(self.slab.next_states(idx));
-            step.actions.extend_from_slice(self.slab.actions(idx));
+            sample.actions.extend_from_slice(self.slab.actions(idx));
+            sample.rewards.extend_from_slice(self.slab.rewards(idx));
         }
-
-        // Targets: double-DQN style, averaged over branches. Each network
-        // evaluates `x_next` one agent at a time, and what a row's target
-        // needs — the online argmax, then the target value there — is taken
-        // as each agent's block comes out. The argmax reads the online
-        // advantages alone: the value heads add one number per row.
-        let StepState {
-            x_next,
-            eval,
-            q_agent,
-            a_star,
-            targets,
-            batch,
-            ..
-        } = step;
-        self.online.eval_shared(x_next, eval);
-        a_star.clear();
-        for k in 0..agents {
-            self.online
-                .eval_advantages(x_next, k..k + 1, state_dim, eval, q_agent);
-            for qd in &q_agent[0] {
-                a_star.extend((0..batch_size).map(|b| {
-                    u16::try_from(argmax(qd.row(b)))
-                        .expect("validate keeps every branch within 2^16 actions")
-                }));
-            }
-        }
-        self.target.eval_shared(x_next, eval);
-        targets.clear();
-        targets.resize(batch_size * agents, 0.0);
-        for (k, chosen) in a_star.chunks_exact(num_branches * batch_size).enumerate() {
-            self.target
-                .eval_heads(x_next, k..k + 1, state_dim, eval, q_agent);
-            for b in 0..batch_size {
-                let mut acc = 0.0;
-                for (d, qd) in q_agent[0].iter().enumerate() {
-                    acc += qd[(b, usize::from(chosen[d * batch_size + b]))];
-                }
-                let reward = self.slab.rewards(batch.indices[b])[k];
-                targets[b * agents + k] = reward + gamma * acc / num_branches as f32;
-            }
-        }
+        self.step_targets();
 
         self.online.zero_grads();
+        let step = &mut self.step;
+        let sample = Arc::make_mut(&mut step.sample);
         let trunk = self.online.trunk.on(&mut step.trunk_tape);
-        step.trunk_out
-            .copy_from(trunk.forward_scratch(&step.x, true));
-        step.trunk_grad
-            .resize_zeroed(batch_size, step.trunk_out.cols());
+        let stage = &mut sample.stage;
+        stage
+            .trunk_out
+            .copy_from(trunk.forward_scratch(&sample.x, true));
+        let sums = &mut step.sums;
+        sums.trunk_grad
+            .resize_zeroed(batch_size, stage.trunk_out.cols());
         if agents > 1 {
-            step.adv_prefix.resize_with(num_branches, Tensor::default);
-            step.adv_first_grad
+            stage.prefixes.resize_with(num_branches, Tensor::default);
+            sums.adv_first_grad
                 .resize_with(num_branches, Tensor::default);
             let heads = self.online.adv_heads.iter();
-            for ((head, prefix), sum) in heads
-                .zip(&mut step.adv_prefix)
-                .zip(&mut step.adv_first_grad)
+            for ((head, prefix), sum) in
+                heads.zip(&mut stage.prefixes).zip(&mut sums.adv_first_grad)
             {
-                head.prefix_into(&step.trunk_out, prefix);
+                head.prefix_into(&stage.trunk_out, prefix);
                 sum.resize_zeroed(batch_size, self.config.head_hidden);
             }
         }
-        step.abs_td.clear();
-        step.abs_td.resize(batch_size, 0.0);
+        sums.abs_td.clear();
+        sums.abs_td.resize(batch_size, 0.0);
+        sums.loss = 0.0;
         step.agent_td.clear();
         step.agent_td.resize(agents, 0.0);
         step.agent_vgrad.clear();
         step.agent_vgrad.resize(agents, 0.0);
-        step.loss = 0.0;
         step.next_agent = 0;
+        step.streams_at = 0;
+        step.helper_at = 0;
         step.in_flight = true;
         Ok(true)
     }
 
-    /// Head pass of the next due agent: its value head and every advantage
-    /// head forward (train mode) and backward on the sampled batch,
-    /// accumulating loss, |TD|, head gradients and the trunk gradient. With
-    /// `K > 1` an advantage head's backward stops at its first layer's
-    /// output, and the gradient there joins the branch's sum in
-    /// `adv_first_grad` for the epilogue.
-    fn head_pass(&mut self) {
-        let batch_size = self.config.batch_size;
-        let agents = self.config.agents;
-        let num_branches = self.config.branches.len();
-        let state_dim = self.config.state_dim;
-        let quarantine_on = self.config.quarantine.enabled;
-        let norm = (batch_size * agents * num_branches) as f32;
-        let step = &mut self.step;
-        let k = step.next_agent;
-        step.next_agent += 1;
-        // A quarantined agent contributes nothing this step: no forward, no
-        // loss term, no gradient, no replay priority. The remaining K−1
-        // agents train exactly as usual (probation is time-based, so
-        // nothing needs measuring here either).
-        if quarantine_on && self.guards[k].frozen_until > 0 {
-            return;
+    /// The double-DQN targets of the sampled batch, averaged over branches,
+    /// into `sample.targets`: each agent's greedy actions on the next states
+    /// under the online network ([`Lane::greedy`]), then the target
+    /// network's values there ([`Lane::targets`]). A helper takes the odd
+    /// agents. An agent's targets are the same arithmetic on either thread,
+    /// and no agent's depend on another's.
+    fn step_targets(&mut self) {
+        let shape = Shape::of(&self.config);
+        let MaBdq {
+            online,
+            target,
+            step,
+            ..
+        } = self;
+        let StepState {
+            sample,
+            lane,
+            trunk_tape,
+            helping,
+            ..
+        } = step;
+        let stride = match helping {
+            Helping::With(helper) => {
+                // The step's parameters and dropout streams, for the targets
+                // and the head passes alike.
+                helper.job().online.adv_heads.clone_from(&online.adv_heads);
+                2
+            }
+            _ => 1,
+        };
+        let Sample { x_next, stage, .. } = Arc::make_mut(sample);
+        // The trunk's evaluation forwards run on the trunk's tape, idle
+        // until the train-mode forward below: the lane's evaluation tape
+        // then never grows to the trunk's width.
+        online.eval_shared(x_next, trunk_tape, stage);
+        lend(helping, Task::Greedy, (sample, None), || {
+            for k in (0..shape.agents).step_by(stride) {
+                lane.greedy(online, sample, k, shape);
+            }
+        });
+        let Sample { x_next, stage, .. } = Arc::make_mut(sample);
+        target.eval_shared(x_next, trunk_tape, stage);
+        lend(helping, Task::Targets, (sample, Some(target)), || {
+            for k in (0..shape.agents).step_by(stride) {
+                lane.targets(target, sample, k, shape);
+            }
+        });
+        let sample = Arc::make_mut(sample);
+        sample.targets.clone_from(&lane.targets);
+        if let Helping::With(helper) = helping {
+            let theirs = &helper.job().lane.targets;
+            let rows = theirs.chunks_exact(shape.agents);
+            for (mine, theirs) in sample.targets.chunks_exact_mut(shape.agents).zip(rows) {
+                for k in (1..shape.agents).step_by(2) {
+                    mine[k] = theirs[k];
+                }
+            }
         }
-        let vh = &mut self.online.value_heads[k];
-        step.agent_state.resize_zeroed(batch_size, state_dim);
-        for b in 0..batch_size {
-            step.agent_state
-                .row_mut(b)
-                .copy_from_slice(&step.x.row(b)[k * state_dim..(k + 1) * state_dim]);
-        }
-        step.trunk_out
-            .concat_cols_into(&step.agent_state, &mut step.input_k)
-            .expect("same batch");
-        let v = vh
-            .on(&mut step.value_tape)
-            .forward_scratch(&step.input_k, true);
-        let trunk_dim = step.trunk_out.cols();
-        step.v_grad.resize_zeroed(batch_size, 1);
+    }
 
-        for (d, head) in self.online.adv_heads.iter_mut().enumerate() {
-            let pass = head.on(&mut step.adv_tape);
-            let adv = if agents > 1 {
-                pass.forward_from_prefix_scratch(&step.adv_prefix[d], &step.agent_state, true)
-            } else {
-                pass.forward_scratch(&step.input_k, true)
+    /// The head passes of agents `next_agent..end`. With a helper the agents
+    /// alternate between the threads, this one taking the first. Each pair
+    /// runs at once; the helper's agent's [`AgentSums`] and head
+    /// gradients are then added here, after this thread's agent and before
+    /// its next, so every sum over agents is taken in agent order. A
+    /// quarantined agent contributes nothing: no forward, no loss term, no
+    /// gradient, no replay priority and no dropout draw.
+    fn head_passes(&mut self, end: usize) {
+        let shape = Shape::of(&self.config);
+        let mut k = self.step.next_agent;
+        while k < end {
+            let theirs = k + 1;
+            let pair = matches!(self.step.helping, Helping::With(_))
+                && theirs < end
+                && self.is_live(theirs);
+            let skip = self.live_in(self.step.streams_at..k);
+            let helper_skip = self.live_in(self.step.helper_at..theirs);
+            let live_k = self.is_live(k);
+            self.step.streams_at = k + 1;
+            let MaBdq { online, step, .. } = self;
+            let StepState {
+                sample,
+                lane,
+                sums,
+                agent_td,
+                agent_vgrad,
+                helper_at,
+                helping,
+                ..
+            } = step;
+            let mut mine = |online: &mut Net| {
+                let Net {
+                    value_heads,
+                    adv_heads,
+                    ..
+                } = online;
+                for head in adv_heads.iter_mut() {
+                    head.skip_train_draws(skip * shape.batch);
+                }
+                if live_k {
+                    let vh = &mut value_heads[k];
+                    let pass = (shape, &**sample, k);
+                    (agent_td[k], agent_vgrad[k]) = lane.head_pass(pass, vh, adv_heads, sums);
+                }
             };
-            let n = adv.cols();
-            step.adv_grad.resize_zeroed(batch_size, n);
-            for b in 0..batch_size {
-                let a = usize::from(step.actions[(b * agents + k) * num_branches + d]);
-                let row = adv.row(b);
-                let mean: f32 = row.iter().sum::<f32>() / n as f32;
-                let q = v[(b, 0)] + row[a] - mean;
-                let delta = q - step.targets[b * agents + k];
-                step.abs_td[b] += (delta.abs() / (agents * num_branches) as f32) as f64;
-                if quarantine_on {
-                    step.agent_td[k] += f64::from(delta.abs());
+            match helping {
+                Helping::With(helper) if pair => {
+                    {
+                        let mut job = helper.job();
+                        std::mem::swap(
+                            &mut job.online.value_heads[theirs],
+                            &mut online.value_heads[theirs],
+                        );
+                        job.sample = Some(Arc::clone(sample));
+                    }
+                    let task = Task::Head {
+                        agent: theirs,
+                        skip: helper_skip,
+                    };
+                    let finished = run_share(helper, task, || mine(online));
+                    {
+                        let mut job = helper.job();
+                        let job = &mut *job;
+                        std::mem::swap(
+                            &mut job.online.value_heads[theirs],
+                            &mut online.value_heads[theirs],
+                        );
+                        job.sample = None;
+                        // The helper's agent, in order: its sums, its
+                        // gradients.
+                        job.agent_sums.replay(shape.batch, sums);
+                        let copies = &job.online.adv_heads;
+                        for (head, copy) in online.adv_heads.iter_mut().zip(copies) {
+                            head.add_gradients(copy.gradients());
+                        }
+                        (agent_td[theirs], agent_vgrad[theirs]) = job.signals;
+                    }
+                    finished.resume();
+                    *helper_at = theirs + 1;
+                    k += 2;
                 }
-                let w = step.batch.weights[b];
-                step.loss += w * delta * delta / norm;
-                let g = 2.0 * w * delta / norm;
-                let grow = step.adv_grad.row_mut(b);
-                for (j, gj) in grow.iter_mut().enumerate() {
-                    let indicator = if j == a { 1.0 } else { 0.0 };
-                    *gj = g * (indicator - 1.0 / n as f32);
+                _ => {
+                    mine(online);
+                    k += 1;
                 }
-                step.v_grad[(b, 0)] += g;
-            }
-            let pass = head.on(&mut step.adv_tape);
-            if agents > 1 {
-                let g = pass.backward_from_prefix_scratch(&step.adv_grad);
-                step.adv_first_grad[d].add_assign(g).expect("same shape");
-            } else {
-                let gin = pass.backward_cols_scratch(&step.adv_grad, trunk_dim);
-                step.trunk_grad.add_assign(gin).expect("same shape");
             }
         }
-        let gin_v = vh
-            .on(&mut step.value_tape)
-            .backward_cols_scratch(&step.v_grad, trunk_dim);
-        step.trunk_grad.add_assign(gin_v).expect("same shape");
-        if quarantine_on {
-            step.agent_vgrad[k] = f64::from(vh.grad_sq_norm());
+        self.step.next_agent = end;
+    }
+
+    /// Moves the online advantage heads' dropout streams past the draws of
+    /// the live agents before `to` that the helper ran: to where one thread
+    /// running every agent would have left them.
+    fn catch_up_streams(&mut self, to: usize) {
+        let skip = self.live_in(self.step.streams_at..to);
+        for head in &mut self.online.adv_heads {
+            head.skip_train_draws(skip * self.config.batch_size);
         }
+        self.step.streams_at = self.step.streams_at.max(to);
     }
 
     /// Epilogue of the gradient step: the trunk side of the shared
@@ -1879,37 +2593,45 @@ impl MaBdq {
         let batch_size = self.config.batch_size;
         let agents = self.config.agents;
         let num_branches = self.config.branches.len();
+        self.catch_up_streams(agents);
         self.step.in_flight = false;
+        let MaBdq { online, step, .. } = self;
+        let StepState {
+            sample,
+            lane,
+            trunk_tape,
+            sums,
+            ..
+        } = step;
 
         // With `K > 1`, per branch: the weight rows that see `trunk_out`
         // take `trunk_outᵀ · Σ_k G_k`, and `trunk_grad` takes `Σ_k G_k ·
         // W_trunkᵀ`, one product each for all agents.
         if agents > 1 {
-            let step = &mut self.step;
-            let heads = self.online.adv_heads.iter_mut();
-            for (head, sum) in heads.zip(&step.adv_first_grad) {
+            let heads = online.adv_heads.iter_mut();
+            for (head, sum) in heads.zip(&sums.adv_first_grad) {
                 let gin = head
-                    .on(&mut step.adv_tape)
-                    .backward_prefix_scratch(&step.trunk_out, sum);
-                step.trunk_grad.add_assign(gin).expect("same shape");
+                    .on(&mut lane.eval.tape)
+                    .backward_prefix_scratch(&sample.stage.trunk_out, sum);
+                sums.trunk_grad.add_assign(gin).expect("same shape");
             }
         }
 
         // 1/K into the deepest advantage layers, 1/D into the shared
         // representation.
-        for head in self.online.adv_heads.iter_mut() {
+        for head in online.adv_heads.iter_mut() {
             head.scale_grads(1.0 / agents as f32);
         }
-        self.step.trunk_grad.scale(1.0 / num_branches as f32);
+        sums.trunk_grad.scale(1.0 / num_branches as f32);
         // The trunk's input is data: nobody reads a gradient for it.
-        self.online
+        online
             .trunk
-            .on(&mut self.step.trunk_tape)
-            .backward_cols_scratch(&self.step.trunk_grad, 0);
+            .on(trunk_tape)
+            .backward_cols_scratch(&sums.trunk_grad, 0);
 
-        let loss = self.step.loss;
-        let mean_abs_td = (self.step.abs_td.iter().sum::<f64>() / batch_size as f64) as f32;
-        let grad_norm = self.online.grad_sq_norm().sqrt();
+        let loss = sums.loss;
+        let mean_abs_td = (sums.abs_td.iter().sum::<f64>() / batch_size as f64) as f32;
+        let grad_norm = online.grad_sq_norm().sqrt();
         // NaN guard: a numerically blown-up minibatch (non-finite loss or
         // gradients) must not reach the weights — one bad Adam step can
         // permanently poison the network. Skip the update and report it.
@@ -1922,16 +2644,16 @@ impl MaBdq {
             if grad_norm > GRAD_CLIP {
                 self.online.scale_all_grads(GRAD_CLIP / grad_norm);
             }
-            self.online.apply(&mut self.adam);
+            self.apply_adam();
             self.priorities
-                .update_priorities(&self.step.batch.indices, &self.step.abs_td);
+                .update_priorities(&self.step.sample.batch.indices, &self.step.sums.abs_td);
             self.stats.bump(&self.telemetry, |s| &mut s.steps);
             if self
                 .stats
                 .steps
                 .is_multiple_of(self.config.target_update_every)
             {
-                self.target.copy_weights_from(&self.online);
+                Arc::make_mut(&mut self.target).copy_weights_from(&self.online);
             }
         }
         // The scan runs on skipped steps too: the agent whose TD blew up
@@ -1947,6 +2669,38 @@ impl MaBdq {
         };
         self.record_train_stats(&stats);
         stats
+    }
+
+    /// One Adam step over every online arena: the lower part here, the upper
+    /// part on the helper, which gets its value heads, the advantage heads
+    /// and the upper optimiser moved in for the run. A quarantine-frozen head
+    /// steps on its zero gradient.
+    fn apply_adam(&mut self) {
+        let MaBdq {
+            online, adam, step, ..
+        } = self;
+        adam.size();
+        let split = adam.split;
+        let Helping::With(helper) = &mut step.helping else {
+            adam_update(&mut adam.lower, online.lower_mlps(split));
+            adam_update(&mut adam.upper, online.upper_mlps(split));
+            return;
+        };
+        let swap = |job: &mut Share, online: &mut Net, adam: &mut SplitAdam| {
+            std::mem::swap(&mut job.adam, &mut adam.upper);
+            std::mem::swap(&mut job.online.adv_heads, &mut online.adv_heads);
+            let heads = job.online.value_heads[split..].iter_mut();
+            for (theirs, mine) in heads.zip(&mut online.value_heads[split..]) {
+                std::mem::swap(theirs, mine);
+            }
+        };
+        swap(&mut helper.job(), online, adam);
+        let lower = &mut adam.lower;
+        let finished = run_share(helper, Task::Adam { split }, || {
+            adam_update(lower, online.lower_mlps(split));
+        });
+        swap(&mut helper.job(), online, adam);
+        finished.resume();
     }
 
     /// Feeds one gradient step's diagnostics into the attached telemetry
@@ -1979,7 +2733,7 @@ impl MaBdq {
             head.reinitialize_last_dense(&mut self.rng);
         }
         self.adam.reset_state();
-        self.target.copy_weights_from(&self.online);
+        Arc::make_mut(&mut self.target).copy_weights_from(&self.online);
     }
 
     /// The online trunk's parameter arena, weights and biases (for
@@ -2040,19 +2794,18 @@ impl MaBdq {
             params.extend_from_slice(mlp.parameters());
         }
         // The v1 frame's per-tensor slots, cut from the flat moments.
-        let (m, v) = self.adam.moments();
+        let mut moments = self.adam.moments();
         let mut slots = Vec::new();
-        if !m.is_empty() {
+        if self.adam.is_sized() {
             let lens = self.online.mlps().flat_map(Mlp::parameter_lens);
-            let mut at = 0;
             for (id, len) in lens.enumerate() {
+                let (m, v) = moments.by_ref().take(len).unzip();
                 slots.push(MomentSlot {
                     id,
                     steps: self.adam.steps(),
-                    m: m[at..at + len].to_vec(),
-                    v: v[at..at + len].to_vec(),
+                    m,
+                    v,
                 });
-                at += len;
             }
         }
         MaBdqCheckpoint {
@@ -2144,22 +2897,33 @@ impl MaBdq {
                 .expect("length checked");
             offset += n;
         }
-        // The slots fit, so they concatenate into the flat moments.
+        // The slots fit, so they concatenate into the flat moments: the
+        // lower part's, then the upper part's.
         let slots = &ckpt.adam.slots;
-        let (steps, len) = slots.first().map_or((0, 0), |s| (s.steps, offset));
-        let (m, v) = self.adam.restore(steps, len);
-        let mut at = 0;
-        for slot in slots {
-            m[at..at + slot.m.len()].copy_from_slice(&slot.m);
-            v[at..at + slot.v.len()].copy_from_slice(&slot.v);
-            at += slot.m.len();
+        match slots.first() {
+            None => self.adam.reset_state(),
+            Some(first) => {
+                let SplitAdam {
+                    lower, upper, lens, ..
+                } = &mut self.adam;
+                let (m0, v0) = lower.restore(first.steps, lens.0);
+                let (m1, v1) = upper.restore(first.steps, lens.1);
+                let m = m0.iter_mut().chain(m1.iter_mut());
+                for (dst, &src) in m.zip(slots.iter().flat_map(|s| &s.m)) {
+                    *dst = src;
+                }
+                let v = v0.iter_mut().chain(v1.iter_mut());
+                for (dst, &src) in v.zip(slots.iter().flat_map(|s| &s.v)) {
+                    *dst = src;
+                }
+            }
         }
         self.stats.steps = ckpt.steps;
         self.stats.skipped_steps = ckpt.skipped_steps;
         self.priorities.set_anneal_step(ckpt.per_step);
         self.priorities.set_max_priority(ckpt.per_max_priority);
         self.priorities.restore_priorities(&ckpt.priorities);
-        self.target.copy_weights_from(&self.online);
+        Arc::make_mut(&mut self.target).copy_weights_from(&self.online);
         self.rebuild_guards();
         Ok(())
     }
@@ -2180,6 +2944,7 @@ fn argmax(row: &[f32]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use twig_stats::helper::two_cpus;
 
     fn tiny_config(agents: usize) -> MaBdqConfig {
         MaBdqConfig {
@@ -3122,25 +3887,22 @@ mod tests {
         }
         agent.guards[1].frozen_until = u64::MAX;
         assert!(agent.begin_step().unwrap());
-        agent.head_pass();
+        agent.head_passes(1);
         let nets = format!("{:?}", agent.online);
-        let (loss, abs_td, trunk_grad, branch_sums) = (
-            agent.step.loss,
-            agent.step.abs_td.clone(),
-            agent.step.trunk_grad.clone(),
-            agent.step.adv_first_grad.clone(),
-        );
-        agent.head_pass();
+        let sums = agent.step.sums.clone();
+        agent.head_passes(2);
         assert_eq!(agent.step.next_agent, 2);
         assert_eq!(format!("{:?}", agent.online), nets);
-        assert_eq!(agent.step.loss.to_bits(), loss.to_bits());
-        assert_eq!(agent.step.abs_td, abs_td);
-        assert_eq!(agent.step.trunk_grad, trunk_grad);
-        assert_eq!(agent.step.adv_first_grad, branch_sums);
+        let after = &agent.step.sums;
+        assert_eq!(after.loss.to_bits(), sums.loss.to_bits());
+        assert_eq!(after.abs_td, sums.abs_td);
+        assert_eq!(after.trunk_grad, sums.trunk_grad);
+        assert_eq!(after.adv_first_grad, sums.adv_first_grad);
         // The next live agent does draw, and adds to every branch's sum.
-        agent.head_pass();
+        agent.head_passes(3);
         assert_ne!(format!("{:?}", agent.online), nets);
-        for (after, before) in agent.step.adv_first_grad.iter().zip(&branch_sums) {
+        let after = &agent.step.sums.adv_first_grad;
+        for (after, before) in after.iter().zip(&sums.adv_first_grad) {
             assert_ne!(after, before);
         }
     }
@@ -3161,17 +3923,19 @@ mod tests {
             }
             agent.train_step().unwrap().expect("batch full");
             agent.q_values(&vec![vec![0.2, -0.3]; agents]).unwrap();
-            assert_eq!(!agent.step.adv_prefix.is_empty(), split);
-            for (work, rows) in [(&agent.step.eval, batch), (&agent.scratch.eval, agents)] {
+            let (step, scratch) = (&agent.step, &agent.scratch);
+            assert_eq!(!step.sample.stage.prefixes.is_empty(), split);
+            for (work, shared, rows) in [
+                (&step.lane.eval, &step.sample.stage, batch),
+                (&scratch.eval, &scratch.shared, agents),
+            ] {
                 assert_eq!(work.stacked.rows(), if split { rows } else { 0 });
-                assert_eq!(work.prefixes.len(), if split { branches } else { 0 });
-                assert!(work
-                    .prefixes
-                    .iter()
-                    .all(|p| p.rows() == work.trunk_out.rows()));
+                assert_eq!(shared.prefixes.len(), if split { branches } else { 0 });
+                let rows = shared.trunk_out.rows();
+                assert!(shared.prefixes.iter().all(|p| p.rows() == rows));
             }
-            assert_eq!(agent.step.q_agent.len(), 1);
-            assert_eq!(agent.step.a_star.len(), agents * branches * batch);
+            assert_eq!(step.lane.q_agent.len(), 1);
+            assert_eq!(step.lane.a_star.len(), agents * branches * batch);
         }
     }
 
@@ -3234,17 +3998,18 @@ mod tests {
         };
         let (batch, state_dim) = (64, config.state_dim);
         let mut rng = Xoshiro256::seed_from_u64(31);
-        let mut net = Net::new(&config, &mut rng);
+        let net = Net::new(&config, &mut rng);
         let mut x = Tensor::zeros(batch, config.agents * state_dim);
         for v in x.as_mut_slice() {
             *v = rng.range_f64(-1.0, 1.0) as f32;
         }
         // One working memory for both: nothing of an evaluation outlives it
         // but its Q-values.
-        let mut work = EvalWork::default();
+        let (mut shared, mut work) = (Trunked::default(), EvalWork::default());
         let (mut fused, mut reference) = (QValues::new(), QValues::new());
-        net.q_values_fused_into(&x, state_dim, &mut work, &mut fused);
-        net.q_values_per_agent_into(&x, state_dim, &mut work, &mut reference);
+        net.q_values_fused_into(&x, state_dim, (&mut shared, &mut work), &mut fused);
+        let work = (&mut shared, &mut work);
+        net.q_values_per_agent_into(&x, state_dim, work, &mut reference);
         assert_eq!(fused.len(), config.agents);
         for (k, (f, r)) in fused.iter().zip(&reference).enumerate() {
             assert_eq!(f.len(), config.branches.len());
@@ -3303,20 +4068,21 @@ mod tests {
     /// each bit for bit the per-agent reference's. One `EvalWork` serves
     /// the reference and every group.
     fn assert_any_grouping_matches_the_reference(
-        net: &mut Net,
+        net: &Net,
         x: &Tensor,
         state_dim: usize,
         context: &str,
     ) {
         let agents = net.value_heads.len();
-        let mut work = EvalWork::default();
+        let (mut shared, mut work) = (Trunked::default(), EvalWork::default());
         let (mut reference, mut q) = (QValues::new(), QValues::new());
-        net.q_values_per_agent_into(x, state_dim, &mut work, &mut reference);
+        net.q_values_per_agent_into(x, state_dim, (&mut shared, &mut work), &mut reference);
         for group in [1, 3, agents] {
-            net.eval_shared(x, &mut work);
+            net.eval_shared(x, &mut work.tape, &mut shared);
             for start in (0..agents).step_by(group) {
                 let range = start..(start + group).min(agents);
-                net.eval_heads(x, range.clone(), state_dim, &mut work, &mut q);
+                let eval = (&shared, &mut work);
+                net.eval_heads(x, range.clone(), state_dim, eval, &mut q);
                 assert_eq!(q.len(), range.len());
                 for (got, k) in q.iter().zip(range) {
                     assert_eq!(got.len(), reference[k].len());
@@ -3355,7 +4121,7 @@ mod tests {
                 for v in x.as_mut_slice() {
                     *v = rng.range_f32(-2.0, 2.0);
                 }
-                for (name, net) in [("online", &mut agent.online), ("target", &mut agent.target)] {
+                for (name, net) in [("online", &agent.online), ("target", &*agent.target)] {
                     let context = format!("K = {agents}, {what}, {name}");
                     assert_any_grouping_matches_the_reference(net, &x, config.state_dim, &context);
                 }
@@ -3401,17 +4167,14 @@ mod tests {
             ..
         } = agent;
         let (agents, batch, branches) = (config.agents, config.batch_size, config.branches.len());
-        let mut work = EvalWork::default();
+        let (mut shared, mut work) = (Trunked::default(), EvalWork::default());
         let (mut a_online, mut q_target) = (QValues::new(), QValues::new());
-        online.eval_shared(&step.x_next, &mut work);
-        online.eval_advantages(
-            &step.x_next,
-            0..agents,
-            config.state_dim,
-            &mut work,
-            &mut a_online,
-        );
-        target.q_values_fused_into(&step.x_next, config.state_dim, &mut work, &mut q_target);
+        let x_next = &step.sample.x_next;
+        online.eval_shared(x_next, &mut work.tape, &mut shared);
+        let eval = (&shared, &mut work);
+        online.eval_advantages(x_next, 0..agents, config.state_dim, eval, &mut a_online);
+        let eval = (&mut shared, &mut work);
+        target.q_values_fused_into(x_next, config.state_dim, eval, &mut q_target);
         let mut targets = vec![0.0; batch * agents];
         for k in 0..agents {
             for b in 0..batch {
@@ -3420,7 +4183,7 @@ mod tests {
                     let a_star = argmax(a_online[k][d].row(b));
                     acc += q_target[k][d][(b, a_star)];
                 }
-                let reward = slab.rewards(step.batch.indices[b])[k];
+                let reward = slab.rewards(step.sample.batch.indices[b])[k];
                 targets[b * agents + k] = reward + config.gamma * acc / branches as f32;
             }
         }
@@ -3454,10 +4217,18 @@ mod tests {
                 assert!(agent.begin_step().unwrap());
                 let (want, q_target) = targets_from_full_q_tables(&mut agent);
                 let context = format!("K = {agents}, round {round}");
-                assert_eq!(bits(&agent.step.targets), bits(&want), "{context}");
+                assert_eq!(bits(&agent.step.sample.targets), bits(&want), "{context}");
                 if tied {
-                    let chosen = agent.step.a_star.chunks_exact(branches * batch);
-                    for (k, (a_star, q)) in chosen.zip(&q_target).enumerate() {
+                    // A helper took the odd agents' greedy actions.
+                    let theirs = match &agent.step.helping {
+                        Helping::With(helper) => helper.job().lane.a_star.clone(),
+                        _ => agent.step.lane.a_star.clone(),
+                    };
+                    let mine = agent.step.lane.a_star.chunks_exact(branches * batch);
+                    let chosen = mine.zip(theirs.chunks_exact(branches * batch));
+                    let chosen = chosen.enumerate();
+                    for ((k, (mine, theirs)), q) in chosen.zip(&q_target) {
+                        let a_star = if k % 2 == 0 { mine } else { theirs };
                         let first = &a_star[..batch];
                         assert!(
                             first.iter().all(|&a| a == 0),
@@ -3470,9 +4241,7 @@ mod tests {
                         );
                     }
                 }
-                for _ in 0..agents {
-                    agent.head_pass();
-                }
+                agent.head_passes(agents);
                 assert!(!agent.finish_step().skipped, "{context}");
                 agent.observe(random_transition(&mut rng, &config)).unwrap();
             }
@@ -3505,11 +4274,13 @@ mod tests {
                 if tied {
                     tie_first_two_actions(&mut net.adv_heads[0]);
                 }
-                let mut work = EvalWork::default();
+                let (mut shared, mut work) = (Trunked::default(), EvalWork::default());
                 let (mut adv, mut q) = (QValues::new(), QValues::new());
-                net.q_values_fused_into(&x, config.state_dim, &mut work, &mut q);
-                net.eval_shared(&x, &mut work);
-                net.eval_advantages(&x, 0..agents, config.state_dim, &mut work, &mut adv);
+                let eval = (&mut shared, &mut work);
+                net.q_values_fused_into(&x, config.state_dim, eval, &mut q);
+                net.eval_shared(&x, &mut work.tape, &mut shared);
+                let eval = (&shared, &mut work);
+                net.eval_advantages(&x, 0..agents, config.state_dim, eval, &mut adv);
                 let mut unique = 0;
                 for (k, (a_k, q_k)) in adv.iter().zip(&q).enumerate() {
                     for (d, (a_kd, q_kd)) in a_k.iter().zip(q_k).enumerate() {
@@ -3574,5 +4345,174 @@ mod tests {
             assert!(!receiver.train_step().unwrap().expect("batch full").skipped);
         }
         assert_eq!(receiver.steps(), 70);
+    }
+
+    /// What the threaded-vs-serial proof compares: every step's
+    /// diagnostics and decision, and at the end the checkpoint bytes (params,
+    /// moments, counters, priorities), both networks with their dropout
+    /// streams, and the learner's counters.
+    #[derive(Debug, PartialEq)]
+    struct SplitRun {
+        progress: Vec<String>,
+        decisions: Vec<Vec<Vec<usize>>>,
+        checkpoint: Vec<u8>,
+        nets: String,
+        stats: (LearnerStats, QuarantineStats),
+    }
+
+    /// One epoch of a proof script: observe, then this, then decide.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Train,
+        /// `train_step_budgeted` with this many agents.
+        Chunk(usize),
+        /// Train on a transition whose reward for this agent (every agent:
+        /// `usize::MAX`) overflows the squared TD error.
+        Poison(usize),
+        TransferReset,
+        Save,
+        Restore,
+        /// Go on with a clone of the learner.
+        Clone,
+    }
+
+    fn split_run(config: &MaBdqConfig, script: &[Op], serial: bool) -> SplitRun {
+        let mut agent = MaBdq::new(config.clone()).unwrap();
+        if serial {
+            agent.train_serially();
+        }
+        let mut rng = Xoshiro256::seed_from_u64(config.seed ^ 0x5b17);
+        let (mut progress, mut decisions) = (Vec::new(), Vec::new());
+        let (mut saved, mut helped) = (None, false);
+        for &op in script {
+            let mut t = random_transition(&mut rng, config);
+            if let Op::Poison(k) = op {
+                for (j, r) in t.rewards.iter_mut().enumerate() {
+                    if k == usize::MAX || j == k {
+                        *r = 1.0e30;
+                    }
+                }
+            }
+            let states = t.states.clone();
+            agent.observe(t).unwrap();
+            let stats = |s: TrainStats| {
+                let bits = [s.loss, s.mean_abs_td, s.grad_norm].map(f32::to_bits);
+                format!("{bits:?} {}", s.skipped)
+            };
+            match op {
+                Op::Train | Op::Poison(_) => {
+                    progress.push(format!("{:?}", agent.train_step().unwrap().map(stats)));
+                }
+                Op::Chunk(n) => match agent.train_step_budgeted(n).unwrap() {
+                    BudgetedProgress::Done(s) => progress.push(stats(s)),
+                    other => progress.push(format!("{other:?}")),
+                },
+                Op::TransferReset => agent.transfer_reset(),
+                Op::Save => saved = Some(agent.save_checkpoint()),
+                Op::Restore => agent.load_checkpoint(saved.as_ref().unwrap()).unwrap(),
+                Op::Clone => {
+                    agent = agent.clone();
+                    if serial {
+                        agent.train_serially();
+                    }
+                }
+            }
+            helped |= matches!(agent.step.helping, Helping::With(_));
+            let mut actions = Vec::new();
+            agent
+                .select_actions_into(&states, 0.3, &mut actions)
+                .unwrap();
+            decisions.push(actions);
+        }
+        assert_eq!(helped, !serial && two_cpus(), "a helper took part");
+        SplitRun {
+            progress,
+            decisions,
+            checkpoint: crate::encode_checkpoint(&agent.save_checkpoint()),
+            nets: format!("{:?}", (&agent.online, &*agent.target)),
+            stats: (agent.learner_stats(), agent.quarantine_stats()),
+        }
+    }
+
+    #[test]
+    fn threaded_steps_equal_serial_steps() {
+        use Op::*;
+        let train = |n| vec![Train; n];
+        let chunks = [Chunk(1), Chunk(3)].repeat(12);
+        let scripts: [(&str, Vec<Op>); 7] = [
+            ("plain", train(30)),
+            (
+                "budgeted chunks of 1 and 3",
+                [train(2), chunks.clone()].concat(),
+            ),
+            (
+                "agent 0 quarantined mid-run",
+                [train(15), vec![Poison(0); 4], train(8), chunks.clone()].concat(),
+            ),
+            (
+                "steps skipped by the NaN guard",
+                [train(10), vec![Poison(usize::MAX); 2], train(10)].concat(),
+            ),
+            (
+                "transfer resets, one mid-step",
+                [
+                    train(10),
+                    vec![TransferReset],
+                    train(5),
+                    vec![Chunk(1), TransferReset],
+                    train(5),
+                ]
+                .concat(),
+            ),
+            (
+                "a checkpoint restored mid-run and mid-step",
+                [
+                    train(8),
+                    vec![Save],
+                    train(8),
+                    vec![Chunk(1), Restore],
+                    train(8),
+                ]
+                .concat(),
+            ),
+            (
+                "cloned between steps and mid-step",
+                [
+                    train(8),
+                    vec![Clone],
+                    train(4),
+                    vec![Chunk(1), Clone],
+                    chunks.clone(),
+                ]
+                .concat(),
+            ),
+        ];
+        let (mut skipped, mut trips) = (0, 0);
+        for agents in [2, 3, 5, 24] {
+            let config = MaBdqConfig {
+                dropout: 0.25,
+                gamma: 0.9,
+                seed: 40 + agents as u64,
+                ..quarantine_test_config(agents)
+            };
+            for (name, script) in &scripts {
+                let plain = MaBdqConfig {
+                    quarantine: QuarantineConfig::default(),
+                    ..config.clone()
+                };
+                let config = if name.contains("quarantine") {
+                    &config
+                } else {
+                    &plain
+                };
+                let serial = split_run(config, script, true);
+                let context = format!("K = {agents}, {name}");
+                assert_eq!(split_run(config, script, false), serial, "{context}");
+                skipped += serial.stats.0.skipped_steps;
+                trips += serial.stats.1.trips;
+            }
+        }
+        // The runs exercised what they claim to.
+        assert!(skipped > 0 && trips > 0, "{skipped} skipped, {trips} trips");
     }
 }

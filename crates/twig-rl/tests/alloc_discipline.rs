@@ -12,7 +12,8 @@
 //! transitions costs what it holds, not what it could hold. And it holds the
 //! learner to its own account of itself: `learner_bytes() + replay_bytes()`
 //! is what the allocator says is live, and a network nobody trains holds
-//! weights only.
+//! weights only. With two CPUs the `K > 1` learners train with a helper
+//! thread, which must never allocate: the learner's thread sizes its job.
 //!
 //! Kept as its own integration test so the `#[global_allocator]` does not
 //! leak into other test binaries, and run single-threaded by construction
@@ -150,6 +151,11 @@ fn hot_path_is_allocation_free_in_steady_state() {
     for agents in [1, 2, 24] {
         learner_bytes_account_for_the_live_heap(agents);
     }
+    // With two CPUs the K = 2 and K = 24 learners above trained with a helper
+    // thread. Its job is sized on the learner's thread, so from its first
+    // post on (from the start of its loop, in fact) it allocates nothing,
+    // and glibc never gives it a malloc arena of its own.
+    assert_eq!(count_alloc::helper_allocation_count(), 0);
 }
 
 /// `agent` holds 64 transitions of a 1 024-slot buffer, none of which starts
@@ -317,7 +323,9 @@ fn learner_bytes_account_for_the_live_heap(agents: usize) {
     );
     if agents == 24 {
         // 3 811 524 when the targets began to be evaluated one agent at a
-        // time (4 835 652 before, with K·B-row evaluation buffers).
+        // time (4 835 652 before, with K·B-row evaluation buffers); with two
+        // CPUs it includes the helper thread's share of the train step's
+        // working memory (`LearnerMemory::helper`, ≈ 300 KB).
         let learner = agent.learner_bytes();
         assert!(
             learner <= 3_900_000,

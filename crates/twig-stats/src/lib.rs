@@ -26,6 +26,7 @@ mod corr;
 mod describe;
 mod error;
 pub mod fields;
+pub mod helper;
 mod histogram;
 mod matrix;
 mod model_select;

@@ -185,6 +185,15 @@ impl Xoshiro256 {
             s: [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()],
         }
     }
+
+    /// Skips `n` draws: the state `n` calls of [`next_u64`](Rng::next_u64)
+    /// would leave. A stream another thread drew from meanwhile catches up
+    /// with it this way.
+    pub fn advance(&mut self, n: u64) {
+        for _ in 0..n {
+            self.next_u64();
+        }
+    }
 }
 
 impl Rng for Xoshiro256 {
@@ -253,6 +262,22 @@ mod tests {
         let mut sm2 = SplitMix64::new(0);
         assert_eq!(sm2.next_u64(), a);
         assert_eq!(sm2.next_u64(), b);
+    }
+
+    #[test]
+    fn advance_skips_exactly_n_draws() {
+        // 3 072 is one agent's dropout draws in a 48-wide head at B = 64,
+        // 36 864 twelve agents'.
+        for n in [0u64, 1, 3_072, 36_864] {
+            let mut skipped = Xoshiro256::seed_from_u64(n ^ 0x5eed);
+            let mut drawn = skipped.clone();
+            skipped.advance(n);
+            for _ in 0..n {
+                drawn.next_u64();
+            }
+            assert_eq!(skipped, drawn, "n = {n}");
+            assert_eq!(skipped.next_u64(), drawn.next_u64(), "n = {n}");
+        }
     }
 
     #[test]

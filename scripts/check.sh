@@ -172,16 +172,20 @@ check_any_seed() {
     done
 }
 
-# `Cluster::step` serves half of a fleet's nodes on a worker thread only
-# when the process may run two threads at once (DESIGN.md §18). Pinned to
-# one CPU, it serves every node on the calling thread, and the suite reports
-# must still equal the committed ones. Reuses the dev build of the test step.
+# `Cluster::step` and `MaBdq`'s train step hand half of their work to a
+# helper thread only when the process may run two threads at once
+# (DESIGN.md §18). Pinned to one CPU, everything runs on the calling thread,
+# and the suite reports must still equal the committed ones and the
+# learner's replay digests their goldens. Reuses the dev build of the test
+# step and the release build of `test-release`'s crates.
 check_one_cpu() {
     if ! command -v taskset >/dev/null; then
         echo "SKIP: one-cpu (taskset not found)"
         return 0
     fi
-    taskset -c 0 cargo test -q --offline -p twig-bench --test fleet_determinism
+    taskset -c 0 cargo test -q --offline -p twig-bench --test fleet_determinism &&
+        taskset -c 0 cargo test -q --release --offline -p twig-rl \
+            --test replay_digests --test budgeted_training
 }
 
 step "fmt"            cargo fmt --all -- --check
