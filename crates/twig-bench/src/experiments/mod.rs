@@ -88,7 +88,8 @@ pub fn find(name: &str) -> Option<RunTo> {
 }
 
 /// Runs `registry` as one fleet of `opts.jobs` workers, one unit per
-/// experiment, then [`EXCLUSIVE`] alone once the workers have drained.
+/// experiment, then `EXCLUSIVE` (`table3_overhead`) alone once the workers
+/// have drained.
 /// Results come back in `registry` order whatever the completion order,
 /// and a unit that errors or panics is a failed result, not a dead suite.
 pub fn run_all(registry: &[(&str, RunTo)], opts: &Options) -> FleetRun<String> {

@@ -34,8 +34,8 @@ pub struct Outcome {
     pub fault_qos_pct: f64,
     /// % of post-fault epochs meeting QoS.
     pub post_qos_pct: f64,
-    /// Epochs after the faults stop until [`RECOVERY_STREAK`] consecutive
-    /// QoS-met epochs begin; `None` if that never happens.
+    /// Epochs after the faults stop until a streak of `RECOVERY_STREAK`
+    /// (5) consecutive QoS-met epochs begins; `None` if that never happens.
     pub recovery_epochs: Option<usize>,
     /// Mean cores held during the fault window (cost of riding it out).
     pub fault_mean_cores: f64,

@@ -344,7 +344,7 @@ fn run_bit_identity(s: &Schedule, epochs: u64, seed: u64) -> Result<Outcome, Exp
                     LearnDirective::Defer => panic!("zero-pressure schedule deferred learning"),
                     LearnDirective::Chunk => {
                         clock.advance(t.learn_chunk_ms);
-                        match twig_a.agent_mut().train_step_budgeted(1)? {
+                        match twig_a.agent_mut().train_step_budgeted()? {
                             BudgetedProgress::Done(_) => {
                                 o.steps += 1;
                                 break;

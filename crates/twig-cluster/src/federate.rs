@@ -12,12 +12,12 @@
 //!
 //! 1. **request-time exclusion** — quarantined (frozen-agent) and
 //!    still-untrained replicas are never asked to contribute;
-//! 2. **integrity** — CRC + format validation ([`FedError::CorruptPayload`]);
+//! 2. **integrity** — CRC + format validation ([`FedStats::rejected_corrupt`]);
 //! 3. **shape** — candidates must match the plurality architecture of
-//!    the round ([`FedError::ShapeMismatch`]);
+//!    the round ([`FedStats::rejected_shape`]);
 //! 4. **finiteness** — any NaN/∞ parameter rejects the payload;
 //! 5. **Byzantine screen** — per-service EWMA distance screen with a
-//!    hard magnitude limit ([`FedError::DivergentPayload`]).
+//!    hard magnitude limit ([`FedStats::rejected_divergent`]).
 //!
 //! Survivors of the ladder form the quorum. Below `min_quorum` the round
 //! fails and is retried under saturating exponential backoff until the

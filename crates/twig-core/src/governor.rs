@@ -258,8 +258,8 @@ impl<M: TaskManager> SafetyGovernor<M> {
     /// its degraded decide (Twig serves the greedy argmax of its f32
     /// network, with no exploration) and validates it against the platform
     /// limits exactly like a primary decision. Any failure — no degraded path, a recoverable error, an
-    /// invalid assignment — lands on [`safe_assignments`]
-    /// (Self::safe_assignments), so this is never less safe than the static
+    /// invalid assignment — lands on
+    /// [`safe_assignments`](Self::safe_assignments), so this is never less safe than the static
     /// allocation it replaces. While the watchdog holds safe mode the inner
     /// manager stays suspended and the static allocation is served
     /// directly.

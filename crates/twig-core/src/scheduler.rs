@@ -8,10 +8,10 @@
 //! (the `*_BUDGET_MS` constants) and, when the epoch is projected to
 //! overrun, walks a **monotone** shedding ladder:
 //!
-//! 1. [`ShedLevel::DeferLearn`] — stop issuing learning micro-batches; the
-//!    in-flight gradient step (`MaBdq::train_step_budgeted`) simply resumes
-//!    next epoch — it is the same code as an undeferred step, paused
-//!    between two agents.
+//! 1. [`ShedLevel::DeferLearn`] — stop issuing learning chunks, each one
+//!    agent's head pass; the in-flight gradient step
+//!    (`MaBdq::train_step_budgeted`) simply resumes next epoch — it is the
+//!    same code as an undeferred step, paused between two agents.
 //! 2. [`ShedLevel::SkipInference`] — reuse the last validated action
 //!    instead of running the network.
 //! 3. [`ShedLevel::SafeFallback`] — actuate the `SafetyGovernor`'s degraded
@@ -456,13 +456,13 @@ impl EpochScheduler {
             InferenceDirective::SafeFallback => gov.decide_fallback(),
         };
 
-        // Phase 3: learning as budgeted micro-batches. `Defer` leaves the
+        // Phase 3: learning in one-agent chunks. `Defer` leaves the
         // in-flight step parked inside the agent; it resumes on the first
         // chunk grant of a later epoch.
         let mut steps_completed = 0;
         while steps_completed == 0 && self.learn_directive() == LearnDirective::Chunk {
             adv(t.learn_chunk_ms);
-            match gov.inner_mut().agent_mut().train_step_budgeted(1)? {
+            match gov.inner_mut().agent_mut().train_step_budgeted()? {
                 BudgetedProgress::Done(_) => steps_completed = 1,
                 BudgetedProgress::InProgress { .. } => {}
                 BudgetedProgress::NotReady => break,

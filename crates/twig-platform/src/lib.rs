@@ -14,7 +14,7 @@
 //!   [`twig_sim::Server::step`] directly.
 //! - [`LinuxPlatform`] actuates through sysfs/procfs-style control files
 //!   behind the [`Fs`] abstraction, with a write–verify–retry
-//!   *reconciliation ladder* (see [`linux`]) that turns partial OS
+//!   *reconciliation ladder* (see the private `linux` module) that turns partial OS
 //!   failures into verified retries, reported divergences, or
 //!   governor-routed degraded epochs — never panics.
 //!

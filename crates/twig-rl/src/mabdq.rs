@@ -307,14 +307,14 @@ pub struct TrainStats {
     pub skipped: bool,
 }
 
-/// Progress of a resumable micro-batched gradient step (see
-/// [`MaBdq::train_step_budgeted`]).
+/// Progress of a resumable gradient step that runs one agent's head pass
+/// per call (see [`MaBdq::train_step_budgeted`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BudgetedProgress {
     /// The replay buffer holds fewer than `batch_size` transitions; no step
     /// was started.
     NotReady,
-    /// A micro-batch of per-agent head passes was consumed; call again to
+    /// One agent's head pass ran and others are left; call again to
     /// continue the step.
     InProgress {
         /// Agents whose head passes have completed so far.
@@ -616,8 +616,9 @@ impl Net {
     /// the naive loop a per-agent implementation of the paper's
     /// architecture would execute, with no cross-agent reuse at all.
     /// Deterministic eval forwards make the recomputed trunk rows
-    /// bit-identical, so results match [`q_values_fused_into`]
-    /// (Self::q_values_fused_into) bit-for-bit; the twin-run tests assert
+    /// bit-identical, so results match
+    /// [`q_values_fused_into`](Self::q_values_fused_into) bit-for-bit; the
+    /// twin-run tests assert
     /// it and `bench_decide` measures what the fusion buys against it.
     /// `shared.trunk_out` is its trunk buffer.
     fn q_values_per_agent_into(
@@ -781,6 +782,7 @@ pub struct MaBdq {
     telemetry: Telemetry,
     scratch: DecideScratch,
     step: StepState,
+    helping: Helping,
     /// Per-agent quarantine guards; empty unless quarantine is enabled.
     guards: Vec<AgentGuard>,
     /// Trips and re-admissions; `frozen_agents` is counted from `guards`
@@ -1166,46 +1168,38 @@ impl Sums for StepSums {
 }
 
 /// What one agent's head pass on the helper adds to [`StepSums`], recorded
-/// term by term. The calling thread adds it with
-/// [`replay`](Self::replay) in agent order, after the agent before and
-/// before the agent after, so every sum sees its terms in the order one
-/// thread would have added them. Its buffers keep their capacity.
+/// term by term. The helper runs only with `K > 1`, so a head pass records
+/// `D` first-layer gradients and one trunk gradient, its value head's. The
+/// calling thread adds it with [`replay`](Self::replay) in agent order,
+/// after the agent before and before the agent after, so every sum sees its
+/// terms in the order one thread would have added them. Its buffers keep
+/// their capacity.
 #[derive(Debug, Clone, Default)]
 struct AgentSums {
     /// `(|TD| share, loss term)` per branch and row, `d * B + b`.
     terms: Vec<(f64, f32)>,
+    /// One per branch.
     first_grads: Vec<Tensor>,
-    first_n: usize,
-    trunk_grads: Vec<Tensor>,
-    trunk_n: usize,
+    trunk_grad: Tensor,
 }
 
 impl AgentSums {
-    fn clear(&mut self) {
-        self.terms.clear();
-        self.first_n = 0;
-        self.trunk_n = 0;
-    }
-
     /// Adds the recorded terms to `sums`, each sum's in the order they were
     /// recorded.
     fn replay(&self, batch: usize, sums: &mut impl Sums) {
         for (i, &(abs_td, loss)) in self.terms.iter().enumerate() {
             sums.td(i % batch, abs_td, loss);
         }
-        for (d, grad) in self.first_grads[..self.first_n].iter().enumerate() {
+        for (d, grad) in self.first_grads.iter().enumerate() {
             sums.first_grad(d, grad);
         }
-        for grad in &self.trunk_grads[..self.trunk_n] {
-            sums.trunk_grad(grad);
-        }
+        sums.trunk_grad(&self.trunk_grad);
     }
 
     fn heap_bytes(&self) -> usize {
         self.terms.capacity() * std::mem::size_of::<(f64, f32)>()
-            + tensors_heap_bytes(self.first_grads.iter().chain(&self.trunk_grads))
-            + (self.first_grads.capacity() + self.trunk_grads.capacity())
-                * std::mem::size_of::<Tensor>()
+            + tensors_heap_bytes(self.first_grads.iter().chain([&self.trunk_grad]))
+            + self.first_grads.capacity() * std::mem::size_of::<Tensor>()
     }
 }
 
@@ -1215,20 +1209,11 @@ impl Sums for AgentSums {
     }
 
     fn first_grad(&mut self, d: usize, grad: &Tensor) {
-        debug_assert_eq!(d, self.first_n, "branches in order");
-        if self.first_grads.len() == d {
-            self.first_grads.push(Tensor::default());
-        }
         self.first_grads[d].copy_from(grad);
-        self.first_n = d + 1;
     }
 
     fn trunk_grad(&mut self, grad: &Tensor) {
-        if self.trunk_grads.len() == self.trunk_n {
-            self.trunk_grads.push(Tensor::default());
-        }
-        self.trunk_grads[self.trunk_n].copy_from(grad);
-        self.trunk_n += 1;
+        self.trunk_grad.copy_from(grad);
     }
 }
 
@@ -1239,9 +1224,13 @@ enum Task {
     Greedy,
     /// The targets of the odd agents ([`Lane::targets`]).
     Targets,
-    /// One agent's head pass, after skipping the dropout draws of `skip`
-    /// live agents the calling thread ran.
-    Head { agent: usize, skip: usize },
+    /// Odd agent `agent`'s head pass, after skipping the dropout draws of
+    /// agent `agent − 1` if `skip`; with `live` false, only the skip.
+    Head {
+        agent: usize,
+        skip: bool,
+        live: bool,
+    },
     /// The upper part of the optimiser step ([`Net::upper_mlps`]).
     Adam { split: usize },
 }
@@ -1266,9 +1255,10 @@ impl Task {
 struct Share {
     task: Task,
     shape: Shape,
-    /// The step's inputs, while a task runs.
+    /// The step's inputs, posted with a task. The run takes them and lets
+    /// them go when it ends, so they are lent for the run alone.
     sample: Option<Arc<Sample>>,
-    /// The target network, while the targets run.
+    /// The target network, posted with the targets task.
     target: Option<Arc<Net>>,
     /// The online network as the helper has it: copies of the advantage
     /// heads, parameters and dropout streams taken at the start of each
@@ -1298,7 +1288,10 @@ impl Share {
                 adv_heads: online.adv_heads.clone(),
             },
             lane: Lane::default(),
-            agent_sums: AgentSums::default(),
+            agent_sums: AgentSums {
+                first_grads: vec![Tensor::default(); config.branches.len()],
+                ..AgentSums::default()
+            },
             signals: (0.0, 0.0),
             adam: Adam::new(config.lr),
             warm: [false; 4],
@@ -1327,40 +1320,51 @@ impl Job for Share {
             adam,
             warm,
         } = self;
-        let shape = *shape;
-        let sample = sample.as_deref();
+        let (shape, sample, target) = (*shape, sample.take(), target.take());
+        let sample = || sample.as_deref().expect("posted with the sample");
         match *task {
             Task::Greedy => {
-                let sample = sample.expect("posted with the sample");
                 for k in (1..shape.agents).step_by(2) {
-                    lane.greedy(online, sample, k, shape);
+                    lane.greedy(online, sample(), k, shape);
                 }
             }
             Task::Targets => {
-                let sample = sample.expect("posted with the sample");
                 let target = target.as_deref().expect("posted with the target network");
                 for k in (1..shape.agents).step_by(2) {
-                    lane.targets(target, sample, k, shape);
+                    lane.targets(target, sample(), k, shape);
                 }
             }
-            Task::Head { agent, skip } => {
-                let sample = sample.expect("posted with the sample");
+            Task::Head { agent, skip, live } => {
                 let Net {
                     value_heads,
                     adv_heads,
                     ..
                 } = online;
+                skip_an_agent(adv_heads, skip, shape);
+                if !live {
+                    // Sized by the next live pass, not this one.
+                    return;
+                }
                 for head in adv_heads.iter_mut() {
-                    head.skip_train_draws(skip * shape.batch);
                     head.zero_grads();
                 }
-                agent_sums.clear();
+                agent_sums.terms.clear();
                 let vh = &mut value_heads[agent];
-                *signals = lane.head_pass((shape, sample, agent), vh, adv_heads, agent_sums);
+                *signals = lane.head_pass((shape, sample(), agent), vh, adv_heads, agent_sums);
             }
             Task::Adam { split } => adam_update(adam, online.upper_mlps(split)),
         }
         warm[task.slot()] = true;
+    }
+}
+
+/// Moves the advantage heads' dropout streams past one agent's head pass,
+/// if `skip`.
+fn skip_an_agent(adv_heads: &mut [Mlp], skip: bool, shape: Shape) {
+    if skip {
+        for head in adv_heads {
+            head.skip_train_draws(shape.batch);
+        }
     }
 }
 
@@ -1380,13 +1384,21 @@ impl Clone for Helping {
     }
 }
 
-/// Runs `task` on the helper while `mine` runs here. Until a task has run
-/// once, both run here, the task first, so that this thread sizes its
-/// buffers.
-fn run_share<R>(helper: &mut Helper<Share>, task: Task, mine: impl FnOnce() -> R) -> Finished<R> {
+/// Runs `task` on the helper while `mine` runs here, with `lent` (the
+/// step's sample, and the target network for the targets) in the job for
+/// the run. Until a task has run once, both run here, the task first, so
+/// that this thread sizes its buffers. The caller takes back whatever else
+/// it moved into the job before it resumes the result.
+fn post<R>(
+    helper: &mut Helper<Share>,
+    task: Task,
+    lent: (Option<Arc<Sample>>, Option<Arc<Net>>),
+    mine: impl FnOnce() -> R,
+) -> Finished<R> {
     let warm = {
         let mut job = helper.job();
         job.task = task;
+        (job.sample, job.target) = lent;
         job.warm[task.slot()]
     };
     if warm {
@@ -1394,31 +1406,6 @@ fn run_share<R>(helper: &mut Helper<Share>, task: Task, mine: impl FnOnce() -> R
     } else {
         helper.run_here(mine)
     }
-}
-
-/// Runs `task` on the helper, if there is one, with the step's sample (and
-/// the target network, if given) lent to it for the run, while `mine` runs
-/// here; without a helper, `mine` alone.
-fn lend(
-    helping: &mut Helping,
-    task: Task,
-    (sample, target): (&Arc<Sample>, Option<&Arc<Net>>),
-    mine: impl FnOnce(),
-) {
-    let Helping::With(helper) = helping else {
-        return mine();
-    };
-    {
-        let mut job = helper.job();
-        job.sample = Some(Arc::clone(sample));
-        job.target = target.map(Arc::clone);
-    }
-    let finished = run_share(helper, task, mine);
-    {
-        let mut job = helper.job();
-        (job.sample, job.target) = (None, None);
-    }
-    finished.resume();
 }
 
 /// One Adam step over the arenas of `mlps`, in order.
@@ -1497,9 +1484,10 @@ impl SplitAdam {
 }
 
 /// The one gradient step's working memory and its resume point. The
-/// prologue fills it, each per-agent head pass advances `next_agent`, the
-/// epilogue consumes it; [`MaBdq::train_step`] runs the three back to back
-/// and [`MaBdq::train_step_budgeted`] returns between head passes. Every
+/// prologue fills it, the per-agent head passes add to it, the epilogue
+/// consumes it; [`MaBdq::train_step`] runs the three back to back and
+/// [`MaBdq::train_step_budgeted`] returns after each head pass, advancing
+/// `next_agent`. Every
 /// buffer keeps its capacity across steps, so both entry points are
 /// allocation-free in steady state.
 ///
@@ -1514,14 +1502,14 @@ impl SplitAdam {
 /// With a helper ([`MaBdq::train_step`] has the split), the per-agent work
 /// runs on two lanes, this one and the helper's. The advantage heads'
 /// dropout streams are drawn from on both: the online heads here, the
-/// helper's copies there, each skipping the draws of the live agents the
-/// other ran, so every agent draws what it would have on one thread.
+/// helper's copies there, each skipping the draws of the other side's
+/// previous agent if it is live, so every agent draws what it would have on
+/// one thread.
 #[derive(Debug, Clone, Default)]
 struct StepState {
     /// A step has started and its epilogue has not run.
     in_flight: bool,
-    /// Next agent whose head pass is due; `agents` means only the epilogue
-    /// is left.
+    /// The agent whose head pass a budgeted step's next chunk runs.
     next_agent: usize,
     sample: Arc<Sample>,
     /// This thread's lane.
@@ -1538,11 +1526,6 @@ struct StepState {
     /// Per-agent value-head squared gradient norm this step (quarantine
     /// signal).
     agent_vgrad: Vec<f64>,
-    /// The agent the online advantage heads' dropout streams stand before.
-    streams_at: usize,
-    /// The same for the helper's copies of the heads.
-    helper_at: usize,
-    helping: Helping,
 }
 
 impl StepState {
@@ -1555,11 +1538,21 @@ impl StepState {
             + f64s * std::mem::size_of::<f64>()
     }
 
-    /// The helper's job and its thread's handoff block.
-    fn helper_bytes(&self) -> usize {
-        match &self.helping {
-            Helping::With(helper) => helper.heap_bytes() + helper.job().heap_bytes(),
-            _ => 0,
+    /// Agent `k`'s head pass on this thread's lane, after skipping the
+    /// dropout draws of agent `k − 1` if `skip`. A quarantined agent (`live`
+    /// false) contributes nothing: no forward, no loss term, no gradient, no
+    /// replay priority and no dropout draw.
+    fn head_pass(&mut self, online: &mut Net, (shape, k, skip, live): (Shape, usize, bool, bool)) {
+        let Net {
+            value_heads,
+            adv_heads,
+            ..
+        } = online;
+        skip_an_agent(adv_heads, skip, shape);
+        if live {
+            let (pass, vh) = ((shape, &*self.sample, k), &mut value_heads[k]);
+            (self.agent_td[k], self.agent_vgrad[k]) =
+                self.lane.head_pass(pass, vh, adv_heads, &mut self.sums);
         }
     }
 }
@@ -1609,6 +1602,7 @@ impl MaBdq {
             telemetry: Telemetry::disabled(),
             scratch: DecideScratch::default(),
             step: StepState::default(),
+            helping: Helping::Undecided,
             guards: Vec::new(),
             quarantine: QuarantineStats::default(),
             quantized: None,
@@ -1817,7 +1811,10 @@ impl MaBdq {
                 + self.target.heap_bytes(),
             optimiser: self.adam.heap_bytes(),
             step: self.step.heap_bytes(),
-            helper: self.step.helper_bytes(),
+            helper: match &self.helping {
+                Helping::With(helper) => helper.heap_bytes() + helper.job().heap_bytes(),
+                _ => 0,
+            },
             decide: self.scratch.heap_bytes()
                 + self.quantized.as_ref().map_or(0, |q| q.heap_bytes()),
             guards,
@@ -1879,7 +1876,7 @@ impl MaBdq {
     /// selection is allocation-free. Identical RNG draws and results.
     ///
     /// Inference runs on the fused batched path
-    /// ([`Net::q_values_fused_into`]): all `K` agents' shared-weight
+    /// (`Net::q_values_fused_into`): all `K` agents' shared-weight
     /// advantage-head forwards execute as one register-tiled GEMM per branch.
     /// Actions and Q-values are bit-identical to the per-agent reference
     /// path, which stays available as
@@ -1939,7 +1936,7 @@ impl MaBdq {
     /// [`select_actions_into`](Self::select_actions_into): every agent
     /// forwards the shared trunk itself and runs one head forward per
     /// branch — no batching, no cross-agent reuse
-    /// ([`Net::q_values_per_agent_into`]). Draws the same RNG stream and
+    /// (`Net::q_values_per_agent_into`). Draws the same RNG stream and
     /// returns bit-identical actions — the twin-run tests assert this, and
     /// `bench_decide` measures the fused path's speedup against it.
     ///
@@ -2082,7 +2079,7 @@ impl MaBdq {
 
     /// Per-agent reference implementation of
     /// [`q_values_into`](Self::q_values_into) — per-agent trunk passes and
-    /// single-batch head forwards ([`Net::q_values_per_agent_into`]) — kept
+    /// single-batch head forwards (`Net::q_values_per_agent_into`) — kept
     /// for the twin-run bit-identity tests and the `bench_decide` baseline.
     ///
     /// # Errors
@@ -2225,9 +2222,9 @@ impl MaBdq {
     /// Returns `None` when the buffer has fewer than `batch_size`
     /// transitions.
     ///
-    /// This is [`train_step_budgeted`](Self::train_step_budgeted) with a
-    /// budget of all `K` agents: the same prologue, head passes and
-    /// epilogue, run back to back. Steady-state allocation-free: every
+    /// This is [`train_step_budgeted`](Self::train_step_budgeted) called
+    /// until `Done`: the same prologue, head passes and epilogue, run back
+    /// to back. Steady-state allocation-free: every
     /// tensor — joint states, head inputs, gradients, targets — lives in
     /// the reused step state. A budgeted step still in flight is aborted
     /// first: its partial gradients are discarded rather than mixed with a
@@ -2235,9 +2232,9 @@ impl MaBdq {
     ///
     /// With `K > 1` on a machine that lets this process run two threads at
     /// once, the learner keeps one helper thread (started by its first step,
-    /// joined on drop) and hands it every other agent's share of the
-    /// per-agent work: the double-DQN targets, the head passes, and the
-    /// upper half of the Adam step. This thread adds every sum over agents
+    /// joined on drop) and hands it the odd agents' share of the per-agent
+    /// work: the double-DQN targets and the head passes, and the upper half
+    /// of the Adam step. This thread adds every sum over agents
     /// in agent order and each agent's dropout draws come from where one
     /// thread would have drawn them, so weights, moments, priorities and RNG
     /// streams are bit-identical to running every agent here, which is what
@@ -2251,7 +2248,7 @@ impl MaBdq {
         if !self.begin_step()? {
             return Ok(None);
         }
-        self.head_passes(self.config.agents);
+        self.head_passes();
         Ok(Some(self.finish_step()))
     }
 
@@ -2269,22 +2266,20 @@ impl MaBdq {
     /// the head passes run so far leave them.
     fn abort_budgeted_step(&mut self) {
         if self.step.in_flight {
-            self.catch_up_streams(self.step.next_agent);
             self.step.in_flight = false;
             self.online.zero_grads();
         }
     }
 
-    /// [`train_step`](Self::train_step) split into resumable micro-batches
-    /// for deadline-aware scheduling: each call runs the per-agent head
-    /// passes for up to `max_agents` agents (at least one), then returns.
-    /// The first call samples the minibatch, computes targets and runs the
+    /// [`train_step`](Self::train_step) split into resumable chunks for
+    /// deadline-aware scheduling: each call runs one agent's head pass, on
+    /// this thread, then returns, so a `K`-agent step takes `K` calls. The
+    /// first call samples the minibatch, computes targets and runs the
     /// trunk forward; the call that finishes the last agent also runs the
     /// epilogue (gradient rescaling, trunk backward, NaN guard, clip, Adam,
     /// priority write-back, target sync, quarantine scan) and returns
-    /// [`BudgetedProgress::Done`]. A chunk of two agents or more splits
-    /// across the helper thread like a whole step; a one-agent chunk runs
-    /// here.
+    /// [`BudgetedProgress::Done`]. The prologue's targets and the
+    /// epilogue's Adam step use the helper thread as a whole step does.
     ///
     /// Between chunk calls the caller may freely decide
     /// ([`select_actions`](Self::select_actions) /
@@ -2305,15 +2300,17 @@ impl MaBdq {
     /// # Errors
     ///
     /// Propagates replay-buffer errors from the initial sample.
-    pub fn train_step_budgeted(&mut self, max_agents: usize) -> Result<BudgetedProgress, RlError> {
+    pub fn train_step_budgeted(&mut self) -> Result<BudgetedProgress, RlError> {
         if !self.step.in_flight && !self.begin_step()? {
             return Ok(BudgetedProgress::NotReady);
         }
-        let agents = self.config.agents;
-        self.head_passes((self.step.next_agent + max_agents.max(1)).min(agents));
-        if self.step.next_agent < agents {
+        let (agents, k) = (self.config.agents, self.step.next_agent);
+        let pass = (Shape::of(&self.config), k, false, self.is_live(k));
+        self.step.head_pass(&mut self.online, pass);
+        self.step.next_agent = k + 1;
+        if k + 1 < agents {
             return Ok(BudgetedProgress::InProgress {
-                agents_done: self.step.next_agent,
+                agents_done: k + 1,
                 agents_total: agents,
             });
         }
@@ -2324,7 +2321,7 @@ impl MaBdq {
     /// helper.
     #[cfg(test)]
     fn train_serially(&mut self) {
-        self.step.helping = Helping::Alone;
+        self.helping = Helping::Alone;
     }
 
     /// Whether agent `k` trains this step: quarantine has not frozen it.
@@ -2332,21 +2329,15 @@ impl MaBdq {
         !self.config.quarantine.enabled || self.guards[k].frozen_until == 0
     }
 
-    /// The live agents in `agents`: those whose dropout draws a stream
-    /// that skips them skips.
-    fn live_in(&self, agents: Range<usize>) -> usize {
-        agents.filter(|&k| self.is_live(k)).count()
-    }
-
     /// Starts the helper on the first step that can use one: `K > 1` and
     /// two CPUs this process may run on at once.
     fn decide_helping(&mut self) {
-        if !matches!(self.step.helping, Helping::Undecided) {
+        if !matches!(self.helping, Helping::Undecided) {
             return;
         }
         let job =
             (self.config.agents > 1 && two_cpus()).then(|| Share::new(&self.config, &self.online));
-        self.step.helping = match job.and_then(|job| Helper::spawn("twig-learn", job)) {
+        self.helping = match job.and_then(|job| Helper::spawn("twig-learn", job)) {
             Some(helper) => Helping::With(helper),
             None => Helping::Alone,
         };
@@ -2418,8 +2409,6 @@ impl MaBdq {
         step.agent_vgrad.clear();
         step.agent_vgrad.resize(agents, 0.0);
         step.next_agent = 0;
-        step.streams_at = 0;
-        step.helper_at = 0;
         step.in_flight = true;
         Ok(true)
     }
@@ -2436,13 +2425,13 @@ impl MaBdq {
             online,
             target,
             step,
+            helping,
             ..
         } = self;
         let StepState {
             sample,
             lane,
             trunk_tape,
-            helping,
             ..
         } = step;
         let stride = match helping {
@@ -2454,23 +2443,28 @@ impl MaBdq {
             }
             _ => 1,
         };
-        let Sample { x_next, stage, .. } = Arc::make_mut(sample);
-        // The trunk's evaluation forwards run on the trunk's tape, idle
-        // until the train-mode forward below: the lane's evaluation tape
-        // then never grows to the trunk's width.
-        online.eval_shared(x_next, trunk_tape, stage);
-        lend(helping, Task::Greedy, (sample, None), || {
-            for k in (0..shape.agents).step_by(stride) {
-                lane.greedy(online, sample, k, shape);
+        for (task, net) in [(Task::Greedy, &*online), (Task::Targets, &**target)] {
+            let Sample { x_next, stage, .. } = Arc::make_mut(sample);
+            // The trunk's evaluation forwards run on the trunk's tape, idle
+            // until the train-mode forward below: the lane's evaluation tape
+            // then never grows to the trunk's width.
+            net.eval_shared(x_next, trunk_tape, stage);
+            let mut mine = || {
+                for k in (0..shape.agents).step_by(stride) {
+                    match task {
+                        Task::Greedy => lane.greedy(net, sample, k, shape),
+                        _ => lane.targets(net, sample, k, shape),
+                    }
+                }
+            };
+            match helping {
+                Helping::With(helper) => {
+                    let target = matches!(task, Task::Targets).then(|| Arc::clone(target));
+                    post(helper, task, (Some(Arc::clone(sample)), target), mine).resume();
+                }
+                _ => mine(),
             }
-        });
-        let Sample { x_next, stage, .. } = Arc::make_mut(sample);
-        target.eval_shared(x_next, trunk_tape, stage);
-        lend(helping, Task::Targets, (sample, Some(target)), || {
-            for k in (0..shape.agents).step_by(stride) {
-                lane.targets(target, sample, k, shape);
-            }
-        });
+        }
         let sample = Arc::make_mut(sample);
         sample.targets.clone_from(&lane.targets);
         if let Helping::With(helper) = helping {
@@ -2484,105 +2478,66 @@ impl MaBdq {
         }
     }
 
-    /// The head passes of agents `next_agent..end`. With a helper the agents
-    /// alternate between the threads, this one taking the first. Each pair
-    /// runs at once; the helper's agent's [`AgentSums`] and head
-    /// gradients are then added here, after this thread's agent and before
-    /// its next, so every sum over agents is taken in agent order. A
-    /// quarantined agent contributes nothing: no forward, no loss term, no
-    /// gradient, no replay priority and no dropout draw.
-    fn head_passes(&mut self, end: usize) {
+    /// The head passes of a whole step. With a helper, the even agents run
+    /// here and each odd one on the helper at the same time as the agent
+    /// before it; the helper's agent's [`AgentSums`] and head gradients are
+    /// then added here, after this thread's agent and before its next, so
+    /// every sum over agents is taken in agent order. Each side's dropout
+    /// streams skip the other side's previous agent if it is live, and the
+    /// online streams finally skip the last agent if the helper ran it.
+    fn head_passes(&mut self) {
         let shape = Shape::of(&self.config);
-        let mut k = self.step.next_agent;
-        while k < end {
+        let MaBdq {
+            config,
+            online,
+            step,
+            helping,
+            guards,
+            ..
+        } = self;
+        let live = |k: usize| !config.quarantine.enabled || guards[k].frozen_until == 0;
+        let Helping::With(helper) = helping else {
+            for k in 0..shape.agents {
+                step.head_pass(online, (shape, k, false, live(k)));
+            }
+            return;
+        };
+        for k in (0..shape.agents).step_by(2) {
+            let pass = (shape, k, k > 0 && live(k - 1), live(k));
             let theirs = k + 1;
-            let pair = matches!(self.step.helping, Helping::With(_))
-                && theirs < end
-                && self.is_live(theirs);
-            let skip = self.live_in(self.step.streams_at..k);
-            let helper_skip = self.live_in(self.step.helper_at..theirs);
-            let live_k = self.is_live(k);
-            self.step.streams_at = k + 1;
-            let MaBdq { online, step, .. } = self;
-            let StepState {
-                sample,
-                lane,
-                sums,
-                agent_td,
-                agent_vgrad,
-                helper_at,
-                helping,
-                ..
-            } = step;
-            let mut mine = |online: &mut Net| {
-                let Net {
-                    value_heads,
-                    adv_heads,
-                    ..
-                } = online;
-                for head in adv_heads.iter_mut() {
-                    head.skip_train_draws(skip * shape.batch);
-                }
-                if live_k {
-                    let vh = &mut value_heads[k];
-                    let pass = (shape, &**sample, k);
-                    (agent_td[k], agent_vgrad[k]) = lane.head_pass(pass, vh, adv_heads, sums);
-                }
+            if theirs == shape.agents {
+                step.head_pass(online, pass);
+                return;
+            }
+            let swap_vh = |job: &mut Share, online: &mut Net| {
+                let vh = &mut job.online.value_heads[theirs];
+                std::mem::swap(vh, &mut online.value_heads[theirs]);
             };
-            match helping {
-                Helping::With(helper) if pair => {
-                    {
-                        let mut job = helper.job();
-                        std::mem::swap(
-                            &mut job.online.value_heads[theirs],
-                            &mut online.value_heads[theirs],
-                        );
-                        job.sample = Some(Arc::clone(sample));
+            swap_vh(&mut helper.job(), online);
+            let task = Task::Head {
+                agent: theirs,
+                skip: live(k),
+                live: live(theirs),
+            };
+            let lent = (Some(Arc::clone(&step.sample)), None);
+            let finished = post(helper, task, lent, || step.head_pass(online, pass));
+            {
+                let mut job = helper.job();
+                let job = &mut *job;
+                swap_vh(job, online);
+                if live(theirs) {
+                    // The helper's agent, in order: its sums, its gradients.
+                    job.agent_sums.replay(shape.batch, &mut step.sums);
+                    let copies = &job.online.adv_heads;
+                    for (head, copy) in online.adv_heads.iter_mut().zip(copies) {
+                        head.add_gradients(copy.gradients());
                     }
-                    let task = Task::Head {
-                        agent: theirs,
-                        skip: helper_skip,
-                    };
-                    let finished = run_share(helper, task, || mine(online));
-                    {
-                        let mut job = helper.job();
-                        let job = &mut *job;
-                        std::mem::swap(
-                            &mut job.online.value_heads[theirs],
-                            &mut online.value_heads[theirs],
-                        );
-                        job.sample = None;
-                        // The helper's agent, in order: its sums, its
-                        // gradients.
-                        job.agent_sums.replay(shape.batch, sums);
-                        let copies = &job.online.adv_heads;
-                        for (head, copy) in online.adv_heads.iter_mut().zip(copies) {
-                            head.add_gradients(copy.gradients());
-                        }
-                        (agent_td[theirs], agent_vgrad[theirs]) = job.signals;
-                    }
-                    finished.resume();
-                    *helper_at = theirs + 1;
-                    k += 2;
-                }
-                _ => {
-                    mine(online);
-                    k += 1;
+                    (step.agent_td[theirs], step.agent_vgrad[theirs]) = job.signals;
                 }
             }
+            finished.resume();
         }
-        self.step.next_agent = end;
-    }
-
-    /// Moves the online advantage heads' dropout streams past the draws of
-    /// the live agents before `to` that the helper ran: to where one thread
-    /// running every agent would have left them.
-    fn catch_up_streams(&mut self, to: usize) {
-        let skip = self.live_in(self.step.streams_at..to);
-        for head in &mut self.online.adv_heads {
-            head.skip_train_draws(skip * self.config.batch_size);
-        }
-        self.step.streams_at = self.step.streams_at.max(to);
+        skip_an_agent(&mut online.adv_heads, live(shape.agents - 1), shape);
     }
 
     /// Epilogue of the gradient step: the trunk side of the shared
@@ -2593,7 +2548,6 @@ impl MaBdq {
         let batch_size = self.config.batch_size;
         let agents = self.config.agents;
         let num_branches = self.config.branches.len();
-        self.catch_up_streams(agents);
         self.step.in_flight = false;
         let MaBdq { online, step, .. } = self;
         let StepState {
@@ -2677,11 +2631,14 @@ impl MaBdq {
     /// steps on its zero gradient.
     fn apply_adam(&mut self) {
         let MaBdq {
-            online, adam, step, ..
+            online,
+            adam,
+            helping,
+            ..
         } = self;
         adam.size();
         let split = adam.split;
-        let Helping::With(helper) = &mut step.helping else {
+        let Helping::With(helper) = helping else {
             adam_update(&mut adam.lower, online.lower_mlps(split));
             adam_update(&mut adam.upper, online.upper_mlps(split));
             return;
@@ -2696,7 +2653,7 @@ impl MaBdq {
         };
         swap(&mut helper.job(), online, adam);
         let lower = &mut adam.lower;
-        let finished = run_share(helper, Task::Adam { split }, || {
+        let finished = post(helper, Task::Adam { split }, (None, None), || {
             adam_update(lower, online.lower_mlps(split));
         });
         swap(&mut helper.job(), online, adam);
@@ -3886,11 +3843,10 @@ mod tests {
             agent.observe(normal_transition(3)).unwrap();
         }
         agent.guards[1].frozen_until = u64::MAX;
-        assert!(agent.begin_step().unwrap());
-        agent.head_passes(1);
+        agent.train_step_budgeted().unwrap();
         let nets = format!("{:?}", agent.online);
         let sums = agent.step.sums.clone();
-        agent.head_passes(2);
+        agent.train_step_budgeted().unwrap();
         assert_eq!(agent.step.next_agent, 2);
         assert_eq!(format!("{:?}", agent.online), nets);
         let after = &agent.step.sums;
@@ -3899,7 +3855,8 @@ mod tests {
         assert_eq!(after.trunk_grad, sums.trunk_grad);
         assert_eq!(after.adv_first_grad, sums.adv_first_grad);
         // The next live agent does draw, and adds to every branch's sum.
-        agent.head_passes(3);
+        let pass = (Shape::of(&agent.config), 2, false, true);
+        agent.step.head_pass(&mut agent.online, pass);
         assert_ne!(format!("{:?}", agent.online), nets);
         let after = &agent.step.sums.adv_first_grad;
         for (after, before) in after.iter().zip(&sums.adv_first_grad) {
@@ -4220,7 +4177,7 @@ mod tests {
                 assert_eq!(bits(&agent.step.sample.targets), bits(&want), "{context}");
                 if tied {
                     // A helper took the odd agents' greedy actions.
-                    let theirs = match &agent.step.helping {
+                    let theirs = match &agent.helping {
                         Helping::With(helper) => helper.job().lane.a_star.clone(),
                         _ => agent.step.lane.a_star.clone(),
                     };
@@ -4241,7 +4198,7 @@ mod tests {
                         );
                     }
                 }
-                agent.head_passes(agents);
+                agent.head_passes();
                 assert!(!agent.finish_step().skipped, "{context}");
                 agent.observe(random_transition(&mut rng, &config)).unwrap();
             }
@@ -4350,7 +4307,8 @@ mod tests {
     /// What the threaded-vs-serial proof compares: every step's
     /// diagnostics and decision, and at the end the checkpoint bytes (params,
     /// moments, counters, priorities), both networks with their dropout
-    /// streams, and the learner's counters.
+    /// streams, the learner's counters and which agents quarantine ever
+    /// froze.
     #[derive(Debug, PartialEq)]
     struct SplitRun {
         progress: Vec<String>,
@@ -4358,14 +4316,15 @@ mod tests {
         checkpoint: Vec<u8>,
         nets: String,
         stats: (LearnerStats, QuarantineStats),
+        tripped: Vec<bool>,
     }
 
     /// One epoch of a proof script: observe, then this, then decide.
     #[derive(Debug, Clone, Copy)]
     enum Op {
         Train,
-        /// `train_step_budgeted` with this many agents.
-        Chunk(usize),
+        /// One `train_step_budgeted` call: one agent's head pass.
+        Chunk,
         /// Train on a transition whose reward for this agent (every agent:
         /// `usize::MAX`) overflows the squared TD error.
         Poison(usize),
@@ -4384,6 +4343,7 @@ mod tests {
         let mut rng = Xoshiro256::seed_from_u64(config.seed ^ 0x5b17);
         let (mut progress, mut decisions) = (Vec::new(), Vec::new());
         let (mut saved, mut helped) = (None, false);
+        let mut tripped = vec![false; config.agents];
         for &op in script {
             let mut t = random_transition(&mut rng, config);
             if let Op::Poison(k) = op {
@@ -4403,7 +4363,7 @@ mod tests {
                 Op::Train | Op::Poison(_) => {
                     progress.push(format!("{:?}", agent.train_step().unwrap().map(stats)));
                 }
-                Op::Chunk(n) => match agent.train_step_budgeted(n).unwrap() {
+                Op::Chunk => match agent.train_step_budgeted().unwrap() {
                     BudgetedProgress::Done(s) => progress.push(stats(s)),
                     other => progress.push(format!("{other:?}")),
                 },
@@ -4417,7 +4377,10 @@ mod tests {
                     }
                 }
             }
-            helped |= matches!(agent.step.helping, Helping::With(_));
+            helped |= matches!(agent.helping, Helping::With(_));
+            for (tripped, guard) in tripped.iter_mut().zip(&agent.guards) {
+                *tripped |= guard.frozen_until > 0;
+            }
             let mut actions = Vec::new();
             agent
                 .select_actions_into(&states, 0.3, &mut actions)
@@ -4431,6 +4394,7 @@ mod tests {
             checkpoint: crate::encode_checkpoint(&agent.save_checkpoint()),
             nets: format!("{:?}", (&agent.online, &*agent.target)),
             stats: (agent.learner_stats(), agent.quarantine_stats()),
+            tripped,
         }
     }
 
@@ -4438,16 +4402,17 @@ mod tests {
     fn threaded_steps_equal_serial_steps() {
         use Op::*;
         let train = |n| vec![Train; n];
-        let chunks = [Chunk(1), Chunk(3)].repeat(12);
-        let scripts: [(&str, Vec<Op>); 7] = [
+        let chunks = vec![Chunk; 48];
+        let scripts: [(&str, Vec<Op>); 8] = [
             ("plain", train(30)),
-            (
-                "budgeted chunks of 1 and 3",
-                [train(2), chunks.clone()].concat(),
-            ),
+            ("budgeted chunks", [train(2), chunks.clone()].concat()),
             (
                 "agent 0 quarantined mid-run",
                 [train(15), vec![Poison(0); 4], train(8), chunks.clone()].concat(),
+            ),
+            (
+                "agent 1 quarantined mid-run",
+                [train(15), vec![Poison(1); 4], train(8), chunks.clone()].concat(),
             ),
             (
                 "steps skipped by the NaN guard",
@@ -4459,7 +4424,7 @@ mod tests {
                     train(10),
                     vec![TransferReset],
                     train(5),
-                    vec![Chunk(1), TransferReset],
+                    vec![Chunk, TransferReset],
                     train(5),
                 ]
                 .concat(),
@@ -4470,7 +4435,7 @@ mod tests {
                     train(8),
                     vec![Save],
                     train(8),
-                    vec![Chunk(1), Restore],
+                    vec![Chunk, Restore],
                     train(8),
                 ]
                 .concat(),
@@ -4481,13 +4446,13 @@ mod tests {
                     train(8),
                     vec![Clone],
                     train(4),
-                    vec![Chunk(1), Clone],
+                    vec![Chunk, Clone],
                     chunks.clone(),
                 ]
                 .concat(),
             ),
         ];
-        let (mut skipped, mut trips) = (0, 0);
+        let mut skipped = 0;
         for agents in [2, 3, 5, 24] {
             let config = MaBdqConfig {
                 dropout: 0.25,
@@ -4509,10 +4474,15 @@ mod tests {
                 let context = format!("K = {agents}, {name}");
                 assert_eq!(split_run(config, script, false), serial, "{context}");
                 skipped += serial.stats.0.skipped_steps;
-                trips += serial.stats.1.trips;
+                // A quarantine script froze the agent it poisoned.
+                for &op in script {
+                    if let Poison(k) = op {
+                        assert!(k == usize::MAX || serial.tripped[k], "{context}");
+                    }
+                }
             }
         }
-        // The runs exercised what they claim to.
-        assert!(skipped > 0 && trips > 0, "{skipped} skipped, {trips} trips");
+        // The NaN guard's script exercised it.
+        assert!(skipped > 0, "{skipped} skipped");
     }
 }

@@ -85,7 +85,7 @@ fn epoch(agent: &mut MaBdq, out: &mut Decides) {
     agent.train_step().unwrap().expect("batch available");
     decide_all(agent, out);
     loop {
-        match agent.train_step_budgeted(1).unwrap() {
+        match agent.train_step_budgeted().unwrap() {
             BudgetedProgress::InProgress { .. } => decide_all(agent, out),
             BudgetedProgress::Done(_) => break,
             BudgetedProgress::NotReady => panic!("batch available"),

@@ -1,7 +1,7 @@
 //! Bit-identity proof for the resumable budgeted training path.
 //!
-//! The deadline scheduler splits `MaBdq::train_step` into micro-batches via
-//! `train_step_budgeted`, interleaving decisions between chunks. Both entry
+//! The deadline scheduler splits `MaBdq::train_step` into one-agent chunks
+//! via `train_step_budgeted`, interleaving decisions between chunks. Both entry
 //! points run the same prologue, head passes and epilogue, so what these
 //! tests pin is the one thing that could still tell them apart: nothing that
 //! runs between chunks may touch what the step reads later. A budgeted step
@@ -84,9 +84,9 @@ fn decide_all(agent: &mut MaBdq) {
 
 /// Drives one budgeted step to completion, running every decide path after
 /// each unfinished chunk when `evals_between`.
-fn drive_to_done(agent: &mut MaBdq, max_agents: usize, evals_between: bool) -> BudgetedProgress {
+fn drive_to_done(agent: &mut MaBdq, evals_between: bool) -> BudgetedProgress {
     loop {
-        match agent.train_step_budgeted(max_agents).unwrap() {
+        match agent.train_step_budgeted().unwrap() {
             BudgetedProgress::InProgress { .. } => {
                 if evals_between {
                     // Stateless forwards on the decide paths' own tape:
@@ -112,7 +112,7 @@ fn budgeted_step_is_bit_identical_to_train_step() {
     }
     for step in 0..25 {
         let stats_full = full.train_step().unwrap().expect("buffer warm");
-        let done = drive_to_done(&mut budgeted, 1, true);
+        let done = drive_to_done(&mut budgeted, true);
         let BudgetedProgress::Done(stats_b) = done else {
             panic!("budgeted step never completed: {done:?}");
         };
@@ -181,7 +181,7 @@ fn wide_step_with_decides_and_observes_between_every_chunk_is_bit_identical() {
         let stats_full = full.train_step().unwrap().expect("buffer warm");
         let mut chunks = 0;
         let stats_budgeted = loop {
-            match budgeted.train_step_budgeted(1).unwrap() {
+            match budgeted.train_step_budgeted().unwrap() {
                 BudgetedProgress::InProgress { .. } => {
                     chunks += 1;
                     budgeted
@@ -208,7 +208,7 @@ fn wide_step_with_decides_and_observes_between_every_chunk_is_bit_identical() {
 }
 
 #[test]
-fn one_call_with_large_budget_completes_in_one_go() {
+fn a_step_takes_one_call_per_agent() {
     let mut full = MaBdq::new(config()).unwrap();
     let mut budgeted = MaBdq::new(config()).unwrap();
     let mut rng_a = Xoshiro256::seed_from_u64(3);
@@ -217,21 +217,25 @@ fn one_call_with_large_budget_completes_in_one_go() {
         full.observe(transition(&mut rng_a)).unwrap();
         budgeted.observe(transition(&mut rng_b)).unwrap();
     }
-    let stats_full = full.train_step().unwrap().expect("buffer warm");
-    match budgeted.train_step_budgeted(usize::MAX).unwrap() {
-        BudgetedProgress::Done(stats) => assert_eq!(stats, stats_full),
-        other => panic!("expected Done in a single call, got {other:?}"),
-    }
-    // max_agents == 0 is clamped to 1 — progress is always made.
-    budgeted.observe(transition(&mut rng_b)).unwrap();
-    match budgeted.train_step_budgeted(0).unwrap() {
-        BudgetedProgress::InProgress {
-            agents_done,
-            agents_total,
-        } => {
-            assert_eq!((agents_done, agents_total), (1, AGENTS));
+    for step in 0..2 {
+        let stats_full = full.train_step().unwrap().expect("buffer warm");
+        for agents_done in 1..AGENTS {
+            assert_eq!(
+                budgeted.train_step_budgeted().unwrap(),
+                BudgetedProgress::InProgress {
+                    agents_done,
+                    agents_total: AGENTS
+                },
+                "step {step}"
+            );
         }
-        other => panic!("expected InProgress, got {other:?}"),
+        assert_eq!(
+            budgeted.train_step_budgeted().unwrap(),
+            BudgetedProgress::Done(stats_full),
+            "step {step}"
+        );
+        full.observe(transition(&mut rng_a)).unwrap();
+        budgeted.observe(transition(&mut rng_b)).unwrap();
     }
 }
 
@@ -243,7 +247,7 @@ fn underfilled_buffer_reports_not_ready() {
         agent.observe(transition(&mut rng)).unwrap();
     }
     assert_eq!(
-        agent.train_step_budgeted(1).unwrap(),
+        agent.train_step_budgeted().unwrap(),
         BudgetedProgress::NotReady
     );
     assert!(!agent.budgeted_step_in_flight());
@@ -257,7 +261,7 @@ fn full_train_step_aborts_inflight_budgeted_step() {
         agent.observe(transition(&mut rng)).unwrap();
     }
     assert!(matches!(
-        agent.train_step_budgeted(1).unwrap(),
+        agent.train_step_budgeted().unwrap(),
         BudgetedProgress::InProgress {
             agents_done: 1,
             agents_total: AGENTS
@@ -270,7 +274,7 @@ fn full_train_step_aborts_inflight_budgeted_step() {
     assert!(!agent.budgeted_step_in_flight());
     assert_eq!(agent.steps(), 1);
     // A later budgeted step still drives cleanly to completion.
-    match drive_to_done(&mut agent, 2, false) {
+    match drive_to_done(&mut agent, false) {
         BudgetedProgress::Done(s) => assert!(s.grad_norm.is_finite()),
         other => panic!("expected Done, got {other:?}"),
     }
@@ -286,7 +290,7 @@ fn checkpoint_restore_aborts_inflight_budgeted_step() {
     }
     let ckpt = agent.save_checkpoint();
     assert!(matches!(
-        agent.train_step_budgeted(1).unwrap(),
+        agent.train_step_budgeted().unwrap(),
         BudgetedProgress::InProgress { .. }
     ));
     agent.load_checkpoint(&ckpt).unwrap();
@@ -294,7 +298,7 @@ fn checkpoint_restore_aborts_inflight_budgeted_step() {
     assert_eq!(agent.steps(), 0);
     // transfer_reset likewise.
     assert!(matches!(
-        agent.train_step_budgeted(1).unwrap(),
+        agent.train_step_budgeted().unwrap(),
         BudgetedProgress::InProgress { .. }
     ));
     agent.transfer_reset();
@@ -318,7 +322,7 @@ fn observe_between_chunks_survives_replay_overwrites() {
     }
     for _ in 0..10 {
         loop {
-            match agent.train_step_budgeted(1).unwrap() {
+            match agent.train_step_budgeted().unwrap() {
                 BudgetedProgress::InProgress { .. } => {
                     for _ in 0..3 {
                         agent.observe(transition(&mut rng)).unwrap();

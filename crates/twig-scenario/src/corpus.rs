@@ -1,6 +1,6 @@
 //! The shipped scenario corpus: every `.scn` file under `scenarios/`,
 //! compiled into the crate so the corpus is versioned with the code that
-//! runs it. Each file is authored in canonical form (see [`crate::emit`])
+//! runs it. Each file is authored in canonical form (see [`crate::emit`](fn@crate::emit))
 //! and round-trips byte-identically through the parser — `scnfmt --check`
 //! and the tests below both enforce this.
 

@@ -3,7 +3,7 @@
 //! There is exactly one canonical text form per scenario: fields in fixed
 //! order, two-space indent inside sections, single spaces between tokens,
 //! defaults omitted, one blank line between top-level blocks, a trailing
-//! newline. [`crate::parse`] accepts a superset (comments, flexible
+//! newline. [`crate::parse`](fn@crate::parse) accepts a superset (comments, flexible
 //! whitespace), so the emitter is a fixed point: for every scenario `s`,
 //! `emit(parse(emit(s))) == emit(s)`, and canonically-authored corpus
 //! files round-trip byte-identically.

@@ -11,11 +11,11 @@
 //! the corpus under `scenarios/` is the repo's executable description
 //! of every behaviour the stack guarantees.
 //!
-//! The pipeline is [`parse`] → [`ScenarioRunner`] → outcome:
+//! The pipeline is [`parse`](fn@parse) → [`ScenarioRunner`] → outcome:
 //!
-//! - [`parse`] turns text into a validated [`Scenario`]; every
+//! - [`parse`](fn@parse) turns text into a validated [`Scenario`]; every
 //!   rejection is a typed [`ScenarioError`] with a source line.
-//! - [`emit`] renders the single canonical text form. The parser
+//! - [`emit`](fn@emit) renders the single canonical text form. The parser
 //!   accepts a superset (comments, flexible whitespace), making the
 //!   emitter a fixed point: `emit(parse(emit(s))) == emit(s)`, and
 //!   canonically-authored files round-trip byte-identically.

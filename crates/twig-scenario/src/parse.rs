@@ -5,7 +5,7 @@
 //! a comment. Top-level records are scalar fields (`seed`, `epochs`, ...),
 //! `assert` lines, and sections (`server`, `cluster`, `service`, `faults`,
 //! `timing`, `cluster_faults`, `federate`) closed by a bare `end`. The parser accepts
-//! flexible whitespace and comments; [`crate::emit`] produces the one
+//! flexible whitespace and comments; [`crate::emit`](fn@crate::emit) produces the one
 //! canonical form, so `emit(parse(emit(s))) == emit(s)` for every
 //! scenario and corpus files authored canonically round-trip
 //! byte-identically.

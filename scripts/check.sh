@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything must pass offline (the workspace has no external
 # dependencies — see DESIGN.md §6). Run from the repo root. Formats, builds,
-# tests (dev and release) and lints the workspace, reruns the suite-report
+# tests (dev and release), lints and documents the workspace, reruns the suite-report
 # test pinned to one CPU, runs the fault suites at alternate seeds,
 # lints the bench/ ledger workspace against it, and runs the grep guards
 # below.
@@ -172,12 +172,13 @@ check_any_seed() {
     done
 }
 
-# `Cluster::step` and `MaBdq`'s train step hand half of their work to a
-# helper thread only when the process may run two threads at once
-# (DESIGN.md §18). Pinned to one CPU, everything runs on the calling thread,
-# and the suite reports must still equal the committed ones and the
-# learner's replay digests their goldens. Reuses the dev build of the test
-# step and the release build of `test-release`'s crates.
+# `Cluster::step` and `MaBdq`'s whole train step hand half of their work to
+# a helper thread only when the process may run two threads at once
+# (DESIGN.md §18); a budgeted step's one-agent chunks never do. Pinned to
+# one CPU, everything runs on the calling thread, and the suite reports must
+# still equal the committed ones, the learner's replay digests their
+# goldens and a budgeted step the whole step. Reuses the dev build of the
+# test step and the release build of `test-release`'s crates.
 check_one_cpu() {
     if ! command -v taskset >/dev/null; then
         echo "SKIP: one-cpu (taskset not found)"
@@ -206,6 +207,10 @@ step "one-cpu"        check_one_cpu
 # and the 400-scenario round-trip property also run as the corpus runs them.
 step "test-release"   cargo test --release --offline -q -p twig-nn -p twig-rl -p twig-stats -p twig-sim -p twig-scenario
 step "clippy"         cargo clippy --offline --workspace --all-targets -- -D warnings
+# Most of the learner's docs are on private items, so rustdoc documents
+# them too and denies warnings: a link to a renamed or deleted item, or a
+# public doc that links to a private one, fails here.
+step "doc"            env RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --document-private-items
 # The performance ledger (bench/) is its own workspace with path
 # dependencies on the crates above, so nothing before this step compiles it:
 # deleting or renaming an API it calls, or leaving it a lint its own CI job
