@@ -420,7 +420,11 @@ impl Twig {
 
     /// Algorithm 1 lines 7–8: choose the mapping configuration for the next
     /// epoch, ε-greedily over the (core count, DVFS) branches of each
-    /// agent, and resolve it to concrete cores via the mapper.
+    /// agent, and resolve it to concrete cores via the mapper. Unless in
+    /// pure exploitation, it then starts the prologue of the gradient step
+    /// [`observe`](Self::observe) takes (`MaBdq::prepare_step`), which a
+    /// helper thread runs while the caller runs the epoch; nothing it
+    /// computes depends on which thread did.
     ///
     /// # Errors
     ///
@@ -472,6 +476,12 @@ impl Twig {
         self.telemetry
             .phase_add(self.time, Phase::Mapping, stopwatch.lap_ms());
         self.pending.live = true;
+        // The epoch's gradient step starts on the learner's helper thread
+        // while the caller runs the epoch; `observe` joins it.
+        if !self.config.pure_exploitation {
+            self.agent
+                .prepare_step(&self.pending.states, &self.pending.actions);
+        }
         Ok(assignments)
     }
 

@@ -396,6 +396,53 @@ mod tests {
     }
 
     #[test]
+    fn any_subset_of_rows_is_those_rows_of_the_full_product() {
+        // Each output row's chains read its own row of A and nothing else,
+        // so a product over a subset of A's rows is those rows of the full
+        // product bit for bit, whether a row sits in a 4-row band or in the
+        // single-row remainder on either side. Row counts 1–9 and 64, every
+        // non-empty subset up to nine rows, each single row of 64 and a
+        // window at every offset.
+        let mut rng = Xoshiro256::seed_from_u64(0x5b5e7);
+        for kernel in kernels() {
+            for m in (1..=9).chain([64]) {
+                let subsets: Vec<Vec<usize>> = if m <= 9 {
+                    (1..1u32 << m)
+                        .map(|mask| (0..m).filter(|&r| mask >> r & 1 == 1).collect())
+                        .collect()
+                } else {
+                    let singles = (0..m).map(|r| vec![r]);
+                    singles
+                        .chain((0..m - 4).map(|r| (r..r + 5).collect()))
+                        .collect()
+                };
+                for (inner, n) in [(11, 1), (11, 18), (64, 48), (22, 70)] {
+                    let a = operand(&mut rng, m * inner, false);
+                    let b = operand(&mut rng, inner * n, false);
+                    let mut full = vec![0.0; m * n];
+                    run(kernel, false, false, (m, inner, n), &a, &b, &mut full);
+                    for subset in &subsets {
+                        let rows = subset.len();
+                        let a_sub: Vec<f32> = subset
+                            .iter()
+                            .flat_map(|&r| a[r * inner..(r + 1) * inner].iter().copied())
+                            .collect();
+                        let mut got = vec![0.0; rows * n];
+                        run(kernel, false, false, (rows, inner, n), &a_sub, &b, &mut got);
+                        for (i, &r) in subset.iter().enumerate() {
+                            assert_eq!(
+                                bits(&got[i * n..(i + 1) * n]),
+                                bits(&full[r * n..(r + 1) * n]),
+                                "{kernel:?} {m}x{inner}x{n}, subset {subset:?}, row {r}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn transposed_b_panels_bit_identical_to_naive_at_every_panel_remainder() {
         let mut rng = Xoshiro256::seed_from_u64(0x9a7e1);
         let kernels = kernels();

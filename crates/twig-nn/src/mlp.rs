@@ -522,6 +522,40 @@ impl Mlp {
         }
     }
 
+    /// [`on`](Self::on) with `weights`' parameters in place of this
+    /// network's own: the pass reads those weights, and draws from (and
+    /// advances) this network's dropout streams. A network that holds
+    /// nothing but another's layers ([`copy_streams_from`](Self::copy_streams_from))
+    /// thus runs a stateful pass of that network without a copy of its
+    /// weights, and without touching it: another thread may read the
+    /// weights meanwhile. A backward on the same handle would accumulate
+    /// into this network's gradient arena.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both networks have the same layers and dense shapes.
+    pub fn on_weights<'a>(&'a mut self, weights: &'a Mlp, tape: &'a mut Tape) -> Pass<'a> {
+        assert!(
+            self.layers.len() == weights.layers.len()
+                && self.parameter_lens().eq(weights.parameter_lens()),
+            "on_weights needs a network with the same layers"
+        );
+        Pass {
+            layers: &mut self.layers,
+            params: &weights.params,
+            grads: &mut self.grads,
+            tape,
+        }
+    }
+
+    /// Makes this network's layers, their shapes and dropout streams, those
+    /// of `other`, leaving parameters and gradients alone: the way a
+    /// network's streams go to the carrier of [`on_weights`](Self::on_weights)
+    /// and come back. Allocates only to hold more layers than ever before.
+    pub fn copy_streams_from(&mut self, other: &Mlp) {
+        self.layers.clone_from(&other.layers);
+    }
+
     /// [`on`](Self::on) the network's own tape.
     fn own(&mut self) -> Pass<'_> {
         Pass {
@@ -1071,6 +1105,128 @@ mod tests {
             format!("{:?}", copy.layers),
             format!("{:?}", original.layers)
         );
+    }
+
+    #[test]
+    fn a_stream_carrier_runs_the_original_s_train_pass_bit_for_bit() {
+        let mut rng = Xoshiro256::seed_from_u64(31);
+        let mut net = Mlp::new()
+            .dense(5, 12, &mut rng)
+            .push(Relu::new())
+            .push(Dropout::new(0.3, 9))
+            .dense(12, 4, &mut rng);
+        let mut twin = net.clone();
+        let mut carrier = Mlp::new();
+        let x =
+            Tensor::from_vec(7, 5, (0..35).map(|_| rng.range_f32(-1.0, 1.0)).collect()).unwrap();
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for _ in 0..3 {
+            let want = bits(twin.forward_scratch(&x, true));
+            carrier.copy_streams_from(&net);
+            let mut tape = Tape::new();
+            let got = bits(
+                carrier
+                    .on_weights(&net, &mut tape)
+                    .forward_scratch(&x, true),
+            );
+            assert_eq!(got, want, "the carrier drew the original's masks");
+            // The original did not move; taking the streams back does.
+            let stayed = bits(net.clone().forward_scratch(&x, true));
+            assert_eq!(stayed, want);
+            net.copy_streams_from(&carrier);
+        }
+        // The streams came back where the twin's are.
+        let next = bits(net.forward_scratch(&x, true));
+        assert_eq!(next, bits(twin.forward_scratch(&x, true)));
+        assert!(
+            carrier.parameters().is_empty(),
+            "the carrier holds no weights"
+        );
+    }
+
+    /// Row subsets of a `rows`-row batch: every non-empty one up to nine
+    /// rows, and past that each single row, each window of five and some
+    /// drawn at random.
+    fn row_subsets(rows: usize, rng: &mut Xoshiro256) -> Vec<Vec<usize>> {
+        if rows <= 9 {
+            return (1..1u32 << rows)
+                .map(|mask| (0..rows).filter(|&r| mask >> r & 1 == 1).collect())
+                .collect();
+        }
+        let singles = (0..rows).map(|r| vec![r]);
+        let windows = (0..rows - 4).map(|r| (r..r + 5).collect());
+        let drawn = (0..40).map(|_| {
+            let subset: Vec<usize> = (0..rows)
+                .filter(|_| rng.next_u64().is_multiple_of(3))
+                .collect();
+            if subset.is_empty() {
+                vec![rows - 1]
+            } else {
+                subset
+            }
+        });
+        singles.chain(windows).chain(drawn).collect()
+    }
+
+    #[test]
+    fn a_batch_forward_over_any_subset_of_rows_is_those_rows_of_the_full_batch() {
+        // Rows are independent in an evaluation forward, whatever tile of
+        // the register-tiled kernel a row lands in (the 4-row bands or the
+        // single-row remainder) and whichever rows share its products, with
+        // or without a shared-column prefix. A learner that recomputes a few
+        // rows of a batch evaluated earlier rests on this. `gemm`'s tests
+        // hold it for both kernel bodies; this holds it through the layers.
+        let (shared_dim, own_dim) = (6, 3);
+        let mut rng = Xoshiro256::seed_from_u64(64);
+        let net = Mlp::new()
+            .push(Dense::new(shared_dim + own_dim, 20, &mut rng))
+            .push(Relu::new())
+            .push(Dropout::new(0.5, 3))
+            .push(Dense::new(20, 7, &mut rng));
+        let bits =
+            |t: &Tensor, r: usize| -> Vec<u32> { t.row(r).iter().map(|v| v.to_bits()).collect() };
+        let pick = |t: &Tensor, rows: &[usize]| {
+            Tensor::from_rows(&rows.iter().map(|&r| t.row(r).to_vec()).collect::<Vec<_>>()).unwrap()
+        };
+        let mut tape = Tape::new();
+        let mut prefix = Tensor::zeros(0, 0);
+        for rows in (1..=9).chain([64]) {
+            let data = (0..rows * (shared_dim + own_dim))
+                .map(|_| rng.range_f32(-2.0, 2.0))
+                .collect();
+            let x = Tensor::from_vec(rows, shared_dim + own_dim, data).unwrap();
+            let cols = |from: usize, to: usize| {
+                let picked = (0..rows)
+                    .map(|r| x.row(r)[from..to].to_vec())
+                    .collect::<Vec<_>>();
+                Tensor::from_rows(&picked).unwrap()
+            };
+            let (shared, own) = (cols(0, shared_dim), cols(shared_dim, shared_dim + own_dim));
+            let full = net.forward_batch(&mut tape, None, &x).clone();
+            net.prefix_into(&shared, &mut prefix);
+            let full_prefixed = net.forward_batch(&mut tape, Some(&prefix), &own).clone();
+            for r in 0..rows {
+                assert_eq!(
+                    bits(&full_prefixed, r),
+                    bits(&full, r),
+                    "{rows} rows, row {r}"
+                );
+            }
+            for subset in row_subsets(rows, &mut rng) {
+                let got = net
+                    .forward_batch(&mut tape, None, &pick(&x, &subset))
+                    .clone();
+                net.prefix_into(&pick(&shared, &subset), &mut prefix);
+                let prefixed = net
+                    .forward_batch(&mut tape, Some(&prefix), &pick(&own, &subset))
+                    .clone();
+                for (i, &r) in subset.iter().enumerate() {
+                    let what = format!("{rows} rows, subset {subset:?}, row {r}");
+                    assert_eq!(bits(&got, i), bits(&full, r), "{what}");
+                    assert_eq!(bits(&prefixed, i), bits(&full, r), "{what}, prefixed");
+                }
+            }
+        }
     }
 
     #[test]

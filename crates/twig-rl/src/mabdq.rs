@@ -3,8 +3,9 @@ use crate::per::{PerBatch, Priorities};
 use crate::slab::TransitionSlab;
 use crate::{MaBdqCheckpoint, RlError};
 use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
-use twig_nn::{Adam, Dropout, Mlp, QuantizedMlp, Relu, Tape, Tensor};
+use twig_nn::{Adam, Dropout, Mlp, Pass, QuantizedMlp, Relu, Tape, Tensor};
 use twig_stats::helper::{two_cpus, Finished, Helper, Job};
 use twig_stats::rng::{Rng, Xoshiro256};
 use twig_telemetry::Telemetry;
@@ -233,6 +234,16 @@ twig_telemetry::stats! {
         skipped_steps => "rl.skipped_steps",
         /// Transitions refused for a non-finite state or reward.
         nonfinite_rejected => "rl.nonfinite_rejected",
+        /// Gradient steps whose prologue ran ahead, during the epoch that
+        /// produced their newest transition (see [`MaBdq::prepare_step`]).
+        prologues_ahead => "rl.prologues_ahead",
+        /// Prologues run ahead and then not used, because something other
+        /// than the pictured transition and train step came next.
+        prologues_discarded => "rl.prologues_discarded",
+        /// Minibatch rows of prologues run ahead whose targets were
+        /// recomputed once the newest transition's reward and next state
+        /// were known.
+        rows_recomputed => "rl.rows_recomputed",
     }
 }
 
@@ -723,6 +734,17 @@ fn head_input_into(
     }
 }
 
+/// Copies `K` per-agent vectors into one joint row, agent `k` at
+/// `k * len..`.
+fn pack_joint(parts: &[Vec<f32>], row: &mut [f32]) {
+    for (dst, part) in row
+        .chunks_exact_mut(row.len() / parts.len().max(1))
+        .zip(parts)
+    {
+        dst.copy_from_slice(part);
+    }
+}
+
 /// Heap bytes of the tensors' buffers (not of whatever holds the tensors).
 fn tensors_heap_bytes<'a>(tensors: impl IntoIterator<Item = &'a Tensor>) -> usize {
     tensors.into_iter().map(Tensor::heap_bytes).sum()
@@ -767,22 +789,28 @@ fn dueling_combine_into(v: &[f32], adv: &Tensor, q: &mut Tensor) {
 #[derive(Debug, Clone)]
 pub struct MaBdq {
     config: MaBdqConfig,
-    online: Net,
+    /// Shared with the helper's job while a task or a prologue run ahead
+    /// reads it; every write runs once the helper has let go, so
+    /// `Arc::make_mut` writes in place.
+    online: Arc<Net>,
     /// Only a target sync, a checkpoint restore and a transfer reset write
     /// it. A gradient step's two threads read it at once, and a clone
     /// shares it until one of them writes.
     target: Arc<Net>,
     adam: SplitAdam,
     /// The replay buffer's index: slot assignment and sampling weights.
-    priorities: Priorities,
-    /// The replay buffer's storage: the transition in each slot.
-    slab: TransitionSlab,
+    /// Shared like `online`, with a prologue run ahead.
+    priorities: Arc<Priorities>,
+    /// The replay buffer's storage: the transition in each slot. Shared
+    /// like `priorities`.
+    slab: Arc<TransitionSlab>,
     rng: Xoshiro256,
     stats: LearnerStats,
     telemetry: Telemetry,
     scratch: DecideScratch,
     step: StepState,
     helping: Helping,
+    ahead: Ahead,
     /// Per-agent quarantine guards; empty unless quarantine is enabled.
     guards: Vec<AgentGuard>,
     /// Trips and re-admissions; `frozen_agents` is counted from `guards`
@@ -928,18 +956,69 @@ struct Sample {
     /// until the epilogue), which every agent's train-mode forward of that
     /// head continues from.
     stage: Trunked,
+    /// A prologue run ahead ([`MaBdq::prepare_step`]) computes the first two
+    /// stages before the targets, and keeps them here: the online
+    /// network's, then the target network's. Empty for a learner that never
+    /// runs one.
+    next_stages: [Trunked; 2],
 }
 
 impl Sample {
     fn heap_bytes(&self) -> usize {
         let PerBatch { indices, weights } = &self.batch;
-        arc_block_bytes::<Sample>()
-            + indices.capacity() * std::mem::size_of::<usize>()
+        indices.capacity() * std::mem::size_of::<usize>()
             + (weights.capacity() + self.rewards.capacity() + self.targets.capacity())
                 * std::mem::size_of::<f32>()
             + self.actions.capacity() * std::mem::size_of::<u16>()
             + tensors_heap_bytes([&self.x, &self.x_next])
             + self.stage.heap_bytes()
+            + self
+                .next_stages
+                .iter()
+                .map(Trunked::heap_bytes)
+                .sum::<usize>()
+    }
+
+    /// The online (`i = 0`) or target (`1`) network's first stage of
+    /// `x_next`: in `next_stages` when it was computed `ahead`, else in
+    /// `stage`.
+    fn next_stage(&self, i: usize, ahead: bool) -> &Trunked {
+        if ahead {
+            &self.next_stages[i]
+        } else {
+            &self.stage
+        }
+    }
+
+    /// Packs the minibatch `batch.indices` names out of the replay buffer.
+    /// With `pending = Some((slot, states, actions))`, a row of `slot` is
+    /// the transition a push of `slot` is about to store: `states` and
+    /// `actions` (joint, as the buffer keeps them), and zeros for the reward
+    /// and next state nobody knows yet.
+    fn gather(&mut self, slab: &TransitionSlab, pending: Option<(usize, &[f32], &[u16])>) {
+        let (batch, joint) = (self.batch.indices.len(), slab.joint());
+        self.x.resize_zeroed(batch, joint);
+        self.x_next.resize_zeroed(batch, joint);
+        self.actions.clear();
+        self.rewards.clear();
+        for (b, &idx) in self.batch.indices.iter().enumerate() {
+            match pending {
+                Some((slot, states, actions)) if idx == slot => {
+                    self.x.row_mut(b).copy_from_slice(states);
+                    self.actions.extend_from_slice(actions);
+                    let rewards = self.rewards.len() + slab.agents();
+                    self.rewards.resize(rewards, 0.0);
+                }
+                _ => {
+                    self.x.row_mut(b).copy_from_slice(slab.states(idx));
+                    self.x_next
+                        .row_mut(b)
+                        .copy_from_slice(slab.next_states(idx));
+                    self.actions.extend_from_slice(slab.actions(idx));
+                    self.rewards.extend_from_slice(slab.rewards(idx));
+                }
+            }
+        }
     }
 }
 
@@ -984,9 +1063,9 @@ impl Lane {
     /// Agent `k`'s greedy action on every next state and branch under the
     /// online network, into its block of `a_star`. The argmax reads the
     /// advantages alone: the value head adds one number per row.
-    fn greedy(&mut self, online: &Net, sample: &Sample, k: usize, shape: Shape) {
+    fn greedy(&mut self, online: &Net, sample: &Sample, (k, ahead): (usize, bool), shape: Shape) {
         let (batch, block) = (shape.batch, shape.branches * shape.batch);
-        let work = (&sample.stage, &mut self.eval);
+        let work = (sample.next_stage(0, ahead), &mut self.eval);
         online.eval_advantages(
             &sample.x_next,
             k..k + 1,
@@ -1004,11 +1083,29 @@ impl Lane {
         }
     }
 
+    /// Agent `k`'s share of `passes`, on the online and target networks.
+    fn target_passes(
+        &mut self,
+        passes: Passes,
+        (online, target): (&Net, &Net),
+        sample: &Sample,
+        k: usize,
+        shape: Shape,
+    ) {
+        let ahead = passes == Passes::Ahead;
+        if passes != Passes::Targets {
+            self.greedy(online, sample, (k, ahead), shape);
+        }
+        if passes != Passes::Greedy {
+            self.targets(target, sample, (k, ahead), shape);
+        }
+    }
+
     /// Agent `k`'s TD targets: its reward plus γ times the target network's
     /// Q-value at the greedy action, averaged over branches.
-    fn targets(&mut self, target: &Net, sample: &Sample, k: usize, shape: Shape) {
+    fn targets(&mut self, target: &Net, sample: &Sample, (k, ahead): (usize, bool), shape: Shape) {
         let (agents, batch, block) = (shape.agents, shape.batch, shape.branches * shape.batch);
-        let work = (&sample.stage, &mut self.eval);
+        let work = (sample.next_stage(1, ahead), &mut self.eval);
         target.eval_heads(
             &sample.x_next,
             k..k + 1,
@@ -1217,13 +1314,28 @@ impl Sums for AgentSums {
     }
 }
 
+/// The target passes a task runs for each of its agents.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Passes {
+    /// The greedy actions ([`Lane::greedy`]) on `Sample::stage`, the online
+    /// network's first stage of `x_next`.
+    Greedy,
+    /// The targets ([`Lane::targets`]) on `Sample::stage`, the target
+    /// network's first stage.
+    Targets,
+    /// Both, on the stages a prologue run ahead left in
+    /// `Sample::next_stages`.
+    Ahead,
+}
+
 /// A task of the helper's share of a gradient step.
 #[derive(Debug, Clone, Copy)]
 enum Task {
-    /// The greedy actions of the odd agents ([`Lane::greedy`]).
-    Greedy,
-    /// The targets of the odd agents ([`Lane::targets`]).
-    Targets,
+    /// The odd agents' target `passes`. Before the greedy actions of a step
+    /// that did not run ahead, the helper's copies of the advantage heads
+    /// take the step's parameters and dropout streams (a prologue run ahead
+    /// gave them those).
+    Targets { passes: Passes },
     /// Odd agent `agent`'s head pass, after skipping the dropout draws of
     /// agent `agent − 1` if `skip`; with `live` false, only the skip.
     Head {
@@ -1233,16 +1345,127 @@ enum Task {
     },
     /// The upper part of the optimiser step ([`Net::upper_mlps`]).
     Adam { split: usize },
+    /// The prologue of the next step, run ahead ([`Prologue::run`]).
+    Prologue,
 }
 
 impl Task {
     /// Index into [`Share::warm`].
     fn slot(self) -> usize {
         match self {
-            Task::Greedy => 0,
-            Task::Targets => 1,
-            Task::Head { .. } => 2,
-            Task::Adam { .. } => 3,
+            Task::Targets { passes } => passes as usize,
+            Task::Head { .. } => 3,
+            Task::Adam { .. } => 4,
+            Task::Prologue => 5,
+        }
+    }
+}
+
+/// What a task reads of the learner's, lent for one run: the run takes it
+/// and lets it go when it ends, so the learner's `Arc`s are its own again,
+/// and `Arc::make_mut` writes in place, once the run is over.
+#[derive(Debug, Default)]
+struct Lent {
+    sample: Option<Arc<Sample>>,
+    target: Option<Arc<Net>>,
+    online: Option<Arc<Net>>,
+    /// The replay buffer's index and storage.
+    replay: Option<(Arc<Priorities>, Arc<TransitionSlab>)>,
+}
+
+/// The helper's part of a prologue run ahead ([`MaBdq::prepare_step`]): its
+/// inputs, and the step state the learner moves in for it and takes back
+/// when it joins. Between two prologues `sample` is an empty stand-in.
+#[derive(Debug)]
+struct Prologue {
+    /// The step's sample, for the prologue to fill.
+    sample: Arc<Sample>,
+    /// The step's trunk tape: the evaluation forwards of `x_next` and the
+    /// train-mode forward of `x` run on it, the epilogue's backward reads it.
+    trunk_tape: Tape,
+    /// The online trunk's layers, which carry its dropout streams through
+    /// the train-mode forward ([`Mlp::on_weights`]) while the weights stay
+    /// shared. The learner takes the streams back when it uses the
+    /// prologue, and never sees them move when it does not.
+    streams: Mlp,
+    /// A copy of the learner's stream, drawn from by the sample.
+    rng: Xoshiro256,
+    /// The joint state and actions of the transition the next push stores,
+    /// as the replay buffer keeps them.
+    states: Vec<f32>,
+    actions: Vec<u16>,
+    /// The slot that push claims.
+    slot: usize,
+}
+
+impl Prologue {
+    fn heap_bytes(&self) -> usize {
+        arc_block_bytes::<Sample>()
+            + self.sample.heap_bytes()
+            + self.trunk_tape.heap_bytes()
+            + self.streams.heap_bytes()
+            + self.states.capacity() * std::mem::size_of::<f32>()
+            + self.actions.capacity() * std::mem::size_of::<u16>()
+    }
+
+    /// The part of the next step's prologue that no agent's targets are
+    /// part of, run on the helper while the caller simulates the epoch that
+    /// produces the step's newest transition: the advantage-head copies for
+    /// the helper's head passes, the sample as it will be after the push,
+    /// the online and target networks' first stages of `x_next`, and the
+    /// train-mode trunk forward of `x` with its prefixes. The pushed slot's
+    /// rows read the pending transition, with zeros for its reward and next
+    /// state, which only the targets read ([`MaBdq::adopt_prologue`]).
+    fn run(
+        &mut self,
+        shape: Shape,
+        (online, target, (priorities, slab)): (&Net, &Net, (&Priorities, &TransitionSlab)),
+        copies: &mut Net,
+    ) {
+        // First, so that the copies land in this thread's cache.
+        copies.adv_heads.clone_from(&online.adv_heads);
+        let Prologue {
+            sample,
+            trunk_tape,
+            streams,
+            rng,
+            states,
+            actions,
+            slot,
+        } = self;
+        streams.copy_streams_from(&online.trunk);
+        let sample = Arc::make_mut(sample);
+        *slot = priorities.sample_after_push_into(shape.batch, rng, &mut sample.batch);
+        sample.gather(slab, Some((*slot, states, actions)));
+        let Sample {
+            x,
+            x_next,
+            stage,
+            next_stages,
+            ..
+        } = sample;
+        // The trunk's tape is idle until the train-mode forward below.
+        for (net, next) in [online, target].into_iter().zip(next_stages) {
+            net.eval_shared(x_next, trunk_tape, next);
+        }
+        let pass = streams.on_weights(&online.trunk, trunk_tape);
+        train_stage(pass, (&online.adv_heads, shape.agents > 1), x, stage);
+    }
+}
+
+/// The train-mode trunk forward of `x` into `stage.trunk_out` and, if
+/// `prefixed` (`K > 1`), each advantage head's first-layer product over it.
+fn train_stage(
+    pass: Pass<'_>,
+    (adv_heads, prefixed): (&[Mlp], bool),
+    x: &Tensor,
+    stage: &mut Trunked,
+) {
+    stage.trunk_out.copy_from(pass.forward_scratch(x, true));
+    if prefixed {
+        stage.prefixes.resize_with(adv_heads.len(), Tensor::default);
+        for (head, prefix) in adv_heads.iter().zip(&mut stage.prefixes) {
+            head.prefix_into(&stage.trunk_out, prefix);
         }
     }
 }
@@ -1255,11 +1478,8 @@ impl Task {
 struct Share {
     task: Task,
     shape: Shape,
-    /// The step's inputs, posted with a task. The run takes them and lets
-    /// them go when it ends, so they are lent for the run alone.
-    sample: Option<Arc<Sample>>,
-    /// The target network, posted with the targets task.
-    target: Option<Arc<Net>>,
+    /// What the posted task reads of the learner's, for the run alone.
+    lent: Lent,
     /// The online network as the helper has it: copies of the advantage
     /// heads, parameters and dropout streams taken at the start of each
     /// step (their gradients are one head pass's), plus whatever value
@@ -1271,17 +1491,17 @@ struct Share {
     signals: (f64, f64),
     /// The upper part of the optimiser, moved in for [`Task::Adam`].
     adam: Adam,
+    prologue: Prologue,
     /// Tasks that have run once.
-    warm: [bool; 4],
+    warm: [bool; 6],
 }
 
 impl Share {
     fn new(config: &MaBdqConfig, online: &Net) -> Self {
         Share {
-            task: Task::Greedy,
+            task: Task::Prologue,
             shape: Shape::of(config),
-            sample: None,
-            target: None,
+            lent: Lent::default(),
             online: Net {
                 trunk: Mlp::default(),
                 value_heads: (0..config.agents).map(|_| Mlp::default()).collect(),
@@ -1294,7 +1514,16 @@ impl Share {
             },
             signals: (0.0, 0.0),
             adam: Adam::new(config.lr),
-            warm: [false; 4],
+            prologue: Prologue {
+                sample: Arc::default(),
+                trunk_tape: Tape::default(),
+                streams: Mlp::default(),
+                rng: Xoshiro256::seed_from_u64(0),
+                states: Vec::new(),
+                actions: Vec::new(),
+                slot: 0,
+            },
+            warm: [false; 6],
         }
     }
 
@@ -1303,6 +1532,7 @@ impl Share {
             + self.lane.heap_bytes()
             + self.agent_sums.heap_bytes()
             + self.adam.heap_bytes()
+            + self.prologue.heap_bytes()
     }
 }
 
@@ -1311,27 +1541,38 @@ impl Job for Share {
         let Share {
             task,
             shape,
-            sample,
-            target,
+            lent,
             online,
             lane,
             agent_sums,
             signals,
             adam,
+            prologue,
             warm,
         } = self;
-        let (shape, sample, target) = (*shape, sample.take(), target.take());
+        let shape = *shape;
+        let Lent {
+            sample,
+            target,
+            online: online_net,
+            replay,
+        } = std::mem::take(lent);
         let sample = || sample.as_deref().expect("posted with the sample");
+        let target = || target.as_deref().expect("posted with the target network");
+        let online_net = || {
+            online_net
+                .as_deref()
+                .expect("posted with the online network")
+        };
         match *task {
-            Task::Greedy => {
-                for k in (1..shape.agents).step_by(2) {
-                    lane.greedy(online, sample(), k, shape);
+            Task::Targets { passes } => {
+                let nets = (online_net(), target());
+                if passes == Passes::Greedy {
+                    // First, so that they land in this thread's cache.
+                    online.adv_heads.clone_from(&nets.0.adv_heads);
                 }
-            }
-            Task::Targets => {
-                let target = target.as_deref().expect("posted with the target network");
                 for k in (1..shape.agents).step_by(2) {
-                    lane.targets(target, sample(), k, shape);
+                    lane.target_passes(passes, nets, sample(), k, shape);
                 }
             }
             Task::Head { agent, skip, live } => {
@@ -1353,6 +1594,11 @@ impl Job for Share {
                 *signals = lane.head_pass((shape, sample(), agent), vh, adv_heads, agent_sums);
             }
             Task::Adam { split } => adam_update(adam, online.upper_mlps(split)),
+            Task::Prologue => {
+                let (priorities, slab) = replay.as_ref().expect("posted with the replay buffer");
+                let nets = (online_net(), target(), (&**priorities, &**slab));
+                prologue.run(shape, nets, online);
+            }
         }
         warm[task.slot()] = true;
     }
@@ -1369,7 +1615,7 @@ fn skip_an_agent(adv_heads: &mut [Mlp], skip: bool, shape: Shape) {
 }
 
 /// Whether a learner steps with a helper thread. Decided at its first
-/// gradient step; a clone starts undecided.
+/// gradient step or prologue run ahead; a clone starts undecided.
 #[derive(Debug, Default)]
 enum Helping {
     #[default]
@@ -1384,21 +1630,42 @@ impl Clone for Helping {
     }
 }
 
-/// Runs `task` on the helper while `mine` runs here, with `lent` (the
-/// step's sample, and the target network for the targets) in the job for
-/// the run. Until a task has run once, both run here, the task first, so
-/// that this thread sizes its buffers. The caller takes back whatever else
-/// it moved into the job before it resumes the result.
+/// Where the next gradient step's prologue stands ([`MaBdq::prepare_step`]).
+#[derive(Debug, Default)]
+enum Ahead {
+    /// Nothing runs ahead.
+    #[default]
+    Idle,
+    /// The prologue is posted to the helper, or, before the job's first
+    /// run, waits to run on the calling thread when it is joined.
+    Posted { on_helper: bool },
+    /// The pictured transition is stored; the next
+    /// [`train_step`](MaBdq::train_step) adopts the prologue.
+    Ready,
+}
+
+impl Clone for Ahead {
+    /// A clone has nothing running ahead: its own state is the learner's
+    /// before the prologue, which never touched it.
+    fn clone(&self) -> Self {
+        Ahead::Idle
+    }
+}
+
+/// Runs `task` on the helper while `mine` runs here, with `lent` in the job
+/// for the run. Until a task has run once, both run here, the task first,
+/// so that this thread sizes its buffers. The caller takes back whatever
+/// else it moved into the job before it resumes the result.
 fn post<R>(
     helper: &mut Helper<Share>,
     task: Task,
-    lent: (Option<Arc<Sample>>, Option<Arc<Net>>),
+    lent: Lent,
     mine: impl FnOnce() -> R,
 ) -> Finished<R> {
     let warm = {
         let mut job = helper.job();
         job.task = task;
-        (job.sample, job.target) = lent;
+        job.lent = lent;
         job.warm[task.slot()]
     };
     if warm {
@@ -1520,6 +1787,9 @@ struct StepState {
     /// stateless forward on it.
     trunk_tape: Tape,
     sums: StepSums,
+    /// A prologue run ahead's row patch: the newest transition's next state
+    /// (`x_next`, one row) and rewards, and the first stages of that row.
+    patch: Sample,
     /// Per-agent summed |TD| this step (quarantine signal; unused when
     /// quarantine is disabled).
     agent_td: Vec<f64>,
@@ -1531,10 +1801,12 @@ struct StepState {
 impl StepState {
     fn heap_bytes(&self) -> usize {
         let f64s = self.agent_td.capacity() + self.agent_vgrad.capacity();
-        self.sample.heap_bytes()
+        arc_block_bytes::<Sample>()
+            + self.sample.heap_bytes()
             + self.lane.heap_bytes()
             + self.trunk_tape.heap_bytes()
             + self.sums.heap_bytes()
+            + self.patch.heap_bytes()
             + f64s * std::mem::size_of::<f64>()
     }
 
@@ -1592,17 +1864,18 @@ impl MaBdq {
         );
         let mut agent = MaBdq {
             config,
-            online,
+            online: Arc::new(online),
             target: Arc::new(target),
             adam,
-            priorities,
-            slab,
+            priorities: Arc::new(priorities),
+            slab: Arc::new(slab),
             rng,
             stats: LearnerStats::default(),
             telemetry: Telemetry::disabled(),
             scratch: DecideScratch::default(),
             step: StepState::default(),
             helping: Helping::Undecided,
+            ahead: Ahead::Idle,
             guards: Vec::new(),
             quarantine: QuarantineStats::default(),
             quantized: None,
@@ -1733,6 +2006,7 @@ impl MaBdq {
             telemetry,
             ..
         } = self;
+        let online = Arc::make_mut(online);
         for (k, guard) in guards.iter_mut().enumerate() {
             if guard.frozen_until > 0 {
                 frozen_now += 1;
@@ -1807,7 +2081,7 @@ impl MaBdq {
                 .sum::<usize>();
         LearnerMemory {
             networks: self.online.heap_bytes()
-                + arc_block_bytes::<Net>()
+                + 2 * arc_block_bytes::<Net>()
                 + self.target.heap_bytes(),
             optimiser: self.adam.heap_bytes(),
             step: self.step.heap_bytes(),
@@ -1919,6 +2193,7 @@ impl MaBdq {
 
     /// Evaluates one joint state on the fused path into `scratch.q_eval`.
     fn eval_fused(&mut self, states: &[Vec<f32>]) -> Result<(), RlError> {
+        self.settle();
         self.check_states(states)?;
         self.pack_joint_state(states);
         let DecideScratch {
@@ -1949,6 +2224,7 @@ impl MaBdq {
         epsilon: f64,
         out: &mut Vec<Vec<usize>>,
     ) -> Result<(), RlError> {
+        self.settle();
         self.check_states(states)?;
         self.pack_joint_state(states);
         let DecideScratch {
@@ -1993,6 +2269,7 @@ impl MaBdq {
     /// Returns [`RlError::DimensionMismatch`] when a layer exceeds the
     /// fixed-point accumulator headroom (`in_dim > 8192`).
     pub fn refresh_quantized(&mut self) -> Result<(), RlError> {
+        self.settle();
         self.quantized = Some(Box::new(QuantizedNet::from_net(&self.online)?));
         Ok(())
     }
@@ -2015,6 +2292,7 @@ impl MaBdq {
         states: &[Vec<f32>],
         out: &mut Vec<Vec<usize>>,
     ) -> Result<(), RlError> {
+        self.settle();
         self.check_states(states)?;
         self.pack_joint_state(states);
         if self.quantized.is_none() {
@@ -2090,6 +2368,7 @@ impl MaBdq {
         states: &[Vec<f32>],
         out: &mut Vec<Vec<Vec<f32>>>,
     ) -> Result<(), RlError> {
+        self.settle();
         self.check_states(states)?;
         self.pack_joint_state(states);
         let DecideScratch {
@@ -2129,14 +2408,10 @@ impl MaBdq {
     /// Packs one joint state (`K` per-agent vectors) into the single-row
     /// scratch tensor the decide paths evaluate.
     fn pack_joint_state(&mut self, states: &[Vec<f32>]) {
-        let state_dim = self.config.state_dim;
         self.scratch
             .x
-            .resize_zeroed(1, self.config.agents * state_dim);
-        let row = self.scratch.x.row_mut(0);
-        for (k, s) in states.iter().enumerate() {
-            row[k * state_dim..(k + 1) * state_dim].copy_from_slice(s);
-        }
+            .resize_zeroed(1, self.config.agents * self.config.state_dim);
+        pack_joint(states, self.scratch.x.row_mut(0));
     }
 
     /// Stores one transition in the prioritised replay buffer. Same as
@@ -2161,6 +2436,10 @@ impl MaBdq {
     /// grows amortised, up to `buffer_capacity` records), so a control loop
     /// can reuse its state, action and reward buffers every epoch.
     ///
+    /// A prologue run ahead for this transition ([`prepare_step`](Self::prepare_step))
+    /// is joined here and kept for the next [`train_step`](Self::train_step);
+    /// one run ahead for another transition, or a refused one, is discarded.
+    ///
     /// # Errors
     ///
     /// Returns [`RlError::DimensionMismatch`] for a wrongly shaped
@@ -2173,10 +2452,65 @@ impl MaBdq {
         rewards: &[f32],
         next_states: &[Vec<f32>],
     ) -> Result<(), RlError> {
+        if let Err(e) = self.check_transition((states, actions), rewards, next_states) {
+            self.settle();
+            return Err(e);
+        }
+        if !self.join_prologue(states, actions) {
+            self.settle();
+        }
+        let slot = Arc::make_mut(&mut self.priorities).push();
+        Arc::make_mut(&mut self.slab).write(slot, states, actions, rewards, next_states);
+        if matches!(self.ahead, Ahead::Ready) {
+            // What the prologue could not know, for its row patch.
+            let patch = &mut self.step.patch;
+            patch.x_next.resize_zeroed(1, self.slab.joint());
+            pack_joint(next_states, patch.x_next.row_mut(0));
+            patch.rewards.clear();
+            patch.rewards.extend_from_slice(rewards);
+        }
+        self.telemetry
+            .gauge_set("rl.buffer_len", self.priorities.len() as f64);
+        Ok(())
+    }
+
+    /// The checks of [`observe_parts`](Self::observe_parts): shapes, action
+    /// ranges and, counting a refusal, finite values.
+    fn check_transition(
+        &mut self,
+        (states, actions): (&[Vec<f32>], &[Vec<usize>]),
+        rewards: &[f32],
+        next_states: &[Vec<f32>],
+    ) -> Result<(), RlError> {
         self.check_states(states)?;
         self.check_states(next_states)?;
+        if rewards.len() != self.config.agents {
+            return Err(RlError::DimensionMismatch {
+                detail: "transition actions/rewards shape".into(),
+            });
+        }
+        self.check_actions(actions)?;
+        // NaN guard: a corrupted observation must never enter the replay
+        // buffer — one non-finite state or reward poisons every minibatch
+        // it is sampled into.
+        let finite_states = states
+            .iter()
+            .chain(next_states)
+            .flatten()
+            .all(|v| v.is_finite());
+        if !finite_states || !rewards.iter().all(|r| r.is_finite()) {
+            self.stats
+                .bump(&self.telemetry, |s| &mut s.nonfinite_rejected);
+            return Err(RlError::NonFinite {
+                detail: "transition state or reward".into(),
+            });
+        }
+        Ok(())
+    }
+
+    /// `K` action vectors of `D` actions, each within its branch.
+    fn check_actions(&self, actions: &[Vec<usize>]) -> Result<(), RlError> {
         if actions.len() != self.config.agents
-            || rewards.len() != self.config.agents
             || actions
                 .iter()
                 .any(|a| a.len() != self.config.branches.len())
@@ -2196,25 +2530,6 @@ impl MaBdq {
                 });
             }
         }
-        // NaN guard: a corrupted observation must never enter the replay
-        // buffer — one non-finite state or reward poisons every minibatch
-        // it is sampled into.
-        let finite_states = states
-            .iter()
-            .chain(next_states)
-            .flatten()
-            .all(|v| v.is_finite());
-        if !finite_states || !rewards.iter().all(|r| r.is_finite()) {
-            self.stats
-                .bump(&self.telemetry, |s| &mut s.nonfinite_rejected);
-            return Err(RlError::NonFinite {
-                detail: "transition state or reward".into(),
-            });
-        }
-        let slot = self.priorities.push();
-        self.slab.write(slot, states, actions, rewards, next_states);
-        self.telemetry
-            .gauge_set("rl.buffer_len", self.priorities.len() as f64);
         Ok(())
     }
 
@@ -2239,17 +2554,260 @@ impl MaBdq {
     /// thread would have drawn them, so weights, moments, priorities and RNG
     /// streams are bit-identical to running every agent here, which is what
     /// happens with one CPU or one agent. DESIGN.md §18 has the split.
+    /// After a [`prepare_step`](Self::prepare_step) whose transition
+    /// [`observe_parts`](Self::observe_parts) stored, the step starts from
+    /// the prologue the helper ran meanwhile, with the same bits.
     ///
     /// # Errors
     ///
     /// Propagates replay-buffer errors.
     pub fn train_step(&mut self) -> Result<Option<TrainStats>, RlError> {
-        self.abort_budgeted_step();
-        if !self.begin_step()? {
-            return Ok(None);
+        if matches!(self.ahead, Ahead::Ready) {
+            self.adopt_prologue();
+        } else {
+            self.settle();
+            self.abort_budgeted_step();
+            if !self.begin_step()? {
+                return Ok(None);
+            }
         }
         self.head_passes();
         Ok(Some(self.finish_step()))
+    }
+
+    /// Starts the prologue of the gradient step that will follow storing the
+    /// transition that starts at `states` with `actions` (Algorithm 1 lines
+    /// 10–13), on the helper thread, and returns: a control loop calls it
+    /// once it has decided, and simulates the epoch meanwhile. The prologue
+    /// draws its minibatch as [`train_step`](Self::train_step) would right
+    /// after [`observe_parts`](Self::observe_parts) stored the transition,
+    /// reading the pending states and actions for the slot the push will
+    /// claim, and computes everything but the calling thread's agents'
+    /// targets. It changes nothing the learner holds: the sample draws from
+    /// a copy of the learner's stream, pictures the push without making it,
+    /// and moves the trunk's dropout streams on a carrier of its own.
+    ///
+    /// `observe_parts` of that transition joins it, and the `train_step`
+    /// right after uses it: it takes the stream, the β step and the dropout
+    /// streams the prologue moved on, recomputes the targets of the rows
+    /// that sampled the new slot from the reward and next state it did not
+    /// know, and goes on as a step that sampled then. So weights, moments,
+    /// priorities, RNG streams and every decision are bit-identical to not
+    /// calling this at all. Every other entry point, and `observe_parts` of
+    /// another transition, discards the prologue first: a post the helper
+    /// has not taken does not run, one it has is waited for.
+    ///
+    /// Nothing runs ahead without a helper (one CPU, or `K = 1`), while a
+    /// budgeted step is in flight, for a transition of the wrong shape, or
+    /// when the buffer will not hold a batch after the push.
+    pub fn prepare_step(&mut self, states: &[Vec<f32>], actions: &[Vec<usize>]) {
+        self.settle();
+        let batch = self.config.batch_size;
+        if self.step.in_flight || self.priorities.len_after_push() < batch {
+            return;
+        }
+        self.decide_helping();
+        if !matches!(self.helping, Helping::With(_))
+            || self.check_states(states).is_err()
+            || self.check_actions(actions).is_err()
+        {
+            return;
+        }
+        let Helping::With(helper) = &mut self.helping else {
+            return;
+        };
+        // A push that doubles the tree doubles it now, where a write may.
+        Arc::make_mut(&mut self.priorities).grow_for_push();
+        let warm = {
+            let mut job = helper.job();
+            let job = &mut *job;
+            job.task = Task::Prologue;
+            job.lent = Lent {
+                sample: None,
+                target: Some(Arc::clone(&self.target)),
+                online: Some(Arc::clone(&self.online)),
+                replay: Some((Arc::clone(&self.priorities), Arc::clone(&self.slab))),
+            };
+            let prologue = &mut job.prologue;
+            prologue.rng.clone_from(&self.rng);
+            prologue.states.resize(self.slab.joint(), 0.0);
+            pack_joint(states, &mut prologue.states);
+            prologue.actions.clear();
+            prologue.actions.extend(actions.iter().flatten().map(|&a| {
+                u16::try_from(a).expect("checked against a branch of at most 2^16 actions")
+            }));
+            std::mem::swap(&mut prologue.sample, &mut self.step.sample);
+            std::mem::swap(&mut prologue.trunk_tape, &mut self.step.trunk_tape);
+            job.warm[Task::Prologue.slot()]
+        };
+        // Until the prologue has run once, it runs on this thread when it
+        // is joined, so that this thread sizes its buffers.
+        if warm {
+            helper.post();
+        }
+        self.ahead = Ahead::Posted { on_helper: warm };
+    }
+
+    /// Joins a prologue run ahead, from [`observe_parts`](Self::observe_parts)
+    /// of `states` and `actions`, once they have passed its checks: waits
+    /// for the helper (or runs an unwarmed job here) and takes the step
+    /// state back. Returns whether the prologue pictured this transition;
+    /// it is then [`Ahead::Ready`].
+    fn join_prologue(&mut self, states: &[Vec<f32>], actions: &[Vec<usize>]) -> bool {
+        let Ahead::Posted { on_helper } = self.ahead else {
+            return false;
+        };
+        let Helping::With(helper) = &mut self.helping else {
+            unreachable!("a prologue runs ahead on a helper's job");
+        };
+        let ran = if on_helper {
+            helper.wait()
+        } else {
+            panic::catch_unwind(AssertUnwindSafe(|| helper.job().run()))
+        };
+        self.ahead = Ahead::Idle;
+        let pictured = {
+            let mut job = helper.job();
+            let prologue = &mut job.prologue;
+            std::mem::swap(&mut prologue.sample, &mut self.step.sample);
+            std::mem::swap(&mut prologue.trunk_tape, &mut self.step.trunk_tape);
+            let joint = states.iter().flatten();
+            let same_states = joint
+                .zip(&prologue.states)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            let acted = actions.iter().flatten();
+            same_states
+                && acted
+                    .zip(&prologue.actions)
+                    .all(|(&a, &b)| a == usize::from(b))
+        };
+        if let Err(payload) = ran {
+            panic::resume_unwind(payload);
+        }
+        if pictured {
+            self.ahead = Ahead::Ready;
+        } else {
+            self.stats
+                .bump(&self.telemetry, |s| &mut s.prologues_discarded);
+        }
+        pictured
+    }
+
+    /// Discards a prologue run ahead, if there is one: a post the helper has
+    /// not taken does not run, one it has is waited for, and the step state
+    /// comes back. Nothing the learner holds changed, so nothing is undone.
+    fn settle(&mut self) {
+        let on_helper = match std::mem::take(&mut self.ahead) {
+            Ahead::Idle => return,
+            Ahead::Posted { on_helper } => Some(on_helper),
+            Ahead::Ready => None,
+        };
+        self.stats
+            .bump(&self.telemetry, |s| &mut s.prologues_discarded);
+        let Some(on_helper) = on_helper else {
+            return;
+        };
+        let Helping::With(helper) = &mut self.helping else {
+            unreachable!("a prologue runs ahead on a helper's job");
+        };
+        let ran = if on_helper { helper.withdraw() } else { Ok(()) };
+        {
+            let mut job = helper.job();
+            // What an untaken post still holds of the learner's.
+            job.lent = Lent::default();
+            let prologue = &mut job.prologue;
+            std::mem::swap(&mut prologue.sample, &mut self.step.sample);
+            std::mem::swap(&mut prologue.trunk_tape, &mut self.step.trunk_tape);
+        }
+        if let Err(payload) = ran {
+            panic::resume_unwind(payload);
+        }
+    }
+
+    /// The prologue of a step whose sample was drawn ahead: takes the
+    /// stream, the β step and the trunk's dropout streams the prologue moved
+    /// on, runs every agent's greedy actions and targets on the stages it
+    /// left, split with the helper as in any step, and then
+    /// [`patches`](Self::patch_rows) the rows that sampled the newest
+    /// transition.
+    fn adopt_prologue(&mut self) {
+        self.ahead = Ahead::Idle;
+        if self.config.quarantine.enabled {
+            self.quarantine_readmit();
+        }
+        let Helping::With(helper) = &self.helping else {
+            unreachable!("a prologue runs ahead on a helper's job");
+        };
+        let slot = {
+            let job = helper.job();
+            self.rng.clone_from(&job.prologue.rng);
+            Arc::make_mut(&mut self.priorities).advance_anneal();
+            let online = Arc::make_mut(&mut self.online);
+            online.trunk.copy_streams_from(&job.prologue.streams);
+            online.zero_grads();
+            job.prologue.slot
+        };
+        self.step_targets(true);
+        self.patch_rows(slot);
+        self.stats.bump(&self.telemetry, |s| &mut s.prologues_ahead);
+        self.start_sums();
+    }
+
+    /// Recomputes, for every agent, the targets of the minibatch rows that
+    /// sampled `slot`, the newest transition, from the reward and next state
+    /// that [`observe_parts`](Self::observe_parts) brought, and writes both
+    /// into those rows. Rows are independent in every pass that reads
+    /// `x_next` or the rewards, so a row's targets are the same bits whether
+    /// its pass had other rows or none; `x`, the actions and the importance
+    /// weights were known when the sample was drawn, so nothing else needs a
+    /// patch.
+    fn patch_rows(&mut self, slot: usize) {
+        let shape = Shape::of(&self.config);
+        let StepState {
+            sample,
+            lane,
+            trunk_tape,
+            patch,
+            ..
+        } = &mut self.step;
+        let sample = Arc::make_mut(sample);
+        let rows = sample
+            .batch
+            .indices
+            .iter()
+            .filter(|&&idx| idx == slot)
+            .count();
+        if rows == 0 {
+            return;
+        }
+        let one = Shape { batch: 1, ..shape };
+        for (i, net) in [&*self.online, &*self.target].into_iter().enumerate() {
+            let Sample { x_next, stage, .. } = &mut *patch;
+            net.eval_shared(x_next, trunk_tape, stage);
+            for k in 0..shape.agents {
+                match i {
+                    0 => lane.greedy(net, patch, (k, false), one),
+                    _ => lane.targets(net, patch, (k, false), one),
+                }
+            }
+        }
+        let agents = shape.agents;
+        for (b, &idx) in sample.batch.indices.iter().enumerate() {
+            if idx == slot {
+                let at = b * agents..(b + 1) * agents;
+                sample.targets[at.clone()].copy_from_slice(&lane.targets[..agents]);
+                sample.rewards[at].copy_from_slice(&patch.rewards);
+                sample
+                    .x_next
+                    .row_mut(b)
+                    .copy_from_slice(patch.x_next.row(0));
+            }
+        }
+        let recomputed = LearnerStats {
+            rows_recomputed: rows as u64,
+            ..LearnerStats::default()
+        };
+        self.stats.add(&recomputed, &self.telemetry);
     }
 
     /// Whether a budgeted gradient step is currently in flight (started by
@@ -2267,7 +2825,7 @@ impl MaBdq {
     fn abort_budgeted_step(&mut self) {
         if self.step.in_flight {
             self.step.in_flight = false;
-            self.online.zero_grads();
+            Arc::make_mut(&mut self.online).zero_grads();
         }
     }
 
@@ -2301,12 +2859,13 @@ impl MaBdq {
     ///
     /// Propagates replay-buffer errors from the initial sample.
     pub fn train_step_budgeted(&mut self) -> Result<BudgetedProgress, RlError> {
+        self.settle();
         if !self.step.in_flight && !self.begin_step()? {
             return Ok(BudgetedProgress::NotReady);
         }
         let (agents, k) = (self.config.agents, self.step.next_agent);
         let pass = (Shape::of(&self.config), k, false, self.is_live(k));
-        self.step.head_pass(&mut self.online, pass);
+        self.step.head_pass(Arc::make_mut(&mut self.online), pass);
         self.step.next_agent = k + 1;
         if k + 1 < agents {
             return Ok(BudgetedProgress::InProgress {
@@ -2353,51 +2912,47 @@ impl MaBdq {
         if self.priorities.len() < batch_size {
             return Ok(false);
         }
-        let agents = self.config.agents;
-        let num_branches = self.config.branches.len();
-        let state_dim = self.config.state_dim;
         if self.config.quarantine.enabled {
             self.quarantine_readmit();
         }
         self.decide_helping();
         let sample = Arc::make_mut(&mut self.step.sample);
-        self.priorities
-            .sample_into(batch_size, &mut self.rng, &mut sample.batch)?;
-        sample.x.resize_zeroed(batch_size, agents * state_dim);
-        sample.x_next.resize_zeroed(batch_size, agents * state_dim);
-        sample.actions.clear();
-        sample.rewards.clear();
-        for (b, &idx) in sample.batch.indices.iter().enumerate() {
-            sample.x.row_mut(b).copy_from_slice(self.slab.states(idx));
-            sample
-                .x_next
-                .row_mut(b)
-                .copy_from_slice(self.slab.next_states(idx));
-            sample.actions.extend_from_slice(self.slab.actions(idx));
-            sample.rewards.extend_from_slice(self.slab.rewards(idx));
-        }
-        self.step_targets();
+        Arc::make_mut(&mut self.priorities).sample_into(
+            batch_size,
+            &mut self.rng,
+            &mut sample.batch,
+        )?;
+        sample.gather(&self.slab, None);
+        self.step_targets(false);
 
-        self.online.zero_grads();
+        let online = Arc::make_mut(&mut self.online);
+        online.zero_grads();
         let step = &mut self.step;
         let sample = Arc::make_mut(&mut step.sample);
-        let trunk = self.online.trunk.on(&mut step.trunk_tape);
-        let stage = &mut sample.stage;
-        stage
-            .trunk_out
-            .copy_from(trunk.forward_scratch(&sample.x, true));
+        let trunk = online.trunk.on(&mut step.trunk_tape);
+        let prefixed = self.config.agents > 1;
+        train_stage(
+            trunk,
+            (&online.adv_heads, prefixed),
+            &sample.x,
+            &mut sample.stage,
+        );
+        self.start_sums();
+        Ok(true)
+    }
+
+    /// Zeroes the sums a step's head passes add to, sized for its batch, and
+    /// puts the step in flight at its first agent.
+    fn start_sums(&mut self) {
+        let (batch_size, agents) = (self.config.batch_size, self.config.agents);
+        let step = &mut self.step;
         let sums = &mut step.sums;
-        sums.trunk_grad
-            .resize_zeroed(batch_size, stage.trunk_out.cols());
+        let trunk_dim = step.sample.stage.trunk_out.cols();
+        sums.trunk_grad.resize_zeroed(batch_size, trunk_dim);
         if agents > 1 {
-            stage.prefixes.resize_with(num_branches, Tensor::default);
-            sums.adv_first_grad
-                .resize_with(num_branches, Tensor::default);
-            let heads = self.online.adv_heads.iter();
-            for ((head, prefix), sum) in
-                heads.zip(&mut stage.prefixes).zip(&mut sums.adv_first_grad)
-            {
-                head.prefix_into(&stage.trunk_out, prefix);
+            let branches = self.config.branches.len();
+            sums.adv_first_grad.resize_with(branches, Tensor::default);
+            for sum in &mut sums.adv_first_grad {
                 sum.resize_zeroed(batch_size, self.config.head_hidden);
             }
         }
@@ -2410,16 +2965,17 @@ impl MaBdq {
         step.agent_vgrad.resize(agents, 0.0);
         step.next_agent = 0;
         step.in_flight = true;
-        Ok(true)
     }
 
     /// The double-DQN targets of the sampled batch, averaged over branches,
     /// into `sample.targets`: each agent's greedy actions on the next states
     /// under the online network ([`Lane::greedy`]), then the target
-    /// network's values there ([`Lane::targets`]). A helper takes the odd
+    /// network's values there ([`Lane::targets`]), each pass on its
+    /// network's first stage of `x_next`, computed here into `stage` just
+    /// before it, or `ahead` into `next_stages`. A helper takes the odd
     /// agents. An agent's targets are the same arithmetic on either thread,
     /// and no agent's depend on another's.
-    fn step_targets(&mut self) {
+    fn step_targets(&mut self, ahead: bool) {
         let shape = Shape::of(&self.config);
         let MaBdq {
             online,
@@ -2435,47 +2991,53 @@ impl MaBdq {
             ..
         } = step;
         let stride = match helping {
-            Helping::With(helper) => {
-                // The step's parameters and dropout streams, for the targets
-                // and the head passes alike.
-                helper.job().online.adv_heads.clone_from(&online.adv_heads);
-                2
-            }
+            Helping::With(_) => 2,
             _ => 1,
         };
-        for (task, net) in [(Task::Greedy, &*online), (Task::Targets, &**target)] {
-            let Sample { x_next, stage, .. } = Arc::make_mut(sample);
-            // The trunk's evaluation forwards run on the trunk's tape, idle
-            // until the train-mode forward below: the lane's evaluation tape
-            // then never grows to the trunk's width.
-            net.eval_shared(x_next, trunk_tape, stage);
+        let rounds: &[Passes] = if ahead {
+            &[Passes::Ahead]
+        } else {
+            &[Passes::Greedy, Passes::Targets]
+        };
+        for &passes in rounds {
+            if !ahead {
+                let net = if passes == Passes::Greedy {
+                    &**online
+                } else {
+                    &**target
+                };
+                let Sample { x_next, stage, .. } = Arc::make_mut(sample);
+                // The trunk's evaluation forwards run on the trunk's tape,
+                // idle until the train-mode forward: the lane's evaluation
+                // tape then never grows to the trunk's width.
+                net.eval_shared(x_next, trunk_tape, stage);
+            }
+            let nets = (&**online, &**target);
             let mut mine = || {
                 for k in (0..shape.agents).step_by(stride) {
-                    match task {
-                        Task::Greedy => lane.greedy(net, sample, k, shape),
-                        _ => lane.targets(net, sample, k, shape),
-                    }
+                    lane.target_passes(passes, nets, sample, k, shape);
                 }
             };
             match helping {
                 Helping::With(helper) => {
-                    let target = matches!(task, Task::Targets).then(|| Arc::clone(target));
-                    post(helper, task, (Some(Arc::clone(sample)), target), mine).resume();
+                    let lent = Lent {
+                        sample: Some(Arc::clone(sample)),
+                        online: Some(Arc::clone(online)),
+                        target: Some(Arc::clone(target)),
+                        replay: None,
+                    };
+                    post(helper, Task::Targets { passes }, lent, mine).resume();
                 }
                 _ => mine(),
             }
         }
+        let theirs = match helping {
+            Helping::With(helper) => Some(helper.job()),
+            _ => None,
+        };
+        let theirs = theirs.as_ref().map(|job| &job.lane.targets[..]);
         let sample = Arc::make_mut(sample);
-        sample.targets.clone_from(&lane.targets);
-        if let Helping::With(helper) = helping {
-            let theirs = &helper.job().lane.targets;
-            let rows = theirs.chunks_exact(shape.agents);
-            for (mine, theirs) in sample.targets.chunks_exact_mut(shape.agents).zip(rows) {
-                for k in (1..shape.agents).step_by(2) {
-                    mine[k] = theirs[k];
-                }
-            }
-        }
+        merge_targets(&mut sample.targets, &lane.targets, theirs, shape.agents);
     }
 
     /// The head passes of a whole step. With a helper, the even agents run
@@ -2495,6 +3057,7 @@ impl MaBdq {
             guards,
             ..
         } = self;
+        let online = Arc::make_mut(online);
         let live = |k: usize| !config.quarantine.enabled || guards[k].frozen_until == 0;
         let Helping::With(helper) = helping else {
             for k in 0..shape.agents {
@@ -2519,7 +3082,10 @@ impl MaBdq {
                 skip: live(k),
                 live: live(theirs),
             };
-            let lent = (Some(Arc::clone(&step.sample)), None);
+            let lent = Lent {
+                sample: Some(Arc::clone(&step.sample)),
+                ..Lent::default()
+            };
             let finished = post(helper, task, lent, || step.head_pass(online, pass));
             {
                 let mut job = helper.job();
@@ -2550,6 +3116,7 @@ impl MaBdq {
         let num_branches = self.config.branches.len();
         self.step.in_flight = false;
         let MaBdq { online, step, .. } = self;
+        let online = Arc::make_mut(online);
         let StepState {
             sample,
             lane,
@@ -2591,15 +3158,15 @@ impl MaBdq {
         // permanently poison the network. Skip the update and report it.
         let skipped = !loss.is_finite() || !grad_norm.is_finite();
         if skipped {
-            self.online.zero_grads();
+            online.zero_grads();
             self.stats.bump(&self.telemetry, |s| &mut s.skipped_steps);
         } else {
             // Global-norm clipping, then Adam.
             if grad_norm > GRAD_CLIP {
-                self.online.scale_all_grads(GRAD_CLIP / grad_norm);
+                online.scale_all_grads(GRAD_CLIP / grad_norm);
             }
             self.apply_adam();
-            self.priorities
+            Arc::make_mut(&mut self.priorities)
                 .update_priorities(&self.step.sample.batch.indices, &self.step.sums.abs_td);
             self.stats.bump(&self.telemetry, |s| &mut s.steps);
             if self
@@ -2636,6 +3203,7 @@ impl MaBdq {
             helping,
             ..
         } = self;
+        let online = Arc::make_mut(online);
         adam.size();
         let split = adam.split;
         let Helping::With(helper) = helping else {
@@ -2653,7 +3221,7 @@ impl MaBdq {
         };
         swap(&mut helper.job(), online, adam);
         let lower = &mut adam.lower;
-        let finished = post(helper, Task::Adam { split }, (None, None), || {
+        let finished = post(helper, Task::Adam { split }, Lent::default(), || {
             adam_update(lower, online.lower_mlps(split));
         });
         swap(&mut helper.job(), online, adam);
@@ -2680,12 +3248,13 @@ impl MaBdq {
     /// optimiser state and re-sync the target network. The trunk's learned
     /// shared representation is kept.
     pub fn transfer_reset(&mut self) {
+        self.settle();
         self.abort_budgeted_step();
-        for head in self
-            .online
+        let online = Arc::make_mut(&mut self.online);
+        for head in online
             .value_heads
             .iter_mut()
-            .chain(self.online.adv_heads.iter_mut())
+            .chain(online.adv_heads.iter_mut())
         {
             head.reinitialize_last_dense(&mut self.rng);
         }
@@ -2845,10 +3414,11 @@ impl MaBdq {
             return mismatch(format!("replay priority {at} is {p}"));
         }
         // Validation passed — the restore proceeds, so any half-finished
-        // budgeted step is now meaningless.
+        // budgeted step, or prologue run ahead, is now meaningless.
+        self.settle();
         self.abort_budgeted_step();
         let mut offset = 0;
-        for mlp in self.online.mlps_mut() {
+        for mlp in Arc::make_mut(&mut self.online).mlps_mut() {
             let n = mlp.param_count();
             mlp.import_parameters(&ckpt.params[offset..offset + n])
                 .expect("length checked");
@@ -2877,12 +3447,28 @@ impl MaBdq {
         }
         self.stats.steps = ckpt.steps;
         self.stats.skipped_steps = ckpt.skipped_steps;
-        self.priorities.set_anneal_step(ckpt.per_step);
-        self.priorities.set_max_priority(ckpt.per_max_priority);
-        self.priorities.restore_priorities(&ckpt.priorities);
+        let priorities = Arc::make_mut(&mut self.priorities);
+        priorities.set_anneal_step(ckpt.per_step);
+        priorities.set_max_priority(ckpt.per_max_priority);
+        priorities.restore_priorities(&ckpt.priorities);
         Arc::make_mut(&mut self.target).copy_weights_from(&self.online);
         self.rebuild_guards();
         Ok(())
+    }
+}
+
+/// A step's targets, `b * agents + k`: this thread's lane's, with the odd
+/// agents' taken from the helper's lane when it ran them.
+fn merge_targets(targets: &mut Vec<f32>, mine: &[f32], theirs: Option<&[f32]>, agents: usize) {
+    targets.clear();
+    targets.extend_from_slice(mine);
+    if let Some(theirs) = theirs {
+        let rows = theirs.chunks_exact(agents);
+        for (mine, theirs) in targets.chunks_exact_mut(agents).zip(rows) {
+            for k in (1..agents).step_by(2) {
+                mine[k] = theirs[k];
+            }
+        }
     }
 }
 
@@ -3358,7 +3944,7 @@ mod tests {
             config.trunk_hidden[1] + config.state_dim,
             config.head_hidden,
         );
-        let head = &mut agent.online.value_heads[0];
+        let head = &mut Arc::make_mut(&mut agent.online).value_heads[0];
         let mut params = head.parameters().to_vec();
         for row in params[..inputs * hidden].chunks_mut(hidden) {
             row[0] = 0.0;
@@ -3856,7 +4442,7 @@ mod tests {
         assert_eq!(after.adv_first_grad, sums.adv_first_grad);
         // The next live agent does draw, and adds to every branch's sum.
         let pass = (Shape::of(&agent.config), 2, false, true);
-        agent.step.head_pass(&mut agent.online, pass);
+        agent.step.head_pass(Arc::make_mut(&mut agent.online), pass);
         assert_ne!(format!("{:?}", agent.online), nets);
         let after = &agent.step.sums.adv_first_grad;
         for (after, before) in after.iter().zip(&sums.adv_first_grad) {
@@ -4078,7 +4664,7 @@ mod tests {
                 for v in x.as_mut_slice() {
                     *v = rng.range_f32(-2.0, 2.0);
                 }
-                for (name, net) in [("online", &agent.online), ("target", &*agent.target)] {
+                for (name, net) in [("online", &*agent.online), ("target", &*agent.target)] {
                     let context = format!("K = {agents}, {what}, {name}");
                     assert_any_grouping_matches_the_reference(net, &x, config.state_dim, &context);
                 }
@@ -4169,7 +4755,7 @@ mod tests {
             for round in 0..10 {
                 let tied = round % 2 == 0;
                 if tied {
-                    tie_first_two_actions(&mut agent.online.adv_heads[0]);
+                    tie_first_two_actions(&mut Arc::make_mut(&mut agent.online).adv_heads[0]);
                 }
                 assert!(agent.begin_step().unwrap());
                 let (want, q_target) = targets_from_full_q_tables(&mut agent);
@@ -4227,7 +4813,7 @@ mod tests {
                 *v = rng.range_f32(-2.0, 2.0);
             }
             for tied in [false, true] {
-                let net = &mut agent.online;
+                let net = Arc::make_mut(&mut agent.online);
                 if tied {
                     tie_first_two_actions(&mut net.adv_heads[0]);
                 }
@@ -4484,5 +5070,229 @@ mod tests {
         }
         // The NaN guard's script exercised it.
         assert!(skipped > 0, "{skipped} skipped");
+    }
+
+    /// One epoch of a prologue-ahead proof script, as a control loop runs
+    /// it: decide, `prepare_step` unless exploiting, simulate, then what the
+    /// op says.
+    #[derive(Debug, Clone, Copy)]
+    enum Epoch {
+        /// Observe the transition and take this many train steps.
+        Plain(usize),
+        /// Stop (`true`) or resume learning after this epoch: no prologue
+        /// runs ahead and no step is taken meanwhile.
+        Exploit(bool),
+        /// The epoch's telemetry was corrupt: nothing is observed.
+        Degraded,
+        /// The transition's reward is NaN: refused, and the step trains on
+        /// what the buffer holds.
+        NonFinite,
+        /// Save a checkpoint after the epoch.
+        Save,
+        /// Restore the saved checkpoint between decide and observe.
+        Restore,
+        /// Transfer-reset between decide and observe.
+        Transfer,
+        /// The next epoch starts from a fresh state, not this one's next.
+        Break,
+    }
+
+    /// What the prologue-ahead proof compares: every step's diagnostics and
+    /// every decision, then the checkpoint bytes, both networks with their
+    /// dropout streams, the replay priorities, the learner's stream and its
+    /// counters (those of the prologues aside, returned apart).
+    #[derive(Debug, PartialEq)]
+    struct AheadRun {
+        progress: Vec<String>,
+        decisions: Vec<Vec<Vec<usize>>>,
+        checkpoint: Vec<u8>,
+        nets: String,
+        leaves: Vec<u64>,
+        rng: Xoshiro256,
+        stats: LearnerStats,
+    }
+
+    fn ahead_run(config: &MaBdqConfig, script: &[Epoch], ahead: bool) -> (AheadRun, LearnerStats) {
+        let mut agent = MaBdq::new(config.clone()).unwrap();
+        if !ahead {
+            // Nothing runs ahead, nor on a second thread.
+            agent.train_serially();
+        }
+        let mut rng = Xoshiro256::seed_from_u64(config.seed ^ 0xa4ead);
+        let mut states = random_transition(&mut rng, config).states;
+        let (mut progress, mut decisions) = (Vec::new(), Vec::new());
+        let (mut saved, mut exploiting) = (None, false);
+        let stats = |s: TrainStats| {
+            let bits = [s.loss, s.mean_abs_td, s.grad_norm].map(f32::to_bits);
+            format!("{bits:?} {}", s.skipped)
+        };
+        for &op in script {
+            let mut actions = Vec::new();
+            agent
+                .select_actions_into(&states, 0.3, &mut actions)
+                .unwrap();
+            if !exploiting {
+                agent.prepare_step(&states, &actions);
+            }
+            let simulated = random_transition(&mut rng, config);
+            let mut rewards = simulated.rewards;
+            match op {
+                Epoch::Restore => agent.load_checkpoint(saved.as_ref().unwrap()).unwrap(),
+                Epoch::Transfer => agent.transfer_reset(),
+                Epoch::NonFinite => rewards[0] = f32::NAN,
+                _ => {}
+            }
+            if !matches!(op, Epoch::Degraded) {
+                let observed =
+                    agent.observe_parts(&states, &actions, &rewards, &simulated.next_states);
+                match observed {
+                    Err(RlError::NonFinite { .. }) => assert!(matches!(op, Epoch::NonFinite)),
+                    other => other.unwrap(),
+                }
+                let steps = if let Epoch::Plain(n) = op { n } else { 1 };
+                for _ in 0..if exploiting { 0 } else { steps } {
+                    progress.push(format!("{:?}", agent.train_step().unwrap().map(stats)));
+                }
+            }
+            match op {
+                Epoch::Exploit(on) => exploiting = on,
+                Epoch::Save => saved = Some(agent.save_checkpoint()),
+                _ => {}
+            }
+            decisions.push(actions);
+            states = match op {
+                Epoch::Break => random_transition(&mut rng, config).states,
+                _ => simulated.next_states,
+            };
+        }
+        let all = agent.learner_stats();
+        let run = AheadRun {
+            progress,
+            decisions,
+            checkpoint: crate::encode_checkpoint(&agent.save_checkpoint()),
+            nets: format!("{:?}", (&*agent.online, &*agent.target)),
+            leaves: agent
+                .priorities
+                .priorities()
+                .iter()
+                .map(|p| p.to_bits())
+                .collect(),
+            rng: agent.rng.clone(),
+            stats: LearnerStats {
+                prologues_ahead: 0,
+                prologues_discarded: 0,
+                rows_recomputed: 0,
+                ..all
+            },
+        };
+        (run, all)
+    }
+
+    #[test]
+    fn steps_whose_prologue_ran_ahead_equal_serial_steps() {
+        use Epoch::*;
+        let plain = |n| vec![Plain(1); n];
+        let scripts: [(&str, Vec<Epoch>); 8] = [
+            ("plain", plain(40)),
+            (
+                "pure exploitation toggled mid-run",
+                [
+                    plain(20),
+                    vec![Exploit(true)],
+                    plain(5),
+                    vec![Exploit(false)],
+                    plain(10),
+                ]
+                .concat(),
+            ),
+            (
+                "degraded epochs after a posted decide",
+                [
+                    plain(20),
+                    vec![Degraded, Plain(1), Degraded, Degraded],
+                    plain(5),
+                ]
+                .concat(),
+            ),
+            (
+                "non-finite transitions refused after a posted decide",
+                [plain(20), vec![NonFinite, Plain(1), NonFinite], plain(5)].concat(),
+            ),
+            (
+                "a restore and a transfer reset between decide and observe",
+                [
+                    plain(18),
+                    vec![Save],
+                    plain(4),
+                    vec![Restore],
+                    plain(3),
+                    vec![Transfer],
+                    plain(5),
+                ]
+                .concat(),
+            ),
+            ("a full buffer whose overwritten slot is sampled", plain(70)),
+            (
+                "chain breaks",
+                [plain(18), vec![Break, Plain(1), Break, Break], plain(5)].concat(),
+            ),
+            ("three train steps per epoch", vec![Plain(3); 30]),
+        ];
+        let helped = two_cpus();
+        for agents in [2, 3, 24] {
+            let config = MaBdqConfig {
+                dropout: 0.25,
+                gamma: 0.9,
+                seed: 70 + agents as u64,
+                ..quarantine_test_config(agents)
+            };
+            let mut recomputed = 0;
+            for (name, script) in &scripts {
+                let ring = MaBdqConfig {
+                    buffer_capacity: 20,
+                    ..config.clone()
+                };
+                let config = if name.contains("full buffer") {
+                    &ring
+                } else {
+                    &config
+                };
+                let context = format!("K = {agents}, {name}");
+                let (serial, _) = ahead_run(config, script, false);
+                let (ahead, counts) = ahead_run(config, script, true);
+                assert_eq!(ahead, serial, "{context}");
+                if !helped {
+                    // One CPU: nothing is posted.
+                    assert_eq!(
+                        counts.prologues_ahead + counts.prologues_discarded,
+                        0,
+                        "{context}"
+                    );
+                    continue;
+                }
+                assert!(counts.prologues_ahead > 0, "{context}: {counts:?}");
+                let steps = counts.steps + counts.skipped_steps;
+                if *name == "plain" {
+                    // Every step's prologue ran ahead, none was wasted.
+                    assert_eq!(
+                        (counts.prologues_ahead, counts.prologues_discarded),
+                        (steps, 0)
+                    );
+                }
+                let disrupted = ["degraded", "non-finite", "restore"];
+                if disrupted.iter().any(|what| name.contains(what)) {
+                    // The prologues run ahead of the disruptions went unused.
+                    assert!(counts.prologues_discarded > 0, "{context}: {counts:?}");
+                }
+                if name.contains("full buffer") {
+                    assert!(counts.rows_recomputed > 0, "{context}: {counts:?}");
+                }
+                recomputed += counts.rows_recomputed;
+            }
+            assert!(
+                !helped || recomputed > 0,
+                "K = {agents}: no row was recomputed"
+            );
+        }
     }
 }

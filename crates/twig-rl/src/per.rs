@@ -97,15 +97,85 @@ impl Priorities {
                 available: 0,
             });
         }
-        let beta = self.beta.value_at(self.step);
+        self.draw_into((self.len, None), n, rng, batch);
         self.step += 1;
-        let total = self.tree.total();
-        let len = self.len as f64;
+        Ok(())
+    }
+
+    /// The slot the next [`push`](Self::push) claims and the length it
+    /// leaves.
+    fn next_push(&self) -> (usize, usize) {
+        if self.len < self.capacity {
+            (self.len, self.len + 1)
+        } else {
+            (self.next, self.len)
+        }
+    }
+
+    /// [`len`](Self::len) after the next push.
+    pub(crate) fn len_after_push(&self) -> usize {
+        self.next_push().1
+    }
+
+    /// Doubles the tree now if the next push would: doubling changes no
+    /// leaf, no sum and no draw (see [`SumTree`]), so it may come early,
+    /// and [`sample_after_push_into`](Self::sample_after_push_into) then
+    /// never has to picture it.
+    pub(crate) fn grow_for_push(&mut self) {
+        if self.next_push().0 == self.tree.leaves {
+            self.tree.double();
+        }
+    }
+
+    /// What [`push`](Self::push) followed by [`sample_into`](Self::sample_into)
+    /// would draw, bit for bit, with neither run: the pushed slot's new
+    /// weight and the sums above it are computed as `push` would write them
+    /// and read in their place. Returns the slot the push will claim. The
+    /// buffer is unchanged; to take the draw, push and then
+    /// [`advance_anneal`](Self::advance_anneal).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the push would double the tree; call
+    /// [`grow_for_push`](Self::grow_for_push) first.
+    pub(crate) fn sample_after_push_into<R: Rng>(
+        &self,
+        n: usize,
+        rng: &mut R,
+        batch: &mut PerBatch,
+    ) -> usize {
+        let (slot, len) = self.next_push();
+        assert!(slot < self.tree.leaves, "the push would double the tree");
+        let pushed = self.tree.path(slot, self.max_priority.powf(self.alpha));
+        self.draw_into((len, Some(&pushed)), n, rng, batch);
+        slot
+    }
+
+    /// Moves the β anneal one step on, as the sample that
+    /// [`sample_after_push_into`](Self::sample_after_push_into) drew would
+    /// have.
+    pub(crate) fn advance_anneal(&mut self) {
+        self.step += 1;
+    }
+
+    /// The draws of a sample over `len` occupied slots, reading the nodes
+    /// `over` lists in place of the tree's own.
+    fn draw_into<R: Rng>(
+        &self,
+        (len, over): (usize, Option<&Path>),
+        n: usize,
+        rng: &mut R,
+        batch: &mut PerBatch,
+    ) {
+        batch.indices.clear();
+        batch.weights.clear();
+        let beta = self.beta.value_at(self.step);
+        let total = self.tree.total(over);
         for _ in 0..n {
             let target = rng.range_f64(0.0, total.max(f64::MIN_POSITIVE));
-            let idx = self.tree.find(target).min(self.len - 1);
-            let p = self.tree.get(idx) / total;
-            let w = (len * p).powf(-beta);
+            let idx = self.tree.find(target, over).min(len - 1);
+            let p = self.tree.get(idx, over) / total;
+            let w = (len as f64 * p).powf(-beta);
             batch.indices.push(idx);
             batch.weights.push(w as f32);
         }
@@ -117,7 +187,6 @@ impl Priorities {
         for w in &mut batch.weights {
             *w /= max_w;
         }
-        Ok(())
     }
 
     /// Feeds a train step's absolute TD errors, aligned with `indices`,
@@ -171,7 +240,7 @@ impl Priorities {
     /// [`restore_priorities`](Self::restore_priorities) round trip is
     /// lossless.
     pub(crate) fn priorities(&self) -> Vec<f64> {
-        (0..self.len).map(|i| self.tree.get(i)).collect()
+        (0..self.len).map(|i| self.tree.get(i, None)).collect()
     }
 
     /// Restores sum-tree leaves saved by [`priorities`](Self::priorities).
@@ -216,12 +285,50 @@ impl SumTree {
         }
     }
 
-    fn total(&self) -> f64 {
-        self.nodes[1]
+    /// Node `i`, or what `over` says it is.
+    fn node(&self, i: usize, over: Option<&Path>) -> f64 {
+        if let Some(path) = over {
+            let depth = path.node.ilog2();
+            if let Some(up) = depth.checked_sub(i.ilog2()) {
+                if path.node >> up == i {
+                    return path.sums[up as usize];
+                }
+            }
+        }
+        self.nodes[i]
     }
 
-    fn get(&self, leaf: usize) -> f64 {
-        self.nodes[self.leaves + leaf]
+    fn total(&self, over: Option<&Path>) -> f64 {
+        self.node(1, over)
+    }
+
+    fn get(&self, leaf: usize, over: Option<&Path>) -> f64 {
+        self.node(self.leaves + leaf, over)
+    }
+
+    /// What [`set`](Self::set) would write, without writing it: `value` at
+    /// `leaf` and each ancestor's sum of its children, left plus right, as
+    /// `set` adds them.
+    fn path(&self, leaf: usize, value: f64) -> Path {
+        let mut i = self.leaves + leaf;
+        let mut path = Path {
+            node: i,
+            sums: [0.0; usize::BITS as usize],
+        };
+        path.sums[0] = value;
+        let mut up = 0;
+        while i > 1 {
+            let (mine, sibling) = (path.sums[up], self.nodes[i ^ 1]);
+            let (left, right) = if i.is_multiple_of(2) {
+                (mine, sibling)
+            } else {
+                (sibling, mine)
+            };
+            i /= 2;
+            up += 1;
+            path.sums[up] = left + right;
+        }
+        path
     }
 
     fn set(&mut self, leaf: usize, value: f64) {
@@ -233,19 +340,20 @@ impl SumTree {
         }
     }
 
-    /// Finds the leaf where the prefix sum reaches `target`.
-    fn find(&self, mut target: f64) -> usize {
+    /// Finds the leaf where the prefix sum reaches `target`, reading the
+    /// nodes `over` lists in place of the tree's own.
+    fn find(&self, mut target: f64, over: Option<&Path>) -> usize {
         // The absent upper levels: each compares `target` with a left child
         // equal to `total`, so a target below it arrives at this root
         // unchanged, and any other turns right once into zeros, where no
         // comparison succeeds again, and ends on the last leaf.
-        let reaches_this_root = target < self.total();
+        let reaches_this_root = target < self.total(over);
         if self.leaves < self.full_leaves && !reaches_this_root {
             return self.full_leaves - 1;
         }
         let mut i = 1;
         while i < self.leaves {
-            let left = self.nodes[2 * i];
+            let left = self.node(2 * i, over);
             if target < left {
                 i *= 2;
             } else {
@@ -273,6 +381,14 @@ impl SumTree {
         self.nodes[1] = self.nodes[2] + self.nodes[3];
         self.leaves = 2 * old;
     }
+}
+
+/// The nodes one [`SumTree::set`] writes, from the leaf up to the root, with
+/// the values it writes: `sums[up]` is node `node >> up`.
+#[derive(Debug, Clone)]
+struct Path {
+    node: usize,
+    sums: [f64; usize::BITS as usize],
 }
 
 #[cfg(test)]
@@ -303,10 +419,10 @@ mod tests {
         let mut t = tree(5);
         t.set(0, 1.0);
         t.set(3, 2.0);
-        assert_eq!(t.total(), 3.0);
+        assert_eq!(t.total(None), 3.0);
         t.set(0, 0.5);
-        assert_eq!(t.total(), 2.5);
-        assert_eq!(t.get(3), 2.0);
+        assert_eq!(t.total(None), 2.5);
+        assert_eq!(t.get(3, None), 2.0);
     }
 
     #[test]
@@ -314,9 +430,9 @@ mod tests {
         let mut t = tree(4);
         t.set(0, 1.0);
         t.set(1, 3.0);
-        assert_eq!(t.find(0.5), 0);
-        assert_eq!(t.find(1.5), 1);
-        assert_eq!(t.find(3.9), 1);
+        assert_eq!(t.find(0.5, None), 0);
+        assert_eq!(t.find(1.5, None), 1);
+        assert_eq!(t.find(3.9, None), 1);
     }
 
     #[test]
@@ -331,9 +447,9 @@ mod tests {
             t.set(i, v);
             want.push(v);
             for (j, w) in want.iter().enumerate() {
-                assert_eq!(t.get(j).to_bits(), w.to_bits());
+                assert_eq!(t.get(j, None).to_bits(), w.to_bits());
             }
-            assert!((t.total() - want.iter().sum::<f64>()).abs() < 1e-9);
+            assert!((t.total(None) - want.iter().sum::<f64>()).abs() < 1e-9);
             assert_eq!(t.nodes.len(), 2 * t.leaves);
         }
         assert_eq!(t.leaves, 256);
@@ -355,6 +471,59 @@ mod tests {
         let mut batch = PerBatch::default();
         per.sample_into(n, rng, &mut batch).unwrap();
         batch
+    }
+
+    #[test]
+    fn a_sample_after_a_pictured_push_is_the_sample_after_the_push() {
+        // Appending, reaching the tree's width (which doubles it), and
+        // overwriting a full ring, in rings of several sizes.
+        for (capacity, pushed) in [
+            (40, 0),
+            (40, 7),
+            (40, 31),
+            (40, 32),
+            (40, 39),
+            (40, 95),
+            (5, 12),
+        ] {
+            let mut real = Priorities::new(capacity, 0.6, 0.4, 50);
+            let mut errors = Xoshiro256::seed_from_u64(pushed as u64);
+            for i in 0..pushed {
+                real.push();
+                let err = errors.range_f64(0.0, 3.0);
+                real.update_priorities(&[i % capacity], &[err]);
+            }
+            let mut pictured = real.clone();
+            let context = format!("capacity {capacity}, {pushed} pushed");
+            pictured.grow_for_push();
+            let (mut a, mut b) = (PerBatch::default(), PerBatch::default());
+            let mut rng_a = Xoshiro256::seed_from_u64(9);
+            let mut rng_b = rng_a.clone();
+            let slot = pictured.sample_after_push_into(16, &mut rng_a, &mut a);
+            assert_eq!(pictured.anneal_step(), real.anneal_step(), "{context}");
+            assert_eq!(real.push(), slot, "{context}");
+            real.sample_into(16, &mut rng_b, &mut b).unwrap();
+            assert_eq!(a.indices, b.indices, "{context}");
+            let bits = |w: &[f32]| w.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a.weights), bits(&b.weights), "{context}");
+            assert_eq!(rng_a, rng_b, "{context}");
+            // Taken, the pictured push leaves the buffer the push left.
+            assert_eq!(pictured.push(), slot, "{context}");
+            pictured.advance_anneal();
+            assert_eq!(pictured.anneal_step(), real.anneal_step(), "{context}");
+            let leaves = |p: &Priorities| {
+                p.priorities()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(leaves(&pictured), leaves(&real), "{context}");
+            let total = |p: &Priorities| p.tree.total(None).to_bits();
+            assert_eq!(total(&pictured), total(&real), "{context}");
+            pictured.sample_into(16, &mut rng_a, &mut a).unwrap();
+            real.sample_into(16, &mut rng_b, &mut b).unwrap();
+            assert_eq!(a, b, "{context}");
+        }
     }
 
     #[test]
@@ -437,7 +606,7 @@ mod tests {
             for (i, &p) in prios.iter().enumerate() {
                 t.set(i, p);
             }
-            let idx = t.find(frac * t.total() * 0.999);
+            let idx = t.find(frac * t.total(None) * 0.999, None);
             assert!(idx < prios.len());
         }
     }
@@ -650,7 +819,7 @@ mod tests {
     fn assert_same(new: &Priorities, old: &reference::FixedPer, context: &str) {
         assert_eq!(new.len(), old.len, "{context}: len");
         assert_eq!(
-            new.tree.total().to_bits(),
+            new.tree.total(None).to_bits(),
             old.tree.total().to_bits(),
             "{context}: total"
         );
@@ -667,7 +836,7 @@ mod tests {
             let total = old.tree.total();
             for target in [0.0, total * 0.5, total * (1.0 - f64::EPSILON), total] {
                 assert_eq!(
-                    new.tree.find(target).min(new.len() - 1),
+                    new.tree.find(target, None).min(new.len() - 1),
                     old.tree.find(target).min(old.len - 1),
                     "{context}: find({target:e}) of total {total:e}"
                 );
@@ -695,9 +864,13 @@ mod tests {
             old.restore_priorities(&saved);
             let total = old.tree.total();
             assert_eq!(total, 1.0);
-            assert_eq!(new.tree.total().to_bits(), total.to_bits());
+            assert_eq!(new.tree.total(None).to_bits(), total.to_bits());
             assert_eq!(old.tree.find(total).min(3), want, "capacity {capacity}");
-            assert_eq!(new.tree.find(total).min(3), want, "capacity {capacity}");
+            assert_eq!(
+                new.tree.find(total, None).min(3),
+                want,
+                "capacity {capacity}"
+            );
         }
     }
 

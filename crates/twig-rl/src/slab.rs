@@ -76,8 +76,14 @@ impl TransitionSlab {
         }
     }
 
-    fn joint(&self) -> usize {
+    /// Floats in a joint state, `K·S`.
+    pub(crate) fn joint(&self) -> usize {
         self.agents * self.state_dim
+    }
+
+    /// Agents `K`: rewards in a record.
+    pub(crate) fn agents(&self) -> usize {
+        self.agents
     }
 
     fn float_stride(&self) -> usize {

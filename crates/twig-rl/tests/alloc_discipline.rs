@@ -137,6 +137,7 @@ fn hot_path_is_allocation_free_in_steady_state() {
         );
 
         observe_allocates_only_to_double(&mut agent, agents);
+        prologues_ahead_allocate_nothing(&mut agent, agents);
 
         // Sanity: the agent is still actually learning (steps advanced) and
         // the outputs are live.
@@ -198,6 +199,55 @@ fn observe_allocates_only_to_double(agent: &mut MaBdq, agents: usize) {
     assert_eq!(grown, 21);
     assert_eq!(agent.buffer_len(), 1_024);
     assert_eq!(agent.replay_unlinked(), 1_023);
+}
+
+/// With the ring full, a control loop's epoch — decide, start the step's
+/// prologue ahead, store the transition, train — allocates nothing, on
+/// this thread or the helper's, once warm: once a prologue has recomputed
+/// the rows of a sampled newest transition, which sizes the row patch. With
+/// one agent or one CPU nothing runs ahead and the epoch is the plain one.
+fn prologues_ahead_allocate_nothing(agent: &mut MaBdq, agents: usize) {
+    let ahead = agents > 1 && twig_stats::helper::two_cpus();
+    let mut actions = Vec::new();
+    // Built up front: the caller's own buffers are not the learner's.
+    let transitions: Vec<MultiTransition> = (2_000..4_100).map(|i| transition(agents, i)).collect();
+    let mut epoch = |agent: &mut MaBdq, i: usize| {
+        let t = &transitions[i - 2_000];
+        agent
+            .select_actions_into(&t.states, 0.5, &mut actions)
+            .unwrap();
+        agent.prepare_step(&t.states, &actions);
+        agent
+            .observe_parts(&t.states, &actions, &t.rewards, &t.next_states)
+            .unwrap();
+        agent.train_step().unwrap().expect("batch available");
+    };
+    let mut i = 2_000;
+    while ahead && agent.learner_stats().rows_recomputed == 0 {
+        epoch(agent, i);
+        i += 1;
+        assert!(
+            i < 4_000,
+            "K = {agents}: no step sampled its newest transition"
+        );
+    }
+    for _ in 0..3 {
+        epoch(agent, i);
+        i += 1;
+    }
+    let before = agent.learner_stats();
+    let start = count_alloc::allocation_count();
+    for _ in 0..20 {
+        epoch(agent, i);
+        i += 1;
+    }
+    let delta = count_alloc::allocations_since(start);
+    assert_eq!(
+        delta, 0,
+        "K = {agents}: 20 epochs with prologues ahead allocated {delta} times"
+    );
+    let ran_ahead = agent.learner_stats().prologues_ahead - before.prologues_ahead;
+    assert_eq!(ran_ahead, if ahead { 20 } else { 0 }, "K = {agents}");
 }
 
 /// The default configuration reserves room for 10⁶ transitions; after
@@ -297,6 +347,10 @@ fn learner_bytes_account_for_the_live_heap(agents: usize) {
     let before = count_alloc::live_bytes();
     let mut agent = MaBdq::new(config).unwrap();
     for (i, t) in transitions.iter().enumerate() {
+        if i >= 63 {
+            // The prologue run ahead's buffers are the learner's too.
+            agent.prepare_step(&t.states, &t.actions);
+        }
         agent
             .observe_parts(&t.states, &t.actions, &t.rewards, &t.next_states)
             .unwrap();

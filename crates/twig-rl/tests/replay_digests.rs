@@ -12,8 +12,11 @@
 //! nine in ten transitions start where the previous one ended, the rest start
 //! afresh, so the tail row, linked records and the orphan table are all read.
 //! Rewards span `2^±6` so priorities span decades and the sampled indices show
-//! in them. Regenerate only for a change that means to alter what the learner
-//! computes.
+//! in them. Each digest is taken twice: with the transition stored and then
+//! trained on, and with the step's prologue started ahead of the store
+//! (`MaBdq::prepare_step`, which runs on a helper thread when there is one),
+//! as a control loop starts it right after deciding. Regenerate only for a
+//! change that means to alter what the learner computes.
 
 use twig_rl::{MaBdq, MaBdqConfig, QuarantineConfig};
 use twig_stats::rng::{Rng, Xoshiro256};
@@ -30,7 +33,7 @@ fn fold(h: &mut u64, v: u64) {
     *h = (*h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
 }
 
-fn digest(agents: usize, buffer_capacity: usize) -> u64 {
+fn digest(agents: usize, buffer_capacity: usize, ahead: bool) -> u64 {
     let mut agent = MaBdq::new(MaBdqConfig {
         agents,
         buffer_capacity,
@@ -67,6 +70,9 @@ fn digest(agents: usize, buffer_capacity: usize) -> u64 {
                 f32::from_bits((rng.range_usize(0, 2) as u32) << 31 | exponent << 23)
             })
             .collect();
+        if ahead {
+            agent.prepare_step(&states, &actions);
+        }
         agent
             .observe_parts(&states, &actions, &rewards, &next_states)
             .unwrap();
@@ -102,8 +108,15 @@ fn digest(agents: usize, buffer_capacity: usize) -> u64 {
 
 #[test]
 fn learning_is_bit_identical_to_whole_transition_records() {
-    let got = GOLDEN.map(|(agents, capacity, _)| (agents, capacity, digest(agents, capacity)));
-    assert_eq!(got, GOLDEN, "digests computed: {:#018x?}", got.map(|g| g.2));
+    for ahead in [false, true] {
+        let got =
+            GOLDEN.map(|(agents, capacity, _)| (agents, capacity, digest(agents, capacity, ahead)));
+        let computed = got.map(|g| g.2);
+        assert_eq!(
+            got, GOLDEN,
+            "ahead {ahead}: digests computed: {computed:#018x?}"
+        );
+    }
 }
 
 /// Printed by [`parameter_paths_digest`] before the networks kept their
@@ -126,8 +139,14 @@ fn fold_checkpoint(h: &mut u64, agent: &MaBdq) {
 }
 
 /// Observes a transition with rewards `rewards` and takes a gradient step,
-/// folding its diagnostics.
-fn observe_and_step(agent: &mut MaBdq, rng: &mut Xoshiro256, rewards: &[f32], h: &mut u64) {
+/// folding its diagnostics; with `ahead`, the step's prologue starts before
+/// the transition is stored.
+fn observe_and_step(
+    agent: &mut MaBdq,
+    (rng, ahead): (&mut Xoshiro256, bool),
+    rewards: &[f32],
+    h: &mut u64,
+) {
     let (state_dim, branches) = (agent.config().state_dim, agent.config().branches.clone());
     let row = |rng: &mut Xoshiro256| -> Vec<Vec<f32>> {
         (0..rewards.len())
@@ -142,6 +161,9 @@ fn observe_and_step(agent: &mut MaBdq, rng: &mut Xoshiro256, rewards: &[f32], h:
     let actions: Vec<Vec<usize>> = (0..rewards.len())
         .map(|_| branches.iter().map(|&n| rng.range_usize(0, n)).collect())
         .collect();
+    if ahead {
+        agent.prepare_step(&states, &actions);
+    }
     agent
         .observe_parts(&states, &actions, rewards, &next_states)
         .unwrap();
@@ -157,7 +179,7 @@ fn observe_and_step(agent: &mut MaBdq, rng: &mut Xoshiro256, rewards: &[f32], h:
 /// syncs, a transfer reset, a quarantine trip (snapshot refreshes, a rollback,
 /// a re-admission) and a checkpoint restored into a learner built from
 /// another seed, which then trains on.
-fn parameter_paths_digest() -> u64 {
+fn parameter_paths_digest(ahead: bool) -> u64 {
     let config = MaBdqConfig {
         agents: 2,
         trunk_hidden: vec![24, 16],
@@ -181,23 +203,23 @@ fn parameter_paths_digest() -> u64 {
     let calm = |rng: &mut Xoshiro256| vec![rng.range_f64(-1.0, 1.0) as f32; 2];
     for _ in 0..40 {
         let rewards = calm(&mut rng);
-        observe_and_step(&mut agent, &mut rng, &rewards, &mut h);
+        observe_and_step(&mut agent, (&mut rng, ahead), &rewards, &mut h);
     }
     agent.transfer_reset();
     fold_checkpoint(&mut h, &agent);
     for _ in 0..30 {
         let rewards = calm(&mut rng);
-        observe_and_step(&mut agent, &mut rng, &rewards, &mut h);
+        observe_and_step(&mut agent, (&mut rng, ahead), &rewards, &mut h);
     }
     // A reward whose squared TD overflows trips agent 0 and rolls its value
     // head back to the last snapshot.
     for _ in 0..3 {
-        observe_and_step(&mut agent, &mut rng, &[1.0e30, 0.5], &mut h);
+        observe_and_step(&mut agent, (&mut rng, ahead), &[1.0e30, 0.5], &mut h);
     }
     assert!(agent.quarantine_stats().trips >= 1, "agent 0 tripped");
     for _ in 0..40 {
         let rewards = calm(&mut rng);
-        observe_and_step(&mut agent, &mut rng, &rewards, &mut h);
+        observe_and_step(&mut agent, (&mut rng, ahead), &rewards, &mut h);
     }
     assert!(
         agent.quarantine_stats().readmissions >= 1,
@@ -209,7 +231,7 @@ fn parameter_paths_digest() -> u64 {
     restored.load_checkpoint(&agent.save_checkpoint()).unwrap();
     for _ in 0..30 {
         let rewards = calm(&mut rng);
-        observe_and_step(&mut restored, &mut rng, &rewards, &mut h);
+        observe_and_step(&mut restored, (&mut rng, ahead), &rewards, &mut h);
     }
     fold_checkpoint(&mut h, &restored);
     h
@@ -217,6 +239,11 @@ fn parameter_paths_digest() -> u64 {
 
 #[test]
 fn parameter_and_moment_copies_are_bit_identical() {
-    let got = parameter_paths_digest();
-    assert_eq!(got, PATHS_GOLDEN, "digest computed: {got:#018x}");
+    for ahead in [false, true] {
+        let got = parameter_paths_digest(ahead);
+        assert_eq!(
+            got, PATHS_GOLDEN,
+            "ahead {ahead}: digest computed: {got:#018x}"
+        );
+    }
 }

@@ -2,7 +2,10 @@
 //!
 //! A [`Helper`] owns a second thread and one job slot. [`Helper::run`]
 //! hands the slot to the helper, runs the caller's own share of the work
-//! meanwhile, and returns once both are done. The job never leaves the
+//! meanwhile, and returns once both are done. Split in two, it is
+//! [`Helper::post`], after which the caller may return and do anything that
+//! does not touch the job, and [`Helper::wait`] (or [`Helper::withdraw`],
+//! which does not run a job the helper never took). The job never leaves the
 //! helper's slot, so its buffers keep their capacity from run to run, and
 //! whatever the caller moves into it comes back through
 //! [`Helper::job`]. Results are the caller's to combine; a job whose
@@ -76,6 +79,9 @@ struct Shared<J> {
     /// Times the helper has parked.
     #[cfg(test)]
     parks: std::sync::atomic::AtomicU32,
+    /// While set, the helper leaves posts alone.
+    #[cfg(test)]
+    hold: std::sync::atomic::AtomicBool,
 }
 
 /// Locks a mutex. Every run of a job is caught, so a poisoned lock only
@@ -141,6 +147,8 @@ impl<J: Job> Helper<J> {
             panic: Mutex::new(None),
             #[cfg(test)]
             parks: Default::default(),
+            #[cfg(test)]
+            hold: Default::default(),
         });
         let theirs = Arc::clone(&shared);
         let thread = thread::Builder::new()
@@ -165,30 +173,66 @@ impl<J: Job> Helper<J> {
     /// job runs here instead, after `mine`. A job's results must therefore
     /// not depend on the thread that runs it.
     pub fn run<R>(&mut self, mine: impl FnOnce() -> R) -> Finished<R> {
+        self.post();
+        let mine = panic::catch_unwind(AssertUnwindSafe(mine));
+        let theirs = self.wait();
+        Finished { mine, theirs }
+    }
+
+    /// The first half of [`run`](Self::run): hands the job to the helper
+    /// and returns at once, so that the caller can go on with anything that
+    /// does not touch the job. [`wait`](Self::wait) or
+    /// [`withdraw`](Self::withdraw) ends the post; until then the job is the
+    /// helper's, and [`job`](Self::job) blocks while the helper runs it.
+    /// Dropping the helper withdraws the post.
+    pub fn post(&mut self) {
         self.shared.phase.store(POSTED, Ordering::Release);
         if let Some(thread) = &self.thread {
             thread.thread().unpark();
         }
-        let mine = panic::catch_unwind(AssertUnwindSafe(mine));
+    }
+
+    /// The second half of [`run`](Self::run): returns once the posted job is
+    /// done, running it here if the helper has not taken it, with the job's
+    /// panic if it panicked. The job is the caller's again either way, so
+    /// take back what was moved into it before resuming the panic. Returns
+    /// at once when nothing is posted.
+    pub fn wait(&mut self) -> thread::Result<()> {
+        self.end_post(true)
+    }
+
+    /// Ends a post without asking for its result: a job the helper has not
+    /// taken does not run at all, one it has taken is waited for. The job's
+    /// panic, if it ran and panicked, is returned as by
+    /// [`wait`](Self::wait).
+    pub fn withdraw(&mut self) -> thread::Result<()> {
+        self.end_post(false)
+    }
+
+    /// Takes the slot back from the post, running an untaken job here if
+    /// `run_untaken`, else waiting until the helper is done with it.
+    fn end_post(&mut self, run_untaken: bool) -> thread::Result<()> {
         let phase = &self.shared.phase;
-        let theirs = if phase
+        if phase
             .compare_exchange(POSTED, DONE, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
         {
-            self.shared.run_job()
-        } else {
-            let mut polls = 0u32;
-            while phase.load(Ordering::Acquire) != DONE {
-                if polls < SPINS {
-                    polls += 1;
-                    spin_loop();
-                } else {
-                    thread::yield_now();
-                }
+            return if run_untaken {
+                self.shared.run_job()
+            } else {
+                Ok(())
+            };
+        }
+        let mut polls = 0u32;
+        while phase.load(Ordering::Acquire) != DONE {
+            if polls < SPINS {
+                polls += 1;
+                spin_loop();
+            } else {
+                thread::yield_now();
             }
-            lock(&self.shared.panic).take().map_or(Ok(()), Err)
-        };
-        Finished { mine, theirs }
+        }
+        lock(&self.shared.panic).take().map_or(Ok(()), Err)
     }
 
     /// [`run`](Self::run) with both shares on this thread: the job first,
@@ -218,11 +262,19 @@ impl<J: Job> Helper<J> {
     fn parks(&self) -> u32 {
         self.shared.parks.load(Ordering::Relaxed)
     }
+
+    /// Keeps the helper from taking posts, or lets it again.
+    #[cfg(test)]
+    fn hold(&self, on: bool) {
+        self.shared.hold.store(on, Ordering::Release);
+    }
 }
 
 impl<J: Job> Drop for Helper<J> {
     fn drop(&mut self) {
-        // `run` returns only once the job is done, so the helper is idle.
+        // Once the post (if any) is over, the helper is idle and polls for
+        // the next one. Its panic, if it had one, is nobody's to resume now.
+        let _ = self.withdraw();
         self.shared.phase.store(EXIT, Ordering::Release);
         if let Some(thread) = self.thread.take() {
             thread.thread().unpark();
@@ -239,6 +291,8 @@ fn serve<J: Job>(shared: &Shared<J>) {
         let mut polls = 0u32;
         loop {
             match shared.phase.load(Ordering::Acquire) {
+                #[cfg(test)]
+                POSTED if shared.hold.load(Ordering::Acquire) => {}
                 POSTED => {
                     let taken = shared.phase.compare_exchange(
                         POSTED,
@@ -378,6 +432,111 @@ mod tests {
         }
         drop(helper);
         assert!(liveness.upgrade().is_none(), "drop joined the helper");
+    }
+
+    #[test]
+    fn a_post_the_helper_never_took_runs_at_wait() {
+        let Some(mut helper) = Helper::spawn("test-helper", Sum::default()) else {
+            return;
+        };
+        helper.hold(true);
+        helper.job().values = vec![1, 2, 3];
+        helper.post();
+        // Nothing the caller does in between reaches the job.
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        helper.wait().unwrap();
+        let job = helper.job();
+        assert_eq!(job.sum, 6);
+        assert!(!job.on_helper, "the caller ran the untaken post");
+        drop(job);
+        // Withdrawn untaken, a post does not run at all.
+        helper.job().values = vec![13];
+        helper.post();
+        helper.withdraw().unwrap();
+        assert_eq!(helper.job().sum, 6);
+        // Taken, it runs on the helper and `wait` returns its result.
+        helper.hold(false);
+        helper.job().values = vec![4, 5];
+        helper.post();
+        helper.wait().unwrap();
+        assert_eq!(helper.job().sum, 9);
+        // Nothing posted: `wait` and `withdraw` return at once.
+        helper.wait().unwrap();
+        helper.withdraw().unwrap();
+    }
+
+    #[test]
+    fn a_panic_in_a_posted_job_resumes_at_wait_with_the_state_back() {
+        let Some(mut helper) = Helper::spawn("test-helper", Sum::default()) else {
+            return;
+        };
+        for hold in [false, true] {
+            helper.hold(hold);
+            helper.job().values = vec![7, 13];
+            helper.post();
+            let theirs = helper.wait();
+            // The job is the caller's again before the panic is resumed.
+            assert_eq!(std::mem::take(&mut helper.job().values), [7, 13]);
+            let payload = theirs.unwrap_err();
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| panic::resume_unwind(payload)));
+            let caught = caught.unwrap_err();
+            assert_eq!(caught.downcast_ref::<&str>(), Some(&"injected panic on 13"));
+        }
+        // The helper goes on serving posts.
+        helper.hold(false);
+        helper.job().values = vec![2, 3];
+        helper.post();
+        helper.wait().unwrap();
+        assert_eq!(helper.job().sum, 5);
+    }
+
+    /// Runs until told to stop; says when it started and when it ended.
+    struct Blocking {
+        started: Arc<std::sync::atomic::AtomicBool>,
+        release: Arc<std::sync::atomic::AtomicBool>,
+        ended: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl Job for Blocking {
+        fn run(&mut self) {
+            self.started.store(true, Ordering::Release);
+            while !self.release.load(Ordering::Acquire) {
+                thread::yield_now();
+            }
+            self.ended.store(true, Ordering::Release);
+        }
+    }
+
+    #[test]
+    fn dropping_a_helper_with_a_posted_job_joins_it() {
+        let flag = || Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let (started, release, ended) = (flag(), flag(), flag());
+        let job = Blocking {
+            started: Arc::clone(&started),
+            release: Arc::clone(&release),
+            ended: Arc::clone(&ended),
+        };
+        let Some(mut helper) = Helper::spawn("test-helper", job) else {
+            return;
+        };
+        let liveness = helper.liveness();
+        helper.post();
+        let begin = std::time::Instant::now();
+        while !started.load(Ordering::Acquire) {
+            assert!(
+                begin.elapsed().as_secs() < 60,
+                "the helper never took the post"
+            );
+            thread::yield_now();
+        }
+        let releaser = thread::spawn(move || {
+            thread::sleep(std::time::Duration::from_millis(20));
+            release.store(true, Ordering::Release);
+        });
+        drop(helper);
+        assert!(ended.load(Ordering::Acquire), "drop waited for the job");
+        assert!(liveness.upgrade().is_none(), "drop joined the helper");
+        releaser.join().unwrap();
     }
 
     #[test]

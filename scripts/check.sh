@@ -174,11 +174,13 @@ check_any_seed() {
 
 # `Cluster::step` and `MaBdq`'s whole train step hand half of their work to
 # a helper thread only when the process may run two threads at once
-# (DESIGN.md §18); a budgeted step's one-agent chunks never do. Pinned to
+# (DESIGN.md §18); a budgeted step's one-agent chunks never do, and
+# `MaBdq::prepare_step` posts nothing, so no prologue runs ahead. Pinned to
 # one CPU, everything runs on the calling thread, and the suite reports must
 # still equal the committed ones, the learner's replay digests their
-# goldens and a budgeted step the whole step. Reuses the dev build of the
-# test step and the release build of `test-release`'s crates.
+# goldens (taken with and without `prepare_step`), a budgeted step the whole
+# step, and the prologue-ahead proof's runs each other. Reuses the dev build
+# of the test step and the release build of `test-release`'s crates.
 check_one_cpu() {
     if ! command -v taskset >/dev/null; then
         echo "SKIP: one-cpu (taskset not found)"
@@ -186,7 +188,9 @@ check_one_cpu() {
     fi
     taskset -c 0 cargo test -q --offline -p twig-bench --test fleet_determinism &&
         taskset -c 0 cargo test -q --release --offline -p twig-rl \
-            --test replay_digests --test budgeted_training
+            --test replay_digests --test budgeted_training &&
+        taskset -c 0 cargo test -q --release --offline -p twig-rl --lib \
+            steps_whose_prologue_ran_ahead_equal_serial_steps
 }
 
 step "fmt"            cargo fmt --all -- --check
